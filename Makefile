@@ -3,7 +3,7 @@
 GO ?= go
 SIMLINT := $(CURDIR)/bin/simlint
 
-.PHONY: all build test race bench fleet fleet-update lint simlint vet-simlint fmt clean
+.PHONY: all build test race bench simbench fleet fleet-update lint simlint vet-simlint fmt clean
 
 all: build test simlint
 
@@ -23,6 +23,13 @@ race:
 # counts are load-bearing (see the alloc gates in internal/cluster).
 bench:
 	$(GO) test -run='^$$' -bench='BenchmarkGroundTruthQuanta|BenchmarkParallelBarrier|BenchmarkFastPathRack' -benchtime=2s -benchmem ./internal/cluster/
+
+# The benchmark harness (cmd/simbench, BENCHMARK.json): six workloads,
+# end-to-end and per-layer metrics, one clustersim-bench/1 document. About
+# 70 s on 2 cores. Compare two commits' documents with
+# `go run ./cmd/simbench -compare a.json b.json`.
+simbench:
+	$(GO) run ./cmd/simbench -seed 1 -out results/simbench.json
 
 # Scenario regression fleet: run the committed manifest and check every
 # canonical fingerprint against testdata/fleet/golden.json (what CI's

@@ -9,46 +9,87 @@ import (
 
 // The arena refactor's headline allocation guarantee (DESIGN.md §12): after
 // warm-up, advancing a quantum costs zero heap allocations in the classic
-// walk, and the batched router's only per-quantum allocations are the
-// unavoidable per-message guest buffers. One run's setup (nodes, arenas,
-// queues) does allocate, so the steady-state rate is isolated by differencing
-// two runs that are identical except for their length: setup cancels and the
-// remainder is pure per-quantum cost.
+// walk and in the quiet pass, and the batched router's only per-quantum
+// allocations are the unavoidable per-message guest buffers. One run's setup
+// (nodes, arenas, queues) does allocate, so the steady-state rate is isolated
+// by differencing two runs that are identical except for their length: setup
+// cancels and the remainder is pure per-quantum cost.
 
 // allocsForRun measures the average allocations of one full Run of cfg and
-// returns it together with the run's quantum count.
-func allocsForRun(t *testing.T, cfg Config) (allocs float64, quanta int) {
+// returns it with the run's quantum count and how many of those the quiet
+// pass fast-forwarded (DESIGN.md §7.1). Quiet quanta never reach the walks or
+// the router, so a gate on those divides by the stepped remainder.
+func allocsForRun(t *testing.T, cfg Config) (allocs float64, quanta, quiet int) {
 	t.Helper()
+	cfg.onQuiet = func(int) bool { quiet++; return true }
 	run := func() {
+		quiet = 0
 		res, err := Run(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		quanta = res.Stats.Quanta
 	}
-	return testing.AllocsPerRun(5, run), quanta
+	return testing.AllocsPerRun(5, run), quanta, quiet
 }
 
-// TestClassicWalkZeroAllocsPerQuantum pins the classic event-queue walk at
-// zero steady-state allocations per quantum: a 10x longer silent run must
-// allocate exactly as much as a short one.
-func TestClassicWalkZeroAllocsPerQuantum(t *testing.T) {
-	// Q well above the Paper model's minimum latency keeps walks==nil off
-	// the fast path, so every quantum runs the event-queue engine.
-	const q = 50 * simtime.Microsecond
-	short := testConfig(4, workloads.Silent(1*simtime.Millisecond), fixed(q))
-	long := testConfig(4, workloads.Silent(10*simtime.Millisecond), fixed(q))
-
-	aShort, qShort := allocsForRun(t, short)
-	aLong, qLong := allocsForRun(t, long)
-	if qLong <= qShort {
-		t.Fatalf("long run (%d quanta) not longer than short run (%d quanta)", qLong, qShort)
+// steadyStatePerStepped differences a short and a long run of the same
+// shape and returns the allocations per additional stepped quantum.
+func steadyStatePerStepped(t *testing.T, label string, short, long Config) float64 {
+	t.Helper()
+	aShort, qShort, quietShort := allocsForRun(t, short)
+	aLong, qLong, quietLong := allocsForRun(t, long)
+	stepped := (qLong - quietLong) - (qShort - quietShort)
+	if stepped < 20 {
+		t.Fatalf("%s: long run steps only %d more quanta than the short one (%d/%d vs %d/%d quanta quiet)",
+			label, stepped, quietLong, qLong, quietShort, qShort)
 	}
-	perQuantum := (aLong - aShort) / float64(qLong-qShort)
-	t.Logf("classic walk: short %v allocs / %d quanta, long %v allocs / %d quanta, steady state %.4f allocs/quantum",
-		aShort, qShort, aLong, qLong, perQuantum)
-	if perQuantum != 0 {
-		t.Errorf("classic walk steady state allocates: %.4f allocs/quantum (want exactly 0)", perQuantum)
+	per := (aLong - aShort) / float64(stepped)
+	t.Logf("%s: short %v allocs / %d quanta (%d quiet), long %v allocs / %d quanta (%d quiet), steady state %.4f allocs/stepped quantum",
+		label, aShort, qShort, quietShort, aLong, qLong, quietLong, per)
+	return per
+}
+
+// TestClassicWalkZeroAllocsPerQuantum pins the classic event-queue walk —
+// dispatch, stepNode, idleTo, sendFrame, routeFlight, deliver — at zero
+// steady-state allocations: the runs differ only in phase count, so the
+// difference is extra compute/alltoall cycles, and only their stepped
+// (traffic-carrying or op-completing) quanta count — the silent compute
+// stretches in between are fast-forwarded and never reach the walk.
+func TestClassicWalkZeroAllocsPerQuantum(t *testing.T) {
+	// Workers == 0 keeps every stepped quantum on the event-queue engine
+	// whatever the quantum size.
+	mk := func(phases int) Config {
+		return testConfig(4, workloads.Phases(phases, 150*simtime.Microsecond, 32<<10), fixed(simtime.Microsecond))
+	}
+	if per := steadyStatePerStepped(t, "classic walk", mk(2), mk(8)); per >= 0.5 {
+		t.Errorf("classic walk steady state allocates %.4f allocs/stepped quantum (want < 0.5: only per-message guest buffers)", per)
+	}
+}
+
+// TestQuietQuantumZeroAllocs pins the quiet pass at zero allocations per
+// quantum on every engine: a 10x longer silent run must allocate as much as
+// a short one, with nearly all of the extra quanta fast-forwarded.
+func TestQuietQuantumZeroAllocs(t *testing.T) {
+	for _, workers := range []int{0, 1, 2} {
+		mk := func(d simtime.Duration) Config {
+			cfg := testConfig(4, workloads.Silent(d), fixed(simtime.Microsecond))
+			cfg.Workers = workers
+			return cfg
+		}
+		aShort, qShort, quietShort := allocsForRun(t, mk(1*simtime.Millisecond))
+		aLong, qLong, quietLong := allocsForRun(t, mk(10*simtime.Millisecond))
+		t.Logf("workers=%d: short %v allocs / %d quanta (%d quiet), long %v allocs / %d quanta (%d quiet)",
+			workers, aShort, qShort, quietShort, aLong, qLong, quietLong)
+		if extra := quietLong - quietShort; extra*100 < 95*(qLong-qShort) {
+			t.Errorf("workers=%d: only %d of the %d extra quanta were quiet", workers, extra, qLong-qShort)
+		}
+		// An allocation in the pass costs at least 1 per quantum; set-up
+		// jitter (pool goroutine start-up, a GC cycle landing in one run)
+		// moves the totals by a few allocations per run.
+		if per := (aLong - aShort) / float64(qLong-qShort); per >= 0.01 {
+			t.Errorf("workers=%d: quiet quanta allocate %.4f allocs/quantum (want 0)", workers, per)
+		}
 	}
 }
 
@@ -66,19 +107,13 @@ func TestBatchedRouterAllocsPerQuantum(t *testing.T) {
 		cfg.Workers = 1
 		return cfg
 	}
-	aShort, qShort := allocsForRun(t, mk(2))
-	aLong, qLong := allocsForRun(t, mk(8))
-	if qLong <= qShort {
-		t.Fatalf("long run (%d quanta) not longer than short run (%d quanta)", qLong, qShort)
-	}
-	perQuantum := (aLong - aShort) / float64(qLong-qShort)
-	t.Logf("batched router: short %v allocs / %d quanta, long %v allocs / %d quanta, steady state %.4f allocs/quantum",
-		aShort, qShort, aLong, qLong, perQuantum)
+	perQuantum := steadyStatePerStepped(t, "batched router", mk(2), mk(8))
 	// Six extra alltoall phases are 72 extra 8KB messages; each costs one
 	// payload buffer plus 3/64ths of a block carve. Everything else — the
 	// flight slab, the batch and delivery buffers, the event arena — must
-	// be reused, so the steady state stays far below one alloc per quantum.
+	// be reused, so the steady state stays far below one alloc per stepped
+	// quantum (the compute stretches are quiet and never reach the router).
 	if perQuantum >= 0.5 {
-		t.Errorf("batched router steady state allocates %.4f allocs/quantum (want < 0.5: only per-message guest buffers)", perQuantum)
+		t.Errorf("batched router steady state allocates %.4f allocs/stepped quantum (want < 0.5: only per-message guest buffers)", perQuantum)
 	}
 }

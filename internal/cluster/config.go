@@ -49,12 +49,6 @@ type Config struct {
 	// TraceQuanta records one entry per synchronization quantum (needed for
 	// the Figure 9 speedup-over-time series).
 	TraceQuanta bool
-	// LossRate drops each frame at the controller with this probability —
-	// an extension beyond the paper's perfect switch, used to exercise the
-	// msg layer's reliable mode. Drops are deterministic given LossSeed.
-	LossRate float64
-	// LossSeed seeds the loss draws.
-	LossSeed uint64
 	// Faults, when non-nil, injects deterministic per-link loss,
 	// duplication, delay jitter, link-down windows, and per-node host
 	// slowdowns (see internal/faults). Every decision is a pure function of
@@ -99,9 +93,14 @@ type Config struct {
 	// are zero/boolean under LookaheadScalar).
 	Lookahead LookaheadMode
 	// onQuantumMode, when non-nil, is called at the start of each quantum
-	// with whether the parallel-safe fast path ran it. Package-internal
-	// test hook.
+	// with whether the parallel-safe fast path is the stepped path selected
+	// for it (quiet quanta included, which then bypass it; see onQuiet).
+	// Package-internal test hook.
 	onQuantumMode func(fast bool)
+	// onQuiet, when non-nil, is called with the index of each quantum the
+	// engine found quiet (DESIGN.md §7.1); returning false forces that quantum
+	// through the stepped paths anyway. Package-internal test hook.
+	onQuiet func(qi int) bool
 }
 
 // LookaheadMode selects the fast-path safety-bound computation.
@@ -128,8 +127,6 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("cluster: nil workload program constructor")
 	case c.Guest.CPUHz <= 0:
 		return fmt.Errorf("cluster: guest CPUHz must be positive, got %v", c.Guest.CPUHz)
-	case c.LossRate < 0 || c.LossRate >= 1:
-		return fmt.Errorf("cluster: LossRate must be in [0,1), got %v", c.LossRate)
 	}
 	if err := c.Net.Validate(c.Nodes); err != nil {
 		return err
@@ -161,9 +158,8 @@ type Stats struct {
 	// StragglerDelay is the total guest time by which straggler deliveries
 	// were late versus their ideal arrival.
 	StragglerDelay simtime.Duration
-	// Dropped counts frames discarded by loss injection — Config.LossRate
-	// draws, fault-plan loss, and link-down windows (zero on the paper's
-	// perfect switch).
+	// Dropped counts frames discarded by loss injection — fault-plan loss
+	// and link-down windows (zero on the paper's perfect switch).
 	Dropped int
 	// Duplicated counts extra frame copies injected by a fault plan's
 	// duplication probability. Each copy is delivered and classified

@@ -3,6 +3,7 @@ package cluster
 import (
 	"testing"
 
+	"clustersim/internal/faults"
 	"clustersim/internal/guest"
 	"clustersim/internal/msg"
 	"clustersim/internal/netmodel"
@@ -103,12 +104,12 @@ func TestOutputQueueDeterministic(t *testing.T) {
 func TestLossValidation(t *testing.T) {
 	w := workloads.Silent(simtime.Microsecond)
 	cfg := testConfig(2, w, fixed(simtime.Microsecond))
-	cfg.LossRate = 1.0
+	cfg.Faults = &faults.Plan{Default: faults.Link{Loss: 1.0}}
 	if _, err := Run(cfg); err == nil {
-		t.Error("LossRate=1 accepted")
+		t.Error("Loss=1 accepted")
 	}
-	cfg.LossRate = -0.1
+	cfg.Faults = &faults.Plan{Default: faults.Link{Loss: -0.1}}
 	if _, err := Run(cfg); err == nil {
-		t.Error("negative LossRate accepted")
+		t.Error("negative Loss accepted")
 	}
 }

@@ -12,7 +12,6 @@ import (
 	"clustersim/internal/pkt"
 	"clustersim/internal/prof"
 	"clustersim/internal/quantum"
-	"clustersim/internal/rng"
 	"clustersim/internal/simtime"
 	"clustersim/internal/workerpool"
 )
@@ -231,6 +230,16 @@ type engine struct {
 	// partFin is the per-partition last-finish scratch for the profiler's
 	// partition-wait attribution, reused across quanta.
 	partFin []simtime.Host
+
+	// Quiet-quantum fast-forward (DESIGN.md §7.1). quietH is the cluster
+	// horizon — the minimum over nodes of guest.Node.QuietUntil — and
+	// quietBusy each node's mode up to it, both peeked at the start of a
+	// quiet stretch. Neither can change while no node is stepped and nothing
+	// is routed, so they stay valid until the first stepped quantum, which
+	// resets quietH to zero (unknown: every limit is past it).
+	quietH    simtime.Guest
+	quietBusy []bool
+	nQuiet    int // quanta executed by the quiet pass
 }
 
 // sendRec buffers one frame sent during a fast-path walk, with the host and
@@ -291,6 +300,7 @@ func Run(cfg Config) (*Result, error) {
 	e.portFree = make([]simtime.Guest, cfg.Nodes)
 	e.delivCnt = make([]int32, cfg.Nodes)
 	e.delivOff = make([]int32, cfg.Nodes)
+	e.quietBusy = make([]bool, cfg.Nodes)
 	for i := 0; i < cfg.Nodes; i++ {
 		prog := cfg.Program(i, cfg.Nodes)
 		if prog == nil {
@@ -443,7 +453,12 @@ func (e *engine) run() error {
 		if e.cfg.onQuantumMode != nil {
 			e.cfg.onQuantumMode(full || graded)
 		}
+		// Ahead of all three: when no node has an event before the limit
+		// there is nothing to step, queue or route on any path, and the
+		// quantum is one arithmetic pass over the nodes.
 		switch {
+		case e.quietQuantum(qi):
+			e.runQuantumQuiet(hostNow)
 		case full:
 			e.runQuantumFast(hostNow)
 		case graded:
@@ -537,6 +552,7 @@ func (e *engine) run() error {
 			HostEnd:            hostNow,
 			Quanta:             e.res.Stats.Quanta,
 			FastEligibleQuanta: e.nElig,
+			QuietQuanta:        e.nQuiet,
 		})
 	}
 	if e.prof != nil {
@@ -820,11 +836,6 @@ func (e *engine) routeFlight(h simtime.Host, fi int32) {
 		// are order-independent — match across paths exactly.
 		e.prof.Frame(int(fl.src), int(fl.dst), fl.tD.Sub(fl.tSend))
 	}
-	if e.cfg.LossRate > 0 &&
-		rng.HashFloat01(e.cfg.LossSeed, fl.f.ID, uint64(fl.dst)) < e.cfg.LossRate {
-		e.res.Stats.Dropped++
-		return
-	}
 	if fp := e.cfg.Faults; fp != nil {
 		d := fp.Decide(fl.f.ID, int(fl.src), int(fl.dst), fl.tSend)
 		if d.Drop {
@@ -1022,6 +1033,74 @@ func (e *engine) routeBatch() {
 		}
 		e.na.node[d].DeliverBatch(sorted[start:off[d]])
 		start = off[d]
+	}
+}
+
+// quietQuantum reports whether the current quantum is quiet: no node can
+// send, complete an op, finish, or resume its workload strictly before or at
+// the limit, so no externally visible event can occur in it on any engine
+// path. The test is horizon > limit, strictly — an op ending exactly at the
+// limit resumes the workload inside this quantum, where it may send or finish
+// (DESIGN.md §7.1) — and involves only node state, so it holds or fails
+// identically for every Workers and Lookahead value.
+//
+// The horizon peeked at the start of a quiet stretch stays valid for the
+// whole stretch: quiet quanta cost one comparison here, and a packet-
+// dominated quantum costs one peek, failing at the first non-quiet node. A
+// false return leaves quietH at zero so the quantum after a stepped one
+// re-peeks.
+//
+//simlint:hotpath quiet test: runs once per quantum ahead of every engine path
+func (e *engine) quietQuantum(qi int) bool {
+	if e.quietH <= e.limit {
+		e.quietH = 0
+		h := simtime.GuestInfinity
+		for i, n := range e.na.node {
+			until, busy := n.QuietUntil()
+			if until <= e.limit {
+				return false
+			}
+			e.quietBusy[i] = busy
+			h = simtime.MinGuest(h, until)
+		}
+		e.quietH = h
+	}
+	if e.cfg.onQuiet != nil && !e.cfg.onQuiet(qi) {
+		e.quietH = 0
+		return false
+	}
+	return true
+}
+
+// runQuantumQuiet executes one quiet quantum as a single arithmetic pass:
+// every node spends the whole quantum in one busy or idle segment ending at
+// the limit, which is what each stepped path would have found by stepping —
+// the same hostCost call, the same charges, the same single NodePhase — minus
+// the Step calls, coroutine switches, event-queue round-trips and walk
+// buffers. Hooks fire in ascending node order whatever the Workers value;
+// there is nothing to route, so the common barrier tail sees an empty batch.
+//
+//simlint:hotpath quiet-quantum pass: the whole cost of a quantum in which no node acts
+func (e *engine) runQuantumQuiet(hostNow simtime.Host) {
+	e.nQuiet++
+	for i, n := range e.na.node {
+		from := n.Clock()
+		busy := e.quietBusy[i]
+		mode, seg, ph, total := host.Idle, prof.SegIdle, obs.PhaseIdle, &e.res.Stats.HostIdle
+		if busy {
+			mode, seg, ph, total = host.Busy, prof.SegBusy, obs.PhaseBusy, &e.res.Stats.HostBusy
+		}
+		cost := e.hostCost(i, from, e.limit, mode)
+		*total += cost
+		end := hostNow.Add(cost)
+		if e.prof != nil {
+			e.prof.Segment(i, seg, cost)
+		}
+		if e.obs != nil {
+			e.obs.NodePhase(i, ph, from, e.limit, hostNow, end)
+		}
+		e.na.finishHost[i] = end
+		n.AdvanceQuiet(e.limit, busy)
 	}
 }
 
@@ -1249,11 +1328,11 @@ func (e *engine) walkNode(i int, wk *nodeWalk, hostNow simtime.Host) {
 			cost := e.hostCost(i, st.From, st.To, host.Busy)
 			wk.busy += cost
 			end := h.Add(cost)
-			wk.phases = append(wk.phases, phaseRec{obs.PhaseBusy, st.From, st.To, h, end}) //simlint:hotalloc per-worker send log grows to its watermark once; length-reset each quantum
+			wk.phases = append(wk.phases, phaseRec{obs.PhaseBusy, st.From, st.To, h, end}) //simlint:hotalloc per-worker phase log grows to its watermark once; length-reset each quantum
 			h = end
 
 		case guest.StepSend:
-			wk.sends = append(wk.sends, sendRec{f: st.Frame, tSend: st.To, h: h}) //simlint:hotalloc per-worker phase log grows to its watermark once; length-reset each quantum
+			wk.sends = append(wk.sends, sendRec{f: st.Frame, tSend: st.To, h: h}) //simlint:hotalloc per-worker send log grows to its watermark once; length-reset each quantum
 
 		case guest.StepBlocked:
 			target := simtime.MinGuest(st.NextArrival, st.Deadline)

@@ -43,7 +43,6 @@ type fastCase struct {
 	nodes  int
 	w      workloads.Workload
 	pol    func() quantum.Policy
-	loss   float64
 	faults *faults.Plan
 	// net overrides the default uniform paper fabric — non-uniform
 	// topologies exercise the partitioned (graded) fast path whenever Q
@@ -59,7 +58,8 @@ func fastCases() []fastCase {
 		{name: "phases-adaptive-5", nodes: 5, w: workloads.Phases(3, 150*simtime.Microsecond, 16<<10),
 			pol: adaptive(simtime.Microsecond, simtime.Millisecond, 1.03, 0.02)},
 		{name: "uniform-3", nodes: 3, w: workloads.Uniform(60, 2000, 30*simtime.Microsecond, 11), pol: fixed(simtime.Microsecond)},
-		{name: "uniform-lossy-4", nodes: 4, w: workloads.Uniform(60, 1500, 20*simtime.Microsecond, 23), pol: fixed(simtime.Microsecond), loss: 0.3},
+		{name: "uniform-lossy-4", nodes: 4, w: workloads.Uniform(60, 1500, 20*simtime.Microsecond, 23), pol: fixed(simtime.Microsecond),
+			faults: &faults.Plan{Seed: 42, Default: faults.Link{Loss: 0.3}}},
 		{name: "silent-4", nodes: 4, w: workloads.Silent(300 * simtime.Microsecond), pol: fixed(simtime.Microsecond)},
 		// A fault plan exercising loss, duplication, and delay jitter through
 		// both engines: fault decisions are pure per-frame functions, so they
@@ -110,9 +110,8 @@ func mixedWANNet(nodes int) *netmodel.Model {
 	return m
 }
 
-func runFast(t *testing.T, c fastCase, workers int) (*Result, *recorder) {
-	t.Helper()
-	rec := &recorder{}
+// config builds the case's fully traced configuration for one engine.
+func (c fastCase) config(workers int) Config {
 	cfg := testConfig(c.nodes, c.w, c.pol)
 	if c.net != nil {
 		cfg.Net = c.net
@@ -120,9 +119,14 @@ func runFast(t *testing.T, c fastCase, workers int) (*Result, *recorder) {
 	cfg.Workers = workers
 	cfg.TraceQuanta = true
 	cfg.TracePackets = true
-	cfg.LossRate = c.loss
-	cfg.LossSeed = 42
 	cfg.Faults = c.faults
+	return cfg
+}
+
+func runFast(t *testing.T, c fastCase, workers int) (*Result, *recorder) {
+	t.Helper()
+	rec := &recorder{}
+	cfg := c.config(workers)
 	cfg.Observer = rec
 	res, err := Run(cfg)
 	if err != nil {

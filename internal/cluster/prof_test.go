@@ -50,8 +50,6 @@ func TestProfilerReconciliation(t *testing.T) {
 				p := prof.New()
 				cfg := testConfig(c.nodes, c.w, c.pol)
 				cfg.Workers = workers
-				cfg.LossRate = c.loss
-				cfg.LossSeed = 42
 				cfg.Faults = c.faults
 				cfg.Profiler = p
 				res, err := Run(cfg)

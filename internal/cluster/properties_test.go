@@ -371,6 +371,58 @@ func (p *packetOrderProbe) Packet(rec obs.PacketRecord) {
 	p.quanta[len(p.quanta)-1] = append(p.quanta[len(p.quanta)-1], rec)
 }
 
+// randomFatTreeCase draws one random scenario — fat-tree geometry, workload,
+// fixed quantum and (half the time) a fault plan with duplication, jitter
+// and, where the workload tolerates it, loss — in the fastCase shape. Shared
+// by the batched-router and quiet-pass property tests.
+func randomFatTreeCase(rnd *rand.Rand, trial int) (c fastCase, q simtime.Duration) {
+	nodes := 2 + rnd.Intn(7)
+	net := &netmodel.Model{
+		NIC: &netmodel.SimpleNIC{
+			BaseLatency:    simtime.Duration(500+rnd.Intn(1500)) * simtime.Nanosecond,
+			BytesPerSecond: 10e9,
+		},
+		Switch: &netmodel.FatTreeSwitch{
+			Radix:       2 + rnd.Intn(3),
+			EdgeLatency: simtime.Duration(500+rnd.Intn(1500)) * simtime.Nanosecond,
+			CoreLatency: simtime.Duration(2+rnd.Intn(40)) * simtime.Microsecond,
+		},
+	}
+	// Fault plans that drop frames pair only with the fire-and-forget
+	// Uniform workload: a collective or request/reply protocol waits
+	// forever for a lost message (the suite-wide convention, see
+	// fastCases). Duplication and jitter alone are safe everywhere.
+	var w workloads.Workload
+	lossOK := false
+	switch rnd.Intn(3) {
+	case 0:
+		w = workloads.Uniform(30+rnd.Intn(50), 500+rnd.Intn(3500),
+			simtime.Duration(10+rnd.Intn(30))*simtime.Microsecond, rnd.Uint64())
+		lossOK = true
+	case 1:
+		w = workloads.Phases(2+rnd.Intn(3),
+			simtime.Duration(100+rnd.Intn(100))*simtime.Microsecond, 8<<10+rnd.Intn(24<<10))
+	default:
+		w = workloads.PingPong(10+rnd.Intn(20), 500+rnd.Intn(3500))
+	}
+	qs := []simtime.Duration{simtime.Microsecond, 2 * simtime.Microsecond,
+		5 * simtime.Microsecond, 50 * simtime.Microsecond}
+	q = qs[rnd.Intn(len(qs))]
+	var plan *faults.Plan
+	if rnd.Intn(2) == 0 {
+		link := faults.Link{
+			Dup:    rnd.Float64() * 0.25,
+			Jitter: simtime.Duration(rnd.Intn(4000)) * simtime.Nanosecond,
+		}
+		if lossOK {
+			link.Loss = rnd.Float64() * 0.25
+		}
+		plan = &faults.Plan{Seed: rnd.Uint64(), Default: link}
+	}
+	name := fmt.Sprintf("trial %d: %s ×%d Q=%v faults=%v", trial, w.Name, nodes, q, plan != nil)
+	return fastCase{name: name, nodes: nodes, w: w, pol: fixed(q), faults: plan, net: net}, q
+}
+
 // TestBatchedRoutingCanonicalOrder is the batched-router property test: for
 // random fat-tree geometries, workloads, quanta and fault plans (loss,
 // duplication, delay jitter), the barrier-time batched router must
@@ -387,63 +439,16 @@ func TestBatchedRoutingCanonicalOrder(t *testing.T) {
 	rnd := rand.New(rand.NewSource(20260807))
 	ordered := 0
 	for trial := 0; trial < 10; trial++ {
-		nodes := 2 + rnd.Intn(7)
-		net := &netmodel.Model{
-			NIC: &netmodel.SimpleNIC{
-				BaseLatency:    simtime.Duration(500+rnd.Intn(1500)) * simtime.Nanosecond,
-				BytesPerSecond: 10e9,
-			},
-			Switch: &netmodel.FatTreeSwitch{
-				Radix:       2 + rnd.Intn(3),
-				EdgeLatency: simtime.Duration(500+rnd.Intn(1500)) * simtime.Nanosecond,
-				CoreLatency: simtime.Duration(2+rnd.Intn(40)) * simtime.Microsecond,
-			},
-		}
-		// Fault plans that drop frames pair only with the fire-and-forget
-		// Uniform workload: a collective or request/reply protocol waits
-		// forever for a lost message (the suite-wide convention, see
-		// fastCases). Duplication and jitter alone are safe everywhere.
-		var w workloads.Workload
-		lossOK := false
-		switch rnd.Intn(3) {
-		case 0:
-			w = workloads.Uniform(30+rnd.Intn(50), 500+rnd.Intn(3500),
-				simtime.Duration(10+rnd.Intn(30))*simtime.Microsecond, rnd.Uint64())
-			lossOK = true
-		case 1:
-			w = workloads.Phases(2+rnd.Intn(3),
-				simtime.Duration(100+rnd.Intn(100))*simtime.Microsecond, 8<<10+rnd.Intn(24<<10))
-		default:
-			w = workloads.PingPong(10+rnd.Intn(20), 500+rnd.Intn(3500))
-		}
-		qs := []simtime.Duration{simtime.Microsecond, 2 * simtime.Microsecond,
-			5 * simtime.Microsecond, 50 * simtime.Microsecond}
-		q := qs[rnd.Intn(len(qs))]
-		var plan *faults.Plan
-		if rnd.Intn(2) == 0 {
-			link := faults.Link{
-				Dup:    rnd.Float64() * 0.25,
-				Jitter: simtime.Duration(rnd.Intn(4000)) * simtime.Nanosecond,
-			}
-			if lossOK {
-				link.Loss = rnd.Float64() * 0.25
-			}
-			plan = &faults.Plan{Seed: rnd.Uint64(), Default: link}
-		}
-		name := fmt.Sprintf("trial %d: %s ×%d Q=%v faults=%v", trial, w.Name, nodes, q, plan != nil)
+		c, q := randomFatTreeCase(rnd, trial)
+		name := c.name
 
 		var results []*Result
 		var streams [][]string
 		var probe1 *packetOrderProbe
 		for _, workers := range []int{0, 1, 3} {
 			pr := &packetOrderProbe{}
-			cfg := testConfig(nodes, w, fixed(q))
-			cfg.Net = net
-			cfg.Workers = workers
+			cfg := c.config(workers)
 			cfg.Lookahead = LookaheadMatrix
-			cfg.TraceQuanta = true
-			cfg.TracePackets = true
-			cfg.Faults = plan
 			cfg.Observer = pr
 			res, err := Run(cfg)
 			if err != nil {
@@ -484,7 +489,7 @@ func TestBatchedRoutingCanonicalOrder(t *testing.T) {
 			t.Errorf("%s: Result (modulo packet-trace order) differs between workers=0 and workers=1:\n%+v\nvs\n%+v",
 				name, r0, r1)
 		}
-		if q > net.MinLatency(nodes) {
+		if q > c.net.MinLatency(c.nodes) {
 			continue // partially or fully classic quanta: batched order not total
 		}
 		ordered++

@@ -1,0 +1,254 @@
+package cluster
+
+import (
+	"bytes"
+	"math/rand"
+	"reflect"
+	"sort"
+	"testing"
+
+	"clustersim/internal/guest"
+	"clustersim/internal/obs"
+	"clustersim/internal/prof"
+	"clustersim/internal/simtime"
+	"clustersim/internal/workloads"
+)
+
+// quietProbe records what the quiet pass is allowed to reorder — the
+// NodePhase hooks, tagged with their quantum so sorting yields per-quantum
+// multisets — apart from what it must leave in place: every quantum and
+// packet hook, in stream order.
+type quietProbe struct {
+	obs.Base
+	qi      int
+	phases  []phaseHook
+	ordered []any        // quantum starts, QuantumRecords, PacketRecords
+	pkts    map[int]int  // quantum -> packet hooks seen in it
+	done    map[int]bool // quantum -> a node finished in it
+	sum     obs.RunSummary
+}
+
+type phaseHook struct {
+	qi, node int
+	ph       obs.Phase
+	g0, g1   simtime.Guest
+	h0, h1   simtime.Host
+}
+
+type quantumStart struct {
+	qi    int
+	start simtime.Guest
+	q     simtime.Duration
+	h     simtime.Host
+}
+
+func newQuietProbe() *quietProbe {
+	return &quietProbe{pkts: map[int]int{}, done: map[int]bool{}}
+}
+
+func (p *quietProbe) RunEnd(s obs.RunSummary) { p.sum = s }
+func (p *quietProbe) QuantumStart(i int, start simtime.Guest, q simtime.Duration, h simtime.Host) {
+	p.qi = i
+	p.ordered = append(p.ordered, quantumStart{i, start, q, h})
+}
+func (p *quietProbe) QuantumEnd(rec obs.QuantumRecord) { p.ordered = append(p.ordered, rec) }
+func (p *quietProbe) Packet(rec obs.PacketRecord) {
+	p.pkts[p.qi]++
+	p.ordered = append(p.ordered, rec)
+}
+func (p *quietProbe) NodePhase(node int, ph obs.Phase, g0, g1 simtime.Guest, h0, h1 simtime.Host) {
+	if ph == obs.PhaseDone {
+		p.done[p.qi] = true
+	}
+	p.phases = append(p.phases, phaseHook{p.qi, node, ph, g0, g1, h0, h1})
+}
+
+// sortPhases orders the NodePhase hooks by (quantum, node, host start,
+// phase): a total order on what one run can emit, so equal multisets sort
+// to equal slices.
+func (p *quietProbe) sortPhases() {
+	sort.Slice(p.phases, func(i, j int) bool {
+		a, b := p.phases[i], p.phases[j]
+		switch {
+		case a.qi != b.qi:
+			return a.qi < b.qi
+		case a.node != b.node:
+			return a.node < b.node
+		case a.h0 != b.h0:
+			return a.h0 < b.h0
+		case a.g0 != b.g0:
+			return a.g0 < b.g0
+		}
+		return a.ph < b.ph
+	})
+}
+
+// quietRun is one fully instrumented run: traces on, observer and profiler
+// attached, so the test also covers "none of them disables the pass".
+type quietRun struct {
+	res   *Result
+	probe *quietProbe
+	prof  []byte
+	quiet []int // quanta the engine found quiet, in order
+}
+
+func runQuiet(t *testing.T, c fastCase, workers int, allow bool) quietRun {
+	t.Helper()
+	r := quietRun{probe: newQuietProbe()}
+	p := prof.New()
+	cfg := c.config(workers)
+	cfg.Observer = r.probe
+	cfg.Profiler = p
+	cfg.onQuiet = func(qi int) bool {
+		r.quiet = append(r.quiet, qi)
+		return allow
+	}
+	res, err := Run(cfg)
+	if err != nil {
+		t.Fatalf("%s workers=%d quiet=%v: %v", c.name, workers, allow, err)
+	}
+	r.res = res
+	r.prof = p.Report().JSON()
+	r.probe.sortPhases()
+	return r
+}
+
+// TestQuietPassDifferential is the quiet pass's bit-identity property: over
+// the fast-path behaviour matrix and random fat-tree/fault scenarios, for
+// the classic, inline-fast and pooled engines, a run with the pass and a
+// run with every quiet quantum forced through the stepped paths must agree
+// on the Result, the fingerprint, the profiler report bytes, every quantum
+// and packet hook in order, and each quantum's NodePhase multiset.
+func TestQuietPassDifferential(t *testing.T) {
+	cases := fastCases()
+	rnd := rand.New(rand.NewSource(20260928))
+	for trial := 0; trial < 8; trial++ {
+		c, _ := randomFatTreeCase(rnd, trial)
+		cases = append(cases, c)
+	}
+	engaged := 0
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			for _, workers := range []int{0, 1, 3} {
+				on := runQuiet(t, c, workers, true)
+				off := runQuiet(t, c, workers, false)
+				if got := off.probe.sum.QuietQuanta; got != 0 {
+					t.Fatalf("workers=%d: pass forced off still ran %d quanta", workers, got)
+				}
+				if on.probe.sum.QuietQuanta != len(on.quiet) {
+					t.Errorf("workers=%d: RunSummary.QuietQuanta = %d, hook saw %d",
+						workers, on.probe.sum.QuietQuanta, len(on.quiet))
+				}
+				// Forcing the pass off must not change which quanta qualify.
+				if !reflect.DeepEqual(on.quiet, off.quiet) {
+					t.Errorf("workers=%d: quiet set differs with the pass on (%d) and off (%d)",
+						workers, len(on.quiet), len(off.quiet))
+				}
+				engaged += len(on.quiet)
+
+				if !reflect.DeepEqual(on.res, off.res) {
+					t.Errorf("workers=%d: Result differs:\nquiet   %+v\nstepped %+v", workers, on.res.Stats, off.res.Stats)
+				}
+				if a, b := Fingerprint(on.res), Fingerprint(off.res); a != b {
+					t.Errorf("workers=%d: fingerprint differs: %s vs %s", workers, a, b)
+				}
+				if !bytes.Equal(on.prof, off.prof) {
+					t.Errorf("workers=%d: profiler report bytes differ", workers)
+				}
+				if !reflect.DeepEqual(on.probe.ordered, off.probe.ordered) {
+					t.Errorf("workers=%d: quantum/packet hook stream differs", workers)
+				}
+				if !reflect.DeepEqual(on.probe.phases, off.probe.phases) {
+					t.Errorf("workers=%d: per-quantum NodePhase multisets differ (%d vs %d hooks)",
+						workers, len(on.probe.phases), len(off.probe.phases))
+					for i := range on.probe.phases {
+						if i < len(off.probe.phases) && on.probe.phases[i] != off.probe.phases[i] {
+							t.Errorf("first divergence:\n  quiet   %+v\n  stepped %+v", on.probe.phases[i], off.probe.phases[i])
+							break
+						}
+					}
+				}
+			}
+		})
+	}
+	if engaged == 0 {
+		t.Error("the quiet pass never engaged: the comparison is vacuous")
+	}
+}
+
+// TestQuietPassEngages: the pass must engage where it should and stand down
+// where it must, identically for every Workers value.
+func TestQuietPassEngages(t *testing.T) {
+	// One long compute per rank: everything but the first quantum (workload
+	// start) and the last (completion) is quiet.
+	silent := fastCase{name: "silent", nodes: 4, w: workloads.Silent(300 * simtime.Microsecond), pol: fixed(simtime.Microsecond)}
+	for _, workers := range []int{0, 1, 2} {
+		r := runQuiet(t, silent, workers, true)
+		quanta := r.res.Stats.Quanta
+		if len(r.quiet)*100 < 95*quanta {
+			t.Errorf("silent workers=%d: %d of %d quanta quiet, want >= 95%%", workers, len(r.quiet), quanta)
+		}
+		if r.probe.sum.QuietQuanta != len(r.quiet) {
+			t.Errorf("silent workers=%d: RunSummary.QuietQuanta = %d, hook saw %d",
+				workers, r.probe.sum.QuietQuanta, len(r.quiet))
+		}
+	}
+
+	// Back-to-back computes with known lengths: a quantum (start, limit] is
+	// stepped iff an op of some rank completes in it — including exactly at
+	// the limit (rank 0's 5µs ops end on quantum boundaries) — or it is the
+	// first one, where the workloads start. Every other quantum is quiet.
+	const q = simtime.Microsecond
+	durs := []simtime.Duration{5 * q, 7300 * simtime.Nanosecond, 11900 * simtime.Nanosecond}
+	const ops = 20
+	chain := fastCase{name: "compute-chain", nodes: len(durs), pol: fixed(q), w: workloads.Workload{
+		Name: "test.compute-chain",
+		New: func(rank, size int) guest.Program {
+			return func(p *guest.Proc) error {
+				for i := 0; i < ops; i++ {
+					p.Compute(durs[rank])
+				}
+				return nil
+			}
+		},
+	}}
+	for _, workers := range []int{0, 1, 2} {
+		r := runQuiet(t, chain, workers, true)
+		stepped := map[int]bool{0: true}
+		for _, d := range durs {
+			for i := 1; i <= ops; i++ {
+				end := simtime.Duration(i) * d
+				stepped[int((end+q-1)/q)-1] = true
+			}
+		}
+		var want []int
+		for qi := 0; qi < r.res.Stats.Quanta; qi++ {
+			if !stepped[qi] {
+				want = append(want, qi)
+			}
+		}
+		if !reflect.DeepEqual(r.quiet, want) {
+			t.Errorf("compute-chain workers=%d: quiet quanta\n got  %v\n want %v", workers, r.quiet, want)
+		}
+	}
+
+	// With traffic: no quantum in which a frame was routed (every frame is
+	// routed in the quantum it was sent in) or a node finished is quiet, and
+	// the pass still covers the compute phases.
+	phases := fastCase{name: "phases", nodes: 4, w: workloads.Phases(3, 150*simtime.Microsecond, 16<<10),
+		pol: adaptive(simtime.Microsecond, simtime.Millisecond, 1.03, 0.02)}
+	for _, workers := range []int{0, 1, 2} {
+		r := runQuiet(t, phases, workers, true)
+		if len(r.quiet) == 0 {
+			t.Errorf("phases workers=%d: no quiet quanta", workers)
+		}
+		for _, qi := range r.quiet {
+			if r.probe.pkts[qi] != 0 || r.res.Quanta[qi].Packets != 0 {
+				t.Errorf("phases workers=%d: quantum %d routed packets but ran quiet", workers, qi)
+			}
+			if r.probe.done[qi] {
+				t.Errorf("phases workers=%d: a node finished in quiet quantum %d", workers, qi)
+			}
+		}
+	}
+}

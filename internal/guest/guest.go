@@ -391,6 +391,68 @@ func (n *Node) Step() Step {
 	}
 }
 
+// QuietUntil peeks at the node's next event without stepping it or resuming
+// its coroutine: the node cannot send, complete an op, finish, or run
+// workload code at any guest time strictly before until, provided nothing is
+// delivered to it in the meantime. busy reports how it spends that stretch —
+// charging a pending op's owed CPU time (true) or blocked/finished (false).
+//
+// until == Clock() means "step me": the next Step may do anything. A quantum
+// whose limit is strictly below until is therefore one in which Step could
+// only report a single busy or blocked interval up to the limit, which
+// AdvanceQuiet applies in O(1). A limit equal to until is not enough: the op
+// completing there resumes the workload inside the quantum (DESIGN.md §7.1).
+func (n *Node) QuietUntil() (until simtime.Guest, busy bool) {
+	now := n.clock.load()
+	switch {
+	case n.done:
+		return simtime.GuestInfinity, false
+	case !n.havePending:
+		// Never started, or the next request is still inside the coroutine.
+		return now, false
+	case n.overhead > 0:
+		// Compute, send overhead, or the receive overhead of a held arrival.
+		return now.Add(n.overhead), true
+	}
+	// Nothing owed: only a sleep or a recv still waiting for its frame can
+	// hold the node past now. A consumable arrival or a passed deadline
+	// (TryRecv) means it acts as soon as it is stepped.
+	until = now
+	switch {
+	case n.pending.kind == opSleep:
+		until = n.pending.deadline
+	case n.pending.kind == opRecv && !n.haveRecv:
+		until = n.pending.deadline
+		n.rxMu.Lock()
+		if it, ok := n.rx.Peek(); ok {
+			until = simtime.MinGuest(until, simtime.Guest(it.Time))
+		}
+		n.rxMu.Unlock()
+	}
+	return simtime.MaxGuest(until, now), false
+}
+
+// AdvanceQuiet runs the node through one whole quantum ending at limit in
+// which it has no event (limit < QuietUntil, with busy as QuietUntil
+// reported it): exactly the state BeginQuantum(limit) followed by stepping to
+// the limit would leave — the clock at the limit, the owed busy time reduced
+// by the guest time spent — without resuming the coroutine.
+func (n *Node) AdvanceQuiet(limit simtime.Guest, busy bool) {
+	now := n.clock.load()
+	if limit < now {
+		panic(fmt.Sprintf("guest: node %d quiet advance to %v before clock %v", n.id, limit, now))
+	}
+	if busy {
+		adv := limit.Sub(now)
+		if adv >= n.overhead {
+			panic(fmt.Sprintf("guest: node %d quiet advance of %v consumes its owed %v", n.id, adv, n.overhead))
+		}
+		n.overhead -= adv
+	}
+	n.limit = limit
+	n.clock.store(limit)
+}
+
 // chargeBusy consumes the pending op's owed busy time up to the quantum
 // limit. It reports (step, false) when the engine must take over (busy
 // interval to account, or the limit was reached), or (_, true) when the owed

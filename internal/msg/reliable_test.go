@@ -31,8 +31,7 @@ func runLossy(t *testing.T, lossRate float64, lossSeed uint64, q simtime.Duratio
 		Policy:   func() quantum.Policy { return quantum.Fixed{Q: q} },
 		Program:  func(rank, size int) guest.Program { return progs[rank] },
 		MaxGuest: simtime.Guest(60 * simtime.Second),
-		LossRate: lossRate,
-		LossSeed: lossSeed,
+		Faults:   &faults.Plan{Seed: lossSeed, Default: faults.Link{Loss: lossRate}},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -68,6 +68,12 @@ type RunSummary struct {
 	// Eligibility is a property of the configuration and policy trajectory,
 	// not of the Workers setting, so it is identical across engines.
 	FastEligibleQuanta int
+	// QuietQuanta counts quanta the deterministic engine fast-forwarded
+	// because no node could act before the limit (DESIGN.md §7.1). Which path
+	// executes a quantum never changes a result, so the count lives here and
+	// not in Stats, QuantumRecord or the fingerprint. Zero for the parallel
+	// runner.
+	QuietQuanta int
 }
 
 // QuantumRecord describes one completed synchronization quantum. It is also

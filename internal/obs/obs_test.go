@@ -262,6 +262,26 @@ func TestProgressReports(t *testing.T) {
 	if !strings.Contains(out, "stragglers 100.0%") {
 		t.Errorf("expected straggler rate in %q", out)
 	}
+	if !strings.Contains(out, "quiet 0 |") {
+		t.Errorf("expected the quiet-quantum count in the final line %q", out)
+	}
+}
+
+// TestQuietQuantaPublished: the quiet-quantum count arrives only in the
+// RunSummary; the registry must publish it as a counter and the progress
+// reporter print it in the final line.
+func TestQuietQuantaPublished(t *testing.T) {
+	sum := RunSummary{Quanta: 4, QuietQuanta: 3}
+	reg := NewRegistry()
+	reg.RunEnd(sum)
+	if got := reg.Snapshot().Counters["quiet_quanta"]; got != 3 {
+		t.Errorf("quiet_quanta counter = %d, want 3", got)
+	}
+	var buf bytes.Buffer
+	NewProgress(&buf, 0, -1).RunEnd(sum)
+	if out := buf.String(); !strings.Contains(out, "quiet 3 |") {
+		t.Errorf("final progress line lacks the quiet count: %q", out)
+	}
 }
 
 // countObs counts calls, for Multi fan-out tests.

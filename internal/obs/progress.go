@@ -32,6 +32,7 @@ type Progress struct {
 
 	quanta     int64
 	fastQuanta int64 // quanta eligible for the intra-quantum fast path
+	quiet      int64 // quanta the engine fast-forwarded; known at RunEnd only
 	packets    int64
 	stragglers int64
 	guest      simtime.Guest
@@ -64,6 +65,7 @@ func (p *Progress) RunEnd(sum RunSummary) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.guest = sum.GuestTime
+	p.quiet = int64(sum.QuietQuanta)
 	p.report(true)
 }
 
@@ -128,6 +130,10 @@ func (p *Progress) report(final bool) {
 	if p.quanta > 0 {
 		fast = 100 * float64(p.fastQuanta) / float64(p.quanta)
 	}
-	fmt.Fprintf(p.w, "%s: guest %v%s | %d quanta (%.0f/s) | Q=%v | fast %.0f%% | stragglers %.1f%%\n",
-		label, p.guest, pct, p.quanta, rate, p.curQ, fast, strag)
+	quiet := ""
+	if final {
+		quiet = fmt.Sprintf(" | quiet %d", p.quiet)
+	}
+	fmt.Fprintf(p.w, "%s: guest %v%s | %d quanta (%.0f/s) | Q=%v | fast %.0f%%%s | stragglers %.1f%%\n",
+		label, p.guest, pct, p.quanta, rate, p.curQ, fast, quiet, strag)
 }

@@ -214,11 +214,13 @@ func (r *Registry) RunStart(info RunInfo) {
 	}
 }
 
-// RunEnd records the final guest time.
+// RunEnd records the final guest time and the run's quiet-quantum count
+// (known only at the end: it is engine path mix, not part of any record).
 func (r *Registry) RunEnd(sum RunSummary) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.counters["runs_finished"]++
+	r.counters["quiet_quanta"] += int64(sum.QuietQuanta)
 	r.gauges["run_active"] = 0
 	r.gauges["guest_ns"] = int64(sum.GuestTime)
 	r.gauges["host_ns"] = int64(sum.HostEnd)
