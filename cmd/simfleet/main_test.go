@@ -226,7 +226,7 @@ func TestCommittedManifestEngagesFastPaths(t *testing.T) {
 // alone catches a stale golden.
 func TestCommittedGoldensMatch(t *testing.T) {
 	if testing.Short() {
-		t.Skip("runs the full 26-scenario fleet")
+		t.Skip("runs the full 27-scenario fleet")
 	}
 	root := moduleRoot(t)
 	m, err := experiments.LoadManifest(filepath.Join(root, "testdata", "fleet", "manifest.json"))

@@ -1,8 +1,12 @@
 package cluster
 
 import (
+	"fmt"
 	"testing"
 
+	"clustersim/internal/guest"
+	"clustersim/internal/netmodel"
+	"clustersim/internal/obs"
 	"clustersim/internal/simtime"
 	"clustersim/internal/workloads"
 )
@@ -15,39 +19,46 @@ import (
 // by differencing two runs that are identical except for their length: setup
 // cancels and the remainder is pure per-quantum cost.
 
+// summaryObs keeps the RunSummary, where the engine reports its path mix.
+type summaryObs struct {
+	obs.Base
+	sum obs.RunSummary
+}
+
+func (o *summaryObs) RunEnd(s obs.RunSummary) { o.sum = s }
+
 // allocsForRun measures the average allocations of one full Run of cfg and
-// returns it with the run's quantum count and how many of those the quiet
-// pass fast-forwarded (DESIGN.md §7.1). Quiet quanta never reach the walks or
-// the router, so a gate on those divides by the stepped remainder.
-func allocsForRun(t *testing.T, cfg Config) (allocs float64, quanta, quiet int) {
+// returns it with the run's summary: its quantum count and how much of it the
+// quiet pass fast-forwarded (DESIGN.md §7.1). Quiet quanta never reach the
+// walks or the router, so a gate on those divides by the stepped remainder.
+func allocsForRun(t *testing.T, cfg Config) (float64, obs.RunSummary) {
 	t.Helper()
-	cfg.onQuiet = func(int) bool { quiet++; return true }
+	o := &summaryObs{}
+	cfg.Observer = o
 	run := func() {
-		quiet = 0
-		res, err := Run(cfg)
-		if err != nil {
+		if _, err := Run(cfg); err != nil {
 			t.Fatal(err)
 		}
-		quanta = res.Stats.Quanta
 	}
-	return testing.AllocsPerRun(5, run), quanta, quiet
+	return testing.AllocsPerRun(5, run), o.sum
 }
 
 // steadyStatePerStepped differences a short and a long run of the same
-// shape and returns the allocations per additional stepped quantum.
-func steadyStatePerStepped(t *testing.T, label string, short, long Config) float64 {
+// shape and returns the allocations per additional stepped quantum, with the
+// long run's summary.
+func steadyStatePerStepped(t *testing.T, label string, short, long Config) (float64, obs.RunSummary) {
 	t.Helper()
-	aShort, qShort, quietShort := allocsForRun(t, short)
-	aLong, qLong, quietLong := allocsForRun(t, long)
-	stepped := (qLong - quietLong) - (qShort - quietShort)
+	aShort, sShort := allocsForRun(t, short)
+	aLong, sLong := allocsForRun(t, long)
+	stepped := (sLong.Quanta - sLong.QuietQuanta) - (sShort.Quanta - sShort.QuietQuanta)
 	if stepped < 20 {
 		t.Fatalf("%s: long run steps only %d more quanta than the short one (%d/%d vs %d/%d quanta quiet)",
-			label, stepped, quietLong, qLong, quietShort, qShort)
+			label, stepped, sLong.QuietQuanta, sLong.Quanta, sShort.QuietQuanta, sShort.Quanta)
 	}
 	per := (aLong - aShort) / float64(stepped)
 	t.Logf("%s: short %v allocs / %d quanta (%d quiet), long %v allocs / %d quanta (%d quiet), steady state %.4f allocs/stepped quantum",
-		label, aShort, qShort, quietShort, aLong, qLong, quietLong, per)
-	return per
+		label, aShort, sShort.Quanta, sShort.QuietQuanta, aLong, sLong.Quanta, sLong.QuietQuanta, per)
+	return per, sLong
 }
 
 // TestClassicWalkZeroAllocsPerQuantum pins the classic event-queue walk —
@@ -62,7 +73,7 @@ func TestClassicWalkZeroAllocsPerQuantum(t *testing.T) {
 	mk := func(phases int) Config {
 		return testConfig(4, workloads.Phases(phases, 150*simtime.Microsecond, 32<<10), fixed(simtime.Microsecond))
 	}
-	if per := steadyStatePerStepped(t, "classic walk", mk(2), mk(8)); per >= 0.5 {
+	if per, _ := steadyStatePerStepped(t, "classic walk", mk(2), mk(8)); per >= 0.5 {
 		t.Errorf("classic walk steady state allocates %.4f allocs/stepped quantum (want < 0.5: only per-message guest buffers)", per)
 	}
 }
@@ -77,18 +88,66 @@ func TestQuietQuantumZeroAllocs(t *testing.T) {
 			cfg.Workers = workers
 			return cfg
 		}
-		aShort, qShort, quietShort := allocsForRun(t, mk(1*simtime.Millisecond))
-		aLong, qLong, quietLong := allocsForRun(t, mk(10*simtime.Millisecond))
+		aShort, short := allocsForRun(t, mk(1*simtime.Millisecond))
+		aLong, long := allocsForRun(t, mk(10*simtime.Millisecond))
 		t.Logf("workers=%d: short %v allocs / %d quanta (%d quiet), long %v allocs / %d quanta (%d quiet)",
-			workers, aShort, qShort, quietShort, aLong, qLong, quietLong)
-		if extra := quietLong - quietShort; extra*100 < 95*(qLong-qShort) {
-			t.Errorf("workers=%d: only %d of the %d extra quanta were quiet", workers, extra, qLong-qShort)
+			workers, aShort, short.Quanta, short.QuietQuanta, aLong, long.Quanta, long.QuietQuanta)
+		extra := long.Quanta - short.Quanta
+		if quiet := long.QuietQuanta - short.QuietQuanta; quiet*100 < 95*extra {
+			t.Errorf("workers=%d: only %d of the %d extra quanta were quiet", workers, quiet, extra)
 		}
 		// An allocation in the pass costs at least 1 per quantum; set-up
 		// jitter (pool goroutine start-up, a GC cycle landing in one run)
 		// moves the totals by a few allocations per run.
-		if per := (aLong - aShort) / float64(qLong-qShort); per >= 0.01 {
+		if per := (aLong - aShort) / float64(extra); per >= 0.01 {
 			t.Errorf("workers=%d: quiet quanta allocate %.4f allocs/quantum (want 0)", workers, per)
+		}
+	}
+}
+
+// TestSparseQuantumZeroAllocs pins the per-node skip at zero allocations per
+// quantum on both walk paths: sixteen ranks run back-to-back computes of
+// pairwise different lengths, so nearly every stepped quantum has one active
+// node among fifteen skipped ones, and a 10x longer run must allocate as much
+// as a short one (the active list is sized once per Run).
+func TestSparseQuantumZeroAllocs(t *testing.T) {
+	const nodes = 16
+	mk := func(ops, workers int, net *netmodel.Model, q simtime.Duration) Config {
+		w := workloads.Workload{Name: "test.sparse-chain", New: func(rank, size int) guest.Program {
+			return func(p *guest.Proc) error {
+				for i := 0; i < ops; i++ {
+					p.Compute(simtime.Duration(7300+1100*rank) * simtime.Nanosecond)
+				}
+				return nil
+			}
+		}}
+		cfg := testConfig(nodes, w, fixed(q))
+		cfg.Workers = workers
+		if net != nil {
+			cfg.Net = net
+		}
+		return cfg
+	}
+	paths := []struct {
+		name string
+		net  *netmodel.Model
+		q    simtime.Duration
+	}{
+		{"full", nil, simtime.Microsecond},
+		{"graded", mixedWANNetAt(nodes, 2*simtime.Microsecond), 2 * simtime.Microsecond},
+	}
+	for _, p := range paths {
+		for _, workers := range []int{1, 2} {
+			label := fmt.Sprintf("%s workers=%d", p.name, workers)
+			per, sum := steadyStatePerStepped(t, label, mk(20, workers, p.net, p.q), mk(200, workers, p.net, p.q))
+			if per >= 0.01 {
+				t.Errorf("%s: sparse quanta allocate %.4f allocs/stepped quantum (want 0)", label, per)
+			}
+			stepped := sum.Quanta - sum.QuietQuanta
+			if skipped := sum.QuietNodeQuanta - nodes*sum.QuietQuanta; skipped*100 < 80*nodes*stepped {
+				t.Errorf("%s: only %d of %d stepped node-quanta were skipped: the gate is not on the sparse path",
+					label, skipped, nodes*stepped)
+			}
 		}
 	}
 }
@@ -107,7 +166,7 @@ func TestBatchedRouterAllocsPerQuantum(t *testing.T) {
 		cfg.Workers = 1
 		return cfg
 	}
-	perQuantum := steadyStatePerStepped(t, "batched router", mk(2), mk(8))
+	perQuantum, _ := steadyStatePerStepped(t, "batched router", mk(2), mk(8))
 	// Six extra alltoall phases are 72 extra 8KB messages; each costs one
 	// payload buffer plus 3/64ths of a block carve. Everything else — the
 	// flight slab, the batch and delivery buffers, the event arena — must

@@ -97,10 +97,14 @@ type Config struct {
 	// for it (quiet quanta included, which then bypass it; see onQuiet).
 	// Package-internal test hook.
 	onQuantumMode func(fast bool)
-	// onQuiet, when non-nil, is called with the index of each quantum the
-	// engine found quiet (DESIGN.md §7.1); returning false forces that quantum
-	// through the stepped paths anyway. Package-internal test hook.
-	onQuiet func(qi int) bool
+	// onQuiet, when non-nil, is called for each node-quantum the engine is
+	// about to fast-forward (DESIGN.md §7.1) — every node of a quiet quantum,
+	// and the nodes and tight partitions a stepped quantum skips; returning
+	// false sends the node through its walk anyway, together with the rest
+	// of its quiet quantum or tight partition, which are stepped whole or not
+	// at all (so the answers for one should agree). Package-internal test
+	// hook.
+	onQuiet func(qi, node int) bool
 }
 
 // LookaheadMode selects the fast-path safety-bound computation.

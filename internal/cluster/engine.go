@@ -213,13 +213,13 @@ type engine struct {
 	// per-node buffers serve both the fully-engaged walk and the graded
 	// (partitioned) quantum.
 	walks []nodeWalk
-	// walkFn is the per-node walk closure, built once so the per-quantum
-	// pool dispatch stays allocation-free (it reads e.qStartH, which run()
-	// sets to the quantum's barrier-release host time). looseFn is its
-	// graded-quantum sibling, indexing through the current partitioning's
-	// loose-node list.
-	walkFn  func(int)
-	looseFn func(int)
+	// active lists, ascending, the nodes the current quantum's walk steps:
+	// the fast-walkable nodes that can act before the limit (DESIGN.md §7.1).
+	// walkFn walks its k-th entry; it is built once so the per-quantum pool
+	// dispatch stays allocation-free (it reads e.qStartH, which run() sets to
+	// the quantum's barrier-release host time).
+	active []int32
+	walkFn func(int)
 	// curPartit is the current quantum's partitioning (nil when unknown);
 	// curPart aliases its node->partition map during a graded quantum's
 	// tight-partition walks — the signal for sendFrame to defer
@@ -231,16 +231,28 @@ type engine struct {
 	// partition-wait attribution, reused across quanta.
 	partFin []simtime.Host
 
-	// Quiet-quantum fast-forward (DESIGN.md §7.1). quietH is the cluster
-	// horizon — the minimum over nodes of guest.Node.QuietUntil — and
-	// quietBusy each node's mode up to it, both peeked at the start of a
-	// quiet stretch. Neither can change while no node is stepped and nothing
-	// is routed, so they stay valid until the first stepped quantum, which
-	// resets quietH to zero (unknown: every limit is past it).
-	quietH    simtime.Guest
-	quietBusy []bool
-	nQuiet    int // quanta executed by the quiet pass
+	// Quiet fast-forward (DESIGN.md §7.1). quietUntil[i] is node i's horizon
+	// — guest.Node.QuietUntil, zero when unknown — and quietBusy[i] its mode
+	// up to it. A lane entry stays valid until the node is stepped or a frame
+	// is pushed to it, the two places that zero it; quietQuantum re-peeks
+	// the entries the current limit has reached. quietH is their minimum as
+	// of the last full scan, so a stretch in which no node acts costs one
+	// comparison per quantum; a stepped quantum leaves it at or below its
+	// limit, which every later limit exceeds.
+	quietH      simtime.Guest
+	quietUntil  []simtime.Guest
+	quietBusy   []bool
+	nQuiet      int // quanta executed whole by the quiet pass
+	nQuietNodes int // node-quanta executed by quietNode on any path
+	qi          int // current quantum's index, for the onQuiet hook
 }
+
+// minFanOut is the smallest number of active nodes per pool worker worth a
+// pool hand-off: below it the walks run inline on the engine goroutine. Waking
+// a worker costs about as much as two or three walks, and the sparse quanta
+// this guards have one to three active nodes among dozens of quiet ones
+// (DESIGN.md §7.1 has the measurements).
+const minFanOut = 4
 
 // sendRec buffers one frame sent during a fast-path walk, with the host and
 // guest instants the classic engine would have seen at the send.
@@ -300,6 +312,7 @@ func Run(cfg Config) (*Result, error) {
 	e.portFree = make([]simtime.Guest, cfg.Nodes)
 	e.delivCnt = make([]int32, cfg.Nodes)
 	e.delivOff = make([]int32, cfg.Nodes)
+	e.quietUntil = make([]simtime.Guest, cfg.Nodes)
 	e.quietBusy = make([]bool, cfg.Nodes)
 	for i := 0; i < cfg.Nodes; i++ {
 		prog := cfg.Program(i, cfg.Nodes)
@@ -361,9 +374,9 @@ func (e *engine) initFast() {
 		return
 	}
 	e.walks = make([]nodeWalk, e.cfg.Nodes)
-	e.walkFn = func(i int) { e.walkNode(i, &e.walks[i], e.qStartH) }
-	e.looseFn = func(k int) {
-		i := int(e.curPartit.loose[k])
+	e.active = make([]int32, 0, e.cfg.Nodes)
+	e.walkFn = func(k int) {
+		i := int(e.active[k])
 		e.walkNode(i, &e.walks[i], e.qStartH)
 	}
 	if w := e.cfg.Workers; w >= 2 {
@@ -403,6 +416,7 @@ func (e *engine) run() error {
 
 	nodes := e.cfg.Nodes
 	for qi := 0; ; qi++ {
+		e.qi = qi
 		e.limit = start.Add(Q)
 		e.qStartH = hostNow
 		e.npQuantum = 0
@@ -457,7 +471,7 @@ func (e *engine) run() error {
 		// there is nothing to step, queue or route on any path, and the
 		// quantum is one arithmetic pass over the nodes.
 		switch {
-		case e.quietQuantum(qi):
+		case e.quietQuantum():
 			e.runQuantumQuiet(hostNow)
 		case full:
 			e.runQuantumFast(hostNow)
@@ -465,26 +479,9 @@ func (e *engine) run() error {
 			e.runQuantumGraded(hostNow, part)
 		default:
 			for i := 0; i < nodes; i++ {
-				n := e.na.node[i]
-				n.BeginQuantum(e.limit)
-				e.na.phase[i] = phRunning
-				e.na.hostNow[i] = hostNow
-				e.na.inSeg[i] = false
-				e.na.wakeEv[i] = eventq.Handle{}
-				e.na.finishHost[i] = hostNow
-				if n.Done() {
-					// A finished workload's simulator idles through the
-					// quantum (OS housekeeping only).
-					e.idleTo(i, e.limit, hostNow)
-					continue
-				}
-				e.q.PushPri(int64(hostNow), priStep, event{kind: evStep, node: int32(i)})
+				e.enqueueNode(i, hostNow)
 			}
-
-			for e.q.Len() > 0 {
-				ev := e.q.Pop()
-				e.dispatch(simtime.Host(ev.Time), ev.Payload)
-			}
+			e.drainQueue()
 		}
 
 		// Barrier: wait for the slowest node and any late frames, pay the
@@ -553,6 +550,7 @@ func (e *engine) run() error {
 			Quanta:             e.res.Stats.Quanta,
 			FastEligibleQuanta: e.nElig,
 			QuietQuanta:        e.nQuiet,
+			QuietNodeQuanta:    e.nQuietNodes,
 		})
 	}
 	if e.prof != nil {
@@ -582,6 +580,35 @@ func (e *engine) recordQuantum(qi int, start simtime.Guest, Q simtime.Duration, 
 		if e.obs != nil {
 			e.obs.QuantumEnd(rec)
 		}
+	}
+}
+
+// enqueueNode starts node i's event-queue walk of the current quantum: the
+// node is reset to the barrier release and its first step — or, for a
+// finished workload, the idle stretch to the limit (OS housekeeping only) —
+// is queued.
+func (e *engine) enqueueNode(i int, hostNow simtime.Host) {
+	n := e.na.node[i]
+	n.BeginQuantum(e.limit)
+	e.quietUntil[i] = 0
+	e.na.phase[i] = phRunning
+	e.na.hostNow[i] = hostNow
+	e.na.inSeg[i] = false
+	e.na.wakeEv[i] = eventq.Handle{}
+	e.na.finishHost[i] = hostNow
+	if n.Done() {
+		e.idleTo(i, e.limit, hostNow)
+		return
+	}
+	e.q.PushPri(int64(hostNow), priStep, event{kind: evStep, node: int32(i)})
+}
+
+// drainQueue dispatches the queued events in host-time order until the
+// enqueued nodes have all reached the limit.
+func (e *engine) drainQueue() {
+	for e.q.Len() > 0 {
+		ev := e.q.Pop()
+		e.dispatch(simtime.Host(ev.Time), ev.Payload)
 	}
 }
 
@@ -935,6 +962,7 @@ func (e *engine) deliver(h simtime.Host, fl flight, dupCopy bool) {
 	}
 
 	e.na.node[dst].Deliver(fl.f, arr)
+	e.quietUntil[dst] = 0
 
 	// If the destination is idling, the new arrival may change its wake
 	// time: a straggler wakes it right now; an exact future arrival earlier
@@ -1032,6 +1060,7 @@ func (e *engine) routeBatch() {
 			continue
 		}
 		e.na.node[d].DeliverBatch(sorted[start:off[d]])
+		e.quietUntil[d] = 0
 		start = off[d]
 	}
 }
@@ -1044,69 +1073,125 @@ func (e *engine) routeBatch() {
 // (DESIGN.md §7.1) — and involves only node state, so it holds or fails
 // identically for every Workers and Lookahead value.
 //
-// The horizon peeked at the start of a quiet stretch stays valid for the
-// whole stretch: quiet quanta cost one comparison here, and a packet-
-// dominated quantum costs one peek, failing at the first non-quiet node. A
-// false return leaves quietH at zero so the quantum after a stepped one
-// re-peeks.
+// A quiet stretch costs one comparison per quantum. Otherwise the scan
+// re-peeks the horizons the limit has reached (stale ones included). On the
+// walk engines it visits every node, so that a false return leaves the whole
+// lane current for the per-node skip; the classic walk, where a frame can
+// reach any node mid-quantum, steps all nodes or none and stops at the first
+// active one — a packet-dominated quantum costs it one failed peek.
 //
 //simlint:hotpath quiet test: runs once per quantum ahead of every engine path
-func (e *engine) quietQuantum(qi int) bool {
-	if e.quietH <= e.limit {
-		e.quietH = 0
-		h := simtime.GuestInfinity
-		for i, n := range e.na.node {
-			until, busy := n.QuietUntil()
-			if until <= e.limit {
+func (e *engine) quietQuantum() bool {
+	if e.quietH > e.limit && e.cfg.onQuiet == nil {
+		return true
+	}
+	h := simtime.GuestInfinity
+	for i, n := range e.na.node {
+		until := e.quietUntil[i]
+		if until <= e.limit {
+			until, e.quietBusy[i] = n.QuietUntil()
+			e.quietUntil[i] = until
+			if until <= e.limit && e.walks == nil {
 				return false
 			}
-			e.quietBusy[i] = busy
-			h = simtime.MinGuest(h, until)
 		}
-		e.quietH = h
+		h = simtime.MinGuest(h, until)
 	}
-	if e.cfg.onQuiet != nil && !e.cfg.onQuiet(qi) {
-		e.quietH = 0
+	e.quietH = h
+	if h <= e.limit {
+		return false
+	}
+	if e.cfg.onQuiet != nil {
+		quiet := true
+		for i := range e.quietUntil {
+			quiet = e.sitsOut(i) && quiet
+		}
+		if !quiet {
+			e.quietH = 0
+		}
+		return quiet
+	}
+	return true
+}
+
+// sitsOut reports whether node i is fast-forwarded through the current
+// quantum: its horizon lies past the limit, and nothing can be delivered to
+// it before the barrier — which the caller's path guarantees (DESIGN.md
+// §7.1). The test hook's veto marks the horizon stale, which sends the node
+// to its walk.
+func (e *engine) sitsOut(i int) bool {
+	if e.quietUntil[i] <= e.limit {
+		return false
+	}
+	if e.cfg.onQuiet != nil && !e.cfg.onQuiet(e.qi, i) {
+		e.quietUntil[i] = 0
 		return false
 	}
 	return true
 }
 
-// runQuantumQuiet executes one quiet quantum as a single arithmetic pass:
-// every node spends the whole quantum in one busy or idle segment ending at
-// the limit, which is what each stepped path would have found by stepping —
-// the same hostCost call, the same charges, the same single NodePhase — minus
-// the Step calls, coroutine switches, event-queue round-trips and walk
-// buffers. Hooks fire in ascending node order whatever the Workers value;
-// there is nothing to route, so the common barrier tail sees an empty batch.
+// satOut reports, once the quantum's walks are over, whether node i was
+// skipped: stepping a node zeroes its horizon and skipping it leaves the
+// horizon past the limit.
+func (e *engine) satOut(i int) bool { return e.quietUntil[i] > e.limit }
+
+// quietNode executes node i's whole quantum arithmetically: the node has no
+// event before the limit, so it spends the quantum in one busy or idle
+// segment ending there, which is what a stepped path would have found by
+// stepping — the same hostCost call, the same charges, the same single
+// NodePhase — minus the Step calls, coroutine switches, event-queue
+// round-trips and walk buffers.
 //
-//simlint:hotpath quiet-quantum pass: the whole cost of a quantum in which no node acts
+//simlint:hotpath quiet pass, one node: the whole cost of a node-quantum in which the node cannot act
+func (e *engine) quietNode(i int, hostNow simtime.Host) {
+	e.nQuietNodes++
+	n := e.na.node[i]
+	from := n.Clock()
+	busy := e.quietBusy[i]
+	mode, seg, ph, total := host.Idle, prof.SegIdle, obs.PhaseIdle, &e.res.Stats.HostIdle
+	if busy {
+		mode, seg, ph, total = host.Busy, prof.SegBusy, obs.PhaseBusy, &e.res.Stats.HostBusy
+	}
+	cost := e.hostCost(i, from, e.limit, mode)
+	*total += cost
+	end := hostNow.Add(cost)
+	if e.prof != nil {
+		e.prof.Segment(i, seg, cost)
+	}
+	if e.obs != nil {
+		e.obs.NodePhase(i, ph, from, e.limit, hostNow, end)
+	}
+	e.na.finishHost[i] = end
+	n.AdvanceQuiet(e.limit, busy)
+}
+
+// runQuantumQuiet executes one quiet quantum as a single arithmetic pass.
+// Hooks fire in ascending node order whatever the Workers value; there is
+// nothing to route, so the common barrier tail sees an empty batch.
 func (e *engine) runQuantumQuiet(hostNow simtime.Host) {
 	e.nQuiet++
-	for i, n := range e.na.node {
-		from := n.Clock()
-		busy := e.quietBusy[i]
-		mode, seg, ph, total := host.Idle, prof.SegIdle, obs.PhaseIdle, &e.res.Stats.HostIdle
-		if busy {
-			mode, seg, ph, total = host.Busy, prof.SegBusy, obs.PhaseBusy, &e.res.Stats.HostBusy
-		}
-		cost := e.hostCost(i, from, e.limit, mode)
-		*total += cost
-		end := hostNow.Add(cost)
-		if e.prof != nil {
-			e.prof.Segment(i, seg, cost)
-		}
-		if e.obs != nil {
-			e.obs.NodePhase(i, ph, from, e.limit, hostNow, end)
-		}
-		e.na.finishHost[i] = end
-		n.AdvanceQuiet(e.limit, busy)
+	for i := range e.na.node {
+		e.quietNode(i, hostNow)
+	}
+}
+
+// walkActive walks the nodes listed in e.active to the barrier, on the pool
+// when there is one and the list is long enough to pay for the hand-off.
+func (e *engine) walkActive(hostNow simtime.Host) {
+	if e.pool != nil && len(e.active) >= minFanOut*e.pool.Workers() {
+		e.pool.Run(len(e.active), e.walkFn)
+		return
+	}
+	for _, i := range e.active {
+		e.walkNode(int(i), &e.walks[i], hostNow)
 	}
 }
 
 // runQuantumFast executes one provably-safe quantum (Q <= eligLat): every
-// node is walked to the barrier independently — concurrently when a pool
-// exists — then the buffered per-node effects are folded into the global
+// node that can act before the limit is walked to the barrier independently
+// — concurrently when a pool exists — and the others are fast-forwarded
+// (nothing reaches a node before the barrier here, so a horizon past the
+// limit is final); then the per-node effects are folded into the global
 // state in node order, and all frames are routed by the batched barrier
 // router in (node, send-sequence) order. That canonical order is what makes
 // the run bit-identical for every Workers >= 1 value: workers only decide
@@ -1114,35 +1199,40 @@ func (e *engine) runQuantumQuiet(hostNow simtime.Host) {
 //
 //simlint:hotpath fast-path quantum loop
 func (e *engine) runQuantumFast(hostNow simtime.Host) {
-	if e.pool != nil {
-		e.pool.Run(len(e.walks), e.walkFn)
-	} else {
-		for i := range e.walks {
-			e.walkNode(i, &e.walks[i], hostNow)
+	e.active = e.active[:0]
+	for i := range e.walks {
+		if !e.sitsOut(i) {
+			e.active = append(e.active, int32(i)) //simlint:hotalloc capacity is the node count, set in initFast; never grows
 		}
 	}
+	e.walkActive(hostNow)
 	for i := range e.walks {
-		e.foldWalk(i)
+		e.foldNode(i, hostNow)
 	}
 	// Barrier routing. Every destination is phAtLimit and, by the safety
 	// bound, every arrival time tD is at or past the limit, so routeFlight
 	// classifies each delivery as exact — the same outcome the classic
 	// engine reaches for these frames, just without the event queue.
 	e.assembling = true
-	for i := range e.walks {
+	for _, i := range e.active {
 		for _, s := range e.walks[i].sends {
-			e.sendFrame(i, s.h, s.tSend, s.f)
+			e.sendFrame(int(i), s.h, s.tSend, s.f)
 		}
 	}
 	e.assembling = false
 	e.routeBatch()
 }
 
-// foldWalk folds node i's completed walk buffers into the global state —
-// stats, profiler charges, done accounting and observer replay. Single-
-// threaded; called in ascending node order so the published order is
-// canonical whatever worker walked the node.
-func (e *engine) foldWalk(i int) {
+// foldNode publishes fast-walkable node i's quantum at the barrier: the
+// quiet pass for a node that sat the quantum out, otherwise its completed
+// walk buffers — stats, profiler charges, done accounting and observer
+// replay. Single-threaded; called in ascending node order so the published
+// order is canonical whatever worker walked the node.
+func (e *engine) foldNode(i int, hostNow simtime.Host) {
+	if e.satOut(i) {
+		e.quietNode(i, hostNow)
+		return
+	}
 	wk := &e.walks[i]
 	e.res.Stats.HostBusy += wk.busy
 	e.res.Stats.HostIdle += wk.idle
@@ -1166,6 +1256,23 @@ func (e *engine) foldWalk(i int) {
 	}
 }
 
+// tightSitsOut reports whether a tight partition is skipped in the current
+// quantum: it receives mid-quantum only the frames its own members send, so
+// when no member can act before the limit none of them is reached before it
+// either, and the partition's event-queue walk need not start.
+func (e *engine) tightSitsOut(members []int32) bool {
+	for _, m := range members {
+		if e.quietUntil[m] <= e.limit {
+			return false
+		}
+	}
+	out := true
+	for _, m := range members {
+		out = e.sitsOut(int(m)) && out
+	}
+	return out
+}
+
 // runQuantumGraded executes one partially-engaged quantum (DESIGN.md §11):
 // Q exceeds the global minimum latency, but the per-link partitioning
 // leaves loose nodes whose every link has latency >= Q. Tight partitions
@@ -1178,45 +1285,37 @@ func (e *engine) foldWalk(i int) {
 // behavior-neutral); loose nodes are fast-walked exactly as in
 // runQuantumFast — concurrently when a pool exists — and everything
 // publishes at the barrier in canonical node order through the batched
-// router.
+// router. Tight partitions and loose nodes that cannot act before the limit
+// are fast-forwarded instead (DESIGN.md §7.1).
 //
 //simlint:hotpath graded-path quantum loop
 func (e *engine) runQuantumGraded(hostNow simtime.Host, p *partitioning) {
 	e.curPart = p.part
 	for _, members := range p.tight {
-		for _, m := range members {
-			i := int(m)
-			e.walks[i].defs = e.walks[i].defs[:0]
-			n := e.na.node[i]
-			n.BeginQuantum(e.limit)
-			e.na.phase[i] = phRunning
-			e.na.hostNow[i] = hostNow
-			e.na.inSeg[i] = false
-			e.na.wakeEv[i] = eventq.Handle{}
-			e.na.finishHost[i] = hostNow
-			if n.Done() {
-				e.idleTo(i, e.limit, hostNow)
-				continue
+		if e.tightSitsOut(members) {
+			for _, m := range members {
+				e.quietNode(int(m), hostNow)
 			}
-			e.q.PushPri(int64(hostNow), priStep, event{kind: evStep, node: int32(i)})
+			continue
 		}
-		for e.q.Len() > 0 {
-			ev := e.q.Pop()
-			e.dispatch(simtime.Host(ev.Time), ev.Payload)
+		for _, m := range members {
+			e.walks[m].defs = e.walks[m].defs[:0]
+			e.enqueueNode(int(m), hostNow)
 		}
+		e.drainQueue()
 	}
 	e.curPart = nil
 
 	// Loose nodes: the same independent walks as a fully-engaged quantum.
-	if e.pool != nil {
-		e.pool.Run(len(p.loose), e.looseFn)
-	} else {
-		for _, i := range p.loose {
-			e.walkNode(int(i), &e.walks[i], hostNow)
+	e.active = e.active[:0]
+	for _, i := range p.loose {
+		if !e.sitsOut(int(i)) {
+			e.active = append(e.active, i) //simlint:hotalloc capacity is the node count, set in initFast; never grows
 		}
 	}
+	e.walkActive(hostNow)
 	for _, i := range p.loose {
-		e.foldWalk(int(i))
+		e.foldNode(int(i), hostNow)
 	}
 
 	// Barrier publication in global node order: loose nodes assemble their
@@ -1224,14 +1323,17 @@ func (e *engine) runQuantumGraded(hostNow simtime.Host, p *partitioning) {
 	// flights at the controller-arrival host times the classic engine would
 	// have dispatched them at; one batched route pass then handles both.
 	// Every arrival time is at or past the limit and every destination is
-	// at the barrier, so each delivery is exact.
+	// at the barrier, so each delivery is exact. A node that sat out sent
+	// nothing: its buffers are left over from an earlier quantum.
 	e.assembling = true
 	for i := range e.walks {
-		if p.fastNode[i] {
+		switch {
+		case e.satOut(i):
+		case p.fastNode[i]:
 			for _, s := range e.walks[i].sends {
 				e.sendFrame(i, s.h, s.tSend, s.f)
 			}
-		} else {
+		default:
 			for _, d := range e.walks[i].defs {
 				e.batch = append(e.batch, routed{h: d.h, fi: d.fi}) //simlint:hotalloc assembly batch grows to its watermark once; length-reset each quantum
 			}
@@ -1288,6 +1390,7 @@ func (e *engine) walkNode(i int, wk *nodeWalk, hostNow simtime.Host) {
 
 	n := e.na.node[i]
 	n.BeginQuantum(e.limit)
+	e.quietUntil[i] = 0
 	e.na.inSeg[i] = false
 	e.na.wakeEv[i] = eventq.Handle{}
 	h := hostNow

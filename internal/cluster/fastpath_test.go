@@ -57,6 +57,9 @@ func fastCases() []fastCase {
 		{name: "phases-4", nodes: 4, w: workloads.Phases(3, 150*simtime.Microsecond, 32<<10), pol: fixed(simtime.Microsecond)},
 		{name: "phases-adaptive-5", nodes: 5, w: workloads.Phases(3, 150*simtime.Microsecond, 16<<10),
 			pol: adaptive(simtime.Microsecond, simtime.Millisecond, 1.03, 0.02)},
+		// Sixteen ranks in lockstep: the alltoall phases keep every node active
+		// at once, which is what it takes for the walks to go to the pool.
+		{name: "phases-16", nodes: 16, w: workloads.Phases(2, 40*simtime.Microsecond, 4<<10), pol: fixed(simtime.Microsecond)},
 		{name: "uniform-3", nodes: 3, w: workloads.Uniform(60, 2000, 30*simtime.Microsecond, 11), pol: fixed(simtime.Microsecond)},
 		{name: "uniform-lossy-4", nodes: 4, w: workloads.Uniform(60, 1500, 20*simtime.Microsecond, 23), pol: fixed(simtime.Microsecond),
 			faults: &faults.Plan{Seed: 42, Default: faults.Link{Loss: 0.3}}},
@@ -92,6 +95,11 @@ func fastCases() []fastCase {
 // mixedWANNet puts the first four nodes in one 500ns rack and every other
 // node 50µs away from everything: a tight rack plus loose WAN singletons.
 func mixedWANNet(nodes int) *netmodel.Model {
+	return mixedWANNetAt(nodes, 50*simtime.Microsecond)
+}
+
+// mixedWANNetAt is mixedWANNet with the WAN latency given.
+func mixedWANNetAt(nodes int, wan simtime.Duration) *netmodel.Model {
 	lat := make([][]simtime.Duration, nodes)
 	for s := range lat {
 		lat[s] = make([]simtime.Duration, nodes)
@@ -101,7 +109,7 @@ func mixedWANNet(nodes int) *netmodel.Model {
 			case s < 4 && d < 4:
 				lat[s][d] = 500 * simtime.Nanosecond
 			default:
-				lat[s][d] = 50 * simtime.Microsecond
+				lat[s][d] = wan
 			}
 		}
 	}

@@ -89,8 +89,17 @@ type quietRun struct {
 	res   *Result
 	probe *quietProbe
 	prof  []byte
-	quiet []int // quanta the engine found quiet, in order
+	// skipped lists the node-quanta the engine fast-forwarded (or, forced
+	// off, would have), in hook order; quiet lists the quanta among them in
+	// which every node was, which are the quiet quanta.
+	skipped []nodeQuantum
+	quiet   []int
 }
+
+type nodeQuantum struct{ qi, node int }
+
+// partial is the number of node-quanta skipped inside stepped quanta.
+func (r quietRun) partial(nodes int) int { return len(r.skipped) - nodes*len(r.quiet) }
 
 func runQuiet(t *testing.T, c fastCase, workers int, allow bool) quietRun {
 	t.Helper()
@@ -99,8 +108,12 @@ func runQuiet(t *testing.T, c fastCase, workers int, allow bool) quietRun {
 	cfg := c.config(workers)
 	cfg.Observer = r.probe
 	cfg.Profiler = p
-	cfg.onQuiet = func(qi int) bool {
-		r.quiet = append(r.quiet, qi)
+	perQuantum := map[int]int{}
+	cfg.onQuiet = func(qi, node int) bool {
+		r.skipped = append(r.skipped, nodeQuantum{qi, node})
+		if perQuantum[qi]++; perQuantum[qi] == c.nodes {
+			r.quiet = append(r.quiet, qi)
+		}
 		return allow
 	}
 	res, err := Run(cfg)
@@ -113,38 +126,52 @@ func runQuiet(t *testing.T, c fastCase, workers int, allow bool) quietRun {
 	return r
 }
 
-// TestQuietPassDifferential is the quiet pass's bit-identity property: over
-// the fast-path behaviour matrix and random fat-tree/fault scenarios, for
-// the classic, inline-fast and pooled engines, a run with the pass and a
-// run with every quiet quantum forced through the stepped paths must agree
-// on the Result, the fingerprint, the profiler report bytes, every quantum
-// and packet hook in order, and each quantum's NodePhase multiset.
+// sparseCase is the paper-scale geometry of simbench's graded-mixedwan64 row:
+// one tight four-node rack and sixty WAN singletons at Q = 2µs, with a
+// handful of nodes acting in a stepped quantum among dozens that cannot.
+func sparseCase(count int) fastCase {
+	return fastCase{name: "mixed-wan-64", nodes: 64, w: workloads.Uniform(count, 4000, 100*simtime.Microsecond, 29),
+		pol: fixed(2 * simtime.Microsecond), net: mixedWANNetAt(64, 2*simtime.Microsecond)}
+}
+
+// TestQuietPassDifferential is the fast-forward's bit-identity property: over
+// the fast-path behaviour matrix, the 64-node sparse case and random
+// fat-tree/fault scenarios, for the classic, inline-fast and pooled engines, a
+// run that fast-forwards and a run with every quiet quantum, skipped node and
+// skipped tight partition forced through its walk must agree on the Result,
+// the fingerprint, the profiler report bytes, every quantum and packet hook
+// in order, and each quantum's NodePhase multiset.
 func TestQuietPassDifferential(t *testing.T) {
-	cases := fastCases()
+	cases := append(fastCases(), sparseCase(15))
 	rnd := rand.New(rand.NewSource(20260928))
 	for trial := 0; trial < 8; trial++ {
 		c, _ := randomFatTreeCase(rnd, trial)
 		cases = append(cases, c)
 	}
-	engaged := 0
+	whole, partial := 0, 0
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			for _, workers := range []int{0, 1, 3} {
 				on := runQuiet(t, c, workers, true)
 				off := runQuiet(t, c, workers, false)
-				if got := off.probe.sum.QuietQuanta; got != 0 {
-					t.Fatalf("workers=%d: pass forced off still ran %d quanta", workers, got)
+				if s := off.probe.sum; s.QuietQuanta != 0 || s.QuietNodeQuanta != 0 {
+					t.Fatalf("workers=%d: forced off, the engine still fast-forwarded %d quanta and %d node-quanta",
+						workers, s.QuietQuanta, s.QuietNodeQuanta)
 				}
-				if on.probe.sum.QuietQuanta != len(on.quiet) {
-					t.Errorf("workers=%d: RunSummary.QuietQuanta = %d, hook saw %d",
-						workers, on.probe.sum.QuietQuanta, len(on.quiet))
+				if s := on.probe.sum; s.QuietQuanta != len(on.quiet) || s.QuietNodeQuanta != len(on.skipped) {
+					t.Errorf("workers=%d: RunSummary reports %d quiet quanta and %d node-quanta, hook saw %d and %d",
+						workers, s.QuietQuanta, s.QuietNodeQuanta, len(on.quiet), len(on.skipped))
 				}
-				// Forcing the pass off must not change which quanta qualify.
-				if !reflect.DeepEqual(on.quiet, off.quiet) {
-					t.Errorf("workers=%d: quiet set differs with the pass on (%d) and off (%d)",
-						workers, len(on.quiet), len(off.quiet))
+				// Forcing the walks must not change which node-quanta qualify.
+				if !reflect.DeepEqual(on.skipped, off.skipped) {
+					t.Errorf("workers=%d: skipped set differs fast-forwarding (%d) and forced off (%d)",
+						workers, len(on.skipped), len(off.skipped))
 				}
-				engaged += len(on.quiet)
+				if workers == 0 && on.partial(c.nodes) != 0 {
+					t.Errorf("workers=0: %d node-quanta skipped inside stepped quanta, want 0", on.partial(c.nodes))
+				}
+				whole += len(on.quiet)
+				partial += on.partial(c.nodes)
 
 				if !reflect.DeepEqual(on.res, off.res) {
 					t.Errorf("workers=%d: Result differs:\nquiet   %+v\nstepped %+v", workers, on.res.Stats, off.res.Stats)
@@ -171,8 +198,8 @@ func TestQuietPassDifferential(t *testing.T) {
 			}
 		})
 	}
-	if engaged == 0 {
-		t.Error("the quiet pass never engaged: the comparison is vacuous")
+	if whole == 0 || partial == 0 {
+		t.Errorf("fast-forwarded %d quiet quanta and %d node-quanta of stepped quanta: the comparison is vacuous", whole, partial)
 	}
 }
 
@@ -248,6 +275,95 @@ func TestQuietPassEngages(t *testing.T) {
 			}
 			if r.probe.done[qi] {
 				t.Errorf("phases workers=%d: a node finished in quiet quantum %d", workers, qi)
+			}
+		}
+	}
+}
+
+// TestSparseQuantaEngage: on the paper-scale geometry the per-node skip must
+// carry the stepped quanta — nearly all of their node-quanta fast-forwarded —
+// and stand down wherever a node or a tight partition can act.
+func TestSparseQuantaEngage(t *testing.T) {
+	c := sparseCase(40)
+	const rack = 4 // the tight partition is nodes 0..3
+	for _, workers := range []int{0, 1, 2} {
+		r := runQuiet(t, c, workers, true)
+		stepped := r.res.Stats.Quanta - len(r.quiet)
+		partial := r.partial(c.nodes)
+		if workers == 0 {
+			if partial != 0 {
+				t.Errorf("workers=0: %d node-quanta skipped inside stepped quanta, want 0", partial)
+			}
+			continue
+		}
+		if partial*100 < 90*c.nodes*stepped {
+			t.Errorf("workers=%d: %d of the %d node-quanta of stepped quanta skipped, want >= 90%%",
+				workers, partial, c.nodes*stepped)
+		}
+
+		// What the probe saw of each node-quantum (phases are sorted by
+		// quantum and node), of each sender, and of each queued arrival.
+		phases := map[nodeQuantum][]phaseHook{}
+		for _, ph := range r.probe.phases {
+			k := nodeQuantum{ph.qi, ph.node}
+			phases[k] = append(phases[k], ph)
+		}
+		sent := map[nodeQuantum]bool{}
+		type queued struct {
+			at     simtime.Guest
+			routed int // the quantum whose barrier queued it
+		}
+		arrivals := make([][]queued, c.nodes)
+		doneIn := make([]int, c.nodes) // the quantum each node finished in
+		qi := 0
+		for _, o := range r.probe.ordered {
+			switch rec := o.(type) {
+			case quantumStart:
+				qi = rec.qi
+			case PacketRecord:
+				sent[nodeQuantum{qi, rec.Src}] = true
+				if !rec.Dropped {
+					arrivals[rec.Dst] = append(arrivals[rec.Dst], queued{rec.Arrival, qi})
+				}
+			}
+		}
+		for _, as := range arrivals {
+			sort.Slice(as, func(i, j int) bool { return as[i].at < as[j].at })
+		}
+		for _, ph := range r.probe.phases {
+			if ph.ph == obs.PhaseDone {
+				doneIn[ph.node] = ph.qi
+			}
+		}
+		rackSkips := map[int]int{}
+		for _, k := range r.skipped {
+			limit := r.res.Quanta[k.qi].Start.Add(r.res.Quanta[k.qi].Q)
+			phs := phases[k]
+			if len(phs) != 1 || phs[0].ph == obs.PhaseDone || phs[0].g1 != limit {
+				t.Fatalf("workers=%d: skipped node %d did not spend quantum %d in one segment to the limit %v: %+v",
+					workers, k.node, k.qi, limit, phs)
+			}
+			if sent[k] {
+				t.Fatalf("workers=%d: node %d was skipped in quantum %d, in which it sent", workers, k.node, k.qi)
+			}
+			// A node blocked in Recv acts at its first queued arrival (a
+			// finished one idles whatever its queue holds).
+			if phs[0].ph == obs.PhaseIdle && k.qi <= doneIn[k.node] {
+				as := arrivals[k.node]
+				for j := sort.Search(len(as), func(j int) bool { return as[j].at >= phs[0].g0 }); j < len(as) && as[j].at <= limit; j++ {
+					if as[j].routed < k.qi {
+						t.Fatalf("workers=%d: node %d was skipped in quantum %d with an arrival queued at %v <= limit %v",
+							workers, k.node, k.qi, as[j].at, limit)
+					}
+				}
+			}
+			if k.node < rack {
+				rackSkips[k.qi]++
+			}
+		}
+		for qi, n := range rackSkips {
+			if n != rack {
+				t.Errorf("workers=%d: quantum %d skipped %d of the tight partition's %d members", workers, qi, n, rack)
 			}
 		}
 	}

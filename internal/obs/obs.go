@@ -74,6 +74,10 @@ type RunSummary struct {
 	// not in Stats, QuantumRecord or the fingerprint. Zero for the parallel
 	// runner.
 	QuietQuanta int
+	// QuietNodeQuanta counts the node-quanta fast-forwarded the same way:
+	// every node of a quiet quantum, plus the nodes and lookahead partitions
+	// that a stepped quantum skipped because they could not act in it.
+	QuietNodeQuanta int
 }
 
 // QuantumRecord describes one completed synchronization quantum. It is also

@@ -267,20 +267,23 @@ func TestProgressReports(t *testing.T) {
 	}
 }
 
-// TestQuietQuantaPublished: the quiet-quantum count arrives only in the
-// RunSummary; the registry must publish it as a counter and the progress
-// reporter print it in the final line.
+// TestQuietQuantaPublished: the quiet-quantum and quiet-node-quantum counts
+// arrive only in the RunSummary; the registry must publish them as counters
+// and the progress reporter print them in the final line.
 func TestQuietQuantaPublished(t *testing.T) {
-	sum := RunSummary{Quanta: 4, QuietQuanta: 3}
+	sum := RunSummary{Quanta: 4, QuietQuanta: 3, QuietNodeQuanta: 29}
 	reg := NewRegistry()
 	reg.RunEnd(sum)
 	if got := reg.Snapshot().Counters["quiet_quanta"]; got != 3 {
 		t.Errorf("quiet_quanta counter = %d, want 3", got)
 	}
+	if got := reg.Snapshot().Counters["quiet_node_quanta"]; got != 29 {
+		t.Errorf("quiet_node_quanta counter = %d, want 29", got)
+	}
 	var buf bytes.Buffer
 	NewProgress(&buf, 0, -1).RunEnd(sum)
-	if out := buf.String(); !strings.Contains(out, "quiet 3 |") {
-		t.Errorf("final progress line lacks the quiet count: %q", out)
+	if out := buf.String(); !strings.Contains(out, "quiet 3 | quiet node-quanta 29 |") {
+		t.Errorf("final progress line lacks the quiet counts: %q", out)
 	}
 }
 

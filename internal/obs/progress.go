@@ -33,6 +33,7 @@ type Progress struct {
 	quanta     int64
 	fastQuanta int64 // quanta eligible for the intra-quantum fast path
 	quiet      int64 // quanta the engine fast-forwarded; known at RunEnd only
+	quietNodes int64 // node-quanta it fast-forwarded, skipped nodes included
 	packets    int64
 	stragglers int64
 	guest      simtime.Guest
@@ -66,6 +67,7 @@ func (p *Progress) RunEnd(sum RunSummary) {
 	defer p.mu.Unlock()
 	p.guest = sum.GuestTime
 	p.quiet = int64(sum.QuietQuanta)
+	p.quietNodes = int64(sum.QuietNodeQuanta)
 	p.report(true)
 }
 
@@ -132,7 +134,7 @@ func (p *Progress) report(final bool) {
 	}
 	quiet := ""
 	if final {
-		quiet = fmt.Sprintf(" | quiet %d", p.quiet)
+		quiet = fmt.Sprintf(" | quiet %d | quiet node-quanta %d", p.quiet, p.quietNodes)
 	}
 	fmt.Fprintf(p.w, "%s: guest %v%s | %d quanta (%.0f/s) | Q=%v | fast %.0f%%%s | stragglers %.1f%%\n",
 		label, p.guest, pct, p.quanta, rate, p.curQ, fast, quiet, strag)

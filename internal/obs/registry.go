@@ -214,13 +214,15 @@ func (r *Registry) RunStart(info RunInfo) {
 	}
 }
 
-// RunEnd records the final guest time and the run's quiet-quantum count
-// (known only at the end: it is engine path mix, not part of any record).
+// RunEnd records the final guest time and the run's quiet-quantum and
+// quiet-node-quantum counts (known only at the end: they are engine path mix,
+// not part of any record).
 func (r *Registry) RunEnd(sum RunSummary) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.counters["runs_finished"]++
 	r.counters["quiet_quanta"] += int64(sum.QuietQuanta)
+	r.counters["quiet_node_quanta"] += int64(sum.QuietNodeQuanta)
 	r.gauges["run_active"] = 0
 	r.gauges["guest_ns"] = int64(sum.GuestTime)
 	r.gauges["host_ns"] = int64(sum.HostEnd)
