@@ -3,7 +3,7 @@
 GO ?= go
 SIMLINT := $(CURDIR)/bin/simlint
 
-.PHONY: all build test race bench simbench fleet fleet-update lint simlint vet-simlint fmt clean
+.PHONY: all build test race simbench fleet fleet-update lint simlint vet-simlint fmt clean
 
 all: build test simlint
 
@@ -15,14 +15,6 @@ test:
 
 race:
 	$(GO) test -race ./...
-
-# The three headline benchmarks whose numbers are recorded in BENCH_*.json:
-# the engine core across worker counts (GroundTruthQuanta), the parallel
-# runner's barrier + routing path (ParallelBarrier), and the partitioned
-# fast path (FastPathRack). -benchmem because the arena engine's allocation
-# counts are load-bearing (see the alloc gates in internal/cluster).
-bench:
-	$(GO) test -run='^$$' -bench='BenchmarkGroundTruthQuanta|BenchmarkParallelBarrier|BenchmarkFastPathRack' -benchtime=2s -benchmem ./internal/cluster/
 
 # The benchmark harness (cmd/simbench, BENCHMARK.json): six workloads,
 # end-to-end and per-layer metrics, one clustersim-bench/1 document. About

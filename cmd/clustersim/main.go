@@ -45,7 +45,7 @@ var (
 	spinFlag     = flag.Float64("spin", 0.02, "real ns of CPU burned per guest busy ns (parallel mode)")
 	workersFlag  = flag.Int("workers", 0, "cap on host cores used, 0 = all (sets GOMAXPROCS; mainly for taming -parallel runs)")
 	traceFlag    = flag.String("tracefile", "", "run a JSON communication trace (workloads.TraceFile schema) instead of -workload; -nodes must match its rank count")
-	intraFlag    = flag.Int("intra-workers", 0, "intra-quantum engine workers: fast-path-safe nodes are stepped on this many goroutines; 0 = classic sequential engine; results are identical for any value")
+	intraFlag    = flag.Int("intra-workers", 0, "intra-quantum pool size: the nodes no frame can reach before the barrier are stepped on this many goroutines (below 2: inline); results and traces are identical for any value")
 	lookFlag     = flag.String("lookahead", "matrix", "fast-path lookahead mode: matrix probes per-link lookahead and fast-walks loose partitions even when Q exceeds the global minimum latency; scalar restores the all-or-nothing Q ≤ min gate; results are identical either way")
 	cpuProfFlag  = flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfFlag  = flag.String("memprofile", "", "write a heap profile to this file at exit")
@@ -64,8 +64,8 @@ var (
 // parseContention parses the -contention flag into an output-queue model:
 // <bytes/s>:<latency>, e.g. 10e9:500ns. The tap models per-destination port
 // contention — and, because delivery times then depend on cross-node send
-// interleaving, it disables the fast/graded path entirely (the engine falls
-// back to the classic walk and run() prints an explicit diagnostic).
+// interleaving, it rules lookahead out: every quantum walks the whole cluster
+// through one event queue, and run() prints an explicit diagnostic.
 func parseContention(spec string) (*netmodel.OutputQueue, error) {
 	parts := strings.Split(spec, ":")
 	if len(parts) != 2 {
@@ -280,12 +280,12 @@ func run() (err error) {
 	}
 	printResult(w, res)
 	// The output tap makes delivery times depend on cross-node send
-	// interleaving, so the engine silently falls back to the classic walk
-	// even when -intra-workers asked for the fast path. Without this line a
-	// run showing 0 engaged quanta reads like a lookahead problem and perf
-	// numbers get misattributed.
-	if *intraFlag >= 1 && env.Net.Output != nil {
-		fmt.Println("fast path    disabled: output tap (-contention models per-port queueing, so delivery order depends on cross-node interleaving; the classic walk was used)")
+	// interleaving, so no node is ever loose and the pool -intra-workers asked
+	// for has nothing to walk. Without this line a run showing 0 engaged
+	// quanta reads like a lookahead problem and perf numbers get
+	// misattributed.
+	if *intraFlag >= 2 && env.Net.Output != nil {
+		fmt.Println("fast path    disabled: output tap (-contention models per-port queueing, so delivery order depends on cross-node interleaving; every quantum walked the whole cluster through one event queue)")
 	}
 	if *chartFlag {
 		series := trace.QuantumSeries(res.Quanta, *widthFlag, res.GuestTime)

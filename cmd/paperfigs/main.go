@@ -37,7 +37,7 @@ var (
 	widthFlag   = flag.Int("width", 100, "chart width in columns")
 	csvFlag     = flag.String("csv", "", "also write machine-readable CSVs into this directory")
 	workersFlag = flag.Int("workers", 0, "concurrent simulations per experiment grid (0 = GOMAXPROCS, 1 = sequential); results are identical for any value")
-	intraFlag   = flag.Int("intra-workers", 0, "intra-quantum engine workers: ground-truth quanta (Q ≤ min network latency) step their nodes on this many goroutines; 0 = classic sequential engine; results are identical for any value")
+	intraFlag   = flag.Int("intra-workers", 0, "intra-quantum pool size: ground-truth quanta (Q ≤ min network latency) step their nodes on this many goroutines (below 2: inline); results are identical for any value")
 	cacheFlag   = flag.Bool("baseline-cache", true, "memoize ground-truth (Q=1µs) runs across figures and tables so each distinct baseline is simulated once")
 	cpuProfFlag = flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfFlag = flag.String("memprofile", "", "write a heap profile to this file at exit")

@@ -1,18 +1,13 @@
 // Command simfleet is the scenario regression fleet: it executes the
 // declarative manifest of simulation scenarios in testdata/fleet/, computes
 // a canonical fingerprint per scenario (Result/Stats/Quanta plus the prof
-// report bytes, proven identical across Workers {0,1,3}), and diffs the
-// fingerprints against the committed goldens. One command answers "did this
+// report bytes, proven identical across the scenario's worker counts), and
+// diffs the fingerprints against the committed goldens. One command answers "did this
 // PR change any simulated outcome it didn't mean to?" — the check the
 // equivalence matrices of earlier PRs hand-rolled per change.
 //
 //	simfleet -manifest testdata/fleet/manifest.json            # check
 //	simfleet -manifest testdata/fleet/manifest.json -update    # regenerate goldens
-//	simfleet -bench latest -bench-tolerance 0.6                # perf gate
-//
-// `-bench latest` resolves to the newest committed BENCH_PR<n>.json
-// (numeric PR order, so BENCH_PR10.json beats BENCH_PR9.json); an explicit
-// path is used verbatim.
 //
 // A fingerprint mismatch exits 1 and, with -diff-out, writes a JSON diff
 // artifact naming every changed/failed/missing scenario (CI uploads it).
@@ -36,10 +31,6 @@ var (
 	poolFlag     = flag.Int("pool", 0, "scenarios run concurrently on this many goroutines; 0 = GOMAXPROCS")
 	diffOutFlag  = flag.String("diff-out", "", "write the JSON fingerprint diff here when the fleet fails")
 	verboseFlag  = flag.Bool("v", false, "print one line per finished scenario")
-
-	benchFlag     = flag.String("bench", "", "benchmark trajectory JSON (BENCH_*.json), or \"latest\" for the newest BENCH_PR<n>.json in the working directory; re-runs the headline benchmarks and gates on regression")
-	benchTolFlag  = flag.Float64("bench-tolerance", 0.6, "allowed fractional throughput regression vs the trajectory baseline (0.6 = fail below 40% of baseline; generous because shared hosts are noisy)")
-	benchRepsFlag = flag.Int("bench-reps", 3, "measurement repetitions per benchmark; the best rep is compared")
 )
 
 func main() {
@@ -50,27 +41,6 @@ func main() {
 	}
 }
 
-func run() error {
-	if *manifestFlag == "" && *benchFlag == "" {
-		return fmt.Errorf("nothing to do: pass -manifest and/or -bench")
-	}
-	if *manifestFlag != "" {
-		if err := runFleet(); err != nil {
-			return err
-		}
-	}
-	if *benchFlag != "" {
-		path, err := resolveBenchArg(*benchFlag, ".")
-		if err != nil {
-			return err
-		}
-		if err := runBenchGate(path, *benchTolFlag, *benchRepsFlag); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 func goldenPath() string {
 	if *goldenFlag != "" {
 		return *goldenFlag
@@ -78,7 +48,10 @@ func goldenPath() string {
 	return filepath.Join(filepath.Dir(*manifestFlag), "golden.json")
 }
 
-func runFleet() error {
+func run() error {
+	if *manifestFlag == "" {
+		return fmt.Errorf("nothing to do: pass -manifest")
+	}
 	m, err := experiments.LoadManifest(*manifestFlag)
 	if err != nil {
 		return err

@@ -11,8 +11,8 @@ import (
 	"clustersim/internal/workloads"
 )
 
-// The arena refactor's headline allocation guarantee (DESIGN.md §12): after
-// warm-up, advancing a quantum costs zero heap allocations in the classic
+// The arena engine's headline allocation guarantee (DESIGN.md §12): after
+// warm-up, advancing a quantum costs zero heap allocations in the event-queue
 // walk and in the quiet pass, and the batched router's only per-quantum
 // allocations are the unavoidable per-message guest buffers. One run's setup
 // (nodes, arenas, queues) does allocate, so the steady-state rate is isolated
@@ -61,25 +61,27 @@ func steadyStatePerStepped(t *testing.T, label string, short, long Config) (floa
 	return per, sLong
 }
 
-// TestClassicWalkZeroAllocsPerQuantum pins the classic event-queue walk —
-// dispatch, stepNode, idleTo, sendFrame, routeFlight, deliver — at zero
+// TestClassicWalkZeroAllocsPerQuantum pins the event-queue walk of a tight
+// partition — dispatch, stepNode, idleTo, sendFrame, routeFlight, deliver — at zero
 // steady-state allocations: the runs differ only in phase count, so the
 // difference is extra compute/alltoall cycles, and only their stepped
 // (traffic-carrying or op-completing) quanta count — the silent compute
 // stretches in between are fast-forwarded and never reach the walk.
 func TestClassicWalkZeroAllocsPerQuantum(t *testing.T) {
-	// Workers == 0 keeps every stepped quantum on the event-queue engine
-	// whatever the quantum size.
+	// The reference hook keeps every stepped quantum on one event queue over
+	// the whole cluster whatever the quantum size.
 	mk := func(phases int) Config {
-		return testConfig(4, workloads.Phases(phases, 150*simtime.Microsecond, 32<<10), fixed(simtime.Microsecond))
+		cfg := testConfig(4, workloads.Phases(phases, 150*simtime.Microsecond, 32<<10), fixed(simtime.Microsecond))
+		cfg.onPartition = func(*partitioning) bool { return true }
+		return cfg
 	}
-	if per, _ := steadyStatePerStepped(t, "classic walk", mk(2), mk(8)); per >= 0.5 {
-		t.Errorf("classic walk steady state allocates %.4f allocs/stepped quantum (want < 0.5: only per-message guest buffers)", per)
+	if per, _ := steadyStatePerStepped(t, "event-queue walk", mk(2), mk(8)); per >= 0.5 {
+		t.Errorf("event-queue walk steady state allocates %.4f allocs/stepped quantum (want < 0.5: only per-message guest buffers)", per)
 	}
 }
 
 // TestQuietQuantumZeroAllocs pins the quiet pass at zero allocations per
-// quantum on every engine: a 10x longer silent run must allocate as much as
+// quantum at every pool size: a 10x longer silent run must allocate as much as
 // a short one, with nearly all of the extra quanta fast-forwarded.
 func TestQuietQuantumZeroAllocs(t *testing.T) {
 	for _, workers := range []int{0, 1, 2} {
@@ -106,7 +108,7 @@ func TestQuietQuantumZeroAllocs(t *testing.T) {
 }
 
 // TestSparseQuantumZeroAllocs pins the per-node skip at zero allocations per
-// quantum on both walk paths: sixteen ranks run back-to-back computes of
+// quantum on all-loose and mixed partitionings: sixteen ranks run back-to-back computes of
 // pairwise different lengths, so nearly every stepped quantum has one active
 // node among fifteen skipped ones, and a 10x longer run must allocate as much
 // as a short one (the active list is sized once per Run).
@@ -137,7 +139,7 @@ func TestSparseQuantumZeroAllocs(t *testing.T) {
 		{"graded", mixedWANNetAt(nodes, 2*simtime.Microsecond), 2 * simtime.Microsecond},
 	}
 	for _, p := range paths {
-		for _, workers := range []int{1, 2} {
+		for _, workers := range []int{0, 2} {
 			label := fmt.Sprintf("%s workers=%d", p.name, workers)
 			per, sum := steadyStatePerStepped(t, label, mk(20, workers, p.net, p.q), mk(200, workers, p.net, p.q))
 			if per >= 0.01 {
@@ -152,19 +154,17 @@ func TestSparseQuantumZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestBatchedRouterAllocsPerQuantum pins the fast path's batched router:
+// TestBatchedRouterAllocsPerQuantum pins the batched barrier router:
 // per-quantum allocations must come only from the per-message guest buffers
 // (payload copy plus block-amortized frame/message carves), never from the
 // engine's routing structures. The workloads differ only in phase count, so
 // the per-quantum difference is the cost of extra communicating quanta.
 func TestBatchedRouterAllocsPerQuantum(t *testing.T) {
-	// Q=1µs is below the Paper model's minimum latency: every quantum is
-	// provably safe, runs runQuantumFast and routes through routeBatch.
+	// Q=1µs is below the Paper model's minimum latency: every node is loose
+	// in every quantum and every frame routes through routeBatch.
 	const q = 1 * simtime.Microsecond
 	mk := func(phases int) Config {
-		cfg := testConfig(4, workloads.Phases(phases, 150*simtime.Microsecond, 32<<10), fixed(q))
-		cfg.Workers = 1
-		return cfg
+		return testConfig(4, workloads.Phases(phases, 150*simtime.Microsecond, 32<<10), fixed(q))
 	}
 	perQuantum, _ := steadyStatePerStepped(t, "batched router", mk(2), mk(8))
 	// Six extra alltoall phases are 72 extra 8KB messages; each costs one

@@ -67,36 +67,36 @@ type Config struct {
 	// zero cost, exactly like Observer. The resulting prof.Report is
 	// byte-identical across Workers values for a fixed configuration.
 	Profiler *prof.Profiler
-	// Workers enables the intra-quantum parallel fast path (DESIGN.md §7):
-	// whenever the current quantum Q is at most the minimum network latency,
-	// no frame sent inside the quantum can arrive inside it, so nodes are
-	// provably independent between barriers and are stepped concurrently on
-	// a worker pool of this size, with frames routed at the barrier in
-	// canonical (node, send-sequence) order.
+	// Workers sizes the pool that walks a quantum's loose nodes (DESIGN.md
+	// §7): nodes no frame sent inside the quantum can reach before the
+	// barrier — every node, when Q is at most the minimum network latency —
+	// are stepped independently, and >= 2 fans them out over that many
+	// goroutines; anything less walks them inline.
 	//
-	// 0 (or negative) keeps the classic sequential event-queue engine.
-	// Any value >= 1 selects the fast path; 1 walks nodes inline (no
-	// goroutines) and >= 2 fans out. Result, Stats, and quantum records are
-	// bit-identical for every Workers value; the packet/observer *stream
-	// order* is identical across all Workers >= 1 values but differs from
-	// Workers == 0, whose streams interleave in host-event order (the
-	// per-record contents and all aggregates still match exactly).
+	// Nothing else reads it. The Result and the packet/observer stream are
+	// bit-identical for every value: within a quantum the stream carries the
+	// tight lookahead partitions in id order, each in host-event order, then
+	// the loose nodes' segments in node order, then the loose and
+	// cross-partition frames, routed at the barrier in canonical (node,
+	// send-sequence) order.
 	Workers int
-	// Lookahead selects how the fast path's safety bound is computed. The
-	// default (LookaheadMatrix) probes the per-link lookahead matrix and
-	// partitions the cluster per quantum (DESIGN.md §11), so quanta above
-	// the global minimum latency can still fast-walk the loose part of the
-	// cluster; LookaheadScalar is the escape hatch restoring the original
+	// Lookahead selects how the lookahead bound is computed. The default
+	// (LookaheadMatrix) probes the per-link lookahead matrix and partitions
+	// the cluster per quantum (DESIGN.md §11), so quanta above the global
+	// minimum latency still walk the loose part of the cluster without the
+	// event queue; LookaheadScalar is the escape hatch restoring the original
 	// all-or-nothing Q <= MinLatency gate. The choice never changes
-	// simulation results — only which engine path runs a quantum and how
+	// simulation results — only how a quantum is partitioned and how
 	// engagement is accounted (the graded Stats fields and profiler causes
 	// are zero/boolean under LookaheadScalar).
 	Lookahead LookaheadMode
-	// onQuantumMode, when non-nil, is called at the start of each quantum
-	// with whether the parallel-safe fast path is the stepped path selected
-	// for it (quiet quanta included, which then bypass it; see onQuiet).
-	// Package-internal test hook.
-	onQuantumMode func(fast bool)
+	// onPartition, when non-nil, is called with each quantum's execution
+	// partitioning (quiet quanta included, which then bypass it; see
+	// onQuiet). Returning true executes the quantum as one tight partition
+	// holding the whole cluster instead: every node walked through one event
+	// queue, the reference the differential tests hold every other
+	// partitioning to. Package-internal test hook.
+	onPartition func(p *partitioning) (reference bool)
 	// onQuiet, when non-nil, is called for each node-quantum the engine is
 	// about to fast-forward (DESIGN.md §7.1) — every node of a quiet quantum,
 	// and the nodes and tight partitions a stepped quantum skips; returning
@@ -107,7 +107,7 @@ type Config struct {
 	onQuiet func(qi, node int) bool
 }
 
-// LookaheadMode selects the fast-path safety-bound computation.
+// LookaheadMode selects the lookahead-bound computation.
 type LookaheadMode int
 
 const (
@@ -120,25 +120,46 @@ const (
 
 // Validate reports configuration errors.
 func (c *Config) Validate() error {
-	switch {
-	case c.Nodes < 1:
-		return fmt.Errorf("cluster: need at least 1 node, got %d", c.Nodes)
-	case c.Net == nil:
-		return fmt.Errorf("cluster: nil network model")
-	case c.Policy == nil:
-		return fmt.Errorf("cluster: nil quantum policy constructor")
-	case c.Program == nil:
-		return fmt.Errorf("cluster: nil workload program constructor")
-	case c.Guest.CPUHz <= 0:
-		return fmt.Errorf("cluster: guest CPUHz must be positive, got %v", c.Guest.CPUHz)
-	}
-	if err := c.Net.Validate(c.Nodes); err != nil {
-		return err
-	}
-	if err := c.Faults.Validate(); err != nil {
+	if err := validateCluster(c.Nodes, c.Guest, c.Net, c.Policy, c.Program, c.Faults); err != nil {
 		return err
 	}
 	return c.Host.Validate()
+}
+
+// validateCluster holds the checks Run and RunParallel share.
+func validateCluster(nodes int, g guest.Config, net *netmodel.Model, policy func() quantum.Policy,
+	program func(rank, size int) guest.Program, fp *faults.Plan) error {
+	switch {
+	case nodes < 1:
+		return fmt.Errorf("cluster: need at least 1 node, got %d", nodes)
+	case net == nil:
+		return fmt.Errorf("cluster: nil network model")
+	case policy == nil:
+		return fmt.Errorf("cluster: nil quantum policy constructor")
+	case program == nil:
+		return fmt.Errorf("cluster: nil workload program constructor")
+	case g.CPUHz <= 0:
+		return fmt.Errorf("cluster: guest CPUHz must be positive, got %v", g.CPUHz)
+	}
+	if err := net.Validate(nodes); err != nil {
+		return err
+	}
+	return fp.Validate()
+}
+
+// newNodes builds the guest nodes, rejecting a constructor that returns no
+// program for some rank. A node starts nothing until it is first stepped, so
+// the ones built before the failure need no shutdown.
+func newNodes(nodes int, g guest.Config, program func(rank, size int) guest.Program) ([]*guest.Node, error) {
+	ns := make([]*guest.Node, nodes)
+	for i := range ns {
+		prog := program(i, nodes)
+		if prog == nil {
+			return nil, fmt.Errorf("cluster: nil program for rank %d", i)
+		}
+		ns[i] = guest.NewNode(i, nodes, g, prog)
+	}
+	return ns, nil
 }
 
 // Stats aggregates what the controller observed during a run.
@@ -187,8 +208,7 @@ type Stats struct {
 	// eligible (Q at or below every link's lookahead) and FastPartialQuanta
 	// those where only part of it was: at least one lookahead partition
 	// loose, at least one tight (always zero under LookaheadScalar).
-	// Eligibility state, not execution state: the counts are identical for
-	// every Workers value including the classic engine.
+	// Eligibility state, not execution state.
 	FastFullQuanta    int
 	FastPartialQuanta int
 	// FastNodeQuanta sums the fast-walkable node count over all quanta, so

@@ -1,0 +1,282 @@
+package cluster
+
+import (
+	"clustersim/internal/faults"
+	"clustersim/internal/netmodel"
+	"clustersim/internal/obs"
+	"clustersim/internal/pkt"
+	"clustersim/internal/prof"
+	"clustersim/internal/simtime"
+)
+
+// controller is the paper's network controller, minus whatever depends on
+// who runs the nodes: the per-quantum eligibility gate, a frame's exact
+// arrival time, the fault draws, the three-case delivery rule and the
+// accounting of all four. The deterministic engine and the goroutine runner
+// each embed one, so there is a single definition of "straggler"; what stays
+// with the runner is what differs — batching and idle re-aim in the engine,
+// the mutex (which guards every field here) and park/wake in the runner.
+type controller struct {
+	n      int // nodes
+	net    *netmodel.Model
+	faults *faults.Plan
+	// obs and prof mirror the configuration's Observer and Profiler; every
+	// hook site is guarded by a nil check, so a run without them builds no
+	// records and pays only the branch.
+	obs  obs.Observer
+	prof *prof.Profiler
+	// tracePackets and traceQuanta keep the records in packets and quanta.
+	tracePackets, traceQuanta bool
+
+	// la is the per-link lookahead structure (DESIGN.md §11): nil under
+	// LookaheadScalar, an output-queued switch, or a topology that rules
+	// lookahead out. eligLat is the scalar eligibility bound — la.min, or
+	// Net.MinLatency under LookaheadScalar, zero without lookahead: a
+	// quantum Q <= eligLat is free of intra-quantum arrivals cluster-wide.
+	la      *lookahead
+	eligLat simtime.Duration
+	// portFree is, per destination, when its switch output port frees up;
+	// nil unless the net model has an OutputQueue.
+	portFree []simtime.Guest
+
+	limit   simtime.Guest // current quantum end
+	qElig   bool          // current quantum's cluster-wide eligibility
+	nElig   int           // eligible quanta so far
+	np, str int           // frames routed and stragglers this quantum
+	stats   Stats
+	sumQ    float64
+	packets []PacketRecord
+	quanta  []QuantumRecord
+}
+
+// newController probes the lookahead for the given model. The bounds come
+// from the per-link matrix — every pair probed with the cheapest possible
+// frame (netmodel.MinProbe), generalizing the paper's scalar T — or, in
+// scalar mode, from Net.MinLatency alone. Switch output-port contention
+// rules lookahead out before the probe: the port-free state must be updated
+// in the exact order the controller observes frames, which only one event
+// queue over the whole cluster reproduces.
+func newController(nodes int, net *netmodel.Model, mode LookaheadMode, fp *faults.Plan, o obs.Observer, p *prof.Profiler) controller {
+	c := controller{n: nodes, net: net, faults: fp, obs: o, prof: p}
+	switch {
+	case net.Output != nil:
+		c.portFree = make([]simtime.Guest, nodes)
+	case mode == LookaheadScalar:
+		c.eligLat = net.MinLatency(nodes)
+	default:
+		if c.la = newLookahead(net, nodes); c.la != nil {
+			c.eligLat = c.la.min
+		}
+	}
+	return c
+}
+
+// runStart announces the run to the observer and the profiler.
+func (c *controller) runStart(engine, policy string, parallel bool, maxGuest simtime.Guest) {
+	if c.obs != nil {
+		c.obs.RunStart(obs.RunInfo{Nodes: c.n, Policy: policy, Parallel: parallel, MaxGuest: maxGuest})
+	}
+	if c.prof != nil {
+		c.prof.RunStart(prof.RunMeta{
+			Engine:      engine,
+			Nodes:       c.n,
+			Policy:      policy,
+			Lookahead:   c.eligLat,
+			OutputQueue: c.net.Output != nil,
+			LinkLat: func(src, dst int) simtime.Duration {
+				return c.net.FrameLatency(netmodel.MinProbe(), src, dst)
+			},
+		})
+	}
+}
+
+// runEnd closes the run out for the observer and the profiler; quiet and
+// quietNodes count what the runner fast-forwarded (DESIGN.md §7.1).
+func (c *controller) runEnd(guestTime simtime.Guest, hostEnd simtime.Host, quiet, quietNodes int) {
+	if c.obs != nil {
+		c.obs.RunEnd(obs.RunSummary{
+			GuestTime:          guestTime,
+			HostEnd:            hostEnd,
+			Quanta:             c.stats.Quanta,
+			FastEligibleQuanta: c.nElig,
+			QuietQuanta:        quiet,
+			QuietNodeQuanta:    quietNodes,
+		})
+	}
+	if c.prof != nil {
+		c.prof.RunEnd(guestTime, hostEnd)
+	}
+}
+
+// beginQuantum opens quantum qi = (start, start+Q] at host time h and does
+// its eligibility accounting. That accounting is a pure function of (Q,
+// lookahead) — never of how the quantum is then executed — so Stats and the
+// profiler's causes are identical for every runner and Workers value. It
+// returns the quantum's lookahead partitioning, nil without a matrix.
+func (c *controller) beginQuantum(qi int, start simtime.Guest, Q simtime.Duration, h simtime.Host) *partitioning {
+	c.limit = start.Add(Q)
+	c.np, c.str = 0, 0
+	if c.obs != nil {
+		c.obs.QuantumStart(qi, start, Q, h)
+	}
+	c.qElig = c.eligLat > 0 && Q <= c.eligLat
+	var part *partitioning
+	if c.la != nil {
+		part = c.la.partitionFor(Q)
+	}
+	switch {
+	case c.qElig:
+		c.nElig++
+		c.stats.FastFullQuanta++
+		c.stats.FastNodeQuanta += c.n
+	case part != nil && part.fastNodes > 0:
+		c.stats.FastPartialQuanta++
+		c.stats.FastNodeQuanta += part.fastNodes
+		c.stats.PartialPartitions += part.nparts
+	}
+	if c.prof != nil {
+		c.prof.BeginQuantum(qi, Q, part.grade())
+	}
+	return part
+}
+
+// endQuantum folds the finished quantum into the aggregate and publishes its
+// record.
+func (c *controller) endQuantum(qi int, start simtime.Guest, Q simtime.Duration, hStart, barrierStart, hEnd simtime.Host) {
+	c.stats.observeQuantum(Q, c.np)
+	c.sumQ += float64(Q)
+	if !c.traceQuanta && c.obs == nil {
+		return
+	}
+	rec := QuantumRecord{
+		Index:        qi,
+		Start:        start,
+		Q:            Q,
+		Packets:      c.np,
+		Stragglers:   c.str,
+		HostStart:    hStart,
+		BarrierStart: barrierStart,
+		HostEnd:      hEnd,
+		FastEligible: c.qElig,
+	}
+	if c.traceQuanta {
+		c.quanta = append(c.quanta, rec)
+	}
+	if c.obs != nil {
+		c.obs.QuantumEnd(rec)
+	}
+}
+
+// arrival is the exact simulated arrival time of a frame that left src's NIC
+// at guest time depart, including switch output-port contention when the
+// network models it. Contention state is updated in the order the controller
+// observes the frames — what the paper's centralized network timing module
+// would do.
+func (c *controller) arrival(f *pkt.Frame, src, dst int, depart simtime.Guest) simtime.Guest {
+	out := c.net.Output
+	if out == nil {
+		return depart.Add(c.net.PostTxLatency(f, src, dst))
+	}
+	atPort := depart.Add(c.net.PreQueueLatency(f, src, dst))
+	start := simtime.MaxGuest(atPort, c.portFree[dst])
+	c.portFree[dst] = start.Add(out.Serialization(f))
+	return c.portFree[dst].Add(c.net.PostQueueLatency(f))
+}
+
+// countPacket counts one frame toward the quantum's and the run's traffic.
+func (c *controller) countPacket() {
+	c.np++
+	c.stats.Packets++
+}
+
+// route is the controller receiving one flight: it counts the frame (drops
+// included, so Algorithm 1's np==0 test still sees lost traffic) and draws
+// its faults, and returns the arrival times of the n copies that survive —
+// none, the frame, or the frame and an injected duplicate. Fault outcomes are
+// pure per-frame functions and injected delay only ever adds to the arrival
+// time, so neither the order flights are routed in nor the lookahead bounds
+// are affected.
+func (c *controller) route(fl *flight) (tDs [2]simtime.Guest, n int) {
+	c.countPacket()
+	if c.prof != nil {
+		// Slack is accounted on the ideal, pre-fault arrival, and the
+		// per-link accumulators are order-independent.
+		c.prof.Frame(int(fl.src), int(fl.dst), fl.tD.Sub(fl.tSend))
+	}
+	tDs[0] = fl.tD
+	if c.faults == nil {
+		return tDs, 1
+	}
+	d := c.faults.Decide(fl.f.ID, int(fl.src), int(fl.dst), fl.tSend)
+	if d.Drop {
+		c.stats.Dropped++
+		if c.tracePackets || c.obs != nil {
+			c.emit(PacketRecord{
+				SendGuest: fl.tSend, Ideal: fl.tD,
+				Src: int(fl.src), Dst: int(fl.dst), Size: fl.f.Size,
+				Dropped: true,
+			})
+		}
+		return tDs, 0
+	}
+	tDs[0] = fl.tD.Add(d.Delay)
+	if !d.Dup {
+		return tDs, 1
+	}
+	c.stats.Duplicated++
+	tDs[1] = fl.tD.Add(d.DupDelay)
+	return tDs, 2
+}
+
+// classify is the paper's delivery rule (Figure 3) for a frame due at tD
+// whose destination stands at guest position pos, or at the barrier of the
+// quantum ending at limit: exact when the destination has not passed tD; a
+// straggler, delivered at once, when it has; and, when it already finished
+// its quantum, a straggler that snaps to the next boundary (Figure 3(d)).
+func classify(atBarrier bool, pos, tD, limit simtime.Guest) (arr simtime.Guest, straggler, snapped bool) {
+	switch {
+	case atBarrier && tD < limit:
+		return limit, true, true
+	case !atBarrier && tD < pos:
+		return pos, true, false
+	}
+	return tD, false, false
+}
+
+// deliver classifies one surviving copy of a flight — fl.tD is the copy's
+// own arrival time — and accounts for it, so that a duplicate counts
+// independently in the straggler statistics. Handing the frame to the
+// destination at arr is the caller's.
+func (c *controller) deliver(fl *flight, atBarrier bool, pos simtime.Guest, dupCopy bool) (arr simtime.Guest, straggler bool) {
+	arr, straggler, snapped := classify(atBarrier, pos, fl.tD, c.limit)
+	st := &c.stats
+	st.Deliveries++
+	if straggler {
+		st.Stragglers++
+		c.str++
+		st.StragglerDelay += arr.Sub(fl.tD)
+		if snapped {
+			st.QuantumSnaps++
+		}
+	} else {
+		st.Exact++
+	}
+	if c.tracePackets || c.obs != nil {
+		c.emit(PacketRecord{
+			SendGuest: fl.tSend, Ideal: fl.tD, Arrival: arr,
+			Src: int(fl.src), Dst: int(fl.dst), Size: fl.f.Size,
+			Straggler: straggler, Snapped: snapped, Duplicate: dupCopy,
+		})
+	}
+	return arr, straggler
+}
+
+// emit sends one packet record to the trace slice and the observer.
+func (c *controller) emit(rec PacketRecord) {
+	if c.tracePackets {
+		c.packets = append(c.packets, rec) //simlint:hotalloc packet tracing is opt-in diagnostics; the trace slice is the product, not scratch
+	}
+	if c.obs != nil {
+		c.obs.Packet(rec)
+	}
+}

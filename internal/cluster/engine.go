@@ -7,7 +7,6 @@ import (
 	"clustersim/internal/eventq"
 	"clustersim/internal/guest"
 	"clustersim/internal/host"
-	"clustersim/internal/netmodel"
 	"clustersim/internal/obs"
 	"clustersim/internal/pkt"
 	"clustersim/internal/prof"
@@ -38,11 +37,10 @@ const (
 	priStep  = 2
 )
 
-// event is a queue entry: 12 bytes, all indices. Frame events carry only the
-// flight-arena index (DESIGN.md §12) — the frame pointer, endpoints and
-// timestamps live in the flight record; wake events read their guest target
-// from the node arena's wakeG lane. The previous layout carried all of that
-// inline (a 72-byte payload copied through every heap operation).
+// event is a queue entry: 12 bytes, all indices, so a heap operation copies
+// little. Frame events carry only the flight-arena index (DESIGN.md §12) —
+// the frame pointer, endpoints and timestamps live in the flight record;
+// wake events read their guest target from the node arena's wakeG lane.
 type event struct {
 	kind evKind
 	node int32 // evStep/evWake: the node to act on
@@ -58,16 +56,13 @@ const (
 )
 
 // nodeArena holds every per-node engine field as parallel slices indexed by
-// node — structure-of-arrays instead of the previous []*nodeState pointer
-// farm. The layout is flat and trivially copyable (a snapshot is one copy()
-// per lane, no pointer graph to chase beyond the guest nodes themselves),
-// which is the substrate the roadmap's optimistic checkpoint/rollback engine
-// needs; see DESIGN.md §12.
+// node. The layout is flat and trivially copyable (a snapshot is one copy()
+// per lane, no pointer graph to chase beyond the guest nodes themselves);
+// see DESIGN.md §12.
 //
-// Concurrency: during fast-path walks, worker goroutines touch only their
+// Concurrency: during loose-node walks, worker goroutines touch only their
 // own node's index in each lane; the engine's barrier provides the
-// happens-before edge between quanta, exactly as it did for the per-node
-// structs.
+// happens-before edge between quanta.
 //
 //simlint:snapshotroot one copy() per lane is the whole checkpoint contract
 type nodeArena struct {
@@ -95,27 +90,48 @@ type nodeArena struct {
 	txFree     []simtime.Guest // guest time the NIC's transmitter frees up
 	finishHost []simtime.Host  // host time the node reached the current barrier
 	doneHost   []simtime.Host  // host time the workload finished
+
+	// Quiet fast-forward (DESIGN.md §7.1). quietUntil[i] is node i's horizon
+	// — guest.Node.QuietUntil, zero when unknown — and quietBusy[i] its mode
+	// up to it. An entry stays valid until the node is stepped or a frame is
+	// pushed to it, the two places that zero it; quietQuantum re-peeks the
+	// entries the current limit has reached.
+	quietUntil []simtime.Guest
+	quietBusy  []bool
 }
 
-func newNodeArena(n int) nodeArena {
+// newNodeArena carves the lanes of each element type that has several from
+// one backing array, so a run pays one allocation per type rather than per
+// lane.
+func newNodeArena(nodes []*guest.Node) nodeArena {
+	n := len(nodes)
+	g := make([]simtime.Guest, 5*n)
+	h := make([]simtime.Host, 5*n)
+	b := make([]bool, 3*n)
 	return nodeArena{
-		node:       make([]*guest.Node, n),
+		node:       nodes,
 		phase:      make([]nodePhase, n),
-		hostNow:    make([]simtime.Host, n),
-		inSeg:      make([]bool, n),
+		hostNow:    lane(h, 0, n),
+		inSeg:      lane(b, 0, n),
 		segMode:    make([]host.Mode, n),
-		segStartG:  make([]simtime.Guest, n),
-		segStartH:  make([]simtime.Host, n),
-		segEndG:    make([]simtime.Guest, n),
-		segEndH:    make([]simtime.Host, n),
+		segStartG:  lane(g, 0, n),
+		segStartH:  lane(h, 1, n),
+		segEndG:    lane(g, 1, n),
+		segEndH:    lane(h, 2, n),
 		wakeEv:     make([]eventq.Handle, n),
-		wakeG:      make([]simtime.Guest, n),
-		doneIdling: make([]bool, n),
-		txFree:     make([]simtime.Guest, n),
-		finishHost: make([]simtime.Host, n),
-		doneHost:   make([]simtime.Host, n),
+		wakeG:      lane(g, 2, n),
+		doneIdling: lane(b, 1, n),
+		txFree:     lane(g, 3, n),
+		finishHost: lane(h, 3, n),
+		doneHost:   lane(h, 4, n),
+		quietUntil: lane(g, 4, n),
+		quietBusy:  lane(b, 2, n),
 	}
 }
+
+// lane is the k-th n-element lane of buf, capped so it cannot grow into the
+// next.
+func lane[T any](buf []T, k, n int) []T { return buf[k*n : (k+1)*n : (k+1)*n] }
 
 // flight is one frame in flight through the controller: the interned record
 // an evFrame event (or a barrier batch entry) points at. Flights live in a
@@ -129,8 +145,9 @@ type flight struct {
 	tD       simtime.Guest // exact simulated arrival time
 }
 
-// routed is one barrier-batch entry: a flight and the controller-arrival
-// host time the classic engine would have dispatched it at.
+// routed is one barrier-batch entry — or a cross-partition flight a tight
+// node's walk defers to the barrier, which becomes one: a flight and the host
+// time it reaches the controller.
 type routed struct {
 	h  simtime.Host
 	fi int32
@@ -145,21 +162,15 @@ type pendDeliv struct {
 	arr simtime.Guest
 }
 
-// engine runs one configuration.
+// engine runs one configuration. It embeds the controller: the quantum limit,
+// the per-quantum counters and the Stats are the controller's.
 type engine struct {
-	cfg    Config
+	cfg Config
+	controller
 	hm     *host.Model
 	na     nodeArena
 	q      eventq.Queue[event]
 	policy quantum.Policy
-	// obs mirrors cfg.Observer; every hook site is guarded by a nil check so
-	// an unobserved run builds no records and pays only the branch.
-	obs obs.Observer
-	// prof mirrors cfg.Profiler with the same nil-guard discipline.
-	prof *prof.Profiler
-	// portFree tracks, per destination, when its switch output port frees
-	// up (guest time); used only when the net model has an OutputQueue.
-	portFree []simtime.Guest
 
 	// flights is the quantum's flight slab; batch, pend, delivCnt, delivOff
 	// and delivSorted are the batched barrier router's reusable buffers
@@ -176,15 +187,10 @@ type engine struct {
 	assembling bool
 	batching   bool
 
-	limit     simtime.Guest // current quantum end
-	qStartH   simtime.Host  // barrier release that started the quantum
-	npQuantum int           // frames routed this quantum
-	strQuant  int           // stragglers this quantum
-	lastEvtH  simtime.Host  // latest frame event host time this quantum
+	qStartH  simtime.Host // barrier release that started the quantum
+	lastEvtH simtime.Host // latest frame event host time this quantum
 
 	doneCount int
-	res       Result
-	sumQ      float64
 	firstErr  error
 
 	// slow holds the per-node host slowdown factor from the fault plan, or
@@ -192,58 +198,33 @@ type engine struct {
 	// fault-free path byte-identical to an engine without the feature.
 	slow []float64
 
-	// Intra-quantum fast path (DESIGN.md §7, §11). la is the per-link
-	// lookahead structure: the probed node-pair latency matrix and the
-	// lookahead-closed partitionings it induces per quantum size. It is
-	// built for every configuration that admits lookahead (matrix mode, no
-	// output tap, positive bounds) — the classic engine included — so
-	// eligibility accounting, partition grades and the graded Stats fields
-	// never depend on the Workers gate. Nil in scalar mode or when the
-	// topology rules lookahead out.
-	la *lookahead
-	// eligLat is the scalar eligibility lookahead (la.min in matrix mode,
-	// Net.MinLatency in scalar mode): any quantum Q <= eligLat is provably
-	// free of intra-quantum arrivals cluster-wide. Zero when the
-	// output-queue tap or the topology rules the fast path out entirely.
-	eligLat simtime.Duration
-	qElig   bool // current quantum's full (cluster-wide) eligibility
-	nElig   int  // eligible quanta so far
-	pool    *workerpool.Pool
-	// walks is non-nil iff Workers >= 1 selected the fast-path engine; its
-	// per-node buffers serve both the fully-engaged walk and the graded
-	// (partitioned) quantum.
-	walks []nodeWalk
-	// active lists, ascending, the nodes the current quantum's walk steps:
-	// the fast-walkable nodes that can act before the limit (DESIGN.md §7.1).
-	// walkFn walks its k-th entry; it is built once so the per-quantum pool
-	// dispatch stays allocation-free (it reads e.qStartH, which run() sets to
-	// the quantum's barrier-release host time).
+	// The quantum executor's state (DESIGN.md §7). walks holds each node's
+	// walk buffers; active lists, ascending, the loose nodes the current
+	// quantum walks, and walkFn walks its k-th entry — built once so the
+	// per-quantum pool dispatch stays allocation-free (it reads qStartH).
+	// pool is nil unless Workers >= 2.
+	pool   *workerpool.Pool
+	walks  []nodeWalk
 	active []int32
 	walkFn func(int)
-	// curPartit is the current quantum's partitioning (nil when unknown);
-	// curPart aliases its node->partition map during a graded quantum's
-	// tight-partition walks — the signal for sendFrame to defer
-	// cross-partition frames to the barrier — and is nil at all other
-	// times.
-	curPartit *partitioning
-	curPart   []int32
+	// uniform caches the two degenerate partitionings (all-loose,
+	// whole-cluster tight), built on first use.
+	uniform [2]*partitioning
+	// curPart aliases the execution partitioning's node->partition map during
+	// the tight-partition walks — the signal for sendFrame to defer
+	// cross-partition frames to the barrier — and is nil at all other times.
+	curPart []int32
 	// partFin is the per-partition last-finish scratch for the profiler's
 	// partition-wait attribution, reused across quanta.
 	partFin []simtime.Host
 
-	// Quiet fast-forward (DESIGN.md §7.1). quietUntil[i] is node i's horizon
-	// — guest.Node.QuietUntil, zero when unknown — and quietBusy[i] its mode
-	// up to it. A lane entry stays valid until the node is stepped or a frame
-	// is pushed to it, the two places that zero it; quietQuantum re-peeks
-	// the entries the current limit has reached. quietH is their minimum as
-	// of the last full scan, so a stretch in which no node acts costs one
-	// comparison per quantum; a stepped quantum leaves it at or below its
-	// limit, which every later limit exceeds.
+	// quietH is the minimum of the arena's quietUntil lane as of the last full
+	// scan, so a stretch in which no node acts costs one comparison per
+	// quantum; a stepped quantum leaves it at or below its limit, which every
+	// later limit exceeds.
 	quietH      simtime.Guest
-	quietUntil  []simtime.Guest
-	quietBusy   []bool
 	nQuiet      int // quanta executed whole by the quiet pass
-	nQuietNodes int // node-quanta executed by quietNode on any path
+	nQuietNodes int // node-quanta executed by quietNode
 	qi          int // current quantum's index, for the onQuiet hook
 }
 
@@ -254,8 +235,8 @@ type engine struct {
 // (DESIGN.md §7.1 has the measurements).
 const minFanOut = 4
 
-// sendRec buffers one frame sent during a fast-path walk, with the host and
-// guest instants the classic engine would have seen at the send.
+// sendRec buffers one frame sent during a loose node's walk, with the guest
+// and host instants of the send.
 type sendRec struct {
 	f     *pkt.Frame
 	tSend simtime.Guest
@@ -269,25 +250,17 @@ type phaseRec struct {
 	h0, h1 simtime.Host
 }
 
-// defEvent buffers one fully-computed cross-partition flight that a graded
-// quantum defers to the barrier, with the controller-arrival host time the
-// classic engine would have dispatched it at.
-type defEvent struct {
-	h  simtime.Host
-	fi int32
-}
-
-// nodeWalk collects everything a fast-path node walk must publish at the
+// nodeWalk collects everything a loose node's walk must publish at the
 // barrier: sends to route, observer hooks to replay, and the node's
 // contributions to global counters. Node-local state (finishHost, doneHost,
 // phase, ...) is written straight to the node arena, which the walking
 // worker owns for the duration of the quantum. Buffers are reused across
-// quanta. During graded quanta the defs buffer additionally holds a tight
-// node's deferred cross-partition flights.
+// quanta. For a node of a tight partition only defs is used: its deferred
+// cross-partition flights.
 type nodeWalk struct {
 	sends  []sendRec
-	phases []phaseRec
-	defs   []defEvent
+	phases []phaseRec // kept only under an observer, its one reader
+	defs   []routed
 	busy   simtime.Duration
 	idle   simtime.Duration
 	done   bool
@@ -299,189 +272,123 @@ func Run(cfg Config) (*Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
+	n := cfg.Nodes
 	e := &engine{
-		cfg:    cfg,
-		hm:     host.NewModel(cfg.Host),
-		policy: cfg.Policy(),
-		obs:    cfg.Observer,
-		prof:   cfg.Profiler,
+		cfg:        cfg,
+		controller: newController(n, cfg.Net, cfg.Lookahead, cfg.Faults, cfg.Observer, cfg.Profiler),
+		hm:         host.NewModel(cfg.Host),
+		policy:     cfg.Policy(),
 	}
-	e.hm.Reserve(cfg.Nodes)
+	e.tracePackets, e.traceQuanta = cfg.TracePackets, cfg.TraceQuanta
+	e.hm.Reserve(n)
+	nodes, err := newNodes(n, cfg.Guest, cfg.Program)
+	if err != nil {
+		return nil, err
+	}
 	defer e.shutdown()
-	e.na = newNodeArena(cfg.Nodes)
-	e.portFree = make([]simtime.Guest, cfg.Nodes)
-	e.delivCnt = make([]int32, cfg.Nodes)
-	e.delivOff = make([]int32, cfg.Nodes)
-	e.quietUntil = make([]simtime.Guest, cfg.Nodes)
-	e.quietBusy = make([]bool, cfg.Nodes)
-	for i := 0; i < cfg.Nodes; i++ {
-		prog := cfg.Program(i, cfg.Nodes)
-		if prog == nil {
-			return nil, fmt.Errorf("cluster: nil program for rank %d", i)
-		}
-		e.na.node[i] = guest.NewNode(i, cfg.Nodes, cfg.Guest, prog)
-	}
+	e.na = newNodeArena(nodes)
+	e.delivCnt = make([]int32, n)
+	e.delivOff = make([]int32, n)
 	if fp := cfg.Faults; fp != nil && fp.HasSlowdown() {
-		e.slow = make([]float64, cfg.Nodes)
+		e.slow = make([]float64, n)
 		for i := range e.slow {
 			e.slow[i] = fp.Slowdown(i)
 		}
 	}
-	e.initFast()
-	e.res.PolicyName = e.policy.Name()
-	if err := e.run(); err != nil {
-		return nil, err
-	}
-	if e.firstErr != nil {
-		return nil, e.firstErr
-	}
-	return &e.res, nil
+	e.initWalks()
+	return e.run()
 }
 
 func (e *engine) shutdown() {
 	for _, n := range e.na.node {
-		if n != nil {
-			n.Shutdown()
-		}
+		n.Shutdown()
 	}
 	if e.pool != nil {
 		e.pool.Close()
 	}
 }
 
-// initFast decides whether the configuration admits the intra-quantum
-// parallel fast path and, if so, precomputes its safety bounds and pool.
-//
-// The bounds come from the per-link lookahead matrix — every pair probed
-// with the cheapest possible frame (netmodel.MinProbe), generalizing the
-// paper's scalar T — or, in scalar mode, from Net.MinLatency alone.
-// Configurations with switch output-port contention (Net.Output) are
-// excluded before the probe: the port-free state must be updated in the
-// exact order the controller observes frames, which only the sequential
-// event queue reproduces.
-func (e *engine) initFast() {
-	// The eligibility lookahead is probed for every configuration — the
-	// classic engine included — so per-quantum eligibility accounting never
-	// depends on the Workers gate.
-	if e.cfg.Net.Output == nil {
-		if e.cfg.Lookahead == LookaheadScalar {
-			e.eligLat = e.cfg.Net.MinLatency(e.cfg.Nodes)
-		} else if e.la = newLookahead(e.cfg.Net, e.cfg.Nodes); e.la != nil {
-			e.eligLat = e.la.min
-		}
+// walkSlab is each node's share of the two walk-buffer slabs: quanta short
+// enough to leave a node loose seldom see it send more frames than this. A
+// node that does spills to a private buffer, once, up to its own high-water
+// mark.
+const walkSlab = 4
+
+// initWalks sets up the quantum executor's buffers and its worker pool. The
+// send and deferred-flight buffers are carved from one slab each, so that a
+// run costs a fixed number of allocations however many of its nodes ever
+// walk. Config.Workers only sizes the pool; without lookahead no node is ever
+// loose and there is nothing to fan out.
+func (e *engine) initWalks() {
+	n := e.cfg.Nodes
+	e.walks = make([]nodeWalk, n)
+	sends := make([]sendRec, n*walkSlab)
+	defs := make([]routed, n*walkSlab)
+	for i := range e.walks {
+		lo, hi := i*walkSlab, (i+1)*walkSlab
+		e.walks[i].sends = sends[lo:lo:hi]
+		e.walks[i].defs = defs[lo:lo:hi]
 	}
-	if e.cfg.Workers < 1 || e.eligLat <= 0 {
-		return
-	}
-	e.walks = make([]nodeWalk, e.cfg.Nodes)
-	e.active = make([]int32, 0, e.cfg.Nodes)
+	e.active = make([]int32, 0, n)
 	e.walkFn = func(k int) {
 		i := int(e.active[k])
 		e.walkNode(i, &e.walks[i], e.qStartH)
 	}
-	if w := e.cfg.Workers; w >= 2 {
-		if w > e.cfg.Nodes {
-			w = e.cfg.Nodes
-		}
+	if w := min(e.cfg.Workers, n); w >= 2 && e.eligLat > 0 {
 		e.pool = workerpool.New(w)
 	}
 }
 
-func (e *engine) run() error {
+// degenerate returns the cached all-loose or whole-cluster-tight
+// partitioning.
+func (e *engine) degenerate(tight bool) *partitioning {
+	k := 0
+	if tight {
+		k = 1
+	}
+	if e.uniform[k] == nil {
+		e.uniform[k] = uniformPartitioning(e.cfg.Nodes, tight)
+	}
+	return e.uniform[k]
+}
+
+func (e *engine) run() (*Result, error) {
 	var start simtime.Guest
 	var hostNow simtime.Host
-	Q := e.policy.First()
-	if Q <= 0 {
-		return fmt.Errorf("cluster: policy %q issued non-positive quantum %v", e.policy.Name(), Q)
-	}
-	if e.obs != nil {
-		e.obs.RunStart(obs.RunInfo{
-			Nodes:    e.cfg.Nodes,
-			Policy:   e.policy.Name(),
-			MaxGuest: e.cfg.MaxGuest,
-		})
-	}
-	if e.prof != nil {
-		e.prof.RunStart(prof.RunMeta{
-			Engine:      "deterministic",
-			Nodes:       e.cfg.Nodes,
-			Policy:      e.policy.Name(),
-			Lookahead:   e.eligLat,
-			OutputQueue: e.cfg.Net.Output != nil,
-			LinkLat: func(src, dst int) simtime.Duration {
-				return e.cfg.Net.FrameLatency(netmodel.MinProbe(), src, dst)
-			},
-		})
-	}
+	e.runStart("deterministic", e.policy.Name(), false, e.cfg.MaxGuest)
 
 	nodes := e.cfg.Nodes
-	for qi := 0; ; qi++ {
+	for qi, Q := 0, e.policy.First(); ; qi++ {
+		if Q <= 0 {
+			return nil, fmt.Errorf("cluster: policy %q issued non-positive quantum %v", e.policy.Name(), Q)
+		}
 		e.qi = qi
-		e.limit = start.Add(Q)
 		e.qStartH = hostNow
-		e.npQuantum = 0
-		e.strQuant = 0
 		e.lastEvtH = hostNow
 		e.flights = e.flights[:0]
 		e.batch = e.batch[:0]
-		if e.obs != nil {
-			e.obs.QuantumStart(qi, start, Q, hostNow)
-		}
-		e.qElig = e.eligLat > 0 && Q <= e.eligLat
-		if e.qElig {
-			e.nElig++
-		}
-		// The quantum's lookahead partitioning (nil in scalar mode or
-		// without lookahead). Both the accounting below and the execution
-		// choice derive from it, but the accounting is pure (Q, lookahead)
-		// state shared verbatim by every engine path, so Stats stay
-		// bit-identical across Workers values.
-		var part *partitioning
-		if e.la != nil {
-			part = e.la.partitionFor(Q)
-		}
-		e.curPartit = part
-		switch {
-		case e.qElig:
-			e.res.Stats.FastFullQuanta++
-			e.res.Stats.FastNodeQuanta += nodes
-		case part != nil && part.fastNodes > 0:
-			e.res.Stats.FastPartialQuanta++
-			e.res.Stats.FastNodeQuanta += part.fastNodes
-			e.res.Stats.PartialPartitions += part.nparts
-		}
-		if e.prof != nil {
-			e.prof.BeginQuantum(qi, Q, part.grade())
-		}
+		part := e.beginQuantum(qi, start, Q, hostNow)
 
-		// With Q at or below the minimum network latency, nothing sent in
-		// this quantum can arrive inside it (the paper's ground-truth
-		// argument), so the nodes are independent until the barrier and the
-		// event queue is unnecessary: walk each node to the limit — in
-		// parallel when Workers >= 2 — and route all frames at the barrier.
-		// Above that bound, the per-link partitioning can still leave loose
-		// nodes that are independent of everyone: they are walked the same
-		// way while the tight partitions fall back to the event queue.
-		full := e.walks != nil && e.qElig
-		graded := e.walks != nil && !e.qElig && part != nil && part.fastNodes > 0
-		if e.cfg.onQuantumMode != nil {
-			e.cfg.onQuantumMode(full || graded)
+		// The execution partitioning is all that selects how the quantum is
+		// stepped (DESIGN.md §7): the lookahead partitioning, or, without a
+		// matrix — scalar mode, the output-queue tap, a one-node cluster,
+		// zero-latency links — all nodes loose when Q is within the scalar
+		// bound and the whole cluster one tight partition otherwise. The
+		// accounting above never sees the substitute.
+		exec := part
+		if exec == nil {
+			exec = e.degenerate(!e.qElig)
 		}
-		// Ahead of all three: when no node has an event before the limit
-		// there is nothing to step, queue or route on any path, and the
-		// quantum is one arithmetic pass over the nodes.
-		switch {
-		case e.quietQuantum():
+		if hook := e.cfg.onPartition; hook != nil && hook(exec) {
+			exec = e.degenerate(true)
+		}
+		// Ahead of it: when no node has an event before the limit there is
+		// nothing to step, queue or route, and the quantum is one arithmetic
+		// pass over the nodes.
+		if e.quietQuantum() {
 			e.runQuantumQuiet(hostNow)
-		case full:
-			e.runQuantumFast(hostNow)
-		case graded:
-			e.runQuantumGraded(hostNow, part)
-		default:
-			for i := 0; i < nodes; i++ {
-				e.enqueueNode(i, hostNow)
-			}
-			e.drainQueue()
+		} else {
+			e.runQuantum(hostNow, exec)
 		}
 
 		// Barrier: wait for the slowest node and any late frames, pay the
@@ -490,10 +397,9 @@ func (e *engine) run() error {
 		for _, fh := range e.na.finishHost {
 			maxH = simtime.MaxHost(maxH, fh)
 		}
-		barrierEnd := maxH.
-			Add(e.cfg.Host.BarrierCost).
-			Add(simtime.Duration(e.npQuantum) * e.cfg.Host.PacketHostCost)
-		e.res.Stats.HostBarrier += barrierEnd.Sub(maxH)
+		routing := simtime.Duration(e.np) * e.cfg.Host.PacketHostCost
+		barrierEnd := maxH.Add(e.cfg.Host.BarrierCost).Add(routing)
+		e.stats.HostBarrier += barrierEnd.Sub(maxH)
 		if e.prof != nil {
 			// Per-node barrier wait: finishing the quantum until the last
 			// arrival (the shared barrier+routing costs are attributed once,
@@ -504,14 +410,13 @@ func (e *engine) run() error {
 			e.profPartitionWaits(part, maxH)
 			e.prof.EndQuantum(prof.QuantumStats{
 				Span:       barrierEnd.Sub(hostNow),
-				Routing:    simtime.Duration(e.npQuantum) * e.cfg.Host.PacketHostCost,
+				Routing:    routing,
 				Barrier:    e.cfg.Host.BarrierCost,
-				Packets:    e.npQuantum,
-				Stragglers: e.strQuant,
+				Packets:    e.np,
+				Stragglers: e.str,
 			})
 		}
-
-		e.recordQuantum(qi, start, Q, hostNow, maxH, barrierEnd)
+		e.endQuantum(qi, start, Q, hostNow, maxH, barrierEnd)
 
 		hostNow = barrierEnd
 		start = e.limit
@@ -520,67 +425,27 @@ func (e *engine) run() error {
 			break
 		}
 		if e.cfg.MaxGuest > 0 && start > e.cfg.MaxGuest {
-			return fmt.Errorf("%w (reached %v)", ErrGuestLimit, start)
+			return nil, fmt.Errorf("%w (reached %v)", ErrGuestLimit, start)
 		}
 
-		Q = e.policy.Next(quantum.Feedback{
-			Packets:    e.npQuantum,
-			Stragglers: e.strQuant,
-			Now:        e.limit,
-		})
-		if Q <= 0 {
-			return fmt.Errorf("cluster: policy %q issued non-positive quantum %v", e.policy.Name(), Q)
-		}
+		Q = e.policy.Next(quantum.Feedback{Packets: e.np, Stragglers: e.str, Now: e.limit})
 	}
 
-	for i := 0; i < nodes; i++ {
-		n := e.na.node[i]
-		e.res.NodeFinish = append(e.res.NodeFinish, n.FinishedAt())
-		e.res.Metrics = append(e.res.Metrics, n.Metrics())
-		e.res.GuestTime = simtime.MaxGuest(e.res.GuestTime, n.FinishedAt())
-		if d := e.na.doneHost[i]; simtime.Duration(d) > e.res.HostTime {
-			e.res.HostTime = simtime.Duration(d)
+	e.stats.finalize(e.sumQ)
+	res := &Result{Stats: e.stats, Quanta: e.quanta, Packets: e.packets, PolicyName: e.policy.Name()}
+	for i, n := range e.na.node {
+		res.NodeFinish = append(res.NodeFinish, n.FinishedAt())
+		res.Metrics = append(res.Metrics, n.Metrics())
+		res.GuestTime = simtime.MaxGuest(res.GuestTime, n.FinishedAt())
+		if d := e.na.doneHost[i]; simtime.Duration(d) > res.HostTime {
+			res.HostTime = simtime.Duration(d)
 		}
 	}
-	e.res.Stats.finalize(e.sumQ)
-	if e.obs != nil {
-		e.obs.RunEnd(obs.RunSummary{
-			GuestTime:          e.res.GuestTime,
-			HostEnd:            hostNow,
-			Quanta:             e.res.Stats.Quanta,
-			FastEligibleQuanta: e.nElig,
-			QuietQuanta:        e.nQuiet,
-			QuietNodeQuanta:    e.nQuietNodes,
-		})
+	e.runEnd(res.GuestTime, hostNow, e.nQuiet, e.nQuietNodes)
+	if e.firstErr != nil {
+		return nil, e.firstErr
 	}
-	if e.prof != nil {
-		e.prof.RunEnd(e.res.GuestTime, hostNow)
-	}
-	return nil
-}
-
-func (e *engine) recordQuantum(qi int, start simtime.Guest, Q simtime.Duration, hStart, barrierStart, hEnd simtime.Host) {
-	e.res.Stats.observeQuantum(Q, e.npQuantum)
-	e.sumQ += float64(Q)
-	if e.cfg.TraceQuanta || e.obs != nil {
-		rec := QuantumRecord{
-			Index:        qi,
-			Start:        start,
-			Q:            Q,
-			Packets:      e.npQuantum,
-			Stragglers:   e.strQuant,
-			HostStart:    hStart,
-			BarrierStart: barrierStart,
-			HostEnd:      hEnd,
-			FastEligible: e.qElig,
-		}
-		if e.cfg.TraceQuanta {
-			e.res.Quanta = append(e.res.Quanta, rec)
-		}
-		if e.obs != nil {
-			e.obs.QuantumEnd(rec)
-		}
-	}
+	return res, nil
 }
 
 // enqueueNode starts node i's event-queue walk of the current quantum: the
@@ -590,7 +455,7 @@ func (e *engine) recordQuantum(qi int, start simtime.Guest, Q simtime.Duration, 
 func (e *engine) enqueueNode(i int, hostNow simtime.Host) {
 	n := e.na.node[i]
 	n.BeginQuantum(e.limit)
-	e.quietUntil[i] = 0
+	e.na.quietUntil[i] = 0
 	e.na.phase[i] = phRunning
 	e.na.hostNow[i] = hostNow
 	e.na.inSeg[i] = false
@@ -612,7 +477,7 @@ func (e *engine) drainQueue() {
 	}
 }
 
-//simlint:hotpath classic-walk quantum loop: every event of every quantum dispatches here
+//simlint:hotpath event-queue walk: every event of every tight partition dispatches here
 func (e *engine) dispatch(h simtime.Host, ev event) {
 	switch ev.kind {
 	case evStep:
@@ -651,7 +516,7 @@ func (e *engine) stepNode(i int, h simtime.Host) {
 		switch st.Kind {
 		case guest.StepBusy:
 			cost := e.hostCost(i, st.From, st.To, host.Busy)
-			e.res.Stats.HostBusy += cost
+			e.stats.HostBusy += cost
 			if e.prof != nil {
 				e.prof.Segment(i, prof.SegBusy, cost)
 			}
@@ -723,7 +588,7 @@ func (e *engine) idleTo(i int, target simtime.Guest, h simtime.Host) {
 		panic(fmt.Sprintf("cluster: node %d idling backwards %v -> %v", i, from, target))
 	}
 	cost := e.hostCost(i, from, target, host.Idle)
-	e.res.Stats.HostIdle += cost
+	e.stats.HostIdle += cost
 	if e.prof != nil {
 		e.prof.Segment(i, prof.SegIdle, cost)
 	}
@@ -743,16 +608,15 @@ func (e *engine) idleTo(i int, target simtime.Guest, h simtime.Host) {
 
 // sendFrame models the source NIC (transmit queueing + serialization),
 // computes the exact simulated arrival time, and ships the frame to the
-// controller in host time. In the classic engine the frame becomes an
-// interned flight plus a queued 12-byte event dispatched at its
-// controller-arrival host time. At the barrier (e.assembling) the flight
-// joins the quantum's batch instead — every destination is already there,
-// so dispatch order no longer matters and the queue round-trip is pure
-// overhead. During a graded quantum's tight-partition walks
-// (curPart != nil), frames crossing the current partition are deferred to
-// the barrier: their destination lies across a loose link, so the arrival
-// time is provably at or past the limit and routing them later is
-// behavior-neutral (DESIGN.md §11).
+// controller in host time. Inside a tight partition's walk the frame becomes
+// an interned flight plus a queued 12-byte event dispatched at the host time
+// it reaches the controller — unless it crosses to another partition
+// (curPart != nil): its destination lies across a loose link, so the arrival
+// time is provably at or past the limit, routing it at the barrier is
+// behavior-neutral (DESIGN.md §11), and it is deferred. At the barrier
+// (e.assembling) the flight joins the quantum's batch instead — every
+// destination is already there, so dispatch order no longer matters and the
+// queue round-trip is pure overhead.
 func (e *engine) sendFrame(i int, h simtime.Host, tSend simtime.Guest, f *pkt.Frame) {
 	src := i
 	depart := simtime.MaxGuest(tSend, e.na.txFree[i])
@@ -765,13 +629,13 @@ func (e *engine) sendFrame(i int, h simtime.Host, tSend simtime.Guest, f *pkt.Fr
 		fi := int32(len(e.flights))
 		e.flights = append(e.flights, flight{ //simlint:hotalloc flight log grows to the per-quantum high-water mark once; length-reset each quantum
 			f: f, src: int32(src), dst: int32(dst), tSend: tSend,
-			tD: e.arrivalTime(f, src, dst, depart),
+			tD: e.arrival(f, src, dst, depart),
 		})
 		switch {
 		case e.assembling:
 			e.batch = append(e.batch, routed{h: arrHost, fi: fi}) //simlint:hotalloc assembly batch grows to its watermark once; length-reset each quantum
 		case e.curPart != nil && e.curPart[dst] != e.curPart[src]:
-			e.walks[src].defs = append(e.walks[src].defs, defEvent{h: arrHost, fi: fi}) //simlint:hotalloc deferred-event lane grows to its watermark once; length-reset each quantum
+			e.walks[src].defs = append(e.walks[src].defs, routed{h: arrHost, fi: fi}) //simlint:hotalloc deferred-event lane spills past its slab share to its watermark once; length-reset each quantum
 		default:
 			e.q.PushPri(int64(arrHost), priFrame, event{kind: evFrame, fi: fi})
 		}
@@ -788,27 +652,10 @@ func (e *engine) sendFrame(i int, h simtime.Host, tSend simtime.Guest, f *pkt.Fr
 	if dst < 0 || dst >= e.cfg.Nodes {
 		// A frame to an unknown MAC: the switch floods it nowhere (no
 		// other ports in this cluster). Count it as routed traffic.
-		e.npQuantum++
-		e.res.Stats.Packets++
+		e.countPacket()
 		return
 	}
 	ship(dst)
-}
-
-// arrivalTime computes the exact simulated arrival of a frame that left its
-// source NIC at guest time depart, including switch output-port contention
-// when the network models it. Contention state is updated in the order the
-// controller observes the frames — exactly what the paper's centralized
-// network timing module would do.
-func (e *engine) arrivalTime(f *pkt.Frame, src, dst int, depart simtime.Guest) simtime.Guest {
-	out := e.cfg.Net.Output
-	if out == nil {
-		return depart.Add(e.cfg.Net.PostTxLatency(f, src, dst))
-	}
-	atPort := depart.Add(e.cfg.Net.PreQueueLatency(f, src, dst))
-	start := simtime.MaxGuest(atPort, e.portFree[dst])
-	e.portFree[dst] = start.Add(out.Serialization(f))
-	return e.portFree[dst].Add(e.cfg.Net.PostQueueLatency(f))
 }
 
 // hostCost is the host.Model cost scaled by the node's fault-plan slowdown
@@ -841,120 +688,35 @@ func (e *engine) guestPos(i int, h simtime.Host) simtime.Guest {
 	return e.hm.GuestAt(i, e.na.segStartG[i], elapsed, e.na.segMode[i], e.na.segEndG[i])
 }
 
-// routeFlight is the controller receiving one flight at host time h: it
-// counts the frame toward the quantum's traffic (drops included, so
-// Algorithm 1's np==0 test still sees lost traffic), applies
-// loss/duplication/jitter faults, and delivers the surviving copies per the
-// paper's three cases. Every path funnels through here — the classic event
-// queue dispatches it at the flight's controller-arrival host time, the
-// batched barrier router calls it in canonical order — so fault outcomes,
-// which are pure per-frame functions, cannot differ between paths.
+// routeFlight hands the controller one flight at host time h and delivers the
+// copies that survive its fault draws. Every frame funnels through here — a
+// tight partition's event queue dispatches it at the host time it reaches the
+// controller, the batched barrier router calls it in canonical order.
 func (e *engine) routeFlight(h simtime.Host, fi int32) {
 	fl := e.flights[fi]
-	e.npQuantum++
-	e.res.Stats.Packets++
 	if h > e.lastEvtH {
 		e.lastEvtH = h
 	}
-	if e.prof != nil {
-		// Slack accounting uses the ideal (pre-fault) arrival: fl.tD is not
-		// yet jittered here, and every engine path routes the same flights
-		// with the same (tSend, tD), so the per-link accumulators — which
-		// are order-independent — match across paths exactly.
-		e.prof.Frame(int(fl.src), int(fl.dst), fl.tD.Sub(fl.tSend))
-	}
-	if fp := e.cfg.Faults; fp != nil {
-		d := fp.Decide(fl.f.ID, int(fl.src), int(fl.dst), fl.tSend)
-		if d.Drop {
-			e.res.Stats.Dropped++
-			if e.cfg.TracePackets || e.obs != nil {
-				e.emitPacket(PacketRecord{
-					SendGuest: fl.tSend, Ideal: fl.tD,
-					Src: int(fl.src), Dst: int(fl.dst), Size: fl.f.Size,
-					Dropped: true,
-				})
-			}
-			return
-		}
-		// Injected delay only ever increases the arrival time, so the fast
-		// path's safety bound (tD >= limit under Q <= T) is preserved.
-		base := fl.tD
-		if d.Delay > 0 {
-			fl.tD = base.Add(d.Delay)
-		}
-		if d.Dup {
-			e.res.Stats.Duplicated++
-			dup := fl
-			dup.tD = base.Add(d.DupDelay)
-			e.deliver(h, fl, false)
-			e.deliver(h, dup, true)
-			return
-		}
-	}
-	e.deliver(h, fl, false)
-}
-
-// emitPacket routes one packet record to the trace slice and the observer.
-func (e *engine) emitPacket(rec PacketRecord) {
-	if e.cfg.TracePackets {
-		e.res.Packets = append(e.res.Packets, rec) //simlint:hotalloc packet tracing is opt-in diagnostics; the trace slice is the product, not scratch
-	}
-	if e.obs != nil {
-		e.obs.Packet(rec)
+	tDs, n := e.route(&fl)
+	for k := 0; k < n; k++ {
+		fl.tD = tDs[k]
+		e.deliver(h, &fl, k == 1)
 	}
 }
 
 // deliver classifies one frame copy against the destination's progress and
-// hands it to the node — the tail of the paper's controller logic, shared by
-// the original and any fault-injected duplicate so each copy counts
-// independently in the straggler statistics. Under the batched barrier
-// router (e.batching) the copy is recorded for the per-destination delivery
-// pass instead of being pushed immediately; every destination is at the
-// barrier then, so the idle-wake adjustments below are provably dead in
-// that mode.
-func (e *engine) deliver(h simtime.Host, fl flight, dupCopy bool) {
-	e.res.Stats.Deliveries++
-
+// hands it to the node. Under the batched barrier router (e.batching) the
+// copy is recorded for the per-destination delivery pass instead of being
+// pushed immediately; every destination is at the barrier then, so the
+// idle-wake adjustments below are provably dead in that mode.
+func (e *engine) deliver(h simtime.Host, fl *flight, dupCopy bool) {
 	dst := int(fl.dst)
-	var arr simtime.Guest
-	straggler, snapped := false, false
-
-	if e.na.phase[dst] == phAtLimit {
-		// Paper Figure 3(d): the destination already finished its quantum.
-		if fl.tD < e.limit {
-			arr = e.limit // snaps to the next quantum boundary
-			straggler, snapped = true, true
-		} else {
-			arr = fl.tD // at or after the boundary: still exact
-		}
-	} else {
-		g := e.guestPos(dst, h)
-		if fl.tD >= g {
-			arr = fl.tD // exact delivery (paper case 2)
-		} else {
-			arr = g // straggler: deliver immediately (paper case 3)
-			straggler = true
-		}
+	atBarrier := e.na.phase[dst] == phAtLimit
+	var pos simtime.Guest
+	if !atBarrier {
+		pos = e.guestPos(dst, h)
 	}
-
-	st := &e.res.Stats
-	if straggler {
-		st.Stragglers++
-		e.strQuant++
-		st.StragglerDelay += arr.Sub(fl.tD)
-		if snapped {
-			st.QuantumSnaps++
-		}
-	} else {
-		st.Exact++
-	}
-	if e.cfg.TracePackets || e.obs != nil {
-		e.emitPacket(PacketRecord{
-			SendGuest: fl.tSend, Ideal: fl.tD, Arrival: arr,
-			Src: int(fl.src), Dst: dst, Size: fl.f.Size,
-			Straggler: straggler, Snapped: snapped, Duplicate: dupCopy,
-		})
-	}
+	arr, straggler := e.controller.deliver(fl, atBarrier, pos, dupCopy)
 
 	if e.batching {
 		e.pend = append(e.pend, pendDeliv{dst: fl.dst, f: fl.f, arr: arr}) //simlint:hotalloc pending-delivery buffer grows to its watermark once; length-reset each quantum
@@ -962,7 +724,7 @@ func (e *engine) deliver(h simtime.Host, fl flight, dupCopy bool) {
 	}
 
 	e.na.node[dst].Deliver(fl.f, arr)
-	e.quietUntil[dst] = 0
+	e.na.quietUntil[dst] = 0
 
 	// If the destination is idling, the new arrival may change its wake
 	// time: a straggler wakes it right now; an exact future arrival earlier
@@ -976,7 +738,7 @@ func (e *engine) deliver(h simtime.Host, fl flight, dupCopy bool) {
 		}
 		// The cancelled tail of the idle segment is never simulated.
 		trunc := e.na.segEndH[dst].Sub(simtime.MaxHost(h, e.na.segStartH[dst]))
-		e.res.Stats.HostIdle -= trunc
+		e.stats.HostIdle -= trunc
 		if e.prof != nil {
 			e.prof.Segment(dst, prof.SegIdle, -trunc)
 		}
@@ -1000,7 +762,7 @@ func (e *engine) deliver(h simtime.Host, fl flight, dupCopy bool) {
 		}
 		cost := e.hostCost(dst, e.na.segStartG[dst], arr, host.Idle)
 		refund := e.na.segEndH[dst].Sub(e.na.segStartH[dst]) - cost
-		e.res.Stats.HostIdle -= refund
+		e.stats.HostIdle -= refund
 		if e.prof != nil {
 			e.prof.Segment(dst, prof.SegIdle, -refund)
 		}
@@ -1060,40 +822,35 @@ func (e *engine) routeBatch() {
 			continue
 		}
 		e.na.node[d].DeliverBatch(sorted[start:off[d]])
-		e.quietUntil[d] = 0
+		e.na.quietUntil[d] = 0
 		start = off[d]
 	}
 }
 
 // quietQuantum reports whether the current quantum is quiet: no node can
 // send, complete an op, finish, or resume its workload strictly before or at
-// the limit, so no externally visible event can occur in it on any engine
-// path. The test is horizon > limit, strictly — an op ending exactly at the
-// limit resumes the workload inside this quantum, where it may send or finish
-// (DESIGN.md §7.1) — and involves only node state, so it holds or fails
+// the limit, so no externally visible event can occur in it however it is
+// partitioned. The test is horizon > limit, strictly — an op ending exactly
+// at the limit resumes the workload inside this quantum, where it may send or
+// finish (DESIGN.md §7.1) — and involves only node state, so it holds or fails
 // identically for every Workers and Lookahead value.
 //
 // A quiet stretch costs one comparison per quantum. Otherwise the scan
-// re-peeks the horizons the limit has reached (stale ones included). On the
-// walk engines it visits every node, so that a false return leaves the whole
-// lane current for the per-node skip; the classic walk, where a frame can
-// reach any node mid-quantum, steps all nodes or none and stops at the first
-// active one — a packet-dominated quantum costs it one failed peek.
+// re-peeks the horizons the limit has reached (stale ones included), all of
+// them, so that a false return leaves the whole lane current for the
+// executor's per-node and per-partition skips.
 //
-//simlint:hotpath quiet test: runs once per quantum ahead of every engine path
+//simlint:hotpath quiet test: runs once per quantum ahead of the executor
 func (e *engine) quietQuantum() bool {
 	if e.quietH > e.limit && e.cfg.onQuiet == nil {
 		return true
 	}
 	h := simtime.GuestInfinity
 	for i, n := range e.na.node {
-		until := e.quietUntil[i]
+		until := e.na.quietUntil[i]
 		if until <= e.limit {
-			until, e.quietBusy[i] = n.QuietUntil()
-			e.quietUntil[i] = until
-			if until <= e.limit && e.walks == nil {
-				return false
-			}
+			until, e.na.quietBusy[i] = n.QuietUntil()
+			e.na.quietUntil[i] = until
 		}
 		h = simtime.MinGuest(h, until)
 	}
@@ -1103,7 +860,7 @@ func (e *engine) quietQuantum() bool {
 	}
 	if e.cfg.onQuiet != nil {
 		quiet := true
-		for i := range e.quietUntil {
+		for i := range e.na.quietUntil {
 			quiet = e.sitsOut(i) && quiet
 		}
 		if !quiet {
@@ -1116,15 +873,15 @@ func (e *engine) quietQuantum() bool {
 
 // sitsOut reports whether node i is fast-forwarded through the current
 // quantum: its horizon lies past the limit, and nothing can be delivered to
-// it before the barrier — which the caller's path guarantees (DESIGN.md
-// §7.1). The test hook's veto marks the horizon stale, which sends the node
-// to its walk.
+// it before the barrier — which the caller guarantees: the node is loose, or
+// its whole tight partition sits out (DESIGN.md §7.1). The test hook's veto
+// marks the horizon stale, which sends the node to its walk.
 func (e *engine) sitsOut(i int) bool {
-	if e.quietUntil[i] <= e.limit {
+	if e.na.quietUntil[i] <= e.limit {
 		return false
 	}
 	if e.cfg.onQuiet != nil && !e.cfg.onQuiet(e.qi, i) {
-		e.quietUntil[i] = 0
+		e.na.quietUntil[i] = 0
 		return false
 	}
 	return true
@@ -1133,24 +890,24 @@ func (e *engine) sitsOut(i int) bool {
 // satOut reports, once the quantum's walks are over, whether node i was
 // skipped: stepping a node zeroes its horizon and skipping it leaves the
 // horizon past the limit.
-func (e *engine) satOut(i int) bool { return e.quietUntil[i] > e.limit }
+func (e *engine) satOut(i int) bool { return e.na.quietUntil[i] > e.limit }
 
 // quietNode executes node i's whole quantum arithmetically: the node has no
 // event before the limit, so it spends the quantum in one busy or idle
-// segment ending there, which is what a stepped path would have found by
-// stepping — the same hostCost call, the same charges, the same single
-// NodePhase — minus the Step calls, coroutine switches, event-queue
-// round-trips and walk buffers.
+// segment ending there, which is what a walk would have found by stepping —
+// the same hostCost call, the same charges, the same single NodePhase —
+// minus the Step calls, coroutine switches, event-queue round-trips and walk
+// buffers.
 //
 //simlint:hotpath quiet pass, one node: the whole cost of a node-quantum in which the node cannot act
 func (e *engine) quietNode(i int, hostNow simtime.Host) {
 	e.nQuietNodes++
 	n := e.na.node[i]
 	from := n.Clock()
-	busy := e.quietBusy[i]
-	mode, seg, ph, total := host.Idle, prof.SegIdle, obs.PhaseIdle, &e.res.Stats.HostIdle
+	busy := e.na.quietBusy[i]
+	mode, seg, ph, total := host.Idle, prof.SegIdle, obs.PhaseIdle, &e.stats.HostIdle
 	if busy {
-		mode, seg, ph, total = host.Busy, prof.SegBusy, obs.PhaseBusy, &e.res.Stats.HostBusy
+		mode, seg, ph, total = host.Busy, prof.SegBusy, obs.PhaseBusy, &e.stats.HostBusy
 	}
 	cost := e.hostCost(i, from, e.limit, mode)
 	*total += cost
@@ -1187,59 +944,22 @@ func (e *engine) walkActive(hostNow simtime.Host) {
 	}
 }
 
-// runQuantumFast executes one provably-safe quantum (Q <= eligLat): every
-// node that can act before the limit is walked to the barrier independently
-// — concurrently when a pool exists — and the others are fast-forwarded
-// (nothing reaches a node before the barrier here, so a horizon past the
-// limit is final); then the per-node effects are folded into the global
-// state in node order, and all frames are routed by the batched barrier
-// router in (node, send-sequence) order. That canonical order is what makes
-// the run bit-identical for every Workers >= 1 value: workers only decide
-// *who* walks a node, never the order anything is published.
-//
-//simlint:hotpath fast-path quantum loop
-func (e *engine) runQuantumFast(hostNow simtime.Host) {
-	e.active = e.active[:0]
-	for i := range e.walks {
-		if !e.sitsOut(i) {
-			e.active = append(e.active, int32(i)) //simlint:hotalloc capacity is the node count, set in initFast; never grows
-		}
-	}
-	e.walkActive(hostNow)
-	for i := range e.walks {
-		e.foldNode(i, hostNow)
-	}
-	// Barrier routing. Every destination is phAtLimit and, by the safety
-	// bound, every arrival time tD is at or past the limit, so routeFlight
-	// classifies each delivery as exact — the same outcome the classic
-	// engine reaches for these frames, just without the event queue.
-	e.assembling = true
-	for _, i := range e.active {
-		for _, s := range e.walks[i].sends {
-			e.sendFrame(int(i), s.h, s.tSend, s.f)
-		}
-	}
-	e.assembling = false
-	e.routeBatch()
-}
-
-// foldNode publishes fast-walkable node i's quantum at the barrier: the
-// quiet pass for a node that sat the quantum out, otherwise its completed
-// walk buffers — stats, profiler charges, done accounting and observer
-// replay. Single-threaded; called in ascending node order so the published
-// order is canonical whatever worker walked the node.
+// foldNode publishes loose node i's quantum at the barrier: the quiet pass
+// for a node that sat the quantum out, otherwise its completed walk buffers —
+// stats, profiler charges, done accounting and observer replay.
+// Single-threaded; called in ascending node order so the published order is
+// canonical whatever worker walked the node.
 func (e *engine) foldNode(i int, hostNow simtime.Host) {
 	if e.satOut(i) {
 		e.quietNode(i, hostNow)
 		return
 	}
 	wk := &e.walks[i]
-	e.res.Stats.HostBusy += wk.busy
-	e.res.Stats.HostIdle += wk.idle
+	e.stats.HostBusy += wk.busy
+	e.stats.HostIdle += wk.idle
 	if e.prof != nil {
-		// Fold the walk's per-node charges at the barrier so the
-		// profiler sees the same per-node totals as the classic path
-		// without any cross-worker synchronization during the walk.
+		// Folded here rather than charged during the walk, so the walk needs
+		// no cross-worker synchronization.
 		e.prof.Segment(i, prof.SegBusy, wk.busy)
 		e.prof.Segment(i, prof.SegIdle, wk.idle)
 	}
@@ -1249,10 +969,8 @@ func (e *engine) foldNode(i int, hostNow simtime.Host) {
 		}
 		e.doneCount++
 	}
-	if e.obs != nil {
-		for _, ph := range wk.phases {
-			e.obs.NodePhase(i, ph.phase, ph.g0, ph.g1, ph.h0, ph.h1)
-		}
+	for _, ph := range wk.phases {
+		e.obs.NodePhase(i, ph.phase, ph.g0, ph.g1, ph.h0, ph.h1)
 	}
 }
 
@@ -1262,7 +980,7 @@ func (e *engine) foldNode(i int, hostNow simtime.Host) {
 // either, and the partition's event-queue walk need not start.
 func (e *engine) tightSitsOut(members []int32) bool {
 	for _, m := range members {
-		if e.quietUntil[m] <= e.limit {
+		if e.na.quietUntil[m] <= e.limit {
 			return false
 		}
 	}
@@ -1273,23 +991,32 @@ func (e *engine) tightSitsOut(members []int32) bool {
 	return out
 }
 
-// runQuantumGraded executes one partially-engaged quantum (DESIGN.md §11):
-// Q exceeds the global minimum latency, but the per-link partitioning
-// leaves loose nodes whose every link has latency >= Q. Tight partitions
-// run the classic event-queue walk one partition at a time — the shared
-// queue then only ever holds the current partition's events, and because
-// restricting a deterministic total order to a subset preserves relative
-// order, each partition's walk is bit-identical to its slice of the classic
-// engine's. Frames crossing partitions are deferred by sendFrame (their
-// arrival is provably at or past the limit, so mid-quantum routing is
-// behavior-neutral); loose nodes are fast-walked exactly as in
-// runQuantumFast — concurrently when a pool exists — and everything
-// publishes at the barrier in canonical node order through the batched
-// router. Tight partitions and loose nodes that cannot act before the limit
-// are fast-forwarded instead (DESIGN.md §7.1).
+// runQuantum executes one stepped quantum as its partitioning p (DESIGN.md
+// §7, §11) — the only executor there is. Nothing sent in a quantum crosses
+// partitions before the barrier: such a frame travels a loose link, so its
+// arrival is provably at or past the limit.
 //
-//simlint:hotpath graded-path quantum loop
-func (e *engine) runQuantumGraded(hostNow simtime.Host, p *partitioning) {
+// A tight partition's members can reach each other mid-quantum, and which of
+// them has raced ahead when a frame crosses the controller is what makes a
+// straggler, so they walk through the event queue, in host-time order, one
+// partition at a time — the shared queue then only ever holds the current
+// partition's events, and because restricting a deterministic total order to
+// a subset preserves relative order, each partition's walk is bit-identical
+// to its slice of a walk of the whole cluster. sendFrame defers the frames
+// that leave the partition. A loose node is reached by nothing before the
+// barrier, so it needs no queue: it is stepped straight to the limit,
+// concurrently with the other loose nodes when a pool exists. Tight
+// partitions and loose nodes that cannot act before the limit are
+// fast-forwarded instead (DESIGN.md §7.1).
+//
+// Everything then publishes at the barrier in canonical order through the
+// batched router: per-node effects in node order, then every buffered and
+// deferred frame in (node, send-sequence) order. Workers only decide who
+// walks a loose node, never the order anything is published, which is what
+// makes the run bit-identical for every Workers value.
+//
+//simlint:hotpath the quantum executor: every stepped quantum runs here
+func (e *engine) runQuantum(hostNow simtime.Host, p *partitioning) {
 	e.curPart = p.part
 	for _, members := range p.tight {
 		if e.tightSitsOut(members) {
@@ -1306,11 +1033,10 @@ func (e *engine) runQuantumGraded(hostNow simtime.Host, p *partitioning) {
 	}
 	e.curPart = nil
 
-	// Loose nodes: the same independent walks as a fully-engaged quantum.
 	e.active = e.active[:0]
 	for _, i := range p.loose {
 		if !e.sitsOut(int(i)) {
-			e.active = append(e.active, i) //simlint:hotalloc capacity is the node count, set in initFast; never grows
+			e.active = append(e.active, i) //simlint:hotalloc capacity is the node count, set in initWalks; never grows
 		}
 	}
 	e.walkActive(hostNow)
@@ -1318,13 +1044,11 @@ func (e *engine) runQuantumGraded(hostNow simtime.Host, p *partitioning) {
 		e.foldNode(int(i), hostNow)
 	}
 
-	// Barrier publication in global node order: loose nodes assemble their
-	// buffered sends, tight nodes enqueue their deferred cross-partition
-	// flights at the controller-arrival host times the classic engine would
-	// have dispatched them at; one batched route pass then handles both.
-	// Every arrival time is at or past the limit and every destination is
-	// at the barrier, so each delivery is exact. A node that sat out sent
-	// nothing: its buffers are left over from an earlier quantum.
+	// Loose nodes assemble their buffered sends, tight nodes enqueue their
+	// deferred flights; one batched route pass handles both. Every arrival
+	// time is at or past the limit and every destination is at the barrier,
+	// so each delivery is exact. A node that sat out sent nothing: its
+	// buffers are left over from an earlier quantum.
 	e.assembling = true
 	for i := range e.walks {
 		switch {
@@ -1334,9 +1058,7 @@ func (e *engine) runQuantumGraded(hostNow simtime.Host, p *partitioning) {
 				e.sendFrame(i, s.h, s.tSend, s.f)
 			}
 		default:
-			for _, d := range e.walks[i].defs {
-				e.batch = append(e.batch, routed{h: d.h, fi: d.fi}) //simlint:hotalloc assembly batch grows to its watermark once; length-reset each quantum
-			}
+			e.batch = append(e.batch, e.walks[i].defs...) //simlint:hotalloc assembly batch grows to its watermark once; length-reset each quantum
 		}
 	}
 	e.assembling = false
@@ -1347,7 +1069,7 @@ func (e *engine) runQuantumGraded(hostNow simtime.Host, p *partitioning) {
 // the quantum: the release point minus the partition's last member finish.
 // With an unknown partitioning the whole cluster is one partition. Derived
 // purely from simulated time, so the attribution is identical for every
-// Workers value and engine path.
+// Workers value.
 func (e *engine) profPartitionWaits(p *partitioning, maxH simtime.Host) {
 	if p == nil {
 		last := e.na.finishHost[0]
@@ -1373,13 +1095,13 @@ func (e *engine) profPartitionWaits(p *partitioning, maxH simtime.Host) {
 	}
 }
 
-// walkNode steps one node from the quantum start to the barrier without the
-// event queue, mirroring stepNode/idleTo/the wake dispatch of the classic
-// engine exactly. It touches only state the walking worker owns: the node,
-// its index in every arena lane, and its nodeWalk buffers (host.Model
-// lookups are pure, and each node's speed-memo entry is private to its
-// walker). Globally visible effects are buffered in wk for the single-
-// threaded barrier fold.
+// walkNode steps one loose node from the quantum start to the barrier without
+// the event queue, mirroring stepNode/idleTo/the wake dispatch of the
+// event-queue walk exactly. It touches only state the walking worker owns:
+// the node, its index in every arena lane, and its nodeWalk buffers
+// (host.Model lookups are pure, and each node's speed-memo entry is private
+// to its walker). Globally visible effects are buffered in wk for the
+// single-threaded barrier fold.
 //
 //simlint:hotpath per-node walk body, invoked through worker closures the call graph cannot follow
 func (e *engine) walkNode(i int, wk *nodeWalk, hostNow simtime.Host) {
@@ -1390,7 +1112,7 @@ func (e *engine) walkNode(i int, wk *nodeWalk, hostNow simtime.Host) {
 
 	n := e.na.node[i]
 	n.BeginQuantum(e.limit)
-	e.quietUntil[i] = 0
+	e.na.quietUntil[i] = 0
 	e.na.inSeg[i] = false
 	e.na.wakeEv[i] = eventq.Handle{}
 	h := hostNow
@@ -1400,10 +1122,15 @@ func (e *engine) walkNode(i int, wk *nodeWalk, hostNow simtime.Host) {
 		e.na.finishHost[i] = h
 		e.na.hostNow[i] = h
 	}
+	phase := func(ph obs.Phase, g0, g1 simtime.Guest, h0, h1 simtime.Host) { //simlint:hotalloc non-escaping closure: called and discarded inside walkNode, stays on the stack
+		if e.obs != nil {
+			wk.phases = append(wk.phases, phaseRec{ph, g0, g1, h0, h1}) //simlint:hotalloc per-node phase log grows to its watermark once; length-reset each quantum
+		}
+	}
 	// idle mirrors idleTo plus the evWake dispatch: charge the idle cost,
 	// record the phase, advance the cursor, and wake the node at target.
-	// Fast-path idle segments are never truncated or re-aimed — no delivery
-	// can land before the limit — so the extent is final at creation.
+	// A loose node's idle segments are never truncated or re-aimed — no
+	// delivery can land before the limit — so the extent is final at creation.
 	idle := func(target simtime.Guest) { //simlint:hotalloc non-escaping closure: called and discarded inside walkNode, stays on the stack
 		from := n.Clock()
 		if target < from {
@@ -1412,7 +1139,7 @@ func (e *engine) walkNode(i int, wk *nodeWalk, hostNow simtime.Host) {
 		cost := e.hostCost(i, from, target, host.Idle)
 		wk.idle += cost
 		end := h.Add(cost)
-		wk.phases = append(wk.phases, phaseRec{obs.PhaseIdle, from, target, h, end}) //simlint:hotalloc per-worker phase log grows to its watermark once; length-reset each quantum
+		phase(obs.PhaseIdle, from, target, h, end)
 		h = end
 		e.na.doneIdling[i] = n.Done()
 		n.WakeAt(target)
@@ -1431,11 +1158,11 @@ func (e *engine) walkNode(i int, wk *nodeWalk, hostNow simtime.Host) {
 			cost := e.hostCost(i, st.From, st.To, host.Busy)
 			wk.busy += cost
 			end := h.Add(cost)
-			wk.phases = append(wk.phases, phaseRec{obs.PhaseBusy, st.From, st.To, h, end}) //simlint:hotalloc per-worker phase log grows to its watermark once; length-reset each quantum
+			phase(obs.PhaseBusy, st.From, st.To, h, end)
 			h = end
 
 		case guest.StepSend:
-			wk.sends = append(wk.sends, sendRec{f: st.Frame, tSend: st.To, h: h}) //simlint:hotalloc per-worker send log grows to its watermark once; length-reset each quantum
+			wk.sends = append(wk.sends, sendRec{f: st.Frame, tSend: st.To, h: h}) //simlint:hotalloc per-node send log spills past its slab share to its watermark once; length-reset each quantum
 
 		case guest.StepBlocked:
 			target := simtime.MinGuest(st.NextArrival, st.Deadline)
@@ -1458,7 +1185,7 @@ func (e *engine) walkNode(i int, wk *nodeWalk, hostNow simtime.Host) {
 			wk.err = st.Err
 			e.na.doneHost[i] = h
 			g := n.Clock()
-			wk.phases = append(wk.phases, phaseRec{obs.PhaseDone, g, g, h, h}) //simlint:hotalloc per-worker phase log grows to its watermark once; length-reset each quantum
+			phase(obs.PhaseDone, g, g, h, h)
 			// The simulator keeps idling to the barrier.
 			idle(e.limit)
 			finish()

@@ -9,14 +9,9 @@ import (
 	"clustersim/internal/workloads"
 )
 
-// BenchmarkGroundTruthQuanta measures ground-truth (Q = 1µs) throughput in
-// quanta per second. Workers=0 is the classic event-queue engine; Workers=1
-// is the fast path walked inline (its single-core win: safe quanta skip the
-// event queue entirely); higher counts add true parallelism on multi-core
-// hosts.
-// BenchmarkFastPathRack measures the partitioned fast path at a quantum
-// between the latency levels, where the scalar gate falls back to the event
-// queue for every node but the matrix gate still fast-walks the loose ones.
+// BenchmarkFastPathRack measures a quantum between the latency levels, where
+// the scalar gate walks every node through the event queue but the matrix
+// gate still steps the loose ones directly.
 // Three geometries: "rack8" is a uniform two-rack fat-tree (both racks tight
 // at mid-Q — no loose nodes, so matrix == scalar by construction; the honest
 // negative control), "mixed8" is one tight rack plus four loose WAN
@@ -64,9 +59,12 @@ func BenchmarkFastPathRack(b *testing.B) {
 	}
 }
 
+// BenchmarkGroundTruthQuanta measures ground-truth (Q = 1µs) throughput in
+// quanta per second: every node is loose, walked inline at Workers=1 (0 is
+// the same run) and fanned out at higher counts.
 func BenchmarkGroundTruthQuanta(b *testing.B) {
 	w := workloads.Phases(3, 150*simtime.Microsecond, 32<<10)
-	for _, workers := range []int{0, 1, 2, 4} {
+	for _, workers := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			var quanta int64
 			b.ReportAllocs()

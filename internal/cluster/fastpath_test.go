@@ -33,7 +33,7 @@ func (r *recorder) NodePhase(node int, ph obs.Phase, g0, g1 simtime.Guest, h0, h
 	r.events = append(r.events, fmt.Sprintf("ph n%d %v %v %v %v %v", node, ph, g0, g1, h0, h1))
 }
 
-// fastCases spans the behaviors the fast path must preserve: lockstep
+// fastCases spans the behaviors every partitioning must preserve: lockstep
 // traffic with equal-arrival ties (PingPong at 2 and 4 nodes), bursty
 // compute/communicate phases, seeded irregular traffic, silence, loss
 // injection, and an adaptive policy that moves in and out of the safe
@@ -45,8 +45,8 @@ type fastCase struct {
 	pol    func() quantum.Policy
 	faults *faults.Plan
 	// net overrides the default uniform paper fabric — non-uniform
-	// topologies exercise the partitioned (graded) fast path whenever Q
-	// falls between latency levels.
+	// topologies mix tight partitions and loose nodes whenever Q falls
+	// between latency levels.
 	net *netmodel.Model
 }
 
@@ -64,18 +64,17 @@ func fastCases() []fastCase {
 		{name: "uniform-lossy-4", nodes: 4, w: workloads.Uniform(60, 1500, 20*simtime.Microsecond, 23), pol: fixed(simtime.Microsecond),
 			faults: &faults.Plan{Seed: 42, Default: faults.Link{Loss: 0.3}}},
 		{name: "silent-4", nodes: 4, w: workloads.Silent(300 * simtime.Microsecond), pol: fixed(simtime.Microsecond)},
-		// A fault plan exercising loss, duplication, and delay jitter through
-		// both engines: fault decisions are pure per-frame functions, so they
-		// must not break worker invariance or fast/classic agreement.
+		// A fault plan exercising loss, duplication, and delay jitter: fault
+		// decisions are pure per-frame functions, so they must not break
+		// worker invariance or agreement with the reference walk.
 		{name: "faulty-4", nodes: 4, w: workloads.Uniform(60, 1500, 20*simtime.Microsecond, 23), pol: fixed(simtime.Microsecond),
 			faults: &faults.Plan{Seed: 7, Default: faults.Link{Loss: 0.1, Dup: 0.15, Jitter: 3 * simtime.Microsecond}}},
 		// Per-node host slowdown shifts every host-time cost; results must
-		// stay identical across worker counts and engine paths.
+		// stay identical across worker counts and partitionings.
 		{name: "slowdown-3", nodes: 3, w: workloads.PingPong(20, 1000), pol: fixed(simtime.Microsecond),
 			faults: &faults.Plan{Seed: 3, NodeSlowdown: map[int]float64{1: 2.5}}},
-		// Partitioned (graded) fast path: rack topology at a quantum between
-		// the intra- and inter-rack levels — both racks tight internally,
-		// loose to each other.
+		// Rack topology at a quantum between the intra- and inter-rack levels:
+		// two tight partitions, loose to each other, and no loose node.
 		{name: "rack-mid-8", nodes: 8, w: workloads.Uniform(120, 2000, 30*simtime.Microsecond, 11),
 			pol: fixed(2 * simtime.Microsecond), net: rackNet()},
 		// Mixed rack + WAN: one tight rack plus distant loose singletons, the
@@ -143,17 +142,17 @@ func runFast(t *testing.T, c fastCase, workers int) (*Result, *recorder) {
 	return res, rec
 }
 
-// The parallel fast path must be invisible in every output: for any worker
-// count >= 1 the Result, trace slices, and the byte-for-byte observer
-// stream are identical — workers only decide who walks a node, never what
-// is published or in which order. Run with -race, this is also the data-race
+// Config.Workers must be invisible in every output: for any value, 0 included,
+// the Result, trace slices, and the byte-for-byte observer stream are
+// identical — workers only decide who walks a loose node, never what is
+// published or in which order. Run with -race, this is also the data-race
 // proof for the concurrent node walks.
 func TestFastPathWorkerInvariance(t *testing.T) {
 	for _, c := range fastCases() {
 		t.Run(c.name, func(t *testing.T) {
 			res1, rec1 := runFast(t, c, 1)
 			fp1 := Fingerprint(res1)
-			for _, workers := range []int{2, 4, 9} {
+			for _, workers := range []int{0, 2, 4, 9} {
 				resN, recN := runFast(t, c, workers)
 				if !reflect.DeepEqual(res1, resN) {
 					t.Errorf("Result differs between workers=1 and workers=%d:\n%+v\n%+v", workers, res1, resN)
@@ -177,74 +176,44 @@ func TestFastPathWorkerInvariance(t *testing.T) {
 	}
 }
 
-// sortPackets canonicalizes a packet trace for multiset comparison; the
-// order is the shared canonical one the result fingerprint uses.
-func sortPackets(ps []PacketRecord) []PacketRecord {
-	return SortPacketsCanonical(ps)
-}
-
-// Against the classic sequential DES (Workers == 0), the fast path must
-// reproduce every number: results, metrics, aggregate stats, and the
-// per-quantum records. The packet trace is compared as a multiset — the
-// classic engine interleaves deliveries in host-event order while the fast
-// path routes at the barrier in canonical (node, seq) order, but the
-// recorded deliveries themselves are identical.
+// Against the reference walk — one event queue over the whole cluster, every
+// quantum stepped — the partitioned executor must reproduce every number:
+// results, metrics, aggregate stats, the per-quantum records and the profiler
+// report. Packet and NodePhase hooks compare as per-quantum multisets: the
+// reference interleaves them in host-event order while a partitioned quantum
+// publishes partition by partition and routes loose and cross-partition
+// frames at the barrier in canonical (node, seq) order, but the records
+// themselves are identical.
 func TestFastPathMatchesClassicSemantics(t *testing.T) {
-	for _, c := range fastCases() {
+	for _, c := range append(fastCases(), sparseCase(15)) {
 		t.Run(c.name, func(t *testing.T) {
-			seq, _ := runFast(t, c, 0)
-			par, _ := runFast(t, c, 2)
-
-			if seq.GuestTime != par.GuestTime || seq.HostTime != par.HostTime {
-				t.Errorf("times differ: classic (%v,%v) fast (%v,%v)",
-					seq.GuestTime, seq.HostTime, par.GuestTime, par.HostTime)
-			}
-			if !reflect.DeepEqual(seq.NodeFinish, par.NodeFinish) {
-				t.Errorf("node finish times differ:\n%v\n%v", seq.NodeFinish, par.NodeFinish)
-			}
-			if !reflect.DeepEqual(seq.Metrics, par.Metrics) {
-				t.Errorf("metrics differ:\n%v\n%v", seq.Metrics, par.Metrics)
-			}
-			if seq.Stats != par.Stats {
-				t.Errorf("stats differ:\nclassic %+v\nfast    %+v", seq.Stats, par.Stats)
-			}
-			if !reflect.DeepEqual(seq.Quanta, par.Quanta) {
-				t.Error("quantum records differ")
-				for i := range seq.Quanta {
-					if i < len(par.Quanta) && seq.Quanta[i] != par.Quanta[i] {
-						t.Errorf("first divergence at quantum %d:\n%+v\n%+v", i, seq.Quanta[i], par.Quanta[i])
-						break
-					}
-				}
-			}
-			if !reflect.DeepEqual(sortPackets(seq.Packets), sortPackets(par.Packets)) {
-				t.Errorf("packet traces differ as multisets (%d vs %d records)",
-					len(seq.Packets), len(par.Packets))
-			}
-			// Classic vs fast must collapse to one canonical fingerprint —
-			// the invariant the scenario fleet's goldens rely on.
-			if fs, fp := Fingerprint(seq), Fingerprint(par); fs != fp {
-				t.Errorf("fingerprint differs between classic and fast path: %s vs %s", fs, fp)
-			}
+			requireMatchesReference(t, "workers=2", runQuiet(t, c, 2, true), runReference(t, c))
 		})
 	}
 }
 
-// The fast path must actually engage when it should and stand down when it
-// must: every ground-truth quantum (Q = 1µs <= T) is safe, a quantum beyond
-// the minimum latency never is, and an adaptive policy crosses the boundary
-// both ways mid-run.
+// The execution partitioning must take the shape the quantum size calls for:
+// every node loose at ground truth (Q = 1µs <= T), the whole cluster one
+// tight partition beyond the largest latency, and an adaptive policy crosses
+// the boundary both ways mid-run — whatever the Workers value, and in scalar
+// mode too, where the two shapes are the degenerate partitionings.
 func TestFastPathEngages(t *testing.T) {
-	count := func(pol func() quantum.Policy, workers int) (fast, slow int) {
+	const nodes = 4
+	count := func(pol func() quantum.Policy, workers int, mode LookaheadMode) (loose, tight int) {
 		w := workloads.Phases(3, 150*simtime.Microsecond, 16<<10)
-		cfg := testConfig(4, w, pol)
+		cfg := testConfig(nodes, w, pol)
 		cfg.Workers = workers
-		cfg.onQuantumMode = func(isFast bool) {
-			if isFast {
-				fast++
-			} else {
-				slow++
+		cfg.Lookahead = mode
+		cfg.onPartition = func(p *partitioning) bool {
+			switch {
+			case len(p.loose) == nodes && len(p.tight) == 0:
+				loose++
+			case len(p.loose) == 0 && len(p.tight) == 1 && len(p.tight[0]) == nodes:
+				tight++
+			default:
+				t.Errorf("uniform fabric: partitioning with %d loose nodes and %d tight partitions", len(p.loose), len(p.tight))
 			}
+			return false
 		}
 		if _, err := Run(cfg); err != nil {
 			t.Fatal(err)
@@ -252,39 +221,31 @@ func TestFastPathEngages(t *testing.T) {
 		return
 	}
 
-	if fast, slow := count(fixed(simtime.Microsecond), 2); fast == 0 || slow != 0 {
-		t.Errorf("ground truth: want all quanta fast, got fast=%d slow=%d", fast, slow)
-	}
-	if fast, slow := count(fixed(simtime.Millisecond), 2); fast != 0 || slow == 0 {
-		t.Errorf("Q=1ms: want all quanta slow, got fast=%d slow=%d", fast, slow)
-	}
-	if fast, slow := count(adaptive(simtime.Microsecond, simtime.Millisecond, 1.03, 0.02), 2); fast == 0 || slow == 0 {
-		t.Errorf("adaptive: want a mix of fast and slow quanta, got fast=%d slow=%d", fast, slow)
-	}
-	// Workers == 0 keeps the classic engine even at ground truth.
-	if fast, slow := count(fixed(simtime.Microsecond), 0); fast != 0 || slow == 0 {
-		t.Errorf("workers=0: want no fast quanta, got fast=%d slow=%d", fast, slow)
+	for _, mode := range []LookaheadMode{LookaheadMatrix, LookaheadScalar} {
+		for _, workers := range []int{0, 2} {
+			if loose, tight := count(fixed(simtime.Microsecond), workers, mode); loose == 0 || tight != 0 {
+				t.Errorf("mode=%d workers=%d ground truth: want every quantum all-loose, got loose=%d tight=%d", mode, workers, loose, tight)
+			}
+			if loose, tight := count(fixed(simtime.Millisecond), workers, mode); loose != 0 || tight == 0 {
+				t.Errorf("mode=%d workers=%d Q=1ms: want every quantum one tight partition, got loose=%d tight=%d", mode, workers, loose, tight)
+			}
+			if loose, tight := count(adaptive(simtime.Microsecond, simtime.Millisecond, 1.03, 0.02), workers, mode); loose == 0 || tight == 0 {
+				t.Errorf("mode=%d workers=%d adaptive: want a mix of shapes, got loose=%d tight=%d", mode, workers, loose, tight)
+			}
+		}
 	}
 }
 
-// The partitioned fast path must actually engage partially on the mixed
-// topology — otherwise the bit-identity cases above are vacuously passing on
-// the classic path — and the graded Stats accounting must be identical for
-// every worker count, including the classic engine.
+// On the mixed topology a quantum between the latency levels must execute as
+// one tight rack plus loose singletons — otherwise the bit-identity cases
+// above pass vacuously on a whole-cluster walk — and the graded Stats
+// accounting must not depend on how the quantum is executed: the reference
+// walk reports the same counts.
 func TestPartitionedPathEngagesPartially(t *testing.T) {
-	run := func(workers int, mode LookaheadMode) *Result {
-		cfg := testConfig(8, workloads.Uniform(120, 2000, 30*simtime.Microsecond, 17), fixed(2*simtime.Microsecond))
-		cfg.Net = mixedWANNet(8)
-		cfg.Workers = workers
-		cfg.Lookahead = mode
-		res, err := Run(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	base := run(0, LookaheadMatrix)
-	s := base.Stats
+	c := fastCase{name: "mixed-wan-8", nodes: 8, w: workloads.Uniform(120, 2000, 30*simtime.Microsecond, 17),
+		pol: fixed(2 * simtime.Microsecond), net: mixedWANNet(8)}
+	ref := runReference(t, c)
+	s := ref.res.Stats
 	if s.FastPartialQuanta == 0 || s.FastFullQuanta != 0 {
 		t.Fatalf("Q=2µs mixed topology: want only partial engagement, got %+v", s)
 	}
@@ -295,16 +256,24 @@ func TestPartitionedPathEngagesPartially(t *testing.T) {
 	if want := 5 * s.FastPartialQuanta; s.PartialPartitions != want {
 		t.Errorf("PartialPartitions = %d, want %d", s.PartialPartitions, want)
 	}
-	for _, workers := range []int{1, 3} {
-		if got := run(workers, LookaheadMatrix); !reflect.DeepEqual(base, got) {
-			t.Errorf("workers=%d: result differs from classic engine", workers)
+	cfg := c.config(0)
+	cfg.onPartition = func(p *partitioning) bool {
+		if len(p.loose) != 4 || len(p.tight) != 1 || len(p.tight[0]) != 4 {
+			t.Errorf("executed with %d loose nodes and tight partitions %v, want 4 and one rack of 4", len(p.loose), p.tight)
 		}
+		return false
+	}
+	if _, err := Run(cfg); err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{0, 1, 3} {
+		requireMatchesReference(t, fmt.Sprintf("workers=%d", workers), runQuiet(t, c, workers, true), ref)
 	}
 }
 
 // LookaheadScalar must reproduce the matrix mode's simulation outputs
-// exactly — the mode only moves engine paths and the graded accounting (all
-// zero under scalar).
+// exactly — the mode only changes the partitioning and the graded accounting
+// (all zero under scalar).
 func TestScalarLookaheadBitIdentity(t *testing.T) {
 	run := func(workers int, mode LookaheadMode) *Result {
 		cfg := testConfig(8, workloads.Uniform(120, 2000, 30*simtime.Microsecond, 17),

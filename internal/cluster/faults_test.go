@@ -177,10 +177,10 @@ func TestSlowdownScalesHostCosts(t *testing.T) {
 	}
 }
 
-// The fast path's full-engagement bound must be exactly netmodel.MinLatency
-// in both lookahead modes — scalar probes it directly, matrix derives it as
-// the matrix minimum. Output-queue models are excluded from the fast path
-// before the probe, so the exclusion is structural, not a bound disagreement.
+// The full-engagement bound must be exactly netmodel.MinLatency in both
+// lookahead modes — scalar probes it directly, matrix derives it as the
+// matrix minimum. Output-queue models are excluded before the probe, so the
+// exclusion is structural, not a bound disagreement.
 func TestFastPathBoundMatchesMinLatency(t *testing.T) {
 	models := map[string]*netmodel.Model{
 		"paper": netmodel.Paper(),
@@ -191,31 +191,21 @@ func TestFastPathBoundMatchesMinLatency(t *testing.T) {
 	}
 	for name, m := range models {
 		for _, mode := range []LookaheadMode{LookaheadMatrix, LookaheadScalar} {
-			cfg := testConfig(4, workloads.Silent(10*simtime.Microsecond), fixed(simtime.Microsecond))
-			cfg.Net = m
-			cfg.Workers = 1
-			cfg.Lookahead = mode
-			e := &engine{cfg: cfg}
-			e.initFast()
-			if want := m.MinLatency(cfg.Nodes); e.eligLat != want {
-				t.Errorf("%s/mode=%d: fast-path bound %v != MinLatency %v", name, mode, e.eligLat, want)
+			c := newController(4, m, mode, nil, nil, nil)
+			if want := m.MinLatency(4); c.eligLat != want {
+				t.Errorf("%s/mode=%d: eligibility bound %v != MinLatency %v", name, mode, c.eligLat, want)
 			}
-			if wantLA := mode == LookaheadMatrix; (e.la != nil) != wantLA {
-				t.Errorf("%s/mode=%d: lookahead matrix present = %v, want %v", name, mode, e.la != nil, wantLA)
+			if wantLA := mode == LookaheadMatrix; (c.la != nil) != wantLA {
+				t.Errorf("%s/mode=%d: lookahead matrix present = %v, want %v", name, mode, c.la != nil, wantLA)
 			}
 		}
 	}
 
-	// With an OutputQueue the fast path stands down entirely.
+	// With an OutputQueue there is no lookahead at all.
 	out := netmodel.Paper()
 	out.Output = &netmodel.OutputQueue{}
-	cfg := testConfig(4, workloads.Silent(10*simtime.Microsecond), fixed(simtime.Microsecond))
-	cfg.Net = out
-	cfg.Workers = 1
-	e := &engine{cfg: cfg}
-	e.initFast()
-	if e.eligLat != 0 || e.la != nil {
-		t.Errorf("OutputQueue model engaged the fast path with bound %v (la=%v)", e.eligLat, e.la != nil)
+	if c := newController(4, out, LookaheadMatrix, nil, nil, nil); c.eligLat != 0 || c.la != nil {
+		t.Errorf("OutputQueue model has lookahead: bound %v (la=%v)", c.eligLat, c.la != nil)
 	}
 }
 

@@ -21,11 +21,13 @@ import (
 //
 //   - Metrics maps are encoded with sorted keys (map order is not part of a
 //     run's outcome).
-//   - The packet trace is encoded as a sorted multiset: the classic engine
-//     interleaves deliveries in host-event order while the fast path routes
-//     at the barrier in canonical (node, seq) order, but the recorded
-//     deliveries themselves are proven identical (see fastpath_test.go), so
-//     the fingerprint must not depend on stream order.
+//   - The packet trace is encoded as a sorted multiset: a tight partition
+//     interleaves deliveries in host-event order while loose and
+//     cross-partition frames route at the barrier in canonical (node, seq)
+//     order, so the stream order depends on the lookahead mode and on the
+//     reference hook, but the recorded deliveries themselves are proven
+//     identical (see fastpath_test.go) and the fingerprint must not depend
+//     on their order.
 //   - Everything else — times, stats, per-quantum records, policy name — is
 //     encoded field by field in declaration order. Integer-only: simtime
 //     values print as int64 nanoseconds, float metrics with strconv's

@@ -19,9 +19,9 @@ import (
 // synchronize through the event queue; nodes in different components of the
 // tight-link graph are provably non-interacting before the barrier, because
 // every frame between them arrives at or after the quantum limit. Components
-// of that graph are the quantum's partitions: singletons run the
-// intra-quantum fast path, multi-node (tight) partitions fall back to the
-// event-queue walk.
+// of that graph are the quantum's partitions, the engine's unit of execution:
+// a singleton is stepped straight to the limit, a multi-node (tight)
+// partition walks through the event queue.
 //
 // The partition structure only changes when Q crosses one of the matrix's
 // distinct latency values, so partitionings are cached per level and shared
@@ -47,10 +47,10 @@ type partitioning struct {
 	part   []int32
 	nparts int
 	// fastNode marks the loose singletons — nodes with no tight link in
-	// either direction, walkable on the fast path.
+	// either direction.
 	fastNode  []bool
 	fastNodes int
-	// loose lists the fast-walkable nodes, ascending.
+	// loose lists them, ascending.
 	loose []int32
 	// tight lists each multi-node partition's members (ascending), ordered
 	// by partition id.
@@ -207,6 +207,27 @@ func (la *lookahead) build(idx int) *partitioning {
 	if len(p.tightLinks) > tightLinksK {
 		p.tightLinks = p.tightLinks[:tightLinksK]
 	}
+	return p
+}
+
+// uniformPartitioning returns one of the two degenerate partitionings of n
+// nodes: every node a loose singleton, or the whole cluster one tight
+// partition — what partitionFor yields at or below the smallest latency level
+// and above the largest. They execute the configurations that have no matrix.
+func uniformPartitioning(n int, tight bool) *partitioning {
+	all := make([]int32, n)
+	for i := range all {
+		all[i] = int32(i)
+	}
+	p := &partitioning{fastNode: make([]bool, n)}
+	if tight {
+		p.part, p.nparts, p.tight = make([]int32, n), 1, [][]int32{all}
+		return p
+	}
+	for i := range p.fastNode {
+		p.fastNode[i] = true
+	}
+	p.part, p.nparts, p.fastNodes, p.loose = all, n, n, all
 	return p
 }
 

@@ -132,42 +132,30 @@ type pnode struct {
 }
 
 // prun is the shared state of one parallel run. The controller mutex guards
-// node states, routing and per-quantum counters — the centralized network
-// controller of the paper. Synchronization around it is channel-based:
+// node states, the embedded controller — routing, classification and the
+// per-quantum counters: the centralized network controller of the paper —
+// and the barrier bookkeeping. Synchronization around it is channel-based:
 // barrier signals flow point-to-point instead of broadcast-waking all N
 // goroutines on every delivery and arrival.
 type prun struct {
-	cfg  ParallelConfig
-	obs  obs.Observer
-	prof *prof.Profiler
-	// eligLat mirrors the deterministic engine's fast-path eligibility
-	// lookahead so parallel runs report the same per-quantum causes; la is
-	// the per-link lookahead structure behind it (nil under LookaheadScalar
-	// or an output-queued switch).
-	eligLat simtime.Duration
-	la      *lookahead
-	qElig   bool
-	nElig   int
+	cfg ParallelConfig
 	// startWall is the epoch for hook host times; set before any goroutine
 	// can fire a hook.
 	startWall time.Time
 
 	mu sync.Mutex
+	controller
 	// barrier tells the controller the quantum may be over: the last arrival
 	// (or a failing node) posts one token. Buffered 1, non-blocking sends;
 	// the controller re-checks the arrival count under mu, so a stale token
 	// costs one spurious re-check, never a missed release.
 	barrier chan struct{}
 
-	nodes    []*pnode
-	portFree []simtime.Guest // per-destination switch port clocks (OutputQueue)
-	gen      int             // quantum generation counter
-	stop     bool            // shutdown flag
-	limit    simtime.Guest
-	atLimit  int // nodes parked, at-limit or done this quantum
-	done     int
-	np       int // frames routed this quantum
-	str      int // stragglers this quantum
+	nodes   []*pnode
+	gen     int  // quantum generation counter
+	stop    bool // shutdown flag
+	atLimit int  // nodes parked, at-limit or done this quantum
+	done    int
 	// firstArr is the host time of this quantum's first barrier arrival;
 	// haveArr gates it. The span from firstArr to the barrier release is the
 	// real synchronization wait charged to Stats.HostBarrier.
@@ -183,33 +171,25 @@ type prun struct {
 	partLeft []int
 	partArrH []simtime.Host
 	lastArr  simtime.Host
-	stats    Stats
-	sumQ     float64
 	wErr     error
 }
 
 // RunParallel executes the configuration with real parallelism and returns
 // wall-clock results.
 func RunParallel(cfg ParallelConfig) (*ParallelResult, error) {
-	if cfg.Nodes < 1 {
-		return nil, fmt.Errorf("cluster: need at least 1 node, got %d", cfg.Nodes)
-	}
-	if cfg.Net == nil || cfg.Policy == nil || cfg.Program == nil {
-		return nil, fmt.Errorf("cluster: parallel config missing net/policy/program")
-	}
-	if err := cfg.Faults.Validate(); err != nil {
+	if err := validateCluster(cfg.Nodes, cfg.Guest, cfg.Net, cfg.Policy, cfg.Program, cfg.Faults); err != nil {
 		return nil, err
 	}
-	r := &prun{cfg: cfg, obs: cfg.Observer, prof: cfg.Profiler, barrier: make(chan struct{}, 1)}
-	r.portFree = make([]simtime.Guest, cfg.Nodes)
-	if cfg.Net.Output == nil {
-		if cfg.Lookahead == LookaheadScalar {
-			r.eligLat = cfg.Net.MinLatency(cfg.Nodes)
-		} else if r.la = newLookahead(cfg.Net, cfg.Nodes); r.la != nil {
-			r.eligLat = r.la.min
-		}
+	nodes, err := newNodes(cfg.Nodes, cfg.Guest, cfg.Program)
+	if err != nil {
+		return nil, err
 	}
-	for i := 0; i < cfg.Nodes; i++ {
+	r := &prun{
+		cfg:        cfg,
+		controller: newController(cfg.Nodes, cfg.Net, cfg.Lookahead, cfg.Faults, cfg.Observer, cfg.Profiler),
+		barrier:    make(chan struct{}, 1),
+	}
+	for i, n := range nodes {
 		spinPer := cfg.SpinPerGuestBusy
 		if cfg.Faults != nil {
 			// A slowed node burns proportionally more real CPU per guest
@@ -218,7 +198,7 @@ func RunParallel(cfg ParallelConfig) (*ParallelResult, error) {
 			spinPer *= cfg.Faults.Slowdown(i)
 		}
 		r.nodes = append(r.nodes, &pnode{
-			n:           guest.NewNode(i, cfg.Nodes, cfg.Guest, cfg.Program(i, cfg.Nodes)),
+			n:           n,
 			wake:        make(chan struct{}, 1),
 			start:       make(chan int, 1),
 			spinPerBusy: spinPer,
@@ -226,26 +206,7 @@ func RunParallel(cfg ParallelConfig) (*ParallelResult, error) {
 	}
 	policy := cfg.Policy()
 	r.startWall = time.Now() //simlint:wallclock the real-time runner measures actual wall time by design; the deterministic engine models it instead
-	if r.obs != nil {
-		r.obs.RunStart(obs.RunInfo{
-			Nodes:    cfg.Nodes,
-			Policy:   policy.Name(),
-			Parallel: true,
-			MaxGuest: cfg.MaxGuest,
-		})
-	}
-	if r.prof != nil {
-		r.prof.RunStart(prof.RunMeta{
-			Engine:      "parallel",
-			Nodes:       cfg.Nodes,
-			Policy:      policy.Name(),
-			Lookahead:   r.eligLat,
-			OutputQueue: cfg.Net.Output != nil,
-			LinkLat: func(src, dst int) simtime.Duration {
-				return cfg.Net.FrameLatency(netmodel.MinProbe(), src, dst)
-			},
-		})
-	}
+	r.runStart("parallel", policy.Name(), true, cfg.MaxGuest)
 
 	var wg sync.WaitGroup
 	for _, pn := range r.nodes {
@@ -264,14 +225,14 @@ func RunParallel(cfg ParallelConfig) (*ParallelResult, error) {
 	// wait on their wake channel inside park, not on the start channel).
 	live := make([]*pnode, 0, cfg.Nodes)
 	parked := make([]*pnode, 0, cfg.Nodes)
-	err := func() error {
+	err = func() error {
 		for qi := 0; ; qi++ {
 			if Q <= 0 {
 				return fmt.Errorf("cluster: policy %q issued non-positive quantum %v", policy.Name(), Q)
 			}
 			r.mu.Lock()
-			r.limit = guestStart.Add(Q)
-			r.np, r.str = 0, 0
+			qStartH := r.hostNow()
+			r.part = r.beginQuantum(qi, guestStart, Q, qStartH)
 			// Nodes that finished in earlier quanta stand permanently at the
 			// barrier; pre-counting them keeps the arrival count consistent
 			// however unevenly the workloads drain.
@@ -289,31 +250,7 @@ func RunParallel(cfg ParallelConfig) (*ParallelResult, error) {
 					live = append(live, pn)
 				}
 			}
-			qStartH := r.hostNow()
-			if r.obs != nil {
-				r.obs.QuantumStart(qi, guestStart, Q, qStartH)
-			}
-			r.qElig = r.eligLat > 0 && Q <= r.eligLat
-			if r.qElig {
-				r.nElig++
-			}
-			r.part = nil
-			if r.la != nil {
-				r.part = r.la.partitionFor(Q)
-			}
-			// Graded-engagement accounting, identical to the deterministic
-			// engine's: eligibility is a function of (Q, matrix) alone.
-			switch {
-			case r.qElig:
-				r.stats.FastFullQuanta++
-				r.stats.FastNodeQuanta += cfg.Nodes
-			case r.part != nil && r.part.fastNodes > 0:
-				r.stats.FastPartialQuanta++
-				r.stats.FastNodeQuanta += r.part.fastNodes
-				r.stats.PartialPartitions += r.part.nparts
-			}
 			if r.prof != nil {
-				r.prof.BeginQuantum(qi, Q, r.part.grade())
 				// Nodes already done stand at the barrier for the whole
 				// quantum; everyone else overwrites this on arrival.
 				for _, pn := range r.nodes {
@@ -415,17 +352,7 @@ func RunParallel(cfg ParallelConfig) (*ParallelResult, error) {
 		res.Metrics = append(res.Metrics, pn.n.Metrics())
 		res.GuestTime = simtime.MaxGuest(res.GuestTime, pn.n.FinishedAt())
 	}
-	if r.obs != nil {
-		r.obs.RunEnd(obs.RunSummary{
-			GuestTime:          res.GuestTime,
-			HostEnd:            r.hostNow(),
-			Quanta:             res.Stats.Quanta,
-			FastEligibleQuanta: r.nElig,
-		})
-	}
-	if r.prof != nil {
-		r.prof.RunEnd(res.GuestTime, r.hostNow())
-	}
+	r.runEnd(res.GuestTime, r.hostNow(), 0, 0)
 	return res, nil
 }
 
@@ -477,8 +404,6 @@ func (r *prun) hostNow() simtime.Host {
 }
 
 func (r *prun) recordQuantum(qi int, start simtime.Guest, Q simtime.Duration, qStartH simtime.Host) {
-	r.stats.observeQuantum(Q, r.np)
-	r.sumQ += float64(Q)
 	end := r.hostNow()
 	// The barrier span runs from the first arrival to the release that is
 	// happening right now. A quantum whose nodes all arrived "at once" (or
@@ -512,19 +437,7 @@ func (r *prun) recordQuantum(qi int, start simtime.Guest, Q simtime.Duration, qS
 			Stragglers: r.str,
 		})
 	}
-	if r.obs != nil {
-		r.obs.QuantumEnd(obs.QuantumRecord{
-			Index:        qi,
-			Start:        start,
-			Q:            Q,
-			Packets:      r.np,
-			Stragglers:   r.str,
-			HostStart:    qStartH,
-			BarrierStart: bStart,
-			HostEnd:      end,
-			FastEligible: r.qElig,
-		})
-	}
+	r.endQuantum(qi, start, Q, qStartH, bStart, end)
 }
 
 // nodeLoop drives one node across quanta. Quantum entry is a single channel
@@ -629,10 +542,11 @@ func (r *prun) park(pn *pnode, gen int) bool {
 	return ok
 }
 
-// route is the controller: it computes the frame's exact arrival time and
-// delivers per the paper's cases, with the destination's live clock deciding
-// stragglerhood — the real race the deterministic engine models.
+// route ships one frame through the controller, with the destination's live
+// clock deciding stragglerhood — the real race the deterministic engine
+// models.
 func (r *prun) route(pn *pnode, f *pkt.Frame, tSend simtime.Guest) {
+	src := pn.n.ID()
 	ser := r.cfg.Net.NIC.Serialization(f)
 	depart := simtime.MaxGuest(tSend, pn.txFree).Add(ser)
 	pn.txFree = depart
@@ -640,109 +554,41 @@ func (r *prun) route(pn *pnode, f *pkt.Frame, tSend simtime.Guest) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 
-	deliver := func(dst int) {
-		dn := r.nodes[dst]
-		var tD simtime.Guest
-		if out := r.cfg.Net.Output; out != nil {
-			atPort := depart.Add(r.cfg.Net.PreQueueLatency(f, pn.n.ID(), dst))
-			start := simtime.MaxGuest(atPort, r.portFree[dst])
-			r.portFree[dst] = start.Add(out.Serialization(f))
-			tD = r.portFree[dst].Add(r.cfg.Net.PostQueueLatency(f))
-		} else {
-			tD = depart.Add(r.cfg.Net.PostTxLatency(f, pn.n.ID(), dst))
+	ship := func(dst int) {
+		fl := flight{f: f, src: int32(src), dst: int32(dst), tSend: tSend, tD: r.arrival(f, src, dst, depart)}
+		tDs, n := r.controller.route(&fl)
+		for k := 0; k < n; k++ {
+			fl.tD = tDs[k]
+			r.deliverCopy(&fl, k == 1)
 		}
-		r.np++
-		r.stats.Packets++
-		if r.prof != nil {
-			// tD is still the ideal (pre-fault) arrival here, matching the
-			// deterministic engine's slack accounting.
-			r.prof.Frame(pn.n.ID(), dst, tD.Sub(tSend))
-		}
-		if fp := r.cfg.Faults; fp != nil {
-			d := fp.Decide(f.ID, pn.n.ID(), dst, tSend)
-			if d.Drop {
-				r.stats.Dropped++
-				if r.obs != nil {
-					r.obs.Packet(obs.PacketRecord{
-						SendGuest: tSend, Ideal: tD,
-						Src: pn.n.ID(), Dst: dst, Size: f.Size,
-						Dropped: true,
-					})
-				}
-				return
-			}
-			base := tD
-			tD = base.Add(d.Delay)
-			if d.Dup {
-				r.stats.Duplicated++
-				r.deliverCopy(pn.n.ID(), dn, f, tSend, tD, false)
-				r.deliverCopy(pn.n.ID(), dn, f, tSend, base.Add(d.DupDelay), true)
-				return
-			}
-		}
-		r.deliverCopy(pn.n.ID(), dn, f, tSend, tD, false)
 	}
-
 	if f.Dst.IsBroadcast() {
 		for dst := range r.nodes {
-			if dst != pn.n.ID() {
-				deliver(dst)
+			if dst != src {
+				ship(dst)
 			}
 		}
 		return
 	}
 	dst := f.Dst.Node()
 	if dst < 0 || dst >= len(r.nodes) {
-		r.np++
-		r.stats.Packets++
+		r.countPacket()
 		return
 	}
-	deliver(dst)
+	ship(dst)
 }
 
 // deliverCopy classifies one frame copy against the destination's live state
-// and delivers it — shared by the normal path and fault-injected duplicates
-// so each copy counts independently in the straggler statistics. The caller
-// holds r.mu.
-func (r *prun) deliverCopy(src int, dn *pnode, f *pkt.Frame, tSend, tD simtime.Guest, dupCopy bool) {
-	r.stats.Deliveries++
-	var arr simtime.Guest
-	straggler, snapped := false, false
-	switch dn.state {
-	case pnAtLimit, pnDone, pnParked:
-		if tD < r.limit {
-			arr = r.limit
-			straggler, snapped = true, true
-		} else {
-			arr = tD
-		}
-	default: // running
-		g := dn.n.Clock()
-		if tD >= g {
-			arr = tD
-		} else {
-			arr = g
-			straggler = true
-		}
+// and delivers it. The caller holds r.mu.
+func (r *prun) deliverCopy(fl *flight, dupCopy bool) {
+	dn := r.nodes[fl.dst]
+	atBarrier := dn.state != pnRunning
+	var pos simtime.Guest
+	if !atBarrier {
+		pos = dn.n.Clock()
 	}
-	if straggler {
-		r.stats.Stragglers++
-		r.str++
-		r.stats.StragglerDelay += arr.Sub(tD)
-		if snapped {
-			r.stats.QuantumSnaps++
-		}
-	} else {
-		r.stats.Exact++
-	}
-	if r.obs != nil {
-		r.obs.Packet(obs.PacketRecord{
-			SendGuest: tSend, Ideal: tD, Arrival: arr,
-			Src: src, Dst: dn.n.ID(), Size: f.Size,
-			Straggler: straggler, Snapped: snapped, Duplicate: dupCopy,
-		})
-	}
-	dn.n.Deliver(f, arr)
+	arr, _ := r.deliver(fl, atBarrier, pos, dupCopy)
+	dn.n.Deliver(fl.f, arr)
 	// A parked destination that can now make progress is re-woken —
 	// point-to-point, leaving every other node undisturbed.
 	if dn.state == pnParked && arr <= r.limit {
@@ -751,7 +597,7 @@ func (r *prun) deliverCopy(src int, dn *pnode, f *pkt.Frame, tSend, tD simtime.G
 		if r.prof != nil && r.part != nil {
 			// The destination's partition has a member running again; its
 			// next full arrival re-stamps the completion time.
-			r.partLeft[r.part.part[dn.n.ID()]]++
+			r.partLeft[r.part.part[fl.dst]]++
 		}
 		wakeNode(dn)
 	}

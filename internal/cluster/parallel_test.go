@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"clustersim/internal/faults"
 	"clustersim/internal/guest"
 	"clustersim/internal/netmodel"
 	"clustersim/internal/obs"
@@ -190,11 +191,39 @@ func TestParallelObserver(t *testing.T) {
 	}
 }
 
+// Run and RunParallel go through one validator: each malformed configuration
+// must fail both, with the same error, and never reach a node goroutine — a
+// nil program dereferenced there would take the whole process down.
 func TestParallelConfigValidation(t *testing.T) {
-	if _, err := RunParallel(ParallelConfig{Nodes: 0}); err == nil {
-		t.Error("zero nodes accepted")
+	w := workloads.Silent(simtime.Microsecond)
+	bad := map[string]func(c *Config){
+		"zero nodes":           func(c *Config) { c.Nodes = 0 },
+		"nil net":              func(c *Config) { c.Net = nil },
+		"nil policy":           func(c *Config) { c.Policy = nil },
+		"nil program":          func(c *Config) { c.Program = nil },
+		"zero CPUHz":           func(c *Config) { c.Guest.CPUHz = 0 },
+		"net without a NIC":    func(c *Config) { c.Net = &netmodel.Model{Switch: netmodel.Paper().Switch} },
+		"short latency matrix": func(c *Config) { c.Net = mixedWANNet(2); c.Nodes = 3 },
+		"loss above one":       func(c *Config) { c.Faults = &faults.Plan{Default: faults.Link{Loss: 1.5}} },
+		"nil program for a rank": func(c *Config) {
+			c.Program = func(rank, size int) guest.Program {
+				if rank == 1 {
+					return nil
+				}
+				return w.New(rank, size)
+			}
+		},
 	}
-	if _, err := RunParallel(ParallelConfig{Nodes: 1}); err == nil {
-		t.Error("missing net/policy/program accepted")
+	for name, mod := range bad {
+		cfg := testConfig(2, w, fixed(simtime.Microsecond))
+		mod(&cfg)
+		_, errRun := Run(cfg)
+		_, errPar := RunParallel(ParallelConfig{
+			Nodes: cfg.Nodes, Guest: cfg.Guest, Net: cfg.Net, Policy: cfg.Policy,
+			Program: cfg.Program, Faults: cfg.Faults, MaxGuest: cfg.MaxGuest,
+		})
+		if errRun == nil || errPar == nil || errRun.Error() != errPar.Error() {
+			t.Errorf("%s: Run returned %v, RunParallel %v; want the same error from both", name, errRun, errPar)
+		}
 	}
 }

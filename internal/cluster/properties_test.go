@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
-	"sort"
 	"testing"
 	"testing/quick"
 
@@ -425,12 +424,14 @@ func randomFatTreeCase(rnd *rand.Rand, trial int) (c fastCase, q simtime.Duratio
 
 // TestBatchedRoutingCanonicalOrder is the batched-router property test: for
 // random fat-tree geometries, workloads, quanta and fault plans (loss,
-// duplication, delay jitter), the barrier-time batched router must
+// duplication, delay jitter), the partitioned executor with its barrier-time
+// batched router must
 //
-//  1. leave the Result bit-identical to the classic one-frame-at-a-time
-//     engine (Workers == 0),
-//  2. produce an observer stream invariant to the worker count — routing
-//     order is the canonical one, never a worker-schedule artifact, and
+//  1. match the reference walk, which routes one frame at a time through one
+//     event queue over the whole cluster,
+//  2. produce a Result and an observer stream invariant to the worker count,
+//     0 included — routing order is the canonical one, never a
+//     worker-schedule artifact, and
 //  3. on fully-eligible quanta (Q <= T), emit each quantum's packet records
 //     in canonical (node, seq) order: sources ascending, and each source's
 //     frames in send order, with fault-injected duplicates adjacent to
@@ -442,55 +443,31 @@ func TestBatchedRoutingCanonicalOrder(t *testing.T) {
 		c, q := randomFatTreeCase(rnd, trial)
 		name := c.name
 
-		var results []*Result
-		var streams [][]string
+		requireMatchesReference(t, name, runQuiet(t, c, 1, true), runReference(t, c))
+
+		var res1 *Result
 		var probe1 *packetOrderProbe
-		for _, workers := range []int{0, 1, 3} {
+		for _, workers := range []int{1, 0, 3} {
 			pr := &packetOrderProbe{}
 			cfg := c.config(workers)
-			cfg.Lookahead = LookaheadMatrix
 			cfg.Observer = pr
 			res, err := Run(cfg)
 			if err != nil {
 				t.Fatalf("%s workers=%d: %v", name, workers, err)
 			}
-			results = append(results, res)
-			streams = append(streams, pr.events)
 			if workers == 1 {
-				probe1 = pr
+				res1, probe1 = res, pr
+				continue
 			}
-		}
-		// Workers >= 1 must agree on everything including stream order: the
-		// batched route order is canonical, never a worker-schedule artifact.
-		if !reflect.DeepEqual(results[1], results[2]) {
-			t.Errorf("%s: Result differs between workers=1 and workers=3:\n%+v\nvs\n%+v",
-				name, *results[1], *results[2])
-		}
-		if !reflect.DeepEqual(streams[1], streams[2]) {
-			t.Errorf("%s: observer stream differs between workers=1 and workers=3", name)
-		}
-		// The classic engine interleaves its packet trace in host-event
-		// order (the documented Workers == 0 exception), so against it the
-		// trace compares as a multiset; every other field is bit-identical.
-		sortedPkts := func(res *Result) []string {
-			ps := make([]string, len(res.Packets))
-			for i, p := range res.Packets {
-				ps[i] = fmt.Sprintf("%+v", p)
+			if !reflect.DeepEqual(res1, res) {
+				t.Errorf("%s: Result differs between workers=1 and workers=%d:\n%+v\nvs\n%+v", name, workers, *res1, *res)
 			}
-			sort.Strings(ps)
-			return ps
-		}
-		if !reflect.DeepEqual(sortedPkts(results[0]), sortedPkts(results[1])) {
-			t.Errorf("%s: packet multiset differs between workers=0 and workers=1", name)
-		}
-		r0, r1 := *results[0], *results[1]
-		r0.Packets, r1.Packets = nil, nil
-		if !reflect.DeepEqual(r0, r1) {
-			t.Errorf("%s: Result (modulo packet-trace order) differs between workers=0 and workers=1:\n%+v\nvs\n%+v",
-				name, r0, r1)
+			if !reflect.DeepEqual(probe1.events, pr.events) {
+				t.Errorf("%s: observer stream differs between workers=1 and workers=%d", name, workers)
+			}
 		}
 		if q > c.net.MinLatency(c.nodes) {
-			continue // partially or fully classic quanta: batched order not total
+			continue // some partition is tight: the batched order is not total
 		}
 		ordered++
 		for qi, pkts := range probe1.quanta {

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"sort"
@@ -103,11 +104,30 @@ func (r quietRun) partial(nodes int) int { return len(r.skipped) - nodes*len(r.q
 
 func runQuiet(t *testing.T, c fastCase, workers int, allow bool) quietRun {
 	t.Helper()
+	return runProbed(t, c, workers, allow, false)
+}
+
+// runReference drives every quantum of the case through one event queue over
+// the whole cluster: onPartition substitutes the whole-cluster tight
+// partitioning and onQuiet vetoes every fast-forward. That is the engine's
+// reference — no partitioning, no walk buffers, no deferral, no skip — and
+// exactly what Workers=0 ran before the partitioning became the only
+// executor.
+func runReference(t *testing.T, c fastCase) quietRun {
+	t.Helper()
+	return runProbed(t, c, 0, false, true)
+}
+
+func runProbed(t *testing.T, c fastCase, workers int, allow, reference bool) quietRun {
+	t.Helper()
 	r := quietRun{probe: newQuietProbe()}
 	p := prof.New()
 	cfg := c.config(workers)
 	cfg.Observer = r.probe
 	cfg.Profiler = p
+	if reference {
+		cfg.onPartition = func(*partitioning) bool { return true }
+	}
 	perQuantum := map[int]int{}
 	cfg.onQuiet = func(qi, node int) bool {
 		r.skipped = append(r.skipped, nodeQuantum{qi, node})
@@ -118,12 +138,69 @@ func runQuiet(t *testing.T, c fastCase, workers int, allow bool) quietRun {
 	}
 	res, err := Run(cfg)
 	if err != nil {
-		t.Fatalf("%s workers=%d quiet=%v: %v", c.name, workers, allow, err)
+		t.Fatalf("%s workers=%d quiet=%v reference=%v: %v", c.name, workers, allow, reference, err)
 	}
 	r.res = res
 	r.prof = p.Report().JSON()
 	r.probe.sortPhases()
 	return r
+}
+
+// split separates the probe's ordered stream into the quantum hooks, in
+// order, and the packet hooks as a sorted multiset of (quantum, record).
+func (p *quietProbe) split() (quanta []any, pkts []string) {
+	qi := 0
+	for _, o := range p.ordered {
+		switch rec := o.(type) {
+		case quantumStart:
+			qi = rec.qi
+			quanta = append(quanta, o)
+		case PacketRecord:
+			pkts = append(pkts, fmt.Sprintf("q%d %+v", qi, rec))
+		default:
+			quanta = append(quanta, o)
+		}
+	}
+	sort.Strings(pkts)
+	return quanta, pkts
+}
+
+// requireMatchesReference holds a run to the reference walk of the same case.
+// How a quantum is partitioned may reorder the hooks inside it and nothing
+// else: the Result (its packet trace in canonical order), the fingerprint,
+// the profiler report bytes and every quantum hook must be identical, and the
+// packet and NodePhase hooks equal as per-quantum multisets.
+func requireMatchesReference(t *testing.T, label string, got, ref quietRun) {
+	t.Helper()
+	g, w := *got.res, *ref.res
+	g.Packets, w.Packets = SortPacketsCanonical(g.Packets), SortPacketsCanonical(w.Packets)
+	if !reflect.DeepEqual(g, w) {
+		t.Errorf("%s: Result differs from the reference walk:\ngot  %+v\nwant %+v", label, g.Stats, w.Stats)
+		for i := range w.Quanta {
+			if i < len(g.Quanta) && g.Quanta[i] != w.Quanta[i] {
+				t.Errorf("first divergence at quantum %d:\n%+v\n%+v", i, g.Quanta[i], w.Quanta[i])
+				break
+			}
+		}
+	}
+	if a, b := Fingerprint(got.res), Fingerprint(ref.res); a != b {
+		t.Errorf("%s: fingerprint %s, reference walk %s", label, a, b)
+	}
+	if !bytes.Equal(got.prof, ref.prof) {
+		t.Errorf("%s: profiler report bytes differ from the reference walk", label)
+	}
+	gq, gp := got.probe.split()
+	wq, wp := ref.probe.split()
+	if !reflect.DeepEqual(gq, wq) {
+		t.Errorf("%s: quantum hook stream differs from the reference walk", label)
+	}
+	if !reflect.DeepEqual(gp, wp) {
+		t.Errorf("%s: per-quantum packet multisets differ from the reference walk (%d vs %d hooks)", label, len(gp), len(wp))
+	}
+	if !reflect.DeepEqual(got.probe.phases, ref.probe.phases) {
+		t.Errorf("%s: per-quantum NodePhase multisets differ from the reference walk (%d vs %d hooks)",
+			label, len(got.probe.phases), len(ref.probe.phases))
+	}
 }
 
 // sparseCase is the paper-scale geometry of simbench's graded-mixedwan64 row:
@@ -135,12 +212,13 @@ func sparseCase(count int) fastCase {
 }
 
 // TestQuietPassDifferential is the fast-forward's bit-identity property: over
-// the fast-path behaviour matrix, the 64-node sparse case and random
-// fat-tree/fault scenarios, for the classic, inline-fast and pooled engines, a
-// run that fast-forwards and a run with every quiet quantum, skipped node and
-// skipped tight partition forced through its walk must agree on the Result,
-// the fingerprint, the profiler report bytes, every quantum and packet hook
-// in order, and each quantum's NodePhase multiset.
+// the behaviour matrix, the 64-node sparse case and random fat-tree/fault
+// scenarios, inline and pooled, a run that fast-forwards and a run with every
+// quiet quantum, skipped node and skipped tight partition forced through its
+// walk must agree on the Result, the fingerprint, the profiler report bytes,
+// every quantum and packet hook in order, and each quantum's NodePhase
+// multiset — and both must match the reference walk, which neither
+// partitions nor skips.
 func TestQuietPassDifferential(t *testing.T) {
 	cases := append(fastCases(), sparseCase(15))
 	rnd := rand.New(rand.NewSource(20260928))
@@ -151,9 +229,14 @@ func TestQuietPassDifferential(t *testing.T) {
 	whole, partial := 0, 0
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
+			ref := runReference(t, c)
+			if s := ref.probe.sum; s.QuietQuanta != 0 || s.QuietNodeQuanta != 0 {
+				t.Fatalf("the reference walk fast-forwarded %d quanta and %d node-quanta", s.QuietQuanta, s.QuietNodeQuanta)
+			}
 			for _, workers := range []int{0, 1, 3} {
 				on := runQuiet(t, c, workers, true)
 				off := runQuiet(t, c, workers, false)
+				requireMatchesReference(t, fmt.Sprintf("workers=%d", workers), on, ref)
 				if s := off.probe.sum; s.QuietQuanta != 0 || s.QuietNodeQuanta != 0 {
 					t.Fatalf("workers=%d: forced off, the engine still fast-forwarded %d quanta and %d node-quanta",
 						workers, s.QuietQuanta, s.QuietNodeQuanta)
@@ -166,9 +249,6 @@ func TestQuietPassDifferential(t *testing.T) {
 				if !reflect.DeepEqual(on.skipped, off.skipped) {
 					t.Errorf("workers=%d: skipped set differs fast-forwarding (%d) and forced off (%d)",
 						workers, len(on.skipped), len(off.skipped))
-				}
-				if workers == 0 && on.partial(c.nodes) != 0 {
-					t.Errorf("workers=0: %d node-quanta skipped inside stepped quanta, want 0", on.partial(c.nodes))
 				}
 				whole += len(on.quiet)
 				partial += on.partial(c.nodes)
@@ -290,12 +370,6 @@ func TestSparseQuantaEngage(t *testing.T) {
 		r := runQuiet(t, c, workers, true)
 		stepped := r.res.Stats.Quanta - len(r.quiet)
 		partial := r.partial(c.nodes)
-		if workers == 0 {
-			if partial != 0 {
-				t.Errorf("workers=0: %d node-quanta skipped inside stepped quanta, want 0", partial)
-			}
-			continue
-		}
 		if partial*100 < 90*c.nodes*stepped {
 			t.Errorf("workers=%d: %d of the %d node-quanta of stepped quanta skipped, want >= 90%%",
 				workers, partial, c.nodes*stepped)

@@ -37,11 +37,10 @@ type Env struct {
 	// execution. Whatever the value, results are assembled in the same
 	// fixed order, so every experiment output is worker-count independent.
 	Workers int
-	// IntraWorkers enables the engine's intra-quantum parallel fast path
-	// inside each simulation (cluster.Config.Workers): ground-truth quanta
-	// (Q <= minimum network latency) step their nodes concurrently on this
-	// many workers. 0 keeps every simulation on the classic sequential
-	// engine. Results are bit-identical either way.
+	// IntraWorkers sizes the engine's intra-quantum pool inside each
+	// simulation (cluster.Config.Workers): ground-truth quanta (Q <= minimum
+	// network latency) step their nodes concurrently on this many workers,
+	// inline below 2. Results are bit-identical for every value.
 	IntraWorkers int
 	// Baselines, when non-nil, memoizes ground-truth (Q = 1µs) runs across
 	// experiment runners, so regenerating every figure pays for each

@@ -36,10 +36,11 @@ const ManifestSchema = "clustersim-fleet-manifest/1"
 const GoldenSchema = "clustersim-fleet/1"
 
 // DefaultFleetWorkers is the worker-count matrix every scenario runs at
-// unless it overrides it: the classic event-queue engine (0), the inline
-// fast path (1), and a fanned-out pool (3). Fingerprints must be identical
-// across all of them.
-var DefaultFleetWorkers = []int{0, 1, 3}
+// unless it overrides it: loose nodes walked inline (1) and on a fanned-out
+// pool (3). Fingerprints must be identical across all of them. Workers=0 is
+// the same run as 1 (cluster.Config.Workers only sizes the pool), so the
+// default does not pay for it.
+var DefaultFleetWorkers = []int{1, 3}
 
 // Scenario is one declarative fleet entry. String fields reuse the CLI
 // flag syntaxes (simtime durations, faults.Parse specs, rack topologies) so

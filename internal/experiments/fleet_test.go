@@ -5,9 +5,9 @@ import (
 	"testing"
 )
 
-// tinyManifest is a fast three-scenario fleet touching all three engine
-// paths: classic-only (workers pinned to 0), the full fast path, and the
-// graded mixedwan geometry.
+// tinyManifest is a fast three-scenario fleet touching the three partitioning
+// shapes: one tight partition (with the worker matrix overridden), all nodes
+// loose, and the mixed mixedwan geometry.
 const tinyManifest = `{
   "schema": "clustersim-fleet-manifest/1",
   "scenarios": [

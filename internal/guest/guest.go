@@ -240,8 +240,8 @@ func (n *Node) BeginQuantum(limit simtime.Guest) {
 // canonical tie-break (IDs encode (source, per-source sequence)) — rather
 // than in delivery order. This keeps the receive order independent of
 // *when* the controller routed the frames, which is what lets the engine's
-// barrier-routed parallel fast path and the classic event-queue path feed
-// identical frame sequences to the workload.
+// barrier routing and a tight partition's event queue feed identical frame
+// sequences to the workload.
 func (n *Node) Deliver(f *pkt.Frame, arr simtime.Guest) {
 	n.rxMu.Lock()
 	n.rx.PushPri(int64(arr), int(f.ID), f)

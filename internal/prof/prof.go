@@ -10,20 +10,17 @@
 //
 // Determinism contract: for the deterministic engine (cluster.Run) every
 // value the profiler records is derived from simulated host/guest time, so
-// the end-of-run Report is byte-identical across Workers settings — the
-// classic event-queue path and the intra-quantum fast path feed the profiler
-// the same numbers. The wall-clock parallel runner (cluster.RunParallel)
+// the end-of-run Report is byte-identical across Workers settings and
+// however a quantum is partitioned — a tight partition's event-queue walk and
+// a loose node's direct walk feed the profiler the same numbers. The wall-clock parallel runner (cluster.RunParallel)
 // feeds real elapsed time instead; its reports are measurements, not
 // replayable artifacts, and say so via the Engine field.
 //
 // The per-quantum disable cause records *eligibility*, which is deterministic
 // config+policy state: the output-queue tap (Net.Output) suppresses the fast
 // path, a topology without a positive minimum latency yields no lookahead,
-// and otherwise a quantum is eligible iff Q <= lookahead. The remaining gate
-// — Workers < 1 selects the classic engine — is engine selection, not a
-// property of the run's dynamics, so it is deliberately excluded from the
-// report (which must not vary across worker counts); it is visible live via
-// obs.Registry instead. Fault injection does NOT disengage the fast path.
+// and otherwise a quantum is eligible iff Q <= lookahead. Fault injection
+// does NOT disengage the fast path.
 package prof
 
 import (
@@ -122,8 +119,8 @@ type Metrics interface {
 
 // RunMeta describes the run being profiled. Engines fill it in RunStart.
 type RunMeta struct {
-	// Engine is "deterministic" for cluster.Run (both the classic and the
-	// fast path) and "parallel" for the wall-clock runner.
+	// Engine is "deterministic" for cluster.Run and "parallel" for the
+	// wall-clock runner.
 	Engine string
 	// Nodes is the simulated cluster size.
 	Nodes int
