@@ -126,9 +126,8 @@ func withProfiles(cpu, mem string, f func() error) error {
 // -metrics-addr and -progress flags. The returned cleanup finalizes the
 // trace file, prints the metrics snapshot, and stops the HTTP endpoint; it
 // runs even when the simulation fails so a partial trace stays loadable.
-func observability(target simtime.Guest) (obs.Observer, *obs.Registry, func() error, error) {
+func observability(target simtime.Guest) (obs.Observer, func() error, error) {
 	var observers []obs.Observer
-	var registry *obs.Registry
 	var cleanups []func() error
 	cleanup := func() error {
 		var first error
@@ -142,7 +141,7 @@ func observability(target simtime.Guest) (obs.Observer, *obs.Registry, func() er
 	if *traceOutFlag != "" {
 		f, err := os.Create(*traceOutFlag)
 		if err != nil {
-			return nil, nil, nil, err
+			return nil, nil, err
 		}
 		t := obs.NewChromeTracer(f)
 		observers = append(observers, t)
@@ -159,10 +158,9 @@ func observability(target simtime.Guest) (obs.Observer, *obs.Registry, func() er
 		srv, err := obs.Serve(*metricsAddrFlag, reg)
 		if err != nil {
 			cleanup()
-			return nil, nil, nil, err
+			return nil, nil, err
 		}
 		fmt.Fprintf(os.Stderr, "clustersim: metrics at http://%s/\n", srv.Addr())
-		registry = reg
 		observers = append(observers, reg)
 		cleanups = append(cleanups, func() error {
 			fmt.Fprint(os.Stderr, reg.Text())
@@ -172,7 +170,7 @@ func observability(target simtime.Guest) (obs.Observer, *obs.Registry, func() er
 	if *progressFlag {
 		observers = append(observers, obs.NewProgress(os.Stderr, target, 0))
 	}
-	return obs.Multi(observers...), registry, cleanup, nil
+	return obs.Multi(observers...), cleanup, nil
 }
 
 func run() (err error) {
@@ -226,7 +224,7 @@ func run() (err error) {
 		return err
 	}
 
-	observer, registry, obsCleanup, err := observability(env.MaxGuest)
+	observer, obsCleanup, err := observability(env.MaxGuest)
 	if err != nil {
 		return err
 	}
@@ -236,12 +234,10 @@ func run() (err error) {
 		}
 	}()
 
-	var profiler *prof.Profiler
 	if *reportFlag != "" {
-		profiler = prof.New()
-		if registry != nil {
-			profiler.LiveMetrics = registry
-		}
+		// The profiler is one more sink on the observer stream.
+		profiler := prof.New()
+		observer = obs.Multi(observer, profiler)
 		defer func() {
 			if err != nil {
 				return
@@ -255,7 +251,7 @@ func run() (err error) {
 	}
 
 	if *parallelFlag {
-		return runParallel(w, policy, env, observer, profiler, plan, lookahead)
+		return runParallel(w, policy, env, observer, plan, lookahead)
 	}
 
 	cfg := cluster.Config{
@@ -271,7 +267,6 @@ func run() (err error) {
 		Observer:     observer,
 		Workers:      *intraFlag,
 		Faults:       plan,
-		Profiler:     profiler,
 		Lookahead:    lookahead,
 	}
 	res, err := cluster.Run(cfg)
@@ -299,7 +294,7 @@ func run() (err error) {
 	return nil
 }
 
-func runParallel(w workloads.Workload, policy func() quantum.Policy, env experiments.Env, observer obs.Observer, profiler *prof.Profiler, plan *faults.Plan, lookahead cluster.LookaheadMode) error {
+func runParallel(w workloads.Workload, policy func() quantum.Policy, env experiments.Env, observer obs.Observer, plan *faults.Plan, lookahead cluster.LookaheadMode) error {
 	res, err := cluster.RunParallel(cluster.ParallelConfig{
 		Nodes:            *nodesFlag,
 		Guest:            env.Guest,
@@ -310,7 +305,6 @@ func runParallel(w workloads.Workload, policy func() quantum.Policy, env experim
 		MaxGuest:         env.MaxGuest,
 		Observer:         observer,
 		Faults:           plan,
-		Profiler:         profiler,
 		Lookahead:        lookahead,
 	})
 	if err != nil {

@@ -177,3 +177,19 @@ func TestDiffEquivalentAndMismatchedSchemas(t *testing.T) {
 		t.Errorf("self-diff output lacks the equivalence line:\n%s", out)
 	}
 }
+
+// A sweep file is outside input: a run that lacks its report must be a
+// one-line error naming the run, with and without -run, never a panic.
+func TestSweepRunWithoutReport(t *testing.T) {
+	simprof := build(t, "./cmd/simprof", "simprof")
+	path := filepath.Join(t.TempDir(), "sweep.json")
+	if err := os.WriteFile(path, []byte(`{"schema":"clustersim-prof-sweep/1","runs":[{"label":"x"}]}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, args := range [][]string{{path}, {"-run", "x", path}} {
+		out, err := exec.Command(simprof, args...).CombinedOutput()
+		if err == nil || strings.Contains(string(out), "panic") || !strings.Contains(string(out), `run "x" has no report`) {
+			t.Errorf("simprof %v: err %v, output:\n%s", args, err, out)
+		}
+	}
+}

@@ -63,9 +63,10 @@ type Config struct {
 	// Profiler, when non-nil, accumulates the sync-overhead attribution
 	// profile of the run (per-node compute/idle/barrier-wait decomposition,
 	// fast-path eligibility causes, per-link lookahead slack — see
-	// internal/prof and DESIGN.md §10). Nil disables all attribution at
-	// zero cost, exactly like Observer. The resulting prof.Report is
-	// byte-identical across Workers values for a fixed configuration.
+	// internal/prof and DESIGN.md §10). It is one more sink on the Observer
+	// stream: Run composes the two as obs.Multi(Observer, Profiler) would.
+	// The resulting prof.Report is byte-identical across Workers values for
+	// a fixed configuration.
 	Profiler *prof.Profiler
 	// Workers sizes the pool that walks a quantum's loose nodes (DESIGN.md
 	// §7): nodes no frame sent inside the quantum can reach before the

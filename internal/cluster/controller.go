@@ -5,7 +5,6 @@ import (
 	"clustersim/internal/netmodel"
 	"clustersim/internal/obs"
 	"clustersim/internal/pkt"
-	"clustersim/internal/prof"
 	"clustersim/internal/simtime"
 )
 
@@ -20,11 +19,10 @@ type controller struct {
 	n      int // nodes
 	net    *netmodel.Model
 	faults *faults.Plan
-	// obs and prof mirror the configuration's Observer and Profiler; every
-	// hook site is guarded by a nil check, so a run without them builds no
-	// records and pays only the branch.
-	obs  obs.Observer
-	prof *prof.Profiler
+	// obs is the run's one tap: every sink the configuration names, composed.
+	// Each hook site is guarded by a nil check, so a run without sinks builds
+	// no records and pays only the branch.
+	obs obs.Observer
 	// tracePackets and traceQuanta keep the records in packets and quanta.
 	tracePackets, traceQuanta bool
 
@@ -56,8 +54,8 @@ type controller struct {
 // rules lookahead out before the probe: the port-free state must be updated
 // in the exact order the controller observes frames, which only one event
 // queue over the whole cluster reproduces.
-func newController(nodes int, net *netmodel.Model, mode LookaheadMode, fp *faults.Plan, o obs.Observer, p *prof.Profiler) controller {
-	c := controller{n: nodes, net: net, faults: fp, obs: o, prof: p}
+func newController(nodes int, net *netmodel.Model, mode LookaheadMode, fp *faults.Plan, o obs.Observer) controller {
+	c := controller{n: nodes, net: net, faults: fp, obs: o}
 	switch {
 	case net.Output != nil:
 		c.portFree = make([]simtime.Guest, nodes)
@@ -71,48 +69,44 @@ func newController(nodes int, net *netmodel.Model, mode LookaheadMode, fp *fault
 	return c
 }
 
-// runStart announces the run to the observer and the profiler.
-func (c *controller) runStart(engine, policy string, parallel bool, maxGuest simtime.Guest) {
-	if c.obs != nil {
-		c.obs.RunStart(obs.RunInfo{Nodes: c.n, Policy: policy, Parallel: parallel, MaxGuest: maxGuest})
+// runStart announces the run to the observer.
+func (c *controller) runStart(policy string, parallel bool, maxGuest simtime.Guest) {
+	if c.obs == nil {
+		return
 	}
-	if c.prof != nil {
-		c.prof.RunStart(prof.RunMeta{
-			Engine:      engine,
-			Nodes:       c.n,
-			Policy:      policy,
-			Lookahead:   c.eligLat,
-			OutputQueue: c.net.Output != nil,
-			LinkLat: func(src, dst int) simtime.Duration {
-				return c.net.FrameLatency(netmodel.MinProbe(), src, dst)
-			},
-		})
-	}
+	net := c.net // a sink may keep LinkLat past the run; it must not pin the runner
+	c.obs.RunStart(obs.RunInfo{
+		Nodes: c.n, Policy: policy, Parallel: parallel, MaxGuest: maxGuest,
+		Lookahead:   c.eligLat,
+		OutputQueue: net.Output != nil,
+		LinkLat: func(src, dst int) simtime.Duration {
+			return net.FrameLatency(netmodel.MinProbe(), src, dst)
+		},
+	})
 }
 
-// runEnd closes the run out for the observer and the profiler; quiet and
-// quietNodes count what the runner fast-forwarded (DESIGN.md §7.1).
+// runEnd closes the run out for the observer; quiet and quietNodes count what
+// the runner fast-forwarded (DESIGN.md §7.1).
 func (c *controller) runEnd(guestTime simtime.Guest, hostEnd simtime.Host, quiet, quietNodes int) {
-	if c.obs != nil {
-		c.obs.RunEnd(obs.RunSummary{
-			GuestTime:          guestTime,
-			HostEnd:            hostEnd,
-			Quanta:             c.stats.Quanta,
-			FastEligibleQuanta: c.nElig,
-			QuietQuanta:        quiet,
-			QuietNodeQuanta:    quietNodes,
-		})
+	if c.obs == nil {
+		return
 	}
-	if c.prof != nil {
-		c.prof.RunEnd(guestTime, hostEnd)
-	}
+	c.obs.RunEnd(obs.RunSummary{
+		GuestTime:          guestTime,
+		HostEnd:            hostEnd,
+		Quanta:             c.stats.Quanta,
+		FastEligibleQuanta: c.nElig,
+		QuietQuanta:        quiet,
+		QuietNodeQuanta:    quietNodes,
+	})
 }
 
 // beginQuantum opens quantum qi = (start, start+Q] at host time h and does
 // its eligibility accounting. That accounting is a pure function of (Q,
-// lookahead) — never of how the quantum is then executed — so Stats and the
-// profiler's causes are identical for every runner and Workers value. It
-// returns the quantum's lookahead partitioning, nil without a matrix.
+// lookahead) — never of how the quantum is then executed — so Stats and what
+// a sink derives from the stream are identical for every runner and Workers
+// value. It returns the quantum's lookahead partitioning, nil without a
+// matrix.
 func (c *controller) beginQuantum(qi int, start simtime.Guest, Q simtime.Duration, h simtime.Host) *partitioning {
 	c.limit = start.Add(Q)
 	c.np, c.str = 0, 0
@@ -123,26 +117,26 @@ func (c *controller) beginQuantum(qi int, start simtime.Guest, Q simtime.Duratio
 	var part *partitioning
 	if c.la != nil {
 		part = c.la.partitionFor(Q)
+		if c.obs != nil {
+			c.obs.QuantumPartition(qi, &part.Partitioning)
+		}
 	}
 	switch {
 	case c.qElig:
 		c.nElig++
 		c.stats.FastFullQuanta++
 		c.stats.FastNodeQuanta += c.n
-	case part != nil && part.fastNodes > 0:
+	case part != nil && part.FastNodes > 0:
 		c.stats.FastPartialQuanta++
-		c.stats.FastNodeQuanta += part.fastNodes
-		c.stats.PartialPartitions += part.nparts
-	}
-	if c.prof != nil {
-		c.prof.BeginQuantum(qi, Q, part.grade())
+		c.stats.FastNodeQuanta += part.FastNodes
+		c.stats.PartialPartitions += part.Partitions
 	}
 	return part
 }
 
 // endQuantum folds the finished quantum into the aggregate and publishes its
-// record.
-func (c *controller) endQuantum(qi int, start simtime.Guest, Q simtime.Duration, hStart, barrierStart, hEnd simtime.Host) {
+// record; routing is the controller's per-packet share of the barrier span.
+func (c *controller) endQuantum(qi int, start simtime.Guest, Q simtime.Duration, hStart, barrierStart, hEnd simtime.Host, routing simtime.Duration) {
 	c.stats.observeQuantum(Q, c.np)
 	c.sumQ += float64(Q)
 	if !c.traceQuanta && c.obs == nil {
@@ -157,6 +151,7 @@ func (c *controller) endQuantum(qi int, start simtime.Guest, Q simtime.Duration,
 		HostStart:    hStart,
 		BarrierStart: barrierStart,
 		HostEnd:      hEnd,
+		Routing:      routing,
 		FastEligible: c.qElig,
 	}
 	if c.traceQuanta {
@@ -198,11 +193,6 @@ func (c *controller) countPacket() {
 // are affected.
 func (c *controller) route(fl *flight) (tDs [2]simtime.Guest, n int) {
 	c.countPacket()
-	if c.prof != nil {
-		// Slack is accounted on the ideal, pre-fault arrival, and the
-		// per-link accumulators are order-independent.
-		c.prof.Frame(int(fl.src), int(fl.dst), fl.tD.Sub(fl.tSend))
-	}
 	tDs[0] = fl.tD
 	if c.faults == nil {
 		return tDs, 1
@@ -212,7 +202,7 @@ func (c *controller) route(fl *flight) (tDs [2]simtime.Guest, n int) {
 		c.stats.Dropped++
 		if c.tracePackets || c.obs != nil {
 			c.emit(PacketRecord{
-				SendGuest: fl.tSend, Ideal: fl.tD,
+				SendGuest: fl.tSend, Ideal: fl.tD, Latency: fl.tD.Sub(fl.tSend),
 				Src: int(fl.src), Dst: int(fl.dst), Size: fl.f.Size,
 				Dropped: true,
 			})
@@ -243,18 +233,18 @@ func classify(atBarrier bool, pos, tD, limit simtime.Guest) (arr simtime.Guest, 
 	return tD, false, false
 }
 
-// deliver classifies one surviving copy of a flight — fl.tD is the copy's
-// own arrival time — and accounts for it, so that a duplicate counts
-// independently in the straggler statistics. Handing the frame to the
-// destination at arr is the caller's.
-func (c *controller) deliver(fl *flight, atBarrier bool, pos simtime.Guest, dupCopy bool) (arr simtime.Guest, straggler bool) {
-	arr, straggler, snapped := classify(atBarrier, pos, fl.tD, c.limit)
+// deliver classifies one surviving copy of a flight — tD is the copy's own
+// arrival time, fl.tD the flight's before its fault draws — and accounts for
+// it, so that a duplicate counts independently in the straggler statistics.
+// Handing the frame to the destination at arr is the caller's.
+func (c *controller) deliver(fl *flight, tD simtime.Guest, atBarrier bool, pos simtime.Guest, dupCopy bool) (arr simtime.Guest, straggler bool) {
+	arr, straggler, snapped := classify(atBarrier, pos, tD, c.limit)
 	st := &c.stats
 	st.Deliveries++
 	if straggler {
 		st.Stragglers++
 		c.str++
-		st.StragglerDelay += arr.Sub(fl.tD)
+		st.StragglerDelay += arr.Sub(tD)
 		if snapped {
 			st.QuantumSnaps++
 		}
@@ -263,7 +253,7 @@ func (c *controller) deliver(fl *flight, atBarrier bool, pos simtime.Guest, dupC
 	}
 	if c.tracePackets || c.obs != nil {
 		c.emit(PacketRecord{
-			SendGuest: fl.tSend, Ideal: fl.tD, Arrival: arr,
+			SendGuest: fl.tSend, Ideal: tD, Arrival: arr, Latency: fl.tD.Sub(fl.tSend),
 			Src: int(fl.src), Dst: int(fl.dst), Size: fl.f.Size,
 			Straggler: straggler, Snapped: snapped, Duplicate: dupCopy,
 		})

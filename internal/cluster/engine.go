@@ -9,7 +9,6 @@ import (
 	"clustersim/internal/host"
 	"clustersim/internal/obs"
 	"clustersim/internal/pkt"
-	"clustersim/internal/prof"
 	"clustersim/internal/quantum"
 	"clustersim/internal/simtime"
 	"clustersim/internal/workerpool"
@@ -214,9 +213,6 @@ type engine struct {
 	// the tight-partition walks — the signal for sendFrame to defer
 	// cross-partition frames to the barrier — and is nil at all other times.
 	curPart []int32
-	// partFin is the per-partition last-finish scratch for the profiler's
-	// partition-wait attribution, reused across quanta.
-	partFin []simtime.Host
 
 	// quietH is the minimum of the arena's quietUntil lane as of the last full
 	// scan, so a stretch in which no node acts costs one comparison per
@@ -273,9 +269,13 @@ func Run(cfg Config) (*Result, error) {
 		return nil, err
 	}
 	n := cfg.Nodes
+	sink := cfg.Observer
+	if cfg.Profiler != nil { // a nil *Profiler must not become a non-nil Observer
+		sink = obs.Multi(sink, cfg.Profiler)
+	}
 	e := &engine{
 		cfg:        cfg,
-		controller: newController(n, cfg.Net, cfg.Lookahead, cfg.Faults, cfg.Observer, cfg.Profiler),
+		controller: newController(n, cfg.Net, cfg.Lookahead, cfg.Faults, sink),
 		hm:         host.NewModel(cfg.Host),
 		policy:     cfg.Policy(),
 	}
@@ -355,7 +355,7 @@ func (e *engine) degenerate(tight bool) *partitioning {
 func (e *engine) run() (*Result, error) {
 	var start simtime.Guest
 	var hostNow simtime.Host
-	e.runStart("deterministic", e.policy.Name(), false, e.cfg.MaxGuest)
+	e.runStart(e.policy.Name(), false, e.cfg.MaxGuest)
 
 	nodes := e.cfg.Nodes
 	for qi, Q := 0, e.policy.First(); ; qi++ {
@@ -400,23 +400,7 @@ func (e *engine) run() (*Result, error) {
 		routing := simtime.Duration(e.np) * e.cfg.Host.PacketHostCost
 		barrierEnd := maxH.Add(e.cfg.Host.BarrierCost).Add(routing)
 		e.stats.HostBarrier += barrierEnd.Sub(maxH)
-		if e.prof != nil {
-			// Per-node barrier wait: finishing the quantum until the last
-			// arrival (the shared barrier+routing costs are attributed once,
-			// below, not per node).
-			for i := 0; i < nodes; i++ {
-				e.prof.NodeWait(i, maxH.Sub(e.na.finishHost[i]))
-			}
-			e.profPartitionWaits(part, maxH)
-			e.prof.EndQuantum(prof.QuantumStats{
-				Span:       barrierEnd.Sub(hostNow),
-				Routing:    routing,
-				Barrier:    e.cfg.Host.BarrierCost,
-				Packets:    e.np,
-				Stragglers: e.str,
-			})
-		}
-		e.endQuantum(qi, start, Q, hostNow, maxH, barrierEnd)
+		e.endQuantum(qi, start, Q, hostNow, maxH, barrierEnd, routing)
 
 		hostNow = barrierEnd
 		start = e.limit
@@ -517,9 +501,6 @@ func (e *engine) stepNode(i int, h simtime.Host) {
 		case guest.StepBusy:
 			cost := e.hostCost(i, st.From, st.To, host.Busy)
 			e.stats.HostBusy += cost
-			if e.prof != nil {
-				e.prof.Segment(i, prof.SegBusy, cost)
-			}
 			endH := h.Add(cost)
 			e.na.inSeg[i] = true
 			e.na.segMode[i] = host.Busy
@@ -589,9 +570,6 @@ func (e *engine) idleTo(i int, target simtime.Guest, h simtime.Host) {
 	}
 	cost := e.hostCost(i, from, target, host.Idle)
 	e.stats.HostIdle += cost
-	if e.prof != nil {
-		e.prof.Segment(i, prof.SegIdle, cost)
-	}
 	endH := h.Add(cost)
 	e.na.phase[i] = phIdle
 	e.na.inSeg[i] = true
@@ -699,24 +677,23 @@ func (e *engine) routeFlight(h simtime.Host, fi int32) {
 	}
 	tDs, n := e.route(&fl)
 	for k := 0; k < n; k++ {
-		fl.tD = tDs[k]
-		e.deliver(h, &fl, k == 1)
+		e.deliver(h, &fl, tDs[k], k == 1)
 	}
 }
 
-// deliver classifies one frame copy against the destination's progress and
-// hands it to the node. Under the batched barrier router (e.batching) the
-// copy is recorded for the per-destination delivery pass instead of being
-// pushed immediately; every destination is at the barrier then, so the
-// idle-wake adjustments below are provably dead in that mode.
-func (e *engine) deliver(h simtime.Host, fl *flight, dupCopy bool) {
+// deliver classifies one frame copy, due at tD, against the destination's
+// progress and hands it to the node. Under the batched barrier router
+// (e.batching) the copy is recorded for the per-destination delivery pass
+// instead of being pushed immediately; every destination is at the barrier
+// then, so the idle-wake adjustments below are provably dead in that mode.
+func (e *engine) deliver(h simtime.Host, fl *flight, tD simtime.Guest, dupCopy bool) {
 	dst := int(fl.dst)
 	atBarrier := e.na.phase[dst] == phAtLimit
 	var pos simtime.Guest
 	if !atBarrier {
 		pos = e.guestPos(dst, h)
 	}
-	arr, straggler := e.controller.deliver(fl, atBarrier, pos, dupCopy)
+	arr, straggler := e.controller.deliver(fl, tD, atBarrier, pos, dupCopy)
 
 	if e.batching {
 		e.pend = append(e.pend, pendDeliv{dst: fl.dst, f: fl.f, arr: arr}) //simlint:hotalloc pending-delivery buffer grows to its watermark once; length-reset each quantum
@@ -739,9 +716,6 @@ func (e *engine) deliver(h simtime.Host, fl *flight, dupCopy bool) {
 		// The cancelled tail of the idle segment is never simulated.
 		trunc := e.na.segEndH[dst].Sub(simtime.MaxHost(h, e.na.segStartH[dst]))
 		e.stats.HostIdle -= trunc
-		if e.prof != nil {
-			e.prof.Segment(dst, prof.SegIdle, -trunc)
-		}
 		if e.obs != nil {
 			// Report the truncated idle segment: the straggler cut it short.
 			e.obs.NodePhase(dst, obs.PhaseIdle, e.na.segStartG[dst], arr,
@@ -763,9 +737,6 @@ func (e *engine) deliver(h simtime.Host, fl *flight, dupCopy bool) {
 		cost := e.hostCost(dst, e.na.segStartG[dst], arr, host.Idle)
 		refund := e.na.segEndH[dst].Sub(e.na.segStartH[dst]) - cost
 		e.stats.HostIdle -= refund
-		if e.prof != nil {
-			e.prof.Segment(dst, prof.SegIdle, -refund)
-		}
 		endH := e.na.segStartH[dst].Add(cost)
 		e.na.segEndG[dst] = arr
 		e.na.segEndH[dst] = endH
@@ -905,16 +876,13 @@ func (e *engine) quietNode(i int, hostNow simtime.Host) {
 	n := e.na.node[i]
 	from := n.Clock()
 	busy := e.na.quietBusy[i]
-	mode, seg, ph, total := host.Idle, prof.SegIdle, obs.PhaseIdle, &e.stats.HostIdle
+	mode, ph, total := host.Idle, obs.PhaseIdle, &e.stats.HostIdle
 	if busy {
-		mode, seg, ph, total = host.Busy, prof.SegBusy, obs.PhaseBusy, &e.stats.HostBusy
+		mode, ph, total = host.Busy, obs.PhaseBusy, &e.stats.HostBusy
 	}
 	cost := e.hostCost(i, from, e.limit, mode)
 	*total += cost
 	end := hostNow.Add(cost)
-	if e.prof != nil {
-		e.prof.Segment(i, seg, cost)
-	}
 	if e.obs != nil {
 		e.obs.NodePhase(i, ph, from, e.limit, hostNow, end)
 	}
@@ -946,7 +914,7 @@ func (e *engine) walkActive(hostNow simtime.Host) {
 
 // foldNode publishes loose node i's quantum at the barrier: the quiet pass
 // for a node that sat the quantum out, otherwise its completed walk buffers —
-// stats, profiler charges, done accounting and observer replay.
+// stats, done accounting and observer replay.
 // Single-threaded; called in ascending node order so the published order is
 // canonical whatever worker walked the node.
 func (e *engine) foldNode(i int, hostNow simtime.Host) {
@@ -957,12 +925,6 @@ func (e *engine) foldNode(i int, hostNow simtime.Host) {
 	wk := &e.walks[i]
 	e.stats.HostBusy += wk.busy
 	e.stats.HostIdle += wk.idle
-	if e.prof != nil {
-		// Folded here rather than charged during the walk, so the walk needs
-		// no cross-worker synchronization.
-		e.prof.Segment(i, prof.SegBusy, wk.busy)
-		e.prof.Segment(i, prof.SegIdle, wk.idle)
-	}
 	if wk.done {
 		if wk.err != nil && e.firstErr == nil {
 			e.firstErr = fmt.Errorf("cluster: rank %d: %w", i, wk.err) //simlint:hotalloc error path: fires at most once per node, at workload failure
@@ -1017,7 +979,7 @@ func (e *engine) tightSitsOut(members []int32) bool {
 //
 //simlint:hotpath the quantum executor: every stepped quantum runs here
 func (e *engine) runQuantum(hostNow simtime.Host, p *partitioning) {
-	e.curPart = p.part
+	e.curPart = p.Part
 	for _, members := range p.tight {
 		if e.tightSitsOut(members) {
 			for _, m := range members {
@@ -1063,36 +1025,6 @@ func (e *engine) runQuantum(hostNow simtime.Host, p *partitioning) {
 	}
 	e.assembling = false
 	e.routeBatch()
-}
-
-// profPartitionWaits charges each lookahead partition's barrier wait for
-// the quantum: the release point minus the partition's last member finish.
-// With an unknown partitioning the whole cluster is one partition. Derived
-// purely from simulated time, so the attribution is identical for every
-// Workers value.
-func (e *engine) profPartitionWaits(p *partitioning, maxH simtime.Host) {
-	if p == nil {
-		last := e.na.finishHost[0]
-		for _, fh := range e.na.finishHost[1:] {
-			last = simtime.MaxHost(last, fh)
-		}
-		e.prof.PartitionWait(maxH.Sub(last))
-		return
-	}
-	if cap(e.partFin) < p.nparts {
-		e.partFin = make([]simtime.Host, p.nparts)
-	}
-	fin := e.partFin[:p.nparts]
-	for i := range fin {
-		fin[i] = 0
-	}
-	for i, fh := range e.na.finishHost {
-		pid := p.part[i]
-		fin[pid] = simtime.MaxHost(fin[pid], fh)
-	}
-	for _, f := range fin {
-		e.prof.PartitionWait(maxH.Sub(f))
-	}
 }
 
 // walkNode steps one loose node from the quantum start to the barrier without

@@ -23,6 +23,9 @@ func (r *recorder) RunEnd(s obs.RunSummary) { r.events = append(r.events, fmt.Sp
 func (r *recorder) QuantumStart(i int, start simtime.Guest, q simtime.Duration, h simtime.Host) {
 	r.events = append(r.events, fmt.Sprintf("q%d %v %v %v", i, start, q, h))
 }
+func (r *recorder) QuantumPartition(i int, p *obs.Partitioning) {
+	r.events = append(r.events, fmt.Sprintf("part q%d %+v", i, *p))
+}
 func (r *recorder) QuantumEnd(rec obs.QuantumRecord) {
 	r.events = append(r.events, fmt.Sprintf("qe %+v", rec))
 }

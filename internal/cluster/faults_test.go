@@ -191,7 +191,7 @@ func TestFastPathBoundMatchesMinLatency(t *testing.T) {
 	}
 	for name, m := range models {
 		for _, mode := range []LookaheadMode{LookaheadMatrix, LookaheadScalar} {
-			c := newController(4, m, mode, nil, nil, nil)
+			c := newController(4, m, mode, nil, nil)
 			if want := m.MinLatency(4); c.eligLat != want {
 				t.Errorf("%s/mode=%d: eligibility bound %v != MinLatency %v", name, mode, c.eligLat, want)
 			}
@@ -204,7 +204,7 @@ func TestFastPathBoundMatchesMinLatency(t *testing.T) {
 	// With an OutputQueue there is no lookahead at all.
 	out := netmodel.Paper()
 	out.Output = &netmodel.OutputQueue{}
-	if c := newController(4, out, LookaheadMatrix, nil, nil, nil); c.eligLat != 0 || c.la != nil {
+	if c := newController(4, out, LookaheadMatrix, nil, nil); c.eligLat != 0 || c.la != nil {
 		t.Errorf("OutputQueue model has lookahead: bound %v (la=%v)", c.eligLat, c.la != nil)
 	}
 }

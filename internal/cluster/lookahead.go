@@ -4,7 +4,7 @@ import (
 	"sort"
 
 	"clustersim/internal/netmodel"
-	"clustersim/internal/prof"
+	"clustersim/internal/obs"
 	"clustersim/internal/simtime"
 )
 
@@ -42,29 +42,17 @@ type lookahead struct {
 // partitioning is the lookahead closure of the cluster at one tight-link
 // set: the connected components of the links with latency below Q.
 type partitioning struct {
-	// part maps node -> partition id. Ids are dense and canonical: they
-	// number the partitions by their smallest member node.
-	part   []int32
-	nparts int
+	// The structure as the observer stream publishes it: the node->partition
+	// map, the counts, the level and the tight-link ranking.
+	obs.Partitioning
 	// fastNode marks the loose singletons — nodes with no tight link in
 	// either direction.
-	fastNode  []bool
-	fastNodes int
+	fastNode []bool
 	// loose lists them, ascending.
 	loose []int32
 	// tight lists each multi-node partition's members (ascending), ordered
 	// by partition id.
 	tight [][]int32
-	// maxTightLat is the largest tight-link latency (the level this
-	// partitioning was built at); zero when there are no tight links. It
-	// uniquely identifies the structure: the tight-link set is exactly the
-	// links with latency <= maxTightLat.
-	maxTightLat simtime.Duration
-	// tightLinks ranks the directed tight links ascending by latency (the
-	// links binding partitions together), truncated to tightLinksK;
-	// tightLinkCount has the full count.
-	tightLinks     []prof.LinkRef
-	tightLinkCount int64
 }
 
 // tightLinksK bounds the per-partitioning tight-link ranking, mirroring the
@@ -121,9 +109,10 @@ func (la *lookahead) partitionFor(q simtime.Duration) *partitioning {
 // latency levels.
 func (la *lookahead) build(idx int) *partitioning {
 	n := la.n
-	p := &partitioning{part: make([]int32, n), fastNode: make([]bool, n)}
+	p := &partitioning{fastNode: make([]bool, n)}
+	p.Part = make([]int32, n)
 	if idx > 0 {
-		p.maxTightLat = la.levels[idx-1]
+		p.MaxTightLat = la.levels[idx-1]
 	}
 
 	// Union-find over the undirected tight-link graph.
@@ -141,7 +130,7 @@ func (la *lookahead) build(idx int) *partitioning {
 	}
 	for s := 0; s < n; s++ {
 		for d := s + 1; d < n; d++ {
-			if la.lat[s*n+d] > p.maxTightLat && la.lat[d*n+s] > p.maxTightLat {
+			if la.lat[s*n+d] > p.MaxTightLat && la.lat[d*n+s] > p.MaxTightLat {
 				continue
 			}
 			rs, rd := find(int32(s)), find(int32(d))
@@ -167,45 +156,41 @@ func (la *lookahead) build(idx int) *partitioning {
 			id[r] = pid
 			members = append(members, nil)
 		}
-		p.part[i] = pid
+		p.Part[i] = pid
 		members[pid] = append(members[pid], int32(i))
 	}
-	p.nparts = len(members)
 	for _, m := range members {
 		if len(m) == 1 {
-			i := m[0]
-			p.fastNode[i] = true
-			p.fastNodes++
-			p.loose = append(p.loose, i)
+			p.fastNode[m[0]] = true
+			p.loose = append(p.loose, m[0])
 		} else {
 			p.tight = append(p.tight, m)
 		}
 	}
+	p.Partitions, p.TightPartitions, p.FastNodes = len(members), len(p.tight), len(p.loose)
 
 	// Rank the directed tight links, ascending by latency then (src, dst).
 	for s := 0; s < n; s++ {
 		for d := 0; d < n; d++ {
-			if s == d || la.lat[s*n+d] > p.maxTightLat {
+			if s == d || la.lat[s*n+d] > p.MaxTightLat {
 				continue
 			}
-			p.tightLinkCount++
-			p.tightLinks = append(p.tightLinks, prof.LinkRef{
-				Src: s, Dst: d, LatencyNS: int64(la.lat[s*n+d]),
-			})
+			p.TightLinks = append(p.TightLinks, obs.Link{Src: s, Dst: d, Latency: la.lat[s*n+d]})
 		}
 	}
-	sort.Slice(p.tightLinks, func(i, j int) bool {
-		a, b := p.tightLinks[i], p.tightLinks[j]
-		if a.LatencyNS != b.LatencyNS {
-			return a.LatencyNS < b.LatencyNS
+	p.TightLinkCount = int64(len(p.TightLinks))
+	sort.Slice(p.TightLinks, func(i, j int) bool {
+		a, b := p.TightLinks[i], p.TightLinks[j]
+		if a.Latency != b.Latency {
+			return a.Latency < b.Latency
 		}
 		if a.Src != b.Src {
 			return a.Src < b.Src
 		}
 		return a.Dst < b.Dst
 	})
-	if len(p.tightLinks) > tightLinksK {
-		p.tightLinks = p.tightLinks[:tightLinksK]
+	if len(p.TightLinks) > tightLinksK {
+		p.TightLinks = p.TightLinks[:tightLinksK]
 	}
 	return p
 }
@@ -213,7 +198,8 @@ func (la *lookahead) build(idx int) *partitioning {
 // uniformPartitioning returns one of the two degenerate partitionings of n
 // nodes: every node a loose singleton, or the whole cluster one tight
 // partition — what partitionFor yields at or below the smallest latency level
-// and above the largest. They execute the configurations that have no matrix.
+// and above the largest. They execute the configurations that have no matrix,
+// and are never published.
 func uniformPartitioning(n int, tight bool) *partitioning {
 	all := make([]int32, n)
 	for i := range all {
@@ -221,30 +207,12 @@ func uniformPartitioning(n int, tight bool) *partitioning {
 	}
 	p := &partitioning{fastNode: make([]bool, n)}
 	if tight {
-		p.part, p.nparts, p.tight = make([]int32, n), 1, [][]int32{all}
+		p.Part, p.tight = make([]int32, n), [][]int32{all}
 		return p
 	}
 	for i := range p.fastNode {
 		p.fastNode[i] = true
 	}
-	p.part, p.nparts, p.fastNodes, p.loose = all, n, n, all
+	p.Part, p.loose = all, all
 	return p
-}
-
-// grade summarizes the partitioning for the profiler's graded-engagement
-// accounting. A nil receiver (scalar lookahead, no-lookahead topology, or
-// output-queue tap) reports an unknown grade.
-func (p *partitioning) grade() prof.Grade {
-	if p == nil {
-		return prof.Grade{}
-	}
-	return prof.Grade{
-		Known:           true,
-		Partitions:      p.nparts,
-		TightPartitions: len(p.tight),
-		FastNodes:       p.fastNodes,
-		MaxTightLat:     p.maxTightLat,
-		TightLinks:      p.tightLinks,
-		TightLinkCount:  p.tightLinkCount,
-	}
 }

@@ -82,13 +82,13 @@ func checkClosure(t *testing.T, la *lookahead, p *partitioning, q simtime.Durati
 			if s == d {
 				continue
 			}
-			if tight(s, d) != (la.lat[s*n+d] <= p.maxTightLat) {
+			if tight(s, d) != (la.lat[s*n+d] <= p.MaxTightLat) {
 				t.Errorf("link %d->%d: lat %v vs maxTightLat %v disagrees with Q %v",
-					s, d, la.lat[s*n+d], p.maxTightLat, q)
+					s, d, la.lat[s*n+d], p.MaxTightLat, q)
 			}
-			if tight(s, d) && p.part[s] != p.part[d] {
+			if tight(s, d) && p.Part[s] != p.Part[d] {
 				t.Errorf("tight link %d->%d (lat %v < Q %v) crosses partitions %d/%d",
-					s, d, la.lat[s*n+d], q, p.part[s], p.part[d])
+					s, d, la.lat[s*n+d], q, p.Part[s], p.Part[d])
 			}
 		}
 	}
@@ -109,8 +109,8 @@ func checkClosure(t *testing.T, la *lookahead, p *partitioning, q simtime.Durati
 			fast++
 		}
 	}
-	if fast != p.fastNodes || len(p.loose) != fast {
-		t.Errorf("fastNodes=%d loose=%d, want %d", p.fastNodes, len(p.loose), fast)
+	if fast != p.FastNodes || len(p.loose) != fast {
+		t.Errorf("fastNodes=%d loose=%d, want %d", p.FastNodes, len(p.loose), fast)
 	}
 
 	// Every multi-node partition is connected through undirected tight links
@@ -142,9 +142,9 @@ func checkClosure(t *testing.T, la *lookahead, p *partitioning, q simtime.Durati
 		}
 		seen += len(members)
 	}
-	if seen+fast != n || p.nparts != len(p.tight)+fast {
+	if seen+fast != n || p.Partitions != len(p.tight)+fast {
 		t.Errorf("partition counts: tight members %d + fast %d != %d nodes (nparts=%d)",
-			seen, fast, n, p.nparts)
+			seen, fast, n, p.Partitions)
 	}
 }
 
@@ -164,15 +164,15 @@ func TestPartitionForCachesPerBand(t *testing.T) {
 	if mid1 != mid2 {
 		t.Error("same-band quanta built distinct partitionings")
 	}
-	if mid1.maxTightLat != intra || len(mid1.tight) != 2 || mid1.fastNodes != 0 {
+	if mid1.MaxTightLat != intra || len(mid1.tight) != 2 || mid1.FastNodes != 0 {
 		t.Errorf("mid-band partitioning: %+v", mid1)
 	}
 	full := la.partitionFor(intra) // Q == min: fully loose
-	if full.fastNodes != 8 || full.nparts != 8 || full.maxTightLat != 0 {
+	if full.FastNodes != 8 || full.Partitions != 8 || full.MaxTightLat != 0 {
 		t.Errorf("fully loose partitioning: %+v", full)
 	}
 	one := la.partitionFor(inter + 1)
-	if one.nparts != 1 || one.fastNodes != 0 || one.maxTightLat != inter {
+	if one.Partitions != 1 || one.FastNodes != 0 || one.MaxTightLat != inter {
 		t.Errorf("fully tight partitioning: %+v", one)
 	}
 }

@@ -12,7 +12,6 @@ import (
 	"clustersim/internal/netmodel"
 	"clustersim/internal/obs"
 	"clustersim/internal/pkt"
-	"clustersim/internal/prof"
 	"clustersim/internal/quantum"
 	"clustersim/internal/simtime"
 )
@@ -43,7 +42,11 @@ type ParallelConfig struct {
 	// are real wall-clock nanoseconds since the run started. Node goroutines
 	// fire NodePhase concurrently, so the observer must be safe for
 	// concurrent use (all bundled obs implementations are). Nil disables
-	// all hooks at zero cost.
+	// all hooks at zero cost. A Profiler (internal/prof) attaches like any
+	// other sink (obs.Multi composes several); what it then reports are
+	// measurements that vary run to run: the barrier is first-arrival to
+	// release, a node's wait runs from its last busy segment to the release,
+	// and idle is always zero, because guest idle is free in real time.
 	Observer obs.Observer
 	// Faults injects per-link loss/duplication/jitter at the controller and
 	// scales per-node spin by the plan's slowdown factors. Frame-level
@@ -51,17 +54,9 @@ type ParallelConfig struct {
 	// but wall-clock scheduling still varies run to run. Nil injects
 	// nothing.
 	Faults *faults.Plan
-	// Profiler accumulates the sync-overhead attribution profile of the
-	// run. Host-time values come from the real wall clock, so — unlike the
-	// deterministic engine's — parallel reports are measurements that vary
-	// run to run; the barrier decomposition is first-arrival→release and
-	// per-node wait is arrival→release. Guest idle is free in real time, so
-	// idle attribution is always zero here. Nil disables at zero cost.
-	Profiler *prof.Profiler
 	// Lookahead mirrors Config.Lookahead: the default matrix mode derives
-	// the per-quantum lookahead partitioning so eligibility causes report
-	// graded engagement and barrier participation is tracked per partition
-	// (each partition's last arrival, under the existing global barrier);
+	// the per-quantum lookahead partitioning, so Stats report graded
+	// engagement and the observer stream carries the partitioning;
 	// LookaheadScalar restores the scalar accounting.
 	Lookahead LookaheadMode
 }
@@ -125,10 +120,6 @@ type pnode struct {
 	// nanosecond for this node: SpinPerGuestBusy times the fault plan's
 	// slowdown factor. Immutable after construction.
 	spinPerBusy float64
-	// arrH is the host time this node last arrived at the current
-	// quantum's barrier (reset to the quantum start on entry); guarded by
-	// prun.mu and only maintained when a profiler is attached.
-	arrH simtime.Host
 }
 
 // prun is the shared state of one parallel run. The controller mutex guards
@@ -161,16 +152,6 @@ type prun struct {
 	// real synchronization wait charged to Stats.HostBarrier.
 	firstArr simtime.Host
 	haveArr  bool
-	// part is this quantum's lookahead partitioning (nil without a matrix);
-	// partLeft counts each partition's nodes still running and partArrH
-	// records the host time its last member reached the barrier, so the
-	// profiler can attribute barrier wait per partition under the single
-	// global barrier. lastArr is the whole-cluster fallback. Only maintained
-	// when a profiler is attached; all guarded by mu.
-	part     *partitioning
-	partLeft []int
-	partArrH []simtime.Host
-	lastArr  simtime.Host
 	wErr     error
 }
 
@@ -186,7 +167,7 @@ func RunParallel(cfg ParallelConfig) (*ParallelResult, error) {
 	}
 	r := &prun{
 		cfg:        cfg,
-		controller: newController(cfg.Nodes, cfg.Net, cfg.Lookahead, cfg.Faults, cfg.Observer, cfg.Profiler),
+		controller: newController(cfg.Nodes, cfg.Net, cfg.Lookahead, cfg.Faults, cfg.Observer),
 		barrier:    make(chan struct{}, 1),
 	}
 	for i, n := range nodes {
@@ -206,7 +187,7 @@ func RunParallel(cfg ParallelConfig) (*ParallelResult, error) {
 	}
 	policy := cfg.Policy()
 	r.startWall = time.Now() //simlint:wallclock the real-time runner measures actual wall time by design; the deterministic engine models it instead
-	r.runStart("parallel", policy.Name(), true, cfg.MaxGuest)
+	r.runStart(policy.Name(), true, cfg.MaxGuest)
 
 	var wg sync.WaitGroup
 	for _, pn := range r.nodes {
@@ -232,7 +213,7 @@ func RunParallel(cfg ParallelConfig) (*ParallelResult, error) {
 			}
 			r.mu.Lock()
 			qStartH := r.hostNow()
-			r.part = r.beginQuantum(qi, guestStart, Q, qStartH)
+			r.beginQuantum(qi, guestStart, Q, qStartH)
 			// Nodes that finished in earlier quanta stand permanently at the
 			// barrier; pre-counting them keeps the arrival count consistent
 			// however unevenly the workloads drain.
@@ -248,34 +229,6 @@ func RunParallel(cfg ParallelConfig) (*ParallelResult, error) {
 					pn.state = pnRunning
 					pn.limit = r.limit
 					live = append(live, pn)
-				}
-			}
-			if r.prof != nil {
-				// Nodes already done stand at the barrier for the whole
-				// quantum; everyone else overwrites this on arrival.
-				for _, pn := range r.nodes {
-					pn.arrH = qStartH
-				}
-				r.lastArr = qStartH
-				if p := r.part; p != nil {
-					if cap(r.partLeft) < p.nparts {
-						r.partLeft = make([]int, p.nparts)
-						r.partArrH = make([]simtime.Host, p.nparts)
-					}
-					r.partLeft = r.partLeft[:p.nparts]
-					r.partArrH = r.partArrH[:p.nparts]
-					for i := range r.partLeft {
-						r.partLeft[i] = 0
-						// A partition whose nodes all finished earlier stands
-						// at the barrier from the quantum start, like a done
-						// node in the per-node accounting.
-						r.partArrH[i] = qStartH
-					}
-					for i, pn := range r.nodes {
-						if pn.state != pnDone {
-							r.partLeft[p.part[i]]++
-						}
-					}
 				}
 			}
 			r.gen++
@@ -374,16 +327,6 @@ func (r *prun) arrive(pn *pnode) {
 		r.haveArr = true
 		r.firstArr = r.hostNow()
 	}
-	if r.prof != nil {
-		pn.arrH = r.hostNow()
-		r.lastArr = pn.arrH
-		if p := r.part; p != nil {
-			pid := p.part[pn.n.ID()]
-			if r.partLeft[pid]--; r.partLeft[pid] == 0 {
-				r.partArrH[pid] = pn.arrH
-			}
-		}
-	}
 	if r.atLimit == len(r.nodes) {
 		r.signalController()
 	}
@@ -413,31 +356,7 @@ func (r *prun) recordQuantum(qi int, start simtime.Guest, Q simtime.Duration, qS
 		bStart = r.firstArr
 	}
 	r.stats.HostBarrier += end.Sub(bStart)
-	if r.prof != nil {
-		// Per-node wait: the node's own barrier arrival to the release
-		// happening now (a done node waits the whole quantum).
-		for i, pn := range r.nodes {
-			r.prof.NodeWait(i, end.Sub(pn.arrH))
-		}
-		// Per-partition wait: each partition's completion (its last member's
-		// barrier arrival) to the release — barrier participation under the
-		// single global barrier, graded by the lookahead partitioning. With
-		// no partitioning the whole cluster is one partition.
-		if r.part != nil {
-			for pid := range r.partArrH {
-				r.prof.PartitionWait(end.Sub(r.partArrH[pid]))
-			}
-		} else {
-			r.prof.PartitionWait(end.Sub(r.lastArr))
-		}
-		r.prof.EndQuantum(prof.QuantumStats{
-			Span:       end.Sub(qStartH),
-			Barrier:    end.Sub(bStart),
-			Packets:    r.np,
-			Stragglers: r.str,
-		})
-	}
-	r.endQuantum(qi, start, Q, qStartH, bStart, end)
+	r.endQuantum(qi, start, Q, qStartH, bStart, end, 0)
 }
 
 // nodeLoop drives one node across quanta. Quantum entry is a single channel
@@ -464,20 +383,14 @@ func (r *prun) runQuantum(pn *pnode, gen int) bool {
 		st := pn.n.Step()
 		switch st.Kind {
 		case guest.StepBusy:
-			if r.obs != nil || r.prof != nil {
-				h0 := r.hostNow()
-				//simlint:guestwall guest busy-time is deliberately exchanged for real CPU burn, scaled by spinPerBusy
-				spin(time.Duration(float64(st.To.Sub(st.From)) * pn.spinPerBusy))
-				h1 := r.hostNow()
-				if r.obs != nil {
-					r.obs.NodePhase(pn.n.ID(), obs.PhaseBusy, st.From, st.To, h0, h1)
-				}
-				if r.prof != nil {
-					r.prof.Segment(pn.n.ID(), prof.SegBusy, h1.Sub(h0))
-				}
-			} else {
-				//simlint:guestwall guest busy-time is deliberately exchanged for real CPU burn, scaled by spinPerBusy
-				spin(time.Duration(float64(st.To.Sub(st.From)) * pn.spinPerBusy))
+			var h0 simtime.Host
+			if r.obs != nil {
+				h0 = r.hostNow()
+			}
+			//simlint:guestwall guest busy-time is deliberately exchanged for real CPU burn, scaled by spinPerBusy
+			spin(time.Duration(float64(st.To.Sub(st.From)) * pn.spinPerBusy))
+			if r.obs != nil {
+				r.obs.NodePhase(pn.n.ID(), obs.PhaseBusy, st.From, st.To, h0, r.hostNow())
 			}
 
 		case guest.StepSend:
@@ -558,8 +471,7 @@ func (r *prun) route(pn *pnode, f *pkt.Frame, tSend simtime.Guest) {
 		fl := flight{f: f, src: int32(src), dst: int32(dst), tSend: tSend, tD: r.arrival(f, src, dst, depart)}
 		tDs, n := r.controller.route(&fl)
 		for k := 0; k < n; k++ {
-			fl.tD = tDs[k]
-			r.deliverCopy(&fl, k == 1)
+			r.deliverCopy(&fl, tDs[k], k == 1)
 		}
 	}
 	if f.Dst.IsBroadcast() {
@@ -578,27 +490,22 @@ func (r *prun) route(pn *pnode, f *pkt.Frame, tSend simtime.Guest) {
 	ship(dst)
 }
 
-// deliverCopy classifies one frame copy against the destination's live state
-// and delivers it. The caller holds r.mu.
-func (r *prun) deliverCopy(fl *flight, dupCopy bool) {
+// deliverCopy classifies one frame copy, due at tD, against the destination's
+// live state and delivers it. The caller holds r.mu.
+func (r *prun) deliverCopy(fl *flight, tD simtime.Guest, dupCopy bool) {
 	dn := r.nodes[fl.dst]
 	atBarrier := dn.state != pnRunning
 	var pos simtime.Guest
 	if !atBarrier {
 		pos = dn.n.Clock()
 	}
-	arr, _ := r.deliver(fl, atBarrier, pos, dupCopy)
+	arr, _ := r.deliver(fl, tD, atBarrier, pos, dupCopy)
 	dn.n.Deliver(fl.f, arr)
 	// A parked destination that can now make progress is re-woken —
 	// point-to-point, leaving every other node undisturbed.
 	if dn.state == pnParked && arr <= r.limit {
 		dn.state = pnRunning
 		r.atLimit--
-		if r.prof != nil && r.part != nil {
-			// The destination's partition has a member running again; its
-			// next full arrival re-stamps the completion time.
-			r.partLeft[r.part.part[fl.dst]]++
-		}
 		wakeNode(dn)
 	}
 }

@@ -10,6 +10,7 @@ import (
 
 	"clustersim/internal/faults"
 	"clustersim/internal/netmodel"
+	"clustersim/internal/obs"
 	"clustersim/internal/prof"
 	"clustersim/internal/simtime"
 	"clustersim/internal/workloads"
@@ -243,8 +244,8 @@ func TestProfilerFaultsUseIdealLatency(t *testing.T) {
 	}
 }
 
-// TestParallelProfilerSmoke: the wall-clock runner feeds the same profiler
-// interface; its report must be internally consistent (per-node wait sums
+// TestParallelProfilerSmoke: the wall-clock runner fires the same hooks the
+// profiler reads; its report must be internally consistent (per-node wait sums
 // to the total, idle is always zero — parallel nodes jump, they don't
 // spin) even though the numbers are real time and not reproducible.
 func TestParallelProfilerSmoke(t *testing.T) {
@@ -256,7 +257,7 @@ func TestParallelProfilerSmoke(t *testing.T) {
 		Policy:   fixed(simtime.Microsecond),
 		Program:  workloads.PingPong(20, 1000).New,
 		MaxGuest: simtime.Guest(simtime.Second),
-		Profiler: p,
+		Observer: p,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -301,5 +302,63 @@ func TestProfilerNilIsNoop(t *testing.T) {
 	}
 	if bare.GuestTime != profiled.GuestTime || bare.HostTime != profiled.HostTime || bare.Stats != profiled.Stats {
 		t.Errorf("profiler changed the run:\nbare     %+v\nprofiled %+v", bare.Stats, profiled.Stats)
+	}
+}
+
+// tape records an Observer stream as the calls that replay it.
+type tape []func(obs.Observer)
+
+func (t *tape) RunStart(i obs.RunInfo)  { *t = append(*t, func(o obs.Observer) { o.RunStart(i) }) }
+func (t *tape) RunEnd(s obs.RunSummary) { *t = append(*t, func(o obs.Observer) { o.RunEnd(s) }) }
+func (t *tape) QuantumStart(i int, g simtime.Guest, q simtime.Duration, h simtime.Host) {
+	*t = append(*t, func(o obs.Observer) { o.QuantumStart(i, g, q, h) })
+}
+func (t *tape) QuantumPartition(i int, p *obs.Partitioning) {
+	*t = append(*t, func(o obs.Observer) { o.QuantumPartition(i, p) })
+}
+func (t *tape) QuantumEnd(r obs.QuantumRecord) {
+	*t = append(*t, func(o obs.Observer) { o.QuantumEnd(r) })
+}
+func (t *tape) Packet(r obs.PacketRecord) { *t = append(*t, func(o obs.Observer) { o.Packet(r) }) }
+func (t *tape) NodePhase(n int, ph obs.Phase, g0, g1 simtime.Guest, h0, h1 simtime.Host) {
+	*t = append(*t, func(o obs.Observer) { o.NodePhase(n, ph, g0, g1, h0, h1) })
+}
+
+// TestProfilerStreamReplay: the Observer stream is everything the profiler
+// knows. One run's recorded stream, replayed into a fresh profiler, must
+// reproduce the report of the profiler that was attached live, byte for byte
+// — faults, jitter and slowdown included, on every partitioning and on the
+// whole-cluster reference walk. It fails the day the engine feeds the
+// profiler anything the stream does not carry.
+func TestProfilerStreamReplay(t *testing.T) {
+	for _, c := range profCases() {
+		for _, workers := range []int{0, 2} {
+			for _, reference := range []bool{false, true} {
+				t.Run(fmt.Sprintf("%s/workers=%d/reference=%t", c.name, workers, reference), func(t *testing.T) {
+					live, rec := prof.New(), &tape{}
+					cfg := testConfig(c.nodes, c.w, c.pol)
+					if c.net != nil {
+						cfg.Net = c.net
+					}
+					cfg.Workers = workers
+					cfg.Faults = c.faults
+					cfg.Observer = rec
+					cfg.Profiler = live
+					if reference {
+						cfg.onPartition = func(*partitioning) bool { return true }
+					}
+					if _, err := Run(cfg); err != nil {
+						t.Fatal(err)
+					}
+					replayed := prof.New()
+					for _, call := range *rec {
+						call(replayed)
+					}
+					if got, want := replayed.Report().JSON(), live.Report().JSON(); !bytes.Equal(got, want) {
+						t.Errorf("replayed report differs from the live one:\n%s\nvs\n%s", got, want)
+					}
+				})
+			}
+		}
 	}
 }

@@ -228,8 +228,9 @@ func (l *logObs) RunEnd(sum obs.RunSummary) { l.logf("run end %+v", sum) }
 func (l *logObs) QuantumStart(i int, s simtime.Guest, q simtime.Duration, h simtime.Host) {
 	l.logf("q start %d %v %v %v", i, s, q, h)
 }
-func (l *logObs) QuantumEnd(rec obs.QuantumRecord) { l.logf("q end %+v", rec) }
-func (l *logObs) Packet(rec obs.PacketRecord)      { l.logf("packet %+v", rec) }
+func (l *logObs) QuantumPartition(i int, p *obs.Partitioning) { l.logf("q partition %d %+v", i, *p) }
+func (l *logObs) QuantumEnd(rec obs.QuantumRecord)            { l.logf("q end %+v", rec) }
+func (l *logObs) Packet(rec obs.PacketRecord)                 { l.logf("packet %+v", rec) }
 func (l *logObs) NodePhase(node int, ph obs.Phase, gF, gT simtime.Guest, hF, hT simtime.Host) {
 	l.logf("node %d %v %v->%v %v->%v", node, ph, gF, gT, hF, hT)
 }

@@ -46,6 +46,7 @@ type traceEvent struct {
 // RunEnd) to terminate the JSON array; Close after RunEnd is a no-op, so
 // `defer tracer.Close()` is always correct.
 type ChromeTracer struct {
+	Base   // the hooks the trace has no event for
 	mu     sync.Mutex
 	w      *bufio.Writer
 	n      int // events written

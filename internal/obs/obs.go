@@ -51,6 +51,16 @@ type RunInfo struct {
 	Parallel bool
 	// MaxGuest is the configured guest-time backstop (zero if unlimited).
 	MaxGuest simtime.Guest
+	// Lookahead is the scalar fast-path bound: the minimum frame latency over
+	// all node pairs, zero when the configuration has none (a zero-latency
+	// link, or OutputQueue). A quantum Q <= Lookahead is FastEligible.
+	Lookahead simtime.Duration
+	// OutputQueue is true when the net model has an output-queued switch
+	// (Net.Output), which rules lookahead out for every quantum.
+	OutputQueue bool
+	// LinkLat probes the static lower-bound frame latency of a directed link,
+	// for sinks that rank the links gating Lookahead.
+	LinkLat func(src, dst int) simtime.Duration
 }
 
 // RunSummary describes a run as it completes normally. Aborted runs (guest
@@ -89,10 +99,19 @@ type QuantumRecord struct {
 	Packets    int              // frames routed during the quantum
 	Stragglers int
 	HostStart  simtime.Host // barrier release that started the quantum
-	// BarrierStart is the host time the last node arrived at the barrier
-	// (the span BarrierStart..HostEnd is pure synchronization overhead).
+	// BarrierStart opens the quantum's synchronization span, which HostEnd
+	// closes. The deterministic engine reports the host time the last node
+	// or late frame reached the barrier, so a node's barrier wait is
+	// BarrierStart minus the end of its last phase (HostStart if it had
+	// none). The parallel runner reports the first arrival — the whole span
+	// somebody stood waiting — and a node's wait there runs to HostEnd.
 	BarrierStart simtime.Host
 	HostEnd      simtime.Host // barrier release that ended the quantum
+	// Routing is the controller's per-packet share of the span (Packets x
+	// PacketHostCost in the deterministic engine, zero in the parallel
+	// runner, whose routing happens inside the quantum); the rest,
+	// HostEnd - BarrierStart - Routing, is the barrier itself.
+	Routing simtime.Duration
 	// FastEligible reports whether this quantum was eligible for the
 	// intra-quantum fast path (Q <= minimum network latency, no packet
 	// tap). Deliberately independent of the Workers gate so records stay
@@ -104,7 +123,11 @@ type QuantumRecord struct {
 // Result.Packets (cluster.PacketRecord aliases it).
 type PacketRecord struct {
 	SendGuest simtime.Guest // guest time the source handed it to the NIC
-	Ideal     simtime.Guest // exact simulated arrival time
+	Ideal     simtime.Guest // exact simulated arrival time, injected delay included
+	// Latency is the link's share of Ideal - SendGuest: what the network model
+	// charges the frame before fault injection adds jitter. Lookahead bounds
+	// are about this value.
+	Latency   simtime.Duration
 	Arrival   simtime.Guest // guest time actually delivered (zero if Dropped)
 	Src, Dst  int
 	Size      int
@@ -112,6 +135,36 @@ type PacketRecord struct {
 	Snapped   bool // queued to the next quantum boundary
 	Dropped   bool // discarded by fault injection; never delivered
 	Duplicate bool // fault-injected extra copy of an already-delivered frame
+}
+
+// Link is a directed link and its static lower-bound latency.
+type Link struct {
+	Src, Dst int
+	Latency  simtime.Duration
+}
+
+// Partitioning is the lookahead closure of the cluster at one quantum size:
+// the connected components of the links a frame could cross inside the
+// quantum (DESIGN.md §11). Components are the engine's unit of execution — a
+// singleton is loose and walked directly, a multi-node partition is tight and
+// walks through the event queue — and a sink's unit of barrier participation.
+type Partitioning struct {
+	// Part maps node -> partition id. Ids are dense and canonical: they
+	// number the partitions by their smallest member node.
+	Part []int32
+	// Partitions is the partition count, TightPartitions the multi-node ones
+	// among them, FastNodes the loose singletons.
+	Partitions      int
+	TightPartitions int
+	FastNodes       int
+	// MaxTightLat is the largest tight-link latency, zero when there are no
+	// tight links. The tight-link set is exactly the links with latency <=
+	// MaxTightLat, so the value identifies the structure.
+	MaxTightLat simtime.Duration
+	// TightLinks ranks the directed tight links ascending by latency then
+	// (src, dst), truncated; TightLinkCount is the full count.
+	TightLinks     []Link
+	TightLinkCount int64
 }
 
 // Observer receives lifecycle hooks from a running engine. A nil Observer in
@@ -128,8 +181,15 @@ type Observer interface {
 	// RunEnd fires once after the last quantum of a successful run.
 	RunEnd(RunSummary)
 	// QuantumStart fires when the barrier releases quantum index, which
-	// covers guest time [start, start+q).
+	// covers guest time (start, start+q]: an event exactly at start+q belongs
+	// to this quantum, one exactly at start to the previous.
 	QuantumStart(index int, start simtime.Guest, q simtime.Duration, hostStart simtime.Host)
+	// QuantumPartition follows QuantumStart with the quantum's lookahead
+	// partitioning, in runs that have a per-link lookahead matrix (not under
+	// LookaheadScalar, an output-queued switch, a zero-latency link or a
+	// one-node cluster). p is shared by every quantum of the same structure
+	// and must not be modified.
+	QuantumPartition(index int, p *Partitioning)
 	// QuantumEnd fires when the quantum's closing barrier completes.
 	QuantumEnd(QuantumRecord)
 	// Packet fires for every frame delivery the controller routes.
@@ -151,6 +211,9 @@ func (Base) RunEnd(RunSummary) {}
 
 // QuantumStart implements Observer.
 func (Base) QuantumStart(int, simtime.Guest, simtime.Duration, simtime.Host) {}
+
+// QuantumPartition implements Observer.
+func (Base) QuantumPartition(int, *Partitioning) {}
 
 // QuantumEnd implements Observer.
 func (Base) QuantumEnd(QuantumRecord) {}
@@ -198,6 +261,12 @@ func (m multi) RunEnd(sum RunSummary) {
 func (m multi) QuantumStart(index int, start simtime.Guest, q simtime.Duration, hostStart simtime.Host) {
 	for _, o := range m {
 		o.QuantumStart(index, start, q, hostStart)
+	}
+}
+
+func (m multi) QuantumPartition(index int, p *Partitioning) {
+	for _, o := range m {
+		o.QuantumPartition(index, p)
 	}
 }
 

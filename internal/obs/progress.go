@@ -18,8 +18,9 @@ import (
 // Reports go to a single writer (conventionally stderr, so piped stdout
 // output such as CSV or charts stays clean).
 type Progress struct {
-	mu sync.Mutex
-	w  io.Writer
+	Base // the hooks a status line has no use for
+	mu   sync.Mutex
+	w    io.Writer
 	// target is the guest time treated as 100%; zero reports absolute guest
 	// time only.
 	target simtime.Guest
@@ -93,12 +94,6 @@ func (p *Progress) QuantumEnd(rec QuantumRecord) {
 		p.report(false)
 	}
 }
-
-// Packet implements Observer.
-func (p *Progress) Packet(PacketRecord) {}
-
-// NodePhase implements Observer.
-func (p *Progress) NodePhase(int, Phase, simtime.Guest, simtime.Guest, simtime.Host, simtime.Host) {}
 
 // report writes one status line. Callers hold p.mu.
 func (p *Progress) report(final bool) {

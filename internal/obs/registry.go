@@ -208,6 +208,7 @@ func (r *Registry) RunStart(info RunInfo) {
 	r.counters["runs_started"]++
 	r.gauges["nodes"] = int64(info.Nodes)
 	r.gauges["run_active"] = 1
+	r.gauges["fastpath_lookahead_ns"] = int64(info.Lookahead)
 	if len(r.nodeSent) < info.Nodes {
 		r.nodeSent = append(r.nodeSent, make([]int64, info.Nodes-len(r.nodeSent))...)
 		r.nodeRecv = append(r.nodeRecv, make([]int64, info.Nodes-len(r.nodeRecv))...)
@@ -228,13 +229,24 @@ func (r *Registry) RunEnd(sum RunSummary) {
 	r.gauges["host_ns"] = int64(sum.HostEnd)
 }
 
-// QuantumStart publishes the live quantum size and guest progress.
+// QuantumStart publishes the live quantum size, guest progress and how many
+// nodes the quantum leaves fast-walkable: all of them within the scalar
+// lookahead, otherwise none, unless QuantumPartition knows better.
 func (r *Registry) QuantumStart(index int, start simtime.Guest, q simtime.Duration, hostStart simtime.Host) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.gauges["current_quantum_ns"] = int64(q)
 	r.gauges["guest_ns"] = int64(start)
 	r.gauges["host_ns"] = int64(hostStart)
+	r.gauges["fastpath_fast_nodes"] = 0
+	if int64(q) <= r.gauges["fastpath_lookahead_ns"] {
+		r.gauges["fastpath_fast_nodes"] = r.gauges["nodes"]
+	}
+}
+
+// QuantumPartition publishes the partitioning's loose-node count.
+func (r *Registry) QuantumPartition(index int, p *Partitioning) {
+	r.SetGauge("fastpath_fast_nodes", int64(p.FastNodes))
 }
 
 // QuantumEnd folds the quantum into the distribution metrics.
@@ -259,11 +271,18 @@ func (r *Registry) QuantumEnd(rec QuantumRecord) {
 	r.gauges["host_ns"] = int64(rec.HostEnd)
 }
 
-// Packet folds one delivery into per-node traffic counts and the
-// straggler-delay histogram.
+// Packet folds one delivery into per-node traffic counts, the straggler-delay
+// histogram and the least lookahead slack seen: a frame's pre-fault latency
+// minus the quantum it was sent in.
 func (r *Registry) Packet(rec PacketRecord) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	if !rec.Duplicate {
+		slack := int64(rec.Latency) - r.gauges["current_quantum_ns"]
+		if min, seen := r.gauges["prof_min_slack_ns"]; !seen || slack < min {
+			r.gauges["prof_min_slack_ns"] = slack
+		}
+	}
 	if rec.Dropped {
 		r.counters["drops"]++
 		return

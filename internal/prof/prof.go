@@ -5,16 +5,19 @@
 // cause, and keeps per-link slack accounting (frame latency minus the
 // quantum — the lookahead headroom a per-link fast path would exploit).
 //
-// A nil *Profiler disables everything at zero cost: the engines guard every
-// call site with a nil check, exactly like the obs.Observer hooks.
+// The Profiler is a sink on the obs.Observer stream and has no other input:
+// compute and idle are the extents of NodePhase, a node's barrier wait runs
+// from the end of its last phase in the quantum to the release QuantumEnd
+// reports, routing and barrier split that record's synchronization span, the
+// per-link accounting reads Packet, and eligibility causes combine RunStart's
+// static facts with QuantumPartition (DESIGN.md §10).
 //
-// Determinism contract: for the deterministic engine (cluster.Run) every
-// value the profiler records is derived from simulated host/guest time, so
-// the end-of-run Report is byte-identical across Workers settings and
-// however a quantum is partitioned — a tight partition's event-queue walk and
-// a loose node's direct walk feed the profiler the same numbers. The wall-clock parallel runner (cluster.RunParallel)
-// feeds real elapsed time instead; its reports are measurements, not
-// replayable artifacts, and say so via the Engine field.
+// Determinism contract: for the deterministic engine (cluster.Run) the stream
+// carries simulated host/guest time only, so the end-of-run Report is
+// byte-identical across Workers settings and however a quantum is
+// partitioned. The wall-clock parallel runner (cluster.RunParallel) streams
+// real elapsed time instead; its reports are measurements, not replayable
+// artifacts, and say so via the Engine field.
 //
 // The per-quantum disable cause records *eligibility*, which is deterministic
 // config+policy state: the output-queue tap (Net.Output) suppresses the fast
@@ -27,6 +30,7 @@ import (
 	"sort"
 	"sync"
 
+	"clustersim/internal/obs"
 	"clustersim/internal/simtime"
 )
 
@@ -73,88 +77,6 @@ func (c Cause) String() string {
 	return "unknown"
 }
 
-// Grade describes one quantum's lookahead partition structure, computed by
-// the engine from the per-link lookahead matrix. The zero value means the
-// structure is unknown (scalar lookahead mode, a no-lookahead topology, or
-// the output-queue tap) and engagement stays the scalar boolean.
-type Grade struct {
-	// Known is true when the engine derived a partitioning for the quantum.
-	Known bool
-	// Partitions is the total partition count (tight components plus loose
-	// singletons); TightPartitions the multi-node components among them.
-	Partitions      int
-	TightPartitions int
-	// FastNodes counts the loose singletons — the nodes the graded fast
-	// path walks without the event queue.
-	FastNodes int
-	// MaxTightLat is the largest tight-link latency (the partitioning's
-	// level); zero when the quantum is fully loose. The tight-link set is
-	// exactly the links with latency <= MaxTightLat, so the value uniquely
-	// identifies the partition structure.
-	MaxTightLat simtime.Duration
-	// TightLinks ranks the directed links binding partitions together,
-	// ascending by latency, truncated; TightLinkCount is the full count.
-	TightLinks     []LinkRef
-	TightLinkCount int64
-}
-
-// Seg classifies a per-node host-time segment.
-type Seg int
-
-const (
-	// SegBusy is detailed execution of workload/protocol code.
-	SegBusy Seg = iota
-	// SegIdle is the fast-forwarded simulation of a blocked guest. Idle
-	// charges may be negative: a straggler that truncates or re-aims an
-	// in-progress idle segment refunds part of a previous charge.
-	SegIdle
-)
-
-// Metrics is the subset of obs.Registry the profiler uses for live export.
-// Optional; nil disables live export.
-type Metrics interface {
-	SetGauge(name string, v int64)
-	Add(name string, delta int64)
-}
-
-// RunMeta describes the run being profiled. Engines fill it in RunStart.
-type RunMeta struct {
-	// Engine is "deterministic" for cluster.Run and "parallel" for the
-	// wall-clock runner.
-	Engine string
-	// Nodes is the simulated cluster size.
-	Nodes int
-	// Policy names the quantum policy driving the run.
-	Policy string
-	// Lookahead is the global fast-path lookahead: the minimum frame
-	// latency over all node pairs, zero if none exists.
-	Lookahead simtime.Duration
-	// OutputQueue is true when the packet tap (Net.Output) is set, which
-	// suppresses the fast path for every quantum.
-	OutputQueue bool
-	// LinkLat probes the static minimum frame latency of a directed link,
-	// used to rank which links gate the global lookahead. May be nil.
-	LinkLat func(src, dst int) simtime.Duration
-}
-
-// QuantumStats carries one completed quantum's controller-side attribution.
-type QuantumStats struct {
-	// Span is the quantum's full host extent: barrier release to barrier
-	// release.
-	Span simtime.Duration
-	// Routing is the host time the controller spent routing frames
-	// (Packets x PacketHostCost in the deterministic engine).
-	Routing simtime.Duration
-	// Barrier is the residual synchronization cost (BarrierCost in the
-	// deterministic engine; first-arrival to release in the parallel
-	// runner).
-	Barrier simtime.Duration
-	// Packets counts frames routed during the quantum.
-	Packets int
-	// Stragglers counts late frames among them.
-	Stragglers int
-}
-
 // nodeAcc accumulates one node's host-time decomposition.
 type nodeAcc struct {
 	busy simtime.Duration
@@ -172,30 +94,33 @@ type linkAcc struct {
 	negFrames int64 // frames with negative slack (latency < Q at send time)
 }
 
-// Profiler accumulates attribution for one run. Safe for concurrent use (the
-// parallel runner feeds it from node goroutines); the deterministic engine
-// pays one uncontended mutex per hook.
+// Profiler accumulates attribution for one run. It is an obs.Observer and
+// nothing else: every number in its Report is computed from the hook stream,
+// so a recorded stream replayed into a fresh Profiler reproduces the report
+// byte for byte. Safe for concurrent use (the parallel runner fires NodePhase
+// from node goroutines); the deterministic engine pays one uncontended mutex
+// per hook.
 type Profiler struct {
-	// LiveMetrics, when set before the run, receives coarse live values
-	// (fast-path eligibility gauge, minimum observed slack) on top of what
-	// obs.Registry already collects on its own.
-	LiveMetrics Metrics
-
 	mu   sync.Mutex
-	meta RunMeta
+	info obs.RunInfo
+	// engine names the runner in the report; empty until RunStart.
+	engine string
 
 	nodes []nodeAcc
 	links map[[2]int]*linkAcc
 
-	// current quantum state
-	curQ     simtime.Duration
-	curCause Cause
-	curFast  int // fast-walkable nodes this quantum
+	// Current quantum: its size, its lookahead partitioning (nil without a
+	// matrix) and, per node, the host time its last phase ended — the quantum
+	// start for a node that has had none. partFin is QuantumEnd's scratch.
+	curQ    simtime.Duration
+	curPart *obs.Partitioning
+	lastEnd []simtime.Host
+	partFin []simtime.Host
 
 	quanta      int64
 	causes      [numCauses]int64
-	engagedHost simtime.Duration // Span summed over fully eligible quanta
-	partialHost simtime.Duration // Span summed over partially engaged quanta
+	engagedHost simtime.Duration // span summed over fully eligible quanta
+	partialHost simtime.Duration // span summed over partially engaged quanta
 
 	// Graded (node-level) engagement: fastNodeQuanta sums the fast-walkable
 	// node count over quanta, nodeQuanta the cluster size over quanta.
@@ -222,8 +147,6 @@ type Profiler struct {
 	hSlack    *Hist // per-frame slack = latency - Q (ns, signed)
 	hPartWait *Hist // per-partition barrier wait per quantum (ns)
 
-	slackMin    simtime.Duration
-	haveSlack   bool
 	minLinks    []LinkRef // static links tied at the global minimum latency
 	minLinksAll int64     // total ties before truncation
 
@@ -232,8 +155,8 @@ type Profiler struct {
 	ended    bool
 }
 
-// New returns an empty profiler. Pass it via cluster.Config.Profiler (or
-// ParallelConfig.Profiler); the engine calls RunStart.
+// New returns an empty profiler: attach it as cluster.Config.Profiler, or
+// anywhere an obs.Observer goes.
 func New() *Profiler {
 	return &Profiler{
 		links:      make(map[[2]int]*linkAcc),
@@ -249,7 +172,7 @@ func New() *Profiler {
 
 // partLevelAcc accumulates the quanta spent at one partition structure.
 type partLevelAcc struct {
-	grade  Grade
+	part   *obs.Partitioning
 	quanta int64
 }
 
@@ -258,19 +181,21 @@ type partLevelAcc struct {
 // nobody. MinLatencyTied preserves the full count.
 const maxMinLatencyLinks = 64
 
-// RunStart records run metadata and probes the static per-link latency
-// floor. Called once by the engine before the first quantum.
-func (p *Profiler) RunStart(meta RunMeta) {
+// RunStart implements obs.Observer: it records the run's static facts and
+// probes the per-link latency floor.
+func (p *Profiler) RunStart(info obs.RunInfo) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	p.meta = meta
-	if len(p.nodes) < meta.Nodes {
-		p.nodes = append(p.nodes, make([]nodeAcc, meta.Nodes-len(p.nodes))...)
+	p.info = info
+	p.engine = "deterministic"
+	if info.Parallel {
+		p.engine = "parallel"
 	}
+	if len(p.nodes) < info.Nodes {
+		p.nodes = append(p.nodes, make([]nodeAcc, info.Nodes-len(p.nodes))...)
+	}
+	p.lastEnd = make([]simtime.Host, len(p.nodes))
 	p.probeMinLinksLocked()
-	if p.LiveMetrics != nil {
-		p.LiveMetrics.SetGauge("fastpath_lookahead_ns", int64(meta.Lookahead))
-	}
 }
 
 // probeMinLinksLocked finds the directed links whose static latency ties the
@@ -278,16 +203,16 @@ func (p *Profiler) RunStart(meta RunMeta) {
 func (p *Profiler) probeMinLinksLocked() {
 	p.minLinks = nil
 	p.minLinksAll = 0
-	if p.meta.LinkLat == nil || p.meta.Nodes < 2 {
+	if p.info.LinkLat == nil || p.info.Nodes < 2 {
 		return
 	}
 	min := simtime.Duration(-1)
-	for s := 0; s < p.meta.Nodes; s++ {
-		for d := 0; d < p.meta.Nodes; d++ {
+	for s := 0; s < p.info.Nodes; s++ {
+		for d := 0; d < p.info.Nodes; d++ {
 			if s == d {
 				continue
 			}
-			lat := p.meta.LinkLat(s, d)
+			lat := p.info.LinkLat(s, d)
 			if lat <= 0 {
 				continue
 			}
@@ -307,106 +232,61 @@ func (p *Profiler) probeMinLinksLocked() {
 	}
 }
 
-// BeginQuantum opens quantum accounting: it classifies fast-path eligibility
-// for a quantum of size q, folds the quantum's partition grade into the
-// graded-engagement accounting, and remembers q for slack computation.
-func (p *Profiler) BeginQuantum(index int, q simtime.Duration, g Grade) {
+// QuantumStart implements obs.Observer: it remembers q, which frame slack is
+// measured against, and starts every node's wait clock at the release.
+func (p *Profiler) QuantumStart(_ int, _ simtime.Guest, q simtime.Duration, hostStart simtime.Host) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.curQ = q
-	p.curFast = 0
-	switch {
-	case p.meta.OutputQueue:
-		p.curCause = CauseOutputTap
-	case p.meta.Lookahead <= 0:
-		p.curCause = CauseNoLookahead
-	case q <= p.meta.Lookahead:
-		p.curCause = CauseEngaged
-		p.curFast = p.meta.Nodes
-	case g.Known && g.FastNodes > 0:
-		p.curCause = CausePartial
-		p.curFast = g.FastNodes
-	default:
-		p.curCause = CauseQExceedsLookahead
-	}
-	p.nodeQuanta += int64(p.meta.Nodes)
-	p.fastNodeQuanta += int64(p.curFast)
-	if g.Known {
-		lv := p.partLevels[g.MaxTightLat]
-		if lv == nil {
-			lv = &partLevelAcc{grade: g}
-			p.partLevels[g.MaxTightLat] = lv
-		}
-		lv.quanta++
-	}
-	if p.LiveMetrics != nil {
-		var v int64
-		if p.curCause == CauseEngaged {
-			v = 1
-		}
-		p.LiveMetrics.SetGauge("fastpath_eligible", v)
-		p.LiveMetrics.SetGauge("fastpath_fast_nodes", int64(p.curFast))
+	p.curPart = nil
+	for i := range p.lastEnd {
+		p.lastEnd[i] = hostStart
 	}
 }
 
-// Segment charges host time d to node's busy or idle account. Idle charges
-// may be negative (straggler truncation / re-aim refunds).
-func (p *Profiler) Segment(node int, seg Seg, d simtime.Duration) {
+// QuantumPartition implements obs.Observer.
+func (p *Profiler) QuantumPartition(_ int, part *obs.Partitioning) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.curPart = part
+}
+
+// NodePhase implements obs.Observer: the extent of a busy or idle phase is
+// the host time charged to it (an idle segment a straggler cut short or a
+// delivery re-aimed is reported once, at its final extent), and its end is
+// where the node's barrier wait starts unless a later phase follows.
+func (p *Profiler) NodePhase(node int, phase obs.Phase, _, _ simtime.Guest, hFrom, hTo simtime.Host) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if node < 0 || node >= len(p.nodes) {
 		return
 	}
-	switch seg {
-	case SegBusy:
+	d := hTo.Sub(hFrom)
+	switch phase {
+	case obs.PhaseBusy:
 		p.nodes[node].busy += d
 		p.totCompute += d
-	case SegIdle:
+	case obs.PhaseIdle:
 		p.nodes[node].idle += d
 		p.totIdle += d
 	}
+	p.lastEnd[node] = hTo
 }
 
-// NodeWait charges node's barrier wait for the current quantum: the host
-// time between the node finishing its quantum and the barrier releasing
-// everyone (last arrival plus synchronization costs).
-func (p *Profiler) NodeWait(node int, d simtime.Duration) {
+// Packet implements obs.Observer: one observation per routed frame (an
+// injected duplicate is the same frame again) on the directed link src->dst.
+// Slack is the pre-fault latency minus the current Q; negative slack means
+// the frame could arrive within the quantum it was sent in — the link limits
+// fast-path lookahead at this quantum size.
+func (p *Profiler) Packet(rec obs.PacketRecord) {
+	if rec.Duplicate {
+		return
+	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if d < 0 {
-		d = 0
-	}
-	if node >= 0 && node < len(p.nodes) {
-		p.nodes[node].wait += d
-		p.totWait += d
-	}
-	p.hWait.Observe(int64(d))
-}
-
-// PartitionWait records the barrier wait of one lookahead partition for the
-// current quantum: the host time between the partition's last member
-// finishing and the global barrier releasing everyone. In the deterministic
-// engine the value is derived from simulated time for every engine path, so
-// it stays byte-identical across Workers settings; the parallel runner feeds
-// real wall-clock waits.
-func (p *Profiler) PartitionWait(d simtime.Duration) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if d < 0 {
-		d = 0
-	}
-	p.hPartWait.Observe(int64(d))
-}
-
-// Frame records one routed frame on the directed link src->dst with the
-// given ideal (pre-fault) latency. Slack is latency minus the current Q;
-// negative slack means the frame could arrive within the quantum it was
-// sent in — the link limits fast-path lookahead at this quantum size.
-func (p *Profiler) Frame(src, dst int, lat simtime.Duration) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
+	lat := rec.Latency
 	slack := lat - p.curQ
-	k := [2]int{src, dst}
+	k := [2]int{rec.Src, rec.Dst}
 	l := p.links[k]
 	if l == nil {
 		l = &linkAcc{latMin: lat, latMax: lat, slackMin: slack} //simlint:hotalloc once per link on first touch, and only when profiling is enabled
@@ -428,43 +308,89 @@ func (p *Profiler) Frame(src, dst int, lat simtime.Duration) {
 	}
 	p.hLatency.Observe(int64(lat))
 	p.hSlack.Observe(int64(slack))
-	if !p.haveSlack || slack < p.slackMin {
-		p.haveSlack = true
-		p.slackMin = slack
-		if p.LiveMetrics != nil {
-			p.LiveMetrics.SetGauge("prof_min_slack_ns", int64(slack))
-		}
-	}
 }
 
-// EndQuantum closes the quantum opened by BeginQuantum with the controller's
-// attribution for it.
-func (p *Profiler) EndQuantum(qs QuantumStats) {
+// QuantumEnd implements obs.Observer. It classifies the quantum's fast-path
+// eligibility, charges every node and every lookahead partition its barrier
+// wait — the release minus the end of its last phase, or of its last member's
+// — and splits the barrier span into routing and the barrier itself. The
+// release is BarrierStart in the deterministic engine (the shared routing and
+// barrier costs are attributed once, not per node) and HostEnd in the parallel
+// runner, whose BarrierStart is the first arrival.
+func (p *Profiler) QuantumEnd(rec obs.QuantumRecord) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
+
+	cause, fast := CauseQExceedsLookahead, 0
+	switch {
+	case p.info.OutputQueue:
+		cause = CauseOutputTap
+	case p.info.Lookahead <= 0:
+		cause = CauseNoLookahead
+	case rec.Q <= p.info.Lookahead:
+		cause, fast = CauseEngaged, p.info.Nodes
+	case p.curPart != nil && p.curPart.FastNodes > 0:
+		cause, fast = CausePartial, p.curPart.FastNodes
+	}
 	p.quanta++
-	p.causes[p.curCause]++
-	switch p.curCause {
+	p.causes[cause]++
+	p.nodeQuanta += int64(p.info.Nodes)
+	p.fastNodeQuanta += int64(fast)
+	switch span := rec.HostEnd.Sub(rec.HostStart); cause {
 	case CauseEngaged:
-		p.engagedHost += qs.Span
+		p.engagedHost += span
 	case CausePartial:
-		p.partialHost += qs.Span
+		p.partialHost += span
 	}
-	p.totRouting += qs.Routing
-	p.totBarrier += qs.Barrier
-	p.packets += int64(qs.Packets)
-	p.stragglers += int64(qs.Stragglers)
-	p.hQuantum.Observe(int64(p.curQ))
-	p.hPackets.Observe(int64(qs.Packets))
+	if part := p.curPart; part != nil {
+		lv := p.partLevels[part.MaxTightLat]
+		if lv == nil {
+			lv = &partLevelAcc{part: part}
+			p.partLevels[part.MaxTightLat] = lv
+		}
+		lv.quanta++
+	}
+
+	release := rec.BarrierStart
+	if p.info.Parallel {
+		release = rec.HostEnd
+	}
+	// Without a partitioning the whole cluster is one partition.
+	fin := p.partFin[:0]
+	for i, end := range p.lastEnd {
+		w := release.Sub(end)
+		p.nodes[i].wait += w
+		p.totWait += w
+		p.hWait.Observe(int64(w))
+		pid := 0
+		if p.curPart != nil {
+			pid = int(p.curPart.Part[i])
+		}
+		if pid == len(fin) { // ids number the partitions by smallest member
+			fin = append(fin, end)
+		}
+		fin[pid] = simtime.MaxHost(fin[pid], end)
+	}
+	for _, f := range fin {
+		p.hPartWait.Observe(int64(release.Sub(f)))
+	}
+	p.partFin = fin
+
+	p.totRouting += rec.Routing
+	p.totBarrier += rec.HostEnd.Sub(rec.BarrierStart) - rec.Routing
+	p.packets += int64(rec.Packets)
+	p.stragglers += int64(rec.Stragglers)
+	p.hQuantum.Observe(int64(rec.Q))
+	p.hPackets.Observe(int64(rec.Packets))
 }
 
-// RunEnd records the final clocks. Aborted runs never reach it; Report
-// still works on a partial profile.
-func (p *Profiler) RunEnd(guest simtime.Guest, host simtime.Host) {
+// RunEnd implements obs.Observer. Aborted runs never reach it; Report still
+// works on a partial profile.
+func (p *Profiler) RunEnd(sum obs.RunSummary) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	p.guestEnd = guest
-	p.hostEnd = host
+	p.guestEnd = sum.GuestTime
+	p.hostEnd = sum.HostEnd
 	p.ended = true
 }
 
@@ -481,11 +407,11 @@ func (p *Profiler) Report() *Report {
 
 	r := &Report{
 		Schema:      Schema,
-		Engine:      p.meta.Engine,
-		Nodes:       p.meta.Nodes,
-		Policy:      p.meta.Policy,
-		LookaheadNS: int64(p.meta.Lookahead),
-		OutputQueue: p.meta.OutputQueue,
+		Engine:      p.engine,
+		Nodes:       p.info.Nodes,
+		Policy:      p.info.Policy,
+		LookaheadNS: int64(p.info.Lookahead),
+		OutputQueue: p.info.OutputQueue,
 		Complete:    p.ended,
 		GuestNS:     int64(p.guestEnd),
 		HostNS:      int64(p.hostEnd),
@@ -549,8 +475,8 @@ func (p *Profiler) Report() *Report {
 			SlackMinNS:     int64(l.slackMin),
 			NegSlackFrames: l.negFrames,
 		}
-		if p.meta.LinkLat != nil {
-			lp.StaticLatNS = int64(p.meta.LinkLat(k[0], k[1]))
+		if p.info.LinkLat != nil {
+			lp.StaticLatNS = int64(p.info.LinkLat(k[0], k[1]))
 		}
 		r.Links = append(r.Links, lp)
 	}
@@ -592,15 +518,18 @@ func (p *Profiler) Report() *Report {
 	sort.Slice(lvls, func(i, j int) bool { return lvls[i] < lvls[j] })
 	for _, k := range lvls {
 		lv := p.partLevels[k]
-		r.Partitions = append(r.Partitions, PartitionLevel{
+		row := PartitionLevel{
 			MaxTightLatNS:   int64(k),
-			Partitions:      lv.grade.Partitions,
-			TightPartitions: lv.grade.TightPartitions,
-			FastNodes:       lv.grade.FastNodes,
+			Partitions:      lv.part.Partitions,
+			TightPartitions: lv.part.TightPartitions,
+			FastNodes:       lv.part.FastNodes,
 			Quanta:          lv.quanta,
-			TightLinks:      append([]LinkRef(nil), lv.grade.TightLinks...),
-			TightLinkCount:  lv.grade.TightLinkCount,
-		})
+			TightLinkCount:  lv.part.TightLinkCount,
+		}
+		for _, l := range lv.part.TightLinks {
+			row.TightLinks = append(row.TightLinks, LinkRef{Src: l.Src, Dst: l.Dst, LatencyNS: int64(l.Latency)})
+		}
+		r.Partitions = append(r.Partitions, row)
 	}
 
 	r.Hists = []NamedHist{

@@ -4,10 +4,22 @@ import (
 	"bytes"
 	"os"
 	"reflect"
+	"strings"
 	"testing"
 
+	"clustersim/internal/obs"
 	"clustersim/internal/simtime"
 )
+
+// quantum drives a phase-less quantum's hooks into p: opened from rec's own
+// fields, with the given partitioning (nil for none), and closed by rec.
+func quantum(p *Profiler, part *obs.Partitioning, rec obs.QuantumRecord) {
+	p.QuantumStart(rec.Index, rec.Start, rec.Q, rec.HostStart)
+	if part != nil {
+		p.QuantumPartition(rec.Index, part)
+	}
+	p.QuantumEnd(rec)
+}
 
 func TestHistSignedBuckets(t *testing.T) {
 	h := &Hist{}
@@ -34,20 +46,19 @@ func TestHistSignedBuckets(t *testing.T) {
 func TestCauseClassification(t *testing.T) {
 	cases := []struct {
 		name string
-		meta RunMeta
+		info obs.RunInfo
 		q    simtime.Duration
 		want Cause
 	}{
-		{"engaged", RunMeta{Lookahead: 1000}, 1000, CauseEngaged},
-		{"q-exceeds", RunMeta{Lookahead: 1000}, 1001, CauseQExceedsLookahead},
-		{"tap", RunMeta{Lookahead: 1000, OutputQueue: true}, 10, CauseOutputTap},
-		{"no-lookahead", RunMeta{Lookahead: 0}, 10, CauseNoLookahead},
+		{"engaged", obs.RunInfo{Lookahead: 1000}, 1000, CauseEngaged},
+		{"q-exceeds", obs.RunInfo{Lookahead: 1000}, 1001, CauseQExceedsLookahead},
+		{"tap", obs.RunInfo{Lookahead: 1000, OutputQueue: true}, 10, CauseOutputTap},
+		{"no-lookahead", obs.RunInfo{Lookahead: 0}, 10, CauseNoLookahead},
 	}
 	for _, c := range cases {
 		p := New()
-		p.RunStart(c.meta)
-		p.BeginQuantum(0, c.q, Grade{})
-		p.EndQuantum(QuantumStats{})
+		p.RunStart(c.info)
+		quantum(p, nil, obs.QuantumRecord{Q: c.q})
 		rep := p.Report()
 		if len(rep.Engagement.Causes) != 1 || rep.Engagement.Causes[0].Cause != c.want.String() {
 			t.Errorf("%s: causes = %+v, want 1x %q", c.name, rep.Engagement.Causes, c.want)
@@ -64,28 +75,26 @@ func TestCauseClassification(t *testing.T) {
 
 func TestGradedEngagement(t *testing.T) {
 	p := New()
-	p.RunStart(RunMeta{Engine: "deterministic", Nodes: 4, Policy: "fixed", Lookahead: 1000})
+	p.RunStart(obs.RunInfo{Nodes: 4, Policy: "fixed", Lookahead: 1000})
 	// Fully engaged: Q at the global minimum, all partitions loose.
-	p.BeginQuantum(0, 1000, Grade{Known: true, Partitions: 4, FastNodes: 4})
-	p.EndQuantum(QuantumStats{Span: 100})
+	loose := &obs.Partitioning{Part: []int32{0, 1, 2, 3}, Partitions: 4, FastNodes: 4}
+	quantum(p, loose, obs.QuantumRecord{Q: 1000, HostEnd: 100})
 	// Partially engaged: one tight pair, two loose singletons.
-	partial := Grade{
-		Known: true, Partitions: 3, TightPartitions: 1, FastNodes: 2,
+	partial := &obs.Partitioning{
+		Part: []int32{0, 0, 1, 2}, Partitions: 3, TightPartitions: 1, FastNodes: 2,
 		MaxTightLat: 1500,
-		TightLinks: []LinkRef{
-			{Src: 0, Dst: 1, LatencyNS: 1500},
-			{Src: 1, Dst: 0, LatencyNS: 1500},
+		TightLinks: []obs.Link{
+			{Src: 0, Dst: 1, Latency: 1500},
+			{Src: 1, Dst: 0, Latency: 1500},
 		},
 		TightLinkCount: 2,
 	}
-	p.BeginQuantum(1, 2000, partial)
-	p.EndQuantum(QuantumStats{Span: 200})
-	p.BeginQuantum(2, 2000, partial)
-	p.EndQuantum(QuantumStats{Span: 300})
+	quantum(p, partial, obs.QuantumRecord{Index: 1, Q: 2000, HostStart: 100, HostEnd: 300})
+	quantum(p, partial, obs.QuantumRecord{Index: 2, Q: 2000, HostStart: 300, HostEnd: 600})
 	// Whole cluster tight: Q above every link.
-	p.BeginQuantum(3, 9000, Grade{Known: true, Partitions: 1, TightPartitions: 1, MaxTightLat: 5000, TightLinkCount: 12})
-	p.EndQuantum(QuantumStats{Span: 400})
-	p.RunEnd(10000, 1000)
+	whole := &obs.Partitioning{Part: make([]int32, 4), Partitions: 1, TightPartitions: 1, MaxTightLat: 5000, TightLinkCount: 12}
+	quantum(p, whole, obs.QuantumRecord{Index: 3, Q: 9000, HostStart: 600, HostEnd: 1000})
+	p.RunEnd(obs.RunSummary{GuestTime: 10000, HostEnd: 1000})
 	rep := p.Report()
 
 	e := rep.Engagement
@@ -111,19 +120,25 @@ func TestGradedEngagement(t *testing.T) {
 	}
 	lv := rep.Partitions[1]
 	if lv.MaxTightLatNS != 1500 || lv.Quanta != 2 || lv.TightPartitions != 1 ||
-		len(lv.TightLinks) != 2 || lv.TightLinks[0].Src != 0 {
+		len(lv.TightLinks) != 2 || lv.TightLinks[0].Src != 0 || lv.TightLinks[0].LatencyNS != 1500 {
 		t.Fatalf("level 1500: %+v", lv)
 	}
 	if rep.Partitions[2].Partitions != 1 || rep.Partitions[2].TightLinkCount != 12 {
 		t.Fatalf("level 5000: %+v", rep.Partitions[2])
+	}
+	// One wait per partition per quantum: 4 + 3 + 3 + 1.
+	for _, h := range rep.Hists {
+		if h.Name == "partition_wait_ns" && h.Hist.Count != 11 {
+			t.Fatalf("partition waits observed: %d, want 11", h.Hist.Count)
+		}
 	}
 }
 
 // fakeProfile drives a profiler through a tiny deterministic run.
 func fakeProfile() *Profiler {
 	p := New()
-	p.RunStart(RunMeta{
-		Engine: "deterministic", Nodes: 2, Policy: "fixed", Lookahead: 1000,
+	p.RunStart(obs.RunInfo{
+		Nodes: 2, Policy: "fixed", Lookahead: 1000,
 		LinkLat: func(s, d int) simtime.Duration {
 			if s == 0 && d == 1 {
 				return 1000
@@ -131,22 +146,22 @@ func fakeProfile() *Profiler {
 			return 2000
 		},
 	})
-	p.BeginQuantum(0, 500, Grade{})
-	p.Segment(0, SegBusy, 400)
-	p.Segment(1, SegIdle, 300)
-	p.Frame(0, 1, 1000) // slack +500
-	p.Frame(1, 0, 2000) // slack +1500
-	p.NodeWait(0, 0)
-	p.NodeWait(1, 100)
-	p.EndQuantum(QuantumStats{Span: 600, Routing: 40, Barrier: 20, Packets: 2})
-	p.BeginQuantum(1, 4000, Grade{})
-	p.Segment(0, SegBusy, 900)
-	p.Segment(1, SegIdle, -50) // straggler refund
-	p.Frame(0, 1, 1000)        // slack -3000: limiting link
-	p.NodeWait(0, 10)
-	p.NodeWait(1, 0)
-	p.EndQuantum(QuantumStats{Span: 4100, Routing: 20, Barrier: 20, Packets: 1, Stragglers: 1})
-	p.RunEnd(4500, 4700)
+	// Quantum 0: node 1 finishes 100ns before node 0 and waits for it.
+	p.QuantumStart(0, 0, 500, 0)
+	p.NodePhase(0, obs.PhaseBusy, 0, 500, 0, 400)
+	p.NodePhase(1, obs.PhaseIdle, 0, 500, 0, 300)
+	p.Packet(obs.PacketRecord{Src: 0, Dst: 1, Latency: 1000}) // slack +500
+	p.Packet(obs.PacketRecord{Src: 1, Dst: 0, Latency: 2000}) // slack +1500
+	p.Packet(obs.PacketRecord{Src: 1, Dst: 0, Latency: 2000, Duplicate: true})
+	p.QuantumEnd(obs.QuantumRecord{Q: 500, Packets: 2, BarrierStart: 400, HostEnd: 460, Routing: 40})
+	// Quantum 1: the other way round, and a frame the quantum could swallow.
+	p.QuantumStart(1, 500, 4000, 460)
+	p.NodePhase(0, obs.PhaseBusy, 500, 4500, 460, 1360)
+	p.NodePhase(1, obs.PhaseIdle, 500, 4500, 460, 1370)
+	p.Packet(obs.PacketRecord{Src: 0, Dst: 1, Latency: 1000, Straggler: true}) // slack -3000: limiting link
+	p.QuantumEnd(obs.QuantumRecord{Index: 1, Start: 500, Q: 4000, Packets: 1, Stragglers: 1,
+		HostStart: 460, BarrierStart: 1370, HostEnd: 1410, Routing: 20})
+	p.RunEnd(obs.RunSummary{GuestTime: 4500, HostEnd: 1410})
 	return p
 }
 
@@ -158,14 +173,17 @@ func TestReportAttribution(t *testing.T) {
 	if rep.Quanta != 2 || rep.Packets != 3 || rep.Stragglers != 1 {
 		t.Fatalf("counts: %+v", rep)
 	}
-	if rep.Engagement.EligibleQuanta != 1 || rep.Engagement.EligibleHostNS != 600 {
+	if rep.Engine != "deterministic" || rep.GuestNS != 4500 || rep.HostNS != 1410 {
+		t.Fatalf("header: %+v", rep)
+	}
+	if rep.Engagement.EligibleQuanta != 1 || rep.Engagement.EligibleHostNS != 460 {
 		t.Fatalf("engagement: %+v", rep.Engagement)
 	}
-	want := Totals{ComputeNS: 1300, IdleNS: 250, WaitNS: 110, RoutingNS: 60, BarrierNS: 40}
+	want := Totals{ComputeNS: 1300, IdleNS: 1210, WaitNS: 110, RoutingNS: 60, BarrierNS: 40}
 	if rep.Totals != want {
 		t.Fatalf("totals: got %+v want %+v", rep.Totals, want)
 	}
-	if len(rep.PerNode) != 2 || rep.PerNode[0].ComputeNS != 1300 || rep.PerNode[1].IdleNS != 250 || rep.PerNode[1].WaitNS != 100 {
+	if len(rep.PerNode) != 2 || rep.PerNode[0].ComputeNS != 1300 || rep.PerNode[1].IdleNS != 1210 || rep.PerNode[1].WaitNS != 100 {
 		t.Fatalf("per-node: %+v", rep.PerNode)
 	}
 	if len(rep.Links) != 2 {
@@ -219,10 +237,9 @@ func TestSweepOrderIndependent(t *testing.T) {
 		s := NewSweep()
 		for _, l := range labels {
 			p := s.New(l)
-			p.RunStart(RunMeta{Engine: "deterministic", Nodes: 1, Policy: l})
-			p.BeginQuantum(0, 10, Grade{})
-			p.EndQuantum(QuantumStats{Span: 10})
-			p.RunEnd(10, 12)
+			p.RunStart(obs.RunInfo{Nodes: 1, Policy: l})
+			quantum(p, nil, obs.QuantumRecord{Q: 10, BarrierStart: 10, HostEnd: 10})
+			p.RunEnd(obs.RunSummary{GuestTime: 10, HostEnd: 12})
 		}
 		return s.Report().JSON()
 	}
@@ -248,12 +265,23 @@ func TestSweepCollapsesIdenticalDuplicates(t *testing.T) {
 	s := NewSweep()
 	for i := 0; i < 3; i++ {
 		p := s.New("same/label")
-		p.RunStart(RunMeta{Engine: "deterministic", Nodes: 1, Policy: "p"})
-		p.BeginQuantum(0, 10, Grade{})
-		p.EndQuantum(QuantumStats{Span: 10})
-		p.RunEnd(10, 12)
+		p.RunStart(obs.RunInfo{Nodes: 1, Policy: "p"})
+		quantum(p, nil, obs.QuantumRecord{Q: 10, BarrierStart: 10, HostEnd: 10})
+		p.RunEnd(obs.RunSummary{GuestTime: 10, HostEnd: 12})
 	}
 	if got := s.Report(); len(got.Runs) != 1 {
 		t.Fatalf("want 1 collapsed run, got %d", len(got.Runs))
+	}
+}
+
+// TestLoadSweepRejectsMissingReport: a sweep file is outside input, and a run
+// without a report would be a nil dereference in every consumer.
+func TestLoadSweepRejectsMissingReport(t *testing.T) {
+	path := t.TempDir() + "/s.json"
+	if err := os.WriteFile(path, []byte(`{"schema":"clustersim-prof-sweep/1","runs":[{"label":"x"}]}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadSweep(path); err == nil || !strings.Contains(err.Error(), `"x"`) {
+		t.Fatalf("LoadSweep = %v, want an error naming run \"x\"", err)
 	}
 }

@@ -136,6 +136,11 @@ func LoadSweep(path string) (*SweepReport, error) {
 	if r.Schema != SweepSchema {
 		return nil, fmt.Errorf("prof: %s: unexpected schema %q (want %q)", path, r.Schema, SweepSchema)
 	}
+	for _, run := range r.Runs {
+		if run.Report == nil {
+			return nil, fmt.Errorf("prof: %s: run %q has no report", path, run.Label)
+		}
+	}
 	return &r, nil
 }
 
