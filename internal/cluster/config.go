@@ -35,6 +35,12 @@ type Config struct {
 	Net *netmodel.Model
 	// Host is the host-execution model.
 	Host host.Params
+	// Speeds, when non-nil, is a table of host speed draws this run shares
+	// with the other runs of a sweep (host.Speeds): a draw one of them has
+	// made is read, not recomputed. It never changes a result — nil, and a
+	// table drawn for another Host.Seed or JitterSigma, mean every draw is
+	// the run's own.
+	Speeds *host.Speeds
 	// Policy constructs the quantum policy for this run. A constructor
 	// rather than a value because adaptive policies carry state.
 	Policy func() quantum.Policy

@@ -94,9 +94,12 @@ type nodeArena struct {
 	// — guest.Node.QuietUntil, zero when unknown — and quietBusy[i] its mode
 	// up to it. An entry stays valid until the node is stepped or a frame is
 	// pushed to it, the two places that zero it; quietQuantum re-peeks the
-	// entries the current limit has reached.
+	// entries the current limit has reached. lag[i] marks a node the engine
+	// has fast-forwarded without telling it: its guest clock still stands
+	// where the quiet stretch began, and syncNode catches it up.
 	quietUntil []simtime.Guest
 	quietBusy  []bool
+	lag        []bool
 }
 
 // newNodeArena carves the lanes of each element type that has several from
@@ -106,7 +109,7 @@ func newNodeArena(nodes []*guest.Node) nodeArena {
 	n := len(nodes)
 	g := make([]simtime.Guest, 5*n)
 	h := make([]simtime.Host, 5*n)
-	b := make([]bool, 3*n)
+	b := make([]bool, 4*n)
 	return nodeArena{
 		node:       nodes,
 		phase:      make([]nodePhase, n),
@@ -125,6 +128,7 @@ func newNodeArena(nodes []*guest.Node) nodeArena {
 		doneHost:   lane(h, 4, n),
 		quietUntil: lane(g, 4, n),
 		quietBusy:  lane(b, 2, n),
+		lag:        lane(b, 3, n),
 	}
 }
 
@@ -186,8 +190,9 @@ type engine struct {
 	assembling bool
 	batching   bool
 
-	qStartH  simtime.Host // barrier release that started the quantum
-	lastEvtH simtime.Host // latest frame event host time this quantum
+	qStartG  simtime.Guest // guest time the quantum starts at: every node's position at the barrier
+	qStartH  simtime.Host  // barrier release that started the quantum
+	lastEvtH simtime.Host  // latest frame event host time this quantum
 
 	doneCount int
 	firstErr  error
@@ -281,6 +286,7 @@ func Run(cfg Config) (*Result, error) {
 	}
 	e.tracePackets, e.traceQuanta = cfg.TracePackets, cfg.TraceQuanta
 	e.hm.Reserve(n)
+	e.hm.Share(cfg.Speeds)
 	nodes, err := newNodes(n, cfg.Guest, cfg.Program)
 	if err != nil {
 		return nil, err
@@ -363,6 +369,7 @@ func (e *engine) run() (*Result, error) {
 			return nil, fmt.Errorf("cluster: policy %q issued non-positive quantum %v", e.policy.Name(), Q)
 		}
 		e.qi = qi
+		e.qStartG = start
 		e.qStartH = hostNow
 		e.lastEvtH = hostNow
 		e.flights = e.flights[:0]
@@ -415,6 +422,9 @@ func (e *engine) run() (*Result, error) {
 		Q = e.policy.Next(quantum.Feedback{Packets: e.np, Stragglers: e.str, Now: e.limit})
 	}
 
+	for i := range e.na.node {
+		e.syncNode(i, e.limit)
+	}
 	e.stats.finalize(e.sumQ)
 	res := &Result{Stats: e.stats, Quanta: e.quanta, Packets: e.packets, PolicyName: e.policy.Name()}
 	for i, n := range e.na.node {
@@ -438,6 +448,7 @@ func (e *engine) run() (*Result, error) {
 // is queued.
 func (e *engine) enqueueNode(i int, hostNow simtime.Host) {
 	n := e.na.node[i]
+	e.syncNode(i, e.qStartG)
 	n.BeginQuantum(e.limit)
 	e.na.quietUntil[i] = 0
 	e.na.phase[i] = phRunning
@@ -865,29 +876,44 @@ func (e *engine) satOut(i int) bool { return e.na.quietUntil[i] > e.limit }
 
 // quietNode executes node i's whole quantum arithmetically: the node has no
 // event before the limit, so it spends the quantum in one busy or idle
-// segment ending there, which is what a walk would have found by stepping —
-// the same hostCost call, the same charges, the same single NodePhase —
-// minus the Step calls, coroutine switches, event-queue round-trips and walk
-// buffers.
+// segment from the quantum start — where every node stands at a barrier — to
+// the limit, which is what a walk would have found by stepping — the same
+// hostCost call, the same charges, the same single NodePhase — minus the Step
+// calls, coroutine switches, event-queue round-trips and walk buffers. It
+// works on the engine's lanes alone: the node itself is left behind, marked
+// in the lag lane, for syncNode.
 //
 //simlint:hotpath quiet pass, one node: the whole cost of a node-quantum in which the node cannot act
 func (e *engine) quietNode(i int, hostNow simtime.Host) {
 	e.nQuietNodes++
-	n := e.na.node[i]
-	from := n.Clock()
-	busy := e.na.quietBusy[i]
 	mode, ph, total := host.Idle, obs.PhaseIdle, &e.stats.HostIdle
-	if busy {
+	if e.na.quietBusy[i] {
 		mode, ph, total = host.Busy, obs.PhaseBusy, &e.stats.HostBusy
 	}
-	cost := e.hostCost(i, from, e.limit, mode)
+	cost := e.hostCost(i, e.qStartG, e.limit, mode)
 	*total += cost
 	end := hostNow.Add(cost)
 	if e.obs != nil {
-		e.obs.NodePhase(i, ph, from, e.limit, hostNow, end)
+		e.obs.NodePhase(i, ph, e.qStartG, e.limit, hostNow, end)
 	}
 	e.na.finishHost[i] = end
-	n.AdvanceQuiet(e.limit, busy)
+	e.na.lag[i] = true
+}
+
+// syncNode catches node i's guest clock up to the barrier at guest time to,
+// over the whole stretch of quanta quietNode took it through since it was
+// last stepped: one AdvanceQuiet however long the stretch. It runs wherever a
+// node is about to be stepped (walkNode, enqueueNode) and for every node when
+// the run ends. Nothing in between reads a lagging node's clock: QuietUntil
+// returns absolute times — clock plus owed overhead, a deadline, a queued
+// arrival — that the catch-up leaves unchanged, and a frame is classified
+// against a destination's position only while the destination is being
+// walked (DESIGN.md §7.1).
+func (e *engine) syncNode(i int, to simtime.Guest) {
+	if e.na.lag[i] {
+		e.na.lag[i] = false
+		e.na.node[i].AdvanceQuiet(to, e.na.quietBusy[i])
+	}
 }
 
 // runQuantumQuiet executes one quiet quantum as a single arithmetic pass.
@@ -1043,6 +1069,7 @@ func (e *engine) walkNode(i int, wk *nodeWalk, hostNow simtime.Host) {
 	wk.done, wk.err = false, nil
 
 	n := e.na.node[i]
+	e.syncNode(i, e.qStartG)
 	n.BeginQuantum(e.limit)
 	e.na.quietUntil[i] = 0
 	e.na.inSeg[i] = false

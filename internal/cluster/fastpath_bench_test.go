@@ -81,3 +81,37 @@ func BenchmarkGroundTruthQuanta(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkQuietNodeQuantum measures the engine's smallest constant: what one
+// node costs in one quantum in which it cannot act (DESIGN.md §7.1) — the
+// quiet test, one hostCost call and a few lane writes — which a ground-truth
+// run multiplies by nodes × quanta. The workload is one long compute per
+// rank at Q = 1µs, so every quantum but the first and the last is quiet; the
+// ns/node-quantum metric divides the whole run, set-up included, by the
+// node-quanta the quiet pass executed (counted by one observed run up front;
+// the timed runs carry no observer).
+func BenchmarkQuietNodeQuantum(b *testing.B) {
+	for _, nodes := range []int{8, 64} {
+		b.Run(fmt.Sprintf("nodes=%d", nodes), func(b *testing.B) {
+			cfg := testConfig(nodes, workloads.Silent(5*simtime.Millisecond), fixed(simtime.Microsecond))
+			counted := cfg
+			sum := &summaryObs{}
+			counted.Observer = sum
+			if _, err := Run(counted); err != nil {
+				b.Fatal(err)
+			}
+			quiet := sum.sum.QuietNodeQuanta
+			if quiet*100 < 99*nodes*sum.sum.Quanta {
+				b.Fatalf("only %d of %d node-quanta are quiet: not measuring the quiet pass", quiet, nodes*sum.sum.Quanta)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := Run(cfg); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*quiet), "ns/node-quantum")
+		})
+	}
+}

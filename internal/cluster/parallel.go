@@ -3,6 +3,7 @@ package cluster
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -160,6 +161,12 @@ type prun struct {
 func RunParallel(cfg ParallelConfig) (*ParallelResult, error) {
 	if err := validateCluster(cfg.Nodes, cfg.Guest, cfg.Net, cfg.Policy, cfg.Program, cfg.Faults); err != nil {
 		return nil, err
+	}
+	// The runner's one host-cost parameter, held to what host.Params.Validate
+	// asks of BusySlowdown (zero, "no spinning", aside): NaN compares false
+	// against every bound and would spin for a garbage duration.
+	if s := cfg.SpinPerGuestBusy; !(s >= 0) || math.IsInf(s, 1) {
+		return nil, fmt.Errorf("cluster: SpinPerGuestBusy must be non-negative and finite, got %v", s)
 	}
 	nodes, err := newNodes(cfg.Nodes, cfg.Guest, cfg.Program)
 	if err != nil {

@@ -3,11 +3,14 @@ package cluster
 import (
 	"bytes"
 	"encoding/json"
+	"math"
+	"strings"
 	"testing"
 	"time"
 
 	"clustersim/internal/faults"
 	"clustersim/internal/guest"
+	"clustersim/internal/host"
 	"clustersim/internal/netmodel"
 	"clustersim/internal/obs"
 	"clustersim/internal/simtime"
@@ -224,6 +227,32 @@ func TestParallelConfigValidation(t *testing.T) {
 		})
 		if errRun == nil || errPar == nil || errRun.Error() != errPar.Error() {
 			t.Errorf("%s: Run returned %v, RunParallel %v; want the same error from both", name, errRun, errPar)
+		}
+	}
+
+	// Host costs are where the two configurations differ: Run takes a
+	// host.Params and must hand back host.Params.Validate's own error;
+	// RunParallel has one such parameter. Neither may let a NaN through.
+	for field, mod := range map[string]func(p *host.Params){
+		"JitterSigma":    func(p *host.Params) { p.JitterSigma = math.NaN() },
+		"BusySlowdown":   func(p *host.Params) { p.BusySlowdown = math.Inf(1) },
+		"PacketHostCost": func(p *host.Params) { p.PacketHostCost = -1 },
+	} {
+		cfg := testConfig(2, w, fixed(simtime.Microsecond))
+		mod(&cfg.Host)
+		want := cfg.Host.Validate()
+		if _, err := Run(cfg); want == nil || err == nil || err.Error() != want.Error() || !strings.Contains(err.Error(), field) {
+			t.Errorf("bad host %s: Run returned %v, host.Params.Validate %v; want the same error, naming the field", field, err, want)
+		}
+	}
+	for _, spin := range []float64{math.NaN(), math.Inf(1), -1} {
+		cfg := testConfig(2, w, fixed(simtime.Microsecond))
+		_, err := RunParallel(ParallelConfig{
+			Nodes: cfg.Nodes, Guest: cfg.Guest, Net: cfg.Net, Policy: cfg.Policy,
+			Program: cfg.Program, SpinPerGuestBusy: spin,
+		})
+		if err == nil || !strings.Contains(err.Error(), "SpinPerGuestBusy") {
+			t.Errorf("SpinPerGuestBusy %v: RunParallel returned %v, want an error naming the field", spin, err)
 		}
 	}
 }

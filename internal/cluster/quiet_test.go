@@ -442,3 +442,67 @@ func TestSparseQuantaEngage(t *testing.T) {
 		}
 	}
 }
+
+// TestNodePhaseTiling is the "guest clocks monotone, busy + idle reconcile"
+// law as a test: in every run — fast-forwarding or not, pooled or not, and on
+// the reference walk — each node's busy and idle records tile guest time from
+// 0 to the run's final limit without a gap or an overlap, never overlap in
+// host time, and their host extents sum to Stats.HostBusy + Stats.HostIdle.
+// The quiet pass reports a node's quantum from the engine's lanes while the
+// node's own clock lags (DESIGN.md §7.1); a path that read a lagging clock
+// would open a gap or re-report a stretch here.
+func TestNodePhaseTiling(t *testing.T) {
+	cases := append(fastCases(), sparseCase(15))
+	rnd := rand.New(rand.NewSource(20260929))
+	for trial := 0; trial < 6; trial++ {
+		c, _ := randomFatTreeCase(rnd, trial)
+		cases = append(cases, c)
+	}
+	lagged := 0
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			runs := map[string]quietRun{
+				"reference": runReference(t, c),
+				"workers=0": runQuiet(t, c, 0, true),
+				"workers=2": runQuiet(t, c, 2, true),
+			}
+			for label, r := range runs {
+				last := r.res.Quanta[len(r.res.Quanta)-1]
+				final := last.Start.Add(last.Q)
+				// The probe's phases are sorted by (quantum, node, host start):
+				// picking one node's out keeps them in stream order.
+				g := make([]simtime.Guest, c.nodes)
+				h := make([]simtime.Host, c.nodes)
+				var extent simtime.Duration
+				for _, ph := range r.probe.phases {
+					if ph.ph == obs.PhaseDone {
+						continue
+					}
+					if ph.g0 != g[ph.node] || ph.g1 < ph.g0 {
+						t.Fatalf("%s: node %d quantum %d: %v record covers guest %v-%v, the previous one ended at %v",
+							label, ph.node, ph.qi, ph.ph, ph.g0, ph.g1, g[ph.node])
+					}
+					if ph.h0 < h[ph.node] || ph.h1 < ph.h0 {
+						t.Fatalf("%s: node %d quantum %d: %v record covers host %v-%v, the previous one ended at %v",
+							label, ph.node, ph.qi, ph.ph, ph.h0, ph.h1, h[ph.node])
+					}
+					g[ph.node], h[ph.node] = ph.g1, ph.h1
+					extent += ph.h1.Sub(ph.h0)
+				}
+				for i, at := range g {
+					if at != final {
+						t.Errorf("%s: node %d's records end at guest %v, the run at %v", label, i, at, final)
+					}
+				}
+				if st := r.res.Stats; extent != st.HostBusy+st.HostIdle {
+					t.Errorf("%s: busy and idle records cover %v of host time, Stats.HostBusy + HostIdle = %v",
+						label, extent, st.HostBusy+st.HostIdle)
+				}
+				lagged += r.probe.sum.QuietNodeQuanta
+			}
+		})
+	}
+	if lagged == 0 {
+		t.Error("no node-quantum was fast-forwarded: the lagging-clock half of the test is vacuous")
+	}
+}

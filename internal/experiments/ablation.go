@@ -22,7 +22,7 @@ type AblationRow struct {
 // configurations are those that grow the quantum in very small increments
 // (such as 2% to 5%) but decrease it very quickly".
 func AblationIncDec(env Env, w workloads.Workload, nodes int, incs, decs []float64) ([]AblationRow, error) {
-	base, err := runGroundTruth(env, w, nodes, false, false)
+	base, err := runGroundTruth(env, w, nodes, false, false, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -39,7 +39,7 @@ func AblationIncDec(env Env, w workloads.Workload, nodes int, incs, decs []float
 				1*simtime.Microsecond, 1000*simtime.Microsecond, inc, dec,
 			)
 			jobs = append(jobs, job{name: spec.Label, run: func() error {
-				res, err := runOne(env, w, nodes, spec, false, false)
+				res, err := runOne(env, w, nodes, spec, false, false, nil)
 				if err != nil {
 					return err
 				}
@@ -89,7 +89,7 @@ type HostAblationRow struct {
 func AblationOracle(env Env, w workloads.Workload, nodes int, min, max simtime.Duration) ([]AblationRow, error) {
 	// The traced baseline is the ground truth itself (Q = 1µs), so it comes
 	// from the shared cache with packet tracing requested.
-	base, err := runGroundTruth(env, w, nodes, false, true)
+	base, err := runGroundTruth(env, w, nodes, false, true, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -109,7 +109,7 @@ func AblationOracle(env Env, w workloads.Workload, nodes int, min, max simtime.D
 	for i, spec := range specs {
 		i, spec := i, spec
 		jobs = append(jobs, job{name: spec.Label, run: func() error {
-			res, err := runOne(env, w, nodes, spec, false, false)
+			res, err := runOne(env, w, nodes, spec, false, false, nil)
 			if err != nil {
 				return err
 			}
@@ -140,11 +140,11 @@ func AblationHost(env Env, w workloads.Workload, nodes int, barriers []simtime.D
 				e := env
 				e.Host.BarrierCost = bc
 				e.Host.JitterSigma = jit
-				base, err := runGroundTruth(e, w, nodes, false, false)
+				base, err := runGroundTruth(e, w, nodes, false, false, nil)
 				if err != nil {
 					return err
 				}
-				big, err := runOne(e, w, nodes, FixedSpec("1k", 1000*simtime.Microsecond), false, false)
+				big, err := runOne(e, w, nodes, FixedSpec("1k", 1000*simtime.Microsecond), false, false, nil)
 				if err != nil {
 					return err
 				}

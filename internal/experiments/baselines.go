@@ -111,7 +111,7 @@ func (c *BaselineCache) count(hit, miss, upg bool) {
 // read; a cached run recorded without them is re-simulated once with the
 // union of all flags seen so far (the rerun is bit-identical — the engine is
 // deterministic — just with tracing on).
-func (c *BaselineCache) get(env Env, w workloads.Workload, nodes int, traceQ, traceP bool) (*cluster.Result, error) {
+func (c *BaselineCache) get(env Env, w workloads.Workload, nodes int, traceQ, traceP bool, speeds *host.Speeds) (*cluster.Result, error) {
 	key := baselineKey{
 		workload: w.Key,
 		nodes:    nodes,
@@ -147,7 +147,7 @@ func (c *BaselineCache) get(env Env, w workloads.Workload, nodes int, traceQ, tr
 	}
 	e.traceQ = e.traceQ || traceQ
 	e.traceP = e.traceP || traceP
-	e.res, e.err = runOne(env, w, nodes, GroundTruth(), e.traceQ, e.traceP)
+	e.res, e.err = runOne(env, w, nodes, GroundTruth(), e.traceQ, e.traceP, speeds)
 	e.computed = true
 	return e.res, e.err
 }
@@ -156,9 +156,9 @@ func (c *BaselineCache) get(env Env, w workloads.Workload, nodes int, traceQ, tr
 // baseline: through Env.Baselines when one is attached (and the workload
 // carries a fingerprint), falling back to a direct run otherwise. The
 // returned Result may be shared with other runners — treat it as read-only.
-func runGroundTruth(env Env, w workloads.Workload, nodes int, traceQ, traceP bool) (*cluster.Result, error) {
+func runGroundTruth(env Env, w workloads.Workload, nodes int, traceQ, traceP bool, speeds *host.Speeds) (*cluster.Result, error) {
 	if env.Baselines == nil || w.Key == "" {
-		return runOne(env, w, nodes, GroundTruth(), traceQ, traceP)
+		return runOne(env, w, nodes, GroundTruth(), traceQ, traceP, speeds)
 	}
-	return env.Baselines.get(env, w, nodes, traceQ, traceP)
+	return env.Baselines.get(env, w, nodes, traceQ, traceP, speeds)
 }

@@ -70,17 +70,17 @@ func TestBaselineCacheSharing(t *testing.T) {
 
 	// A caller needing traces the cached run lacks upgrades it once; the
 	// wider entry then serves both traced and untraced callers.
-	if _, err := runGroundTruth(env, ws[1], 2, false, true); err != nil {
+	if _, err := runGroundTruth(env, ws[1], 2, false, true, nil); err != nil {
 		t.Fatal(err)
 	}
 	st4 := env.Baselines.Stats()
 	if st4.Upgrades != 1 || st4.Misses != st3.Misses {
 		t.Errorf("want exactly one trace upgrade, got %+v -> %+v", st3, st4)
 	}
-	if _, err := runGroundTruth(env, ws[1], 2, false, true); err != nil {
+	if _, err := runGroundTruth(env, ws[1], 2, false, true, nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := runGroundTruth(env, ws[1], 2, false, false); err != nil {
+	if _, err := runGroundTruth(env, ws[1], 2, false, false, nil); err != nil {
 		t.Fatal(err)
 	}
 	st5 := env.Baselines.Stats()

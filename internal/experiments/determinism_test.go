@@ -53,3 +53,36 @@ func TestAblationWorkerCountInvariance(t *testing.T) {
 		t.Errorf("ablation rows differ between workers=1 and workers=4:\n%+v\n%+v", r1, r4)
 	}
 }
+
+// The shared table of host speed draws must be invisible in the results:
+// Figure 6's rows and every cell are identical whether each run of the grid
+// computes its own draws (no table), the runs share one sequentially, or an
+// oversubscribed pool fills and reads it concurrently (with -race, the
+// end-to-end data-race proof for host.Speeds under the worker pool).
+func TestGridSharedDrawsIdentical(t *testing.T) {
+	const scale = 0.02
+	nodeCounts := []int{2, 4}
+	env := DefaultEnv()
+	env.Workers = 1
+	private, err := grid(env, NASSuite(scale), nodeCounts, StandardSpecs(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(private) == 0 {
+		t.Fatal("empty grid")
+	}
+	wantRows := aggregateNAS(private, nodeCounts, StandardSpecs())
+	for _, workers := range []int{1, 8} {
+		env.Workers = workers
+		rows, cells, err := Fig6(env, scale, nodeCounts)
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		if !reflect.DeepEqual(cells, private) {
+			t.Errorf("workers=%d: cells with the shared table differ from the cells of private draws", workers)
+		}
+		if !reflect.DeepEqual(rows, wantRows) {
+			t.Errorf("workers=%d: Fig6 rows with the shared table differ:\n%+v\n%+v", workers, rows, wantRows)
+		}
+	}
+}

@@ -154,13 +154,15 @@ type Cell struct {
 	Stats     cluster.Stats
 }
 
-// runOne executes one configuration.
-func runOne(env Env, w workloads.Workload, nodes int, spec Spec, traceQ, traceP bool) (*cluster.Result, error) {
+// runOne executes one configuration; speeds is the sweep's shared table of
+// host speed draws, nil outside one.
+func runOne(env Env, w workloads.Workload, nodes int, spec Spec, traceQ, traceP bool, speeds *host.Speeds) (*cluster.Result, error) {
 	cfg := cluster.Config{
 		Nodes:        nodes,
 		Guest:        env.Guest,
 		Net:          env.Net,
 		Host:         env.Host,
+		Speeds:       speeds,
 		Policy:       spec.Policy,
 		Program:      w.New,
 		MaxGuest:     env.MaxGuest,
@@ -187,7 +189,22 @@ func runOne(env Env, w workloads.Workload, nodes int, spec Spec, traceQ, traceP 
 // each workload × node count) and returns one Cell per non-baseline run.
 // Cells come back in construction order — workload-major, then node count,
 // then spec — regardless of Env.Workers.
+//
+// The runs of one grid share their host speed draws: they have the host seed
+// in common and mostly the node ids and jitter windows too, so each draw is
+// computed by the first run to need it (host.Speeds). The table lives for
+// this call only — like a fresh BaselineCache, every Grid starts cold.
 func Grid(env Env, ws []workloads.Workload, nodeCounts []int, specs []Spec) ([]Cell, error) {
+	most := 0
+	for _, n := range nodeCounts {
+		most = max(most, n)
+	}
+	return grid(env, ws, nodeCounts, specs, host.NewSpeeds(env.Host, most))
+}
+
+// grid is Grid over a given table of speed draws; nil computes every draw in
+// the run that needs it, which must give the same cells.
+func grid(env Env, ws []workloads.Workload, nodeCounts []int, specs []Spec, speeds *host.Speeds) ([]Cell, error) {
 	type base struct {
 		metric float64
 		host   simtime.Duration
@@ -201,7 +218,7 @@ func Grid(env Env, ws []workloads.Workload, nodeCounts []int, specs []Spec) ([]C
 		for ni, n := range nodeCounts {
 			wi, ni, w, n := wi, ni, w, n
 			jobs = append(jobs, job{name: fmt.Sprintf("%s/%d", w.Name, n), run: func() error {
-				res, err := runGroundTruth(env, w, n, false, false)
+				res, err := runGroundTruth(env, w, n, false, false, speeds)
 				if err != nil {
 					return err
 				}
@@ -227,7 +244,7 @@ func Grid(env Env, ws []workloads.Workload, nodeCounts []int, specs []Spec) ([]C
 				slot, w, n, spec := ci, w, n, spec
 				b := bases[baseIdx(wi, ni)]
 				jobs = append(jobs, job{name: fmt.Sprintf("%s/%d %s", w.Name, n, spec.Label), run: func() error {
-					res, err := runOne(env, w, n, spec, false, false)
+					res, err := runOne(env, w, n, spec, false, false, speeds)
 					if err != nil {
 						return err
 					}

@@ -61,7 +61,7 @@ func TestBaselineCacheKeysOnFaults(t *testing.T) {
 		t.Helper()
 		fenv := env
 		fenv.Faults = plan
-		if _, err := runGroundTruth(fenv, w, 2, false, false); err != nil {
+		if _, err := runGroundTruth(fenv, w, 2, false, false, nil); err != nil {
 			t.Fatal(err)
 		}
 	}

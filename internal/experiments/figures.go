@@ -184,7 +184,7 @@ func Fig9Case(env Env, w workloads.Workload, nodes int, dyn Spec, fixed []Spec, 
 		SpeedupCharts: map[string]string{},
 	}
 
-	baseRes, err := runGroundTruth(env, w, nodes, true, true)
+	baseRes, err := runGroundTruth(env, w, nodes, true, true, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -207,7 +207,7 @@ func Fig9Case(env Env, w workloads.Workload, nodes int, dyn Spec, fixed []Spec, 
 	for i, spec := range specs {
 		i, spec := i, spec
 		jobs = append(jobs, job{name: spec.Label, run: func() error {
-			res, err := runOne(env, w, nodes, spec, true, false)
+			res, err := runOne(env, w, nodes, spec, true, false, nil)
 			if err != nil {
 				return err
 			}
@@ -292,7 +292,7 @@ func quantumChart(res *cluster.Result, width int) string {
 // RunQuantumTrace runs one configuration with quantum tracing and returns
 // the result together with an ASCII chart of the quantum over time.
 func RunQuantumTrace(env Env, w workloads.Workload, nodes int, spec Spec, width int) (*cluster.Result, string, error) {
-	res, err := runOne(env, w, nodes, spec, true, false)
+	res, err := runOne(env, w, nodes, spec, true, false, nil)
 	if err != nil {
 		return nil, "", err
 	}

@@ -432,11 +432,14 @@ func (n *Node) QuietUntil() (until simtime.Guest, busy bool) {
 	return simtime.MaxGuest(until, now), false
 }
 
-// AdvanceQuiet runs the node through one whole quantum ending at limit in
-// which it has no event (limit < QuietUntil, with busy as QuietUntil
-// reported it): exactly the state BeginQuantum(limit) followed by stepping to
-// the limit would leave — the clock at the limit, the owed busy time reduced
-// by the guest time spent — without resuming the coroutine.
+// AdvanceQuiet runs the node through a whole quiet stretch ending at limit —
+// one quantum or any number of consecutive ones in which it has no event
+// (limit < QuietUntil, with busy as QuietUntil reported it): exactly the state
+// BeginQuantum and stepping to the limit, quantum after quantum, would leave —
+// the clock at the limit, the owed busy time reduced by the guest time spent —
+// without resuming the coroutine. The engine relies on the stretch form: it
+// leaves a node it fast-forwards where it stood and catches it up in one call
+// when the node is next stepped (DESIGN.md §7.1).
 func (n *Node) AdvanceQuiet(limit simtime.Guest, busy bool) {
 	now := n.clock.load()
 	if limit < now {

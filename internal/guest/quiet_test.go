@@ -91,11 +91,109 @@ func g(d simtime.Duration) simtime.Guest { return simtime.Guest(d) }
 // AdvanceQuiet must leave the node indistinguishable from the stepped one;
 // stepping to a limit equal to it must not — something happens there.
 func TestQuietUntilAgainstStep(t *testing.T) {
+	for _, c := range quietCases() {
+		t.Run(c.name, func(t *testing.T) {
+			n, _ := c.build()
+			now := n.Clock()
+			until, busy := n.QuietUntil()
+			n.Shutdown()
+			if until != c.wantUntil || busy != c.wantBusy {
+				t.Fatalf("QuietUntil = (%v, %v), want (%v, %v)", until, busy, c.wantUntil, c.wantBusy)
+			}
+
+			limits := []simtime.Guest{now + 1, now + g(100*us)}
+			if until != simtime.GuestInfinity {
+				limits = append(limits, until-1, until, until+1)
+			}
+			for _, limit := range limits {
+				if limit <= now {
+					continue
+				}
+				stepped, ops := c.build()
+				before := *ops
+				trace := quantumTrace(stepped, limit)
+				quiet := *ops == before &&
+					reflect.DeepEqual(trace, quietSignature(now, limit, busy, stepped.Done()))
+				if want := until > limit; quiet != want {
+					t.Errorf("limit %v: QuietUntil %v says quiet=%v, but stepping gives %v (workload resumed %d times)",
+						limit, until, want, trace, *ops-before)
+				}
+				if until > limit {
+					peeked, _ := c.build()
+					peeked.AdvanceQuiet(limit, busy)
+					compareNodes(t, fmt.Sprintf("limit %v", limit), peeked, stepped)
+					peeked.Shutdown()
+				}
+				stepped.Shutdown()
+			}
+		})
+	}
+}
+
+// TestAdvanceQuietStretch pins the two facts the engine's lazy guest clocks
+// rest on (DESIGN.md §7.1), over the same parked states: catching a node up
+// across k quiet quanta in one AdvanceQuiet leaves exactly the node k
+// per-quantum calls leave — clock, owed overhead, next peek and everything it
+// does afterwards — and QuietUntil on the node not yet caught up already
+// returns what it returns on the caught-up one, because every time it reports
+// is absolute.
+func TestAdvanceQuietStretch(t *testing.T) {
+	stretches := 0
+	for _, c := range quietCases() {
+		t.Run(c.name, func(t *testing.T) {
+			lagging, _ := c.build()
+			defer lagging.Shutdown()
+			now := lagging.Clock()
+			until, busy := lagging.QuietUntil()
+			// The longest stretch of k quanta of length q ending strictly
+			// below until; an unbounded horizon gets an arbitrary one.
+			const k = 7
+			end := until - 1
+			if until == simtime.GuestInfinity {
+				end = now + g(100*us)
+			}
+			q := (end - now) / k
+			if q < 1 {
+				return // the node acts at once: there is no stretch to cross
+			}
+			stretches++
+
+			perQuantum, _ := c.build()
+			defer perQuantum.Shutdown()
+			for i := simtime.Guest(1); i <= k; i++ {
+				perQuantum.AdvanceQuiet(now+i*q, busy)
+				if i == k/2 {
+					// A barrier delivers to a lagging node like to any other;
+					// the arrival lies past the stretch, so it stays quiet.
+					f := &pkt.Frame{ID: 50}
+					lagging.Deliver(f, now+k*q+1)
+					perQuantum.Deliver(f, now+k*q+1)
+				}
+				u, b := perQuantum.QuietUntil()
+				if lu, lb := lagging.QuietUntil(); lu != u || lb != b {
+					t.Fatalf("after %d quanta: the lagging node peeks (%v,%v), the advanced one (%v,%v)", i, lu, lb, u, b)
+				}
+			}
+			lagging.AdvanceQuiet(now+k*q, busy)
+			if lagging.overhead != perQuantum.overhead {
+				t.Errorf("owed overhead: one call leaves %v, %d calls leave %v", lagging.overhead, k, perQuantum.overhead)
+			}
+			compareNodes(t, fmt.Sprintf("stretch of %d x %v", k, q), lagging, perQuantum)
+		})
+	}
+	if stretches < 8 {
+		t.Errorf("only %d cases had a quiet stretch to cross: the comparison is nearly vacuous", stretches)
+	}
+}
+
+// quietCases are the parked states the quiet-peek tests share: every kind of
+// pending op at every boundary.
+func quietCases() []quietCase {
 	frame := func(id uint64) *pkt.Frame { return &pkt.Frame{ID: id} }
 	toLimit := func(limit simtime.Guest) func(*Node) {
 		return func(n *Node) { quantumTrace(n, limit) }
 	}
-	cases := []quietCase{
+	return []quietCase{
 		{
 			// Q == 10µs: the op ends exactly at the limit and the workload
 			// resumes inside the quantum.
@@ -214,44 +312,6 @@ func TestQuietUntilAgainstStep(t *testing.T) {
 			park:      func(n *Node) { n.BeginQuantum(g(10 * us)); n.Step() },
 			wantUntil: g(10 * us),
 		},
-	}
-
-	for _, c := range cases {
-		t.Run(c.name, func(t *testing.T) {
-			n, _ := c.build()
-			now := n.Clock()
-			until, busy := n.QuietUntil()
-			n.Shutdown()
-			if until != c.wantUntil || busy != c.wantBusy {
-				t.Fatalf("QuietUntil = (%v, %v), want (%v, %v)", until, busy, c.wantUntil, c.wantBusy)
-			}
-
-			limits := []simtime.Guest{now + 1, now + g(100*us)}
-			if until != simtime.GuestInfinity {
-				limits = append(limits, until-1, until, until+1)
-			}
-			for _, limit := range limits {
-				if limit <= now {
-					continue
-				}
-				stepped, ops := c.build()
-				before := *ops
-				trace := quantumTrace(stepped, limit)
-				quiet := *ops == before &&
-					reflect.DeepEqual(trace, quietSignature(now, limit, busy, stepped.Done()))
-				if want := until > limit; quiet != want {
-					t.Errorf("limit %v: QuietUntil %v says quiet=%v, but stepping gives %v (workload resumed %d times)",
-						limit, until, want, trace, *ops-before)
-				}
-				if until > limit {
-					peeked, _ := c.build()
-					peeked.AdvanceQuiet(limit, busy)
-					compareNodes(t, fmt.Sprintf("limit %v", limit), peeked, stepped)
-					peeked.Shutdown()
-				}
-				stepped.Shutdown()
-			}
-		})
 	}
 }
 

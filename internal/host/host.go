@@ -78,13 +78,18 @@ func (s *Sampling) Validate() error {
 	switch {
 	case s.Period <= 0:
 		return fmt.Errorf("host: sampling Period must be positive, got %v", s.Period)
-	case s.DetailFraction < 0 || s.DetailFraction > 1:
+	case !(s.DetailFraction >= 0 && s.DetailFraction <= 1):
 		return fmt.Errorf("host: sampling DetailFraction must be in [0,1], got %v", s.DetailFraction)
-	case s.FastSlowdown <= 0:
-		return fmt.Errorf("host: sampling FastSlowdown must be positive, got %v", s.FastSlowdown)
+	case !positiveFinite(s.FastSlowdown):
+		return fmt.Errorf("host: sampling FastSlowdown must be positive and finite, got %v", s.FastSlowdown)
 	}
 	return nil
 }
+
+// positiveFinite rejects NaN and +Inf along with v <= 0: NaN compares false
+// against every bound, and either turns into garbage host time once a cost is
+// rounded to a simtime.Duration.
+func positiveFinite(v float64) bool { return v > 0 && !math.IsInf(v, 1) }
 
 // DefaultParams returns a host calibrated so that the paper's headline
 // shapes hold: a ~65x speedup for Q=1000µs over Q=1µs on silent workloads,
@@ -110,16 +115,22 @@ func DefaultParams() Params {
 // Validate reports parameter errors.
 func (p Params) Validate() error {
 	switch {
-	case p.BusySlowdown <= 0:
-		return fmt.Errorf("host: BusySlowdown must be positive, got %v", p.BusySlowdown)
-	case p.IdleSlowdown <= 0:
-		return fmt.Errorf("host: IdleSlowdown must be positive, got %v", p.IdleSlowdown)
-	case p.JitterSigma < 0:
-		return fmt.Errorf("host: JitterSigma must be non-negative, got %v", p.JitterSigma)
+	case !positiveFinite(p.BusySlowdown):
+		return fmt.Errorf("host: BusySlowdown must be positive and finite, got %v", p.BusySlowdown)
+	case !positiveFinite(p.IdleSlowdown):
+		return fmt.Errorf("host: IdleSlowdown must be positive and finite, got %v", p.IdleSlowdown)
+	case !(p.JitterSigma >= 0) || math.IsInf(p.JitterSigma, 1):
+		return fmt.Errorf("host: JitterSigma must be non-negative and finite, got %v", p.JitterSigma)
 	case p.JitterPeriod <= 0:
 		return fmt.Errorf("host: JitterPeriod must be positive, got %v", p.JitterPeriod)
 	case p.BarrierCost < 0:
 		return fmt.Errorf("host: BarrierCost must be non-negative, got %v", p.BarrierCost)
+	case p.PacketTransit < 0:
+		return fmt.Errorf("host: PacketTransit must be non-negative, got %v", p.PacketTransit)
+	case p.PacketHostCost < 0:
+		// A negative per-packet cost would release the barrier before the
+		// slowest node reached it and make Stats.HostBarrier shrink.
+		return fmt.Errorf("host: PacketHostCost must be non-negative, got %v", p.PacketHostCost)
 	}
 	if p.Sampling != nil {
 		return p.Sampling.Validate()
@@ -138,11 +149,18 @@ type Model struct {
 	// Box–Muller transcendentals drop out of the hot loop. Sized by
 	// Reserve; nodes beyond the reservation fall through to the raw draw.
 	memo []speedMemo
+	// shared, when non-nil, is where a draw the memo misses is looked up
+	// before it is computed (Share).
+	shared *Speeds
 }
 
 // speedMemo is one node's cached draw. window is -1 until the first hit.
+// [lo, hi) is the window's guest extent when a conversion inside it is a
+// single product — no sampling schedule — and empty otherwise, so HostCost
+// can test "one window, and this one" with two comparisons.
 type speedMemo struct {
 	window int64
+	lo, hi simtime.Guest
 	mult   float64
 }
 
@@ -173,38 +191,60 @@ func (m *Model) Reserve(nodes int) {
 	m.memo = memo
 }
 
+// Share makes the model look its speed draws up in s, a table other models
+// of the same sweep fill and read concurrently, before computing them. A
+// table drawn for another seed or sigma is ignored: the model then computes
+// every draw itself, exactly as without one.
+func (m *Model) Share(s *Speeds) {
+	if s != nil && s.seed == m.p.Seed && s.sigma == m.p.JitterSigma {
+		m.shared = s
+	}
+}
+
 // Params returns the model's configuration.
 func (m *Model) Params() Params { return m.p }
 
 // speed returns the speed multiplier for a node within one jitter window.
 // Larger multiplier = slower simulation (more host ns per guest ns). The
-// draw is a pure function of (seed, node, window) — no state, no allocation
-// — so host/guest conversions can replay from any point; the per-node memo
-// only short-circuits recomputation of the identical value.
+// draw is a pure function of (seed, node, window) — no state — so host/guest
+// conversions can replay from any point; the per-node memo and the shared
+// table only short-circuit recomputation of the identical value.
 func (m *Model) speed(node int, window int64) float64 {
-	if m.p.JitterSigma == 0 {
-		return 1
+	if node >= len(m.memo) {
+		return m.draw(node, window)
 	}
-	if node < len(m.memo) {
-		if mo := &m.memo[node]; mo.window == window {
-			return mo.mult
+	mo := &m.memo[node]
+	if mo.window != window {
+		*mo = speedMemo{window: window, mult: m.draw(node, window)}
+		if m.p.Sampling == nil {
+			per := simtime.Guest(m.p.JitterPeriod)
+			mo.lo = simtime.Guest(window) * per
+			mo.hi = mo.lo + per
 		}
-		mult := m.draw(node, window)
-		m.memo[node] = speedMemo{window: window, mult: mult}
-		return mult
 	}
-	return m.draw(node, window)
+	return mo.mult
 }
 
-// draw computes the lognormal speed multiplier from scratch.
+// draw returns the multiplier of (node, window) from the shared table when
+// there is one, computing it otherwise.
 func (m *Model) draw(node int, window int64) float64 {
-	u := rng.HashFloat01(m.p.Seed, uint64(node), uint64(window), 1)
-	v := rng.HashFloat01(m.p.Seed, uint64(node), uint64(window), 2)
+	switch {
+	case m.p.JitterSigma == 0:
+		return 1
+	case m.shared != nil:
+		return m.shared.mult(node, window)
+	}
+	return lognormal(m.p.Seed, m.p.JitterSigma, node, window)
+}
+
+// lognormal computes the speed multiplier from scratch.
+func lognormal(seed uint64, sigma float64, node int, window int64) float64 {
+	u := rng.HashFloat01(seed, uint64(node), uint64(window), 1)
+	v := rng.HashFloat01(seed, uint64(node), uint64(window), 2)
 	norm := math.Sqrt(-2*math.Log(u)) * math.Cos(2*math.Pi*v)
 	// mu = -sigma²/2 gives the lognormal mean 1, so jitter never biases the
 	// average speed, only its spread.
-	sig := m.p.JitterSigma
-	return math.Exp(-sig*sig/2 + sig*norm)
+	return math.Exp(-sigma*sigma/2 + sigma*norm)
 }
 
 // Mode distinguishes how the guest spends time, which determines the host
@@ -269,13 +309,21 @@ func (m *Model) HostCost(node int, g0, g1 simtime.Guest, mode Mode) simtime.Dura
 	if g1 <= g0 {
 		return 0
 	}
-	per := simtime.Guest(m.p.JitterPeriod)
 	// Single-window fast path: quanta are typically much shorter than
 	// JitterPeriod, so most conversions never cross an integration boundary.
 	// This is the loop below run for exactly one iteration — the same
 	// float64 product, the same rounding — just without the loop and segEnd
 	// overhead. Sampling schedules add boundaries segEnd knows about, so
-	// they take the general loop.
+	// they take the general loop. Most conversions also land in the window
+	// of the one before: the memoised window's bounds then answer without
+	// the two divisions that locate it.
+	if node < len(m.memo) {
+		if mo := &m.memo[node]; mo.lo <= g0 && g1 <= mo.hi {
+			total := float64(g1-g0) * m.slowdownAt(mode, g0) * mo.mult
+			return simtime.Duration(total + 0.5)
+		}
+	}
+	per := simtime.Guest(m.p.JitterPeriod)
 	if m.p.Sampling == nil && g0/per == (g1-1)/per {
 		total := float64(g1-g0) * m.slowdownAt(mode, g0) * m.speed(node, int64(g0/per))
 		return simtime.Duration(total + 0.5)

@@ -2,6 +2,7 @@ package host
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -115,23 +116,58 @@ func TestJitterDeterministic(t *testing.T) {
 	}
 }
 
+// Validate names the field it rejects. NaN needs its own rows: it compares
+// false against every bound, so a check written as "v <= 0" lets it through
+// and the first cost rounded to a simtime.Duration is garbage.
 func TestValidation(t *testing.T) {
-	bad := []func(p *Params){
-		func(p *Params) { p.BusySlowdown = 0 },
-		func(p *Params) { p.IdleSlowdown = -1 },
-		func(p *Params) { p.JitterSigma = -0.1 },
-		func(p *Params) { p.JitterPeriod = 0 },
-		func(p *Params) { p.BarrierCost = -1 },
-	}
-	for i, mod := range bad {
-		p := testParams()
-		mod(&p)
-		if p.Validate() == nil {
-			t.Errorf("bad params %d accepted", i)
+	nan, inf := math.NaN(), math.Inf(1)
+	sampling := func(mod func(s *Sampling)) func(p *Params) {
+		return func(p *Params) {
+			s := *sampledParams(0.5).Sampling
+			mod(&s)
+			p.Sampling = &s
 		}
 	}
-	if err := testParams().Validate(); err != nil {
-		t.Errorf("default params rejected: %v", err)
+	bad := []struct {
+		field string
+		mod   func(p *Params)
+	}{
+		{"BusySlowdown", func(p *Params) { p.BusySlowdown = 0 }},
+		{"BusySlowdown", func(p *Params) { p.BusySlowdown = nan }},
+		{"BusySlowdown", func(p *Params) { p.BusySlowdown = inf }},
+		{"IdleSlowdown", func(p *Params) { p.IdleSlowdown = -1 }},
+		{"IdleSlowdown", func(p *Params) { p.IdleSlowdown = nan }},
+		{"IdleSlowdown", func(p *Params) { p.IdleSlowdown = inf }},
+		{"JitterSigma", func(p *Params) { p.JitterSigma = -0.1 }},
+		{"JitterSigma", func(p *Params) { p.JitterSigma = nan }},
+		{"JitterSigma", func(p *Params) { p.JitterSigma = inf }},
+		{"JitterSigma", func(p *Params) { p.JitterSigma = -inf }},
+		{"JitterPeriod", func(p *Params) { p.JitterPeriod = 0 }},
+		{"BarrierCost", func(p *Params) { p.BarrierCost = -1 }},
+		{"PacketTransit", func(p *Params) { p.PacketTransit = -1 }},
+		{"PacketHostCost", func(p *Params) { p.PacketHostCost = -1 }},
+		{"DetailFraction", sampling(func(s *Sampling) { s.DetailFraction = nan })},
+		{"DetailFraction", sampling(func(s *Sampling) { s.DetailFraction = inf })},
+		{"DetailFraction", sampling(func(s *Sampling) { s.DetailFraction = -inf })},
+		{"FastSlowdown", sampling(func(s *Sampling) { s.FastSlowdown = nan })},
+		{"FastSlowdown", sampling(func(s *Sampling) { s.FastSlowdown = inf })},
+	}
+	for i, c := range bad {
+		p := testParams()
+		c.mod(&p)
+		err := p.Validate()
+		if err == nil {
+			t.Errorf("bad params %d (%s) accepted", i, c.field)
+		} else if !strings.Contains(err.Error(), c.field) {
+			t.Errorf("bad params %d: error %q does not name %s", i, err, c.field)
+		}
+	}
+	good := testParams()
+	good.PacketTransit, good.PacketHostCost, good.BarrierCost, good.JitterSigma = 0, 0, 0, 0
+	for _, p := range []Params{testParams(), good, sampledParams(0), sampledParams(1)} {
+		if err := p.Validate(); err != nil {
+			t.Errorf("valid params rejected: %v", err)
+		}
 	}
 }
 
