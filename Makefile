@@ -1,9 +1,8 @@
 # Developer entry points. CI runs the same commands (.github/workflows/ci.yml).
 
 GO ?= go
-SIMLINT := $(CURDIR)/bin/simlint
 
-.PHONY: all build test race simbench fleet fleet-update lint simlint vet-simlint fmt clean
+.PHONY: all build test race simbench fleet fleet-update lint simlint loc fmt
 
 all: build test simlint
 
@@ -39,17 +38,8 @@ fleet-update:
 simlint:
 	$(GO) run ./cmd/simlint ./...
 
-# The same analyzers driven through go vet's unitchecker protocol — what
-# editors and `go vet -vettool` users exercise.
-vet-simlint: $(SIMLINT)
-	$(GO) vet -vettool=$(SIMLINT) ./...
-
-$(SIMLINT): FORCE
-	$(GO) build -o $(SIMLINT) ./cmd/simlint
-
-FORCE:
-
-# lint = everything static that CI gates on and that runs offline.
+# lint = everything static that CI gates on and that runs offline. go vet's
+# copylocks owns by-value lock copies; simlint has no analyzer for them.
 lint: simlint
 	$(GO) vet ./...
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
@@ -58,5 +48,11 @@ lint: simlint
 fmt:
 	gofmt -w .
 
-clean:
-	rm -rf bin
+# Non-test Go lines (wc -l) of the five largest subsystems — the table
+# ROADMAP asks every PR to report before/after.
+loc:
+	@for dirs in "internal/cluster" "internal/analysis cmd/simlint" "cmd/simbench" \
+		"internal/experiments" "internal/obs internal/prof"; do \
+		printf '%-30s %6d\n' "$$dirs" "$$(find $$dirs -name '*.go' -not -name '*_test.go' \
+			-not -path '*/testdata/*' -print0 | xargs -0 cat | wc -l)"; \
+	done

@@ -38,7 +38,6 @@ var (
 	csvFlag     = flag.String("csv", "", "also write machine-readable CSVs into this directory")
 	workersFlag = flag.Int("workers", 0, "concurrent simulations per experiment grid (0 = GOMAXPROCS, 1 = sequential); results are identical for any value")
 	intraFlag   = flag.Int("intra-workers", 0, "intra-quantum pool size: ground-truth quanta (Q ≤ min network latency) step their nodes on this many goroutines (below 2: inline); results are identical for any value")
-	cacheFlag   = flag.Bool("baseline-cache", true, "memoize ground-truth (Q=1µs) runs across figures and tables so each distinct baseline is simulated once")
 	cpuProfFlag = flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfFlag = flag.String("memprofile", "", "write a heap profile to this file at exit")
 	seedFlag    = flag.Uint64("fault-seed", 1, "seed for the fault-injection plans of the faults study")
@@ -106,14 +105,12 @@ func run() error {
 	env := experiments.DefaultEnv()
 	env.Workers = *workersFlag
 	env.IntraWorkers = *intraFlag
-	if *cacheFlag {
-		env.Baselines = experiments.NewBaselineCache()
-		defer func() {
-			st := env.Baselines.Stats()
-			fmt.Fprintf(os.Stderr, "paperfigs: baseline cache: %d baselines simulated, %d reused, %d trace upgrades\n",
-				st.Misses, st.Hits, st.Upgrades)
-		}()
-	}
+	env.Baselines = experiments.NewBaselineCache()
+	defer func() {
+		st := env.Baselines.Stats()
+		fmt.Fprintf(os.Stderr, "paperfigs: baseline cache: %d baselines simulated, %d reused, %d trace upgrades\n",
+			st.Misses, st.Hits, st.Upgrades)
+	}()
 	if *reportFlag != "" {
 		env.Profiles = &prof.Sweep{}
 		defer func() {

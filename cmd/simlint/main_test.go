@@ -2,11 +2,9 @@ package main
 
 import (
 	"bytes"
-	"encoding/json"
 	"os"
 	"os/exec"
 	"path/filepath"
-	"strings"
 	"testing"
 )
 
@@ -42,44 +40,6 @@ func buildSimlint(t *testing.T) string {
 	return bin
 }
 
-func TestVersionAndFlagsProbe(t *testing.T) {
-	bin := buildSimlint(t)
-
-	out, err := exec.Command(bin, "-V=full").Output()
-	if err != nil {
-		t.Fatalf("-V=full: %v", err)
-	}
-	if !strings.HasPrefix(string(out), "simlint version devel buildID=") {
-		t.Errorf("-V=full output %q lacks the go vet version line shape", out)
-	}
-
-	out, err = exec.Command(bin, "-flags").Output()
-	if err != nil {
-		t.Fatalf("-flags: %v", err)
-	}
-	var defs []struct {
-		Name  string
-		Bool  bool
-		Usage string
-	}
-	if err := json.Unmarshal(out, &defs); err != nil {
-		t.Fatalf("-flags output is not JSON: %v\n%s", err, out)
-	}
-	names := map[string]bool{}
-	for _, d := range defs {
-		names[d.Name] = true
-	}
-	for _, want := range []string{
-		"nodetsource", "maporder", "guestwall", "lockcopy",
-		"snapshotsafe", "hotalloc", "errdiscard",
-		"json", "json-out", "V",
-	} {
-		if !names[want] {
-			t.Errorf("-flags output missing flag %q; got %s", want, out)
-		}
-	}
-}
-
 // TestStandaloneCleanRepo is the acceptance gate: the repository itself must
 // be simlint-clean (findings either fixed or carrying justified directives).
 func TestStandaloneCleanRepo(t *testing.T) {
@@ -111,61 +71,5 @@ func TestStandaloneSkipsTestdata(t *testing.T) {
 	}
 	if len(bytes.TrimSpace(out)) != 0 {
 		t.Fatalf("simlint over a testdata corpus must report nothing, got:\n%s", out)
-	}
-}
-
-// TestJSONFindingsDocument checks the -json-out artifact: a versioned
-// findings document is written even on a clean run (CI uploads it on
-// failure, but the file must exist either way).
-func TestJSONFindingsDocument(t *testing.T) {
-	if testing.Short() {
-		t.Skip("loads and typechecks the whole module")
-	}
-	bin := buildSimlint(t)
-	outPath := filepath.Join(t.TempDir(), "findings.json")
-	cmd := exec.Command(bin, "-C", moduleRoot(t), "-json-out", outPath, "./...")
-	if out, err := cmd.CombinedOutput(); err != nil {
-		t.Fatalf("simlint -json-out ./...: %v\n%s", err, out)
-	}
-	data, err := os.ReadFile(outPath)
-	if err != nil {
-		t.Fatalf("findings document not written: %v", err)
-	}
-	var doc struct {
-		Schema   string            `json:"schema"`
-		Findings []json.RawMessage `json:"findings"`
-	}
-	if err := json.Unmarshal(data, &doc); err != nil {
-		t.Fatalf("findings document is not JSON: %v\n%s", err, data)
-	}
-	if doc.Schema != "simlint-findings/1" {
-		t.Errorf("findings schema = %q, want simlint-findings/1", doc.Schema)
-	}
-	if doc.Findings == nil {
-		t.Errorf("findings list must be present (empty, not null) on a clean run:\n%s", data)
-	}
-}
-
-// TestVettoolCleanPackage drives the binary through the real go vet
-// unitchecker protocol against packages that carry //simlint: annotations,
-// confirming directive handling works under vet's file/.cfg calling
-// convention too.
-func TestVettoolCleanPackage(t *testing.T) {
-	if testing.Short() {
-		t.Skip("invokes go vet")
-	}
-	bin := buildSimlint(t)
-	// cluster/guest/msg carry the snapshotroot/hotpath markers, so this also
-	// proves fact flow (hotalloc summaries riding vetx files) under vet's
-	// dependency-first visit order.
-	cmd := exec.Command("go", "vet", "-vettool="+bin,
-		"./internal/faults", "./internal/obs", "./internal/simtime",
-		"./internal/cluster", "./internal/guest", "./internal/msg")
-	cmd.Dir = moduleRoot(t)
-	var buf bytes.Buffer
-	cmd.Stdout = &buf
-	cmd.Stderr = &buf
-	if err := cmd.Run(); err != nil {
-		t.Fatalf("go vet -vettool=simlint: %v\n%s", err, buf.String())
 	}
 }

@@ -36,7 +36,8 @@ var Analyzer = &framework.Analyzer{
 	Name: "errdiscard",
 	Doc: "flag discarded error results of Flush/Err/Validate-shaped calls in " +
 		"determinism-critical and export packages (critpkg.Export scope)",
-	Run: run,
+	Directives: []string{"errdiscard"},
+	Run:        run,
 }
 
 // shapedNames are the method/function names whose error result is a

@@ -4,11 +4,11 @@ package flushy
 
 type writer struct{ err error }
 
-func (w *writer) Flush() error    { return w.err }
-func (w *writer) Err() error      { return w.err }
-func (w *writer) Write(p []byte)  { _ = p }
-func (w *writer) Close() error    { return w.err } // not a shaped name
-func (w *writer) FlushHard()      {}               // shaped name needs an error result
+func (w *writer) Flush() error   { return w.err }
+func (w *writer) Err() error     { return w.err }
+func (w *writer) Write(p []byte) { _ = p }
+func (w *writer) Close() error   { return w.err } // not a shaped name
+func (w *writer) FlushHard()     {}               // shaped name needs an error result
 
 type plan struct{}
 
@@ -20,12 +20,12 @@ type Flusher interface {
 }
 
 func discards(w *writer, p plan, f Flusher) {
-	w.Flush()         // want `error returned by \(\*flushy\.writer\)\.Flush is dropped`
-	_ = w.Flush()     // want `error returned by \(\*flushy\.writer\)\.Flush is assigned to _`
-	defer w.Flush()   // want `error returned by \(\*flushy\.writer\)\.Flush is dropped \(deferred call result\)`
-	go w.Err()        // want `error returned by \(\*flushy\.writer\)\.Err is dropped \(goroutine result\)`
+	w.Flush()           // want `error returned by \(\*flushy\.writer\)\.Flush is dropped`
+	_ = w.Flush()       // want `error returned by \(\*flushy\.writer\)\.Flush is assigned to _`
+	defer w.Flush()     // want `error returned by \(\*flushy\.writer\)\.Flush is dropped \(deferred call result\)`
+	go w.Err()          // want `error returned by \(\*flushy\.writer\)\.Err is dropped \(goroutine result\)`
 	_, _ = p.Validate() // want `error returned by \(flushy\.plan\)\.Validate is assigned to _`
-	f.Flush()         // want `error returned by \(flushy\.Flusher\)\.Flush is dropped`
+	f.Flush()           // want `error returned by \(flushy\.Flusher\)\.Flush is dropped`
 
 	w.Flush() //simlint:errdiscard corpus: re-checked by the explicit Flush below
 

@@ -11,11 +11,11 @@
 // On top of the x/tools shape it adds one simulator-specific facility:
 // //simlint:NAME directives (see directives.go), the escape hatch through
 // which code asserts that a flagged construct is intentional. A directive
-// must carry a one-line justification; a bare directive is itself reported.
+// must carry a one-line justification; a bare directive is itself reported,
+// and so is one whose NAME no analyzer of the run declares.
 package framework
 
 import (
-	"encoding/json"
 	"fmt"
 	"go/ast"
 	"go/token"
@@ -32,6 +32,13 @@ type Analyzer struct {
 	// line, then detail.
 	Doc string
 
+	// Directives lists every //simlint:NAME this analyzer reads — the
+	// categories it passes to Report plus any marker it looks up itself
+	// (hotalloc's hotpath). RunAnalyzers reports a directive whose name no
+	// analyzer of the run lists, so a typo or a leftover of a deleted
+	// analyzer cannot linger.
+	Directives []string
+
 	// Run applies the analyzer to a single package.
 	Run func(*Pass) (any, error)
 }
@@ -47,8 +54,8 @@ type Pass struct {
 
 	diags      []Diagnostic
 	directives *DirectiveSet
-	// facts carries cross-package analyzer facts; see FactStore.
-	facts *FactStore
+	// facts carries cross-package analyzer facts; see facts.go.
+	facts factStore
 	// reportedDirectives dedupes the "directive needs a justification"
 	// diagnostic when one bare directive suppresses several findings.
 	reportedDirectives map[*Directive]bool
@@ -57,22 +64,14 @@ type Pass struct {
 // A Diagnostic is one finding at one position.
 type Diagnostic struct {
 	Pos token.Pos
-	// Analyzer is the name of the analyzer that produced the finding.
+	// Analyzer is the name of the analyzer that produced the finding
+	// ("simlint" for the driver's own unknown-directive report).
 	Analyzer string
-	// Category is the directive name that can suppress the finding (for
-	// most analyzers it equals Analyzer; lockcopy splits into
-	// lockcopy/atomicmix, nodetsource into wallclock/nodetsource).
-	Category string
 	Message  string
 }
 
 // Directives returns the package's parsed //simlint: directives.
-func (p *Pass) Directives() *DirectiveSet {
-	if p.directives == nil {
-		p.directives = CollectDirectives(p.Fset, p.Files)
-	}
-	return p.directives
-}
+func (p *Pass) Directives() *DirectiveSet { return p.directives }
 
 // Report records a finding unless a //simlint:<category> directive on the
 // finding's line (or the line above it) suppresses it. A suppressing
@@ -88,7 +87,6 @@ func (p *Pass) Report(category string, pos token.Pos, format string, args ...any
 				p.diags = append(p.diags, Diagnostic{
 					Pos:      d.Pos,
 					Analyzer: p.Analyzer.Name,
-					Category: category,
 					Message: fmt.Sprintf("//simlint:%s directive needs a one-line justification "+
 						"(write //simlint:%s <why this is safe>)", category, category),
 				})
@@ -99,75 +97,39 @@ func (p *Pass) Report(category string, pos token.Pos, format string, args ...any
 	p.diags = append(p.diags, Diagnostic{
 		Pos:      pos,
 		Analyzer: p.Analyzer.Name,
-		Category: category,
 		Message:  fmt.Sprintf(format, args...),
 	})
 }
 
-// ExportFact records a fact under (this package, this analyzer, key) for
-// passes analyzing downstream packages to import. v must marshal to JSON.
-func (p *Pass) ExportFact(key string, v any) {
-	raw, err := json.Marshal(v)
-	if err != nil {
-		// An unmarshalable fact value is an analyzer bug, not an input
-		// condition.
-		panic(fmt.Sprintf("framework: %s: exporting fact %q: %v", p.Analyzer.Name, key, err))
-	}
-	if p.facts == nil {
-		p.facts = NewFactStore()
-	}
-	p.facts.set(p.Pkg.Path(), p.Analyzer.Name, key, raw)
-}
-
-// ImportFact loads the fact this analyzer exported for another package into
-// `into`, reporting whether it existed. Facts flow in import order only: a
-// fact is visible iff its package was analyzed earlier in the dependency
-// order (or, under go vet, its vetx file was handed to this invocation).
-func (p *Pass) ImportFact(pkgPath, key string, into any) bool {
-	return p.ImportAnalyzerFact(p.Analyzer.Name, pkgPath, key, into)
-}
-
-// ImportAnalyzerFact is ImportFact across analyzer namespaces: any analyzer
-// may read the facts another analyzer exported, which is what lets e.g. a
-// future analyzer reuse hotalloc's allocation summaries without recomputing
-// them.
-func (p *Pass) ImportAnalyzerFact(analyzer, pkgPath, key string, into any) bool {
-	if p.facts == nil {
-		return false
-	}
-	raw, ok := p.facts.get(pkgPath, analyzer, key)
-	if !ok {
-		return false
-	}
-	return json.Unmarshal(raw, into) == nil
-}
-
 // RunAnalyzers applies every analyzer to every package and returns the
 // combined findings in deterministic (position, analyzer, message) order.
-// Packages are processed in dependency order over a fresh fact store, so
-// interprocedural analyzers see their upstream facts.
+// Packages are processed in dependency order over one fact store, so
+// interprocedural analyzers see their upstream facts. Packages marked
+// FactsOnly contribute facts but no diagnostics (they were loaded as
+// dependencies, not named for analysis).
 func RunAnalyzers(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
-	return RunAnalyzersWithFacts(pkgs, analyzers, NewFactStore())
-}
-
-// RunAnalyzersWithFacts is RunAnalyzers over a caller-owned fact store —
-// the go vet driver seeds it from dependency vetx files and serializes it
-// back out afterwards. Packages marked FactsOnly contribute facts but no
-// diagnostics (they were loaded as dependencies, not named for analysis).
-func RunAnalyzersWithFacts(pkgs []*Package, analyzers []*Analyzer, store *FactStore) ([]Diagnostic, error) {
-	if store == nil {
-		store = NewFactStore()
+	known := map[string]bool{}
+	for _, a := range analyzers {
+		for _, name := range a.Directives {
+			known[name] = true
+		}
 	}
+	facts := factStore{}
 	var out []Diagnostic
 	for _, pkg := range dependencyOrder(pkgs) {
+		dirs := CollectDirectives(pkg.Fset, pkg.Files)
+		if !pkg.FactsOnly {
+			out = append(out, unknownDirectives(dirs, known)...)
+		}
 		for _, a := range analyzers {
 			pass := &Pass{
-				Analyzer:  a,
-				Fset:      pkg.Fset,
-				Files:     pkg.Files,
-				Pkg:       pkg.Types,
-				TypesInfo: pkg.Info,
-				facts:     store,
+				Analyzer:   a,
+				Fset:       pkg.Fset,
+				Files:      pkg.Files,
+				Pkg:        pkg.Types,
+				TypesInfo:  pkg.Info,
+				directives: dirs,
+				facts:      facts,
 			}
 			if _, err := a.Run(pass); err != nil {
 				return nil, fmt.Errorf("%s: analyzer %s: %w", pkg.Path, a.Name, err)

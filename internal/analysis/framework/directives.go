@@ -1,8 +1,10 @@
 package framework
 
 import (
+	"fmt"
 	"go/ast"
 	"go/token"
+	"sort"
 	"strings"
 )
 
@@ -18,7 +20,9 @@ import (
 //
 // The justification is mandatory: a bare //simlint:NAME still suppresses the
 // underlying finding but is reported itself, so annotations cannot silently
-// accumulate without recorded reasons.
+// accumulate without recorded reasons. A NAME that no analyzer of the run
+// reads (Analyzer.Directives) is reported too: a typo suppresses nothing, and
+// the annotations of a deleted analyzer describe a check nobody makes.
 type Directive struct {
 	Name   string
 	Reason string
@@ -105,3 +109,26 @@ func (s *DirectiveSet) Suppressing(category string, fset *token.FileSet, pos tok
 
 // All returns every directive in the set, in source order per file.
 func (s *DirectiveSet) All() []*Directive { return s.all }
+
+// unknownDirectives reports, once each and at the directive, every directive
+// of s whose name is not in known.
+func unknownDirectives(s *DirectiveSet, known map[string]bool) []Diagnostic {
+	names := make([]string, 0, len(known))
+	for name := range known {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	var out []Diagnostic
+	for _, d := range s.all {
+		if known[d.Name] {
+			continue
+		}
+		out = append(out, Diagnostic{
+			Pos:      d.Pos,
+			Analyzer: "simlint",
+			Message: fmt.Sprintf("unknown directive //simlint:%s: no analyzer reads it (known: %s)",
+				d.Name, strings.Join(names, ", ")),
+		})
+	}
+	return out
+}

@@ -11,7 +11,8 @@ import (
 // FuzzParseDirective hammers the //simlint: comment grammar: malformed
 // categories, missing justifications, embedded // markers, control bytes.
 // parseDirective must never panic and its output must keep the invariants
-// Suppressing and the bare-directive report rely on.
+// Suppressing, the bare-directive report and the unknown-directive report
+// rely on.
 func FuzzParseDirective(f *testing.F) {
 	seeds := []string{
 		"//simlint:maporder per-key merge, order cannot leak",
@@ -23,7 +24,7 @@ func FuzzParseDirective(f *testing.F) {
 		"// simlint:maporder nope",           // space after //: not a directive
 		"//simlint:wallclock\treason",        // tab is not the name/reason separator
 		"//simlint:one x //simlint:two y",    // second directive lost to the // cut
-		"//simlint:snapshotsafe   padded reason   ",
+		"//simlint:guestwall   padded reason   ",
 		"//simlint:名前 理由",  // non-ASCII category and reason
 		"//simlint:a\x00b", // control byte in the category
 		"plain text",
@@ -87,6 +88,17 @@ func FuzzParseDirective(f *testing.F) {
 		}
 		if ds.Suppressing("not-"+d.Name, fset, varPos) != nil {
 			t.Fatalf("directive %q suppressed a different category", text)
+		}
+
+		// The unknown-directive check: silent when an analyzer declares the
+		// name, one report at the directive naming it when none does.
+		if got := unknownDirectives(ds, map[string]bool{d.Name: true}); len(got) != 0 {
+			t.Fatalf("directive %q reported as unknown though its name is declared: %v", text, got)
+		}
+		unknown := unknownDirectives(ds, map[string]bool{"not-" + d.Name: true})
+		if len(unknown) != 1 || unknown[0].Pos != got.Pos ||
+			!strings.Contains(unknown[0].Message, "//simlint:"+d.Name+":") {
+			t.Fatalf("directive %q with an undeclared name: got %v, want one report at the directive", text, unknown)
 		}
 	})
 }

@@ -1,112 +1,31 @@
 package framework
 
-import (
-	"encoding/json"
-	"fmt"
-	"sort"
-)
-
-// A FactStore carries analyzer facts across package boundaries: small,
-// JSON-serializable key→value records that a Pass exports while analyzing
-// one package and a later Pass imports while analyzing a package that
-// depends on it. This is the stdlib-only analogue of x/tools' fact
-// mechanism, and the substrate of simlint's interprocedural analyzers —
-// hotalloc's per-function allocation summaries flow dependency→dependent
-// through it, so an analyzer looking at the engine's quantum loop can name
-// allocation sites buried three packages down the call graph.
+// A factStore carries analyzer facts across package boundaries: values a
+// Pass exports while analyzing one package and a later Pass of the same
+// analyzer imports while analyzing a package that depends on it. This is
+// the stdlib-only analogue of x/tools' fact mechanism, and the substrate of
+// simlint's one interprocedural analyzer — hotalloc's per-function
+// allocation summaries flow dependency→dependent through it, so an analyzer
+// looking at the engine's quantum loop can name allocation sites buried
+// three packages down the call graph.
 //
 // Facts only ever flow in import order (Go forbids import cycles), which is
-// why RunAnalyzersWithFacts processes packages in dependency order and why
-// the go vet driver (cmd/simlint vettool mode) serializes the store into
-// each package's vetx file: the go command visits dependencies first, so a
-// package's vetx can carry the accumulated facts of its whole import
-// closure.
-//
-// Values are namespaced by (package path, analyzer name, fact key), and the
-// serialized form is canonical JSON (encoding/json emits map keys sorted),
-// so fact files are deterministic byte-for-byte.
-type FactStore struct {
-	// pkgs: package path → analyzer name → fact key → encoded value.
-	pkgs map[string]map[string]map[string]json.RawMessage
+// why RunAnalyzers processes packages in dependency order. The store lives
+// for one RunAnalyzers call and is never serialized.
+type factStore map[factKey]any
+
+// A factKey namespaces one fact by exporting package, analyzer and key.
+type factKey struct{ pkgPath, analyzer, key string }
+
+// ExportFact records v under (this package, this analyzer, key) for passes
+// analyzing downstream packages to import.
+func (p *Pass) ExportFact(key string, v any) {
+	p.facts[factKey{p.Pkg.Path(), p.Analyzer.Name, key}] = v
 }
 
-// NewFactStore returns an empty store.
-func NewFactStore() *FactStore {
-	return &FactStore{pkgs: map[string]map[string]map[string]json.RawMessage{}}
-}
-
-func (s *FactStore) set(pkgPath, analyzer, key string, raw json.RawMessage) {
-	byAnalyzer := s.pkgs[pkgPath]
-	if byAnalyzer == nil {
-		byAnalyzer = map[string]map[string]json.RawMessage{}
-		s.pkgs[pkgPath] = byAnalyzer
-	}
-	byKey := byAnalyzer[analyzer]
-	if byKey == nil {
-		byKey = map[string]json.RawMessage{}
-		byAnalyzer[analyzer] = byKey
-	}
-	byKey[key] = raw
-}
-
-func (s *FactStore) get(pkgPath, analyzer, key string) (json.RawMessage, bool) {
-	raw, ok := s.pkgs[pkgPath][analyzer][key]
-	return raw, ok
-}
-
-// Keys returns every fact key one analyzer exported for one package, sorted.
-func (s *FactStore) Keys(pkgPath, analyzer string) []string {
-	byKey := s.pkgs[pkgPath][analyzer]
-	keys := make([]string, 0, len(byKey))
-	for k := range byKey {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
-}
-
-// FactsSchema versions the serialized fact-store format (the payload of
-// simlint's vetx files under go vet).
-const FactsSchema = "simlint-facts/1"
-
-// factsFile is the serialized store.
-type factsFile struct {
-	Schema   string                                           `json:"schema"`
-	Packages map[string]map[string]map[string]json.RawMessage `json:"packages"`
-}
-
-// EncodeJSON serializes the store canonically (map keys sorted by
-// encoding/json), so equal stores produce equal bytes.
-func (s *FactStore) EncodeJSON() []byte {
-	data, err := json.Marshal(factsFile{Schema: FactsSchema, Packages: s.pkgs})
-	if err != nil {
-		// The store only ever holds RawMessage values that came from
-		// json.Marshal, so this is unreachable short of a runtime defect.
-		panic(fmt.Sprintf("framework: encoding fact store: %v", err))
-	}
-	return data
-}
-
-// MergeJSON decodes a serialized store and merges its facts in, later merges
-// overwriting earlier ones key by key. Empty input is a valid empty store
-// (the vetx files of packages analyzed before facts existed).
-func (s *FactStore) MergeJSON(data []byte) error {
-	if len(data) == 0 {
-		return nil
-	}
-	var f factsFile
-	if err := json.Unmarshal(data, &f); err != nil {
-		return fmt.Errorf("framework: decoding fact store: %v", err)
-	}
-	if f.Schema != FactsSchema {
-		return fmt.Errorf("framework: fact store schema %q, want %q", f.Schema, FactsSchema)
-	}
-	for pkgPath, byAnalyzer := range f.Packages {
-		for analyzer, byKey := range byAnalyzer {
-			for key, raw := range byKey {
-				s.set(pkgPath, analyzer, key, raw)
-			}
-		}
-	}
-	return nil
+// ImportFact returns the fact this analyzer exported for another package
+// under key, or nil. A fact is visible iff its package was analyzed earlier
+// in the dependency order.
+func (p *Pass) ImportFact(pkgPath, key string) any {
+	return p.facts[factKey{pkgPath, p.Analyzer.Name, key}]
 }

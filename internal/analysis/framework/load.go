@@ -117,22 +117,16 @@ func underTestdata(dir string) bool {
 	return false
 }
 
-// CheckSource parses and type-checks a free-standing set of Go files (the
-// analysistest path: testdata trees are invisible to go list, so their
+// CheckSourceDeps parses and type-checks a free-standing set of Go files
+// (the analysistest path: testdata trees are invisible to go list, so their
 // import sets are discovered from the parsed files and resolved through one
 // targeted `go list -export` call). pkgPath becomes the package's import
-// path for critical-package matching.
-func CheckSource(dir, pkgPath string, filenames []string) (*Package, error) {
-	return CheckSourceDeps(token.NewFileSet(), dir, pkgPath, filenames, nil)
-}
-
-// CheckSourceDeps is CheckSource with two extensions multi-package corpora
-// need: the caller owns the FileSet (so several corpus packages share one
-// coordinate space), and deps supplies already-source-checked packages that
-// imports resolve against before falling back to `go list` export data.
-// That lets a testdata package import a sibling testdata package — the
-// shape cross-package fact tests require — even though neither is visible
-// to the go command.
+// path for critical-package matching. The caller owns the FileSet (so
+// several corpus packages share one coordinate space), and deps supplies
+// already-source-checked packages that imports resolve against before
+// falling back to `go list` export data. That lets a testdata package import
+// a sibling testdata package — the shape cross-package fact tests require —
+// even though neither is visible to the go command.
 func CheckSourceDeps(fset *token.FileSet, dir, pkgPath string, filenames []string, deps map[string]*types.Package) (*Package, error) {
 	var files []*ast.File
 	importSet := map[string]bool{}

@@ -36,7 +36,8 @@ var Analyzer = &framework.Analyzer{
 	Name: "guestwall",
 	Doc: "flag conversions mixing simtime (guest/host simulated time) with " +
 		"package time (wall clock) quantities (escape: //simlint:guestwall)",
-	Run: run,
+	Directives: []string{"guestwall"},
+	Run:        run,
 }
 
 // domain classifies a type as simulated-time, wall-clock, or neither.

@@ -42,3 +42,9 @@ func bareDirective(t0 time.Time) simtime.Host {
 	//simlint:guestwall // want `//simlint:guestwall directive needs a one-line justification`
 	return simtime.Host(time.Since(t0).Nanoseconds())
 }
+
+// staleDirective carries a category no analyzer of the run reads (here a
+// typo): it suppresses nothing and is reported at the directive.
+func staleDirective(d time.Duration) time.Duration {
+	return d * 2 //simlint:guestwal typo of the category above // want `unknown directive //simlint:guestwal: no analyzer reads it \(known: guestwall\)`
+}

@@ -54,17 +54,18 @@ var Analyzer = &framework.Analyzer{
 	Doc: "flag allocation sites (make/new/append/reference literals/closures/" +
 		"interface boxing) in functions reachable from //simlint:hotpath roots, " +
 		"following calls across packages via exported allocation summaries",
-	Run: run,
+	Directives: []string{"hotpath", "hotalloc"},
+	Run:        run,
 }
 
 // summary is the exported per-function fact: the distinct unjustified
 // allocation sites a call to the function can reach.
 type summary struct {
 	// Sites lists up to maxSites rendered sites, sorted.
-	Sites []string `json:"sites"`
+	Sites []string
 	// Total counts the distinct sites found (Total > len(Sites) when the
 	// list was capped).
-	Total int `json:"total"`
+	Total int
 }
 
 const (
@@ -126,11 +127,9 @@ func run(pass *framework.Pass) (any, error) {
 				}
 				continue
 			}
-			var sum summary
-			if pass.ImportFact(calleePkgPath(call.Callee), framework.FuncKey(call.Callee), &sum) {
-				for _, site := range sum.Sites {
-					set[site] = true
-				}
+			sum, _ := pass.ImportFact(calleePkgPath(call.Callee), framework.FuncKey(call.Callee)).(summary)
+			for _, site := range sum.Sites {
+				set[site] = true
 			}
 		}
 		delete(onStack, n)
@@ -175,8 +174,8 @@ func run(pass *framework.Pass) (any, error) {
 			if call.Callee == nil || graph.NodeOf(call.Callee) != nil {
 				continue
 			}
-			var sum summary
-			if !pass.ImportFact(calleePkgPath(call.Callee), framework.FuncKey(call.Callee), &sum) || sum.Total == 0 {
+			sum, _ := pass.ImportFact(calleePkgPath(call.Callee), framework.FuncKey(call.Callee)).(summary)
+			if sum.Total == 0 {
 				continue
 			}
 			shown := sum.Sites

@@ -39,7 +39,8 @@ var Analyzer = &framework.Analyzer{
 	Name: "maporder",
 	Doc: "flag range-over-map in result/trace/export paths unless the loop is " +
 		"order-insensitive (merge-only or collect-then-sort) or annotated //simlint:maporder",
-	Run: run,
+	Directives: []string{"maporder"},
+	Run:        run,
 }
 
 func run(pass *framework.Pass) (any, error) {

@@ -30,7 +30,8 @@ var Analyzer = &framework.Analyzer{
 	Name: "nodetsource",
 	Doc: "forbid wall-clock, global math/rand and environment reads in " +
 		"determinism-critical packages (escape: //simlint:wallclock or //simlint:nodetsource)",
-	Run: run,
+	Directives: []string{"wallclock", "nodetsource"},
+	Run:        run,
 }
 
 // wallClockFuncs are the package time functions that read the real clock.

@@ -1,6 +1,6 @@
 // Package simlint assembles the full analyzer suite that machine-checks the
-// simulator's determinism and concurrency invariants. cmd/simlint is the
-// thin driver around it.
+// simulator's determinism invariants. cmd/simlint is the thin driver around
+// it.
 package simlint
 
 import (
@@ -8,10 +8,8 @@ import (
 	"clustersim/internal/analysis/framework"
 	"clustersim/internal/analysis/guestwall"
 	"clustersim/internal/analysis/hotalloc"
-	"clustersim/internal/analysis/lockcopy"
 	"clustersim/internal/analysis/maporder"
 	"clustersim/internal/analysis/nodetsource"
-	"clustersim/internal/analysis/snapshotsafe"
 )
 
 // Analyzers returns the suite in stable order.
@@ -20,8 +18,6 @@ func Analyzers() []*framework.Analyzer {
 		nodetsource.Analyzer,
 		maporder.Analyzer,
 		guestwall.Analyzer,
-		lockcopy.Analyzer,
-		snapshotsafe.Analyzer,
 		hotalloc.Analyzer,
 		errdiscard.Analyzer,
 	}

@@ -13,6 +13,7 @@ package cluster
 
 import (
 	"fmt"
+	"math"
 
 	"clustersim/internal/faults"
 	"clustersim/internal/guest"
@@ -145,8 +146,12 @@ func validateCluster(nodes int, g guest.Config, net *netmodel.Model, policy func
 		return fmt.Errorf("cluster: nil quantum policy constructor")
 	case program == nil:
 		return fmt.Errorf("cluster: nil workload program constructor")
-	case g.CPUHz <= 0:
-		return fmt.Errorf("cluster: guest CPUHz must be positive, got %v", g.CPUHz)
+	case !(g.CPUHz > 0) || math.IsInf(g.CPUHz, 1): // !(x > 0) also catches NaN
+		return fmt.Errorf("cluster: guest CPUHz must be positive and finite, got %v", g.CPUHz)
+	case g.SendOverhead < 0:
+		return fmt.Errorf("cluster: guest SendOverhead must not be negative, got %v", g.SendOverhead)
+	case g.RecvOverhead < 0:
+		return fmt.Errorf("cluster: guest RecvOverhead must not be negative, got %v", g.RecvOverhead)
 	}
 	if err := net.Validate(nodes); err != nil {
 		return err

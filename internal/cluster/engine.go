@@ -55,17 +55,14 @@ const (
 )
 
 // nodeArena holds every per-node engine field as parallel slices indexed by
-// node. The layout is flat and trivially copyable (a snapshot is one copy()
-// per lane, no pointer graph to chase beyond the guest nodes themselves);
-// see DESIGN.md §12.
+// node: a pass over one field walks one contiguous lane, and the lanes of
+// one element type share one allocation (newNodeArena); see DESIGN.md §12.
 //
 // Concurrency: during loose-node walks, worker goroutines touch only their
 // own node's index in each lane; the engine's barrier provides the
 // happens-before edge between quanta.
-//
-//simlint:snapshotroot one copy() per lane is the whole checkpoint contract
 type nodeArena struct {
-	node  []*guest.Node //simlint:snapshotsafe guest nodes are their own snapshot root; the arena lane only re-binds pointers on restore
+	node  []*guest.Node
 	phase []nodePhase
 
 	// Execution cursor: the host time corresponding to the node's position

@@ -526,13 +526,13 @@ func spin(d time.Duration) {
 		return
 	}
 	spinOnce.Do(calibrateSpin)
-	batch := int(atomic.LoadInt64(&spinBatch))
+	batch := int(spinBatch.Load())
 	var acc uint64
 	start := time.Now() //simlint:wallclock spin burns real CPU time; the clock read is the loop's termination condition
 	for time.Since(start) < d {
 		acc = spinWork(acc, batch)
 	}
-	atomic.StoreUint64(&spinSink, acc) // keep the work observable (no DCE)
+	spinSink.Store(acc) // keep the work observable (no DCE)
 }
 
 // spinBatchTarget is how much wall time one batch of spin work should take
@@ -540,10 +540,12 @@ func spin(d time.Duration) {
 // enough that spins only overshoot by a fraction of a microsecond.
 const spinBatchTarget = 200 * time.Nanosecond
 
+// spinBatch and spinSink are shared by every node goroutine; their types
+// make a plain (racy) access a compile error.
 var (
 	spinOnce  sync.Once
-	spinBatch int64 = 1 << 10 // calibrated at first use
-	spinSink  uint64
+	spinBatch atomic.Int64 // set by calibrateSpin at first use
+	spinSink  atomic.Uint64
 )
 
 // calibrateSpin times a probe run of spinWork and sizes the batch so one
@@ -553,15 +555,12 @@ func calibrateSpin() {
 	start := time.Now() //simlint:wallclock calibration times real spin work against the wall clock; affects pacing only, never results
 	acc := spinWork(1, probe)
 	elapsed := time.Since(start) //simlint:wallclock see calibration note above
-	atomic.StoreUint64(&spinSink, acc)
-	if elapsed <= 0 {
-		return // keep the default batch
+	spinSink.Store(acc)
+	b := int64(1 << 10) // the default, when the probe measured no elapsed time
+	if elapsed > 0 {
+		b = max(16, int64(float64(probe)*float64(spinBatchTarget)/float64(elapsed)))
 	}
-	b := int64(float64(probe) * float64(spinBatchTarget) / float64(elapsed))
-	if b < 16 {
-		b = 16
-	}
-	atomic.StoreInt64(&spinBatch, b)
+	spinBatch.Store(b)
 }
 
 // spinWork is the unit of busy work between clock reads. It feeds its

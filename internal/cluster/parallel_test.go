@@ -216,6 +216,11 @@ func TestParallelConfigValidation(t *testing.T) {
 				return w.New(rank, size)
 			}
 		},
+		// Guest parameters; the error must name the field.
+		"NaN Guest.CPUHz":             func(c *Config) { c.Guest.CPUHz = math.NaN() },
+		"infinite Guest.CPUHz":        func(c *Config) { c.Guest.CPUHz = math.Inf(1) },
+		"negative Guest.SendOverhead": func(c *Config) { c.Guest.SendOverhead = -5 * simtime.Microsecond },
+		"negative Guest.RecvOverhead": func(c *Config) { c.Guest.RecvOverhead = -5 * simtime.Microsecond },
 	}
 	for name, mod := range bad {
 		cfg := testConfig(2, w, fixed(simtime.Microsecond))
@@ -227,6 +232,8 @@ func TestParallelConfigValidation(t *testing.T) {
 		})
 		if errRun == nil || errPar == nil || errRun.Error() != errPar.Error() {
 			t.Errorf("%s: Run returned %v, RunParallel %v; want the same error from both", name, errRun, errPar)
+		} else if _, field, ok := strings.Cut(name, "Guest."); ok && !strings.Contains(errRun.Error(), field) {
+			t.Errorf("%s: error %q does not name the field", name, errRun)
 		}
 	}
 

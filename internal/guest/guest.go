@@ -29,7 +29,7 @@ import (
 
 // atomicGuest is a guest clock readable from any goroutine.
 type atomicGuest struct {
-	v atomic.Int64 //simlint:snapshotsafe identity-free counter: restore is one store() of the checkpointed value
+	v atomic.Int64
 }
 
 func (a *atomicGuest) load() simtime.Guest   { return simtime.Guest(a.v.Load()) }
@@ -63,7 +63,7 @@ type Program func(p *Proc) error
 // Arrival is a frame as observed by the guest: the frame plus the guest time
 // at which the node's NIC made it visible.
 type Arrival struct {
-	Frame *pkt.Frame //simlint:snapshotsafe frames are immutable once the sending NIC stamps ID; aliasing is safe
+	Frame *pkt.Frame
 	Time  simtime.Guest
 }
 
@@ -129,9 +129,9 @@ const (
 type request struct {
 	kind     opKind
 	dur      simtime.Duration // compute
-	frame    *pkt.Frame       //simlint:snapshotsafe frames are immutable once stamped; aliasing is safe // send
+	frame    *pkt.Frame       // send
 	deadline simtime.Guest    // recv deadline / sleep target (absolute)
-	err      error            //simlint:snapshotsafe error values are immutable; aliasing is safe // done
+	err      error            // done
 }
 
 type reply struct {
@@ -151,8 +151,6 @@ type reply struct {
 // reply. Both directions are direct coroutine switches — no goroutine
 // parking, no scheduler — and all request/reply state lives in the Node by
 // value, so the steady-state Step loop allocates nothing.
-//
-//simlint:snapshotroot per-node state the optimistic engine checkpoints at quantum barriers
 type Node struct {
 	id   int
 	size int
@@ -161,8 +159,8 @@ type Node struct {
 	clock atomicGuest
 	limit simtime.Guest
 
-	rxMu    sync.Mutex               //simlint:snapshotsafe checkpoints quiesce at quantum barriers with rx unlocked; restore reinitializes the zero mutex
-	rx      eventq.Queue[*pkt.Frame] //simlint:snapshotsafe queue lanes deep-copy; payloads are immutable frames, aliasing is safe
+	rxMu    sync.Mutex
+	rx      eventq.Queue[*pkt.Frame]
 	frameID uint64
 	// frameBlk is the tail of the current frame block: outgoing frames are
 	// carved from batch-allocated arrays instead of allocated one by one.
@@ -175,9 +173,9 @@ type Node struct {
 	// Coroutine handshake. next/stop drive the workload; yield (captured at
 	// coroutine start) hands a request to the engine from inside call. reply
 	// is staged by the engine before the resume that completes a call.
-	next  func() (request, bool) //simlint:snapshotsafe coroutine handles are not copyable: restore re-creates the coroutine and replays the quantum deterministically
-	stop  func()                 //simlint:snapshotsafe coroutine handle; see next
-	yield func(request) bool     //simlint:snapshotsafe coroutine handle; see next
+	next  func() (request, bool)
+	stop  func()
+	yield func(request) bool
 	reply reply
 
 	pending     request
@@ -187,11 +185,11 @@ type Node struct {
 	haveRecv    bool
 	started     bool
 	done        bool
-	doneErr     error //simlint:snapshotsafe error values are immutable; aliasing is safe
+	doneErr     error
 	finishedAt  simtime.Guest
 
-	program Program            //simlint:snapshotsafe workload code, never mutated; re-bound on restore
-	metrics map[string]float64 //simlint:snapshotsafe flat string->float64 map, deep-copied per checkpoint
+	program Program
+	metrics map[string]float64
 }
 
 // NewNode creates node id of a cluster with size nodes, running program.

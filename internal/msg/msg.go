@@ -158,29 +158,27 @@ func DefaultConfig() Config {
 
 // Endpoint is one node's message-layer endpoint. It must be used only from
 // the node's own workload goroutine.
-//
-//simlint:snapshotroot transport state captured with the node at quantum barriers
 type Endpoint struct {
-	p   *guest.Proc //simlint:snapshotsafe not state: the binding to the live Proc, re-pointed on restore
+	p   *guest.Proc
 	cfg Config
 
 	nextMsgID uint64
 	// ready holds reassembled messages not yet matched, in completion
 	// order.
-	ready []*Message //simlint:snapshotsafe messages are immutable once reassembled; the lane deep-copies, payloads alias
+	ready []*Message
 	// partials holds in-flight reassembly state.
-	partials map[msgKey]*partial //simlint:snapshotsafe deep-copied per checkpoint: flat keys, partials cloned with their gotOff sets
+	partials map[msgKey]*partial
 	// cts holds clear-to-send grants received for our pending rendezvous
 	// sends.
-	cts map[uint64]bool //simlint:snapshotsafe flat set, deep-copied per checkpoint
+	cts map[uint64]bool
 
 	// Reliable-mode state. unackedIDs preserves send order so timeout scans
 	// are deterministic (never iterate a map).
-	unacked   map[uint64]*outMsg //simlint:snapshotsafe deep-copied per checkpoint: outMsgs cloned, payload bytes immutable and alias
+	unacked   map[uint64]*outMsg
 	unackedID []uint64
 	// completed remembers fully received (src, msgID) pairs so duplicates
 	// are re-acknowledged but not re-delivered.
-	completed map[msgKey]bool //simlint:snapshotsafe flat set, deep-copied per checkpoint
+	completed map[msgKey]bool
 
 	// Per-destination sequence numbers enforce MPI-style non-overtaking
 	// delivery even when retransmissions or rendezvous/eager mixing let a
@@ -189,7 +187,7 @@ type Endpoint struct {
 	// that actually reorder (lazily allocated in deliverInOrder).
 	txSeq  []uint32
 	rxNext []uint32
-	rxHold []map[uint32]*Message //simlint:snapshotsafe deep-copied per checkpoint: flat keys, messages immutable and alias
+	rxHold []map[uint32]*Message
 
 	// wireSlab is the tail of the current wire-byte slab (see sendData) and
 	// msgBlk the tail of the current Message block (see newMessage); both
@@ -209,7 +207,7 @@ type Endpoint struct {
 	timeouts, failures     int
 
 	// err records the first delivery failure (permanent; see Err).
-	err error //simlint:snapshotsafe error values are immutable; aliasing is safe
+	err error
 }
 
 // New creates an endpoint over p with the given MTU and the default eager
