@@ -3,6 +3,7 @@ package cluster
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -11,8 +12,10 @@ import (
 	"clustersim/internal/faults"
 	"clustersim/internal/guest"
 	"clustersim/internal/host"
+	"clustersim/internal/msg"
 	"clustersim/internal/netmodel"
 	"clustersim/internal/obs"
+	"clustersim/internal/pkt"
 	"clustersim/internal/simtime"
 	"clustersim/internal/workloads"
 )
@@ -261,5 +264,53 @@ func TestParallelConfigValidation(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), "SpinPerGuestBusy") {
 			t.Errorf("SpinPerGuestBusy %v: RunParallel returned %v, want an error naming the field", spin, err)
 		}
+	}
+}
+
+// Under RunParallel a frame train's source and a receive's sink run on the
+// node's own goroutine, between steps, while other goroutines deliver into
+// the node. A head-on all-to-all of multi-fragment rendezvous messages
+// exercises both upcalls on every node at once; run with -race, this is their
+// data-race proof, and the payload check their functional one.
+func TestParallelRendezvousTrains(t *testing.T) {
+	const nodes, size = 4, 3 * msg.DefaultEagerMax // 22 fragments, RTS/CTS first
+	res, err := RunParallel(ParallelConfig{
+		Nodes:  nodes,
+		Guest:  guest.DefaultConfig(),
+		Net:    netmodel.Paper(),
+		Policy: adaptive(simtime.Microsecond, simtime.Millisecond, 1.05, 0.02),
+		Program: func(rank, _ int) guest.Program {
+			return func(p *guest.Proc) error {
+				ep := msg.New(p, pkt.DefaultMTU)
+				payload := make([]byte, size)
+				for i := range payload {
+					payload[i] = byte(i*7 + rank)
+				}
+				for d := 1; d < nodes; d++ {
+					ep.SendPayload((rank+d)%nodes, 1, payload)
+				}
+				for d := 1; d < nodes; d++ {
+					src := (rank + d) % nodes
+					m := ep.Recv(src, 1)
+					for i, b := range m.Payload {
+						if b != byte(i*7+src) {
+							return fmt.Errorf("rank %d: byte %d of the message from %d is %d", rank, i, src, b)
+						}
+					}
+					if len(m.Payload) != size {
+						return fmt.Errorf("rank %d: %d bytes from %d, want %d", rank, len(m.Payload), src, size)
+					}
+				}
+				return nil
+			}
+		},
+		MaxGuest: simtime.Guest(10 * simtime.Second),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const chunk = pkt.DefaultMTU - 40
+	if want := nodes * (nodes - 1) * ((size+chunk-1)/chunk + 2); res.Stats.Packets != want {
+		t.Errorf("%d packets routed, want %d", res.Stats.Packets, want)
 	}
 }

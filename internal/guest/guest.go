@@ -12,6 +12,14 @@
 //	Step() → "I computed [a,b)" | "I sent a frame" | "I am blocked" |
 //	         "I reached the quantum limit" | "I finished"
 //
+// A switch to the workload is the expensive part of a step, so a request may
+// stay pending across many of them: a send carries a whole frame train (a
+// FrameSource the node pulls frame after frame, one "I sent a frame" each)
+// and a receive may carry a FrameSink the node offers each arrival to, and
+// the workload is resumed only once the train is out or the sink declines a
+// frame. Both run between steps, on the stepper's stack, and may not consume
+// guest time.
+//
 // The engine owns all host-time accounting; this package is purely in the
 // guest clock domain.
 package guest
@@ -126,10 +134,36 @@ const (
 	opDone
 )
 
+func (k opKind) String() string {
+	return [...]string{"Compute", "Send", "Recv", "Sleep", "done"}[k]
+}
+
+// FrameSource supplies the frames of a train (Proc.SendTrain). The node calls
+// Frame(k) once for each k in [0, count), in order, at the moment frame k-1
+// has been handed to the NIC — frame 0 inside SendTrain itself — and charges
+// the send overhead before emitting what it returned.
+//
+// Frame runs between steps, not on the workload's coroutine: it may read and
+// update workload state and call Proc.Now, Rank, Size, Config and Report, but
+// any Proc call that consumes guest time (Compute, Send, Recv*, Sleep*)
+// panics.
+type FrameSource interface {
+	Frame(k int) (dst int, proto pkt.Proto, size int, data []byte)
+}
+
+// FrameSink is offered every frame a Proc.RecvSink call receives, after its
+// receive overhead has been charged. Absorb returning true consumes the frame
+// and the call keeps waiting under the same deadline, exactly as if the
+// workload had called RecvSink again at once; false completes the call with
+// that frame. The restrictions of FrameSource.Frame apply.
+type FrameSink interface {
+	Absorb(a Arrival) bool
+}
+
 type request struct {
 	kind     opKind
 	dur      simtime.Duration // compute
-	frame    *pkt.Frame       // send
+	frame    *pkt.Frame       // send: the frame the owed overhead is for
 	deadline simtime.Guest    // recv deadline / sleep target (absolute)
 	err      error            // done
 }
@@ -150,7 +184,10 @@ type reply struct {
 // next request, yield suspends it until the engine resumes it with a staged
 // reply. Both directions are direct coroutine switches — no goroutine
 // parking, no scheduler — and all request/reply state lives in the Node by
-// value, so the steady-state Step loop allocates nothing.
+// value (a train's source and a receive's sink are interface values the
+// workload already owns, staged beside the request so that it stays small
+// to hand over), so the steady-state Step loop allocates nothing but the
+// frame blocks outgoing frames are carved from.
 type Node struct {
 	id   int
 	size int
@@ -167,7 +204,8 @@ type Node struct {
 	// Frames are never recycled — a block is garbage-collected as a whole
 	// once every frame carved from it has been dropped — so pointer
 	// identity and immutability are exactly as with individual allocations.
-	// Touched only by the workload goroutine (like frameID).
+	// Touched only by newFrame (like frameID), on whichever side of the
+	// handshake is active.
 	frameBlk []pkt.Frame
 
 	// Coroutine handshake. next/stop drive the workload; yield (captured at
@@ -177,6 +215,16 @@ type Node struct {
 	stop  func()
 	yield func(request) bool
 	reply reply
+	// The upcalls of the pending request, staged by the workload before it
+	// yields: a send is frame k of a train of count that src continues (nil
+	// for a train of one), a recv offers each arrival to sink (nil: the first
+	// completes the call). upcall is set while one of them runs, where a
+	// switch into the workload is impossible; resumes counts those switches.
+	src      FrameSource
+	k, count int
+	sink     FrameSink
+	upcall   bool
+	resumes  int
 
 	pending     request
 	havePending bool
@@ -297,6 +345,7 @@ func (n *Node) Step() Step {
 	}
 	for {
 		if !n.havePending {
+			n.resumes++
 			req, ok := n.next()
 			if !ok {
 				// The coroutine body always yields opDone last, so this is
@@ -314,7 +363,7 @@ func (n *Node) Step() Step {
 				n.overhead = 0
 			}
 		}
-		req := n.pending
+		req := &n.pending
 
 		// A recv that already holds its arrival is just finishing its
 		// receive-side CPU overhead.
@@ -324,6 +373,11 @@ func (n *Node) Step() Step {
 			}
 			arr := n.recvArr
 			n.haveRecv = false
+			if n.sink != nil && n.offer(arr) {
+				// Consumed between steps: the same request waits for the
+				// next frame, as the workload would have asked at once.
+				continue
+			}
 			n.complete(reply{arrival: arr, hasArr: true})
 			continue
 		}
@@ -340,7 +394,14 @@ func (n *Node) Step() Step {
 				return step
 			}
 			f := req.frame
-			n.complete(reply{})
+			if n.k++; n.k < n.count {
+				// The train goes on: build its next frame now, where the
+				// workload would have, and owe that frame's overhead.
+				req.frame = n.pull(n.src, n.k)
+				n.overhead = n.cfg.SendOverhead
+			} else {
+				n.complete(reply{})
+			}
 			return Step{Kind: StepSend, From: n.clock.load(), To: n.clock.load(), Frame: f}
 
 		case opRecv:
@@ -483,30 +544,72 @@ func (n *Node) complete(r reply) {
 // small enough that a retained frame pins only a few KB of block.
 const frameBlkLen = 64
 
-// newFrame carves one zeroed frame from the node's block. Workload-goroutine
-// only (called via Proc.Send/Broadcast).
-func (n *Node) newFrame() *pkt.Frame {
+// newFrame builds the node's next outgoing frame — Send, Broadcast and every
+// frame of a train come through here — carved from the node's block and
+// numbered in creation order.
+func (n *Node) newFrame(dst pkt.MAC, proto pkt.Proto, size int, data []byte) *pkt.Frame {
+	if size < 0 {
+		panic(fmt.Sprintf("guest: frame with negative size %d", size))
+	}
 	if len(n.frameBlk) == 0 {
-		n.frameBlk = make([]pkt.Frame, frameBlkLen)
+		n.frameBlk = make([]pkt.Frame, frameBlkLen) //simlint:hotalloc one 4 KiB block per 64 frames, carved, never per frame
 	}
 	f := &n.frameBlk[0]
 	n.frameBlk = n.frameBlk[1:]
+	n.frameID++
+	*f = pkt.Frame{
+		Src:   pkt.NodeMAC(n.id),
+		Dst:   dst,
+		Proto: proto,
+		Size:  size,
+		Data:  data,
+		ID:    uint64(n.id)<<40 | n.frameID,
+	}
 	return f
+}
+
+// pull builds frame k of a train from its source.
+func (n *Node) pull(src FrameSource, k int) *pkt.Frame {
+	n.upcall = true
+	dst, proto, size, data := src.Frame(k)
+	n.upcall = false
+	return n.newFrame(pkt.NodeMAC(dst), proto, size, data)
+}
+
+// offer hands a received frame to the pending recv's sink.
+func (n *Node) offer(a Arrival) bool {
+	n.upcall = true
+	took := n.sink.Absorb(a)
+	n.upcall = false
+	return took
+}
+
+// send issues the request for a train of count frames that starts with f and
+// that src continues.
+func (n *Node) send(f *pkt.Frame, src FrameSource, count int) {
+	n.src, n.k, n.count = src, 0, count
+	n.call(request{kind: opSend, frame: f})
 }
 
 type poisonError struct{}
 
 func (poisonError) Error() string { return "guest: node shut down" }
 
-// Shutdown unwinds and terminates a still-running workload coroutine: the
-// coroutine's pending yield returns false, call panics with the poison
-// sentinel, and the coroutine body runs to completion before stop returns.
-// Safe to call on finished or never-started nodes.
+// Shutdown unwinds and terminates the workload coroutine. A still-running
+// workload's pending yield returns false, call panics with the poison
+// sentinel, and the coroutine body runs to completion before stop returns; a
+// finished one is parked in its final yield and just returns. Either way the
+// coroutine is gone afterwards — one that is never stopped stays a GC root,
+// with the node and whatever the node references, for the life of the
+// process. Safe to call more than once and on never-started nodes.
 func (n *Node) Shutdown() {
-	if !n.started || n.done {
+	if !n.started {
 		return
 	}
 	n.stop()
+	if n.done {
+		return
+	}
 	// The coroutine body has run to completion under stop and recorded the
 	// workload's error (the poison sentinel, unless the program had already
 	// finished on its own) in doneErr before its final yield.
@@ -539,8 +642,12 @@ func (n *Node) coroutine(yield func(request) bool) {
 
 // call issues one workload request and suspends until the engine's reply.
 // Runs inside the coroutine; a false yield means the engine is tearing the
-// node down via stop.
+// node down via stop. A source or sink runs on the stepper's stack, where
+// there is no coroutine to suspend.
 func (n *Node) call(req request) reply {
+	if n.upcall {
+		panic(fmt.Sprintf("guest: Proc.%v called from a frame source/sink", req.kind))
+	}
 	if !n.yield(req) {
 		panic(poisonError{})
 	}

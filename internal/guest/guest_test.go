@@ -2,6 +2,8 @@ package guest
 
 import (
 	"errors"
+	"fmt"
+	"runtime"
 	"testing"
 
 	"clustersim/internal/pkt"
@@ -303,5 +305,109 @@ func TestTryRecv(t *testing.T) {
 	}
 	if n.Metrics()["got"] != 9 {
 		t.Error("wrong frame")
+	}
+}
+
+// callIn is a frame source and sink whose upcalls run fn: what a workload's
+// own source or sink might, wrongly, do.
+type callIn struct{ fn func(k int) }
+
+func (c callIn) Frame(k int) (int, pkt.Proto, int, []byte) {
+	c.fn(k)
+	return 1, pkt.ProtoRaw, 64, nil
+}
+
+func (c callIn) Absorb(Arrival) bool {
+	c.fn(0)
+	return true
+}
+
+// A source or sink runs between steps, on the stepper's stack: a Proc call
+// that consumes guest time from inside one has no coroutine to suspend and
+// must panic, naming the call; and a node parked mid-train or under a sink
+// must still unwind when it is shut down.
+func TestUpcallGuardAndShutdown(t *testing.T) {
+	for _, c := range []struct {
+		name      string
+		prog      func(p *Proc)
+		wantPanic string
+	}{
+		{
+			name: "Proc call from a frame source",
+			prog: func(p *Proc) {
+				p.SendTrain(callIn{func(k int) {
+					if k == 1 {
+						p.Compute(us)
+					}
+				}}, 2)
+			},
+			wantPanic: "guest: Proc.Compute called from a frame source/sink",
+		},
+		{
+			name:      "Proc call from a frame sink",
+			prog:      func(p *Proc) { p.RecvSink(g(50*us), callIn{func(int) { p.Send(1, pkt.ProtoRaw, 64, nil) }}) },
+			wantPanic: "guest: Proc.Send called from a frame source/sink",
+		},
+		{
+			name: "shutdown mid-train",
+			prog: func(p *Proc) { p.SendTrain(sizes{64, 64, 64, 64}, 4) },
+		},
+		{
+			name: "shutdown with a sink installed",
+			prog: func(p *Proc) { p.RecvSink(simtime.GuestInfinity, absorbAll{}) },
+		},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			returned := false
+			n := NewNode(0, 2, DefaultConfig(), func(p *Proc) error {
+				c.prog(p)
+				returned = true
+				return nil
+			})
+			n.Deliver(&pkt.Frame{ID: 7}, g(500*ns))
+			func() {
+				defer func() {
+					got := ""
+					if r := recover(); r != nil {
+						got = fmt.Sprint(r)
+					}
+					if got != c.wantPanic {
+						t.Errorf("stepping panicked with %q, want %q", got, c.wantPanic)
+					}
+				}()
+				// 2µs: two frames of a train out and the third one's overhead
+				// owed, or the delivered frame absorbed and the sink waiting.
+				quantumTrace(n, g(2*us))
+			}()
+			n.Shutdown()
+			if !n.Done() || returned {
+				t.Errorf("after Shutdown: done=%v, program returned normally=%v", n.Done(), returned)
+			}
+		})
+	}
+}
+
+// A finished workload's coroutine is parked in its final yield; Shutdown must
+// end it too, or every node of every run stays reachable from a leaked
+// coroutine stack for the life of the process.
+func TestShutdownEndsFinishedCoroutine(t *testing.T) {
+	before := runtime.NumGoroutine()
+	n := NewNode(0, 1, DefaultConfig(), func(p *Proc) error {
+		p.Compute(us)
+		return nil
+	})
+	n.BeginQuantum(g(10 * us))
+	drive(t, n, 10, func(s Step) bool { return s.Kind == StepDone })
+	at := n.FinishedAt()
+	if during := runtime.NumGoroutine(); during != before+1 {
+		t.Fatalf("%d goroutines with the finished coroutine parked, %d before: the count does not see coroutines", during, before)
+	}
+	n.Shutdown()
+	n.Shutdown() // and stays safe to repeat
+	if after := runtime.NumGoroutine(); after != before {
+		t.Errorf("%d goroutines after Shutdown, %d before the node ran: the finished coroutine leaked", after, before)
+	}
+	if !n.Done() || n.Err() != nil || n.FinishedAt() != at {
+		t.Errorf("Shutdown changed a finished node: done=%v err=%v finished %v (was %v)", n.Done(), n.Err(), n.FinishedAt(), at)
 	}
 }

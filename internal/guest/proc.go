@@ -26,6 +26,11 @@ func (p *Proc) Now() simtime.Guest { return p.n.clock.load() }
 // Config returns the node's guest configuration.
 func (p *Proc) Config() Config { return p.n.cfg }
 
+// Resumes returns how many times the node has switched into this workload so
+// far — the cost frame trains and sinks exist to avoid, which tests and
+// benchmarks hold per frame.
+func (p *Proc) Resumes() int { return p.n.resumes }
+
 // Compute executes d of guest CPU time.
 func (p *Proc) Compute(d simtime.Duration) {
 	if d < 0 {
@@ -55,57 +60,50 @@ func (p *Proc) ComputeCycles(cycles int64) {
 // dst. It costs the configured per-frame send overhead of guest CPU time and
 // returns once the frame has been queued (the NIC transmits asynchronously).
 func (p *Proc) Send(dst int, proto pkt.Proto, size int, data []byte) {
-	if size < 0 {
-		panic(fmt.Sprintf("guest: Send with negative size %d", size))
-	}
-	p.n.frameID++
-	f := p.n.newFrame()
-	*f = pkt.Frame{
-		Src:   pkt.NodeMAC(p.n.id),
-		Dst:   pkt.NodeMAC(dst),
-		Proto: proto,
-		Size:  size,
-		Data:  data,
-		ID:    uint64(p.n.id)<<40 | p.n.frameID,
-	}
-	p.n.call(request{kind: opSend, frame: f})
+	p.n.send(p.n.newFrame(pkt.NodeMAC(dst), proto, size, data), nil, 1)
 }
 
 // Broadcast sends a frame to every other node via the link-layer broadcast
 // address.
 func (p *Proc) Broadcast(proto pkt.Proto, size int, data []byte) {
-	p.n.frameID++
-	f := p.n.newFrame()
-	*f = pkt.Frame{
-		Src:   pkt.NodeMAC(p.n.id),
-		Dst:   pkt.Broadcast,
-		Proto: proto,
-		Size:  size,
-		Data:  data,
-		ID:    uint64(p.n.id)<<40 | p.n.frameID,
+	p.n.send(p.n.newFrame(pkt.Broadcast, proto, size, data), nil, 1)
+}
+
+// SendTrain sends count frames back to back, each built by src when its
+// predecessor has left and each costing the per-frame send overhead: what
+// count Send calls would do, in one switch to the node instead of count.
+func (p *Proc) SendTrain(src FrameSource, count int) {
+	if count < 1 {
+		panic(fmt.Sprintf("guest: SendTrain of %d frames", count))
 	}
-	p.n.call(request{kind: opSend, frame: f})
+	p.n.send(p.n.pull(src, 0), src, count)
 }
 
 // Recv blocks until the next frame is visible to the guest and returns it
 // together with its guest arrival time. Frames are delivered in arrival
 // order regardless of sender.
 func (p *Proc) Recv() Arrival {
-	r := p.n.call(request{kind: opRecv, deadline: simtime.GuestInfinity})
-	if !r.hasArr {
+	a, ok := p.RecvSink(simtime.GuestInfinity, nil)
+	if !ok {
 		panic("guest: Recv returned without an arrival")
 	}
-	return r.arrival
+	return a
 }
 
 // RecvDeadline blocks until a frame is visible or the guest clock reaches
 // deadline, whichever comes first. ok reports whether a frame was received.
 func (p *Proc) RecvDeadline(deadline simtime.Guest) (a Arrival, ok bool) {
+	return p.RecvSink(deadline, nil)
+}
+
+// RecvSink is RecvDeadline with every received frame offered to sink first:
+// the call returns the first frame the sink declines, or !ok at the deadline,
+// and frames the sink absorbs cost their receive overhead but no switch to
+// the workload. A nil sink declines everything.
+func (p *Proc) RecvSink(deadline simtime.Guest, sink FrameSink) (a Arrival, ok bool) {
+	p.n.sink = sink
 	r := p.n.call(request{kind: opRecv, deadline: deadline})
-	if !r.hasArr {
-		return Arrival{}, false
-	}
-	return r.arrival, true
+	return r.arrival, r.hasArr
 }
 
 // TryRecv returns a frame if one is already visible, without blocking

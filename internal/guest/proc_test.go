@@ -66,6 +66,15 @@ func TestNegativeComputePanicsInWorkload(t *testing.T) {
 		if !panicked {
 			return errors.New("negative send size did not panic")
 		}
+		// A negative size would reach the NIC model as a negative
+		// serialization time and move its transmit clock backwards.
+		func() {
+			defer func() { panicked = recover() != nil }()
+			p.Broadcast(pkt.ProtoRaw, -100, nil)
+		}()
+		if !panicked {
+			return errors.New("negative broadcast size did not panic")
+		}
 		return nil
 	})
 	defer n.Shutdown()

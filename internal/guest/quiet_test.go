@@ -220,6 +220,33 @@ func quietCases() []quietCase {
 			wantUntil: g(10*us + 400*ns), wantBusy: true,
 		},
 		{
+			// The first frame of a train left at 700ns and 300ns of the
+			// second one's overhead are charged: the request stays pending
+			// with 400ns owed and the workload is not involved.
+			name: "mid-train, overhead owed",
+			prog: func(p *Proc, ops *int) {
+				p.SendTrain(sizes{64, 64, 64}, 3)
+				*ops++
+			},
+			park:      toLimit(g(1 * us)),
+			wantUntil: g(1*us + 400*ns), wantBusy: true,
+		},
+		{
+			name:      "sink installed, queue empty",
+			prog:      func(p *Proc, ops *int) { p.RecvSink(g(50*us), absorbAll{}); *ops++ },
+			park:      toLimit(g(10 * us)),
+			wantUntil: g(50 * us),
+		},
+		{
+			name: "sink installed, arrival queued",
+			prog: func(p *Proc, ops *int) { p.RecvSink(g(50*us), absorbAll{}); *ops++ },
+			park: func(n *Node) {
+				n.Deliver(frame(7), g(20*us))
+				quantumTrace(n, g(10*us))
+			},
+			wantUntil: g(20 * us),
+		},
+		{
 			name:      "recv deadline",
 			prog:      func(p *Proc, ops *int) { p.RecvDeadline(g(20 * us)); *ops++ },
 			park:      toLimit(g(10 * us)),
@@ -314,6 +341,16 @@ func quietCases() []quietCase {
 		},
 	}
 }
+
+// sizes is a frame source: a train of raw frames to node 1, one per size.
+type sizes []int
+
+func (s sizes) Frame(k int) (int, pkt.Proto, int, []byte) { return 1, pkt.ProtoRaw, s[k], nil }
+
+// absorbAll is a frame sink that consumes whatever arrives.
+type absorbAll struct{}
+
+func (absorbAll) Absorb(Arrival) bool { return true }
 
 // compareNodes requires two nodes to be at the same clock and to behave
 // identically from here on: both receive the same frame and are stepped

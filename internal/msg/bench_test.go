@@ -17,8 +17,9 @@ const streamMsgs, streamSize = 32, 32 << 10
 
 // streamConfig builds the message-stream fixture shared by the throughput
 // benchmarks and the allocation-regression test: 1 MiB of 32 KiB messages
-// from rank 0 to rank 1, size-only or carrying real payload bytes.
-func streamConfig(payload bool) cluster.Config {
+// from rank 0 to rank 1, size-only or carrying real payload bytes. Each rank
+// adds the switches into its workload to *resumes as it finishes.
+func streamConfig(payload bool, resumes *int) cluster.Config {
 	return cluster.Config{
 		Nodes: 2,
 		Guest: guest.DefaultConfig(),
@@ -45,11 +46,12 @@ func streamConfig(payload bool) cluster.Config {
 							ep.Send(1, 1, streamSize)
 						}
 					}
-					return nil
+				} else {
+					for i := 0; i < streamMsgs; i++ {
+						ep.Recv(0, 1)
+					}
 				}
-				for i := 0; i < streamMsgs; i++ {
-					ep.Recv(0, 1)
-				}
+				*resumes += p.Resumes()
 				return nil
 			}
 		},
@@ -58,14 +60,18 @@ func streamConfig(payload bool) cluster.Config {
 }
 
 func benchStream(b *testing.B, payload bool) {
-	cfg := streamConfig(payload)
+	resumes, frames := 0, 0
+	cfg := streamConfig(payload, &resumes)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := cluster.Run(cfg); err != nil {
+		res, err := cluster.Run(cfg)
+		if err != nil {
 			b.Fatal(err)
 		}
+		frames += res.Stats.Packets
 	}
 	b.SetBytes(streamMsgs * streamSize)
+	b.ReportMetric(float64(resumes)/float64(frames), "resumes/frame")
 }
 
 // BenchmarkMessageStream measures end-to-end message-layer throughput

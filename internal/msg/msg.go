@@ -106,18 +106,24 @@ type partial struct {
 	gotOff map[int]bool
 }
 
-// outMsg is a reliable-mode in-flight message on the sender.
-type outMsg struct {
+// train is a message as its data fragments are built from: what sendData
+// pushes as one frame train and what reliable mode keeps to push it again.
+type train struct {
 	id       uint64
 	dst, tag int
 	size     int
 	payload  []byte
 	seq      uint32
+}
+
+// outMsg is a reliable-mode in-flight message on the sender.
+type outMsg struct {
+	train
+	deadline simtime.Guest
+	retries  int32 // with needCTS in one word: the struct stays in its 80-byte size class
 	// needCTS marks a rendezvous transfer whose handshake is incomplete:
 	// timeouts resend the RTS instead of the data.
-	needCTS  bool
-	deadline simtime.Guest
-	retries  int
+	needCTS bool
 }
 
 // Config tunes an endpoint's protocol behaviour.
@@ -158,9 +164,17 @@ func DefaultConfig() Config {
 
 // Endpoint is one node's message-layer endpoint. It must be used only from
 // the node's own workload goroutine.
+//
+// It is also the node's frame source and sink (guest.FrameSource,
+// guest.FrameSink): a message's fragments leave as one frame train and
+// mid-message fragments are folded in as they arrive, so the workload is
+// switched to once per message rather than once per frame.
 type Endpoint struct {
 	p   *guest.Proc
 	cfg Config
+
+	// train is the message whose fragments Frame is supplying (see sendData).
+	train train
 
 	nextMsgID uint64
 	// ready holds reassembled messages not yet matched, in completion
@@ -261,6 +275,15 @@ func (e *Endpoint) SendPayload(dst, tag int, payload []byte) {
 	e.send(dst, tag, len(payload), payload)
 }
 
+// header is a decoded fragment/control header.
+type header struct {
+	kind      byte
+	id        uint64
+	tag, size int
+	off, frag int
+	seq       uint32
+}
+
 // headerInto encodes a fragment/control header into dst[:headerBytes].
 func headerInto(dst []byte, kind byte, id uint64, tag, size, off, frag int, seq uint32) {
 	dst[0] = kind
@@ -270,6 +293,24 @@ func headerInto(dst []byte, kind byte, id uint64, tag, size, off, frag int, seq 
 	binary.LittleEndian.PutUint64(dst[21:], uint64(off))
 	binary.LittleEndian.PutUint32(dst[29:], uint32(frag))
 	binary.LittleEndian.PutUint32(dst[33:], seq)
+}
+
+// parseHeader decodes f's header. !ok is foreign traffic (raw frames from
+// synthetic workloads sharing the node), which the endpoint drops: it owns
+// the NIC on msg-based nodes.
+func parseHeader(f *pkt.Frame) (h header, ok bool) {
+	if (f.Proto != pkt.ProtoMsg && f.Proto != pkt.ProtoCtrl) || len(f.Data) < headerBytes {
+		return header{}, false
+	}
+	return header{
+		kind: f.Data[0],
+		id:   binary.LittleEndian.Uint64(f.Data[1:]),
+		tag:  int(int32(binary.LittleEndian.Uint32(f.Data[9:]))),
+		size: int(binary.LittleEndian.Uint64(f.Data[13:])),
+		off:  int(binary.LittleEndian.Uint64(f.Data[21:])),
+		frag: int(binary.LittleEndian.Uint32(f.Data[29:])),
+		seq:  binary.LittleEndian.Uint32(f.Data[33:]),
+	}, true
 }
 
 // ctrl builds a control-frame header on wire bytes carved from the
@@ -302,32 +343,30 @@ func (e *Endpoint) send(dst, tag, size int, payload []byte) {
 		e.txSeq[dst] = seq + 1
 	}
 
+	t := train{id: id, dst: dst, tag: tag, size: size, payload: payload, seq: seq}
 	rendezvous := e.cfg.EagerMax >= 0 && size > e.cfg.EagerMax
 	if rendezvous {
 		e.sendRTS(dst, id, tag, size)
+		var om *outMsg
 		if e.cfg.Reliable {
-			om := &outMsg{id: id, dst: dst, tag: tag, size: size, payload: payload, seq: seq,
-				needCTS: true, deadline: e.p.Now().Add(e.cfg.RetransmitTimeout)}
+			om = &outMsg{train: t, needCTS: true, deadline: e.p.Now().Add(e.cfg.RetransmitTimeout)}
 			e.track(om)
-			// Block until the destination grants CTS, retransmitting the
-			// RTS as needed.
-			for !e.cts[id] {
-				e.pump(simtime.GuestInfinity)
-			}
+		}
+		// Block until the destination grants CTS, retransmitting the RTS as
+		// needed; fragments other senders push meanwhile go to the sink.
+		for !e.cts[id] {
+			e.pump(simtime.GuestInfinity, e)
+		}
+		if om != nil {
 			om.needCTS = false
 			om.deadline = e.p.Now().Add(e.cfg.RetransmitTimeout)
-		} else {
-			for !e.cts[id] {
-				e.handleFrame(e.p.Recv())
-			}
 		}
 		delete(e.cts, id)
 	}
 
-	e.sendData(dst, id, tag, size, payload, seq)
+	e.sendData(t)
 	if e.cfg.Reliable && !rendezvous {
-		e.track(&outMsg{id: id, dst: dst, tag: tag, size: size, payload: payload, seq: seq,
-			deadline: e.p.Now().Add(e.cfg.RetransmitTimeout)})
+		e.track(&outMsg{train: t, deadline: e.p.Now().Add(e.cfg.RetransmitTimeout)})
 	}
 }
 
@@ -365,7 +404,7 @@ func (e *Endpoint) carve(n int) []byte {
 		if n > ln {
 			ln = n
 		}
-		e.wireSlab = make([]byte, ln)
+		e.wireSlab = make([]byte, ln) //simlint:hotalloc one slab per 2-32 KiB of wire bytes, carved, never per fragment
 	}
 	b := e.wireSlab[:n:n]
 	e.wireSlab = e.wireSlab[n:]
@@ -387,32 +426,41 @@ func (e *Endpoint) newMessage() *Message {
 	return m
 }
 
-// sendData pushes all data fragments of a message, their wire bytes carved
-// from the endpoint's shared slab.
-func (e *Endpoint) sendData(dst int, id uint64, tag, size int, payload []byte, seq uint32) {
+// sendData pushes all data fragments of a message as one frame train: the
+// node pulls them from Frame one by one as the previous fragment leaves.
+func (e *Endpoint) sendData(t train) {
+	e.train = t
 	chunk := e.cfg.MTU - headerBytes
-	off := 0
-	for {
-		frag := size - off
-		if frag > chunk {
-			frag = chunk
-		}
-		n := headerBytes
-		if payload != nil {
-			n += frag
-		}
-		data := e.carve(n)
-		headerInto(data, kindData, id, tag, size, off, frag, seq)
-		if payload != nil {
-			copy(data[headerBytes:], payload[off:off+frag])
-		}
-		e.p.Send(dst, pkt.ProtoMsg, headerBytes+frag, data)
-		e.framesSent++
-		off += frag
-		if off >= size {
-			break
-		}
+	count := 1 // a zero-size message is one header-only fragment
+	if t.size > chunk {
+		count = (t.size + chunk - 1) / chunk
 	}
+	e.p.SendTrain(e, count)
+	e.framesSent += count
+}
+
+// Frame builds fragment k of the message sendData is pushing, its wire bytes
+// carved from the endpoint's shared slab (guest.FrameSource).
+//
+//simlint:hotpath called by guest.Node.Step once per fragment, through an interface
+func (e *Endpoint) Frame(k int) (dst int, proto pkt.Proto, size int, data []byte) {
+	t := &e.train
+	chunk := e.cfg.MTU - headerBytes
+	off := k * chunk
+	frag := t.size - off
+	if frag > chunk {
+		frag = chunk
+	}
+	n := headerBytes
+	if t.payload != nil {
+		n += frag
+	}
+	data = e.carve(n)
+	headerInto(data, kindData, t.id, t.tag, t.size, off, frag, t.seq)
+	if t.payload != nil {
+		copy(data[headerBytes:], t.payload[off:off+frag])
+	}
+	return t.dst, pkt.ProtoMsg, headerBytes + frag, data
 }
 
 func (e *Endpoint) track(om *outMsg) {
@@ -445,7 +493,7 @@ func (e *Endpoint) retransmitDue() {
 		}
 		if om.deadline <= now {
 			e.timeouts++
-			if e.cfg.MaxRetries > 0 && om.retries >= e.cfg.MaxRetries {
+			if e.cfg.MaxRetries > 0 && int(om.retries) >= e.cfg.MaxRetries {
 				// Out of budget: the message will never be delivered.
 				e.failures++
 				if e.err == nil {
@@ -474,16 +522,18 @@ func (e *Endpoint) retransmitDue() {
 		if om.needCTS {
 			e.sendRTS(om.dst, om.id, om.tag, om.size)
 		} else {
-			e.sendData(om.dst, om.id, om.tag, om.size, om.payload, om.seq)
+			e.sendData(om.train)
 		}
 	}
 	e.unackedID = live
 }
 
-// pump makes protocol progress until a frame has been handled or the guest
-// clock reaches deadline; reliable-mode retransmission timers fire inside.
-// It reports whether a frame was handled.
-func (e *Endpoint) pump(deadline simtime.Guest) bool {
+// pump makes protocol progress until a frame has been handled on the
+// workload's side or the guest clock reaches deadline; reliable-mode
+// retransmission timers fire inside. Frames sink absorbs on the way (e, or
+// nil for none) are handled without returning here. It reports whether a
+// frame was handled.
+func (e *Endpoint) pump(deadline simtime.Guest, sink guest.FrameSink) bool {
 	for {
 		e.retransmitDue()
 		wait := deadline
@@ -492,7 +542,7 @@ func (e *Endpoint) pump(deadline simtime.Guest) bool {
 				wait = d
 			}
 		}
-		a, ok := e.p.RecvDeadline(wait)
+		a, ok := e.p.RecvSink(wait, sink)
 		if ok {
 			e.handleFrame(a)
 			return true
@@ -504,88 +554,82 @@ func (e *Endpoint) pump(deadline simtime.Guest) bool {
 	}
 }
 
+// Absorb folds a mid-message data fragment into its reassembly state between
+// steps (guest.FrameSink). It declines whatever needs the workload: control
+// frames (answering them sends), the fragment that completes a message,
+// foreign traffic, and every frame of a reliable endpoint, whose pump re-runs
+// its retransmission timers between frames.
+//
+//simlint:hotpath called by guest.Node.Step once per received frame, through an interface
+func (e *Endpoint) Absorb(a guest.Arrival) bool {
+	if e.cfg.Reliable || a.Frame.Proto != pkt.ProtoMsg {
+		return false // control frames travel as ProtoCtrl
+	}
+	h, ok := parseHeader(a.Frame)
+	if !ok || h.kind != kindData || h.frag >= h.size {
+		return false // malformed, or a whole message in one fragment
+	}
+	key := msgKey{src: a.Frame.Src.Node(), msgID: h.id}
+	pa := e.partials[key]
+	if pa != nil && pa.received+h.frag >= h.size {
+		return false
+	}
+	e.framesRecv++
+	e.add(a, &h, key, pa)
+	return true
+}
+
 // handleFrame folds one received frame into protocol state, moving any
 // completed message to the ready list and answering control traffic.
 func (e *Endpoint) handleFrame(a guest.Arrival) {
-	f := a.Frame
-	if (f.Proto != pkt.ProtoMsg && f.Proto != pkt.ProtoCtrl) || len(f.Data) < headerBytes {
-		// Foreign traffic (raw frames from synthetic workloads sharing the
-		// node); drop it — the endpoint owns the NIC on msg-based nodes.
+	h, ok := parseHeader(a.Frame)
+	if !ok {
 		return
 	}
 	e.framesRecv++
-	src := f.Src.Node()
-	kind := f.Data[0]
-	id := binary.LittleEndian.Uint64(f.Data[1:])
-	tag := int(int32(binary.LittleEndian.Uint32(f.Data[9:])))
-	size := int(binary.LittleEndian.Uint64(f.Data[13:]))
-	off := int(binary.LittleEndian.Uint64(f.Data[21:]))
-	frag := int(binary.LittleEndian.Uint32(f.Data[29:]))
-	seq := binary.LittleEndian.Uint32(f.Data[33:])
+	src := a.Frame.Src.Node()
 
-	switch kind {
+	switch h.kind {
 	case kindRTS:
 		// Grant immediately: the protocol engine (in a real stack, the
 		// progress thread / TCP window) opens the transfer as soon as the
 		// RTS is seen. Duplicate RTS (lost CTS) is granted again.
-		e.p.Send(src, pkt.ProtoCtrl, headerBytes, e.ctrl(kindCTS, id, tag, size))
+		e.p.Send(src, pkt.ProtoCtrl, headerBytes, e.ctrl(kindCTS, h.id, h.tag, h.size))
 		e.ctsSent++
 		e.framesSent++
 		return
 	case kindCTS:
-		e.cts[id] = true
+		e.cts[h.id] = true
 		return
 	case kindAck:
-		delete(e.unacked, id)
+		delete(e.unacked, h.id)
 		return
 	}
 
-	key := msgKey{src: src, msgID: id}
+	key := msgKey{src: src, msgID: h.id}
 	if e.completed[key] {
 		// A duplicate of a message we already delivered: its ack was lost.
 		e.duplicates++
-		e.ack(src, id, tag, size)
+		e.ack(src, h.id, h.tag, h.size)
 		return
 	}
-	hasData := len(f.Data) >= headerBytes+frag && frag > 0 && len(f.Data) > headerBytes
 	pa := e.partials[key]
-	if pa == nil {
-		if frag >= size && !e.cfg.Reliable {
-			// Single-fragment message on an unreliable endpoint: complete on
-			// arrival, so reassembly state (and its map round-trip) is
-			// unnecessary. Reliable mode still tracks it for duplicate
-			// suppression.
-			m := e.newMessage()
-			*m = Message{Src: src, Tag: tag, Size: size, Arrival: a.Time}
-			if hasData {
-				m.Payload = make([]byte, size)
-				copy(m.Payload, f.Data[headerBytes:headerBytes+frag])
-			}
-			e.deliverInOrder(src, seq, m)
-			return
+	if pa == nil && h.frag >= h.size && !e.cfg.Reliable {
+		// Single-fragment message on an unreliable endpoint: complete on
+		// arrival, so reassembly state (and its map round-trip) is
+		// unnecessary. Reliable mode still tracks it for duplicate
+		// suppression.
+		m := e.newMessage()
+		*m = Message{Src: src, Tag: h.tag, Size: h.size, Arrival: a.Time}
+		if carriesData(a.Frame, &h) {
+			m.Payload = make([]byte, h.size)
+			copy(m.Payload, a.Frame.Data[headerBytes:headerBytes+h.frag])
 		}
-		pa = &partial{m: Message{Src: src, Tag: tag, Size: size}, seq: seq}
-		if e.cfg.Reliable {
-			pa.gotOff = map[int]bool{}
-		}
-		e.partials[key] = pa
+		e.deliverInOrder(src, h.seq, m)
+		return
 	}
-	if pa.gotOff != nil {
-		if pa.gotOff[off] {
-			e.duplicates++
-			return
-		}
-		pa.gotOff[off] = true
-	}
-	if hasData {
-		if pa.m.Payload == nil {
-			pa.m.Payload = make([]byte, size)
-		}
-		copy(pa.m.Payload[off:off+frag], f.Data[headerBytes:headerBytes+frag])
-		pa.gotData = true
-	}
-	pa.received += frag
-	if pa.received >= pa.m.Size {
+	pa, complete := e.add(a, &h, key, pa)
+	if complete {
 		m := &pa.m
 		m.Arrival = a.Time
 		if !pa.gotData {
@@ -595,9 +639,43 @@ func (e *Endpoint) handleFrame(a guest.Arrival) {
 		e.deliverInOrder(src, pa.seq, m)
 		if e.cfg.Reliable {
 			e.completed[key] = true
-			e.ack(src, id, m.Tag, m.Size)
+			e.ack(src, h.id, m.Tag, m.Size)
 		}
 	}
+}
+
+// carriesData reports whether data fragment h came with its payload bytes.
+func carriesData(f *pkt.Frame, h *header) bool {
+	return len(f.Data) >= headerBytes+h.frag && h.frag > 0 && len(f.Data) > headerBytes
+}
+
+// add folds data fragment h of message key into its reassembly state pa,
+// created here for a message's first fragment, and reports whether the
+// message is now complete.
+func (e *Endpoint) add(a guest.Arrival, h *header, key msgKey, pa *partial) (*partial, bool) {
+	if pa == nil {
+		pa = &partial{m: Message{Src: key.src, Tag: h.tag, Size: h.size}, seq: h.seq} //simlint:hotalloc one per multi-fragment message: it becomes the Message the application receives
+		if e.cfg.Reliable {
+			pa.gotOff = map[int]bool{} //simlint:hotalloc reliable mode only, one per message; the sink declines every reliable frame
+		}
+		e.partials[key] = pa
+	}
+	if pa.gotOff != nil {
+		if pa.gotOff[h.off] {
+			e.duplicates++
+			return pa, false
+		}
+		pa.gotOff[h.off] = true
+	}
+	if carriesData(a.Frame, h) {
+		if pa.m.Payload == nil {
+			pa.m.Payload = make([]byte, h.size) //simlint:hotalloc one per payload-carrying message: the buffer the application receives
+		}
+		copy(pa.m.Payload[h.off:h.off+h.frag], a.Frame.Data[headerBytes:headerBytes+h.frag])
+		pa.gotData = true
+	}
+	pa.received += h.frag
+	return pa, pa.received >= pa.m.Size
 }
 
 // deliverInOrder releases completed messages to the ready list strictly in
@@ -660,7 +738,7 @@ func (e *Endpoint) Recv(src, tag int) *Message {
 		if m := e.take(src, tag); m != nil {
 			return m
 		}
-		e.pump(simtime.GuestInfinity)
+		e.pump(simtime.GuestInfinity, e)
 	}
 }
 
@@ -671,7 +749,7 @@ func (e *Endpoint) RecvDeadline(src, tag int, deadline simtime.Guest) (m *Messag
 		if m := e.take(src, tag); m != nil {
 			return m, true
 		}
-		if !e.pump(deadline) {
+		if !e.pump(deadline, e) {
 			return nil, false
 		}
 	}
@@ -714,7 +792,7 @@ func (e *Endpoint) Flush() error {
 		if horizon < wait {
 			wait = horizon
 		}
-		e.pump(wait)
+		e.pump(wait, e)
 	}
 	return e.err
 }
@@ -755,7 +833,8 @@ func (e *Endpoint) Err() error { return e.err }
 // loss rates worth running (e.g. the default 200µs timer → 4ms+; tests use
 // tens of ms).
 func (e *Endpoint) Drain(quiet simtime.Duration) {
-	for e.pump(e.p.Now().Add(quiet)) {
+	// No sink: the quiet period restarts at every frame, fragments included.
+	for e.pump(e.p.Now().Add(quiet), nil) {
 	}
 }
 
