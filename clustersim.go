@@ -64,15 +64,11 @@ const (
 type (
 	// Config describes one simulation run; see NewConfig.
 	Config = cluster.Config
-	// Result is a run's outcome: guest/host times, metrics, stats, traces.
+	// Result is a run's outcome: guest/host times, metrics, stats.
 	Result = cluster.Result
 	// Stats aggregates controller observations (packets, stragglers,
 	// quantum statistics).
 	Stats = cluster.Stats
-	// QuantumRecord and PacketRecord are trace entries.
-	QuantumRecord = cluster.QuantumRecord
-	PacketRecord  = cluster.PacketRecord
-
 	// Proc is the API workload programs use on their node.
 	Proc = guest.Proc
 	// Program is a per-rank workload function.
@@ -101,6 +97,14 @@ type (
 	// RunInfo and RunSummary describe a run to RunStart/RunEnd hooks.
 	RunInfo    = obs.RunInfo
 	RunSummary = obs.RunSummary
+	// QuantumRecord and PacketRecord are what the QuantumEnd and Packet
+	// hooks deliver.
+	QuantumRecord = obs.QuantumRecord
+	PacketRecord  = obs.PacketRecord
+	// Recorder is the sink that keeps both, in stream order, for reading back
+	// after the run: rec := &clustersim.Recorder{}; cfg.Observer = rec; then
+	// rec.Packets / rec.Quanta feed internal/trace's charts.
+	Recorder = obs.Recorder
 	// NodePhase classifies a node segment (busy / idle / done).
 	NodePhase = obs.Phase
 	// ChromeTracer streams Chrome trace-event JSON (chrome://tracing,

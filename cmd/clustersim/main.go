@@ -122,12 +122,18 @@ func withProfiles(cpu, mem string, f func() error) error {
 	return err
 }
 
-// observability assembles the observer stack requested by the -trace-out,
-// -metrics-addr and -progress flags. The returned cleanup finalizes the
-// trace file, prints the metrics snapshot, and stops the HTTP endpoint; it
-// runs even when the simulation fails so a partial trace stays loadable.
-func observability(target simtime.Guest) (obs.Observer, func() error, error) {
+// observability assembles the observer stack requested by the -chart,
+// -traffic, -trace-out, -metrics-addr and -progress flags; the recorder is
+// nil unless a chart wants the run's records. The returned cleanup finalizes
+// the trace file, prints the metrics snapshot, and stops the HTTP endpoint;
+// it runs even when the simulation fails so a partial trace stays loadable.
+func observability(target simtime.Guest) (obs.Observer, *obs.Recorder, func() error, error) {
 	var observers []obs.Observer
+	var rec *obs.Recorder
+	if *chartFlag || *packetsFlag {
+		rec = &obs.Recorder{}
+		observers = append(observers, rec)
+	}
 	var cleanups []func() error
 	cleanup := func() error {
 		var first error
@@ -141,7 +147,7 @@ func observability(target simtime.Guest) (obs.Observer, func() error, error) {
 	if *traceOutFlag != "" {
 		f, err := os.Create(*traceOutFlag)
 		if err != nil {
-			return nil, nil, err
+			return nil, nil, nil, err
 		}
 		t := obs.NewChromeTracer(f)
 		observers = append(observers, t)
@@ -158,7 +164,7 @@ func observability(target simtime.Guest) (obs.Observer, func() error, error) {
 		srv, err := obs.Serve(*metricsAddrFlag, reg)
 		if err != nil {
 			cleanup()
-			return nil, nil, err
+			return nil, nil, nil, err
 		}
 		fmt.Fprintf(os.Stderr, "clustersim: metrics at http://%s/\n", srv.Addr())
 		observers = append(observers, reg)
@@ -170,7 +176,21 @@ func observability(target simtime.Guest) (obs.Observer, func() error, error) {
 	if *progressFlag {
 		observers = append(observers, obs.NewProgress(os.Stderr, target, 0))
 	}
-	return obs.Multi(observers...), cleanup, nil
+	return obs.Multi(observers...), rec, cleanup, nil
+}
+
+// printCharts renders what -chart and -traffic asked for from the run's
+// records.
+func printCharts(rec *obs.Recorder, end simtime.Guest) {
+	if *chartFlag {
+		series := trace.QuantumSeries(rec.Quanta, *widthFlag, end)
+		fmt.Println()
+		fmt.Print(trace.LogChart(series, 1, 1100, 10, "quantum duration (µs) over guest time"))
+	}
+	if *packetsFlag {
+		fmt.Println()
+		fmt.Print(trace.TrafficChart(rec.Packets, *nodesFlag, end, *widthFlag))
+	}
 }
 
 func run() (err error) {
@@ -224,7 +244,7 @@ func run() (err error) {
 		return err
 	}
 
-	observer, obsCleanup, err := observability(env.MaxGuest)
+	observer, rec, obsCleanup, err := observability(env.MaxGuest)
 	if err != nil {
 		return err
 	}
@@ -251,25 +271,22 @@ func run() (err error) {
 	}
 
 	if *parallelFlag {
-		return runParallel(w, policy, env, observer, plan, lookahead)
+		return runParallel(w, policy, env, observer, rec, plan, lookahead)
 	}
 
-	cfg := cluster.Config{
-		Nodes:        *nodesFlag,
-		Guest:        env.Guest,
-		Net:          env.Net,
-		Host:         env.Host,
-		Policy:       policy,
-		Program:      w.New,
-		MaxGuest:     env.MaxGuest,
-		TraceQuanta:  *chartFlag,
-		TracePackets: *packetsFlag,
-		Observer:     observer,
-		Workers:      *intraFlag,
-		Faults:       plan,
-		Lookahead:    lookahead,
-	}
-	res, err := cluster.Run(cfg)
+	res, err := cluster.Run(cluster.Config{
+		Nodes:     *nodesFlag,
+		Guest:     env.Guest,
+		Net:       env.Net,
+		Host:      env.Host,
+		Policy:    policy,
+		Program:   w.New,
+		MaxGuest:  env.MaxGuest,
+		Observer:  observer,
+		Workers:   *intraFlag,
+		Faults:    plan,
+		Lookahead: lookahead,
+	})
 	if err != nil {
 		return err
 	}
@@ -282,19 +299,11 @@ func run() (err error) {
 	if *intraFlag >= 2 && env.Net.Output != nil {
 		fmt.Println("fast path    disabled: output tap (-contention models per-port queueing, so delivery order depends on cross-node interleaving; every quantum walked the whole cluster through one event queue)")
 	}
-	if *chartFlag {
-		series := trace.QuantumSeries(res.Quanta, *widthFlag, res.GuestTime)
-		fmt.Println()
-		fmt.Print(trace.LogChart(series, 1, 1100, 10, "quantum duration (µs) over guest time"))
-	}
-	if *packetsFlag {
-		fmt.Println()
-		fmt.Print(trace.TrafficChart(res.Packets, cfg.Nodes, res.GuestTime, *widthFlag))
-	}
+	printCharts(rec, res.GuestTime)
 	return nil
 }
 
-func runParallel(w workloads.Workload, policy func() quantum.Policy, env experiments.Env, observer obs.Observer, plan *faults.Plan, lookahead cluster.LookaheadMode) error {
+func runParallel(w workloads.Workload, policy func() quantum.Policy, env experiments.Env, observer obs.Observer, rec *obs.Recorder, plan *faults.Plan, lookahead cluster.LookaheadMode) error {
 	res, err := cluster.RunParallel(cluster.ParallelConfig{
 		Nodes:            *nodesFlag,
 		Guest:            env.Guest,
@@ -315,6 +324,7 @@ func runParallel(w workloads.Workload, policy func() quantum.Policy, env experim
 	fmt.Printf("wall clock   %v (real, %d goroutines)\n", res.Wall, *nodesFlag)
 	printMetrics(res.Metrics)
 	printStats(res.Stats)
+	printCharts(rec, res.GuestTime)
 	return nil
 }
 

@@ -60,6 +60,12 @@ func TestCLIFlagErrors(t *testing.T) {
 		{"unparsable quantum", []string{"-quantum", "fast"}, "quantum:"},
 		{"dyn missing fields", []string{"-dyn", "1us:1ms"}, "dyn wants min:max:inc:dec"},
 		{"dyn bad min", []string{"-dyn", "x:1ms:1.03:0.02"}, "dyn min:"},
+		// What Algorithm 1 cannot execute used to panic inside the run, and a
+		// NaN factor to abort it later on a garbage quantum.
+		{"dyn inc below one", []string{"-dyn", "1us:1000us:0.5:0.02"}, "dyn inc: must exceed 1"},
+		{"dyn inc NaN", []string{"-dyn", "1us:1000us:NaN:0.02"}, "dyn inc: must exceed 1"},
+		{"dyn max below min", []string{"-dyn", "10us:1us:1.03:0.02"}, "dyn max:"},
+		{"dyn dec out of range", []string{"-dyn", "1us:1000us:1.03:1.5"}, "dyn dec: must be in (0,1)"},
 		{"unknown topo kind", []string{"-topo", "ring:4:1us:2us"}, "unknown topology kind"},
 		{"topo missing fields", []string{"-topo", "ring:4"}, "topo wants rack:"},
 		{"topo bad radix", []string{"-topo", "rack:x:1us:2us"}, "topo radix"},
@@ -130,5 +136,42 @@ func TestContentionFastPathDiagnostic(t *testing.T) {
 		if strings.Contains(string(out), diag) {
 			t.Errorf("%s run printed the output-tap diagnostic spuriously:\n%s", c.name, out)
 		}
+	}
+}
+
+// -chart and -traffic draw from the run's recorder, which both runners feed:
+// the goroutine runner must print the charts too (it used to ignore the flags
+// silently), and the deterministic engine's must not depend on -intra-workers.
+func TestChartsOnBothRunners(t *testing.T) {
+	bin := buildClustersim(t)
+	base := []string{"-workload", "phases", "-nodes", "4", "-dyn", "1us:1000us:1.05:0.02", "-chart", "-traffic", "-width", "60"}
+	run := func(extra ...string) string {
+		t.Helper()
+		args := append(append([]string{}, base...), extra...)
+		out, err := exec.Command(bin, args...).Output()
+		if err != nil {
+			t.Fatalf("clustersim %v: %v\n%s", args, err, out)
+		}
+		for _, want := range []string{"quantum duration (µs) over guest time", "traffic: 4 nodes"} {
+			if !strings.Contains(string(out), want) {
+				t.Errorf("clustersim %v printed no %q chart:\n%s", args, want, out)
+			}
+		}
+		return string(out)
+	}
+	if inline, pooled := run(), run("-intra-workers", "3"); inline != pooled {
+		t.Errorf("chart output depends on -intra-workers:\n%s\nvs\n%s", inline, pooled)
+	}
+	// Wall-clock run: the charts have to be there and carry marks — a traffic
+	// row with a packet glyph in it — not match anything.
+	par := run("-parallel", "-spin", "0")
+	marked := false
+	for _, line := range strings.Split(par, "\n") {
+		if strings.HasPrefix(line, "  0 |") && strings.ContainsAny(line, ".:+*#") {
+			marked = true
+		}
+	}
+	if !marked {
+		t.Errorf("-parallel traffic chart has no packet marks on node 0:\n%s", par)
 	}
 }

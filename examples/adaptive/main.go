@@ -20,17 +20,17 @@ func main() {
 	cfg := clustersim.NewConfig(4, w.New)
 	cfg.Policy = clustersim.AdaptiveQuantum(
 		1*clustersim.Microsecond, 1000*clustersim.Microsecond, 1.05, 0.02)
-	cfg.TraceQuanta = true
-	cfg.TracePackets = true
+	rec := &clustersim.Recorder{}
+	cfg.Observer = rec
 	res, err := clustersim.Run(cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
 
 	fmt.Printf("6 compute phases of 3ms, each followed by a 128 KiB all-to-all burst (4 nodes)\n\n")
-	fmt.Print(trace.TrafficChart(res.Packets, 4, res.GuestTime, 100))
+	fmt.Print(trace.TrafficChart(rec.Packets, 4, res.GuestTime, 100))
 	fmt.Println()
-	series := trace.QuantumSeries(res.Quanta, 100, res.GuestTime)
+	series := trace.QuantumSeries(rec.Quanta, 100, res.GuestTime)
 	fmt.Print(trace.LogChart(series, 1, 1100, 10, "synchronization quantum (µs)"))
 	fmt.Printf("\nquanta: %d (%d silent), packets: %d, stragglers: %d, straggler delay: %v\n",
 		res.Stats.Quanta, res.Stats.SilentQuanta, res.Stats.Packets,

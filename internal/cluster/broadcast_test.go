@@ -119,14 +119,10 @@ func TestBroadcastFeedsAdaptivePolicy(t *testing.T) {
 		},
 	}
 	cfg := testConfig(4, w, adaptive(simtime.Microsecond, simtime.Millisecond, 1.05, 0.02))
-	cfg.TraceQuanta = true
-	res, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, rec := runRecorded(t, cfg)
 	collapsed := false
-	for i := 1; i < len(res.Quanta); i++ {
-		if res.Quanta[i-1].Packets > 0 && res.Quanta[i].Q < res.Quanta[i-1].Q/10 {
+	for i := 1; i < len(rec.Quanta); i++ {
+		if rec.Quanta[i-1].Packets > 0 && rec.Quanta[i].Q < rec.Quanta[i-1].Q/10 {
 			collapsed = true
 		}
 	}

@@ -50,12 +50,6 @@ type Config struct {
 	// MaxGuest aborts the run if the guest clock passes it without all
 	// workloads finishing — a deadlock/livelock backstop. Zero disables it.
 	MaxGuest simtime.Guest
-	// TracePackets records every routed frame (memory-heavy; off by
-	// default).
-	TracePackets bool
-	// TraceQuanta records one entry per synchronization quantum (needed for
-	// the Figure 9 speedup-over-time series).
-	TraceQuanta bool
 	// Faults, when non-nil, injects deterministic per-link loss,
 	// duplication, delay jitter, link-down windows, and per-node host
 	// slowdowns (see internal/faults). Every decision is a pure function of
@@ -64,16 +58,15 @@ type Config struct {
 	// config. Nil injects nothing and costs one branch per frame.
 	Faults *faults.Plan
 	// Observer receives streaming lifecycle hooks (quantum boundaries,
-	// packet deliveries, node busy/idle segments) while the run executes.
-	// Nil disables all hooks at zero cost. See internal/obs.
+	// packet deliveries, node busy/idle segments) while the run executes. It
+	// is the run's only record output: an *obs.Recorder here keeps the packet
+	// and quantum records, and obs.Multi composes several sinks. Nil disables
+	// all hooks at zero cost. See internal/obs.
 	Observer obs.Observer
-	// Profiler, when non-nil, accumulates the sync-overhead attribution
-	// profile of the run (per-node compute/idle/barrier-wait decomposition,
-	// fast-path eligibility causes, per-link lookahead slack — see
-	// internal/prof and DESIGN.md §10). It is one more sink on the Observer
-	// stream: Run composes the two as obs.Multi(Observer, Profiler) would.
-	// The resulting prof.Report is byte-identical across Workers values for
-	// a fixed configuration.
+	// Profiler, when non-nil, is one more sink on the Observer stream: Run
+	// composes the two as obs.Multi(Observer, Profiler). Callers do that
+	// themselves now; the field's only remaining writer outside tests is
+	// cmd/simbench/trace.go, and it goes when that directory thaws (ROADMAP).
 	Profiler *prof.Profiler
 	// Workers sizes the pool that walks a quantum's loose nodes (DESIGN.md
 	// §7): nodes no frame sent inside the quantum can reach before the
@@ -259,16 +252,8 @@ func (s *Stats) finalize(sumQ float64) {
 	s.MeanQ = simtime.Duration(sumQ / float64(s.Quanta))
 }
 
-// QuantumRecord traces one synchronization quantum. It is defined in
-// internal/obs (the streaming hooks deliver the same record) and aliased
-// here for the trace slices of Result.
-type QuantumRecord = obs.QuantumRecord
-
-// PacketRecord traces one routed frame; aliased from internal/obs like
-// QuantumRecord.
-type PacketRecord = obs.PacketRecord
-
-// Result is the outcome of a run.
+// Result is the outcome of a run. Per-packet and per-quantum records are not
+// part of it: an *obs.Recorder attached as Config.Observer keeps those.
 type Result struct {
 	// GuestTime is the guest time at which the last workload finished: the
 	// cluster application's simulated wall-clock time.
@@ -282,10 +267,6 @@ type Result struct {
 	Metrics []map[string]float64
 	// Stats aggregates controller observations.
 	Stats Stats
-	// Quanta is the per-quantum trace (nil unless Config.TraceQuanta).
-	Quanta []QuantumRecord
-	// Packets is the per-frame trace (nil unless Config.TracePackets).
-	Packets []PacketRecord
 	// PolicyName records the quantum policy used.
 	PolicyName string
 }

@@ -23,8 +23,6 @@ type controller struct {
 	// Each hook site is guarded by a nil check, so a run without sinks builds
 	// no records and pays only the branch.
 	obs obs.Observer
-	// tracePackets and traceQuanta keep the records in packets and quanta.
-	tracePackets, traceQuanta bool
 
 	// la is the per-link lookahead structure (DESIGN.md §11): nil under
 	// LookaheadScalar, an output-queued switch, or a topology that rules
@@ -43,8 +41,6 @@ type controller struct {
 	np, str int           // frames routed and stragglers this quantum
 	stats   Stats
 	sumQ    float64
-	packets []PacketRecord
-	quanta  []QuantumRecord
 }
 
 // newController probes the lookahead for the given model. The bounds come
@@ -85,13 +81,15 @@ func (c *controller) runStart(policy string, parallel bool, maxGuest simtime.Gue
 	})
 }
 
-// runEnd closes the run out for the observer; quiet and quietNodes count what
-// the runner fast-forwarded (DESIGN.md §7.1).
-func (c *controller) runEnd(guestTime simtime.Guest, hostEnd simtime.Host, quiet, quietNodes int) {
+// runEnd closes the run out for the observer — both runners call it on every
+// path out of a run that called runStart, err saying why it stopped short;
+// quiet and quietNodes count what the runner fast-forwarded (DESIGN.md §7.1).
+func (c *controller) runEnd(err error, guestTime simtime.Guest, hostEnd simtime.Host, quiet, quietNodes int) {
 	if c.obs == nil {
 		return
 	}
 	c.obs.RunEnd(obs.RunSummary{
+		Err:                err,
 		GuestTime:          guestTime,
 		HostEnd:            hostEnd,
 		Quanta:             c.stats.Quanta,
@@ -139,26 +137,19 @@ func (c *controller) beginQuantum(qi int, start simtime.Guest, Q simtime.Duratio
 func (c *controller) endQuantum(qi int, start simtime.Guest, Q simtime.Duration, hStart, barrierStart, hEnd simtime.Host, routing simtime.Duration) {
 	c.stats.observeQuantum(Q, c.np)
 	c.sumQ += float64(Q)
-	if !c.traceQuanta && c.obs == nil {
-		return
-	}
-	rec := QuantumRecord{
-		Index:        qi,
-		Start:        start,
-		Q:            Q,
-		Packets:      c.np,
-		Stragglers:   c.str,
-		HostStart:    hStart,
-		BarrierStart: barrierStart,
-		HostEnd:      hEnd,
-		Routing:      routing,
-		FastEligible: c.qElig,
-	}
-	if c.traceQuanta {
-		c.quanta = append(c.quanta, rec)
-	}
 	if c.obs != nil {
-		c.obs.QuantumEnd(rec)
+		c.obs.QuantumEnd(obs.QuantumRecord{
+			Index:        qi,
+			Start:        start,
+			Q:            Q,
+			Packets:      c.np,
+			Stragglers:   c.str,
+			HostStart:    hStart,
+			BarrierStart: barrierStart,
+			HostEnd:      hEnd,
+			Routing:      routing,
+			FastEligible: c.qElig,
+		})
 	}
 }
 
@@ -200,8 +191,8 @@ func (c *controller) route(fl *flight) (tDs [2]simtime.Guest, n int) {
 	d := c.faults.Decide(fl.f.ID, int(fl.src), int(fl.dst), fl.tSend)
 	if d.Drop {
 		c.stats.Dropped++
-		if c.tracePackets || c.obs != nil {
-			c.emit(PacketRecord{
+		if c.obs != nil {
+			c.obs.Packet(obs.PacketRecord{
 				SendGuest: fl.tSend, Ideal: fl.tD, Latency: fl.tD.Sub(fl.tSend),
 				Src: int(fl.src), Dst: int(fl.dst), Size: fl.f.Size,
 				Dropped: true,
@@ -251,22 +242,12 @@ func (c *controller) deliver(fl *flight, tD simtime.Guest, atBarrier bool, pos s
 	} else {
 		st.Exact++
 	}
-	if c.tracePackets || c.obs != nil {
-		c.emit(PacketRecord{
+	if c.obs != nil {
+		c.obs.Packet(obs.PacketRecord{
 			SendGuest: fl.tSend, Ideal: tD, Arrival: arr, Latency: fl.tD.Sub(fl.tSend),
 			Src: int(fl.src), Dst: int(fl.dst), Size: fl.f.Size,
 			Straggler: straggler, Snapped: snapped, Duplicate: dupCopy,
 		})
 	}
 	return arr, straggler
-}
-
-// emit sends one packet record to the trace slice and the observer.
-func (c *controller) emit(rec PacketRecord) {
-	if c.tracePackets {
-		c.packets = append(c.packets, rec) //simlint:hotalloc packet tracing is opt-in diagnostics; the trace slice is the product, not scratch
-	}
-	if c.obs != nil {
-		c.obs.Packet(rec)
-	}
 }

@@ -281,7 +281,6 @@ func Run(cfg Config) (*Result, error) {
 		hm:         host.NewModel(cfg.Host),
 		policy:     cfg.Policy(),
 	}
-	e.tracePackets, e.traceQuanta = cfg.TracePackets, cfg.TraceQuanta
 	e.hm.Reserve(n)
 	e.hm.Share(cfg.Speeds)
 	nodes, err := newNodes(n, cfg.Guest, cfg.Program)
@@ -355,15 +354,19 @@ func (e *engine) degenerate(tight bool) *partitioning {
 	return e.uniform[k]
 }
 
+// run executes quanta until every workload has finished or the run is given
+// up, and closes it out the same way on both paths: RunEnd follows RunStart.
 func (e *engine) run() (*Result, error) {
 	var start simtime.Guest
 	var hostNow simtime.Host
+	var err error
 	e.runStart(e.policy.Name(), false, e.cfg.MaxGuest)
 
 	nodes := e.cfg.Nodes
 	for qi, Q := 0, e.policy.First(); ; qi++ {
 		if Q <= 0 {
-			return nil, fmt.Errorf("cluster: policy %q issued non-positive quantum %v", e.policy.Name(), Q)
+			err = fmt.Errorf("cluster: policy %q issued non-positive quantum %v", e.policy.Name(), Q)
+			break
 		}
 		e.qi = qi
 		e.qStartG = start
@@ -413,7 +416,8 @@ func (e *engine) run() (*Result, error) {
 			break
 		}
 		if e.cfg.MaxGuest > 0 && start > e.cfg.MaxGuest {
-			return nil, fmt.Errorf("%w (reached %v)", ErrGuestLimit, start)
+			err = fmt.Errorf("%w (reached %v)", ErrGuestLimit, start)
+			break
 		}
 
 		Q = e.policy.Next(quantum.Feedback{Packets: e.np, Stragglers: e.str, Now: e.limit})
@@ -423,7 +427,7 @@ func (e *engine) run() (*Result, error) {
 		e.syncNode(i, e.limit)
 	}
 	e.stats.finalize(e.sumQ)
-	res := &Result{Stats: e.stats, Quanta: e.quanta, Packets: e.packets, PolicyName: e.policy.Name()}
+	res := &Result{Stats: e.stats, PolicyName: e.policy.Name()}
 	for i, n := range e.na.node {
 		res.NodeFinish = append(res.NodeFinish, n.FinishedAt())
 		res.Metrics = append(res.Metrics, n.Metrics())
@@ -432,9 +436,14 @@ func (e *engine) run() (*Result, error) {
 			res.HostTime = simtime.Duration(d)
 		}
 	}
-	e.runEnd(res.GuestTime, hostNow, e.nQuiet, e.nQuietNodes)
-	if e.firstErr != nil {
-		return nil, e.firstErr
+	if err != nil {
+		res.GuestTime = start // where the run was given up; res is not returned
+	} else {
+		err = e.firstErr
+	}
+	e.runEnd(err, res.GuestTime, hostNow, e.nQuiet, e.nQuietNodes)
+	if err != nil {
+		return nil, err
 	}
 	return res, nil
 }

@@ -6,6 +6,7 @@ import (
 	"clustersim/internal/guest"
 	"clustersim/internal/host"
 	"clustersim/internal/netmodel"
+	"clustersim/internal/obs"
 	"clustersim/internal/quantum"
 	"clustersim/internal/simtime"
 	"clustersim/internal/workloads"
@@ -22,6 +23,19 @@ func testConfig(n int, w workloads.Workload, pol func() quantum.Policy) Config {
 		Program:  w.New,
 		MaxGuest: simtime.Guest(100 * simtime.Second),
 	}
+}
+
+// runRecorded runs cfg with a fresh obs.Recorder attached beside whatever
+// observer it already names, and fails the test on a run error.
+func runRecorded(t *testing.T, cfg Config) (*Result, *obs.Recorder) {
+	t.Helper()
+	rec := &obs.Recorder{}
+	cfg.Observer = obs.Multi(cfg.Observer, rec)
+	res, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res, rec
 }
 
 func fixed(q simtime.Duration) func() quantum.Policy {

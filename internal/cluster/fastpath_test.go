@@ -1,8 +1,10 @@
 package cluster
 
 import (
+	"bytes"
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"clustersim/internal/faults"
@@ -120,59 +122,122 @@ func mixedWANNetAt(nodes int, wan simtime.Duration) *netmodel.Model {
 	return m
 }
 
-// config builds the case's fully traced configuration for one engine.
+// config builds the case's configuration for one engine; the caller attaches
+// its sinks.
 func (c fastCase) config(workers int) Config {
 	cfg := testConfig(c.nodes, c.w, c.pol)
 	if c.net != nil {
 		cfg.Net = c.net
 	}
 	cfg.Workers = workers
-	cfg.TraceQuanta = true
-	cfg.TracePackets = true
 	cfg.Faults = c.faults
 	return cfg
 }
 
-func runFast(t *testing.T, c fastCase, workers int) (*Result, *recorder) {
+// fastRun is one run of a case under both the full-stream test recorder and
+// the production recording sink.
+type fastRun struct {
+	res    *Result
+	stream *recorder
+	rec    *obs.Recorder
+}
+
+func runFast(t *testing.T, c fastCase, workers int, reference bool) fastRun {
 	t.Helper()
-	rec := &recorder{}
+	r := fastRun{stream: &recorder{}, rec: &obs.Recorder{}}
 	cfg := c.config(workers)
-	cfg.Observer = rec
+	cfg.Observer = obs.Multi(r.stream, r.rec)
+	if reference {
+		cfg.onPartition = func(*partitioning) bool { return true }
+		cfg.onQuiet = func(int, int) bool { return false }
+	}
 	res, err := Run(cfg)
 	if err != nil {
-		t.Fatalf("%s workers=%d: %v", c.name, workers, err)
+		t.Fatalf("%s workers=%d reference=%v: %v", c.name, workers, reference, err)
 	}
-	return res, rec
+	r.res = res
+	return r
 }
 
 // Config.Workers must be invisible in every output: for any value, 0 included,
-// the Result, trace slices, and the byte-for-byte observer stream are
-// identical — workers only decide who walks a loose node, never what is
-// published or in which order. Run with -race, this is also the data-race
-// proof for the concurrent node walks.
+// the Result, the recorded packets and quanta, and the byte-for-byte observer
+// stream are identical — workers only decide who walks a loose node, never
+// what is published or in which order. Run with -race, this is also the
+// data-race proof for the concurrent node walks.
 func TestFastPathWorkerInvariance(t *testing.T) {
 	for _, c := range fastCases() {
 		t.Run(c.name, func(t *testing.T) {
-			res1, rec1 := runFast(t, c, 1)
-			fp1 := Fingerprint(res1)
+			r1 := runFast(t, c, 1, false)
+			fp1 := CanonicalResult(r1.res, r1.rec)
 			for _, workers := range []int{0, 2, 4, 9} {
-				resN, recN := runFast(t, c, workers)
-				if !reflect.DeepEqual(res1, resN) {
-					t.Errorf("Result differs between workers=1 and workers=%d:\n%+v\n%+v", workers, res1, resN)
+				rN := runFast(t, c, workers, false)
+				if !reflect.DeepEqual(r1.res, rN.res) || !reflect.DeepEqual(r1.rec, rN.rec) {
+					t.Errorf("Result or records differ between workers=1 and workers=%d:\n%+v\n%+v", workers, r1.res, rN.res)
 				}
-				// The canonical fingerprint is the fleet's definition of
-				// "same outcome"; it must agree with DeepEqual here.
-				if fpN := Fingerprint(resN); fpN != fp1 {
-					t.Errorf("fingerprint differs between workers=1 and workers=%d: %s vs %s", workers, fp1, fpN)
+				// The canonical encoding is the fleet's definition of "same
+				// outcome"; it must agree with DeepEqual here.
+				if fpN := CanonicalResult(rN.res, rN.rec); !bytes.Equal(fpN, fp1) {
+					t.Errorf("canonical result differs between workers=1 and workers=%d", workers)
 				}
-				if !reflect.DeepEqual(rec1.events, recN.events) {
+				if !reflect.DeepEqual(r1.stream.events, rN.stream.events) {
 					t.Errorf("observer stream differs between workers=1 and workers=%d", workers)
-					for i := range rec1.events {
-						if i < len(recN.events) && rec1.events[i] != recN.events[i] {
-							t.Errorf("first divergence at event %d:\n  %s\n  %s", i, rec1.events[i], recN.events[i])
+					for i := range r1.stream.events {
+						if i < len(rN.stream.events) && r1.stream.events[i] != rN.stream.events[i] {
+							t.Errorf("first divergence at event %d:\n  %s\n  %s", i, r1.stream.events[i], rN.stream.events[i])
 							break
 						}
 					}
+				}
+			}
+		})
+	}
+}
+
+// obs.Recorder against the full stream: in one run under one obs.Multi, its
+// slices must hold exactly the Packet and QuantumEnd hooks the test recorder
+// saw, element for element in stream order — for the inline and the pooled
+// executor and for the reference walk — and the canonical encoding of the
+// recorded run must not depend on which of the three produced it.
+func TestRecorderStream(t *testing.T) {
+	for _, c := range fastCases() {
+		t.Run(c.name, func(t *testing.T) {
+			var want []byte
+			for _, v := range []struct {
+				workers   int
+				reference bool
+			}{{0, false}, {2, false}, {0, true}} {
+				r := runFast(t, c, v.workers, v.reference)
+				var pkts, quanta []string
+				for _, ev := range r.stream.events {
+					switch {
+					case strings.HasPrefix(ev, "pkt "):
+						pkts = append(pkts, ev)
+					case strings.HasPrefix(ev, "qe "):
+						quanta = append(quanta, ev)
+					}
+				}
+				if len(quanta) == 0 || len(quanta) != r.res.Stats.Quanta {
+					t.Fatalf("%+v: stream carried %d QuantumEnd hooks, Stats.Quanta = %d", v, len(quanta), r.res.Stats.Quanta)
+				}
+				if len(r.rec.Packets) != len(pkts) || len(r.rec.Quanta) != len(quanta) {
+					t.Fatalf("%+v: recorder holds %d packets and %d quanta, the stream carried %d and %d",
+						v, len(r.rec.Packets), len(r.rec.Quanta), len(pkts), len(quanta))
+				}
+				for i, p := range r.rec.Packets {
+					if got := fmt.Sprintf("pkt %+v", p); got != pkts[i] {
+						t.Fatalf("%+v: packet %d:\n  recorder %s\n  stream   %s", v, i, got, pkts[i])
+					}
+				}
+				for i, q := range r.rec.Quanta {
+					if got := fmt.Sprintf("qe %+v", q); got != quanta[i] {
+						t.Fatalf("%+v: quantum %d:\n  recorder %s\n  stream   %s", v, i, got, quanta[i])
+					}
+				}
+				enc := CanonicalResult(r.res, r.rec)
+				if want == nil {
+					want = enc
+				} else if !bytes.Equal(enc, want) {
+					t.Errorf("%+v: CanonicalResult differs from the workers=0 run's", v)
 				}
 			}
 		})
@@ -278,21 +343,22 @@ func TestPartitionedPathEngagesPartially(t *testing.T) {
 // exactly — the mode only changes the partitioning and the graded accounting
 // (all zero under scalar).
 func TestScalarLookaheadBitIdentity(t *testing.T) {
-	run := func(workers int, mode LookaheadMode) *Result {
+	run := func(workers int, mode LookaheadMode) (*Result, *obs.Recorder) {
 		cfg := testConfig(8, workloads.Uniform(120, 2000, 30*simtime.Microsecond, 17),
 			adaptive(simtime.Microsecond, 200*simtime.Microsecond, 1.1, 0.02))
 		cfg.Net = mixedWANNet(8)
 		cfg.Workers = workers
 		cfg.Lookahead = mode
-		cfg.TraceQuanta = true
+		rec := &obs.Recorder{}
+		cfg.Observer = rec
 		res, err := Run(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return res
+		return res, rec
 	}
-	matrix := run(2, LookaheadMatrix)
-	scalar := run(2, LookaheadScalar)
+	matrix, matrixRec := run(2, LookaheadMatrix)
+	scalar, scalarRec := run(2, LookaheadScalar)
 	if scalar.Stats.FastPartialQuanta != 0 || scalar.Stats.PartialPartitions != 0 {
 		t.Errorf("scalar mode reported graded engagement: %+v", scalar.Stats)
 	}
@@ -308,5 +374,8 @@ func TestScalarLookaheadBitIdentity(t *testing.T) {
 	m.Stats.PartialPartitions, s.Stats.PartialPartitions = 0, 0
 	if !reflect.DeepEqual(&m, &s) {
 		t.Errorf("scalar vs matrix results differ:\nmatrix %+v\nscalar %+v", m.Stats, s.Stats)
+	}
+	if !reflect.DeepEqual(matrixRec.Quanta, scalarRec.Quanta) {
+		t.Error("scalar vs matrix quantum records differ")
 	}
 }

@@ -6,6 +6,7 @@ import (
 
 	"clustersim/internal/faults"
 	"clustersim/internal/netmodel"
+	"clustersim/internal/obs"
 	"clustersim/internal/simtime"
 	"clustersim/internal/workloads"
 )
@@ -14,18 +15,10 @@ import (
 // the fault branches are pure pass-throughs when nothing is configured.
 func TestNilAndEmptyPlanIdentical(t *testing.T) {
 	cfg := testConfig(3, workloads.PingPong(20, 1000), fixed(100*simtime.Microsecond))
-	cfg.TracePackets = true
-	cfg.TraceQuanta = true
-	base, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	base, baseRec := runRecorded(t, cfg)
 	cfg.Faults = &faults.Plan{Seed: 99}
-	withEmpty, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(base, withEmpty) {
+	withEmpty, emptyRec := runRecorded(t, cfg)
+	if !reflect.DeepEqual(base, withEmpty) || !reflect.DeepEqual(baseRec, emptyRec) {
 		t.Errorf("empty plan changed the result:\n%+v\n%+v", base.Stats, withEmpty.Stats)
 	}
 }
@@ -37,7 +30,6 @@ func TestNilAndEmptyPlanIdentical(t *testing.T) {
 // Packets (frames routed) stays put.
 func TestSnapSemanticsUnderDuplication(t *testing.T) {
 	cfg := testConfig(2, workloads.PingPong(30, 1000), fixed(200*simtime.Microsecond))
-	cfg.TracePackets = true
 	base, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -47,10 +39,7 @@ func TestSnapSemanticsUnderDuplication(t *testing.T) {
 	}
 
 	cfg.Faults = &faults.Plan{Seed: 1, Default: faults.Link{Dup: 1}}
-	dup, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	dup, dupRec := runRecorded(t, cfg)
 	s, b := dup.Stats, base.Stats
 	if s.Packets != b.Packets {
 		t.Errorf("Packets changed under duplication: %d vs %d", s.Packets, b.Packets)
@@ -73,7 +62,7 @@ func TestSnapSemanticsUnderDuplication(t *testing.T) {
 
 	// The packet trace must corroborate the aggregates copy by copy.
 	stragglers, dups, delay := 0, 0, simtime.Duration(0)
-	for _, p := range dup.Packets {
+	for _, p := range dupRec.Packets {
 		if p.Duplicate {
 			dups++
 		}
@@ -96,14 +85,10 @@ func TestSnapSemanticsUnderDuplication(t *testing.T) {
 // sees the (lost) traffic.
 func TestDropsDontCountAsStragglers(t *testing.T) {
 	cfg := testConfig(4, workloads.Uniform(60, 1500, 20*simtime.Microsecond, 23), fixed(100*simtime.Microsecond))
-	cfg.TraceQuanta = true
 	cfg.Faults = &faults.Plan{Default: faults.Link{
 		Down: []faults.Window{{Start: 0, End: simtime.GuestInfinity}},
 	}}
-	res, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res, rec := runRecorded(t, cfg)
 	s := res.Stats
 	if s.Packets == 0 {
 		t.Fatal("premise: the workload should have routed frames")
@@ -116,7 +101,7 @@ func TestDropsDontCountAsStragglers(t *testing.T) {
 	}
 	// Quanta that carried only dropped frames still report their traffic.
 	sawDroppedTraffic := false
-	for _, q := range res.Quanta {
+	for _, q := range rec.Quanta {
 		if q.Packets > 0 {
 			sawDroppedTraffic = true
 		}
@@ -129,21 +114,17 @@ func TestDropsDontCountAsStragglers(t *testing.T) {
 // Identical configs with identical fault seeds replay bit-identically;
 // changing only the seed redraws the outcomes.
 func TestFaultSeedReplay(t *testing.T) {
-	mk := func(seed uint64) *Result {
+	mk := func(seed uint64) (*Result, *obs.Recorder) {
 		cfg := testConfig(4, workloads.Uniform(60, 1500, 20*simtime.Microsecond, 23), fixed(100*simtime.Microsecond))
-		cfg.TracePackets = true
 		cfg.Faults = &faults.Plan{Seed: seed, Default: faults.Link{Loss: 0.3, Dup: 0.1, Jitter: 2 * simtime.Microsecond}}
-		res, err := Run(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
+		return runRecorded(t, cfg)
 	}
-	a, b := mk(5), mk(5)
-	if !reflect.DeepEqual(a, b) {
+	a, aRec := mk(5)
+	b, bRec := mk(5)
+	if !reflect.DeepEqual(a, b) || !reflect.DeepEqual(aRec.Packets, bRec.Packets) {
 		t.Error("same seed did not replay bit-identically")
 	}
-	c := mk(6)
+	c, _ := mk(6)
 	if a.Stats.Dropped == c.Stats.Dropped && a.Stats.Duplicated == c.Stats.Duplicated {
 		t.Errorf("different seeds produced identical fault counts: %+v vs %+v", a.Stats, c.Stats)
 	}

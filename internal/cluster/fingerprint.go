@@ -6,11 +6,14 @@ import (
 	"encoding/hex"
 	"fmt"
 	"sort"
+
+	"clustersim/internal/obs"
 )
 
 // This file defines the canonical result fingerprint: a deterministic byte
-// encoding of everything a Result asserts about a run, hashed to a short
-// hex string. It is the single definition of "two runs produced the same
+// encoding of everything a Result — and, when the run was recorded, its
+// obs.Recorder — asserts about a run, hashed to a short hex string. It is
+// the single definition of "two runs produced the same
 // outcome" shared by the fast-path equivalence tests and the scenario
 // regression fleet (cmd/simfleet), which diffs fingerprints against
 // committed goldens — so a PR that changes any simulated outcome, anywhere
@@ -46,8 +49,8 @@ const FingerprintSchema = "clustersim-fp/1"
 // actual arrival, size, and the fault/straggler classification bits. Two
 // engine paths that deliver the same multiset of packets in different
 // stream orders canonicalize to the same slice.
-func SortPacketsCanonical(ps []PacketRecord) []PacketRecord {
-	out := append([]PacketRecord(nil), ps...)
+func SortPacketsCanonical(ps []obs.PacketRecord) []obs.PacketRecord {
+	out := append([]obs.PacketRecord(nil), ps...)
 	sort.Slice(out, func(i, j int) bool {
 		a, b := out[i], out[j]
 		switch {
@@ -76,12 +79,13 @@ func SortPacketsCanonical(ps []PacketRecord) []PacketRecord {
 	return out
 }
 
-// CanonicalResult encodes res into its canonical byte form. The encoding is
+// CanonicalResult encodes res, followed by the records of the run's recorder
+// when rec is non-nil, into its canonical byte form. The encoding is
 // identical for every engine path and worker count that produces the same
 // simulated outcome: Workers {0, 1, N} runs of one configuration yield the
 // same bytes, and any divergence in Result, Stats, quantum records, or the
 // packet multiset changes them.
-func CanonicalResult(res *Result) []byte {
+func CanonicalResult(res *Result, rec *obs.Recorder) []byte {
 	var b bytes.Buffer
 	fmt.Fprintf(&b, "%s\n", FingerprintSchema)
 	fmt.Fprintf(&b, "policy %s\n", res.PolicyName)
@@ -111,12 +115,15 @@ func CanonicalResult(res *Result) []byte {
 		int64(s.HostBusy), int64(s.HostIdle), int64(s.HostBarrier),
 		int64(s.MinQ), int64(s.MaxQ), int64(s.MeanQ), s.SilentQuanta,
 		s.FastFullQuanta, s.FastPartialQuanta, s.FastNodeQuanta, s.PartialPartitions)
-	for _, q := range res.Quanta {
+	if rec == nil {
+		return b.Bytes()
+	}
+	for _, q := range rec.Quanta {
 		fmt.Fprintf(&b, "quantum %d %d %d %d %d %d %d %d %t\n",
 			q.Index, int64(q.Start), int64(q.Q), q.Packets, q.Stragglers,
 			int64(q.HostStart), int64(q.BarrierStart), int64(q.HostEnd), q.FastEligible)
 	}
-	for _, p := range SortPacketsCanonical(res.Packets) {
+	for _, p := range SortPacketsCanonical(rec.Packets) {
 		fmt.Fprintf(&b, "packet %d %d %d %d %d %d %t %t %t %t\n",
 			int64(p.SendGuest), p.Src, p.Dst, int64(p.Ideal), int64(p.Arrival), p.Size,
 			p.Straggler, p.Snapped, p.Dropped, p.Duplicate)
@@ -125,9 +132,9 @@ func CanonicalResult(res *Result) []byte {
 }
 
 // Fingerprint returns the canonical result fingerprint: the hex SHA-256 of
-// CanonicalResult. Equal fingerprints mean equal outcomes (up to hash
-// collision); the fleet goldens in testdata/fleet/ commit these strings.
+// the unrecorded CanonicalResult. Equal fingerprints mean equal outcomes (up
+// to hash collision).
 func Fingerprint(res *Result) string {
-	sum := sha256.Sum256(CanonicalResult(res))
+	sum := sha256.Sum256(CanonicalResult(res, nil))
 	return hex.EncodeToString(sum[:])
 }

@@ -3,9 +3,14 @@ package cluster
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
+	"fmt"
 	"testing"
 
+	"clustersim/internal/guest"
+	"clustersim/internal/netmodel"
 	"clustersim/internal/obs"
+	"clustersim/internal/quantum"
 	"clustersim/internal/simtime"
 	"clustersim/internal/workloads"
 )
@@ -196,5 +201,116 @@ func TestStatsFinalize(t *testing.T) {
 	sum := float64(140 * simtime.Microsecond)
 	if want := simtime.Duration(sum / 3); st2.MeanQ != want {
 		t.Errorf("MeanQ = %v, want %v", st2.MeanQ, want)
+	}
+}
+
+// endCounter counts the run brackets a sink sees and keeps the last summary.
+type endCounter struct {
+	obs.Base
+	starts, ends int
+	sum          obs.RunSummary
+}
+
+func (c *endCounter) RunStart(obs.RunInfo)      { c.starts++ }
+func (c *endCounter) RunEnd(sum obs.RunSummary) { c.ends++; c.sum = sum }
+
+// stallingPolicy issues good quanta, then a non-positive one.
+type stallingPolicy struct{ good int }
+
+func (p *stallingPolicy) First() simtime.Duration { return p.Next(quantum.Feedback{}) }
+func (p *stallingPolicy) Next(quantum.Feedback) simtime.Duration {
+	if p.good--; p.good < 0 {
+		return 0
+	}
+	return 10 * simtime.Microsecond
+}
+func (p *stallingPolicy) Name() string { return "stalling" }
+
+// Every sink must see exactly one RunEnd per RunStart on every path out of
+// both runners, with RunSummary.Err saying how the run ended: at the parent
+// commit a guest-limit abort and a bad policy returned before RunEnd (and
+// RunParallel did on every error), so the registry's run_active stayed 1 and
+// -progress printed no final line. Run with -race for the goroutine runner.
+func TestRunEndOnEveryExit(t *testing.T) {
+	errBoom := errors.New("boom")
+	prog := func(f func(rank int, p *guest.Proc) error) func(rank, size int) guest.Program {
+		return func(rank, _ int) guest.Program {
+			return func(p *guest.Proc) error { return f(rank, p) }
+		}
+	}
+	compute := func(_ int, p *guest.Proc) error { p.Compute(50 * simtime.Microsecond); return nil }
+	cases := []struct {
+		name    string
+		policy  func() quantum.Policy
+		program func(rank, size int) guest.Program
+		want    []error // Run's and RunParallel's sentinel; nil: any error
+		ok      bool
+	}{
+		{name: "completes", policy: fixed(10 * simtime.Microsecond), program: prog(compute), ok: true},
+		{name: "guest limit", policy: fixed(100 * simtime.Microsecond),
+			program: prog(func(rank int, p *guest.Proc) error {
+				if rank == 0 {
+					p.Recv() // nobody ever sends
+				}
+				return nil
+			}),
+			want: []error{ErrGuestLimit, ErrParallelGuestLimit}},
+		{name: "bad first quantum", policy: func() quantum.Policy { return &stallingPolicy{} }, program: prog(compute)},
+		{name: "bad later quantum", policy: func() quantum.Policy { return &stallingPolicy{good: 2} }, program: prog(compute)},
+		{name: "failing program", policy: fixed(10 * simtime.Microsecond),
+			program: prog(func(rank int, p *guest.Proc) error {
+				p.Compute(20 * simtime.Microsecond)
+				if rank == 1 {
+					return errBoom
+				}
+				return nil
+			}),
+			want: []error{errBoom, errBoom}},
+	}
+	for _, c := range cases {
+		for runner, run := range []func(obs.Observer) error{
+			func(o obs.Observer) error {
+				cfg := testConfig(2, workloads.Workload{New: c.program}, c.policy)
+				cfg.MaxGuest = simtime.Guest(5 * simtime.Millisecond)
+				cfg.Observer = o
+				_, err := Run(cfg)
+				return err
+			},
+			func(o obs.Observer) error {
+				_, err := RunParallel(ParallelConfig{
+					Nodes: 2, Guest: guest.DefaultConfig(), Net: netmodel.Paper(),
+					Policy: c.policy, Program: c.program,
+					MaxGuest: simtime.Guest(5 * simtime.Millisecond), Observer: o,
+				})
+				return err
+			},
+		} {
+			t.Run(fmt.Sprintf("%s/%s", c.name, []string{"Run", "RunParallel"}[runner]), func(t *testing.T) {
+				first, second, reg := &endCounter{}, &endCounter{}, obs.NewRegistry()
+				err := run(obs.Multi(first, reg, second))
+				if (err == nil) != c.ok {
+					t.Fatalf("run returned %v", err)
+				}
+				if c.want != nil && !errors.Is(err, c.want[runner]) {
+					t.Errorf("run returned %v, want %v", err, c.want[runner])
+				}
+				for i, sink := range []*endCounter{first, second} {
+					if sink.starts != 1 || sink.ends != 1 {
+						t.Errorf("sink %d saw %d RunStart and %d RunEnd hooks, want one of each", i, sink.starts, sink.ends)
+					}
+					if sink.sum.Err != err {
+						t.Errorf("sink %d: RunSummary.Err = %v, the run returned %v", i, sink.sum.Err, err)
+					}
+				}
+				s := reg.Snapshot()
+				if s.Gauges["run_active"] != 0 || s.Counters["runs_finished"] != 1 {
+					t.Errorf("registry after the run: run_active = %d, runs_finished = %d",
+						s.Gauges["run_active"], s.Counters["runs_finished"])
+				}
+				if int64(first.sum.Quanta) != s.Counters["quanta"] {
+					t.Errorf("RunSummary counts %d quanta, the stream carried %d", first.sum.Quanta, s.Counters["quanta"])
+				}
+			})
+		}
 	}
 }

@@ -298,9 +298,6 @@ func RunParallel(cfg ParallelConfig) (*ParallelResult, error) {
 	for _, pn := range r.nodes {
 		pn.n.Shutdown()
 	}
-	if err != nil {
-		return nil, err
-	}
 
 	res := &ParallelResult{
 		Wall:       time.Since(start), //simlint:wallclock reporting the measured wall duration of a real-time run
@@ -312,7 +309,13 @@ func RunParallel(cfg ParallelConfig) (*ParallelResult, error) {
 		res.Metrics = append(res.Metrics, pn.n.Metrics())
 		res.GuestTime = simtime.MaxGuest(res.GuestTime, pn.n.FinishedAt())
 	}
-	r.runEnd(res.GuestTime, r.hostNow(), 0, 0)
+	if err != nil {
+		res.GuestTime = guestStart // where the run was given up; res is not returned
+	}
+	r.runEnd(err, res.GuestTime, r.hostNow(), 0, 0)
+	if err != nil {
+		return nil, err
+	}
 	return res, nil
 }
 

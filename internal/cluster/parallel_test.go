@@ -314,3 +314,57 @@ func TestParallelRendezvousTrains(t *testing.T) {
 		t.Errorf("%d packets routed, want %d", res.Stats.Packets, want)
 	}
 }
+
+// obs.Recorder has no lock of its own: the goroutine runner fires Packet and
+// QuantumEnd under its controller mutex and the recorder leaves NodePhase, the
+// hook node goroutines fire concurrently, alone. Run with -race, this is that
+// argument's proof; the counts hold the records to the run's Stats, lossy and
+// duplicated frames included.
+func TestParallelRecorder(t *testing.T) {
+	rec := &obs.Recorder{}
+	w := workloads.Uniform(60, 1500, 20*simtime.Microsecond, 23)
+	res, err := RunParallel(ParallelConfig{
+		Nodes:    4,
+		Guest:    guest.DefaultConfig(),
+		Net:      netmodel.Paper(),
+		Policy:   adaptive(simtime.Microsecond, simtime.Millisecond, 1.05, 0.02),
+		Program:  w.New,
+		MaxGuest: simtime.Guest(simtime.Second),
+		Faults:   &faults.Plan{Seed: 7, Default: faults.Link{Loss: 0.1, Dup: 0.15, Jitter: 3 * simtime.Microsecond}},
+		Observer: obs.Multi(rec, obs.NewRegistry()),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := res.Stats
+	if s.Dropped == 0 || s.Duplicated == 0 {
+		t.Fatalf("premise: the fault plan should drop and duplicate frames, got %+v", s)
+	}
+	delivered, dropped, dups, stragglers, inQuanta := 0, 0, 0, 0, 0
+	for _, p := range rec.Packets {
+		if p.Dropped {
+			dropped++
+		} else {
+			delivered++
+		}
+		if p.Duplicate {
+			dups++
+		}
+		if p.Straggler {
+			stragglers++
+		}
+	}
+	for i, q := range rec.Quanta {
+		if q.Index != i {
+			t.Fatalf("quantum record %d has index %d", i, q.Index)
+		}
+		inQuanta += q.Packets
+	}
+	if delivered != s.Deliveries || dropped != s.Dropped || dups != s.Duplicated || stragglers != s.Stragglers {
+		t.Errorf("recorder holds %d delivered / %d dropped / %d duplicate / %d straggler records, Stats say %d / %d / %d / %d",
+			delivered, dropped, dups, stragglers, s.Deliveries, s.Dropped, s.Duplicated, s.Stragglers)
+	}
+	if len(rec.Quanta) != s.Quanta || inQuanta != s.Packets {
+		t.Errorf("recorder holds %d quanta carrying %d packets, Stats say %d and %d", len(rec.Quanta), inQuanta, s.Quanta, s.Packets)
+	}
+}

@@ -82,20 +82,15 @@ func TestGroundTruthInvariantToHostModel(t *testing.T) {
 func TestDeliveryConservation(t *testing.T) {
 	for _, q := range []simtime.Duration{simtime.Microsecond, 70 * simtime.Microsecond, simtime.Millisecond} {
 		w := workloads.Phases(4, 120*simtime.Microsecond, 24<<10)
-		cfg := testConfig(6, w, fixed(q))
-		cfg.TracePackets = true
-		res, err := Run(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Stats.Deliveries != len(res.Packets) {
-			t.Errorf("q=%v: %d deliveries but %d trace records", q, res.Stats.Deliveries, len(res.Packets))
+		res, rec := runRecorded(t, testConfig(6, w, fixed(q)))
+		if res.Stats.Deliveries != len(rec.Packets) {
+			t.Errorf("q=%v: %d deliveries but %d trace records", q, res.Stats.Deliveries, len(rec.Packets))
 		}
 		if res.Stats.Exact+res.Stats.Stragglers != res.Stats.Deliveries {
 			t.Errorf("q=%v: exact %d + stragglers %d != deliveries %d",
 				q, res.Stats.Exact, res.Stats.Stragglers, res.Stats.Deliveries)
 		}
-		for i, p := range res.Packets {
+		for i, p := range rec.Packets {
 			if p.Arrival < p.Ideal {
 				t.Fatalf("q=%v: packet %d delivered before its ideal time (%v < %v)", q, i, p.Arrival, p.Ideal)
 			}
@@ -133,23 +128,18 @@ func TestAccuracyMonotonicityCoarse(t *testing.T) {
 // and host intervals are non-overlapping and increasing.
 func TestQuantumTraceConsistency(t *testing.T) {
 	w := workloads.Phases(3, 150*simtime.Microsecond, 16<<10)
-	cfg := testConfig(4, w, adaptive(simtime.Microsecond, simtime.Millisecond, 1.05, 0.02))
-	cfg.TraceQuanta = true
-	res, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
+	res, rec := runRecorded(t, testConfig(4, w, adaptive(simtime.Microsecond, simtime.Millisecond, 1.05, 0.02)))
+	if len(rec.Quanta) != res.Stats.Quanta {
+		t.Fatalf("trace has %d records for %d quanta", len(rec.Quanta), res.Stats.Quanta)
 	}
-	if len(res.Quanta) != res.Stats.Quanta {
-		t.Fatalf("trace has %d records for %d quanta", len(res.Quanta), res.Stats.Quanta)
-	}
-	for i, q := range res.Quanta {
+	for i, q := range rec.Quanta {
 		if q.Index != i {
 			t.Errorf("record %d has index %d", i, q.Index)
 		}
 		if i == 0 {
 			continue
 		}
-		prev := res.Quanta[i-1]
+		prev := rec.Quanta[i-1]
 		if q.Start != prev.Start.Add(prev.Q) {
 			t.Errorf("quantum %d starts at %v, expected %v", i, q.Start, prev.Start.Add(prev.Q))
 		}
@@ -167,15 +157,10 @@ func TestQuantumTraceConsistency(t *testing.T) {
 // end-to-end through the engine).
 func TestAdaptiveQuantumRespondsToTraffic(t *testing.T) {
 	w := workloads.Phases(3, 500*simtime.Microsecond, 16<<10)
-	cfg := testConfig(4, w, adaptive(simtime.Microsecond, simtime.Millisecond, 1.05, 0.02))
-	cfg.TraceQuanta = true
-	res, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res, rec := runRecorded(t, testConfig(4, w, adaptive(simtime.Microsecond, simtime.Millisecond, 1.05, 0.02)))
 	violations := 0
-	for i := 1; i < len(res.Quanta); i++ {
-		prev, cur := res.Quanta[i-1], res.Quanta[i]
+	for i := 1; i < len(rec.Quanta); i++ {
+		prev, cur := rec.Quanta[i-1], rec.Quanta[i]
 		if prev.Packets > 0 && cur.Q > prev.Q {
 			violations++
 		}
@@ -236,33 +221,28 @@ func (l *logObs) NodePhase(node int, ph obs.Phase, gF, gT simtime.Guest, hF, hT 
 }
 
 // TestObservedStreamDeterminism: two runs of the same config must produce
-// identical Stats, identical QuantumRecord/PacketRecord traces, and an
+// identical Stats, identical recorded QuantumRecords/PacketRecords, and an
 // identical sequence of observer callbacks — the streaming layer inherits
 // the engine's replayability.
 func TestObservedStreamDeterminism(t *testing.T) {
 	w := workloads.Phases(4, 180*simtime.Microsecond, 24<<10)
-	runOnce := func() (*Result, *logObs) {
+	runOnce := func() (*Result, *obs.Recorder, *logObs) {
 		cfg := testConfig(5, w, adaptive(simtime.Microsecond, simtime.Millisecond, 1.05, 0.02))
-		cfg.TraceQuanta = true
-		cfg.TracePackets = true
 		lo := &logObs{}
 		cfg.Observer = lo
-		res, err := Run(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res, lo
+		res, rec := runRecorded(t, cfg)
+		return res, rec, lo
 	}
-	res1, log1 := runOnce()
-	res2, log2 := runOnce()
+	res1, rec1, log1 := runOnce()
+	res2, rec2, log2 := runOnce()
 
 	if res1.Stats != res2.Stats {
 		t.Errorf("Stats differ between identical runs:\n%+v\n%+v", res1.Stats, res2.Stats)
 	}
-	if !reflect.DeepEqual(res1.Quanta, res2.Quanta) {
+	if !reflect.DeepEqual(rec1.Quanta, rec2.Quanta) {
 		t.Error("QuantumRecord traces differ between identical runs")
 	}
-	if !reflect.DeepEqual(res1.Packets, res2.Packets) {
+	if !reflect.DeepEqual(rec1.Packets, rec2.Packets) {
 		t.Error("PacketRecord traces differ between identical runs")
 	}
 	if len(log1.lines) != len(log2.lines) {
@@ -283,8 +263,8 @@ func TestObservedStreamDeterminism(t *testing.T) {
 			qe++
 		}
 	}
-	if qe != len(res1.Quanta) {
-		t.Errorf("streamed %d QuantumEnd hooks, Result has %d records", qe, len(res1.Quanta))
+	if qe != len(rec1.Quanta) {
+		t.Errorf("streamed %d QuantumEnd hooks, the recorder has %d records", qe, len(rec1.Quanta))
 	}
 }
 

@@ -84,11 +84,12 @@ func (p *quietProbe) sortPhases() {
 	})
 }
 
-// quietRun is one fully instrumented run: traces on, observer and profiler
+// quietRun is one fully instrumented run: probe, recorder and profiler
 // attached, so the test also covers "none of them disables the pass".
 type quietRun struct {
 	res   *Result
 	probe *quietProbe
+	rec   *obs.Recorder
 	prof  []byte
 	// skipped lists the node-quanta the engine fast-forwarded (or, forced
 	// off, would have), in hook order; quiet lists the quanta among them in
@@ -120,11 +121,10 @@ func runReference(t *testing.T, c fastCase) quietRun {
 
 func runProbed(t *testing.T, c fastCase, workers int, allow, reference bool) quietRun {
 	t.Helper()
-	r := quietRun{probe: newQuietProbe()}
+	r := quietRun{probe: newQuietProbe(), rec: &obs.Recorder{}}
 	p := prof.New()
 	cfg := c.config(workers)
-	cfg.Observer = r.probe
-	cfg.Profiler = p
+	cfg.Observer = obs.Multi(r.probe, r.rec, p)
 	if reference {
 		cfg.onPartition = func(*partitioning) bool { return true }
 	}
@@ -155,7 +155,7 @@ func (p *quietProbe) split() (quanta []any, pkts []string) {
 		case quantumStart:
 			qi = rec.qi
 			quanta = append(quanta, o)
-		case PacketRecord:
+		case obs.PacketRecord:
 			pkts = append(pkts, fmt.Sprintf("q%d %+v", qi, rec))
 		default:
 			quanta = append(quanta, o)
@@ -167,15 +167,16 @@ func (p *quietProbe) split() (quanta []any, pkts []string) {
 
 // requireMatchesReference holds a run to the reference walk of the same case.
 // How a quantum is partitioned may reorder the hooks inside it and nothing
-// else: the Result (its packet trace in canonical order), the fingerprint,
-// the profiler report bytes and every quantum hook must be identical, and the
-// packet and NodePhase hooks equal as per-quantum multisets.
+// else: the Result, the recorded quanta and packets (the latter in canonical
+// order), the canonical encoding, the profiler report bytes and every quantum
+// hook must be identical, and the packet and NodePhase hooks equal as
+// per-quantum multisets.
 func requireMatchesReference(t *testing.T, label string, got, ref quietRun) {
 	t.Helper()
-	g, w := *got.res, *ref.res
-	g.Packets, w.Packets = SortPacketsCanonical(g.Packets), SortPacketsCanonical(w.Packets)
-	if !reflect.DeepEqual(g, w) {
-		t.Errorf("%s: Result differs from the reference walk:\ngot  %+v\nwant %+v", label, g.Stats, w.Stats)
+	g, w := got.rec, ref.rec
+	if !reflect.DeepEqual(got.res, ref.res) || !reflect.DeepEqual(g.Quanta, w.Quanta) ||
+		!reflect.DeepEqual(SortPacketsCanonical(g.Packets), SortPacketsCanonical(w.Packets)) {
+		t.Errorf("%s: Result or records differ from the reference walk:\ngot  %+v\nwant %+v", label, got.res.Stats, ref.res.Stats)
 		for i := range w.Quanta {
 			if i < len(g.Quanta) && g.Quanta[i] != w.Quanta[i] {
 				t.Errorf("first divergence at quantum %d:\n%+v\n%+v", i, g.Quanta[i], w.Quanta[i])
@@ -183,8 +184,8 @@ func requireMatchesReference(t *testing.T, label string, got, ref quietRun) {
 			}
 		}
 	}
-	if a, b := Fingerprint(got.res), Fingerprint(ref.res); a != b {
-		t.Errorf("%s: fingerprint %s, reference walk %s", label, a, b)
+	if !bytes.Equal(CanonicalResult(got.res, g), CanonicalResult(ref.res, w)) {
+		t.Errorf("%s: canonical result differs from the reference walk", label)
 	}
 	if !bytes.Equal(got.prof, ref.prof) {
 		t.Errorf("%s: profiler report bytes differ from the reference walk", label)
@@ -253,11 +254,11 @@ func TestQuietPassDifferential(t *testing.T) {
 				whole += len(on.quiet)
 				partial += on.partial(c.nodes)
 
-				if !reflect.DeepEqual(on.res, off.res) {
-					t.Errorf("workers=%d: Result differs:\nquiet   %+v\nstepped %+v", workers, on.res.Stats, off.res.Stats)
+				if !reflect.DeepEqual(on.res, off.res) || !reflect.DeepEqual(on.rec, off.rec) {
+					t.Errorf("workers=%d: Result or records differ:\nquiet   %+v\nstepped %+v", workers, on.res.Stats, off.res.Stats)
 				}
-				if a, b := Fingerprint(on.res), Fingerprint(off.res); a != b {
-					t.Errorf("workers=%d: fingerprint differs: %s vs %s", workers, a, b)
+				if !bytes.Equal(CanonicalResult(on.res, on.rec), CanonicalResult(off.res, off.rec)) {
+					t.Errorf("workers=%d: canonical result differs", workers)
 				}
 				if !bytes.Equal(on.prof, off.prof) {
 					t.Errorf("workers=%d: profiler report bytes differ", workers)
@@ -350,7 +351,7 @@ func TestQuietPassEngages(t *testing.T) {
 			t.Errorf("phases workers=%d: no quiet quanta", workers)
 		}
 		for _, qi := range r.quiet {
-			if r.probe.pkts[qi] != 0 || r.res.Quanta[qi].Packets != 0 {
+			if r.probe.pkts[qi] != 0 || r.rec.Quanta[qi].Packets != 0 {
 				t.Errorf("phases workers=%d: quantum %d routed packets but ran quiet", workers, qi)
 			}
 			if r.probe.done[qi] {
@@ -394,7 +395,7 @@ func TestSparseQuantaEngage(t *testing.T) {
 			switch rec := o.(type) {
 			case quantumStart:
 				qi = rec.qi
-			case PacketRecord:
+			case obs.PacketRecord:
 				sent[nodeQuantum{qi, rec.Src}] = true
 				if !rec.Dropped {
 					arrivals[rec.Dst] = append(arrivals[rec.Dst], queued{rec.Arrival, qi})
@@ -411,7 +412,7 @@ func TestSparseQuantaEngage(t *testing.T) {
 		}
 		rackSkips := map[int]int{}
 		for _, k := range r.skipped {
-			limit := r.res.Quanta[k.qi].Start.Add(r.res.Quanta[k.qi].Q)
+			limit := r.rec.Quanta[k.qi].Start.Add(r.rec.Quanta[k.qi].Q)
 			phs := phases[k]
 			if len(phs) != 1 || phs[0].ph == obs.PhaseDone || phs[0].g1 != limit {
 				t.Fatalf("workers=%d: skipped node %d did not spend quantum %d in one segment to the limit %v: %+v",
@@ -467,7 +468,7 @@ func TestNodePhaseTiling(t *testing.T) {
 				"workers=2": runQuiet(t, c, 2, true),
 			}
 			for label, r := range runs {
-				last := r.res.Quanta[len(r.res.Quanta)-1]
+				last := r.rec.Quanta[len(r.rec.Quanta)-1]
 				final := last.Start.Add(last.Q)
 				// The probe's phases are sorted by (quantum, node, host start):
 				// picking one node's out keeps them in stream order.

@@ -4,6 +4,7 @@ import (
 	"strconv"
 
 	"clustersim/internal/metrics"
+	"clustersim/internal/obs"
 	"clustersim/internal/quantum"
 	"clustersim/internal/simtime"
 	"clustersim/internal/workloads"
@@ -22,7 +23,7 @@ type AblationRow struct {
 // configurations are those that grow the quantum in very small increments
 // (such as 2% to 5%) but decrease it very quickly".
 func AblationIncDec(env Env, w workloads.Workload, nodes int, incs, decs []float64) ([]AblationRow, error) {
-	base, err := runGroundTruth(env, w, nodes, false, false, nil)
+	base, err := runGroundTruth(env, w, nodes, nil, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -39,7 +40,7 @@ func AblationIncDec(env Env, w workloads.Workload, nodes int, incs, decs []float
 				1*simtime.Microsecond, 1000*simtime.Microsecond, inc, dec,
 			)
 			jobs = append(jobs, job{name: spec.Label, run: func() error {
-				res, err := runOne(env, w, nodes, spec, false, false, nil)
+				res, err := runOne(env, w, nodes, spec, nil, nil)
 				if err != nil {
 					return err
 				}
@@ -88,14 +89,15 @@ type HostAblationRow struct {
 // speedup the blind adaptive algorithm recovers.
 func AblationOracle(env Env, w workloads.Workload, nodes int, min, max simtime.Duration) ([]AblationRow, error) {
 	// The traced baseline is the ground truth itself (Q = 1µs), so it comes
-	// from the shared cache with packet tracing requested.
-	base, err := runGroundTruth(env, w, nodes, false, true, nil)
+	// from the shared cache, recorded.
+	var rec obs.Recorder
+	base, err := runGroundTruth(env, w, nodes, &rec, nil)
 	if err != nil {
 		return nil, err
 	}
 	baseMetric, _ := base.Metric(w.Metric)
-	sendTimes := make([]simtime.Guest, 0, len(base.Packets))
-	for _, p := range base.Packets {
+	sendTimes := make([]simtime.Guest, 0, len(rec.Packets))
+	for _, p := range rec.Packets {
 		sendTimes = append(sendTimes, p.SendGuest)
 	}
 
@@ -109,7 +111,7 @@ func AblationOracle(env Env, w workloads.Workload, nodes int, min, max simtime.D
 	for i, spec := range specs {
 		i, spec := i, spec
 		jobs = append(jobs, job{name: spec.Label, run: func() error {
-			res, err := runOne(env, w, nodes, spec, false, false, nil)
+			res, err := runOne(env, w, nodes, spec, nil, nil)
 			if err != nil {
 				return err
 			}
@@ -140,11 +142,11 @@ func AblationHost(env Env, w workloads.Workload, nodes int, barriers []simtime.D
 				e := env
 				e.Host.BarrierCost = bc
 				e.Host.JitterSigma = jit
-				base, err := runGroundTruth(e, w, nodes, false, false, nil)
+				base, err := runGroundTruth(e, w, nodes, nil, nil)
 				if err != nil {
 					return err
 				}
-				big, err := runOne(e, w, nodes, FixedSpec("1k", 1000*simtime.Microsecond), false, false, nil)
+				big, err := runOne(e, w, nodes, FixedSpec("1k", 1000*simtime.Microsecond), nil, nil)
 				if err != nil {
 					return err
 				}

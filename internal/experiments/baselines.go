@@ -7,6 +7,7 @@ import (
 	"clustersim/internal/guest"
 	"clustersim/internal/host"
 	"clustersim/internal/netmodel"
+	"clustersim/internal/obs"
 	"clustersim/internal/simtime"
 	"clustersim/internal/workloads"
 )
@@ -41,8 +42,7 @@ type baselineEntry struct {
 	computed bool
 	res      *cluster.Result
 	err      error
-	traceQ   bool // res carries per-quantum records
-	traceP   bool // res carries per-packet records
+	rec      *obs.Recorder // the run's records; nil if it ran unrecorded
 }
 
 // BaselineCacheStats reports what a cache did over its lifetime.
@@ -51,9 +51,9 @@ type BaselineCacheStats struct {
 	Hits int
 	// Misses is the number of baselines actually simulated.
 	Misses int
-	// Upgrades counts re-simulations because a later caller needed traces
-	// the cached run was not recorded with (the rerun keeps the union of
-	// trace flags, so each key upgrades at most twice).
+	// Upgrades counts re-simulations because a later caller wanted the
+	// records of a run cached without them (at most one per key: the rerun is
+	// recorded, and a recorded entry serves every caller).
 	Upgrades int
 	// Entries is the number of distinct baselines held.
 	Entries int
@@ -70,11 +70,9 @@ type BaselineCacheStats struct {
 // read-only (every experiment runner already does — they only read metrics,
 // stats, and traces).
 type BaselineCache struct {
-	mu      sync.Mutex
+	mu      sync.Mutex // guards entries and stats; taken last, never held across a run
 	entries map[baselineKey]*baselineEntry
-
-	statMu             sync.Mutex
-	hits, misses, upgs int
+	stats   BaselineCacheStats
 }
 
 // NewBaselineCache returns an empty cache.
@@ -82,36 +80,21 @@ func NewBaselineCache() *BaselineCache {
 	return &BaselineCache{entries: map[baselineKey]*baselineEntry{}}
 }
 
-// Stats snapshots the cache's hit/miss counters.
+// Stats snapshots the cache's counters.
 func (c *BaselineCache) Stats() BaselineCacheStats {
 	c.mu.Lock()
-	n := len(c.entries)
-	c.mu.Unlock()
-	c.statMu.Lock()
-	defer c.statMu.Unlock()
-	return BaselineCacheStats{Hits: c.hits, Misses: c.misses, Upgrades: c.upgs, Entries: n}
-}
-
-func (c *BaselineCache) count(hit, miss, upg bool) {
-	c.statMu.Lock()
-	if hit {
-		c.hits++
-	}
-	if miss {
-		c.misses++
-	}
-	if upg {
-		c.upgs++
-	}
-	c.statMu.Unlock()
+	defer c.mu.Unlock()
+	s := c.stats
+	s.Entries = len(c.entries)
+	return s
 }
 
 // get returns the memoized ground-truth run for (env, w, nodes), computing
-// it on first use. traceQ/traceP declare which trace slices the caller will
-// read; a cached run recorded without them is re-simulated once with the
-// union of all flags seen so far (the rerun is bit-identical — the engine is
-// deterministic — just with tracing on).
-func (c *BaselineCache) get(env Env, w workloads.Workload, nodes int, traceQ, traceP bool, speeds *host.Speeds) (*cluster.Result, error) {
+// it on first use. A non-nil rec asks for the run's records too and receives
+// the entry's (shared, read-only like the Result); a run cached without them
+// is re-simulated once, recorded — bit-identical, the engine being
+// deterministic.
+func (c *BaselineCache) get(env Env, w workloads.Workload, nodes int, rec *obs.Recorder, speeds *host.Speeds) (*cluster.Result, error) {
 	key := baselineKey{
 		workload: w.Key,
 		nodes:    nodes,
@@ -131,34 +114,38 @@ func (c *BaselineCache) get(env Env, w workloads.Workload, nodes int, traceQ, tr
 
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if e.computed {
-		if e.err != nil {
-			c.count(true, false, false)
-			return nil, e.err
-		}
-		if (e.traceQ || !traceQ) && (e.traceP || !traceP) {
-			c.count(true, false, false)
-			return e.res, nil
-		}
-		// Trace upgrade: keep the union so the entry only ever widens.
-		c.count(false, false, true)
-	} else {
-		c.count(false, true, false)
+	upgrade := e.computed && e.err == nil && rec != nil && e.rec == nil
+	c.mu.Lock()
+	switch {
+	case upgrade:
+		c.stats.Upgrades++
+	case e.computed:
+		c.stats.Hits++
+	default:
+		c.stats.Misses++
 	}
-	e.traceQ = e.traceQ || traceQ
-	e.traceP = e.traceP || traceP
-	e.res, e.err = runOne(env, w, nodes, GroundTruth(), e.traceQ, e.traceP, speeds)
-	e.computed = true
+	c.mu.Unlock()
+	if !e.computed || upgrade {
+		if rec != nil {
+			e.rec = &obs.Recorder{}
+		}
+		e.res, e.err = runOne(env, w, nodes, GroundTruth(), e.rec, speeds)
+		e.computed = true
+	}
+	if rec != nil && e.err == nil {
+		*rec = *e.rec
+	}
 	return e.res, e.err
 }
 
 // runGroundTruth is how every experiment runner obtains its Q = 1µs
 // baseline: through Env.Baselines when one is attached (and the workload
 // carries a fingerprint), falling back to a direct run otherwise. The
-// returned Result may be shared with other runners — treat it as read-only.
-func runGroundTruth(env Env, w workloads.Workload, nodes int, traceQ, traceP bool, speeds *host.Speeds) (*cluster.Result, error) {
+// returned Result, and the records a non-nil rec receives, may be shared with
+// other runners — treat them as read-only.
+func runGroundTruth(env Env, w workloads.Workload, nodes int, rec *obs.Recorder, speeds *host.Speeds) (*cluster.Result, error) {
 	if env.Baselines == nil || w.Key == "" {
-		return runOne(env, w, nodes, GroundTruth(), traceQ, traceP, speeds)
+		return runOne(env, w, nodes, GroundTruth(), rec, speeds)
 	}
-	return env.Baselines.get(env, w, nodes, traceQ, traceP, speeds)
+	return env.Baselines.get(env, w, nodes, rec, speeds)
 }

@@ -3,6 +3,8 @@ package experiments
 import (
 	"reflect"
 	"testing"
+
+	"clustersim/internal/obs"
 )
 
 // A shared baseline cache must change how often ground truths are computed
@@ -68,24 +70,50 @@ func TestBaselineCacheSharing(t *testing.T) {
 		t.Errorf("ablation base not served from cache: %+v -> %+v", st2, st3)
 	}
 
-	// A caller needing traces the cached run lacks upgrades it once; the
-	// wider entry then serves both traced and untraced callers.
-	if _, err := runGroundTruth(env, ws[1], 2, false, true, nil); err != nil {
+	// A caller wanting the records of a run cached without them upgrades it
+	// once; the recorded entry then serves recording and plain callers alike.
+	var rec obs.Recorder
+	res, err := runGroundTruth(env, ws[1], 2, &rec, nil)
+	if err != nil {
 		t.Fatal(err)
 	}
 	st4 := env.Baselines.Stats()
 	if st4.Upgrades != 1 || st4.Misses != st3.Misses {
 		t.Errorf("want exactly one trace upgrade, got %+v -> %+v", st3, st4)
 	}
-	if _, err := runGroundTruth(env, ws[1], 2, false, true, nil); err != nil {
+	if len(rec.Quanta) != res.Stats.Quanta || len(rec.Packets) != res.Stats.Deliveries || len(rec.Packets) == 0 {
+		t.Errorf("upgrade handed out %d quanta and %d packets for a run of %d and %d",
+			len(rec.Quanta), len(rec.Packets), res.Stats.Quanta, res.Stats.Deliveries)
+	}
+	var rec2 obs.Recorder
+	if _, err := runGroundTruth(env, ws[1], 2, &rec2, nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := runGroundTruth(env, ws[1], 2, false, false, nil); err != nil {
+	if !reflect.DeepEqual(rec, rec2) {
+		t.Error("a second recording caller received different records")
+	}
+	if _, err := runGroundTruth(env, ws[1], 2, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	st5 := env.Baselines.Stats()
 	if st5.Upgrades != 1 || st5.Hits != st4.Hits+2 {
 		t.Errorf("upgraded entry should serve both callers from cache: %+v -> %+v", st4, st5)
+	}
+
+	// An entry first computed for a recording caller needs no upgrade, ever.
+	env.Baselines = NewBaselineCache()
+	var cold obs.Recorder
+	if _, err := runGroundTruth(env, ws[1], 2, &cold, nil); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := runGroundTruth(env, ws[1], 2, nil, nil); err != nil {
+		t.Fatal(err)
+	}
+	if st := env.Baselines.Stats(); st.Misses != 1 || st.Hits != 1 || st.Upgrades != 0 {
+		t.Errorf("recorded-first entry: want 1 miss, 1 hit, no upgrade, got %+v", st)
+	}
+	if !reflect.DeepEqual(cold, rec) {
+		t.Error("cold recorded run and upgraded run hold different records")
 	}
 }
 

@@ -18,6 +18,7 @@ import (
 	"clustersim/internal/host"
 	"clustersim/internal/metrics"
 	"clustersim/internal/netmodel"
+	"clustersim/internal/obs"
 	"clustersim/internal/prof"
 	"clustersim/internal/quantum"
 	"clustersim/internal/simtime"
@@ -154,29 +155,32 @@ type Cell struct {
 	Stats     cluster.Stats
 }
 
-// runOne executes one configuration; speeds is the sweep's shared table of
-// host speed draws, nil outside one.
-func runOne(env Env, w workloads.Workload, nodes int, spec Spec, traceQ, traceP bool, speeds *host.Speeds) (*cluster.Result, error) {
+// runOne executes one configuration. rec, when non-nil, is attached to the
+// run and holds its packet and quantum records afterwards; speeds is the
+// sweep's shared table of host speed draws, nil outside one.
+func runOne(env Env, w workloads.Workload, nodes int, spec Spec, rec *obs.Recorder, speeds *host.Speeds) (*cluster.Result, error) {
 	cfg := cluster.Config{
-		Nodes:        nodes,
-		Guest:        env.Guest,
-		Net:          env.Net,
-		Host:         env.Host,
-		Speeds:       speeds,
-		Policy:       spec.Policy,
-		Program:      w.New,
-		MaxGuest:     env.MaxGuest,
-		TraceQuanta:  traceQ,
-		TracePackets: traceP,
-		Workers:      env.IntraWorkers,
-		Faults:       env.Faults,
+		Nodes:    nodes,
+		Guest:    env.Guest,
+		Net:      env.Net,
+		Host:     env.Host,
+		Speeds:   speeds,
+		Policy:   spec.Policy,
+		Program:  w.New,
+		MaxGuest: env.MaxGuest,
+		Workers:  env.IntraWorkers,
+		Faults:   env.Faults,
+	}
+	// A nil *Recorder or *Profiler must not become a non-nil Observer.
+	if rec != nil {
+		cfg.Observer = rec
 	}
 	if env.Profiles != nil {
 		label := fmt.Sprintf("%s/%d/%s", w.Name, nodes, spec.Label)
 		if env.Faults != nil {
 			label += "/faults:" + env.Faults.Key()
 		}
-		cfg.Profiler = env.Profiles.New(label)
+		cfg.Observer = obs.Multi(cfg.Observer, env.Profiles.New(label))
 	}
 	res, err := cluster.Run(cfg)
 	if err != nil {
@@ -218,7 +222,7 @@ func grid(env Env, ws []workloads.Workload, nodeCounts []int, specs []Spec, spee
 		for ni, n := range nodeCounts {
 			wi, ni, w, n := wi, ni, w, n
 			jobs = append(jobs, job{name: fmt.Sprintf("%s/%d", w.Name, n), run: func() error {
-				res, err := runGroundTruth(env, w, n, false, false, speeds)
+				res, err := runGroundTruth(env, w, n, nil, speeds)
 				if err != nil {
 					return err
 				}
@@ -244,7 +248,7 @@ func grid(env Env, ws []workloads.Workload, nodeCounts []int, specs []Spec, spee
 				slot, w, n, spec := ci, w, n, spec
 				b := bases[baseIdx(wi, ni)]
 				jobs = append(jobs, job{name: fmt.Sprintf("%s/%d %s", w.Name, n, spec.Label), run: func() error {
-					res, err := runOne(env, w, n, spec, false, false, speeds)
+					res, err := runOne(env, w, n, spec, nil, speeds)
 					if err != nil {
 						return err
 					}

@@ -7,6 +7,7 @@ import (
 
 	"clustersim/internal/prof"
 	"clustersim/internal/simtime"
+	"clustersim/internal/trace"
 	"clustersim/internal/workloads"
 )
 
@@ -188,7 +189,10 @@ func TestRunQuantumTrace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Quanta) == 0 || chart == "" {
+	// The chart must be drawn from the run's quantum records: an unrecorded
+	// run would chart like no quanta at all.
+	blank := trace.LogChart(trace.QuantumSeries(nil, 40, res.GuestTime), 1, 1100, 8, "quantum duration (µs) over guest time")
+	if res.Stats.Quanta == 0 || chart == "" || chart == blank {
 		t.Error("missing trace or chart")
 	}
 }

@@ -62,7 +62,7 @@ func FaultSweep(env Env, w workloads.Workload, nodes int, specs []Spec, lossPcts
 		for si, spec := range specs {
 			slot, spec, fenv, pct := li*len(specs)+si, spec, fenv, pct
 			jobs = append(jobs, job{name: fmt.Sprintf("%s/%d loss=%g%% %s", w.Name, nodes, pct, spec.Label), run: func() error {
-				res, err := runOne(fenv, w, nodes, spec, false, false, nil)
+				res, err := runOne(fenv, w, nodes, spec, nil, nil)
 				if err != nil {
 					return err
 				}

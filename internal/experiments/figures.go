@@ -7,6 +7,7 @@ import (
 
 	"clustersim/internal/cluster"
 	"clustersim/internal/metrics"
+	"clustersim/internal/obs"
 	"clustersim/internal/simtime"
 	"clustersim/internal/trace"
 	"clustersim/internal/workloads"
@@ -184,7 +185,8 @@ func Fig9Case(env Env, w workloads.Workload, nodes int, dyn Spec, fixed []Spec, 
 		SpeedupCharts: map[string]string{},
 	}
 
-	baseRes, err := runGroundTruth(env, w, nodes, true, true, nil)
+	var baseRec obs.Recorder
+	baseRes, err := runGroundTruth(env, w, nodes, &baseRec, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -192,8 +194,7 @@ func Fig9Case(env Env, w workloads.Workload, nodes int, dyn Spec, fixed []Spec, 
 	if !ok {
 		return nil, fmt.Errorf("experiments: %s did not report %q", w.Name, w.Metric)
 	}
-	end := baseRes.GuestTime
-	out.TrafficChart = trace.TrafficChart(baseRes.Packets, nodes, end, chartWidth)
+	out.TrafficChart = trace.TrafficChart(baseRec.Packets, nodes, baseRes.GuestTime, chartWidth)
 	baseRate := float64(baseRes.GuestTime) / float64(baseRes.HostTime)
 
 	specs := append([]Spec{dyn}, fixed...)
@@ -207,7 +208,8 @@ func Fig9Case(env Env, w workloads.Workload, nodes int, dyn Spec, fixed []Spec, 
 	for i, spec := range specs {
 		i, spec := i, spec
 		jobs = append(jobs, job{name: spec.Label, run: func() error {
-			res, err := runOne(env, w, nodes, spec, true, false, nil)
+			var rec obs.Recorder
+			res, err := runOne(env, w, nodes, spec, &rec, nil)
 			if err != nil {
 				return err
 			}
@@ -219,7 +221,7 @@ func Fig9Case(env Env, w workloads.Workload, nodes int, dyn Spec, fixed []Spec, 
 			}
 			// The IS table reports the simulated-time blow-up directly.
 			row.ExecRatio = float64(res.GuestTime) / float64(baseRes.GuestTime)
-			series := trace.SpeedupSeries(res.Quanta, baseRate, chartWidth, res.GuestTime)
+			series := trace.SpeedupSeries(rec.Quanta, baseRate, chartWidth, res.GuestTime)
 			results[i] = outcome{
 				row:   row,
 				chart: trace.LogChart(series, 1, 100, 8, fmt.Sprintf("%s %s speedup vs 1µs over time", w.Name, spec.Label)),
@@ -282,19 +284,15 @@ func Fig9(env Env, scale float64, nodes, chartWidth int) ([]*ScaleOut, error) {
 	return outs, nil
 }
 
-// quantumChart renders the adaptive quantum decisions of a run (used by the
-// examples; exported via RunQuantumTrace).
-func quantumChart(res *cluster.Result, width int) string {
-	series := trace.QuantumSeries(res.Quanta, width, res.GuestTime)
-	return trace.LogChart(series, 1, 1100, 8, "quantum duration (µs) over guest time")
-}
-
-// RunQuantumTrace runs one configuration with quantum tracing and returns
-// the result together with an ASCII chart of the quantum over time.
+// RunQuantumTrace runs one configuration recorded and returns the result
+// together with an ASCII chart of the quantum over guest time (the adaptive
+// algorithm's decisions).
 func RunQuantumTrace(env Env, w workloads.Workload, nodes int, spec Spec, width int) (*cluster.Result, string, error) {
-	res, err := runOne(env, w, nodes, spec, true, false, nil)
+	var rec obs.Recorder
+	res, err := runOne(env, w, nodes, spec, &rec, nil)
 	if err != nil {
 		return nil, "", err
 	}
-	return res, quantumChart(res, width), nil
+	series := trace.QuantumSeries(rec.Quanta, width, res.GuestTime)
+	return res, trace.LogChart(series, 1, 1100, 8, "quantum duration (µs) over guest time"), nil
 }

@@ -14,6 +14,7 @@ import (
 	"clustersim/internal/cluster"
 	"clustersim/internal/faults"
 	"clustersim/internal/netmodel"
+	"clustersim/internal/obs"
 	"clustersim/internal/pkt"
 	"clustersim/internal/prof"
 	"clustersim/internal/quantum"
@@ -239,7 +240,9 @@ func ResolveWorkload(name string, scale float64) (workloads.Workload, error) {
 
 // ParsePolicy builds a quantum-policy constructor from the CLI/manifest
 // representation: a fixed quantum string, overridden by a non-empty dyn
-// spec min:max:inc:dec. An empty quantum means 1µs (ground truth).
+// spec min:max:inc:dec. An empty quantum means 1µs (ground truth). The
+// parameters are held to the policy's own check here, so the constructor it
+// returns never panics.
 func ParsePolicy(quantumSpec, dynSpec string) (func() quantum.Policy, error) {
 	if dynSpec == "" {
 		if quantumSpec == "" {
@@ -273,6 +276,9 @@ func ParsePolicy(quantumSpec, dynSpec string) (func() quantum.Policy, error) {
 	dec, err := strconv.ParseFloat(parts[3], 64)
 	if err != nil {
 		return nil, fmt.Errorf("dyn dec: %v", err)
+	}
+	if err := (&quantum.Adaptive{Min: min, Max: max, Inc: inc, Dec: dec}).Validate(); err != nil {
+		return nil, fmt.Errorf("dyn %w", err)
 	}
 	return func() quantum.Policy { return quantum.NewAdaptive(min, max, inc, dec) }, nil
 }
@@ -388,21 +394,19 @@ func runScenario(sc Scenario) ScenarioOutcome {
 	}
 	var fps []runFP
 	for _, workers := range rc.workers {
-		profiler := prof.New()
+		rec, profiler := &obs.Recorder{}, prof.New()
 		cfg := cluster.Config{
-			Nodes:        sc.Nodes,
-			Guest:        rc.env.Guest,
-			Net:          rc.env.Net,
-			Host:         rc.env.Host,
-			Policy:       rc.policy,
-			Program:      rc.w.New,
-			MaxGuest:     rc.env.MaxGuest,
-			TraceQuanta:  true,
-			TracePackets: true,
-			Workers:      workers,
-			Faults:       rc.plan,
-			Profiler:     profiler,
-			Lookahead:    rc.lookahead,
+			Nodes:     sc.Nodes,
+			Guest:     rc.env.Guest,
+			Net:       rc.env.Net,
+			Host:      rc.env.Host,
+			Policy:    rc.policy,
+			Program:   rc.w.New,
+			MaxGuest:  rc.env.MaxGuest,
+			Observer:  obs.Multi(rec, profiler),
+			Workers:   workers,
+			Faults:    rc.plan,
+			Lookahead: rc.lookahead,
 		}
 		res, err := cluster.Run(cfg)
 		if err != nil {
@@ -411,7 +415,7 @@ func runScenario(sc Scenario) ScenarioOutcome {
 		}
 		out.Stats = res.Stats
 		h := sha256.New()
-		h.Write(cluster.CanonicalResult(res))
+		h.Write(cluster.CanonicalResult(res, rec))
 		h.Write(profiler.Report().JSON())
 		fps = append(fps, runFP{workers: workers, fp: hex.EncodeToString(h.Sum(nil))})
 	}

@@ -60,7 +60,7 @@ type OptimisticRow struct {
 func OptimisticEstimate(env Env, w workloads.Workload, nodes int, specs []Spec, op OptimisticParams) ([]OptimisticRow, error) {
 	var rows []OptimisticRow
 	for _, spec := range specs {
-		res, err := runOne(env, w, nodes, spec, false, false, nil)
+		res, err := runOne(env, w, nodes, spec, nil, nil)
 		if err != nil {
 			return nil, err
 		}

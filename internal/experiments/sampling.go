@@ -27,7 +27,7 @@ type SamplingRow struct {
 // each with and without a sampled host (10% detail, fast functional
 // emulation otherwise), all compared against the unsampled ground truth.
 func SamplingStudy(env Env, w workloads.Workload, nodes int, s host.Sampling) ([]SamplingRow, error) {
-	base, err := runGroundTruth(env, w, nodes, false, false, nil)
+	base, err := runGroundTruth(env, w, nodes, nil, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -59,7 +59,7 @@ func SamplingStudy(env Env, w workloads.Workload, nodes int, s host.Sampling) ([
 			res = base
 		} else {
 			var err error
-			res, err = runOne(e, w, nodes, c.spec, false, false, nil)
+			res, err = runOne(e, w, nodes, c.spec, nil, nil)
 			if err != nil {
 				return nil, err
 			}

@@ -31,11 +31,11 @@ func ScalingCurve(env Env, w workloads.Workload, nodeCounts []int, spec Spec) ([
 	for i, n := range nodeCounts {
 		i, n := i, n
 		jobs = append(jobs, job{name: w.Name, run: func() error {
-			base, err := runGroundTruth(env, w, n, false, false, nil)
+			base, err := runGroundTruth(env, w, n, nil, nil)
 			if err != nil {
 				return err
 			}
-			res, err := runOne(env, w, n, spec, false, false, nil)
+			res, err := runOne(env, w, n, spec, nil, nil)
 			if err != nil {
 				return err
 			}

@@ -1,14 +1,15 @@
 // Package obs is the streaming observability layer of the simulator: a set
 // of lifecycle hooks (Observer) that both engines fire as a run unfolds,
-// plus three bundled implementations — a Chrome trace-event exporter
+// plus four bundled implementations — a Chrome trace-event exporter
 // (chrometrace.go), a metrics registry with an HTTP endpoint (registry.go),
-// and a live progress reporter for long runs (progress.go).
+// a live progress reporter for long runs (progress.go), and the Recorder
+// below, which keeps the packet and quantum records for reading back after
+// the run.
 //
-// Hooks stream *while the run executes*, unlike Result traces which are only
-// available after Run returns. The deterministic engine fires them
-// single-threaded in a replayable order; the wall-clock parallel runner fires
-// them from multiple goroutines, so every Observer bundled here is
-// safe for concurrent use.
+// Hooks stream *while the run executes*; they are the engine's only record
+// output. The deterministic engine fires them single-threaded in a
+// replayable order; the wall-clock parallel runner fires them from multiple
+// goroutines, so every Observer bundled here is safe for concurrent use.
 package obs
 
 import (
@@ -63,11 +64,15 @@ type RunInfo struct {
 	LinkLat func(src, dst int) simtime.Duration
 }
 
-// RunSummary describes a run as it completes normally. Aborted runs (guest
-// limit, workload error) never reach RunEnd; sinks that must finalize
-// regardless (e.g. ChromeTracer) also finalize on Close.
+// RunSummary describes a run as it ends. Every run that reached RunStart
+// reaches RunEnd exactly once, aborted ones included.
 type RunSummary struct {
-	// GuestTime is the guest time at which the last workload finished.
+	// Err is nil for a run that completed, and otherwise why it did not: the
+	// guest-time limit, a policy that issued a non-positive quantum, or a
+	// workload error. The rest then covers the quanta that did run.
+	Err error
+	// GuestTime is the guest time at which the last workload finished, or at
+	// which the runner gave the run up.
 	GuestTime simtime.Guest
 	// HostEnd is the host clock at the end of the run.
 	HostEnd simtime.Host
@@ -90,8 +95,7 @@ type RunSummary struct {
 	QuietNodeQuanta int
 }
 
-// QuantumRecord describes one completed synchronization quantum. It is also
-// the element type of Result.Quanta (cluster.QuantumRecord aliases it).
+// QuantumRecord describes one completed synchronization quantum.
 type QuantumRecord struct {
 	Index      int
 	Start      simtime.Guest    // guest time at quantum start
@@ -119,8 +123,7 @@ type QuantumRecord struct {
 	FastEligible bool
 }
 
-// PacketRecord describes one frame delivery. It is also the element type of
-// Result.Packets (cluster.PacketRecord aliases it).
+// PacketRecord describes one frame delivery.
 type PacketRecord struct {
 	SendGuest simtime.Guest // guest time the source handed it to the NIC
 	Ideal     simtime.Guest // exact simulated arrival time, injected delay included
@@ -178,7 +181,7 @@ type Partitioning struct {
 type Observer interface {
 	// RunStart fires once before the first quantum.
 	RunStart(RunInfo)
-	// RunEnd fires once after the last quantum of a successful run.
+	// RunEnd fires once after the last quantum, however the run ended.
 	RunEnd(RunSummary)
 	// QuantumStart fires when the barrier releases quantum index, which
 	// covers guest time (start, start+q]: an event exactly at start+q belongs
@@ -223,6 +226,23 @@ func (Base) Packet(PacketRecord) {}
 
 // NodePhase implements Observer.
 func (Base) NodePhase(int, Phase, simtime.Guest, simtime.Guest, simtime.Host, simtime.Host) {}
+
+// Recorder is the recording sink: it keeps the Packet and QuantumEnd records
+// of the run it observes, in stream order, for whatever reads a run back once
+// it is over — the Figure 9 charts (internal/trace), the oracle ablation, the
+// canonical fingerprint (cluster.CanonicalResult). It needs no lock: both
+// runners fire those two hooks from one goroutine at a time (the engine's own;
+// the holder of the parallel runner's controller mutex), and NodePhase, which
+// node goroutines fire concurrently, stays Base's no-op.
+type Recorder struct {
+	Base
+	Packets []PacketRecord
+	Quanta  []QuantumRecord
+}
+
+// Packet and QuantumEnd implement Observer.
+func (r *Recorder) Packet(rec PacketRecord)      { r.Packets = append(r.Packets, rec) }
+func (r *Recorder) QuantumEnd(rec QuantumRecord) { r.Quanta = append(r.Quanta, rec) }
 
 // multi fans hooks out to several observers in order.
 type multi []Observer

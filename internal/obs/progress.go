@@ -69,7 +69,11 @@ func (p *Progress) RunEnd(sum RunSummary) {
 	p.guest = sum.GuestTime
 	p.quiet = int64(sum.QuietQuanta)
 	p.quietNodes = int64(sum.QuietNodeQuanta)
-	p.report(true)
+	if sum.Err != nil {
+		p.report("aborted")
+		return
+	}
+	p.report("finished")
 }
 
 // QuantumStart tracks the live quantum size.
@@ -91,12 +95,13 @@ func (p *Progress) QuantumEnd(rec QuantumRecord) {
 	p.stragglers += int64(rec.Stragglers)
 	p.guest = rec.Start.Add(rec.Q)
 	if time.Since(p.lastReport) >= p.interval { //simlint:wallclock report rate limiting compares real elapsed time; results are unaffected
-		p.report(false)
+		p.report("progress")
 	}
 }
 
-// report writes one status line. Callers hold p.mu.
-func (p *Progress) report(final bool) {
+// report writes one status line, the final one unless label is "progress".
+// Callers hold p.mu.
+func (p *Progress) report(label string) {
 	now := time.Now() //simlint:wallclock quanta/sec rate in the status line is measured against the real clock
 	wall := now.Sub(p.lastReport)
 	rate := 0.0
@@ -106,9 +111,8 @@ func (p *Progress) report(final bool) {
 	p.lastReport = now
 	p.lastQuanta = p.quanta
 
-	label := "progress"
+	final := label != "progress"
 	if final {
-		label = "finished"
 		elapsed := now.Sub(p.start)
 		rate = 0
 		if elapsed > 0 {

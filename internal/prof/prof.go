@@ -384,14 +384,14 @@ func (p *Profiler) QuantumEnd(rec obs.QuantumRecord) {
 	p.hPackets.Observe(int64(rec.Packets))
 }
 
-// RunEnd implements obs.Observer. Aborted runs never reach it; Report still
-// works on a partial profile.
+// RunEnd implements obs.Observer. An aborted run leaves the profile partial —
+// Report still works on it and says so (Complete false).
 func (p *Profiler) RunEnd(sum obs.RunSummary) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.guestEnd = sum.GuestTime
 	p.hostEnd = sum.HostEnd
-	p.ended = true
+	p.ended = sum.Err == nil
 }
 
 // limitingLinksK bounds the LimitingLinks ranking.

@@ -123,8 +123,8 @@ type Report struct {
 	Policy      string `json:"policy"`
 	LookaheadNS int64  `json:"lookahead_ns"`
 	OutputQueue bool   `json:"output_queue"`
-	// Complete is false when the run aborted before RunEnd (guest-time
-	// limit or workload error); the profile then covers a prefix.
+	// Complete is false when the run aborted (guest-time limit, a bad policy
+	// or a workload error: RunSummary.Err); the profile then covers a prefix.
 	Complete   bool  `json:"complete"`
 	GuestNS    int64 `json:"guest_ns"`
 	HostNS     int64 `json:"host_ns"`

@@ -82,28 +82,32 @@ type Adaptive struct {
 }
 
 // NewAdaptive returns an Adaptive policy with the given bounds and factors.
-// It panics on configurations that Algorithm 1 cannot execute (Inc <= 1
-// would never grow; Dec >= 1 would never shrink; Min must be positive and
-// not exceed Max): these are programming errors, not runtime conditions.
+// It panics on a configuration Validate rejects: in a program that is a
+// programming error. Parameters that arrive from outside (a flag, a
+// manifest) go through Validate first — experiments.ParsePolicy does.
 func NewAdaptive(min, max simtime.Duration, inc, dec float64) *Adaptive {
 	a := &Adaptive{Min: min, Max: max, Inc: inc, Dec: dec}
-	if err := a.validate(); err != nil {
-		panic(err)
+	if err := a.Validate(); err != nil {
+		panic(fmt.Errorf("quantum: adaptive %w", err))
 	}
 	a.q = float64(min)
 	return a
 }
 
-func (a *Adaptive) validate() error {
+// Validate reports a configuration Algorithm 1 cannot execute, naming the
+// field first: Inc <= 1 would never grow, Dec outside (0,1) never shrink,
+// and Min must be positive and not exceed Max. The factor comparisons are
+// written so that NaN fails them.
+func (a *Adaptive) Validate() error {
 	switch {
 	case a.Min <= 0:
-		return fmt.Errorf("quantum: adaptive Min must be positive, got %v", a.Min)
+		return fmt.Errorf("min: must be positive, got %v", a.Min)
 	case a.Max < a.Min:
-		return fmt.Errorf("quantum: adaptive Max %v < Min %v", a.Max, a.Min)
-	case a.Inc <= 1:
-		return fmt.Errorf("quantum: adaptive Inc must exceed 1, got %v", a.Inc)
-	case a.Dec <= 0 || a.Dec >= 1:
-		return fmt.Errorf("quantum: adaptive Dec must be in (0,1), got %v", a.Dec)
+		return fmt.Errorf("max: %v is below min %v", a.Max, a.Min)
+	case !(a.Inc > 1):
+		return fmt.Errorf("inc: must exceed 1, got %v", a.Inc)
+	case !(a.Dec > 0 && a.Dec < 1):
+		return fmt.Errorf("dec: must be in (0,1), got %v", a.Dec)
 	}
 	return nil
 }

@@ -9,7 +9,7 @@ import (
 	"math"
 	"strings"
 
-	"clustersim/internal/cluster"
+	"clustersim/internal/obs"
 	"clustersim/internal/simtime"
 )
 
@@ -20,7 +20,7 @@ var shades = []byte{' ', '.', ':', '+', '*', '#'}
 // the y axis, guest time on the x axis, and a vertical stroke connecting the
 // source and destination of every packet, with character density encoding
 // traffic volume.
-func TrafficChart(packets []cluster.PacketRecord, nodes int, end simtime.Guest, width int) string {
+func TrafficChart(packets []obs.PacketRecord, nodes int, end simtime.Guest, width int) string {
 	if width < 10 {
 		width = 10
 	}
@@ -87,7 +87,7 @@ func TrafficChart(packets []cluster.PacketRecord, nodes int, end simtime.Guest, 
 // relative to a baseline rate, binned over guest time: the data behind the
 // paper's Figure 9 right-hand charts. baselineRate is guest-ns simulated per
 // host-ns of the ground-truth run (its GuestTime/HostTime).
-func SpeedupSeries(quanta []cluster.QuantumRecord, baselineRate float64, bins int, end simtime.Guest) []float64 {
+func SpeedupSeries(quanta []obs.QuantumRecord, baselineRate float64, bins int, end simtime.Guest) []float64 {
 	if bins < 1 {
 		bins = 1
 	}
@@ -161,7 +161,7 @@ func LogChart(series []float64, yMin, yMax float64, height int, label string) st
 
 // QuantumSeries bins the quantum duration over guest time (mean per bin, in
 // microseconds) — a direct visualization of Algorithm 1's decisions.
-func QuantumSeries(quanta []cluster.QuantumRecord, bins int, end simtime.Guest) []float64 {
+func QuantumSeries(quanta []obs.QuantumRecord, bins int, end simtime.Guest) []float64 {
 	if bins < 1 {
 		bins = 1
 	}

@@ -4,13 +4,13 @@ import (
 	"strings"
 	"testing"
 
-	"clustersim/internal/cluster"
 	"clustersim/internal/metrics"
+	"clustersim/internal/obs"
 	"clustersim/internal/simtime"
 )
 
 func TestTrafficChartShape(t *testing.T) {
-	packets := []cluster.PacketRecord{
+	packets := []obs.PacketRecord{
 		{SendGuest: 0, Src: 0, Dst: 3},
 		{SendGuest: simtime.Guest(500 * simtime.Microsecond), Src: 2, Dst: 1},
 		{SendGuest: simtime.Guest(999 * simtime.Microsecond), Src: 3, Dst: 0},
@@ -37,7 +37,7 @@ func TestTrafficChartEmpty(t *testing.T) {
 }
 
 func TestTrafficChartClipsOutOfRange(t *testing.T) {
-	packets := []cluster.PacketRecord{
+	packets := []obs.PacketRecord{
 		{SendGuest: simtime.Guest(2 * simtime.Millisecond), Src: 0, Dst: 1}, // past end
 	}
 	s := TrafficChart(packets, 2, simtime.Guest(simtime.Millisecond), 20)
@@ -46,17 +46,17 @@ func TestTrafficChartClipsOutOfRange(t *testing.T) {
 	}
 }
 
-func quantaFixture() []cluster.QuantumRecord {
+func quantaFixture() []obs.QuantumRecord {
 	// 10 quanta of 100µs each: first half fast (10ms host), second half
 	// slow (100ms host).
-	var qs []cluster.QuantumRecord
+	var qs []obs.QuantumRecord
 	h := simtime.Host(0)
 	for i := 0; i < 10; i++ {
 		cost := simtime.Duration(10 * simtime.Millisecond)
 		if i >= 5 {
 			cost = 100 * simtime.Millisecond
 		}
-		qs = append(qs, cluster.QuantumRecord{
+		qs = append(qs, obs.QuantumRecord{
 			Index:     i,
 			Start:     simtime.Guest(i) * simtime.Guest(100*simtime.Microsecond),
 			Q:         100 * simtime.Microsecond,
