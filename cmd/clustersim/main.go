@@ -12,6 +12,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -45,7 +46,6 @@ var (
 	spinFlag     = flag.Float64("spin", 0.02, "real ns of CPU burned per guest busy ns (parallel mode)")
 	workersFlag  = flag.Int("workers", 0, "cap on host cores used, 0 = all (sets GOMAXPROCS; mainly for taming -parallel runs)")
 	traceFlag    = flag.String("tracefile", "", "run a JSON communication trace (workloads.TraceFile schema) instead of -workload; -nodes must match its rank count")
-	intraFlag    = flag.Int("intra-workers", 0, "intra-quantum pool size: the nodes no frame can reach before the barrier are stepped on this many goroutines (below 2: inline); results and traces are identical for any value")
 	lookFlag     = flag.String("lookahead", "matrix", "fast-path lookahead mode: matrix probes per-link lookahead and fast-walks loose partitions even when Q exceeds the global minimum latency; scalar restores the all-or-nothing Q ≤ min gate; results are identical either way")
 	cpuProfFlag  = flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfFlag  = flag.String("memprofile", "", "write a heap profile to this file at exit")
@@ -65,19 +65,19 @@ var (
 // <bytes/s>:<latency>, e.g. 10e9:500ns. The tap models per-destination port
 // contention — and, because delivery times then depend on cross-node send
 // interleaving, it rules lookahead out: every quantum walks the whole cluster
-// through one event queue, and run() prints an explicit diagnostic.
+// through one event queue, and printStats says so.
 func parseContention(spec string) (*netmodel.OutputQueue, error) {
 	parts := strings.Split(spec, ":")
 	if len(parts) != 2 {
 		return nil, fmt.Errorf("-contention wants <bytes/s>:<latency>, got %q", spec)
 	}
 	bps, err := strconv.ParseFloat(parts[0], 64)
-	if err != nil || bps < 0 {
-		return nil, fmt.Errorf("-contention bytes/s %q: want a non-negative number", parts[0])
+	if err != nil || !(bps >= 0) || math.IsInf(bps, 1) {
+		return nil, fmt.Errorf("-contention bytes/s %q: want a finite, non-negative number", parts[0])
 	}
-	lat, err := simtime.ParseDuration(parts[1])
+	lat, err := experiments.ParseLatency("-contention latency", parts[1])
 	if err != nil {
-		return nil, fmt.Errorf("-contention latency: %w", err)
+		return nil, err
 	}
 	return &netmodel.OutputQueue{BytesPerSecond: bps, Latency: lat}, nil
 }
@@ -283,7 +283,6 @@ func run() (err error) {
 		Program:   w.New,
 		MaxGuest:  env.MaxGuest,
 		Observer:  observer,
-		Workers:   *intraFlag,
 		Faults:    plan,
 		Lookahead: lookahead,
 	})
@@ -291,14 +290,6 @@ func run() (err error) {
 		return err
 	}
 	printResult(w, res)
-	// The output tap makes delivery times depend on cross-node send
-	// interleaving, so no node is ever loose and the pool -intra-workers asked
-	// for has nothing to walk. Without this line a run showing 0 engaged
-	// quanta reads like a lookahead problem and perf numbers get
-	// misattributed.
-	if *intraFlag >= 2 && env.Net.Output != nil {
-		fmt.Println("fast path    disabled: output tap (-contention models per-port queueing, so delivery order depends on cross-node interleaving; every quantum walked the whole cluster through one event queue)")
-	}
 	printCharts(rec, res.GuestTime)
 	return nil
 }
@@ -371,6 +362,11 @@ func printStats(st cluster.Stats) {
 				float64(st.PartialPartitions)/float64(st.FastPartialQuanta))
 		}
 		fmt.Println(line)
+	}
+	if *contentionFlag != "" {
+		// Without this line a run showing no engaged quanta reads like a
+		// lookahead problem.
+		fmt.Println("lookahead    disabled: output tap (-contention models per-port queueing, so delivery times depend on cross-node send interleaving and no quantum can be partitioned)")
 	}
 	if st.HostBusy > 0 || st.HostBarrier > 0 {
 		fmt.Printf("host split   busy %v, idle %v, barriers %v (summed across nodes)\n",

@@ -74,6 +74,12 @@ func TestCLIFlagErrors(t *testing.T) {
 		{"faults bad window", []string{"-faults", "down=5ms"}, "is not start-end"},
 		{"contention missing latency", []string{"-contention", "10e9"}, "-contention wants <bytes/s>:<latency>"},
 		{"contention negative rate", []string{"-contention", "-1:500ns"}, "non-negative"},
+		// These four ran to completion: NaN bandwidth printed a negative
+		// total straggler delay.
+		{"contention NaN rate", []string{"-contention", "NaN:500ns"}, "-contention bytes/s"},
+		{"contention negative latency", []string{"-contention", "10e9:-50us"}, "-contention latency"},
+		{"topo negative edge", []string{"-topo", "rack:4:-5us:2us"}, "topo edge latency"},
+		{"topo negative wan", []string{"-topo", "mixedwan:4:500ns:-2us"}, "topo wan latency"},
 		{"zero nodes", []string{"-nodes", "0", "-workload", "pingpong"}, "need at least 1 node"},
 		{"trace rank mismatch", []string{"-tracefile", trace, "-nodes", "4"}, "has 2 ranks but the cluster has 4 nodes"},
 		{"trace file missing", []string{"-tracefile", filepath.Join(t.TempDir(), "nope.json")}, "no such file"},
@@ -102,46 +108,35 @@ func TestCLIFlagErrors(t *testing.T) {
 	}
 }
 
-// -contention disables the fast path, so a run that also asks for
-// -intra-workers must say so explicitly instead of reporting 0 engaged
-// quanta with no explanation (and must stay quiet when the combination is
-// absent).
+// -contention rules lookahead out, so a run under it must say so explicitly
+// instead of reporting no engaged quanta with no explanation — on both
+// runners — and must stay quiet without the flag.
 func TestContentionFastPathDiagnostic(t *testing.T) {
 	bin := buildClustersim(t)
-	base := []string{"-workload", "pingpong", "-nodes", "2", "-quantum", "1us"}
-	const diag = "fast path    disabled: output tap"
-
-	args := append(append([]string{}, base...), "-intra-workers", "2", "-contention", "10e9:500ns")
-	out, err := exec.Command(bin, args...).CombinedOutput()
-	if err != nil {
-		t.Fatalf("contention run failed: %v\n%s", err, out)
-	}
-	if !strings.Contains(string(out), diag) {
-		t.Errorf("-intra-workers with -contention did not print the output-tap diagnostic:\n%s", out)
-	}
-
-	quiet := []struct {
-		name  string
-		extra []string
+	const diag = "lookahead    disabled: output tap"
+	cases := []struct {
+		name string
+		args []string
+		want bool
 	}{
-		{"no contention", []string{"-intra-workers", "2"}},
-		{"no intra-workers", []string{"-contention", "10e9:500ns"}},
+		{"contention alone", []string{"-contention", "10e9:500ns"}, true},
+		{"contention parallel", []string{"-workload", "pingpong", "-nodes", "2", "-contention", "10e9:500ns", "-parallel", "-spin", "0"}, true},
+		{"no contention", []string{"-workload", "pingpong", "-nodes", "2"}, false},
 	}
-	for _, c := range quiet {
-		args := append(append([]string{}, base...), c.extra...)
-		out, err := exec.Command(bin, args...).CombinedOutput()
+	for _, c := range cases {
+		out, err := exec.Command(bin, c.args...).CombinedOutput()
 		if err != nil {
 			t.Fatalf("%s run failed: %v\n%s", c.name, err, out)
 		}
-		if strings.Contains(string(out), diag) {
-			t.Errorf("%s run printed the output-tap diagnostic spuriously:\n%s", c.name, out)
+		if got := strings.Contains(string(out), diag); got != c.want {
+			t.Errorf("%s: output-tap diagnostic printed = %v, want %v:\n%s", c.name, got, c.want, out)
 		}
 	}
 }
 
 // -chart and -traffic draw from the run's recorder, which both runners feed:
 // the goroutine runner must print the charts too (it used to ignore the flags
-// silently), and the deterministic engine's must not depend on -intra-workers.
+// silently), and the deterministic engine's must replay byte for byte.
 func TestChartsOnBothRunners(t *testing.T) {
 	bin := buildClustersim(t)
 	base := []string{"-workload", "phases", "-nodes", "4", "-dyn", "1us:1000us:1.05:0.02", "-chart", "-traffic", "-width", "60"}
@@ -159,8 +154,8 @@ func TestChartsOnBothRunners(t *testing.T) {
 		}
 		return string(out)
 	}
-	if inline, pooled := run(), run("-intra-workers", "3"); inline != pooled {
-		t.Errorf("chart output depends on -intra-workers:\n%s\nvs\n%s", inline, pooled)
+	if first, again := run(), run(); first != again {
+		t.Errorf("chart output does not replay:\n%s\nvs\n%s", first, again)
 	}
 	// Wall-clock run: the charts have to be there and carry marks — a traffic
 	// row with a packet glyph in it — not match anything.

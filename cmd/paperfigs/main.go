@@ -37,7 +37,6 @@ var (
 	widthFlag   = flag.Int("width", 100, "chart width in columns")
 	csvFlag     = flag.String("csv", "", "also write machine-readable CSVs into this directory")
 	workersFlag = flag.Int("workers", 0, "concurrent simulations per experiment grid (0 = GOMAXPROCS, 1 = sequential); results are identical for any value")
-	intraFlag   = flag.Int("intra-workers", 0, "intra-quantum pool size: ground-truth quanta (Q ≤ min network latency) step their nodes on this many goroutines (below 2: inline); results are identical for any value")
 	cpuProfFlag = flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfFlag = flag.String("memprofile", "", "write a heap profile to this file at exit")
 	seedFlag    = flag.Uint64("fault-seed", 1, "seed for the fault-injection plans of the faults study")
@@ -104,7 +103,6 @@ func run() error {
 	}
 	env := experiments.DefaultEnv()
 	env.Workers = *workersFlag
-	env.IntraWorkers = *intraFlag
 	env.Baselines = experiments.NewBaselineCache()
 	defer func() {
 		st := env.Baselines.Stats()

@@ -1,10 +1,10 @@
 // Command simfleet is the scenario regression fleet: it executes the
 // declarative manifest of simulation scenarios in testdata/fleet/, computes
 // a canonical fingerprint per scenario (Result/Stats/Quanta plus the prof
-// report bytes, proven identical across the scenario's worker counts), and
-// diffs the fingerprints against the committed goldens. One command answers "did this
-// PR change any simulated outcome it didn't mean to?" — the check the
-// equivalence matrices of earlier PRs hand-rolled per change.
+// report bytes), and diffs the fingerprints against the committed goldens.
+// One command answers "did this PR change any simulated outcome it didn't
+// mean to?" — the check the equivalence matrices of earlier PRs hand-rolled
+// per change.
 //
 //	simfleet -manifest testdata/fleet/manifest.json            # check
 //	simfleet -manifest testdata/fleet/manifest.json -update    # regenerate goldens
@@ -59,13 +59,10 @@ func run() error {
 	var progress func(experiments.ScenarioOutcome)
 	if *verboseFlag {
 		progress = func(o experiments.ScenarioOutcome) {
-			switch {
-			case o.Err != nil:
+			if o.Err != nil {
 				fmt.Fprintf(os.Stderr, "fail %-28s %v\n", o.Name, o.Err)
-			case o.Mismatch != "":
-				fmt.Fprintf(os.Stderr, "fail %-28s %s\n", o.Name, o.Mismatch)
-			default:
-				fmt.Fprintf(os.Stderr, "ran  %-28s %s workers=%v\n", o.Name, o.Fingerprint[:12], o.Workers)
+			} else {
+				fmt.Fprintf(os.Stderr, "ran  %-28s %s\n", o.Name, o.Fingerprint[:12])
 			}
 		}
 	}

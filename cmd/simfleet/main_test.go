@@ -5,7 +5,6 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
-	"reflect"
 	"strings"
 	"testing"
 
@@ -157,9 +156,7 @@ func TestCLIErrors(t *testing.T) {
 }
 
 // The committed fleet manifest must keep covering the claim surface: both
-// lookahead modes, at least one fault plan, the default {1,3} worker
-// cross-check everywhere, and one scenario that spells out {0,1,3} so the
-// CLI-level Workers=0 == Workers=1 equality stays exercised.
+// lookahead modes and at least one fault plan.
 func TestCommittedManifestCoverage(t *testing.T) {
 	m, err := experiments.LoadManifest(filepath.Join(moduleRoot(t), "testdata", "fleet", "manifest.json"))
 	if err != nil {
@@ -168,7 +165,7 @@ func TestCommittedManifestCoverage(t *testing.T) {
 	if len(m.Scenarios) < 20 {
 		t.Errorf("committed manifest has %d scenarios, the fleet promises >= 20", len(m.Scenarios))
 	}
-	var scalar, faulted, withZero int
+	var scalar, faulted int
 	for _, sc := range m.Scenarios {
 		if sc.Lookahead == "scalar" {
 			scalar++
@@ -176,16 +173,6 @@ func TestCommittedManifestCoverage(t *testing.T) {
 		if sc.Faults != "" {
 			faulted++
 		}
-		switch {
-		case len(sc.Workers) == 0:
-		case reflect.DeepEqual(sc.Workers, []int{0, 1, 3}):
-			withZero++
-		default:
-			t.Errorf("scenario %q narrows the worker matrix to %v; committed scenarios keep the default cross-check or widen it to {0,1,3}", sc.Name, sc.Workers)
-		}
-	}
-	if withZero == 0 {
-		t.Error("no scenario runs at workers {0,1,3}")
 	}
 	if scalar == 0 {
 		t.Error("no scenario pins lookahead=scalar")

@@ -67,7 +67,6 @@ func main() {
 	cfg3.Policy = clustersim.AdaptiveQuantum(
 		1*clustersim.Microsecond, 1000*clustersim.Microsecond, 1.05, 0.02)
 	cfg3.Net.Switch = &netmodel.MatrixSwitch{Lat: lat}
-	cfg3.Workers = 2
 	mixed, err := clustersim.Run(cfg3)
 	if err != nil {
 		log.Fatal(err)

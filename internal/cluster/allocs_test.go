@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"fmt"
 	"testing"
 
 	"clustersim/internal/guest"
@@ -81,29 +80,25 @@ func TestClassicWalkZeroAllocsPerQuantum(t *testing.T) {
 }
 
 // TestQuietQuantumZeroAllocs pins the quiet pass at zero allocations per
-// quantum at every pool size: a 10x longer silent run must allocate as much as
-// a short one, with nearly all of the extra quanta fast-forwarded.
+// quantum: a 10x longer silent run must allocate as much as a short one, with
+// nearly all of the extra quanta fast-forwarded.
 func TestQuietQuantumZeroAllocs(t *testing.T) {
-	for _, workers := range []int{0, 1, 2} {
-		mk := func(d simtime.Duration) Config {
-			cfg := testConfig(4, workloads.Silent(d), fixed(simtime.Microsecond))
-			cfg.Workers = workers
-			return cfg
-		}
-		aShort, short := allocsForRun(t, mk(1*simtime.Millisecond))
-		aLong, long := allocsForRun(t, mk(10*simtime.Millisecond))
-		t.Logf("workers=%d: short %v allocs / %d quanta (%d quiet), long %v allocs / %d quanta (%d quiet)",
-			workers, aShort, short.Quanta, short.QuietQuanta, aLong, long.Quanta, long.QuietQuanta)
-		extra := long.Quanta - short.Quanta
-		if quiet := long.QuietQuanta - short.QuietQuanta; quiet*100 < 95*extra {
-			t.Errorf("workers=%d: only %d of the %d extra quanta were quiet", workers, quiet, extra)
-		}
-		// An allocation in the pass costs at least 1 per quantum; set-up
-		// jitter (pool goroutine start-up, a GC cycle landing in one run)
-		// moves the totals by a few allocations per run.
-		if per := (aLong - aShort) / float64(extra); per >= 0.01 {
-			t.Errorf("workers=%d: quiet quanta allocate %.4f allocs/quantum (want 0)", workers, per)
-		}
+	mk := func(d simtime.Duration) Config {
+		return testConfig(4, workloads.Silent(d), fixed(simtime.Microsecond))
+	}
+	aShort, short := allocsForRun(t, mk(1*simtime.Millisecond))
+	aLong, long := allocsForRun(t, mk(10*simtime.Millisecond))
+	t.Logf("short %v allocs / %d quanta (%d quiet), long %v allocs / %d quanta (%d quiet)",
+		aShort, short.Quanta, short.QuietQuanta, aLong, long.Quanta, long.QuietQuanta)
+	extra := long.Quanta - short.Quanta
+	if quiet := long.QuietQuanta - short.QuietQuanta; quiet*100 < 95*extra {
+		t.Errorf("only %d of the %d extra quanta were quiet", quiet, extra)
+	}
+	// An allocation in the pass costs at least 1 per quantum; set-up
+	// jitter (a GC cycle landing in one run) moves the totals by a few
+	// allocations per run.
+	if per := (aLong - aShort) / float64(extra); per >= 0.01 {
+		t.Errorf("quiet quanta allocate %.4f allocs/quantum (want 0)", per)
 	}
 }
 
@@ -111,10 +106,10 @@ func TestQuietQuantumZeroAllocs(t *testing.T) {
 // quantum on all-loose and mixed partitionings: sixteen ranks run back-to-back computes of
 // pairwise different lengths, so nearly every stepped quantum has one active
 // node among fifteen skipped ones, and a 10x longer run must allocate as much
-// as a short one (the active list is sized once per Run).
+// as a short one.
 func TestSparseQuantumZeroAllocs(t *testing.T) {
 	const nodes = 16
-	mk := func(ops, workers int, net *netmodel.Model, q simtime.Duration) Config {
+	mk := func(ops int, net *netmodel.Model, q simtime.Duration) Config {
 		w := workloads.Workload{Name: "test.sparse-chain", New: func(rank, size int) guest.Program {
 			return func(p *guest.Proc) error {
 				for i := 0; i < ops; i++ {
@@ -124,7 +119,6 @@ func TestSparseQuantumZeroAllocs(t *testing.T) {
 			}
 		}}
 		cfg := testConfig(nodes, w, fixed(q))
-		cfg.Workers = workers
 		if net != nil {
 			cfg.Net = net
 		}
@@ -139,17 +133,14 @@ func TestSparseQuantumZeroAllocs(t *testing.T) {
 		{"graded", mixedWANNetAt(nodes, 2*simtime.Microsecond), 2 * simtime.Microsecond},
 	}
 	for _, p := range paths {
-		for _, workers := range []int{0, 2} {
-			label := fmt.Sprintf("%s workers=%d", p.name, workers)
-			per, sum := steadyStatePerStepped(t, label, mk(20, workers, p.net, p.q), mk(200, workers, p.net, p.q))
-			if per >= 0.01 {
-				t.Errorf("%s: sparse quanta allocate %.4f allocs/stepped quantum (want 0)", label, per)
-			}
-			stepped := sum.Quanta - sum.QuietQuanta
-			if skipped := sum.QuietNodeQuanta - nodes*sum.QuietQuanta; skipped*100 < 80*nodes*stepped {
-				t.Errorf("%s: only %d of %d stepped node-quanta were skipped: the gate is not on the sparse path",
-					label, skipped, nodes*stepped)
-			}
+		per, sum := steadyStatePerStepped(t, p.name, mk(20, p.net, p.q), mk(200, p.net, p.q))
+		if per >= 0.01 {
+			t.Errorf("%s: sparse quanta allocate %.4f allocs/stepped quantum (want 0)", p.name, per)
+		}
+		stepped := sum.Quanta - sum.QuietQuanta
+		if skipped := sum.QuietNodeQuanta - nodes*sum.QuietQuanta; skipped*100 < 80*nodes*stepped {
+			t.Errorf("%s: only %d of %d stepped node-quanta were skipped: the gate is not on the sparse path",
+				p.name, skipped, nodes*stepped)
 		}
 	}
 }

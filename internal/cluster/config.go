@@ -53,9 +53,8 @@ type Config struct {
 	// Faults, when non-nil, injects deterministic per-link loss,
 	// duplication, delay jitter, link-down windows, and per-node host
 	// slowdowns (see internal/faults). Every decision is a pure function of
-	// (Plan.Seed, Frame.ID, src, dst, send time), so faulty runs stay
-	// bit-identical across Workers counts and are replayable from this
-	// config. Nil injects nothing and costs one branch per frame.
+	// (Plan.Seed, Frame.ID, src, dst, send time), so faulty runs are
+	// replayable from this config. Nil injects nothing and costs one branch per frame.
 	Faults *faults.Plan
 	// Observer receives streaming lifecycle hooks (quantum boundaries,
 	// packet deliveries, node busy/idle segments) while the run executes. It
@@ -68,18 +67,10 @@ type Config struct {
 	// themselves now; the field's only remaining writer outside tests is
 	// cmd/simbench/trace.go, and it goes when that directory thaws (ROADMAP).
 	Profiler *prof.Profiler
-	// Workers sizes the pool that walks a quantum's loose nodes (DESIGN.md
-	// §7): nodes no frame sent inside the quantum can reach before the
-	// barrier — every node, when Q is at most the minimum network latency —
-	// are stepped independently, and >= 2 fans them out over that many
-	// goroutines; anything less walks them inline.
-	//
-	// Nothing else reads it. The Result and the packet/observer stream are
-	// bit-identical for every value: within a quantum the stream carries the
-	// tight lookahead partitions in id order, each in host-event order, then
-	// the loose nodes' segments in node order, then the loose and
-	// cross-partition frames, routed at the barrier in canonical (node,
-	// send-sequence) order.
+	// Workers is unread: Run executes on the calling goroutine alone (DESIGN.md
+	// §7; the intra-quantum worker pool it sized never won and went in PR 20).
+	// The field's only remaining writers are cmd/simbench/workloads.go and
+	// trace.go, and it goes when that directory thaws (ROADMAP).
 	Workers int
 	// Lookahead selects how the lookahead bound is computed. The default
 	// (LookaheadMatrix) probes the per-link lookahead matrix and partitions

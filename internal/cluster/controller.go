@@ -102,8 +102,7 @@ func (c *controller) runEnd(err error, guestTime simtime.Guest, hostEnd simtime.
 // beginQuantum opens quantum qi = (start, start+Q] at host time h and does
 // its eligibility accounting. That accounting is a pure function of (Q,
 // lookahead) — never of how the quantum is then executed — so Stats and what
-// a sink derives from the stream are identical for every runner and Workers
-// value. It returns the quantum's lookahead partitioning, nil without a
+// a sink derives from the stream are identical for both runners. It returns the quantum's lookahead partitioning, nil without a
 // matrix.
 func (c *controller) beginQuantum(qi int, start simtime.Guest, Q simtime.Duration, h simtime.Host) *partitioning {
 	c.limit = start.Add(Q)

@@ -11,7 +11,6 @@ import (
 	"clustersim/internal/pkt"
 	"clustersim/internal/quantum"
 	"clustersim/internal/simtime"
-	"clustersim/internal/workerpool"
 )
 
 // ErrGuestLimit is returned when a run exceeds Config.MaxGuest without all
@@ -57,10 +56,6 @@ const (
 // nodeArena holds every per-node engine field as parallel slices indexed by
 // node: a pass over one field walks one contiguous lane, and the lanes of
 // one element type share one allocation (newNodeArena); see DESIGN.md §12.
-//
-// Concurrency: during loose-node walks, worker goroutines touch only their
-// own node's index in each lane; the engine's barrier provides the
-// happens-before edge between quanta.
 type nodeArena struct {
 	node  []*guest.Node
 	phase []nodePhase
@@ -145,9 +140,9 @@ type flight struct {
 	tD       simtime.Guest // exact simulated arrival time
 }
 
-// routed is one barrier-batch entry — or a cross-partition flight a tight
-// node's walk defers to the barrier, which becomes one: a flight and the host
-// time it reaches the controller.
+// routed is one barrier-batch entry — or a flight a node's walk defers to the
+// barrier, which becomes one: a flight and the host time it reaches the
+// controller.
 type routed struct {
 	h  simtime.Host
 	fi int32
@@ -181,11 +176,9 @@ type engine struct {
 	delivCnt    []int32
 	delivOff    []int32
 	delivSorted []guest.Arrival
-	// assembling: sendFrame ships frames into the barrier batch instead of
-	// routing or queueing them. batching: deliver records surviving copies
-	// in pend instead of pushing them to the guest one at a time.
-	assembling bool
-	batching   bool
+	// batching: deliver records surviving copies in pend instead of pushing
+	// them to the guest one at a time.
+	batching bool
 
 	qStartG  simtime.Guest // guest time the quantum starts at: every node's position at the barrier
 	qStartH  simtime.Host  // barrier release that started the quantum
@@ -199,22 +192,16 @@ type engine struct {
 	// fault-free path byte-identical to an engine without the feature.
 	slow []float64
 
-	// The quantum executor's state (DESIGN.md §7). walks holds each node's
-	// walk buffers; active lists, ascending, the loose nodes the current
-	// quantum walks, and walkFn walks its k-th entry — built once so the
-	// per-quantum pool dispatch stays allocation-free (it reads qStartH).
-	// pool is nil unless Workers >= 2.
-	pool   *workerpool.Pool
-	walks  []nodeWalk
-	active []int32
-	walkFn func(int)
+	// The quantum executor's state (DESIGN.md §7). defs holds, per node, the
+	// flights its walk of the current quantum defers to the barrier: a loose
+	// node's every frame, a tight node's cross-partition frames.
+	defs [][]routed
 	// uniform caches the two degenerate partitionings (all-loose,
 	// whole-cluster tight), built on first use.
 	uniform [2]*partitioning
-	// curPart aliases the execution partitioning's node->partition map during
-	// the tight-partition walks — the signal for sendFrame to defer
-	// cross-partition frames to the barrier — and is nil at all other times.
-	curPart []int32
+	// part is the partitioning the current quantum executes as: what sendFrame
+	// consults to tell a frame it must defer from one it queues.
+	part *partitioning
 
 	// quietH is the minimum of the arena's quietUntil lane as of the last full
 	// scan, so a stretch in which no node acts costs one comparison per
@@ -224,45 +211,6 @@ type engine struct {
 	nQuiet      int // quanta executed whole by the quiet pass
 	nQuietNodes int // node-quanta executed by quietNode
 	qi          int // current quantum's index, for the onQuiet hook
-}
-
-// minFanOut is the smallest number of active nodes per pool worker worth a
-// pool hand-off: below it the walks run inline on the engine goroutine. Waking
-// a worker costs about as much as two or three walks, and the sparse quanta
-// this guards have one to three active nodes among dozens of quiet ones
-// (DESIGN.md §7.1 has the measurements).
-const minFanOut = 4
-
-// sendRec buffers one frame sent during a loose node's walk, with the guest
-// and host instants of the send.
-type sendRec struct {
-	f     *pkt.Frame
-	tSend simtime.Guest
-	h     simtime.Host
-}
-
-// phaseRec buffers one NodePhase observer hook emitted during a walk.
-type phaseRec struct {
-	phase  obs.Phase
-	g0, g1 simtime.Guest
-	h0, h1 simtime.Host
-}
-
-// nodeWalk collects everything a loose node's walk must publish at the
-// barrier: sends to route, observer hooks to replay, and the node's
-// contributions to global counters. Node-local state (finishHost, doneHost,
-// phase, ...) is written straight to the node arena, which the walking
-// worker owns for the duration of the quantum. Buffers are reused across
-// quanta. For a node of a tight partition only defs is used: its deferred
-// cross-partition flights.
-type nodeWalk struct {
-	sends  []sendRec
-	phases []phaseRec // kept only under an observer, its one reader
-	defs   []routed
-	busy   simtime.Duration
-	idle   simtime.Duration
-	done   bool
-	err    error
 }
 
 // Run executes the configuration and returns its result.
@@ -297,7 +245,7 @@ func Run(cfg Config) (*Result, error) {
 			e.slow[i] = fp.Slowdown(i)
 		}
 	}
-	e.initWalks()
+	e.initDefs()
 	return e.run()
 }
 
@@ -305,39 +253,21 @@ func (e *engine) shutdown() {
 	for _, n := range e.na.node {
 		n.Shutdown()
 	}
-	if e.pool != nil {
-		e.pool.Close()
-	}
 }
 
-// walkSlab is each node's share of the two walk-buffer slabs: quanta short
+// defSlab is each node's share of the deferred-flight slab: quanta short
 // enough to leave a node loose seldom see it send more frames than this. A
 // node that does spills to a private buffer, once, up to its own high-water
 // mark.
-const walkSlab = 4
+const defSlab = 4
 
-// initWalks sets up the quantum executor's buffers and its worker pool. The
-// send and deferred-flight buffers are carved from one slab each, so that a
-// run costs a fixed number of allocations however many of its nodes ever
-// walk. Config.Workers only sizes the pool; without lookahead no node is ever
-// loose and there is nothing to fan out.
-func (e *engine) initWalks() {
-	n := e.cfg.Nodes
-	e.walks = make([]nodeWalk, n)
-	sends := make([]sendRec, n*walkSlab)
-	defs := make([]routed, n*walkSlab)
-	for i := range e.walks {
-		lo, hi := i*walkSlab, (i+1)*walkSlab
-		e.walks[i].sends = sends[lo:lo:hi]
-		e.walks[i].defs = defs[lo:lo:hi]
-	}
-	e.active = make([]int32, 0, n)
-	e.walkFn = func(k int) {
-		i := int(e.active[k])
-		e.walkNode(i, &e.walks[i], e.qStartH)
-	}
-	if w := min(e.cfg.Workers, n); w >= 2 && e.eligLat > 0 {
-		e.pool = workerpool.New(w)
+// initDefs carves the per-node deferred-flight lanes from one slab, so that a
+// run costs one allocation for them however many of its nodes ever defer.
+func (e *engine) initDefs() {
+	e.defs = make([][]routed, e.cfg.Nodes)
+	slab := make([]routed, len(e.defs)*defSlab)
+	for i := range e.defs {
+		e.defs[i] = slab[i*defSlab : i*defSlab : (i+1)*defSlab]
 	}
 }
 
@@ -605,13 +535,11 @@ func (e *engine) idleTo(i int, target simtime.Guest, h simtime.Host) {
 // computes the exact simulated arrival time, and ships the frame to the
 // controller in host time. Inside a tight partition's walk the frame becomes
 // an interned flight plus a queued 12-byte event dispatched at the host time
-// it reaches the controller — unless it crosses to another partition
-// (curPart != nil): its destination lies across a loose link, so the arrival
-// time is provably at or past the limit, routing it at the barrier is
-// behavior-neutral (DESIGN.md §11), and it is deferred. At the barrier
-// (e.assembling) the flight joins the quantum's batch instead — every
-// destination is already there, so dispatch order no longer matters and the
-// queue round-trip is pure overhead.
+// it reaches the controller — unless it crosses to another partition: its
+// destination lies across a loose link, so the arrival time is provably at or
+// past the limit, routing it at the barrier is behavior-neutral (DESIGN.md
+// §11), and it is deferred to the sender's defs lane. A loose node has no
+// queue, so it defers every frame, the ones it sends itself included.
 func (e *engine) sendFrame(i int, h simtime.Host, tSend simtime.Guest, f *pkt.Frame) {
 	src := i
 	depart := simtime.MaxGuest(tSend, e.na.txFree[i])
@@ -626,12 +554,9 @@ func (e *engine) sendFrame(i int, h simtime.Host, tSend simtime.Guest, f *pkt.Fr
 			f: f, src: int32(src), dst: int32(dst), tSend: tSend,
 			tD: e.arrival(f, src, dst, depart),
 		})
-		switch {
-		case e.assembling:
-			e.batch = append(e.batch, routed{h: arrHost, fi: fi}) //simlint:hotalloc assembly batch grows to its watermark once; length-reset each quantum
-		case e.curPart != nil && e.curPart[dst] != e.curPart[src]:
-			e.walks[src].defs = append(e.walks[src].defs, routed{h: arrHost, fi: fi}) //simlint:hotalloc deferred-event lane spills past its slab share to its watermark once; length-reset each quantum
-		default:
+		if p := e.part; p.fastNode[src] || p.Part[dst] != p.Part[src] {
+			e.defs[src] = append(e.defs[src], routed{h: arrHost, fi: fi}) //simlint:hotalloc deferred-flight lane spills past its slab share to its watermark once; length-reset each quantum
+		} else {
 			e.q.PushPri(int64(arrHost), priFrame, event{kind: evFrame, fi: fi})
 		}
 	}
@@ -821,7 +746,7 @@ func (e *engine) routeBatch() {
 // partitioned. The test is horizon > limit, strictly — an op ending exactly
 // at the limit resumes the workload inside this quantum, where it may send or
 // finish (DESIGN.md §7.1) — and involves only node state, so it holds or fails
-// identically for every Workers and Lookahead value.
+// identically for every Lookahead value.
 //
 // A quiet stretch costs one comparison per quantum. Otherwise the scan
 // re-peeks the horizons the limit has reached (stale ones included), all of
@@ -875,17 +800,12 @@ func (e *engine) sitsOut(i int) bool {
 	return true
 }
 
-// satOut reports, once the quantum's walks are over, whether node i was
-// skipped: stepping a node zeroes its horizon and skipping it leaves the
-// horizon past the limit.
-func (e *engine) satOut(i int) bool { return e.na.quietUntil[i] > e.limit }
-
 // quietNode executes node i's whole quantum arithmetically: the node has no
 // event before the limit, so it spends the quantum in one busy or idle
 // segment from the quantum start — where every node stands at a barrier — to
 // the limit, which is what a walk would have found by stepping — the same
 // hostCost call, the same charges, the same single NodePhase — minus the Step
-// calls, coroutine switches, event-queue round-trips and walk buffers. It
+// calls, coroutine switches and event-queue round-trips. It
 // works on the engine's lanes alone: the node itself is left behind, marked
 // in the lag lane, for syncNode.
 //
@@ -923,48 +843,12 @@ func (e *engine) syncNode(i int, to simtime.Guest) {
 }
 
 // runQuantumQuiet executes one quiet quantum as a single arithmetic pass.
-// Hooks fire in ascending node order whatever the Workers value; there is
-// nothing to route, so the common barrier tail sees an empty batch.
+// Hooks fire in ascending node order; there is nothing to route, so the
+// common barrier tail sees an empty batch.
 func (e *engine) runQuantumQuiet(hostNow simtime.Host) {
 	e.nQuiet++
 	for i := range e.na.node {
 		e.quietNode(i, hostNow)
-	}
-}
-
-// walkActive walks the nodes listed in e.active to the barrier, on the pool
-// when there is one and the list is long enough to pay for the hand-off.
-func (e *engine) walkActive(hostNow simtime.Host) {
-	if e.pool != nil && len(e.active) >= minFanOut*e.pool.Workers() {
-		e.pool.Run(len(e.active), e.walkFn)
-		return
-	}
-	for _, i := range e.active {
-		e.walkNode(int(i), &e.walks[i], hostNow)
-	}
-}
-
-// foldNode publishes loose node i's quantum at the barrier: the quiet pass
-// for a node that sat the quantum out, otherwise its completed walk buffers —
-// stats, done accounting and observer replay.
-// Single-threaded; called in ascending node order so the published order is
-// canonical whatever worker walked the node.
-func (e *engine) foldNode(i int, hostNow simtime.Host) {
-	if e.satOut(i) {
-		e.quietNode(i, hostNow)
-		return
-	}
-	wk := &e.walks[i]
-	e.stats.HostBusy += wk.busy
-	e.stats.HostIdle += wk.idle
-	if wk.done {
-		if wk.err != nil && e.firstErr == nil {
-			e.firstErr = fmt.Errorf("cluster: rank %d: %w", i, wk.err) //simlint:hotalloc error path: fires at most once per node, at workload failure
-		}
-		e.doneCount++
-	}
-	for _, ph := range wk.phases {
-		e.obs.NodePhase(i, ph.phase, ph.g0, ph.g1, ph.h0, ph.h1)
 	}
 }
 
@@ -998,20 +882,19 @@ func (e *engine) tightSitsOut(members []int32) bool {
 // a subset preserves relative order, each partition's walk is bit-identical
 // to its slice of a walk of the whole cluster. sendFrame defers the frames
 // that leave the partition. A loose node is reached by nothing before the
-// barrier, so it needs no queue: it is stepped straight to the limit,
-// concurrently with the other loose nodes when a pool exists. Tight
-// partitions and loose nodes that cannot act before the limit are
-// fast-forwarded instead (DESIGN.md §7.1).
+// barrier, so it needs no queue: the loose nodes are stepped straight to the
+// limit one after another, in ascending node order, and defer every frame
+// they send. Tight partitions and loose nodes that cannot act before the limit
+// are fast-forwarded instead (DESIGN.md §7.1).
 //
-// Everything then publishes at the barrier in canonical order through the
-// batched router: per-node effects in node order, then every buffered and
-// deferred frame in (node, send-sequence) order. Workers only decide who
-// walks a loose node, never the order anything is published, which is what
-// makes the run bit-identical for every Workers value.
+// The barrier then routes every deferred frame in canonical (node,
+// send-sequence) order through the batched router. Every arrival time is at
+// or past the limit and every destination is at the barrier, so each delivery
+// is exact.
 //
 //simlint:hotpath the quantum executor: every stepped quantum runs here
 func (e *engine) runQuantum(hostNow simtime.Host, p *partitioning) {
-	e.curPart = p.Part
+	e.part = p
 	for _, members := range p.tight {
 		if e.tightSitsOut(members) {
 			for _, m := range members {
@@ -1020,60 +903,29 @@ func (e *engine) runQuantum(hostNow simtime.Host, p *partitioning) {
 			continue
 		}
 		for _, m := range members {
-			e.walks[m].defs = e.walks[m].defs[:0]
 			e.enqueueNode(int(m), hostNow)
 		}
 		e.drainQueue()
 	}
-	e.curPart = nil
-
-	e.active = e.active[:0]
 	for _, i := range p.loose {
-		if !e.sitsOut(int(i)) {
-			e.active = append(e.active, i) //simlint:hotalloc capacity is the node count, set in initWalks; never grows
+		if e.sitsOut(int(i)) {
+			e.quietNode(int(i), hostNow)
+		} else {
+			e.walkNode(int(i), hostNow)
 		}
 	}
-	e.walkActive(hostNow)
-	for _, i := range p.loose {
-		e.foldNode(int(i), hostNow)
-	}
 
-	// Loose nodes assemble their buffered sends, tight nodes enqueue their
-	// deferred flights; one batched route pass handles both. Every arrival
-	// time is at or past the limit and every destination is at the barrier,
-	// so each delivery is exact. A node that sat out sent nothing: its
-	// buffers are left over from an earlier quantum.
-	e.assembling = true
-	for i := range e.walks {
-		switch {
-		case e.satOut(i):
-		case p.fastNode[i]:
-			for _, s := range e.walks[i].sends {
-				e.sendFrame(i, s.h, s.tSend, s.f)
-			}
-		default:
-			e.batch = append(e.batch, e.walks[i].defs...) //simlint:hotalloc assembly batch grows to its watermark once; length-reset each quantum
-		}
+	for i, d := range e.defs {
+		e.batch = append(e.batch, d...) //simlint:hotalloc barrier batch grows to its watermark once; length-reset each quantum
+		e.defs[i] = d[:0]
 	}
-	e.assembling = false
 	e.routeBatch()
 }
 
 // walkNode steps one loose node from the quantum start to the barrier without
 // the event queue, mirroring stepNode/idleTo/the wake dispatch of the
-// event-queue walk exactly. It touches only state the walking worker owns:
-// the node, its index in every arena lane, and its nodeWalk buffers
-// (host.Model lookups are pure, and each node's speed-memo entry is private
-// to its walker). Globally visible effects are buffered in wk for the
-// single-threaded barrier fold.
-//
-//simlint:hotpath per-node walk body, invoked through worker closures the call graph cannot follow
-func (e *engine) walkNode(i int, wk *nodeWalk, hostNow simtime.Host) {
-	wk.sends = wk.sends[:0]
-	wk.phases = wk.phases[:0]
-	wk.busy, wk.idle = 0, 0
-	wk.done, wk.err = false, nil
-
+// event-queue walk exactly.
+func (e *engine) walkNode(i int, hostNow simtime.Host) {
 	n := e.na.node[i]
 	e.syncNode(i, e.qStartG)
 	n.BeginQuantum(e.limit)
@@ -1089,7 +941,7 @@ func (e *engine) walkNode(i int, wk *nodeWalk, hostNow simtime.Host) {
 	}
 	phase := func(ph obs.Phase, g0, g1 simtime.Guest, h0, h1 simtime.Host) { //simlint:hotalloc non-escaping closure: called and discarded inside walkNode, stays on the stack
 		if e.obs != nil {
-			wk.phases = append(wk.phases, phaseRec{ph, g0, g1, h0, h1}) //simlint:hotalloc per-node phase log grows to its watermark once; length-reset each quantum
+			e.obs.NodePhase(i, ph, g0, g1, h0, h1)
 		}
 	}
 	// idle mirrors idleTo plus the evWake dispatch: charge the idle cost,
@@ -1102,7 +954,7 @@ func (e *engine) walkNode(i int, wk *nodeWalk, hostNow simtime.Host) {
 			panic(fmt.Sprintf("cluster: node %d idling backwards %v -> %v", i, from, target))
 		}
 		cost := e.hostCost(i, from, target, host.Idle)
-		wk.idle += cost
+		e.stats.HostIdle += cost
 		end := h.Add(cost)
 		phase(obs.PhaseIdle, from, target, h, end)
 		h = end
@@ -1121,13 +973,13 @@ func (e *engine) walkNode(i int, wk *nodeWalk, hostNow simtime.Host) {
 		switch st.Kind {
 		case guest.StepBusy:
 			cost := e.hostCost(i, st.From, st.To, host.Busy)
-			wk.busy += cost
+			e.stats.HostBusy += cost
 			end := h.Add(cost)
 			phase(obs.PhaseBusy, st.From, st.To, h, end)
 			h = end
 
 		case guest.StepSend:
-			wk.sends = append(wk.sends, sendRec{f: st.Frame, tSend: st.To, h: h}) //simlint:hotalloc per-node send log spills past its slab share to its watermark once; length-reset each quantum
+			e.sendFrame(i, h, st.To, st.Frame)
 
 		case guest.StepBlocked:
 			target := simtime.MinGuest(st.NextArrival, st.Deadline)
@@ -1146,8 +998,10 @@ func (e *engine) walkNode(i int, wk *nodeWalk, hostNow simtime.Host) {
 			return
 
 		case guest.StepDone:
-			wk.done = true
-			wk.err = st.Err
+			if st.Err != nil && e.firstErr == nil {
+				e.firstErr = fmt.Errorf("cluster: rank %d: %w", i, st.Err) //simlint:hotalloc error path: fires at most once per node, at workload failure
+			}
+			e.doneCount++
 			e.na.doneHost[i] = h
 			g := n.Clock()
 			phase(obs.PhaseDone, g, g, h, h)

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"runtime"
 	"testing"
 
 	"clustersim/internal/guest"
@@ -151,5 +152,42 @@ func TestAdaptiveFasterThanGroundTruthOnPhases(t *testing.T) {
 	}
 	if errRel > 0.25 {
 		t.Errorf("adaptive time error %.1f%% too large", errRel*100)
+	}
+}
+
+// goroutineGauge reads the process's goroutine count at every barrier.
+type goroutineGauge struct {
+	obs.Base
+	max int
+}
+
+func (g *goroutineGauge) QuantumEnd(obs.QuantumRecord) { g.max = max(g.max, runtime.NumGoroutine()) }
+
+// Run executes on the calling goroutine alone, whatever Config.Workers says
+// (the field is unread): at no barrier of an all-loose run — the shape the
+// intra-quantum worker pool used to fan out — may the process hold more
+// goroutines than it did before the call, plus the guests' own coroutines,
+// which the runtime counts as goroutines although none ever runs beside the
+// engine (each is started by its node's first Step and ended by Shutdown).
+func TestRunIsSingleGoroutine(t *testing.T) {
+	const nodes = 16
+	cfg := testConfig(nodes, workloads.Phases(2, 50*simtime.Microsecond, 4<<10), fixed(simtime.Microsecond))
+	cfg.Workers = 8
+	g := &goroutineGauge{}
+	cfg.Observer = g
+	before := runtime.NumGoroutine()
+	res, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Stats.FastFullQuanta != res.Stats.Quanta {
+		t.Fatalf("only %d of %d quanta were all-loose", res.Stats.FastFullQuanta, res.Stats.Quanta)
+	}
+	if g.max > before+nodes {
+		t.Errorf("%d goroutines at a barrier of a %d-node run entered with %d: Run started %d of its own",
+			g.max, nodes, before, g.max-before-nodes)
+	}
+	if after := runtime.NumGoroutine(); after > before {
+		t.Errorf("%d goroutines after Run, %d before: the run left some behind", after, before)
 	}
 }

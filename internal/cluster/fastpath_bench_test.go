@@ -37,49 +37,40 @@ func BenchmarkFastPathRack(b *testing.B) {
 			name string
 			m    LookaheadMode
 		}{{"scalar", LookaheadScalar}, {"matrix", LookaheadMatrix}} {
-			for _, workers := range []int{1, 4} {
-				b.Run(fmt.Sprintf("%s/%s/workers=%d", sc.name, mode.name, workers), func(b *testing.B) {
-					var quanta int64
-					b.ReportAllocs()
-					for i := 0; i < b.N; i++ {
-						cfg := testConfig(sc.nodes, sc.w, fixed(2*simtime.Microsecond))
-						cfg.Net = sc.net(sc.nodes)
-						cfg.Workers = workers
-						cfg.Lookahead = mode.m
-						res, err := Run(cfg)
-						if err != nil {
-							b.Fatal(err)
-						}
-						quanta += int64(res.Stats.Quanta)
+			b.Run(sc.name+"/"+mode.name, func(b *testing.B) {
+				var quanta int64
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					cfg := testConfig(sc.nodes, sc.w, fixed(2*simtime.Microsecond))
+					cfg.Net = sc.net(sc.nodes)
+					cfg.Lookahead = mode.m
+					res, err := Run(cfg)
+					if err != nil {
+						b.Fatal(err)
 					}
-					b.ReportMetric(float64(quanta)/b.Elapsed().Seconds(), "quanta/s")
-				})
-			}
+					quanta += int64(res.Stats.Quanta)
+				}
+				b.ReportMetric(float64(quanta)/b.Elapsed().Seconds(), "quanta/s")
+			})
 		}
 	}
 }
 
 // BenchmarkGroundTruthQuanta measures ground-truth (Q = 1µs) throughput in
-// quanta per second: every node is loose, walked inline at Workers=1 (0 is
-// the same run) and fanned out at higher counts.
+// quanta per second: every node is loose in every quantum.
 func BenchmarkGroundTruthQuanta(b *testing.B) {
 	w := workloads.Phases(3, 150*simtime.Microsecond, 32<<10)
-	for _, workers := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			var quanta int64
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				cfg := testConfig(4, w, fixed(simtime.Microsecond))
-				cfg.Workers = workers
-				res, err := Run(cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				quanta += int64(res.Stats.Quanta)
-			}
-			b.ReportMetric(float64(quanta)/b.Elapsed().Seconds(), "quanta/s")
-		})
+	var quanta int64
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		cfg := testConfig(4, w, fixed(simtime.Microsecond))
+		res, err := Run(cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		quanta += int64(res.Stats.Quanta)
 	}
+	b.ReportMetric(float64(quanta)/b.Elapsed().Seconds(), "quanta/s")
 }
 
 // BenchmarkQuietNodeQuantum measures the engine's smallest constant: what one

@@ -124,12 +124,11 @@ func mixedWANNetAt(nodes int, wan simtime.Duration) *netmodel.Model {
 
 // config builds the case's configuration for one engine; the caller attaches
 // its sinks.
-func (c fastCase) config(workers int) Config {
+func (c fastCase) config() Config {
 	cfg := testConfig(c.nodes, c.w, c.pol)
 	if c.net != nil {
 		cfg.Net = c.net
 	}
-	cfg.Workers = workers
 	cfg.Faults = c.faults
 	return cfg
 }
@@ -142,10 +141,10 @@ type fastRun struct {
 	rec    *obs.Recorder
 }
 
-func runFast(t *testing.T, c fastCase, workers int, reference bool) fastRun {
+func runFast(t *testing.T, c fastCase, reference bool) fastRun {
 	t.Helper()
 	r := fastRun{stream: &recorder{}, rec: &obs.Recorder{}}
-	cfg := c.config(workers)
+	cfg := c.config()
 	cfg.Observer = obs.Multi(r.stream, r.rec)
 	if reference {
 		cfg.onPartition = func(*partitioning) bool { return true }
@@ -153,60 +152,23 @@ func runFast(t *testing.T, c fastCase, workers int, reference bool) fastRun {
 	}
 	res, err := Run(cfg)
 	if err != nil {
-		t.Fatalf("%s workers=%d reference=%v: %v", c.name, workers, reference, err)
+		t.Fatalf("%s reference=%v: %v", c.name, reference, err)
 	}
 	r.res = res
 	return r
 }
 
-// Config.Workers must be invisible in every output: for any value, 0 included,
-// the Result, the recorded packets and quanta, and the byte-for-byte observer
-// stream are identical — workers only decide who walks a loose node, never
-// what is published or in which order. Run with -race, this is also the
-// data-race proof for the concurrent node walks.
-func TestFastPathWorkerInvariance(t *testing.T) {
-	for _, c := range fastCases() {
-		t.Run(c.name, func(t *testing.T) {
-			r1 := runFast(t, c, 1, false)
-			fp1 := CanonicalResult(r1.res, r1.rec)
-			for _, workers := range []int{0, 2, 4, 9} {
-				rN := runFast(t, c, workers, false)
-				if !reflect.DeepEqual(r1.res, rN.res) || !reflect.DeepEqual(r1.rec, rN.rec) {
-					t.Errorf("Result or records differ between workers=1 and workers=%d:\n%+v\n%+v", workers, r1.res, rN.res)
-				}
-				// The canonical encoding is the fleet's definition of "same
-				// outcome"; it must agree with DeepEqual here.
-				if fpN := CanonicalResult(rN.res, rN.rec); !bytes.Equal(fpN, fp1) {
-					t.Errorf("canonical result differs between workers=1 and workers=%d", workers)
-				}
-				if !reflect.DeepEqual(r1.stream.events, rN.stream.events) {
-					t.Errorf("observer stream differs between workers=1 and workers=%d", workers)
-					for i := range r1.stream.events {
-						if i < len(rN.stream.events) && r1.stream.events[i] != rN.stream.events[i] {
-							t.Errorf("first divergence at event %d:\n  %s\n  %s", i, r1.stream.events[i], rN.stream.events[i])
-							break
-						}
-					}
-				}
-			}
-		})
-	}
-}
-
 // obs.Recorder against the full stream: in one run under one obs.Multi, its
 // slices must hold exactly the Packet and QuantumEnd hooks the test recorder
-// saw, element for element in stream order — for the inline and the pooled
-// executor and for the reference walk — and the canonical encoding of the
-// recorded run must not depend on which of the three produced it.
+// saw, element for element in stream order — for the partitioned executor and
+// for the reference walk — and the canonical encoding of the recorded run
+// must not depend on which of the two produced it.
 func TestRecorderStream(t *testing.T) {
 	for _, c := range fastCases() {
 		t.Run(c.name, func(t *testing.T) {
 			var want []byte
-			for _, v := range []struct {
-				workers   int
-				reference bool
-			}{{0, false}, {2, false}, {0, true}} {
-				r := runFast(t, c, v.workers, v.reference)
+			for _, reference := range []bool{false, true} {
+				r := runFast(t, c, reference)
 				var pkts, quanta []string
 				for _, ev := range r.stream.events {
 					switch {
@@ -217,27 +179,27 @@ func TestRecorderStream(t *testing.T) {
 					}
 				}
 				if len(quanta) == 0 || len(quanta) != r.res.Stats.Quanta {
-					t.Fatalf("%+v: stream carried %d QuantumEnd hooks, Stats.Quanta = %d", v, len(quanta), r.res.Stats.Quanta)
+					t.Fatalf("reference=%v: stream carried %d QuantumEnd hooks, Stats.Quanta = %d", reference, len(quanta), r.res.Stats.Quanta)
 				}
 				if len(r.rec.Packets) != len(pkts) || len(r.rec.Quanta) != len(quanta) {
-					t.Fatalf("%+v: recorder holds %d packets and %d quanta, the stream carried %d and %d",
-						v, len(r.rec.Packets), len(r.rec.Quanta), len(pkts), len(quanta))
+					t.Fatalf("reference=%v: recorder holds %d packets and %d quanta, the stream carried %d and %d",
+						reference, len(r.rec.Packets), len(r.rec.Quanta), len(pkts), len(quanta))
 				}
 				for i, p := range r.rec.Packets {
 					if got := fmt.Sprintf("pkt %+v", p); got != pkts[i] {
-						t.Fatalf("%+v: packet %d:\n  recorder %s\n  stream   %s", v, i, got, pkts[i])
+						t.Fatalf("reference=%v: packet %d:\n  recorder %s\n  stream   %s", reference, i, got, pkts[i])
 					}
 				}
 				for i, q := range r.rec.Quanta {
 					if got := fmt.Sprintf("qe %+v", q); got != quanta[i] {
-						t.Fatalf("%+v: quantum %d:\n  recorder %s\n  stream   %s", v, i, got, quanta[i])
+						t.Fatalf("reference=%v: quantum %d:\n  recorder %s\n  stream   %s", reference, i, got, quanta[i])
 					}
 				}
 				enc := CanonicalResult(r.res, r.rec)
 				if want == nil {
 					want = enc
 				} else if !bytes.Equal(enc, want) {
-					t.Errorf("%+v: CanonicalResult differs from the workers=0 run's", v)
+					t.Error("CanonicalResult differs between the partitioned executor and the reference walk")
 				}
 			}
 		})
@@ -255,7 +217,7 @@ func TestRecorderStream(t *testing.T) {
 func TestFastPathMatchesClassicSemantics(t *testing.T) {
 	for _, c := range append(fastCases(), sparseCase(15)) {
 		t.Run(c.name, func(t *testing.T) {
-			requireMatchesReference(t, "workers=2", runQuiet(t, c, 2, true), runReference(t, c))
+			requireMatchesReference(t, "partitioned", runQuiet(t, c, true), runReference(t, c))
 		})
 	}
 }
@@ -263,14 +225,13 @@ func TestFastPathMatchesClassicSemantics(t *testing.T) {
 // The execution partitioning must take the shape the quantum size calls for:
 // every node loose at ground truth (Q = 1µs <= T), the whole cluster one
 // tight partition beyond the largest latency, and an adaptive policy crosses
-// the boundary both ways mid-run — whatever the Workers value, and in scalar
-// mode too, where the two shapes are the degenerate partitionings.
+// the boundary both ways mid-run — in scalar mode too, where the two shapes
+// are the degenerate partitionings.
 func TestFastPathEngages(t *testing.T) {
 	const nodes = 4
-	count := func(pol func() quantum.Policy, workers int, mode LookaheadMode) (loose, tight int) {
+	count := func(pol func() quantum.Policy, mode LookaheadMode) (loose, tight int) {
 		w := workloads.Phases(3, 150*simtime.Microsecond, 16<<10)
 		cfg := testConfig(nodes, w, pol)
-		cfg.Workers = workers
 		cfg.Lookahead = mode
 		cfg.onPartition = func(p *partitioning) bool {
 			switch {
@@ -290,16 +251,14 @@ func TestFastPathEngages(t *testing.T) {
 	}
 
 	for _, mode := range []LookaheadMode{LookaheadMatrix, LookaheadScalar} {
-		for _, workers := range []int{0, 2} {
-			if loose, tight := count(fixed(simtime.Microsecond), workers, mode); loose == 0 || tight != 0 {
-				t.Errorf("mode=%d workers=%d ground truth: want every quantum all-loose, got loose=%d tight=%d", mode, workers, loose, tight)
-			}
-			if loose, tight := count(fixed(simtime.Millisecond), workers, mode); loose != 0 || tight == 0 {
-				t.Errorf("mode=%d workers=%d Q=1ms: want every quantum one tight partition, got loose=%d tight=%d", mode, workers, loose, tight)
-			}
-			if loose, tight := count(adaptive(simtime.Microsecond, simtime.Millisecond, 1.03, 0.02), workers, mode); loose == 0 || tight == 0 {
-				t.Errorf("mode=%d workers=%d adaptive: want a mix of shapes, got loose=%d tight=%d", mode, workers, loose, tight)
-			}
+		if loose, tight := count(fixed(simtime.Microsecond), mode); loose == 0 || tight != 0 {
+			t.Errorf("mode=%d ground truth: want every quantum all-loose, got loose=%d tight=%d", mode, loose, tight)
+		}
+		if loose, tight := count(fixed(simtime.Millisecond), mode); loose != 0 || tight == 0 {
+			t.Errorf("mode=%d Q=1ms: want every quantum one tight partition, got loose=%d tight=%d", mode, loose, tight)
+		}
+		if loose, tight := count(adaptive(simtime.Microsecond, simtime.Millisecond, 1.03, 0.02), mode); loose == 0 || tight == 0 {
+			t.Errorf("mode=%d adaptive: want a mix of shapes, got loose=%d tight=%d", mode, loose, tight)
 		}
 	}
 }
@@ -324,7 +283,7 @@ func TestPartitionedPathEngagesPartially(t *testing.T) {
 	if want := 5 * s.FastPartialQuanta; s.PartialPartitions != want {
 		t.Errorf("PartialPartitions = %d, want %d", s.PartialPartitions, want)
 	}
-	cfg := c.config(0)
+	cfg := c.config()
 	cfg.onPartition = func(p *partitioning) bool {
 		if len(p.loose) != 4 || len(p.tight) != 1 || len(p.tight[0]) != 4 {
 			t.Errorf("executed with %d loose nodes and tight partitions %v, want 4 and one rack of 4", len(p.loose), p.tight)
@@ -334,20 +293,17 @@ func TestPartitionedPathEngagesPartially(t *testing.T) {
 	if _, err := Run(cfg); err != nil {
 		t.Fatal(err)
 	}
-	for _, workers := range []int{0, 1, 3} {
-		requireMatchesReference(t, fmt.Sprintf("workers=%d", workers), runQuiet(t, c, workers, true), ref)
-	}
+	requireMatchesReference(t, "partitioned", runQuiet(t, c, true), ref)
 }
 
 // LookaheadScalar must reproduce the matrix mode's simulation outputs
 // exactly — the mode only changes the partitioning and the graded accounting
 // (all zero under scalar).
 func TestScalarLookaheadBitIdentity(t *testing.T) {
-	run := func(workers int, mode LookaheadMode) (*Result, *obs.Recorder) {
+	run := func(mode LookaheadMode) (*Result, *obs.Recorder) {
 		cfg := testConfig(8, workloads.Uniform(120, 2000, 30*simtime.Microsecond, 17),
 			adaptive(simtime.Microsecond, 200*simtime.Microsecond, 1.1, 0.02))
 		cfg.Net = mixedWANNet(8)
-		cfg.Workers = workers
 		cfg.Lookahead = mode
 		rec := &obs.Recorder{}
 		cfg.Observer = rec
@@ -357,8 +313,8 @@ func TestScalarLookaheadBitIdentity(t *testing.T) {
 		}
 		return res, rec
 	}
-	matrix, matrixRec := run(2, LookaheadMatrix)
-	scalar, scalarRec := run(2, LookaheadScalar)
+	matrix, matrixRec := run(LookaheadMatrix)
+	scalar, scalarRec := run(LookaheadScalar)
 	if scalar.Stats.FastPartialQuanta != 0 || scalar.Stats.PartialPartitions != 0 {
 		t.Errorf("scalar mode reported graded engagement: %+v", scalar.Stats)
 	}

@@ -134,27 +134,24 @@ func TestFaultSeedReplay(t *testing.T) {
 // behaviour is unchanged) scales host costs exactly: factor 2 on every node
 // doubles HostBusy and HostIdle.
 func TestSlowdownScalesHostCosts(t *testing.T) {
-	for _, workers := range []int{0, 2} {
-		cfg := testConfig(2, workloads.PingPong(20, 1000), fixed(simtime.Microsecond))
-		cfg.Workers = workers
-		base, err := Run(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cfg.Faults = &faults.Plan{NodeSlowdown: map[int]float64{0: 2, 1: 2}}
-		slow, err := Run(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if slow.GuestTime != base.GuestTime {
-			t.Errorf("workers=%d: slowdown changed guest time: %v vs %v", workers, slow.GuestTime, base.GuestTime)
-		}
-		if slow.Stats.HostBusy != 2*base.Stats.HostBusy {
-			t.Errorf("workers=%d: HostBusy = %v, want double %v", workers, slow.Stats.HostBusy, base.Stats.HostBusy)
-		}
-		if slow.Stats.HostIdle != 2*base.Stats.HostIdle {
-			t.Errorf("workers=%d: HostIdle = %v, want double %v", workers, slow.Stats.HostIdle, base.Stats.HostIdle)
-		}
+	cfg := testConfig(2, workloads.PingPong(20, 1000), fixed(simtime.Microsecond))
+	base, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Faults = &faults.Plan{NodeSlowdown: map[int]float64{0: 2, 1: 2}}
+	slow, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if slow.GuestTime != base.GuestTime {
+		t.Errorf("slowdown changed guest time: %v vs %v", slow.GuestTime, base.GuestTime)
+	}
+	if slow.Stats.HostBusy != 2*base.Stats.HostBusy {
+		t.Errorf("HostBusy = %v, want double %v", slow.Stats.HostBusy, base.Stats.HostBusy)
+	}
+	if slow.Stats.HostIdle != 2*base.Stats.HostIdle {
+		t.Errorf("HostIdle = %v, want double %v", slow.Stats.HostIdle, base.Stats.HostIdle)
 	}
 }
 

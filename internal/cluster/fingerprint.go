@@ -81,10 +81,10 @@ func SortPacketsCanonical(ps []obs.PacketRecord) []obs.PacketRecord {
 
 // CanonicalResult encodes res, followed by the records of the run's recorder
 // when rec is non-nil, into its canonical byte form. The encoding is
-// identical for every engine path and worker count that produces the same
-// simulated outcome: Workers {0, 1, N} runs of one configuration yield the
-// same bytes, and any divergence in Result, Stats, quantum records, or the
-// packet multiset changes them.
+// identical for every execution partitioning that produces the same simulated
+// outcome — the reference event-queue walk of the whole cluster included — and
+// any divergence in Result, Stats, quantum records, or the packet multiset
+// changes it.
 func CanonicalResult(res *Result, rec *obs.Recorder) []byte {
 	var b bytes.Buffer
 	fmt.Fprintf(&b, "%s\n", FingerprintSchema)

@@ -243,7 +243,7 @@ func TestRunEndOnEveryExit(t *testing.T) {
 		name    string
 		policy  func() quantum.Policy
 		program func(rank, size int) guest.Program
-		want    []error // Run's and RunParallel's sentinel; nil: any error
+		want    error // both runners' sentinel; nil: any error
 		ok      bool
 	}{
 		{name: "completes", policy: fixed(10 * simtime.Microsecond), program: prog(compute), ok: true},
@@ -254,7 +254,7 @@ func TestRunEndOnEveryExit(t *testing.T) {
 				}
 				return nil
 			}),
-			want: []error{ErrGuestLimit, ErrParallelGuestLimit}},
+			want: ErrGuestLimit},
 		{name: "bad first quantum", policy: func() quantum.Policy { return &stallingPolicy{} }, program: prog(compute)},
 		{name: "bad later quantum", policy: func() quantum.Policy { return &stallingPolicy{good: 2} }, program: prog(compute)},
 		{name: "failing program", policy: fixed(10 * simtime.Microsecond),
@@ -265,7 +265,7 @@ func TestRunEndOnEveryExit(t *testing.T) {
 				}
 				return nil
 			}),
-			want: []error{errBoom, errBoom}},
+			want: errBoom},
 	}
 	for _, c := range cases {
 		for runner, run := range []func(obs.Observer) error{
@@ -291,8 +291,8 @@ func TestRunEndOnEveryExit(t *testing.T) {
 				if (err == nil) != c.ok {
 					t.Fatalf("run returned %v", err)
 				}
-				if c.want != nil && !errors.Is(err, c.want[runner]) {
-					t.Errorf("run returned %v, want %v", err, c.want[runner])
+				if c.want != nil && !errors.Is(err, c.want) {
+					t.Errorf("run returned %v, want %v", err, c.want)
 				}
 				for i, sink := range []*endCounter{first, second} {
 					if sink.starts != 1 || sink.ends != 1 {

@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"sync"
@@ -82,9 +81,6 @@ func (r *ParallelResult) Metric(name string) (float64, bool) {
 	v, ok := r.Metrics[0][name]
 	return v, ok
 }
-
-// ErrParallelGuestLimit is returned when a parallel run exceeds MaxGuest.
-var ErrParallelGuestLimit = errors.New("cluster: parallel run exceeded guest time limit")
 
 type pnodeState int
 
@@ -275,7 +271,7 @@ func RunParallel(cfg ParallelConfig) (*ParallelResult, error) {
 				return nil
 			}
 			if cfg.MaxGuest > 0 && guestStart > cfg.MaxGuest {
-				return fmt.Errorf("%w (reached %v)", ErrParallelGuestLimit, guestStart)
+				return fmt.Errorf("%w (reached %v)", ErrGuestLimit, guestStart)
 			}
 			Q = policy.Next(quantum.Feedback{Packets: np, Stragglers: str, Now: guestStart})
 		}

@@ -103,27 +103,25 @@ type nodeQuantum struct{ qi, node int }
 // partial is the number of node-quanta skipped inside stepped quanta.
 func (r quietRun) partial(nodes int) int { return len(r.skipped) - nodes*len(r.quiet) }
 
-func runQuiet(t *testing.T, c fastCase, workers int, allow bool) quietRun {
+func runQuiet(t *testing.T, c fastCase, allow bool) quietRun {
 	t.Helper()
-	return runProbed(t, c, workers, allow, false)
+	return runProbed(t, c, allow, false)
 }
 
 // runReference drives every quantum of the case through one event queue over
 // the whole cluster: onPartition substitutes the whole-cluster tight
 // partitioning and onQuiet vetoes every fast-forward. That is the engine's
-// reference — no partitioning, no walk buffers, no deferral, no skip — and
-// exactly what Workers=0 ran before the partitioning became the only
-// executor.
+// reference: no partitioning, no deferral, no skip.
 func runReference(t *testing.T, c fastCase) quietRun {
 	t.Helper()
-	return runProbed(t, c, 0, false, true)
+	return runProbed(t, c, false, true)
 }
 
-func runProbed(t *testing.T, c fastCase, workers int, allow, reference bool) quietRun {
+func runProbed(t *testing.T, c fastCase, allow, reference bool) quietRun {
 	t.Helper()
 	r := quietRun{probe: newQuietProbe(), rec: &obs.Recorder{}}
 	p := prof.New()
-	cfg := c.config(workers)
+	cfg := c.config()
 	cfg.Observer = obs.Multi(r.probe, r.rec, p)
 	if reference {
 		cfg.onPartition = func(*partitioning) bool { return true }
@@ -138,7 +136,7 @@ func runProbed(t *testing.T, c fastCase, workers int, allow, reference bool) qui
 	}
 	res, err := Run(cfg)
 	if err != nil {
-		t.Fatalf("%s workers=%d quiet=%v reference=%v: %v", c.name, workers, allow, reference, err)
+		t.Fatalf("%s quiet=%v reference=%v: %v", c.name, allow, reference, err)
 	}
 	r.res = res
 	r.prof = p.Report().JSON()
@@ -234,46 +232,44 @@ func TestQuietPassDifferential(t *testing.T) {
 			if s := ref.probe.sum; s.QuietQuanta != 0 || s.QuietNodeQuanta != 0 {
 				t.Fatalf("the reference walk fast-forwarded %d quanta and %d node-quanta", s.QuietQuanta, s.QuietNodeQuanta)
 			}
-			for _, workers := range []int{0, 1, 3} {
-				on := runQuiet(t, c, workers, true)
-				off := runQuiet(t, c, workers, false)
-				requireMatchesReference(t, fmt.Sprintf("workers=%d", workers), on, ref)
-				if s := off.probe.sum; s.QuietQuanta != 0 || s.QuietNodeQuanta != 0 {
-					t.Fatalf("workers=%d: forced off, the engine still fast-forwarded %d quanta and %d node-quanta",
-						workers, s.QuietQuanta, s.QuietNodeQuanta)
-				}
-				if s := on.probe.sum; s.QuietQuanta != len(on.quiet) || s.QuietNodeQuanta != len(on.skipped) {
-					t.Errorf("workers=%d: RunSummary reports %d quiet quanta and %d node-quanta, hook saw %d and %d",
-						workers, s.QuietQuanta, s.QuietNodeQuanta, len(on.quiet), len(on.skipped))
-				}
-				// Forcing the walks must not change which node-quanta qualify.
-				if !reflect.DeepEqual(on.skipped, off.skipped) {
-					t.Errorf("workers=%d: skipped set differs fast-forwarding (%d) and forced off (%d)",
-						workers, len(on.skipped), len(off.skipped))
-				}
-				whole += len(on.quiet)
-				partial += on.partial(c.nodes)
+			on := runQuiet(t, c, true)
+			off := runQuiet(t, c, false)
+			requireMatchesReference(t, "fast-forwarding", on, ref)
+			if s := off.probe.sum; s.QuietQuanta != 0 || s.QuietNodeQuanta != 0 {
+				t.Fatalf("forced off, the engine still fast-forwarded %d quanta and %d node-quanta",
+					s.QuietQuanta, s.QuietNodeQuanta)
+			}
+			if s := on.probe.sum; s.QuietQuanta != len(on.quiet) || s.QuietNodeQuanta != len(on.skipped) {
+				t.Errorf("RunSummary reports %d quiet quanta and %d node-quanta, hook saw %d and %d",
+					s.QuietQuanta, s.QuietNodeQuanta, len(on.quiet), len(on.skipped))
+			}
+			// Forcing the walks must not change which node-quanta qualify.
+			if !reflect.DeepEqual(on.skipped, off.skipped) {
+				t.Errorf("skipped set differs fast-forwarding (%d) and forced off (%d)",
+					len(on.skipped), len(off.skipped))
+			}
+			whole += len(on.quiet)
+			partial += on.partial(c.nodes)
 
-				if !reflect.DeepEqual(on.res, off.res) || !reflect.DeepEqual(on.rec, off.rec) {
-					t.Errorf("workers=%d: Result or records differ:\nquiet   %+v\nstepped %+v", workers, on.res.Stats, off.res.Stats)
-				}
-				if !bytes.Equal(CanonicalResult(on.res, on.rec), CanonicalResult(off.res, off.rec)) {
-					t.Errorf("workers=%d: canonical result differs", workers)
-				}
-				if !bytes.Equal(on.prof, off.prof) {
-					t.Errorf("workers=%d: profiler report bytes differ", workers)
-				}
-				if !reflect.DeepEqual(on.probe.ordered, off.probe.ordered) {
-					t.Errorf("workers=%d: quantum/packet hook stream differs", workers)
-				}
-				if !reflect.DeepEqual(on.probe.phases, off.probe.phases) {
-					t.Errorf("workers=%d: per-quantum NodePhase multisets differ (%d vs %d hooks)",
-						workers, len(on.probe.phases), len(off.probe.phases))
-					for i := range on.probe.phases {
-						if i < len(off.probe.phases) && on.probe.phases[i] != off.probe.phases[i] {
-							t.Errorf("first divergence:\n  quiet   %+v\n  stepped %+v", on.probe.phases[i], off.probe.phases[i])
-							break
-						}
+			if !reflect.DeepEqual(on.res, off.res) || !reflect.DeepEqual(on.rec, off.rec) {
+				t.Errorf("Result or records differ:\nquiet   %+v\nstepped %+v", on.res.Stats, off.res.Stats)
+			}
+			if !bytes.Equal(CanonicalResult(on.res, on.rec), CanonicalResult(off.res, off.rec)) {
+				t.Errorf("canonical result differs")
+			}
+			if !bytes.Equal(on.prof, off.prof) {
+				t.Errorf("profiler report bytes differ")
+			}
+			if !reflect.DeepEqual(on.probe.ordered, off.probe.ordered) {
+				t.Errorf("quantum/packet hook stream differs")
+			}
+			if !reflect.DeepEqual(on.probe.phases, off.probe.phases) {
+				t.Errorf("per-quantum NodePhase multisets differ (%d vs %d hooks)",
+					len(on.probe.phases), len(off.probe.phases))
+				for i := range on.probe.phases {
+					if i < len(off.probe.phases) && on.probe.phases[i] != off.probe.phases[i] {
+						t.Errorf("first divergence:\n  quiet   %+v\n  stepped %+v", on.probe.phases[i], off.probe.phases[i])
+						break
 					}
 				}
 			}
@@ -285,21 +281,19 @@ func TestQuietPassDifferential(t *testing.T) {
 }
 
 // TestQuietPassEngages: the pass must engage where it should and stand down
-// where it must, identically for every Workers value.
+// where it must.
 func TestQuietPassEngages(t *testing.T) {
 	// One long compute per rank: everything but the first quantum (workload
 	// start) and the last (completion) is quiet.
 	silent := fastCase{name: "silent", nodes: 4, w: workloads.Silent(300 * simtime.Microsecond), pol: fixed(simtime.Microsecond)}
-	for _, workers := range []int{0, 1, 2} {
-		r := runQuiet(t, silent, workers, true)
-		quanta := r.res.Stats.Quanta
-		if len(r.quiet)*100 < 95*quanta {
-			t.Errorf("silent workers=%d: %d of %d quanta quiet, want >= 95%%", workers, len(r.quiet), quanta)
-		}
-		if r.probe.sum.QuietQuanta != len(r.quiet) {
-			t.Errorf("silent workers=%d: RunSummary.QuietQuanta = %d, hook saw %d",
-				workers, r.probe.sum.QuietQuanta, len(r.quiet))
-		}
+	r := runQuiet(t, silent, true)
+	quanta := r.res.Stats.Quanta
+	if len(r.quiet)*100 < 95*quanta {
+		t.Errorf("silent: %d of %d quanta quiet, want >= 95%%", len(r.quiet), quanta)
+	}
+	if r.probe.sum.QuietQuanta != len(r.quiet) {
+		t.Errorf("silent: RunSummary.QuietQuanta = %d, hook saw %d",
+			r.probe.sum.QuietQuanta, len(r.quiet))
 	}
 
 	// Back-to-back computes with known lengths: a quantum (start, limit] is
@@ -320,24 +314,22 @@ func TestQuietPassEngages(t *testing.T) {
 			}
 		},
 	}}
-	for _, workers := range []int{0, 1, 2} {
-		r := runQuiet(t, chain, workers, true)
-		stepped := map[int]bool{0: true}
-		for _, d := range durs {
-			for i := 1; i <= ops; i++ {
-				end := simtime.Duration(i) * d
-				stepped[int((end+q-1)/q)-1] = true
-			}
+	r = runQuiet(t, chain, true)
+	stepped := map[int]bool{0: true}
+	for _, d := range durs {
+		for i := 1; i <= ops; i++ {
+			end := simtime.Duration(i) * d
+			stepped[int((end+q-1)/q)-1] = true
 		}
-		var want []int
-		for qi := 0; qi < r.res.Stats.Quanta; qi++ {
-			if !stepped[qi] {
-				want = append(want, qi)
-			}
+	}
+	var want []int
+	for qi := 0; qi < r.res.Stats.Quanta; qi++ {
+		if !stepped[qi] {
+			want = append(want, qi)
 		}
-		if !reflect.DeepEqual(r.quiet, want) {
-			t.Errorf("compute-chain workers=%d: quiet quanta\n got  %v\n want %v", workers, r.quiet, want)
-		}
+	}
+	if !reflect.DeepEqual(r.quiet, want) {
+		t.Errorf("compute-chain: quiet quanta\n got  %v\n want %v", r.quiet, want)
 	}
 
 	// With traffic: no quantum in which a frame was routed (every frame is
@@ -345,18 +337,16 @@ func TestQuietPassEngages(t *testing.T) {
 	// the pass still covers the compute phases.
 	phases := fastCase{name: "phases", nodes: 4, w: workloads.Phases(3, 150*simtime.Microsecond, 16<<10),
 		pol: adaptive(simtime.Microsecond, simtime.Millisecond, 1.03, 0.02)}
-	for _, workers := range []int{0, 1, 2} {
-		r := runQuiet(t, phases, workers, true)
-		if len(r.quiet) == 0 {
-			t.Errorf("phases workers=%d: no quiet quanta", workers)
+	r = runQuiet(t, phases, true)
+	if len(r.quiet) == 0 {
+		t.Errorf("phases: no quiet quanta")
+	}
+	for _, qi := range r.quiet {
+		if r.probe.pkts[qi] != 0 || r.rec.Quanta[qi].Packets != 0 {
+			t.Errorf("phases: quantum %d routed packets but ran quiet", qi)
 		}
-		for _, qi := range r.quiet {
-			if r.probe.pkts[qi] != 0 || r.rec.Quanta[qi].Packets != 0 {
-				t.Errorf("phases workers=%d: quantum %d routed packets but ran quiet", workers, qi)
-			}
-			if r.probe.done[qi] {
-				t.Errorf("phases workers=%d: a node finished in quiet quantum %d", workers, qi)
-			}
+		if r.probe.done[qi] {
+			t.Errorf("phases: a node finished in quiet quantum %d", qi)
 		}
 	}
 }
@@ -367,86 +357,84 @@ func TestQuietPassEngages(t *testing.T) {
 func TestSparseQuantaEngage(t *testing.T) {
 	c := sparseCase(40)
 	const rack = 4 // the tight partition is nodes 0..3
-	for _, workers := range []int{0, 1, 2} {
-		r := runQuiet(t, c, workers, true)
-		stepped := r.res.Stats.Quanta - len(r.quiet)
-		partial := r.partial(c.nodes)
-		if partial*100 < 90*c.nodes*stepped {
-			t.Errorf("workers=%d: %d of the %d node-quanta of stepped quanta skipped, want >= 90%%",
-				workers, partial, c.nodes*stepped)
-		}
+	r := runQuiet(t, c, true)
+	stepped := r.res.Stats.Quanta - len(r.quiet)
+	partial := r.partial(c.nodes)
+	if partial*100 < 90*c.nodes*stepped {
+		t.Errorf("%d of the %d node-quanta of stepped quanta skipped, want >= 90%%",
+			partial, c.nodes*stepped)
+	}
 
-		// What the probe saw of each node-quantum (phases are sorted by
-		// quantum and node), of each sender, and of each queued arrival.
-		phases := map[nodeQuantum][]phaseHook{}
-		for _, ph := range r.probe.phases {
-			k := nodeQuantum{ph.qi, ph.node}
-			phases[k] = append(phases[k], ph)
+	// What the probe saw of each node-quantum (phases are sorted by
+	// quantum and node), of each sender, and of each queued arrival.
+	phases := map[nodeQuantum][]phaseHook{}
+	for _, ph := range r.probe.phases {
+		k := nodeQuantum{ph.qi, ph.node}
+		phases[k] = append(phases[k], ph)
+	}
+	sent := map[nodeQuantum]bool{}
+	type queued struct {
+		at     simtime.Guest
+		routed int // the quantum whose barrier queued it
+	}
+	arrivals := make([][]queued, c.nodes)
+	doneIn := make([]int, c.nodes) // the quantum each node finished in
+	qi := 0
+	for _, o := range r.probe.ordered {
+		switch rec := o.(type) {
+		case quantumStart:
+			qi = rec.qi
+		case obs.PacketRecord:
+			sent[nodeQuantum{qi, rec.Src}] = true
+			if !rec.Dropped {
+				arrivals[rec.Dst] = append(arrivals[rec.Dst], queued{rec.Arrival, qi})
+			}
 		}
-		sent := map[nodeQuantum]bool{}
-		type queued struct {
-			at     simtime.Guest
-			routed int // the quantum whose barrier queued it
+	}
+	for _, as := range arrivals {
+		sort.Slice(as, func(i, j int) bool { return as[i].at < as[j].at })
+	}
+	for _, ph := range r.probe.phases {
+		if ph.ph == obs.PhaseDone {
+			doneIn[ph.node] = ph.qi
 		}
-		arrivals := make([][]queued, c.nodes)
-		doneIn := make([]int, c.nodes) // the quantum each node finished in
-		qi := 0
-		for _, o := range r.probe.ordered {
-			switch rec := o.(type) {
-			case quantumStart:
-				qi = rec.qi
-			case obs.PacketRecord:
-				sent[nodeQuantum{qi, rec.Src}] = true
-				if !rec.Dropped {
-					arrivals[rec.Dst] = append(arrivals[rec.Dst], queued{rec.Arrival, qi})
+	}
+	rackSkips := map[int]int{}
+	for _, k := range r.skipped {
+		limit := r.rec.Quanta[k.qi].Start.Add(r.rec.Quanta[k.qi].Q)
+		phs := phases[k]
+		if len(phs) != 1 || phs[0].ph == obs.PhaseDone || phs[0].g1 != limit {
+			t.Fatalf("skipped node %d did not spend quantum %d in one segment to the limit %v: %+v",
+				k.node, k.qi, limit, phs)
+		}
+		if sent[k] {
+			t.Fatalf("node %d was skipped in quantum %d, in which it sent", k.node, k.qi)
+		}
+		// A node blocked in Recv acts at its first queued arrival (a
+		// finished one idles whatever its queue holds).
+		if phs[0].ph == obs.PhaseIdle && k.qi <= doneIn[k.node] {
+			as := arrivals[k.node]
+			for j := sort.Search(len(as), func(j int) bool { return as[j].at >= phs[0].g0 }); j < len(as) && as[j].at <= limit; j++ {
+				if as[j].routed < k.qi {
+					t.Fatalf("node %d was skipped in quantum %d with an arrival queued at %v <= limit %v",
+						k.node, k.qi, as[j].at, limit)
 				}
 			}
 		}
-		for _, as := range arrivals {
-			sort.Slice(as, func(i, j int) bool { return as[i].at < as[j].at })
+		if k.node < rack {
+			rackSkips[k.qi]++
 		}
-		for _, ph := range r.probe.phases {
-			if ph.ph == obs.PhaseDone {
-				doneIn[ph.node] = ph.qi
-			}
-		}
-		rackSkips := map[int]int{}
-		for _, k := range r.skipped {
-			limit := r.rec.Quanta[k.qi].Start.Add(r.rec.Quanta[k.qi].Q)
-			phs := phases[k]
-			if len(phs) != 1 || phs[0].ph == obs.PhaseDone || phs[0].g1 != limit {
-				t.Fatalf("workers=%d: skipped node %d did not spend quantum %d in one segment to the limit %v: %+v",
-					workers, k.node, k.qi, limit, phs)
-			}
-			if sent[k] {
-				t.Fatalf("workers=%d: node %d was skipped in quantum %d, in which it sent", workers, k.node, k.qi)
-			}
-			// A node blocked in Recv acts at its first queued arrival (a
-			// finished one idles whatever its queue holds).
-			if phs[0].ph == obs.PhaseIdle && k.qi <= doneIn[k.node] {
-				as := arrivals[k.node]
-				for j := sort.Search(len(as), func(j int) bool { return as[j].at >= phs[0].g0 }); j < len(as) && as[j].at <= limit; j++ {
-					if as[j].routed < k.qi {
-						t.Fatalf("workers=%d: node %d was skipped in quantum %d with an arrival queued at %v <= limit %v",
-							workers, k.node, k.qi, as[j].at, limit)
-					}
-				}
-			}
-			if k.node < rack {
-				rackSkips[k.qi]++
-			}
-		}
-		for qi, n := range rackSkips {
-			if n != rack {
-				t.Errorf("workers=%d: quantum %d skipped %d of the tight partition's %d members", workers, qi, n, rack)
-			}
+	}
+	for qi, n := range rackSkips {
+		if n != rack {
+			t.Errorf("quantum %d skipped %d of the tight partition's %d members", qi, n, rack)
 		}
 	}
 }
 
 // TestNodePhaseTiling is the "guest clocks monotone, busy + idle reconcile"
-// law as a test: in every run — fast-forwarding or not, pooled or not, and on
-// the reference walk — each node's busy and idle records tile guest time from
+// law as a test: in every run — fast-forwarding or not, and on the reference
+// walk — each node's busy and idle records tile guest time from
 // 0 to the run's final limit without a gap or an overlap, never overlap in
 // host time, and their host extents sum to Stats.HostBusy + Stats.HostIdle.
 // The quiet pass reports a node's quantum from the engine's lanes while the
@@ -463,9 +451,8 @@ func TestNodePhaseTiling(t *testing.T) {
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			runs := map[string]quietRun{
-				"reference": runReference(t, c),
-				"workers=0": runQuiet(t, c, 0, true),
-				"workers=2": runQuiet(t, c, 2, true),
+				"reference":   runReference(t, c),
+				"partitioned": runQuiet(t, c, true),
 			}
 			for label, r := range runs {
 				last := r.rec.Quanta[len(r.rec.Quanta)-1]

@@ -14,9 +14,9 @@ import (
 
 // baselineKey identifies one ground-truth run completely: the workload
 // fingerprint, the cluster size, and every Env field that can change the
-// simulation's outcome. Env.Workers and Env.IntraWorkers are deliberately
-// absent — both are proven result-invariant (determinism tests pin it), so
-// runs at different parallelism levels share baselines. The network model is
+// simulation's outcome. Env.Workers is deliberately absent — it is proven
+// result-invariant (determinism tests pin it), so runs at different
+// parallelism levels share baselines. The network model is
 // keyed by pointer: experiments share one *netmodel.Model per Env, and two
 // distinct models are conservatively treated as different even if their
 // parameters happen to match.

@@ -117,30 +117,6 @@ func TestBaselineCacheSharing(t *testing.T) {
 	}
 }
 
-// The intra-quantum fast path must be invisible through the experiment
-// layer too: a grid run with IntraWorkers set matches the classic engine
-// cell for cell.
-func TestGridIntraWorkerInvariance(t *testing.T) {
-	env := DefaultEnv()
-	env.Workers = 2
-	ws := NASSuite(0.02)[1:2] // nas.is: traffic-heavy
-	nc := []int{2, 4}
-	specs := StandardSpecs()[3:4] // one adaptive spec
-
-	classic, err := Grid(env, ws, nc, specs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	env.IntraWorkers = 2
-	fast, err := Grid(env, ws, nc, specs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(classic, fast) {
-		t.Errorf("cells differ between IntraWorkers=0 and 2:\n%+v\n%+v", classic, fast)
-	}
-}
-
 // CellIndex must agree with the linear Find on hits and misses, and point
 // into the indexed slice (not at copies).
 func TestCellIndexFind(t *testing.T) {

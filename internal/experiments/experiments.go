@@ -38,11 +38,6 @@ type Env struct {
 	// execution. Whatever the value, results are assembled in the same
 	// fixed order, so every experiment output is worker-count independent.
 	Workers int
-	// IntraWorkers sizes the engine's intra-quantum pool inside each
-	// simulation (cluster.Config.Workers): ground-truth quanta (Q <= minimum
-	// network latency) step their nodes concurrently on this many workers,
-	// inline below 2. Results are bit-identical for every value.
-	IntraWorkers int
 	// Baselines, when non-nil, memoizes ground-truth (Q = 1µs) runs across
 	// experiment runners, so regenerating every figure pays for each
 	// distinct (workload, nodes, env) baseline exactly once. Nil recomputes
@@ -57,7 +52,7 @@ type Env struct {
 	// Profiles, when non-nil, attaches a sync-overhead profiler to every run
 	// of the experiment, labelled "workload/nodes/config" (with the fault
 	// fingerprint appended when faults are active). The sweep's report is
-	// canonical regardless of Workers/IntraWorkers: registration order is
+	// canonical regardless of Workers: registration order is
 	// erased by sorting and byte-identical duplicates (e.g. a baseline run
 	// shared across runners) collapse.
 	Profiles *prof.Sweep
@@ -168,7 +163,6 @@ func runOne(env Env, w workloads.Workload, nodes int, spec Spec, rec *obs.Record
 		Policy:   spec.Policy,
 		Program:  w.New,
 		MaxGuest: env.MaxGuest,
-		Workers:  env.IntraWorkers,
 		Faults:   env.Faults,
 	}
 	// A nil *Recorder or *Profiler must not become a non-nil Observer.

@@ -25,9 +25,8 @@ import (
 
 // This file implements the scenario regression fleet (DESIGN.md §13): a
 // declarative manifest of simulation scenarios — topology × workload ×
-// quantum policy × fault plan × lookahead mode — each executed at several
-// intra-quantum worker counts, fingerprinted canonically, and diffed
-// against committed goldens. cmd/simfleet is the CLI; the fleet-smoke CI
+// quantum policy × fault plan × lookahead mode — each executed once,
+// fingerprinted canonically, and diffed against committed goldens. cmd/simfleet is the CLI; the fleet-smoke CI
 // job and `make fleet` gate on it.
 
 // ManifestSchema identifies the fleet manifest encoding.
@@ -35,13 +34,6 @@ const ManifestSchema = "clustersim-fleet-manifest/1"
 
 // GoldenSchema identifies the committed fingerprint file encoding.
 const GoldenSchema = "clustersim-fleet/1"
-
-// DefaultFleetWorkers is the worker-count matrix every scenario runs at
-// unless it overrides it: loose nodes walked inline (1) and on a fanned-out
-// pool (3). Fingerprints must be identical across all of them. Workers=0 is
-// the same run as 1 (cluster.Config.Workers only sizes the pool), so the
-// default does not pay for it.
-var DefaultFleetWorkers = []int{1, 3}
 
 // Scenario is one declarative fleet entry. String fields reuse the CLI
 // flag syntaxes (simtime durations, faults.Parse specs, rack topologies) so
@@ -77,8 +69,6 @@ type Scenario struct {
 	// MaxGuest caps guest time ("50ms"); empty keeps the environment
 	// default. Fleet scenarios should set it low enough to stay cheap.
 	MaxGuest string `json:"max_guest,omitempty"`
-	// Workers overrides DefaultFleetWorkers for this scenario.
-	Workers []int `json:"workers,omitempty"`
 }
 
 // Manifest is a parsed fleet manifest.
@@ -138,7 +128,6 @@ type scenarioConfig struct {
 	policy    func() quantum.Policy
 	plan      *faults.Plan
 	lookahead cluster.LookaheadMode
-	workers   []int
 }
 
 // config resolves every string field of the scenario. It is the single
@@ -190,16 +179,7 @@ func (sc *Scenario) config() (*scenarioConfig, error) {
 	if err != nil {
 		return nil, err
 	}
-	workers := sc.Workers
-	if len(workers) == 0 {
-		workers = DefaultFleetWorkers
-	}
-	for _, w := range workers {
-		if w < 0 {
-			return nil, fmt.Errorf("negative worker count %d", w)
-		}
-	}
-	return &scenarioConfig{w: w, env: env, policy: policy, plan: plan, lookahead: lookahead, workers: workers}, nil
+	return &scenarioConfig{w: w, env: env, policy: policy, plan: plan, lookahead: lookahead}, nil
 }
 
 // ResolveWorkload maps a workload name to its runnable form with compute
@@ -299,13 +279,13 @@ func ParseTopo(spec string) (netmodel.SwitchModel, error) {
 		if err != nil || radix < 1 {
 			return nil, fmt.Errorf("topo radix %q: want a positive integer", parts[1])
 		}
-		edge, err := simtime.ParseDuration(parts[2])
+		edge, err := ParseLatency("topo edge latency", parts[2])
 		if err != nil {
-			return nil, fmt.Errorf("topo edge latency: %v", err)
+			return nil, err
 		}
-		core, err := simtime.ParseDuration(parts[3])
+		core, err := ParseLatency("topo core latency", parts[3])
 		if err != nil {
-			return nil, fmt.Errorf("topo core latency: %v", err)
+			return nil, err
 		}
 		return &netmodel.FatTreeSwitch{Radix: radix, EdgeLatency: edge, CoreLatency: core}, nil
 	case "mixedwan":
@@ -313,18 +293,31 @@ func ParseTopo(spec string) (netmodel.SwitchModel, error) {
 		if err != nil || rack < 1 {
 			return nil, fmt.Errorf("topo rack size %q: want a positive integer", parts[1])
 		}
-		rackLat, err := simtime.ParseDuration(parts[2])
+		rackLat, err := ParseLatency("topo rack latency", parts[2])
 		if err != nil {
-			return nil, fmt.Errorf("topo rack latency: %v", err)
+			return nil, err
 		}
-		wanLat, err := simtime.ParseDuration(parts[3])
+		wanLat, err := ParseLatency("topo wan latency", parts[3])
 		if err != nil {
-			return nil, fmt.Errorf("topo wan latency: %v", err)
+			return nil, err
 		}
 		return &mixedWANSwitch{rack: rack, rackLat: rackLat, wanLat: wanLat}, nil
 	default:
 		return nil, fmt.Errorf("unknown topology kind %q (want rack or mixedwan)", parts[0])
 	}
+}
+
+// ParseLatency parses the named latency field of a topology or contention
+// spec: a duration that is not negative.
+func ParseLatency(field, s string) (simtime.Duration, error) {
+	d, err := simtime.ParseDuration(s)
+	if err != nil {
+		return 0, fmt.Errorf("%s: %v", field, err)
+	}
+	if d < 0 {
+		return 0, fmt.Errorf("%s: must not be negative, got %v", field, d)
+	}
+	return d, nil
 }
 
 // mixedWANSwitch puts the first rack nodes at rackLat from each other and
@@ -356,30 +349,22 @@ func ParseLookahead(s string) (cluster.LookaheadMode, error) {
 	}
 }
 
-// ScenarioOutcome is the result of running one scenario across its worker
-// matrix.
+// ScenarioOutcome is the result of running one scenario.
 type ScenarioOutcome struct {
 	Name string
 	// Fingerprint is the scenario's canonical fingerprint: the hex SHA-256
 	// over the canonical result encoding plus the canonical profiler report
-	// bytes, identical for every worker count when the engine is healthy.
+	// bytes.
 	Fingerprint string
-	// Workers echoes the worker counts run.
-	Workers []int
-	// Err is a run failure (any worker count); Mismatch describes a
-	// cross-worker fingerprint divergence — the engine-bug signal that must
-	// fail the fleet even when no golden exists yet.
-	Err      error
-	Mismatch string
-	// Stats echoes the run's engine statistics (identical across worker
-	// counts), letting callers assert manifest coverage: FastFullQuanta > 0
-	// means the full fast path engaged, FastPartialQuanta > 0 the graded
-	// partitioned path.
+	// Err is a run failure.
+	Err error
+	// Stats echoes the run's engine statistics, letting callers assert
+	// manifest coverage: FastFullQuanta > 0 means some quantum ran with every
+	// node loose, FastPartialQuanta > 0 that some ran partitioned.
 	Stats cluster.Stats
 }
 
-// runScenario executes the scenario once per worker count and cross-checks
-// the fingerprints.
+// runScenario executes the scenario and fingerprints the run.
 func runScenario(sc Scenario) ScenarioOutcome {
 	out := ScenarioOutcome{Name: sc.Name}
 	rc, err := sc.config()
@@ -387,52 +372,33 @@ func runScenario(sc Scenario) ScenarioOutcome {
 		out.Err = err
 		return out
 	}
-	out.Workers = rc.workers
-	type runFP struct {
-		workers int
-		fp      string
+	rec, profiler := &obs.Recorder{}, prof.New()
+	res, err := cluster.Run(cluster.Config{
+		Nodes:     sc.Nodes,
+		Guest:     rc.env.Guest,
+		Net:       rc.env.Net,
+		Host:      rc.env.Host,
+		Policy:    rc.policy,
+		Program:   rc.w.New,
+		MaxGuest:  rc.env.MaxGuest,
+		Observer:  obs.Multi(rec, profiler),
+		Faults:    rc.plan,
+		Lookahead: rc.lookahead,
+	})
+	if err != nil {
+		out.Err = err
+		return out
 	}
-	var fps []runFP
-	for _, workers := range rc.workers {
-		rec, profiler := &obs.Recorder{}, prof.New()
-		cfg := cluster.Config{
-			Nodes:     sc.Nodes,
-			Guest:     rc.env.Guest,
-			Net:       rc.env.Net,
-			Host:      rc.env.Host,
-			Policy:    rc.policy,
-			Program:   rc.w.New,
-			MaxGuest:  rc.env.MaxGuest,
-			Observer:  obs.Multi(rec, profiler),
-			Workers:   workers,
-			Faults:    rc.plan,
-			Lookahead: rc.lookahead,
-		}
-		res, err := cluster.Run(cfg)
-		if err != nil {
-			out.Err = fmt.Errorf("workers=%d: %w", workers, err)
-			return out
-		}
-		out.Stats = res.Stats
-		h := sha256.New()
-		h.Write(cluster.CanonicalResult(res, rec))
-		h.Write(profiler.Report().JSON())
-		fps = append(fps, runFP{workers: workers, fp: hex.EncodeToString(h.Sum(nil))})
-	}
-	out.Fingerprint = fps[0].fp
-	for _, r := range fps[1:] {
-		if r.fp != fps[0].fp {
-			out.Mismatch = fmt.Sprintf("fingerprint diverges across worker counts: workers=%d %s vs workers=%d %s",
-				fps[0].workers, fps[0].fp, r.workers, r.fp)
-			return out
-		}
-	}
+	out.Stats = res.Stats
+	h := sha256.New()
+	h.Write(cluster.CanonicalResult(res, rec))
+	h.Write(profiler.Report().JSON())
+	out.Fingerprint = hex.EncodeToString(h.Sum(nil))
 	return out
 }
 
 // RunFleet executes every scenario of the manifest, fanning the scenarios
-// out over a worker pool of the given size (<= 0 means GOMAXPROCS). Each
-// scenario's own worker-count matrix runs sequentially inside its slot.
+// out over a worker pool of the given size (<= 0 means GOMAXPROCS).
 // Outcomes come back in manifest order regardless of pool scheduling.
 // progress, when non-nil, is called once per finished scenario from pool
 // goroutines (it must be safe for concurrent use).
@@ -473,9 +439,6 @@ func BuildGolden(outcomes []ScenarioOutcome) (*Golden, error) {
 		if o.Err != nil {
 			return nil, fmt.Errorf("scenario %q failed: %v", o.Name, o.Err)
 		}
-		if o.Mismatch != "" {
-			return nil, fmt.Errorf("scenario %q: %s", o.Name, o.Mismatch)
-		}
 		g.Scenarios = append(g.Scenarios, GoldenEntry{Name: o.Name, Fingerprint: o.Fingerprint})
 	}
 	sort.Slice(g.Scenarios, func(i, j int) bool { return g.Scenarios[i].Name < g.Scenarios[j].Name })
@@ -513,7 +476,7 @@ func LoadGolden(path string) (*Golden, error) {
 type FleetDiff struct {
 	// Changed lists scenarios whose fingerprint moved.
 	Changed []FleetDelta `json:"changed,omitempty"`
-	// Failed lists scenarios that errored or diverged across worker counts.
+	// Failed lists scenarios that errored.
 	Failed []FleetFailure `json:"failed,omitempty"`
 	// Missing lists scenarios present in the manifest but absent from the
 	// golden file (run simfleet -update); Extra the reverse.
@@ -572,8 +535,6 @@ func DiffGolden(outcomes []ScenarioOutcome, g *Golden) *FleetDiff {
 		switch {
 		case o.Err != nil:
 			d.Failed = append(d.Failed, FleetFailure{Name: o.Name, Reason: o.Err.Error()})
-		case o.Mismatch != "":
-			d.Failed = append(d.Failed, FleetFailure{Name: o.Name, Reason: o.Mismatch})
 		default:
 			w, ok := want[o.Name]
 			if !ok {

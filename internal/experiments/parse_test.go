@@ -100,6 +100,29 @@ func FuzzParsePolicy(f *testing.F) {
 	})
 }
 
+// A topology with a negative latency used to parse, run to completion and
+// print nonsense; it must be refused with the field named.
+func TestParseTopo(t *testing.T) {
+	bad := []struct{ spec, want string }{
+		{"rack:4:-5us:2us", "topo edge latency"},
+		{"rack:4:500ns:-2us", "topo core latency"},
+		{"mixedwan:4:-500ns:2us", "topo rack latency"},
+		{"mixedwan:4:500ns:-2us", "topo wan latency"},
+		{"rack:4:soon:2us", "topo edge latency"},
+	}
+	for _, c := range bad {
+		sw, err := ParseTopo(c.spec)
+		if err == nil || sw != nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("ParseTopo(%q) = model %v, error %v; want an error mentioning %q", c.spec, sw != nil, err, c.want)
+		}
+	}
+	for _, spec := range []string{"rack:4:500ns:2us", "mixedwan:4:0ns:50us"} {
+		if _, err := ParseTopo(spec); err != nil {
+			t.Errorf("ParseTopo(%q): %v", spec, err)
+		}
+	}
+}
+
 // FuzzParseTopo: never panics; a returned switch model never panics when
 // asked for a latency, whatever the node pair.
 func FuzzParseTopo(f *testing.F) {

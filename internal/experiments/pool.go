@@ -14,10 +14,9 @@ type job struct {
 	name string
 }
 
-// runAll executes jobs on a bounded worker pool (internal/workerpool, shared
-// with the engine's intra-quantum fast path). workers <= 0 uses GOMAXPROCS —
-// each simulation is single-threaded unless Env.IntraWorkers splits it
-// further, so one worker per host core saturates the machine.
+// runAll executes jobs on a bounded worker pool (internal/workerpool).
+// workers <= 0 uses GOMAXPROCS — each simulation is single-threaded, so one
+// worker per host core saturates the machine.
 //
 // Error reporting is deterministic regardless of completion order: the
 // error of the lowest-indexed failing job is returned (later jobs still run

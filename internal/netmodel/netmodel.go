@@ -11,6 +11,7 @@ package netmodel
 
 import (
 	"fmt"
+	"math"
 
 	"clustersim/internal/pkt"
 	"clustersim/internal/simtime"
@@ -266,7 +267,9 @@ func Paper() *Model {
 	}
 }
 
-// Validate reports configuration errors that would silently corrupt timing.
+// Validate reports configuration errors that would silently corrupt timing:
+// a missing model, a latency matrix smaller than the cluster, a bandwidth that
+// is NaN, infinite or negative (zero means infinite), a negative latency.
 func (m *Model) Validate(nodes int) error {
 	if m.NIC == nil {
 		return fmt.Errorf("netmodel: nil NIC model")
@@ -274,15 +277,45 @@ func (m *Model) Validate(nodes int) error {
 	if m.Switch == nil {
 		return fmt.Errorf("netmodel: nil switch model")
 	}
-	if ms, ok := m.Switch.(*MatrixSwitch); ok {
-		if len(ms.Lat) < nodes {
-			return fmt.Errorf("netmodel: latency matrix covers %d nodes, need %d", len(ms.Lat), nodes)
+	var err error
+	rate := func(what string, bps float64) {
+		if err == nil && (!(bps >= 0) || math.IsInf(bps, 1)) {
+			err = fmt.Errorf("netmodel: %s %v bytes/s: want a finite, non-negative bandwidth (0 = infinite)", what, bps)
 		}
-		for i, row := range ms.Lat[:nodes] {
+	}
+	latency := func(what string, d simtime.Duration) {
+		if err == nil && d < 0 {
+			err = fmt.Errorf("netmodel: %s %v is negative", what, d)
+		}
+	}
+	if o := m.Output; o != nil {
+		rate("output queue bandwidth", o.BytesPerSecond)
+		latency("output queue latency", o.Latency)
+	}
+	if nic, ok := m.NIC.(*SimpleNIC); ok {
+		rate("NIC bandwidth", nic.BytesPerSecond)
+		latency("NIC base latency", nic.BaseLatency)
+		latency("NIC receive overhead", nic.RecvOverhead)
+	}
+	switch sw := m.Switch.(type) {
+	case *StoreAndForwardSwitch:
+		rate("switch bandwidth", sw.BytesPerSecond)
+		latency("switch port latency", sw.PortLatency)
+	case *FatTreeSwitch:
+		latency("fat-tree edge latency", sw.EdgeLatency)
+		latency("fat-tree core latency", sw.CoreLatency)
+	case *MatrixSwitch:
+		if len(sw.Lat) < nodes {
+			return fmt.Errorf("netmodel: latency matrix covers %d nodes, need %d", len(sw.Lat), nodes)
+		}
+		for i, row := range sw.Lat[:nodes] {
 			if len(row) < nodes {
 				return fmt.Errorf("netmodel: latency matrix row %d covers %d nodes, need %d", i, len(row), nodes)
 			}
+			for j, d := range row[:nodes] {
+				latency(fmt.Sprintf("latency matrix entry [%d][%d]", i, j), d)
+			}
 		}
 	}
-	return nil
+	return err
 }

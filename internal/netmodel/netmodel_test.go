@@ -1,6 +1,8 @@
 package netmodel
 
 import (
+	"math"
+	"strings"
 	"testing"
 
 	"clustersim/internal/pkt"
@@ -95,6 +97,44 @@ func TestValidate(t *testing.T) {
 	}
 	if err := Paper().Validate(64); err != nil {
 		t.Errorf("paper model rejected: %v", err)
+	}
+
+	// A NaN bandwidth used to run to completion with a negative total
+	// straggler delay; every bad parameter must be refused by name. Zero
+	// bandwidth keeps meaning infinite, and matrix entries beyond the
+	// cluster are nobody's business.
+	us := simtime.Microsecond
+	matrix := func(bad simtime.Duration) *MatrixSwitch {
+		return &MatrixSwitch{Lat: [][]simtime.Duration{{0, us, -us}, {bad, 0, -us}, {-us, -us, -us}}}
+	}
+	cases := []struct {
+		name string
+		m    Model
+		want string // "" = valid
+	}{
+		{"zero bandwidths", Model{NIC: &SimpleNIC{}, Switch: &StoreAndForwardSwitch{}, Output: &OutputQueue{}}, ""},
+		{"output NaN rate", Model{NIC: &SimpleNIC{}, Switch: PerfectSwitch{}, Output: &OutputQueue{BytesPerSecond: math.NaN()}}, "output queue bandwidth"},
+		{"output negative rate", Model{NIC: &SimpleNIC{}, Switch: PerfectSwitch{}, Output: &OutputQueue{BytesPerSecond: -1}}, "output queue bandwidth"},
+		{"output negative latency", Model{NIC: &SimpleNIC{}, Switch: PerfectSwitch{}, Output: &OutputQueue{Latency: -us}}, "output queue latency"},
+		{"NIC infinite rate", Model{NIC: &SimpleNIC{BytesPerSecond: math.Inf(1)}, Switch: PerfectSwitch{}}, "NIC bandwidth"},
+		{"NIC -Inf rate", Model{NIC: &SimpleNIC{BytesPerSecond: math.Inf(-1)}, Switch: PerfectSwitch{}}, "NIC bandwidth"},
+		{"NIC negative base latency", Model{NIC: &SimpleNIC{BaseLatency: -us}, Switch: PerfectSwitch{}}, "NIC base latency"},
+		{"NIC negative receive overhead", Model{NIC: &SimpleNIC{RecvOverhead: -us}, Switch: PerfectSwitch{}}, "NIC receive overhead"},
+		{"switch NaN rate", Model{NIC: &SimpleNIC{}, Switch: &StoreAndForwardSwitch{BytesPerSecond: math.NaN()}}, "switch bandwidth"},
+		{"switch negative port latency", Model{NIC: &SimpleNIC{}, Switch: &StoreAndForwardSwitch{PortLatency: -us}}, "switch port latency"},
+		{"fat-tree negative edge", Model{NIC: &SimpleNIC{}, Switch: &FatTreeSwitch{Radix: 2, EdgeLatency: -us}}, "fat-tree edge latency"},
+		{"fat-tree negative core", Model{NIC: &SimpleNIC{}, Switch: &FatTreeSwitch{Radix: 2, CoreLatency: -us}}, "fat-tree core latency"},
+		{"matrix negative entry", Model{NIC: &SimpleNIC{}, Switch: matrix(-us)}, "latency matrix entry [1][0]"},
+		{"matrix negative beyond the cluster", Model{NIC: &SimpleNIC{}, Switch: matrix(us)}, ""},
+	}
+	for _, c := range cases {
+		err := c.m.Validate(2)
+		switch {
+		case c.want == "" && err != nil:
+			t.Errorf("%s: rejected: %v", c.name, err)
+		case c.want != "" && (err == nil || !strings.Contains(err.Error(), c.want)):
+			t.Errorf("%s: error %v does not name %q", c.name, err, c.want)
+		}
 	}
 }
 

@@ -81,7 +81,7 @@ type RunSummary struct {
 	// FastEligibleQuanta counts quanta eligible for the intra-quantum fast
 	// path (Q at most the minimum network latency, no packet tap).
 	// Eligibility is a property of the configuration and policy trajectory,
-	// not of the Workers setting, so it is identical across engines.
+	// so it is identical across engines.
 	FastEligibleQuanta int
 	// QuietQuanta counts quanta the deterministic engine fast-forwarded
 	// because no node could act before the limit (DESIGN.md §7.1). Which path
@@ -118,8 +118,8 @@ type QuantumRecord struct {
 	Routing simtime.Duration
 	// FastEligible reports whether this quantum was eligible for the
 	// intra-quantum fast path (Q <= minimum network latency, no packet
-	// tap). Deliberately independent of the Workers gate so records stay
-	// bit-identical across worker counts and engine paths.
+	// tap). A property of (Q, lookahead) alone, never of how the quantum was
+	// executed, so records stay bit-identical across engine paths.
 	FastEligible bool
 }
 

@@ -14,8 +14,7 @@
 //
 // Determinism contract: for the deterministic engine (cluster.Run) the stream
 // carries simulated host/guest time only, so the end-of-run Report is
-// byte-identical across Workers settings and however a quantum is
-// partitioned. The wall-clock parallel runner (cluster.RunParallel) streams
+// byte-identical however a quantum is partitioned. The wall-clock parallel runner (cluster.RunParallel) streams
 // real elapsed time instead; its reports are measurements, not replayable
 // artifacts, and say so via the Engine field.
 //
@@ -399,8 +398,8 @@ const limitingLinksK = 16
 
 // Report assembles the canonical end-of-run report. Every field is integer
 // nanoseconds or a count; slices are deterministically ordered, so for the
-// deterministic engine the JSON encoding is byte-identical across worker
-// counts and engine paths.
+// deterministic engine the JSON encoding is byte-identical across engine
+// paths.
 func (p *Profiler) Report() *Report {
 	p.mu.Lock()
 	defer p.mu.Unlock()
