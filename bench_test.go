@@ -232,7 +232,7 @@ func BenchmarkEngineWithTraffic(b *testing.B) {
 }
 
 // BenchmarkObserverOverhead guards the cost of the observability hooks on
-// the engine's hot path (routeFrame/stepNode, exercised by a packet-heavy
+// the engine's hot path (routeFlight/stepNode, exercised by a packet-heavy
 // phase workload):
 //
 //   - "nil" runs with no Observer — the default, and the configuration whose

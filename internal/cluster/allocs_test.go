@@ -61,8 +61,8 @@ func steadyStatePerStepped(t *testing.T, label string, short, long Config) (floa
 }
 
 // TestClassicWalkZeroAllocsPerQuantum pins the event-queue walk of a tight
-// partition — dispatch, stepNode, idleTo, sendFrame, routeFlight, deliver — at zero
-// steady-state allocations: the runs differ only in phase count, so the
+// partition — dispatch, stepNode, idleTo, endIdle, schedule, sendFrame,
+// routeFlight, deliver — at zero steady-state allocations: the runs differ only in phase count, so the
 // difference is extra compute/alltoall cycles, and only their stepped
 // (traffic-carrying or op-completing) quanta count — the silent compute
 // stretches in between are fast-forwarded and never reach the walk.

@@ -38,7 +38,7 @@ const (
 // event is a queue entry: 12 bytes, all indices, so a heap operation copies
 // little. Frame events carry only the flight-arena index (DESIGN.md §12) —
 // the frame pointer, endpoints and timestamps live in the flight record;
-// wake events read their guest target from the node arena's wakeG lane.
+// a node event is the end of the segment in the node arena's lanes.
 type event struct {
 	kind evKind
 	node int32 // evStep/evWake: the node to act on
@@ -60,13 +60,10 @@ type nodeArena struct {
 	node  []*guest.Node
 	phase []nodePhase
 
-	// Execution cursor: the host time corresponding to the node's position
-	// at the *end* of the current segment. While a segment is in flight,
-	// interpolate with the segment lanes below.
-	hostNow []simtime.Host
-
-	// Current segment (busy execution or idle wait) for interpolating the
-	// node's guest position at an arbitrary host instant.
+	// Current segment (busy execution or idle wait) of a tight node: guestPos
+	// interpolates the node's guest position at a host instant inside it, and
+	// its end is the node's pending event (schedule). A loose node takes each
+	// segment's end at once and leaves them alone.
 	inSeg     []bool
 	segMode   []host.Mode
 	segStartG []simtime.Guest
@@ -74,9 +71,7 @@ type nodeArena struct {
 	segEndG   []simtime.Guest
 	segEndH   []simtime.Host
 
-	wakeEv     []eventq.Handle // cancellable pending wake (zero = none)
-	wakeG      []simtime.Guest // pending wake's guest target
-	doneIdling []bool          // workload finished; idling to each barrier
+	wakeEv []eventq.Handle // cancellable pending wake (zero = none)
 
 	txFree     []simtime.Guest // guest time the NIC's transmitter frees up
 	finishHost []simtime.Host  // host time the node reached the current barrier
@@ -99,28 +94,25 @@ type nodeArena struct {
 // lane.
 func newNodeArena(nodes []*guest.Node) nodeArena {
 	n := len(nodes)
-	g := make([]simtime.Guest, 5*n)
-	h := make([]simtime.Host, 5*n)
-	b := make([]bool, 4*n)
+	g := make([]simtime.Guest, 4*n)
+	h := make([]simtime.Host, 4*n)
+	b := make([]bool, 3*n)
 	return nodeArena{
 		node:       nodes,
 		phase:      make([]nodePhase, n),
-		hostNow:    lane(h, 0, n),
 		inSeg:      lane(b, 0, n),
 		segMode:    make([]host.Mode, n),
 		segStartG:  lane(g, 0, n),
-		segStartH:  lane(h, 1, n),
+		segStartH:  lane(h, 0, n),
 		segEndG:    lane(g, 1, n),
-		segEndH:    lane(h, 2, n),
+		segEndH:    lane(h, 1, n),
 		wakeEv:     make([]eventq.Handle, n),
-		wakeG:      lane(g, 2, n),
-		doneIdling: lane(b, 1, n),
-		txFree:     lane(g, 3, n),
-		finishHost: lane(h, 3, n),
-		doneHost:   lane(h, 4, n),
-		quietUntil: lane(g, 4, n),
-		quietBusy:  lane(b, 2, n),
-		lag:        lane(b, 3, n),
+		txFree:     lane(g, 2, n),
+		finishHost: lane(h, 2, n),
+		doneHost:   lane(h, 3, n),
+		quietUntil: lane(g, 3, n),
+		quietBusy:  lane(b, 1, n),
+		lag:        lane(b, 2, n),
 	}
 }
 
@@ -186,6 +178,9 @@ type engine struct {
 
 	doneCount int
 	firstErr  error
+	// stepping is the node whose guest code is running inside Step, else -1:
+	// a workload's panic fails the run, the engine's own propagates.
+	stepping int
 
 	// slow holds the per-node host slowdown factor from the fault plan, or
 	// nil when every node runs at factor 1 — the nil check keeps the
@@ -200,7 +195,8 @@ type engine struct {
 	// whole-cluster tight), built on first use.
 	uniform [2]*partitioning
 	// part is the partitioning the current quantum executes as: what sendFrame
-	// consults to tell a frame it must defer from one it queues.
+	// consults to tell a frame it must defer from one it queues, and the node
+	// step to tell a loose node from a tight one.
 	part *partitioning
 
 	// quietH is the minimum of the arena's quietUntil lane as of the last full
@@ -228,6 +224,7 @@ func Run(cfg Config) (*Result, error) {
 		controller: newController(n, cfg.Net, cfg.Lookahead, cfg.Faults, sink),
 		hm:         host.NewModel(cfg.Host),
 		policy:     cfg.Policy(),
+		stepping:   -1,
 	}
 	e.hm.Reserve(n)
 	e.hm.Share(cfg.Speeds)
@@ -284,19 +281,39 @@ func (e *engine) degenerate(tight bool) *partitioning {
 	return e.uniform[k]
 }
 
-// run executes quanta until every workload has finished or the run is given
-// up, and closes it out the same way on both paths: RunEnd follows RunStart.
+// run executes the quanta and closes the run out the same way however they
+// ended: RunEnd follows RunStart.
 func (e *engine) run() (*Result, error) {
-	var start simtime.Guest
-	var hostNow simtime.Host
-	var err error
 	e.runStart(e.policy.Name(), false, e.cfg.MaxGuest)
+	start, hostNow, err := e.runQuanta()
+	guestTime := start // where a run that was given up stood
+	var res *Result
+	if err == nil {
+		res = e.result()
+		guestTime, err = res.GuestTime, e.firstErr
+	}
+	e.runEnd(err, guestTime, hostNow, e.nQuiet, e.nQuietNodes)
+	if err != nil {
+		return nil, err
+	}
+	return res, nil
+}
 
+// runQuanta executes quanta until every workload has finished or the run is
+// given up, and returns the guest and host time of the last barrier passed.
+func (e *engine) runQuanta() (start simtime.Guest, hostNow simtime.Host, err error) {
+	defer func() {
+		if e.stepping < 0 {
+			return // not in guest code: an engine bug, which must propagate
+		}
+		if p := recover(); p != nil {
+			err = fmt.Errorf("cluster: rank %d panicked in quantum %d: %v", e.stepping, e.qi, p)
+		}
+	}()
 	nodes := e.cfg.Nodes
 	for qi, Q := 0, e.policy.First(); ; qi++ {
 		if Q <= 0 {
-			err = fmt.Errorf("cluster: policy %q issued non-positive quantum %v", e.policy.Name(), Q)
-			break
+			return start, hostNow, fmt.Errorf("cluster: policy %q issued non-positive quantum %v", e.policy.Name(), Q)
 		}
 		e.qi = qi
 		e.qStartG = start
@@ -343,16 +360,18 @@ func (e *engine) run() (*Result, error) {
 		start = e.limit
 
 		if e.doneCount == nodes {
-			break
+			return start, hostNow, nil
 		}
 		if e.cfg.MaxGuest > 0 && start > e.cfg.MaxGuest {
-			err = fmt.Errorf("%w (reached %v)", ErrGuestLimit, start)
-			break
+			return start, hostNow, fmt.Errorf("%w (reached %v)", ErrGuestLimit, start)
 		}
 
 		Q = e.policy.Next(quantum.Feedback{Packets: e.np, Stragglers: e.str, Now: e.limit})
 	}
+}
 
+// result catches every node up with the final barrier and collects the result.
+func (e *engine) result() *Result {
 	for i := range e.na.node {
 		e.syncNode(i, e.limit)
 	}
@@ -366,41 +385,40 @@ func (e *engine) run() (*Result, error) {
 			res.HostTime = simtime.Duration(d)
 		}
 	}
-	if err != nil {
-		res.GuestTime = start // where the run was given up; res is not returned
-	} else {
-		err = e.firstErr
-	}
-	e.runEnd(err, res.GuestTime, hostNow, e.nQuiet, e.nQuietNodes)
-	if err != nil {
-		return nil, err
-	}
-	return res, nil
+	return res
 }
 
-// enqueueNode starts node i's event-queue walk of the current quantum: the
-// node is reset to the barrier release and its first step — or, for a
-// finished workload, the idle stretch to the limit (OS housekeeping only) —
-// is queued.
-func (e *engine) enqueueNode(i int, hostNow simtime.Host) {
+// beginNode resets node i to the barrier release that starts the current
+// quantum and leaves its first event pending: a step at hostNow, or — a
+// finished workload, OS housekeeping only — the idle stretch to the limit.
+func (e *engine) beginNode(i int, hostNow simtime.Host) {
 	n := e.na.node[i]
 	e.syncNode(i, e.qStartG)
 	n.BeginQuantum(e.limit)
 	e.na.quietUntil[i] = 0
 	e.na.phase[i] = phRunning
-	e.na.hostNow[i] = hostNow
 	e.na.inSeg[i] = false
+	e.na.segEndH[i] = hostNow
 	e.na.wakeEv[i] = eventq.Handle{}
-	e.na.finishHost[i] = hostNow
 	if n.Done() {
 		e.idleTo(i, e.limit, hostNow)
-		return
 	}
-	e.q.PushPri(int64(hostNow), priStep, event{kind: evStep, node: int32(i)})
+}
+
+// schedule queues tight node i's pending event — the end of the segment in
+// its lanes: a step after a busy segment, a cancellable wake after an idle
+// one, nothing for a node at the limit.
+func (e *engine) schedule(i int) {
+	switch e.na.phase[i] {
+	case phRunning:
+		e.q.PushPri(int64(e.na.segEndH[i]), priStep, event{kind: evStep, node: int32(i)})
+	case phIdle:
+		e.na.wakeEv[i] = e.q.PushPri(int64(e.na.segEndH[i]), priWake, event{kind: evWake, node: int32(i)})
+	}
 }
 
 // drainQueue dispatches the queued events in host-time order until the
-// enqueued nodes have all reached the limit.
+// scheduled nodes have all reached the limit.
 func (e *engine) drainQueue() {
 	for e.q.Len() > 0 {
 		ev := e.q.Pop()
@@ -410,84 +428,70 @@ func (e *engine) drainQueue() {
 
 //simlint:hotpath event-queue walk: every event of every tight partition dispatches here
 func (e *engine) dispatch(h simtime.Host, ev event) {
+	i := int(ev.node)
 	switch ev.kind {
-	case evStep:
-		e.stepNode(int(ev.node), h)
-	case evWake:
-		i := int(ev.node)
-		gTarget := e.na.wakeG[i]
-		if e.obs != nil {
-			// The idle segment's extent is only final here: deliveries may
-			// have re-aimed it since idleTo, so it is reported at its end.
-			e.obs.NodePhase(i, obs.PhaseIdle, e.na.segStartG[i], gTarget, e.na.segStartH[i], h)
-		}
-		e.na.wakeEv[i] = eventq.Handle{}
-		e.na.inSeg[i] = false
-		e.na.hostNow[i] = h
-		e.na.node[i].WakeAt(gTarget)
-		if e.na.doneIdling[i] {
-			// The finished node reached the barrier.
-			e.na.phase[i] = phAtLimit
-			e.na.finishHost[i] = h
-			return
-		}
-		e.na.phase[i] = phRunning
-		e.stepNode(i, h)
 	case evFrame:
 		e.routeFlight(h, ev.fi)
+		return
+	case evWake:
+		e.na.wakeEv[i] = eventq.Handle{}
+		if e.endIdle(i, e.na.segStartG[i], e.na.segEndG[i], e.na.segStartH[i], h) {
+			return
+		}
 	}
+	e.stepNode(i, h)
+	e.schedule(i)
 }
 
-// stepNode drives a node's Step loop from host time h until the node blocks,
-// starts a busy segment, reaches the limit, or finishes.
+// stepNode is the node step: it drives node i's Step loop from host time h and
+// charges the host for what the guest does — the one place a stepped node's
+// busy and idle cost, finish and arrival at the limit are accounted and
+// reported. A tight node returns at every segment it starts, the segment in
+// its lanes for schedule to queue the end of: a frame may reach it before
+// then. A loose node is reached by nothing before the barrier, so it takes
+// each segment's end at once and only returns at the limit.
 func (e *engine) stepNode(i int, h simtime.Host) {
 	n := e.na.node[i]
+	loose := e.part.fastNode[i]
 	for {
+		e.stepping = i
 		st := n.Step()
+		e.stepping = -1
+		var target simtime.Guest
 		switch st.Kind {
 		case guest.StepBusy:
 			cost := e.hostCost(i, st.From, st.To, host.Busy)
 			e.stats.HostBusy += cost
 			endH := h.Add(cost)
-			e.na.inSeg[i] = true
-			e.na.segMode[i] = host.Busy
-			e.na.segStartG[i] = st.From
-			e.na.segStartH[i] = h
-			e.na.segEndG[i] = st.To
-			e.na.segEndH[i] = endH
-			e.na.hostNow[i] = endH
 			if e.obs != nil {
 				// Busy segments always run to completion, so the extent is
 				// final at creation.
 				e.obs.NodePhase(i, obs.PhaseBusy, st.From, st.To, h, endH)
 			}
-			e.q.PushPri(int64(endH), priStep, event{kind: evStep, node: int32(i)})
-			return
+			if !loose {
+				e.startSeg(i, host.Busy, st.From, st.To, h, endH)
+				return
+			}
+			h = endH
+			continue
 
 		case guest.StepSend:
-			e.sendFrame(i, h, st.To, st.Frame)
 			// Sending costs no additional host time beyond the guest
 			// overhead already charged; keep stepping.
+			e.sendFrame(i, h, st.To, st.Frame)
+			continue
 
 		case guest.StepBlocked:
-			target := simtime.MinGuest(st.NextArrival, st.Deadline)
+			target = simtime.MinGuest(st.NextArrival, st.Deadline)
 			target = simtime.MinGuest(target, e.limit)
 			if target <= st.To {
 				// Blocked exactly at the quantum boundary.
-				e.na.phase[i] = phAtLimit
-				e.na.inSeg[i] = false
-				e.na.finishHost[i] = h
-				e.na.hostNow[i] = h
+				e.atLimit(i, h)
 				return
 			}
-			e.idleTo(i, target, h)
-			return
 
 		case guest.StepLimit:
-			e.na.phase[i] = phAtLimit
-			e.na.inSeg[i] = false
-			e.na.finishHost[i] = h
-			e.na.hostNow[i] = h
+			e.atLimit(i, h)
 			return
 
 		case guest.StepDone:
@@ -497,38 +501,79 @@ func (e *engine) stepNode(i int, h simtime.Host) {
 			e.doneCount++
 			e.na.doneHost[i] = h
 			if e.obs != nil {
-				g := n.Clock()
-				e.obs.NodePhase(i, obs.PhaseDone, g, g, h, h)
+				e.obs.NodePhase(i, obs.PhaseDone, st.To, st.To, h, h)
 			}
 			// The simulator keeps idling to the barrier.
-			e.idleTo(i, e.limit, h)
+			target = e.limit
+		}
+
+		// A tight node is now in its idle segment, a loose node whose workload
+		// has finished at the barrier. Any other loose node steps on from the
+		// segment's end: arrivals already in the receive queue (delivered at
+		// earlier barriers) become consumable at target.
+		if h = e.idleTo(i, target, h); e.na.phase[i] != phRunning {
 			return
 		}
 	}
 }
 
-// idleTo puts the node into an idle segment from its current clock to guest
-// time target, scheduling the wake event.
-func (e *engine) idleTo(i int, target simtime.Guest, h simtime.Host) {
-	n := e.na.node[i]
-	from := n.Clock()
+// idleTo idles node i from its clock to guest time target, beginning at host
+// time h, and returns the host time the segment ends. A tight node is left
+// in it, its wake to be scheduled; a loose node takes its end at once.
+func (e *engine) idleTo(i int, target simtime.Guest, h simtime.Host) simtime.Host {
+	from := e.na.node[i].Clock()
 	if target < from {
 		panic(fmt.Sprintf("cluster: node %d idling backwards %v -> %v", i, from, target))
 	}
 	cost := e.hostCost(i, from, target, host.Idle)
 	e.stats.HostIdle += cost
 	endH := h.Add(cost)
-	e.na.phase[i] = phIdle
+	if e.part.fastNode[i] {
+		e.endIdle(i, from, target, h, endH)
+	} else {
+		e.startSeg(i, host.Idle, from, target, h, endH)
+	}
+	return endH
+}
+
+// endIdle ends node i's idle segment. Its extent is only final here —
+// deliveries may have re-aimed a tight node's since idleTo — so this is where
+// it is reported. A finished workload's node has thereby reached the barrier,
+// which endIdle reports; any other wakes to step on.
+func (e *engine) endIdle(i int, g0, g1 simtime.Guest, h0, h1 simtime.Host) (atBarrier bool) {
+	if e.obs != nil {
+		e.obs.NodePhase(i, obs.PhaseIdle, g0, g1, h0, h1)
+	}
+	n := e.na.node[i]
+	n.WakeAt(g1)
+	if n.Done() {
+		e.atLimit(i, h1)
+		return true
+	}
+	e.na.phase[i] = phRunning
+	e.na.inSeg[i] = false
+	return false
+}
+
+// startSeg puts tight node i into the busy or idle segment it starts at host
+// time h0; its end is the node's pending event.
+func (e *engine) startSeg(i int, mode host.Mode, g0, g1 simtime.Guest, h0, h1 simtime.Host) {
+	ph := phRunning
+	if mode == host.Idle {
+		ph = phIdle
+	}
+	e.na.phase[i] = ph
 	e.na.inSeg[i] = true
-	e.na.segMode[i] = host.Idle
-	e.na.segStartG[i] = from
-	e.na.segStartH[i] = h
-	e.na.segEndG[i] = target
-	e.na.segEndH[i] = endH
-	e.na.hostNow[i] = endH
-	e.na.doneIdling[i] = n.Done()
-	e.na.wakeG[i] = target
-	e.na.wakeEv[i] = e.q.PushPri(int64(endH), priWake, event{kind: evWake, node: int32(i)})
+	e.na.segMode[i] = mode
+	e.na.segStartG[i], e.na.segEndG[i] = g0, g1
+	e.na.segStartH[i], e.na.segEndH[i] = h0, h1
+}
+
+// atLimit stands node i at the barrier, reached at host time h.
+func (e *engine) atLimit(i int, h simtime.Host) {
+	e.na.phase[i] = phAtLimit
+	e.na.inSeg[i] = false
+	e.na.finishHost[i] = h
 }
 
 // sendFrame models the source NIC (transmit queueing + serialization),
@@ -647,8 +692,10 @@ func (e *engine) deliver(h simtime.Host, fl *flight, tD simtime.Guest, dupCopy b
 
 	// If the destination is idling, the new arrival may change its wake
 	// time: a straggler wakes it right now; an exact future arrival earlier
-	// than its current target re-aims the wake.
-	if e.na.phase[dst] != phIdle || e.na.doneIdling[dst] {
+	// than its current target re-aims the wake. A finished workload's node
+	// idles to the barrier whatever arrives — the rarest exit, tested last so
+	// that the common exact arrival never chases the node pointer.
+	if e.na.phase[dst] != phIdle || !straggler && arr >= e.na.segEndG[dst] || e.na.node[dst].Done() {
 		return
 	}
 	if straggler {
@@ -665,27 +712,22 @@ func (e *engine) deliver(h simtime.Host, fl *flight, tD simtime.Guest, dupCopy b
 		}
 		e.na.wakeEv[dst] = eventq.Handle{}
 		e.na.inSeg[dst] = false
-		e.na.hostNow[dst] = h
 		e.na.node[dst].WakeAt(arr)
 		e.na.phase[dst] = phRunning
 		e.stepNode(dst, h)
+		e.schedule(dst)
 		return
 	}
-	if arr < e.na.segEndG[dst] {
-		// Re-aim the idle segment at the earlier arrival.
-		if !e.q.Remove(e.na.wakeEv[dst]) {
-			panic("cluster: idle node without a cancellable wake event")
-		}
-		cost := e.hostCost(dst, e.na.segStartG[dst], arr, host.Idle)
-		refund := e.na.segEndH[dst].Sub(e.na.segStartH[dst]) - cost
-		e.stats.HostIdle -= refund
-		endH := e.na.segStartH[dst].Add(cost)
-		e.na.segEndG[dst] = arr
-		e.na.segEndH[dst] = endH
-		e.na.hostNow[dst] = endH
-		e.na.wakeG[dst] = arr
-		e.na.wakeEv[dst] = e.q.PushPri(int64(endH), priWake, event{kind: evWake, node: fl.dst})
+	// Re-aim the idle segment at the earlier arrival.
+	if !e.q.Remove(e.na.wakeEv[dst]) {
+		panic("cluster: idle node without a cancellable wake event")
 	}
+	cost := e.hostCost(dst, e.na.segStartG[dst], arr, host.Idle)
+	refund := e.na.segEndH[dst].Sub(e.na.segStartH[dst]) - cost
+	e.stats.HostIdle -= refund
+	e.na.segEndG[dst] = arr
+	e.na.segEndH[dst] = e.na.segStartH[dst].Add(cost)
+	e.schedule(dst)
 }
 
 // routeBatch routes the quantum's assembled barrier batch: one pass through
@@ -829,8 +871,8 @@ func (e *engine) quietNode(i int, hostNow simtime.Host) {
 // syncNode catches node i's guest clock up to the barrier at guest time to,
 // over the whole stretch of quanta quietNode took it through since it was
 // last stepped: one AdvanceQuiet however long the stretch. It runs wherever a
-// node is about to be stepped (walkNode, enqueueNode) and for every node when
-// the run ends. Nothing in between reads a lagging node's clock: QuietUntil
+// node is about to be stepped (beginNode) and for every node when the run
+// ends. Nothing in between reads a lagging node's clock: QuietUntil
 // returns absolute times — clock plus owed overhead, a deadline, a queued
 // arrival — that the catch-up leaves unchanged, and a frame is classified
 // against a destination's position only while the destination is being
@@ -903,7 +945,8 @@ func (e *engine) runQuantum(hostNow simtime.Host, p *partitioning) {
 			continue
 		}
 		for _, m := range members {
-			e.enqueueNode(int(m), hostNow)
+			e.beginNode(int(m), hostNow)
+			e.schedule(int(m))
 		}
 		e.drainQueue()
 	}
@@ -922,93 +965,11 @@ func (e *engine) runQuantum(hostNow simtime.Host, p *partitioning) {
 	e.routeBatch()
 }
 
-// walkNode steps one loose node from the quantum start to the barrier without
-// the event queue, mirroring stepNode/idleTo/the wake dispatch of the
-// event-queue walk exactly.
+// walkNode steps one loose node from the quantum start to the barrier: the
+// node step that does not return to a queue.
 func (e *engine) walkNode(i int, hostNow simtime.Host) {
-	n := e.na.node[i]
-	e.syncNode(i, e.qStartG)
-	n.BeginQuantum(e.limit)
-	e.na.quietUntil[i] = 0
-	e.na.inSeg[i] = false
-	e.na.wakeEv[i] = eventq.Handle{}
-	h := hostNow
-
-	finish := func() { //simlint:hotalloc non-escaping closure: called and discarded inside walkNode, stays on the stack
-		e.na.phase[i] = phAtLimit
-		e.na.finishHost[i] = h
-		e.na.hostNow[i] = h
-	}
-	phase := func(ph obs.Phase, g0, g1 simtime.Guest, h0, h1 simtime.Host) { //simlint:hotalloc non-escaping closure: called and discarded inside walkNode, stays on the stack
-		if e.obs != nil {
-			e.obs.NodePhase(i, ph, g0, g1, h0, h1)
-		}
-	}
-	// idle mirrors idleTo plus the evWake dispatch: charge the idle cost,
-	// record the phase, advance the cursor, and wake the node at target.
-	// A loose node's idle segments are never truncated or re-aimed — no
-	// delivery can land before the limit — so the extent is final at creation.
-	idle := func(target simtime.Guest) { //simlint:hotalloc non-escaping closure: called and discarded inside walkNode, stays on the stack
-		from := n.Clock()
-		if target < from {
-			panic(fmt.Sprintf("cluster: node %d idling backwards %v -> %v", i, from, target))
-		}
-		cost := e.hostCost(i, from, target, host.Idle)
-		e.stats.HostIdle += cost
-		end := h.Add(cost)
-		phase(obs.PhaseIdle, from, target, h, end)
-		h = end
-		e.na.doneIdling[i] = n.Done()
-		n.WakeAt(target)
-	}
-
-	if n.Done() {
-		// A finished workload's simulator idles through the quantum.
-		idle(e.limit)
-		finish()
-		return
-	}
-	for {
-		st := n.Step()
-		switch st.Kind {
-		case guest.StepBusy:
-			cost := e.hostCost(i, st.From, st.To, host.Busy)
-			e.stats.HostBusy += cost
-			end := h.Add(cost)
-			phase(obs.PhaseBusy, st.From, st.To, h, end)
-			h = end
-
-		case guest.StepSend:
-			e.sendFrame(i, h, st.To, st.Frame)
-
-		case guest.StepBlocked:
-			target := simtime.MinGuest(st.NextArrival, st.Deadline)
-			target = simtime.MinGuest(target, e.limit)
-			if target <= st.To {
-				// Blocked exactly at the quantum boundary.
-				finish()
-				return
-			}
-			idle(target)
-			// Loop to Step() again: arrivals already in the receive queue
-			// (delivered at earlier barriers) become consumable at target.
-
-		case guest.StepLimit:
-			finish()
-			return
-
-		case guest.StepDone:
-			if st.Err != nil && e.firstErr == nil {
-				e.firstErr = fmt.Errorf("cluster: rank %d: %w", i, st.Err) //simlint:hotalloc error path: fires at most once per node, at workload failure
-			}
-			e.doneCount++
-			e.na.doneHost[i] = h
-			g := n.Clock()
-			phase(obs.PhaseDone, g, g, h, h)
-			// The simulator keeps idling to the barrier.
-			idle(e.limit)
-			finish()
-			return
-		}
+	e.beginNode(i, hostNow)
+	if e.na.phase[i] != phAtLimit { // else a finished workload, idled to the barrier
+		e.stepNode(i, hostNow)
 	}
 }

@@ -5,7 +5,9 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"runtime"
 	"testing"
+	"time"
 
 	"clustersim/internal/guest"
 	"clustersim/internal/netmodel"
@@ -313,4 +315,81 @@ func TestRunEndOnEveryExit(t *testing.T) {
 			})
 		}
 	}
+}
+
+// A workload that panics fails the run like one that returns an error: both
+// runners name the rank and the quantum, close the stream with that error
+// and leave no coroutine or goroutine behind, with the other ranks blocked in
+// Recv. At the parent commit the panic unwound through Step and the engine and
+// took the process down (RunParallel: killed the node goroutine). Loose and
+// tight name the deterministic engine's two walks. Run with -race.
+func TestGuestPanicIsRunError(t *testing.T) {
+	const nodes, bad = 4, 2
+	program := func(rank, _ int) guest.Program {
+		return func(p *guest.Proc) error {
+			if rank != bad {
+				p.Recv() // nobody ever sends
+				return nil
+			}
+			p.Compute(10 * simtime.Microsecond)
+			panic("boom")
+		}
+	}
+	engine := func(q simtime.Duration) func(obs.Observer) error {
+		return func(o obs.Observer) error {
+			cfg := testConfig(nodes, workloads.Workload{New: program}, fixed(q))
+			cfg.Observer = o
+			_, err := Run(cfg)
+			return err
+		}
+	}
+	for _, c := range []struct {
+		name string
+		run  func(obs.Observer) error
+		want string
+	}{
+		{"Run/loose", engine(simtime.Microsecond), "cluster: rank 2 panicked in quantum 9: boom"},
+		{"Run/tight", engine(100 * simtime.Microsecond), "cluster: rank 2 panicked in quantum 0: boom"},
+		{"RunParallel", func(o obs.Observer) error {
+			_, err := RunParallel(ParallelConfig{
+				Nodes: nodes, Guest: guest.DefaultConfig(), Net: netmodel.Paper(),
+				Policy: fixed(simtime.Microsecond), Program: program, Observer: o,
+			})
+			return err
+		}, "cluster: rank 2 panicked in quantum 9: boom"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			before := runtime.NumGoroutine()
+			sink := &endCounter{}
+			err := c.run(sink)
+			if err == nil || err.Error() != c.want {
+				t.Fatalf("run returned %v, want %q", err, c.want)
+			}
+			if sink.starts != 1 || sink.ends != 1 || sink.sum.Err != err {
+				t.Errorf("sink saw %d RunStart and %d RunEnd hooks, RunSummary.Err = %v; want one of each and the run's error",
+					sink.starts, sink.ends, sink.sum.Err)
+			}
+			// A node goroutine may still be between its last statement and its exit.
+			for wait := 0; runtime.NumGoroutine() > before && wait < 100; wait++ {
+				time.Sleep(time.Millisecond)
+			}
+			if after := runtime.NumGoroutine(); after > before {
+				t.Errorf("%d goroutines after the run, %d before: the run left some behind", after, before)
+			}
+		})
+	}
+}
+
+// An engine panic outside guest code is a bug, not a run error: it must reach
+// the caller.
+func TestEnginePanicPropagates(t *testing.T) {
+	cfg := testConfig(2, workloads.Silent(20*simtime.Microsecond), fixed(simtime.Microsecond))
+	cfg.onPartition = func(*partitioning) bool { panic("engine bug") }
+	defer func() {
+		if p := recover(); p != "engine bug" {
+			t.Errorf("recovered %v, want the hook's panic", p)
+		}
+	}()
+	Run(cfg)
+	t.Error("Run returned")
 }

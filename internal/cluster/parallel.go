@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"clustersim/internal/faults"
@@ -113,6 +112,9 @@ type pnode struct {
 	// controller before it posts the start token, read by the owning
 	// goroutine after consuming it.
 	limit simtime.Guest
+	// stepping is set while the workload runs inside Step; the node's own
+	// goroutine is its only reader.
+	stepping bool
 	// spinPerBusy is real nanoseconds of CPU burned per guest busy
 	// nanosecond for this node: SpinPerGuestBusy times the fault plan's
 	// slowdown factor. Immutable after construction.
@@ -368,11 +370,26 @@ func (r *prun) recordQuantum(qi int, start simtime.Guest, Q simtime.Duration, qS
 // nodeLoop drives one node across quanta. Quantum entry is a single channel
 // receive: the start token carries the generation and publishes pn.limit
 // (written by the controller before the send), so the node never touches the
-// controller mutex until it has something to report.
+// controller mutex until it has something to report. A workload that panics
+// fails the run the way one that returns an error does; a panic outside guest
+// code is the runner's own and propagates.
 func (r *prun) nodeLoop(pn *pnode) {
+	var gen int
+	defer func() {
+		if !pn.stepping {
+			return
+		}
+		p := recover()
+		r.mu.Lock()
+		if r.wErr == nil {
+			r.wErr = fmt.Errorf("cluster: rank %d panicked in quantum %d: %v", pn.n.ID(), gen-1, p)
+		}
+		r.signalController()
+		r.mu.Unlock()
+	}()
 	for {
-		gen, ok := <-pn.start
-		if !ok {
+		var ok bool
+		if gen, ok = <-pn.start; !ok {
 			return // shutdown
 		}
 		if done := r.runQuantum(pn, gen); done {
@@ -386,7 +403,9 @@ func (r *prun) nodeLoop(pn *pnode) {
 // reports whether the workload finished.
 func (r *prun) runQuantum(pn *pnode, gen int) bool {
 	for {
+		pn.stepping = true
 		st := pn.n.Step()
+		pn.stepping = false
 		switch st.Kind {
 		case guest.StepBusy:
 			var h0 simtime.Host
@@ -516,60 +535,13 @@ func (r *prun) deliverCopy(fl *flight, tD simtime.Guest, dupCopy bool) {
 	}
 }
 
-// spin burns real CPU for d, the real-time analogue of simulation slowdown.
-// The clock is read once per calibrated batch of loop iterations rather
-// than every iteration, so short spins do not spend most of their budget in
-// time.Now.
+// spin burns real CPU for d, the real-time analogue of simulation slowdown:
+// the clock read is both the work and the exit test.
 func spin(d time.Duration) {
 	if d <= 0 {
 		return
 	}
-	spinOnce.Do(calibrateSpin)
-	batch := int(spinBatch.Load())
-	var acc uint64
 	start := time.Now() //simlint:wallclock spin burns real CPU time; the clock read is the loop's termination condition
 	for time.Since(start) < d {
-		acc = spinWork(acc, batch)
 	}
-	spinSink.Store(acc) // keep the work observable (no DCE)
-}
-
-// spinBatchTarget is how much wall time one batch of spin work should take
-// between clock reads: long enough that time.Now is a rounding error, short
-// enough that spins only overshoot by a fraction of a microsecond.
-const spinBatchTarget = 200 * time.Nanosecond
-
-// spinBatch and spinSink are shared by every node goroutine; their types
-// make a plain (racy) access a compile error.
-var (
-	spinOnce  sync.Once
-	spinBatch atomic.Int64 // set by calibrateSpin at first use
-	spinSink  atomic.Uint64
-)
-
-// calibrateSpin times a probe run of spinWork and sizes the batch so one
-// batch costs roughly spinBatchTarget.
-func calibrateSpin() {
-	const probe = 1 << 18
-	start := time.Now() //simlint:wallclock calibration times real spin work against the wall clock; affects pacing only, never results
-	acc := spinWork(1, probe)
-	elapsed := time.Since(start) //simlint:wallclock see calibration note above
-	spinSink.Store(acc)
-	b := int64(1 << 10) // the default, when the probe measured no elapsed time
-	if elapsed > 0 {
-		b = max(16, int64(float64(probe)*float64(spinBatchTarget)/float64(elapsed)))
-	}
-	spinBatch.Store(b)
-}
-
-// spinWork is the unit of busy work between clock reads. It feeds its
-// result back to the caller (and ultimately a package sink) so the compiler
-// cannot eliminate the loop.
-//
-//go:noinline
-func spinWork(acc uint64, n int) uint64 {
-	for i := 0; i < n; i++ {
-		acc = acc*6364136223846793005 + 1442695040888963407
-	}
-	return acc
 }

@@ -439,7 +439,11 @@ func TestSparseQuantaEngage(t *testing.T) {
 // host time, and their host extents sum to Stats.HostBusy + Stats.HostIdle.
 // The quiet pass reports a node's quantum from the engine's lanes while the
 // node's own clock lags (DESIGN.md §7.1); a path that read a lagging clock
-// would open a gap or re-report a stretch here.
+// would open a gap or re-report a stretch here. The stepped run vetoes every
+// fast-forward under the case's own partitioning, which is what sends a
+// finished workload's loose node through beginNode's idle-to-the-limit branch
+// quantum after quantum (pingpong-4: ranks 2 and 3 finish at guest time 0, all
+// loose at Q = 1µs).
 func TestNodePhaseTiling(t *testing.T) {
 	cases := append(fastCases(), sparseCase(15))
 	rnd := rand.New(rand.NewSource(20260929))
@@ -453,6 +457,7 @@ func TestNodePhaseTiling(t *testing.T) {
 			runs := map[string]quietRun{
 				"reference":   runReference(t, c),
 				"partitioned": runQuiet(t, c, true),
+				"stepped":     runQuiet(t, c, false),
 			}
 			for label, r := range runs {
 				last := r.rec.Quanta[len(r.rec.Quanta)-1]

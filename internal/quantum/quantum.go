@@ -160,61 +160,3 @@ func (a *Adaptive) Current() simtime.Duration {
 	}
 	return simtime.Duration(a.q)
 }
-
-// TrafficAdaptive is an extension beyond the paper (its "future work"
-// direction of richer adaptivity): instead of the binary np==0 test it
-// scales the decrease with traffic density and allows faster growth after
-// long silences. It is used by the ablation experiments to show that the
-// simple Algorithm 1 already captures most of the benefit.
-type TrafficAdaptive struct {
-	Min, Max simtime.Duration
-	// Inc grows the quantum per silent quantum; SilenceBoost multiplies the
-	// growth after Patience consecutive silent quanta.
-	Inc          float64
-	SilenceBoost float64
-	Patience     int
-	// HalfLifePackets is the packet count that halves the quantum; heavier
-	// traffic shrinks it further.
-	HalfLifePackets float64
-
-	q      float64
-	silent int
-}
-
-// First implements Policy.
-func (t *TrafficAdaptive) First() simtime.Duration {
-	t.q = float64(t.Min)
-	t.silent = 0
-	return t.Min
-}
-
-// Next implements Policy.
-func (t *TrafficAdaptive) Next(fb Feedback) simtime.Duration {
-	if fb.Packets == 0 {
-		t.silent++
-		g := t.Inc
-		if t.Patience > 0 && t.silent > t.Patience {
-			g *= t.SilenceBoost
-		}
-		t.q *= g
-	} else {
-		t.silent = 0
-		hl := t.HalfLifePackets
-		if hl <= 0 {
-			hl = 8
-		}
-		t.q *= math.Pow(0.5, 1+float64(fb.Packets)/hl)
-	}
-	if t.q < float64(t.Min) {
-		t.q = float64(t.Min)
-	}
-	if t.q > float64(t.Max) {
-		t.q = float64(t.Max)
-	}
-	return simtime.Duration(t.q)
-}
-
-// Name implements Policy.
-func (t *TrafficAdaptive) Name() string {
-	return fmt.Sprintf("dyn-traffic %s:%s", t.Min, t.Max)
-}

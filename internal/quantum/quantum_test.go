@@ -161,36 +161,6 @@ func TestAdaptiveSubNanosecondGrowthAccumulates(t *testing.T) {
 	}
 }
 
-func TestTrafficAdaptive(t *testing.T) {
-	p := &TrafficAdaptive{
-		Min: simtime.Microsecond, Max: simtime.Millisecond,
-		Inc: 1.05, SilenceBoost: 2, Patience: 10, HalfLifePackets: 8,
-	}
-	q := p.First()
-	if q != simtime.Microsecond {
-		t.Error("TrafficAdaptive does not start at min")
-	}
-	for i := 0; i < 500; i++ {
-		q = p.Next(Feedback{Packets: 0})
-	}
-	if q != simtime.Millisecond {
-		t.Errorf("TrafficAdaptive did not saturate: %v", q)
-	}
-	// Heavier traffic shrinks more.
-	light := p.Next(Feedback{Packets: 1})
-	p.First()
-	for i := 0; i < 500; i++ {
-		p.Next(Feedback{Packets: 0})
-	}
-	heavy := p.Next(Feedback{Packets: 100})
-	if heavy >= light {
-		t.Errorf("100-packet shrink %v not below 1-packet shrink %v", heavy, light)
-	}
-	if p.Name() == "" {
-		t.Error("empty name")
-	}
-}
-
 func TestAdaptiveName(t *testing.T) {
 	a := NewAdaptive(simtime.Microsecond, simtime.Millisecond, 1.03, 0.02)
 	if a.Name() != "dyn 1µs:1ms 1.03:0.02" {
