@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race simbench fleet fleet-update lint simlint loc fmt
+.PHONY: all build test race simbench results fleet fleet-update lint simlint loc fmt
 
 all: build test simlint
 
@@ -21,6 +21,14 @@ race:
 # `go run ./cmd/simbench -compare a.json b.json`.
 simbench:
 	$(GO) run ./cmd/simbench -seed 1 -out results/simbench.json
+
+# The paper's evaluation as committed artifacts: every table as text in
+# paperfigs_full.txt and as one CSV each under results/ (about 5 s on 2
+# cores). The output is deterministic and independent of -workers, so CI's
+# results job regenerates it and fails on any diff: a change that moves a
+# number has to commit the moved number (and the EXPERIMENTS.md line quoting it).
+results:
+	$(GO) run ./cmd/paperfigs -fig all -csv results > paperfigs_full.txt
 
 # Scenario regression fleet: run the committed manifest and check every
 # canonical fingerprint against testdata/fleet/golden.json (what CI's
@@ -52,7 +60,7 @@ fmt:
 # ROADMAP asks every PR to report before/after.
 loc:
 	@for dirs in "internal/cluster" "internal/analysis cmd/simlint" "cmd/simbench" \
-		"internal/experiments" "internal/obs internal/prof"; do \
+		"internal/experiments cmd/paperfigs" "internal/obs internal/prof"; do \
 		printf '%-30s %6d\n' "$$dirs" "$$(find $$dirs -name '*.go' -not -name '*_test.go' \
 			-not -path '*/testdata/*' -print0 | xargs -0 cat | wc -l)"; \
 	done

@@ -113,24 +113,25 @@ func BenchmarkFig8Pareto(b *testing.B) {
 	}
 }
 
-func benchFig9(b *testing.B, pick func([]*experiments.ScaleOut) *experiments.ScaleOut) {
+// benchFig9 regenerates the i-th Section 6 case study at 32 nodes.
+func benchFig9(b *testing.B, i int) {
 	env := experiments.DefaultEnv()
-	for i := 0; i < b.N; i++ {
-		outs, err := experiments.Fig9(env, 0.5, 32, 60)
+	c := experiments.Fig9Cases(0.5)[i]
+	for n := 0; n < b.N; n++ {
+		out, err := experiments.Fig9Case(env, c.Workload, 32, c.Dyn, c.Fixed, 60)
 		if err != nil {
 			b.Fatal(err)
 		}
-		out := pick(outs)
 		for _, r := range out.Rows {
 			switch r.Config {
 			case "100":
-				b.ReportMetric(r.Accel, "q100_accel_x")
+				b.ReportMetric(r.Speedup, "q100_accel_x")
 				b.ReportMetric(r.AccErr*100, "q100_err_%")
-				b.ReportMetric(r.ExecRatio, "q100_exec_ratio_x")
+				b.ReportMetric(r.ExecRatio(), "q100_exec_ratio_x")
 			case "10":
-				b.ReportMetric(r.Accel, "q10_accel_x")
+				b.ReportMetric(r.Speedup, "q10_accel_x")
 			default:
-				b.ReportMetric(r.Accel, "dyn_accel_x")
+				b.ReportMetric(r.Speedup, "dyn_accel_x")
 				b.ReportMetric(r.AccErr*100, "dyn_err_%")
 			}
 		}
@@ -138,22 +139,16 @@ func benchFig9(b *testing.B, pick func([]*experiments.ScaleOut) *experiments.Sca
 }
 
 // BenchmarkFig9EP regenerates the Section 6 EP scale-out table (Figure 9a).
-func BenchmarkFig9EP(b *testing.B) {
-	benchFig9(b, func(o []*experiments.ScaleOut) *experiments.ScaleOut { return o[0] })
-}
+func BenchmarkFig9EP(b *testing.B) { benchFig9(b, 0) }
 
 // BenchmarkFig9IS regenerates the Section 6 IS scale-out table (Figure 9b):
 // the simulated-execution-ratio pathology.
-func BenchmarkFig9IS(b *testing.B) {
-	benchFig9(b, func(o []*experiments.ScaleOut) *experiments.ScaleOut { return o[1] })
-}
+func BenchmarkFig9IS(b *testing.B) { benchFig9(b, 1) }
 
 // BenchmarkFig9NAMD regenerates the Section 6 NAMD scale-out table (Figure
 // 9c): continuous traffic capping the adaptive speedup near the best fixed
 // quantum.
-func BenchmarkFig9NAMD(b *testing.B) {
-	benchFig9(b, func(o []*experiments.ScaleOut) *experiments.ScaleOut { return o[2] })
-}
+func BenchmarkFig9NAMD(b *testing.B) { benchFig9(b, 2) }
 
 // BenchmarkAblationIncDec regenerates the inc/dec sensitivity sweep (DESIGN
 // A1), validating the paper's "grow slowly, shrink fast" guidance.
@@ -167,10 +162,10 @@ func BenchmarkAblationIncDec(b *testing.B) {
 			b.Fatal(err)
 		}
 		for _, r := range rows {
-			if r.Label == "1.03:0.02" {
+			if r.Config == "1.03:0.02" {
 				b.ReportMetric(r.AccErr*100, "paper_schedule_err_%")
 			}
-			if r.Label == "1.2:0.9" {
+			if r.Config == "1.2:0.9" {
 				b.ReportMetric(r.AccErr*100, "greedy_schedule_err_%")
 			}
 		}
@@ -189,8 +184,8 @@ func BenchmarkAblationHost(b *testing.B) {
 			b.Fatal(err)
 		}
 		for _, r := range rows {
-			if r.BarrierCost == 1300*simtime.Microsecond && r.Jitter == 0.22 {
-				b.ReportMetric(r.Speedup1k, "default_host_speedup1k_x")
+			if r.Config == "barrier=1.3ms σ=0.22" {
+				b.ReportMetric(r.Speedup, "default_host_speedup1k_x")
 			}
 		}
 	}

@@ -80,6 +80,11 @@ func TestCLIFlagErrors(t *testing.T) {
 		{"contention negative latency", []string{"-contention", "10e9:-50us"}, "-contention latency"},
 		{"topo negative edge", []string{"-topo", "rack:4:-5us:2us"}, "topo edge latency"},
 		{"topo negative wan", []string{"-topo", "mixedwan:4:500ns:-2us"}, "topo wan latency"},
+		// These three ran: a 400 µs simulation that exits 0, or for NaN a
+		// guest panic inside quantum 0.
+		{"negative scale", []string{"-workload", "nas.ep", "-nodes", "2", "-scale", "-1"}, "scale: must be positive and finite"},
+		{"zero scale", []string{"-workload", "nas.ep", "-nodes", "2", "-scale", "0"}, "scale: must be positive and finite"},
+		{"NaN scale", []string{"-workload", "nas.ep", "-nodes", "2", "-scale", "NaN"}, "scale: must be positive and finite"},
 		{"zero nodes", []string{"-nodes", "0", "-workload", "pingpong"}, "need at least 1 node"},
 		{"trace rank mismatch", []string{"-tracefile", trace, "-nodes", "4"}, "has 2 ranks but the cluster has 4 nodes"},
 		{"trace file missing", []string{"-tracefile", filepath.Join(t.TempDir(), "nope.json")}, "no such file"},

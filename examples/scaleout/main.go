@@ -49,8 +49,8 @@ func main() {
 	fmt.Println()
 	fmt.Printf("%-14s %20s %16s %18s\n", "quantum", "acceleration vs 1µs", "accuracy error", "sim. exec. ratio")
 	for _, r := range out.Rows {
-		fmt.Printf("%-14s %19.1fx %15.2f%% %17.2fx\n", r.Config, r.Accel, r.AccErr*100, r.ExecRatio)
+		fmt.Printf("%-14s %19.1fx %15.2f%% %17.2fx\n", r.Config, r.Speedup, r.AccErr*100, r.ExecRatio())
 	}
-	fmt.Printf("\nadaptive settled at mean quantum %v\n\n", out.AdaptiveMeanQ)
+	fmt.Printf("\nadaptive settled at mean quantum %v\n\n", out.Rows[0].Stats.MeanQ)
 	fmt.Print(out.SpeedupCharts["dyn 1:100"])
 }

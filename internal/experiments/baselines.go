@@ -32,9 +32,21 @@ type baselineKey struct {
 	faults string
 }
 
+func keyOf(env Env, w workloads.Workload, nodes int) baselineKey {
+	return baselineKey{
+		workload: w.Key,
+		nodes:    nodes,
+		guest:    env.Guest,
+		hostP:    env.Host,
+		net:      env.Net,
+		maxGuest: env.MaxGuest,
+		faults:   env.Faults.Key(),
+	}
+}
+
 // baselineEntry holds one memoized ground-truth run. The entry-level mutex
-// serializes computation per key (single-flight): when Grid schedules the
-// same baseline from several pool workers, one computes and the rest wait
+// serializes computation per key (single-flight): when two studies ask for
+// the same baseline from several pool workers, one computes and the rest wait
 // for the result instead of duplicating the most expensive run in the
 // whole evaluation.
 type baselineEntry struct {
@@ -89,21 +101,18 @@ func (c *BaselineCache) Stats() BaselineCacheStats {
 	return s
 }
 
-// get returns the memoized ground-truth run for (env, w, nodes), computing
-// it on first use. A non-nil rec asks for the run's records too and receives
-// the entry's (shared, read-only like the Result); a run cached without them
-// is re-simulated once, recorded — bit-identical, the engine being
-// deterministic.
+// get is how every experiment obtains its Q = 1µs baseline: the memoized
+// ground-truth run for (env, w, nodes), computed on first use — or a plain
+// run when there is no cache or the workload carries no fingerprint. A
+// non-nil rec asks for the run's records too and receives the entry's; a run
+// cached without them is re-simulated once, recorded — bit-identical, the
+// engine being deterministic. The Result, and the records, may be shared with
+// other callers: read-only.
 func (c *BaselineCache) get(env Env, w workloads.Workload, nodes int, rec *obs.Recorder, speeds *host.Speeds) (*cluster.Result, error) {
-	key := baselineKey{
-		workload: w.Key,
-		nodes:    nodes,
-		guest:    env.Guest,
-		hostP:    env.Host,
-		net:      env.Net,
-		maxGuest: env.MaxGuest,
-		faults:   env.Faults.Key(),
+	if c == nil || w.Key == "" {
+		return runOne(env, w, nodes, GroundTruth(), rec, speeds)
 	}
+	key := keyOf(env, w, nodes)
 	c.mu.Lock()
 	e := c.entries[key]
 	if e == nil {
@@ -136,16 +145,4 @@ func (c *BaselineCache) get(env Env, w workloads.Workload, nodes int, rec *obs.R
 		*rec = *e.rec
 	}
 	return e.res, e.err
-}
-
-// runGroundTruth is how every experiment runner obtains its Q = 1µs
-// baseline: through Env.Baselines when one is attached (and the workload
-// carries a fingerprint), falling back to a direct run otherwise. The
-// returned Result, and the records a non-nil rec receives, may be shared with
-// other runners — treat them as read-only.
-func runGroundTruth(env Env, w workloads.Workload, nodes int, rec *obs.Recorder, speeds *host.Speeds) (*cluster.Result, error) {
-	if env.Baselines == nil || w.Key == "" {
-		return runOne(env, w, nodes, GroundTruth(), rec, speeds)
-	}
-	return env.Baselines.get(env, w, nodes, rec, speeds)
 }

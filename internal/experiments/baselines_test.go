@@ -73,7 +73,7 @@ func TestBaselineCacheSharing(t *testing.T) {
 	// A caller wanting the records of a run cached without them upgrades it
 	// once; the recorded entry then serves recording and plain callers alike.
 	var rec obs.Recorder
-	res, err := runGroundTruth(env, ws[1], 2, &rec, nil)
+	res, err := env.Baselines.get(env, ws[1], 2, &rec, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,13 +86,13 @@ func TestBaselineCacheSharing(t *testing.T) {
 			len(rec.Quanta), len(rec.Packets), res.Stats.Quanta, res.Stats.Deliveries)
 	}
 	var rec2 obs.Recorder
-	if _, err := runGroundTruth(env, ws[1], 2, &rec2, nil); err != nil {
+	if _, err := env.Baselines.get(env, ws[1], 2, &rec2, nil); err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(rec, rec2) {
 		t.Error("a second recording caller received different records")
 	}
-	if _, err := runGroundTruth(env, ws[1], 2, nil, nil); err != nil {
+	if _, err := env.Baselines.get(env, ws[1], 2, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	st5 := env.Baselines.Stats()
@@ -103,10 +103,10 @@ func TestBaselineCacheSharing(t *testing.T) {
 	// An entry first computed for a recording caller needs no upgrade, ever.
 	env.Baselines = NewBaselineCache()
 	var cold obs.Recorder
-	if _, err := runGroundTruth(env, ws[1], 2, &cold, nil); err != nil {
+	if _, err := env.Baselines.get(env, ws[1], 2, &cold, nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := runGroundTruth(env, ws[1], 2, nil, nil); err != nil {
+	if _, err := env.Baselines.get(env, ws[1], 2, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	if st := env.Baselines.Stats(); st.Misses != 1 || st.Hits != 1 || st.Upgrades != 0 {
@@ -114,35 +114,5 @@ func TestBaselineCacheSharing(t *testing.T) {
 	}
 	if !reflect.DeepEqual(cold, rec) {
 		t.Error("cold recorded run and upgraded run hold different records")
-	}
-}
-
-// CellIndex must agree with the linear Find on hits and misses, and point
-// into the indexed slice (not at copies).
-func TestCellIndexFind(t *testing.T) {
-	var cells []Cell
-	for _, w := range []string{"nas.ep", "nas.is", "namd"} {
-		for _, n := range []int{2, 4, 8} {
-			for _, cfg := range []string{"10", "100", "1k"} {
-				cells = append(cells, Cell{Workload: w, Nodes: n, Config: cfg, Metric: float64(len(cells))})
-			}
-		}
-	}
-	idx := IndexCells(cells)
-	for i := range cells {
-		c := &cells[i]
-		got := idx.Find(c.Workload, c.Nodes, c.Config)
-		if got != c {
-			t.Fatalf("Find(%q,%d,%q) = %p, want &cells[%d]", c.Workload, c.Nodes, c.Config, got, i)
-		}
-		if lin := Find(cells, c.Workload, c.Nodes, c.Config); lin != c {
-			t.Fatalf("linear Find(%q,%d,%q) = %p, want &cells[%d]", c.Workload, c.Nodes, c.Config, lin, i)
-		}
-	}
-	if got := idx.Find("nas.cg", 2, "10"); got != nil {
-		t.Errorf("Find on absent workload = %+v, want nil", got)
-	}
-	if got := idx.Find("nas.ep", 16, "10"); got != nil {
-		t.Errorf("Find on absent node count = %+v, want nil", got)
 	}
 }

@@ -29,13 +29,10 @@ func TestCalibrationShapesSmall(t *testing.T) {
 			c.Workload, c.Nodes, c.Config, c.AccErr*100, c.Speedup, c.Stats.Stragglers, c.Stats.Quanta, c.Stats.MeanQ)
 	}
 
-	ep1k := Find(cells, "nas.ep", 4, "1k")
-	is1k := Find(cells, "nas.is", 4, "1k")
-	epDyn := Find(cells, "nas.ep", 4, "dyn")
-	isDyn := Find(cells, "nas.is", 4, "dyn")
-	if ep1k == nil || is1k == nil || epDyn == nil || isDyn == nil {
-		t.Fatal("missing cells")
-	}
+	ep1k := findCell(t, cells, "nas.ep", 4, "1k")
+	is1k := findCell(t, cells, "nas.is", 4, "1k")
+	epDyn := findCell(t, cells, "nas.ep", 4, "dyn")
+	isDyn := findCell(t, cells, "nas.is", 4, "dyn")
 	if is1k.AccErr <= ep1k.AccErr {
 		t.Errorf("IS (alltoall) error %.2f%% not above EP error %.2f%% at Q=1000µs", is1k.AccErr*100, ep1k.AccErr*100)
 	}

@@ -35,7 +35,7 @@ func TestFig6WorkerCountInvariance(t *testing.T) {
 // Same invariance for the sweep runners that assemble by index.
 func TestAblationWorkerCountInvariance(t *testing.T) {
 	w := NASSuite(0.02)[1] // nas.is, traffic-heavy and quick at tiny scale
-	run := func(workers int) []AblationRow {
+	run := func(workers int) []Cell {
 		env := DefaultEnv()
 		env.Workers = workers
 		rows, err := AblationIncDec(env, w, 2, []float64{1.03, 1.1}, []float64{0.02, 0.5})
@@ -64,7 +64,7 @@ func TestGridSharedDrawsIdentical(t *testing.T) {
 	nodeCounts := []int{2, 4}
 	env := DefaultEnv()
 	env.Workers = 1
-	private, err := grid(env, NASSuite(scale), nodeCounts, StandardSpecs(), nil)
+	private, err := measure(env, gridPoints(NASSuite(scale), nodeCounts, StandardSpecs()), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,6 @@
-// Package experiments defines the paper's evaluation matrix — one runner per
-// table and figure — on top of the cluster engine (see DESIGN.md §5 for the
-// experiment index).
+// Package experiments defines the paper's evaluation matrix on top of the
+// cluster engine: Measure, and one point list over it per table and figure
+// (see DESIGN.md §5 for the experiment index).
 //
 // The methodology follows §4–5 of the paper exactly: every configuration is
 // compared against the Q = 1µs run of the same seed (the deterministic
@@ -41,7 +41,7 @@ type Env struct {
 	// Baselines, when non-nil, memoizes ground-truth (Q = 1µs) runs across
 	// experiment runners, so regenerating every figure pays for each
 	// distinct (workload, nodes, env) baseline exactly once. Nil recomputes
-	// baselines per runner, as before.
+	// baselines per Measure call.
 	Baselines *BaselineCache
 	// Faults, when non-nil, applies deterministic fault injection (loss,
 	// duplication, jitter, down windows, node slowdown) to every run of the
@@ -131,7 +131,8 @@ func NAMDWorkload(scale float64) workloads.Workload {
 	return workloads.NAMD(p)
 }
 
-// Cell is one (workload, nodes, config) measurement of the evaluation grid.
+// Cell is one measurement: a Point's run beside the ground truth of the same
+// seed.
 type Cell struct {
 	Workload string
 	Nodes    int
@@ -144,10 +145,40 @@ type Cell struct {
 	AccErr float64
 	// Speedup is hostTime(ground truth) / hostTime(this config).
 	Speedup float64
-	// GuestTime/HostTime echo the run's raw outcome.
-	GuestTime simtime.Guest
-	HostTime  simtime.Duration
-	Stats     cluster.Stats
+	// GuestTime/HostTime echo the run's raw outcome, BaseGuestTime/
+	// BaseHostTime the ground truth's.
+	GuestTime     simtime.Guest
+	HostTime      simtime.Duration
+	BaseGuestTime simtime.Guest
+	BaseHostTime  simtime.Duration
+	Stats         cluster.Stats
+}
+
+// ExecRatio is the Section 6 "Simulated Exec. Ratio vs. 1µs": how many times
+// longer than the ground truth the simulated execution claimed to take.
+func (c Cell) ExecRatio() float64 { return float64(c.GuestTime) / float64(c.BaseGuestTime) }
+
+// PacketsPerGuestMS is the run's traffic density — frames routed per
+// simulated millisecond, the quantity that caps the quantum.
+func (c Cell) PacketsPerGuestMS() float64 {
+	return float64(c.Stats.Packets) / (float64(c.GuestTime) / float64(simtime.Millisecond))
+}
+
+// Point is one run to measure against its ground truth.
+type Point struct {
+	Workload workloads.Workload
+	Nodes    int
+	// Spec is the configuration to run. A Spec without a Policy measures the
+	// ground truth itself (error 0, speedup 1) under whatever Label it has.
+	Spec Spec
+	// Rec, when non-nil, receives the run's packet and quantum records. On a
+	// ground-truth point the records may be shared with other callers of the
+	// baseline cache: read-only.
+	Rec *obs.Recorder
+	// Env and Truth, when non-nil, replace Measure's env for the run and for
+	// its ground truth (a host-model sweep varies both, a sampling study
+	// only the run's).
+	Env, Truth *Env
 }
 
 // runOne executes one configuration. rec, when non-nil, is attached to the
@@ -183,87 +214,125 @@ func runOne(env Env, w workloads.Workload, nodes int, spec Spec, rec *obs.Record
 	return res, nil
 }
 
-// Grid runs every workload × node count × config (plus the ground truth for
-// each workload × node count) and returns one Cell per non-baseline run.
-// Cells come back in construction order — workload-major, then node count,
-// then spec — regardless of Env.Workers.
+// Measure runs every point and compares it with its ground truth — the
+// Q = 1µs run of the same workload, node count and seed — returning one Cell
+// per point, in point order whatever Env.Workers is. It is the one place the
+// evaluation's measurement happens; every study is a point list over it.
 //
-// The runs of one grid share their host speed draws: they have the host seed
-// in common and mostly the node ids and jitter windows too, so each draw is
-// computed by the first run to need it (host.Speeds). The table lives for
-// this call only — like a fresh BaselineCache, every Grid starts cold.
-func Grid(env Env, ws []workloads.Workload, nodeCounts []int, specs []Spec) ([]Cell, error) {
+// Points that share a ground truth (same workload fingerprint, node count
+// and ground-truth env) share one run of it, obtained through Env.Baselines
+// when a cache is attached. Every ground truth is resolved before the first
+// point runs, so a Spec's Policy may read what a ground-truth point's Rec
+// recorded. A workload that does not report its metric is an error.
+//
+// The runs of one call share their host speed draws: they mostly have the
+// host seed, the node ids and the jitter windows in common, so each draw is
+// computed by the first run to need it (host.Speeds; a run whose host model
+// draws differently ignores the table). The table lives for this call only —
+// like a fresh BaselineCache, every Measure starts cold.
+func Measure(env Env, points []Point) ([]Cell, error) {
 	most := 0
-	for _, n := range nodeCounts {
-		most = max(most, n)
+	for i := range points {
+		most = max(most, points[i].Nodes)
 	}
-	return grid(env, ws, nodeCounts, specs, host.NewSpeeds(env.Host, most))
+	return measure(env, points, host.NewSpeeds(env.Host, most))
 }
 
-// grid is Grid over a given table of speed draws; nil computes every draw in
-// the run that needs it, which must give the same cells.
-func grid(env Env, ws []workloads.Workload, nodeCounts []int, specs []Spec, speeds *host.Speeds) ([]Cell, error) {
-	type base struct {
-		metric float64
-		host   simtime.Duration
-	}
+// truth is one ground truth of a Measure call and the points' view of it.
+type truth struct {
+	env    Env
+	w      workloads.Workload
+	nodes  int
+	rec    *obs.Recorder // non-nil when a ground-truth point wants the records
+	res    *cluster.Result
+	metric float64
+}
+
+// measure is Measure over a given table of speed draws; nil computes every
+// draw in the run that needs it, which must give the same cells.
+func measure(env Env, points []Point, speeds *host.Speeds) ([]Cell, error) {
 	// Ground truths first (they dominate runtime; schedule them all). Each
 	// job writes its own slot, so no lock and no completion-order effects.
-	bases := make([]base, len(ws)*len(nodeCounts))
-	baseIdx := func(wi, ni int) int { return wi*len(nodeCounts) + ni }
-	var jobs []job
-	for wi, w := range ws {
-		for ni, n := range nodeCounts {
-			wi, ni, w, n := wi, ni, w, n
-			jobs = append(jobs, job{name: fmt.Sprintf("%s/%d", w.Name, n), run: func() error {
-				res, err := runGroundTruth(env, w, n, nil, speeds)
-				if err != nil {
-					return err
-				}
-				m, ok := res.Metric(w.Metric)
-				if !ok {
-					return fmt.Errorf("experiments: %s did not report %q", w.Name, w.Metric)
-				}
-				bases[baseIdx(wi, ni)] = base{metric: m, host: res.HostTime}
-				return nil
-			}})
+	var truths []*truth
+	of := make([]*truth, len(points))
+	byKey := map[baselineKey]*truth{}
+	for i := range points {
+		p := &points[i]
+		t := &truth{env: env, w: p.Workload, nodes: p.Nodes}
+		if p.Truth != nil {
+			t.env = *p.Truth
+		}
+		// A workload without a fingerprint is only known equal to itself.
+		key := keyOf(t.env, t.w, t.nodes)
+		if known := byKey[key]; known != nil && t.w.Key != "" {
+			t = known
+		} else {
+			byKey[key] = t
+			truths = append(truths, t)
+		}
+		if p.Spec.Policy == nil && p.Rec != nil && t.rec == nil {
+			t.rec = &obs.Recorder{}
+		}
+		of[i] = t
+	}
+	jobs := make([]func() error, len(truths))
+	for i, t := range truths {
+		jobs[i] = func() (err error) {
+			if t.res, err = t.env.Baselines.get(t.env, t.w, t.nodes, t.rec, speeds); err != nil {
+				return err
+			}
+			m, ok := t.res.Metric(t.w.Metric)
+			if !ok {
+				return fmt.Errorf("experiments: %s did not report %q", t.w.Name, t.w.Metric)
+			}
+			t.metric = m
+			return nil
 		}
 	}
 	if err := runAll(env.Workers, jobs); err != nil {
 		return nil, err
 	}
 
-	cells := make([]Cell, len(ws)*len(nodeCounts)*len(specs))
-	jobs = jobs[:0]
-	ci := 0
-	for wi, w := range ws {
-		for ni, n := range nodeCounts {
-			for _, spec := range specs {
-				slot, w, n, spec := ci, w, n, spec
-				b := bases[baseIdx(wi, ni)]
-				jobs = append(jobs, job{name: fmt.Sprintf("%s/%d %s", w.Name, n, spec.Label), run: func() error {
-					res, err := runOne(env, w, n, spec, nil, speeds)
-					if err != nil {
-						return err
-					}
-					m, _ := res.Metric(w.Metric)
-					cells[slot] = Cell{
-						Workload:   w.Name,
-						Nodes:      n,
-						Config:     spec.Label,
-						Metric:     m,
-						BaseMetric: b.metric,
-						AccErr:     metrics.RelError(m, b.metric),
-						Speedup:    metrics.Speedup(float64(res.HostTime), float64(b.host)),
-						GuestTime:  res.GuestTime,
-						HostTime:   res.HostTime,
-						Stats:      res.Stats,
-					}
-					return nil
-				}})
-				ci++
-			}
+	cells := make([]Cell, len(points))
+	fill := func(i int, res *cluster.Result) {
+		p, t := &points[i], of[i]
+		m, _ := res.Metric(p.Workload.Metric) // reported: the ground truth did
+		cells[i] = Cell{
+			Workload:      p.Workload.Name,
+			Nodes:         p.Nodes,
+			Config:        p.Spec.Label,
+			Metric:        m,
+			BaseMetric:    t.metric,
+			AccErr:        metrics.RelError(m, t.metric),
+			Speedup:       metrics.Speedup(float64(res.HostTime), float64(t.res.HostTime)),
+			GuestTime:     res.GuestTime,
+			HostTime:      res.HostTime,
+			BaseGuestTime: t.res.GuestTime,
+			BaseHostTime:  t.res.HostTime,
+			Stats:         res.Stats,
 		}
+	}
+	jobs = jobs[:0]
+	for i := range points {
+		p := &points[i]
+		if p.Spec.Policy == nil {
+			if p.Rec != nil {
+				*p.Rec = *of[i].rec
+			}
+			fill(i, of[i].res)
+			continue
+		}
+		jobs = append(jobs, func() error {
+			penv := env
+			if p.Env != nil {
+				penv = *p.Env
+			}
+			res, err := runOne(penv, p.Workload, p.Nodes, p.Spec, p.Rec, speeds)
+			if err == nil {
+				fill(i, res)
+			}
+			return err
+		})
 	}
 	if err := runAll(env.Workers, jobs); err != nil {
 		return nil, err
@@ -271,52 +340,22 @@ func grid(env Env, ws []workloads.Workload, nodeCounts []int, specs []Spec, spee
 	return cells, nil
 }
 
-// CellKey addresses one cell of an evaluation grid.
-type CellKey struct {
-	Workload string
-	Nodes    int
-	Config   string
-}
-
-// CellIndex is a constant-time lookup over a grid's cells, for the figure
-// formatters that repeatedly pick individual cells out of a large grid.
-type CellIndex map[CellKey]*Cell
-
-// IndexCells builds a CellIndex over cells. The index points into the
-// slice, so it stays valid as long as the slice is not reallocated.
-func IndexCells(cells []Cell) CellIndex {
-	idx := make(CellIndex, len(cells))
-	for i := range cells {
-		c := &cells[i]
-		idx[CellKey{c.Workload, c.Nodes, c.Config}] = c
-	}
-	return idx
-}
-
-// Find returns the cell for (workload, nodes, config), or nil.
-func (idx CellIndex) Find(workload string, nodes int, config string) *Cell {
-	return idx[CellKey{workload, nodes, config}]
-}
-
-// GridIndexed runs Grid and returns its cells together with a CellIndex
-// over them.
-func GridIndexed(env Env, ws []workloads.Workload, nodeCounts []int, specs []Spec) ([]Cell, CellIndex, error) {
-	cells, err := Grid(env, ws, nodeCounts, specs)
-	if err != nil {
-		return nil, nil, err
-	}
-	return cells, IndexCells(cells), nil
-}
-
-// Find returns the cell for (workload, nodes, config), or nil. It scans
-// linearly; callers doing repeated lookups should build a CellIndex once
-// instead.
-func Find(cells []Cell, workload string, nodes int, config string) *Cell {
-	for i := range cells {
-		c := &cells[i]
-		if c.Workload == workload && c.Nodes == nodes && c.Config == config {
-			return c
+// gridPoints lists every workload × node count × spec, workload-major, then
+// node count, then spec.
+func gridPoints(ws []workloads.Workload, nodeCounts []int, specs []Spec) []Point {
+	points := make([]Point, 0, len(ws)*len(nodeCounts)*len(specs))
+	for _, w := range ws {
+		for _, n := range nodeCounts {
+			for _, spec := range specs {
+				points = append(points, Point{Workload: w, Nodes: n, Spec: spec})
+			}
 		}
 	}
-	return nil
+	return points
+}
+
+// Grid measures every workload × node count × config and returns one Cell
+// per run, workload-major, then node count, then spec.
+func Grid(env Env, ws []workloads.Workload, nodeCounts []int, specs []Spec) ([]Cell, error) {
+	return Measure(env, gridPoints(ws, nodeCounts, specs))
 }

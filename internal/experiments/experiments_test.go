@@ -7,7 +7,6 @@ import (
 
 	"clustersim/internal/prof"
 	"clustersim/internal/simtime"
-	"clustersim/internal/trace"
 	"clustersim/internal/workloads"
 )
 
@@ -66,12 +65,18 @@ func TestGridComputesBaselinesAndCells(t *testing.T) {
 			t.Errorf("n=%d missing metrics", c.Nodes)
 		}
 	}
-	if Find(cells, w.Name, 2, "100") == nil {
-		t.Error("Find failed")
+}
+
+// findCell picks the (workload, nodes, config) cell out of a study's cells.
+func findCell(t *testing.T, cells []Cell, workload string, nodes int, config string) Cell {
+	t.Helper()
+	for _, c := range cells {
+		if c.Workload == workload && c.Nodes == nodes && c.Config == config {
+			return c
+		}
 	}
-	if Find(cells, w.Name, 3, "100") != nil {
-		t.Error("Find invented a cell")
-	}
+	t.Fatalf("no cell %s ×%d %q", workload, nodes, config)
+	return Cell{}
 }
 
 func TestFig8ParetoFromRows(t *testing.T) {
@@ -126,11 +131,11 @@ func TestFig9CaseSmall(t *testing.T) {
 	if out.TrafficChart == "" || len(out.SpeedupCharts) != 2 {
 		t.Error("missing charts")
 	}
-	if out.AdaptiveMeanQ <= 0 {
+	if out.Rows[0].Stats.MeanQ <= 0 {
 		t.Error("missing adaptive mean quantum")
 	}
 	for _, r := range out.Rows {
-		if r.Accel <= 0 || r.ExecRatio <= 0 {
+		if r.Speedup <= 0 || r.ExecRatio() <= 0 {
 			t.Errorf("row %q has nonsense values: %+v", r.Config, r)
 		}
 	}
@@ -150,8 +155,8 @@ func TestAblationIncDecSmall(t *testing.T) {
 		t.Fatalf("expected 4 rows, got %d", len(rows))
 	}
 	for _, r := range rows {
-		if r.Speedup <= 0 || r.MeanQ <= 0 {
-			t.Errorf("row %q broken: %+v", r.Label, r)
+		if r.Speedup <= 0 || r.Stats.MeanQ <= 0 {
+			t.Errorf("row %q broken: %+v", r.Config, r)
 		}
 	}
 }
@@ -168,32 +173,11 @@ func TestAblationHostBarrierDominates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var lo, hi float64
-	for _, r := range rows {
-		if r.BarrierCost == 100*simtime.Microsecond {
-			lo = r.Speedup1k
-		} else {
-			hi = r.Speedup1k
-		}
+	if len(rows) != 2 || rows[0].Config != "barrier=100µs σ=0.22" || rows[1].Config != "barrier=1.3ms σ=0.22" {
+		t.Fatalf("rows are not barrier-major: %+v", rows)
 	}
-	if hi <= lo {
+	if lo, hi := rows[0].Speedup, rows[1].Speedup; hi <= lo {
 		t.Errorf("Q=1000µs speedup should grow with barrier cost: %v vs %v", lo, hi)
-	}
-}
-
-func TestRunQuantumTrace(t *testing.T) {
-	env := DefaultEnv()
-	w := workloads.Phases(2, 200*simtime.Microsecond, 8<<10)
-	res, chart, err := RunQuantumTrace(env, w, 4,
-		DynSpec("dyn", simtime.Microsecond, simtime.Millisecond, 1.05, 0.02), 40)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The chart must be drawn from the run's quantum records: an unrecorded
-	// run would chart like no quanta at all.
-	blank := trace.LogChart(trace.QuantumSeries(nil, 40, res.GuestTime), 1, 1100, 8, "quantum duration (µs) over guest time")
-	if res.Stats.Quanta == 0 || chart == "" || chart == blank {
-		t.Error("missing trace or chart")
 	}
 }
 
@@ -230,15 +214,8 @@ func TestAblationOracleBeatsBlindAdaptive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var dyn, oracle AblationRow
-	for _, r := range rows {
-		switch r.Label {
-		case "dyn 1.03:0.02":
-			dyn = r
-		case "oracle":
-			oracle = r
-		}
-	}
+	dyn := findCell(t, rows, w.Name, 4, "dyn 1.03:0.02")
+	oracle := findCell(t, rows, w.Name, 4, "oracle")
 	if oracle.Speedup <= dyn.Speedup {
 		t.Errorf("oracle %.1fx not above blind adaptive %.1fx", oracle.Speedup, dyn.Speedup)
 	}
@@ -257,9 +234,9 @@ func TestSamplingStudyMultipliesOnComputeBound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	byLabel := map[string]SamplingRow{}
+	byLabel := map[string]Cell{}
 	for _, r := range rows {
-		byLabel[r.Label] = r
+		byLabel[r.Config] = r
 	}
 	if byLabel["adaptive + sampling"].Speedup <= byLabel["adaptive"].Speedup {
 		t.Errorf("sampling did not add speedup on a compute-bound workload: %.1fx vs %.1fx",
@@ -269,7 +246,7 @@ func TestSamplingStudyMultipliesOnComputeBound(t *testing.T) {
 	// the workload model, not from the sampled detail).
 	for _, r := range rows {
 		if r.AccErr > 0.05 {
-			t.Errorf("%s accuracy error %.2f%%", r.Label, r.AccErr*100)
+			t.Errorf("%s accuracy error %.2f%%", r.Config, r.AccErr*100)
 		}
 	}
 }
@@ -316,15 +293,16 @@ func TestFig9EndToEndTinyScale(t *testing.T) {
 		t.Skip("Fig9 integration is slow")
 	}
 	env := DefaultEnv()
-	outs, err := Fig9(env, 0.04, 4, 40)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(outs) != 3 {
-		t.Fatalf("Fig9 cases: %d", len(outs))
+	cases := Fig9Cases(0.04)
+	if len(cases) != 3 {
+		t.Fatalf("Fig9 cases: %d", len(cases))
 	}
 	names := []string{"nas.ep", "nas.is", "namd"}
-	for i, o := range outs {
+	for i, c := range cases {
+		o, err := Fig9Case(env, c.Workload, 4, c.Dyn, c.Fixed, 40)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if o.Benchmark != names[i] {
 			t.Errorf("case %d is %q, want %q", i, o.Benchmark, names[i])
 		}
@@ -342,8 +320,8 @@ func TestScalingCurveMonotone(t *testing.T) {
 		t.Skip("scaling curve is slow")
 	}
 	env := DefaultEnv()
-	rows, err := ScalingCurve(env, NAMDWorkload(0.1), []int{2, 8},
-		DynSpec("dyn", simtime.Microsecond, simtime.Millisecond, 1.03, 0.02))
+	rows, err := Grid(env, []workloads.Workload{NAMDWorkload(0.1)}, []int{2, 8},
+		[]Spec{DynSpec("dyn", simtime.Microsecond, simtime.Millisecond, 1.03, 0.02)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -353,12 +331,12 @@ func TestScalingCurveMonotone(t *testing.T) {
 	if rows[1].Speedup >= rows[0].Speedup {
 		t.Errorf("speedup should erode with scale: %v -> %v", rows[0].Speedup, rows[1].Speedup)
 	}
-	if rows[1].PacketsPerGuestMS <= rows[0].PacketsPerGuestMS {
+	if rows[1].PacketsPerGuestMS() <= rows[0].PacketsPerGuestMS() {
 		t.Errorf("traffic density should grow with scale: %v -> %v",
-			rows[0].PacketsPerGuestMS, rows[1].PacketsPerGuestMS)
+			rows[0].PacketsPerGuestMS(), rows[1].PacketsPerGuestMS())
 	}
-	if rows[1].MeanQ >= rows[0].MeanQ {
-		t.Errorf("settled quantum should shrink with scale: %v -> %v", rows[0].MeanQ, rows[1].MeanQ)
+	if rows[1].Stats.MeanQ >= rows[0].Stats.MeanQ {
+		t.Errorf("settled quantum should shrink with scale: %v -> %v", rows[0].Stats.MeanQ, rows[1].Stats.MeanQ)
 	}
 }
 

@@ -1,8 +1,6 @@
 package experiments
 
 import (
-	"fmt"
-
 	"clustersim/internal/cluster"
 	"clustersim/internal/faults"
 	"clustersim/internal/simtime"
@@ -51,7 +49,7 @@ func sumMetric(res *cluster.Result, name string) int {
 // degrading network.
 func FaultSweep(env Env, w workloads.Workload, nodes int, specs []Spec, lossPcts []float64, seed uint64) ([]FaultRow, error) {
 	rows := make([]FaultRow, len(lossPcts)*len(specs))
-	var jobs []job
+	var jobs []func() error
 	for li, pct := range lossPcts {
 		fenv := env
 		if pct > 0 {
@@ -61,7 +59,7 @@ func FaultSweep(env Env, w workloads.Workload, nodes int, specs []Spec, lossPcts
 		}
 		for si, spec := range specs {
 			slot, spec, fenv, pct := li*len(specs)+si, spec, fenv, pct
-			jobs = append(jobs, job{name: fmt.Sprintf("%s/%d loss=%g%% %s", w.Name, nodes, pct, spec.Label), run: func() error {
+			jobs = append(jobs, func() error {
 				res, err := runOne(fenv, w, nodes, spec, nil, nil)
 				if err != nil {
 					return err
@@ -82,7 +80,7 @@ func FaultSweep(env Env, w workloads.Workload, nodes int, specs []Spec, lossPcts
 				}
 				rows[slot] = row
 				return nil
-			}})
+			})
 		}
 	}
 	if err := runAll(env.Workers, jobs); err != nil {

@@ -61,7 +61,7 @@ func TestBaselineCacheKeysOnFaults(t *testing.T) {
 		t.Helper()
 		fenv := env
 		fenv.Faults = plan
-		if _, err := runGroundTruth(fenv, w, 2, nil, nil); err != nil {
+		if _, err := fenv.Baselines.get(fenv, w, 2, nil, nil); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -5,7 +5,6 @@ import (
 	"sort"
 	"strings"
 
-	"clustersim/internal/cluster"
 	"clustersim/internal/metrics"
 	"clustersim/internal/obs"
 	"clustersim/internal/simtime"
@@ -40,54 +39,35 @@ func Fig6(env Env, scale float64, nodeCounts []int) ([]AggRow, []Cell, error) {
 	return rows, cells, nil
 }
 
+// aggregateNAS folds a suite's grid into one row per (node count, spec).
+// Grid's cells are workload-major, so the bucket of a (node count, spec) pair
+// is every len(nodeCounts)×len(specs)-th cell, in workload order.
 func aggregateNAS(cells []Cell, nodeCounts []int, specs []Spec) []AggRow {
-	// One pass over the cells into (nodes, config) buckets, then emit in
-	// the fixed nodeCounts × specs order. Cells arrive workload-major, so
-	// each bucket accumulates in the same cell order the per-bucket scans
-	// used to — the float sums are bit-identical to the old O(buckets ×
-	// cells) aggregation.
-	type bucket struct {
-		mops, baseMops    []float64
-		hostCfg, hostBase float64
-	}
-	type bkey struct {
-		nodes  int
-		config string
-	}
-	buckets := make(map[bkey]*bucket, len(nodeCounts)*len(specs))
-	for i := range cells {
-		c := &cells[i]
-		k := bkey{c.Nodes, c.Config}
-		b := buckets[k]
-		if b == nil {
-			b = &bucket{}
-			buckets[k] = b
+	stride := len(nodeCounts) * len(specs)
+	rows := make([]AggRow, stride)
+	for b := range rows {
+		var mops, baseMops []float64
+		var hostCfg, hostBase float64
+		for i := b; i < len(cells); i += stride {
+			c := &cells[i]
+			mops = append(mops, c.Metric)
+			baseMops = append(baseMops, c.BaseMetric)
+			hostCfg += float64(c.HostTime)
+			hostBase += c.Speedup * float64(c.HostTime)
 		}
-		b.mops = append(b.mops, c.Metric)
-		b.baseMops = append(b.baseMops, c.BaseMetric)
-		b.hostCfg += float64(c.HostTime)
-		b.hostBase += c.Speedup * float64(c.HostTime)
-	}
-	var rows []AggRow
-	for _, n := range nodeCounts {
-		for _, spec := range specs {
-			b := buckets[bkey{n, spec.Label}]
-			if b == nil || len(b.mops) == 0 {
-				continue
-			}
-			rows = append(rows, AggRow{
-				Config:  spec.Label,
-				Nodes:   n,
-				AccErr:  metrics.RelError(metrics.HarmonicMean(b.mops), metrics.HarmonicMean(b.baseMops)),
-				Speedup: b.hostBase / b.hostCfg,
-			})
+		rows[b] = AggRow{
+			Config:  cells[b].Config,
+			Nodes:   cells[b].Nodes,
+			AccErr:  metrics.RelError(metrics.HarmonicMean(mops), metrics.HarmonicMean(baseMops)),
+			Speedup: hostBase / hostCfg,
 		}
 	}
 	return rows
 }
 
 // Fig7 reproduces Figure 7: NAMD at 2, 4 and 8 nodes under the standard
-// configurations. Accuracy is the relative wall-clock deviation.
+// configurations. Accuracy is the relative wall-clock deviation. Rows come,
+// like Figure 6's, node count by node count in StandardSpecs order.
 func Fig7(env Env, scale float64, nodeCounts []int) ([]AggRow, []Cell, error) {
 	if len(nodeCounts) == 0 {
 		nodeCounts = []int{2, 4, 8}
@@ -100,18 +80,13 @@ func Fig7(env Env, scale float64, nodeCounts []int) ([]AggRow, []Cell, error) {
 	for _, c := range cells {
 		rows = append(rows, AggRow{Config: c.Config, Nodes: c.Nodes, AccErr: c.AccErr, Speedup: c.Speedup})
 	}
-	sort.Slice(rows, func(i, j int) bool {
-		if rows[i].Nodes != rows[j].Nodes {
-			return rows[i].Nodes < rows[j].Nodes
-		}
-		return rows[i].Config < rows[j].Config
-	})
 	return rows, cells, nil
 }
 
 // Fig8 reproduces Figure 8: the 8-node NAS and NAMD configurations plotted
 // in the (accuracy error, speedup) plane, with the Pareto front marked.
 type Fig8Out struct {
+	// Points are in order of increasing accuracy error.
 	Points []metrics.Point
 	Front  []metrics.Point
 	// NearFront maps each adaptive point to its distance from the front
@@ -138,6 +113,7 @@ func Fig8(nasRows, namdRows []AggRow, nodes int) Fig8Out {
 	}
 	add("NAS", nasRows)
 	add("NAMD", namdRows)
+	sort.Slice(pts, func(i, j int) bool { return pts[i].Err < pts[j].Err })
 	out := Fig8Out{Points: pts, Front: metrics.ParetoFront(pts), NearFront: map[string]float64{}}
 	for _, p := range pts {
 		if strings.Contains(p.Name, "dyn") {
@@ -147,152 +123,74 @@ func Fig8(nasRows, namdRows []AggRow, nodes int) Fig8Out {
 	return out
 }
 
-// ScaleOutRow is one row of the Section 6 tables: a configuration of a
-// 64-node benchmark.
-type ScaleOutRow struct {
-	Config string
-	// Accel is "Acceleration vs. 1µs": the host-time speedup.
-	Accel float64
-	// AccErr is "Accuracy Error vs. 1µs" (EP, NAMD tables).
-	AccErr float64
-	// ExecRatio is "Simulated Exec. Ratio vs. 1µs" (IS table): how many
-	// times longer the simulated execution claimed to take.
-	ExecRatio float64
-}
-
 // ScaleOut is the outcome of one Figure 9 case study.
 type ScaleOut struct {
 	Benchmark string
 	Nodes     int
-	Rows      []ScaleOutRow
+	// Rows are the Section 6 table, the adaptive configuration first: Speedup
+	// is "Acceleration vs. 1µs", AccErr "Accuracy Error vs. 1µs" (EP, NAMD
+	// tables), ExecRatio "Simulated Exec. Ratio vs. 1µs" (IS table), and the
+	// first row's Stats.MeanQ the quantum the adaptive run settled on — the
+	// paper's observation that it "automatically adjusts to approximate the
+	// best quantum".
+	Rows []Cell
 	// TrafficChart is the Figure 9 left chart (from the ground-truth run).
 	TrafficChart string
 	// SpeedupCharts maps config label → Figure 9 right chart.
 	SpeedupCharts map[string]string
-	// AdaptiveMeanQ is the mean quantum the adaptive run settled on — the
-	// paper's observation that it "automatically adjusts to approximate the
-	// best quantum".
-	AdaptiveMeanQ simtime.Duration
 }
 
 // Fig9Case runs one Section 6 scale-out case study: benchmark w on nodes
-// nodes under the given specs (the first spec must be the adaptive one so
-// its mean quantum can be reported).
+// nodes under the adaptive spec dyn and the fixed ones.
 func Fig9Case(env Env, w workloads.Workload, nodes int, dyn Spec, fixed []Spec, chartWidth int) (*ScaleOut, error) {
-	out := &ScaleOut{
-		Benchmark:     w.Name,
-		Nodes:         nodes,
-		SpeedupCharts: map[string]string{},
+	// Every run is recorded; the first point is the ground truth itself.
+	specs := append([]Spec{{}, dyn}, fixed...)
+	recs := make([]obs.Recorder, len(specs))
+	points := make([]Point, len(specs))
+	for i, spec := range specs {
+		points[i] = Point{Workload: w, Nodes: nodes, Spec: spec, Rec: &recs[i]}
 	}
-
-	var baseRec obs.Recorder
-	baseRes, err := runGroundTruth(env, w, nodes, &baseRec, nil)
+	cells, err := Measure(env, points)
 	if err != nil {
 		return nil, err
 	}
-	baseMetric, ok := baseRes.Metric(w.Metric)
-	if !ok {
-		return nil, fmt.Errorf("experiments: %s did not report %q", w.Name, w.Metric)
+	out := &ScaleOut{
+		Benchmark:     w.Name,
+		Nodes:         nodes,
+		Rows:          cells[1:],
+		TrafficChart:  trace.TrafficChart(recs[0].Packets, nodes, cells[0].GuestTime, chartWidth),
+		SpeedupCharts: map[string]string{},
 	}
-	out.TrafficChart = trace.TrafficChart(baseRec.Packets, nodes, baseRes.GuestTime, chartWidth)
-	baseRate := float64(baseRes.GuestTime) / float64(baseRes.HostTime)
-
-	specs := append([]Spec{dyn}, fixed...)
-	type outcome struct {
-		row   ScaleOutRow
-		chart string
-		meanQ simtime.Duration
-	}
-	results := make([]outcome, len(specs))
-	var jobs []job
-	for i, spec := range specs {
-		i, spec := i, spec
-		jobs = append(jobs, job{name: spec.Label, run: func() error {
-			var rec obs.Recorder
-			res, err := runOne(env, w, nodes, spec, &rec, nil)
-			if err != nil {
-				return err
-			}
-			m, _ := res.Metric(w.Metric)
-			row := ScaleOutRow{
-				Config: spec.Label,
-				Accel:  metrics.Speedup(float64(res.HostTime), float64(baseRes.HostTime)),
-				AccErr: metrics.RelError(m, baseMetric),
-			}
-			// The IS table reports the simulated-time blow-up directly.
-			row.ExecRatio = float64(res.GuestTime) / float64(baseRes.GuestTime)
-			series := trace.SpeedupSeries(rec.Quanta, baseRate, chartWidth, res.GuestTime)
-			results[i] = outcome{
-				row:   row,
-				chart: trace.LogChart(series, 1, 100, 8, fmt.Sprintf("%s %s speedup vs 1µs over time", w.Name, spec.Label)),
-				meanQ: res.Stats.MeanQ,
-			}
-			return nil
-		}})
-	}
-	if err := runAll(env.Workers, jobs); err != nil {
-		return nil, err
-	}
-	for i, r := range results {
-		out.Rows = append(out.Rows, r.row)
-		out.SpeedupCharts[specs[i].Label] = r.chart
-		if i == 0 {
-			out.AdaptiveMeanQ = r.meanQ
-		}
+	baseRate := float64(cells[0].GuestTime) / float64(cells[0].HostTime)
+	for i, c := range cells[1:] {
+		series := trace.SpeedupSeries(recs[i+1].Quanta, baseRate, chartWidth, c.GuestTime)
+		out.SpeedupCharts[c.Config] = trace.LogChart(series, 1, 100, 8,
+			fmt.Sprintf("%s %s speedup vs 1µs over time", w.Name, c.Config))
 	}
 	return out, nil
 }
 
-// Fig9 runs all three Section 6 case studies (EP, IS, NAMD at 64 nodes)
-// with the table configurations of the paper.
-func Fig9(env Env, scale float64, nodes, chartWidth int) ([]*ScaleOut, error) {
-	if nodes == 0 {
-		nodes = 64
-	}
+// ScaleOutCase names one Section 6 case study: a benchmark, its adaptive
+// schedule and the fixed quanta of its table.
+type ScaleOutCase struct {
+	Workload workloads.Workload
+	Dyn      Spec
+	Fixed    []Spec
+}
+
+// Fig9Cases returns the three Section 6 case studies (EP, IS, NAMD) with the
+// table configurations of the paper.
+func Fig9Cases(scale float64) []ScaleOutCase {
 	nas := NASSuite(scale)
-	var ep, is workloads.Workload
-	for _, w := range nas {
-		switch w.Name {
-		case "nas.ep":
-			ep = w
-		case "nas.is":
-			is = w
-		}
-	}
 	fixed := []Spec{
 		FixedSpec("100", 100*simtime.Microsecond),
 		FixedSpec("10", 10*simtime.Microsecond),
 	}
-	var outs []*ScaleOut
-	epOut, err := Fig9Case(env, ep, nodes, DynSpec("dyn 1:100", 1*simtime.Microsecond, 100*simtime.Microsecond, 1.03, 0.1), fixed, chartWidth)
-	if err != nil {
-		return nil, err
+	return []ScaleOutCase{
+		{nas[0], DynSpec("dyn 1:100", 1*simtime.Microsecond, 100*simtime.Microsecond, 1.03, 0.1), fixed},
+		// IS uses the paper's "very conservative adaptation schedule (slow
+		// acceleration and fast deceleration)".
+		{nas[1], DynSpec("dyn 1:100 conservative", 1*simtime.Microsecond, 100*simtime.Microsecond, 1.02, 0.05), fixed},
+		{NAMDWorkload(scale), DynSpec("dyn 2:100", 2*simtime.Microsecond, 100*simtime.Microsecond, 1.03, 0.14), fixed},
 	}
-	outs = append(outs, epOut)
-	// IS uses the paper's "very conservative adaptation schedule (slow
-	// acceleration and fast deceleration)".
-	isOut, err := Fig9Case(env, is, nodes, DynSpec("dyn 1:100 conservative", 1*simtime.Microsecond, 100*simtime.Microsecond, 1.02, 0.05), fixed, chartWidth)
-	if err != nil {
-		return nil, err
-	}
-	outs = append(outs, isOut)
-	namdOut, err := Fig9Case(env, NAMDWorkload(scale), nodes, DynSpec("dyn 2:100", 2*simtime.Microsecond, 100*simtime.Microsecond, 1.03, 0.14), fixed, chartWidth)
-	if err != nil {
-		return nil, err
-	}
-	outs = append(outs, namdOut)
-	return outs, nil
-}
-
-// RunQuantumTrace runs one configuration recorded and returns the result
-// together with an ASCII chart of the quantum over guest time (the adaptive
-// algorithm's decisions).
-func RunQuantumTrace(env Env, w workloads.Workload, nodes int, spec Spec, width int) (*cluster.Result, string, error) {
-	var rec obs.Recorder
-	res, err := runOne(env, w, nodes, spec, &rec, nil)
-	if err != nil {
-		return nil, "", err
-	}
-	series := trace.QuantumSeries(rec.Quanta, width, res.GuestTime)
-	return res, trace.LogChart(series, 1, 1100, 8, "quantum duration (µs) over guest time"), nil
 }

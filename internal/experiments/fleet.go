@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"sort"
 	"strconv"
@@ -183,9 +184,12 @@ func (sc *Scenario) config() (*scenarioConfig, error) {
 }
 
 // ResolveWorkload maps a workload name to its runnable form with compute
-// scaled by scale — the single name registry shared by clustersim's
-// -workload flag and fleet manifests.
+// scaled by scale — the single name registry, and the single check of the
+// scale, shared by clustersim's and paperfigs' flags and fleet manifests.
 func ResolveWorkload(name string, scale float64) (workloads.Workload, error) {
+	if !(scale > 0) || math.IsInf(scale, 1) {
+		return workloads.Workload{}, fmt.Errorf("scale: must be positive and finite, got %v", scale)
+	}
 	for _, w := range NASSuite(scale) {
 		if w.Name == name {
 			return w, nil

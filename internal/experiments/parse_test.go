@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -144,4 +145,28 @@ func FuzzParseTopo(f *testing.F) {
 			sw.Latency(netmodel.MinProbe(), pair[0], pair[1])
 		}
 	})
+}
+
+// A scale that is not positive and finite used to run a degenerate simulation
+// and exit 0 (or, for NaN, panic inside the guest); the workload registry
+// refuses it once, for clustersim, paperfigs and fleet manifests alike.
+func TestResolveWorkloadScale(t *testing.T) {
+	for _, scale := range []float64{0, -1, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		for _, name := range []string{"nas.ep", "namd", "pingpong"} {
+			if _, err := ResolveWorkload(name, scale); err == nil || !strings.Contains(err.Error(), "scale: must be positive and finite") {
+				t.Errorf("ResolveWorkload(%q, %v) = %v, want an error naming the scale", name, scale, err)
+			}
+		}
+	}
+	if _, err := ResolveWorkload("nas.ep", 0.25); err != nil {
+		t.Errorf("ResolveWorkload(nas.ep, 0.25): %v", err)
+	}
+	const manifest = `{"schema": "clustersim-fleet-manifest/1", "scenarios": [{"name": "a", "workload": "pingpong", "nodes": 2, "scale": %s}]}`
+	if _, err := ParseManifest(strings.NewReader(strings.Replace(manifest, "%s", "-1", 1))); err == nil || !strings.Contains(err.Error(), `scenario "a": scale:`) {
+		t.Errorf("manifest scale -1: %v, want an error naming the scenario and the scale", err)
+	}
+	// An absent or zero manifest scale still means 1.0.
+	if _, err := ParseManifest(strings.NewReader(strings.Replace(manifest, "%s", "0", 1))); err != nil {
+		t.Errorf("manifest scale 0: %v", err)
+	}
 }

@@ -1,53 +1,27 @@
 package experiments
 
-import (
-	"runtime"
+import "clustersim/internal/workerpool"
 
-	"clustersim/internal/workerpool"
-)
-
-// job is one independent deterministic simulation of an experiment grid.
-// Each job writes its result into a caller-owned slot keyed by the job's
-// index, so the assembled output order never depends on scheduling.
-type job struct {
-	run  func() error
-	name string
-}
-
-// runAll executes jobs on a bounded worker pool (internal/workerpool).
-// workers <= 0 uses GOMAXPROCS — each simulation is single-threaded, so one
-// worker per host core saturates the machine.
+// runAll executes jobs on a bounded worker pool (internal/workerpool). A job
+// is one independent deterministic simulation that writes its result into a
+// caller-owned slot keyed by the job's index, so the assembled output order
+// never depends on scheduling. workers <= 0 uses GOMAXPROCS — each simulation
+// is single-threaded, so one worker per host core saturates the machine —
+// and workers == 1 runs the jobs in order on the calling goroutine, the
+// reference for the determinism tests.
 //
 // Error reporting is deterministic regardless of completion order: the
 // error of the lowest-indexed failing job is returned (later jobs still run
 // to completion, as they would sequentially with errors collected).
-func runAll(workers int, jobs []job) error {
+func runAll(workers int, jobs []func() error) error {
 	if len(jobs) == 0 {
 		return nil
 	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(jobs) {
-		workers = len(jobs)
-	}
-	if workers == 1 {
-		// The sequential path keeps -workers=1 runs free of goroutine
-		// scheduling entirely (and is the reference order for determinism
-		// tests).
-		var first error
-		for _, j := range jobs {
-			if err := j.run(); err != nil && first == nil {
-				first = err
-			}
-		}
-		return first
-	}
 	errs := make([]error, len(jobs))
-	pool := workerpool.New(workers)
+	pool := workerpool.New(min(workers, len(jobs)))
 	defer pool.Close()
 	pool.Run(len(jobs), func(i int) {
-		errs[i] = jobs[i].run()
+		errs[i] = jobs[i]()
 	})
 	for _, err := range errs {
 		if err != nil {
