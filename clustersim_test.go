@@ -64,7 +64,7 @@ func TestRecommendedDec(t *testing.T) {
 }
 
 func TestDefaults(t *testing.T) {
-	if clustersim.PaperNetwork().MinLatency(2) < 1*clustersim.Microsecond {
+	if clustersim.PaperNetwork().LookaheadMatrix(2)[1] < 1*clustersim.Microsecond {
 		t.Error("paper network T below 1µs")
 	}
 	if clustersim.DefaultHost().Validate() != nil {

@@ -22,7 +22,6 @@ import (
 
 	"clustersim/internal/cluster"
 	"clustersim/internal/experiments"
-	"clustersim/internal/faults"
 	"clustersim/internal/netmodel"
 	"clustersim/internal/obs"
 	"clustersim/internal/prof"
@@ -38,7 +37,7 @@ var (
 	quantumFlag  = flag.String("quantum", "1us", "fixed synchronization quantum (e.g. 1us, 100us, 1ms)")
 	dynFlag      = flag.String("dyn", "", "adaptive quantum as min:max:inc:dec (e.g. 1us:1000us:1.03:0.02); overrides -quantum")
 	scaleFlag    = flag.Float64("scale", 1.0, "workload compute scale factor")
-	seedFlag     = flag.Uint64("seed", 1, "host model seed")
+	seedFlag     = flag.Uint64("seed", 1, "host model seed (0 means 1)")
 	chartFlag    = flag.Bool("chart", false, "print the quantum-over-time chart")
 	packetsFlag  = flag.Bool("traffic", false, "print the packet traffic chart")
 	widthFlag    = flag.Int("width", 100, "chart width in columns")
@@ -46,12 +45,11 @@ var (
 	spinFlag     = flag.Float64("spin", 0.02, "real ns of CPU burned per guest busy ns (parallel mode)")
 	workersFlag  = flag.Int("workers", 0, "cap on host cores used, 0 = all (sets GOMAXPROCS; mainly for taming -parallel runs)")
 	traceFlag    = flag.String("tracefile", "", "run a JSON communication trace (workloads.TraceFile schema) instead of -workload; -nodes must match its rank count")
-	lookFlag     = flag.String("lookahead", "matrix", "fast-path lookahead mode: matrix probes per-link lookahead and fast-walks loose partitions even when Q exceeds the global minimum latency; scalar restores the all-or-nothing Q ≤ min gate; results are identical either way")
 	cpuProfFlag  = flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfFlag  = flag.String("memprofile", "", "write a heap profile to this file at exit")
 
 	faultsFlag    = flag.String("faults", "", "deterministic fault injection spec, e.g. \"loss=0.01,dup=0.001,jitter=5us,down=10ms-12ms,slow=3:2.5\" (see internal/faults.Parse)")
-	faultSeedFlag = flag.Uint64("fault-seed", 1, "seed keying every fault decision; same spec + seed replays bit-identically")
+	faultSeedFlag = flag.Uint64("fault-seed", 1, "seed keying every fault decision (0 means 1); same spec + seed replays bit-identically")
 
 	traceOutFlag    = flag.String("trace-out", "", "stream a Chrome trace-event JSON file here (open in chrome://tracing or ui.perfetto.dev)")
 	metricsAddrFlag = flag.String("metrics-addr", "", "serve live JSON metrics on this HTTP address (e.g. localhost:6060) and print a text snapshot at exit")
@@ -194,7 +192,18 @@ func printCharts(rec *obs.Recorder, end simtime.Guest) {
 }
 
 func run() (err error) {
-	var w workloads.Workload
+	// The flags fill a scenario: one resolver, one set of error texts, for
+	// this command and for fleet manifests.
+	sc := experiments.Scenario{
+		Workload: *workloadFlag, Scale: *scaleFlag, Nodes: *nodesFlag,
+		Quantum: *quantumFlag, Dyn: *dynFlag, Topo: *topoFlag,
+		Faults: *faultsFlag, FaultSeed: *faultSeedFlag, Seed: *seedFlag,
+	}
+	rc, err := sc.Resolve()
+	if err != nil {
+		return err
+	}
+	w, env := rc.Workload, rc.Env
 	if *traceFlag != "" {
 		f, ferr := os.Open(*traceFlag)
 		if ferr != nil {
@@ -206,27 +215,6 @@ func run() (err error) {
 			return perr
 		}
 		w = tf.Workload()
-	} else {
-		w, err = experiments.ResolveWorkload(*workloadFlag, *scaleFlag)
-		if err != nil {
-			return err
-		}
-	}
-	policy, err := experiments.ParsePolicy(*quantumFlag, *dynFlag)
-	if err != nil {
-		return err
-	}
-	if *workersFlag > 0 {
-		runtime.GOMAXPROCS(*workersFlag)
-	}
-	env := experiments.DefaultEnv()
-	env.Host.Seed = *seedFlag
-	if *topoFlag != "" {
-		sw, terr := experiments.ParseTopo(*topoFlag)
-		if terr != nil {
-			return terr
-		}
-		env.Net.Switch = sw
 	}
 	if *contentionFlag != "" {
 		oq, cerr := parseContention(*contentionFlag)
@@ -235,13 +223,8 @@ func run() (err error) {
 		}
 		env.Net.Output = oq
 	}
-	plan, err := faults.Parse(*faultsFlag, *faultSeedFlag)
-	if err != nil {
-		return err
-	}
-	lookahead, err := experiments.ParseLookahead(*lookFlag)
-	if err != nil {
-		return err
+	if *workersFlag > 0 {
+		runtime.GOMAXPROCS(*workersFlag)
 	}
 
 	observer, rec, obsCleanup, err := observability(env.MaxGuest)
@@ -255,37 +238,36 @@ func run() (err error) {
 	}()
 
 	if *reportFlag != "" {
-		// The profiler is one more sink on the observer stream.
+		// The profiler is one more sink on the observer stream. A run that
+		// started and then aborted still has a profile, of a prefix.
 		profiler := prof.New()
 		observer = obs.Multi(observer, profiler)
 		defer func() {
-			if err != nil {
+			rep := profiler.Report()
+			if rep.Engine == "" {
+				return // never reached RunStart
+			}
+			if werr := rep.WriteFiles(*reportFlag); werr != nil {
+				if err == nil {
+					err = werr
+				}
 				return
 			}
-			if werr := profiler.Report().WriteFiles(*reportFlag); werr != nil {
-				err = werr
-				return
+			state := ""
+			if !rep.Complete {
+				state = "incomplete "
 			}
-			fmt.Fprintf(os.Stderr, "clustersim: report written to %s\n", *reportFlag)
+			fmt.Fprintf(os.Stderr, "clustersim: %sreport written to %s\n", state, *reportFlag)
 		}()
 	}
 
 	if *parallelFlag {
-		return runParallel(w, policy, env, observer, rec, plan, lookahead)
+		return runParallel(w, rc.Policy, env, observer, rec)
 	}
 
-	res, err := cluster.Run(cluster.Config{
-		Nodes:     *nodesFlag,
-		Guest:     env.Guest,
-		Net:       env.Net,
-		Host:      env.Host,
-		Policy:    policy,
-		Program:   w.New,
-		MaxGuest:  env.MaxGuest,
-		Observer:  observer,
-		Faults:    plan,
-		Lookahead: lookahead,
-	})
+	cfg := env.Config(w, *nodesFlag, rc.Policy)
+	cfg.Observer = observer
+	res, err := cluster.Run(cfg)
 	if err != nil {
 		return err
 	}
@@ -294,7 +276,7 @@ func run() (err error) {
 	return nil
 }
 
-func runParallel(w workloads.Workload, policy func() quantum.Policy, env experiments.Env, observer obs.Observer, rec *obs.Recorder, plan *faults.Plan, lookahead cluster.LookaheadMode) error {
+func runParallel(w workloads.Workload, policy func() quantum.Policy, env experiments.Env, observer obs.Observer, rec *obs.Recorder) error {
 	res, err := cluster.RunParallel(cluster.ParallelConfig{
 		Nodes:            *nodesFlag,
 		Guest:            env.Guest,
@@ -304,8 +286,7 @@ func runParallel(w workloads.Workload, policy func() quantum.Policy, env experim
 		SpinPerGuestBusy: *spinFlag,
 		MaxGuest:         env.MaxGuest,
 		Observer:         observer,
-		Faults:           plan,
-		Lookahead:        lookahead,
+		Faults:           env.Faults,
 	})
 	if err != nil {
 		return err

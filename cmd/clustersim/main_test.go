@@ -69,7 +69,6 @@ func TestCLIFlagErrors(t *testing.T) {
 		{"unknown topo kind", []string{"-topo", "ring:4:1us:2us"}, "unknown topology kind"},
 		{"topo missing fields", []string{"-topo", "ring:4"}, "topo wants rack:"},
 		{"topo bad radix", []string{"-topo", "rack:x:1us:2us"}, "topo radix"},
-		{"bad lookahead", []string{"-lookahead", "psychic"}, "lookahead wants matrix or scalar"},
 		{"faults unknown field", []string{"-faults", "chaos=1"}, `unknown field "chaos"`},
 		{"faults bad window", []string{"-faults", "down=5ms"}, "is not start-end"},
 		{"contention missing latency", []string{"-contention", "10e9"}, "-contention wants <bytes/s>:<latency>"},
@@ -110,6 +109,38 @@ func TestCLIFlagErrors(t *testing.T) {
 				t.Errorf("error output is multi-line, want one usable line:\n%s", text)
 			}
 		})
+	}
+}
+
+// The scalar lookahead mode went, and its flag with it: naming it is a usage
+// error, not a silently accepted no-op.
+func TestLookaheadFlagIsGone(t *testing.T) {
+	out, err := exec.Command(buildClustersim(t), "-lookahead", "scalar").CombinedOutput()
+	ee, ok := err.(*exec.ExitError)
+	if !ok || ee.ExitCode() != 2 || !strings.Contains(string(out), "flag provided but not defined: -lookahead") {
+		t.Errorf("clustersim -lookahead scalar: err %v, want exit 2 and an undefined-flag message:\n%s", err, out)
+	}
+}
+
+// The flags resolve through experiments.Scenario, the fleet manifest's door,
+// so a zero seed means what it means there: seed 1.
+func TestZeroSeedsMeanOne(t *testing.T) {
+	bin := buildClustersim(t)
+	run := func(seed, faultSeed string) string {
+		t.Helper()
+		out, err := exec.Command(bin, "-workload", "reliable-phases", "-nodes", "4", "-quantum", "20us",
+			"-faults", "loss=0.02,jitter=5us", "-seed", seed, "-fault-seed", faultSeed).Output()
+		if err != nil {
+			t.Fatalf("clustersim -seed %s -fault-seed %s: %v\n%s", seed, faultSeed, err, out)
+		}
+		return string(out)
+	}
+	one := run("1", "1")
+	if zero := run("0", "0"); zero != one {
+		t.Errorf("zero seeds are not seed 1:\n%s\nvs\n%s", zero, one)
+	}
+	if run("2", "1") == one || run("1", "2") == one {
+		t.Error("test premise broken: the seeds do not move the output")
 	}
 }
 

@@ -193,3 +193,31 @@ func TestSweepRunWithoutReport(t *testing.T) {
 		}
 	}
 }
+
+// A run that starts and then aborts still has a profile, of a prefix:
+// clustersim -report writes it (exit code 1 all the same) and simprof renders
+// it, saying that it is incomplete.
+func TestAbortedRunReport(t *testing.T) {
+	simprof := build(t, "./cmd/simprof", "simprof")
+	clustersim := build(t, "./cmd/clustersim", "clustersim")
+	path := filepath.Join(t.TempDir(), "aborted.json")
+	// Ping-pong on one node has no partner: a workload error within milliseconds.
+	out, err := exec.Command(clustersim, "-workload", "pingpong", "-nodes", "1", "-report", path).CombinedOutput()
+	if ee, ok := err.(*exec.ExitError); !ok || ee.ExitCode() != 1 {
+		t.Fatalf("aborted run: err %v, want exit 1:\n%s", err, out)
+	}
+	if !strings.Contains(string(out), "incomplete report written to "+path) {
+		t.Errorf("stderr does not say the report is incomplete:\n%s", out)
+	}
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("aborted run left no report: %v\n%s", err, out)
+	}
+	if !strings.Contains(string(b), `"complete": false`) {
+		t.Errorf("report of an aborted run does not say complete: false:\n%.400s", b)
+	}
+	rendered, err := exec.Command(simprof, path).CombinedOutput()
+	if err != nil || !strings.Contains(string(rendered), "incomplete run") {
+		t.Errorf("simprof on the aborted run's report: err %v, output:\n%s", err, rendered)
+	}
+}

@@ -62,27 +62,18 @@ type Config struct {
 	// and quantum records, and obs.Multi composes several sinks. Nil disables
 	// all hooks at zero cost. See internal/obs.
 	Observer obs.Observer
-	// Profiler, when non-nil, is one more sink on the Observer stream: Run
-	// composes the two as obs.Multi(Observer, Profiler). Callers do that
-	// themselves now; the field's only remaining writer outside tests is
-	// cmd/simbench/trace.go, and it goes when that directory thaws (ROADMAP).
-	Profiler *prof.Profiler
-	// Workers is unread: Run executes on the calling goroutine alone (DESIGN.md
-	// §7; the intra-quantum worker pool it sized never won and went in PR 20).
-	// The field's only remaining writers are cmd/simbench/workloads.go and
-	// trace.go, and it goes when that directory thaws (ROADMAP).
-	Workers int
-	// Lookahead selects how the lookahead bound is computed. The default
-	// (LookaheadMatrix) probes the per-link lookahead matrix and partitions
-	// the cluster per quantum (DESIGN.md §11), so quanta above the global
-	// minimum latency still walk the loose part of the cluster without the
-	// event queue; LookaheadScalar is the escape hatch restoring the original
-	// all-or-nothing Q <= MinLatency gate. The choice never changes
-	// simulation results — only how a quantum is partitioned and how
-	// engagement is accounted (the graded Stats fields and profiler causes
-	// are zero/boolean under LookaheadScalar).
+	// Profiler, Workers and Lookahead are stubs: their only remaining writers
+	// outside tests are cmd/simbench/trace.go and workloads.go, and all three
+	// go when that directory thaws (ROADMAP). A non-nil Profiler is one more
+	// sink on the Observer stream, composed by Run as obs.Multi(Observer,
+	// Profiler) — callers do that themselves. Workers and Lookahead are
+	// unread: Run executes on the calling goroutine alone, and a quantum's
+	// lookahead partitioning is all that decides how it runs (DESIGN.md §7,
+	// §11).
+	Profiler  *prof.Profiler
+	Workers   int
 	Lookahead LookaheadMode
-	// onPartition, when non-nil, is called with each quantum's execution
+	// onPartition, when non-nil, is called with each quantum's lookahead
 	// partitioning (quiet quanta included, which then bypass it; see
 	// onQuiet). Returning true executes the quantum as one tight partition
 	// holding the whole cluster instead: every node walked through one event
@@ -99,14 +90,12 @@ type Config struct {
 	onQuiet func(qi, node int) bool
 }
 
-// LookaheadMode selects the lookahead-bound computation.
+// LookaheadMode is the type of the unread Config.Lookahead stub; it and its
+// two values go with the field.
 type LookaheadMode int
 
 const (
-	// LookaheadMatrix (the default) probes a per-link lookahead matrix and
-	// derives a lookahead-closed partitioning per quantum.
 	LookaheadMatrix LookaheadMode = iota
-	// LookaheadScalar restores the scalar Q <= MinLatency gate.
 	LookaheadScalar
 )
 
@@ -203,7 +192,7 @@ type Stats struct {
 	// FastFullQuanta counts quanta where the whole cluster was fast-path
 	// eligible (Q at or below every link's lookahead) and FastPartialQuanta
 	// those where only part of it was: at least one lookahead partition
-	// loose, at least one tight (always zero under LookaheadScalar).
+	// loose, at least one tight.
 	// Eligibility state, not execution state.
 	FastFullQuanta    int
 	FastPartialQuanta int

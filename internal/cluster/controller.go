@@ -24,43 +24,26 @@ type controller struct {
 	// no records and pays only the branch.
 	obs obs.Observer
 
-	// la is the per-link lookahead structure (DESIGN.md §11): nil under
-	// LookaheadScalar, an output-queued switch, or a topology that rules
-	// lookahead out. eligLat is the scalar eligibility bound — la.min, or
-	// Net.MinLatency under LookaheadScalar, zero without lookahead: a
-	// quantum Q <= eligLat is free of intra-quantum arrivals cluster-wide.
-	la      *lookahead
-	eligLat simtime.Duration
+	// la is the run's lookahead (DESIGN.md §11): it partitions every quantum,
+	// and the partitioning alone decides how the quantum executes, what
+	// engagement it is accounted and what the stream is told.
+	la *lookahead
 	// portFree is, per destination, when its switch output port frees up;
 	// nil unless the net model has an OutputQueue.
 	portFree []simtime.Guest
 
 	limit   simtime.Guest // current quantum end
-	qElig   bool          // current quantum's cluster-wide eligibility
-	nElig   int           // eligible quanta so far
+	part    *partitioning // current quantum's lookahead partitioning
 	np, str int           // frames routed and stragglers this quantum
 	stats   Stats
 	sumQ    float64
 }
 
-// newController probes the lookahead for the given model. The bounds come
-// from the per-link matrix — every pair probed with the cheapest possible
-// frame (netmodel.MinProbe), generalizing the paper's scalar T — or, in
-// scalar mode, from Net.MinLatency alone. Switch output-port contention
-// rules lookahead out before the probe: the port-free state must be updated
-// in the exact order the controller observes frames, which only one event
-// queue over the whole cluster reproduces.
-func newController(nodes int, net *netmodel.Model, mode LookaheadMode, fp *faults.Plan, o obs.Observer) controller {
-	c := controller{n: nodes, net: net, faults: fp, obs: o}
-	switch {
-	case net.Output != nil:
+// newController probes the lookahead for the given model (newLookahead).
+func newController(nodes int, net *netmodel.Model, fp *faults.Plan, o obs.Observer) controller {
+	c := controller{n: nodes, net: net, faults: fp, obs: o, la: newLookahead(net, nodes)}
+	if net.Output != nil {
 		c.portFree = make([]simtime.Guest, nodes)
-	case mode == LookaheadScalar:
-		c.eligLat = net.MinLatency(nodes)
-	default:
-		if c.la = newLookahead(net, nodes); c.la != nil {
-			c.eligLat = c.la.min
-		}
 	}
 	return c
 }
@@ -73,7 +56,7 @@ func (c *controller) runStart(policy string, parallel bool, maxGuest simtime.Gue
 	net := c.net // a sink may keep LinkLat past the run; it must not pin the runner
 	c.obs.RunStart(obs.RunInfo{
 		Nodes: c.n, Policy: policy, Parallel: parallel, MaxGuest: maxGuest,
-		Lookahead:   c.eligLat,
+		Lookahead:   c.la.min,
 		OutputQueue: net.Output != nil,
 		LinkLat: func(src, dst int) simtime.Duration {
 			return net.FrameLatency(netmodel.MinProbe(), src, dst)
@@ -89,46 +72,39 @@ func (c *controller) runEnd(err error, guestTime simtime.Guest, hostEnd simtime.
 		return
 	}
 	c.obs.RunEnd(obs.RunSummary{
-		Err:                err,
-		GuestTime:          guestTime,
-		HostEnd:            hostEnd,
-		Quanta:             c.stats.Quanta,
-		FastEligibleQuanta: c.nElig,
-		QuietQuanta:        quiet,
-		QuietNodeQuanta:    quietNodes,
+		Err:             err,
+		GuestTime:       guestTime,
+		HostEnd:         hostEnd,
+		Quanta:          c.stats.Quanta,
+		QuietQuanta:     quiet,
+		QuietNodeQuanta: quietNodes,
 	})
 }
 
-// beginQuantum opens quantum qi = (start, start+Q] at host time h and does
-// its eligibility accounting. That accounting is a pure function of (Q,
-// lookahead) — never of how the quantum is then executed — so Stats and what
-// a sink derives from the stream are identical for both runners. It returns the quantum's lookahead partitioning, nil without a
-// matrix.
+// beginQuantum opens quantum qi = (start, start+Q] at host time h, partitions
+// it and does its engagement accounting. Partitioning and accounting are a
+// pure function of (Q, lookahead), so Stats and what a sink derives from the
+// stream are identical for both runners. A lookahead that is ruled out has
+// one partitioning for every Q, which says nothing and is not published.
 func (c *controller) beginQuantum(qi int, start simtime.Guest, Q simtime.Duration, h simtime.Host) *partitioning {
 	c.limit = start.Add(Q)
 	c.np, c.str = 0, 0
+	c.part = c.la.partitionFor(Q)
 	if c.obs != nil {
 		c.obs.QuantumStart(qi, start, Q, h)
-	}
-	c.qElig = c.eligLat > 0 && Q <= c.eligLat
-	var part *partitioning
-	if c.la != nil {
-		part = c.la.partitionFor(Q)
-		if c.obs != nil {
-			c.obs.QuantumPartition(qi, &part.Partitioning)
+		if c.la.min > 0 {
+			c.obs.QuantumPartition(qi, &c.part.Partitioning)
 		}
 	}
-	switch {
-	case c.qElig:
-		c.nElig++
+	switch fast := c.part.FastNodes; {
+	case fast == c.n:
 		c.stats.FastFullQuanta++
-		c.stats.FastNodeQuanta += c.n
-	case part != nil && part.FastNodes > 0:
+	case fast > 0:
 		c.stats.FastPartialQuanta++
-		c.stats.FastNodeQuanta += part.FastNodes
-		c.stats.PartialPartitions += part.Partitions
+		c.stats.PartialPartitions += c.part.Partitions
 	}
-	return part
+	c.stats.FastNodeQuanta += c.part.FastNodes
+	return c.part
 }
 
 // endQuantum folds the finished quantum into the aggregate and publishes its
@@ -147,7 +123,7 @@ func (c *controller) endQuantum(qi int, start simtime.Guest, Q simtime.Duration,
 			BarrierStart: barrierStart,
 			HostEnd:      hEnd,
 			Routing:      routing,
-			FastEligible: c.qElig,
+			FastEligible: c.part.FastNodes == c.n,
 		})
 	}
 }

@@ -191,13 +191,10 @@ type engine struct {
 	// flights its walk of the current quantum defers to the barrier: a loose
 	// node's every frame, a tight node's cross-partition frames.
 	defs [][]routed
-	// uniform caches the two degenerate partitionings (all-loose,
-	// whole-cluster tight), built on first use.
-	uniform [2]*partitioning
-	// part is the partitioning the current quantum executes as: what sendFrame
+	// exec is the partitioning the current quantum executes as: what sendFrame
 	// consults to tell a frame it must defer from one it queues, and the node
 	// step to tell a loose node from a tight one.
-	part *partitioning
+	exec *partitioning
 
 	// quietH is the minimum of the arena's quietUntil lane as of the last full
 	// scan, so a stretch in which no node acts costs one comparison per
@@ -221,7 +218,7 @@ func Run(cfg Config) (*Result, error) {
 	}
 	e := &engine{
 		cfg:        cfg,
-		controller: newController(n, cfg.Net, cfg.Lookahead, cfg.Faults, sink),
+		controller: newController(n, cfg.Net, cfg.Faults, sink),
 		hm:         host.NewModel(cfg.Host),
 		policy:     cfg.Policy(),
 		stepping:   -1,
@@ -268,19 +265,6 @@ func (e *engine) initDefs() {
 	}
 }
 
-// degenerate returns the cached all-loose or whole-cluster-tight
-// partitioning.
-func (e *engine) degenerate(tight bool) *partitioning {
-	k := 0
-	if tight {
-		k = 1
-	}
-	if e.uniform[k] == nil {
-		e.uniform[k] = uniformPartitioning(e.cfg.Nodes, tight)
-	}
-	return e.uniform[k]
-}
-
 // run executes the quanta and closes the run out the same way however they
 // ended: RunEnd follows RunStart.
 func (e *engine) run() (*Result, error) {
@@ -321,20 +305,12 @@ func (e *engine) runQuanta() (start simtime.Guest, hostNow simtime.Host, err err
 		e.lastEvtH = hostNow
 		e.flights = e.flights[:0]
 		e.batch = e.batch[:0]
+		// The quantum's lookahead partitioning is all that selects how it is
+		// stepped (DESIGN.md §7); the accounting in beginQuantum never sees the
+		// test hook's substitute.
 		part := e.beginQuantum(qi, start, Q, hostNow)
-
-		// The execution partitioning is all that selects how the quantum is
-		// stepped (DESIGN.md §7): the lookahead partitioning, or, without a
-		// matrix — scalar mode, the output-queue tap, a one-node cluster,
-		// zero-latency links — all nodes loose when Q is within the scalar
-		// bound and the whole cluster one tight partition otherwise. The
-		// accounting above never sees the substitute.
-		exec := part
-		if exec == nil {
-			exec = e.degenerate(!e.qElig)
-		}
-		if hook := e.cfg.onPartition; hook != nil && hook(exec) {
-			exec = e.degenerate(true)
+		if hook := e.cfg.onPartition; hook != nil && hook(part) {
+			part = e.la.wholeCluster()
 		}
 		// Ahead of it: when no node has an event before the limit there is
 		// nothing to step, queue or route, and the quantum is one arithmetic
@@ -342,7 +318,7 @@ func (e *engine) runQuanta() (start simtime.Guest, hostNow simtime.Host, err err
 		if e.quietQuantum() {
 			e.runQuantumQuiet(hostNow)
 		} else {
-			e.runQuantum(hostNow, exec)
+			e.runQuantum(hostNow, part)
 		}
 
 		// Barrier: wait for the slowest node and any late frames, pay the
@@ -452,7 +428,7 @@ func (e *engine) dispatch(h simtime.Host, ev event) {
 // each segment's end at once and only returns at the limit.
 func (e *engine) stepNode(i int, h simtime.Host) {
 	n := e.na.node[i]
-	loose := e.part.fastNode[i]
+	loose := e.exec.fastNode[i]
 	for {
 		e.stepping = i
 		st := n.Step()
@@ -528,7 +504,7 @@ func (e *engine) idleTo(i int, target simtime.Guest, h simtime.Host) simtime.Hos
 	cost := e.hostCost(i, from, target, host.Idle)
 	e.stats.HostIdle += cost
 	endH := h.Add(cost)
-	if e.part.fastNode[i] {
+	if e.exec.fastNode[i] {
 		e.endIdle(i, from, target, h, endH)
 	} else {
 		e.startSeg(i, host.Idle, from, target, h, endH)
@@ -599,7 +575,7 @@ func (e *engine) sendFrame(i int, h simtime.Host, tSend simtime.Guest, f *pkt.Fr
 			f: f, src: int32(src), dst: int32(dst), tSend: tSend,
 			tD: e.arrival(f, src, dst, depart),
 		})
-		if p := e.part; p.fastNode[src] || p.Part[dst] != p.Part[src] {
+		if p := e.exec; p.fastNode[src] || p.Part[dst] != p.Part[src] {
 			e.defs[src] = append(e.defs[src], routed{h: arrHost, fi: fi}) //simlint:hotalloc deferred-flight lane spills past its slab share to its watermark once; length-reset each quantum
 		} else {
 			e.q.PushPri(int64(arrHost), priFrame, event{kind: evFrame, fi: fi})
@@ -788,7 +764,7 @@ func (e *engine) routeBatch() {
 // partitioned. The test is horizon > limit, strictly — an op ending exactly
 // at the limit resumes the workload inside this quantum, where it may send or
 // finish (DESIGN.md §7.1) — and involves only node state, so it holds or fails
-// identically for every Lookahead value.
+// identically however the quantum is partitioned.
 //
 // A quiet stretch costs one comparison per quantum. Otherwise the scan
 // re-peeks the horizons the limit has reached (stale ones included), all of
@@ -936,7 +912,7 @@ func (e *engine) tightSitsOut(members []int32) bool {
 //
 //simlint:hotpath the quantum executor: every stepped quantum runs here
 func (e *engine) runQuantum(hostNow simtime.Host, p *partitioning) {
-	e.part = p
+	e.exec = p
 	for _, members := range p.tight {
 		if e.tightSitsOut(members) {
 			for _, m := range members {

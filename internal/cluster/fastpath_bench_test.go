@@ -10,10 +10,10 @@ import (
 )
 
 // BenchmarkFastPathRack measures a quantum between the latency levels, where
-// the scalar gate walks every node through the event queue but the matrix
-// gate still steps the loose ones directly.
+// a Q <= T gate would walk every node through the event queue but the
+// partitioning still steps the loose ones directly.
 // Three geometries: "rack8" is a uniform two-rack fat-tree (both racks tight
-// at mid-Q — no loose nodes, so matrix == scalar by construction; the honest
+// at mid-Q — no loose nodes, so every node walks the queue; the honest
 // negative control), "mixed8" is one tight rack plus four loose WAN
 // singletons, and "mixed64" is the paper-scale motivating geometry — one
 // tight rack plus 60 loose WAN nodes in the sync-overhead-dominated regime,
@@ -33,26 +33,20 @@ func BenchmarkFastPathRack(b *testing.B) {
 			workloads.Silent(200 * simtime.Microsecond)},
 	}
 	for _, sc := range scenarios {
-		for _, mode := range []struct {
-			name string
-			m    LookaheadMode
-		}{{"scalar", LookaheadScalar}, {"matrix", LookaheadMatrix}} {
-			b.Run(sc.name+"/"+mode.name, func(b *testing.B) {
-				var quanta int64
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					cfg := testConfig(sc.nodes, sc.w, fixed(2*simtime.Microsecond))
-					cfg.Net = sc.net(sc.nodes)
-					cfg.Lookahead = mode.m
-					res, err := Run(cfg)
-					if err != nil {
-						b.Fatal(err)
-					}
-					quanta += int64(res.Stats.Quanta)
+		b.Run(sc.name, func(b *testing.B) {
+			var quanta int64
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				cfg := testConfig(sc.nodes, sc.w, fixed(2*simtime.Microsecond))
+				cfg.Net = sc.net(sc.nodes)
+				res, err := Run(cfg)
+				if err != nil {
+					b.Fatal(err)
 				}
-				b.ReportMetric(float64(quanta)/b.Elapsed().Seconds(), "quanta/s")
-			})
-		}
+				quanta += int64(res.Stats.Quanta)
+			}
+			b.ReportMetric(float64(quanta)/b.Elapsed().Seconds(), "quanta/s")
+		})
 	}
 }
 

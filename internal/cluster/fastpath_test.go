@@ -3,7 +3,6 @@ package cluster
 import (
 	"bytes"
 	"fmt"
-	"reflect"
 	"strings"
 	"testing"
 
@@ -225,14 +224,12 @@ func TestFastPathMatchesClassicSemantics(t *testing.T) {
 // The execution partitioning must take the shape the quantum size calls for:
 // every node loose at ground truth (Q = 1µs <= T), the whole cluster one
 // tight partition beyond the largest latency, and an adaptive policy crosses
-// the boundary both ways mid-run — in scalar mode too, where the two shapes
-// are the degenerate partitionings.
+// the boundary both ways mid-run.
 func TestFastPathEngages(t *testing.T) {
 	const nodes = 4
-	count := func(pol func() quantum.Policy, mode LookaheadMode) (loose, tight int) {
+	count := func(pol func() quantum.Policy) (loose, tight int) {
 		w := workloads.Phases(3, 150*simtime.Microsecond, 16<<10)
 		cfg := testConfig(nodes, w, pol)
-		cfg.Lookahead = mode
 		cfg.onPartition = func(p *partitioning) bool {
 			switch {
 			case len(p.loose) == nodes && len(p.tight) == 0:
@@ -250,16 +247,14 @@ func TestFastPathEngages(t *testing.T) {
 		return
 	}
 
-	for _, mode := range []LookaheadMode{LookaheadMatrix, LookaheadScalar} {
-		if loose, tight := count(fixed(simtime.Microsecond), mode); loose == 0 || tight != 0 {
-			t.Errorf("mode=%d ground truth: want every quantum all-loose, got loose=%d tight=%d", mode, loose, tight)
-		}
-		if loose, tight := count(fixed(simtime.Millisecond), mode); loose != 0 || tight == 0 {
-			t.Errorf("mode=%d Q=1ms: want every quantum one tight partition, got loose=%d tight=%d", mode, loose, tight)
-		}
-		if loose, tight := count(adaptive(simtime.Microsecond, simtime.Millisecond, 1.03, 0.02), mode); loose == 0 || tight == 0 {
-			t.Errorf("mode=%d adaptive: want a mix of shapes, got loose=%d tight=%d", mode, loose, tight)
-		}
+	if loose, tight := count(fixed(simtime.Microsecond)); loose == 0 || tight != 0 {
+		t.Errorf("ground truth: want every quantum all-loose, got loose=%d tight=%d", loose, tight)
+	}
+	if loose, tight := count(fixed(simtime.Millisecond)); loose != 0 || tight == 0 {
+		t.Errorf("Q=1ms: want every quantum one tight partition, got loose=%d tight=%d", loose, tight)
+	}
+	if loose, tight := count(adaptive(simtime.Microsecond, simtime.Millisecond, 1.03, 0.02)); loose == 0 || tight == 0 {
+		t.Errorf("adaptive: want a mix of shapes, got loose=%d tight=%d", loose, tight)
 	}
 }
 
@@ -294,44 +289,4 @@ func TestPartitionedPathEngagesPartially(t *testing.T) {
 		t.Fatal(err)
 	}
 	requireMatchesReference(t, "partitioned", runQuiet(t, c, true), ref)
-}
-
-// LookaheadScalar must reproduce the matrix mode's simulation outputs
-// exactly — the mode only changes the partitioning and the graded accounting
-// (all zero under scalar).
-func TestScalarLookaheadBitIdentity(t *testing.T) {
-	run := func(mode LookaheadMode) (*Result, *obs.Recorder) {
-		cfg := testConfig(8, workloads.Uniform(120, 2000, 30*simtime.Microsecond, 17),
-			adaptive(simtime.Microsecond, 200*simtime.Microsecond, 1.1, 0.02))
-		cfg.Net = mixedWANNet(8)
-		cfg.Lookahead = mode
-		rec := &obs.Recorder{}
-		cfg.Observer = rec
-		res, err := Run(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res, rec
-	}
-	matrix, matrixRec := run(LookaheadMatrix)
-	scalar, scalarRec := run(LookaheadScalar)
-	if scalar.Stats.FastPartialQuanta != 0 || scalar.Stats.PartialPartitions != 0 {
-		t.Errorf("scalar mode reported graded engagement: %+v", scalar.Stats)
-	}
-	if matrix.Stats.FastPartialQuanta == 0 {
-		t.Fatalf("adaptive mixed run never partially engaged: %+v", matrix.Stats)
-	}
-	// Null out the accounting that is allowed to differ; everything else —
-	// including every quantum record — must match bit for bit.
-	m, s := *matrix, *scalar
-	m.Stats.FastFullQuanta, s.Stats.FastFullQuanta = 0, 0
-	m.Stats.FastPartialQuanta, s.Stats.FastPartialQuanta = 0, 0
-	m.Stats.FastNodeQuanta, s.Stats.FastNodeQuanta = 0, 0
-	m.Stats.PartialPartitions, s.Stats.PartialPartitions = 0, 0
-	if !reflect.DeepEqual(&m, &s) {
-		t.Errorf("scalar vs matrix results differ:\nmatrix %+v\nscalar %+v", m.Stats, s.Stats)
-	}
-	if !reflect.DeepEqual(matrixRec.Quanta, scalarRec.Quanta) {
-		t.Error("scalar vs matrix quantum records differ")
-	}
 }

@@ -155,10 +155,10 @@ func TestSlowdownScalesHostCosts(t *testing.T) {
 	}
 }
 
-// The full-engagement bound must be exactly netmodel.MinLatency in both
-// lookahead modes — scalar probes it directly, matrix derives it as the
-// matrix minimum. Output-queue models are excluded before the probe, so the
-// exclusion is structural, not a bound disagreement.
+// The full-engagement bound must be exactly the smallest off-diagonal entry
+// of the lookahead matrix — the paper's T — probed with the cheapest possible
+// frame. Output-queue models are excluded before the probe, so the exclusion
+// is structural, not a bound disagreement.
 func TestFastPathBoundMatchesMinLatency(t *testing.T) {
 	models := map[string]*netmodel.Model{
 		"paper": netmodel.Paper(),
@@ -168,22 +168,24 @@ func TestFastPathBoundMatchesMinLatency(t *testing.T) {
 		},
 	}
 	for name, m := range models {
-		for _, mode := range []LookaheadMode{LookaheadMatrix, LookaheadScalar} {
-			c := newController(4, m, mode, nil, nil)
-			if want := m.MinLatency(4); c.eligLat != want {
-				t.Errorf("%s/mode=%d: eligibility bound %v != MinLatency %v", name, mode, c.eligLat, want)
-			}
-			if wantLA := mode == LookaheadMatrix; (c.la != nil) != wantLA {
-				t.Errorf("%s/mode=%d: lookahead matrix present = %v, want %v", name, mode, c.la != nil, wantLA)
-			}
+		c := newController(4, m, nil, nil)
+		want := minLinkLat(m, 4)
+		if c.la.min != want || want != m.FrameLatency(netmodel.MinProbe(), 0, 1) {
+			t.Errorf("%s: lookahead bound %v != matrix minimum %v", name, c.la.min, want)
+		}
+		if p := c.la.partitionFor(want); p.FastNodes != 4 {
+			t.Errorf("%s: Q = T leaves %d of 4 nodes loose", name, p.FastNodes)
+		}
+		if p := c.la.partitionFor(want + 1); p.FastNodes != 0 {
+			t.Errorf("%s: Q above T leaves %d nodes loose on a uniform fabric", name, p.FastNodes)
 		}
 	}
 
 	// With an OutputQueue there is no lookahead at all.
 	out := netmodel.Paper()
 	out.Output = &netmodel.OutputQueue{}
-	if c := newController(4, out, LookaheadMatrix, nil, nil); c.eligLat != 0 || c.la != nil {
-		t.Errorf("OutputQueue model has lookahead: bound %v (la=%v)", c.eligLat, c.la != nil)
+	if c := newController(4, out, nil, nil); c.la.min != 0 || c.la.partitionFor(1) != c.la.wholeCluster() {
+		t.Errorf("OutputQueue model has lookahead: bound %v", c.la.min)
 	}
 }
 

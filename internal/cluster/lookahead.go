@@ -26,10 +26,13 @@ import (
 // The partition structure only changes when Q crosses one of the matrix's
 // distinct latency values, so partitionings are cached per level and shared
 // by every quantum in the same band.
+//
+// A configuration that rules lookahead out has no matrix, no levels and a
+// zero min: its one band holds the whole cluster as one tight partition.
 type lookahead struct {
 	n   int
 	lat []simtime.Duration // flat n×n row-major probe matrix; diagonal 0
-	min simtime.Duration   // smallest off-diagonal entry (the scalar T)
+	min simtime.Duration   // smallest off-diagonal entry (the paper's scalar T)
 	// levels holds the distinct positive off-diagonal latencies, ascending.
 	// A quantum with Q <= levels[0] has no tight links (fully fast); one
 	// with Q > levels[len-1] ties the whole cluster into one partition.
@@ -37,6 +40,8 @@ type lookahead struct {
 	// parts caches one partitioning per level band, indexed by the number
 	// of levels strictly below Q. Entries are built lazily.
 	parts []*partitioning
+	// whole is the whole cluster as one tight partition, built on first use.
+	whole *partitioning
 }
 
 // partitioning is the lookahead closure of the cluster at one tight-link
@@ -59,13 +64,17 @@ type partitioning struct {
 // profiler's limiting-links cap.
 const tightLinksK = 16
 
-// newLookahead probes the matrix for the given model. It returns nil when
-// the topology admits no lookahead at all (some pair has a non-positive
-// lower bound, so same-instant cross-node causality is possible), matching
-// the scalar gate's CauseNoLookahead semantics.
+// newLookahead probes the matrix for the given model: every pair with the
+// cheapest possible frame (netmodel.MinProbe), generalizing the paper's
+// scalar T. Three things rule lookahead out. Switch output-port contention,
+// before the probe: the port-free state must be updated in the exact order the
+// controller observes frames, which only one event queue over the whole
+// cluster reproduces. A cluster of one node, which has no link to probe. And
+// a pair with a non-positive lower bound, which makes same-instant cross-node
+// causality possible.
 func newLookahead(m *netmodel.Model, nodes int) *lookahead {
-	if nodes < 2 {
-		return nil
+	if nodes < 2 || m.Output != nil {
+		return noLookahead(nodes)
 	}
 	la := &lookahead{n: nodes, lat: m.LookaheadMatrix(nodes)}
 	seen := make(map[simtime.Duration]bool, 2)
@@ -76,7 +85,7 @@ func newLookahead(m *netmodel.Model, nodes int) *lookahead {
 			}
 			l := la.lat[s*nodes+d]
 			if l <= 0 {
-				return nil
+				return noLookahead(nodes)
 			}
 			if la.min == 0 || l < la.min {
 				la.min = l
@@ -89,6 +98,14 @@ func newLookahead(m *netmodel.Model, nodes int) *lookahead {
 	}
 	sort.Slice(la.levels, func(i, j int) bool { return la.levels[i] < la.levels[j] })
 	la.parts = make([]*partitioning, len(la.levels)+1)
+	return la
+}
+
+// noLookahead is the lookahead of a configuration that rules lookahead out:
+// whatever the quantum size, the whole cluster walks through one event queue.
+func noLookahead(nodes int) *lookahead {
+	la := &lookahead{n: nodes}
+	la.parts = []*partitioning{la.wholeCluster()}
 	return la
 }
 
@@ -195,24 +212,20 @@ func (la *lookahead) build(idx int) *partitioning {
 	return p
 }
 
-// uniformPartitioning returns one of the two degenerate partitionings of n
-// nodes: every node a loose singleton, or the whole cluster one tight
-// partition — what partitionFor yields at or below the smallest latency level
-// and above the largest. They execute the configurations that have no matrix,
-// and are never published.
-func uniformPartitioning(n int, tight bool) *partitioning {
-	all := make([]int32, n)
-	for i := range all {
-		all[i] = int32(i)
+// wholeCluster returns the partitioning that ties every node into one tight
+// partition — what partitionFor yields above the largest latency level. It is
+// built without the matrix: it executes the configurations that have none, and
+// it is the reference the differential tests hold every other partitioning to.
+func (la *lookahead) wholeCluster() *partitioning {
+	if la.whole == nil {
+		all := make([]int32, la.n)
+		for i := range all {
+			all[i] = int32(i)
+		}
+		p := &partitioning{fastNode: make([]bool, la.n), tight: [][]int32{all}}
+		p.Part = make([]int32, la.n)
+		p.Partitions, p.TightPartitions = 1, 1
+		la.whole = p
 	}
-	p := &partitioning{fastNode: make([]bool, n)}
-	if tight {
-		p.Part, p.tight = make([]int32, n), [][]int32{all}
-		return p
-	}
-	for i := range p.fastNode {
-		p.fastNode[i] = true
-	}
-	p.Part, p.loose = all, all
-	return p
+	return la.whole
 }

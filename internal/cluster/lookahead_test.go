@@ -1,11 +1,13 @@
 package cluster
 
 import (
+	"strings"
 	"testing"
 
 	"clustersim/internal/netmodel"
 	"clustersim/internal/rng"
 	"clustersim/internal/simtime"
+	"clustersim/internal/workloads"
 )
 
 // randLatModel builds a MatrixSwitch model with deterministic pseudo-random
@@ -46,11 +48,8 @@ func TestPartitioningIsLookaheadClosed(t *testing.T) {
 		nodes := 2 + stream.Intn(15)
 		m := randLatModel(stream.Split(uint64(trial)), nodes)
 		la := newLookahead(m, nodes)
-		if la == nil {
-			t.Fatalf("trial %d: positive matrix produced nil lookahead", trial)
-		}
-		if want := m.MinLatency(nodes); la.min != want {
-			t.Fatalf("trial %d: matrix min %v != MinLatency %v", trial, la.min, want)
+		if want := minLinkLat(m, nodes); la.min != want || want <= 0 {
+			t.Fatalf("trial %d: lookahead min %v != positive matrix minimum %v", trial, la.min, want)
 		}
 		// Probe one Q inside every band: at each level (tight set excludes
 		// the level itself), just above it, and far beyond the top.
@@ -152,9 +151,6 @@ func checkClosure(t *testing.T, la *lookahead, p *partitioning, q simtime.Durati
 // share one partitioning object; crossing a level must change it.
 func TestPartitionForCachesPerBand(t *testing.T) {
 	la := newLookahead(rackNet(), 8)
-	if la == nil {
-		t.Fatal("nil lookahead for rack model")
-	}
 	if len(la.levels) != 2 {
 		t.Fatalf("rack matrix levels = %v, want 2 distinct", la.levels)
 	}
@@ -178,16 +174,68 @@ func TestPartitionForCachesPerBand(t *testing.T) {
 }
 
 // TestLookaheadDegenerate: sub-2-node clusters and zero-lookahead topologies
-// must disable the matrix entirely.
+// rule lookahead out — no bound, and every quantum the whole cluster as one
+// tight partition.
 func TestLookaheadDegenerate(t *testing.T) {
-	if la := newLookahead(netmodel.Paper(), 1); la != nil {
-		t.Error("1-node cluster built a lookahead")
-	}
 	zero := &netmodel.Model{
 		NIC:    &netmodel.SimpleNIC{BaseLatency: 0},
 		Switch: &netmodel.PerfectSwitch{},
 	}
-	if la := newLookahead(zero, 4); la != nil {
-		t.Error("zero-latency topology built a lookahead")
+	for name, la := range map[string]*lookahead{
+		"1-node cluster":        newLookahead(netmodel.Paper(), 1),
+		"zero-latency topology": newLookahead(zero, 4),
+	} {
+		if la.min != 0 || len(la.levels) != 0 {
+			t.Errorf("%s built a lookahead: min %v, levels %v", name, la.min, la.levels)
+		}
+		for _, q := range []simtime.Duration{1, simtime.Microsecond, simtime.Second} {
+			p := la.partitionFor(q)
+			if p != la.wholeCluster() || p.FastNodes != 0 || len(p.loose) != 0 || len(p.tight) != 1 || len(p.tight[0]) != la.n {
+				t.Errorf("%s, Q=%v: partitioning %+v, want the whole cluster tight", name, q, p)
+			}
+		}
+	}
+}
+
+// minLinkLat is the paper's T for a model: the smallest off-diagonal entry of
+// its lookahead matrix.
+func minLinkLat(m *netmodel.Model, nodes int) simtime.Duration {
+	var min simtime.Duration
+	for i, l := range m.LookaheadMatrix(nodes) {
+		if i/nodes != i%nodes && (min == 0 || l < min) {
+			min = l
+		}
+	}
+	return min
+}
+
+// A run whose lookahead is ruled out — an output tap, a one-node cluster —
+// executes every quantum as the whole cluster through one event queue, is
+// accounted no engagement, and tells the stream nothing about partitions.
+func TestRuledOutLookaheadRun(t *testing.T) {
+	tap := testConfig(4, incast(8<<10), fixed(simtime.Microsecond))
+	tap.Net = contendedNet()
+	one := testConfig(1, workloads.Silent(50*simtime.Microsecond), fixed(simtime.Microsecond))
+	for name, cfg := range map[string]Config{"output tap": tap, "one node": one} {
+		rec := &recorder{}
+		cfg.Observer = rec
+		cfg.onPartition = func(p *partitioning) bool {
+			if len(p.loose) != 0 || len(p.tight) != 1 || len(p.tight[0]) != cfg.Nodes {
+				t.Errorf("%s: executed with %d loose nodes and tight partitions %v", name, len(p.loose), p.tight)
+			}
+			return false
+		}
+		res, err := Run(cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if s := res.Stats; s.FastFullQuanta+s.FastPartialQuanta+s.FastNodeQuanta+s.PartialPartitions != 0 {
+			t.Errorf("%s: engagement accounted without lookahead: %+v", name, s)
+		}
+		for _, ev := range rec.events {
+			if strings.HasPrefix(ev, "part ") || strings.Contains(ev, "FastEligible:true") {
+				t.Fatalf("%s: stream says %q", name, ev)
+			}
+		}
 	}
 }

@@ -53,11 +53,6 @@ type ParallelConfig struct {
 	// but wall-clock scheduling still varies run to run. Nil injects
 	// nothing.
 	Faults *faults.Plan
-	// Lookahead mirrors Config.Lookahead: the default matrix mode derives
-	// the per-quantum lookahead partitioning, so Stats report graded
-	// engagement and the observer stream carries the partitioning;
-	// LookaheadScalar restores the scalar accounting.
-	Lookahead LookaheadMode
 }
 
 // ParallelResult is the outcome of a real-time parallel run.
@@ -172,7 +167,7 @@ func RunParallel(cfg ParallelConfig) (*ParallelResult, error) {
 	}
 	r := &prun{
 		cfg:        cfg,
-		controller: newController(cfg.Nodes, cfg.Net, cfg.Lookahead, cfg.Faults, cfg.Observer),
+		controller: newController(cfg.Nodes, cfg.Net, cfg.Faults, cfg.Observer),
 		barrier:    make(chan struct{}, 1),
 	}
 	for i, n := range nodes {

@@ -174,8 +174,8 @@ func TestProfilerLimitingLinksRack(t *testing.T) {
 	}
 	rep := p.Report()
 
-	if want := int64(cfg.Net.MinLatency(8)); rep.LookaheadNS != want {
-		t.Errorf("lookahead %d, want MinLatency %d", rep.LookaheadNS, want)
+	if want := int64(minLinkLat(cfg.Net, 8)); rep.LookaheadNS != want {
+		t.Errorf("lookahead %d, want the matrix minimum %d", rep.LookaheadNS, want)
 	}
 	// 2 racks × 4 nodes → 4×3 directed intra-rack pairs per rack.
 	if rep.MinLatencyTied != 24 {

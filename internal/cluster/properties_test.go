@@ -27,7 +27,7 @@ func TestNoStragglersWhenQLeqT(t *testing.T) {
 	for _, w := range ws {
 		for _, nodes := range []int{2, 5, 8} {
 			cfg := testConfig(nodes, w, fixed(simtime.Microsecond))
-			T := cfg.Net.MinLatency(nodes)
+			T := minLinkLat(cfg.Net, nodes)
 			if simtime.Duration(simtime.Microsecond) > T {
 				t.Fatalf("test premise broken: Q=1µs > T=%v", T)
 			}
@@ -429,7 +429,7 @@ func TestBatchedRoutingCanonicalOrder(t *testing.T) {
 		if _, err := Run(cfg); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if q > c.net.MinLatency(c.nodes) {
+		if q > minLinkLat(c.net, c.nodes) {
 			continue // some partition is tight: the batched order is not total
 		}
 		ordered++

@@ -70,6 +70,22 @@ func DefaultEnv() Env {
 	}
 }
 
+// Config is the one place an environment becomes a run configuration: every
+// cluster.Config field that Env, a workload, a node count and a policy
+// determine. Callers add what is theirs — sinks, a shared speed table.
+func (env Env) Config(w workloads.Workload, nodes int, policy func() quantum.Policy) cluster.Config {
+	return cluster.Config{
+		Nodes:    nodes,
+		Guest:    env.Guest,
+		Net:      env.Net,
+		Host:     env.Host,
+		Policy:   policy,
+		Program:  w.New,
+		MaxGuest: env.MaxGuest,
+		Faults:   env.Faults,
+	}
+}
+
 // Spec names a quantum policy configuration.
 type Spec struct {
 	Label  string
@@ -185,17 +201,8 @@ type Point struct {
 // run and holds its packet and quantum records afterwards; speeds is the
 // sweep's shared table of host speed draws, nil outside one.
 func runOne(env Env, w workloads.Workload, nodes int, spec Spec, rec *obs.Recorder, speeds *host.Speeds) (*cluster.Result, error) {
-	cfg := cluster.Config{
-		Nodes:    nodes,
-		Guest:    env.Guest,
-		Net:      env.Net,
-		Host:     env.Host,
-		Speeds:   speeds,
-		Policy:   spec.Policy,
-		Program:  w.New,
-		MaxGuest: env.MaxGuest,
-		Faults:   env.Faults,
-	}
+	cfg := env.Config(w, nodes, spec.Policy)
+	cfg.Speeds = speeds
 	// A nil *Recorder or *Profiler must not become a non-nil Observer.
 	if rec != nil {
 		cfg.Observer = rec

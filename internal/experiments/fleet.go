@@ -26,9 +26,9 @@ import (
 
 // This file implements the scenario regression fleet (DESIGN.md §13): a
 // declarative manifest of simulation scenarios — topology × workload ×
-// quantum policy × fault plan × lookahead mode — each executed once,
-// fingerprinted canonically, and diffed against committed goldens. cmd/simfleet is the CLI; the fleet-smoke CI
-// job and `make fleet` gate on it.
+// quantum policy × fault plan — each executed once, fingerprinted canonically,
+// and diffed against committed goldens. cmd/simfleet is the CLI; the
+// fleet-smoke CI job and `make fleet` gate on it.
 
 // ManifestSchema identifies the fleet manifest encoding.
 const ManifestSchema = "clustersim-fleet-manifest/1"
@@ -38,14 +38,16 @@ const GoldenSchema = "clustersim-fleet/1"
 
 // Scenario is one declarative fleet entry. String fields reuse the CLI
 // flag syntaxes (simtime durations, faults.Parse specs, rack topologies) so
-// a scenario is a clustersim invocation made data.
+// a scenario is a clustersim invocation made data — and clustersim's flags
+// fill one: Resolve is the one door both go through.
 type Scenario struct {
 	// Name uniquely identifies the scenario; goldens are keyed on it.
 	Name string `json:"name"`
 	// Workload names a workload known to ResolveWorkload (nas.ep, pingpong,
 	// phases, reliable-phases, uniform, silent, ...).
 	Workload string `json:"workload"`
-	// Scale multiplies the workload's compute phases; 0 means 1.0.
+	// Scale multiplies the workload's compute phases. A manifest that omits
+	// it means 1.0 (ParseManifest); Resolve itself refuses zero.
 	Scale float64 `json:"scale,omitempty"`
 	// Nodes is the cluster size.
 	Nodes int `json:"nodes"`
@@ -59,8 +61,6 @@ type Scenario struct {
 	// given size with every other node a WAN singleton — the geometry that
 	// exercises the partitioned (graded) fast path.
 	Topo string `json:"topo,omitempty"`
-	// Lookahead is "matrix" (default) or "scalar" (cluster.LookaheadMode).
-	Lookahead string `json:"lookahead,omitempty"`
 	// Faults is a faults.Parse spec (empty = no plan); FaultSeed keys its
 	// decisions (0 means 1).
 	Faults    string `json:"faults,omitempty"`
@@ -105,7 +105,10 @@ func ParseManifest(r io.Reader) (*Manifest, error) {
 			return nil, fmt.Errorf("fleet manifest: duplicate scenario name %q", sc.Name)
 		}
 		seen[sc.Name] = true
-		if _, err := sc.config(); err != nil {
+		if sc.Scale == 0 {
+			sc.Scale = 1 // omitted
+		}
+		if _, err := sc.Resolve(); err != nil {
 			return nil, fmt.Errorf("fleet manifest: scenario %q: %v", sc.Name, err)
 		}
 	}
@@ -122,29 +125,26 @@ func LoadManifest(path string) (*Manifest, error) {
 	return ParseManifest(f)
 }
 
-// scenarioConfig is everything a scenario resolves to before running.
-type scenarioConfig struct {
-	w         workloads.Workload
-	env       Env
-	policy    func() quantum.Policy
-	plan      *faults.Plan
-	lookahead cluster.LookaheadMode
+// Resolved is what a scenario's fields resolve to: the workload, the policy
+// constructor, and the environment — seed, topology, guest limit and fault
+// plan (Env.Faults) applied to DefaultEnv.
+type Resolved struct {
+	Workload workloads.Workload
+	Env      Env
+	Policy   func() quantum.Policy
 }
 
-// config resolves every string field of the scenario. It is the single
-// validation point: ParseManifest calls it for fail-fast checking and the
-// runner calls it again per run (it is cheap and pure).
-func (sc *Scenario) config() (*scenarioConfig, error) {
-	scale := sc.Scale
-	if scale == 0 {
-		scale = 1.0
-	}
-	w, err := ResolveWorkload(sc.Workload, scale)
+// Resolve resolves every field of the scenario. It is the single validation
+// point of fleet manifests and of clustersim's flags: ParseManifest calls it
+// for fail-fast checking and the runner calls it again per run (it is cheap
+// and pure).
+func (sc *Scenario) Resolve() (*Resolved, error) {
+	w, err := ResolveWorkload(sc.Workload, sc.Scale)
 	if err != nil {
 		return nil, err
 	}
 	if sc.Nodes < 1 {
-		return nil, fmt.Errorf("nodes must be >= 1, got %d", sc.Nodes)
+		return nil, fmt.Errorf("nodes: need at least 1 node, got %d", sc.Nodes)
 	}
 	policy, err := ParsePolicy(sc.Quantum, sc.Dyn)
 	if err != nil {
@@ -172,15 +172,10 @@ func (sc *Scenario) config() (*scenarioConfig, error) {
 	if seed == 0 {
 		seed = 1
 	}
-	plan, err := faults.Parse(sc.Faults, seed)
-	if err != nil {
+	if env.Faults, err = faults.Parse(sc.Faults, seed); err != nil {
 		return nil, err
 	}
-	lookahead, err := ParseLookahead(sc.Lookahead)
-	if err != nil {
-		return nil, err
-	}
-	return &scenarioConfig{w: w, env: env, policy: policy, plan: plan, lookahead: lookahead}, nil
+	return &Resolved{Workload: w, Env: env, Policy: policy}, nil
 }
 
 // ResolveWorkload maps a workload name to its runnable form with compute
@@ -340,19 +335,6 @@ func (s *mixedWANSwitch) Latency(f *pkt.Frame, src, dst int) simtime.Duration {
 	return s.wanLat
 }
 
-// ParseLookahead maps the CLI/manifest lookahead mode onto the engine mode.
-// Empty selects the default (matrix).
-func ParseLookahead(s string) (cluster.LookaheadMode, error) {
-	switch s {
-	case "matrix", "":
-		return cluster.LookaheadMatrix, nil
-	case "scalar":
-		return cluster.LookaheadScalar, nil
-	default:
-		return 0, fmt.Errorf("lookahead wants matrix or scalar, got %q", s)
-	}
-}
-
 // ScenarioOutcome is the result of running one scenario.
 type ScenarioOutcome struct {
 	Name string
@@ -371,24 +353,15 @@ type ScenarioOutcome struct {
 // runScenario executes the scenario and fingerprints the run.
 func runScenario(sc Scenario) ScenarioOutcome {
 	out := ScenarioOutcome{Name: sc.Name}
-	rc, err := sc.config()
+	rc, err := sc.Resolve()
 	if err != nil {
 		out.Err = err
 		return out
 	}
 	rec, profiler := &obs.Recorder{}, prof.New()
-	res, err := cluster.Run(cluster.Config{
-		Nodes:     sc.Nodes,
-		Guest:     rc.env.Guest,
-		Net:       rc.env.Net,
-		Host:      rc.env.Host,
-		Policy:    rc.policy,
-		Program:   rc.w.New,
-		MaxGuest:  rc.env.MaxGuest,
-		Observer:  obs.Multi(rec, profiler),
-		Faults:    rc.plan,
-		Lookahead: rc.lookahead,
-	})
+	cfg := rc.Env.Config(rc.Workload, sc.Nodes, rc.Policy)
+	cfg.Observer = obs.Multi(rec, profiler)
+	res, err := cluster.Run(cfg)
 	if err != nil {
 		out.Err = err
 		return out

@@ -47,7 +47,9 @@ func TestParseManifestValidation(t *testing.T) {
 		{"bad dyn", `{"schema": "clustersim-fleet-manifest/1", "scenarios": [{"name": "a", "workload": "pingpong", "nodes": 2, "dyn": "1us:1ms"}]}`, "dyn"},
 		{"dyn the policy rejects", `{"schema": "clustersim-fleet-manifest/1", "scenarios": [{"name": "a", "workload": "pingpong", "nodes": 2, "dyn": "1us:1ms:0.5:0.02"}]}`, "dyn inc:"},
 		{"bad topo", `{"schema": "clustersim-fleet-manifest/1", "scenarios": [{"name": "a", "workload": "pingpong", "nodes": 2, "topo": "ring:4"}]}`, "topo"},
-		{"bad lookahead", `{"schema": "clustersim-fleet-manifest/1", "scenarios": [{"name": "a", "workload": "pingpong", "nodes": 2, "lookahead": "psychic"}]}`, "lookahead"},
+		// The scalar mode went: a quantum's partitioning is all there is, and a
+		// manifest still carrying the field is refused by name.
+		{"bad lookahead", `{"schema": "clustersim-fleet-manifest/1", "scenarios": [{"name": "a", "workload": "pingpong", "nodes": 2, "lookahead": "scalar"}]}`, `unknown field "lookahead"`},
 		{"bad faults", `{"schema": "clustersim-fleet-manifest/1", "scenarios": [{"name": "a", "workload": "pingpong", "nodes": 2, "faults": "chaos=1"}]}`, "chaos"},
 		// The worker matrix went with the engine's pool: a manifest still
 		// carrying the field is refused by name, whatever counts it lists.

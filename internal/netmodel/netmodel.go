@@ -118,47 +118,23 @@ var minProbe pkt.Frame
 
 // MinProbe returns the cheapest possible frame: Size 0. Serialization
 // models are monotonic in wire size, so a size-0 probe lower-bounds every
-// real frame. Both MinLatency and the engine's fast-path safety bound probe
-// with it, so the two T estimates cannot diverge.
+// real frame: the one probe behind every lookahead bound.
 //
 // The returned frame is shared; callers must treat it as read-only.
 func MinProbe() *pkt.Frame { return &minProbe }
 
-// MinLatency returns a lower bound on the latency of any frame between any
-// pair of distinct nodes among the given count. This is the paper's T: a
-// quantum Q <= T guarantees that no straggler can occur. With fewer than
-// two nodes no frame can cross the network and the bound is 0.
-//
-// The bound includes the uncontended Output port cost when an OutputQueue
-// is modelled; under contention real frames can only be slower, so the
-// value stays a true lower bound.
-func (m *Model) MinLatency(nodes int) simtime.Duration {
-	if nodes < 2 {
-		return 0
-	}
-	probe := MinProbe()
-	min := simtime.Duration(-1)
-	for s := 0; s < nodes; s++ {
-		for d := 0; d < nodes; d++ {
-			if s == d {
-				continue
-			}
-			l := m.FrameLatency(probe, s, d)
-			if min < 0 || l < min {
-				min = l
-			}
-		}
-	}
-	return min
-}
-
 // LookaheadMatrix returns the per-pair lower-bound latency matrix for the
 // given node count, probed with MinProbe: entry [src*nodes+dst] (row-major)
 // is a latency no frame from src to dst can beat. Diagonal entries are zero.
-// The matrix generalizes MinLatency: its smallest off-diagonal entry equals
-// MinLatency(nodes), but per-pair values let the engine treat a quantum as
-// safe for a node pair whose mutual latency is at least Q even when some
-// other pair's is not (the per-link lookahead of DESIGN.md §11).
+// Its smallest off-diagonal entry is the paper's T — a quantum Q <= T
+// guarantees that no straggler can occur — and the per-pair values let the
+// engine treat a quantum as safe for a node pair whose mutual latency is at
+// least Q even when some other pair's is not (the per-link lookahead of
+// DESIGN.md §11).
+//
+// An entry includes the uncontended Output port cost when an OutputQueue is
+// modelled; under contention real frames can only be slower, so it stays a
+// true lower bound.
 func (m *Model) LookaheadMatrix(nodes int) []simtime.Duration {
 	if nodes < 1 {
 		return nil

@@ -25,18 +25,30 @@ func TestPaperModelLatency(t *testing.T) {
 	}
 }
 
+// minLink is the paper's T: the smallest off-diagonal entry of the lookahead
+// matrix, zero when the cluster has no link.
+func minLink(m *Model, nodes int) simtime.Duration {
+	var min simtime.Duration
+	for i, l := range m.LookaheadMatrix(nodes) {
+		if i/nodes != i%nodes && (min == 0 || l < min) {
+			min = l
+		}
+	}
+	return min
+}
+
 func TestMinLatencyIsSafetyBound(t *testing.T) {
 	m := Paper()
-	got := m.MinLatency(8)
+	got := minLink(m, 8)
 	if got < 1000*simtime.Nanosecond {
 		t.Errorf("minimum latency %v below the NIC base latency", got)
 	}
 	f := &pkt.Frame{Size: 1}
 	if lat := m.FrameLatency(f, 3, 5); lat < got {
-		t.Errorf("frame latency %v below MinLatency %v", lat, got)
+		t.Errorf("frame latency %v below the matrix minimum %v", lat, got)
 	}
-	if m.MinLatency(1) != 0 {
-		t.Error("single-node cluster should have zero MinLatency")
+	if minLink(m, 1) != 0 {
+		t.Error("single-node cluster should have no lookahead bound")
 	}
 }
 
@@ -168,25 +180,26 @@ func TestOutputQueueModel(t *testing.T) {
 }
 
 func TestMinLatencyFewNodes(t *testing.T) {
-	// Regression: nodes < 2 must short-circuit before the probe loop — a
-	// reordered early-return used to risk leaking the loop's sentinel.
+	// With fewer than two nodes there is no link to probe: the matrix holds
+	// no positive entry a bound could be read from.
 	for _, m := range []*Model{Paper(), {
 		NIC:    &SimpleNIC{BaseLatency: simtime.Microsecond, BytesPerSecond: 1e9},
 		Switch: &StoreAndForwardSwitch{BytesPerSecond: 1e9},
 	}} {
 		for _, nodes := range []int{0, 1} {
-			if got := m.MinLatency(nodes); got != 0 {
-				t.Errorf("MinLatency(%d) = %v, want 0", nodes, got)
+			for _, l := range m.LookaheadMatrix(nodes) {
+				if l != 0 {
+					t.Errorf("LookaheadMatrix(%d) holds %v, want no link", nodes, l)
+				}
 			}
 		}
 	}
 }
 
 func TestMinProbeDoesNotAllocate(t *testing.T) {
-	// MinProbe hands out a shared read-only frame, so probing — MinLatency,
+	// MinProbe hands out a shared read-only frame, so probing —
 	// LookaheadMatrix's per-pair loop, the profiler's LinkLat closure —
-	// costs zero heap frames. The engine's initFast probe used to be +1
-	// allocation per run; this pins the fix.
+	// costs zero heap frames: the matrix is the probe's one allocation.
 	m := Paper()
 	if n := testing.AllocsPerRun(100, func() {
 		_ = m.FrameLatency(MinProbe(), 0, 1)
@@ -194,9 +207,9 @@ func TestMinProbeDoesNotAllocate(t *testing.T) {
 		t.Errorf("MinProbe+FrameLatency allocates %v times per probe, want 0", n)
 	}
 	if n := testing.AllocsPerRun(100, func() {
-		_ = m.MinLatency(8)
-	}); n != 0 {
-		t.Errorf("MinLatency allocates %v times per call, want 0", n)
+		_ = m.LookaheadMatrix(8)
+	}); n != 1 {
+		t.Errorf("LookaheadMatrix allocates %v times per call, want 1", n)
 	}
 }
 
@@ -230,12 +243,12 @@ func TestLookaheadMatrix(t *testing.T) {
 			}
 		}
 	}
-	if want := ft.MinLatency(nodes); min != want {
-		t.Errorf("matrix minimum %v, want MinLatency %v", min, want)
-	}
 	// The fat-tree has exactly two latency classes: intra-rack and
 	// inter-rack.
 	intra, inter := lat[0*nodes+1], lat[0*nodes+4]
+	if min != intra {
+		t.Errorf("matrix minimum %v, want the intra-rack latency %v", min, intra)
+	}
 	if intra >= inter {
 		t.Errorf("intra-rack %v not below inter-rack %v", intra, inter)
 	}
@@ -252,10 +265,11 @@ func TestMinLatencyUsesMinProbe(t *testing.T) {
 		Switch: &StoreAndForwardSwitch{BytesPerSecond: 1e9},
 	}
 	want := m.FrameLatency(MinProbe(), 0, 1)
-	if got := m.MinLatency(4); got != want {
-		t.Errorf("MinLatency = %v, want the size-0 probe latency %v", got, want)
+	got := minLink(m, 4)
+	if got != want {
+		t.Errorf("matrix minimum = %v, want the size-0 probe latency %v", got, want)
 	}
-	if oneByte := m.FrameLatency(&pkt.Frame{Size: 1}, 0, 1); oneByte <= m.MinLatency(4) {
-		t.Errorf("1-byte frame latency %v not above the size-0 bound %v", oneByte, m.MinLatency(4))
+	if oneByte := m.FrameLatency(&pkt.Frame{Size: 1}, 0, 1); oneByte <= got {
+		t.Errorf("1-byte frame latency %v not above the size-0 bound %v", oneByte, got)
 	}
 }

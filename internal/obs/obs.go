@@ -52,9 +52,10 @@ type RunInfo struct {
 	Parallel bool
 	// MaxGuest is the configured guest-time backstop (zero if unlimited).
 	MaxGuest simtime.Guest
-	// Lookahead is the scalar fast-path bound: the minimum frame latency over
-	// all node pairs, zero when the configuration has none (a zero-latency
-	// link, or OutputQueue). A quantum Q <= Lookahead is FastEligible.
+	// Lookahead is the smallest per-link lookahead: the minimum frame latency
+	// over all node pairs, zero when the configuration rules lookahead out (a
+	// zero-latency link, a one-node cluster, or OutputQueue). A quantum
+	// Q <= Lookahead leaves every node loose and is FastEligible.
 	Lookahead simtime.Duration
 	// OutputQueue is true when the net model has an output-queued switch
 	// (Net.Output), which rules lookahead out for every quantum.
@@ -78,11 +79,6 @@ type RunSummary struct {
 	HostEnd simtime.Host
 	// Quanta is the number of synchronization quanta the run executed.
 	Quanta int
-	// FastEligibleQuanta counts quanta eligible for the intra-quantum fast
-	// path (Q at most the minimum network latency, no packet tap).
-	// Eligibility is a property of the configuration and policy trajectory,
-	// so it is identical across engines.
-	FastEligibleQuanta int
 	// QuietQuanta counts quanta the deterministic engine fast-forwarded
 	// because no node could act before the limit (DESIGN.md §7.1). Which path
 	// executes a quantum never changes a result, so the count lives here and
@@ -189,8 +185,7 @@ type Observer interface {
 	QuantumStart(index int, start simtime.Guest, q simtime.Duration, hostStart simtime.Host)
 	// QuantumPartition follows QuantumStart with the quantum's lookahead
 	// partitioning, in runs that have a per-link lookahead matrix (not under
-	// LookaheadScalar, an output-queued switch, a zero-latency link or a
-	// one-node cluster). p is shared by every quantum of the same structure
+	// an output-queued switch, a zero-latency link or a one-node cluster). p is shared by every quantum of the same structure
 	// and must not be modified.
 	QuantumPartition(index int, p *Partitioning)
 	// QuantumEnd fires when the quantum's closing barrier completes.

@@ -33,10 +33,9 @@ func sampleRun(o Observer) {
 	o.NodePhase(0, PhaseDone, simtime.Guest(10*simtime.Microsecond), simtime.Guest(10*simtime.Microsecond),
 		simtime.Host(110*simtime.Microsecond), simtime.Host(110*simtime.Microsecond))
 	o.RunEnd(RunSummary{
-		GuestTime:          simtime.Guest(10 * simtime.Microsecond),
-		HostEnd:            simtime.Host(110 * simtime.Microsecond),
-		Quanta:             1,
-		FastEligibleQuanta: 1,
+		GuestTime: simtime.Guest(10 * simtime.Microsecond),
+		HostEnd:   simtime.Host(110 * simtime.Microsecond),
+		Quanta:    1,
 	})
 }
 

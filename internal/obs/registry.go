@@ -184,13 +184,6 @@ func (r *Registry) SetGauge(name string, v int64) {
 	r.mu.Unlock()
 }
 
-// ObserveHist folds a sample into a named histogram.
-func (r *Registry) ObserveHist(name string, v int64) {
-	r.mu.Lock()
-	r.hist(name).Observe(v)
-	r.mu.Unlock()
-}
-
 // hist returns the named histogram, creating it if needed. Callers hold r.mu.
 func (r *Registry) hist(name string) *Histogram {
 	h := r.hists[name]
@@ -230,8 +223,8 @@ func (r *Registry) RunEnd(sum RunSummary) {
 }
 
 // QuantumStart publishes the live quantum size, guest progress and how many
-// nodes the quantum leaves fast-walkable: all of them within the scalar
-// lookahead, otherwise none, unless QuantumPartition knows better.
+// nodes the quantum leaves fast-walkable: all of them within the smallest
+// per-link lookahead, otherwise none, unless QuantumPartition knows better.
 func (r *Registry) QuantumStart(index int, start simtime.Guest, q simtime.Duration, hostStart simtime.Host) {
 	r.mu.Lock()
 	defer r.mu.Unlock()

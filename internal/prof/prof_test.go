@@ -285,3 +285,72 @@ func TestLoadSweepRejectsMissingReport(t *testing.T) {
 		t.Fatalf("LoadSweep = %v, want an error naming run \"x\"", err)
 	}
 }
+
+// A nested report of another schema decodes into a zero Report, which every
+// consumer would render as a table of zeros: LoadSweep holds each run to
+// Schema, naming file and label.
+func TestLoadSweepRejectsForeignReport(t *testing.T) {
+	path := t.TempDir() + "/s.json"
+	if err := os.WriteFile(path, []byte(`{"schema":"clustersim-prof-sweep/1","runs":[{"label":"a","report":{"schema":"zzz"}}]}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err := LoadSweep(path)
+	if err == nil {
+		t.Fatal("LoadSweep accepted a run whose report has schema \"zzz\"")
+	}
+	for _, want := range []string{path, `"a"`, `"zzz"`} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not name %s", err, want)
+		}
+	}
+}
+
+// FuzzLoadReport: a report file is outside input. The three readers never
+// panic on it, every error names the file, and what they accept carries the
+// schema they promise — all the way down — and encodes again.
+func FuzzLoadReport(f *testing.F) {
+	for _, s := range []string{
+		``, `{}`, `[]`, `null`, `{"schema":7}`, `{"schema":"clustersim-prof/1","nodes":"x"}`,
+		`{"schema":"clustersim-prof/1","engine":"deterministic","nodes":2,"complete":true,"per_node":[{"node":1}],"links":[{"src":0,"dst":1}]}`,
+		`{"schema":"clustersim-prof-sweep/1","runs":[{"label":"a","report":{"schema":"clustersim-prof/1","links":[{"src":0,"dst":1}]}}]}`,
+		`{"schema":"clustersim-prof-sweep/1","runs":[{"label":"x"}]}`,
+		`{"schema":"clustersim-prof-sweep/1","runs":[{"label":"a","report":{"schema":"zzz"}}]}`,
+		`{"schema":"clustersim-prof-sweep/1","runs":[null]}`,
+	} {
+		f.Add([]byte(s))
+	}
+	path := f.TempDir() + "/in.json"
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		named := func(reader string, err error) {
+			if err != nil && !strings.Contains(err.Error(), path) {
+				t.Errorf("%s error %q does not name the file", reader, err)
+			}
+		}
+		_, err := DetectSchema(path)
+		named("DetectSchema", err)
+		r, err := Load(path)
+		named("Load", err)
+		if err == nil {
+			if r.Schema != Schema {
+				t.Errorf("Load accepted schema %q", r.Schema)
+			}
+			r.JSON()
+			r.NodesCSV()
+			r.LinksCSV()
+		}
+		s, err := LoadSweep(path)
+		named("LoadSweep", err)
+		if err == nil {
+			for _, run := range s.Runs {
+				if run.Report == nil || run.Report.Schema != Schema {
+					t.Fatalf("LoadSweep accepted run %q without a %s report", run.Label, Schema)
+				}
+			}
+			s.JSON()
+			s.LinksCSV()
+		}
+	})
+}

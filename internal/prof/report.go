@@ -149,8 +149,8 @@ type Report struct {
 	MinLatencyLinks []LinkRef `json:"min_latency_links,omitempty"`
 	MinLatencyTied  int64     `json:"min_latency_tied,omitempty"`
 	// Partitions is the partition-structure table: one row per lookahead
-	// level the run's quanta actually hit, ascending. Empty when the engine
-	// ran with scalar lookahead (or no lookahead at all).
+	// level the run's quanta actually hit, ascending. Empty when the
+	// configuration rules lookahead out.
 	Partitions []PartitionLevel `json:"partitions,omitempty"`
 
 	Hists []NamedHist `json:"hists,omitempty"`

@@ -140,6 +140,9 @@ func LoadSweep(path string) (*SweepReport, error) {
 		if run.Report == nil {
 			return nil, fmt.Errorf("prof: %s: run %q has no report", path, run.Label)
 		}
+		if run.Report.Schema != Schema {
+			return nil, fmt.Errorf("prof: %s: run %q: unexpected schema %q (want %q)", path, run.Label, run.Report.Schema, Schema)
+		}
 	}
 	return &r, nil
 }

@@ -50,23 +50,11 @@ func (t Guest) Add(d Duration) Guest { return t + Guest(d) }
 // Sub returns the duration t-u.
 func (t Guest) Sub(u Guest) Duration { return Duration(t - u) }
 
-// Before reports whether t is strictly earlier than u.
-func (t Guest) Before(u Guest) bool { return t < u }
-
-// After reports whether t is strictly later than u.
-func (t Guest) After(u Guest) bool { return t > u }
-
 // Add returns the host time d after t.
 func (t Host) Add(d Duration) Host { return t + Host(d) }
 
 // Sub returns the duration t-u.
 func (t Host) Sub(u Host) Duration { return Duration(t - u) }
-
-// Before reports whether t is strictly earlier than u.
-func (t Host) Before(u Host) bool { return t < u }
-
-// After reports whether t is strictly later than u.
-func (t Host) After(u Host) bool { return t > u }
 
 // Nanoseconds returns d as an integer nanosecond count.
 func (d Duration) Nanoseconds() int64 { return int64(d) }
@@ -153,14 +141,6 @@ func ParseDuration(s string) (Duration, error) {
 	return Duration(ns - 0.5), nil
 }
 
-// MaxDuration returns the larger of a and b.
-func MaxDuration(a, b Duration) Duration {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // MinDuration returns the smaller of a and b.
 func MinDuration(a, b Duration) Duration {
 	if a < b {
@@ -188,14 +168,6 @@ func MinGuest(a, b Guest) Guest {
 // MaxHost returns the later of a and b.
 func MaxHost(a, b Host) Host {
 	if a > b {
-		return a
-	}
-	return b
-}
-
-// MinHost returns the earlier of a and b.
-func MinHost(a, b Host) Host {
-	if a < b {
 		return a
 	}
 	return b

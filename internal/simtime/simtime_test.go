@@ -88,14 +88,14 @@ func TestScale(t *testing.T) {
 }
 
 func TestMinMaxHelpers(t *testing.T) {
-	if MaxDuration(1, 2) != 2 || MinDuration(1, 2) != 1 {
-		t.Error("duration min/max broken")
+	if MinDuration(1, 2) != 1 || MinDuration(2, 1) != 1 {
+		t.Error("duration min broken")
 	}
 	if MaxGuest(3, 4) != 4 || MinGuest(3, 4) != 3 {
 		t.Error("guest min/max broken")
 	}
-	if MaxHost(5, 6) != 6 || MinHost(5, 6) != 5 {
-		t.Error("host min/max broken")
+	if MaxHost(5, 6) != 6 || MaxHost(6, 5) != 6 {
+		t.Error("host max broken")
 	}
 }
 
@@ -107,15 +107,9 @@ func TestClockArithmetic(t *testing.T) {
 	if Guest(150).Sub(g) != 50 {
 		t.Error("Guest.Sub broken")
 	}
-	if !g.Before(150) || !Guest(150).After(g) {
-		t.Error("Guest ordering broken")
-	}
 	h := Host(10)
 	if h.Add(5) != Host(15) || Host(15).Sub(h) != 5 {
 		t.Error("Host arithmetic broken")
-	}
-	if !h.Before(20) || !Host(20).After(h) {
-		t.Error("Host ordering broken")
 	}
 }
 
