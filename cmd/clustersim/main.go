@@ -56,7 +56,7 @@ var (
 	progressFlag    = flag.Bool("progress", false, "report live progress (guest %, quanta/s, current Q, straggler rate) on stderr")
 	reportFlag      = flag.String("report", "", "write a sync-overhead attribution report here (JSON, plus .nodes.csv/.links.csv sidecars); inspect with simprof")
 	topoFlag        = flag.String("topo", "", "switch topology override: rack:<radix>:<edge>:<core> builds a two-level fat-tree (e.g. rack:4:500ns:2us), mixedwan:<rack>:<rackLat>:<wanLat> one tight rack plus WAN singletons; default keeps the paper's perfect switch")
-	contentionFlag  = flag.String("contention", "", "switch output-port contention model as <bytes/s>:<latency> (e.g. 10e9:500ns); incast senders queue behind each other; disables the fast path")
+	contentionFlag  = flag.String("contention", "", "switch output-port contention model as <bytes/s>:<latency> (e.g. 10e9:500ns); incast senders queue behind each other; disables lookahead (no quantum can be partitioned)")
 )
 
 // parseContention parses the -contention flag into an output-queue model:

@@ -6,6 +6,7 @@ import (
 	"clustersim/internal/guest"
 	"clustersim/internal/netmodel"
 	"clustersim/internal/obs"
+	"clustersim/internal/quantum"
 	"clustersim/internal/simtime"
 	"clustersim/internal/workloads"
 )
@@ -81,24 +82,57 @@ func TestClassicWalkZeroAllocsPerQuantum(t *testing.T) {
 
 // TestQuietQuantumZeroAllocs pins the quiet pass at zero allocations per
 // quantum: a 10x longer silent run must allocate as much as a short one, with
-// nearly all of the extra quanta fast-forwarded.
+// nearly all of the extra quanta fast-forwarded — one per pass (an Adaptive
+// policy that holds Q at 1µs) and ten per pass (the Fixed policy's stretches,
+// DESIGN.md §7.1), with a do-nothing observer to publish them to and without.
 func TestQuietQuantumZeroAllocs(t *testing.T) {
-	mk := func(d simtime.Duration) Config {
-		return testConfig(4, workloads.Silent(d), fixed(simtime.Microsecond))
+	policies := []struct {
+		name    string
+		pol     func() quantum.Policy
+		stretch int // quanta per pass that most of the run must execute in
+	}{
+		{"k=1", adaptive(simtime.Microsecond, simtime.Millisecond, 1+1e-9, 0.02), 1},
+		{"k=10", fixed(simtime.Microsecond), 10},
 	}
-	aShort, short := allocsForRun(t, mk(1*simtime.Millisecond))
-	aLong, long := allocsForRun(t, mk(10*simtime.Millisecond))
-	t.Logf("short %v allocs / %d quanta (%d quiet), long %v allocs / %d quanta (%d quiet)",
-		aShort, short.Quanta, short.QuietQuanta, aLong, long.Quanta, long.QuietQuanta)
-	extra := long.Quanta - short.Quanta
-	if quiet := long.QuietQuanta - short.QuietQuanta; quiet*100 < 95*extra {
-		t.Errorf("only %d of the %d extra quanta were quiet", quiet, extra)
-	}
-	// An allocation in the pass costs at least 1 per quantum; set-up
-	// jitter (a GC cycle landing in one run) moves the totals by a few
-	// allocations per run.
-	if per := (aLong - aShort) / float64(extra); per >= 0.01 {
-		t.Errorf("quiet quanta allocate %.4f allocs/quantum (want 0)", per)
+	for _, p := range policies {
+		for _, observed := range []bool{true, false} {
+			// measure returns the run's allocations, its quanta, and those of
+			// them the quiet pass executed p.stretch at a time.
+			measure := func(d simtime.Duration) (allocs float64, quanta, inStretch int) {
+				cfg := testConfig(4, workloads.Silent(d), p.pol)
+				if observed {
+					cfg.Observer = obs.Base{}
+				}
+				cfg.onStretch = func(k int) {
+					if k == p.stretch {
+						inStretch += k
+					}
+				}
+				allocs = testing.AllocsPerRun(5, func() {
+					inStretch = 0
+					res, err := Run(cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					quanta = res.Stats.Quanta
+				})
+				return
+			}
+			aShort, qShort, sShort := measure(1 * simtime.Millisecond)
+			aLong, qLong, sLong := measure(10 * simtime.Millisecond)
+			t.Logf("%s observed=%v: short %v allocs / %d quanta (%d in stretches of %d), long %v allocs / %d quanta (%d)",
+				p.name, observed, aShort, qShort, sShort, p.stretch, aLong, qLong, sLong)
+			extra := qLong - qShort
+			if quiet := sLong - sShort; quiet*100 < 95*extra {
+				t.Errorf("%s observed=%v: only %d of the %d extra quanta were quiet in stretches of %d", p.name, observed, quiet, extra, p.stretch)
+			}
+			// An allocation in the pass costs at least 1 per stretch; set-up
+			// jitter (a GC cycle landing in one run) moves the totals by a few
+			// allocations per run.
+			if per := (aLong - aShort) / float64(extra); per >= 0.01 {
+				t.Errorf("%s observed=%v: quiet quanta allocate %.4f allocs/quantum (want 0)", p.name, observed, per)
+			}
+		}
 	}
 }
 

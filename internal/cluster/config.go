@@ -88,6 +88,10 @@ type Config struct {
 	// at all (so the answers for one should agree). Package-internal test
 	// hook.
 	onQuiet func(qi, node int) bool
+	// onStretch, when non-nil, is told the length k >= 1 of each quiet stretch
+	// the engine executes as one pass (DESIGN.md §7.1). Package-internal test
+	// probe; unlike the two hooks above it does not hold k to 1.
+	onStretch func(k int)
 }
 
 // LookaheadMode is the type of the unread Config.Lookahead stub; it and its
@@ -205,19 +209,19 @@ type Stats struct {
 	PartialPartitions int
 }
 
-// observeQuantum folds one quantum's duration and traffic into the
-// aggregate. Shared by the deterministic engine and the parallel runner so
-// the min/max/silent accounting cannot drift between them.
-func (s *Stats) observeQuantum(q simtime.Duration, packets int) {
-	s.Quanta++
-	if q < s.MinQ || s.Quanta == 1 {
+// observeQuanta folds k quanta of one duration and one traffic count each
+// into the aggregate. Shared by the deterministic engine and the parallel
+// runner so the min/max/silent accounting cannot drift between them.
+func (s *Stats) observeQuanta(k int, q simtime.Duration, packets int) {
+	if q < s.MinQ || s.Quanta == 0 {
 		s.MinQ = q
 	}
+	s.Quanta += k
 	if q > s.MaxQ {
 		s.MaxQ = q
 	}
 	if packets == 0 {
-		s.SilentQuanta++
+		s.SilentQuanta += k
 	}
 }
 

@@ -81,37 +81,55 @@ func (c *controller) runEnd(err error, guestTime simtime.Guest, hostEnd simtime.
 	})
 }
 
-// beginQuantum opens quantum qi = (start, start+Q] at host time h, partitions
-// it and does its engagement accounting. Partitioning and accounting are a
-// pure function of (Q, lookahead), so Stats and what a sink derives from the
-// stream are identical for both runners. A lookahead that is ruled out has
-// one partitioning for every Q, which says nothing and is not published.
+// beginQuantum opens quantum qi = (start, start+Q] at host time h and
+// partitions it. A lookahead that is ruled out has one partitioning for every
+// Q, which says nothing and is not published.
 func (c *controller) beginQuantum(qi int, start simtime.Guest, Q simtime.Duration, h simtime.Host) *partitioning {
 	c.limit = start.Add(Q)
 	c.np, c.str = 0, 0
 	c.part = c.la.partitionFor(Q)
+	c.publishStart(qi, start, Q, h)
+	return c.part
+}
+
+// publishStart publishes the opening of quantum qi, partitioned as the
+// current one.
+func (c *controller) publishStart(qi int, start simtime.Guest, Q simtime.Duration, h simtime.Host) {
 	if c.obs != nil {
 		c.obs.QuantumStart(qi, start, Q, h)
 		if c.la.min > 0 {
 			c.obs.QuantumPartition(qi, &c.part.Partitioning)
 		}
 	}
+}
+
+// foldQuanta folds k finished quanta of duration Q, each partitioned like the
+// current one and carrying its traffic, into the aggregate (k > 1: a quiet
+// stretch, DESIGN.md §7.1). The engagement accounting is a pure function of
+// (Q, lookahead), so Stats and what a sink derives from the stream are
+// identical for both runners.
+func (c *controller) foldQuanta(k int, Q simtime.Duration) {
 	switch fast := c.part.FastNodes; {
 	case fast == c.n:
-		c.stats.FastFullQuanta++
+		c.stats.FastFullQuanta += k
 	case fast > 0:
-		c.stats.FastPartialQuanta++
-		c.stats.PartialPartitions += c.part.Partitions
+		c.stats.FastPartialQuanta += k
+		c.stats.PartialPartitions += k * c.part.Partitions
 	}
-	c.stats.FastNodeQuanta += c.part.FastNodes
-	return c.part
+	c.stats.FastNodeQuanta += k * c.part.FastNodes
+	c.stats.observeQuanta(k, Q, c.np)
+	c.sumQ += float64(k) * float64(Q)
 }
 
 // endQuantum folds the finished quantum into the aggregate and publishes its
 // record; routing is the controller's per-packet share of the barrier span.
 func (c *controller) endQuantum(qi int, start simtime.Guest, Q simtime.Duration, hStart, barrierStart, hEnd simtime.Host, routing simtime.Duration) {
-	c.stats.observeQuantum(Q, c.np)
-	c.sumQ += float64(Q)
+	c.foldQuanta(1, Q)
+	c.publishQuantum(qi, start, Q, hStart, barrierStart, hEnd, routing)
+}
+
+// publishQuantum publishes quantum qi's record.
+func (c *controller) publishQuantum(qi int, start simtime.Guest, Q simtime.Duration, hStart, barrierStart, hEnd simtime.Host, routing simtime.Duration) {
 	if c.obs != nil {
 		c.obs.QuantumEnd(obs.QuantumRecord{
 			Index:        qi,

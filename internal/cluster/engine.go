@@ -173,7 +173,6 @@ type engine struct {
 	batching bool
 
 	qStartG  simtime.Guest // guest time the quantum starts at: every node's position at the barrier
-	qStartH  simtime.Host  // barrier release that started the quantum
 	lastEvtH simtime.Host  // latest frame event host time this quantum
 
 	doneCount int
@@ -295,44 +294,41 @@ func (e *engine) runQuanta() (start simtime.Guest, hostNow simtime.Host, err err
 		}
 	}()
 	nodes := e.cfg.Nodes
-	for qi, Q := 0, e.policy.First(); ; qi++ {
+	Q := e.policy.First()
+	for e.qi = 0; ; e.qi++ {
 		if Q <= 0 {
 			return start, hostNow, fmt.Errorf("cluster: policy %q issued non-positive quantum %v", e.policy.Name(), Q)
 		}
-		e.qi = qi
 		e.qStartG = start
-		e.qStartH = hostNow
 		e.lastEvtH = hostNow
 		e.flights = e.flights[:0]
 		e.batch = e.batch[:0]
 		// The quantum's lookahead partitioning is all that selects how it is
-		// stepped (DESIGN.md §7); the accounting in beginQuantum never sees the
-		// test hook's substitute.
-		part := e.beginQuantum(qi, start, Q, hostNow)
+		// stepped (DESIGN.md §7); the accounting at its end never sees the test
+		// hook's substitute.
+		part := e.beginQuantum(e.qi, start, Q, hostNow)
 		if hook := e.cfg.onPartition; hook != nil && hook(part) {
 			part = e.la.wholeCluster()
 		}
 		// Ahead of it: when no node has an event before the limit there is
-		// nothing to step, queue or route, and the quantum is one arithmetic
-		// pass over the nodes.
+		// nothing to step, queue or route, and the quantum — with every
+		// identical one after it — is one arithmetic pass over the nodes.
 		if e.quietQuantum() {
-			e.runQuantumQuiet(hostNow)
+			hostNow = e.quietStretch(start, Q, hostNow)
 		} else {
 			e.runQuantum(hostNow, part)
+			// Barrier: wait for the slowest node and any late frames, pay the
+			// barrier cost plus the controller's per-packet occupancy.
+			maxH := e.lastEvtH
+			for _, fh := range e.na.finishHost {
+				maxH = simtime.MaxHost(maxH, fh)
+			}
+			routing := simtime.Duration(e.np) * e.cfg.Host.PacketHostCost
+			barrierEnd := maxH.Add(e.cfg.Host.BarrierCost).Add(routing)
+			e.stats.HostBarrier += barrierEnd.Sub(maxH)
+			e.endQuantum(e.qi, start, Q, hostNow, maxH, barrierEnd, routing)
+			hostNow = barrierEnd
 		}
-
-		// Barrier: wait for the slowest node and any late frames, pay the
-		// barrier cost plus the controller's per-packet occupancy.
-		maxH := e.lastEvtH
-		for _, fh := range e.na.finishHost {
-			maxH = simtime.MaxHost(maxH, fh)
-		}
-		routing := simtime.Duration(e.np) * e.cfg.Host.PacketHostCost
-		barrierEnd := maxH.Add(e.cfg.Host.BarrierCost).Add(routing)
-		e.stats.HostBarrier += barrierEnd.Sub(maxH)
-		e.endQuantum(qi, start, Q, hostNow, maxH, barrierEnd, routing)
-
-		hostNow = barrierEnd
 		start = e.limit
 
 		if e.doneCount == nodes {
@@ -818,30 +814,33 @@ func (e *engine) sitsOut(i int) bool {
 	return true
 }
 
-// quietNode executes node i's whole quantum arithmetically: the node has no
-// event before the limit, so it spends the quantum in one busy or idle
-// segment from the quantum start — where every node stands at a barrier — to
-// the limit, which is what a walk would have found by stepping — the same
-// hostCost call, the same charges, the same single NodePhase — minus the Step
-// calls, coroutine switches and event-queue round-trips. It
-// works on the engine's lanes alone: the node itself is left behind, marked
-// in the lag lane, for syncNode.
+// quietNode executes node i's whole quantum arithmetically, and k-1 identical
+// ones after it (k > 1: a quiet stretch): the node has no event before the
+// limit, so it spends the quantum in one busy or idle segment from the quantum
+// start — where every node stands at a barrier — to the limit, which is what a
+// walk would have found by stepping — the same hostCost call, the same charges,
+// the same single NodePhase — minus the Step calls, coroutine switches and
+// event-queue round-trips. It works on the engine's lanes alone: the node
+// itself is left behind, marked in the lag lane, for syncNode. The first
+// quantum's segment is what it publishes and leaves in finishHost; it returns
+// the segment's host cost.
 //
-//simlint:hotpath quiet pass, one node: the whole cost of a node-quantum in which the node cannot act
-func (e *engine) quietNode(i int, hostNow simtime.Host) {
-	e.nQuietNodes++
+//simlint:hotpath quiet pass, one node: the whole cost of the node-quanta in which the node cannot act
+func (e *engine) quietNode(i int, hostNow simtime.Host, k int) simtime.Duration {
+	e.nQuietNodes += k
 	mode, ph, total := host.Idle, obs.PhaseIdle, &e.stats.HostIdle
 	if e.na.quietBusy[i] {
 		mode, ph, total = host.Busy, obs.PhaseBusy, &e.stats.HostBusy
 	}
 	cost := e.hostCost(i, e.qStartG, e.limit, mode)
-	*total += cost
+	*total += simtime.Duration(k) * cost
 	end := hostNow.Add(cost)
 	if e.obs != nil {
 		e.obs.NodePhase(i, ph, e.qStartG, e.limit, hostNow, end)
 	}
 	e.na.finishHost[i] = end
 	e.na.lag[i] = true
+	return cost
 }
 
 // syncNode catches node i's guest clock up to the barrier at guest time to,
@@ -860,14 +859,77 @@ func (e *engine) syncNode(i int, to simtime.Guest) {
 	}
 }
 
-// runQuantumQuiet executes one quiet quantum as a single arithmetic pass.
-// Hooks fire in ascending node order; there is nothing to route, so the
-// common barrier tail sees an empty batch.
-func (e *engine) runQuantumQuiet(hostNow simtime.Host) {
-	e.nQuiet++
-	for i := range e.na.node {
-		e.quietNode(i, hostNow)
+// stretchLen is the number k >= 1 of consecutive quanta, from the quiet one
+// the run loop has opened at start, that are provably identical to it
+// (DESIGN.md §7.1): the same Q — a Fixed policy's; any other may change it
+// after every quantum — every limit strictly below the horizon quietH, every
+// quantum inside the span of one host speed draw, and none after the first
+// that ends past MaxGuest. The test hooks see every quantum: k = 1.
+func (e *engine) stretchLen(start simtime.Guest, Q simtime.Duration) int {
+	if _, fixed := e.policy.(quantum.Fixed); !fixed || e.cfg.onQuiet != nil || e.cfg.onPartition != nil {
+		return 1
 	}
+	k := simtime.MinGuest(e.hm.UniformUntil(start), e.quietH-1).Sub(start) / Q
+	if m := e.cfg.MaxGuest; m > 0 {
+		k = min(k, m.Sub(start)/Q+1)
+	}
+	return int(max(k, 1))
+}
+
+// quietStretch executes the quiet quantum the run loop has opened at (start,
+// hostNow), and with it the k-1 identical ones after it (stretchLen), as one
+// arithmetic pass: one hostCost call per node, and the k quanta accounted in
+// closed form — host time is integer, so k quanta are one quantum times k
+// exactly. Each lasts the slowest node's cost plus the barrier cost; there is
+// nothing to route. An observer is told all k, from the one pass, in the order
+// k single quanta publish in: finishHost holds the first quantum's segment
+// ends, and every later quantum is one span further on. It returns the last
+// barrier's release.
+//
+//simlint:hotpath quiet pass: all a ground-truth run does between two ops
+func (e *engine) quietStretch(start simtime.Guest, Q simtime.Duration, hostNow simtime.Host) simtime.Host {
+	k := e.stretchLen(start, Q)
+	if hook := e.cfg.onStretch; hook != nil {
+		hook(k)
+	}
+	var maxC simtime.Duration
+	for i := range e.na.node {
+		maxC = max(maxC, e.quietNode(i, hostNow, k))
+	}
+	span := maxC + e.cfg.Host.BarrierCost
+	e.nQuiet += k
+	e.stats.HostBarrier += simtime.Duration(k) * e.cfg.Host.BarrierCost
+	e.foldQuanta(k, Q)
+	e.publishQuantum(e.qi, start, Q, hostNow, hostNow.Add(maxC), hostNow.Add(span), 0)
+	if k == 1 {
+		return hostNow.Add(span)
+	}
+	if e.obs != nil {
+		g, h := start, hostNow
+		for j := 1; j < k; j++ {
+			g, h = g.Add(Q), h.Add(span)
+			ahead := h.Sub(hostNow)
+			e.publishStart(e.qi+j, g, Q, h)
+			for i, fh := range e.na.finishHost {
+				ph := obs.PhaseIdle
+				if e.na.quietBusy[i] {
+					ph = obs.PhaseBusy
+				}
+				e.obs.NodePhase(i, ph, g, g.Add(Q), h, fh.Add(ahead))
+			}
+			e.publishQuantum(e.qi+j, g, Q, h, h.Add(maxC), h.Add(span), 0)
+		}
+	}
+	// The engine stands where k single quanta leave it: in the last one, every
+	// node at its barrier.
+	rest := simtime.Duration(k - 1)
+	for i, fh := range e.na.finishHost {
+		e.na.finishHost[i] = fh.Add(rest * span)
+	}
+	e.qi += k - 1
+	e.qStartG = start.Add(rest * Q)
+	e.limit = e.qStartG.Add(Q)
+	return hostNow.Add(simtime.Duration(k) * span)
 }
 
 // tightSitsOut reports whether a tight partition is skipped in the current
@@ -916,7 +978,7 @@ func (e *engine) runQuantum(hostNow simtime.Host, p *partitioning) {
 	for _, members := range p.tight {
 		if e.tightSitsOut(members) {
 			for _, m := range members {
-				e.quietNode(int(m), hostNow)
+				e.quietNode(int(m), hostNow, 1)
 			}
 			continue
 		}
@@ -928,7 +990,7 @@ func (e *engine) runQuantum(hostNow simtime.Host, p *partitioning) {
 	}
 	for _, i := range p.loose {
 		if e.sitsOut(int(i)) {
-			e.quietNode(int(i), hostNow)
+			e.quietNode(int(i), hostNow, 1)
 		} else {
 			e.walkNode(int(i), hostNow)
 		}

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"clustersim/internal/netmodel"
+	"clustersim/internal/quantum"
 	"clustersim/internal/simtime"
 	"clustersim/internal/workloads"
 )
@@ -68,35 +69,47 @@ func BenchmarkGroundTruthQuanta(b *testing.B) {
 }
 
 // BenchmarkQuietNodeQuantum measures the engine's smallest constant: what one
-// node costs in one quantum in which it cannot act (DESIGN.md §7.1) — the
-// quiet test, one hostCost call and a few lane writes — which a ground-truth
-// run multiplies by nodes × quanta. The workload is one long compute per
-// rank at Q = 1µs, so every quantum but the first and the last is quiet; the
-// ns/node-quantum metric divides the whole run, set-up included, by the
-// node-quanta the quiet pass executed (counted by one observed run up front;
-// the timed runs carry no observer).
+// node costs in one quantum in which it cannot act (DESIGN.md §7.1), which a
+// ground-truth run multiplies by nodes × quanta. The workload is one long
+// compute per rank at Q = 1µs, so every quantum but the first and the last is
+// quiet. Under the Fixed policy the quanta of one jitter window collapse into
+// one pass — one hostCost call per node per ten quanta; an Adaptive policy
+// with inc a hair above 1 issues the same 1µs every time but could change it
+// after any quantum, so it keeps every stretch at k = 1, the per-quantum
+// constant: the quiet test, one hostCost call and a few lane writes. The ns/node-quantum metric divides the whole run, set-up included,
+// by the node-quanta the quiet pass executed (counted by one observed run up
+// front; the timed runs carry no observer).
 func BenchmarkQuietNodeQuantum(b *testing.B) {
-	for _, nodes := range []int{8, 64} {
-		b.Run(fmt.Sprintf("nodes=%d", nodes), func(b *testing.B) {
-			cfg := testConfig(nodes, workloads.Silent(5*simtime.Millisecond), fixed(simtime.Microsecond))
-			counted := cfg
-			sum := &summaryObs{}
-			counted.Observer = sum
-			if _, err := Run(counted); err != nil {
-				b.Fatal(err)
-			}
-			quiet := sum.sum.QuietNodeQuanta
-			if quiet*100 < 99*nodes*sum.sum.Quanta {
-				b.Fatalf("only %d of %d node-quanta are quiet: not measuring the quiet pass", quiet, nodes*sum.sum.Quanta)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := Run(cfg); err != nil {
+	policies := []struct {
+		name string
+		pol  func() quantum.Policy
+	}{
+		{"fixed", fixed(simtime.Microsecond)},
+		{"adaptive-inc=1", adaptive(simtime.Microsecond, simtime.Millisecond, 1+1e-9, 0.02)},
+	}
+	for _, p := range policies {
+		for _, nodes := range []int{8, 64} {
+			b.Run(fmt.Sprintf("%s/nodes=%d", p.name, nodes), func(b *testing.B) {
+				cfg := testConfig(nodes, workloads.Silent(5*simtime.Millisecond), p.pol)
+				counted := cfg
+				sum := &summaryObs{}
+				counted.Observer = sum
+				if _, err := Run(counted); err != nil {
 					b.Fatal(err)
 				}
-			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*quiet), "ns/node-quantum")
-		})
+				quiet := sum.sum.QuietNodeQuanta
+				if quiet*100 < 99*nodes*sum.sum.Quanta {
+					b.Fatalf("only %d of %d node-quanta are quiet: not measuring the quiet pass", quiet, nodes*sum.sum.Quanta)
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if _, err := Run(cfg); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*quiet), "ns/node-quantum")
+			})
+		}
 	}
 }

@@ -187,9 +187,9 @@ func TestStatsFinalize(t *testing.T) {
 	}
 
 	var st2 Stats
-	st2.observeQuantum(50*simtime.Microsecond, 1)
-	st2.observeQuantum(10*simtime.Microsecond, 0)
-	st2.observeQuantum(80*simtime.Microsecond, 2)
+	st2.observeQuanta(1, 50*simtime.Microsecond, 1)
+	st2.observeQuanta(1, 10*simtime.Microsecond, 0)
+	st2.observeQuanta(1, 80*simtime.Microsecond, 2)
 	st2.finalize(float64(140 * simtime.Microsecond))
 	if st2.MinQ != 10*simtime.Microsecond {
 		t.Errorf("MinQ = %v, want 10µs", st2.MinQ)

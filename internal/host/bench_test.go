@@ -15,6 +15,15 @@ func BenchmarkHostCostOneWindow(b *testing.B) {
 	}
 }
 
+func BenchmarkUniformUntil(b *testing.B) {
+	m := NewModel(DefaultParams())
+	for i := 0; i < b.N; i++ {
+		sinkGuest = m.UniformUntil(simtime.Guest(i%1000) * 10)
+	}
+}
+
+var sinkGuest simtime.Guest
+
 func BenchmarkHostCostLongQuantum(b *testing.B) {
 	// A 1000µs quantum spans 100 jitter windows.
 	m := NewModel(DefaultParams())

@@ -302,6 +302,19 @@ func (m *Model) segEnd(g simtime.Guest) simtime.Guest {
 	return end
 }
 
+// UniformUntil returns the guest time up to which conversions starting at or
+// after g are one product of length, rate and a single speed draw: every
+// interval of one length and mode inside [g, UniformUntil(g)] has the same
+// HostCost on a given node. That is the end of g's jitter window — or g
+// itself under a sampling schedule, whose phases change the rate mid-window.
+func (m *Model) UniformUntil(g simtime.Guest) simtime.Guest {
+	if m.p.Sampling != nil {
+		return g
+	}
+	per := simtime.Guest(m.p.JitterPeriod)
+	return (g/per + 1) * per
+}
+
 // HostCost returns the host time needed for node to advance guest time from
 // g0 to g1 in the given mode, integrating across jitter windows and sampling
 // phases.

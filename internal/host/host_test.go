@@ -2,6 +2,7 @@ package host
 
 import (
 	"math"
+	"math/rand"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -174,5 +175,50 @@ func TestValidation(t *testing.T) {
 func TestModeString(t *testing.T) {
 	if Busy.String() != "busy" || Idle.String() != "idle" {
 		t.Error("mode strings broken")
+	}
+}
+
+// TestUniformUntil is the law the engine's quiet stretches rest on: every
+// interval of one length inside [g, UniformUntil(g)] costs a node the same in
+// a given mode — with and without its memo entry — the bound is tight (an
+// interval reaching one nanosecond past it can cost something else), and a
+// sampling schedule leaves no uniform span at all.
+func TestUniformUntil(t *testing.T) {
+	rnd := rand.New(rand.NewSource(24))
+	tight := false
+	for trial := 0; trial < 300; trial++ {
+		p := DefaultParams()
+		p.Seed = rnd.Uint64()
+		m := NewModel(p)
+		m.Reserve(8)
+		node := rnd.Intn(12) // four of them beyond the reservation
+		mode := Mode(rnd.Intn(2))
+		g := simtime.Guest(rnd.Int63n(int64(simtime.Millisecond)))
+		u := m.UniformUntil(g)
+		if u <= g || u.Sub(g) > p.JitterPeriod {
+			t.Fatalf("UniformUntil(%v) = %v, want within one jitter period past it", g, u)
+		}
+		n := simtime.Guest(rnd.Int63n(int64(u-g)) + 1)
+		want := m.HostCost(node, g, g+n, mode)
+		for a := g; a+n <= u; a += simtime.Guest(1 + rnd.Intn(97)) {
+			if got := m.HostCost(node, a, a+n, mode); got != want {
+				t.Fatalf("seed %d node %d %v: [%v, %v] costs %v, [%v, %v] costs %v, both inside [%v, %v]",
+					p.Seed, node, mode, g, g+n, want, a, a+n, got, g, u)
+			}
+		}
+		if got := m.HostCost(node, u-n, u, mode); got != want {
+			t.Fatalf("seed %d node %d %v: the last interval [%v, %v] costs %v, the first %v", p.Seed, node, mode, u-n, u, got, want)
+		}
+		if m.HostCost(node, u-n+1, u+1, mode) != want {
+			tight = true
+		}
+
+		p.Sampling = &Sampling{Period: 7 * simtime.Microsecond, DetailFraction: 0.4, FastSlowdown: 2}
+		if got := NewModel(p).UniformUntil(g); got != g {
+			t.Fatalf("under a sampling schedule UniformUntil(%v) = %v, want %v", g, got, g)
+		}
+	}
+	if !tight {
+		t.Error("no interval reaching 1ns past UniformUntil cost differently: the bound is not shown tight")
 	}
 }
