@@ -13,11 +13,13 @@ import (
 
 // The arena engine's headline allocation guarantee (DESIGN.md §12): after
 // warm-up, advancing a quantum costs zero heap allocations in the event-queue
-// walk and in the quiet pass, and the batched router's only per-quantum
+// walk and in the quiet pass, and the barrier routing loop's only per-quantum
 // allocations are the unavoidable per-message guest buffers. One run's setup
 // (nodes, arenas, queues) does allocate, so the steady-state rate is isolated
 // by differencing two runs that are identical except for their length: setup
-// cancels and the remainder is pure per-quantum cost.
+// cancels and the remainder is pure per-quantum cost. The race detector's
+// runtime allocates on its own account and moves that difference, so under
+// -race the pins check only that the path under test engaged.
 
 // summaryObs keeps the RunSummary, where the engine reports its path mix.
 type summaryObs struct {
@@ -75,7 +77,7 @@ func TestClassicWalkZeroAllocsPerQuantum(t *testing.T) {
 		cfg.onPartition = func(*partitioning) bool { return true }
 		return cfg
 	}
-	if per, _ := steadyStatePerStepped(t, "event-queue walk", mk(2), mk(8)); per >= 0.5 {
+	if per, _ := steadyStatePerStepped(t, "event-queue walk", mk(2), mk(8)); !raceEnabled && per >= 0.5 {
 		t.Errorf("event-queue walk steady state allocates %.4f allocs/stepped quantum (want < 0.5: only per-message guest buffers)", per)
 	}
 }
@@ -129,7 +131,7 @@ func TestQuietQuantumZeroAllocs(t *testing.T) {
 			// An allocation in the pass costs at least 1 per stretch; set-up
 			// jitter (a GC cycle landing in one run) moves the totals by a few
 			// allocations per run.
-			if per := (aLong - aShort) / float64(extra); per >= 0.01 {
+			if per := (aLong - aShort) / float64(extra); !raceEnabled && per >= 0.01 {
 				t.Errorf("%s observed=%v: quiet quanta allocate %.4f allocs/quantum (want 0)", p.name, observed, per)
 			}
 		}
@@ -168,7 +170,7 @@ func TestSparseQuantumZeroAllocs(t *testing.T) {
 	}
 	for _, p := range paths {
 		per, sum := steadyStatePerStepped(t, p.name, mk(20, p.net, p.q), mk(200, p.net, p.q))
-		if per >= 0.01 {
+		if !raceEnabled && per >= 0.01 {
 			t.Errorf("%s: sparse quanta allocate %.4f allocs/stepped quantum (want 0)", p.name, per)
 		}
 		stepped := sum.Quanta - sum.QuietQuanta
@@ -179,14 +181,14 @@ func TestSparseQuantumZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestBatchedRouterAllocsPerQuantum pins the batched barrier router:
+// TestBatchedRouterAllocsPerQuantum pins the barrier routing loop:
 // per-quantum allocations must come only from the per-message guest buffers
 // (payload copy plus block-amortized frame/message carves), never from the
 // engine's routing structures. The workloads differ only in phase count, so
 // the per-quantum difference is the cost of extra communicating quanta.
 func TestBatchedRouterAllocsPerQuantum(t *testing.T) {
 	// Q=1µs is below the Paper model's minimum latency: every node is loose
-	// in every quantum and every frame routes through routeBatch.
+	// in every quantum and every frame routes at the barrier.
 	const q = 1 * simtime.Microsecond
 	mk := func(phases int) Config {
 		return testConfig(4, workloads.Phases(phases, 150*simtime.Microsecond, 32<<10), fixed(q))
@@ -194,10 +196,10 @@ func TestBatchedRouterAllocsPerQuantum(t *testing.T) {
 	perQuantum, _ := steadyStatePerStepped(t, "batched router", mk(2), mk(8))
 	// Six extra alltoall phases are 72 extra 8KB messages; each costs one
 	// payload buffer plus 3/64ths of a block carve. Everything else — the
-	// flight slab, the batch and delivery buffers, the event arena — must
+	// flight slab, the deferred-flight lanes, the event arena — must
 	// be reused, so the steady state stays far below one alloc per stepped
 	// quantum (the compute stretches are quiet and never reach the router).
-	if perQuantum >= 0.5 {
+	if !raceEnabled && perQuantum >= 0.5 {
 		t.Errorf("batched router steady state allocates %.4f allocs/stepped quantum (want < 0.5: only per-message guest buffers)", perQuantum)
 	}
 }

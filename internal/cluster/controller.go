@@ -9,12 +9,13 @@ import (
 )
 
 // controller is the paper's network controller, minus whatever depends on
-// who runs the nodes: the per-quantum eligibility gate, a frame's exact
-// arrival time, the fault draws, the three-case delivery rule and the
-// accounting of all four. The deterministic engine and the goroutine runner
-// each embed one, so there is a single definition of "straggler"; what stays
-// with the runner is what differs — batching and idle re-aim in the engine,
-// the mutex (which guards every field here) and park/wake in the runner.
+// who runs the nodes: the per-quantum eligibility gate, the NIC departure,
+// the switch's fan-out rule, a frame's exact arrival time, the fault draws,
+// the three-case delivery rule and the accounting of all of them. The
+// deterministic engine and the goroutine runner each embed one, so there is a
+// single definition of "straggler"; what stays with the runner is what
+// differs — deferral and idle re-aim in the engine, the mutex (which guards
+// every field here but net) and park/wake in the runner.
 type controller struct {
 	n      int // nodes
 	net    *netmodel.Model
@@ -144,6 +145,31 @@ func (c *controller) publishQuantum(qi int, start simtime.Guest, Q simtime.Durat
 			FastEligible: c.part.FastNodes == c.n,
 		})
 	}
+}
+
+// depart is the source NIC: a frame handed to it at guest time tSend leaves
+// once the transmitter *txFree is free and the frame is serialized, which is
+// when the transmitter frees up next. It reads only the net model.
+func (c *controller) depart(txFree *simtime.Guest, tSend simtime.Guest, f *pkt.Frame) simtime.Guest {
+	*txFree = simtime.MaxGuest(tSend, *txFree).Add(c.net.NIC.Serialization(f))
+	return *txFree
+}
+
+// fanOut is the switch's forwarding rule for a frame src sends: it is shipped
+// to every destination in [lo, hi) but skip. A broadcast goes to every other
+// node; a unicast to its node, the sender's own included. A frame to an
+// unknown MAC is flooded nowhere — the cluster has no other ports — but is
+// counted as routed traffic here.
+func (c *controller) fanOut(src int, f *pkt.Frame) (lo, hi, skip int) {
+	if f.Dst.IsBroadcast() {
+		return 0, c.n, src
+	}
+	dst := f.Dst.Node()
+	if dst < 0 || dst >= c.n {
+		c.countPacket()
+		return 0, 0, -1
+	}
+	return dst, dst + 1, -1
 }
 
 // arrival is the exact simulated arrival time of a frame that left src's NIC

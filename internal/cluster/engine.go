@@ -121,7 +121,7 @@ func newNodeArena(nodes []*guest.Node) nodeArena {
 func lane[T any](buf []T, k, n int) []T { return buf[k*n : (k+1)*n : (k+1)*n] }
 
 // flight is one frame in flight through the controller: the interned record
-// an evFrame event (or a barrier batch entry) points at. Flights live in a
+// an evFrame event (or a deferred entry) points at. Flights live in a
 // per-quantum slab — every frame sent in a quantum is also routed in it, so
 // the slab resets to length zero at each quantum start and reaches a steady
 // state with no allocation.
@@ -132,21 +132,11 @@ type flight struct {
 	tD       simtime.Guest // exact simulated arrival time
 }
 
-// routed is one barrier-batch entry — or a flight a node's walk defers to the
-// barrier, which becomes one: a flight and the host time it reaches the
-// controller.
+// routed is a flight a node's walk defers to the barrier: a flight and the
+// host time it reaches the controller.
 type routed struct {
 	h  simtime.Host
 	fi int32
-}
-
-// pendDeliv is one surviving frame copy awaiting the batched per-destination
-// push: the route pass classifies and records every copy in canonical order,
-// then the delivery pass hands contiguous per-destination runs to the guest.
-type pendDeliv struct {
-	dst int32
-	f   *pkt.Frame
-	arr simtime.Guest
 }
 
 // engine runs one configuration. It embeds the controller: the quantum limit,
@@ -159,18 +149,8 @@ type engine struct {
 	q      eventq.Queue[event]
 	policy quantum.Policy
 
-	// flights is the quantum's flight slab; batch, pend, delivCnt, delivOff
-	// and delivSorted are the batched barrier router's reusable buffers
-	// (DESIGN.md §12).
-	flights     []flight
-	batch       []routed
-	pend        []pendDeliv
-	delivCnt    []int32
-	delivOff    []int32
-	delivSorted []guest.Arrival
-	// batching: deliver records surviving copies in pend instead of pushing
-	// them to the guest one at a time.
-	batching bool
+	// flights is the quantum's flight slab (DESIGN.md §12).
+	flights []flight
 
 	qStartG  simtime.Guest // guest time the quantum starts at: every node's position at the barrier
 	lastEvtH simtime.Host  // latest frame event host time this quantum
@@ -230,8 +210,6 @@ func Run(cfg Config) (*Result, error) {
 	}
 	defer e.shutdown()
 	e.na = newNodeArena(nodes)
-	e.delivCnt = make([]int32, n)
-	e.delivOff = make([]int32, n)
 	if fp := cfg.Faults; fp != nil && fp.HasSlowdown() {
 		e.slow = make([]float64, n)
 		for i := range e.slow {
@@ -302,7 +280,6 @@ func (e *engine) runQuanta() (start simtime.Guest, hostNow simtime.Host, err err
 		e.qStartG = start
 		e.lastEvtH = hostNow
 		e.flights = e.flights[:0]
-		e.batch = e.batch[:0]
 		// The quantum's lookahead partitioning is all that selects how it is
 		// stepped (DESIGN.md §7); the accounting at its end never sees the test
 		// hook's substitute.
@@ -548,51 +525,35 @@ func (e *engine) atLimit(i int, h simtime.Host) {
 	e.na.finishHost[i] = h
 }
 
-// sendFrame models the source NIC (transmit queueing + serialization),
-// computes the exact simulated arrival time, and ships the frame to the
-// controller in host time. Inside a tight partition's walk the frame becomes
-// an interned flight plus a queued 12-byte event dispatched at the host time
-// it reaches the controller — unless it crosses to another partition: its
-// destination lies across a loose link, so the arrival time is provably at or
-// past the limit, routing it at the barrier is behavior-neutral (DESIGN.md
-// §11), and it is deferred to the sender's defs lane. A loose node has no
-// queue, so it defers every frame, the ones it sends itself included.
+// sendFrame takes the frame through the source NIC and the switch's fan-out
+// rule (both the controller's), computes each copy's exact simulated arrival
+// time, and ships it to the controller in host time. Inside a tight
+// partition's walk a copy becomes an interned flight plus a queued 12-byte
+// event dispatched at the host time it reaches the controller — unless it
+// crosses to another partition: its destination lies across a loose link, so
+// the arrival time is provably at or past the limit, routing it at the
+// barrier is behavior-neutral (DESIGN.md §11), and it is deferred to the
+// sender's defs lane. A loose node has no queue, so it defers every copy, the
+// ones it sends itself included.
 func (e *engine) sendFrame(i int, h simtime.Host, tSend simtime.Guest, f *pkt.Frame) {
-	src := i
-	depart := simtime.MaxGuest(tSend, e.na.txFree[i])
-	ser := e.cfg.Net.NIC.Serialization(f)
-	depart = depart.Add(ser)
-	e.na.txFree[i] = depart
-
+	depart := e.depart(&e.na.txFree[i], tSend, f)
 	arrHost := h.Add(e.cfg.Host.PacketTransit)
-	ship := func(dst int) { //simlint:hotalloc non-escaping closure: called and discarded inside sendFrame, stays on the stack
+	lo, hi, skip := e.fanOut(i, f)
+	for dst := lo; dst < hi; dst++ {
+		if dst == skip {
+			continue
+		}
 		fi := int32(len(e.flights))
 		e.flights = append(e.flights, flight{ //simlint:hotalloc flight log grows to the per-quantum high-water mark once; length-reset each quantum
-			f: f, src: int32(src), dst: int32(dst), tSend: tSend,
-			tD: e.arrival(f, src, dst, depart),
+			f: f, src: int32(i), dst: int32(dst), tSend: tSend,
+			tD: e.arrival(f, i, dst, depart),
 		})
-		if p := e.exec; p.fastNode[src] || p.Part[dst] != p.Part[src] {
-			e.defs[src] = append(e.defs[src], routed{h: arrHost, fi: fi}) //simlint:hotalloc deferred-flight lane spills past its slab share to its watermark once; length-reset each quantum
+		if p := e.exec; p.fastNode[i] || p.Part[dst] != p.Part[i] {
+			e.defs[i] = append(e.defs[i], routed{h: arrHost, fi: fi}) //simlint:hotalloc deferred-flight lane spills past its slab share to its watermark once; length-reset each quantum
 		} else {
 			e.q.PushPri(int64(arrHost), priFrame, event{kind: evFrame, fi: fi})
 		}
 	}
-	if f.Dst.IsBroadcast() {
-		for dst := 0; dst < e.cfg.Nodes; dst++ {
-			if dst != src {
-				ship(dst)
-			}
-		}
-		return
-	}
-	dst := f.Dst.Node()
-	if dst < 0 || dst >= e.cfg.Nodes {
-		// A frame to an unknown MAC: the switch floods it nowhere (no
-		// other ports in this cluster). Count it as routed traffic.
-		e.countPacket()
-		return
-	}
-	ship(dst)
 }
 
 // hostCost is the host.Model cost scaled by the node's fault-plan slowdown
@@ -628,7 +589,7 @@ func (e *engine) guestPos(i int, h simtime.Host) simtime.Guest {
 // routeFlight hands the controller one flight at host time h and delivers the
 // copies that survive its fault draws. Every frame funnels through here — a
 // tight partition's event queue dispatches it at the host time it reaches the
-// controller, the batched barrier router calls it in canonical order.
+// controller, the barrier routes the deferred ones in canonical order.
 func (e *engine) routeFlight(h simtime.Host, fi int32) {
 	fl := e.flights[fi]
 	if h > e.lastEvtH {
@@ -641,10 +602,9 @@ func (e *engine) routeFlight(h simtime.Host, fi int32) {
 }
 
 // deliver classifies one frame copy, due at tD, against the destination's
-// progress and hands it to the node. Under the batched barrier router
-// (e.batching) the copy is recorded for the per-destination delivery pass
-// instead of being pushed immediately; every destination is at the barrier
-// then, so the idle-wake adjustments below are provably dead in that mode.
+// progress and hands it to the node. At the barrier every destination stands
+// at the limit, so the idle-wake adjustments below only ever fire inside a
+// tight partition's walk.
 func (e *engine) deliver(h simtime.Host, fl *flight, tD simtime.Guest, dupCopy bool) {
 	dst := int(fl.dst)
 	atBarrier := e.na.phase[dst] == phAtLimit
@@ -653,12 +613,6 @@ func (e *engine) deliver(h simtime.Host, fl *flight, tD simtime.Guest, dupCopy b
 		pos = e.guestPos(dst, h)
 	}
 	arr, straggler := e.controller.deliver(fl, tD, atBarrier, pos, dupCopy)
-
-	if e.batching {
-		e.pend = append(e.pend, pendDeliv{dst: fl.dst, f: fl.f, arr: arr}) //simlint:hotalloc pending-delivery buffer grows to its watermark once; length-reset each quantum
-		return
-	}
-
 	e.na.node[dst].Deliver(fl.f, arr)
 	e.na.quietUntil[dst] = 0
 
@@ -700,58 +654,6 @@ func (e *engine) deliver(h simtime.Host, fl *flight, tD simtime.Guest, dupCopy b
 	e.na.segEndG[dst] = arr
 	e.na.segEndH[dst] = e.na.segStartH[dst].Add(cost)
 	e.schedule(dst)
-}
-
-// routeBatch routes the quantum's assembled barrier batch: one pass through
-// the flights in canonical (node, send-sequence) order — counters, fault
-// decisions, traces and observer hooks fire here in exactly the order the
-// one-at-a-time tail produced — then the surviving copies are delivered in
-// per-destination contiguous runs via a stable counting sort. Delivery
-// order within a destination is the batch order, and the guest receive
-// queue orders by (arrival, Frame.ID, push sequence), so regrouping is
-// invisible to the workload (DESIGN.md §12).
-func (e *engine) routeBatch() {
-	if len(e.batch) == 0 {
-		return
-	}
-	e.pend = e.pend[:0]
-	e.batching = true
-	for _, b := range e.batch {
-		e.routeFlight(b.h, b.fi)
-	}
-	e.batching = false
-
-	cnt := e.delivCnt
-	for i := range cnt {
-		cnt[i] = 0
-	}
-	for i := range e.pend {
-		cnt[e.pend[i].dst]++
-	}
-	off := e.delivOff
-	var sum int32
-	for d := range cnt {
-		off[d] = sum
-		sum += cnt[d]
-	}
-	if cap(e.delivSorted) < len(e.pend) {
-		e.delivSorted = make([]guest.Arrival, len(e.pend)) //simlint:hotalloc sort scratch grows to the high-water mark once, then reslices allocation-free
-	}
-	sorted := e.delivSorted[:len(e.pend)]
-	for i := range e.pend {
-		p := &e.pend[i]
-		sorted[off[p.dst]] = guest.Arrival{Frame: p.f, Time: p.arr}
-		off[p.dst]++
-	}
-	var start int32
-	for d := range cnt {
-		if cnt[d] == 0 {
-			continue
-		}
-		e.na.node[d].DeliverBatch(sorted[start:off[d]])
-		e.na.quietUntil[d] = 0
-		start = off[d]
-	}
 }
 
 // quietQuantum reports whether the current quantum is quiet: no node can
@@ -968,9 +870,10 @@ func (e *engine) tightSitsOut(members []int32) bool {
 // are fast-forwarded instead (DESIGN.md §7.1).
 //
 // The barrier then routes every deferred frame in canonical (node,
-// send-sequence) order through the batched router. Every arrival time is at
-// or past the limit and every destination is at the barrier, so each delivery
-// is exact.
+// send-sequence) order, each node's defs lane in place, and delivers each
+// surviving copy as the walk does. Every arrival time is at or past the limit
+// and every destination is at the barrier, so each delivery is exact
+// (DESIGN.md §12).
 //
 //simlint:hotpath the quantum executor: every stepped quantum runs here
 func (e *engine) runQuantum(hostNow simtime.Host, p *partitioning) {
@@ -997,10 +900,11 @@ func (e *engine) runQuantum(hostNow simtime.Host, p *partitioning) {
 	}
 
 	for i, d := range e.defs {
-		e.batch = append(e.batch, d...) //simlint:hotalloc barrier batch grows to its watermark once; length-reset each quantum
+		for _, r := range d {
+			e.routeFlight(r.h, r.fi)
+		}
 		e.defs[i] = d[:0]
 	}
-	e.routeBatch()
 }
 
 // walkNode steps one loose node from the quantum start to the barrier: the

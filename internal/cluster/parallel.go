@@ -480,34 +480,21 @@ func (r *prun) park(pn *pnode, gen int) bool {
 // models.
 func (r *prun) route(pn *pnode, f *pkt.Frame, tSend simtime.Guest) {
 	src := pn.n.ID()
-	ser := r.cfg.Net.NIC.Serialization(f)
-	depart := simtime.MaxGuest(tSend, pn.txFree).Add(ser)
-	pn.txFree = depart
+	depart := r.depart(&pn.txFree, tSend, f)
 
 	r.mu.Lock()
 	defer r.mu.Unlock()
-
-	ship := func(dst int) {
+	lo, hi, skip := r.fanOut(src, f)
+	for dst := lo; dst < hi; dst++ {
+		if dst == skip {
+			continue
+		}
 		fl := flight{f: f, src: int32(src), dst: int32(dst), tSend: tSend, tD: r.arrival(f, src, dst, depart)}
 		tDs, n := r.controller.route(&fl)
 		for k := 0; k < n; k++ {
 			r.deliverCopy(&fl, tDs[k], k == 1)
 		}
 	}
-	if f.Dst.IsBroadcast() {
-		for dst := range r.nodes {
-			if dst != src {
-				ship(dst)
-			}
-		}
-		return
-	}
-	dst := f.Dst.Node()
-	if dst < 0 || dst >= len(r.nodes) {
-		r.countPacket()
-		return
-	}
-	ship(dst)
 }
 
 // deliverCopy classifies one frame copy, due at tD, against the destination's

@@ -354,7 +354,7 @@ func (p *packetOrderProbe) Packet(rec obs.PacketRecord) {
 // randomFatTreeCase draws one random scenario — fat-tree geometry, workload,
 // fixed quantum and (half the time) a fault plan with duplication, jitter
 // and, where the workload tolerates it, loss — in the fastCase shape. Shared
-// by the batched-router and quiet-pass property tests.
+// by the barrier-routing and quiet-pass property tests.
 func randomFatTreeCase(rnd *rand.Rand, trial int) (c fastCase, q simtime.Duration) {
 	nodes := 2 + rnd.Intn(7)
 	net := &netmodel.Model{
@@ -403,10 +403,10 @@ func randomFatTreeCase(rnd *rand.Rand, trial int) (c fastCase, q simtime.Duratio
 	return fastCase{name: name, nodes: nodes, w: w, pol: fixed(q), faults: plan, net: net}, q
 }
 
-// TestBatchedRoutingCanonicalOrder is the batched-router property test: for
+// TestBatchedRoutingCanonicalOrder is the barrier-routing property test: for
 // random fat-tree geometries, workloads, quanta and fault plans (loss,
 // duplication, delay jitter), the partitioned executor with its barrier-time
-// batched router must
+// routing loop must
 //
 //  1. match the reference walk, which routes one frame at a time through one
 //     event queue over the whole cluster, and
@@ -430,7 +430,7 @@ func TestBatchedRoutingCanonicalOrder(t *testing.T) {
 			t.Fatalf("%s: %v", name, err)
 		}
 		if q > minLinkLat(c.net, c.nodes) {
-			continue // some partition is tight: the batched order is not total
+			continue // some partition is tight: the barrier order is not total
 		}
 		ordered++
 		for qi, pkts := range probe.quanta {

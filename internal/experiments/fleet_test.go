@@ -72,6 +72,41 @@ func TestParseManifestValidation(t *testing.T) {
 	}
 }
 
+// FuzzParseManifest: a manifest file never panics ParseManifest; every
+// scenario of a manifest it accepts resolves, and a manifest it refuses is
+// refused with an error that says it was the fleet manifest.
+func FuzzParseManifest(f *testing.F) {
+	for _, s := range []string{
+		// phases-rack, as committed in testdata/fleet/manifest.json.
+		`{"schema": "clustersim-fleet-manifest/1", "scenarios": [{"name": "phases-rack", "workload": "phases", "nodes": 8,
+		  "scale": 0.05, "quantum": "20us", "topo": "rack:4:500ns:2us", "max_guest": "20ms"}]}`,
+		tinyManifest,
+		`{"schema": "clustersim-fleet-manifest/1", "scenarios": [{"name": "a", "workload": "pingpong", "nodes": 2, "scale": -1}]}`,
+		`{"schema": "clustersim-fleet-manifest/1", "scenarios": [{"name": "a", "workload": "pingpong", "nodes": 2, "dyn": "1us:1ms:NaN:0.02"}]}`,
+		`{"schema": "clustersim-fleet-manifest/1", "scenarios": [{"name": "a", "workload": "uniform", "nodes": 9223372036854775807, "topo": "mixedwan:4:500ns:-2us"}]}`,
+		`{"schema": "clustersim-fleet-manifest/1", "scenarios": [{"name": "a", "workload": "pingpong", "nodes": 2, "max_guest": "soon"}]}`,
+		`{"schema": "clustersim-fleet-manifest/1", "scenarios": null}`,
+		`{"schema": "clustersim-fleet-manifest/1", "scenarios": [{"name": "a"`,
+		`[]`, `null`, ``,
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, doc string) {
+		m, err := ParseManifest(strings.NewReader(doc))
+		if err != nil {
+			if m != nil || !strings.HasPrefix(err.Error(), "fleet manifest:") {
+				t.Fatalf("ParseManifest(%q) = manifest %v, error %q; want no manifest and a fleet manifest: error", doc, m != nil, err)
+			}
+			return
+		}
+		for i := range m.Scenarios {
+			if _, err := m.Scenarios[i].Resolve(); err != nil {
+				t.Fatalf("ParseManifest(%q) accepted scenario %q, which does not resolve: %v", doc, m.Scenarios[i].Name, err)
+			}
+		}
+	})
+}
+
 // The fleet must be deterministic end to end: outcomes in manifest order and
 // two full fleet runs byte-equal.
 func TestRunFleetDeterministic(t *testing.T) {

@@ -294,11 +294,11 @@ func (n *Node) Deliver(f *pkt.Frame, arr simtime.Guest) {
 	n.rxMu.Unlock()
 }
 
-// DeliverBatch delivers a run of arrivals under one lock acquisition — the
-// batched barrier router's per-destination tail. Ordering semantics are
-// identical to repeated Deliver calls: the receive queue orders by
-// (arrival time, Frame.ID, push sequence), so batch boundaries are
-// invisible to the workload.
+// DeliverBatch delivers a run of arrivals under one lock acquisition.
+// Ordering semantics are identical to repeated Deliver calls: the receive
+// queue orders by (arrival time, Frame.ID, push sequence), so batch
+// boundaries are invisible to the workload. The engine delivers with Deliver
+// alone; DeliverBatch stays while the benchmark harness measures it.
 func (n *Node) DeliverBatch(batch []Arrival) {
 	if len(batch) == 0 {
 		return

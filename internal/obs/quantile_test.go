@@ -124,6 +124,40 @@ func TestRegistryFastpathCounter(t *testing.T) {
 	}
 }
 
+// TestRegistryFastNodesGauge: fastpath_fast_nodes is what the quantum's
+// QuantumPartition says, and 0 for a quantum that has none — the registry does
+// not re-derive the partitioning from the lookahead and the quantum size.
+func TestRegistryFastNodesGauge(t *testing.T) {
+	const nodes = 8
+	for _, c := range []struct {
+		name      string
+		lookahead simtime.Duration
+		part      int // the quantum's loose-node count; -1: no QuantumPartition
+		want      int64
+	}{
+		{"all loose", 2 * simtime.Microsecond, nodes, nodes},
+		{"partial", 2 * simtime.Microsecond, 3, 3},
+		{"all tight", 2 * simtime.Microsecond, 0, 0},
+		{"no partition within lookahead", 2 * simtime.Microsecond, -1, 0},
+		{"lookahead ruled out", 0, -1, 0},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			reg := NewRegistry()
+			reg.RunStart(RunInfo{Nodes: nodes, Lookahead: c.lookahead})
+			// A previous quantum's count must not survive into this one.
+			reg.QuantumStart(0, 0, simtime.Microsecond, 0)
+			reg.QuantumPartition(0, &Partitioning{FastNodes: 5})
+			reg.QuantumStart(1, simtime.Guest(simtime.Microsecond), simtime.Microsecond, 100)
+			if c.part >= 0 {
+				reg.QuantumPartition(1, &Partitioning{FastNodes: c.part})
+			}
+			if got := reg.Snapshot().Gauges["fastpath_fast_nodes"]; got != c.want {
+				t.Errorf("fastpath_fast_nodes = %d, want %d", got, c.want)
+			}
+		})
+	}
+}
+
 // TestProgressFastFraction: the status line reports the engaged fraction.
 func TestProgressFastFraction(t *testing.T) {
 	var buf bytes.Buffer

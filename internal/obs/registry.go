@@ -222,9 +222,9 @@ func (r *Registry) RunEnd(sum RunSummary) {
 	r.gauges["host_ns"] = int64(sum.HostEnd)
 }
 
-// QuantumStart publishes the live quantum size, guest progress and how many
-// nodes the quantum leaves fast-walkable: all of them within the smallest
-// per-link lookahead, otherwise none, unless QuantumPartition knows better.
+// QuantumStart publishes the live quantum size and guest progress, and no
+// loose nodes until a QuantumPartition says how many there are: a quantum
+// without one is partitioned by a lookahead that is ruled out.
 func (r *Registry) QuantumStart(index int, start simtime.Guest, q simtime.Duration, hostStart simtime.Host) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -232,12 +232,10 @@ func (r *Registry) QuantumStart(index int, start simtime.Guest, q simtime.Durati
 	r.gauges["guest_ns"] = int64(start)
 	r.gauges["host_ns"] = int64(hostStart)
 	r.gauges["fastpath_fast_nodes"] = 0
-	if int64(q) <= r.gauges["fastpath_lookahead_ns"] {
-		r.gauges["fastpath_fast_nodes"] = r.gauges["nodes"]
-	}
 }
 
-// QuantumPartition publishes the partitioning's loose-node count.
+// QuantumPartition publishes the partitioning's loose-node count, the one
+// writer of fastpath_fast_nodes beside QuantumStart's reset.
 func (r *Registry) QuantumPartition(index int, p *Partitioning) {
 	r.SetGauge("fastpath_fast_nodes", int64(p.FastNodes))
 }
