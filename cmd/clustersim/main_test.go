@@ -1,6 +1,7 @@
 package main
 
 import (
+	"math"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -205,4 +206,28 @@ func TestChartsOnBothRunners(t *testing.T) {
 	if !marked {
 		t.Errorf("-parallel traffic chart has no packet marks on node 0:\n%s", par)
 	}
+}
+
+// FuzzParseContention: a -contention spec is outside input. The parser never
+// panics, what it accepts has a finite, non-negative drain rate and a
+// non-negative latency, and every refusal names the flag.
+func FuzzParseContention(f *testing.F) {
+	for _, s := range []string{
+		"10e9:500ns", "0:0ns", "10e9", "-1:500ns", "NaN:500ns", "+Inf:500ns",
+		"10e9:-50us", "10e9:soon", "1:2:3", ":", "",
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		oq, err := parseContention(spec)
+		if err != nil {
+			if !strings.Contains(err.Error(), "-contention") {
+				t.Errorf("parseContention(%q) error %q does not name -contention", spec, err)
+			}
+			return
+		}
+		if !(oq.BytesPerSecond >= 0) || math.IsInf(oq.BytesPerSecond, 0) || oq.Latency < 0 {
+			t.Errorf("parseContention(%q) accepted %+v", spec, *oq)
+		}
+	})
 }

@@ -11,15 +11,17 @@
 //
 // The rendering answers the paper's operational questions directly: where
 // each host-second went (compute, idle, barrier wait, routing, barrier
-// fixed cost), how often the intra-quantum fast path was eligible and what
-// disabled it otherwise, and which minimum-latency links gate the global
-// lookahead bound Q ≤ T.
+// fixed cost), how many quanta left every node (or some nodes) loose under
+// their lookahead partitioning and what ruled lookahead out otherwise, and
+// which minimum-latency links gate the global lookahead bound Q ≤ T.
 package main
 
 import (
+	"cmp"
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"sort"
 	"strings"
 
@@ -57,26 +59,8 @@ func run(args []string) error {
 	}
 }
 
-// load reads path as either schema, returning exactly one non-nil result.
-func load(path string) (*prof.Report, *prof.SweepReport, error) {
-	schema, err := prof.DetectSchema(path)
-	if err != nil {
-		return nil, nil, err
-	}
-	switch schema {
-	case prof.Schema:
-		r, err := prof.Load(path)
-		return r, nil, err
-	case prof.SweepSchema:
-		s, err := prof.LoadSweep(path)
-		return nil, s, err
-	default:
-		return nil, nil, fmt.Errorf("%s: unknown schema %q", path, schema)
-	}
-}
-
 func render(path string) error {
-	single, sweep, err := load(path)
+	single, sweep, err := prof.Read(path)
 	if err != nil {
 		return err
 	}
@@ -260,11 +244,11 @@ func renderSweep(w *os.File, path string, s *prof.SweepReport) {
 }
 
 func diff(pathA, pathB string) error {
-	singleA, sweepA, err := load(pathA)
+	singleA, sweepA, err := prof.Read(pathA)
 	if err != nil {
 		return err
 	}
-	singleB, sweepB, err := load(pathB)
+	singleB, sweepB, err := prof.Read(pathB)
 	if err != nil {
 		return err
 	}
@@ -321,29 +305,37 @@ func diffReports(w *os.File, nameA, nameB string, a, b *prof.Report) {
 	fmt.Fprint(w, out.String())
 }
 
+// joinBy indexes the rows of two reports' tables by key and returns every key
+// either side has, once, ascending by compare: the walk each per-key diff
+// below makes.
+func joinBy[T any, K comparable](a, b []T, key func(T) K, compare func(x, y K) int) (keys []K, ia, ib map[K]T) {
+	ia, ib = make(map[K]T, len(a)), make(map[K]T, len(b))
+	for _, v := range a {
+		ia[key(v)] = v
+	}
+	for _, v := range b {
+		ib[key(v)] = v
+	}
+	keys = make([]K, 0, len(ia)+len(ib))
+	//simlint:maporder keys are collected then sorted before rendering
+	for k := range ia {
+		keys = append(keys, k)
+	}
+	//simlint:maporder keys are collected then sorted before rendering
+	for k := range ib {
+		if _, ok := ia[k]; !ok {
+			keys = append(keys, k)
+		}
+	}
+	slices.SortFunc(keys, compare)
+	return keys, ia, ib
+}
+
 func diffCauses(out *strings.Builder, a, b *prof.Report) {
-	counts := func(r *prof.Report) map[string]int64 {
-		m := make(map[string]int64, len(r.Engagement.Causes))
-		for _, c := range r.Engagement.Causes {
-			m[c.Cause] = c.Quanta
-		}
-		return m
-	}
-	ca, cb := counts(a), counts(b)
-	names := make([]string, 0, len(ca)+len(cb))
-	//simlint:maporder keys are collected then sorted before rendering
-	for n := range ca {
-		names = append(names, n)
-	}
-	//simlint:maporder keys are collected then sorted before rendering
-	for n := range cb {
-		if _, ok := ca[n]; !ok {
-			names = append(names, n)
-		}
-	}
-	sort.Strings(names)
+	names, ca, cb := joinBy(a.Engagement.Causes, b.Engagement.Causes,
+		func(c prof.CauseCount) string { return c.Cause }, strings.Compare)
 	for _, n := range names {
-		out.WriteString(delta("cause "+n, ca[n], cb[n], false))
+		out.WriteString(delta("cause "+n, ca[n].Quanta, cb[n].Quanta, false))
 	}
 }
 
@@ -351,26 +343,8 @@ func diffCauses(out *strings.Builder, a, b *prof.Report) {
 // a quantum-policy or topology change shows up as levels appearing,
 // vanishing, or shifting quanta between structures.
 func diffPartitions(out *strings.Builder, a, b *prof.Report) {
-	index := func(r *prof.Report) map[int64]prof.PartitionLevel {
-		m := make(map[int64]prof.PartitionLevel, len(r.Partitions))
-		for _, lv := range r.Partitions {
-			m[lv.MaxTightLatNS] = lv
-		}
-		return m
-	}
-	ia, ib := index(a), index(b)
-	levels := make([]int64, 0, len(ia)+len(ib))
-	//simlint:maporder keys are collected then sorted before rendering
-	for lv := range ia {
-		levels = append(levels, lv)
-	}
-	//simlint:maporder keys are collected then sorted before rendering
-	for lv := range ib {
-		if _, ok := ia[lv]; !ok {
-			levels = append(levels, lv)
-		}
-	}
-	sort.Slice(levels, func(i, j int) bool { return levels[i] < levels[j] })
+	levels, ia, ib := joinBy(a.Partitions, b.Partitions,
+		func(lv prof.PartitionLevel) int64 { return lv.MaxTightLatNS }, cmp.Compare[int64])
 	show := func(lv prof.PartitionLevel) string {
 		return fmt.Sprintf("%d partitions (%d tight, %d fast nodes), %d quanta",
 			lv.Partitions, lv.TightPartitions, lv.FastNodes, lv.Quanta)
@@ -400,48 +374,24 @@ func partitionLevelsEqual(a, b prof.PartitionLevel) bool {
 // diffLinks reports per-link minimum-slack movement, the signal that a
 // topology or traffic change tightened or relaxed the lookahead headroom.
 func diffLinks(out *strings.Builder, a, b *prof.Report) {
-	type slack struct {
-		val int64
-		ok  bool
-	}
-	index := func(r *prof.Report) map[[2]int]slack {
-		m := make(map[[2]int]slack, len(r.Links))
-		for _, l := range r.Links {
-			m[[2]int{l.Src, l.Dst}] = slack{val: l.SlackMinNS, ok: true}
-		}
-		return m
-	}
-	ia, ib := index(a), index(b)
-	keys := make([][2]int, 0, len(ia)+len(ib))
-	//simlint:maporder keys are collected then sorted before rendering
-	for k := range ia {
-		keys = append(keys, k)
-	}
-	//simlint:maporder keys are collected then sorted before rendering
-	for k := range ib {
-		if _, ok := ia[k]; !ok {
-			keys = append(keys, k)
-		}
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i][0] != keys[j][0] {
-			return keys[i][0] < keys[j][0]
-		}
-		return keys[i][1] < keys[j][1]
-	})
+	keys, ia, ib := joinBy(a.Links, b.Links,
+		func(l prof.LinkProfile) [2]int { return [2]int{l.Src, l.Dst} },
+		func(x, y [2]int) int { return cmp.Or(cmp.Compare(x[0], y[0]), cmp.Compare(x[1], y[1])) })
 	// Render every change first, then truncate, so the elision line can
 	// state exactly how many rows it dropped — and never appears when the
 	// change count happens to equal -top.
 	var lines []string
 	for _, k := range keys {
-		sa, sb := ia[k], ib[k]
+		la, inA := ia[k]
+		lb, inB := ib[k]
+		name := prof.LinkName(k[0], k[1])
 		switch {
-		case sa.ok && !sb.ok:
-			lines = append(lines, fmt.Sprintf("  link %-18s only in first (min slack %s)\n", prof.LinkName(k[0], k[1]), dur(sa.val)))
-		case !sa.ok && sb.ok:
-			lines = append(lines, fmt.Sprintf("  link %-18s only in second (min slack %s)\n", prof.LinkName(k[0], k[1]), dur(sb.val)))
-		case sa.val != sb.val:
-			lines = append(lines, fmt.Sprintf("  link %-18s min slack %s -> %s\n", prof.LinkName(k[0], k[1]), dur(sa.val), dur(sb.val)))
+		case inA && !inB:
+			lines = append(lines, fmt.Sprintf("  link %-18s only in first (min slack %s)\n", name, dur(la.SlackMinNS)))
+		case !inA && inB:
+			lines = append(lines, fmt.Sprintf("  link %-18s only in second (min slack %s)\n", name, dur(lb.SlackMinNS)))
+		case la.SlackMinNS != lb.SlackMinNS:
+			lines = append(lines, fmt.Sprintf("  link %-18s min slack %s -> %s\n", name, dur(la.SlackMinNS), dur(lb.SlackMinNS)))
 		}
 	}
 	for i, ln := range lines {
@@ -479,11 +429,4 @@ func diffSweeps(w *os.File, nameA, nameB string, a, b *prof.SweepReport) error {
 		return fmt.Errorf("no labels in common")
 	}
 	return nil
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

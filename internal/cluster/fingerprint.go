@@ -14,7 +14,7 @@ import (
 // encoding of everything a Result — and, when the run was recorded, its
 // obs.Recorder — asserts about a run, hashed to a short hex string. It is
 // the single definition of "two runs produced the same
-// outcome" shared by the fast-path equivalence tests and the scenario
+// outcome" shared by the engine's equivalence tests and the scenario
 // regression fleet (cmd/simfleet), which diffs fingerprints against
 // committed goldens — so a PR that changes any simulated outcome, anywhere
 // in the study surface, trips exactly one cheap check instead of a
@@ -27,10 +27,10 @@ import (
 //   - The packet trace is encoded as a sorted multiset: a tight partition
 //     interleaves deliveries in host-event order while loose and
 //     cross-partition frames route at the barrier in canonical (node, seq)
-//     order, so the stream order depends on the lookahead mode and on the
-//     reference hook, but the recorded deliveries themselves are proven
-//     identical (see fastpath_test.go) and the fingerprint must not depend
-//     on their order.
+//     order, so the stream order depends on how the quantum is partitioned
+//     and on the reference hook, but the recorded deliveries themselves are
+//     identical (TestFastPathMatchesClassicSemantics) and the fingerprint
+//     must not depend on their order.
 //   - Everything else — times, stats, per-quantum records, policy name — is
 //     encoded field by field in declaration order. Integer-only: simtime
 //     values print as int64 nanoseconds, float metrics with strconv's

@@ -1,9 +1,47 @@
 package experiments
 
 import (
+	"errors"
 	"reflect"
 	"testing"
 )
+
+// runAll's error contract, for any worker count: every job runs whatever
+// fails, and the error returned is the lowest-indexed failing job's, not the
+// first to fail in time — with more than one worker, job 3 does not fail
+// until job 7 has.
+func TestRunAllReportsLowestIndexedError(t *testing.T) {
+	err3, err7 := errors.New("job 3 failed"), errors.New("job 7 failed")
+	for _, workers := range []int{1, 2, 8} {
+		ran := make([]bool, 10)
+		failed7 := make(chan struct{})
+		jobs := make([]func() error, len(ran))
+		for i := range jobs {
+			jobs[i] = func() error {
+				ran[i] = true
+				switch i {
+				case 3:
+					if workers > 1 {
+						<-failed7
+					}
+					return err3
+				case 7:
+					close(failed7)
+					return err7
+				}
+				return nil
+			}
+		}
+		if err := runAll(workers, jobs); !errors.Is(err, err3) {
+			t.Errorf("workers=%d: runAll = %v, want job 3's error", workers, err)
+		}
+		for i, r := range ran {
+			if !r {
+				t.Errorf("workers=%d: job %d did not run", workers, i)
+			}
+		}
+	}
+}
 
 // The experiment fan-out must be invisible in the results: the same grid
 // run sequentially and with an oversubscribed worker pool has to produce

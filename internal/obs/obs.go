@@ -112,10 +112,8 @@ type QuantumRecord struct {
 	// runner, whose routing happens inside the quantum); the rest,
 	// HostEnd - BarrierStart - Routing, is the barrier itself.
 	Routing simtime.Duration
-	// FastEligible reports whether this quantum was eligible for the
-	// intra-quantum fast path (Q <= minimum network latency, no packet
-	// tap). A property of (Q, lookahead) alone, never of how the quantum was
-	// executed, so records stay bit-identical across engine paths.
+	// FastEligible reports whether the quantum's lookahead partitioning left
+	// every node loose (Partitioning.FastNodes equals the cluster size).
 	FastEligible bool
 }
 

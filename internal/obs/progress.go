@@ -32,7 +32,7 @@ type Progress struct {
 	lastQuanta int64
 
 	quanta     int64
-	fastQuanta int64 // quanta eligible for the intra-quantum fast path
+	fastQuanta int64 // quanta whose partitioning left every node loose
 	quiet      int64 // quanta the engine fast-forwarded; known at RunEnd only
 	quietNodes int64 // node-quanta it fast-forwarded, skipped nodes included
 	packets    int64

@@ -15,14 +15,18 @@ import (
 )
 
 // Histogram accumulates int64 samples into power-of-two buckets — enough
-// resolution to see the shape of quantum-size or straggler-delay
-// distributions without pre-declaring ranges.
+// resolution to see the shape of quantum-size, wait or slack distributions
+// without pre-declaring ranges. The ladder is mirrored across zero for signed
+// samples such as slack: v > 0 lands in [2^(i-1), 2^i) and v < 0 in
+// (-2^i, -2^(i-1)] for i = bits.Len64(|v|), and 0 in [0, 1).
 type Histogram struct {
-	count   int64
-	sum     int64
-	min     int64
-	max     int64
-	buckets [65]int64 // bucket i counts samples with bit length i (0 counts v<=0)
+	count int64
+	sum   int64
+	min   int64
+	max   int64
+	zero  int64
+	pos   [65]int64
+	neg   [65]int64
 }
 
 // Observe folds one sample into the histogram.
@@ -35,11 +39,37 @@ func (h *Histogram) Observe(v int64) {
 	}
 	h.count++
 	h.sum += v
-	if v <= 0 {
-		h.buckets[0]++
-		return
+	switch {
+	case v > 0:
+		h.pos[bits.Len64(uint64(v))]++
+	case v < 0:
+		h.neg[bits.Len64(uint64(-v))]++
+	default:
+		h.zero++
 	}
-	h.buckets[bits.Len64(uint64(v))]++
+}
+
+// Summary returns the sample count, sum, minimum and maximum.
+func (h *Histogram) Summary() (count, sum, min, max int64) {
+	return h.count, h.sum, h.min, h.max
+}
+
+// Buckets calls fn for every occupied bucket, ascending, with the half-open
+// interval [lo, hi) it covers: negative bucket i is [1-2^i, 1-2^(i-1)).
+func (h *Histogram) Buckets(fn func(lo, hi, count int64)) {
+	for i := 64; i >= 1; i-- {
+		if c := h.neg[i]; c != 0 {
+			fn(1-(int64(1)<<uint(i)), 1-(int64(1)<<uint(i-1)), c)
+		}
+	}
+	if h.zero != 0 {
+		fn(0, 1, h.zero)
+	}
+	for i := 1; i <= 64; i++ {
+		if c := h.pos[i]; c != 0 {
+			fn(int64(1)<<uint(i-1), int64(1)<<uint(i), c)
+		}
+	}
 }
 
 // HistBucket is one occupied histogram bucket covering [Lo, Hi).
@@ -67,17 +97,22 @@ func (h *Histogram) snapshot() HistSnapshot {
 	if h.count > 0 {
 		s.Mean = float64(h.sum) / float64(h.count)
 	}
-	for i, c := range h.buckets {
-		if c == 0 {
-			continue
-		}
-		var lo, hi int64
-		if i > 0 {
-			lo = int64(1) << (i - 1)
-			hi = int64(1) << i
+	// The snapshot folds every sample at or below zero into one [0,0) bucket;
+	// their buckets lead the ascending walk.
+	folded := h.zero
+	for _, c := range h.neg {
+		folded += c
+	}
+	if folded != 0 {
+		s.Buckets = append(s.Buckets, HistBucket{Count: folded})
+	}
+	h.Buckets(func(lo, hi, c int64) {
+		if folded > 0 {
+			folded -= c
+			return
 		}
 		s.Buckets = append(s.Buckets, HistBucket{Lo: lo, Hi: hi, Count: c})
-	}
+	})
 	s.P50 = s.Quantile(0.50)
 	s.P95 = s.Quantile(0.95)
 	s.P99 = s.Quantile(0.99)

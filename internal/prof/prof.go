@@ -1,16 +1,16 @@
 // Package prof is the sync-overhead attribution layer of the simulator: an
 // optional per-quantum profiler that decomposes host time into per-node
 // compute / idle / barrier-wait segments, attributes the controller's routing
-// and barrier costs, tracks fast-path eligibility with a per-quantum disable
-// cause, and keeps per-link slack accounting (frame latency minus the
-// quantum — the lookahead headroom a per-link fast path would exploit).
+// and barrier costs, classifies how much of each quantum its lookahead
+// partitioning leaves loose, and keeps per-link slack accounting (frame
+// latency minus the quantum — the lookahead headroom of the link).
 //
 // The Profiler is a sink on the obs.Observer stream and has no other input:
 // compute and idle are the extents of NodePhase, a node's barrier wait runs
 // from the end of its last phase in the quantum to the release QuantumEnd
 // reports, routing and barrier split that record's synchronization span, the
-// per-link accounting reads Packet, and eligibility causes combine RunStart's
-// static facts with QuantumPartition (DESIGN.md §10).
+// per-link accounting reads Packet, and a quantum's engagement cause is read
+// off the QuantumPartition it was handed (DESIGN.md §10).
 //
 // Determinism contract: for the deterministic engine (cluster.Run) the stream
 // carries simulated host/guest time only, so the end-of-run Report is
@@ -18,11 +18,11 @@
 // real elapsed time instead; its reports are measurements, not replayable
 // artifacts, and say so via the Engine field.
 //
-// The per-quantum disable cause records *eligibility*, which is deterministic
-// config+policy state: the output-queue tap (Net.Output) suppresses the fast
-// path, a topology without a positive minimum latency yields no lookahead,
-// and otherwise a quantum is eligible iff Q <= lookahead. Fault injection
-// does NOT disengage the fast path.
+// The per-quantum cause is a function of the configuration and the quantum
+// size alone: a quantum without a partitioning is one whose lookahead is
+// ruled out (by the output-queue tap or by a topology without a positive
+// minimum latency), and otherwise the partitioning's loose-node count
+// decides. Fault injection does not change it.
 package prof
 
 import (
@@ -33,27 +33,30 @@ import (
 	"clustersim/internal/simtime"
 )
 
-// Cause classifies why a quantum was (in)eligible for the intra-quantum fast
-// path.
+// Cause classifies how much of a quantum its lookahead partitioning left
+// loose, or why the quantum had none.
 type Cause int
 
 const (
-	// CauseEngaged marks an eligible quantum: Q <= lookahead with no tap.
+	// CauseEngaged marks a quantum whose partitioning leaves every node
+	// loose: Q is at or below the minimum network latency.
 	CauseEngaged Cause = iota
-	// CauseQExceedsLookahead marks Q > lookahead: the policy grew the
-	// quantum past the minimum network latency, so frames could arrive
-	// inside the quantum.
+	// CauseQExceedsLookahead marks a quantum whose partitioning leaves no
+	// node loose: the policy grew the quantum past every node's nearest
+	// link, so frames could arrive inside the quantum anywhere.
 	CauseQExceedsLookahead
-	// CauseOutputTap marks a run with Net.Output set: the packet tap
-	// observes frames in routing order, which the fast path reorders.
+	// CauseOutputTap marks a run with Net.Output set: the output-queue model
+	// serves a port in the order frames reach the controller, and under a
+	// partitioning that order would depend on how the quantum was
+	// partitioned (DESIGN.md §11), so the run has no lookahead.
 	CauseOutputTap
 	// CauseNoLookahead marks a topology with no positive minimum latency
-	// (zero-latency links admit same-instant cross-node causality).
+	// (zero-latency links admit same-instant cross-node causality) or a
+	// one-node cluster.
 	CauseNoLookahead
-	// CausePartial marks a quantum with Q above the global minimum latency
-	// but below some per-link bounds: the lookahead-closed partitioning
-	// (DESIGN.md §11) leaves at least one loose node on the fast path while
-	// tight partitions fall back to the event queue.
+	// CausePartial marks a quantum whose lookahead-closed partitioning
+	// (DESIGN.md §11) leaves some nodes loose while tight partitions walk
+	// the event queue.
 	CausePartial
 
 	numCauses
@@ -139,12 +142,12 @@ type Profiler struct {
 	packets    int64
 	stragglers int64
 
-	hQuantum  *Hist // Q per quantum (ns)
-	hPackets  *Hist // frames per quantum
-	hWait     *Hist // per-node barrier wait per quantum (ns)
-	hLatency  *Hist // per-frame latency (ns)
-	hSlack    *Hist // per-frame slack = latency - Q (ns, signed)
-	hPartWait *Hist // per-partition barrier wait per quantum (ns)
+	hQuantum  obs.Histogram // Q per quantum (ns)
+	hPackets  obs.Histogram // frames per quantum
+	hWait     obs.Histogram // per-node barrier wait per quantum (ns)
+	hLatency  obs.Histogram // per-frame latency (ns)
+	hSlack    obs.Histogram // per-frame slack = latency - Q (ns, signed)
+	hPartWait obs.Histogram // per-partition barrier wait per quantum (ns)
 
 	minLinks    []LinkRef // static links tied at the global minimum latency
 	minLinksAll int64     // total ties before truncation
@@ -160,12 +163,6 @@ func New() *Profiler {
 	return &Profiler{
 		links:      make(map[[2]int]*linkAcc),
 		partLevels: make(map[simtime.Duration]*partLevelAcc),
-		hQuantum:   &Hist{},
-		hPackets:   &Hist{},
-		hWait:      &Hist{},
-		hLatency:   &Hist{},
-		hSlack:     &Hist{},
-		hPartWait:  &Hist{},
 	}
 }
 
@@ -309,27 +306,29 @@ func (p *Profiler) Packet(rec obs.PacketRecord) {
 	p.hSlack.Observe(int64(slack))
 }
 
-// QuantumEnd implements obs.Observer. It classifies the quantum's fast-path
-// eligibility, charges every node and every lookahead partition its barrier
-// wait — the release minus the end of its last phase, or of its last member's
-// — and splits the barrier span into routing and the barrier itself. The
-// release is BarrierStart in the deterministic engine (the shared routing and
-// barrier costs are attributed once, not per node) and HostEnd in the parallel
-// runner, whose BarrierStart is the first arrival.
+// QuantumEnd implements obs.Observer. It classifies the quantum by the
+// partitioning it was handed, charges every node and every lookahead
+// partition its barrier wait — the release minus the end of its last phase,
+// or of its last member's — and splits the barrier span into routing and the
+// barrier itself. The release is BarrierStart in the deterministic engine (the
+// shared routing and barrier costs are attributed once, not per node) and
+// HostEnd in the parallel runner, whose BarrierStart is the first arrival.
 func (p *Profiler) QuantumEnd(rec obs.QuantumRecord) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 
+	// Both runners publish a partitioning for every quantum whose lookahead
+	// is not ruled out.
 	cause, fast := CauseQExceedsLookahead, 0
-	switch {
-	case p.info.OutputQueue:
+	switch part := p.curPart; {
+	case part == nil && p.info.OutputQueue:
 		cause = CauseOutputTap
-	case p.info.Lookahead <= 0:
+	case part == nil:
 		cause = CauseNoLookahead
-	case rec.Q <= p.info.Lookahead:
-		cause, fast = CauseEngaged, p.info.Nodes
-	case p.curPart != nil && p.curPart.FastNodes > 0:
-		cause, fast = CausePartial, p.curPart.FastNodes
+	case part.FastNodes == p.info.Nodes:
+		cause, fast = CauseEngaged, part.FastNodes
+	case part.FastNodes > 0:
+		cause, fast = CausePartial, part.FastNodes
 	}
 	p.quanta++
 	p.causes[cause]++
@@ -532,12 +531,12 @@ func (p *Profiler) Report() *Report {
 	}
 
 	r.Hists = []NamedHist{
-		{Name: "quantum_ns", Hist: p.hQuantum.Snapshot()},
-		{Name: "packets_per_quantum", Hist: p.hPackets.Snapshot()},
-		{Name: "node_wait_ns", Hist: p.hWait.Snapshot()},
-		{Name: "frame_latency_ns", Hist: p.hLatency.Snapshot()},
-		{Name: "frame_slack_ns", Hist: p.hSlack.Snapshot()},
-		{Name: "partition_wait_ns", Hist: p.hPartWait.Snapshot()},
+		{Name: "quantum_ns", Hist: histData(&p.hQuantum)},
+		{Name: "packets_per_quantum", Hist: histData(&p.hPackets)},
+		{Name: "node_wait_ns", Hist: histData(&p.hWait)},
+		{Name: "frame_latency_ns", Hist: histData(&p.hLatency)},
+		{Name: "frame_slack_ns", Hist: histData(&p.hSlack)},
+		{Name: "partition_wait_ns", Hist: histData(&p.hPartWait)},
 	}
 	return r
 }

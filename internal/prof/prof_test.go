@@ -22,11 +22,11 @@ func quantum(p *Profiler, part *obs.Partitioning, rec obs.QuantumRecord) {
 }
 
 func TestHistSignedBuckets(t *testing.T) {
-	h := &Hist{}
+	var h obs.Histogram
 	for _, v := range []int64{-5, -4, -1, 0, 1, 2, 3, 1000} {
 		h.Observe(v)
 	}
-	s := h.Snapshot()
+	s := histData(&h)
 	if s.Count != 8 || s.Min != -5 || s.Max != 1000 || s.SumNS != 996 {
 		t.Fatalf("summary: %+v", s)
 	}
@@ -43,22 +43,28 @@ func TestHistSignedBuckets(t *testing.T) {
 	}
 }
 
+// The cause is read off the quantum's partitioning, and a quantum without one
+// is a run whose lookahead is ruled out. RunInfo.Lookahead is not consulted:
+// the cases set it where Q <= Lookahead would decide otherwise.
 func TestCauseClassification(t *testing.T) {
+	loose := &obs.Partitioning{Part: []int32{0, 1}, Partitions: 2, FastNodes: 2}
+	whole := &obs.Partitioning{Part: []int32{0, 0}, Partitions: 1, TightPartitions: 1, MaxTightLat: 1000}
 	cases := []struct {
 		name string
 		info obs.RunInfo
+		part *obs.Partitioning
 		q    simtime.Duration
 		want Cause
 	}{
-		{"engaged", obs.RunInfo{Lookahead: 1000}, 1000, CauseEngaged},
-		{"q-exceeds", obs.RunInfo{Lookahead: 1000}, 1001, CauseQExceedsLookahead},
-		{"tap", obs.RunInfo{Lookahead: 1000, OutputQueue: true}, 10, CauseOutputTap},
-		{"no-lookahead", obs.RunInfo{Lookahead: 0}, 10, CauseNoLookahead},
+		{"engaged", obs.RunInfo{Nodes: 2}, loose, 1000, CauseEngaged},
+		{"q-exceeds", obs.RunInfo{Nodes: 2, Lookahead: 1000}, whole, 1000, CauseQExceedsLookahead},
+		{"tap", obs.RunInfo{Nodes: 2, Lookahead: 1000, OutputQueue: true}, nil, 10, CauseOutputTap},
+		{"no-lookahead", obs.RunInfo{Nodes: 2, Lookahead: 1000}, nil, 10, CauseNoLookahead},
 	}
 	for _, c := range cases {
 		p := New()
 		p.RunStart(c.info)
-		quantum(p, nil, obs.QuantumRecord{Q: c.q})
+		quantum(p, c.part, obs.QuantumRecord{Q: c.q})
 		rep := p.Report()
 		if len(rep.Engagement.Causes) != 1 || rep.Engagement.Causes[0].Cause != c.want.String() {
 			t.Errorf("%s: causes = %+v, want 1x %q", c.name, rep.Engagement.Causes, c.want)
@@ -146,16 +152,20 @@ func fakeProfile() *Profiler {
 			return 2000
 		},
 	})
-	// Quantum 0: node 1 finishes 100ns before node 0 and waits for it.
+	// Quantum 0: node 1 finishes 100ns before node 0 and waits for it. Q is
+	// below both links, so both nodes are loose.
 	p.QuantumStart(0, 0, 500, 0)
+	p.QuantumPartition(0, &obs.Partitioning{Part: []int32{0, 1}, Partitions: 2, FastNodes: 2})
 	p.NodePhase(0, obs.PhaseBusy, 0, 500, 0, 400)
 	p.NodePhase(1, obs.PhaseIdle, 0, 500, 0, 300)
 	p.Packet(obs.PacketRecord{Src: 0, Dst: 1, Latency: 1000}) // slack +500
 	p.Packet(obs.PacketRecord{Src: 1, Dst: 0, Latency: 2000}) // slack +1500
 	p.Packet(obs.PacketRecord{Src: 1, Dst: 0, Latency: 2000, Duplicate: true})
 	p.QuantumEnd(obs.QuantumRecord{Q: 500, Packets: 2, BarrierStart: 400, HostEnd: 460, Routing: 40})
-	// Quantum 1: the other way round, and a frame the quantum could swallow.
+	// Quantum 1: the other way round, and a frame the quantum could swallow:
+	// Q is above both links, so the cluster is one tight partition.
 	p.QuantumStart(1, 500, 4000, 460)
+	p.QuantumPartition(1, &obs.Partitioning{Part: []int32{0, 0}, Partitions: 1, TightPartitions: 1, MaxTightLat: 2000, TightLinkCount: 2})
 	p.NodePhase(0, obs.PhaseBusy, 500, 4500, 460, 1360)
 	p.NodePhase(1, obs.PhaseIdle, 500, 4500, 460, 1370)
 	p.Packet(obs.PacketRecord{Src: 0, Dst: 1, Latency: 1000, Straggler: true}) // slack -3000: limiting link
@@ -220,15 +230,12 @@ func TestReportRoundTrip(t *testing.T) {
 	if err := rep.WriteFiles(path); err != nil {
 		t.Fatal(err)
 	}
-	got, err := Load(path)
-	if err != nil {
-		t.Fatal(err)
+	got, sweep, err := Read(path)
+	if err != nil || sweep != nil {
+		t.Fatalf("Read = sweep %v, error %v", sweep != nil, err)
 	}
 	if !bytes.Equal(got.JSON(), rep.JSON()) {
 		t.Fatal("report did not round-trip through JSON")
-	}
-	if sch, err := DetectSchema(path); err != nil || sch != Schema {
-		t.Fatalf("DetectSchema = %q, %v", sch, err)
 	}
 }
 
@@ -252,9 +259,9 @@ func TestSweepOrderIndependent(t *testing.T) {
 	if err := os.WriteFile(path, a, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	sr, err := LoadSweep(path)
-	if err != nil {
-		t.Fatal(err)
+	single, sr, err := Read(path)
+	if err != nil || single != nil {
+		t.Fatalf("Read = single %v, error %v", single != nil, err)
 	}
 	if len(sr.Runs) != 3 || sr.Runs[0].Label != "a/run" {
 		t.Fatalf("sweep runs: %+v", sr.Runs)
@@ -281,22 +288,22 @@ func TestLoadSweepRejectsMissingReport(t *testing.T) {
 	if err := os.WriteFile(path, []byte(`{"schema":"clustersim-prof-sweep/1","runs":[{"label":"x"}]}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := LoadSweep(path); err == nil || !strings.Contains(err.Error(), `"x"`) {
-		t.Fatalf("LoadSweep = %v, want an error naming run \"x\"", err)
+	if _, _, err := Read(path); err == nil || !strings.Contains(err.Error(), `"x"`) {
+		t.Fatalf("Read = %v, want an error naming run \"x\"", err)
 	}
 }
 
 // A nested report of another schema decodes into a zero Report, which every
-// consumer would render as a table of zeros: LoadSweep holds each run to
-// Schema, naming file and label.
+// consumer would render as a table of zeros: Read holds each run of a sweep
+// to Schema, naming file and label.
 func TestLoadSweepRejectsForeignReport(t *testing.T) {
 	path := t.TempDir() + "/s.json"
 	if err := os.WriteFile(path, []byte(`{"schema":"clustersim-prof-sweep/1","runs":[{"label":"a","report":{"schema":"zzz"}}]}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	_, err := LoadSweep(path)
+	_, _, err := Read(path)
 	if err == nil {
-		t.Fatal("LoadSweep accepted a run whose report has schema \"zzz\"")
+		t.Fatal("Read accepted a sweep run whose report has schema \"zzz\"")
 	}
 	for _, want := range []string{path, `"a"`, `"zzz"`} {
 		if !strings.Contains(err.Error(), want) {
@@ -305,9 +312,9 @@ func TestLoadSweepRejectsForeignReport(t *testing.T) {
 	}
 }
 
-// FuzzLoadReport: a report file is outside input. The three readers never
-// panic on it, every error names the file, and what they accept carries the
-// schema they promise — all the way down — and encodes again.
+// FuzzLoadReport: a report file is outside input. Read never panics on it,
+// every error names the file, and what it accepts is exactly one of the two
+// artifacts, carrying its schema all the way down, and encodes again.
 func FuzzLoadReport(f *testing.F) {
 	for _, s := range []string{
 		``, `{}`, `[]`, `null`, `{"schema":7}`, `{"schema":"clustersim-prof/1","nodes":"x"}`,
@@ -324,29 +331,31 @@ func FuzzLoadReport(f *testing.F) {
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		named := func(reader string, err error) {
-			if err != nil && !strings.Contains(err.Error(), path) {
-				t.Errorf("%s error %q does not name the file", reader, err)
+		r, s, err := Read(path)
+		switch {
+		case err != nil:
+			if !strings.Contains(err.Error(), path) {
+				t.Errorf("Read error %q does not name the file", err)
 			}
-		}
-		_, err := DetectSchema(path)
-		named("DetectSchema", err)
-		r, err := Load(path)
-		named("Load", err)
-		if err == nil {
+			if r != nil || s != nil {
+				t.Errorf("Read returned an artifact beside error %q", err)
+			}
+		case (r == nil) == (s == nil):
+			t.Fatalf("Read accepted the file as single %v and sweep %v", r != nil, s != nil)
+		case r != nil:
 			if r.Schema != Schema {
-				t.Errorf("Load accepted schema %q", r.Schema)
+				t.Errorf("Read accepted schema %q", r.Schema)
 			}
 			r.JSON()
 			r.NodesCSV()
 			r.LinksCSV()
-		}
-		s, err := LoadSweep(path)
-		named("LoadSweep", err)
-		if err == nil {
+		default:
+			if s.Schema != SweepSchema {
+				t.Errorf("Read accepted sweep schema %q", s.Schema)
+			}
 			for _, run := range s.Runs {
 				if run.Report == nil || run.Report.Schema != Schema {
-					t.Fatalf("LoadSweep accepted run %q without a %s report", run.Label, Schema)
+					t.Fatalf("Read accepted run %q without a %s report", run.Label, Schema)
 				}
 			}
 			s.JSON()

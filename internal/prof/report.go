@@ -7,6 +7,8 @@ import (
 	"os"
 	"strconv"
 	"strings"
+
+	"clustersim/internal/obs"
 )
 
 // Schema identifies the single-run report encoding.
@@ -106,6 +108,34 @@ type LinkRef struct {
 	Frames    int64 `json:"frames,omitempty"`
 }
 
+// Bucket is one occupied histogram bucket covering the half-open interval
+// [Lo, Hi).
+type Bucket struct {
+	Lo    int64 `json:"lo"`
+	Hi    int64 `json:"hi"`
+	Count int64 `json:"count"`
+}
+
+// HistData is the float-free snapshot of an obs.Histogram embedded in
+// reports. Buckets are ordered ascending by Lo, so encoding is deterministic.
+type HistData struct {
+	Count   int64    `json:"count"`
+	SumNS   int64    `json:"sum"`
+	Min     int64    `json:"min"`
+	Max     int64    `json:"max"`
+	Buckets []Bucket `json:"buckets,omitempty"`
+}
+
+// histData snapshots h, its signed bucket ladder included.
+func histData(h *obs.Histogram) HistData {
+	var d HistData
+	d.Count, d.SumNS, d.Min, d.Max = h.Summary()
+	h.Buckets(func(lo, hi, c int64) {
+		d.Buckets = append(d.Buckets, Bucket{Lo: lo, Hi: hi, Count: c})
+	})
+	return d
+}
+
 // NamedHist attaches a stable name to a histogram snapshot.
 type NamedHist struct {
 	Name string   `json:"name"`
@@ -156,16 +186,19 @@ type Report struct {
 	Hists []NamedHist `json:"hists,omitempty"`
 }
 
-// JSON renders the report in its canonical encoding: two-space indented,
-// trailing newline, fields in declaration order.
-func (r *Report) JSON() []byte {
-	b, err := json.MarshalIndent(r, "", "  ")
+// canonicalJSON renders a report or a sweep in its canonical encoding:
+// two-space indented, trailing newline, fields in declaration order.
+func canonicalJSON(v any) []byte {
+	b, err := json.MarshalIndent(v, "", "  ")
 	if err != nil {
-		// Report contains only marshalable field types; this is unreachable.
+		// Reports contain only marshalable field types; this is unreachable.
 		panic(fmt.Sprintf("prof: marshal report: %v", err))
 	}
 	return append(b, '\n')
 }
+
+// JSON renders the report in its canonical encoding.
+func (r *Report) JSON() []byte { return canonicalJSON(r) }
 
 // NodesCSV renders the per-node decomposition as CSV.
 func (r *Report) NodesCSV() []byte {
@@ -202,20 +235,49 @@ func (r *Report) WriteFiles(path string) error {
 	return os.WriteFile(base+".links.csv", r.LinksCSV(), 0o644)
 }
 
-// Load reads a single-run report from path.
-func Load(path string) (*Report, error) {
+// Read reads the report file at path once and decodes it by its schema: a
+// single-run report, or a sweep whose every run carries a Schema report.
+// Without an error exactly one result is non-nil; every error names the file.
+func Read(path string) (*Report, *SweepReport, error) {
 	b, err := os.ReadFile(path)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	var r Report
-	if err := json.Unmarshal(b, &r); err != nil {
-		return nil, fmt.Errorf("prof: parse %s: %v", path, err)
+	parse := func(v any) error {
+		if err := json.Unmarshal(b, v); err != nil {
+			return fmt.Errorf("prof: parse %s: %v", path, err)
+		}
+		return nil
 	}
-	if r.Schema != Schema {
-		return nil, fmt.Errorf("prof: %s: unexpected schema %q (want %q)", path, r.Schema, Schema)
+	var probe struct {
+		Schema string `json:"schema"`
 	}
-	return &r, nil
+	if err := parse(&probe); err != nil {
+		return nil, nil, err
+	}
+	switch probe.Schema {
+	case Schema:
+		r := new(Report)
+		if err := parse(r); err != nil {
+			return nil, nil, err
+		}
+		return r, nil, nil
+	case SweepSchema:
+		s := new(SweepReport)
+		if err := parse(s); err != nil {
+			return nil, nil, err
+		}
+		for _, run := range s.Runs {
+			if run.Report == nil {
+				return nil, nil, fmt.Errorf("prof: %s: run %q has no report", path, run.Label)
+			}
+			if run.Report.Schema != Schema {
+				return nil, nil, fmt.Errorf("prof: %s: run %q: unexpected schema %q (want %q)", path, run.Label, run.Report.Schema, Schema)
+			}
+		}
+		return nil, s, nil
+	}
+	return nil, nil, fmt.Errorf("%s: unknown schema %q", path, probe.Schema)
 }
 
 // LinkName formats a directed link for human-readable output.

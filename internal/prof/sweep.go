@@ -2,7 +2,6 @@ package prof
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"os"
 	"sort"
@@ -88,13 +87,7 @@ func (s *Sweep) Report() *SweepReport {
 }
 
 // JSON renders the sweep report in its canonical encoding.
-func (r *SweepReport) JSON() []byte {
-	b, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		panic(fmt.Sprintf("prof: marshal sweep report: %v", err))
-	}
-	return append(b, '\n')
-}
+func (r *SweepReport) JSON() []byte { return canonicalJSON(r) }
 
 // LinksCSV renders every run's per-link accounting as one CSV with a
 // leading label column.
@@ -121,44 +114,4 @@ func (r *SweepReport) WriteFiles(path string) error {
 		base = path[:n-5]
 	}
 	return os.WriteFile(base+".links.csv", r.LinksCSV(), 0o644)
-}
-
-// LoadSweep reads a sweep report from path.
-func LoadSweep(path string) (*SweepReport, error) {
-	b, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var r SweepReport
-	if err := json.Unmarshal(b, &r); err != nil {
-		return nil, fmt.Errorf("prof: parse %s: %v", path, err)
-	}
-	if r.Schema != SweepSchema {
-		return nil, fmt.Errorf("prof: %s: unexpected schema %q (want %q)", path, r.Schema, SweepSchema)
-	}
-	for _, run := range r.Runs {
-		if run.Report == nil {
-			return nil, fmt.Errorf("prof: %s: run %q has no report", path, run.Label)
-		}
-		if run.Report.Schema != Schema {
-			return nil, fmt.Errorf("prof: %s: run %q: unexpected schema %q (want %q)", path, run.Label, run.Report.Schema, Schema)
-		}
-	}
-	return &r, nil
-}
-
-// DetectSchema reports which schema the JSON file at path carries, without
-// fully decoding it.
-func DetectSchema(path string) (string, error) {
-	b, err := os.ReadFile(path)
-	if err != nil {
-		return "", err
-	}
-	var probe struct {
-		Schema string `json:"schema"`
-	}
-	if err := json.Unmarshal(b, &probe); err != nil {
-		return "", fmt.Errorf("prof: parse %s: %v", path, err)
-	}
-	return probe.Schema, nil
 }

@@ -1,7 +1,6 @@
-// Package workerpool provides the bounded work-stealing pool shared by the
-// experiment fan-out (parallelism *across* independent simulations) and the
-// cluster engine's intra-quantum fast path (parallelism *within* one
-// simulation when the quantum is provably safe, DESIGN.md §7).
+// Package workerpool provides the bounded work-stealing pool behind the
+// experiment fan-out and the scenario fleet: parallelism *across* independent
+// simulations (DESIGN.md §7). A simulation itself runs on one goroutine.
 //
 // The pool executes index-addressed batches: Run(n, fn) calls fn(0..n-1)
 // exactly once each, in an unspecified order, and returns only after every
@@ -23,8 +22,9 @@ type Pool struct {
 	workers int
 	work    chan batch
 	// next and wg are reused across Run calls (Run is never concurrent with
-	// itself), keeping the per-batch steady state allocation-free — the
-	// engine's fast path issues one batch per simulated quantum.
+	// itself), keeping the per-batch steady state allocation-free for a
+	// caller that issues many batches; every production pool runs a single
+	// batch today.
 	next atomic.Int64
 	wg   sync.WaitGroup
 }

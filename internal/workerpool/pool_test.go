@@ -40,8 +40,8 @@ func TestNewDefaultsToGOMAXPROCS(t *testing.T) {
 }
 
 // A 1-worker pool must run inline on the submitting goroutine in index
-// order — the reference sequential schedule the engine's fast path
-// documents for Workers=1.
+// order — the reference sequential schedule the experiment fan-out documents
+// for workers == 1.
 func TestSingleWorkerRunsInlineInOrder(t *testing.T) {
 	p := New(1)
 	defer p.Close()
