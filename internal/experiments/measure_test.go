@@ -125,7 +125,7 @@ func TestMeasure(t *testing.T) {
 }
 
 // TestPaperShapes holds the ✓ lines of EXPERIMENTS.md (Figures 6 and 7,
-// studies A4, A7 and A8) as assertions, at the scale the document makes them:
+// studies A1, A4, A7 and A8) as assertions, at the scale the document makes them:
 // the orderings and crossovers the paper argues from, not the values.
 func TestPaperShapes(t *testing.T) {
 	if testing.Short() {
@@ -182,6 +182,25 @@ func TestPaperShapes(t *testing.T) {
 						name, prev.Speedup, nodeCounts[ni-1], cur.Speedup, n)
 				}
 			}
+		}
+	}
+
+	// A1: deceleration, not acceleration, is the accuracy-critical knob.
+	incs, decs := []float64{1.01, 1.03, 1.05, 1.10, 1.20}, []float64{0.02, 0.1, 0.9}
+	incdec, err := AblationIncDec(env, NASSuite(1.0)[1], 8, incs, decs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range incs {
+		dec02, dec1, dec9 := incdec[3*i], incdec[3*i+1], incdec[3*i+2]
+		for _, c := range []Cell{dec02, dec1} {
+			if c.AccErr > 0.006 {
+				t.Errorf("A1 %s: error %.2f%% above 0.6%% with fast deceleration", c.Config, c.AccErr*100)
+			}
+		}
+		if dec9.AccErr <= dec02.AccErr {
+			t.Errorf("A1: dec 0.9 (%s, %.2f%%) should be less accurate than dec 0.02 (%s, %.2f%%)",
+				dec9.Config, dec9.AccErr*100, dec02.Config, dec02.AccErr*100)
 		}
 	}
 

@@ -1,8 +1,10 @@
-// Package mpi provides the message-passing collectives the benchmark
-// workloads are written against, mirroring the paper's use of LAM/MPI.
+// Package mpi provides the world communicator the benchmark workloads are
+// written against, mirroring the paper's use of LAM/MPI: point-to-point
+// sends and receives plus the four collectives the workloads call (Barrier,
+// Allreduce, Alltoall, Bcast).
 //
 // The collectives are implemented with the classical algorithms (binomial
-// trees, recursive doubling / dissemination, pairwise exchange, rings) over
+// trees, recursive doubling / dissemination, pairwise exchange) over
 // the msg layer, so a collective generates the same kind of frame bursts and
 // dependence chains as a real MPI library — which is what the adaptive
 // synchronization algorithm reacts to. All operations are blocking and must
@@ -20,11 +22,13 @@ import (
 	"clustersim/internal/simtime"
 )
 
-// Tag ranges: user point-to-point tags must stay below collTagBase.
-const (
-	collTagBase = 1 << 24
-	collTagMod  = 1 << 20
-)
+// MaxTag bounds user point-to-point tags to [0, MaxTag): the tags from
+// MaxTag up carry collective traffic, so a user message there could be
+// matched by a collective's receive.
+const MaxTag = 1 << 24
+
+// collTagMod is the size of the collective tag space above MaxTag.
+const collTagMod = 1 << 20
 
 // Comm is a communicator spanning all nodes of the cluster.
 type Comm struct {
@@ -37,12 +41,7 @@ type Comm struct {
 // New creates the world communicator for this rank over a fresh msg
 // endpoint with the default (jumbo) MTU.
 func New(p *guest.Proc) *Comm {
-	return NewWithMTU(p, pkt.DefaultMTU)
-}
-
-// NewWithMTU creates the world communicator with an explicit MTU.
-func NewWithMTU(p *guest.Proc, mtu int) *Comm {
-	return &Comm{ep: msg.New(p, mtu), rank: p.Rank(), size: p.Size()}
+	return &Comm{ep: msg.New(p, pkt.DefaultMTU), rank: p.Rank(), size: p.Size()}
 }
 
 // NewWithConfig creates the world communicator over an endpoint with
@@ -115,7 +114,7 @@ func (c *Comm) Sendrecv(peer, tag, size int) *msg.Message {
 
 // nextTag reserves a fresh collective tag.
 func (c *Comm) nextTag() int {
-	t := collTagBase + c.seq%collTagMod
+	t := MaxTag + c.seq%collTagMod
 	c.seq++
 	return t
 }
@@ -189,26 +188,6 @@ func nextPow2(n int) int {
 		p <<= 1
 	}
 	return p
-}
-
-// Reduce models a binomial-tree reduction of size bytes to root (size-only;
-// use AllreduceSum for value-carrying reductions in tests).
-func (c *Comm) Reduce(root, size int) {
-	c.checkPeer(root)
-	tag := c.nextTag()
-	vrank := (c.rank - root + c.size) % c.size
-	// Children send up in reverse binomial order.
-	for k := 1; k < nextPow2(c.size); k <<= 1 {
-		if vrank&k != 0 {
-			parent := ((vrank &^ k) + root) % c.size
-			c.ep.Send(parent, tag, size)
-			return
-		}
-		child := vrank | k
-		if child < c.size && child != vrank {
-			c.ep.Recv((child+root)%c.size, tag)
-		}
-	}
 }
 
 // Allreduce models an allreduce of size bytes via recursive doubling (the
@@ -313,11 +292,6 @@ func (c *Comm) allreduce(size int, acc []float64, fold func(acc, other []float64
 // This is the MPI_alltoall pattern that makes NAS-IS the paper's worst-case
 // accuracy benchmark.
 func (c *Comm) Alltoall(size int) {
-	c.AlltoallFunc(func(int) int { return size })
-}
-
-// AlltoallFunc is Alltoall with a per-destination size (MPI_alltoallv).
-func (c *Comm) AlltoallFunc(size func(peer int) int) {
 	tag := c.nextTag()
 	if c.size == 1 {
 		return
@@ -332,49 +306,7 @@ func (c *Comm) AlltoallFunc(size func(peer int) int) {
 			sendPeer = (c.rank + i) % c.size
 			recvPeer = (c.rank - i + c.size) % c.size
 		}
-		c.ep.Send(sendPeer, tag, size(sendPeer))
+		c.ep.Send(sendPeer, tag, size)
 		c.ep.Recv(recvPeer, tag)
 	}
-}
-
-// Allgather models an allgather of size bytes contributed per rank, using
-// the ring algorithm: size-1 steps, each passing the next block to the right
-// neighbour.
-func (c *Comm) Allgather(size int) {
-	tag := c.nextTag()
-	right := (c.rank + 1) % c.size
-	left := (c.rank - 1 + c.size) % c.size
-	for i := 0; i < c.size-1; i++ {
-		c.ep.Send(right, tag, size)
-		c.ep.Recv(left, tag)
-	}
-}
-
-// Gather models a gather of size bytes per rank to root (flat tree, like
-// most MPI implementations for small rank counts).
-func (c *Comm) Gather(root, size int) {
-	c.checkPeer(root)
-	tag := c.nextTag()
-	if c.rank == root {
-		for i := 0; i < c.size-1; i++ {
-			c.ep.Recv(msg.Any, tag)
-		}
-		return
-	}
-	c.ep.Send(root, tag, size)
-}
-
-// Scatter models a scatter of size bytes per rank from root (flat tree).
-func (c *Comm) Scatter(root, size int) {
-	c.checkPeer(root)
-	tag := c.nextTag()
-	if c.rank == root {
-		for i := 0; i < c.size; i++ {
-			if i != c.rank {
-				c.ep.Send(i, tag, size)
-			}
-		}
-		return
-	}
-	c.ep.Recv(root, tag)
 }

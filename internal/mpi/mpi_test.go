@@ -147,27 +147,6 @@ func TestAlltoallCompletesAllPairs(t *testing.T) {
 	}
 }
 
-func TestAlltoallFuncPerPeerSizes(t *testing.T) {
-	run(t, 4, simtime.Microsecond, func(c *mpi.Comm) error {
-		c.AlltoallFunc(func(peer int) int { return 100 * (peer + 1) })
-		return nil
-	})
-}
-
-func TestGatherScatterReduceAllgather(t *testing.T) {
-	for _, n := range []int{2, 5, 8} {
-		n := n
-		run(t, n, simtime.Microsecond, func(c *mpi.Comm) error {
-			c.Gather(0, 512)
-			c.Scatter(0, 512)
-			c.Reduce(0, 256)
-			c.Reduce(n-1, 256)
-			c.Allgather(128)
-			return nil
-		})
-	}
-}
-
 func TestSendRecvPointToPoint(t *testing.T) {
 	run(t, 2, simtime.Microsecond, func(c *mpi.Comm) error {
 		if c.Rank() == 0 {

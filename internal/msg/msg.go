@@ -9,8 +9,8 @@
 //
 // Two transfer protocols are modelled, mirroring real MPI transports:
 //
-//   - eager: messages up to EagerMax are pushed immediately (the paper's
-//     switch is perfect, so no acknowledgements are needed);
+//   - eager: messages up to DefaultEagerMax are pushed immediately (the
+//     paper's switch is perfect, so no acknowledgements are needed);
 //   - rendezvous: larger messages first send a request-to-send (RTS)
 //     control frame and transfer data only after the destination's protocol
 //     engine answers clear-to-send (CTS). This creates the multi-trip
@@ -20,7 +20,10 @@
 // As an extension beyond the paper's perfect switch, the endpoint also
 // supports a Reliable mode — per-message acknowledgements, duplicate
 // suppression and timeout-driven retransmission — used together with the
-// engine's loss injection to demonstrate the stack survives frame loss.
+// engine's loss injection to demonstrate the stack survives frame loss. Its
+// one retry rule: a message times out after DefaultRetransmitTimeout,
+// backing off to at most 8x, and is abandoned as ErrDeliveryFailed on the
+// expiry after its DefaultMaxRetries-th retransmission.
 //
 // Everything here is guest code: fragmentation, control frames and matching
 // consume guest CPU time through the per-frame send/receive overheads of the
@@ -43,26 +46,21 @@ const Any = -1
 // headerBytes is the wire size of the fragment/control header.
 const headerBytes = 40
 
-// DefaultEagerMax is the default eager/rendezvous threshold, matching the
-// common TCP-transport defaults of 2000s-era MPI implementations.
+// DefaultEagerMax is the eager/rendezvous threshold, matching the common
+// TCP-transport defaults of 2000s-era MPI implementations: bigger messages
+// use the rendezvous protocol.
 const DefaultEagerMax = 64 << 10
 
-// DefaultRetransmitTimeout is the reliable-mode retransmission timer.
+// DefaultRetransmitTimeout is the reliable-mode retransmission timer, the
+// first of a message's timeouts; later ones double up to 8x it.
 const DefaultRetransmitTimeout = 200 * simtime.Microsecond
 
-// DefaultMaxRetries is the reliable-mode retransmission cap. 30 retries at
-// the capped 8x backoff spans tens of milliseconds of guest time and makes
-// a spurious failure astronomically unlikely at any loss rate worth
-// simulating (0.3^30 ≈ 2e-16), while still bounding the work a partitioned
-// link can absorb.
+// DefaultMaxRetries is the reliable-mode retransmission cap per message.
+// 30 retries at the capped 8x backoff spans tens of milliseconds of guest
+// time and makes a spurious failure astronomically unlikely at any loss
+// rate worth simulating (0.3^30 ≈ 2e-16), while still bounding the work a
+// partitioned link can absorb.
 const DefaultMaxRetries = 30
-
-// DefaultFlushHorizon is the guest-time bound on one Flush call in
-// retry-forever mode. At the default 200µs timer with the 8x backoff cap
-// this spans hundreds of retransmission cycles — far beyond any recoverable
-// outage worth simulating — while guaranteeing Flush terminates against a
-// link that never comes back.
-const DefaultFlushHorizon = simtime.Second
 
 // ErrDeliveryFailed marks a reliable-mode message abandoned after
 // exhausting its retransmission budget. Returned (wrapped) by Err and
@@ -126,40 +124,20 @@ type outMsg struct {
 	needCTS bool
 }
 
-// Config tunes an endpoint's protocol behaviour.
+// Config selects an endpoint's protocol behaviour. The retransmission
+// timer, the retry cap and the eager threshold are the Default* constants.
 type Config struct {
 	// MTU is the frame payload capacity in bytes (e.g. pkt.DefaultMTU).
 	MTU int
-	// EagerMax is the largest message sent eagerly; bigger messages use the
-	// rendezvous protocol. Negative disables rendezvous entirely.
-	EagerMax int
 	// Reliable enables acknowledgements, duplicate suppression and
 	// retransmission. All endpoints of a cluster must agree on this.
 	Reliable bool
-	// RetransmitTimeout is the guest-time retransmission timer (reliable
-	// mode); zero means DefaultRetransmitTimeout.
-	RetransmitTimeout simtime.Duration
-	// MaxRetries caps reliable-mode retransmissions per message. A message
-	// that exhausts the cap is abandoned: it leaves the in-flight set and
-	// the endpoint records a permanent delivery failure surfaced by Err and
-	// Flush. Zero means DefaultMaxRetries; negative retries forever (the
-	// pre-cap behaviour), bounded only by FlushHorizon inside Flush.
-	MaxRetries int
-	// FlushHorizon bounds the guest time one Flush call may spend driving
-	// retransmissions; anything still unacknowledged when the horizon
-	// expires is abandoned with ErrDeliveryFailed. This is the termination
-	// backstop for MaxRetries < 0, where a permanently-down link would
-	// otherwise loop Flush forever (the "bounded by nextDeadline" argument
-	// assumed the retry cap); with a positive MaxRetries the per-message
-	// budget normally fires well before the horizon. Zero means
-	// DefaultFlushHorizon; negative disables the bound.
-	FlushHorizon simtime.Duration
 }
 
-// DefaultConfig returns jumbo frames with the standard eager threshold and
-// no reliability (the paper's perfect network needs none).
+// DefaultConfig returns jumbo frames and no reliability (the paper's
+// perfect network needs none).
 func DefaultConfig() Config {
-	return Config{MTU: pkt.DefaultMTU, EagerMax: DefaultEagerMax}
+	return Config{MTU: pkt.DefaultMTU}
 }
 
 // Endpoint is one node's message-layer endpoint. It must be used only from
@@ -224,10 +202,9 @@ type Endpoint struct {
 	err error
 }
 
-// New creates an endpoint over p with the given MTU and the default eager
-// threshold.
+// New creates an unreliable endpoint over p with the given MTU.
 func New(p *guest.Proc, mtu int) *Endpoint {
-	return NewWithConfig(p, Config{MTU: mtu, EagerMax: DefaultEagerMax})
+	return NewWithConfig(p, Config{MTU: mtu})
 }
 
 // NewWithConfig creates an endpoint with explicit protocol configuration.
@@ -236,15 +213,6 @@ func New(p *guest.Proc, mtu int) *Endpoint {
 func NewWithConfig(p *guest.Proc, cfg Config) *Endpoint {
 	if cfg.MTU <= headerBytes {
 		panic(fmt.Sprintf("msg: MTU %d cannot carry the %d-byte fragment header", cfg.MTU, headerBytes))
-	}
-	if cfg.RetransmitTimeout <= 0 {
-		cfg.RetransmitTimeout = DefaultRetransmitTimeout
-	}
-	if cfg.MaxRetries == 0 {
-		cfg.MaxRetries = DefaultMaxRetries
-	}
-	if cfg.FlushHorizon == 0 {
-		cfg.FlushHorizon = DefaultFlushHorizon
 	}
 	return &Endpoint{
 		p:         p,
@@ -344,12 +312,12 @@ func (e *Endpoint) send(dst, tag, size int, payload []byte) {
 	}
 
 	t := train{id: id, dst: dst, tag: tag, size: size, payload: payload, seq: seq}
-	rendezvous := e.cfg.EagerMax >= 0 && size > e.cfg.EagerMax
+	rendezvous := size > DefaultEagerMax
 	if rendezvous {
 		e.sendRTS(dst, id, tag, size)
 		var om *outMsg
 		if e.cfg.Reliable {
-			om = &outMsg{train: t, needCTS: true, deadline: e.p.Now().Add(e.cfg.RetransmitTimeout)}
+			om = &outMsg{train: t, needCTS: true, deadline: e.p.Now().Add(DefaultRetransmitTimeout)}
 			e.track(om)
 		}
 		// Block until the destination grants CTS, retransmitting the RTS as
@@ -359,14 +327,14 @@ func (e *Endpoint) send(dst, tag, size int, payload []byte) {
 		}
 		if om != nil {
 			om.needCTS = false
-			om.deadline = e.p.Now().Add(e.cfg.RetransmitTimeout)
+			om.deadline = e.p.Now().Add(DefaultRetransmitTimeout)
 		}
 		delete(e.cts, id)
 	}
 
 	e.sendData(t)
 	if e.cfg.Reliable && !rendezvous {
-		e.track(&outMsg{train: t, deadline: e.p.Now().Add(e.cfg.RetransmitTimeout)})
+		e.track(&outMsg{train: t, deadline: e.p.Now().Add(DefaultRetransmitTimeout)})
 	}
 }
 
@@ -493,7 +461,7 @@ func (e *Endpoint) retransmitDue() {
 		}
 		if om.deadline <= now {
 			e.timeouts++
-			if e.cfg.MaxRetries > 0 && int(om.retries) >= e.cfg.MaxRetries {
+			if om.retries >= DefaultMaxRetries {
 				// Out of budget: the message will never be delivered.
 				e.failures++
 				if e.err == nil {
@@ -518,7 +486,7 @@ func (e *Endpoint) retransmitDue() {
 		if backoff > 3 {
 			backoff = 3
 		}
-		om.deadline = now.Add(e.cfg.RetransmitTimeout << uint(backoff))
+		om.deadline = now.Add(DefaultRetransmitTimeout << uint(backoff))
 		if om.needCTS {
 			e.sendRTS(om.dst, om.id, om.tag, om.size)
 		} else {
@@ -766,57 +734,26 @@ func (e *Endpoint) TryRecv(src, tag int) (m *Message, ok bool) {
 // first recorded delivery failure (nil when everything was delivered). It
 // is a no-op on unreliable endpoints.
 //
-// Flush terminates even against a link that never delivers: with a positive
-// MaxRetries every message abandons itself after its budget, and in
-// retry-forever mode (MaxRetries < 0) the FlushHorizon abandons whatever is
-// still outstanding, surfacing ErrDeliveryFailed either way.
+// Flush terminates even against a link that never delivers: it tracks no
+// message of its own, and every outstanding message abandons itself within
+// DefaultMaxRetries+1 timeouts of at most 8×DefaultRetransmitTimeout each,
+// surfacing ErrDeliveryFailed.
 func (e *Endpoint) Flush() error {
 	if !e.cfg.Reliable {
 		return nil
 	}
-	horizon := simtime.GuestInfinity
-	if e.cfg.FlushHorizon > 0 {
-		horizon = e.p.Now().Add(e.cfg.FlushHorizon)
-	}
 	for e.Outstanding() > 0 {
-		if e.p.Now() >= horizon {
-			e.abandonOutstanding()
-			break
-		}
 		// Bound each wait by the earliest retransmission deadline so the
 		// loop re-checks Outstanding after every timer fire — including the
 		// one that abandons the last in-flight message, after which no
-		// frame may ever arrive to end an unbounded wait — and by the flush
-		// horizon itself.
-		wait := e.nextDeadline()
-		if horizon < wait {
-			wait = horizon
-		}
-		e.pump(wait, e)
+		// frame may ever arrive to end an unbounded wait.
+		e.pump(e.nextDeadline(), e)
 	}
 	return e.err
 }
 
-// abandonOutstanding fails every still-unacknowledged message, recording
-// the first as the endpoint's permanent delivery failure.
-func (e *Endpoint) abandonOutstanding() {
-	for _, id := range e.unackedID {
-		om := e.unacked[id]
-		if om == nil {
-			continue
-		}
-		e.failures++
-		if e.err == nil {
-			e.err = fmt.Errorf("msg: message %d to rank %d (tag %d, %d bytes) abandoned after %d retransmissions (flush horizon %v exhausted): %w",
-				om.id, om.dst, om.tag, om.size, om.retries, e.cfg.FlushHorizon, ErrDeliveryFailed)
-		}
-		delete(e.unacked, id)
-	}
-	e.unackedID = e.unackedID[:0]
-}
-
 // Err returns the endpoint's first recorded delivery failure — a reliable
-// message abandoned after MaxRetries retransmissions — wrapping
+// message abandoned after DefaultMaxRetries retransmissions — wrapping
 // ErrDeliveryFailed, or nil. Failures are permanent.
 func (e *Endpoint) Err() error { return e.err }
 
@@ -827,11 +764,11 @@ func (e *Endpoint) Err() error { return e.err }
 // Flush.
 //
 // Like TCP's TIME_WAIT, this is probabilistic: a peer still owed traffic
-// retransmits at most every 8×RetransmitTimeout, so a quiet period of
-// K×8×RetransmitTimeout is abandoned prematurely only if K consecutive
-// retransmissions are all lost. Choose quiet ≥ ~20× RetransmitTimeout for
-// loss rates worth running (e.g. the default 200µs timer → 4ms+; tests use
-// tens of ms).
+// retransmits at most every 8×DefaultRetransmitTimeout, so a quiet period
+// of K×8×DefaultRetransmitTimeout is abandoned prematurely only if K
+// consecutive retransmissions are all lost. Choose quiet ≥ ~20×
+// DefaultRetransmitTimeout for loss rates worth running (4ms+ at the 200µs
+// timer; tests use tens of ms).
 func (e *Endpoint) Drain(quiet simtime.Duration) {
 	// No sink: the quiet period restarts at every frame, fragments included.
 	for e.pump(e.p.Now().Add(quiet), nil) {

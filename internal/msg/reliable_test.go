@@ -204,18 +204,17 @@ func runBlackout(t *testing.T, q simtime.Duration, progs ...guest.Program) *clus
 	return res
 }
 
-// A link that never delivers must not hang Flush: after MaxRetries expiries
-// the message is abandoned, Flush terminates, and the permanent failure
-// surfaces through Flush and Err wrapping ErrDeliveryFailed, with the
-// timeout/retransmit/failure counters recording exactly the capped attempts.
+// A link that never delivers must not hang Flush: after DefaultMaxRetries
+// retransmissions the next expiry abandons the message, Flush terminates,
+// and the permanent failure surfaces through Flush and Err wrapping
+// ErrDeliveryFailed, with the timeout/retransmit/failure counters recording
+// exactly the capped attempts.
 func TestReliableDeliveryFailureSurfaced(t *testing.T) {
 	var flushErr, endpointErr error
 	var retransmits, timeouts, failures int
 	runBlackout(t, 50*simtime.Microsecond,
 		func(p *guest.Proc) error {
-			cfg := reliableCfg()
-			cfg.MaxRetries = 4
-			ep := msg.NewWithConfig(p, cfg)
+			ep := msg.NewWithConfig(p, reliableCfg())
 			ep.Send(1, 3, 2000)
 			flushErr = ep.Flush()
 			endpointErr = ep.Err()
@@ -234,11 +233,42 @@ func TestReliableDeliveryFailureSurfaced(t *testing.T) {
 	if failures != 1 {
 		t.Errorf("failures = %d, want 1", failures)
 	}
-	if retransmits != 4 {
-		t.Errorf("retransmits = %d, want exactly MaxRetries (4)", retransmits)
+	if retransmits != msg.DefaultMaxRetries {
+		t.Errorf("retransmits = %d, want exactly DefaultMaxRetries (%d)", retransmits, msg.DefaultMaxRetries)
 	}
-	if timeouts != 5 {
-		t.Errorf("timeouts = %d, want 5 (4 retransmissions + the abandoning expiry)", timeouts)
+	if timeouts != msg.DefaultMaxRetries+1 {
+		t.Errorf("timeouts = %d, want %d (every retransmission + the abandoning expiry)", timeouts, msg.DefaultMaxRetries+1)
+	}
+}
+
+// Flush's termination argument, in closed form: against a link that never
+// delivers, a message's k-th timeout waits DefaultRetransmitTimeout<<min(k,3)
+// and the one after its DefaultMaxRetries-th retransmission abandons it, so
+// Flush returns within the sum of those waits of the send. A Flush that
+// outlives the budget fails here rather than hanging.
+func TestFlushWithinRetryBudget(t *testing.T) {
+	var budget simtime.Duration
+	for k := 0; k <= msg.DefaultMaxRetries; k++ {
+		budget += msg.DefaultRetransmitTimeout << min(k, 3)
+	}
+	var start, end simtime.Guest
+	var flushErr error
+	runBlackout(t, 50*simtime.Microsecond,
+		func(p *guest.Proc) error {
+			ep := msg.NewWithConfig(p, reliableCfg())
+			ep.Send(1, 3, 2000)
+			start = p.Now() // the first timer starts once the frame has left
+			flushErr = ep.Flush()
+			end = p.Now()
+			return nil
+		},
+		func(p *guest.Proc) error { return nil },
+	)
+	if !errors.Is(flushErr, msg.ErrDeliveryFailed) {
+		t.Fatalf("Flush = %v, want ErrDeliveryFailed", flushErr)
+	}
+	if took := end.Sub(start); took > budget {
+		t.Errorf("Flush returned %v after the Send, past the %v retry budget", took, budget)
 	}
 }
 
@@ -247,9 +277,7 @@ func TestMPIFlushSurfacesDeliveryFailure(t *testing.T) {
 	var flushErr error
 	runBlackout(t, 50*simtime.Microsecond,
 		func(p *guest.Proc) error {
-			cfg := reliableCfg()
-			cfg.MaxRetries = 2
-			c := mpi.NewWithConfig(p, cfg)
+			c := mpi.NewWithConfig(p, reliableCfg())
 			c.Send(1, 0, 500)
 			flushErr = c.Flush()
 			if !errors.Is(c.Err(), msg.ErrDeliveryFailed) {
@@ -300,69 +328,5 @@ func TestPropertyReliableExactlyOnce(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 15}); err != nil {
 		t.Error(err)
-	}
-}
-
-// Retry-forever mode (MaxRetries < 0) has no per-message budget, so against
-// a permanently-down link Flush used to loop unbounded: nextDeadline always
-// yields another finite retransmission deadline, and the "bounded by
-// nextDeadline" termination argument silently assumed the retry cap. The
-// FlushHorizon is the termination backstop: Flush must return right at the
-// horizon, abandon the message, and surface ErrDeliveryFailed.
-func TestFlushRetryForeverBoundedByHorizon(t *testing.T) {
-	const horizon = 20 * simtime.Millisecond
-	var flushErr, endpointErr error
-	var start, end simtime.Guest
-	var failures int
-	runBlackout(t, 50*simtime.Microsecond,
-		func(p *guest.Proc) error {
-			cfg := reliableCfg()
-			cfg.MaxRetries = -1
-			cfg.FlushHorizon = horizon
-			ep := msg.NewWithConfig(p, cfg)
-			ep.Send(1, 3, 2000)
-			start = p.Now()
-			flushErr = ep.Flush()
-			end = p.Now()
-			endpointErr = ep.Err()
-			_, _, _, _, failures = ep.TransportStats()
-			return nil
-		},
-		func(p *guest.Proc) error { return nil },
-	)
-	if !errors.Is(flushErr, msg.ErrDeliveryFailed) {
-		t.Fatalf("Flush = %v, want ErrDeliveryFailed", flushErr)
-	}
-	if !errors.Is(endpointErr, msg.ErrDeliveryFailed) {
-		t.Errorf("Err() = %v, want ErrDeliveryFailed", endpointErr)
-	}
-	if failures != 1 {
-		t.Errorf("failures = %d, want 1", failures)
-	}
-	if end < start.Add(horizon) {
-		t.Errorf("Flush returned at %v, before the horizon %v after %v", end, horizon, start)
-	}
-	if limit := start.Add(2 * horizon); end > limit {
-		t.Errorf("Flush returned at %v, far past the horizon %v after %v", end, horizon, start)
-	}
-}
-
-// The default horizon applies when the config leaves it zero, so no
-// retry-forever configuration can hang Flush by omission.
-func TestFlushRetryForeverDefaultHorizon(t *testing.T) {
-	var flushErr error
-	runBlackout(t, 500*simtime.Microsecond,
-		func(p *guest.Proc) error {
-			cfg := reliableCfg()
-			cfg.MaxRetries = -1
-			ep := msg.NewWithConfig(p, cfg)
-			ep.Send(1, 1, 100)
-			flushErr = ep.Flush()
-			return nil
-		},
-		func(p *guest.Proc) error { return nil },
-	)
-	if !errors.Is(flushErr, msg.ErrDeliveryFailed) {
-		t.Fatalf("Flush = %v, want ErrDeliveryFailed", flushErr)
 	}
 }

@@ -15,10 +15,12 @@ import (
 // fragment count at the size boundaries (zero bytes is one header-only frame,
 // k full chunks are k frames, not k+1), each fragment counted once on either
 // side whether the sink absorbed it or the workload handled it, and the
-// payload intact across the train.
+// payload intact across the train. A message above DefaultEagerMax adds its
+// rendezvous handshake: one RTS frame each way counted by the sender and the
+// receiver, plus the CTS on the wire.
 func TestFragmentTrain(t *testing.T) {
 	const chunk = pkt.DefaultMTU - 40
-	cfg := msg.Config{MTU: pkt.DefaultMTU, EagerMax: -1} // data frames only: no RTS/CTS
+	cfg := msg.DefaultConfig()
 	for _, c := range []struct{ size, frames int }{
 		{0, 1}, {1, 1}, {chunk, 1}, {chunk + 1, 2}, {3 * chunk, 3}, {3*chunk + 1, 4}, {64 * chunk, 64},
 	} {
@@ -54,8 +56,12 @@ func TestFragmentTrain(t *testing.T) {
 						return nil
 					},
 				)
-				if sent != c.frames || recvd != c.frames || res.Stats.Packets != c.frames {
-					t.Errorf("%d frames sent, %d received, %d on the wire, want %d", sent, recvd, res.Stats.Packets, c.frames)
+				rts := 0
+				if c.size > msg.DefaultEagerMax {
+					rts = 1
+				}
+				if sent != c.frames+rts || recvd != c.frames+rts || res.Stats.Packets != c.frames+2*rts {
+					t.Errorf("%d frames sent, %d received, %d on the wire, want %d data frames and %d RTS", sent, recvd, res.Stats.Packets, c.frames, rts)
 				}
 				if !bytes.Equal(got, payload) {
 					t.Error("payload corrupted in transit")

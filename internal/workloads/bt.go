@@ -12,9 +12,8 @@ import (
 // BTParams configures the BT kernel (block-tridiagonal solver), an addition
 // beyond the paper's five selected kernels — the paper notes it selected
 // only the benchmarks that "could run for 2, 4 and 8-node clusters", and BT
-// requires a square process grid. It exercises the sub-communicator API:
-// each timestep runs line solves pipelined along the rows and then the
-// columns of a √N×√N grid.
+// requires a square process grid. Each timestep runs line solves pipelined
+// along the rows and then the columns of a √N×√N grid of world ranks.
 type BTParams struct {
 	// Steps is the number of ADI timesteps.
 	Steps int
@@ -66,28 +65,27 @@ func BT(p BTParams) Workload {
 					rowRanks[i] = row*side + i
 					colRanks[i] = i*side + col
 				}
-				rowG := c.Sub(rowRanks)
-				colG := c.Sub(colRanks)
 
 				// sweep runs a forward+backward line solve pipelined along
-				// a group, charging compute per cell.
-				sweep := func(g *mpi.Group, tag int, cell simtime.Duration) {
-					me, n := g.Rank(), g.Size()
+				// ranks, in which this rank stands at index me, charging
+				// compute per cell.
+				sweep := func(ranks []int, me, tag int, cell simtime.Duration) {
+					n := len(ranks)
 					// Forward substitution.
 					if me > 0 {
-						g.Sendrecv(me-1, tag, 0) // handshake stands in for Recv-only
+						c.Sendrecv(ranks[me-1], tag, 0) // handshake stands in for Recv-only
 					}
 					pr.Compute(j.dur(cell))
 					if me < n-1 {
-						g.Sendrecv(me+1, tag, p.FaceBytes)
+						c.Sendrecv(ranks[me+1], tag, p.FaceBytes)
 					}
 					// Backward substitution.
 					if me < n-1 {
-						g.Sendrecv(me+1, tag+1, 0)
+						c.Sendrecv(ranks[me+1], tag+1, 0)
 					}
 					pr.Compute(j.dur(cell))
 					if me > 0 {
-						g.Sendrecv(me-1, tag+1, p.FaceBytes)
+						c.Sendrecv(ranks[me-1], tag+1, p.FaceBytes)
 					}
 				}
 
@@ -95,8 +93,8 @@ func BT(p BTParams) Workload {
 				start := pr.Now()
 				cell := perRank(p.SerialComputePerStep, size) / 6
 				for s := 0; s < p.Steps; s++ {
-					sweep(rowG, 500, cell) // x direction
-					sweep(colG, 502, cell) // y direction
+					sweep(rowRanks, col, 500, cell) // x direction
+					sweep(colRanks, row, 502, cell) // y direction
 					// z direction is within-rank.
 					pr.Compute(j.dur(cell * 2))
 					if s%5 == 4 {

@@ -13,6 +13,8 @@ func FuzzParseTrace(f *testing.F) {
 	f.Add(pingTrace)
 	f.Add(`{"ranks":1,"ops":[[]]}`)
 	f.Add(`{"ranks":2,"ops":[[{"op":"send","dst":1}],[{"op":"recv","src":-1,"tag":-1}]]}`)
+	// A user tag at mpi.MaxTag, where a barrier's receive would match it.
+	f.Add(`{"ranks":2,"ops":[[{"op":"send","dst":1,"tag":16777216},{"op":"barrier"}],[{"op":"barrier"}]]}`)
 	f.Add(`{}`)
 	f.Add(`[]`)
 	f.Fuzz(func(t *testing.T, src string) {

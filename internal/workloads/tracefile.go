@@ -24,6 +24,8 @@ import (
 //	alltoall    bytes (per pair)
 //	bcast       src (root), bytes
 //	sleep       ns
+//
+// Tags lie in [0, mpi.MaxTag); the tags above belong to the collectives.
 type TraceOp struct {
 	Op    string `json:"op"`
 	NS    int64  `json:"ns,omitempty"`
@@ -87,6 +89,15 @@ func (op *TraceOp) validate(ranks int) error {
 		}
 		return nil
 	}
+	checkTag := func(allowAny bool) error {
+		if allowAny && op.Tag == -1 {
+			return nil
+		}
+		if op.Tag < 0 || op.Tag >= mpi.MaxTag {
+			return fmt.Errorf("%s tag %d out of range [0,%d)", op.Op, op.Tag, mpi.MaxTag)
+		}
+		return nil
+	}
 	switch op.Op {
 	case "compute", "sleep":
 		if op.NS < 0 {
@@ -96,9 +107,15 @@ func (op *TraceOp) validate(ranks int) error {
 		if op.Bytes < 0 {
 			return fmt.Errorf("negative size %d", op.Bytes)
 		}
-		return checkPeer(op.Dst, false)
+		if err := checkPeer(op.Dst, false); err != nil {
+			return err
+		}
+		return checkTag(false)
 	case "recv":
-		return checkPeer(op.Src, true)
+		if err := checkPeer(op.Src, true); err != nil {
+			return err
+		}
+		return checkTag(true)
 	case "barrier", "allreduce", "alltoall":
 		if op.Bytes < 0 {
 			return fmt.Errorf("negative size %d", op.Bytes)

@@ -1,9 +1,11 @@
 package workloads_test
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
+	"clustersim/internal/mpi"
 	"clustersim/internal/simtime"
 	"clustersim/internal/workloads"
 )
@@ -70,6 +72,8 @@ func TestTraceFileValidation(t *testing.T) {
 		`{"ranks":1,"ops":[[{"op":"compute","ns":-1}]]}`,
 		`{"ranks":1,"ops":[[{"op":"bcast","src":-1}]]}`,
 		`{"ranks":1,"ops":[[{"op":"send","dst":0,"bytes":-2}]]}`,
+		`{"ranks":1,"ops":[[{"op":"send","dst":0,"tag":-1}]]}`,
+		`{"ranks":1,"ops":[[{"op":"recv","src":0,"tag":-2}]]}`,
 		`{"ranks":1,"unknown_field":1,"ops":[[]]}`,
 		`not json`,
 	}
@@ -77,6 +81,28 @@ func TestTraceFileValidation(t *testing.T) {
 		if _, err := workloads.ParseTrace(strings.NewReader(src)); err == nil {
 			t.Errorf("bad trace %d accepted", i)
 		}
+	}
+}
+
+// A user tag in the collectives' range would be matched by a collective's
+// receive: the parser rejects it, naming the rank, the op and the tag, and
+// keeps the tag just below the bound and recv's any-tag.
+func TestTraceFileTagBound(t *testing.T) {
+	for _, op := range []string{"send", "sendrecv", "recv"} {
+		peer := `"dst":0`
+		if op == "recv" {
+			peer = `"src":0`
+		}
+		src := fmt.Sprintf(`{"ranks":1,"ops":[[{"op":"barrier"},{"op":%q,%s,"tag":%d},{"op":"barrier"}]]}`, op, peer, mpi.MaxTag)
+		_, err := workloads.ParseTrace(strings.NewReader(src))
+		want := fmt.Sprintf("trace rank 0 op 1: %s tag %d out of range [0,%d)", op, mpi.MaxTag, mpi.MaxTag)
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s at tag MaxTag: error %v, want it to contain %q", op, err, want)
+		}
+	}
+	ok := fmt.Sprintf(`{"ranks":1,"ops":[[{"op":"send","dst":0,"tag":%d},{"op":"recv","src":-1,"tag":-1}]]}`, mpi.MaxTag-1)
+	if _, err := workloads.ParseTrace(strings.NewReader(ok)); err != nil {
+		t.Errorf("tag MaxTag-1 and recv's any-tag rejected: %v", err)
 	}
 }
 
