@@ -14,7 +14,6 @@ import (
 	"testing"
 
 	"clustersim"
-	"clustersim/internal/cluster"
 	"clustersim/internal/experiments"
 	"clustersim/internal/simtime"
 	"clustersim/internal/workloads"
@@ -269,17 +268,12 @@ func BenchmarkObserverOverhead(b *testing.B) {
 // co-simulate an 8-node phase workload with true parallelism.
 func BenchmarkParallelRunner(b *testing.B) {
 	w := workloads.Phases(3, 200*clustersim.Microsecond, 32<<10)
-	cfg := cluster.ParallelConfig{
-		Nodes:    8,
-		Guest:    clustersim.DefaultGuest(),
-		Net:      clustersim.PaperNetwork(),
-		Policy:   clustersim.AdaptiveQuantum(1*clustersim.Microsecond, 1000*clustersim.Microsecond, 1.03, 0.02),
-		Program:  w.New,
-		MaxGuest: clustersim.GuestTime(10 * clustersim.Second),
-	}
+	cfg := clustersim.NewConfig(8, w.New)
+	cfg.Policy = clustersim.AdaptiveQuantum(1*clustersim.Microsecond, 1000*clustersim.Microsecond, 1.03, 0.02)
+	cfg.MaxGuest = clustersim.GuestTime(10 * clustersim.Second)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := cluster.RunParallel(cfg); err != nil {
+		if _, err := clustersim.RunParallel(cfg, 0); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -88,7 +88,7 @@ type (
 )
 
 // Observability: streaming hooks fired while a run executes (set
-// Config.Observer or ParallelConfig.Observer; nil = no hooks, zero cost).
+// Config.Observer, for either runner; nil = no hooks, zero cost).
 type (
 	// Observer receives lifecycle hooks from a running engine.
 	Observer = obs.Observer
@@ -146,24 +146,21 @@ func ServeMetrics(addr string, reg *MetricsRegistry) (*obs.MetricsServer, error)
 	return obs.Serve(addr, reg)
 }
 
-// ParallelConfig and ParallelResult configure the wall-clock goroutine
-// runner (see RunParallel).
-type (
-	ParallelConfig = cluster.ParallelConfig
-	ParallelResult = cluster.ParallelResult
-)
-
 // Run executes one cluster simulation.
 func Run(cfg Config) (*Result, error) { return cluster.Run(cfg) }
 
 // RunParallel executes a configuration with real goroutine parallelism and
-// wall-clock timing.
-func RunParallel(cfg ParallelConfig) (*ParallelResult, error) { return cluster.RunParallel(cfg) }
+// wall-clock timing: Result.HostTime is measured, and cfg.Host and
+// cfg.Speeds are unread. spinPerGuestBusy is real nanoseconds of CPU burned
+// per guest busy nanosecond (0 runs at full speed).
+func RunParallel(cfg Config, spinPerGuestBusy float64) (*Result, error) {
+	return cluster.RunParallel(cfg, spinPerGuestBusy)
+}
 
 // NewConfig returns a ready-to-run configuration for nodes ranks of
-// program, with the paper's evaluation defaults: 2.6 GHz guests, a 10 GB/s
-// 1 µs-latency NIC with jumbo frames, a perfect switch, the calibrated host
-// model, and ground-truth (Q = 1µs) synchronization.
+// program, with the paper's evaluation defaults: TCP-era guest per-frame
+// costs, a 10 GB/s 1 µs-latency NIC with jumbo frames, a perfect switch, the
+// calibrated host model, and ground-truth (Q = 1µs) synchronization.
 func NewConfig(nodes int, program func(rank, size int) Program) Config {
 	return Config{
 		Nodes:    nodes,

@@ -70,7 +70,4 @@ func TestDefaults(t *testing.T) {
 	if clustersim.DefaultHost().Validate() != nil {
 		t.Error("default host params invalid")
 	}
-	if clustersim.DefaultGuest().CPUHz <= 0 {
-		t.Error("default guest config invalid")
-	}
 }

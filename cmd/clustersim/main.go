@@ -25,7 +25,6 @@ import (
 	"clustersim/internal/netmodel"
 	"clustersim/internal/obs"
 	"clustersim/internal/prof"
-	"clustersim/internal/quantum"
 	"clustersim/internal/simtime"
 	"clustersim/internal/trace"
 	"clustersim/internal/workloads"
@@ -43,7 +42,6 @@ var (
 	widthFlag    = flag.Int("width", 100, "chart width in columns")
 	parallelFlag = flag.Bool("parallel", false, "run with real goroutine parallelism and wall-clock timing")
 	spinFlag     = flag.Float64("spin", 0.02, "real ns of CPU burned per guest busy ns (parallel mode)")
-	workersFlag  = flag.Int("workers", 0, "cap on host cores used, 0 = all (sets GOMAXPROCS; mainly for taming -parallel runs)")
 	traceFlag    = flag.String("tracefile", "", "run a JSON communication trace (workloads.TraceFile schema) instead of -workload; -nodes must match its rank count")
 	cpuProfFlag  = flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfFlag  = flag.String("memprofile", "", "write a heap profile to this file at exit")
@@ -223,10 +221,6 @@ func run() (err error) {
 		}
 		env.Net.Output = oq
 	}
-	if *workersFlag > 0 {
-		runtime.GOMAXPROCS(*workersFlag)
-	}
-
 	observer, rec, obsCleanup, err := observability(env.MaxGuest)
 	if err != nil {
 		return err
@@ -261,13 +255,14 @@ func run() (err error) {
 		}()
 	}
 
-	if *parallelFlag {
-		return runParallel(w, rc.Policy, env, observer, rec)
-	}
-
 	cfg := env.Config(w, *nodesFlag, rc.Policy)
 	cfg.Observer = observer
-	res, err := cluster.Run(cfg)
+	var res *cluster.Result
+	if *parallelFlag {
+		res, err = cluster.RunParallel(cfg, *spinFlag)
+	} else {
+		res, err = cluster.Run(cfg)
+	}
 	if err != nil {
 		return err
 	}
@@ -276,34 +271,14 @@ func run() (err error) {
 	return nil
 }
 
-func runParallel(w workloads.Workload, policy func() quantum.Policy, env experiments.Env, observer obs.Observer, rec *obs.Recorder) error {
-	res, err := cluster.RunParallel(cluster.ParallelConfig{
-		Nodes:            *nodesFlag,
-		Guest:            env.Guest,
-		Net:              env.Net,
-		Policy:           policy,
-		Program:          w.New,
-		SpinPerGuestBusy: *spinFlag,
-		MaxGuest:         env.MaxGuest,
-		Observer:         observer,
-		Faults:           env.Faults,
-	})
-	if err != nil {
-		return err
-	}
-	fmt.Printf("workload     %s ×%d (parallel, policy %s)\n", w.Name, *nodesFlag, res.PolicyName)
-	fmt.Printf("guest time   %v\n", res.GuestTime)
-	fmt.Printf("wall clock   %v (real, %d goroutines)\n", res.Wall, *nodesFlag)
-	printMetrics(res.Metrics)
-	printStats(res.Stats)
-	printCharts(rec, res.GuestTime)
-	return nil
-}
-
 func printResult(w workloads.Workload, res *cluster.Result) {
-	fmt.Printf("workload     %s ×%d (policy %s)\n", w.Name, *nodesFlag, res.PolicyName)
+	mode, host := "", fmt.Sprintf("host time    %v (modelled)", res.HostTime)
+	if *parallelFlag {
+		mode, host = "parallel, ", fmt.Sprintf("wall clock   %v (real, %d goroutines)", res.HostTime, *nodesFlag)
+	}
+	fmt.Printf("workload     %s ×%d (%spolicy %s)\n", w.Name, *nodesFlag, mode, res.PolicyName)
 	fmt.Printf("guest time   %v\n", res.GuestTime)
-	fmt.Printf("host time    %v (modelled)\n", res.HostTime)
+	fmt.Println(host)
 	printMetrics(res.Metrics)
 	printStats(res.Stats)
 }

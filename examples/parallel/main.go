@@ -11,7 +11,6 @@ import (
 	"log"
 
 	"clustersim"
-	"clustersim/internal/cluster"
 	"clustersim/internal/workloads"
 )
 
@@ -32,20 +31,15 @@ func main() {
 		{"Q=1000µs", clustersim.FixedQuantum(1000 * clustersim.Microsecond)},
 		{"adaptive 1:1000", clustersim.AdaptiveQuantum(1*clustersim.Microsecond, 1000*clustersim.Microsecond, 1.03, 0.02)},
 	} {
-		res, err := cluster.RunParallel(cluster.ParallelConfig{
-			Nodes:            *nodes,
-			Guest:            clustersim.DefaultGuest(),
-			Net:              clustersim.PaperNetwork(),
-			Policy:           p.policy,
-			Program:          w.New,
-			SpinPerGuestBusy: *spin,
-			MaxGuest:         clustersim.GuestTime(60 * clustersim.Second),
-		})
+		cfg := clustersim.NewConfig(*nodes, w.New)
+		cfg.Policy = p.policy
+		cfg.MaxGuest = clustersim.GuestTime(60 * clustersim.Second)
+		res, err := clustersim.RunParallel(cfg, *spin)
 		if err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("%-22s %12v %12v %10d %12d\n",
-			p.name, res.GuestTime, res.Wall.Round(1000), res.Stats.Quanta, res.Stats.Stragglers)
+			p.name, res.GuestTime, res.HostTime, res.Stats.Quanta, res.Stats.Stragglers)
 	}
 	fmt.Println("\nnote: wall clock and straggler counts vary run to run — that nondeterminism")
 	fmt.Println("is the physical phenomenon the deterministic engine models with its host seed.")

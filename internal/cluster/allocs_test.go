@@ -181,25 +181,25 @@ func TestSparseQuantumZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestBatchedRouterAllocsPerQuantum pins the barrier routing loop:
+// TestBarrierRoutingAllocsPerQuantum pins the barrier routing loop:
 // per-quantum allocations must come only from the per-message guest buffers
 // (payload copy plus block-amortized frame/message carves), never from the
 // engine's routing structures. The workloads differ only in phase count, so
 // the per-quantum difference is the cost of extra communicating quanta.
-func TestBatchedRouterAllocsPerQuantum(t *testing.T) {
+func TestBarrierRoutingAllocsPerQuantum(t *testing.T) {
 	// Q=1µs is below the Paper model's minimum latency: every node is loose
 	// in every quantum and every frame routes at the barrier.
 	const q = 1 * simtime.Microsecond
 	mk := func(phases int) Config {
 		return testConfig(4, workloads.Phases(phases, 150*simtime.Microsecond, 32<<10), fixed(q))
 	}
-	perQuantum, _ := steadyStatePerStepped(t, "batched router", mk(2), mk(8))
+	perQuantum, _ := steadyStatePerStepped(t, "barrier routing", mk(2), mk(8))
 	// Six extra alltoall phases are 72 extra 8KB messages; each costs one
 	// payload buffer plus 3/64ths of a block carve. Everything else — the
 	// flight slab, the deferred-flight lanes, the event arena — must
 	// be reused, so the steady state stays far below one alloc per stepped
 	// quantum (the compute stretches are quiet and never reach the router).
 	if !raceEnabled && perQuantum >= 0.5 {
-		t.Errorf("batched router steady state allocates %.4f allocs/stepped quantum (want < 0.5: only per-message guest buffers)", perQuantum)
+		t.Errorf("barrier routing steady state allocates %.4f allocs/stepped quantum (want < 0.5: only per-message guest buffers)", perQuantum)
 	}
 }

@@ -13,7 +13,6 @@ package cluster
 
 import (
 	"fmt"
-	"math"
 
 	"clustersim/internal/faults"
 	"clustersim/internal/guest"
@@ -65,11 +64,11 @@ type Config struct {
 	// Profiler, Workers and Lookahead are stubs: their only remaining writers
 	// outside tests are cmd/simbench/trace.go and workloads.go, and all three
 	// go when that directory thaws (ROADMAP). A non-nil Profiler is one more
-	// sink on the Observer stream, composed by Run as obs.Multi(Observer,
-	// Profiler) — callers do that themselves. Workers and Lookahead are
-	// unread: Run executes on the calling goroutine alone, and a quantum's
-	// lookahead partitioning is all that decides how it runs (DESIGN.md §7,
-	// §11).
+	// sink on the Observer stream, composed by both runners as
+	// obs.Multi(Observer, Profiler) — callers do that themselves. Workers and
+	// Lookahead are unread: Run executes on the calling goroutine alone, and
+	// a quantum's lookahead partitioning is all that decides how it runs
+	// (DESIGN.md §7, §11).
 	Profiler  *prof.Profiler
 	Workers   int
 	Lookahead LookaheadMode
@@ -103,37 +102,38 @@ const (
 	LookaheadScalar
 )
 
-// Validate reports configuration errors.
+// Validate reports configuration errors. Run and RunParallel both call it.
 func (c *Config) Validate() error {
-	if err := validateCluster(c.Nodes, c.Guest, c.Net, c.Policy, c.Program, c.Faults); err != nil {
+	switch {
+	case c.Nodes < 1:
+		return fmt.Errorf("cluster: need at least 1 node, got %d", c.Nodes)
+	case c.Net == nil:
+		return fmt.Errorf("cluster: nil network model")
+	case c.Policy == nil:
+		return fmt.Errorf("cluster: nil quantum policy constructor")
+	case c.Program == nil:
+		return fmt.Errorf("cluster: nil workload program constructor")
+	case c.Guest.SendOverhead < 0:
+		return fmt.Errorf("cluster: guest SendOverhead must not be negative, got %v", c.Guest.SendOverhead)
+	case c.Guest.RecvOverhead < 0:
+		return fmt.Errorf("cluster: guest RecvOverhead must not be negative, got %v", c.Guest.RecvOverhead)
+	}
+	if err := c.Net.Validate(c.Nodes); err != nil {
+		return err
+	}
+	if err := c.Faults.Validate(); err != nil {
 		return err
 	}
 	return c.Host.Validate()
 }
 
-// validateCluster holds the checks Run and RunParallel share.
-func validateCluster(nodes int, g guest.Config, net *netmodel.Model, policy func() quantum.Policy,
-	program func(rank, size int) guest.Program, fp *faults.Plan) error {
-	switch {
-	case nodes < 1:
-		return fmt.Errorf("cluster: need at least 1 node, got %d", nodes)
-	case net == nil:
-		return fmt.Errorf("cluster: nil network model")
-	case policy == nil:
-		return fmt.Errorf("cluster: nil quantum policy constructor")
-	case program == nil:
-		return fmt.Errorf("cluster: nil workload program constructor")
-	case !(g.CPUHz > 0) || math.IsInf(g.CPUHz, 1): // !(x > 0) also catches NaN
-		return fmt.Errorf("cluster: guest CPUHz must be positive and finite, got %v", g.CPUHz)
-	case g.SendOverhead < 0:
-		return fmt.Errorf("cluster: guest SendOverhead must not be negative, got %v", g.SendOverhead)
-	case g.RecvOverhead < 0:
-		return fmt.Errorf("cluster: guest RecvOverhead must not be negative, got %v", g.RecvOverhead)
+// sink is the observer a run reports to: Observer, with the Profiler stub
+// composed in.
+func (c *Config) sink() obs.Observer {
+	if c.Profiler == nil { // a nil *Profiler must not become a non-nil Observer
+		return c.Observer
 	}
-	if err := net.Validate(nodes); err != nil {
-		return err
-	}
-	return fp.Validate()
+	return obs.Multi(c.Observer, c.Profiler)
 }
 
 // newNodes builds the guest nodes, rejecting a constructor that returns no
@@ -242,10 +242,11 @@ type Result struct {
 	// GuestTime is the guest time at which the last workload finished: the
 	// cluster application's simulated wall-clock time.
 	GuestTime simtime.Guest
-	// HostTime is the modelled host time consumed to simulate the run —
-	// the denominator of all the paper's speedups.
+	// HostTime is the host time consumed to simulate the run — the
+	// denominator of all the paper's speedups. Run models it; RunParallel
+	// measures it as wall-clock time, the RunSummary.HostEnd it reports.
 	HostTime simtime.Duration
-	// NodeFinish holds each workload's guest finish time.
+	// NodeFinish holds each workload's guest finish time, one per rank.
 	NodeFinish []simtime.Guest
 	// Metrics holds each node's reported application metrics.
 	Metrics []map[string]float64

@@ -7,7 +7,6 @@ import (
 	"clustersim/internal/guest"
 	"clustersim/internal/msg"
 	"clustersim/internal/netmodel"
-	"clustersim/internal/pkt"
 	"clustersim/internal/simtime"
 	"clustersim/internal/workloads"
 )
@@ -27,7 +26,7 @@ func incast(msgBytes int) workloads.Workload {
 		Metric: "last_us",
 		New: func(rank, size int) guest.Program {
 			return func(p *guest.Proc) error {
-				ep := msg.New(p, pkt.DefaultMTU)
+				ep := msg.New(p)
 				if rank != 0 {
 					ep.Send(0, 1, msgBytes)
 					return nil

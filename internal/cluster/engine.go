@@ -191,13 +191,9 @@ func Run(cfg Config) (*Result, error) {
 		return nil, err
 	}
 	n := cfg.Nodes
-	sink := cfg.Observer
-	if cfg.Profiler != nil { // a nil *Profiler must not become a non-nil Observer
-		sink = obs.Multi(sink, cfg.Profiler)
-	}
 	e := &engine{
 		cfg:        cfg,
-		controller: newController(n, cfg.Net, cfg.Faults, sink),
+		controller: newController(n, cfg.Net, cfg.Faults, cfg.sink()),
 		hm:         host.NewModel(cfg.Host),
 		policy:     cfg.Policy(),
 		stepping:   -1,

@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"clustersim/internal/guest"
-	"clustersim/internal/netmodel"
 	"clustersim/internal/obs"
 	"clustersim/internal/quantum"
 	"clustersim/internal/simtime"
@@ -270,26 +269,16 @@ func TestRunEndOnEveryExit(t *testing.T) {
 			want: errBoom},
 	}
 	for _, c := range cases {
-		for runner, run := range []func(obs.Observer) error{
-			func(o obs.Observer) error {
-				cfg := testConfig(2, workloads.Workload{New: c.program}, c.policy)
-				cfg.MaxGuest = simtime.Guest(5 * simtime.Millisecond)
-				cfg.Observer = o
-				_, err := Run(cfg)
-				return err
-			},
-			func(o obs.Observer) error {
-				_, err := RunParallel(ParallelConfig{
-					Nodes: 2, Guest: guest.DefaultConfig(), Net: netmodel.Paper(),
-					Policy: c.policy, Program: c.program,
-					MaxGuest: simtime.Guest(5 * simtime.Millisecond), Observer: o,
-				})
-				return err
-			},
+		for runner, run := range []func(Config) error{
+			func(cfg Config) error { _, err := Run(cfg); return err },
+			func(cfg Config) error { _, err := RunParallel(cfg, 0); return err },
 		} {
 			t.Run(fmt.Sprintf("%s/%s", c.name, []string{"Run", "RunParallel"}[runner]), func(t *testing.T) {
 				first, second, reg := &endCounter{}, &endCounter{}, obs.NewRegistry()
-				err := run(obs.Multi(first, reg, second))
+				cfg := testConfig(2, workloads.Workload{New: c.program}, c.policy)
+				cfg.MaxGuest = simtime.Guest(5 * simtime.Millisecond)
+				cfg.Observer = obs.Multi(first, reg, second)
+				err := run(cfg)
 				if (err == nil) != c.ok {
 					t.Fatalf("run returned %v", err)
 				}
@@ -351,10 +340,9 @@ func TestGuestPanicIsRunError(t *testing.T) {
 		{"Run/loose", engine(simtime.Microsecond), "cluster: rank 2 panicked in quantum 9: boom"},
 		{"Run/tight", engine(100 * simtime.Microsecond), "cluster: rank 2 panicked in quantum 0: boom"},
 		{"RunParallel", func(o obs.Observer) error {
-			_, err := RunParallel(ParallelConfig{
-				Nodes: nodes, Guest: guest.DefaultConfig(), Net: netmodel.Paper(),
-				Policy: fixed(simtime.Microsecond), Program: program, Observer: o,
-			})
+			cfg := testConfig(nodes, workloads.Workload{New: program}, fixed(simtime.Microsecond))
+			cfg.Observer = o
+			_, err := RunParallel(cfg, 0)
 			return err
 		}, "cluster: rank 2 panicked in quantum 9: boom"},
 	} {

@@ -6,75 +6,12 @@ import (
 	"sync"
 	"time"
 
-	"clustersim/internal/faults"
 	"clustersim/internal/guest"
-	"clustersim/internal/netmodel"
 	"clustersim/internal/obs"
 	"clustersim/internal/pkt"
 	"clustersim/internal/quantum"
 	"clustersim/internal/simtime"
 )
-
-// ParallelConfig configures a real-time parallel run: one OS-scheduled
-// goroutine per simulated node, synchronized by a real barrier, exchanging
-// frames through a mutex-guarded controller — the shape of the paper's
-// actual deployment (N SimNow processes + a network controller process).
-//
-// Unlike the deterministic engine, wall-clock time is real and straggler
-// races come from the Go scheduler, so results vary run to run exactly as
-// the paper's did. Guest idle is modelled as infinitely fast (a blocked
-// simulator reaches its quantum boundary immediately), the limiting case of
-// the deterministic engine's IdleSlowdown → 0.
-type ParallelConfig struct {
-	Nodes   int
-	Guest   guest.Config
-	Net     *netmodel.Model
-	Policy  func() quantum.Policy
-	Program func(rank, size int) guest.Program
-	// SpinPerGuestBusy is real nanoseconds of host CPU burned per guest
-	// nanosecond of busy execution — the real-time analogue of the host
-	// model's BusySlowdown. Zero runs at full speed (no spinning).
-	SpinPerGuestBusy float64
-	// MaxGuest aborts a deadlocked run.
-	MaxGuest simtime.Guest
-	// Observer receives streaming lifecycle hooks; host times in the hooks
-	// are real wall-clock nanoseconds since the run started. Node goroutines
-	// fire NodePhase concurrently, so the observer must be safe for
-	// concurrent use (all bundled obs implementations are). Nil disables
-	// all hooks at zero cost. A Profiler (internal/prof) attaches like any
-	// other sink (obs.Multi composes several); what it then reports are
-	// measurements that vary run to run: the barrier is first-arrival to
-	// release, a node's wait runs from its last busy segment to the release,
-	// and idle is always zero, because guest idle is free in real time.
-	Observer obs.Observer
-	// Faults injects per-link loss/duplication/jitter at the controller and
-	// scales per-node spin by the plan's slowdown factors. Frame-level
-	// decisions are the same pure functions the deterministic engine uses,
-	// but wall-clock scheduling still varies run to run. Nil injects
-	// nothing.
-	Faults *faults.Plan
-}
-
-// ParallelResult is the outcome of a real-time parallel run.
-type ParallelResult struct {
-	GuestTime simtime.Guest
-	// Wall is the real elapsed time of the run.
-	Wall time.Duration
-	// Metrics holds each node's reported application metrics.
-	Metrics []map[string]float64
-	Stats   Stats
-	// PolicyName records the quantum policy used.
-	PolicyName string
-}
-
-// Metric returns rank 0's reported value for name.
-func (r *ParallelResult) Metric(name string) (float64, bool) {
-	if len(r.Metrics) == 0 {
-		return 0, false
-	}
-	v, ok := r.Metrics[0][name]
-	return v, ok
-}
 
 type pnodeState int
 
@@ -111,8 +48,8 @@ type pnode struct {
 	// goroutine is its only reader.
 	stepping bool
 	// spinPerBusy is real nanoseconds of CPU burned per guest busy
-	// nanosecond for this node: SpinPerGuestBusy times the fault plan's
-	// slowdown factor. Immutable after construction.
+	// nanosecond for this node: RunParallel's spinPerGuestBusy times the
+	// fault plan's slowdown factor. Immutable after construction.
 	spinPerBusy float64
 }
 
@@ -123,7 +60,6 @@ type pnode struct {
 // barrier signals flow point-to-point instead of broadcast-waking all N
 // goroutines on every delivery and arrival.
 type prun struct {
-	cfg ParallelConfig
 	// startWall is the epoch for hook host times; set before any goroutine
 	// can fire a hook.
 	startWall time.Time
@@ -149,29 +85,47 @@ type prun struct {
 	wErr     error
 }
 
-// RunParallel executes the configuration with real parallelism and returns
-// wall-clock results.
-func RunParallel(cfg ParallelConfig) (*ParallelResult, error) {
-	if err := validateCluster(cfg.Nodes, cfg.Guest, cfg.Net, cfg.Policy, cfg.Program, cfg.Faults); err != nil {
+// RunParallel executes cfg with real parallelism: one OS-scheduled goroutine
+// per simulated node, synchronized by a real barrier, exchanging frames
+// through a mutex-guarded controller — the shape of the paper's actual
+// deployment (N SimNow processes + a network controller process).
+//
+// It validates cfg as Run does and reads every field but Host and Speeds: its
+// host is the machine it runs on. spinPerGuestBusy is the real nanoseconds of
+// CPU burned per guest nanosecond of busy execution, the real-time analogue
+// of Host.BusySlowdown (zero runs at full speed), and a fault plan's slowdown
+// factors scale it per node. Guest idle is free (a blocked simulator reaches
+// its quantum boundary at once), the limiting case of IdleSlowdown → 0.
+//
+// Wall-clock time is real and straggler races come from the Go scheduler, so
+// results vary run to run exactly as the paper's did, although fault
+// decisions are the same pure functions Run draws. Result.HostTime is the
+// measured wall time; host times in the hooks are real nanoseconds since the
+// run started. Node goroutines fire NodePhase concurrently, so the observer
+// must be safe for concurrent use (all bundled obs implementations are). A
+// profiler on the stream reports measurements: the barrier is first-arrival
+// to release, a node's wait runs from its last busy segment to the release,
+// and idle is always zero.
+func RunParallel(cfg Config, spinPerGuestBusy float64) (*Result, error) {
+	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	// The runner's one host-cost parameter, held to what host.Params.Validate
-	// asks of BusySlowdown (zero, "no spinning", aside): NaN compares false
-	// against every bound and would spin for a garbage duration.
-	if s := cfg.SpinPerGuestBusy; !(s >= 0) || math.IsInf(s, 1) {
-		return nil, fmt.Errorf("cluster: SpinPerGuestBusy must be non-negative and finite, got %v", s)
+	// Held to what host.Params.Validate asks of BusySlowdown (zero, "no
+	// spinning", aside): NaN compares false against every bound and would
+	// spin for a garbage duration.
+	if s := spinPerGuestBusy; !(s >= 0) || math.IsInf(s, 1) {
+		return nil, fmt.Errorf("cluster: spinPerGuestBusy must be non-negative and finite, got %v", s)
 	}
 	nodes, err := newNodes(cfg.Nodes, cfg.Guest, cfg.Program)
 	if err != nil {
 		return nil, err
 	}
 	r := &prun{
-		cfg:        cfg,
-		controller: newController(cfg.Nodes, cfg.Net, cfg.Faults, cfg.Observer),
+		controller: newController(cfg.Nodes, cfg.Net, cfg.Faults, cfg.sink()),
 		barrier:    make(chan struct{}, 1),
 	}
 	for i, n := range nodes {
-		spinPer := cfg.SpinPerGuestBusy
+		spinPer := spinPerGuestBusy
 		if cfg.Faults != nil {
 			// A slowed node burns proportionally more real CPU per guest
 			// nanosecond — the wall-clock analogue of the deterministic
@@ -198,7 +152,6 @@ func RunParallel(cfg ParallelConfig) (*ParallelResult, error) {
 		}(pn)
 	}
 
-	start := r.startWall
 	var guestStart simtime.Guest
 	Q := policy.First()
 	// live and parked are the controller's per-quantum scratch: the nodes
@@ -292,20 +245,18 @@ func RunParallel(cfg ParallelConfig) (*ParallelResult, error) {
 		pn.n.Shutdown()
 	}
 
-	res := &ParallelResult{
-		Wall:       time.Since(start), //simlint:wallclock reporting the measured wall duration of a real-time run
-		Stats:      r.stats,
-		PolicyName: policy.Name(),
-	}
+	hostEnd := r.hostNow()
+	res := &Result{HostTime: simtime.Duration(hostEnd), Stats: r.stats, PolicyName: policy.Name()}
 	res.Stats.finalize(r.sumQ)
 	for _, pn := range r.nodes {
+		res.NodeFinish = append(res.NodeFinish, pn.n.FinishedAt())
 		res.Metrics = append(res.Metrics, pn.n.Metrics())
 		res.GuestTime = simtime.MaxGuest(res.GuestTime, pn.n.FinishedAt())
 	}
 	if err != nil {
 		res.GuestTime = guestStart // where the run was given up; res is not returned
 	}
-	r.runEnd(err, res.GuestTime, r.hostNow(), 0, 0)
+	r.runEnd(err, res.GuestTime, hostEnd, 0, 0)
 	if err != nil {
 		return nil, err
 	}

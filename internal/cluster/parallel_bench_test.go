@@ -3,8 +3,6 @@ package cluster
 import (
 	"testing"
 
-	"clustersim/internal/guest"
-	"clustersim/internal/netmodel"
 	"clustersim/internal/simtime"
 	"clustersim/internal/workloads"
 )
@@ -19,14 +17,7 @@ func BenchmarkParallelBarrier(b *testing.B) {
 	b.ReportAllocs()
 	var quanta int
 	for i := 0; i < b.N; i++ {
-		res, err := RunParallel(ParallelConfig{
-			Nodes:    8,
-			Guest:    guest.DefaultConfig(),
-			Net:      netmodel.Paper(),
-			Policy:   fixed(20 * simtime.Microsecond),
-			Program:  w.New,
-			MaxGuest: simtime.Guest(simtime.Second),
-		})
+		res, err := RunParallel(testConfig(8, w, fixed(20*simtime.Microsecond)), 0)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -7,11 +7,9 @@ import (
 	"math"
 	"strings"
 	"testing"
-	"time"
 
 	"clustersim/internal/faults"
 	"clustersim/internal/guest"
-	"clustersim/internal/host"
 	"clustersim/internal/msg"
 	"clustersim/internal/netmodel"
 	"clustersim/internal/obs"
@@ -22,15 +20,7 @@ import (
 
 func TestParallelPhasesCompletes(t *testing.T) {
 	w := workloads.Phases(4, 200*simtime.Microsecond, 16<<10)
-	res, err := RunParallel(ParallelConfig{
-		Nodes:            4,
-		Guest:            guest.DefaultConfig(),
-		Net:              netmodel.Paper(),
-		Policy:           adaptive(simtime.Microsecond, simtime.Millisecond, 1.05, 0.02),
-		Program:          w.New,
-		SpinPerGuestBusy: 0.02,
-		MaxGuest:         simtime.Guest(10 * simtime.Second),
-	})
+	res, err := RunParallel(testConfig(4, w, adaptive(simtime.Microsecond, simtime.Millisecond, 1.05, 0.02)), 0.02)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,11 +30,11 @@ func TestParallelPhasesCompletes(t *testing.T) {
 	if res.Stats.Packets == 0 {
 		t.Error("no packets routed")
 	}
-	if res.Wall <= 0 || res.Wall > 30*time.Second {
-		t.Errorf("implausible wall time %v", res.Wall)
+	if res.HostTime <= 0 || res.HostTime > 30*simtime.Second {
+		t.Errorf("implausible wall time %v", res.HostTime)
 	}
 	t.Logf("parallel run: guest %v in wall %v, %d quanta (mean Q %v), %d packets, %d stragglers",
-		res.GuestTime, res.Wall, res.Stats.Quanta, res.Stats.MeanQ, res.Stats.Packets, res.Stats.Stragglers)
+		res.GuestTime, res.HostTime, res.Stats.Quanta, res.Stats.MeanQ, res.Stats.Packets, res.Stats.Stragglers)
 }
 
 func TestParallelNASCompletesAllKernels(t *testing.T) {
@@ -54,15 +44,7 @@ func TestParallelNASCompletesAllKernels(t *testing.T) {
 	ep := workloads.DefaultEP()
 	ep.SerialCompute = ep.SerialCompute.Scale(0.02)
 	for _, w := range []workloads.Workload{workloads.EP(ep), workloads.PingPong(20, 4000)} {
-		res, err := RunParallel(ParallelConfig{
-			Nodes:            4,
-			Guest:            guest.DefaultConfig(),
-			Net:              netmodel.Paper(),
-			Policy:           fixed(100 * simtime.Microsecond),
-			Program:          w.New,
-			SpinPerGuestBusy: 0.01,
-			MaxGuest:         simtime.Guest(10 * simtime.Second),
-		})
+		res, err := RunParallel(testConfig(4, w, fixed(100*simtime.Microsecond)), 0.01)
 		if err != nil {
 			t.Fatalf("%s: %v", w.Name, err)
 		}
@@ -82,14 +64,9 @@ func TestParallelDeadlockGuard(t *testing.T) {
 			return nil
 		}
 	}
-	_, err := RunParallel(ParallelConfig{
-		Nodes:    2,
-		Guest:    guest.DefaultConfig(),
-		Net:      netmodel.Paper(),
-		Policy:   fixed(100 * simtime.Microsecond),
-		Program:  stuck,
-		MaxGuest: simtime.Guest(5 * simtime.Millisecond),
-	})
+	cfg := testConfig(2, workloads.Workload{New: stuck}, fixed(100*simtime.Microsecond))
+	cfg.MaxGuest = simtime.Guest(5 * simtime.Millisecond)
+	_, err := RunParallel(cfg, 0)
 	if err == nil {
 		t.Fatal("deadlocked parallel run returned no error")
 	}
@@ -111,14 +88,7 @@ func TestParallelBroadcastAndStray(t *testing.T) {
 			}
 		},
 	}
-	res, err := RunParallel(ParallelConfig{
-		Nodes:    4,
-		Guest:    guest.DefaultConfig(),
-		Net:      netmodel.Paper(),
-		Policy:   fixed(50 * simtime.Microsecond),
-		Program:  w.New,
-		MaxGuest: simtime.Guest(simtime.Second),
-	})
+	res, err := RunParallel(testConfig(4, w, fixed(50*simtime.Microsecond)), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,17 +101,9 @@ func TestParallelBroadcastAndStray(t *testing.T) {
 }
 
 func TestParallelWithOutputQueue(t *testing.T) {
-	m := netmodel.Paper()
-	m.Output = &netmodel.OutputQueue{BytesPerSecond: 10e9, Latency: 100 * simtime.Nanosecond}
-	w := workloads.Phases(2, 100*simtime.Microsecond, 16<<10)
-	res, err := RunParallel(ParallelConfig{
-		Nodes:    4,
-		Guest:    guest.DefaultConfig(),
-		Net:      m,
-		Policy:   fixed(20 * simtime.Microsecond),
-		Program:  w.New,
-		MaxGuest: simtime.Guest(simtime.Second),
-	})
+	cfg := testConfig(4, workloads.Phases(2, 100*simtime.Microsecond, 16<<10), fixed(20*simtime.Microsecond))
+	cfg.Net.Output = &netmodel.OutputQueue{BytesPerSecond: 10e9, Latency: 100 * simtime.Nanosecond}
+	res, err := RunParallel(cfg, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,17 +120,9 @@ func TestParallelObserver(t *testing.T) {
 	reg := obs.NewRegistry()
 	var buf bytes.Buffer
 	tracer := obs.NewChromeTracer(&buf)
-	w := workloads.Phases(3, 150*simtime.Microsecond, 16<<10)
-	res, err := RunParallel(ParallelConfig{
-		Nodes:            4,
-		Guest:            guest.DefaultConfig(),
-		Net:              netmodel.Paper(),
-		Policy:           adaptive(simtime.Microsecond, simtime.Millisecond, 1.05, 0.02),
-		Program:          w.New,
-		SpinPerGuestBusy: 0.01,
-		MaxGuest:         simtime.Guest(10 * simtime.Second),
-		Observer:         obs.Multi(reg, tracer),
-	})
+	cfg := testConfig(4, workloads.Phases(3, 150*simtime.Microsecond, 16<<10), adaptive(simtime.Microsecond, simtime.Millisecond, 1.05, 0.02))
+	cfg.Observer = obs.Multi(reg, tracer)
+	res, err := RunParallel(cfg, 0.01)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,15 +153,16 @@ func TestParallelObserver(t *testing.T) {
 
 // Run and RunParallel go through one validator: each malformed configuration
 // must fail both, with the same error, and never reach a node goroutine — a
-// nil program dereferenced there would take the whole process down.
-func TestParallelConfigValidation(t *testing.T) {
+// nil program dereferenced there would take the whole process down. An error
+// in a guest or host parameter names the field; a host one is
+// host.Params.Validate's own.
+func TestRunnersShareOneValidator(t *testing.T) {
 	w := workloads.Silent(simtime.Microsecond)
 	bad := map[string]func(c *Config){
 		"zero nodes":           func(c *Config) { c.Nodes = 0 },
 		"nil net":              func(c *Config) { c.Net = nil },
 		"nil policy":           func(c *Config) { c.Policy = nil },
 		"nil program":          func(c *Config) { c.Program = nil },
-		"zero CPUHz":           func(c *Config) { c.Guest.CPUHz = 0 },
 		"net without a NIC":    func(c *Config) { c.Net = &netmodel.Model{Switch: netmodel.Paper().Switch} },
 		"short latency matrix": func(c *Config) { c.Net = mixedWANNet(2); c.Nodes = 3 },
 		"loss above one":       func(c *Config) { c.Faults = &faults.Plan{Default: faults.Link{Loss: 1.5}} },
@@ -219,51 +174,59 @@ func TestParallelConfigValidation(t *testing.T) {
 				return w.New(rank, size)
 			}
 		},
-		// Guest parameters; the error must name the field.
-		"NaN Guest.CPUHz":             func(c *Config) { c.Guest.CPUHz = math.NaN() },
-		"infinite Guest.CPUHz":        func(c *Config) { c.Guest.CPUHz = math.Inf(1) },
-		"negative Guest.SendOverhead": func(c *Config) { c.Guest.SendOverhead = -5 * simtime.Microsecond },
-		"negative Guest.RecvOverhead": func(c *Config) { c.Guest.RecvOverhead = -5 * simtime.Microsecond },
+		"negative Guest.SendOverhead":  func(c *Config) { c.Guest.SendOverhead = -5 * simtime.Microsecond },
+		"negative Guest.RecvOverhead":  func(c *Config) { c.Guest.RecvOverhead = -5 * simtime.Microsecond },
+		"NaN Host.JitterSigma":         func(c *Config) { c.Host.JitterSigma = math.NaN() },
+		"infinite Host.BusySlowdown":   func(c *Config) { c.Host.BusySlowdown = math.Inf(1) },
+		"negative Host.PacketHostCost": func(c *Config) { c.Host.PacketHostCost = -1 },
 	}
 	for name, mod := range bad {
 		cfg := testConfig(2, w, fixed(simtime.Microsecond))
 		mod(&cfg)
 		_, errRun := Run(cfg)
-		_, errPar := RunParallel(ParallelConfig{
-			Nodes: cfg.Nodes, Guest: cfg.Guest, Net: cfg.Net, Policy: cfg.Policy,
-			Program: cfg.Program, Faults: cfg.Faults, MaxGuest: cfg.MaxGuest,
-		})
-		if errRun == nil || errPar == nil || errRun.Error() != errPar.Error() {
+		_, errPar := RunParallel(cfg, 0)
+		switch {
+		case errRun == nil || errPar == nil || errRun.Error() != errPar.Error():
 			t.Errorf("%s: Run returned %v, RunParallel %v; want the same error from both", name, errRun, errPar)
-		} else if _, field, ok := strings.Cut(name, "Guest."); ok && !strings.Contains(errRun.Error(), field) {
+		case strings.Contains(name, ".") && !strings.Contains(errRun.Error(), name[strings.IndexByte(name, '.')+1:]):
 			t.Errorf("%s: error %q does not name the field", name, errRun)
+		case strings.Contains(name, "Host.") && errRun.Error() != cfg.Host.Validate().Error():
+			t.Errorf("%s: error %q is not host.Params.Validate's %q", name, errRun, cfg.Host.Validate())
 		}
 	}
 
-	// Host costs are where the two configurations differ: Run takes a
-	// host.Params and must hand back host.Params.Validate's own error;
-	// RunParallel has one such parameter. Neither may let a NaN through.
-	for field, mod := range map[string]func(p *host.Params){
-		"JitterSigma":    func(p *host.Params) { p.JitterSigma = math.NaN() },
-		"BusySlowdown":   func(p *host.Params) { p.BusySlowdown = math.Inf(1) },
-		"PacketHostCost": func(p *host.Params) { p.PacketHostCost = -1 },
-	} {
-		cfg := testConfig(2, w, fixed(simtime.Microsecond))
-		mod(&cfg.Host)
-		want := cfg.Host.Validate()
-		if _, err := Run(cfg); want == nil || err == nil || err.Error() != want.Error() || !strings.Contains(err.Error(), field) {
-			t.Errorf("bad host %s: Run returned %v, host.Params.Validate %v; want the same error, naming the field", field, err, want)
+	// RunParallel's one host-cost parameter may not let a NaN through either.
+	for _, spin := range []float64{math.NaN(), math.Inf(1), -1} {
+		_, err := RunParallel(testConfig(2, w, fixed(simtime.Microsecond)), spin)
+		if err == nil || !strings.Contains(err.Error(), "spinPerGuestBusy") {
+			t.Errorf("spinPerGuestBusy %v: RunParallel returned %v, want an error naming the parameter", spin, err)
 		}
 	}
-	for _, spin := range []float64{math.NaN(), math.Inf(1), -1} {
-		cfg := testConfig(2, w, fixed(simtime.Microsecond))
-		_, err := RunParallel(ParallelConfig{
-			Nodes: cfg.Nodes, Guest: cfg.Guest, Net: cfg.Net, Policy: cfg.Policy,
-			Program: cfg.Program, SpinPerGuestBusy: spin,
-		})
-		if err == nil || !strings.Contains(err.Error(), "SpinPerGuestBusy") {
-			t.Errorf("SpinPerGuestBusy %v: RunParallel returned %v, want an error naming the field", spin, err)
+
+	// A valid one: RunParallel's Result is Run's type, filled the same way —
+	// one finish time per rank, rank 0's metrics — with HostTime the measured
+	// wall time its RunEnd reported.
+	cfg := testConfig(3, workloads.Workload{New: func(rank, _ int) guest.Program {
+		return func(p *guest.Proc) error {
+			p.Compute(simtime.Duration(rank+1) * 20 * simtime.Microsecond)
+			p.Report("rank", float64(rank))
+			return nil
 		}
+	}}, fixed(10*simtime.Microsecond))
+	end := &endCounter{}
+	cfg.Observer = end
+	res, err := RunParallel(cfg, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.NodeFinish) != cfg.Nodes || res.NodeFinish[cfg.Nodes-1] != res.GuestTime {
+		t.Errorf("NodeFinish = %v for %d ranks, guest time %v", res.NodeFinish, cfg.Nodes, res.GuestTime)
+	}
+	if end.ends != 1 || res.HostTime <= 0 || res.HostTime != simtime.Duration(end.sum.HostEnd) {
+		t.Errorf("HostTime = %v, RunEnd (%d of them) reported HostEnd %v", res.HostTime, end.ends, end.sum.HostEnd)
+	}
+	if v, ok := res.Metric("rank"); !ok || v != 0 {
+		t.Errorf(`Metric("rank") = %v, %v; want rank 0's 0`, v, ok)
 	}
 }
 
@@ -274,38 +237,31 @@ func TestParallelConfigValidation(t *testing.T) {
 // data-race proof, and the payload check their functional one.
 func TestParallelRendezvousTrains(t *testing.T) {
 	const nodes, size = 4, 3 * msg.DefaultEagerMax // 22 fragments, RTS/CTS first
-	res, err := RunParallel(ParallelConfig{
-		Nodes:  nodes,
-		Guest:  guest.DefaultConfig(),
-		Net:    netmodel.Paper(),
-		Policy: adaptive(simtime.Microsecond, simtime.Millisecond, 1.05, 0.02),
-		Program: func(rank, _ int) guest.Program {
-			return func(p *guest.Proc) error {
-				ep := msg.New(p, pkt.DefaultMTU)
-				payload := make([]byte, size)
-				for i := range payload {
-					payload[i] = byte(i*7 + rank)
-				}
-				for d := 1; d < nodes; d++ {
-					ep.SendPayload((rank+d)%nodes, 1, payload)
-				}
-				for d := 1; d < nodes; d++ {
-					src := (rank + d) % nodes
-					m := ep.Recv(src, 1)
-					for i, b := range m.Payload {
-						if b != byte(i*7+src) {
-							return fmt.Errorf("rank %d: byte %d of the message from %d is %d", rank, i, src, b)
-						}
-					}
-					if len(m.Payload) != size {
-						return fmt.Errorf("rank %d: %d bytes from %d, want %d", rank, len(m.Payload), src, size)
-					}
-				}
-				return nil
+	res, err := RunParallel(testConfig(nodes, workloads.Workload{New: func(rank, _ int) guest.Program {
+		return func(p *guest.Proc) error {
+			ep := msg.New(p)
+			payload := make([]byte, size)
+			for i := range payload {
+				payload[i] = byte(i*7 + rank)
 			}
-		},
-		MaxGuest: simtime.Guest(10 * simtime.Second),
-	})
+			for d := 1; d < nodes; d++ {
+				ep.SendPayload((rank+d)%nodes, 1, payload)
+			}
+			for d := 1; d < nodes; d++ {
+				src := (rank + d) % nodes
+				m := ep.Recv(src, 1)
+				for i, b := range m.Payload {
+					if b != byte(i*7+src) {
+						return fmt.Errorf("rank %d: byte %d of the message from %d is %d", rank, i, src, b)
+					}
+				}
+				if len(m.Payload) != size {
+					return fmt.Errorf("rank %d: %d bytes from %d, want %d", rank, len(m.Payload), src, size)
+				}
+			}
+			return nil
+		}
+	}}, adaptive(simtime.Microsecond, simtime.Millisecond, 1.05, 0.02)), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -322,17 +278,10 @@ func TestParallelRendezvousTrains(t *testing.T) {
 // duplicated frames included.
 func TestParallelRecorder(t *testing.T) {
 	rec := &obs.Recorder{}
-	w := workloads.Uniform(60, 1500, 20*simtime.Microsecond, 23)
-	res, err := RunParallel(ParallelConfig{
-		Nodes:    4,
-		Guest:    guest.DefaultConfig(),
-		Net:      netmodel.Paper(),
-		Policy:   adaptive(simtime.Microsecond, simtime.Millisecond, 1.05, 0.02),
-		Program:  w.New,
-		MaxGuest: simtime.Guest(simtime.Second),
-		Faults:   &faults.Plan{Seed: 7, Default: faults.Link{Loss: 0.1, Dup: 0.15, Jitter: 3 * simtime.Microsecond}},
-		Observer: obs.Multi(rec, obs.NewRegistry()),
-	})
+	cfg := testConfig(4, workloads.Uniform(60, 1500, 20*simtime.Microsecond, 23), adaptive(simtime.Microsecond, simtime.Millisecond, 1.05, 0.02))
+	cfg.Faults = &faults.Plan{Seed: 7, Default: faults.Link{Loss: 0.1, Dup: 0.15, Jitter: 3 * simtime.Microsecond}}
+	cfg.Observer = obs.Multi(rec, obs.NewRegistry())
+	res, err := RunParallel(cfg, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

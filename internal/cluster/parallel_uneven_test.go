@@ -4,9 +4,9 @@ import (
 	"testing"
 
 	"clustersim/internal/guest"
-	"clustersim/internal/netmodel"
 	"clustersim/internal/obs"
 	"clustersim/internal/simtime"
+	"clustersim/internal/workloads"
 )
 
 // quantumLog collects every QuantumEnd record. The parallel controller fires
@@ -51,16 +51,9 @@ func TestParallelUnevenFinishBookkeeping(t *testing.T) {
 	}
 	for iter := 0; iter < 4; iter++ {
 		log := &quantumLog{}
-		res, err := RunParallel(ParallelConfig{
-			Nodes:            nodes,
-			Guest:            guest.DefaultConfig(),
-			Net:              netmodel.Paper(),
-			Policy:           fixed(20 * simtime.Microsecond),
-			Program:          uneven,
-			SpinPerGuestBusy: 0.01,
-			MaxGuest:         simtime.Guest(simtime.Second),
-			Observer:         log,
-		})
+		cfg := testConfig(nodes, workloads.Workload{New: uneven}, fixed(20*simtime.Microsecond))
+		cfg.Observer = log
+		res, err := RunParallel(cfg, 0.01)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -250,15 +250,9 @@ func TestProfilerFaultsUseIdealLatency(t *testing.T) {
 // spin) even though the numbers are real time and not reproducible.
 func TestParallelProfilerSmoke(t *testing.T) {
 	p := prof.New()
-	res, err := RunParallel(ParallelConfig{
-		Nodes:    4,
-		Guest:    testConfig(4, workloads.PingPong(20, 1000), fixed(simtime.Microsecond)).Guest,
-		Net:      netmodel.Paper(),
-		Policy:   fixed(simtime.Microsecond),
-		Program:  workloads.PingPong(20, 1000).New,
-		MaxGuest: simtime.Guest(simtime.Second),
-		Observer: p,
-	})
+	cfg := testConfig(4, workloads.PingPong(20, 1000), fixed(simtime.Microsecond))
+	cfg.Profiler = p
+	res, err := RunParallel(cfg, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

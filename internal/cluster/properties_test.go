@@ -276,7 +276,6 @@ func TestErrorPaths(t *testing.T) {
 		func(c *Config) { c.Net = nil },
 		func(c *Config) { c.Policy = nil },
 		func(c *Config) { c.Program = nil },
-		func(c *Config) { c.Guest.CPUHz = 0 },
 		func(c *Config) { c.Host.BusySlowdown = -1 },
 	}
 	for i, mod := range bad {

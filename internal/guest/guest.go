@@ -45,8 +45,6 @@ func (a *atomicGuest) store(g simtime.Guest) { a.v.Store(int64(g)) }
 
 // Config holds the per-node guest timing parameters.
 type Config struct {
-	// CPUHz is the guest CPU frequency, used by ComputeCycles.
-	CPUHz float64
 	// SendOverhead is the guest CPU time consumed to push one frame through
 	// the guest network stack and NIC driver.
 	SendOverhead simtime.Duration
@@ -54,11 +52,10 @@ type Config struct {
 	RecvOverhead simtime.Duration
 }
 
-// DefaultConfig resembles the paper's nodes: 2.6 GHz Opterons with a
-// TCP-era per-frame software cost well under the 1 µs wire latency.
+// DefaultConfig gives the paper's nodes (2.6 GHz Opterons) a TCP-era
+// per-frame software cost well under the 1 µs wire latency.
 func DefaultConfig() Config {
 	return Config{
-		CPUHz:        2.6e9,
 		SendOverhead: 700 * simtime.Nanosecond,
 		RecvOverhead: 700 * simtime.Nanosecond,
 	}

@@ -267,22 +267,6 @@ func TestWakeAtRegressionPanics(t *testing.T) {
 	n.WakeAt(simtime.Guest(10 * us))
 }
 
-func TestComputeCycles(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.CPUHz = 1e9 // 1 cycle = 1ns
-	n := NewNode(0, 1, cfg, func(p *Proc) error {
-		p.ComputeCycles(5000)
-		p.Report("ns", float64(p.Now()))
-		return nil
-	})
-	defer n.Shutdown()
-	n.BeginQuantum(simtime.Guest(simtime.Millisecond))
-	drive(t, n, 10, func(s Step) bool { return s.Kind == StepDone })
-	if n.Metrics()["ns"] != 5000 {
-		t.Errorf("5000 cycles at 1GHz took %vns", n.Metrics()["ns"])
-	}
-}
-
 func TestTryRecv(t *testing.T) {
 	n := NewNode(0, 2, DefaultConfig(), func(p *Proc) error {
 		if _, ok := p.TryRecv(); ok {

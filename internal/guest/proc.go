@@ -42,20 +42,6 @@ func (p *Proc) Compute(d simtime.Duration) {
 	p.n.call(request{kind: opCompute, dur: d})
 }
 
-// ComputeCycles executes the given number of guest CPU cycles at the node's
-// configured frequency.
-func (p *Proc) ComputeCycles(cycles int64) {
-	if cycles <= 0 {
-		return
-	}
-	ns := float64(cycles) / p.n.cfg.CPUHz * 1e9
-	d := simtime.Duration(ns)
-	if d == 0 {
-		d = 1
-	}
-	p.Compute(d)
-}
-
 // Send hands a frame of size payload bytes to the NIC, addressed to node
 // dst. It costs the configured per-frame send overhead of guest CPU time and
 // returns once the frame has been queued (the NIC transmits asynchronously).

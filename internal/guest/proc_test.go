@@ -26,12 +26,10 @@ func TestBroadcastFrame(t *testing.T) {
 
 func TestSleepUntilAndNoOps(t *testing.T) {
 	n := NewNode(0, 1, DefaultConfig(), func(p *Proc) error {
-		p.Compute(0)        // no-op
-		p.Sleep(0)          // no-op
-		p.Sleep(-5)         // no-op
-		p.SleepUntil(0)     // already past
-		p.ComputeCycles(0)  // no-op
-		p.ComputeCycles(-1) // no-op
+		p.Compute(0)    // no-op
+		p.Sleep(0)      // no-op
+		p.Sleep(-5)     // no-op
+		p.SleepUntil(0) // already past
 		p.SleepUntil(simtime.Guest(25 * us))
 		p.Report("at_us", simtime.Duration(p.Now()).Microseconds())
 		return nil
@@ -90,7 +88,7 @@ func TestProcAccessors(t *testing.T) {
 		if p.Rank() != 3 || p.Size() != 8 {
 			return errors.New("wrong rank/size")
 		}
-		if p.Config().CPUHz != DefaultConfig().CPUHz {
+		if p.Config() != DefaultConfig() {
 			return errors.New("wrong config")
 		}
 		return nil

@@ -18,7 +18,6 @@ import (
 
 	"clustersim/internal/guest"
 	"clustersim/internal/msg"
-	"clustersim/internal/pkt"
 	"clustersim/internal/simtime"
 )
 
@@ -38,10 +37,10 @@ type Comm struct {
 	seq  int // per-collective sequence for tag isolation
 }
 
-// New creates the world communicator for this rank over a fresh msg
-// endpoint with the default (jumbo) MTU.
+// New creates the world communicator for this rank over a fresh unreliable
+// msg endpoint.
 func New(p *guest.Proc) *Comm {
-	return &Comm{ep: msg.New(p, pkt.DefaultMTU), rank: p.Rank(), size: p.Size()}
+	return &Comm{ep: msg.New(p), rank: p.Rank(), size: p.Size()}
 }
 
 // NewWithConfig creates the world communicator over an endpoint with

@@ -8,7 +8,6 @@ import (
 	"clustersim/internal/host"
 	"clustersim/internal/msg"
 	"clustersim/internal/netmodel"
-	"clustersim/internal/pkt"
 	"clustersim/internal/quantum"
 	"clustersim/internal/simtime"
 )
@@ -30,7 +29,7 @@ func streamConfig(payload bool, resumes *int) cluster.Config {
 		},
 		Program: func(rank, clusterSize int) guest.Program {
 			return func(p *guest.Proc) error {
-				ep := msg.New(p, pkt.DefaultMTU)
+				ep := msg.New(p)
 				if rank == 0 {
 					var buf []byte
 					if payload {

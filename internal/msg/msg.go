@@ -46,6 +46,10 @@ const Any = -1
 // headerBytes is the wire size of the fragment/control header.
 const headerBytes = 40
 
+// chunk is the message payload one data fragment carries: a jumbo frame
+// less the header.
+const chunk = pkt.DefaultMTU - headerBytes
+
 // DefaultEagerMax is the eager/rendezvous threshold, matching the common
 // TCP-transport defaults of 2000s-era MPI implementations: bigger messages
 // use the rendezvous protocol.
@@ -124,20 +128,19 @@ type outMsg struct {
 	needCTS bool
 }
 
-// Config selects an endpoint's protocol behaviour. The retransmission
-// timer, the retry cap and the eager threshold are the Default* constants.
+// Config selects an endpoint's protocol behaviour. Frames are jumbo
+// (pkt.DefaultMTU); the retransmission timer, the retry cap and the eager
+// threshold are the Default* constants.
 type Config struct {
-	// MTU is the frame payload capacity in bytes (e.g. pkt.DefaultMTU).
-	MTU int
 	// Reliable enables acknowledgements, duplicate suppression and
 	// retransmission. All endpoints of a cluster must agree on this.
 	Reliable bool
 }
 
-// DefaultConfig returns jumbo frames and no reliability (the paper's
-// perfect network needs none).
+// DefaultConfig returns no reliability (the paper's perfect network needs
+// none).
 func DefaultConfig() Config {
-	return Config{MTU: pkt.DefaultMTU}
+	return Config{}
 }
 
 // Endpoint is one node's message-layer endpoint. It must be used only from
@@ -202,18 +205,13 @@ type Endpoint struct {
 	err error
 }
 
-// New creates an unreliable endpoint over p with the given MTU.
-func New(p *guest.Proc, mtu int) *Endpoint {
-	return NewWithConfig(p, Config{MTU: mtu})
+// New creates an unreliable endpoint over p.
+func New(p *guest.Proc) *Endpoint {
+	return NewWithConfig(p, DefaultConfig())
 }
 
 // NewWithConfig creates an endpoint with explicit protocol configuration.
-// It panics if the MTU cannot fit the fragment header: that is a
-// configuration bug.
 func NewWithConfig(p *guest.Proc, cfg Config) *Endpoint {
-	if cfg.MTU <= headerBytes {
-		panic(fmt.Sprintf("msg: MTU %d cannot carry the %d-byte fragment header", cfg.MTU, headerBytes))
-	}
 	return &Endpoint{
 		p:         p,
 		cfg:       cfg,
@@ -229,9 +227,6 @@ func NewWithConfig(p *guest.Proc, cfg Config) *Endpoint {
 
 // Proc returns the underlying guest process handle.
 func (e *Endpoint) Proc() *guest.Proc { return e.p }
-
-// MTU returns the endpoint's frame payload capacity.
-func (e *Endpoint) MTU() int { return e.cfg.MTU }
 
 // Send transmits a size-only message (no payload bytes) to (dst, tag).
 func (e *Endpoint) Send(dst, tag, size int) {
@@ -398,7 +393,6 @@ func (e *Endpoint) newMessage() *Message {
 // node pulls them from Frame one by one as the previous fragment leaves.
 func (e *Endpoint) sendData(t train) {
 	e.train = t
-	chunk := e.cfg.MTU - headerBytes
 	count := 1 // a zero-size message is one header-only fragment
 	if t.size > chunk {
 		count = (t.size + chunk - 1) / chunk
@@ -413,7 +407,6 @@ func (e *Endpoint) sendData(t train) {
 //simlint:hotpath called by guest.Node.Step once per fragment, through an interface
 func (e *Endpoint) Frame(k int) (dst int, proto pkt.Proto, size int, data []byte) {
 	t := &e.train
-	chunk := e.cfg.MTU - headerBytes
 	off := k * chunk
 	frag := t.size - off
 	if frag > chunk {

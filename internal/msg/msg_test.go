@@ -11,7 +11,6 @@ import (
 	"clustersim/internal/host"
 	"clustersim/internal/msg"
 	"clustersim/internal/netmodel"
-	"clustersim/internal/pkt"
 	"clustersim/internal/quantum"
 	"clustersim/internal/rng"
 	"clustersim/internal/simtime"
@@ -45,11 +44,11 @@ func TestPayloadRoundTrip(t *testing.T) {
 	var got []byte
 	run(t, simtime.Microsecond,
 		func(p *guest.Proc) error {
-			msg.New(p, pkt.DefaultMTU).SendPayload(1, 7, payload)
+			msg.New(p).SendPayload(1, 7, payload)
 			return nil
 		},
 		func(p *guest.Proc) error {
-			m := msg.New(p, pkt.DefaultMTU).Recv(0, 7)
+			m := msg.New(p).Recv(0, 7)
 			got = m.Payload
 			return nil
 		},
@@ -63,11 +62,11 @@ func TestZeroSizeMessage(t *testing.T) {
 	ok := false
 	run(t, simtime.Microsecond,
 		func(p *guest.Proc) error {
-			msg.New(p, pkt.DefaultMTU).Send(1, 3, 0)
+			msg.New(p).Send(1, 3, 0)
 			return nil
 		},
 		func(p *guest.Proc) error {
-			m := msg.New(p, pkt.DefaultMTU).Recv(0, 3)
+			m := msg.New(p).Recv(0, 3)
 			ok = m.Size == 0 && m.Src == 0 && m.Tag == 3
 			return nil
 		},
@@ -82,14 +81,14 @@ func TestFIFOPerSourceAndTag(t *testing.T) {
 	var order []int
 	run(t, simtime.Microsecond,
 		func(p *guest.Proc) error {
-			ep := msg.New(p, pkt.DefaultMTU)
+			ep := msg.New(p)
 			for i := 0; i < n; i++ {
 				ep.SendPayload(1, 9, []byte{byte(i)})
 			}
 			return nil
 		},
 		func(p *guest.Proc) error {
-			ep := msg.New(p, pkt.DefaultMTU)
+			ep := msg.New(p)
 			for i := 0; i < n; i++ {
 				m := ep.Recv(0, 9)
 				order = append(order, int(m.Payload[0]))
@@ -108,18 +107,18 @@ func TestTagAndSourceMatching(t *testing.T) {
 	var tagged, any int
 	run(t, simtime.Microsecond,
 		func(p *guest.Proc) error {
-			ep := msg.New(p, pkt.DefaultMTU)
+			ep := msg.New(p)
 			ep.SendPayload(2, 1, []byte{11})
 			ep.SendPayload(2, 2, []byte{22})
 			return nil
 		},
 		func(p *guest.Proc) error {
-			ep := msg.New(p, pkt.DefaultMTU)
+			ep := msg.New(p)
 			ep.SendPayload(2, 2, []byte{33})
 			return nil
 		},
 		func(p *guest.Proc) error {
-			ep := msg.New(p, pkt.DefaultMTU)
+			ep := msg.New(p)
 			// Tag 2 from rank 1 specifically, even though other traffic
 			// arrives first.
 			m := ep.Recv(1, 2)
@@ -149,7 +148,7 @@ func TestRendezvousLargeMessage(t *testing.T) {
 	var rts, cts int
 	run(t, simtime.Microsecond,
 		func(p *guest.Proc) error {
-			ep := msg.New(p, pkt.DefaultMTU)
+			ep := msg.New(p)
 			ep.SendPayload(1, 5, payload)
 			s, _, r, _ := ep.Stats()
 			if s == 0 || r != 1 {
@@ -159,7 +158,7 @@ func TestRendezvousLargeMessage(t *testing.T) {
 			return nil
 		},
 		func(p *guest.Proc) error {
-			ep := msg.New(p, pkt.DefaultMTU)
+			ep := msg.New(p)
 			m := ep.Recv(0, 5)
 			got = m.Payload
 			_, _, _, c := ep.Stats()
@@ -181,7 +180,7 @@ func TestBidirectionalRendezvousNoDeadlock(t *testing.T) {
 	size := msg.DefaultEagerMax + 1
 	mk := func(peer int) guest.Program {
 		return func(p *guest.Proc) error {
-			ep := msg.New(p, pkt.DefaultMTU)
+			ep := msg.New(p)
 			ep.Send(peer, 1, size)
 			m := ep.Recv(peer, 1)
 			if m.Size != size {
@@ -195,7 +194,7 @@ func TestBidirectionalRendezvousNoDeadlock(t *testing.T) {
 
 func TestLoopback(t *testing.T) {
 	run(t, simtime.Microsecond, func(p *guest.Proc) error {
-		ep := msg.New(p, pkt.DefaultMTU)
+		ep := msg.New(p)
 		ep.SendPayload(0, 4, []byte("self"))
 		m := ep.Recv(0, 4)
 		if string(m.Payload) != "self" {
@@ -208,7 +207,7 @@ func TestLoopback(t *testing.T) {
 func TestRecvDeadlineTimeout(t *testing.T) {
 	run(t, simtime.Microsecond,
 		func(p *guest.Proc) error {
-			ep := msg.New(p, pkt.DefaultMTU)
+			ep := msg.New(p)
 			if m, ok := ep.RecvDeadline(1, 1, p.Now().Add(50*simtime.Microsecond)); ok {
 				return fmt.Errorf("unexpected message %v", m)
 			}
@@ -236,14 +235,14 @@ func TestPropertyDeliveryUnderAnyQuantum(t *testing.T) {
 		var got []int
 		run(t, q,
 			func(p *guest.Proc) error {
-				ep := msg.New(p, pkt.DefaultMTU)
+				ep := msg.New(p)
 				for _, s := range sizes {
 					ep.Send(1, 2, int(s))
 				}
 				return nil
 			},
 			func(p *guest.Proc) error {
-				ep := msg.New(p, pkt.DefaultMTU)
+				ep := msg.New(p)
 				for range sizes {
 					got = append(got, ep.Recv(0, 2).Size)
 				}
@@ -266,19 +265,4 @@ func TestPropertyDeliveryUnderAnyQuantum(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Error(err)
 	}
-}
-
-func TestMTUTooSmallPanics(t *testing.T) {
-	// The panic fires on the workload goroutine, so catch it there.
-	run(t, simtime.Microsecond, func(p *guest.Proc) error {
-		panicked := false
-		func() {
-			defer func() { panicked = recover() != nil }()
-			msg.New(p, 10)
-		}()
-		if !panicked {
-			return fmt.Errorf("MTU smaller than the header did not panic")
-		}
-		return nil
-	})
 }

@@ -14,7 +14,6 @@ import (
 	"clustersim/internal/mpi"
 	"clustersim/internal/msg"
 	"clustersim/internal/netmodel"
-	"clustersim/internal/pkt"
 	"clustersim/internal/quantum"
 	"clustersim/internal/rng"
 	"clustersim/internal/simtime"
@@ -130,14 +129,14 @@ func TestUnreliableLosesUnderLoss(t *testing.T) {
 	received := 0
 	runLossy(t, 0.3, 11, 50*simtime.Microsecond,
 		func(p *guest.Proc) error {
-			ep := msg.New(p, pkt.DefaultMTU)
+			ep := msg.New(p)
 			for i := 0; i < n; i++ {
 				ep.Send(1, 1, 100)
 			}
 			return nil
 		},
 		func(p *guest.Proc) error {
-			ep := msg.New(p, pkt.DefaultMTU)
+			ep := msg.New(p)
 			for {
 				_, ok := ep.RecvDeadline(0, 1, p.Now().Add(2*simtime.Millisecond))
 				if !ok {

@@ -23,7 +23,7 @@ func TestAbsorbDeclinesWhatNeedsTheWorkload(t *testing.T) {
 		// One endpoint per mode: the first three rows build on each other.
 		eps := map[bool]*Endpoint{}
 		for _, reliable := range []bool{false, true} {
-			eps[reliable] = NewWithConfig(p, Config{MTU: pkt.DefaultMTU, Reliable: reliable})
+			eps[reliable] = NewWithConfig(p, Config{Reliable: reliable})
 		}
 		for _, c := range []struct {
 			name     string
