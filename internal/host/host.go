@@ -20,7 +20,6 @@ import (
 	"fmt"
 	"math"
 
-	"clustersim/internal/rng"
 	"clustersim/internal/simtime"
 )
 
@@ -141,27 +140,31 @@ func (p Params) Validate() error {
 // Model converts between guest progress and host cost for every node.
 type Model struct {
 	p Params
-	// memo caches each node's most recent speed draw. The draw is a pure
-	// function of (seed, node, window), so the cache returns the exact
-	// float64 the draw would produce — results are bit-identical with or
-	// without it. Quanta are typically much shorter than JitterPeriod, so
-	// consecutive conversions hit the same window almost every time and the
-	// Box–Muller transcendentals drop out of the hot loop. Sized by
-	// Reserve; nodes beyond the reservation fall through to the raw draw.
+	// memo caches each node's block of speed draws around its most recent
+	// window. The draw is a pure function of (seed, node, window), so the
+	// cache returns the exact float64 the draw would produce — results are
+	// bit-identical with or without it. Quanta are typically much shorter
+	// than JitterPeriod, so consecutive conversions hit the same window
+	// almost every time, and the next drawBlock-1 windows are drawn with it.
+	// Sized by Reserve; nodes beyond the reservation draw afresh each time.
 	memo []speedMemo
 	// shared, when non-nil, is where a draw the memo misses is looked up
 	// before it is computed (Share).
 	shared *Speeds
 }
 
-// speedMemo is one node's cached draw. window is -1 until the first hit.
-// [lo, hi) is the window's guest extent when a conversion inside it is a
-// single product — no sampling schedule — and empty otherwise, so HostCost
-// can test "one window, and this one" with two comparisons.
+// speedMemo is one node's cached draws: mult is window's multiplier, and
+// block holds the aligned drawBlock windows around it, from
+// window&^(drawBlock-1) on. window is -1 until the first draw; a block is
+// only reused at windows >= 0, so the empty one is never read. [lo, hi) is
+// the window's guest extent when a conversion inside it is a single product —
+// no sampling schedule — and stays empty otherwise, so HostCost can test "one
+// window, and this one" with two comparisons.
 type speedMemo struct {
 	window int64
 	lo, hi simtime.Guest
 	mult   float64
+	block  [drawBlock]float64
 }
 
 // NewModel builds a Model; it panics on invalid Params (configuration is a
@@ -211,11 +214,17 @@ func (m *Model) Params() Params { return m.p }
 // table only short-circuit recomputation of the identical value.
 func (m *Model) speed(node int, window int64) float64 {
 	if node >= len(m.memo) {
-		return m.draw(node, window)
+		var one [1]float64 // an unreserved node draws a block of one
+		m.draws(node, window, one[:])
+		return one[0]
 	}
 	mo := &m.memo[node]
 	if mo.window != window {
-		*mo = speedMemo{window: window, mult: m.draw(node, window)}
+		base := window &^ (drawBlock - 1)
+		if mo.window&^(drawBlock-1) != base || mo.window < 0 {
+			m.draws(node, base, mo.block[:])
+		}
+		mo.window, mo.mult = window, mo.block[window-base]
 		if m.p.Sampling == nil {
 			per := simtime.Guest(m.p.JitterPeriod)
 			mo.lo = simtime.Guest(window) * per
@@ -225,26 +234,20 @@ func (m *Model) speed(node int, window int64) float64 {
 	return mo.mult
 }
 
-// draw returns the multiplier of (node, window) from the shared table when
-// there is one, computing it otherwise.
-func (m *Model) draw(node int, window int64) float64 {
+// draws writes the multipliers of node's windows w0, w0+1, … into out, which
+// lies inside one aligned block of drawBlock windows: from the shared table
+// when there is one, computed otherwise.
+func (m *Model) draws(node int, w0 int64, out []float64) {
 	switch {
 	case m.p.JitterSigma == 0:
-		return 1
+		for i := range out {
+			out[i] = 1
+		}
 	case m.shared != nil:
-		return m.shared.mult(node, window)
+		m.shared.fill(node, w0, out)
+	default:
+		lognormals(m.p.Seed, m.p.JitterSigma, node, w0, out)
 	}
-	return lognormal(m.p.Seed, m.p.JitterSigma, node, window)
-}
-
-// lognormal computes the speed multiplier from scratch.
-func lognormal(seed uint64, sigma float64, node int, window int64) float64 {
-	u := rng.HashFloat01(seed, uint64(node), uint64(window), 1)
-	v := rng.HashFloat01(seed, uint64(node), uint64(window), 2)
-	norm := math.Sqrt(-2*math.Log(u)) * math.Cos(2*math.Pi*v)
-	// mu = -sigma²/2 gives the lognormal mean 1, so jitter never biases the
-	// average speed, only its spread.
-	return math.Exp(-sigma*sigma/2 + sigma*norm)
 }
 
 // Mode distinguishes how the guest spends time, which determines the host

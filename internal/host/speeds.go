@@ -25,7 +25,8 @@ type speedChunk [speedsChunkLen]atomic.Uint64
 // Speeds is a write-once table of speed multipliers shared by the models of
 // one sweep. A multiplier is a pure function of (Seed, JitterSigma, node,
 // window) and the simulations of a sweep mostly share all four, so the first
-// model to need a draw computes and publishes it and the others read it.
+// model to need a draw computes and publishes its aligned block of drawBlock
+// windows and the others read it.
 // Whoever computes it computes the same bits, which is why racing fills need
 // no lock, why a reader can never observe anything but the draw itself, and
 // why results are bit-identical with and without a table.
@@ -50,13 +51,20 @@ func NewSpeeds(p Params, nodes int) *Speeds {
 	}
 }
 
-// mult returns the multiplier of (node, window): the published draw, or a
-// fresh one, which it publishes when the table has a cell for it.
-func (s *Speeds) mult(node int, window int64) float64 {
-	if window < 0 || window >= speedsChunks*speedsChunkLen || node >= len(s.index)/speedsChunks {
-		return lognormal(s.seed, s.sigma, node, window)
+// An aligned block of drawBlock windows never straddles two chunks.
+const _ uint = -(speedsChunkLen % drawBlock)
+
+// fill writes the multipliers of node's windows w0, w0+1, … into out, which
+// lies inside one aligned block of drawBlock windows: the published draws,
+// or fresh ones. A miss draws the whole aligned block and publishes it when
+// the table has cells for it; every model that publishes a block stores the
+// same bits.
+func (s *Speeds) fill(node int, w0 int64, out []float64) {
+	if w0 < 0 || w0 >= speedsChunks*speedsChunkLen || node >= len(s.index)/speedsChunks {
+		lognormals(s.seed, s.sigma, node, w0, out)
+		return
 	}
-	slot := &s.index[node*speedsChunks+int(window/speedsChunkLen)]
+	slot := &s.index[node*speedsChunks+int(w0/speedsChunkLen)]
 	chunk := slot.Load()
 	if chunk == nil {
 		chunk = &speedChunk{} //simlint:hotalloc one 8 KiB chunk per 1024 windows per node per sweep, shared by every run of it
@@ -64,11 +72,18 @@ func (s *Speeds) mult(node int, window int64) float64 {
 			chunk = slot.Load()
 		}
 	}
-	cell := &chunk[window%speedsChunkLen]
-	if bits := cell.Load(); bits != 0 {
-		return math.Float64frombits(bits)
+	cells := chunk[w0%speedsChunkLen:][:len(out)]
+	for i := range cells {
+		bits := cells[i].Load()
+		if bits == 0 {
+			base := w0 &^ (drawBlock - 1)
+			var block [drawBlock]float64
+			lognormals(s.seed, s.sigma, node, base, block[:])
+			for j, v := range block {
+				chunk[base%speedsChunkLen+int64(j)].Store(math.Float64bits(v))
+			}
+			bits = cells[i].Load()
+		}
+		out[i] = math.Float64frombits(bits)
 	}
-	v := lognormal(s.seed, s.sigma, node, window)
-	cell.Store(math.Float64bits(v))
-	return v
 }

@@ -13,7 +13,8 @@ import (
 // for bit, what a model without one computes — inside the table's bounds, past
 // its window horizon and node count, from a table drawn for another seed or
 // sigma (which it must ignore), and while several models fill one table at
-// once (run with -race: that is the data-race proof for the lock-free cells).
+// once, cell by cell and block by block (run with -race: that is the
+// data-race proof for the lock-free cells).
 func TestSpeedsMatchPrivateDraws(t *testing.T) {
 	const nodes = 8
 	p := testParams()
@@ -38,12 +39,14 @@ func TestSpeedsMatchPrivateDraws(t *testing.T) {
 	for i, k := range keys {
 		want[i] = lognormal(p.Seed, p.JitterSigma, k.node, k.window)
 	}
+	// The models checked here reserve no node, so each speed is a block of
+	// one read through the table.
 	check := func(t *testing.T, label string, m *Model, order []int) {
 		for _, i := range order {
 			k := keys[i]
 			// Twice: the draw that fills the cell, then the read of it.
 			for pass := 0; pass < 2; pass++ {
-				if got := m.draw(k.node, k.window); math.Float64bits(got) != math.Float64bits(want[i]) {
+				if got := m.speed(k.node, k.window); math.Float64bits(got) != math.Float64bits(want[i]) {
 					t.Errorf("%s: node %d window %d pass %d: shared draw %v, private draw %v", label, k.node, k.window, pass, got, want[i])
 					return
 				}
@@ -85,7 +88,7 @@ func TestSpeedsMatchPrivateDraws(t *testing.T) {
 			other := NewModel(q)
 			other.Share(s)
 			for _, k := range keys[:200] {
-				other.draw(k.node, k.window) // another sweep's draws, not ours
+				other.speed(k.node, k.window) // another sweep's draws, not ours
 			}
 			m := NewModel(p)
 			m.Share(s)
@@ -107,6 +110,36 @@ func TestSpeedsMatchPrivateDraws(t *testing.T) {
 				m := NewModel(p)
 				m.Share(s)
 				check(t, "concurrent", m, order)
+			}()
+		}
+		wg.Wait()
+	})
+
+	// Six models publish blocks of one chunk at once: each walks the chunk
+	// with its own offset and stride, so their blocks interleave and
+	// overlap; half of them reserve the nodes (a whole block per miss), half
+	// do not (a block of one).
+	t.Run("concurrent blocks", func(t *testing.T) {
+		s := NewSpeeds(p, nodes)
+		var wg sync.WaitGroup
+		for g := 0; g < 6; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				m := NewModel(p)
+				m.Share(s)
+				if g%2 == 0 {
+					m.Reserve(nodes)
+				}
+				for w := int64(g); w < speedsChunkLen; w += int64(1 + g) {
+					for node := 0; node < 2; node++ {
+						want := lognormal(p.Seed, p.JitterSigma, node, w)
+						if got := m.speed(node, w); math.Float64bits(got) != math.Float64bits(want) {
+							t.Errorf("model %d: node %d window %d: shared draw %v, private draw %v", g, node, w, got, want)
+							return
+						}
+					}
+				}
 			}()
 		}
 		wg.Wait()

@@ -56,16 +56,23 @@ func mix(z uint64) uint64 {
 func Hash(vals ...uint64) uint64 {
 	h := uint64(0x9e3779b97f4a7c15)
 	for _, v := range vals {
-		h = mix(h ^ v*0xbf58476d1ce4e5b9)
+		h = Fold(h, v)
 	}
 	return h
 }
 
-// HashFloat01 maps a hashed key to a uniform float64 in (0, 1).
-func HashFloat01(vals ...uint64) float64 {
-	h := Hash(vals...)
-	return (float64(h>>11) + 0.5) / (1 << 53)
-}
+// Fold mixes one more word into a hash: Hash(a, b, c) is
+// Fold(Hash(a, b), c). Keys that share a prefix can fold it once and each
+// key's remaining words onto it.
+func Fold(h, v uint64) uint64 { return mix(h ^ v*0xbf58476d1ce4e5b9) }
+
+// HashFloat01 maps a hashed key to a uniform float64 in (0, 1] (see Unit).
+func HashFloat01(vals ...uint64) float64 { return Unit(Hash(vals...)) }
+
+// Unit maps a hash to a uniform float64: HashFloat01 is Unit(Hash(...)). The
+// result is in (0, 1) except for the top 2^11 hashes, one in 2^53, for which
+// the half-step offset rounds up to exactly 1.
+func Unit(h uint64) float64 { return (float64(h>>11) + 0.5) / (1 << 53) }
 
 func rotl(x uint64, k uint) uint64 { return x<<k | x>>(64-k) }
 

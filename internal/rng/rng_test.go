@@ -168,6 +168,28 @@ func TestHashDeterministicAndSpread(t *testing.T) {
 	}
 }
 
+// A prefix folded once, then the rest of the key, is the whole key hashed.
+func TestFoldExtendsHash(t *testing.T) {
+	for i := uint64(0); i < 1000; i++ {
+		prefix := Hash(i, 7)
+		if Fold(Fold(prefix, i*3), 1) != Hash(i, 7, i*3, 1) {
+			t.Fatalf("Fold(Fold(Hash(%d, 7), %d), 1) differs from Hash(%d, 7, %d, 1)", i, i*3, i, i*3)
+		}
+		if Unit(Hash(i, 2)) != HashFloat01(i, 2) {
+			t.Fatalf("Unit(Hash(%d, 2)) differs from HashFloat01(%d, 2)", i, i)
+		}
+	}
+	if lo := Unit(0); lo <= 0 {
+		t.Errorf("Unit(0) = %v, want above 0", lo)
+	}
+	if below := Unit(math.MaxUint64 - 1<<11); below >= 1 {
+		t.Errorf("Unit just below the top 2^11 hashes = %v, want below 1", below)
+	}
+	if top := Unit(math.MaxUint64); top != 1 {
+		t.Errorf("Unit(MaxUint64) = %v, want 1 (the half-step rounds up)", top)
+	}
+}
+
 func TestHashFloat01Range(t *testing.T) {
 	for i := uint64(0); i < 10000; i++ {
 		v := HashFloat01(7, i)
