@@ -781,7 +781,7 @@ func (e *engine) stretchLen(start simtime.Guest, Q simtime.Duration) int {
 // exactly. Each lasts the slowest node's cost plus the barrier cost; there is
 // nothing to route. An observer is told all k, from the one pass, in the order
 // k single quanta publish in: finishHost holds the first quantum's segment
-// ends, and every later quantum is one span further on. It returns the last
+// ends, and every later quantum's are one span further on. It returns the last
 // barrier's release.
 //
 //simlint:hotpath quiet pass: all a ground-truth run does between two ops
@@ -818,12 +818,11 @@ func (e *engine) quietStretch(start simtime.Guest, Q simtime.Duration, hostNow s
 			e.publishQuantum(e.qi+j, g, Q, h, h.Add(maxC), h.Add(span), 0)
 		}
 	}
-	// The engine stands where k single quanta leave it: in the last one, every
-	// node at its barrier.
+	// The run loop goes on from the last of the k quanta. finishHost keeps the
+	// first one's segment ends: its one later reader, the stepped barrier's
+	// max, runs only after runQuantum or the next stretch has rewritten every
+	// entry.
 	rest := simtime.Duration(k - 1)
-	for i, fh := range e.na.finishHost {
-		e.na.finishHost[i] = fh.Add(rest * span)
-	}
 	e.qi += k - 1
 	e.qStartG = start.Add(rest * Q)
 	e.limit = e.qStartG.Add(Q)

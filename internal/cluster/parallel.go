@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"clustersim/internal/guest"
@@ -51,6 +52,17 @@ type pnode struct {
 	// nanosecond for this node: RunParallel's spinPerGuestBusy times the
 	// fault plan's slowdown factor. Immutable after construction.
 	spinPerBusy float64
+
+	// The node's one owner is this pnode's goroutine: guest.Node takes no
+	// lock, so the router never touches it. The router appends each frame
+	// copy to inbox under prun.mu and sets mail; the owner drains the inbox
+	// into the node before every Step, so an empty mailbox costs it one atomic
+	// load. spare is the owner's drained buffer, which the next drain swaps in.
+	inbox, spare []guest.Arrival
+	mail         atomic.Bool
+	// pos is the node's guest clock as the owner last published it, after
+	// every Step and WakeAt: what the router classifies a delivery against.
+	pos atomic.Int64
 }
 
 // prun is the shared state of one parallel run. The controller mutex guards
@@ -349,9 +361,11 @@ func (r *prun) nodeLoop(pn *pnode) {
 // reports whether the workload finished.
 func (r *prun) runQuantum(pn *pnode, gen int) bool {
 	for {
+		r.drain(pn)
 		pn.stepping = true
 		st := pn.n.Step()
 		pn.stepping = false
+		pn.publish()
 		switch st.Kind {
 		case guest.StepBusy:
 			var h0 simtime.Host
@@ -373,8 +387,12 @@ func (r *prun) runQuantum(pn *pnode, gen int) bool {
 			target := simtime.MinGuest(st.NextArrival, st.Deadline)
 			target = simtime.MinGuest(target, pn.limit)
 			if target > st.To {
+				if pn.mail.Load() {
+					continue // step again with what came in since the drain
+				}
 				// Idle simulation is effectively free in real time: jump.
 				pn.n.WakeAt(target)
+				pn.publish()
 				continue
 			}
 			// Blocked at the boundary with nothing deliverable: park.
@@ -409,6 +427,25 @@ func (r *prun) runQuantum(pn *pnode, gen int) bool {
 	}
 }
 
+// drain hands the frames routed to pn since the last drain to its node. Only
+// pn's own goroutine calls it.
+func (r *prun) drain(pn *pnode) {
+	if !pn.mail.Load() {
+		return
+	}
+	r.mu.Lock()
+	in := pn.inbox
+	pn.inbox, pn.spare = pn.spare[:0], in
+	pn.mail.Store(false)
+	r.mu.Unlock()
+	for _, a := range in {
+		pn.n.Deliver(a.Frame, a.Time)
+	}
+}
+
+// publish makes the node's clock the position the router classifies against.
+func (pn *pnode) publish() { pn.pos.Store(int64(pn.n.Clock())) }
+
 // park blocks pn at the quantum boundary. It reports true if the node was
 // re-woken by a delivery within the same quantum (continue stepping) and
 // false if the quantum ended or the run is shutting down.
@@ -426,9 +463,9 @@ func (r *prun) park(pn *pnode, gen int) bool {
 	return ok
 }
 
-// route ships one frame through the controller, with the destination's live
-// clock deciding stragglerhood — the real race the deterministic engine
-// models.
+// route ships one frame through the controller, with the destination's
+// published position deciding stragglerhood — the real race the deterministic
+// engine models.
 func (r *prun) route(pn *pnode, f *pkt.Frame, tSend simtime.Guest) {
 	src := pn.n.ID()
 	depart := r.depart(&pn.txFree, tSend, f)
@@ -449,16 +486,17 @@ func (r *prun) route(pn *pnode, f *pkt.Frame, tSend simtime.Guest) {
 }
 
 // deliverCopy classifies one frame copy, due at tD, against the destination's
-// live state and delivers it. The caller holds r.mu.
+// live state and posts it to the destination's mailbox. The caller holds r.mu.
 func (r *prun) deliverCopy(fl *flight, tD simtime.Guest, dupCopy bool) {
 	dn := r.nodes[fl.dst]
 	atBarrier := dn.state != pnRunning
 	var pos simtime.Guest
 	if !atBarrier {
-		pos = dn.n.Clock()
+		pos = simtime.Guest(dn.pos.Load())
 	}
 	arr, _ := r.deliver(fl, tD, atBarrier, pos, dupCopy)
-	dn.n.Deliver(fl.f, arr)
+	dn.inbox = append(dn.inbox, guest.Arrival{Frame: fl.f, Time: arr})
+	dn.mail.Store(true)
 	// A parked destination that can now make progress is re-woken —
 	// point-to-point, leaving every other node undisturbed.
 	if dn.state == pnParked && arr <= r.limit {

@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -14,6 +16,7 @@ import (
 	"clustersim/internal/netmodel"
 	"clustersim/internal/obs"
 	"clustersim/internal/pkt"
+	"clustersim/internal/quantum"
 	"clustersim/internal/simtime"
 	"clustersim/internal/workloads"
 )
@@ -315,5 +318,51 @@ func TestParallelRecorder(t *testing.T) {
 	}
 	if len(rec.Quanta) != s.Quanta || inQuanta != s.Packets {
 		t.Errorf("recorder holds %d quanta carrying %d packets, Stats say %d and %d", len(rec.Quanta), inQuanta, s.Quanta, s.Packets)
+	}
+}
+
+// At Q <= T every frame arrives at or after the limit of the quantum it was
+// sent in, so each delivery is exact whatever the goroutine schedule: the
+// goroutine runner must reproduce the deterministic engine's ground truth on
+// everything guest-visible. The rows are fastCases' fixed-policy ones whose Q
+// is within the configuration's smallest link bound; adaptive rows and Q above
+// T legitimately race. Each runs at GOMAXPROCS 1, 2 and 4, three times, so
+// that under -race the schedule varies as much as the runner lets it.
+func TestParallelGroundTruthMatchesRun(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	rows := 0
+	for _, c := range fastCases() {
+		f, ok := c.pol().(quantum.Fixed)
+		cfg := c.config()
+		if !ok || f.Q > newLookahead(cfg.Net, cfg.Nodes).min {
+			continue
+		}
+		rows++
+		want, err := Run(cfg)
+		if err != nil {
+			t.Fatalf("%s: Run: %v", c.name, err)
+		}
+		for _, procs := range []int{1, 2, 4} {
+			runtime.GOMAXPROCS(procs)
+			for rep := 0; rep < 3; rep++ {
+				got, err := RunParallel(c.config(), 0)
+				if err != nil {
+					t.Fatalf("%s GOMAXPROCS=%d #%d: RunParallel: %v", c.name, procs, rep, err)
+				}
+				gs, ws := got.Stats, want.Stats
+				switch {
+				case !reflect.DeepEqual(got.NodeFinish, want.NodeFinish):
+					t.Errorf("%s GOMAXPROCS=%d #%d: NodeFinish %v, Run's %v", c.name, procs, rep, got.NodeFinish, want.NodeFinish)
+				case !reflect.DeepEqual(got.Metrics, want.Metrics):
+					t.Errorf("%s GOMAXPROCS=%d #%d: Metrics %v, Run's %v", c.name, procs, rep, got.Metrics, want.Metrics)
+				case gs.Packets != ws.Packets || gs.Deliveries != ws.Deliveries || gs.Stragglers != 0:
+					t.Errorf("%s GOMAXPROCS=%d #%d: %d packets, %d deliveries, %d stragglers; Run: %d, %d, %d",
+						c.name, procs, rep, gs.Packets, gs.Deliveries, gs.Stragglers, ws.Packets, ws.Deliveries, ws.Stragglers)
+				}
+			}
+		}
+	}
+	if rows != 9 {
+		t.Errorf("%d fastCases rows run at Q <= T, want 9", rows)
 	}
 }

@@ -122,16 +122,14 @@ func (p *Plan) Decide(frameID uint64, src, dst int, tSend simtime.Guest) Decisio
 		}
 	}
 	s, d := uint64(src), uint64(dst)
-	if l.Loss > 0 && rng.HashFloat01(p.Seed, purposeLoss, frameID, s, d) < l.Loss {
+	if l.Loss > 0 && occurs(l.Loss, rng.HashFloat01(p.Seed, purposeLoss, frameID, s, d)) {
 		return Decision{Drop: true}
 	}
 	var dec Decision
 	if l.Jitter > 0 {
 		dec.Delay = simtime.Duration(rng.HashFloat01(p.Seed, purposeJitter, frameID, s, d) * float64(l.Jitter))
 	}
-	// HashFloat01 draws from the open interval (0, 1), so Dup == 1
-	// duplicates every frame.
-	if l.Dup > 0 && rng.HashFloat01(p.Seed, purposeDup, frameID, s, d) < l.Dup {
+	if l.Dup > 0 && occurs(l.Dup, rng.HashFloat01(p.Seed, purposeDup, frameID, s, d)) {
 		dec.Dup = true
 		if l.Jitter > 0 {
 			dec.DupDelay = simtime.Duration(rng.HashFloat01(p.Seed, purposeDupJitter, frameID, s, d) * float64(l.Jitter))
@@ -139,6 +137,12 @@ func (p *Plan) Decide(frameID uint64, src, dst int, tSend simtime.Guest) Decisio
 	}
 	return dec
 }
+
+// occurs reports whether an event of probability prob happens on the uniform
+// draw u. HashFloat01 draws from (0, 1], reaching exactly 1 for one hash in
+// 2^53, where u < prob alone would spare a frame at prob 1: any prob >= 1
+// happens on every draw.
+func occurs(prob, u float64) bool { return u < prob || prob >= 1 }
 
 // Slowdown returns the host slowdown factor for a node (1 when unset).
 func (p *Plan) Slowdown(node int) float64 {

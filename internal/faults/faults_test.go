@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"clustersim/internal/rng"
 	"clustersim/internal/simtime"
 )
 
@@ -48,6 +49,40 @@ func TestDecideRates(t *testing.T) {
 	// Dup draws happen only on surviving frames.
 	if got := float64(dups) / float64(n-drops); math.Abs(got-0.2) > 0.02 {
 		t.Errorf("dup rate %.3f, want ~0.20", got)
+	}
+}
+
+// A unit draw reaches exactly 1 for the top hashes; a probability of 1 (or
+// more) still acts on it, one below 1 does not.
+func TestOccursAtUnitOne(t *testing.T) {
+	u := rng.Unit(math.MaxUint64)
+	if u != 1 {
+		t.Fatalf("premise: rng.Unit of the top hash is %v, want exactly 1", u)
+	}
+	for _, c := range []struct {
+		prob float64
+		want bool
+	}{{1, true}, {1.5, true}, {math.Nextafter(1, 0), false}, {0.5, false}, {0, false}} {
+		if got := occurs(c.prob, u); got != c.want {
+			t.Errorf("occurs(%v, 1) = %v, want %v", c.prob, got, c.want)
+		}
+	}
+	if !occurs(math.Nextafter(1, 0), rng.Unit(0)) {
+		t.Error("occurs(1-ε, smallest draw) = false, want true")
+	}
+}
+
+// Loss 1 drops every frame and Dup 1 duplicates every frame.
+func TestDecideAtProbabilityOne(t *testing.T) {
+	lossy := &Plan{Seed: 5, Default: Link{Loss: 1}}
+	dupy := &Plan{Seed: 5, Default: Link{Dup: 1, Jitter: simtime.Microsecond}}
+	for id := uint64(0); id < 20000; id++ {
+		if d := lossy.Decide(id, 0, 1, 0); !d.Drop {
+			t.Fatalf("frame %d survived Loss 1: %+v", id, d)
+		}
+		if d := dupy.Decide(id, 0, 1, 0); d.Drop || !d.Dup {
+			t.Fatalf("frame %d not duplicated at Dup 1: %+v", id, d)
+		}
 	}
 }
 

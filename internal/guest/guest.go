@@ -20,6 +20,10 @@
 // frame. Both run between steps, on the stepper's stack, and may not consume
 // guest time.
 //
+// A node has one owner: every method, Deliver included, is called by whichever
+// goroutine steps it, and the package takes no lock. A runner that routes
+// frames from other goroutines hands them to the owner, which delivers them.
+//
 // The engine owns all host-time accounting; this package is purely in the
 // guest clock domain.
 package guest
@@ -27,21 +31,11 @@ package guest
 import (
 	"fmt"
 	"iter"
-	"sync"
-	"sync/atomic"
 
 	"clustersim/internal/eventq"
 	"clustersim/internal/pkt"
 	"clustersim/internal/simtime"
 )
-
-// atomicGuest is a guest clock readable from any goroutine.
-type atomicGuest struct {
-	v atomic.Int64
-}
-
-func (a *atomicGuest) load() simtime.Guest   { return simtime.Guest(a.v.Load()) }
-func (a *atomicGuest) store(g simtime.Guest) { a.v.Store(int64(g)) }
 
 // Config holds the per-node guest timing parameters.
 type Config struct {
@@ -111,7 +105,8 @@ func (k StepKind) String() string {
 	}
 }
 
-// Step describes one observable step of a node's execution.
+// Step describes one observable step of a node's execution. Node.Step returns
+// the node's own record, valid until its next Step.
 type Step struct {
 	Kind        StepKind
 	From, To    simtime.Guest
@@ -172,10 +167,10 @@ type reply struct {
 
 // Node is one simulated cluster node.
 //
-// A node is driven by one engine goroutine (Step/WakeAt/BeginQuantum) while
-// frames may be delivered from other goroutines: Deliver and Clock are safe
-// for concurrent use, which the real-time parallel runner relies on. The
-// deterministic engine is single-threaded and pays only uncontended locks.
+// A node has a single owner, the goroutine that steps it: Step, WakeAt,
+// BeginQuantum, Deliver and Clock all touch plain fields, with no lock and no
+// atomic. Ownership may move between goroutines only across a happens-before
+// edge (the parallel runner's barrier and channel handoffs).
 //
 // The workload runs as a coroutine (iter.Pull): next resumes it until its
 // next request, yield suspends it until the engine resumes it with a staged
@@ -190,10 +185,12 @@ type Node struct {
 	size int
 	cfg  Config
 
-	clock atomicGuest
+	clock simtime.Guest
 	limit simtime.Guest
+	// st is the record Step fills and returns: the engine reads it in place,
+	// so a step costs no 64-byte copy through the stack.
+	st Step
 
-	rxMu    sync.Mutex
 	rx      eventq.Queue[*pkt.Frame]
 	frameID uint64
 	// frameBlk is the tail of the current frame block: outgoing frames are
@@ -252,7 +249,7 @@ func NewNode(id, size int, cfg Config, program Program) *Node {
 func (n *Node) ID() int { return n.id }
 
 // Clock returns the node's guest clock.
-func (n *Node) Clock() simtime.Guest { return n.clock.load() }
+func (n *Node) Clock() simtime.Guest { return n.clock }
 
 // Done reports whether the workload has finished.
 func (n *Node) Done() bool { return n.done }
@@ -268,8 +265,8 @@ func (n *Node) Metrics() map[string]float64 { return n.metrics }
 
 // BeginQuantum sets the guest-time limit (absolute) for the next quantum.
 func (n *Node) BeginQuantum(limit simtime.Guest) {
-	if limit < n.clock.load() {
-		panic(fmt.Sprintf("guest: node %d quantum limit %v before clock %v", n.id, limit, n.clock.load()))
+	if limit < n.clock {
+		panic(fmt.Sprintf("guest: node %d quantum limit %v before clock %v", n.id, limit, n.clock))
 	}
 	n.limit = limit
 }
@@ -285,56 +282,52 @@ func (n *Node) BeginQuantum(limit simtime.Guest) {
 // *when* the controller routed the frames, which is what lets the engine's
 // barrier routing and a tight partition's event queue feed identical frame
 // sequences to the workload.
+//
+// Like every other method, Deliver belongs to the node's owner: it pushes to
+// the receive queue with no lock.
 func (n *Node) Deliver(f *pkt.Frame, arr simtime.Guest) {
-	n.rxMu.Lock()
 	n.rx.PushPri(int64(arr), int(f.ID), f)
-	n.rxMu.Unlock()
 }
 
-// DeliverBatch delivers a run of arrivals under one lock acquisition.
-// Ordering semantics are identical to repeated Deliver calls: the receive
-// queue orders by (arrival time, Frame.ID, push sequence), so batch
-// boundaries are invisible to the workload. The engine delivers with Deliver
-// alone; DeliverBatch stays while the benchmark harness measures it.
+// DeliverBatch delivers a run of arrivals, with the ordering semantics of
+// repeated Deliver calls: the receive queue orders by (arrival time, Frame.ID,
+// push sequence), so batch boundaries are invisible to the workload. It is
+// the owner's, like Deliver. The engine delivers with Deliver alone;
+// DeliverBatch stays while the benchmark harness measures it.
 func (n *Node) DeliverBatch(batch []Arrival) {
-	if len(batch) == 0 {
-		return
-	}
-	n.rxMu.Lock()
 	for _, a := range batch {
 		n.rx.PushPri(int64(a.Time), int(a.Frame.ID), a.Frame)
 	}
-	n.rxMu.Unlock()
 }
 
 // WakeAt advances the node's clock to g (idle time passed while blocked or
 // at a barrier). g must not be before the current clock or past the limit.
 func (n *Node) WakeAt(g simtime.Guest) {
-	if g < n.clock.load() {
-		panic(fmt.Sprintf("guest: node %d woken at %v before clock %v", n.id, g, n.clock.load()))
+	if g < n.clock {
+		panic(fmt.Sprintf("guest: node %d woken at %v before clock %v", n.id, g, n.clock))
 	}
 	if g > n.limit {
 		panic(fmt.Sprintf("guest: node %d woken at %v past limit %v", n.id, g, n.limit))
 	}
-	n.clock.store(g)
+	n.clock = g
 }
 
 // Step advances the node until its next externally visible event and reports
-// it. The engine must call BeginQuantum before the first Step of each
-// quantum, account host time for every StepBusy interval, and call Step
+// it in the node's own step record, which stays valid until the next Step
+// overwrites it. The engine must call BeginQuantum before the first Step of
+// each quantum, account host time for every StepBusy interval, and call Step
 // again afterwards.
 //
 // Stepping is self-contained: Step, BeginQuantum, and WakeAt touch only
 // this node's state (the private clock, limit, receive queue, and the
-// handshake with this node's workload goroutine), never shared controller
+// handshake with this node's workload coroutine), never shared controller
 // state. Different nodes may therefore be stepped by different goroutines
-// concurrently. Calls on a single node must still be serialized, but may
-// migrate between goroutines across quanta as long as a happens-before
-// edge (e.g. the engine's barrier) separates the old stepper from the new
-// one. Deliver and Clock remain safe to call from any goroutine.
-func (n *Node) Step() Step {
+// concurrently. Calls on a single node, Deliver and Clock included, must be
+// serialized, and may migrate between goroutines only across a happens-before
+// edge (e.g. a barrier) separating the old owner from the new one.
+func (n *Node) Step() *Step {
 	if n.done {
-		return Step{Kind: StepDone, From: n.clock.load(), To: n.clock.load(), Err: n.doneErr}
+		return n.report(Step{Kind: StepDone, From: n.clock, To: n.clock, Err: n.doneErr})
 	}
 	if !n.started {
 		n.started = true
@@ -365,8 +358,8 @@ func (n *Node) Step() Step {
 		// A recv that already holds its arrival is just finishing its
 		// receive-side CPU overhead.
 		if n.haveRecv {
-			if step, ok := n.chargeBusy(); !ok {
-				return step
+			if !n.chargeBusy() {
+				return &n.st
 			}
 			arr := n.recvArr
 			n.haveRecv = false
@@ -381,14 +374,14 @@ func (n *Node) Step() Step {
 
 		switch req.kind {
 		case opCompute:
-			if step, ok := n.chargeBusy(); !ok {
-				return step
+			if !n.chargeBusy() {
+				return &n.st
 			}
 			n.complete(reply{})
 
 		case opSend:
-			if step, ok := n.chargeBusy(); !ok {
-				return step
+			if !n.chargeBusy() {
+				return &n.st
 			}
 			f := req.frame
 			if n.k++; n.k < n.count {
@@ -399,14 +392,12 @@ func (n *Node) Step() Step {
 			} else {
 				n.complete(reply{})
 			}
-			return Step{Kind: StepSend, From: n.clock.load(), To: n.clock.load(), Frame: f}
+			return n.report(Step{Kind: StepSend, From: n.clock, To: n.clock, Frame: f})
 
 		case opRecv:
-			now := n.clock.load()
-			n.rxMu.Lock()
+			now := n.clock
 			if it, ok := n.rx.Peek(); ok && simtime.Guest(it.Time) <= now {
 				n.rx.Pop()
-				n.rxMu.Unlock()
 				n.recvArr = Arrival{Frame: it.Payload, Time: simtime.Guest(it.Time)}
 				n.haveRecv = true
 				n.overhead = n.cfg.RecvOverhead
@@ -416,7 +407,6 @@ func (n *Node) Step() Step {
 			if it, ok := n.rx.Peek(); ok {
 				next = simtime.Guest(it.Time)
 			}
-			n.rxMu.Unlock()
 			if req.deadline <= now {
 				// Deadline already passed with nothing deliverable.
 				n.complete(reply{})
@@ -427,22 +417,22 @@ func (n *Node) Step() Step {
 				// invariant explicit.
 				panic("guest: queued arrival not delivered")
 			}
-			return Step{Kind: StepBlocked, From: now, To: now, NextArrival: next, Deadline: req.deadline}
+			return n.report(Step{Kind: StepBlocked, From: now, To: now, NextArrival: next, Deadline: req.deadline})
 
 		case opSleep:
-			now := n.clock.load()
+			now := n.clock
 			if req.deadline <= now {
 				n.complete(reply{})
 				continue
 			}
-			return Step{Kind: StepBlocked, From: now, To: now, NextArrival: simtime.GuestInfinity, Deadline: req.deadline}
+			return n.report(Step{Kind: StepBlocked, From: now, To: now, NextArrival: simtime.GuestInfinity, Deadline: req.deadline})
 
 		case opDone:
 			n.done = true
 			n.doneErr = req.err
-			n.finishedAt = n.clock.load()
+			n.finishedAt = n.clock
 			n.havePending = false
-			return Step{Kind: StepDone, From: n.finishedAt, To: n.finishedAt, Err: req.err}
+			return n.report(Step{Kind: StepDone, From: n.finishedAt, To: n.finishedAt, Err: req.err})
 		}
 	}
 }
@@ -459,7 +449,7 @@ func (n *Node) Step() Step {
 // AdvanceQuiet applies in O(1). A limit equal to until is not enough: the op
 // completing there resumes the workload inside the quantum (DESIGN.md §7.1).
 func (n *Node) QuietUntil() (until simtime.Guest, busy bool) {
-	now := n.clock.load()
+	now := n.clock
 	switch {
 	case n.done:
 		return simtime.GuestInfinity, false
@@ -479,11 +469,9 @@ func (n *Node) QuietUntil() (until simtime.Guest, busy bool) {
 		until = n.pending.deadline
 	case n.pending.kind == opRecv && !n.haveRecv:
 		until = n.pending.deadline
-		n.rxMu.Lock()
 		if it, ok := n.rx.Peek(); ok {
 			until = simtime.MinGuest(until, simtime.Guest(it.Time))
 		}
-		n.rxMu.Unlock()
 	}
 	return simtime.MaxGuest(until, now), false
 }
@@ -497,7 +485,7 @@ func (n *Node) QuietUntil() (until simtime.Guest, busy bool) {
 // leaves a node it fast-forwards where it stood and catches it up in one call
 // when the node is next stepped (DESIGN.md §7.1).
 func (n *Node) AdvanceQuiet(limit simtime.Guest, busy bool) {
-	now := n.clock.load()
+	now := n.clock
 	if limit < now {
 		panic(fmt.Sprintf("guest: node %d quiet advance to %v before clock %v", n.id, limit, now))
 	}
@@ -509,25 +497,33 @@ func (n *Node) AdvanceQuiet(limit simtime.Guest, busy bool) {
 		n.overhead -= adv
 	}
 	n.limit = limit
-	n.clock.store(limit)
+	n.clock = limit
+}
+
+// report makes st the node's step record and returns it.
+func (n *Node) report(st Step) *Step {
+	n.st = st
+	return &n.st
 }
 
 // chargeBusy consumes the pending op's owed busy time up to the quantum
-// limit. It reports (step, false) when the engine must take over (busy
-// interval to account, or the limit was reached), or (_, true) when the owed
-// time is fully consumed.
-func (n *Node) chargeBusy() (Step, bool) {
+// limit. It reports false, with the step record filled, when the engine must
+// take over (busy interval to account, or the limit was reached), and true
+// when the owed time is fully consumed.
+func (n *Node) chargeBusy() bool {
 	if n.overhead <= 0 {
-		return Step{}, true
+		return true
 	}
-	now := n.clock.load()
+	now := n.clock
 	if now >= n.limit {
-		return Step{Kind: StepLimit, From: now, To: now}, false
+		n.st = Step{Kind: StepLimit, From: now, To: now}
+		return false
 	}
 	adv := simtime.MinDuration(n.overhead, n.limit.Sub(now))
-	n.clock.store(now.Add(adv))
+	n.clock = now.Add(adv)
 	n.overhead -= adv
-	return Step{Kind: StepBusy, From: now, To: now.Add(adv)}, false
+	n.st = Step{Kind: StepBusy, From: now, To: n.clock}
+	return false
 }
 
 // complete stages the reply the workload will read when the engine's next
@@ -611,7 +607,7 @@ func (n *Node) Shutdown() {
 	// workload's error (the poison sentinel, unless the program had already
 	// finished on its own) in doneErr before its final yield.
 	n.done = true
-	n.finishedAt = n.clock.load()
+	n.finishedAt = n.clock
 }
 
 // coroutine is the workload side of the handshake; it runs inside the

@@ -15,7 +15,7 @@ const us = simtime.Microsecond
 // drive steps a node until the predicate returns true or the step budget is
 // exhausted, failing the test in the latter case. Busy steps are accepted
 // silently (the test harness is a zero-cost host).
-func drive(t *testing.T, n *Node, budget int, stop func(Step) bool) Step {
+func drive(t *testing.T, n *Node, budget int, stop func(*Step) bool) *Step {
 	t.Helper()
 	for i := 0; i < budget; i++ {
 		st := n.Step()
@@ -30,7 +30,7 @@ func drive(t *testing.T, n *Node, budget int, stop func(Step) bool) Step {
 		}
 	}
 	t.Fatal("step budget exhausted")
-	return Step{}
+	return nil
 }
 
 func TestComputeAdvancesClockAcrossQuanta(t *testing.T) {
@@ -104,7 +104,7 @@ func TestRecvBlocksAndWakes(t *testing.T) {
 	// A frame scheduled for guest t=40µs.
 	n.Deliver(&pkt.Frame{Src: pkt.NodeMAC(1), Dst: pkt.NodeMAC(0)}, simtime.Guest(40*us))
 	n.WakeAt(simtime.Guest(40 * us))
-	st = drive(t, n, 10, func(s Step) bool { return s.Kind == StepDone })
+	st = drive(t, n, 10, func(s *Step) bool { return s.Kind == StepDone })
 	if n.Metrics()["arr_us"] != 40 {
 		t.Errorf("arrival at %vµs, want 40", n.Metrics()["arr_us"])
 	}
@@ -140,7 +140,7 @@ func TestRecvDeadlineTimesOut(t *testing.T) {
 		t.Fatalf("expected blocked with deadline, got %+v", st)
 	}
 	n.WakeAt(simtime.Guest(20 * us))
-	drive(t, n, 10, func(s Step) bool { return s.Kind == StepDone })
+	drive(t, n, 10, func(s *Step) bool { return s.Kind == StepDone })
 	if n.Metrics()["timeout_at_us"] != 20 {
 		t.Errorf("timed out at %vµs", n.Metrics()["timeout_at_us"])
 	}
@@ -157,10 +157,10 @@ func TestStragglerVisibleImmediately(t *testing.T) {
 	})
 	defer n.Shutdown()
 	n.BeginQuantum(simtime.Guest(100 * us))
-	drive(t, n, 10, func(s Step) bool { return s.Kind == StepBusy && s.To == simtime.Guest(50*us) })
+	drive(t, n, 10, func(s *Step) bool { return s.Kind == StepBusy && s.To == simtime.Guest(50*us) })
 	// Straggler stamped at guest 50µs (the node's "current position").
 	n.Deliver(&pkt.Frame{}, simtime.Guest(50*us))
-	drive(t, n, 10, func(s Step) bool { return s.Kind == StepDone })
+	drive(t, n, 10, func(s *Step) bool { return s.Kind == StepDone })
 	if n.Metrics()["arr_us"] != 50 {
 		t.Errorf("straggler arrival %vµs, want 50", n.Metrics()["arr_us"])
 	}
@@ -184,7 +184,7 @@ func TestArrivalOrderIsByTimestamp(t *testing.T) {
 		t.Fatalf("expected blocked, got %v", st.Kind)
 	}
 	n.WakeAt(simtime.Guest(70 * us))
-	drive(t, n, 20, func(s Step) bool { return s.Kind == StepDone })
+	drive(t, n, 20, func(s *Step) bool { return s.Kind == StepDone })
 	if n.Metrics()["first"] != 1 || n.Metrics()["second"] != 2 {
 		t.Errorf("wrong order: first=%v second=%v", n.Metrics()["first"], n.Metrics()["second"])
 	}
@@ -203,7 +203,7 @@ func TestSleep(t *testing.T) {
 		t.Fatalf("expected sleep-blocked until 30µs, got %+v", st)
 	}
 	n.WakeAt(simtime.Guest(30 * us))
-	drive(t, n, 10, func(s Step) bool { return s.Kind == StepDone })
+	drive(t, n, 10, func(s *Step) bool { return s.Kind == StepDone })
 	if n.Metrics()["woke_us"] != 30 {
 		t.Errorf("woke at %vµs", n.Metrics()["woke_us"])
 	}
@@ -283,7 +283,7 @@ func TestTryRecv(t *testing.T) {
 	defer n.Shutdown()
 	n.Deliver(&pkt.Frame{ID: 9}, simtime.Guest(5*us))
 	n.BeginQuantum(simtime.Guest(100 * us))
-	drive(t, n, 20, func(s Step) bool { return s.Kind == StepDone })
+	drive(t, n, 20, func(s *Step) bool { return s.Kind == StepDone })
 	if err := n.Err(); err != nil {
 		t.Fatal(err)
 	}
@@ -381,7 +381,7 @@ func TestShutdownEndsFinishedCoroutine(t *testing.T) {
 		return nil
 	})
 	n.BeginQuantum(g(10 * us))
-	drive(t, n, 10, func(s Step) bool { return s.Kind == StepDone })
+	drive(t, n, 10, func(s *Step) bool { return s.Kind == StepDone })
 	at := n.FinishedAt()
 	if during := runtime.NumGoroutine(); during != before+1 {
 		t.Fatalf("%d goroutines with the finished coroutine parked, %d before: the count does not see coroutines", during, before)
@@ -393,5 +393,46 @@ func TestShutdownEndsFinishedCoroutine(t *testing.T) {
 	}
 	if !n.Done() || n.Err() != nil || n.FinishedAt() != at {
 		t.Errorf("Shutdown changed a finished node: done=%v err=%v finished %v (was %v)", n.Done(), n.Err(), n.FinishedAt(), at)
+	}
+}
+
+// Step hands back the node's own record: the same one every call, each Step
+// overwriting what the last reported.
+func TestStepReturnsOwnRecord(t *testing.T) {
+	n := NewNode(0, 1, DefaultConfig(), func(p *Proc) error {
+		p.Compute(3 * us)
+		return nil
+	})
+	defer n.Shutdown()
+	n.BeginQuantum(g(2 * us))
+	busy := n.Step()
+	if busy.Kind != StepBusy || busy.To != g(2*us) {
+		t.Fatalf("first step %+v, want busy to 2µs", *busy)
+	}
+	if limit := n.Step(); limit != busy || busy.Kind != StepLimit || busy.From != g(2*us) {
+		t.Fatalf("second step %p %+v, want the first's record %p overwritten with the limit", limit, *limit, busy)
+	}
+}
+
+// BenchmarkNodeStep prices one Step of a compute-only node stepped across 1 µs
+// quanta, a ground-truth walk: every step charges busy time or reports the
+// limit, and every 200th resumes the workload coroutine. A step allocates
+// nothing.
+func BenchmarkNodeStep(b *testing.B) {
+	n := NewNode(0, 1, DefaultConfig(), func(p *Proc) error {
+		for {
+			p.Compute(100 * us)
+		}
+	})
+	defer n.Shutdown()
+	n.Step() // start the coroutine: it reports the zero limit
+	limit := n.Clock()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if st := n.Step(); st.Kind == StepLimit {
+			limit += g(us)
+			n.BeginQuantum(limit)
+		}
 	}
 }

@@ -21,7 +21,7 @@ func (p *Proc) Rank() int { return p.n.id }
 func (p *Proc) Size() int { return p.n.size }
 
 // Now returns the node's current guest time.
-func (p *Proc) Now() simtime.Guest { return p.n.clock.load() }
+func (p *Proc) Now() simtime.Guest { return p.n.clock }
 
 // Config returns the node's guest configuration.
 func (p *Proc) Config() Config { return p.n.cfg }
@@ -95,7 +95,7 @@ func (p *Proc) RecvSink(deadline simtime.Guest, sink FrameSink) (a Arrival, ok b
 // TryRecv returns a frame if one is already visible, without blocking
 // (beyond the receive CPU overhead when a frame is consumed).
 func (p *Proc) TryRecv() (a Arrival, ok bool) {
-	return p.RecvDeadline(p.n.clock.load())
+	return p.RecvDeadline(p.n.clock)
 }
 
 // Sleep idles the guest for d.
@@ -103,13 +103,13 @@ func (p *Proc) Sleep(d simtime.Duration) {
 	if d <= 0 {
 		return
 	}
-	p.n.call(request{kind: opSleep, deadline: p.n.clock.load().Add(d)})
+	p.n.call(request{kind: opSleep, deadline: p.n.clock.Add(d)})
 }
 
 // SleepUntil idles the guest until the absolute time t (no-op if already
 // past).
 func (p *Proc) SleepUntil(t simtime.Guest) {
-	if t <= p.n.clock.load() {
+	if t <= p.n.clock {
 		return
 	}
 	p.n.call(request{kind: opSleep, deadline: t})

@@ -15,7 +15,7 @@ func TestBroadcastFrame(t *testing.T) {
 	})
 	defer n.Shutdown()
 	n.BeginQuantum(simtime.Guest(100 * us))
-	st := drive(t, n, 10, func(s Step) bool { return s.Kind == StepSend })
+	st := drive(t, n, 10, func(s *Step) bool { return s.Kind == StepSend })
 	if !st.Frame.Dst.IsBroadcast() {
 		t.Error("broadcast frame has unicast destination")
 	}
@@ -41,7 +41,7 @@ func TestSleepUntilAndNoOps(t *testing.T) {
 		t.Fatalf("expected sleep to 25µs, got %+v", st)
 	}
 	n.WakeAt(simtime.Guest(25 * us))
-	drive(t, n, 10, func(s Step) bool { return s.Kind == StepDone })
+	drive(t, n, 10, func(s *Step) bool { return s.Kind == StepDone })
 	if n.Metrics()["at_us"] != 25 {
 		t.Errorf("woke at %vµs", n.Metrics()["at_us"])
 	}
@@ -77,7 +77,7 @@ func TestNegativeComputePanicsInWorkload(t *testing.T) {
 	})
 	defer n.Shutdown()
 	n.BeginQuantum(simtime.Guest(100 * us))
-	st := drive(t, n, 10, func(s Step) bool { return s.Kind == StepDone })
+	st := drive(t, n, 10, func(s *Step) bool { return s.Kind == StepDone })
 	if st.Err != nil {
 		t.Fatal(st.Err)
 	}
