@@ -12,17 +12,13 @@ package main
 import (
 	"flag"
 	"fmt"
-	"math"
 	"os"
 	"runtime"
 	"runtime/pprof"
 	"sort"
-	"strconv"
-	"strings"
 
 	"clustersim/internal/cluster"
 	"clustersim/internal/experiments"
-	"clustersim/internal/netmodel"
 	"clustersim/internal/obs"
 	"clustersim/internal/prof"
 	"clustersim/internal/simtime"
@@ -54,29 +50,7 @@ var (
 	progressFlag    = flag.Bool("progress", false, "report live progress (guest %, quanta/s, current Q, straggler rate) on stderr")
 	reportFlag      = flag.String("report", "", "write a sync-overhead attribution report here (JSON, plus .nodes.csv/.links.csv sidecars); inspect with simprof")
 	topoFlag        = flag.String("topo", "", "switch topology override: rack:<radix>:<edge>:<core> builds a two-level fat-tree (e.g. rack:4:500ns:2us), mixedwan:<rack>:<rackLat>:<wanLat> one tight rack plus WAN singletons; default keeps the paper's perfect switch")
-	contentionFlag  = flag.String("contention", "", "switch output-port contention model as <bytes/s>:<latency> (e.g. 10e9:500ns); incast senders queue behind each other; disables lookahead (no quantum can be partitioned)")
 )
-
-// parseContention parses the -contention flag into an output-queue model:
-// <bytes/s>:<latency>, e.g. 10e9:500ns. The tap models per-destination port
-// contention — and, because delivery times then depend on cross-node send
-// interleaving, it rules lookahead out: every quantum walks the whole cluster
-// through one event queue, and printStats says so.
-func parseContention(spec string) (*netmodel.OutputQueue, error) {
-	parts := strings.Split(spec, ":")
-	if len(parts) != 2 {
-		return nil, fmt.Errorf("-contention wants <bytes/s>:<latency>, got %q", spec)
-	}
-	bps, err := strconv.ParseFloat(parts[0], 64)
-	if err != nil || !(bps >= 0) || math.IsInf(bps, 1) {
-		return nil, fmt.Errorf("-contention bytes/s %q: want a finite, non-negative number", parts[0])
-	}
-	lat, err := experiments.ParseLatency("-contention latency", parts[1])
-	if err != nil {
-		return nil, err
-	}
-	return &netmodel.OutputQueue{BytesPerSecond: bps, Latency: lat}, nil
-}
 
 func main() {
 	flag.Parse()
@@ -214,13 +188,6 @@ func run() (err error) {
 		}
 		w = tf.Workload()
 	}
-	if *contentionFlag != "" {
-		oq, cerr := parseContention(*contentionFlag)
-		if cerr != nil {
-			return cerr
-		}
-		env.Net.Output = oq
-	}
 	observer, rec, obsCleanup, err := observability(env.MaxGuest)
 	if err != nil {
 		return err
@@ -318,11 +285,6 @@ func printStats(st cluster.Stats) {
 				float64(st.PartialPartitions)/float64(st.FastPartialQuanta))
 		}
 		fmt.Println(line)
-	}
-	if *contentionFlag != "" {
-		// Without this line a run showing no engaged quanta reads like a
-		// lookahead problem.
-		fmt.Println("lookahead    disabled: output tap (-contention models per-port queueing, so delivery times depend on cross-node send interleaving and no quantum can be partitioned)")
 	}
 	if st.HostBusy > 0 || st.HostBarrier > 0 {
 		fmt.Printf("host split   busy %v, idle %v, barriers %v (summed across nodes)\n",

@@ -1,7 +1,6 @@
 package main
 
 import (
-	"math"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -72,12 +71,7 @@ func TestCLIFlagErrors(t *testing.T) {
 		{"topo bad radix", []string{"-topo", "rack:x:1us:2us"}, "topo radix"},
 		{"faults unknown field", []string{"-faults", "chaos=1"}, `unknown field "chaos"`},
 		{"faults bad window", []string{"-faults", "down=5ms"}, "is not start-end"},
-		{"contention missing latency", []string{"-contention", "10e9"}, "-contention wants <bytes/s>:<latency>"},
-		{"contention negative rate", []string{"-contention", "-1:500ns"}, "non-negative"},
-		// These four ran to completion: NaN bandwidth printed a negative
-		// total straggler delay.
-		{"contention NaN rate", []string{"-contention", "NaN:500ns"}, "-contention bytes/s"},
-		{"contention negative latency", []string{"-contention", "10e9:-50us"}, "-contention latency"},
+		// These two ran to completion on a negative link latency.
 		{"topo negative edge", []string{"-topo", "rack:4:-5us:2us"}, "topo edge latency"},
 		{"topo negative wan", []string{"-topo", "mixedwan:4:500ns:-2us"}, "topo wan latency"},
 		// These three ran: a 400 µs simulation that exits 0, or for NaN a
@@ -145,32 +139,6 @@ func TestZeroSeedsMeanOne(t *testing.T) {
 	}
 }
 
-// -contention rules lookahead out, so a run under it must say so explicitly
-// instead of reporting no engaged quanta with no explanation — on both
-// runners — and must stay quiet without the flag.
-func TestContentionFastPathDiagnostic(t *testing.T) {
-	bin := buildClustersim(t)
-	const diag = "lookahead    disabled: output tap"
-	cases := []struct {
-		name string
-		args []string
-		want bool
-	}{
-		{"contention alone", []string{"-contention", "10e9:500ns"}, true},
-		{"contention parallel", []string{"-workload", "pingpong", "-nodes", "2", "-contention", "10e9:500ns", "-parallel", "-spin", "0"}, true},
-		{"no contention", []string{"-workload", "pingpong", "-nodes", "2"}, false},
-	}
-	for _, c := range cases {
-		out, err := exec.Command(bin, c.args...).CombinedOutput()
-		if err != nil {
-			t.Fatalf("%s run failed: %v\n%s", c.name, err, out)
-		}
-		if got := strings.Contains(string(out), diag); got != c.want {
-			t.Errorf("%s: output-tap diagnostic printed = %v, want %v:\n%s", c.name, got, c.want, out)
-		}
-	}
-}
-
 // -chart and -traffic draw from the run's recorder, which both runners feed:
 // the goroutine runner must print the charts too (it used to ignore the flags
 // silently), and the deterministic engine's must replay byte for byte.
@@ -206,28 +174,4 @@ func TestChartsOnBothRunners(t *testing.T) {
 	if !marked {
 		t.Errorf("-parallel traffic chart has no packet marks on node 0:\n%s", par)
 	}
-}
-
-// FuzzParseContention: a -contention spec is outside input. The parser never
-// panics, what it accepts has a finite, non-negative drain rate and a
-// non-negative latency, and every refusal names the flag.
-func FuzzParseContention(f *testing.F) {
-	for _, s := range []string{
-		"10e9:500ns", "0:0ns", "10e9", "-1:500ns", "NaN:500ns", "+Inf:500ns",
-		"10e9:-50us", "10e9:soon", "1:2:3", ":", "",
-	} {
-		f.Add(s)
-	}
-	f.Fuzz(func(t *testing.T, spec string) {
-		oq, err := parseContention(spec)
-		if err != nil {
-			if !strings.Contains(err.Error(), "-contention") {
-				t.Errorf("parseContention(%q) error %q does not name -contention", spec, err)
-			}
-			return
-		}
-		if !(oq.BytesPerSecond >= 0) || math.IsInf(oq.BytesPerSecond, 0) || oq.Latency < 0 {
-			t.Errorf("parseContention(%q) accepted %+v", spec, *oq)
-		}
-	})
 }

@@ -126,8 +126,8 @@ func renderReport(w *os.File, name string, r *prof.Report) {
 			gate = fmt.Sprintf(" — gated by min-latency link(s) %s%s", strings.Join(names, ", "), more)
 		}
 		fmt.Fprintf(w, "  lookahead %s%s\n", dur(r.LookaheadNS), gate)
-	} else if r.OutputQueue {
-		fmt.Fprintf(w, "  lookahead unavailable: output-queue tap voids the static latency floor\n")
+	} else if r.Nodes < 2 {
+		fmt.Fprintf(w, "  lookahead unavailable: one node, no link to probe\n")
 	} else {
 		fmt.Fprintf(w, "  lookahead unavailable: no positive static latency floor\n")
 	}

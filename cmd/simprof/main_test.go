@@ -220,4 +220,25 @@ func TestAbortedRunReport(t *testing.T) {
 	if err != nil || !strings.Contains(string(rendered), "incomplete run") {
 		t.Errorf("simprof on the aborted run's report: err %v, output:\n%s", err, rendered)
 	}
+	// One node has no link, so there is no bound to report.
+	if !strings.Contains(string(rendered), "  lookahead unavailable: one node, no link to probe\n") {
+		t.Errorf("simprof on a one-node report does not say why lookahead is unavailable:\n%s", rendered)
+	}
+}
+
+// A report written before the output-queue model was deleted carries an
+// "output_queue" key and an "output-queue-tap" cause: it still renders, the
+// cause as one more row.
+func TestRenderRetiredReport(t *testing.T) {
+	simprof := build(t, "./cmd/simprof", "simprof")
+	path := filepath.Join(t.TempDir(), "old.json")
+	old := `{"schema":"clustersim-prof/1","engine":"deterministic","nodes":4,"policy":"fixed","lookahead_ns":0,` +
+		`"output_queue":true,"complete":true,"quanta":3,"engagement":{"node_quanta":12,"causes":[{"cause":"output-queue-tap","quanta":3}]}}`
+	if err := os.WriteFile(path, []byte(old), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	out, err := exec.Command(simprof, path).CombinedOutput()
+	if err != nil || !strings.Contains(string(out), "cause output-queue-tap") {
+		t.Errorf("simprof on a retired report: err %v, output:\n%s", err, out)
+	}
 }

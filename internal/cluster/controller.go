@@ -29,9 +29,6 @@ type controller struct {
 	// and the partitioning alone decides how the quantum executes, what
 	// engagement it is accounted and what the stream is told.
 	la *lookahead
-	// portFree is, per destination, when its switch output port frees up;
-	// nil unless the net model has an OutputQueue.
-	portFree []simtime.Guest
 
 	limit   simtime.Guest // current quantum end
 	part    *partitioning // current quantum's lookahead partitioning
@@ -42,11 +39,7 @@ type controller struct {
 
 // newController probes the lookahead for the given model (newLookahead).
 func newController(nodes int, net *netmodel.Model, fp *faults.Plan, o obs.Observer) controller {
-	c := controller{n: nodes, net: net, faults: fp, obs: o, la: newLookahead(net, nodes)}
-	if net.Output != nil {
-		c.portFree = make([]simtime.Guest, nodes)
-	}
-	return c
+	return controller{n: nodes, net: net, faults: fp, obs: o, la: newLookahead(net, nodes)}
 }
 
 // runStart announces the run to the observer.
@@ -57,8 +50,7 @@ func (c *controller) runStart(policy string, parallel bool, maxGuest simtime.Gue
 	net := c.net // a sink may keep LinkLat past the run; it must not pin the runner
 	c.obs.RunStart(obs.RunInfo{
 		Nodes: c.n, Policy: policy, Parallel: parallel, MaxGuest: maxGuest,
-		Lookahead:   c.la.min,
-		OutputQueue: net.Output != nil,
+		Lookahead: c.la.min,
 		LinkLat: func(src, dst int) simtime.Duration {
 			return net.FrameLatency(netmodel.MinProbe(), src, dst)
 		},
@@ -173,19 +165,10 @@ func (c *controller) fanOut(src int, f *pkt.Frame) (lo, hi, skip int) {
 }
 
 // arrival is the exact simulated arrival time of a frame that left src's NIC
-// at guest time depart, including switch output-port contention when the
-// network models it. Contention state is updated in the order the controller
-// observes the frames — what the paper's centralized network timing module
-// would do.
+// at guest time depart: a pure function of the frame, its link and its
+// departure, so the order in which the controller sees frames cannot move it.
 func (c *controller) arrival(f *pkt.Frame, src, dst int, depart simtime.Guest) simtime.Guest {
-	out := c.net.Output
-	if out == nil {
-		return depart.Add(c.net.PostTxLatency(f, src, dst))
-	}
-	atPort := depart.Add(c.net.PreQueueLatency(f, src, dst))
-	start := simtime.MaxGuest(atPort, c.portFree[dst])
-	c.portFree[dst] = start.Add(out.Serialization(f))
-	return c.portFree[dst].Add(c.net.PostQueueLatency(f))
+	return depart.Add(c.net.PostTxLatency(f, src, dst))
 }
 
 // countPacket counts one frame toward the quantum's and the run's traffic.

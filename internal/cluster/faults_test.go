@@ -157,8 +157,7 @@ func TestSlowdownScalesHostCosts(t *testing.T) {
 
 // The full-engagement bound must be exactly the smallest off-diagonal entry
 // of the lookahead matrix — the paper's T — probed with the cheapest possible
-// frame. Output-queue models are excluded before the probe, so the exclusion
-// is structural, not a bound disagreement.
+// frame.
 func TestFastPathBoundMatchesMinLatency(t *testing.T) {
 	models := map[string]*netmodel.Model{
 		"paper": netmodel.Paper(),
@@ -180,12 +179,18 @@ func TestFastPathBoundMatchesMinLatency(t *testing.T) {
 			t.Errorf("%s: Q above T leaves %d nodes loose on a uniform fabric", name, p.FastNodes)
 		}
 	}
+}
 
-	// With an OutputQueue there is no lookahead at all.
-	out := netmodel.Paper()
-	out.Output = &netmodel.OutputQueue{}
-	if c := newController(4, out, nil, nil); c.la.min != 0 || c.la.partitionFor(1) != c.la.wholeCluster() {
-		t.Errorf("OutputQueue model has lookahead: bound %v", c.la.min)
+func TestLossValidation(t *testing.T) {
+	w := workloads.Silent(simtime.Microsecond)
+	cfg := testConfig(2, w, fixed(simtime.Microsecond))
+	cfg.Faults = &faults.Plan{Default: faults.Link{Loss: 1.0}}
+	if _, err := Run(cfg); err == nil {
+		t.Error("Loss=1 accepted")
+	}
+	cfg.Faults = &faults.Plan{Default: faults.Link{Loss: -0.1}}
+	if _, err := Run(cfg); err == nil {
+		t.Error("negative Loss accepted")
 	}
 }
 

@@ -66,14 +66,11 @@ const tightLinksK = 16
 
 // newLookahead probes the matrix for the given model: every pair with the
 // cheapest possible frame (netmodel.MinProbe), generalizing the paper's
-// scalar T. Three things rule lookahead out. Switch output-port contention,
-// before the probe: the port-free state must be updated in the exact order the
-// controller observes frames, which only one event queue over the whole
-// cluster reproduces. A cluster of one node, which has no link to probe. And
-// a pair with a non-positive lower bound, which makes same-instant cross-node
-// causality possible.
+// scalar T. Two things rule lookahead out: a cluster of one node, which has no
+// link to probe, and a pair with a non-positive lower bound, which makes
+// same-instant cross-node causality possible.
 func newLookahead(m *netmodel.Model, nodes int) *lookahead {
-	if nodes < 2 || m.Output != nil {
+	if nodes < 2 {
 		return noLookahead(nodes)
 	}
 	la := &lookahead{n: nodes, lat: m.LookaheadMatrix(nodes)}

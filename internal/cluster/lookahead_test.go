@@ -209,14 +209,15 @@ func minLinkLat(m *netmodel.Model, nodes int) simtime.Duration {
 	return min
 }
 
-// A run whose lookahead is ruled out — an output tap, a one-node cluster —
-// executes every quantum as the whole cluster through one event queue, is
-// accounted no engagement, and tells the stream nothing about partitions.
+// A run whose lookahead is ruled out — a zero-latency link, a one-node
+// cluster — executes every quantum as the whole cluster through one event
+// queue, is accounted no engagement, and tells the stream nothing about
+// partitions.
 func TestRuledOutLookaheadRun(t *testing.T) {
-	tap := testConfig(4, incast(8<<10), fixed(simtime.Microsecond))
-	tap.Net = contendedNet()
+	zero := testConfig(4, workloads.Phases(3, 150*simtime.Microsecond, 16<<10), fixed(simtime.Microsecond))
+	zero.Net = &netmodel.Model{NIC: &netmodel.SimpleNIC{}, Switch: netmodel.PerfectSwitch{}}
 	one := testConfig(1, workloads.Silent(50*simtime.Microsecond), fixed(simtime.Microsecond))
-	for name, cfg := range map[string]Config{"output tap": tap, "one node": one} {
+	for name, cfg := range map[string]Config{"zero-latency link": zero, "one node": one} {
 		rec := &recorder{}
 		cfg.Observer = rec
 		cfg.onPartition = func(p *partitioning) bool {

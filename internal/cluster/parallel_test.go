@@ -7,6 +7,7 @@ import (
 	"math"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -100,18 +101,6 @@ func TestParallelBroadcastAndStray(t *testing.T) {
 	}
 	if res.Stats.Packets != 4 { // 3 replicas + 1 stray
 		t.Errorf("expected 4 packets, got %d", res.Stats.Packets)
-	}
-}
-
-func TestParallelWithOutputQueue(t *testing.T) {
-	cfg := testConfig(4, workloads.Phases(2, 100*simtime.Microsecond, 16<<10), fixed(20*simtime.Microsecond))
-	cfg.Net.Output = &netmodel.OutputQueue{BytesPerSecond: 10e9, Latency: 100 * simtime.Nanosecond}
-	res, err := RunParallel(cfg, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Stats.Packets == 0 {
-		t.Error("no traffic")
 	}
 }
 
@@ -321,31 +310,74 @@ func TestParallelRecorder(t *testing.T) {
 	}
 }
 
+// paperCases are the paper's workloads at 4 nodes and Q = 1µs: the five NAS
+// kernels, FT, BT and NAMD, compute scaled by 0.02 as experiments.NASSuite
+// scales it.
+func paperCases() []fastCase {
+	const scale = 0.02
+	ep := workloads.DefaultEP()
+	ep.SerialCompute = ep.SerialCompute.Scale(scale)
+	is := workloads.DefaultIS()
+	is.SerialComputePerIter = is.SerialComputePerIter.Scale(scale)
+	cg := workloads.DefaultCG()
+	cg.SerialComputePerInner = cg.SerialComputePerInner.Scale(scale)
+	mg := workloads.DefaultMG()
+	mg.SerialComputeFinest = mg.SerialComputeFinest.Scale(scale)
+	lu := workloads.DefaultLU()
+	lu.SerialComputePerStep = lu.SerialComputePerStep.Scale(scale)
+	ft := workloads.DefaultFT()
+	ft.SerialComputePerIter = ft.SerialComputePerIter.Scale(scale)
+	bt := workloads.DefaultBT()
+	bt.SerialComputePerStep = bt.SerialComputePerStep.Scale(scale)
+	namd := workloads.DefaultNAMD()
+	namd.SerialComputePerStep = namd.SerialComputePerStep.Scale(scale)
+	var cs []fastCase
+	for _, w := range []workloads.Workload{
+		workloads.EP(ep), workloads.IS(is), workloads.CG(cg), workloads.MG(mg),
+		workloads.LU(lu), workloads.FT(ft), workloads.BT(bt), workloads.NAMD(namd),
+	} {
+		cs = append(cs, fastCase{name: w.Name + "-4", nodes: 4, w: w, pol: fixed(simtime.Microsecond)})
+	}
+	return cs
+}
+
+// recordedPackets runs cfg through run with an obs.Recorder attached and
+// returns the result and the run's packet multiset, canonically sorted.
+func recordedPackets(run func(Config) (*Result, error), cfg Config) (*Result, []obs.PacketRecord, error) {
+	rec := &obs.Recorder{}
+	cfg.Observer = rec
+	res, err := run(cfg)
+	return res, SortPacketsCanonical(rec.Packets), err
+}
+
 // At Q <= T every frame arrives at or after the limit of the quantum it was
 // sent in, so each delivery is exact whatever the goroutine schedule: the
 // goroutine runner must reproduce the deterministic engine's ground truth on
-// everything guest-visible. The rows are fastCases' fixed-policy ones whose Q
-// is within the configuration's smallest link bound; adaptive rows and Q above
-// T legitimately race. Each runs at GOMAXPROCS 1, 2 and 4, three times, so
-// that under -race the schedule varies as much as the runner lets it.
+// everything guest-visible — finish times, metrics and the packet multiset,
+// every record of which is guest time. The rows are fastCases' fixed-policy
+// ones whose Q is within the configuration's smallest link bound (adaptive
+// rows and Q above T legitimately race) and the paper's workloads. Each runs
+// at GOMAXPROCS 1, 2 and 4, three times, so that under -race the schedule
+// varies as much as the runner lets it.
 func TestParallelGroundTruthMatchesRun(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	parallel := func(cfg Config) (*Result, error) { return RunParallel(cfg, 0) }
 	rows := 0
-	for _, c := range fastCases() {
+	for _, c := range append(fastCases(), paperCases()...) {
 		f, ok := c.pol().(quantum.Fixed)
 		cfg := c.config()
 		if !ok || f.Q > newLookahead(cfg.Net, cfg.Nodes).min {
 			continue
 		}
 		rows++
-		want, err := Run(cfg)
+		want, wantPkts, err := recordedPackets(Run, cfg)
 		if err != nil {
 			t.Fatalf("%s: Run: %v", c.name, err)
 		}
 		for _, procs := range []int{1, 2, 4} {
 			runtime.GOMAXPROCS(procs)
 			for rep := 0; rep < 3; rep++ {
-				got, err := RunParallel(c.config(), 0)
+				got, gotPkts, err := recordedPackets(parallel, c.config())
 				if err != nil {
 					t.Fatalf("%s GOMAXPROCS=%d #%d: RunParallel: %v", c.name, procs, rep, err)
 				}
@@ -358,11 +390,13 @@ func TestParallelGroundTruthMatchesRun(t *testing.T) {
 				case gs.Packets != ws.Packets || gs.Deliveries != ws.Deliveries || gs.Stragglers != 0:
 					t.Errorf("%s GOMAXPROCS=%d #%d: %d packets, %d deliveries, %d stragglers; Run: %d, %d, %d",
 						c.name, procs, rep, gs.Packets, gs.Deliveries, gs.Stragglers, ws.Packets, ws.Deliveries, ws.Stragglers)
+				case !slices.Equal(gotPkts, wantPkts):
+					t.Errorf("%s GOMAXPROCS=%d #%d: packet multiset of %d records differs from Run's %d", c.name, procs, rep, len(gotPkts), len(wantPkts))
 				}
 			}
 		}
 	}
-	if rows != 9 {
-		t.Errorf("%d fastCases rows run at Q <= T, want 9", rows)
+	if rows != 17 {
+		t.Errorf("%d rows run at Q <= T, want 17", rows)
 	}
 }

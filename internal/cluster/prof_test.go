@@ -106,7 +106,7 @@ func TestProfilerReconciliation(t *testing.T) {
 
 // TestProfilerReportWorkerInvariant: the canonical JSON must be
 // byte-identical for any worker count, fast path or classic engine. The
-// eligibility semantics (Q <= lookahead, tap) deliberately exclude the
+// eligibility semantics (Q <= lookahead) deliberately exclude the
 // Workers gate so this holds.
 func TestProfilerReportWorkerInvariant(t *testing.T) {
 	run := func(workers int) []byte {

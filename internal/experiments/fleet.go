@@ -278,11 +278,11 @@ func ParseTopo(spec string) (netmodel.SwitchModel, error) {
 		if err != nil || radix < 1 {
 			return nil, fmt.Errorf("topo radix %q: want a positive integer", parts[1])
 		}
-		edge, err := ParseLatency("topo edge latency", parts[2])
+		edge, err := parseLatency("topo edge latency", parts[2])
 		if err != nil {
 			return nil, err
 		}
-		core, err := ParseLatency("topo core latency", parts[3])
+		core, err := parseLatency("topo core latency", parts[3])
 		if err != nil {
 			return nil, err
 		}
@@ -292,11 +292,11 @@ func ParseTopo(spec string) (netmodel.SwitchModel, error) {
 		if err != nil || rack < 1 {
 			return nil, fmt.Errorf("topo rack size %q: want a positive integer", parts[1])
 		}
-		rackLat, err := ParseLatency("topo rack latency", parts[2])
+		rackLat, err := parseLatency("topo rack latency", parts[2])
 		if err != nil {
 			return nil, err
 		}
-		wanLat, err := ParseLatency("topo wan latency", parts[3])
+		wanLat, err := parseLatency("topo wan latency", parts[3])
 		if err != nil {
 			return nil, err
 		}
@@ -306,9 +306,9 @@ func ParseTopo(spec string) (netmodel.SwitchModel, error) {
 	}
 }
 
-// ParseLatency parses the named latency field of a topology or contention
-// spec: a duration that is not negative.
-func ParseLatency(field, s string) (simtime.Duration, error) {
+// parseLatency parses the named latency field of a topology spec: a duration
+// that is not negative.
+func parseLatency(field, s string) (simtime.Duration, error) {
 	d, err := simtime.ParseDuration(s)
 	if err != nil {
 		return 0, fmt.Errorf("%s: %v", field, err)

@@ -45,34 +45,14 @@ type SwitchModel interface {
 	Latency(f *pkt.Frame, src, dst int) simtime.Duration
 }
 
-// OutputQueue models per-destination-port contention at the switch: each
-// output port serializes the frames addressed to it at its own bandwidth,
-// so simultaneous senders to one destination (incast) queue behind each
-// other. Nil means the paper's contention-free perfect switch.
-type OutputQueue struct {
-	// BytesPerSecond is the output-port drain rate; zero means infinite.
-	BytesPerSecond float64
-	// Latency is a fixed per-frame port traversal cost.
-	Latency simtime.Duration
-}
-
-// Serialization returns the port occupancy of one frame.
-func (o *OutputQueue) Serialization(f *pkt.Frame) simtime.Duration {
-	if o.BytesPerSecond <= 0 {
-		return 0
-	}
-	return simtime.Duration(float64(f.WireBytes()) / o.BytesPerSecond * 1e9)
-}
-
 // Model bundles NIC and switch timing and answers the one question the
 // synchronization layer needs: the end-to-end latency of a frame, and the
-// minimum possible latency T of the network (the safety bound Q <= T).
+// minimum possible latency T of the network (the safety bound Q <= T). It is
+// stateless: a frame's latency depends only on the frame and its link, never
+// on other frames.
 type Model struct {
 	NIC    NICModel
 	Switch SwitchModel
-	// Output, when non-nil, adds stateful per-destination port contention;
-	// the engine keeps the port clocks.
-	Output *OutputQueue
 }
 
 // FrameLatency returns the total guest-time latency of frame f from the send
@@ -83,32 +63,10 @@ func (m *Model) FrameLatency(f *pkt.Frame, src, dst int) simtime.Duration {
 }
 
 // PostTxLatency returns the latency a frame experiences after its last bit
-// has left the sending node: NIC fixed latency, switch traversal, the
-// uncontended output-port cost (if modelled) and receive processing.
+// has left the sending node: NIC fixed latency, switch traversal and receive
+// processing.
 func (m *Model) PostTxLatency(f *pkt.Frame, src, dst int) simtime.Duration {
-	l := m.PreQueueLatency(f, src, dst) + m.NIC.RecvLatency(f)
-	if m.Output != nil {
-		l += m.Output.Serialization(f) + m.Output.Latency
-	}
-	return l
-}
-
-// PreQueueLatency is the latency from the sender's last bit to the frame's
-// arrival at the destination output port: NIC fixed latency plus switch
-// traversal. Engines with an OutputQueue use it to compute when a frame
-// starts competing for the port.
-func (m *Model) PreQueueLatency(f *pkt.Frame, src, dst int) simtime.Duration {
-	return m.NIC.SendLatency(f) + m.Switch.Latency(f, src, dst)
-}
-
-// PostQueueLatency is the latency from the moment a frame finishes draining
-// through the output port to guest visibility at the destination.
-func (m *Model) PostQueueLatency(f *pkt.Frame) simtime.Duration {
-	l := m.NIC.RecvLatency(f)
-	if m.Output != nil {
-		l += m.Output.Latency
-	}
-	return l
+	return m.NIC.SendLatency(f) + m.Switch.Latency(f, src, dst) + m.NIC.RecvLatency(f)
 }
 
 // minProbe is the shared size-0 probe frame. Latency models only ever read
@@ -131,10 +89,6 @@ func MinProbe() *pkt.Frame { return &minProbe }
 // engine treat a quantum as safe for a node pair whose mutual latency is at
 // least Q even when some other pair's is not (the per-link lookahead of
 // DESIGN.md §11).
-//
-// An entry includes the uncontended Output port cost when an OutputQueue is
-// modelled; under contention real frames can only be slower, so it stays a
-// true lower bound.
 func (m *Model) LookaheadMatrix(nodes int) []simtime.Duration {
 	if nodes < 1 {
 		return nil
@@ -263,10 +217,6 @@ func (m *Model) Validate(nodes int) error {
 		if err == nil && d < 0 {
 			err = fmt.Errorf("netmodel: %s %v is negative", what, d)
 		}
-	}
-	if o := m.Output; o != nil {
-		rate("output queue bandwidth", o.BytesPerSecond)
-		latency("output queue latency", o.Latency)
 	}
 	if nic, ok := m.NIC.(*SimpleNIC); ok {
 		rate("NIC bandwidth", nic.BytesPerSecond)

@@ -124,10 +124,7 @@ func TestValidate(t *testing.T) {
 		m    Model
 		want string // "" = valid
 	}{
-		{"zero bandwidths", Model{NIC: &SimpleNIC{}, Switch: &StoreAndForwardSwitch{}, Output: &OutputQueue{}}, ""},
-		{"output NaN rate", Model{NIC: &SimpleNIC{}, Switch: PerfectSwitch{}, Output: &OutputQueue{BytesPerSecond: math.NaN()}}, "output queue bandwidth"},
-		{"output negative rate", Model{NIC: &SimpleNIC{}, Switch: PerfectSwitch{}, Output: &OutputQueue{BytesPerSecond: -1}}, "output queue bandwidth"},
-		{"output negative latency", Model{NIC: &SimpleNIC{}, Switch: PerfectSwitch{}, Output: &OutputQueue{Latency: -us}}, "output queue latency"},
+		{"zero bandwidths", Model{NIC: &SimpleNIC{}, Switch: &StoreAndForwardSwitch{}}, ""},
 		{"NIC infinite rate", Model{NIC: &SimpleNIC{BytesPerSecond: math.Inf(1)}, Switch: PerfectSwitch{}}, "NIC bandwidth"},
 		{"NIC -Inf rate", Model{NIC: &SimpleNIC{BytesPerSecond: math.Inf(-1)}, Switch: PerfectSwitch{}}, "NIC bandwidth"},
 		{"NIC negative base latency", Model{NIC: &SimpleNIC{BaseLatency: -us}, Switch: PerfectSwitch{}}, "NIC base latency"},
@@ -154,28 +151,6 @@ func TestInfiniteBandwidthSerialization(t *testing.T) {
 	n := &SimpleNIC{BaseLatency: simtime.Microsecond}
 	if n.Serialization(&pkt.Frame{Size: 1 << 20}) != 0 {
 		t.Error("zero-bandwidth NIC should serialize instantly")
-	}
-}
-
-func TestOutputQueueModel(t *testing.T) {
-	o := &OutputQueue{BytesPerSecond: 10e9, Latency: 100 * simtime.Nanosecond}
-	f := &pkt.Frame{Size: 9000}
-	ser := o.Serialization(f)
-	if ser < 900*simtime.Nanosecond || ser > 910*simtime.Nanosecond {
-		t.Errorf("port serialization %v", ser)
-	}
-	if (&OutputQueue{}).Serialization(f) != 0 {
-		t.Error("infinite-bandwidth port should serialize instantly")
-	}
-	m := Paper()
-	base := m.PostTxLatency(f, 0, 1)
-	m.Output = o
-	withPort := m.PostTxLatency(f, 0, 1)
-	if withPort != base+ser+o.Latency {
-		t.Errorf("uncontended port latency %v, want %v", withPort, base+ser+o.Latency)
-	}
-	if m.PreQueueLatency(f, 0, 1)+o.Serialization(f)+m.PostQueueLatency(f) != withPort {
-		t.Error("pre/post queue decomposition inconsistent with PostTxLatency")
 	}
 }
 

@@ -54,12 +54,9 @@ type RunInfo struct {
 	MaxGuest simtime.Guest
 	// Lookahead is the smallest per-link lookahead: the minimum frame latency
 	// over all node pairs, zero when the configuration rules lookahead out (a
-	// zero-latency link, a one-node cluster, or OutputQueue). A quantum
-	// Q <= Lookahead leaves every node loose and is FastEligible.
+	// zero-latency link or a one-node cluster). A quantum Q <= Lookahead
+	// leaves every node loose and is FastEligible.
 	Lookahead simtime.Duration
-	// OutputQueue is true when the net model has an output-queued switch
-	// (Net.Output), which rules lookahead out for every quantum.
-	OutputQueue bool
 	// LinkLat probes the static lower-bound frame latency of a directed link,
 	// for sinks that rank the links gating Lookahead.
 	LinkLat func(src, dst int) simtime.Duration
@@ -182,9 +179,9 @@ type Observer interface {
 	// to this quantum, one exactly at start to the previous.
 	QuantumStart(index int, start simtime.Guest, q simtime.Duration, hostStart simtime.Host)
 	// QuantumPartition follows QuantumStart with the quantum's lookahead
-	// partitioning, in runs that have a per-link lookahead matrix (not under
-	// an output-queued switch, a zero-latency link or a one-node cluster). p is shared by every quantum of the same structure
-	// and must not be modified.
+	// partitioning, in runs that have a per-link lookahead matrix (not on a
+	// zero-latency link or a one-node cluster). p is shared by every quantum
+	// of the same structure and must not be modified.
 	QuantumPartition(index int, p *Partitioning)
 	// QuantumEnd fires when the quantum's closing barrier completes.
 	QuantumEnd(QuantumRecord)

@@ -20,9 +20,9 @@
 //
 // The per-quantum cause is a function of the configuration and the quantum
 // size alone: a quantum without a partitioning is one whose lookahead is
-// ruled out (by the output-queue tap or by a topology without a positive
-// minimum latency), and otherwise the partitioning's loose-node count
-// decides. Fault injection does not change it.
+// ruled out (by a one-node cluster or a topology without a positive minimum
+// latency), and otherwise the partitioning's loose-node count decides. Fault
+// injection does not change it.
 package prof
 
 import (
@@ -45,11 +45,6 @@ const (
 	// node loose: the policy grew the quantum past every node's nearest
 	// link, so frames could arrive inside the quantum anywhere.
 	CauseQExceedsLookahead
-	// CauseOutputTap marks a run with Net.Output set: the output-queue model
-	// serves a port in the order frames reach the controller, and under a
-	// partitioning that order would depend on how the quantum was
-	// partitioned (DESIGN.md §11), so the run has no lookahead.
-	CauseOutputTap
 	// CauseNoLookahead marks a topology with no positive minimum latency
 	// (zero-latency links admit same-instant cross-node causality) or a
 	// one-node cluster.
@@ -69,8 +64,6 @@ func (c Cause) String() string {
 		return "engaged"
 	case CauseQExceedsLookahead:
 		return "q-exceeds-lookahead"
-	case CauseOutputTap:
-		return "output-queue-tap"
 	case CauseNoLookahead:
 		return "no-lookahead"
 	case CausePartial:
@@ -321,8 +314,6 @@ func (p *Profiler) QuantumEnd(rec obs.QuantumRecord) {
 	// is not ruled out.
 	cause, fast := CauseQExceedsLookahead, 0
 	switch part := p.curPart; {
-	case part == nil && p.info.OutputQueue:
-		cause = CauseOutputTap
 	case part == nil:
 		cause = CauseNoLookahead
 	case part.FastNodes == p.info.Nodes:
@@ -409,7 +400,6 @@ func (p *Profiler) Report() *Report {
 		Nodes:       p.info.Nodes,
 		Policy:      p.info.Policy,
 		LookaheadNS: int64(p.info.Lookahead),
-		OutputQueue: p.info.OutputQueue,
 		Complete:    p.ended,
 		GuestNS:     int64(p.guestEnd),
 		HostNS:      int64(p.hostEnd),

@@ -58,7 +58,6 @@ func TestCauseClassification(t *testing.T) {
 	}{
 		{"engaged", obs.RunInfo{Nodes: 2}, loose, 1000, CauseEngaged},
 		{"q-exceeds", obs.RunInfo{Nodes: 2, Lookahead: 1000}, whole, 1000, CauseQExceedsLookahead},
-		{"tap", obs.RunInfo{Nodes: 2, Lookahead: 1000, OutputQueue: true}, nil, 10, CauseOutputTap},
 		{"no-lookahead", obs.RunInfo{Nodes: 2, Lookahead: 1000}, nil, 10, CauseNoLookahead},
 	}
 	for _, c := range cases {
@@ -239,6 +238,32 @@ func TestReportRoundTrip(t *testing.T) {
 	}
 }
 
+// retiredReport is a report written before the output-queue model was
+// deleted: the same schema with an "output_queue" key and a cause label that
+// no longer exist.
+const retiredReport = `{"schema":"clustersim-prof/1","engine":"deterministic","nodes":4,"policy":"fixed","lookahead_ns":0,` +
+	`"output_queue":true,"complete":true,"quanta":3,"engagement":{"node_quanta":12,"causes":[{"cause":"output-queue-tap","quanta":3}]}}`
+
+// Read ignores keys it does not know, so a report from before a field was
+// retired still loads, and the retired cause label comes through as data.
+func TestReadRetiredReport(t *testing.T) {
+	path := t.TempDir() + "/old.json"
+	if err := os.WriteFile(path, []byte(retiredReport), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	r, s, err := Read(path)
+	if err != nil || s != nil {
+		t.Fatalf("Read = sweep %v, error %v", s != nil, err)
+	}
+	want := []CauseCount{{Cause: "output-queue-tap", Quanta: 3}}
+	if r.Nodes != 4 || r.Quanta != 3 || !reflect.DeepEqual(r.Engagement.Causes, want) {
+		t.Errorf("Read = %+v", r)
+	}
+	if bytes.Contains(r.JSON(), []byte("output_queue")) {
+		t.Error("re-encoding kept the retired output_queue key")
+	}
+}
+
 func TestSweepOrderIndependent(t *testing.T) {
 	mk := func(labels []string) []byte {
 		s := NewSweep()
@@ -323,6 +348,7 @@ func FuzzLoadReport(f *testing.F) {
 		`{"schema":"clustersim-prof-sweep/1","runs":[{"label":"x"}]}`,
 		`{"schema":"clustersim-prof-sweep/1","runs":[{"label":"a","report":{"schema":"zzz"}}]}`,
 		`{"schema":"clustersim-prof-sweep/1","runs":[null]}`,
+		retiredReport,
 	} {
 		f.Add([]byte(s))
 	}

@@ -26,7 +26,7 @@ type CauseCount struct {
 // lookahead), partially engaged (some lookahead partitions loose, some
 // tight), or ineligible.
 type Engagement struct {
-	// EligibleQuanta counts quanta with Q <= lookahead and no tap.
+	// EligibleQuanta counts quanta with Q <= lookahead.
 	EligibleQuanta int64 `json:"eligible_quanta"`
 	// EligibleHostNS is the host time those quanta spanned.
 	EligibleHostNS int64 `json:"eligible_host_ns"`
@@ -152,7 +152,6 @@ type Report struct {
 	Nodes       int    `json:"nodes"`
 	Policy      string `json:"policy"`
 	LookaheadNS int64  `json:"lookahead_ns"`
-	OutputQueue bool   `json:"output_queue"`
 	// Complete is false when the run aborted (guest-time limit, a bad policy
 	// or a workload error: RunSummary.Err); the profile then covers a prefix.
 	Complete   bool  `json:"complete"`
