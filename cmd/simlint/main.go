@@ -1,8 +1,8 @@
-// Simlint is the simulator's determinism linter: one driver over the custom
-// analyzers in internal/analysis (nodetsource, maporder, guestwall, hotalloc,
-// errdiscard). Lock copies are `go vet`'s copylocks check, and shared
-// counters are sync/atomic's typed values, so neither needs an analyzer
-// here.
+// Simlint is the simulator's determinism linter: one driver over the four
+// per-package analyzers in internal/analysis (nodetsource, maporder,
+// guestwall, errdiscard). Lock copies are `go vet`'s copylocks check, shared
+// counters are sync/atomic's typed values, and allocation is counted by the
+// AllocsPerRun pins, so none of them needs an analyzer here.
 //
 // Use, from the module root:
 //

@@ -21,7 +21,6 @@ package analysistest
 import (
 	"fmt"
 	"go/token"
-	"go/types"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -44,18 +43,11 @@ func TestData() string {
 }
 
 // Run analyzes the named packages under dir/src — together, over a shared
-// FileSet and fact store — and compares diagnostics with // want
-// expectations across all of them.
-//
-// When one corpus package imports another (the shape cross-package fact
-// tests need), list the dependency first: packages are type-checked in the
-// order given, each seeing the previously checked ones as importable, and
-// the analyzer then runs over the whole set in dependency order so facts
-// flow exactly as they do in a real run.
+// FileSet — and compares diagnostics with // want expectations across all of
+// them.
 func Run(t *testing.T, dir string, a *framework.Analyzer, pkgPaths ...string) {
 	t.Helper()
 	fset := token.NewFileSet()
-	deps := map[string]*types.Package{}
 	var pkgs []*framework.Package
 	wants := &wantSet{byLine: map[posKey][]*want{}}
 	for _, pkgPath := range pkgPaths {
@@ -74,11 +66,10 @@ func Run(t *testing.T, dir string, a *framework.Analyzer, pkgPaths ...string) {
 		if len(names) == 0 {
 			t.Fatalf("%s: no .go files in %s", pkgPath, pkgDir)
 		}
-		pkg, err := framework.CheckSourceDeps(fset, pkgDir, pkgPath, names, deps)
+		pkg, err := framework.CheckSource(fset, pkgDir, pkgPath, names)
 		if err != nil {
 			t.Fatalf("%s: %v", pkgPath, err)
 		}
-		deps[pkgPath] = pkg.Types
 		pkgs = append(pkgs, pkg)
 		if err := collectWants(wants, pkgDir, names); err != nil {
 			t.Fatalf("%s: %v", pkgPath, err)

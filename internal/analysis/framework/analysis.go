@@ -33,9 +33,8 @@ type Analyzer struct {
 	Doc string
 
 	// Directives lists every //simlint:NAME this analyzer reads — the
-	// categories it passes to Report plus any marker it looks up itself
-	// (hotalloc's hotpath). RunAnalyzers reports a directive whose name no
-	// analyzer of the run lists, so a typo or a leftover of a deleted
+	// categories it passes to Report. RunAnalyzers reports a directive whose
+	// name no analyzer of the run lists, so a typo or a leftover of a deleted
 	// analyzer cannot linger.
 	Directives []string
 
@@ -54,8 +53,6 @@ type Pass struct {
 
 	diags      []Diagnostic
 	directives *DirectiveSet
-	// facts carries cross-package analyzer facts; see facts.go.
-	facts factStore
 	// reportedDirectives dedupes the "directive needs a justification"
 	// diagnostic when one bare directive suppresses several findings.
 	reportedDirectives map[*Directive]bool
@@ -70,14 +67,11 @@ type Diagnostic struct {
 	Message  string
 }
 
-// Directives returns the package's parsed //simlint: directives.
-func (p *Pass) Directives() *DirectiveSet { return p.directives }
-
 // Report records a finding unless a //simlint:<category> directive on the
 // finding's line (or the line above it) suppresses it. A suppressing
 // directive with no justification text is itself reported, once.
 func (p *Pass) Report(category string, pos token.Pos, format string, args ...any) {
-	if d := p.Directives().Suppressing(category, p.Fset, pos); d != nil {
+	if d := p.directives.Suppressing(category, p.Fset, pos); d != nil {
 		if d.Reason == "" {
 			if p.reportedDirectives == nil {
 				p.reportedDirectives = map[*Directive]bool{}
@@ -101,12 +95,10 @@ func (p *Pass) Report(category string, pos token.Pos, format string, args ...any
 	})
 }
 
-// RunAnalyzers applies every analyzer to every package and returns the
-// combined findings in deterministic (position, analyzer, message) order.
-// Packages are processed in dependency order over one fact store, so
-// interprocedural analyzers see their upstream facts. Packages marked
-// FactsOnly contribute facts but no diagnostics (they were loaded as
-// dependencies, not named for analysis).
+// RunAnalyzers applies every analyzer to every package, one package at a
+// time, and returns the combined findings ordered by file position, then
+// analyzer, then message, so output never depends on map iteration order
+// inside the analyzers. The packages share one FileSet, as Load's do.
 func RunAnalyzers(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 	known := map[string]bool{}
 	for _, a := range analyzers {
@@ -114,13 +106,10 @@ func RunAnalyzers(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) 
 			known[name] = true
 		}
 	}
-	facts := factStore{}
 	var out []Diagnostic
-	for _, pkg := range dependencyOrder(pkgs) {
+	for _, pkg := range pkgs {
 		dirs := CollectDirectives(pkg.Fset, pkg.Files)
-		if !pkg.FactsOnly {
-			out = append(out, unknownDirectives(dirs, known)...)
-		}
+		out = append(out, unknownDirectives(dirs, known)...)
 		for _, a := range analyzers {
 			pass := &Pass{
 				Analyzer:   a,
@@ -129,81 +118,32 @@ func RunAnalyzers(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) 
 				Pkg:        pkg.Types,
 				TypesInfo:  pkg.Info,
 				directives: dirs,
-				facts:      facts,
 			}
 			if _, err := a.Run(pass); err != nil {
 				return nil, fmt.Errorf("%s: analyzer %s: %w", pkg.Path, a.Name, err)
 			}
-			if !pkg.FactsOnly {
-				out = append(out, pass.diags...)
-			}
+			out = append(out, pass.diags...)
 		}
 	}
-	SortDiagnostics(out, pkgs)
-	return out, nil
-}
-
-// dependencyOrder sorts packages so every package follows all of its
-// (loaded) dependencies — the order fact flow requires. Ties are broken by
-// the incoming order, which Load already sorts by path, so the result is
-// deterministic. Import cycles cannot occur in valid Go.
-func dependencyOrder(pkgs []*Package) []*Package {
-	byPath := make(map[string]*Package, len(pkgs))
-	for _, p := range pkgs {
-		byPath[p.Path] = p
+	if len(out) == 0 {
+		return nil, nil
 	}
-	order := make([]*Package, 0, len(pkgs))
-	visited := make(map[string]bool, len(pkgs))
-	var visit func(p *Package)
-	visit = func(p *Package) {
-		if visited[p.Path] {
-			return
+	fset := pkgs[0].Fset
+	sort.SliceStable(out, func(i, j int) bool {
+		pi, pj := fset.Position(out[i].Pos), fset.Position(out[j].Pos)
+		if pi.Filename != pj.Filename {
+			return pi.Filename < pj.Filename
 		}
-		visited[p.Path] = true
-		imps := p.Types.Imports()
-		paths := make([]string, 0, len(imps))
-		for _, im := range imps {
-			paths = append(paths, im.Path())
+		if pi.Line != pj.Line {
+			return pi.Line < pj.Line
 		}
-		sort.Strings(paths)
-		for _, path := range paths {
-			if dep, ok := byPath[path]; ok {
-				visit(dep)
-			}
+		if pi.Column != pj.Column {
+			return pi.Column < pj.Column
 		}
-		order = append(order, p)
-	}
-	for _, p := range pkgs {
-		visit(p)
-	}
-	return order
-}
-
-// SortDiagnostics orders diags by file position, then analyzer, then message,
-// so output never depends on map iteration order inside the analyzers.
-func SortDiagnostics(diags []Diagnostic, pkgs []*Package) {
-	var fset *token.FileSet
-	if len(pkgs) > 0 {
-		fset = pkgs[0].Fset
-	}
-	sort.SliceStable(diags, func(i, j int) bool {
-		if fset != nil {
-			pi, pj := fset.Position(diags[i].Pos), fset.Position(diags[j].Pos)
-			if pi.Filename != pj.Filename {
-				return pi.Filename < pj.Filename
-			}
-			if pi.Line != pj.Line {
-				return pi.Line < pj.Line
-			}
-			if pi.Column != pj.Column {
-				return pi.Column < pj.Column
-			}
-		} else if diags[i].Pos != diags[j].Pos {
-			return diags[i].Pos < diags[j].Pos
+		if out[i].Analyzer != out[j].Analyzer {
+			return out[i].Analyzer < out[j].Analyzer
 		}
-		if diags[i].Analyzer != diags[j].Analyzer {
-			return diags[i].Analyzer < diags[j].Analyzer
-		}
-		return diags[i].Message < diags[j].Message
+		return out[i].Message < out[j].Message
 	})
+	return out, nil
 }

@@ -107,9 +107,6 @@ func (s *DirectiveSet) Suppressing(category string, fset *token.FileSet, pos tok
 	return nil
 }
 
-// All returns every directive in the set, in source order per file.
-func (s *DirectiveSet) All() []*Directive { return s.all }
-
 // unknownDirectives reports, once each and at the directive, every directive
 // of s whose name is not in known.
 func unknownDirectives(s *DirectiveSet, known map[string]bool) []Diagnostic {

@@ -20,7 +20,7 @@ func FuzzParseDirective(f *testing.F) {
 		"//simlint:",                         // no category: not a directive
 		"//simlint: justification only",      // space before category: not a directive
 		"//simlint:a//b",                     // nested // cuts the justification
-		"//simlint:hotalloc why // want `x`", // analysistest marker stripped
+		"//simlint:maporder why // want `x`", // analysistest marker stripped
 		"// simlint:maporder nope",           // space after //: not a directive
 		"//simlint:wallclock\treason",        // tab is not the name/reason separator
 		"//simlint:one x //simlint:two y",    // second directive lost to the // cut

@@ -46,7 +46,7 @@ func parseDirectives(t *testing.T) (*token.FileSet, *DirectiveSet) {
 
 func TestParseDirectives(t *testing.T) {
 	_, set := parseDirectives(t)
-	all := set.All()
+	all := set.all
 	if len(all) != 4 {
 		t.Fatalf("got %d directives, want 4: %+v", len(all), all)
 	}
@@ -71,7 +71,7 @@ func TestParseDirectives(t *testing.T) {
 func TestSuppressing(t *testing.T) {
 	fset, set := parseDirectives(t)
 	posOnLine := func(line int) token.Pos {
-		tf := fset.File(set.All()[0].Pos)
+		tf := fset.File(set.all[0].Pos)
 		return tf.LineStart(line)
 	}
 

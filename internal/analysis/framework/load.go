@@ -27,26 +27,17 @@ type Package struct {
 	Files []*ast.File
 	Types *types.Package
 	Info  *types.Info
-	// FactsOnly marks a package loaded only because a named package depends
-	// on it: analyzers run over it to compute cross-package facts, but its
-	// diagnostics are discarded.
-	FactsOnly bool
 }
 
 // listedPackage is the subset of `go list -json` output the loader consumes.
 type listedPackage struct {
 	ImportPath string
 	Dir        string
-	Name       string
 	Export     string
 	GoFiles    []string
 	DepOnly    bool
 	Standard   bool
-	Module     *struct {
-		Path string
-		Main bool
-	}
-	Error *struct{ Err string }
+	Error      *struct{ Err string }
 }
 
 // Load resolves patterns (e.g. "./...") with the go command, parses every
@@ -68,16 +59,9 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 	imp := exportImporter(fset, exports)
 	var out []*Package
 	for _, lp := range pkgs {
-		if lp.Standard || len(lp.GoFiles) == 0 {
-			continue
-		}
-		// Dependencies from this module are still analyzed — facts only —
-		// so an interprocedural analyzer sees its whole in-module call
-		// graph even when the patterns named just one package. Foreign
-		// module deps (none today; the repo is zero-dependency) and the
-		// standard library stay opaque.
-		factsOnly := lp.DepOnly
-		if factsOnly && (lp.Module == nil || !lp.Module.Main) {
+		// Dependencies are listed for their export data only: every
+		// analyzer looks at one package at a time.
+		if lp.DepOnly || lp.Standard || len(lp.GoFiles) == 0 {
 			continue
 		}
 		// Golden corpora under testdata/ are analyzer *inputs*, never
@@ -100,7 +84,6 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 		if err != nil {
 			return nil, err
 		}
-		pkg.FactsOnly = factsOnly
 		out = append(out, pkg)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Path < out[j].Path })
@@ -117,17 +100,13 @@ func underTestdata(dir string) bool {
 	return false
 }
 
-// CheckSourceDeps parses and type-checks a free-standing set of Go files
-// (the analysistest path: testdata trees are invisible to go list, so their
-// import sets are discovered from the parsed files and resolved through one
-// targeted `go list -export` call). pkgPath becomes the package's import
-// path for critical-package matching. The caller owns the FileSet (so
-// several corpus packages share one coordinate space), and deps supplies
-// already-source-checked packages that imports resolve against before
-// falling back to `go list` export data. That lets a testdata package import
-// a sibling testdata package — the shape cross-package fact tests require —
-// even though neither is visible to the go command.
-func CheckSourceDeps(fset *token.FileSet, dir, pkgPath string, filenames []string, deps map[string]*types.Package) (*Package, error) {
+// CheckSource parses and type-checks a free-standing set of Go files (the
+// analysistest path: testdata trees are invisible to go list, so their import
+// sets are discovered from the parsed files and resolved through one targeted
+// `go list -export` call). pkgPath becomes the package's import path for
+// critical-package matching. The caller owns the FileSet, so several corpus
+// packages share one coordinate space.
+func CheckSource(fset *token.FileSet, dir, pkgPath string, filenames []string) (*Package, error) {
 	var files []*ast.File
 	importSet := map[string]bool{}
 	for _, name := range filenames {
@@ -139,7 +118,7 @@ func CheckSourceDeps(fset *token.FileSet, dir, pkgPath string, filenames []strin
 		files = append(files, f)
 		for _, spec := range f.Imports {
 			p, err := strconv.Unquote(spec.Path.Value)
-			if err == nil && p != "C" && deps[p] == nil {
+			if err == nil && p != "C" {
 				importSet[p] = true
 			}
 		}
@@ -157,25 +136,7 @@ func CheckSourceDeps(fset *token.FileSet, dir, pkgPath string, filenames []strin
 		}
 		exports = exp
 	}
-	imp := types.Importer(exportImporter(fset, exports))
-	if len(deps) > 0 {
-		imp = depsImporter{deps: deps, fallback: imp}
-	}
-	return typeCheck(fset, imp, pkgPath, files)
-}
-
-// depsImporter resolves imports from a map of source-checked packages first,
-// then from export data.
-type depsImporter struct {
-	deps     map[string]*types.Package
-	fallback types.Importer
-}
-
-func (d depsImporter) Import(path string) (*types.Package, error) {
-	if pkg, ok := d.deps[path]; ok {
-		return pkg, nil
-	}
-	return d.fallback.Import(path)
+	return typeCheck(fset, exportImporter(fset, exports), pkgPath, files)
 }
 
 // checkFiles parses paths and type-checks them as one package.
@@ -218,7 +179,7 @@ func typeCheck(fset *token.FileSet, imp types.Importer, pkgPath string, files []
 func goList(dir string, patterns []string) ([]*listedPackage, map[string]string, error) {
 	args := []string{
 		"list", "-e", "-export", "-deps",
-		"-json=ImportPath,Dir,Name,Export,GoFiles,DepOnly,Standard,Module,Error",
+		"-json=ImportPath,Dir,Export,GoFiles,DepOnly,Standard,Error",
 	}
 	args = append(args, patterns...)
 	cmd := exec.Command("go", args...)

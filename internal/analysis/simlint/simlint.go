@@ -7,7 +7,6 @@ import (
 	"clustersim/internal/analysis/errdiscard"
 	"clustersim/internal/analysis/framework"
 	"clustersim/internal/analysis/guestwall"
-	"clustersim/internal/analysis/hotalloc"
 	"clustersim/internal/analysis/maporder"
 	"clustersim/internal/analysis/nodetsource"
 )
@@ -18,7 +17,6 @@ func Analyzers() []*framework.Analyzer {
 		nodetsource.Analyzer,
 		maporder.Analyzer,
 		guestwall.Analyzer,
-		hotalloc.Analyzer,
 		errdiscard.Analyzer,
 	}
 }

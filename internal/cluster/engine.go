@@ -371,7 +371,8 @@ func (e *engine) drainQueue() {
 	}
 }
 
-//simlint:hotpath event-queue walk: every event of every tight partition dispatches here
+// dispatch runs one event of the event-queue walk: every event of every
+// tight partition comes through here.
 func (e *engine) dispatch(h simtime.Host, ev event) {
 	i := int(ev.node)
 	switch ev.kind {
@@ -441,7 +442,7 @@ func (e *engine) stepNode(i int, h simtime.Host) {
 
 		case guest.StepDone:
 			if st.Err != nil && e.firstErr == nil {
-				e.firstErr = fmt.Errorf("cluster: rank %d: %w", i, st.Err) //simlint:hotalloc error path: fires at most once per node, at workload failure
+				e.firstErr = fmt.Errorf("cluster: rank %d: %w", i, st.Err)
 			}
 			e.doneCount++
 			e.na.doneHost[i] = h
@@ -540,12 +541,12 @@ func (e *engine) sendFrame(i int, h simtime.Host, tSend simtime.Guest, f *pkt.Fr
 			continue
 		}
 		fi := int32(len(e.flights))
-		e.flights = append(e.flights, flight{ //simlint:hotalloc flight log grows to the per-quantum high-water mark once; length-reset each quantum
+		e.flights = append(e.flights, flight{ // flight log grows to the per-quantum high-water mark once; length-reset each quantum
 			f: f, src: int32(i), dst: int32(dst), tSend: tSend,
 			tD: e.arrival(f, i, dst, depart),
 		})
 		if p := e.exec; p.fastNode[i] || p.Part[dst] != p.Part[i] {
-			e.defs[i] = append(e.defs[i], routed{h: arrHost, fi: fi}) //simlint:hotalloc deferred-flight lane spills past its slab share to its watermark once; length-reset each quantum
+			e.defs[i] = append(e.defs[i], routed{h: arrHost, fi: fi}) // deferred-flight lane spills past its slab share to its watermark once; length-reset each quantum
 		} else {
 			e.q.PushPri(int64(arrHost), priFrame, event{kind: evFrame, fi: fi})
 		}
@@ -664,8 +665,6 @@ func (e *engine) deliver(h simtime.Host, fl *flight, tD simtime.Guest, dupCopy b
 // re-peeks the horizons the limit has reached (stale ones included), all of
 // them, so that a false return leaves the whole lane current for the
 // executor's per-node and per-partition skips.
-//
-//simlint:hotpath quiet test: runs once per quantum ahead of the executor
 func (e *engine) quietQuantum() bool {
 	if e.quietH > e.limit && e.cfg.onQuiet == nil {
 		return true
@@ -722,8 +721,6 @@ func (e *engine) sitsOut(i int) bool {
 // itself is left behind, marked in the lag lane, for syncNode. The first
 // quantum's segment is what it publishes and leaves in finishHost; it returns
 // the segment's host cost.
-//
-//simlint:hotpath quiet pass, one node: the whole cost of the node-quanta in which the node cannot act
 func (e *engine) quietNode(i int, hostNow simtime.Host, k int) simtime.Duration {
 	e.nQuietNodes += k
 	mode, ph, total := host.Idle, obs.PhaseIdle, &e.stats.HostIdle
@@ -783,8 +780,6 @@ func (e *engine) stretchLen(start simtime.Guest, Q simtime.Duration) int {
 // k single quanta publish in: finishHost holds the first quantum's segment
 // ends, and every later quantum's are one span further on. It returns the last
 // barrier's release.
-//
-//simlint:hotpath quiet pass: all a ground-truth run does between two ops
 func (e *engine) quietStretch(start simtime.Guest, Q simtime.Duration, hostNow simtime.Host) simtime.Host {
 	k := e.stretchLen(start, Q)
 	if hook := e.cfg.onStretch; hook != nil {
@@ -869,8 +864,6 @@ func (e *engine) tightSitsOut(members []int32) bool {
 // surviving copy as the walk does. Every arrival time is at or past the limit
 // and every destination is at the barrier, so each delivery is exact
 // (DESIGN.md §12).
-//
-//simlint:hotpath the quantum executor: every stepped quantum runs here
 func (e *engine) runQuantum(hostNow simtime.Host, p *partitioning) {
 	e.exec = p
 	for _, members := range p.tight {

@@ -68,7 +68,7 @@ func (q *Queue[T]) PushPri(time int64, priority int, payload T) Handle {
 	s.seq = q.seq
 	s.payload = payload
 	s.pos = int32(len(q.heap))
-	q.heap = append(q.heap, i) //simlint:hotalloc grows to the steady-state watermark once; reuse is allocation-free
+	q.heap = append(q.heap, i) // grows to the steady-state watermark once; reuse is allocation-free
 	q.up(len(q.heap) - 1)
 	return Handle{idx: i, seq: q.seq}
 }
@@ -123,7 +123,7 @@ func (q *Queue[T]) alloc() int32 {
 		q.free = int32(q.slots[i].time)
 		return i
 	}
-	q.slots = append(q.slots, slot[T]{}) //simlint:hotalloc slot arena grows to the high-water mark once, then recycles via the free list
+	q.slots = append(q.slots, slot[T]{}) // slot arena grows to the high-water mark once, then recycles via the free list
 	return int32(len(q.slots) - 1)
 }
 

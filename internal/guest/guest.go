@@ -545,7 +545,7 @@ func (n *Node) newFrame(dst pkt.MAC, proto pkt.Proto, size int, data []byte) *pk
 		panic(fmt.Sprintf("guest: frame with negative size %d", size))
 	}
 	if len(n.frameBlk) == 0 {
-		n.frameBlk = make([]pkt.Frame, frameBlkLen) //simlint:hotalloc one 4 KiB block per 64 frames, carved, never per frame
+		n.frameBlk = make([]pkt.Frame, frameBlkLen) // one 4 KiB block per 64 frames, carved, never per frame
 	}
 	f := &n.frameBlk[0]
 	n.frameBlk = n.frameBlk[1:]

@@ -67,7 +67,7 @@ func (s *Speeds) fill(node int, w0 int64, out []float64) {
 	slot := &s.index[node*speedsChunks+int(w0/speedsChunkLen)]
 	chunk := slot.Load()
 	if chunk == nil {
-		chunk = &speedChunk{} //simlint:hotalloc one 8 KiB chunk per 1024 windows per node per sweep, shared by every run of it
+		chunk = &speedChunk{} // one 8 KiB chunk per 1024 windows per node per sweep, shared by every run of it
 		if !slot.CompareAndSwap(nil, chunk) {
 			chunk = slot.Load()
 		}

@@ -202,3 +202,36 @@ func TestHostCostMemoBoundsMatchDivision(t *testing.T) {
 		g = g1
 	}
 }
+
+// TestSpeedsAllocs pins the sweep path's allocations: filling a table costs
+// one chunk per 1024 windows of each node some model reaches, however many
+// models fill it, and reading a filled one costs nothing. A chunk per block,
+// or a boxed index key (the first table keyed a sync.Map by a struct), shows
+// up here as a count.
+func TestSpeedsAllocs(t *testing.T) {
+	const nodes, chunks = 4, 3
+	p := testParams()
+	models := []*Model{NewModel(p), NewModel(p)}
+	for _, m := range models {
+		m.Reserve(nodes)
+	}
+	sweep := func(s *Speeds) {
+		for _, m := range models {
+			m.Share(s)
+			for node := 0; node < nodes; node++ {
+				for w := int64(0); w < chunks*speedsChunkLen; w++ {
+					m.speed(node, w)
+				}
+			}
+		}
+	}
+	// The table and its index, then the chunks.
+	if got, want := testing.AllocsPerRun(5, func() { sweep(NewSpeeds(p, nodes)) }), float64(2+nodes*chunks); got != want {
+		t.Errorf("filling a table: %v allocs, want %v", got, want)
+	}
+	filled := NewSpeeds(p, nodes)
+	sweep(filled)
+	if got := testing.AllocsPerRun(5, func() { sweep(filled) }); got != 0 {
+		t.Errorf("reading a filled table: %v allocs, want 0", got)
+	}
+}

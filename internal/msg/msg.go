@@ -367,7 +367,7 @@ func (e *Endpoint) carve(n int) []byte {
 		if n > ln {
 			ln = n
 		}
-		e.wireSlab = make([]byte, ln) //simlint:hotalloc one slab per 2-32 KiB of wire bytes, carved, never per fragment
+		e.wireSlab = make([]byte, ln) // one slab per 2-32 KiB of wire bytes, carved, never per fragment
 	}
 	b := e.wireSlab[:n:n]
 	e.wireSlab = e.wireSlab[n:]
@@ -403,8 +403,6 @@ func (e *Endpoint) sendData(t train) {
 
 // Frame builds fragment k of the message sendData is pushing, its wire bytes
 // carved from the endpoint's shared slab (guest.FrameSource).
-//
-//simlint:hotpath called by guest.Node.Step once per fragment, through an interface
 func (e *Endpoint) Frame(k int) (dst int, proto pkt.Proto, size int, data []byte) {
 	t := &e.train
 	off := k * chunk
@@ -520,8 +518,6 @@ func (e *Endpoint) pump(deadline simtime.Guest, sink guest.FrameSink) bool {
 // frames (answering them sends), the fragment that completes a message,
 // foreign traffic, and every frame of a reliable endpoint, whose pump re-runs
 // its retransmission timers between frames.
-//
-//simlint:hotpath called by guest.Node.Step once per received frame, through an interface
 func (e *Endpoint) Absorb(a guest.Arrival) bool {
 	if e.cfg.Reliable || a.Frame.Proto != pkt.ProtoMsg {
 		return false // control frames travel as ProtoCtrl
@@ -615,9 +611,9 @@ func carriesData(f *pkt.Frame, h *header) bool {
 // message is now complete.
 func (e *Endpoint) add(a guest.Arrival, h *header, key msgKey, pa *partial) (*partial, bool) {
 	if pa == nil {
-		pa = &partial{m: Message{Src: key.src, Tag: h.tag, Size: h.size}, seq: h.seq} //simlint:hotalloc one per multi-fragment message: it becomes the Message the application receives
+		pa = &partial{m: Message{Src: key.src, Tag: h.tag, Size: h.size}, seq: h.seq} // one per multi-fragment message: it becomes the Message the application receives
 		if e.cfg.Reliable {
-			pa.gotOff = map[int]bool{} //simlint:hotalloc reliable mode only, one per message; the sink declines every reliable frame
+			pa.gotOff = map[int]bool{} // reliable mode only, one per message; the sink declines every reliable frame
 		}
 		e.partials[key] = pa
 	}
@@ -630,7 +626,7 @@ func (e *Endpoint) add(a guest.Arrival, h *header, key msgKey, pa *partial) (*pa
 	}
 	if carriesData(a.Frame, h) {
 		if pa.m.Payload == nil {
-			pa.m.Payload = make([]byte, h.size) //simlint:hotalloc one per payload-carrying message: the buffer the application receives
+			pa.m.Payload = make([]byte, h.size) // one per payload-carrying message: the buffer the application receives
 		}
 		copy(pa.m.Payload[h.off:h.off+h.frag], a.Frame.Data[headerBytes:headerBytes+h.frag])
 		pa.gotData = true

@@ -278,7 +278,7 @@ func (p *Profiler) Packet(rec obs.PacketRecord) {
 	k := [2]int{rec.Src, rec.Dst}
 	l := p.links[k]
 	if l == nil {
-		l = &linkAcc{latMin: lat, latMax: lat, slackMin: slack} //simlint:hotalloc once per link on first touch, and only when profiling is enabled
+		l = &linkAcc{latMin: lat, latMax: lat, slackMin: slack} // once per link on first touch, and only when profiling is enabled
 		p.links[k] = l
 	}
 	l.frames++
