@@ -63,19 +63,20 @@ func steadyStatePerStepped(t *testing.T, label string, short, long Config) (floa
 	return per, sLong
 }
 
-// TestClassicWalkZeroAllocsPerQuantum pins the event-queue walk of a tight
+// TestEventQueueWalkZeroAllocsPerQuantum pins the event-queue walk of a tight
 // partition — dispatch, stepNode, idleTo, endIdle, schedule, sendFrame,
 // routeFlight, deliver — at zero steady-state allocations: the runs differ only in phase count, so the
 // difference is extra compute/alltoall cycles, and only their stepped
 // (traffic-carrying or op-completing) quanta count — the silent compute
 // stretches in between are fast-forwarded and never reach the walk.
-func TestClassicWalkZeroAllocsPerQuantum(t *testing.T) {
-	// The reference hook keeps every stepped quantum on one event queue over
-	// the whole cluster whatever the quantum size.
+func TestEventQueueWalkZeroAllocsPerQuantum(t *testing.T) {
+	// Q = 2µs lies above every link of the uniform paper fabric, so every
+	// stepped quantum walks the whole cluster through one event queue.
 	mk := func(phases int) Config {
-		cfg := testConfig(4, workloads.Phases(phases, 150*simtime.Microsecond, 32<<10), fixed(simtime.Microsecond))
-		cfg.onPartition = func(*partitioning) bool { return true }
-		return cfg
+		return testConfig(4, workloads.Phases(phases, 150*simtime.Microsecond, 32<<10), fixed(2*simtime.Microsecond))
+	}
+	if res, err := Run(mk(2)); err != nil || res.Stats.FastNodeQuanta != 0 {
+		t.Fatalf("not the event-queue walk: %v, %+v", err, res)
 	}
 	if per, _ := steadyStatePerStepped(t, "event-queue walk", mk(2), mk(8)); !raceEnabled && per >= 0.5 {
 		t.Errorf("event-queue walk steady state allocates %.4f allocs/stepped quantum (want < 0.5: only per-message guest buffers)", per)
@@ -105,8 +106,8 @@ func TestQuietQuantumZeroAllocs(t *testing.T) {
 				if observed {
 					cfg.Observer = obs.Base{}
 				}
-				cfg.onStretch = func(k int) {
-					if k == p.stretch {
+				cfg.onSkip = func(_, node, k int) {
+					if node == 0 && k == p.stretch {
 						inStretch += k
 					}
 				}

@@ -72,25 +72,10 @@ type Config struct {
 	Profiler  *prof.Profiler
 	Workers   int
 	Lookahead LookaheadMode
-	// onPartition, when non-nil, is called with each quantum's lookahead
-	// partitioning (quiet quanta included, which then bypass it; see
-	// onQuiet). Returning true executes the quantum as one tight partition
-	// holding the whole cluster instead: every node walked through one event
-	// queue, the reference the differential tests hold every other
-	// partitioning to. Package-internal test hook.
-	onPartition func(p *partitioning) (reference bool)
-	// onQuiet, when non-nil, is called for each node-quantum the engine is
-	// about to fast-forward (DESIGN.md §7.1) — every node of a quiet quantum,
-	// and the nodes and tight partitions a stepped quantum skips; returning
-	// false sends the node through its walk anyway, together with the rest
-	// of its quiet quantum or tight partition, which are stepped whole or not
-	// at all (so the answers for one should agree). Package-internal test
-	// hook.
-	onQuiet func(qi, node int) bool
-	// onStretch, when non-nil, is told the length k >= 1 of each quiet stretch
-	// the engine executes as one pass (DESIGN.md §7.1). Package-internal test
-	// probe; unlike the two hooks above it does not hold k to 1.
-	onStretch func(k int)
+	// onSkip, when non-nil, is told of every node the quiet pass fast-forwards
+	// (DESIGN.md §7.1): node sits out quanta qi to qi+k-1, k > 1 in a quiet
+	// stretch. Package-internal test probe: it observes, it cannot veto.
+	onSkip func(qi, node, k int)
 }
 
 // LookaheadMode is the type of the unread Config.Lookahead stub; it and its

@@ -182,7 +182,7 @@ type engine struct {
 	quietH      simtime.Guest
 	nQuiet      int // quanta executed whole by the quiet pass
 	nQuietNodes int // node-quanta executed by quietNode
-	qi          int // current quantum's index, for the onQuiet hook
+	qi          int // current quantum's index
 }
 
 // Run executes the configuration and returns its result.
@@ -277,12 +277,8 @@ func (e *engine) runQuanta() (start simtime.Guest, hostNow simtime.Host, err err
 		e.lastEvtH = hostNow
 		e.flights = e.flights[:0]
 		// The quantum's lookahead partitioning is all that selects how it is
-		// stepped (DESIGN.md §7); the accounting at its end never sees the test
-		// hook's substitute.
+		// stepped (DESIGN.md §7).
 		part := e.beginQuantum(e.qi, start, Q, hostNow)
-		if hook := e.cfg.onPartition; hook != nil && hook(part) {
-			part = e.la.wholeCluster()
-		}
 		// Ahead of it: when no node has an event before the limit there is
 		// nothing to step, queue or route, and the quantum — with every
 		// identical one after it — is one arithmetic pass over the nodes.
@@ -666,7 +662,7 @@ func (e *engine) deliver(h simtime.Host, fl *flight, tD simtime.Guest, dupCopy b
 // them, so that a false return leaves the whole lane current for the
 // executor's per-node and per-partition skips.
 func (e *engine) quietQuantum() bool {
-	if e.quietH > e.limit && e.cfg.onQuiet == nil {
+	if e.quietH > e.limit {
 		return true
 	}
 	h := simtime.GuestInfinity
@@ -679,37 +675,14 @@ func (e *engine) quietQuantum() bool {
 		h = simtime.MinGuest(h, until)
 	}
 	e.quietH = h
-	if h <= e.limit {
-		return false
-	}
-	if e.cfg.onQuiet != nil {
-		quiet := true
-		for i := range e.na.quietUntil {
-			quiet = e.sitsOut(i) && quiet
-		}
-		if !quiet {
-			e.quietH = 0
-		}
-		return quiet
-	}
-	return true
+	return h > e.limit
 }
 
 // sitsOut reports whether node i is fast-forwarded through the current
 // quantum: its horizon lies past the limit, and nothing can be delivered to
 // it before the barrier — which the caller guarantees: the node is loose, or
-// its whole tight partition sits out (DESIGN.md §7.1). The test hook's veto
-// marks the horizon stale, which sends the node to its walk.
-func (e *engine) sitsOut(i int) bool {
-	if e.na.quietUntil[i] <= e.limit {
-		return false
-	}
-	if e.cfg.onQuiet != nil && !e.cfg.onQuiet(e.qi, i) {
-		e.na.quietUntil[i] = 0
-		return false
-	}
-	return true
-}
+// its whole tight partition sits out (DESIGN.md §7.1).
+func (e *engine) sitsOut(i int) bool { return e.na.quietUntil[i] > e.limit }
 
 // quietNode executes node i's whole quantum arithmetically, and k-1 identical
 // ones after it (k > 1: a quiet stretch): the node has no event before the
@@ -723,6 +696,9 @@ func (e *engine) sitsOut(i int) bool {
 // the segment's host cost.
 func (e *engine) quietNode(i int, hostNow simtime.Host, k int) simtime.Duration {
 	e.nQuietNodes += k
+	if probe := e.cfg.onSkip; probe != nil {
+		probe(e.qi, i, k)
+	}
 	mode, ph, total := host.Idle, obs.PhaseIdle, &e.stats.HostIdle
 	if e.na.quietBusy[i] {
 		mode, ph, total = host.Busy, obs.PhaseBusy, &e.stats.HostBusy
@@ -759,9 +735,9 @@ func (e *engine) syncNode(i int, to simtime.Guest) {
 // (DESIGN.md §7.1): the same Q — a Fixed policy's; any other may change it
 // after every quantum — every limit strictly below the horizon quietH, every
 // quantum inside the span of one host speed draw, and none after the first
-// that ends past MaxGuest. The test hooks see every quantum: k = 1.
+// that ends past MaxGuest.
 func (e *engine) stretchLen(start simtime.Guest, Q simtime.Duration) int {
-	if _, fixed := e.policy.(quantum.Fixed); !fixed || e.cfg.onQuiet != nil || e.cfg.onPartition != nil {
+	if _, fixed := e.policy.(quantum.Fixed); !fixed {
 		return 1
 	}
 	k := simtime.MinGuest(e.hm.UniformUntil(start), e.quietH-1).Sub(start) / Q
@@ -782,9 +758,6 @@ func (e *engine) stretchLen(start simtime.Guest, Q simtime.Duration) int {
 // barrier's release.
 func (e *engine) quietStretch(start simtime.Guest, Q simtime.Duration, hostNow simtime.Host) simtime.Host {
 	k := e.stretchLen(start, Q)
-	if hook := e.cfg.onStretch; hook != nil {
-		hook(k)
-	}
 	var maxC simtime.Duration
 	for i := range e.na.node {
 		maxC = max(maxC, e.quietNode(i, hostNow, k))
@@ -830,15 +803,11 @@ func (e *engine) quietStretch(start simtime.Guest, Q simtime.Duration, hostNow s
 // either, and the partition's event-queue walk need not start.
 func (e *engine) tightSitsOut(members []int32) bool {
 	for _, m := range members {
-		if e.na.quietUntil[m] <= e.limit {
+		if !e.sitsOut(int(m)) {
 			return false
 		}
 	}
-	out := true
-	for _, m := range members {
-		out = e.sitsOut(int(m)) && out
-	}
-	return out
+	return true
 }
 
 // runQuantum executes one stepped quantum as its partitioning p (DESIGN.md

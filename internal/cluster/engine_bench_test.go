@@ -10,7 +10,7 @@ import (
 	"clustersim/internal/workloads"
 )
 
-// BenchmarkFastPathRack measures a quantum between the latency levels, where
+// BenchmarkPartitionedRack measures a quantum between the latency levels, where
 // a Q <= T gate would walk every node through the event queue but the
 // partitioning still steps the loose ones directly.
 // Three geometries: "rack8" is a uniform two-rack fat-tree (both racks tight
@@ -19,7 +19,7 @@ import (
 // singletons, and "mixed64" is the paper-scale motivating geometry — one
 // tight rack plus 60 loose WAN nodes in the sync-overhead-dominated regime,
 // where skipping the event queue for the loose majority pays the most.
-func BenchmarkFastPathRack(b *testing.B) {
+func BenchmarkPartitionedRack(b *testing.B) {
 	scenarios := []struct {
 		name  string
 		nodes int

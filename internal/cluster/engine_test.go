@@ -109,25 +109,6 @@ func TestPingPongLargeQuantumInflatesLatency(t *testing.T) {
 		rttBase, rttBig, base.HostTime, big.HostTime, big.Stats.Stragglers, big.Stats.QuantumSnaps)
 }
 
-func TestDeterminism(t *testing.T) {
-	w := workloads.Phases(5, 200*simtime.Microsecond, 64<<10)
-	run := func() *Result {
-		res, err := Run(testConfig(4, w, adaptive(simtime.Microsecond, simtime.Millisecond, 1.03, 0.02)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	a, b := run(), run()
-	if a.GuestTime != b.GuestTime || a.HostTime != b.HostTime {
-		t.Errorf("non-deterministic results: (%v,%v) vs (%v,%v)",
-			a.GuestTime, a.HostTime, b.GuestTime, b.HostTime)
-	}
-	if a.Stats != b.Stats {
-		t.Errorf("non-deterministic stats:\n%+v\n%+v", a.Stats, b.Stats)
-	}
-}
-
 func TestAdaptiveFasterThanGroundTruthOnPhases(t *testing.T) {
 	w := workloads.Phases(4, 2*simtime.Millisecond, 32<<10)
 	base, err := Run(testConfig(4, w, fixed(simtime.Microsecond)))
@@ -163,16 +144,15 @@ type goroutineGauge struct {
 
 func (g *goroutineGauge) QuantumEnd(obs.QuantumRecord) { g.max = max(g.max, runtime.NumGoroutine()) }
 
-// Run executes on the calling goroutine alone, whatever Config.Workers says
-// (the field is unread): at no barrier of an all-loose run — the shape the
-// intra-quantum worker pool used to fan out — may the process hold more
+// Run executes on the calling goroutine alone: at no barrier of an all-loose
+// run — the shape an intra-quantum worker pool would fan out — may the
+// process hold more
 // goroutines than it did before the call, plus the guests' own coroutines,
 // which the runtime counts as goroutines although none ever runs beside the
 // engine (each is started by its node's first Step and ended by Shutdown).
 func TestRunIsSingleGoroutine(t *testing.T) {
 	const nodes = 16
 	cfg := testConfig(nodes, workloads.Phases(2, 50*simtime.Microsecond, 4<<10), fixed(simtime.Microsecond))
-	cfg.Workers = 8
 	g := &goroutineGauge{}
 	cfg.Observer = g
 	before := runtime.NumGoroutine()

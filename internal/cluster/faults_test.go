@@ -158,7 +158,7 @@ func TestSlowdownScalesHostCosts(t *testing.T) {
 // The full-engagement bound must be exactly the smallest off-diagonal entry
 // of the lookahead matrix — the paper's T — probed with the cheapest possible
 // frame.
-func TestFastPathBoundMatchesMinLatency(t *testing.T) {
+func TestLookaheadBoundMatchesMinLatency(t *testing.T) {
 	models := map[string]*netmodel.Model{
 		"paper": netmodel.Paper(),
 		"serialization": {

@@ -27,10 +27,11 @@ import (
 //   - The packet trace is encoded as a sorted multiset: a tight partition
 //     interleaves deliveries in host-event order while loose and
 //     cross-partition frames route at the barrier in canonical (node, seq)
-//     order, so the stream order depends on how the quantum is partitioned
-//     and on the reference hook, but the recorded deliveries themselves are
-//     identical (TestFastPathMatchesClassicSemantics) and the fingerprint
-//     must not depend on their order.
+//     order, so the stream order depends on how the quantum is partitioned —
+//     and the test suite's reference engine, one event list over the whole
+//     cluster, orders them differently again — but the recorded deliveries
+//     themselves are identical (TestDifferential) and the fingerprint must
+//     not depend on their order.
 //   - Everything else — times, stats, per-quantum records, policy name — is
 //     encoded field by field in declaration order. Integer-only: simtime
 //     values print as int64 nanoseconds, float metrics with strconv's
@@ -82,9 +83,8 @@ func SortPacketsCanonical(ps []obs.PacketRecord) []obs.PacketRecord {
 // CanonicalResult encodes res, followed by the records of the run's recorder
 // when rec is non-nil, into its canonical byte form. The encoding is
 // identical for every execution partitioning that produces the same simulated
-// outcome — the reference event-queue walk of the whole cluster included — and
-// any divergence in Result, Stats, quantum records, or the packet multiset
-// changes it.
+// outcome — the tests' reference engine included — and any divergence in
+// Result, Stats, quantum records, or the packet multiset changes it.
 func CanonicalResult(res *Result, rec *obs.Recorder) []byte {
 	var b bytes.Buffer
 	fmt.Fprintf(&b, "%s\n", FingerprintSchema)

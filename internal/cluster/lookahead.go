@@ -40,8 +40,6 @@ type lookahead struct {
 	// parts caches one partitioning per level band, indexed by the number
 	// of levels strictly below Q. Entries are built lazily.
 	parts []*partitioning
-	// whole is the whole cluster as one tight partition, built on first use.
-	whole *partitioning
 }
 
 // partitioning is the lookahead closure of the cluster at one tight-link
@@ -99,11 +97,17 @@ func newLookahead(m *netmodel.Model, nodes int) *lookahead {
 }
 
 // noLookahead is the lookahead of a configuration that rules lookahead out:
-// whatever the quantum size, the whole cluster walks through one event queue.
+// whatever the quantum size, the whole cluster is one tight partition and
+// walks through one event queue. It is built without a matrix.
 func noLookahead(nodes int) *lookahead {
-	la := &lookahead{n: nodes}
-	la.parts = []*partitioning{la.wholeCluster()}
-	return la
+	all := make([]int32, nodes)
+	for i := range all {
+		all[i] = int32(i)
+	}
+	p := &partitioning{fastNode: make([]bool, nodes), tight: [][]int32{all}}
+	p.Part = make([]int32, nodes)
+	p.Partitions, p.TightPartitions = 1, 1
+	return &lookahead{n: nodes, parts: []*partitioning{p}}
 }
 
 // partitionFor returns the (cached) partitioning for quantum size q.
@@ -207,22 +211,4 @@ func (la *lookahead) build(idx int) *partitioning {
 		p.TightLinks = p.TightLinks[:tightLinksK]
 	}
 	return p
-}
-
-// wholeCluster returns the partitioning that ties every node into one tight
-// partition — what partitionFor yields above the largest latency level. It is
-// built without the matrix: it executes the configurations that have none, and
-// it is the reference the differential tests hold every other partitioning to.
-func (la *lookahead) wholeCluster() *partitioning {
-	if la.whole == nil {
-		all := make([]int32, la.n)
-		for i := range all {
-			all[i] = int32(i)
-		}
-		p := &partitioning{fastNode: make([]bool, la.n), tight: [][]int32{all}}
-		p.Part = make([]int32, la.n)
-		p.Partitions, p.TightPartitions = 1, 1
-		la.whole = p
-	}
-	return la.whole
 }

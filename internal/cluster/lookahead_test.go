@@ -1,10 +1,12 @@
 package cluster
 
 import (
-	"strings"
+	"reflect"
 	"testing"
 
 	"clustersim/internal/netmodel"
+	"clustersim/internal/obs"
+	"clustersim/internal/quantum"
 	"clustersim/internal/rng"
 	"clustersim/internal/simtime"
 	"clustersim/internal/workloads"
@@ -190,7 +192,7 @@ func TestLookaheadDegenerate(t *testing.T) {
 		}
 		for _, q := range []simtime.Duration{1, simtime.Microsecond, simtime.Second} {
 			p := la.partitionFor(q)
-			if p != la.wholeCluster() || p.FastNodes != 0 || len(p.loose) != 0 || len(p.tight) != 1 || len(p.tight[0]) != la.n {
+			if len(la.parts) != 1 || p != la.parts[0] || p.FastNodes != 0 || len(p.loose) != 0 || len(p.tight) != 1 || len(p.tight[0]) != la.n {
 				t.Errorf("%s, Q=%v: partitioning %+v, want the whole cluster tight", name, q, p)
 			}
 		}
@@ -209,34 +211,76 @@ func minLinkLat(m *netmodel.Model, nodes int) simtime.Duration {
 	return min
 }
 
-// A run whose lookahead is ruled out — a zero-latency link, a one-node
-// cluster — executes every quantum as the whole cluster through one event
-// queue, is accounted no engagement, and tells the stream nothing about
-// partitions.
-func TestRuledOutLookaheadRun(t *testing.T) {
-	zero := testConfig(4, workloads.Phases(3, 150*simtime.Microsecond, 16<<10), fixed(simtime.Microsecond))
-	zero.Net = &netmodel.Model{NIC: &netmodel.SimpleNIC{}, Switch: netmodel.PerfectSwitch{}}
-	one := testConfig(1, workloads.Silent(50*simtime.Microsecond), fixed(simtime.Microsecond))
-	for name, cfg := range map[string]Config{"zero-latency link": zero, "one node": one} {
-		rec := &recorder{}
-		cfg.Observer = rec
-		cfg.onPartition = func(p *partitioning) bool {
-			if len(p.loose) != 0 || len(p.tight) != 1 || len(p.tight[0]) != cfg.Nodes {
-				t.Errorf("%s: executed with %d loose nodes and tight partitions %v", name, len(p.loose), p.tight)
+// partitionsOf runs c and returns the partitionings its stream published, one
+// per quantum.
+func partitionsOf(t *testing.T, c fastCase) (*Result, []obs.Partitioning) {
+	t.Helper()
+	r := runObserved(t, c)
+	var parts []obs.Partitioning
+	for _, h := range r.probe.quanta {
+		if p, ok := h.(obs.Partitioning); ok {
+			parts = append(parts, p)
+		}
+	}
+	if len(parts) != r.res.Stats.Quanta {
+		t.Fatalf("%d partitionings published for %d quanta", len(parts), r.res.Stats.Quanta)
+	}
+	return r.res, parts
+}
+
+// The partitioning must take the shape the quantum size calls for: every
+// node loose at ground truth (Q = 1µs <= T), the whole cluster one tight
+// partition beyond the largest latency, and an adaptive policy crosses the
+// boundary both ways mid-run.
+func TestPartitioningFollowsQuantum(t *testing.T) {
+	const nodes = 4
+	count := func(pol func() quantum.Policy) (loose, tight int) {
+		_, parts := partitionsOf(t, fastCase{name: "phases", nodes: nodes, w: workloads.Phases(3, 150*simtime.Microsecond, 16<<10), pol: pol})
+		for _, p := range parts {
+			switch {
+			case p.FastNodes == nodes && p.Partitions == nodes:
+				loose++
+			case p.FastNodes == 0 && p.Partitions == 1 && p.TightPartitions == 1:
+				tight++
+			default:
+				t.Errorf("uniform fabric: partitioning with %d loose nodes and %d tight partitions", p.FastNodes, p.TightPartitions)
 			}
-			return false
 		}
-		res, err := Run(cfg)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if s := res.Stats; s.FastFullQuanta+s.FastPartialQuanta+s.FastNodeQuanta+s.PartialPartitions != 0 {
-			t.Errorf("%s: engagement accounted without lookahead: %+v", name, s)
-		}
-		for _, ev := range rec.events {
-			if strings.HasPrefix(ev, "part ") || strings.Contains(ev, "FastEligible:true") {
-				t.Fatalf("%s: stream says %q", name, ev)
-			}
+		return
+	}
+	if loose, tight := count(fixed(simtime.Microsecond)); loose == 0 || tight != 0 {
+		t.Errorf("ground truth: want every quantum all-loose, got loose=%d tight=%d", loose, tight)
+	}
+	if loose, tight := count(fixed(simtime.Millisecond)); loose != 0 || tight == 0 {
+		t.Errorf("Q=1ms: want every quantum one tight partition, got loose=%d tight=%d", loose, tight)
+	}
+	if loose, tight := count(adaptive(simtime.Microsecond, simtime.Millisecond, 1.03, 0.02)); loose == 0 || tight == 0 {
+		t.Errorf("adaptive: want a mix of shapes, got loose=%d tight=%d", loose, tight)
+	}
+}
+
+// On the mixed topology a quantum between the latency levels must be
+// partitioned into one tight rack plus loose singletons — otherwise the
+// differential's mixed rows pass vacuously on a whole-cluster walk — and the
+// graded Stats accounting must say so.
+func TestPartitionedPathEngagesPartially(t *testing.T) {
+	c := fastCase{name: "mixed-wan-8", nodes: 8, w: workloads.Uniform(120, 2000, 30*simtime.Microsecond, 17),
+		pol: fixed(2 * simtime.Microsecond), net: mixedWANNet(8)}
+	res, parts := partitionsOf(t, c)
+	s := res.Stats
+	if s.FastPartialQuanta != s.Quanta || s.FastFullQuanta != 0 {
+		t.Fatalf("Q=2µs mixed topology: want only partial engagement, got %+v", s)
+	}
+	// One tight 4-node rack + 4 loose WAN singletons, every quantum.
+	if want := 4 * s.FastPartialQuanta; s.FastNodeQuanta != want {
+		t.Errorf("FastNodeQuanta = %d, want %d", s.FastNodeQuanta, want)
+	}
+	if want := 5 * s.FastPartialQuanta; s.PartialPartitions != want {
+		t.Errorf("PartialPartitions = %d, want %d", s.PartialPartitions, want)
+	}
+	for _, p := range parts {
+		if want := []int32{0, 0, 0, 0, 1, 2, 3, 4}; p.FastNodes != 4 || p.TightPartitions != 1 || !reflect.DeepEqual(p.Part, want) {
+			t.Fatalf("partitioned as %+v, want the rack %v and four loose nodes", p, want)
 		}
 	}
 }

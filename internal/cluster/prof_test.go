@@ -3,7 +3,6 @@ package cluster
 import (
 	"bytes"
 	"flag"
-	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -39,93 +38,64 @@ func profCases() []fastCase {
 }
 
 // TestProfilerReconciliation: with a profiler attached, the per-node
-// segment accounting must reconcile exactly with the engine's Stats on
-// both engine paths — compute with HostBusy, idle with HostIdle, and
+// segment accounting must reconcile exactly with the engine's Stats —
+// compute with HostBusy, idle with HostIdle, and
 // routing+barrier with HostBarrier. This is the acceptance bar that makes
 // the report trustworthy: nothing the profiler prints is a re-derivation,
 // it is the same charge stream the engine used.
 func TestProfilerReconciliation(t *testing.T) {
 	for _, c := range profCases() {
-		for _, workers := range []int{0, 2} {
-			t.Run(fmt.Sprintf("%s/workers=%d", c.name, workers), func(t *testing.T) {
-				p := prof.New()
-				cfg := testConfig(c.nodes, c.w, c.pol)
-				cfg.Workers = workers
-				cfg.Faults = c.faults
-				cfg.Profiler = p
-				res, err := Run(cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				rep := p.Report()
+		t.Run(c.name, func(t *testing.T) {
+			p := prof.New()
+			cfg := c.config()
+			cfg.Observer = p
+			res, err := Run(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rep := p.Report()
 
-				if !rep.Complete {
-					t.Error("report not marked complete after a finished run")
-				}
-				if rep.Quanta != int64(res.Stats.Quanta) {
-					t.Errorf("report quanta %d, stats %d", rep.Quanta, res.Stats.Quanta)
-				}
-				if rep.Packets != int64(res.Stats.Packets) {
-					t.Errorf("report packets %d, stats %d", rep.Packets, res.Stats.Packets)
-				}
-				if rep.Stragglers != int64(res.Stats.Stragglers) {
-					t.Errorf("report stragglers %d, stats %d", rep.Stragglers, res.Stats.Stragglers)
-				}
-				if rep.Totals.ComputeNS != int64(res.Stats.HostBusy) {
-					t.Errorf("compute %d != HostBusy %d", rep.Totals.ComputeNS, int64(res.Stats.HostBusy))
-				}
-				if rep.Totals.IdleNS != int64(res.Stats.HostIdle) {
-					t.Errorf("idle %d != HostIdle %d", rep.Totals.IdleNS, int64(res.Stats.HostIdle))
-				}
-				if got := rep.Totals.RoutingNS + rep.Totals.BarrierNS; got != int64(res.Stats.HostBarrier) {
-					t.Errorf("routing+barrier %d != HostBarrier %d", got, int64(res.Stats.HostBarrier))
-				}
+			if !rep.Complete {
+				t.Error("report not marked complete after a finished run")
+			}
+			if rep.Quanta != int64(res.Stats.Quanta) {
+				t.Errorf("report quanta %d, stats %d", rep.Quanta, res.Stats.Quanta)
+			}
+			if rep.Packets != int64(res.Stats.Packets) {
+				t.Errorf("report packets %d, stats %d", rep.Packets, res.Stats.Packets)
+			}
+			if rep.Stragglers != int64(res.Stats.Stragglers) {
+				t.Errorf("report stragglers %d, stats %d", rep.Stragglers, res.Stats.Stragglers)
+			}
+			if rep.Totals.ComputeNS != int64(res.Stats.HostBusy) {
+				t.Errorf("compute %d != HostBusy %d", rep.Totals.ComputeNS, int64(res.Stats.HostBusy))
+			}
+			if rep.Totals.IdleNS != int64(res.Stats.HostIdle) {
+				t.Errorf("idle %d != HostIdle %d", rep.Totals.IdleNS, int64(res.Stats.HostIdle))
+			}
+			if got := rep.Totals.RoutingNS + rep.Totals.BarrierNS; got != int64(res.Stats.HostBarrier) {
+				t.Errorf("routing+barrier %d != HostBarrier %d", got, int64(res.Stats.HostBarrier))
+			}
 
-				var compute, idle, wait int64
-				for _, n := range rep.PerNode {
-					compute += n.ComputeNS
-					idle += n.IdleNS
-					wait += n.WaitNS
-				}
-				if compute != rep.Totals.ComputeNS || idle != rep.Totals.IdleNS || wait != rep.Totals.WaitNS {
-					t.Errorf("per-node sums (%d,%d,%d) != totals (%d,%d,%d)",
-						compute, idle, wait, rep.Totals.ComputeNS, rep.Totals.IdleNS, rep.Totals.WaitNS)
-				}
+			var compute, idle, wait int64
+			for _, n := range rep.PerNode {
+				compute += n.ComputeNS
+				idle += n.IdleNS
+				wait += n.WaitNS
+			}
+			if compute != rep.Totals.ComputeNS || idle != rep.Totals.IdleNS || wait != rep.Totals.WaitNS {
+				t.Errorf("per-node sums (%d,%d,%d) != totals (%d,%d,%d)",
+					compute, idle, wait, rep.Totals.ComputeNS, rep.Totals.IdleNS, rep.Totals.WaitNS)
+			}
 
-				var causeSum int64
-				for _, cc := range rep.Engagement.Causes {
-					causeSum += cc.Quanta
-				}
-				if causeSum != rep.Quanta {
-					t.Errorf("cause counts sum to %d, want %d", causeSum, rep.Quanta)
-				}
-			})
-		}
-	}
-}
-
-// TestProfilerReportWorkerInvariant: the canonical JSON must be
-// byte-identical for any worker count, fast path or classic engine. The
-// eligibility semantics (Q <= lookahead) deliberately exclude the
-// Workers gate so this holds.
-func TestProfilerReportWorkerInvariant(t *testing.T) {
-	run := func(workers int) []byte {
-		p := prof.New()
-		cfg := testConfig(8, workloads.Uniform(120, 2000, 30*simtime.Microsecond, 11),
-			adaptive(simtime.Microsecond, 100*simtime.Microsecond, 1.05, 0.02))
-		cfg.Net = rackNet()
-		cfg.Workers = workers
-		cfg.Profiler = p
-		if _, err := Run(cfg); err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		return p.Report().JSON()
-	}
-	base := run(0)
-	for _, workers := range []int{1, 3} {
-		if got := run(workers); !bytes.Equal(base, got) {
-			t.Errorf("report bytes differ between workers=0 and workers=%d", workers)
-		}
+			var causeSum int64
+			for _, cc := range rep.Engagement.Causes {
+				causeSum += cc.Quanta
+			}
+			if causeSum != rep.Quanta {
+				t.Errorf("cause counts sum to %d, want %d", causeSum, rep.Quanta)
+			}
+		})
 	}
 }
 
@@ -136,7 +106,7 @@ func TestProfilerReportGolden(t *testing.T) {
 	p := prof.New()
 	cfg := testConfig(8, workloads.Uniform(120, 2000, 30*simtime.Microsecond, 11), fixed(10*simtime.Microsecond))
 	cfg.Net = rackNet()
-	cfg.Profiler = p
+	cfg.Observer = p
 	if _, err := Run(cfg); err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +138,7 @@ func TestProfilerLimitingLinksRack(t *testing.T) {
 	p := prof.New()
 	cfg := testConfig(8, workloads.Uniform(200, 2000, 20*simtime.Microsecond, 17), fixed(2*simtime.Microsecond))
 	cfg.Net = rackNet()
-	cfg.Profiler = p
+	cfg.Observer = p
 	if _, err := Run(cfg); err != nil {
 		t.Fatal(err)
 	}
@@ -216,7 +186,7 @@ func TestProfilerFaultsUseIdealLatency(t *testing.T) {
 		p := prof.New()
 		cfg := testConfig(4, workloads.Uniform(150, 1500, 20*simtime.Microsecond, 23), fixed(simtime.Microsecond))
 		cfg.Faults = plan
-		cfg.Profiler = p
+		cfg.Observer = p
 		if _, err := Run(cfg); err != nil {
 			t.Fatal(err)
 		}
@@ -251,7 +221,7 @@ func TestProfilerFaultsUseIdealLatency(t *testing.T) {
 func TestParallelProfilerSmoke(t *testing.T) {
 	p := prof.New()
 	cfg := testConfig(4, workloads.PingPong(20, 1000), fixed(simtime.Microsecond))
-	cfg.Profiler = p
+	cfg.Observer = p
 	res, err := RunParallel(cfg, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -289,7 +259,7 @@ func TestProfilerNilIsNoop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.Profiler = prof.New()
+	cfg.Observer = prof.New()
 	profiled, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -321,38 +291,27 @@ func (t *tape) NodePhase(n int, ph obs.Phase, g0, g1 simtime.Guest, h0, h1 simti
 // TestProfilerStreamReplay: the Observer stream is everything the profiler
 // knows. One run's recorded stream, replayed into a fresh profiler, must
 // reproduce the report of the profiler that was attached live, byte for byte
-// — faults, jitter and slowdown included, on every partitioning and on the
-// whole-cluster reference walk. It fails the day the engine feeds the
-// profiler anything the stream does not carry.
+// — faults, jitter and slowdown included, on every partitioning. It fails the
+// day the engine feeds the profiler anything the stream does not carry. The
+// live profiler is attached as Config.Profiler: this is the test that pins
+// that field's composition into the run's observer.
 func TestProfilerStreamReplay(t *testing.T) {
 	for _, c := range profCases() {
-		for _, workers := range []int{0, 2} {
-			for _, reference := range []bool{false, true} {
-				t.Run(fmt.Sprintf("%s/workers=%d/reference=%t", c.name, workers, reference), func(t *testing.T) {
-					live, rec := prof.New(), &tape{}
-					cfg := testConfig(c.nodes, c.w, c.pol)
-					if c.net != nil {
-						cfg.Net = c.net
-					}
-					cfg.Workers = workers
-					cfg.Faults = c.faults
-					cfg.Observer = rec
-					cfg.Profiler = live
-					if reference {
-						cfg.onPartition = func(*partitioning) bool { return true }
-					}
-					if _, err := Run(cfg); err != nil {
-						t.Fatal(err)
-					}
-					replayed := prof.New()
-					for _, call := range *rec {
-						call(replayed)
-					}
-					if got, want := replayed.Report().JSON(), live.Report().JSON(); !bytes.Equal(got, want) {
-						t.Errorf("replayed report differs from the live one:\n%s\nvs\n%s", got, want)
-					}
-				})
+		t.Run(c.name, func(t *testing.T) {
+			live, rec := prof.New(), &tape{}
+			cfg := c.config()
+			cfg.Observer = rec
+			cfg.Profiler = live
+			if _, err := Run(cfg); err != nil {
+				t.Fatal(err)
 			}
-		}
+			replayed := prof.New()
+			for _, call := range *rec {
+				call(replayed)
+			}
+			if got, want := replayed.Report().JSON(), live.Report().JSON(); !bytes.Equal(got, want) {
+				t.Errorf("replayed report differs from the live one:\n%s\nvs\n%s", got, want)
+			}
+		})
 	}
 }

@@ -57,9 +57,10 @@ func TestStreamOrderContract(t *testing.T) {
 			cfg := c.config()
 			cfg.Observer = tape
 			skipped := map[nodeQuantum]bool{}
-			cfg.onQuiet = func(qi, node int) bool {
-				skipped[nodeQuantum{qi, node}] = true
-				return true
+			cfg.onSkip = func(qi, node, k int) {
+				for j := qi; j < qi+k; j++ {
+					skipped[nodeQuantum{j, node}] = true
+				}
 			}
 			if _, err := Run(cfg); err != nil {
 				t.Fatal(err)
