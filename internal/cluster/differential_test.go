@@ -257,92 +257,158 @@ func checkContracts(t *testing.T, label string, o observed) {
 	}
 }
 
-// requireDifferential runs cfg on Run, observed and not, and on the
-// reference, holds the three to each other and both observed runs to the
-// contracts, and returns Run's observed run.
-func requireDifferential(t *testing.T, cfg Config) observed {
+// diffRun is one configuration run three times: observed on Run and on the
+// reference, and unobserved on Run.
+type diffRun struct {
+	got, ref observed
+	bare     *Result
+	bareErr  error
+}
+
+func runDifferential(cfg Config) *diffRun {
+	d := &diffRun{ref: observe(simulateReference, cfg), got: observe(Run, cfg)}
+	d.bare, d.bareErr = Run(cfg)
+	return d
+}
+
+// require holds the runs to everything the differential checks of any
+// configuration.
+func (d *diffRun) require(t *testing.T) {
 	t.Helper()
-	ref := observe(simulateReference, cfg)
-	got := observe(Run, cfg)
-	requireSameRun(t, got, ref)
-	// A second, unobserved run: observing must not perturb the run, and the
-	// run must be deterministic.
-	bare, err := Run(cfg)
-	if fmt.Sprint(err) != fmt.Sprint(got.err) || !reflect.DeepEqual(bare, got.res) {
-		t.Errorf("observing changed the run: %v %+v, unobserved %v %+v", got.err, got.res, err, bare)
+	d.requireSame(t)
+	d.requireContracts(t)
+	requireRecorded(t, "Run", d.got)
+	requireRecorded(t, "reference", d.ref)
+	requireSummary(t, d.got)
+}
+
+// requireSame holds Run to the reference, and the observed run to the
+// unobserved one: observing must not perturb the run, and the run must be
+// deterministic.
+func (d *diffRun) requireSame(t *testing.T) {
+	t.Helper()
+	requireSameRun(t, d.got, d.ref)
+	if fmt.Sprint(d.bareErr) != fmt.Sprint(d.got.err) || !reflect.DeepEqual(d.bare, d.got.res) {
+		t.Errorf("observing changed the run: %v %+v, unobserved %v %+v", d.got.err, d.got.res, d.bareErr, d.bare)
 	}
-	if ref.err == nil {
-		checkContracts(t, "reference", ref)
-		checkContracts(t, "Run", got)
+}
+
+// requireContracts holds both observed runs, if they completed, to the
+// contracts.
+func (d *diffRun) requireContracts(t *testing.T) {
+	t.Helper()
+	if d.ref.err == nil && d.got.err == nil {
+		checkContracts(t, "reference", d.ref)
+		checkContracts(t, "Run", d.got)
 	}
-	// obs.Recorder keeps exactly the stream's Packet and QuantumEnd hooks, in
-	// stream order.
+}
+
+// requireRecorded: obs.Recorder keeps exactly the stream's Packet and
+// QuantumEnd hooks, in stream order, one QuantumEnd per quantum.
+func requireRecorded(t *testing.T, label string, o observed) {
+	t.Helper()
 	var pkts []obs.PacketRecord
 	var quanta []obs.QuantumRecord
-	for _, tp := range got.probe.pkts {
+	for _, tp := range o.probe.pkts {
 		pkts = append(pkts, tp.rec)
 	}
-	for _, h := range got.probe.quanta {
+	for _, h := range o.probe.quanta {
 		if q, ok := h.(obs.QuantumRecord); ok {
 			quanta = append(quanta, q)
 		}
 	}
-	if !reflect.DeepEqual(got.rec.Packets, pkts) || !reflect.DeepEqual(got.rec.Quanta, quanta) {
-		t.Errorf("obs.Recorder holds %d packets and %d quanta, not the stream's %d and %d",
-			len(got.rec.Packets), len(got.rec.Quanta), len(pkts), len(quanta))
+	if !reflect.DeepEqual(o.rec.Packets, pkts) || !reflect.DeepEqual(o.rec.Quanta, quanta) {
+		t.Errorf("%s: obs.Recorder holds %d packets and %d quanta, not the stream's %d and %d",
+			label, len(o.rec.Packets), len(o.rec.Quanta), len(pkts), len(quanta))
 	}
-	if s := got.probe.sum; s.QuietQuanta != len(got.quiet) || s.QuietNodeQuanta != len(got.skipped) {
-		t.Errorf("RunSummary reports %d quiet quanta and %d node-quanta, the skip probe saw %d and %d",
-			s.QuietQuanta, s.QuietNodeQuanta, len(got.quiet), len(got.skipped))
+	if o.res != nil && len(quanta) != o.res.Stats.Quanta {
+		t.Errorf("%s: the stream carried %d QuantumEnd hooks, Stats.Quanta = %d", label, len(quanta), o.res.Stats.Quanta)
 	}
-	return got
 }
 
-// TestDifferential holds Run to the reference engine (reference_test.go) over
-// the behaviour matrix, the 64-node sparse case, random fat-tree/fault
-// scenarios, an arrival-tie boundary, both ruled-out lookaheads, and silent
-// clusters whose quiet stretches collapse: at quanta
-// that divide a jitter window (1µs, 10µs), straddle its edges (3µs) and
-// exceed it (25µs), with a sampling schedule, per-node host slowdowns, and a
-// guest limit that falls inside a window.
-func TestDifferential(t *testing.T) {
-	type row struct {
-		name      string
-		cfg       Config
-		aborts    bool
-		collapses bool // some quiet stretch must be longer than one quantum
-		never     bool // none may be
+// requireSummary: the RunSummary counts the quanta and node-quanta the skip
+// probe saw fast-forwarded.
+func requireSummary(t *testing.T, o observed) {
+	t.Helper()
+	if s := o.probe.sum; s.QuietQuanta != len(o.quiet) || s.QuietNodeQuanta != len(o.skipped) {
+		t.Errorf("RunSummary reports %d quiet quanta and %d node-quanta, the skip probe saw %d and %d",
+			s.QuietQuanta, s.QuietNodeQuanta, len(o.quiet), len(o.skipped))
 	}
-	var rows []row
-	sampling := &host.Sampling{Period: 7 * simtime.Microsecond, DetailFraction: 0.4, FastSlowdown: 2}
+}
+
+// diffRow is one configuration of the differential.
+type diffRow struct {
+	key, name string // key tells apart rows the tests below share
+	cfg       Config
+	aborts    bool
+	collapses bool // some quiet stretch must be longer than one quantum
+	never     bool // none may be
+}
+
+// diffRuns holds the rows' runs by key. TestDifferential holds every row to
+// everything; the tests after it each read one facet of the rows they cover.
+// A row runs once per test binary, whichever test asks first.
+var diffRuns = map[string]*diffRun{}
+
+func (r diffRow) run() *diffRun {
+	d := diffRuns[r.key]
+	if d == nil {
+		d = runDifferential(r.cfg)
+		diffRuns[r.key] = d
+	}
+	return d
+}
+
+// requireShape checks how the row's run must end and whether its quiet
+// stretches may collapse.
+func (r diffRow) requireShape(t *testing.T, d *diffRun) {
+	t.Helper()
+	if r.aborts != errors.Is(d.got.err, ErrGuestLimit) {
+		t.Errorf("run ended with %v, want a guest-limit abort: %v", d.got.err, r.aborts)
+	}
+	collapsed := slices.ContainsFunc(d.got.stretches, func(k int) bool { return k > 1 })
+	if r.collapses && !collapsed || r.never && collapsed {
+		t.Errorf("stretches of %v quanta; want one longer than a quantum: %v, want none: %v", d.got.stretches, r.collapses, r.never)
+	}
+}
+
+func caseRow(c fastCase) diffRow { return diffRow{key: c.name, name: c.name, cfg: c.config()} }
+
+// matrixRows is the behaviour matrix and the 64-node sparse case.
+func matrixRows() []diffRow {
+	var rows []diffRow
 	for _, c := range append(fastCases(), sparseCase(15)) {
-		rows = append(rows, row{name: c.name, cfg: c.config()})
-		if c.name == "phases-4" { // traffic under a sampling schedule
+		rows = append(rows, caseRow(c))
+	}
+	return rows
+}
+
+// trialRows is n random fat-tree/fault scenarios drawn from seed.
+func trialRows(seed int64, n int) []diffRow {
+	rnd := rand.New(rand.NewSource(seed))
+	var rows []diffRow
+	for trial := 0; trial < n; trial++ {
+		c, _ := randomFatTreeCase(rnd, trial)
+		rows = append(rows, diffRow{key: fmt.Sprintf("%d/%s", seed, c.name), name: c.name, cfg: c.config()})
+	}
+	return rows
+}
+
+// stretchRows is phases-4's traffic under a sampling schedule, and silent
+// clusters whose quiet stretches collapse: at quanta that divide a jitter
+// window (1µs, 10µs), straddle its edges (3µs) and exceed it (25µs), with a
+// sampling schedule, per-node host slowdowns, and a guest limit that falls
+// inside a window.
+func stretchRows() []diffRow {
+	sampling := &host.Sampling{Period: 7 * simtime.Microsecond, DetailFraction: 0.4, FastSlowdown: 2}
+	var rows []diffRow
+	for _, c := range fastCases() {
+		if c.name == "phases-4" {
 			sampled := c.config()
 			sampled.Host.Sampling = sampling
-			rows = append(rows, row{name: c.name + "/sampling", cfg: sampled, never: true})
+			rows = append(rows, diffRow{key: c.name + "/sampling", name: c.name + "/sampling", cfg: sampled, never: true})
 		}
 	}
-	rnd := rand.New(rand.NewSource(20260807))
-	for trial := 0; trial < 10; trial++ {
-		c, _ := randomFatTreeCase(rnd, trial)
-		rows = append(rows, row{name: c.name, cfg: c.config()})
-	}
-	// The rule's boundary: a host that runs guest code at guest speed, with no
-	// jitter and a frame's trip to the controller as long as its link latency,
-	// so that a frame reaches the controller as its walking destination reaches
-	// the frame's arrival time — which is still an exact delivery.
-	tie := testConfig(4, workloads.Uniform(40, 1000, 10*simtime.Microsecond, 5), fixed(5*simtime.Microsecond))
-	tie.Net = &netmodel.Model{NIC: &netmodel.SimpleNIC{BaseLatency: simtime.Microsecond}, Switch: netmodel.PerfectSwitch{}}
-	tie.Host = host.Params{BusySlowdown: 1, IdleSlowdown: 1, JitterPeriod: 10 * simtime.Microsecond,
-		BarrierCost: simtime.Microsecond, PacketTransit: simtime.Microsecond, Seed: 1}
-	rows = append(rows, row{name: "arrival-ties-4", cfg: tie})
-	// Lookahead ruled out, by a zero-latency link or by a one-node cluster:
-	// every quantum is the whole cluster, and the stream names no partition.
-	zero := testConfig(4, workloads.Phases(3, 150*simtime.Microsecond, 16<<10), fixed(simtime.Microsecond))
-	zero.Net = &netmodel.Model{NIC: &netmodel.SimpleNIC{}, Switch: netmodel.PerfectSwitch{}}
-	rows = append(rows, row{name: "zero-latency-4", cfg: zero},
-		row{name: "one-node", cfg: testConfig(1, workloads.Silent(50*simtime.Microsecond), fixed(simtime.Microsecond))})
 	for _, nodes := range []int{8, 64} {
 		for _, q := range []simtime.Duration{1, 3, 10, 25} {
 			base := testConfig(nodes, workloads.Silent(300*simtime.Microsecond), fixed(q*simtime.Microsecond))
@@ -352,29 +418,148 @@ func TestDifferential(t *testing.T) {
 			limited.MaxGuest = simtime.Guest(47500 * simtime.Nanosecond)
 			name, collapses := fmt.Sprintf("silent-%d/Q=%dus", nodes, q), q < 10
 			rows = append(rows,
-				row{name: name, cfg: base, collapses: collapses, never: !collapses},
-				row{name: name + "/sampling", cfg: sampled, never: true},
-				row{name: name + "/slow", cfg: slowed, collapses: collapses},
-				row{name: name + "/maxguest", cfg: limited, collapses: collapses, aborts: true})
+				diffRow{key: name, name: name, cfg: base, collapses: collapses, never: !collapses},
+				diffRow{key: name + "/sampling", name: name + "/sampling", cfg: sampled, never: true},
+				diffRow{key: name + "/slow", name: name + "/slow", cfg: slowed, collapses: collapses},
+				diffRow{key: name + "/maxguest", name: name + "/maxguest", cfg: limited, collapses: collapses, aborts: true})
 		}
 	}
+	return rows
+}
+
+// ruledOutConfigs is a configuration whose lookahead a zero-latency link rules
+// out, and one whose lookahead a one-node cluster does.
+func ruledOutConfigs() (zero, one Config) {
+	zero = testConfig(4, workloads.Phases(3, 150*simtime.Microsecond, 16<<10), fixed(simtime.Microsecond))
+	zero.Net = &netmodel.Model{NIC: &netmodel.SimpleNIC{}, Switch: netmodel.PerfectSwitch{}}
+	return zero, testConfig(1, workloads.Silent(50*simtime.Microsecond), fixed(simtime.Microsecond))
+}
+
+// boundaryRows is the rule's boundary and both ruled-out lookaheads.
+func boundaryRows() []diffRow {
+	// A host that runs guest code at guest speed, with no jitter and a frame's
+	// trip to the controller as long as its link latency, so that a frame
+	// reaches the controller as its walking destination reaches the frame's
+	// arrival time — which is still an exact delivery.
+	tie := testConfig(4, workloads.Uniform(40, 1000, 10*simtime.Microsecond, 5), fixed(5*simtime.Microsecond))
+	tie.Net = &netmodel.Model{NIC: &netmodel.SimpleNIC{BaseLatency: simtime.Microsecond}, Switch: netmodel.PerfectSwitch{}}
+	tie.Host = host.Params{BusySlowdown: 1, IdleSlowdown: 1, JitterPeriod: 10 * simtime.Microsecond,
+		BarrierCost: simtime.Microsecond, PacketTransit: simtime.Microsecond, Seed: 1}
+	// Lookahead ruled out: every quantum is the whole cluster, and the stream
+	// names no partition.
+	zero, one := ruledOutConfigs()
+	return []diffRow{
+		{key: "arrival-ties-4", name: "arrival-ties-4", cfg: tie},
+		{key: "zero-latency-4", name: "zero-latency-4", cfg: zero},
+		{key: "one-node", name: "one-node", cfg: one},
+	}
+}
+
+// TestDifferential holds Run to the reference engine (reference_test.go) over
+// the behaviour matrix, the 64-node sparse case, random fat-tree/fault
+// scenarios, an arrival-tie boundary, both ruled-out lookaheads, and silent
+// clusters whose quiet stretches collapse.
+func TestDifferential(t *testing.T) {
+	rows := slices.Concat(matrixRows(), stretchRows(), boundaryRows(),
+		trialRows(20260807, 10), trialRows(20260928, 8), trialRows(20260929, 6))
 	whole, partial := 0, 0
 	for _, r := range rows {
 		t.Run(r.name, func(t *testing.T) {
-			got := requireDifferential(t, r.cfg)
-			if r.aborts != errors.Is(got.err, ErrGuestLimit) {
-				t.Errorf("run ended with %v, want a guest-limit abort: %v", got.err, r.aborts)
-			}
-			collapsed := slices.ContainsFunc(got.stretches, func(k int) bool { return k > 1 })
-			if r.collapses && !collapsed || r.never && collapsed {
-				t.Errorf("stretches of %v quanta; want one longer than a quantum: %v, want none: %v", got.stretches, r.collapses, r.never)
-			}
-			whole += len(got.quiet)
-			partial += len(got.skipped) - r.cfg.Nodes*len(got.quiet)
+			d := r.run()
+			d.require(t)
+			r.requireShape(t, d)
+			whole += len(d.got.quiet)
+			partial += len(d.got.skipped) - r.cfg.Nodes*len(d.got.quiet)
 		})
 	}
 	if whole == 0 || partial == 0 {
 		t.Errorf("fast-forwarded %d quiet quanta and %d node-quanta of stepped quanta: the comparison is vacuous", whole, partial)
+	}
+}
+
+// TestFastPathMatchesClassicSemantics: on the behaviour matrix and the sparse
+// case, Run — partitioned, fast-forwarded, its quiet stretches collapsed —
+// reproduces every number of the reference, which steps every node through
+// every quantum on one event list.
+func TestFastPathMatchesClassicSemantics(t *testing.T) {
+	for _, r := range matrixRows() {
+		t.Run(r.name, func(t *testing.T) { r.run().requireSame(t) })
+	}
+}
+
+// TestQuietPassDifferential: over the behaviour matrix, the sparse case and
+// random fat-tree/fault scenarios, the run the quiet pass fast-forwards
+// matches the reference, which fast-forwards nothing, and its summary counts
+// what the pass skipped — whole quanta on some rows, single nodes of stepped
+// quanta on others.
+func TestQuietPassDifferential(t *testing.T) {
+	whole, partial := 0, 0
+	for _, r := range slices.Concat(matrixRows(), trialRows(20260928, 8)) {
+		t.Run(r.name, func(t *testing.T) {
+			d := r.run()
+			d.requireSame(t)
+			requireSummary(t, d.got)
+			whole += len(d.got.quiet)
+			partial += len(d.got.skipped) - r.cfg.Nodes*len(d.got.quiet)
+		})
+	}
+	if whole == 0 || partial == 0 {
+		t.Errorf("fast-forwarded %d quiet quanta and %d node-quanta of stepped quanta: the comparison is vacuous", whole, partial)
+	}
+}
+
+// TestQuietStretchDifferential: quiet stretches collapse where the row
+// expects it and nowhere else, a guest limit inside a stretch aborts as it
+// does on the reference, and collapsing changes nothing the reference can
+// tell apart.
+func TestQuietStretchDifferential(t *testing.T) {
+	for _, r := range slices.Concat(matrixRows(), stretchRows()) {
+		t.Run(r.name, func(t *testing.T) {
+			d := r.run()
+			d.requireSame(t)
+			r.requireShape(t, d)
+		})
+	}
+}
+
+// TestRecorderStream: on Run and on the reference, an obs.Recorder keeps
+// exactly the stream's Packet and QuantumEnd hooks in stream order, and the
+// canonical encoding of the recorded run does not depend on which engine
+// produced it.
+func TestRecorderStream(t *testing.T) {
+	for _, c := range fastCases() {
+		r := caseRow(c)
+		t.Run(r.name, func(t *testing.T) {
+			d := r.run()
+			if d.got.err != nil || d.ref.err != nil {
+				t.Fatalf("Run: %v, reference: %v", d.got.err, d.ref.err)
+			}
+			requireRecorded(t, "Run", d.got)
+			requireRecorded(t, "reference", d.ref)
+			if !bytes.Equal(CanonicalResult(d.got.res, d.got.rec), CanonicalResult(d.ref.res, d.ref.rec)) {
+				t.Error("CanonicalResult differs between Run and the reference")
+			}
+		})
+	}
+}
+
+// TestNodePhaseTiling: on Run and on the reference, over the behaviour
+// matrix, the sparse case and random scenarios, the runs keep the contracts —
+// each node's busy and idle records tile its guest time and reconcile with
+// HostBusy + HostIdle among them. The quiet pass reports a node's quantum
+// while the node's own clock lags (DESIGN.md §7.1); a path that read the
+// lagging clock would open a gap here, so some node-quanta must be skipped.
+func TestNodePhaseTiling(t *testing.T) {
+	lagged := 0
+	for _, r := range slices.Concat(matrixRows(), trialRows(20260929, 6)) {
+		t.Run(r.name, func(t *testing.T) {
+			d := r.run()
+			d.requireContracts(t)
+			lagged += d.got.probe.sum.QuietNodeQuanta
+		})
+	}
+	if lagged == 0 {
+		t.Error("no node-quantum was fast-forwarded: the lagging-clock half of the test is vacuous")
 	}
 }
 
@@ -391,6 +576,6 @@ func FuzzDifferential(f *testing.F) {
 		if adaptivePolicy {
 			c.pol = adaptive(simtime.Microsecond, 200*simtime.Microsecond, 1.1, 0.02)
 		}
-		requireDifferential(t, c.config())
+		runDifferential(c.config()).require(t)
 	})
 }

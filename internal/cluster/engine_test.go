@@ -109,6 +109,25 @@ func TestPingPongLargeQuantumInflatesLatency(t *testing.T) {
 		rttBase, rttBig, base.HostTime, big.HostTime, big.Stats.Stragglers, big.Stats.QuantumSnaps)
 }
 
+func TestDeterminism(t *testing.T) {
+	w := workloads.Phases(5, 200*simtime.Microsecond, 64<<10)
+	run := func() *Result {
+		res, err := Run(testConfig(4, w, adaptive(simtime.Microsecond, simtime.Millisecond, 1.03, 0.02)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	a, b := run(), run()
+	if a.GuestTime != b.GuestTime || a.HostTime != b.HostTime {
+		t.Errorf("non-deterministic results: (%v,%v) vs (%v,%v)",
+			a.GuestTime, a.HostTime, b.GuestTime, b.HostTime)
+	}
+	if a.Stats != b.Stats {
+		t.Errorf("non-deterministic stats:\n%+v\n%+v", a.Stats, b.Stats)
+	}
+}
+
 func TestAdaptiveFasterThanGroundTruthOnPhases(t *testing.T) {
 	w := workloads.Phases(4, 2*simtime.Millisecond, 32<<10)
 	base, err := Run(testConfig(4, w, fixed(simtime.Microsecond)))

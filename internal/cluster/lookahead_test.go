@@ -211,6 +211,34 @@ func minLinkLat(m *netmodel.Model, nodes int) simtime.Duration {
 	return min
 }
 
+// A run whose lookahead is ruled out — a zero-latency link, a one-node
+// cluster — executes every quantum as the whole cluster, is accounted no
+// engagement, and tells the stream nothing about partitions.
+func TestRuledOutLookaheadRun(t *testing.T) {
+	zero, one := ruledOutConfigs()
+	for name, cfg := range map[string]Config{"zero-latency link": zero, "one node": one} {
+		r := observe(Run, cfg)
+		if r.err != nil {
+			t.Fatalf("%s: %v", name, r.err)
+		}
+		if s := r.res.Stats; s.FastFullQuanta+s.FastPartialQuanta+s.FastNodeQuanta+s.PartialPartitions != 0 {
+			t.Errorf("%s: engagement accounted without lookahead: %+v", name, s)
+		}
+		la := newLookahead(cfg.Net, cfg.Nodes)
+		for _, h := range r.probe.quanta {
+			switch h := h.(type) {
+			case obs.Partitioning:
+				t.Fatalf("%s: the stream names a partitioning %+v", name, h)
+			case obs.QuantumRecord:
+				if p := la.partitionFor(h.Q); h.FastEligible || p.FastNodes != 0 || len(p.tight) != 1 || len(p.tight[0]) != cfg.Nodes {
+					t.Fatalf("%s: quantum %d (eligible %v) executes as %d loose nodes and tight partitions %v",
+						name, h.Index, h.FastEligible, p.FastNodes, p.tight)
+				}
+			}
+		}
+	}
+}
+
 // partitionsOf runs c and returns the partitionings its stream published, one
 // per quantum.
 func partitionsOf(t *testing.T, c fastCase) (*Result, []obs.Partitioning) {

@@ -152,6 +152,29 @@ func TestRegistryMatchesStats(t *testing.T) {
 	}
 }
 
+// TestObserverDoesNotPerturbRun: attaching observers must not change any
+// simulation outcome.
+func TestObserverDoesNotPerturbRun(t *testing.T) {
+	w := workloads.Phases(3, 200*simtime.Microsecond, 32<<10)
+	mk := func() Config {
+		return testConfig(4, w, adaptive(simtime.Microsecond, simtime.Millisecond, 1.04, 0.05))
+	}
+	plain, err := Run(mk())
+	if err != nil {
+		t.Fatal(err)
+	}
+	observed := mk()
+	var buf bytes.Buffer
+	observed.Observer = obs.Multi(obs.NewChromeTracer(&buf), obs.NewRegistry())
+	got, err := Run(observed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if plain.GuestTime != got.GuestTime || plain.HostTime != got.HostTime || plain.Stats != got.Stats {
+		t.Errorf("observer changed the run:\nplain    %+v\nobserved %+v", plain.Stats, got.Stats)
+	}
+}
+
 // TestStatsFinalize covers the MinQ sentinel fix: a Stats with no quanta
 // must finalize to zeroes instead of leaking a sentinel, and MinQ must track
 // the first observed quantum.

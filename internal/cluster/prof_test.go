@@ -3,6 +3,7 @@ package cluster
 import (
 	"bytes"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -37,6 +38,21 @@ func profCases() []fastCase {
 	})
 }
 
+// workerConfigs is each profCases configuration with the Config.Workers stub
+// at 0 and at 2, named case/workers=N. Nothing reads the field, so nothing a
+// run reports may depend on it.
+func workerConfigs() (names []string, cfgs []Config) {
+	for _, c := range profCases() {
+		for _, workers := range []int{0, 2} {
+			cfg := c.config()
+			cfg.Workers = workers
+			names = append(names, fmt.Sprintf("%s/workers=%d", c.name, workers))
+			cfgs = append(cfgs, cfg)
+		}
+	}
+	return names, cfgs
+}
+
 // TestProfilerReconciliation: with a profiler attached, the per-node
 // segment accounting must reconcile exactly with the engine's Stats —
 // compute with HostBusy, idle with HostIdle, and
@@ -44,10 +60,10 @@ func profCases() []fastCase {
 // the report trustworthy: nothing the profiler prints is a re-derivation,
 // it is the same charge stream the engine used.
 func TestProfilerReconciliation(t *testing.T) {
-	for _, c := range profCases() {
-		t.Run(c.name, func(t *testing.T) {
+	names, cfgs := workerConfigs()
+	for i, cfg := range cfgs {
+		t.Run(names[i], func(t *testing.T) {
 			p := prof.New()
-			cfg := c.config()
 			cfg.Observer = p
 			res, err := Run(cfg)
 			if err != nil {
@@ -289,29 +305,37 @@ func (t *tape) NodePhase(n int, ph obs.Phase, g0, g1 simtime.Guest, h0, h1 simti
 }
 
 // TestProfilerStreamReplay: the Observer stream is everything the profiler
-// knows. One run's recorded stream, replayed into a fresh profiler, must
-// reproduce the report of the profiler that was attached live, byte for byte
-// — faults, jitter and slowdown included, on every partitioning. It fails the
-// day the engine feeds the profiler anything the stream does not carry. The
-// live profiler is attached as Config.Profiler: this is the test that pins
-// that field's composition into the run's observer.
+// knows. A recorded stream, replayed into a fresh profiler, must reproduce
+// the report of the profiler attached live to Run, byte for byte — faults,
+// jitter and slowdown included, on every partitioning — whether the stream
+// is Run's own or the reference engine's. It fails the day the engine feeds
+// the profiler anything the stream does not carry. The live profiler is
+// attached as Config.Profiler: this is the test that pins that field's
+// composition into the run's observer.
 func TestProfilerStreamReplay(t *testing.T) {
-	for _, c := range profCases() {
-		t.Run(c.name, func(t *testing.T) {
-			live, rec := prof.New(), &tape{}
-			cfg := c.config()
-			cfg.Observer = rec
-			cfg.Profiler = live
-			if _, err := Run(cfg); err != nil {
-				t.Fatal(err)
-			}
-			replayed := prof.New()
-			for _, call := range *rec {
-				call(replayed)
-			}
-			if got, want := replayed.Report().JSON(), live.Report().JSON(); !bytes.Equal(got, want) {
-				t.Errorf("replayed report differs from the live one:\n%s\nvs\n%s", got, want)
-			}
-		})
+	names, cfgs := workerConfigs()
+	for i, cfg := range cfgs {
+		for _, reference := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/reference=%t", names[i], reference), func(t *testing.T) {
+				live, rec := prof.New(), &tape{}
+				cfg.Observer, cfg.Profiler = rec, live
+				if _, err := Run(cfg); err != nil {
+					t.Fatal(err)
+				}
+				if reference { // the reference reports to cfg.Observer alone
+					*rec = nil
+					if _, err := simulateReference(cfg); err != nil {
+						t.Fatal(err)
+					}
+				}
+				replayed := prof.New()
+				for _, call := range *rec {
+					call(replayed)
+				}
+				if got, want := replayed.Report().JSON(), live.Report().JSON(); !bytes.Equal(got, want) {
+					t.Errorf("replayed report differs from the live one:\n%s\nvs\n%s", got, want)
+				}
+			})
+		}
 	}
 }

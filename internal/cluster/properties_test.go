@@ -2,14 +2,47 @@ package cluster
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
+	"testing/quick"
 
 	"clustersim/internal/quantum"
 	"clustersim/internal/simtime"
 	"clustersim/internal/workloads"
 )
+
+// TestNoStragglersWhenQLeqT verifies the paper's safety condition: with the
+// quantum no larger than the minimum network latency T, no packet can ever
+// become a straggler, for any workload and node count.
+func TestNoStragglersWhenQLeqT(t *testing.T) {
+	ws := []workloads.Workload{
+		workloads.PingPong(30, 9000),
+		workloads.Phases(3, 150*simtime.Microsecond, 32<<10),
+		workloads.Uniform(15, 3000, 20*simtime.Microsecond, 7),
+	}
+	for _, w := range ws {
+		for _, nodes := range []int{2, 5, 8} {
+			cfg := testConfig(nodes, w, fixed(simtime.Microsecond))
+			T := minLinkLat(cfg.Net, nodes)
+			if simtime.Duration(simtime.Microsecond) > T {
+				t.Fatalf("test premise broken: Q=1µs > T=%v", T)
+			}
+			res, err := Run(cfg)
+			if err != nil {
+				t.Fatalf("%s ×%d: %v", w.Name, nodes, err)
+			}
+			if res.Stats.Stragglers != 0 || res.Stats.QuantumSnaps != 0 {
+				t.Errorf("%s ×%d: Q<=T produced %d stragglers (%d snaps)",
+					w.Name, nodes, res.Stats.Stragglers, res.Stats.QuantumSnaps)
+			}
+			if res.Stats.Deliveries != res.Stats.Exact {
+				t.Errorf("%s ×%d: %d deliveries but %d exact", w.Name, nodes, res.Stats.Deliveries, res.Stats.Exact)
+			}
+		}
+	}
+}
 
 // TestGroundTruthInvariantToHostModel verifies the deeper version of the
 // paper's safety condition — with the quantum no larger than the minimum
@@ -43,6 +76,20 @@ func TestGroundTruthInvariantToHostModel(t *testing.T) {
 	}
 }
 
+// TestDeliveryConservation: at a quantum below the lookahead, between and far
+// above it, the run keeps the contracts — every frame delivered as often as
+// conservation says, each delivery exact or a straggler, none before its
+// ideal arrival.
+func TestDeliveryConservation(t *testing.T) {
+	for _, q := range []simtime.Duration{simtime.Microsecond, 70 * simtime.Microsecond, simtime.Millisecond} {
+		o := observe(Run, testConfig(6, workloads.Phases(4, 120*simtime.Microsecond, 24<<10), fixed(q)))
+		if o.err != nil {
+			t.Fatalf("q=%v: %v", q, o.err)
+		}
+		checkContracts(t, fmt.Sprintf("q=%v", q), o)
+	}
+}
+
 // TestAccuracyMonotonicityCoarse: accuracy error at Q=1ms should not be
 // better than at Q=1µs-ground-truth-equivalents, and host time should fall
 // as Q grows, for a communication-bearing workload.
@@ -61,6 +108,18 @@ func TestAccuracyMonotonicityCoarse(t *testing.T) {
 			t.Errorf("host time did not fall from Q step %d: %v -> %v", i, hosts[i-1], hosts[i])
 		}
 	}
+}
+
+// TestQuantumTraceConsistency: under an adaptive policy the quantum records
+// tile guest and host time without a gap, each Q within the run's range —
+// the quantum half of the contracts.
+func TestQuantumTraceConsistency(t *testing.T) {
+	w := workloads.Phases(3, 150*simtime.Microsecond, 16<<10)
+	o := observe(Run, testConfig(4, w, adaptive(simtime.Microsecond, simtime.Millisecond, 1.05, 0.02)))
+	if o.err != nil {
+		t.Fatal(o.err)
+	}
+	checkContracts(t, "adaptive", o)
 }
 
 // TestAdaptiveQuantumRespondsToTraffic: quanta carrying packets must be
@@ -84,6 +143,28 @@ func TestAdaptiveQuantumRespondsToTraffic(t *testing.T) {
 	}
 	if res.Stats.MaxQ <= res.Stats.MinQ {
 		t.Error("adaptive quantum never moved")
+	}
+}
+
+// TestDeterminismProperty: identical configs yield identical results across
+// a range of random workload shapes.
+func TestDeterminismProperty(t *testing.T) {
+	f := func(phases, computeUs, burstKB uint8, seed uint16) bool {
+		w := workloads.Uniform(int(phases%8)+2, int(burstKB)*100+100,
+			simtime.Duration(computeUs%100+10)*simtime.Microsecond, uint64(seed))
+		cfg := testConfig(3, w, adaptive(simtime.Microsecond, 500*simtime.Microsecond, 1.04, 0.05))
+		a, err := Run(cfg)
+		if err != nil {
+			return false
+		}
+		b, err := Run(cfg)
+		if err != nil {
+			return false
+		}
+		return a.GuestTime == b.GuestTime && a.HostTime == b.HostTime && a.Stats == b.Stats
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 10}); err != nil {
+		t.Error(err)
 	}
 }
 
@@ -121,6 +202,16 @@ func TestErrorPaths(t *testing.T) {
 		if _, err := Run(cfg); err == nil {
 			t.Errorf("bad config %d accepted", i)
 		}
+	}
+}
+
+func TestGuestLimitAborts(t *testing.T) {
+	// A workload far longer than MaxGuest must abort cleanly.
+	cfg := testConfig(2, workloads.PingPong(1000000, 100), fixed(simtime.Microsecond))
+	cfg.MaxGuest = simtime.Guest(500 * simtime.Microsecond)
+	_, err := Run(cfg)
+	if err == nil {
+		t.Fatal("run past MaxGuest returned no error")
 	}
 }
 
