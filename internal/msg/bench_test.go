@@ -16,9 +16,10 @@ const streamMsgs, streamSize = 32, 32 << 10
 
 // streamConfig builds the message-stream fixture shared by the throughput
 // benchmarks and the allocation-regression test: 1 MiB of 32 KiB messages
-// from rank 0 to rank 1, size-only or carrying real payload bytes. Each rank
+// from rank 0 to rank 1, size-only or carrying real payload bytes, over
+// reliable endpoints (the sender then Flushes) or unreliable ones. Each rank
 // adds the switches into its workload to *resumes as it finishes.
-func streamConfig(payload bool, resumes *int) cluster.Config {
+func streamConfig(payload, reliable bool, resumes *int) cluster.Config {
 	return cluster.Config{
 		Nodes: 2,
 		Guest: guest.DefaultConfig(),
@@ -29,7 +30,7 @@ func streamConfig(payload bool, resumes *int) cluster.Config {
 		},
 		Program: func(rank, clusterSize int) guest.Program {
 			return func(p *guest.Proc) error {
-				ep := msg.New(p)
+				ep := msg.NewWithConfig(p, msg.Config{Reliable: reliable})
 				if rank == 0 {
 					var buf []byte
 					if payload {
@@ -45,6 +46,9 @@ func streamConfig(payload bool, resumes *int) cluster.Config {
 							ep.Send(1, 1, streamSize)
 						}
 					}
+					if err := ep.Flush(); err != nil {
+						return err
+					}
 				} else {
 					for i := 0; i < streamMsgs; i++ {
 						ep.Recv(0, 1)
@@ -58,9 +62,9 @@ func streamConfig(payload bool, resumes *int) cluster.Config {
 	}
 }
 
-func benchStream(b *testing.B, payload bool) {
+func benchStream(b *testing.B, payload, reliable bool) {
 	resumes, frames := 0, 0
-	cfg := streamConfig(payload, &resumes)
+	cfg := streamConfig(payload, reliable, &resumes)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		res, err := cluster.Run(cfg)
@@ -75,8 +79,13 @@ func benchStream(b *testing.B, payload bool) {
 
 // BenchmarkMessageStream measures end-to-end message-layer throughput
 // through the full simulator: 1 MiB of 32 KiB messages per run.
-func BenchmarkMessageStream(b *testing.B) { benchStream(b, false) }
+func BenchmarkMessageStream(b *testing.B) { benchStream(b, false, false) }
 
 // BenchmarkMessageStreamPayload is the same stream carrying actual payload
 // bytes, exercising the per-fragment wire-byte path end to end.
-func BenchmarkMessageStreamPayload(b *testing.B) { benchStream(b, true) }
+func BenchmarkMessageStreamPayload(b *testing.B) { benchStream(b, true, false) }
+
+// BenchmarkMessageStreamReliable is the size-only stream through reliable
+// endpoints: every message is tracked, acknowledged and checked for
+// duplicates, and the sender Flushes at the end.
+func BenchmarkMessageStreamReliable(b *testing.B) { benchStream(b, false, true) }

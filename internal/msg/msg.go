@@ -31,9 +31,11 @@
 package msg
 
 import (
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 
 	"clustersim/internal/guest"
 	"clustersim/internal/pkt"
@@ -91,21 +93,17 @@ type Message struct {
 	Payload []byte
 }
 
-type msgKey struct {
-	src   int
-	msgID uint64
-}
-
+// partial is a multi-fragment message under reassembly, found by (m.Src,
+// id); completion copies m into the endpoint's Message block.
 type partial struct {
-	// m is the message under reassembly; completion hands out &pa.m, so a
-	// message costs one allocation, not a partial plus a Message.
 	m        Message
-	seq      uint32
+	id       uint64
 	received int
-	gotData  bool
-	// gotOff marks byte offsets already folded in, so retransmitted
-	// fragments are not double-counted.
-	gotOff map[int]bool
+	// got marks the fragments (off/chunk) a reliable endpoint has folded in,
+	// so retransmitted fragments are not double-counted; more holds the bits
+	// past the 64th fragment.
+	got  uint64
+	more []uint64
 }
 
 // train is a message as its data fragments are built from: what sendData
@@ -122,7 +120,7 @@ type train struct {
 type outMsg struct {
 	train
 	deadline simtime.Guest
-	retries  int32 // with needCTS in one word: the struct stays in its 80-byte size class
+	retries  int32 // with needCTS in one word: an entry of out stays 80 bytes
 	// needCTS marks a rendezvous transfer whose handshake is incomplete:
 	// timeouts resend the RTS instead of the data.
 	needCTS bool
@@ -161,25 +159,23 @@ type Endpoint struct {
 	// ready holds reassembled messages not yet matched, in completion
 	// order.
 	ready []*Message
-	// partials holds in-flight reassembly state.
-	partials map[msgKey]*partial
-	// cts holds clear-to-send grants received for our pending rendezvous
-	// sends.
-	cts map[uint64]bool
+	// partials holds in-flight reassembly state, one entry per message.
+	partials []partial
+	// ctsID is the rendezvous send awaiting clear-to-send (one at a time)
+	// and ctsOK whether its grant has arrived.
+	ctsID uint64
+	ctsOK bool
 
-	// Reliable-mode state. unackedIDs preserves send order so timeout scans
-	// are deterministic (never iterate a map).
-	unacked   map[uint64]*outMsg
-	unackedID []uint64
-	// completed remembers fully received (src, msgID) pairs so duplicates
-	// are re-acknowledged but not re-delivered.
-	completed map[msgKey]bool
+	// out holds reliable-mode messages awaiting acknowledgement, in id
+	// (= send) order, so timeout scans are deterministic.
+	out []outMsg
 
 	// Per-destination sequence numbers enforce MPI-style non-overtaking
 	// delivery even when retransmissions or rendezvous/eager mixing let a
-	// later message finish reassembly first. The cluster size is fixed, so
-	// these are flat per-peer slices; the hold maps exist only for peers
-	// that actually reorder (lazily allocated in deliverInOrder).
+	// later message finish reassembly first; a message from src is complete
+	// once its seq is below rxNext[src] or held in rxHold[src], so duplicates
+	// are re-acknowledged but not re-delivered. The hold maps exist only for
+	// peers that actually reorder (lazily allocated in deliverInOrder).
 	txSeq  []uint32
 	rxNext []uint32
 	rxHold []map[uint32]*Message
@@ -213,15 +209,11 @@ func New(p *guest.Proc) *Endpoint {
 // NewWithConfig creates an endpoint with explicit protocol configuration.
 func NewWithConfig(p *guest.Proc, cfg Config) *Endpoint {
 	return &Endpoint{
-		p:         p,
-		cfg:       cfg,
-		partials:  map[msgKey]*partial{},
-		cts:       map[uint64]bool{},
-		unacked:   map[uint64]*outMsg{},
-		completed: map[msgKey]bool{},
-		txSeq:     make([]uint32, p.Size()),
-		rxNext:    make([]uint32, p.Size()),
-		rxHold:    make([]map[uint32]*Message, p.Size()),
+		p:      p,
+		cfg:    cfg,
+		txSeq:  make([]uint32, p.Size()),
+		rxNext: make([]uint32, p.Size()),
+		rxHold: make([]map[uint32]*Message, p.Size()),
 	}
 }
 
@@ -310,26 +302,24 @@ func (e *Endpoint) send(dst, tag, size int, payload []byte) {
 	rendezvous := size > DefaultEagerMax
 	if rendezvous {
 		e.sendRTS(dst, id, tag, size)
-		var om *outMsg
 		if e.cfg.Reliable {
-			om = &outMsg{train: t, needCTS: true, deadline: e.p.Now().Add(DefaultRetransmitTimeout)}
-			e.track(om)
+			e.out = append(e.out, outMsg{train: t, needCTS: true, deadline: e.p.Now().Add(DefaultRetransmitTimeout)})
 		}
 		// Block until the destination grants CTS, retransmitting the RTS as
 		// needed; fragments other senders push meanwhile go to the sink.
-		for !e.cts[id] {
+		e.ctsID, e.ctsOK = id, false
+		for !e.ctsOK {
 			e.pump(simtime.GuestInfinity, e)
 		}
-		if om != nil {
-			om.needCTS = false
-			om.deadline = e.p.Now().Add(DefaultRetransmitTimeout)
+		if i, ok := e.outIndex(id); ok {
+			e.out[i].needCTS = false
+			e.out[i].deadline = e.p.Now().Add(DefaultRetransmitTimeout)
 		}
-		delete(e.cts, id)
 	}
 
 	e.sendData(t)
 	if e.cfg.Reliable && !rendezvous {
-		e.track(&outMsg{train: t, deadline: e.p.Now().Add(DefaultRetransmitTimeout)})
+		e.out = append(e.out, outMsg{train: t, deadline: e.p.Now().Add(DefaultRetransmitTimeout)})
 	}
 }
 
@@ -422,20 +412,18 @@ func (e *Endpoint) Frame(k int) (dst int, proto pkt.Proto, size int, data []byte
 	return t.dst, pkt.ProtoMsg, headerBytes + frag, data
 }
 
-func (e *Endpoint) track(om *outMsg) {
-	e.unacked[om.id] = om
-	e.unackedID = append(e.unackedID, om.id)
+// outIndex finds in-flight message id in out, which ids enter in increasing
+// order.
+func (e *Endpoint) outIndex(id uint64) (int, bool) {
+	return slices.BinarySearchFunc(e.out, id, func(om outMsg, id uint64) int { return cmp.Compare(om.id, id) })
 }
 
 // nextDeadline returns the earliest retransmission deadline among in-flight
 // messages, or GuestInfinity.
 func (e *Endpoint) nextDeadline() simtime.Guest {
 	d := simtime.GuestInfinity
-	for _, id := range e.unackedID {
-		om := e.unacked[id]
-		if om != nil && om.deadline < d {
-			d = om.deadline
-		}
+	for i := range e.out {
+		d = min(d, e.out[i].deadline)
 	}
 	return d
 }
@@ -444,27 +432,21 @@ func (e *Endpoint) nextDeadline() simtime.Guest {
 // that have exhausted their retransmission budget.
 func (e *Endpoint) retransmitDue() {
 	now := e.p.Now()
-	live := e.unackedID[:0]
-	for _, id := range e.unackedID {
-		om := e.unacked[id]
-		if om == nil {
-			continue // acked
-		}
-		if om.deadline <= now {
-			e.timeouts++
-			if om.retries >= DefaultMaxRetries {
-				// Out of budget: the message will never be delivered.
-				e.failures++
-				if e.err == nil {
-					e.err = fmt.Errorf("msg: message %d to rank %d (tag %d, %d bytes) abandoned after %d retransmissions: %w",
-						om.id, om.dst, om.tag, om.size, om.retries, ErrDeliveryFailed)
-				}
-				delete(e.unacked, id)
-				continue
-			}
-		}
-		live = append(live, id)
+	for i := 0; i < len(e.out); i++ {
+		om := &e.out[i]
 		if om.deadline > now {
+			continue
+		}
+		e.timeouts++
+		if om.retries >= DefaultMaxRetries {
+			// Out of budget: the message will never be delivered.
+			e.failures++
+			if e.err == nil {
+				e.err = fmt.Errorf("msg: message %d to rank %d (tag %d, %d bytes) abandoned after %d retransmissions: %w",
+					om.id, om.dst, om.tag, om.size, om.retries, ErrDeliveryFailed)
+			}
+			e.out = slices.Delete(e.out, i, i+1)
+			i--
 			continue
 		}
 		om.retries++
@@ -484,7 +466,6 @@ func (e *Endpoint) retransmitDue() {
 			e.sendData(om.train)
 		}
 	}
-	e.unackedID = live
 }
 
 // pump makes protocol progress until a frame has been handled on the
@@ -526,13 +507,13 @@ func (e *Endpoint) Absorb(a guest.Arrival) bool {
 	if !ok || h.kind != kindData || h.frag >= h.size {
 		return false // malformed, or a whole message in one fragment
 	}
-	key := msgKey{src: a.Frame.Src.Node(), msgID: h.id}
-	pa := e.partials[key]
-	if pa != nil && pa.received+h.frag >= h.size {
+	src := a.Frame.Src.Node()
+	i := e.partialIndex(src, h.id)
+	if i >= 0 && e.partials[i].received+h.frag >= h.size {
 		return false
 	}
 	e.framesRecv++
-	e.add(a, &h, key, pa)
+	e.add(a, &h, src, i)
 	return true
 }
 
@@ -556,48 +537,39 @@ func (e *Endpoint) handleFrame(a guest.Arrival) {
 		e.framesSent++
 		return
 	case kindCTS:
-		e.cts[h.id] = true
+		if h.id == e.ctsID {
+			e.ctsOK = true // a stale CTS (its RTS granted twice) is ignored
+		}
 		return
 	case kindAck:
-		delete(e.unacked, h.id)
+		if i, ok := e.outIndex(h.id); ok {
+			e.out = slices.Delete(e.out, i, i+1)
+		}
 		return
 	}
 
-	key := msgKey{src: src, msgID: h.id}
-	if e.completed[key] {
-		// A duplicate of a message we already delivered: its ack was lost.
+	if e.cfg.Reliable && (h.seq < e.rxNext[src] || e.rxHold[src][h.seq] != nil) {
+		// A duplicate of a message we already completed: its ack was lost.
 		e.duplicates++
 		e.ack(src, h.id, h.tag, h.size)
 		return
 	}
-	pa := e.partials[key]
-	if pa == nil && h.frag >= h.size && !e.cfg.Reliable {
-		// Single-fragment message on an unreliable endpoint: complete on
-		// arrival, so reassembly state (and its map round-trip) is
-		// unnecessary. Reliable mode still tracks it for duplicate
-		// suppression.
-		m := e.newMessage()
+	var m *Message
+	if i := e.partialIndex(src, h.id); i >= 0 || h.frag < h.size {
+		m = e.add(a, &h, src, i)
+	} else {
+		// Single-fragment message: complete on arrival, so reassembly state
+		// is unnecessary.
+		m = e.newMessage()
 		*m = Message{Src: src, Tag: h.tag, Size: h.size, Arrival: a.Time}
 		if carriesData(a.Frame, &h) {
 			m.Payload = make([]byte, h.size)
 			copy(m.Payload, a.Frame.Data[headerBytes:headerBytes+h.frag])
 		}
-		e.deliverInOrder(src, h.seq, m)
-		return
 	}
-	pa, complete := e.add(a, &h, key, pa)
-	if complete {
-		m := &pa.m
-		m.Arrival = a.Time
-		if !pa.gotData {
-			m.Payload = nil
-		}
-		delete(e.partials, key)
-		e.deliverInOrder(src, pa.seq, m)
-		if e.cfg.Reliable {
-			e.completed[key] = true
-			e.ack(src, h.id, m.Tag, m.Size)
-		}
+	if m != nil {
+		e.deliverInOrder(src, h.seq, m)
+		e.ack(src, h.id, h.tag, h.size)
 	}
 }
 
@@ -606,33 +578,57 @@ func carriesData(f *pkt.Frame, h *header) bool {
 	return len(f.Data) >= headerBytes+h.frag && h.frag > 0 && len(f.Data) > headerBytes
 }
 
-// add folds data fragment h of message key into its reassembly state pa,
-// created here for a message's first fragment, and reports whether the
-// message is now complete.
-func (e *Endpoint) add(a guest.Arrival, h *header, key msgKey, pa *partial) (*partial, bool) {
-	if pa == nil {
-		pa = &partial{m: Message{Src: key.src, Tag: h.tag, Size: h.size}, seq: h.seq} // one per multi-fragment message: it becomes the Message the application receives
-		if e.cfg.Reliable {
-			pa.gotOff = map[int]bool{} // reliable mode only, one per message; the sink declines every reliable frame
+// partialIndex finds message id from src in partials, or returns -1.
+func (e *Endpoint) partialIndex(src int, id uint64) int {
+	for i := range e.partials {
+		if e.partials[i].id == id && e.partials[i].m.Src == src {
+			return i
 		}
-		e.partials[key] = pa
 	}
-	if pa.gotOff != nil {
-		if pa.gotOff[h.off] {
-			e.duplicates++
-			return pa, false
+	return -1
+}
+
+// add folds data fragment h from src into its reassembly state partials[i]
+// (i < 0: created here for the message's first fragment) and returns the
+// message once complete, else nil.
+func (e *Endpoint) add(a guest.Arrival, h *header, src, i int) *Message {
+	if i < 0 {
+		i = len(e.partials)
+		e.partials = append(e.partials, partial{m: Message{Src: src, Tag: h.tag, Size: h.size}, id: h.id})
+	}
+	pa := &e.partials[i]
+	if e.cfg.Reliable {
+		k, w := h.off/chunk, &pa.got
+		if k >= 64 {
+			for len(pa.more) < k/64 {
+				pa.more = append(pa.more, 0) // messages past 64 fragments only
+			}
+			w = &pa.more[k/64-1]
 		}
-		pa.gotOff[h.off] = true
+		bit := uint64(1) << (k % 64)
+		if *w&bit != 0 {
+			e.duplicates++
+			return nil
+		}
+		*w |= bit
 	}
 	if carriesData(a.Frame, h) {
 		if pa.m.Payload == nil {
 			pa.m.Payload = make([]byte, h.size) // one per payload-carrying message: the buffer the application receives
 		}
 		copy(pa.m.Payload[h.off:h.off+h.frag], a.Frame.Data[headerBytes:headerBytes+h.frag])
-		pa.gotData = true
 	}
 	pa.received += h.frag
-	return pa, pa.received >= pa.m.Size
+	if pa.received < pa.m.Size {
+		return nil
+	}
+	m := e.newMessage()
+	*m = pa.m
+	m.Arrival = a.Time
+	last := len(e.partials) - 1
+	e.partials[i], e.partials[last] = e.partials[last], partial{}
+	e.partials = e.partials[:last]
+	return m
 }
 
 // deliverInOrder releases completed messages to the ready list strictly in
@@ -680,7 +676,7 @@ func match(m *Message, src, tag int) bool {
 func (e *Endpoint) take(src, tag int) *Message {
 	for i, m := range e.ready {
 		if match(m, src, tag) {
-			e.ready = append(e.ready[:i], e.ready[i+1:]...)
+			e.ready = slices.Delete(e.ready, i, i+1)
 			return m
 		}
 	}
@@ -766,15 +762,7 @@ func (e *Endpoint) Drain(quiet simtime.Duration) {
 
 // Outstanding reports how many reliable-mode messages still await
 // acknowledgement.
-func (e *Endpoint) Outstanding() int {
-	n := 0
-	for _, id := range e.unackedID {
-		if e.unacked[id] != nil {
-			n++
-		}
-	}
-	return n
-}
+func (e *Endpoint) Outstanding() int { return len(e.out) }
 
 // Pending reports how many fully arrived but unmatched messages the endpoint
 // holds (useful for drain assertions in tests).

@@ -14,13 +14,14 @@ import (
 	"clustersim/internal/mpi"
 	"clustersim/internal/msg"
 	"clustersim/internal/netmodel"
+	"clustersim/internal/pkt"
 	"clustersim/internal/quantum"
 	"clustersim/internal/rng"
 	"clustersim/internal/simtime"
 )
 
-// runLossy executes programs under frame loss.
-func runLossy(t *testing.T, lossRate float64, lossSeed uint64, q simtime.Duration, progs ...guest.Program) *cluster.Result {
+// runLossy executes programs with link's faults on every link.
+func runLossy(t *testing.T, link faults.Link, seed uint64, q simtime.Duration, progs ...guest.Program) *cluster.Result {
 	t.Helper()
 	res, err := cluster.Run(cluster.Config{
 		Nodes:    len(progs),
@@ -30,7 +31,7 @@ func runLossy(t *testing.T, lossRate float64, lossSeed uint64, q simtime.Duratio
 		Policy:   func() quantum.Policy { return quantum.Fixed{Q: q} },
 		Program:  func(rank, size int) guest.Program { return progs[rank] },
 		MaxGuest: simtime.Guest(60 * simtime.Second),
-		Faults:   &faults.Plan{Seed: lossSeed, Default: faults.Link{Loss: lossRate}},
+		Faults:   &faults.Plan{Seed: seed, Default: link},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -55,7 +56,7 @@ func TestReliableStreamSurvivesLoss(t *testing.T) {
 		}
 	}
 	var got [][]byte
-	res := runLossy(t, 0.15, 7, 50*simtime.Microsecond,
+	res := runLossy(t, faults.Link{Loss: 0.15}, 7, 50*simtime.Microsecond,
 		func(p *guest.Proc) error {
 			ep := msg.NewWithConfig(p, reliableCfg())
 			for _, pl := range payloads {
@@ -98,7 +99,7 @@ func TestReliableRendezvousSurvivesLoss(t *testing.T) {
 	}
 	var got []byte
 	var retr int
-	res := runLossy(t, 0.2, 3, 100*simtime.Microsecond,
+	res := runLossy(t, faults.Link{Loss: 0.2}, 3, 100*simtime.Microsecond,
 		func(p *guest.Proc) error {
 			ep := msg.NewWithConfig(p, reliableCfg())
 			ep.SendPayload(1, 9, payload)
@@ -127,7 +128,7 @@ func TestUnreliableLosesUnderLoss(t *testing.T) {
 	// lossy stream must come up short.
 	const n = 60
 	received := 0
-	runLossy(t, 0.3, 11, 50*simtime.Microsecond,
+	runLossy(t, faults.Link{Loss: 0.3}, 11, 50*simtime.Microsecond,
 		func(p *guest.Proc) error {
 			ep := msg.New(p)
 			for i := 0; i < n; i++ {
@@ -154,7 +155,7 @@ func TestUnreliableLosesUnderLoss(t *testing.T) {
 func TestReliableNoLossNoRetransmits(t *testing.T) {
 	// On the paper's perfect switch the reliable machinery must be silent
 	// except for acks.
-	runLossy(t, 0, 0, simtime.Microsecond,
+	runLossy(t, faults.Link{}, 0, simtime.Microsecond,
 		func(p *guest.Proc) error {
 			ep := msg.NewWithConfig(p, reliableCfg())
 			for i := 0; i < 10; i++ {
@@ -291,41 +292,114 @@ func TestMPIFlushSurfacesDeliveryFailure(t *testing.T) {
 	}
 }
 
-// Property: bidirectional reliable traffic under arbitrary loss rates and
-// seeds delivers every message exactly once, in order, with intact sizes.
-func TestPropertyReliableExactlyOnce(t *testing.T) {
-	f := func(seed uint16, rate uint8, count uint8) bool {
-		n := int(count)%15 + 3
-		loss := float64(rate%40) / 100
-		sizes := make([]int, n)
-		r := rng.New(uint64(seed))
-		for i := range sizes {
-			sizes[i] = r.Intn(30000)
+// fragBytes is the payload one data fragment carries: a jumbo frame less
+// the 40-byte header.
+const fragBytes = pkt.DefaultMTU - 40
+
+// sizeIn maps v into one of four message classes: single-fragment,
+// multi-fragment eager, rendezvous, and rendezvous past 64 fragments (the
+// receiver's fragment bitset spills into its overflow words).
+func sizeIn(class, v int) int {
+	switch class % 4 {
+	case 0:
+		return v % (fragBytes + 1)
+	case 1:
+		return fragBytes + 1 + v%(msg.DefaultEagerMax-fragBytes)
+	case 2:
+		return msg.DefaultEagerMax + 1 + v%(2*msg.DefaultEagerMax)
+	default:
+		return 64*fragBytes + 1 + v%(2*fragBytes)
+	}
+}
+
+// exactlyOnce runs two reliable endpoints over link, each sending one
+// message of every size to the other, payload bytes drawn from seed, and
+// checks that every message arrives exactly once, in order and intact, and
+// that both endpoints end with nothing in flight, half-built or unmatched.
+func exactlyOnce(t *testing.T, seed uint64, link faults.Link, sizes []int) error {
+	r := rng.New(seed)
+	payloads := make([][]byte, len(sizes))
+	for i, s := range sizes {
+		payloads[i] = make([]byte, s)
+		for j := range payloads[i] {
+			payloads[i][j] = byte(r.Uint64())
 		}
-		okA, okB := true, true
-		mk := func(peer int, ok *bool) guest.Program {
-			return func(p *guest.Proc) error {
-				ep := msg.NewWithConfig(p, reliableCfg())
-				for _, s := range sizes {
-					ep.Send(peer, 4, s)
-				}
-				for i := 0; i < n; i++ {
-					m := ep.Recv(peer, 4)
-					if m.Size != sizes[i] {
-						*ok = false
-					}
-				}
-				ep.Flush()
-				// Stay responsive until the peer's retransmissions (whose
-				// acks may have been lost) have certainly ceased.
-				ep.Drain(30 * simtime.Millisecond)
-				return nil
+	}
+	errs := make([]error, 2)
+	mk := func(peer int) guest.Program {
+		return func(p *guest.Proc) error {
+			ep := msg.NewWithConfig(p, reliableCfg())
+			for _, pl := range payloads {
+				ep.SendPayload(peer, 4, pl)
 			}
+			for i := range payloads {
+				if m := ep.Recv(peer, 4); !bytes.Equal(m.Payload, payloads[i]) {
+					errs[peer] = fmt.Errorf("rank %d: message %d of %d bytes arrived as %d bytes or corrupted", p.Rank(), i, len(payloads[i]), m.Size)
+				}
+			}
+			if err := ep.Flush(); err != nil {
+				errs[peer] = err
+			}
+			// Stay responsive until the peer's retransmissions (whose
+			// acks may have been lost) have certainly ceased.
+			ep.Drain(30 * simtime.Millisecond)
+			if inc, out, pend := ep.Incomplete(), ep.Outstanding(), ep.Pending(); inc+out+pend != 0 && errs[peer] == nil {
+				errs[peer] = fmt.Errorf("rank %d after Flush and Drain: %d incomplete, %d outstanding, %d pending", p.Rank(), inc, out, pend)
+			}
+			return nil
 		}
-		runLossy(t, loss, uint64(seed)+1, 80*simtime.Microsecond, mk(1, &okA), mk(0, &okB))
-		return okA && okB
+	}
+	runLossy(t, link, seed+1, 80*simtime.Microsecond, mk(1), mk(0))
+	return errors.Join(errs...)
+}
+
+// faultLink builds the property and fuzz targets' link: loss below 40%,
+// duplication below 50%, jitter below 64 us.
+func faultLink(loss, dup, jitter uint8) faults.Link {
+	return faults.Link{
+		Loss:   float64(loss%40) / 100,
+		Dup:    float64(dup%50) / 100,
+		Jitter: simtime.Duration(jitter%64) * simtime.Microsecond,
+	}
+}
+
+// Property: bidirectional reliable traffic under arbitrary loss,
+// duplication and jitter delivers every message exactly once, in order,
+// with intact bytes — through reordered frames, messages completed out of
+// order into the hold, duplicates of held messages, and messages of every
+// size class.
+func TestPropertyReliableExactlyOnce(t *testing.T) {
+	f := func(seed uint16, loss, dup, jitter, count uint8) bool {
+		r := rng.New(uint64(seed))
+		sizes := make([]int, int(count)%9+4)
+		rot := r.Intn(4)
+		for i := range sizes {
+			sizes[i] = sizeIn(i+rot, r.Intn(1<<20)) // every class at least once
+		}
+		if err := exactlyOnce(t, uint64(seed), faultLink(loss, dup, jitter), sizes); err != nil {
+			t.Log(err)
+			return false
+		}
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 15}); err != nil {
 		t.Error(err)
 	}
+}
+
+// FuzzReliableExactlyOnce is TestPropertyReliableExactlyOnce over fuzzed
+// inputs: every two bytes of sizes pick one message's size class and size,
+// up to twelve messages each way.
+func FuzzReliableExactlyOnce(f *testing.F) {
+	f.Add(uint64(1), uint8(10), uint8(20), uint8(30), []byte{0, 7, 1, 9, 2, 200, 3, 5})
+	f.Add(uint64(2), uint8(0), uint8(49), uint8(63), []byte{3, 1, 0, 0, 2, 2})
+	f.Fuzz(func(t *testing.T, seed uint64, loss, dup, jitter uint8, sizeBytes []byte) {
+		var sizes []int
+		for i := 0; i+1 < len(sizeBytes) && len(sizes) < 12; i += 2 {
+			sizes = append(sizes, sizeIn(int(sizeBytes[i]), int(sizeBytes[i])<<8|int(sizeBytes[i+1])))
+		}
+		if err := exactlyOnce(t, seed, faultLink(loss, dup, jitter), sizes); err != nil {
+			t.Error(err)
+		}
+	})
 }
