@@ -56,12 +56,14 @@ lint: simlint
 fmt:
 	gofmt -w .
 
-# Non-test Go lines (wc -l) of the six largest subsystems and the host
-# model — the table ROADMAP asks every PR to report before/after.
+# Go lines (wc -l) of the six largest subsystems and the host model, code
+# beside tests — the table ROADMAP asks every PR to report before/after.
 loc:
+	@printf '%-42s %6s %6s\n' subsystem code test
 	@for dirs in "internal/cluster" "internal/analysis cmd/simlint" "cmd/simbench" \
 		"internal/experiments cmd/paperfigs" "internal/obs internal/prof" \
 		"internal/guest internal/msg internal/mpi" "internal/host"; do \
-		printf '%-30s %6d\n' "$$dirs" "$$(find $$dirs -name '*.go' -not -name '*_test.go' \
-			-not -path '*/testdata/*' -print0 | xargs -0 cat | wc -l)"; \
+		printf '%-42s %6d %6d\n' "$$dirs" \
+			"$$(find $$dirs -name '*.go' -not -name '*_test.go' -not -path '*/testdata/*' -print0 | xargs -0 cat | wc -l)" \
+			"$$(find $$dirs -name '*_test.go' -not -path '*/testdata/*' -print0 | xargs -0 cat | wc -l)"; \
 	done

@@ -63,24 +63,32 @@ func steadyStatePerStepped(t *testing.T, label string, short, long Config) (floa
 	return per, sLong
 }
 
+// phasesPin differences a 2- and an 8-phase Phases run at quantum q, which
+// differ only in extra compute/alltoall cycles, and of those only the stepped
+// (traffic-carrying or op-completing) quanta count: the silent compute
+// stretches in between are fast-forwarded and never reach a walk or the
+// router. Six extra alltoall phases are 72 extra 8KB messages; each costs one
+// payload buffer plus 3/64ths of a block carve, so the per-message guest
+// buffers stay far below one allocation per stepped quantum.
+func phasesPin(t *testing.T, label string, q simtime.Duration) {
+	mk := func(phases int) Config {
+		return testConfig(4, workloads.Phases(phases, 150*simtime.Microsecond, 32<<10), fixed(q))
+	}
+	if per, _ := steadyStatePerStepped(t, label, mk(2), mk(8)); !raceEnabled && per >= 0.5 {
+		t.Errorf("%s steady state allocates %.4f allocs/stepped quantum (want < 0.5: only per-message guest buffers)", label, per)
+	}
+}
+
 // TestEventQueueWalkZeroAllocsPerQuantum pins the event-queue walk of a tight
 // partition — dispatch, stepNode, idleTo, endIdle, schedule, sendFrame,
-// routeFlight, deliver — at zero steady-state allocations: the runs differ only in phase count, so the
-// difference is extra compute/alltoall cycles, and only their stepped
-// (traffic-carrying or op-completing) quanta count — the silent compute
-// stretches in between are fast-forwarded and never reach the walk.
+// routeFlight, deliver — at zero steady-state allocations beyond the guest
+// buffers. Q = 2µs lies above every link of the uniform paper fabric, so
+// every stepped quantum walks the whole cluster through one event queue.
 func TestEventQueueWalkZeroAllocsPerQuantum(t *testing.T) {
-	// Q = 2µs lies above every link of the uniform paper fabric, so every
-	// stepped quantum walks the whole cluster through one event queue.
-	mk := func(phases int) Config {
-		return testConfig(4, workloads.Phases(phases, 150*simtime.Microsecond, 32<<10), fixed(2*simtime.Microsecond))
-	}
-	if res, err := Run(mk(2)); err != nil || res.Stats.FastNodeQuanta != 0 {
+	if res, err := Run(testConfig(4, workloads.Phases(2, 150*simtime.Microsecond, 32<<10), fixed(2*simtime.Microsecond))); err != nil || res.Stats.FastNodeQuanta != 0 {
 		t.Fatalf("not the event-queue walk: %v, %+v", err, res)
 	}
-	if per, _ := steadyStatePerStepped(t, "event-queue walk", mk(2), mk(8)); !raceEnabled && per >= 0.5 {
-		t.Errorf("event-queue walk steady state allocates %.4f allocs/stepped quantum (want < 0.5: only per-message guest buffers)", per)
-	}
+	phasesPin(t, "event-queue walk", 2*simtime.Microsecond)
 }
 
 // TestQuietQuantumZeroAllocs pins the quiet pass at zero allocations per
@@ -182,25 +190,12 @@ func TestSparseQuantumZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestBarrierRoutingAllocsPerQuantum pins the barrier routing loop:
-// per-quantum allocations must come only from the per-message guest buffers
-// (payload copy plus block-amortized frame/message carves), never from the
-// engine's routing structures. The workloads differ only in phase count, so
-// the per-quantum difference is the cost of extra communicating quanta.
+// TestBarrierRoutingAllocsPerQuantum pins the barrier routing loop: its
+// per-quantum allocations must come only from the per-message guest buffers,
+// never from the engine's routing structures — the flight slab, the
+// deferred-flight lanes, the event arena are reused. Q = 1µs is below the
+// Paper model's minimum latency: every node is loose in every quantum and
+// every frame routes at the barrier.
 func TestBarrierRoutingAllocsPerQuantum(t *testing.T) {
-	// Q=1µs is below the Paper model's minimum latency: every node is loose
-	// in every quantum and every frame routes at the barrier.
-	const q = 1 * simtime.Microsecond
-	mk := func(phases int) Config {
-		return testConfig(4, workloads.Phases(phases, 150*simtime.Microsecond, 32<<10), fixed(q))
-	}
-	perQuantum, _ := steadyStatePerStepped(t, "barrier routing", mk(2), mk(8))
-	// Six extra alltoall phases are 72 extra 8KB messages; each costs one
-	// payload buffer plus 3/64ths of a block carve. Everything else — the
-	// flight slab, the deferred-flight lanes, the event arena — must
-	// be reused, so the steady state stays far below one alloc per stepped
-	// quantum (the compute stretches are quiet and never reach the router).
-	if !raceEnabled && perQuantum >= 0.5 {
-		t.Errorf("barrier routing steady state allocates %.4f allocs/stepped quantum (want < 0.5: only per-message guest buffers)", perQuantum)
-	}
+	phasesPin(t, "barrier routing", simtime.Microsecond)
 }

@@ -1,87 +1,131 @@
 package cluster
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"clustersim/internal/faults"
+	"clustersim/internal/host"
 	"clustersim/internal/netmodel"
 	"clustersim/internal/quantum"
 	"clustersim/internal/simtime"
 	"clustersim/internal/workloads"
 )
 
-// fastCases spans the behaviors every partitioning must preserve: lockstep
-// traffic with equal-arrival ties (PingPong at 2 and 4 nodes), bursty
-// compute/communicate phases, seeded irregular traffic, silence, loss
-// injection, and an adaptive policy that moves in and out of the safe
-// window mid-run.
-type fastCase struct {
-	name   string
-	nodes  int
-	w      workloads.Workload
-	pol    func() quantum.Policy
-	faults *faults.Plan
-	// net overrides the default uniform paper fabric — non-uniform
-	// topologies mix tight partitions and loose nodes whenever Q falls
-	// between latency levels.
-	net *netmodel.Model
+// This file is the package's one table of runs. Every configuration a test
+// observes through Run is a row here: TestDifferential holds each row to the
+// reference engine and the contracts, and every other test that reads a run
+// is a view over the rows' memoized runs (diffRuns). A bespoke Config remains
+// only where no row can express the setup: allocation pins, panics and exits,
+// validation, the lookahead closure, RunParallel's own runs and benchmarks.
+
+// diffRow is one configuration of the table.
+type diffRow struct {
+	key, name string // key tells apart rows whose names coincide ("" is name)
+	cfg       Config
+	aborts    bool // the run must end at the guest limit
+	collapses bool // some quiet stretch must be longer than one quantum
+	never     bool // none may be
 }
 
-func fastCases() []fastCase {
-	return []fastCase{
-		{name: "pingpong-2", nodes: 2, w: workloads.PingPong(30, 1000), pol: fixed(simtime.Microsecond)},
-		{name: "pingpong-4", nodes: 4, w: workloads.PingPong(20, 4000), pol: fixed(simtime.Microsecond)},
-		{name: "phases-4", nodes: 4, w: workloads.Phases(3, 150*simtime.Microsecond, 32<<10), pol: fixed(simtime.Microsecond)},
-		{name: "phases-adaptive-5", nodes: 5, w: workloads.Phases(3, 150*simtime.Microsecond, 16<<10),
-			pol: adaptive(simtime.Microsecond, simtime.Millisecond, 1.03, 0.02)},
-		// Sixteen ranks in lockstep: the alltoall phases keep every node active
-		// at once.
-		{name: "phases-16", nodes: 16, w: workloads.Phases(2, 40*simtime.Microsecond, 4<<10), pol: fixed(simtime.Microsecond)},
-		{name: "uniform-3", nodes: 3, w: workloads.Uniform(60, 2000, 30*simtime.Microsecond, 11), pol: fixed(simtime.Microsecond)},
-		{name: "uniform-lossy-4", nodes: 4, w: workloads.Uniform(60, 1500, 20*simtime.Microsecond, 23), pol: fixed(simtime.Microsecond),
-			faults: &faults.Plan{Seed: 42, Default: faults.Link{Loss: 0.3}}},
-		{name: "silent-4", nodes: 4, w: workloads.Silent(300 * simtime.Microsecond), pol: fixed(simtime.Microsecond)},
-		// A fault plan exercising loss, duplication, and delay jitter: fault
-		// decisions are pure per-frame functions, so they must not break
-		// agreement with the reference.
-		{name: "faulty-4", nodes: 4, w: workloads.Uniform(60, 1500, 20*simtime.Microsecond, 23), pol: fixed(simtime.Microsecond),
-			faults: &faults.Plan{Seed: 7, Default: faults.Link{Loss: 0.1, Dup: 0.15, Jitter: 3 * simtime.Microsecond}}},
-		// Per-node host slowdown shifts every host-time cost; results must
-		// stay identical across partitionings.
-		{name: "slowdown-3", nodes: 3, w: workloads.PingPong(20, 1000), pol: fixed(simtime.Microsecond),
-			faults: &faults.Plan{Seed: 3, NodeSlowdown: map[int]float64{1: 2.5}}},
-		// Rack topology at a quantum between the intra- and inter-rack levels:
-		// two tight partitions, loose to each other, and no loose node.
-		{name: "rack-mid-8", nodes: 8, w: workloads.Uniform(120, 2000, 30*simtime.Microsecond, 11),
-			pol: fixed(2 * simtime.Microsecond), net: rackNet()},
-		// Mixed rack + WAN: one tight rack plus distant loose singletons, the
-		// motivating geometry for per-link lookahead; run it clean and with a
-		// fault plan, and with an adaptive policy that slides across all
-		// three bands (fully loose, partial, fully tight).
-		{name: "mixed-wan-8", nodes: 8, w: workloads.Uniform(120, 2000, 30*simtime.Microsecond, 17),
-			pol: fixed(2 * simtime.Microsecond), net: mixedWANNet(8)},
-		{name: "mixed-wan-faulty-8", nodes: 8, w: workloads.Uniform(120, 2000, 30*simtime.Microsecond, 17),
-			pol: fixed(2 * simtime.Microsecond), net: mixedWANNet(8),
-			faults: &faults.Plan{Seed: 9, Default: faults.Link{Loss: 0.05, Dup: 0.1, Jitter: 3 * simtime.Microsecond}}},
-		{name: "mixed-wan-adaptive-8", nodes: 8, w: workloads.Uniform(120, 2000, 30*simtime.Microsecond, 19),
-			pol: adaptive(simtime.Microsecond, 200*simtime.Microsecond, 1.1, 0.02), net: mixedWANNet(8)},
+func row(name string, nodes int, w workloads.Workload, pol func() quantum.Policy, mods ...func(*Config)) diffRow {
+	cfg := testConfig(nodes, w, pol)
+	for _, mod := range mods {
+		mod(&cfg)
+	}
+	return diffRow{name: name, cfg: cfg}
+}
+
+func onNet(m *netmodel.Model) func(*Config) { return func(c *Config) { c.Net = m } }
+func withPlan(p *faults.Plan) func(*Config) { return func(c *Config) { c.Faults = p } }
+
+// diffRuns holds the rows' runs by key: a row runs once per test binary,
+// whichever test asks first. Tests stay sequential; the map is unguarded.
+var diffRuns = map[string]*diffRun{}
+
+func (r diffRow) run() *diffRun {
+	k := cmp.Or(r.key, r.name)
+	d := diffRuns[k]
+	if d == nil {
+		d = newDiffRun(r)
+		diffRuns[k] = d
+	}
+	return d
+}
+
+// named is the memoized run of the table's row called name.
+func named(name string) *diffRun {
+	rows := allRows()
+	return rows[slices.IndexFunc(rows, func(r diffRow) bool { return r.name == name })].run()
+}
+
+// allRows is the table, in TestDifferential's order.
+func allRows() []diffRow {
+	return slices.Concat(matrixRows(), stretchRows(), boundaryRows(),
+		trialRows(20260807, 10), trialRows(20260928, 8), trialRows(20260929, 6),
+		fixtureRows(), paperRows(), trialRows(20261002, 8), hostTwins())
+}
+
+// caseRows span the behaviors every partitioning must preserve: lockstep
+// traffic with equal-arrival ties (PingPong at 2 and 4 nodes), bursty
+// compute/communicate phases, seeded irregular traffic, silence, loss,
+// duplication and jitter, a host slowdown, tight racks beside loose nodes,
+// and an adaptive policy that moves in and out of the safe window mid-run.
+func caseRows() []diffRow {
+	us := simtime.Microsecond
+	lossy := &faults.Plan{Seed: 42, Default: faults.Link{Loss: 0.3}}
+	faulty := &faults.Plan{Seed: 7, Default: faults.Link{Loss: 0.1, Dup: 0.15, Jitter: 3 * us}}
+	wanFaults := &faults.Plan{Seed: 9, Default: faults.Link{Loss: 0.05, Dup: 0.1, Jitter: 3 * us}}
+	return []diffRow{
+		row("pingpong-2", 2, workloads.PingPong(30, 1000), fixed(us)),
+		row("pingpong-4", 4, workloads.PingPong(20, 4000), fixed(us)),
+		row("phases-4", 4, workloads.Phases(3, 150*us, 32<<10), fixed(us)),
+		row("phases-adaptive-5", 5, workloads.Phases(3, 150*us, 16<<10), adaptive(us, simtime.Millisecond, 1.03, 0.02)),
+		row("phases-16", 16, workloads.Phases(2, 40*us, 4<<10), fixed(us)),
+		row("uniform-3", 3, workloads.Uniform(60, 2000, 30*us, 11), fixed(us)),
+		row("uniform-lossy-4", 4, workloads.Uniform(60, 1500, 20*us, 23), fixed(us), withPlan(lossy)),
+		row("silent-4", 4, workloads.Silent(300*us), fixed(us)),
+		row("faulty-4", 4, workloads.Uniform(60, 1500, 20*us, 23), fixed(us), withPlan(faulty)),
+		row("slowdown-3", 3, workloads.PingPong(20, 1000), fixed(us),
+			withPlan(&faults.Plan{Seed: 3, NodeSlowdown: map[int]float64{1: 2.5}})),
+		// Two tight racks, loose to each other, and no loose node.
+		row("rack-mid-8", 8, workloads.Uniform(120, 2000, 30*us, 11), fixed(2*us), onNet(rackNet())),
+		// One tight rack plus distant loose singletons, clean, faulty, and
+		// under a policy that slides across all three bands.
+		row("mixed-wan-8", 8, workloads.Uniform(120, 2000, 30*us, 17), fixed(2*us), onNet(mixedWANNet(8))),
+		row("mixed-wan-faulty-8", 8, workloads.Uniform(120, 2000, 30*us, 17), fixed(2*us), onNet(mixedWANNet(8)), withPlan(wanFaults)),
+		row("mixed-wan-adaptive-8", 8, workloads.Uniform(120, 2000, 30*us, 19), adaptive(us, 200*us, 1.1, 0.02), onNet(mixedWANNet(8))),
 	}
 }
 
-// sparseCase is the paper-scale geometry of simbench's graded-mixedwan64 row:
-// one tight four-node rack and sixty WAN singletons at Q = 2µs, with a
-// handful of nodes acting in a stepped quantum among dozens that cannot.
-func sparseCase(count int) fastCase {
-	return fastCase{name: "mixed-wan-64", nodes: 64, w: workloads.Uniform(count, 4000, 100*simtime.Microsecond, 29),
-		pol: fixed(2 * simtime.Microsecond), net: mixedWANNetAt(64, 2*simtime.Microsecond)}
+// matrixRows is caseRows and simbench's graded-mixedwan64 geometry: one tight
+// four-node rack and sixty WAN singletons at Q = 2µs, a handful of nodes
+// acting in a stepped quantum among dozens that cannot.
+func matrixRows() []diffRow {
+	return append(caseRows(), row("mixed-wan-64", 64, workloads.Uniform(15, 4000, 100*simtime.Microsecond, 29),
+		fixed(2*simtime.Microsecond), onNet(mixedWANNetAt(64, 2*simtime.Microsecond))))
+}
+
+// profRows is caseRows and phases-4 at Q = 100µs, the attribution's rows.
+func profRows() []diffRow { return append(caseRows(), phases100us()) }
+
+func phases100us() diffRow {
+	return row("phases-100us-4", 4, workloads.Phases(3, 150*simtime.Microsecond, 32<<10), fixed(100*simtime.Microsecond))
+}
+
+// rackNet builds a two-level fat-tree: racks of 4 nodes behind edge switches
+// (500ns) joined by a core layer (+2µs).
+func rackNet() *netmodel.Model {
+	m := netmodel.Paper()
+	m.Switch = &netmodel.FatTreeSwitch{Radix: 4, EdgeLatency: 500 * simtime.Nanosecond, CoreLatency: 2 * simtime.Microsecond}
+	return m
 }
 
 // mixedWANNet puts the first four nodes in one 500ns rack and every other
 // node 50µs away from everything: a tight rack plus loose WAN singletons.
-func mixedWANNet(nodes int) *netmodel.Model {
-	return mixedWANNetAt(nodes, 50*simtime.Microsecond)
-}
+func mixedWANNet(nodes int) *netmodel.Model { return mixedWANNetAt(nodes, 50*simtime.Microsecond) }
 
 // mixedWANNetAt is mixedWANNet with the WAN latency given.
 func mixedWANNetAt(nodes int, wan simtime.Duration) *netmodel.Model {
@@ -103,20 +147,62 @@ func mixedWANNetAt(nodes int, wan simtime.Duration) *netmodel.Model {
 	return m
 }
 
-// config builds the case's configuration; the caller attaches its sinks.
-func (c fastCase) config() Config {
-	cfg := testConfig(c.nodes, c.w, c.pol)
-	if c.net != nil {
-		cfg.Net = c.net
+// stretchRows is phases-4's traffic under a sampling schedule, and silent
+// clusters whose quiet stretches collapse: at quanta that divide a jitter
+// window (1µs, 10µs), straddle its edges (3µs) and exceed it (25µs), with a
+// sampling schedule, per-node host slowdowns, and a guest limit that falls
+// inside a window.
+func stretchRows() []diffRow {
+	sampling := &host.Sampling{Period: 7 * simtime.Microsecond, DetailFraction: 0.4, FastSlowdown: 2}
+	sampled := caseRows()[2]
+	sampled.name, sampled.cfg.Host.Sampling, sampled.never = sampled.name+"/sampling", sampling, true
+	rows := []diffRow{sampled}
+	for _, nodes := range []int{8, 64} {
+		for _, q := range []simtime.Duration{1, 3, 10, 25} {
+			base := row(fmt.Sprintf("silent-%d/Q=%dus", nodes, q), nodes, workloads.Silent(300*simtime.Microsecond), fixed(q*simtime.Microsecond))
+			base.collapses, base.never = q < 10, q >= 10
+			sampled, slowed, limited := base, base, base
+			sampled.name, sampled.cfg.Host.Sampling, sampled.collapses, sampled.never = base.name+"/sampling", sampling, false, true
+			slowed.name, slowed.cfg.Faults, slowed.never = base.name+"/slow", &faults.Plan{Seed: 3, NodeSlowdown: map[int]float64{1: 2.5, 5: 1.3}}, false
+			limited.name, limited.cfg.MaxGuest, limited.never, limited.aborts = base.name+"/maxguest", simtime.Guest(47500*simtime.Nanosecond), false, true
+			rows = append(rows, base, sampled, slowed, limited)
+		}
 	}
-	cfg.Faults = c.faults
-	return cfg
+	return rows
 }
 
-// randomFatTreeCase draws one random scenario — fat-tree geometry, workload,
+// boundaryRows is the delivery rule's boundary and both ruled-out lookaheads.
+func boundaryRows() []diffRow {
+	// A host that runs guest code at guest speed, with no jitter and a frame's
+	// trip to the controller as long as its link latency, so that a frame
+	// reaches the controller as its walking destination reaches the frame's
+	// arrival time — which is still an exact delivery.
+	tie := testConfig(4, workloads.Uniform(40, 1000, 10*simtime.Microsecond, 5), fixed(5*simtime.Microsecond))
+	tie.Net = &netmodel.Model{NIC: &netmodel.SimpleNIC{BaseLatency: simtime.Microsecond}, Switch: netmodel.PerfectSwitch{}}
+	tie.Host = host.Params{BusySlowdown: 1, IdleSlowdown: 1, JitterPeriod: 10 * simtime.Microsecond,
+		BarrierCost: simtime.Microsecond, PacketTransit: simtime.Microsecond, Seed: 1}
+	return []diffRow{{name: "arrival-ties-4", cfg: tie},
+		row("zero-latency-4", 4, workloads.Phases(3, 150*simtime.Microsecond, 16<<10), fixed(simtime.Microsecond),
+			onNet(&netmodel.Model{NIC: &netmodel.SimpleNIC{}, Switch: netmodel.PerfectSwitch{}})),
+		row("one-node", 1, workloads.Silent(50*simtime.Microsecond), fixed(simtime.Microsecond))}
+}
+
+// trialRows is n random fat-tree/fault scenarios drawn from seed.
+func trialRows(seed int64, n int) []diffRow {
+	rnd := rand.New(rand.NewSource(seed))
+	var rows []diffRow
+	for trial := 0; trial < n; trial++ {
+		r := randomFatTreeRow(rnd, trial)
+		r.key = fmt.Sprintf("%d/%s", seed, r.name)
+		rows = append(rows, r)
+	}
+	return rows
+}
+
+// randomFatTreeRow draws one random scenario: fat-tree geometry, workload,
 // fixed quantum and (half the time) a fault plan with duplication, jitter
-// and, where the workload tolerates it, loss — in the fastCase shape.
-func randomFatTreeCase(rnd *rand.Rand, trial int) (c fastCase, q simtime.Duration) {
+// and, where the workload tolerates it, loss.
+func randomFatTreeRow(rnd *rand.Rand, trial int) diffRow {
 	nodes := 2 + rnd.Intn(7)
 	net := &netmodel.Model{
 		NIC: &netmodel.SimpleNIC{
@@ -129,10 +215,8 @@ func randomFatTreeCase(rnd *rand.Rand, trial int) (c fastCase, q simtime.Duratio
 			CoreLatency: simtime.Duration(2+rnd.Intn(40)) * simtime.Microsecond,
 		},
 	}
-	// Fault plans that drop frames pair only with the fire-and-forget
-	// Uniform workload: a collective or request/reply protocol waits
-	// forever for a lost message (the suite-wide convention, see
-	// fastCases). Duplication and jitter alone are safe everywhere.
+	// Loss pairs only with the fire-and-forget Uniform workload: a collective
+	// or request/reply protocol waits forever for a lost message.
 	var w workloads.Workload
 	lossOK := false
 	switch rnd.Intn(3) {
@@ -148,7 +232,7 @@ func randomFatTreeCase(rnd *rand.Rand, trial int) (c fastCase, q simtime.Duratio
 	}
 	qs := []simtime.Duration{simtime.Microsecond, 2 * simtime.Microsecond,
 		5 * simtime.Microsecond, 50 * simtime.Microsecond}
-	q = qs[rnd.Intn(len(qs))]
+	q := qs[rnd.Intn(len(qs))]
 	var plan *faults.Plan
 	if rnd.Intn(2) == 0 {
 		link := faults.Link{
@@ -161,5 +245,102 @@ func randomFatTreeCase(rnd *rand.Rand, trial int) (c fastCase, q simtime.Duratio
 		plan = &faults.Plan{Seed: rnd.Uint64(), Default: link}
 	}
 	name := fmt.Sprintf("trial %d: %s ×%d Q=%v faults=%v", trial, w.Name, nodes, q, plan != nil)
-	return fastCase{name: name, nodes: nodes, w: w, pol: fixed(q), faults: plan, net: net}, q
+	return row(name, nodes, w, fixed(q), onNet(net), withPlan(plan))
+}
+
+// fixtureRows are the configurations single tests read: the frame walks'
+// edge cases, fault semantics, the profiler's rack, the registry's run, the
+// quiet pass's shapes and the Q sweeps of the paper's properties.
+func fixtureRows() []diffRow {
+	us, ms := simtime.Microsecond, simtime.Millisecond
+	var rows []diffRow
+	for _, fw := range frameWalks {
+		rows = append(rows,
+			row("broadcast-6/"+fw.name, 6, broadcastOnce(), fixed(fw.q)),
+			row("self-send-2/"+fw.name, 2, selfSend(), fixed(fw.q)),
+			row("unknown-mac-2/"+fw.name, 2, strayFrame(), fixed(fw.q)))
+	}
+	seeded := func(seed uint64) func(*Config) {
+		return withPlan(&faults.Plan{Seed: seed, Default: faults.Link{Loss: 0.3, Dup: 0.1, Jitter: 2 * us}})
+	}
+	uniform4 := workloads.Uniform(60, 1500, 20*us, 23)
+	limited := row("pingpong-2/maxguest", 2, workloads.PingPong(1000000, 100), fixed(us))
+	limited.cfg.MaxGuest, limited.aborts = simtime.Guest(500*us), true
+	rows = append(rows, phases100us(),
+		row("broadcast-adaptive-4", 4, broadcastAdaptive(), adaptive(us, ms, 1.05, 0.02)),
+		row("pingpong-100us-3", 3, workloads.PingPong(20, 1000), fixed(100*us)),
+		row("pingpong-100us-3/empty-plan", 3, workloads.PingPong(20, 1000), fixed(100*us), withPlan(&faults.Plan{Seed: 99})),
+		row("pingpong-200us-2", 2, workloads.PingPong(30, 1000), fixed(200*us)),
+		row("pingpong-200us-2/dup", 2, workloads.PingPong(30, 1000), fixed(200*us), withPlan(&faults.Plan{Seed: 1, Default: faults.Link{Dup: 1}})),
+		row("pingpong-2/slow-2x", 2, workloads.PingPong(30, 1000), fixed(us), withPlan(&faults.Plan{NodeSlowdown: map[int]float64{0: 2, 1: 2}})),
+		limited,
+		row("uniform-100us-4/link-down", 4, uniform4, fixed(100*us),
+			withPlan(&faults.Plan{Default: faults.Link{Down: []faults.Window{{Start: 0, End: simtime.GuestInfinity}}}})),
+		row("uniform-100us-4/seed=5", 4, uniform4, fixed(100*us), seeded(5)),
+		row("uniform-100us-4/seed=5/replay", 4, uniform4, fixed(100*us), seeded(5)),
+		row("uniform-100us-4/seed=6", 4, uniform4, fixed(100*us), seeded(6)),
+		row("uniform-150-4", 4, workloads.Uniform(150, 1500, 20*us, 23), fixed(us)),
+		row("uniform-150-4/jitter", 4, workloads.Uniform(150, 1500, 20*us, 23), fixed(us),
+			withPlan(&faults.Plan{Seed: 7, Default: faults.Link{Jitter: 5 * us}})),
+		row("rack-10us-8", 8, workloads.Uniform(120, 2000, 30*us, 11), fixed(10*us), onNet(rackNet())),
+		row("phases-adaptive-4", 4, workloads.Phases(3, 150*us, 16<<10), adaptive(us, ms, 1.03, 0.02)),
+		row("phases-20us-4", 4, workloads.Phases(3, 300*us, 16<<10), fixed(20*us)),
+		row("phases-2ms-4", 4, workloads.Phases(4, 2*ms, 32<<10), fixed(us)),
+		row("phases-2ms-4/adaptive", 4, workloads.Phases(4, 2*ms, 32<<10), adaptive(us, ms, 1.03, 0.02)),
+		row("compute-chain-3", 3, computeChain(), fixed(us)),
+		row("silent-1ms-4", 4, workloads.Silent(ms), fixed(us)))
+	for _, q := range []simtime.Duration{us, 70 * us, ms} {
+		rows = append(rows, row(fmt.Sprintf("phases-6/Q=%v", q), 6, workloads.Phases(4, 120*us, 24<<10), fixed(q)))
+	}
+	for _, q := range []simtime.Duration{us, 10 * us, 100 * us, ms} {
+		rows = append(rows, row(fmt.Sprintf("phases-48k-4/Q=%v", q), 4, workloads.Phases(5, 200*us, 48<<10), fixed(q)))
+	}
+	for _, w := range []workloads.Workload{workloads.PingPong(30, 9000), workloads.Phases(3, 150*us, 32<<10), workloads.Uniform(15, 3000, 20*us, 7)} {
+		for _, nodes := range []int{2, 5, 8} {
+			rows = append(rows, row(fmt.Sprintf("%s-%d/Q=1µs", w.Name, nodes), nodes, w, fixed(us)))
+		}
+	}
+	return rows
+}
+
+// paperRows are the paper's workloads at 4 nodes and Q = 1µs: the five NAS
+// kernels, FT, BT and NAMD, compute scaled by 0.02 as experiments.NASSuite
+// scales it.
+func paperRows() []diffRow {
+	ep, is, cg, mg := workloads.DefaultEP(), workloads.DefaultIS(), workloads.DefaultCG(), workloads.DefaultMG()
+	lu, ft, bt, namd := workloads.DefaultLU(), workloads.DefaultFT(), workloads.DefaultBT(), workloads.DefaultNAMD()
+	for _, d := range []*simtime.Duration{&ep.SerialCompute, &is.SerialComputePerIter, &cg.SerialComputePerInner,
+		&mg.SerialComputeFinest, &lu.SerialComputePerStep, &ft.SerialComputePerIter, &bt.SerialComputePerStep, &namd.SerialComputePerStep} {
+		*d = d.Scale(0.02)
+	}
+	var rows []diffRow
+	for _, w := range []workloads.Workload{workloads.EP(ep), workloads.IS(is), workloads.CG(cg), workloads.MG(mg),
+		workloads.LU(lu), workloads.FT(ft), workloads.BT(bt), workloads.NAMD(namd)} {
+		rows = append(rows, row(w.Name+"-4", 4, w, fixed(simtime.Microsecond)))
+	}
+	return rows
+}
+
+// groundTruth reports whether the row runs a fixed quantum within its
+// configuration's smallest link bound, where no delivery can be late.
+func (r diffRow) groundTruth() bool {
+	f, ok := r.cfg.Policy().(quantum.Fixed)
+	return ok && f.Q <= newLookahead(r.cfg.Net, r.cfg.Nodes).min
+}
+
+// hostTwins are the matrix's ground-truth rows on a perturbed host: another
+// jitter seed and spread, other busy and idle slowdowns, and dearer barriers,
+// packets and controller trips. At Q <= T the guests cannot tell.
+func hostTwins() []diffRow {
+	var rows []diffRow
+	for _, r := range matrixRows() {
+		if r.groundTruth() {
+			h := &r.cfg.Host
+			h.Seed, h.JitterSigma, h.BusySlowdown, h.IdleSlowdown = 999, 0.5, 3, 2.5
+			h.BarrierCost, h.PacketHostCost, h.PacketTransit = 3*h.BarrierCost, 5*h.PacketHostCost, 2*h.PacketTransit
+			r.name += "/host"
+			rows = append(rows, r)
+		}
+	}
+	return rows
 }

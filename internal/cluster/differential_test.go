@@ -2,34 +2,48 @@ package cluster
 
 import (
 	"bytes"
+	"clustersim/internal/obs"
+	"clustersim/internal/prof"
+	"clustersim/internal/quantum"
+	"clustersim/internal/simtime"
 	"cmp"
 	"errors"
 	"fmt"
 	"math/rand"
 	"reflect"
 	"slices"
-	"sort"
 	"testing"
-
-	"clustersim/internal/faults"
-	"clustersim/internal/host"
-	"clustersim/internal/netmodel"
-	"clustersim/internal/obs"
-	"clustersim/internal/prof"
-	"clustersim/internal/simtime"
-	"clustersim/internal/workloads"
 )
 
-// streamProbe records a run's stream for the differential: every quantum hook
-// in stream order, the packet and NodePhase hooks tagged with their quantum,
-// the lookahead and the summary.
+// streamProbe keeps every hook of a run: order names each, in stream order,
+// by its kind and its index in the slice of its kind. Every view of a stream
+// derives from the probe, and replay feeds it to any other sink.
 type streamProbe struct {
-	qi        int
-	lookahead simtime.Duration
-	quanta    []any // quantumStart, obs.Partitioning, obs.QuantumRecord
-	pkts      []taggedPacket
-	phases    []phaseHook
-	sum       obs.RunSummary
+	order  []hookRef
+	info   obs.RunInfo
+	sum    obs.RunSummary
+	starts []quantumStart
+	parts  []*obs.Partitioning // the engine's own, which it never changes
+	ends   []obs.QuantumRecord
+	pkts   []taggedPacket
+	phases []phaseHook // in stream order; see sortedPhases
+}
+
+type hookKind uint8
+
+const (
+	hookRunStart hookKind = iota
+	hookStart
+	hookPartition
+	hookPacket
+	hookPhase
+	hookEnd
+	hookRunEnd
+)
+
+type hookRef struct {
+	kind hookKind
+	i    int32
 }
 
 type taggedPacket struct {
@@ -53,42 +67,100 @@ type quantumStart struct {
 
 type nodeQuantum struct{ qi, node int }
 
-func (p *streamProbe) RunStart(i obs.RunInfo)  { p.lookahead = i.Lookahead }
-func (p *streamProbe) RunEnd(s obs.RunSummary) { p.sum = s }
+func (p *streamProbe) add(k hookKind, n int) { p.order = append(p.order, hookRef{k, int32(n)}) }
+
+func (p *streamProbe) RunStart(i obs.RunInfo)  { p.info = i; p.add(hookRunStart, 0) }
+func (p *streamProbe) RunEnd(s obs.RunSummary) { p.sum = s; p.add(hookRunEnd, 0) }
 func (p *streamProbe) QuantumStart(i int, start simtime.Guest, q simtime.Duration, h simtime.Host) {
-	p.qi = i
-	p.quanta = append(p.quanta, quantumStart{i, start, q, h})
+	p.add(hookStart, len(p.starts))
+	p.starts = append(p.starts, quantumStart{i, start, q, h})
 }
 func (p *streamProbe) QuantumPartition(_ int, part *obs.Partitioning) {
-	p.quanta = append(p.quanta, *part)
+	p.add(hookPartition, len(p.parts))
+	p.parts = append(p.parts, part)
 }
-func (p *streamProbe) QuantumEnd(rec obs.QuantumRecord) { p.quanta = append(p.quanta, rec) }
+func (p *streamProbe) QuantumEnd(rec obs.QuantumRecord) {
+	p.add(hookEnd, len(p.ends))
+	p.ends = append(p.ends, rec)
+}
 func (p *streamProbe) Packet(rec obs.PacketRecord) {
-	p.pkts = append(p.pkts, taggedPacket{p.qi, rec})
+	p.add(hookPacket, len(p.pkts))
+	p.pkts = append(p.pkts, taggedPacket{len(p.starts) - 1, rec})
 }
 func (p *streamProbe) NodePhase(node int, ph obs.Phase, g0, g1 simtime.Guest, h0, h1 simtime.Host) {
-	p.phases = append(p.phases, phaseHook{p.qi, node, ph, g0, g1, h0, h1})
+	p.add(hookPhase, len(p.phases))
+	p.phases = append(p.phases, phaseHook{len(p.starts) - 1, node, ph, g0, g1, h0, h1})
+}
+
+// replay feeds the probe's stream to o, hook for hook.
+func (p *streamProbe) replay(o obs.Observer) {
+	qi := 0
+	for _, h := range p.order {
+		switch h.kind {
+		case hookRunStart:
+			o.RunStart(p.info)
+		case hookStart:
+			s := p.starts[h.i]
+			qi = s.qi
+			o.QuantumStart(s.qi, s.start, s.q, s.h)
+		case hookPartition:
+			o.QuantumPartition(qi, p.parts[h.i])
+		case hookEnd:
+			o.QuantumEnd(p.ends[h.i])
+		case hookPacket:
+			o.Packet(p.pkts[h.i].rec)
+		case hookPhase:
+			ph := p.phases[h.i]
+			o.NodePhase(ph.node, ph.ph, ph.g0, ph.g1, ph.h0, ph.h1)
+		case hookRunEnd:
+			o.RunEnd(p.sum)
+		}
+	}
+}
+
+// quantumHooks is the stream's order of quantum-level hooks.
+func (p *streamProbe) quantumHooks() []hookRef {
+	return slices.DeleteFunc(slices.Clone(p.order), func(h hookRef) bool { return h.kind == hookPacket || h.kind == hookPhase })
+}
+
+// sortedPhases is the NodePhase hooks per (quantum, node), in stream order
+// inside each.
+func (p *streamProbe) sortedPhases() []phaseHook {
+	phases := slices.Clone(p.phases)
+	slices.SortStableFunc(phases, func(a, b phaseHook) int {
+		return cmp.Or(cmp.Compare(a.qi, b.qi), cmp.Compare(a.node, b.node))
+	})
+	return phases
 }
 
 // packetSet is the packet hooks as a sorted multiset of (quantum, record).
-func (p *streamProbe) packetSet() []string {
-	var set []string
-	for _, tp := range p.pkts {
-		set = append(set, fmt.Sprintf("q%d %+v", tp.qi, tp.rec))
+func (p *streamProbe) packetSet() []taggedPacket {
+	b2i := func(b bool) int {
+		if b {
+			return 1
+		}
+		return 0
 	}
-	sort.Strings(set)
-	return set
+	return slices.SortedFunc(slices.Values(p.pkts), func(a, b taggedPacket) int {
+		x, y := a.rec, b.rec
+		return cmp.Or(cmp.Compare(a.qi, b.qi), cmp.Compare(x.SendGuest, y.SendGuest), cmp.Compare(x.Src, y.Src),
+			cmp.Compare(x.Dst, y.Dst), cmp.Compare(x.Ideal, y.Ideal), cmp.Compare(x.Arrival, y.Arrival),
+			cmp.Compare(x.Latency, y.Latency), cmp.Compare(x.Size, y.Size), cmp.Compare(b2i(x.Dropped), b2i(y.Dropped)),
+			cmp.Compare(b2i(x.Duplicate), b2i(y.Duplicate)), cmp.Compare(b2i(x.Straggler), b2i(y.Straggler)),
+			cmp.Compare(b2i(x.Snapped), b2i(y.Snapped)))
+	})
 }
 
-// observed is one run of a configuration with the probe, an obs.Recorder and
-// a profiler attached. For Run, the onSkip probe lists the node-quanta the
-// quiet pass fast-forwarded; quiet holds the quanta every node sat out, which
-// are the quiet quanta, and stretches the length k of each of node 0's skips.
+// observed is one run with the probe, an obs.Recorder and a profiler attached.
+// For Run, skipped lists the node-quanta the quiet pass fast-forwarded, quiet
+// the quanta every node sat out, and stretches each of node 0's skips' k.
 type observed struct {
+	*streamProbe
+	cfg       Config
 	res       *Result
 	err       error
-	probe     *streamProbe
 	rec       *obs.Recorder
+	rep       *prof.Report
 	prof      []byte
 	skipped   []nodeQuantum
 	quiet     []int
@@ -96,9 +168,9 @@ type observed struct {
 }
 
 func observe(run func(Config) (*Result, error), cfg Config) observed {
-	o := observed{probe: &streamProbe{}, rec: &obs.Recorder{}}
 	p := prof.New()
-	cfg.Observer = obs.Multi(o.probe, o.rec, p)
+	o := observed{streamProbe: &streamProbe{}, cfg: cfg, rec: &obs.Recorder{}}
+	cfg.Observer = obs.Multi(o.streamProbe, o.rec, p)
 	perQuantum := map[int]int{}
 	cfg.onSkip = func(qi, node, k int) {
 		for j := qi; j < qi+k; j++ {
@@ -112,59 +184,74 @@ func observe(run func(Config) (*Result, error), cfg Config) observed {
 		}
 	}
 	o.res, o.err = run(cfg)
-	o.prof = p.Report().JSON()
-	// Per quantum and node; each node's records stay in stream order.
-	slices.SortStableFunc(o.probe.phases, func(a, b phaseHook) int {
-		return cmp.Or(cmp.Compare(a.qi, b.qi), cmp.Compare(a.node, b.node))
-	})
+	o.rep = p.Report()
+	o.prof = o.rep.JSON()
 	return o
 }
 
-// runObserved is observe(Run, c.config()) for a case that must complete.
-func runObserved(t *testing.T, c fastCase) observed {
+// verdict collects one check's findings: a row's checks run once, and every
+// test that reads them reports them.
+type verdict []string
+
+func (v *verdict) Errorf(format string, args ...any) { *v = append(*v, fmt.Sprintf(format, args...)) }
+
+// report fails t with the verdicts' findings.
+func report(t *testing.T, vs ...verdict) {
 	t.Helper()
-	o := observe(Run, c.config())
-	if o.err != nil {
-		t.Fatalf("%s: %v", c.name, o.err)
+	for _, v := range vs {
+		for _, m := range v {
+			t.Error(m)
+		}
 	}
-	return o
 }
 
-// requireSameRun holds Run to the reference on one configuration. How a
-// quantum is executed may reorder the hooks inside it and nothing else: the
-// error, the Result, the canonical encoding of the recorded run, the profiler
-// report bytes and every quantum hook must be identical, and the packet and
-// NodePhase hooks equal as per-quantum multisets.
-func requireSameRun(t *testing.T, got, ref observed) {
-	t.Helper()
+// sameRun holds Run to the reference. How a quantum is executed may reorder
+// the hooks inside it and nothing else: the error, the Result, the canonical
+// encoding, the profiler report bytes and every quantum hook are identical,
+// and the packet and NodePhase hooks equal as per-quantum multisets.
+func sameRun(v *verdict, got, ref observed, gotPhases, refPhases []phaseHook) {
 	if g, w := fmt.Sprint(got.err), fmt.Sprint(ref.err); g != w {
-		t.Fatalf("Run ended with %q, the reference with %q", g, w)
+		v.Errorf("Run ended with %q, the reference with %q", g, w)
+		return
 	}
 	if !reflect.DeepEqual(got.res, ref.res) {
-		t.Errorf("Result differs from the reference:\nRun       %+v\nreference %+v", got.res, ref.res)
+		v.Errorf("Result differs from the reference:\nRun       %+v\nreference %+v", got.res, ref.res)
 	}
 	if got.res != nil && !bytes.Equal(CanonicalResult(got.res, got.rec), CanonicalResult(ref.res, ref.rec)) {
-		t.Errorf("canonical result differs from the reference")
+		v.Errorf("canonical result differs from the reference")
 	}
 	if !bytes.Equal(got.prof, ref.prof) {
-		t.Errorf("profiler report bytes differ from the reference")
+		v.Errorf("profiler report bytes differ from the reference")
 	}
-	if d := firstDiff(got.probe.quanta, ref.probe.quanta); d != "" {
-		t.Errorf("quantum hooks differ from the reference: %s", d)
+	var lastA, lastB *obs.Partitioning // each engine hands out one partitioning per quantum size
+	samePart := func(a, b *obs.Partitioning) bool {
+		eq := a == lastA && b == lastB || reflect.DeepEqual(a, b)
+		lastA, lastB = a, b
+		return eq
 	}
-	if d := firstDiff(got.probe.packetSet(), ref.probe.packetSet()); d != "" {
-		t.Errorf("per-quantum packet multisets differ from the reference: %s", d)
+	for _, d := range []string{firstDiff(got.quantumHooks(), ref.quantumHooks()), firstDiff(got.starts, ref.starts),
+		firstDiff(got.ends, ref.ends), firstDiffFunc(got.parts, ref.parts, samePart)} {
+		if d != "" {
+			v.Errorf("quantum hooks differ from the reference: %s", d)
+		}
 	}
-	if d := firstDiff(got.probe.phases, ref.probe.phases); d != "" {
-		t.Errorf("per-quantum NodePhase multisets differ from the reference: %s", d)
+	if d := firstDiff(got.packetSet(), ref.packetSet()); d != "" {
+		v.Errorf("per-quantum packet multisets differ from the reference: %s", d)
+	}
+	if d := firstDiff(gotPhases, refPhases); d != "" {
+		v.Errorf("per-quantum NodePhase multisets differ from the reference: %s", d)
 	}
 }
 
 // firstDiff describes where Run's hooks first depart from the reference's,
 // or returns "" when the two are equal.
-func firstDiff[T any](got, want []T) string {
+func firstDiff[T comparable](got, want []T) string {
+	return firstDiffFunc(got, want, func(a, b T) bool { return a == b })
+}
+
+func firstDiffFunc[T any](got, want []T, eq func(a, b T) bool) string {
 	i := 0
-	for i < len(got) && i < len(want) && reflect.DeepEqual(got[i], want[i]) {
+	for i < len(got) && i < len(want) && eq(got[i], want[i]) {
 		i++
 	}
 	if i == len(got) && i == len(want) {
@@ -175,23 +262,63 @@ func firstDiff[T any](got, want []T) string {
 }
 
 // checkContracts holds one completed run to the laws DESIGN.md §7 states:
-//   - conservation: Deliveries = Packets - Dropped + Duplicated - unroutable,
-//     each count as the packet records tell it;
-//   - Exact + Stragglers = Deliveries;
+// checkRecords', and each node's busy and idle records tile its guest time
+// from 0 to the last barrier, ascending in host time, their host extents
+// summing to HostBusy + HostIdle.
+func checkContracts(v *verdict, label string, o observed, phases []phaseHook) {
+	next, ok := checkRecords(v, label, o.cfg, o.info.Lookahead, o.res, o.rec, true)
+	if !ok {
+		return
+	}
+	s := o.res.Stats
+	g := make([]simtime.Guest, len(o.res.NodeFinish))
+	h := make([]simtime.Host, len(o.res.NodeFinish))
+	var extent simtime.Duration
+	for _, ph := range phases {
+		if ph.ph == obs.PhaseDone {
+			continue
+		}
+		if ph.g0 != g[ph.node] || ph.g1 < ph.g0 || ph.h0 < h[ph.node] || ph.h1 < ph.h0 {
+			v.Errorf("%s: node %d quantum %d: %v record covers guest %v-%v, host %v-%v; the previous one ended at %v, %v",
+				label, ph.node, ph.qi, ph.ph, ph.g0, ph.g1, ph.h0, ph.h1, g[ph.node], h[ph.node])
+			return
+		}
+		g[ph.node], h[ph.node] = ph.g1, ph.h1
+		extent += ph.h1.Sub(ph.h0)
+	}
+	for i, at := range g {
+		if at != next {
+			v.Errorf("%s: node %d's records end at guest %v, the run at %v", label, i, at, next)
+		}
+	}
+	if extent != s.HostBusy+s.HostIdle {
+		v.Errorf("%s: busy and idle records cover %v of host time, HostBusy + HostIdle = %v", label, extent, s.HostBusy+s.HostIdle)
+	}
+}
+
+// checkRecords holds a completed run's records to the laws that do not
+// depend on how its nodes were scheduled:
+//   - conservation: Deliveries = Packets - Dropped + Duplicated - unroutable
+//     = Exact + Stragglers, each count, and the stragglers' delay, as the
+//     packet records tell it;
 //   - SendGuest <= Ideal <= Arrival, with Arrival == Ideal for an exact
 //     delivery;
-//   - the quantum records tile guest and host time from zero, each Q lies in
-//     [MinQ, MaxQ], and a quantum with Q <= T delivers no straggler;
-//   - each node's busy and idle records tile its guest time from 0 to the
-//     last barrier, ascending in host time, and their host extents sum to
-//     HostBusy + HostIdle.
-func checkContracts(t *testing.T, label string, o observed) {
-	t.Helper()
-	s, rec := o.res.Stats, o.rec
-	delivered, dropped, dups := 0, 0, 0
+//   - the quantum records tile guest time from zero and follow each other in
+//     host time — with tiled, each starts where the last ended —, each Q lies
+//     in [MinQ, MaxQ], and a quantum with Q <= T delivers no straggler;
+//   - Algorithm 1, under an adaptive policy: Q0 = Min, every Q in [Min, Max],
+//     and Q grows or holds after a silent quantum, shrinks or holds after
+//     one with traffic.
+//
+// It returns the guest time the last quantum ended at.
+func checkRecords(v *verdict, label string, cfg Config, T simtime.Duration, res *Result, rec *obs.Recorder, tiled bool) (next simtime.Guest, ok bool) {
+	s := res.Stats
+	delivered, dropped, dups, late := 0, 0, 0, 0
+	var delay simtime.Duration
 	for i, p := range rec.Packets {
 		if p.SendGuest > p.Ideal || !p.Dropped && (p.Arrival < p.Ideal || !p.Straggler && p.Arrival != p.Ideal) {
-			t.Fatalf("%s: packet %d breaks SendGuest <= Ideal <= Arrival, exact at Ideal: %+v", label, i, p)
+			v.Errorf("%s: packet %d breaks SendGuest <= Ideal <= Arrival, exact at Ideal: %+v", label, i, p)
+			return next, false
 		}
 		if p.Dropped {
 			dropped++
@@ -201,309 +328,223 @@ func checkContracts(t *testing.T, label string, o observed) {
 		if p.Duplicate {
 			dups++
 		}
+		if p.Straggler {
+			late, delay = late+1, delay+p.Arrival.Sub(p.Ideal)
+		}
 	}
 	unroutable := s.Packets - (delivered - dups) - dropped
 	if s.Deliveries != delivered || s.Dropped != dropped || s.Duplicated != dups || unroutable < 0 ||
-		s.Deliveries != s.Packets-s.Dropped+s.Duplicated-unroutable {
-		t.Errorf("%s: Stats %+v break conservation; the records show %d delivered, %d dropped, %d duplicates",
-			label, s, delivered, dropped, dups)
-	}
-	if s.Exact+s.Stragglers != s.Deliveries {
-		t.Errorf("%s: exact %d + stragglers %d != deliveries %d", label, s.Exact, s.Stragglers, s.Deliveries)
+		s.Deliveries != s.Packets-s.Dropped+s.Duplicated-unroutable || s.Exact+s.Stragglers != s.Deliveries ||
+		s.Stragglers != late || s.StragglerDelay != delay {
+		v.Errorf("%s: Stats %+v break conservation; the records show %d delivered, %d dropped, %d duplicates, %d late by %v",
+			label, s, delivered, dropped, dups, late, delay)
 	}
 	packets, stragglers := 0, 0
-	var next simtime.Guest
 	var release simtime.Host
+	a, alg1 := cfg.Policy().(*quantum.Adaptive)
 	for i, q := range rec.Quanta {
-		if q.Index != i || q.Start != next || q.HostStart != release || q.HostEnd < q.HostStart {
-			t.Fatalf("%s: quantum record %d does not start where record %d ended: %+v", label, i, i-1, q)
+		if q.Index != i || q.Start != next || q.HostStart < release || tiled && q.HostStart != release || q.HostEnd < q.HostStart {
+			v.Errorf("%s: quantum record %d does not start where record %d ended: %+v", label, i, i-1, q)
+			return next, false
 		}
 		next, release = q.Start.Add(q.Q), q.HostEnd
 		packets += q.Packets
 		stragglers += q.Stragglers
 		if q.Q < s.MinQ || q.Q > s.MaxQ {
-			t.Fatalf("%s: quantum %d has Q = %v outside [%v, %v]", label, q.Index, q.Q, s.MinQ, s.MaxQ)
+			v.Errorf("%s: quantum %d has Q = %v outside [%v, %v]", label, q.Index, q.Q, s.MinQ, s.MaxQ)
+			return next, false
 		}
-		if q.Q <= o.probe.lookahead && q.Stragglers != 0 {
-			t.Fatalf("%s: quantum %d has Q = %v <= T = %v and %d stragglers", label, q.Index, q.Q, o.probe.lookahead, q.Stragglers)
+		if q.Q <= T && q.Stragglers != 0 {
+			v.Errorf("%s: quantum %d has Q = %v <= T = %v and %d stragglers", label, q.Index, q.Q, T, q.Stragglers)
+			return next, false
+		}
+		if p := rec.Quanta[max(i-1, 0)]; alg1 && (q.Q < a.Min || q.Q > a.Max || i == 0 && q.Q != a.Min ||
+			p.Packets == 0 && q.Q < p.Q || p.Packets > 0 && q.Q > p.Q) {
+			v.Errorf("%s: Algorithm 1 in [%v, %v]: quantum %d has Q = %v after %v with %d packets", label, a.Min, a.Max, i, q.Q, p.Q, p.Packets)
+			return next, false
 		}
 	}
 	if len(rec.Quanta) != s.Quanta || packets != s.Packets || stragglers != s.Stragglers {
-		t.Errorf("%s: %d quantum records carry %d packets and %d stragglers, Stats %d, %d and %d",
+		v.Errorf("%s: %d quantum records carry %d packets and %d stragglers, Stats %d, %d and %d",
 			label, len(rec.Quanta), packets, stragglers, s.Quanta, s.Packets, s.Stragglers)
 	}
-
-	g := make([]simtime.Guest, len(o.res.NodeFinish))
-	h := make([]simtime.Host, len(o.res.NodeFinish))
-	var extent simtime.Duration
-	for _, ph := range o.probe.phases {
-		if ph.ph == obs.PhaseDone {
-			continue
-		}
-		if ph.g0 != g[ph.node] || ph.g1 < ph.g0 || ph.h0 < h[ph.node] || ph.h1 < ph.h0 {
-			t.Fatalf("%s: node %d quantum %d: %v record covers guest %v-%v, host %v-%v; the previous one ended at %v, %v",
-				label, ph.node, ph.qi, ph.ph, ph.g0, ph.g1, ph.h0, ph.h1, g[ph.node], h[ph.node])
-		}
-		g[ph.node], h[ph.node] = ph.g1, ph.h1
-		extent += ph.h1.Sub(ph.h0)
-	}
-	for i, at := range g {
-		if at != next {
-			t.Errorf("%s: node %d's records end at guest %v, the run at %v", label, i, at, next)
-		}
-	}
-	if extent != s.HostBusy+s.HostIdle {
-		t.Errorf("%s: busy and idle records cover %v of host time, HostBusy + HostIdle = %v", label, extent, s.HostBusy+s.HostIdle)
-	}
+	return next, true
 }
 
-// diffRun is one configuration run three times: observed on Run and on the
-// reference, and unobserved on Run.
-type diffRun struct {
-	got, ref observed
-	bare     *Result
-	bareErr  error
-}
-
-func runDifferential(cfg Config) *diffRun {
-	d := &diffRun{ref: observe(simulateReference, cfg), got: observe(Run, cfg)}
-	d.bare, d.bareErr = Run(cfg)
-	return d
-}
-
-// require holds the runs to everything the differential checks of any
-// configuration.
-func (d *diffRun) require(t *testing.T) {
-	t.Helper()
-	d.requireSame(t)
-	d.requireContracts(t)
-	requireRecorded(t, "Run", d.got)
-	requireRecorded(t, "reference", d.ref)
-	requireSummary(t, d.got)
-}
-
-// requireSame holds Run to the reference, and the observed run to the
-// unobserved one: observing must not perturb the run, and the run must be
-// deterministic.
-func (d *diffRun) requireSame(t *testing.T) {
-	t.Helper()
-	requireSameRun(t, d.got, d.ref)
-	if fmt.Sprint(d.bareErr) != fmt.Sprint(d.got.err) || !reflect.DeepEqual(d.bare, d.got.res) {
-		t.Errorf("observing changed the run: %v %+v, unobserved %v %+v", d.got.err, d.got.res, d.bareErr, d.bare)
-	}
-}
-
-// requireContracts holds both observed runs, if they completed, to the
-// contracts.
-func (d *diffRun) requireContracts(t *testing.T) {
-	t.Helper()
-	if d.ref.err == nil && d.got.err == nil {
-		checkContracts(t, "reference", d.ref)
-		checkContracts(t, "Run", d.got)
-	}
-}
-
-// requireRecorded: obs.Recorder keeps exactly the stream's Packet and
+// checkRecorded: obs.Recorder keeps exactly the stream's Packet and
 // QuantumEnd hooks, in stream order, one QuantumEnd per quantum.
-func requireRecorded(t *testing.T, label string, o observed) {
-	t.Helper()
+func checkRecorded(v *verdict, label string, o observed) {
 	var pkts []obs.PacketRecord
-	var quanta []obs.QuantumRecord
-	for _, tp := range o.probe.pkts {
+	for _, tp := range o.pkts {
 		pkts = append(pkts, tp.rec)
 	}
-	for _, h := range o.probe.quanta {
-		if q, ok := h.(obs.QuantumRecord); ok {
-			quanta = append(quanta, q)
-		}
+	if !slices.Equal(o.rec.Packets, pkts) || !slices.Equal(o.rec.Quanta, o.ends) {
+		v.Errorf("%s: obs.Recorder holds %d packets and %d quanta, not the stream's %d and %d",
+			label, len(o.rec.Packets), len(o.rec.Quanta), len(pkts), len(o.ends))
 	}
-	if !reflect.DeepEqual(o.rec.Packets, pkts) || !reflect.DeepEqual(o.rec.Quanta, quanta) {
-		t.Errorf("%s: obs.Recorder holds %d packets and %d quanta, not the stream's %d and %d",
-			label, len(o.rec.Packets), len(o.rec.Quanta), len(pkts), len(quanta))
-	}
-	if o.res != nil && len(quanta) != o.res.Stats.Quanta {
-		t.Errorf("%s: the stream carried %d QuantumEnd hooks, Stats.Quanta = %d", label, len(quanta), o.res.Stats.Quanta)
+	if o.res != nil && len(o.ends) != o.res.Stats.Quanta {
+		v.Errorf("%s: the stream carried %d QuantumEnd hooks, Stats.Quanta = %d", label, len(o.ends), o.res.Stats.Quanta)
 	}
 }
 
-// requireSummary: the RunSummary counts the quanta and node-quanta the skip
-// probe saw fast-forwarded.
-func requireSummary(t *testing.T, o observed) {
-	t.Helper()
-	if s := o.probe.sum; s.QuietQuanta != len(o.quiet) || s.QuietNodeQuanta != len(o.skipped) {
-		t.Errorf("RunSummary reports %d quiet quanta and %d node-quanta, the skip probe saw %d and %d",
-			s.QuietQuanta, s.QuietNodeQuanta, len(o.quiet), len(o.skipped))
+// guestView is what a run shows its guests: finish times, metrics, Stats
+// without its host-time fields, and the canonical packet list. At Q <= T it
+// depends on neither the host model nor the runner.
+type guestView struct {
+	NodeFinish []simtime.Guest
+	Metrics    []map[string]float64
+	Stats      Stats
+	Packets    []obs.PacketRecord
+}
+
+func guestOf(res *Result, pkts []obs.PacketRecord) guestView {
+	s := res.Stats
+	s.HostBusy, s.HostIdle, s.HostBarrier = 0, 0, 0
+	return guestView{res.NodeFinish, res.Metrics, s, SortPacketsCanonical(pkts)}
+}
+
+// diff describes how the view departs from want's, or returns "".
+func (g guestView) diff(want guestView) string {
+	if g.Stats == want.Stats && slices.Equal(g.Packets, want.Packets) &&
+		reflect.DeepEqual(g.NodeFinish, want.NodeFinish) && reflect.DeepEqual(g.Metrics, want.Metrics) {
+		return ""
 	}
+	return fmt.Sprintf("finish times %v, metrics %v, guest Stats %+v and %d packets; want %v, %v, %+v and %d",
+		g.NodeFinish, g.Metrics, g.Stats, len(g.Packets), want.NodeFinish, want.Metrics, want.Stats, len(want.Packets))
 }
 
-// diffRow is one configuration of the differential.
-type diffRow struct {
-	key, name string // key tells apart rows the tests below share
-	cfg       Config
-	aborts    bool
-	collapses bool // some quiet stretch must be longer than one quantum
-	never     bool // none may be
+// diffRun is a row run observed on Run and on the reference, and unobserved
+// on Run, with its verdicts: Run against the reference, observed against
+// unobserved, the contracts on both engines, the recorders against the
+// stream, the summary against the skip probe, the row's expected shape. Of
+// the reference it keeps the report its stream replays into a profiler.
+type diffRun struct {
+	got       observed
+	refReplay []byte
+
+	same, bareSame, contracts, recorded, summary, shape verdict
+
+	profiled []byte // see profiledReport
 }
 
-// diffRuns holds the rows' runs by key. TestDifferential holds every row to
-// everything; the tests after it each read one facet of the rows they cover.
-// A row runs once per test binary, whichever test asks first.
-var diffRuns = map[string]*diffRun{}
-
-func (r diffRow) run() *diffRun {
-	d := diffRuns[r.key]
-	if d == nil {
-		d = runDifferential(r.cfg)
-		diffRuns[r.key] = d
+func newDiffRun(r diffRow) *diffRun {
+	// The three runs share nothing, so they run side by side.
+	refc, barec := make(chan observed), make(chan observed)
+	go func() { refc <- observe(simulateReference, r.cfg) }()
+	go func() { var b observed; b.res, b.err = Run(r.cfg); barec <- b }()
+	got := observe(Run, r.cfg)
+	ref, bare := <-refc, <-barec
+	d := &diffRun{got: got}
+	refPhases, gotPhases := ref.sortedPhases(), got.sortedPhases()
+	sameRun(&d.same, got, ref, gotPhases, refPhases)
+	if fmt.Sprint(bare.err) != fmt.Sprint(got.err) || !reflect.DeepEqual(bare.res, got.res) {
+		d.bareSame.Errorf("observing changed the run: %v %+v, unobserved %v %+v", got.err, got.res, bare.err, bare.res)
+	}
+	if ref.err == nil && got.err == nil {
+		checkContracts(&d.contracts, "reference", ref, refPhases)
+		checkContracts(&d.contracts, "Run", got, gotPhases)
+	}
+	checkRecorded(&d.recorded, "Run", got)
+	checkRecorded(&d.recorded, "reference", ref)
+	if s := got.sum; s.QuietQuanta != len(got.quiet) || s.QuietNodeQuanta != len(got.skipped) {
+		d.summary.Errorf("RunSummary reports %d quiet quanta and %d node-quanta, the skip probe saw %d and %d",
+			s.QuietQuanta, s.QuietNodeQuanta, len(got.quiet), len(got.skipped))
+	}
+	if r.aborts != errors.Is(got.err, ErrGuestLimit) {
+		d.shape.Errorf("run ended with %v, want a guest-limit abort: %v", got.err, r.aborts)
+	}
+	collapsed := slices.ContainsFunc(got.stretches, func(k int) bool { return k > 1 })
+	if r.collapses && !collapsed || r.never && collapsed {
+		d.shape.Errorf("stretches of %v quanta; want one longer than a quantum: %v, want none: %v", got.stretches, r.collapses, r.never)
+	}
+	p := prof.New()
+	ref.replay(p)
+	d.refReplay = p.Report().JSON()
+	if len(got.order) > keptHooks {
+		d.got.streamProbe = nil
 	}
 	return d
 }
 
-// requireShape checks how the row's run must end and whether its quiet
-// stretches may collapse.
-func (r diffRow) requireShape(t *testing.T, d *diffRun) {
+// keptHooks bounds the streams the memo keeps: a longer one is dropped once
+// the verdicts are in, and stream runs the row again for a view that reads it.
+const keptHooks = 60_000
+
+// stream is the row's observed run with its stream.
+func (d *diffRun) stream() observed {
+	if d.got.streamProbe == nil {
+		d.got = observe(Run, d.got.cfg)
+	}
+	return d.got
+}
+
+// complete fails t unless Run completed the row, and returns Run's result.
+func (d *diffRun) complete(t *testing.T) *Result {
 	t.Helper()
-	if r.aborts != errors.Is(d.got.err, ErrGuestLimit) {
-		t.Errorf("run ended with %v, want a guest-limit abort: %v", d.got.err, r.aborts)
+	if d.got.err != nil {
+		t.Fatal(d.got.err)
 	}
-	collapsed := slices.ContainsFunc(d.got.stretches, func(k int) bool { return k > 1 })
-	if r.collapses && !collapsed || r.never && collapsed {
-		t.Errorf("stretches of %v quanta; want one longer than a quantum: %v, want none: %v", d.got.stretches, r.collapses, r.never)
-	}
+	return d.got.res
 }
 
-func caseRow(c fastCase) diffRow { return diffRow{key: c.name, name: c.name, cfg: c.config()} }
-
-// matrixRows is the behaviour matrix and the 64-node sparse case.
-func matrixRows() []diffRow {
-	var rows []diffRow
-	for _, c := range append(fastCases(), sparseCase(15)) {
-		rows = append(rows, caseRow(c))
-	}
-	return rows
-}
-
-// trialRows is n random fat-tree/fault scenarios drawn from seed.
-func trialRows(seed int64, n int) []diffRow {
-	rnd := rand.New(rand.NewSource(seed))
-	var rows []diffRow
-	for trial := 0; trial < n; trial++ {
-		c, _ := randomFatTreeCase(rnd, trial)
-		rows = append(rows, diffRow{key: fmt.Sprintf("%d/%s", seed, c.name), name: c.name, cfg: c.config()})
-	}
-	return rows
-}
-
-// stretchRows is phases-4's traffic under a sampling schedule, and silent
-// clusters whose quiet stretches collapse: at quanta that divide a jitter
-// window (1µs, 10µs), straddle its edges (3µs) and exceed it (25µs), with a
-// sampling schedule, per-node host slowdowns, and a guest limit that falls
-// inside a window.
-func stretchRows() []diffRow {
-	sampling := &host.Sampling{Period: 7 * simtime.Microsecond, DetailFraction: 0.4, FastSlowdown: 2}
-	var rows []diffRow
-	for _, c := range fastCases() {
-		if c.name == "phases-4" {
-			sampled := c.config()
-			sampled.Host.Sampling = sampling
-			rows = append(rows, diffRow{key: c.name + "/sampling", name: c.name + "/sampling", cfg: sampled, never: true})
+// profiledReport is the report of a run with the unread Workers stub at 2 and
+// a profiler attached as Config.Profiler alone, which must be the probed
+// run's bytes.
+func (d *diffRun) profiledReport(t *testing.T) []byte {
+	t.Helper()
+	if d.profiled == nil {
+		cfg, p := d.got.cfg, prof.New()
+		cfg.Workers, cfg.Profiler = 2, p
+		if _, err := Run(cfg); err != nil {
+			t.Fatal(err)
 		}
+		d.profiled = p.Report().JSON()
 	}
-	for _, nodes := range []int{8, 64} {
-		for _, q := range []simtime.Duration{1, 3, 10, 25} {
-			base := testConfig(nodes, workloads.Silent(300*simtime.Microsecond), fixed(q*simtime.Microsecond))
-			sampled, slowed, limited := base, base, base
-			sampled.Host.Sampling = sampling
-			slowed.Faults = &faults.Plan{Seed: 3, NodeSlowdown: map[int]float64{1: 2.5, 5: 1.3}}
-			limited.MaxGuest = simtime.Guest(47500 * simtime.Nanosecond)
-			name, collapses := fmt.Sprintf("silent-%d/Q=%dus", nodes, q), q < 10
-			rows = append(rows,
-				diffRow{key: name, name: name, cfg: base, collapses: collapses, never: !collapses},
-				diffRow{key: name + "/sampling", name: name + "/sampling", cfg: sampled, never: true},
-				diffRow{key: name + "/slow", name: name + "/slow", cfg: slowed, collapses: collapses},
-				diffRow{key: name + "/maxguest", name: name + "/maxguest", cfg: limited, collapses: collapses, aborts: true})
-		}
-	}
-	return rows
+	return d.profiled
 }
 
-// ruledOutConfigs is a configuration whose lookahead a zero-latency link rules
-// out, and one whose lookahead a one-node cluster does.
-func ruledOutConfigs() (zero, one Config) {
-	zero = testConfig(4, workloads.Phases(3, 150*simtime.Microsecond, 16<<10), fixed(simtime.Microsecond))
-	zero.Net = &netmodel.Model{NIC: &netmodel.SimpleNIC{}, Switch: netmodel.PerfectSwitch{}}
-	return zero, testConfig(1, workloads.Silent(50*simtime.Microsecond), fixed(simtime.Microsecond))
-}
-
-// boundaryRows is the rule's boundary and both ruled-out lookaheads.
-func boundaryRows() []diffRow {
-	// A host that runs guest code at guest speed, with no jitter and a frame's
-	// trip to the controller as long as its link latency, so that a frame
-	// reaches the controller as its walking destination reaches the frame's
-	// arrival time — which is still an exact delivery.
-	tie := testConfig(4, workloads.Uniform(40, 1000, 10*simtime.Microsecond, 5), fixed(5*simtime.Microsecond))
-	tie.Net = &netmodel.Model{NIC: &netmodel.SimpleNIC{BaseLatency: simtime.Microsecond}, Switch: netmodel.PerfectSwitch{}}
-	tie.Host = host.Params{BusySlowdown: 1, IdleSlowdown: 1, JitterPeriod: 10 * simtime.Microsecond,
-		BarrierCost: simtime.Microsecond, PacketTransit: simtime.Microsecond, Seed: 1}
-	// Lookahead ruled out: every quantum is the whole cluster, and the stream
-	// names no partition.
-	zero, one := ruledOutConfigs()
-	return []diffRow{
-		{key: "arrival-ties-4", name: "arrival-ties-4", cfg: tie},
-		{key: "zero-latency-4", name: "zero-latency-4", cfg: zero},
-		{key: "one-node", name: "one-node", cfg: one},
-	}
-}
-
-// TestDifferential holds Run to the reference engine (reference_test.go) over
-// the behaviour matrix, the 64-node sparse case, random fat-tree/fault
-// scenarios, an arrival-tie boundary, both ruled-out lookaheads, and silent
-// clusters whose quiet stretches collapse.
-func TestDifferential(t *testing.T) {
-	rows := slices.Concat(matrixRows(), stretchRows(), boundaryRows(),
-		trialRows(20260807, 10), trialRows(20260928, 8), trialRows(20260929, 6))
-	whole, partial := 0, 0
+// view runs a subtest per row that reports the verdicts pick reads, and
+// returns how many quiet quanta and node-quanta of stepped quanta the rows'
+// quiet passes fast-forwarded.
+func view(t *testing.T, rows []diffRow, pick func(d *diffRun) []verdict) (whole, partial int) {
 	for _, r := range rows {
 		t.Run(r.name, func(t *testing.T) {
 			d := r.run()
-			d.require(t)
-			r.requireShape(t, d)
+			report(t, pick(d)...)
 			whole += len(d.got.quiet)
 			partial += len(d.got.skipped) - r.cfg.Nodes*len(d.got.quiet)
 		})
 	}
-	if whole == 0 || partial == 0 {
+	return whole, partial
+}
+
+func (d *diffRun) all() []verdict {
+	return []verdict{d.same, d.bareSame, d.contracts, d.recorded, d.summary, d.shape}
+}
+
+// TestDifferential holds Run to the reference engine (reference_test.go) and
+// the contracts over the whole table (cases_test.go).
+func TestDifferential(t *testing.T) {
+	if whole, partial := view(t, allRows(), (*diffRun).all); whole == 0 || partial == 0 {
 		t.Errorf("fast-forwarded %d quiet quanta and %d node-quanta of stepped quanta: the comparison is vacuous", whole, partial)
 	}
 }
 
-// TestFastPathMatchesClassicSemantics: on the behaviour matrix and the sparse
-// case, Run — partitioned, fast-forwarded, its quiet stretches collapsed —
-// reproduces every number of the reference, which steps every node through
-// every quantum on one event list.
+// TestFastPathMatchesClassicSemantics: on the behaviour matrix, Run —
+// partitioned, fast-forwarded, its quiet stretches collapsed — reproduces
+// every number of the reference, which steps every node through every
+// quantum on one event list.
 func TestFastPathMatchesClassicSemantics(t *testing.T) {
-	for _, r := range matrixRows() {
-		t.Run(r.name, func(t *testing.T) { r.run().requireSame(t) })
-	}
+	view(t, matrixRows(), func(d *diffRun) []verdict { return []verdict{d.same, d.bareSame} })
 }
 
-// TestQuietPassDifferential: over the behaviour matrix, the sparse case and
-// random fat-tree/fault scenarios, the run the quiet pass fast-forwards
-// matches the reference, which fast-forwards nothing, and its summary counts
-// what the pass skipped — whole quanta on some rows, single nodes of stepped
-// quanta on others.
+// TestQuietPassDifferential: over the behaviour matrix and random
+// scenarios, the run the quiet pass fast-forwards matches the reference,
+// which fast-forwards nothing, and its summary counts what the pass skipped —
+// whole quanta on some rows, single nodes of stepped quanta on others.
 func TestQuietPassDifferential(t *testing.T) {
-	whole, partial := 0, 0
-	for _, r := range slices.Concat(matrixRows(), trialRows(20260928, 8)) {
-		t.Run(r.name, func(t *testing.T) {
-			d := r.run()
-			d.requireSame(t)
-			requireSummary(t, d.got)
-			whole += len(d.got.quiet)
-			partial += len(d.got.skipped) - r.cfg.Nodes*len(d.got.quiet)
-		})
-	}
-	if whole == 0 || partial == 0 {
+	rows := slices.Concat(matrixRows(), trialRows(20260928, 8))
+	if whole, partial := view(t, rows, func(d *diffRun) []verdict { return []verdict{d.same, d.summary} }); whole == 0 || partial == 0 {
 		t.Errorf("fast-forwarded %d quiet quanta and %d node-quanta of stepped quanta: the comparison is vacuous", whole, partial)
 	}
 }
@@ -513,69 +554,166 @@ func TestQuietPassDifferential(t *testing.T) {
 // does on the reference, and collapsing changes nothing the reference can
 // tell apart.
 func TestQuietStretchDifferential(t *testing.T) {
-	for _, r := range slices.Concat(matrixRows(), stretchRows()) {
-		t.Run(r.name, func(t *testing.T) {
-			d := r.run()
-			d.requireSame(t)
-			r.requireShape(t, d)
-		})
-	}
+	view(t, slices.Concat(matrixRows(), stretchRows()), func(d *diffRun) []verdict { return []verdict{d.same, d.shape} })
 }
 
 // TestRecorderStream: on Run and on the reference, an obs.Recorder keeps
 // exactly the stream's Packet and QuantumEnd hooks in stream order, and the
-// canonical encoding of the recorded run does not depend on which engine
-// produced it.
+// canonical encoding of the recorded run does not depend on the engine.
 func TestRecorderStream(t *testing.T) {
-	for _, c := range fastCases() {
-		r := caseRow(c)
-		t.Run(r.name, func(t *testing.T) {
-			d := r.run()
-			if d.got.err != nil || d.ref.err != nil {
-				t.Fatalf("Run: %v, reference: %v", d.got.err, d.ref.err)
-			}
-			requireRecorded(t, "Run", d.got)
-			requireRecorded(t, "reference", d.ref)
-			if !bytes.Equal(CanonicalResult(d.got.res, d.got.rec), CanonicalResult(d.ref.res, d.ref.rec)) {
-				t.Error("CanonicalResult differs between Run and the reference")
-			}
-		})
-	}
+	view(t, caseRows(), func(d *diffRun) []verdict { return []verdict{d.recorded, d.same} })
 }
 
-// TestNodePhaseTiling: on Run and on the reference, over the behaviour
-// matrix, the sparse case and random scenarios, the runs keep the contracts —
-// each node's busy and idle records tile its guest time and reconcile with
-// HostBusy + HostIdle among them. The quiet pass reports a node's quantum
-// while the node's own clock lags (DESIGN.md §7.1); a path that read the
-// lagging clock would open a gap here, so some node-quanta must be skipped.
+// TestNodePhaseTiling: on both engines each node's busy and idle records
+// tile its guest time and reconcile with HostBusy + HostIdle. The quiet pass
+// reports a node's quantum while its clock lags (DESIGN.md §7.1), so some
+// node-quanta must be skipped for the check to bite.
 func TestNodePhaseTiling(t *testing.T) {
-	lagged := 0
-	for _, r := range slices.Concat(matrixRows(), trialRows(20260929, 6)) {
-		t.Run(r.name, func(t *testing.T) {
-			d := r.run()
-			d.requireContracts(t)
-			lagged += d.got.probe.sum.QuietNodeQuanta
-		})
-	}
-	if lagged == 0 {
+	if whole, partial := view(t, slices.Concat(matrixRows(), trialRows(20260929, 6)), func(d *diffRun) []verdict {
+		return []verdict{d.contracts}
+	}); whole+partial == 0 {
 		t.Error("no node-quantum was fast-forwarded: the lagging-clock half of the test is vacuous")
 	}
 }
 
 // FuzzDifferential is TestDifferential over random scenarios: topology,
-// quantum and fault plan drawn by randomFatTreeCase from the seed, and the
-// case's fixed policy or an adaptive one.
+// quantum and fault plan drawn by randomFatTreeRow from the seed, and the
+// row's fixed policy or an adaptive one.
 func FuzzDifferential(f *testing.F) {
 	for _, seed := range []int64{20260807, 20260928, 20260929, 20261002} {
 		f.Add(seed, false)
 		f.Add(seed, true)
 	}
 	f.Fuzz(func(t *testing.T, seed int64, adaptivePolicy bool) {
-		c, _ := randomFatTreeCase(rand.New(rand.NewSource(seed)), 0)
+		r := randomFatTreeRow(rand.New(rand.NewSource(seed)), 0)
 		if adaptivePolicy {
-			c.pol = adaptive(simtime.Microsecond, 200*simtime.Microsecond, 1.1, 0.02)
+			r.cfg.Policy = adaptive(simtime.Microsecond, 200*simtime.Microsecond, 1.1, 0.02)
 		}
-		runDifferential(c.config()).require(t)
+		report(t, newDiffRun(r).all()...)
 	})
+}
+
+// TestStreamOrderContract holds the observer stream to the order DESIGN.md §7
+// ("Stream order") promises inside one quantum, read off the partitioning the
+// stream itself carries: the tight partitions in partition-id order, each in
+// host-event order — a busy segment and a finish are reported when they
+// start, an idle segment when it ends — or, fast-forwarded, one record per
+// member in member order; then the loose nodes in node order, each node's
+// records contiguous and ascending in host time; then the frames routed at
+// the barrier, everything not sent inside one tight partition, in canonical
+// (source node, send-sequence) order. A quantum the quiet pass executes whole
+// is one record per node, in node order. The differentials compare NodePhase
+// hooks as per-quantum multisets; this is the test that sees a reordering.
+func TestStreamOrderContract(t *testing.T) {
+	var tightEvents, looseRecs, barrierPkts, skippedTight int
+	for _, r := range slices.Concat(matrixRows(), trialRows(20261002, 8)) {
+		t.Run(r.name, func(t *testing.T) {
+			d := r.run()
+			d.complete(t)
+			skipped := map[nodeQuantum]bool{}
+			for _, k := range d.got.skipped {
+				skipped[k] = true
+			}
+			p := d.stream().streamProbe
+			quanta := make([][]any, len(p.starts)) // each quantum's phaseHook and obs.PacketRecord records
+			for _, h := range p.order {
+				if h.kind == hookPhase {
+					quanta[p.phases[h.i].qi] = append(quanta[p.phases[h.i].qi], p.phases[h.i])
+				} else if h.kind == hookPacket {
+					quanta[p.pkts[h.i].qi] = append(quanta[p.pkts[h.i].qi], p.pkts[h.i].rec)
+				}
+			}
+			if len(p.parts) != len(quanta) {
+				t.Fatalf("%d partitionings for %d quanta", len(p.parts), len(quanta))
+			}
+			for qi, recs := range quanta {
+				part := p.parts[qi].Part // node -> partition id
+				size := map[int32]int{}
+				quiet := true
+				for node, id := range part {
+					size[id]++
+					quiet = quiet && skipped[nodeQuantum{qi, node}]
+				}
+				tight := func(node int) bool { return size[part[node]] > 1 }
+				// stage orders the quantum's three parts and, inside the first
+				// two, the partitions and the loose nodes; a quiet quantum is
+				// node order throughout.
+				stage := func(rec any) [2]int {
+					switch r := rec.(type) {
+					case phaseHook:
+						switch {
+						case quiet:
+							return [2]int{0, r.node}
+						case tight(r.node):
+							return [2]int{0, int(part[r.node])}
+						}
+						return [2]int{1, r.node}
+					case obs.PacketRecord:
+						if tight(r.Src) && part[r.Src] == part[r.Dst] {
+							return [2]int{0, int(part[r.Src])}
+						}
+						return [2]int{2, r.Src}
+					}
+					panic("unreachable")
+				}
+				var prev [2]int
+				var at simtime.Host // host-event time within a partition / end of a loose node's last record
+				var sent simtime.Guest
+				lastMember := -1 // last fast-forwarded member of the current stage
+				seen := map[int]bool{}
+				for k, rec := range recs {
+					st := stage(rec)
+					if st[0] < prev[0] || st[0] == prev[0] && st[1] < prev[1] {
+						t.Fatalf("quantum %d record %d %+v (stage %v) follows stage %v", qi, k, rec, st, prev)
+					}
+					if st != prev {
+						at, sent, lastMember = 0, 0, -1
+					}
+					prev = st
+					switch r := rec.(type) {
+					case phaseHook:
+						switch {
+						case skipped[nodeQuantum{qi, r.node}]:
+							if r.node <= lastMember || seen[r.node] || r.ph == obs.PhaseDone {
+								t.Fatalf("quantum %d: fast-forwarded node %d reports %+v after node %d", qi, r.node, r, lastMember)
+							}
+							lastMember, seen[r.node] = r.node, true
+							if tight(r.node) {
+								skippedTight++
+							}
+						case st[0] == 0:
+							ev := r.h0
+							if r.ph == obs.PhaseIdle {
+								ev = r.h1
+							}
+							if ev < at {
+								t.Fatalf("quantum %d partition %d: %+v is reported at host %v, after an event at %v", qi, st[1], r, ev, at)
+							}
+							at = ev
+							tightEvents++
+						default:
+							if r.h0 < at || r.h1 < r.h0 {
+								t.Fatalf("quantum %d loose node %d: %+v starts before %v, where its previous record ended", qi, r.node, r, at)
+							}
+							at = r.h1
+							looseRecs++
+						}
+					case obs.PacketRecord:
+						if st[0] != 2 {
+							continue
+						}
+						if r.SendGuest < sent {
+							t.Fatalf("quantum %d: barrier-routed %+v was sent before its predecessor (%v)", qi, r, sent)
+						}
+						sent = r.SendGuest
+						barrierPkts++
+					}
+				}
+			}
+		})
+	}
+	if tightEvents == 0 || looseRecs == 0 || barrierPkts == 0 || skippedTight == 0 {
+		t.Errorf("vacuous: %d tight-partition events, %d loose records, %d barrier-routed packets, %d fast-forwarded tight node-quanta",
+			tightEvents, looseRecs, barrierPkts, skippedTight)
+	}
 }

@@ -35,37 +35,38 @@ func BenchmarkPartitionedRack(b *testing.B) {
 	}
 	for _, sc := range scenarios {
 		b.Run(sc.name, func(b *testing.B) {
-			var quanta int64
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				cfg := testConfig(sc.nodes, sc.w, fixed(2*simtime.Microsecond))
-				cfg.Net = sc.net(sc.nodes)
-				res, err := Run(cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				quanta += int64(res.Stats.Quanta)
-			}
-			b.ReportMetric(float64(quanta)/b.Elapsed().Seconds(), "quanta/s")
+			benchQuanta(b, Run, row(sc.name, sc.nodes, sc.w, fixed(2*simtime.Microsecond), onNet(sc.net(sc.nodes))).cfg)
 		})
 	}
+}
+
+// benchQuanta times run on cfg and reports its throughput in quanta per
+// second.
+func benchQuanta(b *testing.B, run func(Config) (*Result, error), cfg Config) {
+	var quanta int
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		res, err := run(cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		quanta += res.Stats.Quanta
+	}
+	b.ReportMetric(float64(quanta)/b.Elapsed().Seconds(), "quanta/s")
 }
 
 // BenchmarkGroundTruthQuanta measures ground-truth (Q = 1µs) throughput in
 // quanta per second: every node is loose in every quantum.
 func BenchmarkGroundTruthQuanta(b *testing.B) {
-	w := workloads.Phases(3, 150*simtime.Microsecond, 32<<10)
-	var quanta int64
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		cfg := testConfig(4, w, fixed(simtime.Microsecond))
-		res, err := Run(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		quanta += int64(res.Stats.Quanta)
-	}
-	b.ReportMetric(float64(quanta)/b.Elapsed().Seconds(), "quanta/s")
+	benchQuanta(b, Run, testConfig(4, workloads.Phases(3, 150*simtime.Microsecond, 32<<10), fixed(simtime.Microsecond)))
+}
+
+// BenchmarkParallelBarrier measures the parallel runner's synchronization
+// throughput: an 8-node communicating workload under a small fixed quantum.
+// This is the barrier + routing hot path — the per-quantum cost of waking
+// nodes, collecting arrivals and releasing the controller.
+func BenchmarkParallelBarrier(b *testing.B) {
+	benchQuanta(b, runners[1].run, testConfig(8, workloads.Phases(6, 200*simtime.Microsecond, 16<<10), fixed(20*simtime.Microsecond)))
 }
 
 // BenchmarkQuietNodeQuantum measures the engine's smallest constant: what one
@@ -91,8 +92,7 @@ func BenchmarkQuietNodeQuantum(b *testing.B) {
 		for _, nodes := range []int{8, 64} {
 			b.Run(fmt.Sprintf("%s/nodes=%d", p.name, nodes), func(b *testing.B) {
 				cfg := testConfig(nodes, workloads.Silent(5*simtime.Millisecond), p.pol)
-				counted := cfg
-				sum := &summaryObs{}
+				counted, sum := cfg, &summaryObs{}
 				counted.Observer = sum
 				if _, err := Run(counted); err != nil {
 					b.Fatal(err)

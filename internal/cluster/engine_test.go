@@ -1,9 +1,6 @@
 package cluster
 
 import (
-	"runtime"
-	"testing"
-
 	"clustersim/internal/guest"
 	"clustersim/internal/host"
 	"clustersim/internal/netmodel"
@@ -11,27 +8,25 @@ import (
 	"clustersim/internal/quantum"
 	"clustersim/internal/simtime"
 	"clustersim/internal/workloads"
+	"math"
+	"reflect"
+	"runtime"
+	"strings"
+	"testing"
 )
 
 // testConfig builds a baseline config for n nodes running w.
 func testConfig(n int, w workloads.Workload, pol func() quantum.Policy) Config {
-	return Config{
-		Nodes:    n,
-		Guest:    guest.DefaultConfig(),
-		Net:      netmodel.Paper(),
-		Host:     host.DefaultParams(),
-		Policy:   pol,
-		Program:  w.New,
-		MaxGuest: simtime.Guest(100 * simtime.Second),
-	}
+	return Config{Nodes: n, Guest: guest.DefaultConfig(), Net: netmodel.Paper(), Host: host.DefaultParams(),
+		Policy: pol, Program: w.New, MaxGuest: simtime.Guest(100 * simtime.Second)}
 }
 
-// runRecorded runs cfg with a fresh obs.Recorder attached beside whatever
-// observer it already names, and fails the test on a run error.
-func runRecorded(t *testing.T, cfg Config) (*Result, *obs.Recorder) {
+// runRecorded runs cfg with a fresh obs.Recorder and the sinks attached, and
+// fails the test on a run error.
+func runRecorded(t *testing.T, cfg Config, sinks ...obs.Observer) (*Result, *obs.Recorder) {
 	t.Helper()
 	rec := &obs.Recorder{}
-	cfg.Observer = obs.Multi(cfg.Observer, rec)
+	cfg.Observer = obs.Multi(append(sinks, rec)...)
 	res, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -47,111 +42,47 @@ func adaptive(min, max simtime.Duration, inc, dec float64) func() quantum.Policy
 	return func() quantum.Policy { return quantum.NewAdaptive(min, max, inc, dec) }
 }
 
+// TestSilentRun: a silent workload takes its compute's guest time, one
+// quantum per microsecond of it, and routes nothing.
 func TestSilentRun(t *testing.T) {
-	w := workloads.Silent(500 * simtime.Microsecond)
-	res, err := Run(testConfig(4, w, fixed(simtime.Microsecond)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.GuestTime < simtime.Guest(500*simtime.Microsecond) {
-		t.Errorf("guest time %v shorter than the workload's compute", res.GuestTime)
-	}
-	if res.Stats.Packets != 0 {
-		t.Errorf("silent workload routed %d packets", res.Stats.Packets)
-	}
-	if res.Stats.Quanta < 500 {
-		t.Errorf("expected ~500 quanta at Q=1µs, got %d", res.Stats.Quanta)
+	res := named("silent-4").complete(t)
+	if res.GuestTime < simtime.Guest(300*simtime.Microsecond) || res.Stats.Packets != 0 || res.Stats.Quanta < 300 {
+		t.Errorf("silent 300µs at Q=1µs: guest time %v, %d packets, %d quanta", res.GuestTime, res.Stats.Packets, res.Stats.Quanta)
 	}
 }
 
+// rtt is rank 0's reported ping-pong round trip, 0 if it reported none.
+func rtt(res *Result) float64 { v, _ := res.Metric("rtt_us"); return v }
+
 func TestPingPongGroundTruthLatency(t *testing.T) {
-	w := workloads.PingPong(50, 1000)
-	res, err := Run(testConfig(2, w, fixed(simtime.Microsecond)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Stats.Stragglers != 0 {
-		t.Fatalf("ground truth (Q=1µs <= T) produced %d stragglers", res.Stats.Stragglers)
-	}
-	rtt, ok := res.Metric("rtt_us")
-	if !ok {
-		t.Fatal("rank 0 did not report rtt_us")
-	}
+	res := named("pingpong-2").complete(t)
 	// Each leg: ~1µs wire latency + ~0.8µs serialization + guest overheads.
-	if rtt < 2 || rtt > 20 {
-		t.Errorf("ground-truth RTT %.2fµs outside the plausible [2,20]µs band", rtt)
+	if v := rtt(res); res.Stats.Stragglers != 0 || v < 2 || v > 20 {
+		t.Errorf("ground truth: %d stragglers, RTT %.2fµs outside the plausible [2,20]µs band", res.Stats.Stragglers, v)
 	}
-	t.Logf("ground-truth RTT: %.3fµs over %d quanta", rtt, res.Stats.Quanta)
 }
 
 func TestPingPongLargeQuantumInflatesLatency(t *testing.T) {
-	w := workloads.PingPong(50, 1000)
-	base, err := Run(testConfig(2, w, fixed(simtime.Microsecond)))
-	if err != nil {
-		t.Fatal(err)
+	base, big := named("pingpong-2").complete(t), named("pingpong-200us-2").complete(t)
+	if rtt(big) <= rtt(base) || big.Stats.Stragglers == 0 || big.HostTime >= base.HostTime {
+		t.Errorf("Q=200µs: RTT %.2fµs (ground truth %.2fµs), %d stragglers, host time %v (ground truth %v)",
+			rtt(big), rtt(base), big.Stats.Stragglers, big.HostTime, base.HostTime)
 	}
-	big, err := Run(testConfig(2, w, fixed(100*simtime.Microsecond)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	rttBase, _ := base.Metric("rtt_us")
-	rttBig, _ := big.Metric("rtt_us")
-	if rttBig <= rttBase {
-		t.Errorf("Q=100µs RTT %.2fµs not above ground truth %.2fµs", rttBig, rttBase)
-	}
-	if big.Stats.Stragglers == 0 {
-		t.Error("Q=100µs ping-pong produced no stragglers")
-	}
-	if big.HostTime >= base.HostTime {
-		t.Errorf("Q=100µs host time %v not below ground truth %v", big.HostTime, base.HostTime)
-	}
-	t.Logf("RTT: base %.2fµs big %.2fµs; host: base %v big %v; stragglers %d snaps %d",
-		rttBase, rttBig, base.HostTime, big.HostTime, big.Stats.Stragglers, big.Stats.QuantumSnaps)
 }
 
-func TestDeterminism(t *testing.T) {
-	w := workloads.Phases(5, 200*simtime.Microsecond, 64<<10)
-	run := func() *Result {
-		res, err := Run(testConfig(4, w, adaptive(simtime.Microsecond, simtime.Millisecond, 1.03, 0.02)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	a, b := run(), run()
-	if a.GuestTime != b.GuestTime || a.HostTime != b.HostTime {
-		t.Errorf("non-deterministic results: (%v,%v) vs (%v,%v)",
-			a.GuestTime, a.HostTime, b.GuestTime, b.HostTime)
-	}
-	if a.Stats != b.Stats {
-		t.Errorf("non-deterministic stats:\n%+v\n%+v", a.Stats, b.Stats)
-	}
-}
+// TestDeterminism: an adaptive run repeats itself exactly.
+func TestDeterminism(t *testing.T) { report(t, named("phases-adaptive-5").bareSame) }
 
 func TestAdaptiveFasterThanGroundTruthOnPhases(t *testing.T) {
-	w := workloads.Phases(4, 2*simtime.Millisecond, 32<<10)
-	base, err := Run(testConfig(4, w, fixed(simtime.Microsecond)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	dyn, err := Run(testConfig(4, w, adaptive(simtime.Microsecond, simtime.Millisecond, 1.03, 0.02)))
-	if err != nil {
-		t.Fatal(err)
-	}
+	base, dyn := named("phases-2ms-4").complete(t), named("phases-2ms-4/adaptive").complete(t)
 	speedup := float64(base.HostTime) / float64(dyn.HostTime)
 	tBase, _ := base.Metric("time_s")
 	tDyn, _ := dyn.Metric("time_s")
-	errRel := (tDyn - tBase) / tBase
-	if errRel < 0 {
-		errRel = -errRel
-	}
+	errRel := math.Abs(tDyn-tBase) / tBase
 	t.Logf("adaptive speedup %.1fx, time error %.2f%%, quanta %d (mean Q %v)",
 		speedup, errRel*100, dyn.Stats.Quanta, dyn.Stats.MeanQ)
-	if speedup < 2 {
-		t.Errorf("adaptive speedup %.2fx too small on a phase workload", speedup)
-	}
-	if errRel > 0.25 {
-		t.Errorf("adaptive time error %.1f%% too large", errRel*100)
+	if speedup < 2 || errRel > 0.25 {
+		t.Errorf("adaptive speedup %.2fx (want >= 2), time error %.1f%% (want <= 25%%) on a phase workload", speedup, errRel*100)
 	}
 }
 
@@ -165,20 +96,14 @@ func (g *goroutineGauge) QuantumEnd(obs.QuantumRecord) { g.max = max(g.max, runt
 
 // Run executes on the calling goroutine alone: at no barrier of an all-loose
 // run — the shape an intra-quantum worker pool would fan out — may the
-// process hold more
-// goroutines than it did before the call, plus the guests' own coroutines,
+// process hold more goroutines than it did before the call, plus the guests' own coroutines,
 // which the runtime counts as goroutines although none ever runs beside the
 // engine (each is started by its node's first Step and ended by Shutdown).
 func TestRunIsSingleGoroutine(t *testing.T) {
 	const nodes = 16
 	cfg := testConfig(nodes, workloads.Phases(2, 50*simtime.Microsecond, 4<<10), fixed(simtime.Microsecond))
-	g := &goroutineGauge{}
-	cfg.Observer = g
-	before := runtime.NumGoroutine()
-	res, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	g, before := &goroutineGauge{}, runtime.NumGoroutine()
+	res, _ := runRecorded(t, cfg, g)
 	if res.Stats.FastFullQuanta != res.Stats.Quanta {
 		t.Fatalf("only %d of %d quanta were all-loose", res.Stats.FastFullQuanta, res.Stats.Quanta)
 	}
@@ -188,5 +113,180 @@ func TestRunIsSingleGoroutine(t *testing.T) {
 	}
 	if after := runtime.NumGoroutine(); after > before {
 		t.Errorf("%d goroutines after Run, %d before: the run left some behind", after, before)
+	}
+}
+
+// TestNoStragglersWhenQLeqT verifies the paper's safety condition: with the
+// quantum no larger than the minimum network latency T, no packet can ever
+// become a straggler, for any workload and node count — the Q = 1µs sweep
+// rows, each a ground-truth row.
+func TestNoStragglersWhenQLeqT(t *testing.T) {
+	for _, r := range fixtureRows() {
+		if !strings.HasSuffix(r.name, "/Q=1µs") || !strings.HasPrefix(r.name, "synthetic.") {
+			continue
+		}
+		if !r.groundTruth() {
+			t.Fatalf("%s: test premise broken: Q = 1µs > T", r.name)
+		}
+		if s := r.run().complete(t).Stats; s.Stragglers != 0 || s.QuantumSnaps != 0 || s.Deliveries != s.Exact {
+			t.Errorf("%s: Q <= T produced %d stragglers (%d snaps), %d of %d deliveries exact",
+				r.name, s.Stragglers, s.QuantumSnaps, s.Exact, s.Deliveries)
+		}
+	}
+}
+
+// TestGroundTruthInvariantToHostModel verifies the deeper version of the
+// paper's safety condition: with Q <= T the guest-visible results cannot
+// depend on the host at all — the race that creates stragglers has been
+// synchronized away. Each ground-truth matrix row's twin on a perturbed host
+// (hostTwins) must show its guests exactly what the row shows.
+func TestGroundTruthInvariantToHostModel(t *testing.T) {
+	for _, twin := range hostTwins() {
+		orig, d := named(strings.TrimSuffix(twin.name, "/host")), twin.run()
+		if diff := guestOf(d.complete(t), d.got.rec.Packets).diff(guestOf(orig.complete(t), orig.got.rec.Packets)); diff != "" {
+			t.Errorf("%s: the guest projection depends on the host model: %s", twin.name, diff)
+		}
+	}
+}
+
+// TestDeliveryConservation: at a quantum below the lookahead, between and far
+// above it, the run keeps the contracts — every frame delivered as often as
+// conservation says, each delivery exact or a straggler, none before its
+// ideal arrival.
+func TestDeliveryConservation(t *testing.T) {
+	for _, q := range []string{"1µs", "70µs", "1ms"} {
+		d := named("phases-6/Q=" + q)
+		d.complete(t)
+		report(t, d.contracts)
+	}
+}
+
+// TestAccuracyMonotonicityCoarse: host time falls as Q grows, for a
+// communication-bearing workload.
+func TestAccuracyMonotonicityCoarse(t *testing.T) {
+	var prev simtime.Duration
+	for i, q := range []string{"1µs", "10µs", "100µs", "1ms"} {
+		host := named("phases-48k-4/Q=" + q).complete(t).HostTime
+		if i > 0 && host >= prev {
+			t.Errorf("host time did not fall at Q = %s: %v -> %v", q, prev, host)
+		}
+		prev = host
+	}
+}
+
+// TestQuantumTraceConsistency: under an adaptive policy the quantum records
+// tile guest and host time without a gap, each Q within the run's range —
+// the quantum half of the contracts.
+func TestQuantumTraceConsistency(t *testing.T) {
+	d := named("phases-adaptive-4")
+	d.complete(t)
+	report(t, d.contracts)
+}
+
+// TestAdaptiveQuantumRespondsToTraffic: on every adaptive row, quanta
+// carrying packets are followed by smaller or equal quanta and silent ones
+// by larger or equal ones (Algorithm 1's law in checkContracts, observed
+// end-to-end through the engine), and the quantum moves.
+func TestAdaptiveQuantumRespondsToTraffic(t *testing.T) {
+	for _, r := range allRows() {
+		if _, ok := r.cfg.Policy().(*quantum.Adaptive); !ok {
+			continue
+		}
+		d := r.run()
+		report(t, d.contracts)
+		if s := d.complete(t).Stats; s.MaxQ <= s.MinQ {
+			t.Errorf("%s: adaptive quantum never moved", r.name)
+		}
+	}
+}
+
+// TestDeterminismProperty: identical configs yield identical results across
+// random workload shapes, topologies and fault plans: each random row's
+// probed run is its unobserved one.
+func TestDeterminismProperty(t *testing.T) {
+	for _, r := range trialRows(20260807, 10) {
+		report(t, r.run().bareSame)
+	}
+}
+
+// TestObservedStreamDeterminism: a second observed run of the same config
+// produces the same Result, records, profiler report and stream — the
+// streaming layer inherits the engine's replayability.
+func TestObservedStreamDeterminism(t *testing.T) {
+	a := named("phases-adaptive-5").stream()
+	b := observe(Run, a.cfg)
+	ap, bp := *a.streamProbe, *b.streamProbe
+	ap.info.LinkLat, bp.info.LinkLat = nil, nil // a func, equal only to nil
+	if len(a.phases) == 0 || len(a.pkts) == 0 || !reflect.DeepEqual(a.res, b.res) || !reflect.DeepEqual(a.rec, b.rec) ||
+		!reflect.DeepEqual(a.prof, b.prof) || !reflect.DeepEqual(ap, bp) {
+		t.Error("two runs of one configuration differ in their Result, records, profile or stream, or streamed nothing")
+	}
+}
+
+// TestErrorPaths: Run rejects every malformed configuration.
+func TestErrorPaths(t *testing.T) {
+	for name := range invalidConfigs {
+		if _, err := invalidRun(name); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
+	}
+}
+
+// TestGuestLimitAborts: a workload far longer than MaxGuest aborts cleanly,
+// at the guest limit, as it does on the reference.
+func TestGuestLimitAborts(t *testing.T) {
+	d := named("pingpong-2/maxguest")
+	report(t, d.shape, d.same)
+}
+
+func TestZeroQuantumPolicyRejected(t *testing.T) {
+	if _, err := invalidRun("zero quantum"); err == nil {
+		t.Error("zero-quantum policy accepted")
+	}
+}
+
+// TestHostTimeBreakdown: the busy/idle/barrier accounting must be sane —
+// non-negative, with barriers equal to quanta × barrier cost plus packet
+// occupancy, and busy time close to total compute × slowdown.
+func TestHostTimeBreakdown(t *testing.T) {
+	d := named("phases-20us-4")
+	st, h := d.complete(t).Stats, d.got.cfg.Host
+	// 4 nodes × 3 phases × 300µs of compute at ~20x slowdown, plus protocol
+	// overheads: busy must be within a factor of the nominal compute cost.
+	nominal := simtime.Duration(float64(4*3*300*simtime.Microsecond) * h.BusySlowdown)
+	barrier := simtime.Duration(st.Quanta)*h.BarrierCost + simtime.Duration(st.Packets)*h.PacketHostCost
+	if st.HostIdle < 0 || st.HostBarrier != barrier || st.HostBusy < nominal || st.HostBusy > nominal*2 {
+		t.Errorf("busy %v (want within [%v, %v]), idle %v, barrier %v (want %v)", st.HostBusy, nominal, nominal*2, st.HostIdle, st.HostBarrier, barrier)
+	}
+}
+
+// TestBatchedRoutingCanonicalOrder is the barrier-routing order property: on
+// TestDifferential's random fat-tree/fault rows, a fully eligible run
+// (Q <= T) emits each quantum's packet records in canonical (node, seq)
+// order: sources ascending, and each source's frames in send order, with
+// fault-injected duplicates adjacent to their originals.
+func TestBatchedRoutingCanonicalOrder(t *testing.T) {
+	ordered := 0
+	for _, r := range trialRows(20260807, 10) {
+		if !r.groundTruth() {
+			continue // some partition is tight: the barrier order is not total
+		}
+		ordered++
+		pkts := r.run().stream().pkts
+		for k := 1; k < len(pkts); k++ {
+			prev, cur, qi := pkts[k-1].rec, pkts[k].rec, pkts[k].qi
+			switch {
+			case qi != pkts[k-1].qi:
+			case cur.Duplicate:
+				if cur.Src != prev.Src || cur.SendGuest != prev.SendGuest {
+					t.Errorf("%s: quantum %d packet %d: duplicate not adjacent to its original", r.name, qi, k)
+				}
+			case cur.Src < prev.Src || cur.Src == prev.Src && cur.SendGuest < prev.SendGuest:
+				t.Errorf("%s: quantum %d packet %d: %+v after %+v — not canonical (node, send) order", r.name, qi, k, cur, prev)
+			}
+		}
+	}
+	if ordered == 0 {
+		t.Fatal("no trial exercised the fully-eligible order check — widen the quantum choices")
 	}
 }

@@ -2,10 +2,10 @@ package cluster
 
 import (
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
-	"clustersim/internal/faults"
 	"clustersim/internal/obs"
 	"clustersim/internal/simtime"
 	"clustersim/internal/workloads"
@@ -30,10 +30,8 @@ func TestFingerprintCanonicalization(t *testing.T) {
 	}
 
 	// Reversing the packet stream must not change the encoding...
-	rev := &obs.Recorder{Quanta: aRec.Quanta, Packets: append([]obs.PacketRecord(nil), aRec.Packets...)}
-	for i, j := 0, len(rev.Packets)-1; i < j; i, j = i+1, j-1 {
-		rev.Packets[i], rev.Packets[j] = rev.Packets[j], rev.Packets[i]
-	}
+	rev := &obs.Recorder{Quanta: aRec.Quanta, Packets: slices.Clone(aRec.Packets)}
+	slices.Reverse(rev.Packets)
 	if want != enc(a, rev) {
 		t.Error("canonical encoding depends on packet stream order")
 	}
@@ -80,14 +78,9 @@ func TestFingerprintCanonicalization(t *testing.T) {
 func TestCanonicalResultHeader(t *testing.T) {
 	res, rec := runRecorded(t, testConfig(2, workloads.PingPong(5, 500), fixed(simtime.Microsecond)))
 	enc := string(CanonicalResult(res, nil))
-	if !strings.HasPrefix(enc, FingerprintSchema+"\n") {
-		t.Errorf("canonical encoding does not start with the schema line:\n%s", enc[:80])
-	}
-	if !strings.Contains(enc, "\nstats ") {
-		t.Error("canonical encoding lacks a stats line")
-	}
-	if strings.Contains(enc, "\nquantum ") || strings.Contains(enc, "\npacket ") {
-		t.Error("unrecorded canonical encoding carries record lines")
+	if !strings.HasPrefix(enc, FingerprintSchema+"\n") || !strings.Contains(enc, "\nstats ") ||
+		strings.Contains(enc, "\nquantum ") || strings.Contains(enc, "\npacket ") {
+		t.Errorf("unrecorded canonical encoding lacks the schema or stats line, or carries record lines:\n%s", enc)
 	}
 	full := string(CanonicalResult(res, rec))
 	if !strings.HasPrefix(full, enc) ||
@@ -102,18 +95,11 @@ func TestCanonicalResultHeader(t *testing.T) {
 // SortPacketsCanonical must be a pure reordering: same multiset, and a
 // total order (sorting twice, or sorting a shuffled copy, is stable).
 func TestSortPacketsCanonicalIsTotal(t *testing.T) {
-	cfg := testConfig(4, workloads.Uniform(60, 1500, 20*simtime.Microsecond, 23), fixed(simtime.Microsecond))
-	cfg.Faults = &faults.Plan{Seed: 42, Default: faults.Link{Loss: 0.3}}
-	_, rec := runRecorded(t, cfg)
-	sorted := SortPacketsCanonical(rec.Packets)
-	if len(sorted) != len(rec.Packets) {
-		t.Fatalf("sort changed length: %d -> %d", len(rec.Packets), len(sorted))
-	}
-	rev := append([]obs.PacketRecord(nil), rec.Packets...)
-	for i, j := 0, len(rev)-1; i < j; i, j = i+1, j-1 {
-		rev[i], rev[j] = rev[j], rev[i]
-	}
-	if !reflect.DeepEqual(sorted, SortPacketsCanonical(rev)) {
-		t.Error("canonical order depends on input order")
+	pkts := named("uniform-lossy-4").got.rec.Packets
+	sorted := SortPacketsCanonical(pkts)
+	rev := slices.Clone(pkts)
+	slices.Reverse(rev)
+	if len(sorted) != len(pkts) || !reflect.DeepEqual(sorted, SortPacketsCanonical(rev)) {
+		t.Error("canonical order changes the length or depends on input order")
 	}
 }

@@ -2,176 +2,123 @@ package cluster
 
 import (
 	"bytes"
-	"encoding/json"
-	"errors"
-	"fmt"
-	"runtime"
-	"testing"
-	"time"
-
 	"clustersim/internal/guest"
 	"clustersim/internal/obs"
+	"clustersim/internal/prof"
 	"clustersim/internal/quantum"
 	"clustersim/internal/simtime"
 	"clustersim/internal/workloads"
+	"encoding/json"
+	"errors"
+	"flag"
+	"fmt"
+	"math"
+	"os"
+	"path/filepath"
+	"runtime"
+	"slices"
+	"strings"
+	"testing"
+	"time"
 )
 
-// TestEngineChromeTraceRoundTrip runs a real workload with the streaming
-// tracer attached and verifies the output is valid Chrome trace-event JSON
-// (the acceptance criterion for -trace-out).
+// TestEngineChromeTraceRoundTrip: the streams of rows that take both walks,
+// fixed and adaptive quanta, stragglers and silence, replayed into the
+// streaming tracer, are valid Chrome trace-event JSON (the acceptance
+// criterion for -trace-out): one quantum span per quantum, busy and idle
+// segments that sum to exactly the host time the engine charged (the
+// Figure 5 breakdown), and every packet instant inside the span of the
+// quantum that routed it.
 func TestEngineChromeTraceRoundTrip(t *testing.T) {
-	var buf bytes.Buffer
-	tracer := obs.NewChromeTracer(&buf)
-	w := workloads.Phases(3, 150*simtime.Microsecond, 16<<10)
-	cfg := testConfig(4, w, adaptive(simtime.Microsecond, simtime.Millisecond, 1.05, 0.02))
-	cfg.Observer = tracer
-	res, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := tracer.Close(); err != nil {
-		t.Fatalf("tracer error: %v", err)
-	}
-
-	var events []struct {
-		Name string  `json:"name"`
-		Ph   string  `json:"ph"`
-		PID  int     `json:"pid"`
-		TID  int     `json:"tid"`
-		TS   float64 `json:"ts"`
-		Dur  float64 `json:"dur"`
-	}
-	if err := json.Unmarshal(buf.Bytes(), &events); err != nil {
-		t.Fatalf("trace is not a JSON event array: %v", err)
-	}
-
-	counts := map[string]int{}
-	quantumB, quantumE := 0, 0
-	for i, ev := range events {
-		counts[ev.Ph]++
-		switch ev.Ph {
-		case "M", "X", "B", "E", "i", "C":
-		default:
-			t.Fatalf("event %d: unexpected phase %q", i, ev.Ph)
-		}
-		if ev.PID == 0 && ev.Ph != "M" {
-			t.Fatalf("event %d: zero pid", i)
-		}
-		if ev.TS < 0 || ev.Dur < 0 {
-			t.Fatalf("event %d: negative ts/dur (%v/%v)", i, ev.TS, ev.Dur)
-		}
-		if ev.Name == "quantum" && ev.Ph == "B" {
-			quantumB++
-		}
-		if ev.Name == "quantum" && ev.Ph == "E" {
-			quantumE++
-		}
-	}
-	for _, ph := range []string{"M", "X", "B", "E", "i"} {
-		if counts[ph] == 0 {
-			t.Errorf("trace contains no %q events (%v)", ph, counts)
-		}
-	}
-	if quantumB != res.Stats.Quanta || quantumE != res.Stats.Quanta {
-		t.Errorf("quantum spans B=%d E=%d, want %d each", quantumB, quantumE, res.Stats.Quanta)
-	}
-
-	// The busy/idle segments on node tracks must account for exactly the
-	// host time the engine charged: the trace is the Figure 5 breakdown.
-	var busyUS, idleUS float64
-	for _, ev := range events {
-		if ev.Ph != "X" {
-			continue
-		}
-		switch ev.Name {
-		case "busy":
-			busyUS += ev.Dur
-		case "idle":
-			idleUS += ev.Dur
-		}
-	}
-	if want := res.Stats.HostBusy.Microseconds(); !closeTo(busyUS, want) {
-		t.Errorf("trace busy segments sum to %vµs, Stats.HostBusy = %vµs", busyUS, want)
-	}
-	if want := res.Stats.HostIdle.Microseconds(); !closeTo(idleUS, want) {
-		t.Errorf("trace idle segments sum to %vµs, Stats.HostIdle = %vµs", idleUS, want)
+	for _, name := range []string{"pingpong-2", "pingpong-4", "phases-4", "phases-adaptive-5", "phases-adaptive-4",
+		"silent-4", "slowdown-3", "pingpong-200us-2", "phases-100us-4"} {
+		t.Run(name, func(t *testing.T) {
+			d := named(name)
+			s := d.complete(t).Stats
+			var buf bytes.Buffer
+			tracer := obs.NewChromeTracer(&buf)
+			d.stream().replay(tracer)
+			if err := tracer.Close(); err != nil {
+				t.Fatalf("tracer error: %v", err)
+			}
+			var events []struct {
+				Name, Cat, Ph string
+				PID           int
+				TS, Dur       float64
+			}
+			if err := json.Unmarshal(buf.Bytes(), &events); err != nil {
+				t.Fatalf("trace is not a JSON event array: %v", err)
+			}
+			counts := map[string]int{}
+			var open, busy, idle float64
+			var instants []float64 // the open quantum's packet instants
+			for i, ev := range events {
+				counts[ev.Ph]++
+				if !strings.Contains("MXBEiC", ev.Ph) || len(ev.Ph) != 1 || ev.PID == 0 && ev.Ph != "M" || ev.TS < 0 || ev.Dur < 0 {
+					t.Fatalf("event %d: phase %q, pid %d, ts %v, dur %v", i, ev.Ph, ev.PID, ev.TS, ev.Dur)
+				}
+				switch {
+				case ev.Name == "quantum" && ev.Ph == "B":
+					if len(instants) > 0 {
+						t.Fatalf("event %d: %d packet instants outside every quantum", i, len(instants))
+					}
+					open = ev.TS
+				case ev.Cat == "net":
+					instants = append(instants, ev.TS)
+				case ev.Name == "quantum" && ev.Ph == "E":
+					for _, ts := range instants {
+						if ts < open || ts > ev.TS {
+							t.Fatalf("a packet instant at %vµs lies outside its quantum's span [%v, %v]µs", ts, open, ev.TS)
+						}
+					}
+					instants = instants[:0]
+				case ev.Name == "busy":
+					busy += ev.Dur
+				case ev.Name == "idle":
+					idle += ev.Dur
+				}
+			}
+			// Float rounding from the ns -> µs conversion stays far below 1ns.
+			if counts["M"]*counts["X"]*counts["i"] == 0 || counts["B"] != s.Quanta || counts["E"] != s.Quanta ||
+				math.Abs(busy-s.HostBusy.Microseconds()) > 1e-3 || math.Abs(idle-s.HostIdle.Microseconds()) > 1e-3 {
+				t.Errorf("trace events by phase %v (want M, X and i, and B and E once per quantum of %d); busy and idle sum to %vµs and %vµs, Stats to %vµs and %vµs",
+					counts, s.Quanta, busy, idle, s.HostBusy.Microseconds(), s.HostIdle.Microseconds())
+			}
+		})
 	}
 }
 
-// closeTo tolerates float rounding from the ns → µs conversion.
-func closeTo(got, want float64) bool {
-	d := got - want
-	return d < 1e-3 && d > -1e-3
-}
-
-// TestRegistryMatchesStats: the live registry must agree with the post-hoc
-// Stats on every shared quantity.
+// TestRegistryMatchesStats: the registry, fed the stream of the
+// phases-6/Q=70µs row, agrees with the post-hoc Stats on every shared
+// quantity.
 func TestRegistryMatchesStats(t *testing.T) {
-	reg := obs.NewRegistry()
-	w := workloads.Phases(4, 120*simtime.Microsecond, 24<<10)
-	cfg := testConfig(6, w, fixed(70*simtime.Microsecond))
-	cfg.Observer = reg
-	res, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	d, reg := named("phases-6/Q=70µs"), obs.NewRegistry()
+	res := d.complete(t)
+	d.stream().replay(reg)
 	s := reg.Snapshot()
-	checks := []struct {
-		name string
-		got  int64
-		want int64
-	}{
-		{"quanta", s.Counters["quanta"], int64(res.Stats.Quanta)},
-		{"deliveries", s.Counters["deliveries"], int64(res.Stats.Deliveries)},
-		{"stragglers", s.Counters["stragglers"], int64(res.Stats.Stragglers)},
-		{"quantum_snaps", s.Counters["quantum_snaps"], int64(res.Stats.QuantumSnaps)},
-		{"silent_quanta", s.Counters["silent_quanta"], int64(res.Stats.SilentQuanta)},
-		{"packets", s.Counters["packets"], int64(res.Stats.Packets)},
-		{"host_busy_ns", s.Counters["host_busy_ns"], int64(res.Stats.HostBusy)},
-		// Idle phases are reported at their final extent, so this row holds
-		// only if the truncate and re-aim refunds of the event-queue walk
-		// (Q=70µs ties the cluster into one tight partition) are exact.
-		{"host_idle_ns", s.Counters["host_idle_ns"], int64(res.Stats.HostIdle)},
-		{"nodes_done", s.Counters["nodes_done"], int64(cfg.Nodes)},
-		{"guest_ns", s.Gauges["guest_ns"], int64(res.GuestTime)},
-	}
-	for _, c := range checks {
-		if c.got != c.want {
-			t.Errorf("registry %s = %d, Stats say %d", c.name, c.got, c.want)
-		}
-	}
-	if d := s.Histograms["straggler_delay_ns"]; d.Sum != int64(res.Stats.StragglerDelay) {
-		t.Errorf("straggler delay histogram sum %d, Stats say %d", d.Sum, int64(res.Stats.StragglerDelay))
-	}
 	var sent int64
 	for _, n := range s.NodeSent {
 		sent += n
 	}
-	if sent != int64(res.Stats.Deliveries) {
-		t.Errorf("per-node sent counts sum to %d, want %d deliveries", sent, res.Stats.Deliveries)
+	c, st := s.Counters, res.Stats
+	got := []int64{c["quanta"], c["deliveries"], c["stragglers"], c["quantum_snaps"], c["silent_quanta"], c["packets"],
+		c["host_busy_ns"], c["host_idle_ns"], c["nodes_done"], s.Gauges["guest_ns"], s.Histograms["straggler_delay_ns"].Sum, sent}
+	// Idle phases are reported at their final extent, so host_idle_ns holds
+	// only if the truncate and re-aim refunds of the event-queue walk
+	// (Q=70µs ties the cluster into one tight partition) are exact.
+	want := []int64{int64(st.Quanta), int64(st.Deliveries), int64(st.Stragglers), int64(st.QuantumSnaps), int64(st.SilentQuanta),
+		int64(st.Packets), int64(st.HostBusy), int64(st.HostIdle), int64(len(res.NodeFinish)), int64(res.GuestTime),
+		int64(st.StragglerDelay), int64(st.Deliveries)}
+	if !slices.Equal(got, want) {
+		t.Errorf("registry quanta, deliveries, stragglers, snaps, silent quanta, packets, busy, idle, nodes done, guest ns, straggler delay, per-node sent:\n%v\nStats say\n%v", got, want)
 	}
 }
 
-// TestObserverDoesNotPerturbRun: attaching observers must not change any
-// simulation outcome.
+// TestObserverDoesNotPerturbRun: on every matrix row, the run with the
+// probe, a recorder and a profiler attached is the unobserved run.
 func TestObserverDoesNotPerturbRun(t *testing.T) {
-	w := workloads.Phases(3, 200*simtime.Microsecond, 32<<10)
-	mk := func() Config {
-		return testConfig(4, w, adaptive(simtime.Microsecond, simtime.Millisecond, 1.04, 0.05))
-	}
-	plain, err := Run(mk())
-	if err != nil {
-		t.Fatal(err)
-	}
-	observed := mk()
-	var buf bytes.Buffer
-	observed.Observer = obs.Multi(obs.NewChromeTracer(&buf), obs.NewRegistry())
-	got, err := Run(observed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if plain.GuestTime != got.GuestTime || plain.HostTime != got.HostTime || plain.Stats != got.Stats {
-		t.Errorf("observer changed the run:\nplain    %+v\nobserved %+v", plain.Stats, got.Stats)
+	for _, r := range matrixRows() {
+		report(t, r.run().bareSame)
 	}
 }
 
@@ -184,24 +131,13 @@ func TestStatsFinalize(t *testing.T) {
 	if st.MinQ != 0 || st.MeanQ != 0 {
 		t.Errorf("empty Stats finalized to MinQ=%v MeanQ=%v, want zeroes", st.MinQ, st.MeanQ)
 	}
-
-	var st2 Stats
-	st2.observeQuanta(1, 50*simtime.Microsecond, 1)
-	st2.observeQuanta(1, 10*simtime.Microsecond, 0)
-	st2.observeQuanta(1, 80*simtime.Microsecond, 2)
-	st2.finalize(float64(140 * simtime.Microsecond))
-	if st2.MinQ != 10*simtime.Microsecond {
-		t.Errorf("MinQ = %v, want 10µs", st2.MinQ)
-	}
-	if st2.MaxQ != 80*simtime.Microsecond {
-		t.Errorf("MaxQ = %v, want 80µs", st2.MaxQ)
-	}
-	if st2.SilentQuanta != 1 {
-		t.Errorf("SilentQuanta = %d, want 1", st2.SilentQuanta)
-	}
-	sum := float64(140 * simtime.Microsecond)
-	if want := simtime.Duration(sum / 3); st2.MeanQ != want {
-		t.Errorf("MeanQ = %v, want %v", st2.MeanQ, want)
+	us := simtime.Microsecond
+	st.observeQuanta(1, 50*us, 1)
+	st.observeQuanta(1, 10*us, 0)
+	st.observeQuanta(1, 80*us, 2)
+	st.finalize(float64(140 * us))
+	if st.MinQ != 10*us || st.MaxQ != 80*us || st.SilentQuanta != 1 || st.MeanQ != simtime.Duration(float64(140*us)/3) {
+		t.Errorf("quanta of 50, 10 and 80µs, one silent, finalized to %+v", st)
 	}
 }
 
@@ -234,76 +170,57 @@ func (p *stallingPolicy) Name() string { return "stalling" }
 // -progress printed no final line. Run with -race for the goroutine runner.
 func TestRunEndOnEveryExit(t *testing.T) {
 	errBoom := errors.New("boom")
-	prog := func(f func(rank int, p *guest.Proc) error) func(rank, size int) guest.Program {
-		return func(rank, _ int) guest.Program {
-			return func(p *guest.Proc) error { return f(rank, p) }
-		}
+	compute := func(d simtime.Duration, err error) func(*guest.Proc) error {
+		return func(p *guest.Proc) error { p.Compute(d); return err }
 	}
-	compute := func(_ int, p *guest.Proc) error { p.Compute(50 * simtime.Microsecond); return nil }
+	computes := rawProgram("compute", compute(50*simtime.Microsecond, nil), compute(50*simtime.Microsecond, nil))
 	cases := []struct {
-		name    string
-		policy  func() quantum.Policy
-		program func(rank, size int) guest.Program
-		want    error // both runners' sentinel; nil: any error
-		ok      bool
+		name   string
+		policy func() quantum.Policy
+		w      workloads.Workload
+		want   error // both runners' sentinel; nil: any error
 	}{
-		{name: "completes", policy: fixed(10 * simtime.Microsecond), program: prog(compute), ok: true},
-		{name: "guest limit", policy: fixed(100 * simtime.Microsecond),
-			program: prog(func(rank int, p *guest.Proc) error {
-				if rank == 0 {
-					p.Recv() // nobody ever sends
-				}
-				return nil
-			}),
-			want: ErrGuestLimit},
-		{name: "bad first quantum", policy: func() quantum.Policy { return &stallingPolicy{} }, program: prog(compute)},
-		{name: "bad later quantum", policy: func() quantum.Policy { return &stallingPolicy{good: 2} }, program: prog(compute)},
-		{name: "failing program", policy: fixed(10 * simtime.Microsecond),
-			program: prog(func(rank int, p *guest.Proc) error {
-				p.Compute(20 * simtime.Microsecond)
-				if rank == 1 {
-					return errBoom
-				}
-				return nil
-			}),
-			want: errBoom},
+		{"completes", fixed(10 * simtime.Microsecond), computes, nil},
+		{"guest limit", fixed(100 * simtime.Microsecond), stuck(), ErrGuestLimit},
+		{"bad first quantum", func() quantum.Policy { return &stallingPolicy{} }, computes, nil},
+		{"bad later quantum", func() quantum.Policy { return &stallingPolicy{good: 2} }, computes, nil},
+		{"failing program", fixed(10 * simtime.Microsecond),
+			rawProgram("fail", compute(20*simtime.Microsecond, nil), compute(20*simtime.Microsecond, errBoom)), errBoom},
 	}
 	for _, c := range cases {
-		for runner, run := range []func(Config) error{
-			func(cfg Config) error { _, err := Run(cfg); return err },
-			func(cfg Config) error { _, err := RunParallel(cfg, 0); return err },
-		} {
-			t.Run(fmt.Sprintf("%s/%s", c.name, []string{"Run", "RunParallel"}[runner]), func(t *testing.T) {
+		for _, rn := range runners {
+			t.Run(c.name+"/"+rn.name, func(t *testing.T) {
 				first, second, reg := &endCounter{}, &endCounter{}, obs.NewRegistry()
-				cfg := testConfig(2, workloads.Workload{New: c.program}, c.policy)
+				cfg := testConfig(2, c.w, c.policy)
 				cfg.MaxGuest = simtime.Guest(5 * simtime.Millisecond)
 				cfg.Observer = obs.Multi(first, reg, second)
-				err := run(cfg)
-				if (err == nil) != c.ok {
-					t.Fatalf("run returned %v", err)
-				}
-				if c.want != nil && !errors.Is(err, c.want) {
-					t.Errorf("run returned %v, want %v", err, c.want)
+				_, err := rn.run(cfg)
+				if (err == nil) != (c.name == "completes") || c.want != nil && !errors.Is(err, c.want) {
+					t.Fatalf("run returned %v, want %v", err, c.want)
 				}
 				for i, sink := range []*endCounter{first, second} {
-					if sink.starts != 1 || sink.ends != 1 {
-						t.Errorf("sink %d saw %d RunStart and %d RunEnd hooks, want one of each", i, sink.starts, sink.ends)
-					}
-					if sink.sum.Err != err {
-						t.Errorf("sink %d: RunSummary.Err = %v, the run returned %v", i, sink.sum.Err, err)
+					if sink.starts != 1 || sink.ends != 1 || sink.sum.Err != err {
+						t.Errorf("sink %d saw %d RunStart and %d RunEnd hooks, RunSummary.Err %v; want one of each and the run's %v",
+							i, sink.starts, sink.ends, sink.sum.Err, err)
 					}
 				}
 				s := reg.Snapshot()
-				if s.Gauges["run_active"] != 0 || s.Counters["runs_finished"] != 1 {
-					t.Errorf("registry after the run: run_active = %d, runs_finished = %d",
-						s.Gauges["run_active"], s.Counters["runs_finished"])
-				}
-				if int64(first.sum.Quanta) != s.Counters["quanta"] {
-					t.Errorf("RunSummary counts %d quanta, the stream carried %d", first.sum.Quanta, s.Counters["quanta"])
+				if s.Gauges["run_active"] != 0 || s.Counters["runs_finished"] != 1 || int64(first.sum.Quanta) != s.Counters["quanta"] {
+					t.Errorf("registry after the run: run_active = %d, runs_finished = %d, %d quanta; RunSummary counts %d",
+						s.Gauges["run_active"], s.Counters["runs_finished"], s.Counters["quanta"], first.sum.Quanta)
 				}
 			})
 		}
 	}
+}
+
+// runners are the two ways to run a configuration.
+var runners = []struct {
+	name string
+	run  func(Config) (*Result, error)
+}{
+	{"Run", Run},
+	{"RunParallel", func(cfg Config) (*Result, error) { return RunParallel(cfg, 0) }},
 }
 
 // A workload that panics fails the run like one that returns an error: both
@@ -313,10 +230,9 @@ func TestRunEndOnEveryExit(t *testing.T) {
 // took the process down (RunParallel: killed the node goroutine). Loose and
 // tight name the deterministic engine's two walks. Run with -race.
 func TestGuestPanicIsRunError(t *testing.T) {
-	const nodes, bad = 4, 2
 	program := func(rank, _ int) guest.Program {
 		return func(p *guest.Proc) error {
-			if rank != bad {
+			if rank != 2 {
 				p.Recv() // nobody ever sends
 				return nil
 			}
@@ -324,32 +240,22 @@ func TestGuestPanicIsRunError(t *testing.T) {
 			panic("boom")
 		}
 	}
-	engine := func(q simtime.Duration) func(obs.Observer) error {
-		return func(o obs.Observer) error {
-			cfg := testConfig(nodes, workloads.Workload{New: program}, fixed(q))
-			cfg.Observer = o
-			_, err := Run(cfg)
-			return err
-		}
-	}
 	for _, c := range []struct {
 		name string
-		run  func(obs.Observer) error
+		run  func(Config) (*Result, error)
+		q    simtime.Duration
 		want string
 	}{
-		{"Run/loose", engine(simtime.Microsecond), "cluster: rank 2 panicked in quantum 9: boom"},
-		{"Run/tight", engine(100 * simtime.Microsecond), "cluster: rank 2 panicked in quantum 0: boom"},
-		{"RunParallel", func(o obs.Observer) error {
-			cfg := testConfig(nodes, workloads.Workload{New: program}, fixed(simtime.Microsecond))
-			cfg.Observer = o
-			_, err := RunParallel(cfg, 0)
-			return err
-		}, "cluster: rank 2 panicked in quantum 9: boom"},
+		{"Run/loose", Run, simtime.Microsecond, "cluster: rank 2 panicked in quantum 9: boom"},
+		{"Run/tight", Run, 100 * simtime.Microsecond, "cluster: rank 2 panicked in quantum 0: boom"},
+		{"RunParallel", runners[1].run, simtime.Microsecond, "cluster: rank 2 panicked in quantum 9: boom"},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			before := runtime.NumGoroutine()
 			sink := &endCounter{}
-			err := c.run(sink)
+			cfg := testConfig(4, workloads.Workload{New: program}, fixed(c.q))
+			cfg.Observer = sink
+			_, err := c.run(cfg)
 			if err == nil || err.Error() != c.want {
 				t.Fatalf("run returned %v, want %q", err, c.want)
 			}
@@ -387,4 +293,172 @@ func TestEnginePanicPropagates(t *testing.T) {
 	}()
 	Run(cfg)
 	t.Error("Run returned")
+}
+
+var updateGolden = flag.Bool("update", false, "rewrite testdata golden files")
+
+// TestProfilerReconciliation: the profiler's segment accounting reconciles
+// exactly with the engine's Stats — compute with HostBusy, idle with
+// HostIdle, and routing+barrier with HostBarrier — on every profRows row.
+// Nothing the profiler prints is a re-derivation: it is the same charge
+// stream the engine used. At workers=2 the report is that of a run with the
+// unread Workers stub set and the profiler attached as Config.Profiler, and
+// must be the probed run's.
+func TestProfilerReconciliation(t *testing.T) {
+	for _, r := range profRows() {
+		for _, workers := range []int{0, 2} {
+			t.Run(fmt.Sprintf("%s/workers=%d", r.name, workers), func(t *testing.T) {
+				d := r.run()
+				s, rep := d.complete(t).Stats, d.got.rep
+				if workers == 2 && !bytes.Equal(d.profiledReport(t), d.got.prof) {
+					t.Error("the Config.Profiler run's report differs from the probed run's")
+				}
+				tot := rep.Totals
+				got := []int64{rep.Quanta, rep.Packets, rep.Stragglers, tot.ComputeNS, tot.IdleNS, tot.RoutingNS + tot.BarrierNS}
+				want := []int64{int64(s.Quanta), int64(s.Packets), int64(s.Stragglers), int64(s.HostBusy), int64(s.HostIdle), int64(s.HostBarrier)}
+				if !rep.Complete || !slices.Equal(got, want) {
+					t.Errorf("report (complete: %v) has quanta, packets, stragglers, compute, idle, routing+barrier %v; Stats %v", rep.Complete, got, want)
+				}
+				var compute, idle, wait, causes int64
+				for _, n := range rep.PerNode {
+					compute, idle, wait = compute+n.ComputeNS, idle+n.IdleNS, wait+n.WaitNS
+				}
+				for _, cc := range rep.Engagement.Causes {
+					causes += cc.Quanta
+				}
+				if compute != tot.ComputeNS || idle != tot.IdleNS || wait != tot.WaitNS || causes != rep.Quanta {
+					t.Errorf("per-node sums (%d,%d,%d) != totals (%d,%d,%d), or cause counts %d != %d quanta",
+						compute, idle, wait, tot.ComputeNS, tot.IdleNS, tot.WaitNS, causes, rep.Quanta)
+				}
+			})
+		}
+	}
+}
+
+// TestProfilerReportGolden pins the full report artifact of the rack-10us-8
+// row against a committed golden file (regenerate with -update). CI's
+// report-smoke job checks the same bytes from the CLI.
+func TestProfilerReportGolden(t *testing.T) {
+	d := named("rack-10us-8")
+	d.complete(t)
+	path := filepath.Join("testdata", "profile_rack.golden.json")
+	if *updateGolden {
+		if err := os.WriteFile(path, d.got.prof, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("%v (regenerate with go test -run Golden -update ./internal/cluster/)", err)
+	}
+	if !bytes.Equal(d.got.prof, want) {
+		t.Errorf("report drifted from %s (regenerate with -update if intended)", path)
+	}
+}
+
+// TestProfilerLimitingLinksRack: on a rack topology the static minimum-
+// latency probe must name exactly the intra-rack links (they gate the
+// global lookahead), and the observed limiting-links ranking must put an
+// intra-rack link first — cross-rack frames carry 2µs more slack.
+func TestProfilerLimitingLinksRack(t *testing.T) {
+	d := named("rack-mid-8")
+	d.complete(t)
+	rep := d.got.rep
+	if want := int64(minLinkLat(d.got.cfg.Net, 8)); rep.LookaheadNS != want {
+		t.Errorf("lookahead %d, want the matrix minimum %d", rep.LookaheadNS, want)
+	}
+	// 2 racks × 4 nodes → 4×3 directed intra-rack pairs per rack.
+	if rep.MinLatencyTied != 24 || len(rep.MinLatencyLinks) != 24 || len(rep.LimitingLinks) == 0 {
+		t.Fatalf("min-latency ties = %d, links listed = %d, want 24; %d limiting links", rep.MinLatencyTied, len(rep.MinLatencyLinks), len(rep.LimitingLinks))
+	}
+	for _, l := range slices.Concat(rep.MinLatencyLinks, rep.LimitingLinks[:1]) {
+		if l.Src/4 != l.Dst/4 {
+			t.Errorf("min-latency or tightest observed link %s crosses racks", prof.LinkName(l.Src, l.Dst))
+		}
+	}
+	for _, l := range rep.MinLatencyLinks {
+		if l.LatencyNS != rep.LookaheadNS {
+			t.Errorf("min-latency link %s latency %d != lookahead %d", prof.LinkName(l.Src, l.Dst), l.LatencyNS, rep.LookaheadNS)
+		}
+	}
+	for i := 1; i < len(rep.LimitingLinks); i++ {
+		if rep.LimitingLinks[i].SlackNS < rep.LimitingLinks[i-1].SlackNS {
+			t.Errorf("limiting links not sorted by slack at %d", i)
+		}
+	}
+}
+
+// TestProfilerFaultsUseIdealLatency: slack accounting must be computed from
+// the pre-fault ideal latency — jitter shifts arrivals, not the lookahead
+// bound — so a jittery run's frame latency histogram floor equals the clean
+// run's.
+func TestProfilerFaultsUseIdealLatency(t *testing.T) {
+	floor := func(rep *prof.Report) int64 {
+		i := slices.IndexFunc(rep.Hists, func(h prof.NamedHist) bool { return h.Name == "frame_latency_ns" })
+		if i < 0 {
+			t.Fatal("frame_latency_ns histogram missing")
+		}
+		return rep.Hists[i].Hist.Min
+	}
+	clean, jittery := named("uniform-150-4"), named("uniform-150-4/jitter")
+	clean.complete(t)
+	jittery.complete(t)
+	if c, j := floor(clean.got.rep), floor(jittery.got.rep); c != j {
+		t.Errorf("jitter leaked into ideal latency floor: clean min %d, jittery min %d", c, j)
+	}
+}
+
+// TestParallelProfilerSmoke: the wall-clock runner fires the same hooks the
+// profiler reads; its report must be internally consistent (per-node wait sums
+// to the total, idle is always zero — parallel nodes jump, they don't
+// spin) even though the numbers are real time and not reproducible.
+func TestParallelProfilerSmoke(t *testing.T) {
+	p := prof.New()
+	res := runParallel(t, testConfig(4, workloads.PingPong(20, 1000), fixed(simtime.Microsecond)), 0, p)
+	rep := p.Report()
+	var wait int64
+	for _, n := range rep.PerNode {
+		wait += n.WaitNS
+	}
+	if rep.Engine != "parallel" || !rep.Complete || rep.Quanta != int64(res.Stats.Quanta) || rep.Totals.IdleNS != 0 ||
+		wait != rep.Totals.WaitNS || rep.Engagement.EligibleQuanta != rep.Quanta {
+		t.Errorf("report: engine %q, complete %v, %d quanta (Stats %d), idle %d (want 0, a free jump), wait %d (nodes sum to %d), %d eligible quanta at Q=1µs",
+			rep.Engine, rep.Complete, rep.Quanta, res.Stats.Quanta, rep.Totals.IdleNS, rep.Totals.WaitNS, wait, rep.Engagement.EligibleQuanta)
+	}
+}
+
+// TestProfilerNilIsNoop: a run without a profiler behaves identically to one
+// with it — the profiler observes, never participates.
+func TestProfilerNilIsNoop(t *testing.T) { report(t, named("phases-4").bareSame) }
+
+// TestProfilerStreamReplay: the Observer stream is everything the profiler
+// knows. A run's logged stream, replayed into a fresh profiler, must
+// reproduce the live report byte for byte — faults, jitter and slowdown
+// included, on every partitioning — whether the stream is Run's own or the
+// reference engine's, and whether the live profiler was one sink of
+// Config.Observer (workers=0) or attached as Config.Profiler (workers=2). It
+// fails the day the engine feeds the profiler anything the stream does not
+// carry.
+func TestProfilerStreamReplay(t *testing.T) {
+	for _, r := range profRows() {
+		for _, workers := range []int{0, 2} {
+			for _, reference := range []bool{false, true} {
+				t.Run(fmt.Sprintf("%s/workers=%d/reference=%t", r.name, workers, reference), func(t *testing.T) {
+					d, replayed := r.run(), prof.New()
+					live := d.got.prof
+					if workers == 2 {
+						live = d.profiledReport(t)
+					}
+					got := d.refReplay
+					if !reference {
+						d.stream().replay(replayed)
+						got = replayed.Report().JSON()
+					}
+					if !bytes.Equal(got, live) {
+						t.Errorf("replayed report differs from the live one:\n%s\nvs\n%s", got, live)
+					}
+				})
+			}
+		}
+	}
 }

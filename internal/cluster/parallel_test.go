@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
-	"reflect"
 	"runtime"
 	"slices"
 	"strings"
@@ -22,23 +21,24 @@ import (
 	"clustersim/internal/workloads"
 )
 
-func TestParallelPhasesCompletes(t *testing.T) {
-	w := workloads.Phases(4, 200*simtime.Microsecond, 16<<10)
-	res, err := RunParallel(testConfig(4, w, adaptive(simtime.Microsecond, simtime.Millisecond, 1.05, 0.02)), 0.02)
+// runParallel runs cfg on the goroutine runner with the sinks attached and
+// fails t on a run error.
+func runParallel(t *testing.T, cfg Config, spin float64, sinks ...obs.Observer) *Result {
+	t.Helper()
+	cfg.Observer = obs.Multi(sinks...)
+	res, err := RunParallel(cfg, spin)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := res.Metric("time_s"); !ok {
-		t.Error("rank 0 did not report time_s")
+	return res
+}
+
+func TestParallelPhasesCompletes(t *testing.T) {
+	w := workloads.Phases(4, 200*simtime.Microsecond, 16<<10)
+	res := runParallel(t, testConfig(4, w, adaptive(simtime.Microsecond, simtime.Millisecond, 1.05, 0.02)), 0.02)
+	if _, ok := res.Metric("time_s"); !ok || res.Stats.Packets == 0 || res.HostTime <= 0 || res.HostTime > 30*simtime.Second {
+		t.Errorf("parallel run: time_s reported: %v, %d packets, wall time %v", ok, res.Stats.Packets, res.HostTime)
 	}
-	if res.Stats.Packets == 0 {
-		t.Error("no packets routed")
-	}
-	if res.HostTime <= 0 || res.HostTime > 30*simtime.Second {
-		t.Errorf("implausible wall time %v", res.HostTime)
-	}
-	t.Logf("parallel run: guest %v in wall %v, %d quanta (mean Q %v), %d packets, %d stragglers",
-		res.GuestTime, res.HostTime, res.Stats.Quanta, res.Stats.MeanQ, res.Stats.Packets, res.Stats.Stragglers)
 }
 
 func TestParallelNASCompletesAllKernels(t *testing.T) {
@@ -48,59 +48,36 @@ func TestParallelNASCompletesAllKernels(t *testing.T) {
 	ep := workloads.DefaultEP()
 	ep.SerialCompute = ep.SerialCompute.Scale(0.02)
 	for _, w := range []workloads.Workload{workloads.EP(ep), workloads.PingPong(20, 4000)} {
-		res, err := RunParallel(testConfig(4, w, fixed(100*simtime.Microsecond)), 0.01)
-		if err != nil {
-			t.Fatalf("%s: %v", w.Name, err)
-		}
-		if res.GuestTime == 0 {
+		if res := runParallel(t, testConfig(4, w, fixed(100*simtime.Microsecond)), 0.01); res.GuestTime == 0 {
 			t.Errorf("%s: zero guest time", w.Name)
 		}
 	}
 }
 
-func TestParallelDeadlockGuard(t *testing.T) {
-	// A workload that waits forever must be cut off by MaxGuest, not hang.
-	stuck := func(rank, size int) guest.Program {
-		return func(p *guest.Proc) error {
-			if rank == 0 {
-				p.Recv() // nobody ever sends
-			}
-			return nil
-		}
-	}
-	cfg := testConfig(2, workloads.Workload{New: stuck}, fixed(100*simtime.Microsecond))
-	cfg.MaxGuest = simtime.Guest(5 * simtime.Millisecond)
-	_, err := RunParallel(cfg, 0)
-	if err == nil {
-		t.Fatal("deadlocked parallel run returned no error")
-	}
-	t.Logf("got expected error: %v", err)
+// stuck: rank 0 waits for a frame nobody sends.
+func stuck() workloads.Workload {
+	return rawProgram("stuck", func(p *guest.Proc) error { p.Recv(); return nil }, idle)
 }
 
+// A workload that waits forever must be cut off by MaxGuest, not hang.
+func TestParallelDeadlockGuard(t *testing.T) {
+	cfg := testConfig(2, stuck(), fixed(100*simtime.Microsecond))
+	cfg.MaxGuest = simtime.Guest(5 * simtime.Millisecond)
+	if _, err := RunParallel(cfg, 0); err == nil {
+		t.Fatal("deadlocked parallel run returned no error")
+	}
+}
+
+// TestParallelBroadcastAndStray: the goroutine runner applies the
+// controller's one fan-out rule, routing and delivering the broadcast and
+// unknown-MAC rows' frames as Run does.
 func TestParallelBroadcastAndStray(t *testing.T) {
-	w := workloads.Workload{
-		Name: "pbcast",
-		New: func(rank, size int) guest.Program {
-			return func(p *guest.Proc) error {
-				if rank == 0 {
-					p.Broadcast(0, 256, nil)
-					p.Send(77, 0, 64, nil) // stray MAC
-					return nil
-				}
-				p.Recv()
-				return nil
-			}
-		},
-	}
-	res, err := RunParallel(testConfig(4, w, fixed(50*simtime.Microsecond)), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Stats.Deliveries != 3 {
-		t.Errorf("expected 3 broadcast deliveries, got %d", res.Stats.Deliveries)
-	}
-	if res.Stats.Packets != 4 { // 3 replicas + 1 stray
-		t.Errorf("expected 4 packets, got %d", res.Stats.Packets)
+	for _, name := range []string{"broadcast-6/barrier", "broadcast-6/event-queue", "unknown-mac-2/barrier", "unknown-mac-2/event-queue"} {
+		d := named(name)
+		want, got := d.complete(t).Stats, runParallel(t, d.got.cfg, 0).Stats
+		if got.Packets != want.Packets || got.Deliveries != want.Deliveries {
+			t.Errorf("%s: %d packets, %d deliveries; Run: %d, %d", name, got.Packets, got.Deliveries, want.Packets, want.Deliveries)
+		}
 	}
 }
 
@@ -109,38 +86,59 @@ func TestParallelBroadcastAndStray(t *testing.T) {
 // Packet/Quantum hooks, so under -race this guards the concurrency contract
 // of every bundled observer.
 func TestParallelObserver(t *testing.T) {
-	reg := obs.NewRegistry()
-	var buf bytes.Buffer
-	tracer := obs.NewChromeTracer(&buf)
+	reg, buf := obs.NewRegistry(), &bytes.Buffer{}
+	tracer := obs.NewChromeTracer(buf)
 	cfg := testConfig(4, workloads.Phases(3, 150*simtime.Microsecond, 16<<10), adaptive(simtime.Microsecond, simtime.Millisecond, 1.05, 0.02))
-	cfg.Observer = obs.Multi(reg, tracer)
-	res, err := RunParallel(cfg, 0.01)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := runParallel(t, cfg, 0.01, reg, tracer).Stats
 	if err := tracer.Close(); err != nil {
 		t.Fatalf("tracer error: %v", err)
 	}
 	var events []map[string]any
-	if err := json.Unmarshal(buf.Bytes(), &events); err != nil {
-		t.Fatalf("parallel trace is not valid JSON: %v", err)
+	if err := json.Unmarshal(buf.Bytes(), &events); err != nil || len(events) == 0 {
+		t.Fatalf("parallel trace is not a JSON event array (%v) or is empty", err)
 	}
-	if len(events) == 0 {
-		t.Fatal("parallel trace is empty")
+	c := reg.Snapshot().Counters
+	if got, want := []int64{c["quanta"], c["deliveries"], c["stragglers"], c["nodes_done"]},
+		[]int64{int64(s.Quanta), int64(s.Deliveries), int64(s.Stragglers), 4}; !slices.Equal(got, want) {
+		t.Errorf("registry quanta, deliveries, stragglers, nodes done %v; Stats say %v", got, want)
 	}
-	s := reg.Snapshot()
-	if got, want := s.Counters["quanta"], int64(res.Stats.Quanta); got != want {
-		t.Errorf("registry quanta = %d, Stats say %d", got, want)
-	}
-	if got, want := s.Counters["deliveries"], int64(res.Stats.Deliveries); got != want {
-		t.Errorf("registry deliveries = %d, Stats say %d", got, want)
-	}
-	if got, want := s.Counters["stragglers"], int64(res.Stats.Stragglers); got != want {
-		t.Errorf("registry stragglers = %d, Stats say %d", got, want)
-	}
-	if s.Counters["nodes_done"] != 4 {
-		t.Errorf("nodes_done = %d, want 4", s.Counters["nodes_done"])
-	}
+}
+
+// invalidConfigs are malformed configurations, each a change to a valid
+// two-node one. A name with a dot names the field its error must name.
+var invalidConfigs = map[string]func(c *Config){
+	"zero nodes":           func(c *Config) { c.Nodes = 0 },
+	"nil net":              func(c *Config) { c.Net = nil },
+	"nil policy":           func(c *Config) { c.Policy = nil },
+	"nil program":          func(c *Config) { c.Program = nil },
+	"zero quantum":         func(c *Config) { c.Policy = func() quantum.Policy { return quantum.Fixed{Q: 0} } },
+	"net without a NIC":    func(c *Config) { c.Net = &netmodel.Model{Switch: netmodel.Paper().Switch} },
+	"short latency matrix": func(c *Config) { c.Net = mixedWANNet(2); c.Nodes = 3 },
+	"loss of one":          func(c *Config) { c.Faults = &faults.Plan{Default: faults.Link{Loss: 1}} },
+	"loss above one":       func(c *Config) { c.Faults = &faults.Plan{Default: faults.Link{Loss: 1.5}} },
+	"negative loss":        func(c *Config) { c.Faults = &faults.Plan{Default: faults.Link{Loss: -0.1}} },
+	"nil program for a rank": func(c *Config) {
+		c.Program = func(rank, size int) guest.Program {
+			if rank == 1 {
+				return nil
+			}
+			return workloads.Silent(simtime.Microsecond).New(rank, size)
+		}
+	},
+	"negative Guest.SendOverhead":  func(c *Config) { c.Guest.SendOverhead = -5 * simtime.Microsecond },
+	"negative Guest.RecvOverhead":  func(c *Config) { c.Guest.RecvOverhead = -5 * simtime.Microsecond },
+	"NaN Host.JitterSigma":         func(c *Config) { c.Host.JitterSigma = math.NaN() },
+	"negative Host.BusySlowdown":   func(c *Config) { c.Host.BusySlowdown = -1 },
+	"infinite Host.BusySlowdown":   func(c *Config) { c.Host.BusySlowdown = math.Inf(1) },
+	"negative Host.PacketHostCost": func(c *Config) { c.Host.PacketHostCost = -1 },
+}
+
+// invalidRun is Run's error on the invalidConfigs entry name.
+func invalidRun(name string) (Config, error) {
+	cfg := testConfig(2, workloads.Silent(simtime.Microsecond), fixed(simtime.Microsecond))
+	invalidConfigs[name](&cfg)
+	_, err := Run(cfg)
+	return cfg, err
 }
 
 // Run and RunParallel go through one validator: each malformed configuration
@@ -149,33 +147,8 @@ func TestParallelObserver(t *testing.T) {
 // in a guest or host parameter names the field; a host one is
 // host.Params.Validate's own.
 func TestRunnersShareOneValidator(t *testing.T) {
-	w := workloads.Silent(simtime.Microsecond)
-	bad := map[string]func(c *Config){
-		"zero nodes":           func(c *Config) { c.Nodes = 0 },
-		"nil net":              func(c *Config) { c.Net = nil },
-		"nil policy":           func(c *Config) { c.Policy = nil },
-		"nil program":          func(c *Config) { c.Program = nil },
-		"net without a NIC":    func(c *Config) { c.Net = &netmodel.Model{Switch: netmodel.Paper().Switch} },
-		"short latency matrix": func(c *Config) { c.Net = mixedWANNet(2); c.Nodes = 3 },
-		"loss above one":       func(c *Config) { c.Faults = &faults.Plan{Default: faults.Link{Loss: 1.5}} },
-		"nil program for a rank": func(c *Config) {
-			c.Program = func(rank, size int) guest.Program {
-				if rank == 1 {
-					return nil
-				}
-				return w.New(rank, size)
-			}
-		},
-		"negative Guest.SendOverhead":  func(c *Config) { c.Guest.SendOverhead = -5 * simtime.Microsecond },
-		"negative Guest.RecvOverhead":  func(c *Config) { c.Guest.RecvOverhead = -5 * simtime.Microsecond },
-		"NaN Host.JitterSigma":         func(c *Config) { c.Host.JitterSigma = math.NaN() },
-		"infinite Host.BusySlowdown":   func(c *Config) { c.Host.BusySlowdown = math.Inf(1) },
-		"negative Host.PacketHostCost": func(c *Config) { c.Host.PacketHostCost = -1 },
-	}
-	for name, mod := range bad {
-		cfg := testConfig(2, w, fixed(simtime.Microsecond))
-		mod(&cfg)
-		_, errRun := Run(cfg)
+	for name := range invalidConfigs {
+		cfg, errRun := invalidRun(name)
 		_, errPar := RunParallel(cfg, 0)
 		switch {
 		case errRun == nil || errPar == nil || errRun.Error() != errPar.Error():
@@ -189,7 +162,7 @@ func TestRunnersShareOneValidator(t *testing.T) {
 
 	// RunParallel's one host-cost parameter may not let a NaN through either.
 	for _, spin := range []float64{math.NaN(), math.Inf(1), -1} {
-		_, err := RunParallel(testConfig(2, w, fixed(simtime.Microsecond)), spin)
+		_, err := RunParallel(testConfig(2, workloads.Silent(simtime.Microsecond), fixed(simtime.Microsecond)), spin)
 		if err == nil || !strings.Contains(err.Error(), "spinPerGuestBusy") {
 			t.Errorf("spinPerGuestBusy %v: RunParallel returned %v, want an error naming the parameter", spin, err)
 		}
@@ -206,11 +179,7 @@ func TestRunnersShareOneValidator(t *testing.T) {
 		}
 	}}, fixed(10*simtime.Microsecond))
 	end := &endCounter{}
-	cfg.Observer = end
-	res, err := RunParallel(cfg, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runParallel(t, cfg, 0, end)
 	if len(res.NodeFinish) != cfg.Nodes || res.NodeFinish[cfg.Nodes-1] != res.GuestTime {
 		t.Errorf("NodeFinish = %v for %d ranks, guest time %v", res.NodeFinish, cfg.Nodes, res.GuestTime)
 	}
@@ -242,13 +211,12 @@ func TestParallelRendezvousTrains(t *testing.T) {
 			for d := 1; d < nodes; d++ {
 				src := (rank + d) % nodes
 				m := ep.Recv(src, 1)
-				for i, b := range m.Payload {
-					if b != byte(i*7+src) {
-						return fmt.Errorf("rank %d: byte %d of the message from %d is %d", rank, i, src, b)
-					}
+				want := make([]byte, size)
+				for i := range want {
+					want[i] = byte(i*7 + src)
 				}
-				if len(m.Payload) != size {
-					return fmt.Errorf("rank %d: %d bytes from %d, want %d", rank, len(m.Payload), src, size)
+				if !bytes.Equal(m.Payload, want) {
+					return fmt.Errorf("rank %d: the %d-byte message from %d is not the one sent", rank, len(m.Payload), src)
 				}
 			}
 			return nil
@@ -266,137 +234,116 @@ func TestParallelRendezvousTrains(t *testing.T) {
 // obs.Recorder has no lock of its own: the goroutine runner fires Packet and
 // QuantumEnd under its controller mutex and the recorder leaves NodePhase, the
 // hook node goroutines fire concurrently, alone. Run with -race, this is that
-// argument's proof; the counts hold the records to the run's Stats, lossy and
-// duplicated frames included.
+// argument's proof; checkRecords holds the records to the run's Stats and to
+// Algorithm 1, lossy and duplicated frames included.
 func TestParallelRecorder(t *testing.T) {
 	rec := &obs.Recorder{}
 	cfg := testConfig(4, workloads.Uniform(60, 1500, 20*simtime.Microsecond, 23), adaptive(simtime.Microsecond, simtime.Millisecond, 1.05, 0.02))
 	cfg.Faults = &faults.Plan{Seed: 7, Default: faults.Link{Loss: 0.1, Dup: 0.15, Jitter: 3 * simtime.Microsecond}}
-	cfg.Observer = obs.Multi(rec, obs.NewRegistry())
-	res, err := RunParallel(cfg, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := res.Stats
-	if s.Dropped == 0 || s.Duplicated == 0 {
+	res := runParallel(t, cfg, 0, rec, obs.NewRegistry())
+	if s := res.Stats; s.Dropped == 0 || s.Duplicated == 0 {
 		t.Fatalf("premise: the fault plan should drop and duplicate frames, got %+v", s)
 	}
-	delivered, dropped, dups, stragglers, inQuanta := 0, 0, 0, 0, 0
-	for _, p := range rec.Packets {
-		if p.Dropped {
-			dropped++
-		} else {
-			delivered++
-		}
-		if p.Duplicate {
-			dups++
-		}
-		if p.Straggler {
-			stragglers++
-		}
-	}
-	for i, q := range rec.Quanta {
-		if q.Index != i {
-			t.Fatalf("quantum record %d has index %d", i, q.Index)
-		}
-		inQuanta += q.Packets
-	}
-	if delivered != s.Deliveries || dropped != s.Dropped || dups != s.Duplicated || stragglers != s.Stragglers {
-		t.Errorf("recorder holds %d delivered / %d dropped / %d duplicate / %d straggler records, Stats say %d / %d / %d / %d",
-			delivered, dropped, dups, stragglers, s.Deliveries, s.Dropped, s.Duplicated, s.Stragglers)
-	}
-	if len(rec.Quanta) != s.Quanta || inQuanta != s.Packets {
-		t.Errorf("recorder holds %d quanta carrying %d packets, Stats say %d and %d", len(rec.Quanta), inQuanta, s.Quanta, s.Packets)
-	}
-}
-
-// paperCases are the paper's workloads at 4 nodes and Q = 1µs: the five NAS
-// kernels, FT, BT and NAMD, compute scaled by 0.02 as experiments.NASSuite
-// scales it.
-func paperCases() []fastCase {
-	const scale = 0.02
-	ep := workloads.DefaultEP()
-	ep.SerialCompute = ep.SerialCompute.Scale(scale)
-	is := workloads.DefaultIS()
-	is.SerialComputePerIter = is.SerialComputePerIter.Scale(scale)
-	cg := workloads.DefaultCG()
-	cg.SerialComputePerInner = cg.SerialComputePerInner.Scale(scale)
-	mg := workloads.DefaultMG()
-	mg.SerialComputeFinest = mg.SerialComputeFinest.Scale(scale)
-	lu := workloads.DefaultLU()
-	lu.SerialComputePerStep = lu.SerialComputePerStep.Scale(scale)
-	ft := workloads.DefaultFT()
-	ft.SerialComputePerIter = ft.SerialComputePerIter.Scale(scale)
-	bt := workloads.DefaultBT()
-	bt.SerialComputePerStep = bt.SerialComputePerStep.Scale(scale)
-	namd := workloads.DefaultNAMD()
-	namd.SerialComputePerStep = namd.SerialComputePerStep.Scale(scale)
-	var cs []fastCase
-	for _, w := range []workloads.Workload{
-		workloads.EP(ep), workloads.IS(is), workloads.CG(cg), workloads.MG(mg),
-		workloads.LU(lu), workloads.FT(ft), workloads.BT(bt), workloads.NAMD(namd),
-	} {
-		cs = append(cs, fastCase{name: w.Name + "-4", nodes: 4, w: w, pol: fixed(simtime.Microsecond)})
-	}
-	return cs
-}
-
-// recordedPackets runs cfg through run with an obs.Recorder attached and
-// returns the result and the run's packet multiset, canonically sorted.
-func recordedPackets(run func(Config) (*Result, error), cfg Config) (*Result, []obs.PacketRecord, error) {
-	rec := &obs.Recorder{}
-	cfg.Observer = rec
-	res, err := run(cfg)
-	return res, SortPacketsCanonical(rec.Packets), err
+	var v verdict
+	checkRecords(&v, "RunParallel", cfg, newLookahead(cfg.Net, cfg.Nodes).min, res, rec, false)
+	report(t, v)
 }
 
 // At Q <= T every frame arrives at or after the limit of the quantum it was
 // sent in, so each delivery is exact whatever the goroutine schedule: the
 // goroutine runner must reproduce the deterministic engine's ground truth on
-// everything guest-visible — finish times, metrics and the packet multiset,
-// every record of which is guest time. The rows are fastCases' fixed-policy
-// ones whose Q is within the configuration's smallest link bound (adaptive
-// rows and Q above T legitimately race) and the paper's workloads. Each runs
-// at GOMAXPROCS 1, 2 and 4, three times, so that under -race the schedule
-// varies as much as the runner lets it.
+// everything guest-visible — guestView's finish times, metrics, guest Stats
+// and canonical packet list, with no straggler. The rows are caseRows' and
+// paperRows' ground-truth rows (adaptive rows and Q above T legitimately
+// race), Run's side taken from the table. Each runs at GOMAXPROCS 1, 2 and 4,
+// three times, so that under -race the schedule varies as much as the
+// runner lets it.
 func TestParallelGroundTruthMatchesRun(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
-	parallel := func(cfg Config) (*Result, error) { return RunParallel(cfg, 0) }
 	rows := 0
-	for _, c := range append(fastCases(), paperCases()...) {
-		f, ok := c.pol().(quantum.Fixed)
-		cfg := c.config()
-		if !ok || f.Q > newLookahead(cfg.Net, cfg.Nodes).min {
+	for _, r := range slices.Concat(caseRows(), paperRows()) {
+		if !r.groundTruth() {
 			continue
 		}
 		rows++
-		want, wantPkts, err := recordedPackets(Run, cfg)
-		if err != nil {
-			t.Fatalf("%s: Run: %v", c.name, err)
-		}
+		d := r.run()
+		want := guestOf(d.complete(t), d.got.rec.Packets)
 		for _, procs := range []int{1, 2, 4} {
 			runtime.GOMAXPROCS(procs)
 			for rep := 0; rep < 3; rep++ {
-				got, gotPkts, err := recordedPackets(parallel, c.config())
+				rec, cfg := &obs.Recorder{}, r.cfg
+				cfg.Observer = rec
+				got, err := RunParallel(cfg, 0)
 				if err != nil {
-					t.Fatalf("%s GOMAXPROCS=%d #%d: RunParallel: %v", c.name, procs, rep, err)
+					t.Fatalf("%s GOMAXPROCS=%d #%d: RunParallel: %v", r.name, procs, rep, err)
 				}
-				gs, ws := got.Stats, want.Stats
-				switch {
-				case !reflect.DeepEqual(got.NodeFinish, want.NodeFinish):
-					t.Errorf("%s GOMAXPROCS=%d #%d: NodeFinish %v, Run's %v", c.name, procs, rep, got.NodeFinish, want.NodeFinish)
-				case !reflect.DeepEqual(got.Metrics, want.Metrics):
-					t.Errorf("%s GOMAXPROCS=%d #%d: Metrics %v, Run's %v", c.name, procs, rep, got.Metrics, want.Metrics)
-				case gs.Packets != ws.Packets || gs.Deliveries != ws.Deliveries || gs.Stragglers != 0:
-					t.Errorf("%s GOMAXPROCS=%d #%d: %d packets, %d deliveries, %d stragglers; Run: %d, %d, %d",
-						c.name, procs, rep, gs.Packets, gs.Deliveries, gs.Stragglers, ws.Packets, ws.Deliveries, ws.Stragglers)
-				case !slices.Equal(gotPkts, wantPkts):
-					t.Errorf("%s GOMAXPROCS=%d #%d: packet multiset of %d records differs from Run's %d", c.name, procs, rep, len(gotPkts), len(wantPkts))
+				if diff := guestOf(got, rec.Packets).diff(want); diff != "" || got.Stats.Stragglers != 0 {
+					t.Errorf("%s GOMAXPROCS=%d #%d: %d stragglers; %s", r.name, procs, rep, got.Stats.Stragglers, diff)
 				}
 			}
 		}
 	}
 	if rows != 17 {
 		t.Errorf("%d rows run at Q <= T, want 17", rows)
+	}
+}
+
+// TestParallelUnevenFinishBookkeeping drives a workload whose ranks finish at
+// very different guest times — rank r computes (r+1) phases, so with a small
+// fixed quantum the fast ranks stand done at the barrier for most of the run.
+// It pins the HostBarrier accounting: Stats.HostBarrier must equal the sum of
+// the per-quantum barrier spans exactly, every span must lie inside its
+// quantum, and the quantum count must match the record stream however the
+// finishes interleave. Run under -race this also stresses the arrival
+// pre-counting of already-done nodes.
+func TestParallelUnevenFinishBookkeeping(t *testing.T) {
+	const nodes = 5
+	uneven := func(rank, size int) guest.Program {
+		return func(p *guest.Proc) error {
+			for i := 0; i <= rank; i++ {
+				p.Compute(60 * simtime.Microsecond)
+				if rank != 0 {
+					p.Send(0, 0, 256, nil)
+				}
+			}
+			if rank == 0 {
+				// Rank 0 drains every other rank's messages (rank r sends
+				// r+1 of them), so it is the last to finish while the rest
+				// sit done at the barrier.
+				for got := 0; got < size*(size+1)/2-1; got++ {
+					p.Recv()
+				}
+			}
+			p.Report("rounds", float64(rank+1))
+			return nil
+		}
+	}
+	for iter := 0; iter < 4; iter++ {
+		log, cfg := &obs.Recorder{}, testConfig(nodes, workloads.Workload{New: uneven}, fixed(20*simtime.Microsecond))
+		res := runParallel(t, cfg, 0.01, log)
+		var v verdict
+		checkRecords(&v, "RunParallel", cfg, newLookahead(cfg.Net, nodes).min, res, log, false)
+		report(t, v)
+		var barrier simtime.Duration
+		for i, rec := range log.Quanta {
+			if rec.BarrierStart < rec.HostStart || rec.HostEnd < rec.BarrierStart {
+				t.Fatalf("quantum %d: barrier span [%v, %v] outside quantum [%v, %v]",
+					i, rec.BarrierStart, rec.HostEnd, rec.HostStart, rec.HostEnd)
+			}
+			barrier += rec.HostEnd.Sub(rec.BarrierStart)
+		}
+		if res.Stats.HostBarrier != barrier {
+			t.Fatalf("Stats.HostBarrier = %v, sum of record spans = %v", res.Stats.HostBarrier, barrier)
+		}
+		// The slowest rank runs nodes phases of 60µs; every earlier finisher
+		// must not shorten the run.
+		if min := simtime.Guest(nodes * 60 * simtime.Microsecond); res.GuestTime < min {
+			t.Fatalf("guest time %v shorter than the slowest rank's compute %v", res.GuestTime, min)
+		}
+		for rank, m := range res.Metrics {
+			if m["rounds"] != float64(rank+1) {
+				t.Fatalf("rank %d reported rounds=%v, want %d", rank, m["rounds"], rank+1)
+			}
+		}
 	}
 }

@@ -11,42 +11,41 @@ import (
 	"clustersim/internal/workloads"
 )
 
+// computeChain: back-to-back computes of known, rank-specific lengths.
+func computeChain() workloads.Workload {
+	return workloads.Workload{Name: "test.compute-chain", New: func(rank, _ int) guest.Program {
+		return func(p *guest.Proc) error {
+			for i := 0; i < chainOps; i++ {
+				p.Compute(chainDurs[rank])
+			}
+			return nil
+		}
+	}}
+}
+
+const chainOps = 20
+
+var chainDurs = []simtime.Duration{5 * simtime.Microsecond, 7300 * simtime.Nanosecond, 11900 * simtime.Nanosecond}
+
 // TestQuietPassEngages: the pass must engage where it should and stand down
 // where it must.
 func TestQuietPassEngages(t *testing.T) {
 	// One long compute per rank: everything but the first quantum (workload
 	// start) and the last (completion) is quiet.
-	silent := fastCase{name: "silent", nodes: 4, w: workloads.Silent(300 * simtime.Microsecond), pol: fixed(simtime.Microsecond)}
-	r := runObserved(t, silent)
-	quanta := r.res.Stats.Quanta
-	if len(r.quiet)*100 < 95*quanta {
-		t.Errorf("silent: %d of %d quanta quiet, want >= 95%%", len(r.quiet), quanta)
+	r := named("silent-4").got
+	if len(r.quiet)*100 < 95*r.res.Stats.Quanta {
+		t.Errorf("silent: %d of %d quanta quiet, want >= 95%%", len(r.quiet), r.res.Stats.Quanta)
 	}
 
 	// Back-to-back computes with known lengths: a quantum (start, limit] is
 	// stepped iff an op of some rank completes in it — including exactly at
 	// the limit (rank 0's 5µs ops end on quantum boundaries) — or it is the
 	// first one, where the workloads start. Every other quantum is quiet.
-	const q = simtime.Microsecond
-	durs := []simtime.Duration{5 * q, 7300 * simtime.Nanosecond, 11900 * simtime.Nanosecond}
-	const ops = 20
-	chain := fastCase{name: "compute-chain", nodes: len(durs), pol: fixed(q), w: workloads.Workload{
-		Name: "test.compute-chain",
-		New: func(rank, size int) guest.Program {
-			return func(p *guest.Proc) error {
-				for i := 0; i < ops; i++ {
-					p.Compute(durs[rank])
-				}
-				return nil
-			}
-		},
-	}}
-	r = runObserved(t, chain)
+	r = named("compute-chain-3").got
 	stepped := map[int]bool{0: true}
-	for _, d := range durs {
-		for i := 1; i <= ops; i++ {
-			end := simtime.Duration(i) * d
-			stepped[int((end+q-1)/q)-1] = true
+	for _, d := range chainDurs {
+		for i := 1; i <= chainOps; i++ {
+			stepped[int((simtime.Duration(i)*d+simtime.Microsecond-1)/simtime.Microsecond)-1] = true
 		}
 	}
 	var want []int
@@ -62,24 +61,18 @@ func TestQuietPassEngages(t *testing.T) {
 	// With traffic: no quantum in which a frame was routed (every frame is
 	// routed in the quantum it was sent in) or a node finished is quiet, and
 	// the pass still covers the compute phases.
-	phases := fastCase{name: "phases", nodes: 4, w: workloads.Phases(3, 150*simtime.Microsecond, 16<<10),
-		pol: adaptive(simtime.Microsecond, simtime.Millisecond, 1.03, 0.02)}
-	r = runObserved(t, phases)
-	if len(r.quiet) == 0 {
+	if r = named("phases-adaptive-4").stream(); len(r.quiet) == 0 {
 		t.Errorf("phases: no quiet quanta")
 	}
 	done := map[int]bool{}
-	for _, ph := range r.probe.phases {
+	for _, ph := range r.phases {
 		if ph.ph == obs.PhaseDone {
 			done[ph.qi] = true
 		}
 	}
 	for _, qi := range r.quiet {
-		if r.rec.Quanta[qi].Packets != 0 {
-			t.Errorf("phases: quantum %d routed packets but ran quiet", qi)
-		}
-		if done[qi] {
-			t.Errorf("phases: a node finished in quiet quantum %d", qi)
+		if r.rec.Quanta[qi].Packets != 0 || done[qi] {
+			t.Errorf("phases: quantum %d routed %d packets or saw a node finish, but ran quiet", qi, r.rec.Quanta[qi].Packets)
 		}
 	}
 }
@@ -88,20 +81,19 @@ func TestQuietPassEngages(t *testing.T) {
 // carry the stepped quanta — nearly all of their node-quanta fast-forwarded —
 // and stand down wherever a node or a tight partition can act.
 func TestSparseQuantaEngage(t *testing.T) {
-	c := sparseCase(40)
-	const rack = 4 // the tight partition is nodes 0..3
-	r := runObserved(t, c)
+	const nodes, rack = 64, 4 // the tight partition is nodes 0..3
+	r := named("mixed-wan-64").stream()
 	stepped := r.res.Stats.Quanta - len(r.quiet)
-	partial := len(r.skipped) - c.nodes*len(r.quiet)
-	if partial*100 < 90*c.nodes*stepped {
+	partial := len(r.skipped) - nodes*len(r.quiet)
+	if partial*100 < 90*nodes*stepped {
 		t.Errorf("%d of the %d node-quanta of stepped quanta skipped, want >= 90%%",
-			partial, c.nodes*stepped)
+			partial, nodes*stepped)
 	}
 
 	// What the probe saw of each node-quantum, of each sender, and of each
 	// queued arrival.
 	phases := map[nodeQuantum][]phaseHook{}
-	for _, ph := range r.probe.phases {
+	for _, ph := range r.phases {
 		k := nodeQuantum{ph.qi, ph.node}
 		phases[k] = append(phases[k], ph)
 	}
@@ -110,9 +102,9 @@ func TestSparseQuantaEngage(t *testing.T) {
 		at     simtime.Guest
 		routed int // the quantum whose barrier queued it
 	}
-	arrivals := make([][]queued, c.nodes)
-	doneIn := make([]int, c.nodes) // the quantum each node finished in
-	for _, tp := range r.probe.pkts {
+	arrivals := make([][]queued, nodes)
+	doneIn := make([]int, nodes) // the quantum each node finished in
+	for _, tp := range r.pkts {
 		sent[nodeQuantum{tp.qi, tp.rec.Src}] = true
 		if !tp.rec.Dropped {
 			arrivals[tp.rec.Dst] = append(arrivals[tp.rec.Dst], queued{tp.rec.Arrival, tp.qi})
@@ -121,7 +113,7 @@ func TestSparseQuantaEngage(t *testing.T) {
 	for _, as := range arrivals {
 		sort.Slice(as, func(i, j int) bool { return as[i].at < as[j].at })
 	}
-	for _, ph := range r.probe.phases {
+	for _, ph := range r.phases {
 		if ph.ph == obs.PhaseDone {
 			doneIn[ph.node] = ph.qi
 		}
@@ -163,16 +155,13 @@ func TestSparseQuantaEngage(t *testing.T) {
 // to a pass, one pass per jitter window — but for the windows its first and
 // last op cut short — and the summary must still count them one by one.
 func TestQuietStretchEngages(t *testing.T) {
-	r := runObserved(t, fastCase{name: "silent-1ms", nodes: 4, w: workloads.Silent(simtime.Millisecond), pol: fixed(simtime.Microsecond)})
-	inTens := 0
+	d := named("silent-1ms-4")
+	report(t, d.summary)
+	r, inTens := d.got, 0
 	for _, k := range r.stretches {
 		if k == 10 {
 			inTens += k
 		}
-	}
-	if s := r.probe.sum; s.QuietQuanta != len(r.quiet) || s.QuietNodeQuanta != len(r.skipped) {
-		t.Errorf("RunSummary reports %d quiet quanta and %d node-quanta, the stretches hold %d and %d",
-			s.QuietQuanta, s.QuietNodeQuanta, len(r.quiet), len(r.skipped))
 	}
 	if len(r.quiet) == 0 || inTens*10 < 9*len(r.quiet) {
 		t.Errorf("%d of %d quiet quanta ran in stretches of 10, want >= 9 in 10", inTens, len(r.quiet))

@@ -49,7 +49,8 @@ type ChromeTracer struct {
 	Base   // the hooks the trace has no event for
 	mu     sync.Mutex
 	w      *bufio.Writer
-	n      int // events written
+	n      int          // events written
+	qHost  simtime.Host // host start of the open quantum: packet instants' time
 	closed bool
 	err    error
 }
@@ -158,6 +159,7 @@ func (t *ChromeTracer) RunEnd(sum RunSummary) {
 func (t *ChromeTracer) QuantumStart(index int, start simtime.Guest, q simtime.Duration, hostStart simtime.Host) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	t.qHost = hostStart
 	t.emit(traceEvent{Name: "quantum", Cat: traceCatEngine, Ph: "B", PID: tracePID,
 		TID: traceCtrl, TS: hostTS(hostStart),
 		Args: map[string]any{"index": index, "Q_us": durTS(q), "guest_start_us": guestMicros(start)}})
@@ -190,10 +192,11 @@ func (t *ChromeTracer) QuantumEnd(rec QuantumRecord) {
 		TID: traceCtrl, TS: ts, Args: map[string]any{"eligible": elig}})
 }
 
-// Packet marks a delivery on the controller track. Timestamping uses the
-// guest-domain ideal arrival so deliveries line up with the quantum that
-// carried them; straggler deliveries are named separately so Perfetto can
-// filter them.
+// Packet marks a delivery on the controller track. The instant sits on the
+// host-time axis like every other event, at the start of the quantum that
+// routed the frame, so it lies inside that quantum's span; the guest-time
+// ideal and actual arrivals are in its args. Straggler deliveries are named
+// separately so Perfetto can filter them.
 func (t *ChromeTracer) Packet(rec PacketRecord) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -216,7 +219,7 @@ func (t *ChromeTracer) Packet(rec PacketRecord) {
 		args["duplicate"] = true
 	}
 	t.emit(traceEvent{Name: name, Cat: "net", Ph: "i", PID: tracePID,
-		TID: traceCtrl, TS: guestMicros(rec.Ideal), Scope: "t", Args: args})
+		TID: traceCtrl, TS: hostTS(t.qHost), Scope: "t", Args: args})
 }
 
 // NodePhase draws a busy/idle segment on the node's track; PhaseDone becomes
