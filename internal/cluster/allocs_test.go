@@ -21,21 +21,13 @@ import (
 // runtime allocates on its own account and moves that difference, so under
 // -race the pins check only that the path under test engaged.
 
-// summaryObs keeps the RunSummary, where the engine reports its path mix.
-type summaryObs struct {
-	obs.Base
-	sum obs.RunSummary
-}
-
-func (o *summaryObs) RunEnd(s obs.RunSummary) { o.sum = s }
-
 // allocsForRun measures the average allocations of one full Run of cfg and
 // returns it with the run's summary: its quantum count and how much of it the
 // quiet pass fast-forwarded (DESIGN.md §7.1). Quiet quanta never reach the
 // walks or the router, so a gate on those divides by the stepped remainder.
 func allocsForRun(t *testing.T, cfg Config) (float64, obs.RunSummary) {
 	t.Helper()
-	o := &summaryObs{}
+	o := &endCounter{} // the RunSummary is where the engine reports its path mix
 	cfg.Observer = o
 	run := func() {
 		if _, err := Run(cfg); err != nil {

@@ -2,10 +2,6 @@ package cluster
 
 import (
 	"bytes"
-	"clustersim/internal/obs"
-	"clustersim/internal/prof"
-	"clustersim/internal/quantum"
-	"clustersim/internal/simtime"
 	"cmp"
 	"errors"
 	"fmt"
@@ -13,6 +9,11 @@ import (
 	"reflect"
 	"slices"
 	"testing"
+
+	"clustersim/internal/obs"
+	"clustersim/internal/prof"
+	"clustersim/internal/quantum"
+	"clustersim/internal/simtime"
 )
 
 // streamProbe keeps every hook of a run: order names each, in stream order,

@@ -35,18 +35,20 @@ func BenchmarkPartitionedRack(b *testing.B) {
 	}
 	for _, sc := range scenarios {
 		b.Run(sc.name, func(b *testing.B) {
-			benchQuanta(b, Run, row(sc.name, sc.nodes, sc.w, fixed(2*simtime.Microsecond), onNet(sc.net(sc.nodes))).cfg)
+			benchQuanta(b, Run, func() Config {
+				return row(sc.name, sc.nodes, sc.w, fixed(2*simtime.Microsecond), onNet(sc.net(sc.nodes))).cfg
+			})
 		})
 	}
 }
 
-// benchQuanta times run on cfg and reports its throughput in quanta per
-// second.
-func benchQuanta(b *testing.B, run func(Config) (*Result, error), cfg Config) {
+// benchQuanta times run on a configuration mk builds each iteration — its
+// allocations count too — and reports the throughput in quanta per second.
+func benchQuanta(b *testing.B, run func(Config) (*Result, error), mk func() Config) {
 	var quanta int
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		res, err := run(cfg)
+		res, err := run(mk())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -58,7 +60,9 @@ func benchQuanta(b *testing.B, run func(Config) (*Result, error), cfg Config) {
 // BenchmarkGroundTruthQuanta measures ground-truth (Q = 1µs) throughput in
 // quanta per second: every node is loose in every quantum.
 func BenchmarkGroundTruthQuanta(b *testing.B) {
-	benchQuanta(b, Run, testConfig(4, workloads.Phases(3, 150*simtime.Microsecond, 32<<10), fixed(simtime.Microsecond)))
+	benchQuanta(b, Run, func() Config {
+		return testConfig(4, workloads.Phases(3, 150*simtime.Microsecond, 32<<10), fixed(simtime.Microsecond))
+	})
 }
 
 // BenchmarkParallelBarrier measures the parallel runner's synchronization
@@ -66,7 +70,9 @@ func BenchmarkGroundTruthQuanta(b *testing.B) {
 // This is the barrier + routing hot path — the per-quantum cost of waking
 // nodes, collecting arrivals and releasing the controller.
 func BenchmarkParallelBarrier(b *testing.B) {
-	benchQuanta(b, runners[1].run, testConfig(8, workloads.Phases(6, 200*simtime.Microsecond, 16<<10), fixed(20*simtime.Microsecond)))
+	benchQuanta(b, runners[1].run, func() Config {
+		return testConfig(8, workloads.Phases(6, 200*simtime.Microsecond, 16<<10), fixed(20*simtime.Microsecond))
+	})
 }
 
 // BenchmarkQuietNodeQuantum measures the engine's smallest constant: what one
@@ -92,7 +98,7 @@ func BenchmarkQuietNodeQuantum(b *testing.B) {
 		for _, nodes := range []int{8, 64} {
 			b.Run(fmt.Sprintf("%s/nodes=%d", p.name, nodes), func(b *testing.B) {
 				cfg := testConfig(nodes, workloads.Silent(5*simtime.Millisecond), p.pol)
-				counted, sum := cfg, &summaryObs{}
+				counted, sum := cfg, &endCounter{}
 				counted.Observer = sum
 				if _, err := Run(counted); err != nil {
 					b.Fatal(err)

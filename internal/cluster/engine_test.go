@@ -1,6 +1,12 @@
 package cluster
 
 import (
+	"math"
+	"reflect"
+	"runtime"
+	"strings"
+	"testing"
+
 	"clustersim/internal/guest"
 	"clustersim/internal/host"
 	"clustersim/internal/netmodel"
@@ -8,11 +14,6 @@ import (
 	"clustersim/internal/quantum"
 	"clustersim/internal/simtime"
 	"clustersim/internal/workloads"
-	"math"
-	"reflect"
-	"runtime"
-	"strings"
-	"testing"
 )
 
 // testConfig builds a baseline config for n nodes running w.

@@ -1,6 +1,11 @@
 package cluster
 
 import (
+	"fmt"
+	"reflect"
+	"slices"
+	"testing"
+
 	"clustersim/internal/faults"
 	"clustersim/internal/guest"
 	"clustersim/internal/netmodel"
@@ -8,10 +13,6 @@ import (
 	"clustersim/internal/pkt"
 	"clustersim/internal/simtime"
 	"clustersim/internal/workloads"
-	"fmt"
-	"reflect"
-	"slices"
-	"testing"
 )
 
 // A nil plan and an empty (fault-free) plan must produce identical results:
@@ -114,7 +115,7 @@ func TestLossValidation(t *testing.T) {
 func benchFaultRun(b *testing.B, plan *faults.Plan) {
 	cfg := testConfig(4, workloads.Phases(3, 150*simtime.Microsecond, 16<<10), fixed(100*simtime.Microsecond))
 	cfg.Faults = plan
-	benchQuanta(b, Run, cfg)
+	benchQuanta(b, Run, func() Config { return cfg })
 }
 
 func BenchmarkFaultsNilPlan(b *testing.B) { benchFaultRun(b, nil) }

@@ -2,12 +2,6 @@ package cluster
 
 import (
 	"bytes"
-	"clustersim/internal/guest"
-	"clustersim/internal/obs"
-	"clustersim/internal/prof"
-	"clustersim/internal/quantum"
-	"clustersim/internal/simtime"
-	"clustersim/internal/workloads"
 	"encoding/json"
 	"errors"
 	"flag"
@@ -20,6 +14,13 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"clustersim/internal/guest"
+	"clustersim/internal/obs"
+	"clustersim/internal/prof"
+	"clustersim/internal/quantum"
+	"clustersim/internal/simtime"
+	"clustersim/internal/workloads"
 )
 
 // TestEngineChromeTraceRoundTrip: the streams of rows that take both walks,
