@@ -59,8 +59,9 @@ func steadyStatePerStepped(t *testing.T, label string, short, long Config) (floa
 // differ only in extra compute/alltoall cycles, and of those only the stepped
 // (traffic-carrying or op-completing) quanta count: the silent compute
 // stretches in between are fast-forwarded and never reach a walk or the
-// router. Six extra alltoall phases are 72 extra 8KB messages; each costs one
-// payload buffer plus 3/64ths of a block carve, so the per-message guest
+// router. Six extra alltoall phases are 72 extra 8KB size-only messages. Their
+// frames travel by value and cost no heap object, so a message costs only its
+// reassembled Message, a 64th of a block carve: the per-message guest
 // buffers stay far below one allocation per stepped quantum.
 func phasesPin(t *testing.T, label string, q simtime.Duration) {
 	mk := func(phases int) Config {

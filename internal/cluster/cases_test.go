@@ -268,6 +268,8 @@ func fixtureRows() []diffRow {
 	limited.cfg.MaxGuest, limited.aborts = simtime.Guest(500*us), true
 	rows = append(rows, phases100us(),
 		row("broadcast-adaptive-4", 4, broadcastAdaptive(), adaptive(us, ms, 1.05, 0.02)),
+		// One sent frame, ten delivered copies of its value.
+		row("broadcast-6/dup", 6, broadcastOnce(), fixed(us), withPlan(&faults.Plan{Seed: 1, Default: faults.Link{Dup: 1}})),
 		row("pingpong-100us-3", 3, workloads.PingPong(20, 1000), fixed(100*us)),
 		row("pingpong-100us-3/empty-plan", 3, workloads.PingPong(20, 1000), fixed(100*us), withPlan(&faults.Plan{Seed: 99})),
 		row("pingpong-200us-2", 2, workloads.PingPong(30, 1000), fixed(200*us)),

@@ -37,7 +37,7 @@ const (
 
 // event is a queue entry: 12 bytes, all indices, so a heap operation copies
 // little. Frame events carry only the flight-arena index (DESIGN.md §12) —
-// the frame pointer, endpoints and timestamps live in the flight record;
+// the frame, endpoints and timestamps live in the flight record;
 // a node event is the end of the segment in the node arena's lanes.
 type event struct {
 	kind evKind
@@ -121,12 +121,12 @@ func newNodeArena(nodes []*guest.Node) nodeArena {
 func lane[T any](buf []T, k, n int) []T { return buf[k*n : (k+1)*n : (k+1)*n] }
 
 // flight is one frame in flight through the controller: the interned record
-// an evFrame event (or a deferred entry) points at. Flights live in a
-// per-quantum slab — every frame sent in a quantum is also routed in it, so
-// the slab resets to length zero at each quantum start and reaches a steady
-// state with no allocation.
+// an evFrame event (or a deferred entry) points at, holding its own copy of
+// the frame. Flights live in a per-quantum slab — every frame sent in a
+// quantum is also routed in it, so the slab resets to length zero at each
+// quantum start and reaches a steady state with no allocation.
 type flight struct {
-	f        *pkt.Frame
+	f        pkt.Frame
 	src, dst int32
 	tSend    simtime.Guest // guest time the frame left the source workload
 	tD       simtime.Guest // exact simulated arrival time
@@ -538,7 +538,7 @@ func (e *engine) sendFrame(i int, h simtime.Host, tSend simtime.Guest, f *pkt.Fr
 		}
 		fi := int32(len(e.flights))
 		e.flights = append(e.flights, flight{ // flight log grows to the per-quantum high-water mark once; length-reset each quantum
-			f: f, src: int32(i), dst: int32(dst), tSend: tSend,
+			f: *f, src: int32(i), dst: int32(dst), tSend: tSend,
 			tD: e.arrival(f, i, dst, depart),
 		})
 		if p := e.exec; p.fastNode[i] || p.Part[dst] != p.Part[i] {
@@ -606,7 +606,7 @@ func (e *engine) deliver(h simtime.Host, fl *flight, tD simtime.Guest, dupCopy b
 		pos = e.guestPos(dst, h)
 	}
 	arr, straggler := e.controller.deliver(fl, tD, atBarrier, pos, dupCopy)
-	e.na.node[dst].Deliver(fl.f, arr)
+	e.na.node[dst].Deliver(&fl.f, arr)
 	e.na.quietUntil[dst] = 0
 
 	// If the destination is idling, the new arrival may change its wake

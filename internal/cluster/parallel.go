@@ -58,7 +58,7 @@ type pnode struct {
 	// copy to inbox under prun.mu and sets mail; the owner drains the inbox
 	// into the node before every Step, so an empty mailbox costs it one atomic
 	// load. spare is the owner's drained buffer, which the next drain swaps in.
-	inbox, spare []guest.Arrival
+	inbox, spare []posted
 	mail         atomic.Bool
 	// pos is the node's guest clock as the owner last published it, after
 	// every Step and WakeAt: what the router classifies a delivery against.
@@ -427,6 +427,12 @@ func (r *prun) runQuantum(pn *pnode, gen int) bool {
 	}
 }
 
+// posted is a frame copy in a node's mailbox and the guest time it arrives.
+type posted struct {
+	f   pkt.Frame
+	arr simtime.Guest
+}
+
 // drain hands the frames routed to pn since the last drain to its node. Only
 // pn's own goroutine calls it.
 func (r *prun) drain(pn *pnode) {
@@ -438,8 +444,8 @@ func (r *prun) drain(pn *pnode) {
 	pn.inbox, pn.spare = pn.spare[:0], in
 	pn.mail.Store(false)
 	r.mu.Unlock()
-	for _, a := range in {
-		pn.n.Deliver(a.Frame, a.Time)
+	for i := range in {
+		pn.n.Deliver(&in[i].f, in[i].arr)
 	}
 }
 
@@ -477,7 +483,7 @@ func (r *prun) route(pn *pnode, f *pkt.Frame, tSend simtime.Guest) {
 		if dst == skip {
 			continue
 		}
-		fl := flight{f: f, src: int32(src), dst: int32(dst), tSend: tSend, tD: r.arrival(f, src, dst, depart)}
+		fl := flight{f: *f, src: int32(src), dst: int32(dst), tSend: tSend, tD: r.arrival(f, src, dst, depart)}
 		tDs, n := r.controller.route(&fl)
 		for k := 0; k < n; k++ {
 			r.deliverCopy(&fl, tDs[k], k == 1)
@@ -495,7 +501,7 @@ func (r *prun) deliverCopy(fl *flight, tD simtime.Guest, dupCopy bool) {
 		pos = simtime.Guest(dn.pos.Load())
 	}
 	arr, _ := r.deliver(fl, tD, atBarrier, pos, dupCopy)
-	dn.inbox = append(dn.inbox, guest.Arrival{Frame: fl.f, Time: arr})
+	dn.inbox = append(dn.inbox, posted{f: fl.f, arr: arr})
 	dn.mail.Store(true)
 	// A parked destination that can now make progress is re-woken —
 	// point-to-point, leaving every other node undisturbed.

@@ -42,9 +42,9 @@ type refEvent struct {
 	fl       *refFlight
 }
 
-// refFlight is one frame on its way from src to dst.
+// refFlight is one frame on its way from src to dst, a copy of its own.
 type refFlight struct {
-	f         *pkt.Frame
+	f         pkt.Frame
 	src, dst  int
 	sent, due simtime.Guest // when the workload sent it; its arrival before faults
 }
@@ -368,7 +368,7 @@ func (r *refEngine) send(i int, h simtime.Host, sent simtime.Guest, f *pkt.Frame
 		r.stats.Packets++
 	}
 	for _, d := range dsts {
-		fl := &refFlight{f: f, src: i, dst: d, sent: sent, due: nd.txFree.Add(r.cfg.Net.PostTxLatency(f, i, d))}
+		fl := &refFlight{f: *f, src: i, dst: d, sent: sent, due: nd.txFree.Add(r.cfg.Net.PostTxLatency(f, i, d))}
 		r.push(h.Add(r.cfg.Host.PacketTransit), refPriFrame, -1, fl)
 	}
 }
@@ -430,7 +430,7 @@ func (r *refEngine) deliver(h simtime.Host, fl *refFlight, tD simtime.Guest, dup
 	}
 	r.obs.Packet(obs.PacketRecord{SendGuest: fl.sent, Ideal: tD, Arrival: arr, Latency: fl.due.Sub(fl.sent),
 		Src: fl.src, Dst: fl.dst, Size: fl.f.Size, Straggler: late, Snapped: snapped, Duplicate: dup})
-	nd.g.Deliver(fl.f, arr)
+	nd.g.Deliver(&fl.f, arr)
 
 	// An idle destination waits for something else than this frame — unless
 	// its workload has finished, in which case it idles to the barrier

@@ -21,7 +21,7 @@ type Handle struct {
 	seq uint64
 }
 
-// Item is a scheduled event as returned by Pop and Peek. Lower Time runs
+// Item is a scheduled event as returned by Pop. Lower Time runs
 // first; among equal times, lower Priority runs first; among equal
 // priorities, earlier-scheduled runs first.
 type Item[T any] struct {
@@ -83,14 +83,22 @@ func (q *Queue[T]) Pop() Item[T] {
 	return it
 }
 
-// Peek returns the earliest event without removing it; ok is false on an
-// empty queue.
-func (q *Queue[T]) Peek() (it Item[T], ok bool) {
+// PeekTime returns the earliest event's time without removing it or copying
+// its payload; ok is false on an empty queue.
+func (q *Queue[T]) PeekTime() (time int64, ok bool) {
 	if len(q.heap) == 0 {
-		return it, false
+		return 0, false
 	}
+	return q.slots[q.heap[0]].time, true
+}
+
+// PopInto is Pop for a large payload: it moves the earliest event's payload
+// into *dst instead of returning it in an Item, and returns the event's time.
+func (q *Queue[T]) PopInto(dst *T) (time int64) {
 	s := &q.slots[q.heap[0]]
-	return Item[T]{Time: s.time, Priority: int(s.pri), Payload: s.payload}, true
+	time, *dst = s.time, s.payload
+	q.deleteAt(0)
+	return time
 }
 
 // Remove cancels a previously pushed event. Removing an event twice, one

@@ -82,16 +82,16 @@ func TestStaleHandleAfterSlotReuse(t *testing.T) {
 
 func TestPeek(t *testing.T) {
 	var q Queue[int]
-	if _, ok := q.Peek(); ok {
-		t.Error("Peek on empty queue reported an item")
+	if _, ok := q.PeekTime(); ok {
+		t.Error("PeekTime on empty queue reported an item")
 	}
 	q.Push(9, 1)
 	q.Push(4, 2)
-	if it, ok := q.Peek(); !ok || it.Time != 4 {
-		t.Error("Peek returned wrong event")
+	if tm, ok := q.PeekTime(); !ok || tm != 4 {
+		t.Error("PeekTime returned wrong event")
 	}
 	if q.Len() != 2 {
-		t.Error("Peek consumed an event")
+		t.Error("PeekTime consumed an event")
 	}
 }
 
@@ -103,8 +103,8 @@ func TestClear(t *testing.T) {
 	if q.Len() != 0 {
 		t.Error("Clear left events behind")
 	}
-	if _, ok := q.Peek(); ok {
-		t.Error("Peek after Clear reported an item")
+	if _, ok := q.PeekTime(); ok {
+		t.Error("PeekTime after Clear reported an item")
 	}
 	if q.Remove(h) {
 		t.Error("Remove after Clear returned true")

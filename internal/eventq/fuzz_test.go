@@ -4,8 +4,9 @@ import "testing"
 
 // FuzzQueueOps interprets the fuzz input as a program of push/pop/remove
 // operations and cross-checks the queue against a naive reference model:
-// pops must return exactly the (time, priority, seq) minimum, lengths must
-// track, and stale handles must never remove anything.
+// pops (Pop, or PeekTime and PopInto on odd opcodes) must return exactly the
+// (time, priority, seq) minimum, lengths must track, and stale handles must
+// never remove anything.
 func FuzzQueueOps(f *testing.F) {
 	f.Add([]byte{0x10, 0x21, 0x80, 0x32, 0xC0, 0x80})
 	f.Add([]byte{0x00, 0x00, 0x00, 0x80, 0x80, 0x80})
@@ -29,6 +30,9 @@ func FuzzQueueOps(f *testing.F) {
 					t.Fatalf("length mismatch: queue %d, reference %d", q.Len(), len(ref))
 				}
 				if len(ref) == 0 {
+					if _, ok := q.PeekTime(); ok {
+						t.Fatal("PeekTime on an empty queue reported an event")
+					}
 					continue
 				}
 				best := 0
@@ -38,7 +42,14 @@ func FuzzQueueOps(f *testing.F) {
 					}
 				}
 				want := ref[best]
-				got := q.Pop()
+				var got Item[uint64]
+				if op&1 == 0 {
+					got = q.Pop()
+				} else if tm, ok := q.PeekTime(); !ok || tm != want.time {
+					t.Fatalf("PeekTime = (%d, %v), want %d", tm, ok, want.time)
+				} else {
+					got.Time, got.Priority = q.PopInto(&got.Payload), want.pri
+				}
 				if got.Time != want.time || got.Priority != want.pri || got.Payload != uint64(want.pay) {
 					t.Fatalf("pop mismatch: got (t=%d p=%d pay=%d), want (t=%d p=%d pay=%d)",
 						got.Time, got.Priority, got.Payload, want.time, want.pri, want.pay)

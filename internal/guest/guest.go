@@ -60,7 +60,8 @@ func DefaultConfig() Config {
 type Program func(p *Proc) error
 
 // Arrival is a frame as observed by the guest: the frame plus the guest time
-// at which the node's NIC made it visible.
+// at which the node's NIC made it visible. Who owns the frame depends on the
+// call that produced the arrival (Proc.Recv and Proc.RecvSink).
 type Arrival struct {
 	Frame *pkt.Frame
 	Time  simtime.Guest
@@ -106,7 +107,8 @@ func (k StepKind) String() string {
 }
 
 // Step describes one observable step of a node's execution. Node.Step returns
-// the node's own record, valid until its next Step.
+// the node's own record, valid until its next Step; so is the frame a
+// StepSend points at, which a caller that keeps it must copy.
 type Step struct {
 	Kind        StepKind
 	From, To    simtime.Guest
@@ -133,21 +135,24 @@ func (k opKind) String() string {
 // FrameSource supplies the frames of a train (Proc.SendTrain). The node calls
 // Frame(k) once for each k in [0, count), in order, at the moment frame k-1
 // has been handed to the NIC — frame 0 inside SendTrain itself — and charges
-// the send overhead before emitting what it returned.
+// the send overhead before emitting what it returned, with Src and ID set by
+// the node.
 //
 // Frame runs between steps, not on the workload's coroutine: it may read and
 // update workload state and call Proc.Now, Rank, Size, Config and Report, but
 // any Proc call that consumes guest time (Compute, Send, Recv*, Sleep*)
 // panics.
 type FrameSource interface {
-	Frame(k int) (dst int, proto pkt.Proto, size int, data []byte)
+	Frame(k int) pkt.Frame
 }
 
 // FrameSink is offered every frame a Proc.RecvSink call receives, after its
 // receive overhead has been charged. Absorb returning true consumes the frame
 // and the call keeps waiting under the same deadline, exactly as if the
 // workload had called RecvSink again at once; false completes the call with
-// that frame. The restrictions of FrameSource.Frame apply.
+// that frame. a.Frame is the node's receive record, overwritten by the next
+// receive: a sink copies what it keeps, never the pointer. The restrictions
+// of FrameSource.Frame apply.
 type FrameSink interface {
 	Absorb(a Arrival) bool
 }
@@ -155,7 +160,6 @@ type FrameSink interface {
 type request struct {
 	kind     opKind
 	dur      simtime.Duration // compute
-	frame    *pkt.Frame       // send: the frame the owed overhead is for
 	deadline simtime.Guest    // recv deadline / sleep target (absolute)
 	err      error            // done
 }
@@ -178,8 +182,9 @@ type reply struct {
 // parking, no scheduler — and all request/reply state lives in the Node by
 // value (a train's source and a receive's sink are interface values the
 // workload already owns, staged beside the request so that it stays small
-// to hand over), so the steady-state Step loop allocates nothing but the
-// frame blocks outgoing frames are carved from.
+// to hand over). Frames are values in records of the node's own — the one
+// being sent, the one a StepSend reports, the receive queue's slots and the
+// one being received — so the steady-state Step loop allocates nothing.
 type Node struct {
 	id   int
 	size int
@@ -191,16 +196,13 @@ type Node struct {
 	// so a step costs no 64-byte copy through the stack.
 	st Step
 
-	rx      eventq.Queue[*pkt.Frame]
+	rx      eventq.Queue[pkt.Frame]
 	frameID uint64
-	// frameBlk is the tail of the current frame block: outgoing frames are
-	// carved from batch-allocated arrays instead of allocated one by one.
-	// Frames are never recycled — a block is garbage-collected as a whole
-	// once every frame carved from it has been dropped — so pointer
-	// identity and immutability are exactly as with individual allocations.
-	// Touched only by newFrame (like frameID), on whichever side of the
-	// handshake is active.
-	frameBlk []pkt.Frame
+	// tx is the outgoing frame whose send overhead is owed, stamped by
+	// newFrame; sent is the one the last StepSend reported (Step.Frame).
+	// rxf is the frame being received: charged its receive overhead, then
+	// offered to the sink or returned by RecvSink (Arrival.Frame).
+	tx, sent, rxf pkt.Frame
 
 	// Coroutine handshake. next/stop drive the workload; yield (captured at
 	// coroutine start) hands a request to the engine from inside call. reply
@@ -223,7 +225,7 @@ type Node struct {
 	pending     request
 	havePending bool
 	overhead    simtime.Duration // busy time still owed before pending completes
-	recvArr     Arrival          // arrival being charged RecvOverhead
+	recvAt      simtime.Guest    // arrival time of rxf, while haveRecv
 	haveRecv    bool
 	started     bool
 	done        bool
@@ -276,27 +278,26 @@ func (n *Node) BeginQuantum(limit simtime.Guest) {
 // frame then becomes visible at the next Recv, exactly as a late interrupt
 // would in a real full-system simulator.
 //
-// Equal-arrival frames are consumed in Frame.ID order — an intrinsic,
-// canonical tie-break (IDs encode (source, per-source sequence)) — rather
-// than in delivery order. This keeps the receive order independent of
-// *when* the controller routed the frames, which is what lets the engine's
-// barrier routing and a tight partition's event queue feed identical frame
-// sequences to the workload.
+// Equal-arrival frames are consumed in the order of the low 32 bits of their
+// Frame.ID, then in delivery order: the receive queue keeps priorities as
+// int32, and those bits are the sender's sequence number (the node id sits
+// above bit 40). Two equal-time frames whose senders' sequence numbers
+// coincide are therefore received in the order they were routed.
 //
-// Like every other method, Deliver belongs to the node's owner: it pushes to
-// the receive queue with no lock.
+// Deliver copies *f into the receive queue; the caller keeps f. Like every
+// other method, Deliver belongs to the node's owner: it pushes to the
+// receive queue with no lock.
 func (n *Node) Deliver(f *pkt.Frame, arr simtime.Guest) {
-	n.rx.PushPri(int64(arr), int(f.ID), f)
+	n.rx.PushPri(int64(arr), int(f.ID), *f)
 }
 
 // DeliverBatch delivers a run of arrivals, with the ordering semantics of
-// repeated Deliver calls: the receive queue orders by (arrival time, Frame.ID,
-// push sequence), so batch boundaries are invisible to the workload. It is
-// the owner's, like Deliver. The engine delivers with Deliver alone;
+// repeated Deliver calls, so batch boundaries are invisible to the workload.
+// It is the owner's, like Deliver. The engine delivers with Deliver alone;
 // DeliverBatch stays while the benchmark harness measures it.
 func (n *Node) DeliverBatch(batch []Arrival) {
 	for _, a := range batch {
-		n.rx.PushPri(int64(a.Time), int(a.Frame.ID), a.Frame)
+		n.Deliver(a.Frame, a.Time)
 	}
 }
 
@@ -361,7 +362,7 @@ func (n *Node) Step() *Step {
 			if !n.chargeBusy() {
 				return &n.st
 			}
-			arr := n.recvArr
+			arr := Arrival{Frame: &n.rxf, Time: n.recvAt}
 			n.haveRecv = false
 			if n.sink != nil && n.offer(arr) {
 				// Consumed between steps: the same request waits for the
@@ -383,29 +384,28 @@ func (n *Node) Step() *Step {
 			if !n.chargeBusy() {
 				return &n.st
 			}
-			f := req.frame
+			n.sent = n.tx
 			if n.k++; n.k < n.count {
 				// The train goes on: build its next frame now, where the
 				// workload would have, and owe that frame's overhead.
-				req.frame = n.pull(n.src, n.k)
+				n.pull(n.src, n.k)
 				n.overhead = n.cfg.SendOverhead
 			} else {
 				n.complete(reply{})
 			}
-			return n.report(Step{Kind: StepSend, From: n.clock, To: n.clock, Frame: f})
+			return n.report(Step{Kind: StepSend, From: n.clock, To: n.clock, Frame: &n.sent})
 
 		case opRecv:
 			now := n.clock
-			if it, ok := n.rx.Peek(); ok && simtime.Guest(it.Time) <= now {
-				n.rx.Pop()
-				n.recvArr = Arrival{Frame: it.Payload, Time: simtime.Guest(it.Time)}
+			if t, ok := n.rx.PeekTime(); ok && simtime.Guest(t) <= now {
+				n.recvAt = simtime.Guest(n.rx.PopInto(&n.rxf))
 				n.haveRecv = true
 				n.overhead = n.cfg.RecvOverhead
 				continue
 			}
 			next := simtime.GuestInfinity
-			if it, ok := n.rx.Peek(); ok {
-				next = simtime.Guest(it.Time)
+			if t, ok := n.rx.PeekTime(); ok {
+				next = simtime.Guest(t)
 			}
 			if req.deadline <= now {
 				// Deadline already passed with nothing deliverable.
@@ -469,8 +469,8 @@ func (n *Node) QuietUntil() (until simtime.Guest, busy bool) {
 		until = n.pending.deadline
 	case n.pending.kind == opRecv && !n.haveRecv:
 		until = n.pending.deadline
-		if it, ok := n.rx.Peek(); ok {
-			until = simtime.MinGuest(until, simtime.Guest(it.Time))
+		if t, ok := n.rx.PeekTime(); ok {
+			until = simtime.MinGuest(until, simtime.Guest(t))
 		}
 	}
 	return simtime.MaxGuest(until, now), false
@@ -533,40 +533,23 @@ func (n *Node) complete(r reply) {
 	n.reply = r
 }
 
-// frameBlkLen is the frame block size: big enough to amortize allocation,
-// small enough that a retained frame pins only a few KB of block.
-const frameBlkLen = 64
-
-// newFrame builds the node's next outgoing frame — Send, Broadcast and every
-// frame of a train come through here — carved from the node's block and
+// newFrame makes tx the node's next outgoing frame — Send, Broadcast and
+// every frame of a train come through here — stamped with the node's MAC and
 // numbered in creation order.
-func (n *Node) newFrame(dst pkt.MAC, proto pkt.Proto, size int, data []byte) *pkt.Frame {
-	if size < 0 {
-		panic(fmt.Sprintf("guest: frame with negative size %d", size))
+func (n *Node) newFrame() {
+	if n.tx.Size < 0 {
+		panic(fmt.Sprintf("guest: frame with negative size %d", n.tx.Size))
 	}
-	if len(n.frameBlk) == 0 {
-		n.frameBlk = make([]pkt.Frame, frameBlkLen) // one 4 KiB block per 64 frames, carved, never per frame
-	}
-	f := &n.frameBlk[0]
-	n.frameBlk = n.frameBlk[1:]
 	n.frameID++
-	*f = pkt.Frame{
-		Src:   pkt.NodeMAC(n.id),
-		Dst:   dst,
-		Proto: proto,
-		Size:  size,
-		Data:  data,
-		ID:    uint64(n.id)<<40 | n.frameID,
-	}
-	return f
+	n.tx.Src, n.tx.ID = pkt.NodeMAC(n.id), uint64(n.id)<<40|n.frameID
 }
 
 // pull builds frame k of a train from its source.
-func (n *Node) pull(src FrameSource, k int) *pkt.Frame {
+func (n *Node) pull(src FrameSource, k int) {
 	n.upcall = true
-	dst, proto, size, data := src.Frame(k)
+	n.tx = src.Frame(k)
 	n.upcall = false
-	return n.newFrame(pkt.NodeMAC(dst), proto, size, data)
+	n.newFrame()
 }
 
 // offer hands a received frame to the pending recv's sink.
@@ -577,11 +560,11 @@ func (n *Node) offer(a Arrival) bool {
 	return took
 }
 
-// send issues the request for a train of count frames that starts with f and
-// that src continues.
-func (n *Node) send(f *pkt.Frame, src FrameSource, count int) {
+// send requests a train of count frames that starts with tx and that src
+// continues.
+func (n *Node) send(src FrameSource, count int) {
 	n.src, n.k, n.count = src, 0, count
-	n.call(request{kind: opSend, frame: f})
+	n.call(request{kind: opSend})
 }
 
 type poisonError struct{}

@@ -296,9 +296,9 @@ func TestTryRecv(t *testing.T) {
 // own source or sink might, wrongly, do.
 type callIn struct{ fn func(k int) }
 
-func (c callIn) Frame(k int) (int, pkt.Proto, int, []byte) {
+func (c callIn) Frame(k int) pkt.Frame {
 	c.fn(k)
-	return 1, pkt.ProtoRaw, 64, nil
+	return pkt.Frame{Dst: pkt.NodeMAC(1), Size: 64}
 }
 
 func (c callIn) Absorb(Arrival) bool {

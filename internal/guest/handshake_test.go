@@ -219,54 +219,81 @@ func (s *every64th) Absorb(Arrival) bool {
 
 const hsFrames = 64
 
+// trainPair is the handshake benchmark's two nodes: tx sends hsFrames-frame
+// messages of size-only frames, as trains or with one Send per frame, and rx
+// receives them into a sink that ends each message, or with one RecvSink per
+// frame.
+func trainPair(trains bool) (tx, rx *Node) {
+	train := make(sizes, hsFrames)
+	tx = NewNode(0, 2, DefaultConfig(), func(p *Proc) error {
+		src := FrameSource(train) // boxed once: a slice is not pointer-shaped
+		for {
+			if trains {
+				p.SendTrain(src, hsFrames)
+				continue
+			}
+			for range train {
+				p.Send(1, pkt.ProtoRaw, 0, nil)
+			}
+		}
+	})
+	rx = NewNode(1, 2, DefaultConfig(), func(p *Proc) error {
+		var sink FrameSink
+		if trains {
+			sink = &every64th{}
+		}
+		for {
+			p.RecvSink(simtime.GuestInfinity, sink)
+		}
+	})
+	return tx, rx
+}
+
+// exchange moves one message from tx to rx through the Step loop.
+func exchange(tx, rx *Node) {
+	tx.BeginQuantum(tx.Clock() + simtime.Guest(simtime.Second))
+	for sent := 0; sent < hsFrames; {
+		if st := tx.Step(); st.Kind == StepSend {
+			// Already visible: the receiver never idles.
+			rx.Deliver(st.Frame, rx.Clock())
+			sent++
+		}
+	}
+	rx.BeginQuantum(rx.Clock() + simtime.Guest(simtime.Second))
+	for rx.Step().Kind != StepBlocked {
+	}
+}
+
+// TestFrameTrainZeroAllocs pins the frame path at zero heap allocations: once
+// the receive queue has grown, a message of size-only frames sent as a train,
+// delivered and absorbed by a sink allocates nothing from send to receive.
+func TestFrameTrainZeroAllocs(t *testing.T) {
+	tx, rx := trainPair(true)
+	defer tx.Shutdown()
+	defer rx.Shutdown()
+	exchange(tx, rx) // the coroutines start and the receive queue grows
+	if allocs := testing.AllocsPerRun(100, func() { exchange(tx, rx) }); allocs != 0 {
+		t.Errorf("%v allocations per %d-frame message, want 0", allocs, hsFrames)
+	}
+}
+
 // BenchmarkFrameHandshake prices the workload handshake per frame: a
 // 64-fragment message sent and received through the Step loop, once with a
 // Proc call per frame and once as a train into a sink.
 func BenchmarkFrameHandshake(b *testing.B) {
-	train := make(sizes, hsFrames)
 	for _, trains := range []bool{false, true} {
 		name := "single"
 		if trains {
 			name = "train"
 		}
 		b.Run(name, func(b *testing.B) {
-			tx := NewNode(0, 2, DefaultConfig(), func(p *Proc) error {
-				src := FrameSource(train) // boxed once: a slice is not pointer-shaped
-				for {
-					if trains {
-						p.SendTrain(src, hsFrames)
-						continue
-					}
-					for range train {
-						p.Send(1, pkt.ProtoRaw, 0, nil)
-					}
-				}
-			})
-			rx := NewNode(1, 2, DefaultConfig(), func(p *Proc) error {
-				var sink FrameSink
-				if trains {
-					sink = &every64th{}
-				}
-				for {
-					p.RecvSink(simtime.GuestInfinity, sink)
-				}
-			})
+			tx, rx := trainPair(trains)
 			defer tx.Shutdown()
 			defer rx.Shutdown()
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				tx.BeginQuantum(tx.Clock() + simtime.Guest(simtime.Second))
-				for sent := 0; sent < hsFrames; {
-					if st := tx.Step(); st.Kind == StepSend {
-						// Already visible: the receiver never idles.
-						rx.Deliver(st.Frame, rx.Clock())
-						sent++
-					}
-				}
-				rx.BeginQuantum(rx.Clock() + simtime.Guest(simtime.Second))
-				for rx.Step().Kind != StepBlocked {
-				}
+				exchange(tx, rx)
 			}
 			frames := float64(b.N) * hsFrames
 			resumes := float64(tx.resumes+rx.resumes) / frames

@@ -46,13 +46,21 @@ func (p *Proc) Compute(d simtime.Duration) {
 // dst. It costs the configured per-frame send overhead of guest CPU time and
 // returns once the frame has been queued (the NIC transmits asynchronously).
 func (p *Proc) Send(dst int, proto pkt.Proto, size int, data []byte) {
-	p.n.send(p.n.newFrame(pkt.NodeMAC(dst), proto, size, data), nil, 1)
+	p.SendFrame(pkt.Frame{Dst: pkt.NodeMAC(dst), Proto: proto, Size: size, Data: data})
 }
 
 // Broadcast sends a frame to every other node via the link-layer broadcast
 // address.
 func (p *Proc) Broadcast(proto pkt.Proto, size int, data []byte) {
-	p.n.send(p.n.newFrame(pkt.Broadcast, proto, size, data), nil, 1)
+	p.SendFrame(pkt.Frame{Dst: pkt.Broadcast, Proto: proto, Size: size, Data: data})
+}
+
+// SendFrame is Send for a frame the caller has built, its header included;
+// the node sets its Src and ID.
+func (p *Proc) SendFrame(f pkt.Frame) {
+	p.n.tx = f
+	p.n.newFrame()
+	p.n.send(nil, 1)
 }
 
 // SendTrain sends count frames back to back, each built by src when its
@@ -62,14 +70,15 @@ func (p *Proc) SendTrain(src FrameSource, count int) {
 	if count < 1 {
 		panic(fmt.Sprintf("guest: SendTrain of %d frames", count))
 	}
-	p.n.send(p.n.pull(src, 0), src, count)
+	p.n.pull(src, 0)
+	p.n.send(src, count)
 }
 
 // Recv blocks until the next frame is visible to the guest and returns it
 // together with its guest arrival time. Frames are delivered in arrival
 // order regardless of sender.
 func (p *Proc) Recv() Arrival {
-	a, ok := p.RecvSink(simtime.GuestInfinity, nil)
+	a, ok := p.RecvDeadline(simtime.GuestInfinity)
 	if !ok {
 		panic("guest: Recv returned without an arrival")
 	}
@@ -77,15 +86,21 @@ func (p *Proc) Recv() Arrival {
 }
 
 // RecvDeadline blocks until a frame is visible or the guest clock reaches
-// deadline, whichever comes first. ok reports whether a frame was received.
+// deadline, whichever comes first. ok reports whether a frame was received;
+// the frame is a copy the caller owns.
 func (p *Proc) RecvDeadline(deadline simtime.Guest) (a Arrival, ok bool) {
-	return p.RecvSink(deadline, nil)
+	if a, ok = p.RecvSink(deadline, nil); ok {
+		f := *a.Frame
+		a.Frame = &f
+	}
+	return a, ok
 }
 
 // RecvSink is RecvDeadline with every received frame offered to sink first:
 // the call returns the first frame the sink declines, or !ok at the deadline,
 // and frames the sink absorbs cost their receive overhead but no switch to
-// the workload. A nil sink declines everything.
+// the workload. A nil sink declines everything. The returned frame is the
+// node's receive record, valid until the next receive, and is not copied.
 func (p *Proc) RecvSink(deadline simtime.Guest, sink FrameSink) (a Arrival, ok bool) {
 	p.n.sink = sink
 	r := p.n.call(request{kind: opRecv, deadline: deadline})

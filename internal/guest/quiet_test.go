@@ -345,7 +345,7 @@ func quietCases() []quietCase {
 // sizes is a frame source: a train of raw frames to node 1, one per size.
 type sizes []int
 
-func (s sizes) Frame(k int) (int, pkt.Proto, int, []byte) { return 1, pkt.ProtoRaw, s[k], nil }
+func (s sizes) Frame(k int) pkt.Frame { return pkt.Frame{Dst: pkt.NodeMAC(1), Size: s[k]} }
 
 // absorbAll is a frame sink that consumes whatever arrives.
 type absorbAll struct{}

@@ -82,7 +82,7 @@ func benchStream(b *testing.B, payload, reliable bool) {
 func BenchmarkMessageStream(b *testing.B) { benchStream(b, false, false) }
 
 // BenchmarkMessageStreamPayload is the same stream carrying actual payload
-// bytes, exercising the per-fragment wire-byte path end to end.
+// bytes, exercising the sender's payload copy and reassembly end to end.
 func BenchmarkMessageStreamPayload(b *testing.B) { benchStream(b, true, false) }
 
 // BenchmarkMessageStreamReliable is the size-only stream through reliable

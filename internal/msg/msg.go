@@ -32,7 +32,6 @@ package msg
 
 import (
 	"cmp"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"slices"
@@ -45,7 +44,8 @@ import (
 // Any matches any source or any tag in Recv.
 const Any = -1
 
-// headerBytes is the wire size of the fragment/control header.
+// headerBytes is the wire size of the fragment/control header, which travels
+// as the frame's typed pkt.Header and is counted in its Size.
 const headerBytes = 40
 
 // chunk is the message payload one data fragment carries: a jumbo frame
@@ -73,9 +73,9 @@ const DefaultMaxRetries = 30
 // Flush.
 var ErrDeliveryFailed = errors.New("msg: delivery failed")
 
-// frame kinds.
+// frame kinds; 0 is the zero pkt.Header, foreign traffic.
 const (
-	kindData byte = iota
+	kindData byte = iota + 1
 	kindRTS
 	kindCTS
 	kindAck
@@ -108,6 +108,8 @@ type partial struct {
 
 // train is a message as its data fragments are built from: what sendData
 // pushes as one frame train and what reliable mode keeps to push it again.
+// payload is the endpoint's copy of the message's bytes, which the fragments'
+// Data slice.
 type train struct {
 	id       uint64
 	dst, tag int
@@ -180,15 +182,8 @@ type Endpoint struct {
 	rxNext []uint32
 	rxHold []map[uint32]*Message
 
-	// wireSlab is the tail of the current wire-byte slab (see sendData) and
-	// msgBlk the tail of the current Message block (see newMessage); both
-	// carve batch allocations into individually handed-out objects that the
-	// GC reclaims block-wise once every holder has dropped theirs. slabLen
-	// doubles from modest to maxSlab so light endpoints never pay for the
-	// full slab.
-	wireSlab []byte
-	slabLen  int
-	msgBlk   []Message
+	// msgBlk is the tail of the current Message block (see newMessage).
+	msgBlk []Message
 
 	// stats
 	framesSent, framesRecv int
@@ -230,50 +225,11 @@ func (e *Endpoint) SendPayload(dst, tag int, payload []byte) {
 	e.send(dst, tag, len(payload), payload)
 }
 
-// header is a decoded fragment/control header.
-type header struct {
-	kind      byte
-	id        uint64
-	tag, size int
-	off, frag int
-	seq       uint32
-}
-
-// headerInto encodes a fragment/control header into dst[:headerBytes].
-func headerInto(dst []byte, kind byte, id uint64, tag, size, off, frag int, seq uint32) {
-	dst[0] = kind
-	binary.LittleEndian.PutUint64(dst[1:], id)
-	binary.LittleEndian.PutUint32(dst[9:], uint32(tag))
-	binary.LittleEndian.PutUint64(dst[13:], uint64(size))
-	binary.LittleEndian.PutUint64(dst[21:], uint64(off))
-	binary.LittleEndian.PutUint32(dst[29:], uint32(frag))
-	binary.LittleEndian.PutUint32(dst[33:], seq)
-}
-
-// parseHeader decodes f's header. !ok is foreign traffic (raw frames from
-// synthetic workloads sharing the node), which the endpoint drops: it owns
-// the NIC on msg-based nodes.
-func parseHeader(f *pkt.Frame) (h header, ok bool) {
-	if (f.Proto != pkt.ProtoMsg && f.Proto != pkt.ProtoCtrl) || len(f.Data) < headerBytes {
-		return header{}, false
-	}
-	return header{
-		kind: f.Data[0],
-		id:   binary.LittleEndian.Uint64(f.Data[1:]),
-		tag:  int(int32(binary.LittleEndian.Uint32(f.Data[9:]))),
-		size: int(binary.LittleEndian.Uint64(f.Data[13:])),
-		off:  int(binary.LittleEndian.Uint64(f.Data[21:])),
-		frag: int(binary.LittleEndian.Uint32(f.Data[29:])),
-		seq:  binary.LittleEndian.Uint32(f.Data[33:]),
-	}, true
-}
-
-// ctrl builds a control-frame header on wire bytes carved from the
-// endpoint's slab.
-func (e *Endpoint) ctrl(kind byte, id uint64, tag, size int) []byte {
-	hdr := e.carve(headerBytes)
-	headerInto(hdr, kind, id, tag, size, 0, 0, 0)
-	return hdr
+// sendCtrl sends a control frame to dst: a header and no payload.
+func (e *Endpoint) sendCtrl(dst int, kind byte, id uint64, tag, size int) {
+	e.p.SendFrame(pkt.Frame{Dst: pkt.NodeMAC(dst), Proto: pkt.ProtoCtrl, Size: headerBytes,
+		Msg: pkt.Header{Kind: kind, ID: id, Tag: int32(tag), Size: size}})
+	e.framesSent++
 }
 
 func (e *Endpoint) send(dst, tag, size int, payload []byte) {
@@ -298,7 +254,9 @@ func (e *Endpoint) send(dst, tag, size int, payload []byte) {
 		e.txSeq[dst] = seq + 1
 	}
 
-	t := train{id: id, dst: dst, tag: tag, size: size, payload: payload, seq: seq}
+	// Frames in flight outlive this call: they carry a copy of the payload,
+	// made once per message.
+	t := train{id: id, dst: dst, tag: tag, size: size, payload: slices.Clone(payload), seq: seq}
 	rendezvous := size > DefaultEagerMax
 	if rendezvous {
 		e.sendRTS(dst, id, tag, size)
@@ -324,44 +282,8 @@ func (e *Endpoint) send(dst, tag, size int, payload []byte) {
 }
 
 func (e *Endpoint) sendRTS(dst int, id uint64, tag, size int) {
-	e.p.Send(dst, pkt.ProtoCtrl, headerBytes, e.ctrl(kindRTS, id, tag, size))
+	e.sendCtrl(dst, kindRTS, id, tag, size)
 	e.rtsSent++
-	e.framesSent++
-}
-
-// maxSlab caps the endpoint's wire-byte slabs at the Go runtime's
-// small-object limit: one slab a few bytes over 32 KiB would fall onto the
-// page-granular large-object path and cost more than the allocations it
-// replaces.
-const maxSlab = 32 << 10
-
-// carve slices n wire bytes off the endpoint's slab, with a full-capacity
-// bound so no holder of a frame (receivers, the broadcast fan-out, traces)
-// can grow one fragment into its neighbour's bytes. The slab persists
-// across messages — header-only fragments are 40 bytes, so one slab serves
-// hundreds of sends — and is reclaimed by the GC as a whole once every
-// fragment carved from it has been dropped: exactly the lifetime individual
-// allocations would have, minus the garbage.
-func (e *Endpoint) carve(n int) []byte {
-	if len(e.wireSlab) < n {
-		if e.slabLen < maxSlab {
-			e.slabLen = 2 * e.slabLen
-			if e.slabLen < 2048 {
-				e.slabLen = 2048
-			}
-			if e.slabLen > maxSlab {
-				e.slabLen = maxSlab
-			}
-		}
-		ln := e.slabLen
-		if n > ln {
-			ln = n
-		}
-		e.wireSlab = make([]byte, ln) // one slab per 2-32 KiB of wire bytes, carved, never per fragment
-	}
-	b := e.wireSlab[:n:n]
-	e.wireSlab = e.wireSlab[n:]
-	return b
 }
 
 // msgBlkLen is the Message block size (see newMessage).
@@ -391,25 +313,19 @@ func (e *Endpoint) sendData(t train) {
 	e.framesSent += count
 }
 
-// Frame builds fragment k of the message sendData is pushing, its wire bytes
-// carved from the endpoint's shared slab (guest.FrameSource).
-func (e *Endpoint) Frame(k int) (dst int, proto pkt.Proto, size int, data []byte) {
+// Frame builds fragment k of the message sendData is pushing
+// (guest.FrameSource): its header and, for a message with payload, its slice
+// of the train's copy.
+func (e *Endpoint) Frame(k int) pkt.Frame {
 	t := &e.train
 	off := k * chunk
-	frag := t.size - off
-	if frag > chunk {
-		frag = chunk
-	}
-	n := headerBytes
+	frag := min(t.size-off, chunk)
+	f := pkt.Frame{Dst: pkt.NodeMAC(t.dst), Proto: pkt.ProtoMsg, Size: headerBytes + frag,
+		Msg: pkt.Header{Kind: kindData, ID: t.id, Tag: int32(t.tag), Size: t.size, Off: off, Frag: int32(frag), Seq: t.seq}}
 	if t.payload != nil {
-		n += frag
+		f.Data = t.payload[off : off+frag : off+frag]
 	}
-	data = e.carve(n)
-	headerInto(data, kindData, t.id, t.tag, t.size, off, frag, t.seq)
-	if t.payload != nil {
-		copy(data[headerBytes:], t.payload[off:off+frag])
-	}
-	return t.dst, pkt.ProtoMsg, headerBytes + frag, data
+	return f
 }
 
 // outIndex finds in-flight message id in out, which ids enter in increasing
@@ -503,79 +419,80 @@ func (e *Endpoint) Absorb(a guest.Arrival) bool {
 	if e.cfg.Reliable || a.Frame.Proto != pkt.ProtoMsg {
 		return false // control frames travel as ProtoCtrl
 	}
-	h, ok := parseHeader(a.Frame)
-	if !ok || h.kind != kindData || h.frag >= h.size {
-		return false // malformed, or a whole message in one fragment
+	h := &a.Frame.Msg
+	if h.Kind != kindData || int(h.Frag) >= h.Size {
+		return false // foreign, or a whole message in one fragment
 	}
 	src := a.Frame.Src.Node()
-	i := e.partialIndex(src, h.id)
-	if i >= 0 && e.partials[i].received+h.frag >= h.size {
+	i := e.partialIndex(src, h.ID)
+	if i >= 0 && e.partials[i].received+int(h.Frag) >= h.Size {
 		return false
 	}
 	e.framesRecv++
-	e.add(a, &h, src, i)
+	e.add(a, h, src, i)
 	return true
 }
 
 // handleFrame folds one received frame into protocol state, moving any
 // completed message to the ready list and answering control traffic.
+// Foreign traffic (raw frames from synthetic workloads sharing the node) is
+// dropped: the endpoint owns the NIC on msg-based nodes.
 func (e *Endpoint) handleFrame(a guest.Arrival) {
-	h, ok := parseHeader(a.Frame)
-	if !ok {
+	h := a.Frame.Msg
+	if h.Kind == 0 {
 		return
 	}
 	e.framesRecv++
-	src := a.Frame.Src.Node()
+	src, tag := a.Frame.Src.Node(), int(h.Tag)
 
-	switch h.kind {
+	switch h.Kind {
 	case kindRTS:
 		// Grant immediately: the protocol engine (in a real stack, the
 		// progress thread / TCP window) opens the transfer as soon as the
 		// RTS is seen. Duplicate RTS (lost CTS) is granted again.
-		e.p.Send(src, pkt.ProtoCtrl, headerBytes, e.ctrl(kindCTS, h.id, h.tag, h.size))
+		e.sendCtrl(src, kindCTS, h.ID, tag, h.Size)
 		e.ctsSent++
-		e.framesSent++
 		return
 	case kindCTS:
-		if h.id == e.ctsID {
+		if h.ID == e.ctsID {
 			e.ctsOK = true // a stale CTS (its RTS granted twice) is ignored
 		}
 		return
 	case kindAck:
-		if i, ok := e.outIndex(h.id); ok {
+		if i, ok := e.outIndex(h.ID); ok {
 			e.out = slices.Delete(e.out, i, i+1)
 		}
 		return
 	}
 
-	if e.cfg.Reliable && (h.seq < e.rxNext[src] || e.rxHold[src][h.seq] != nil) {
+	if e.cfg.Reliable && (h.Seq < e.rxNext[src] || e.rxHold[src][h.Seq] != nil) {
 		// A duplicate of a message we already completed: its ack was lost.
 		e.duplicates++
-		e.ack(src, h.id, h.tag, h.size)
+		e.ack(src, h.ID, tag, h.Size)
 		return
 	}
 	var m *Message
-	if i := e.partialIndex(src, h.id); i >= 0 || h.frag < h.size {
+	if i := e.partialIndex(src, h.ID); i >= 0 || int(h.Frag) < h.Size {
 		m = e.add(a, &h, src, i)
 	} else {
 		// Single-fragment message: complete on arrival, so reassembly state
 		// is unnecessary.
 		m = e.newMessage()
-		*m = Message{Src: src, Tag: h.tag, Size: h.size, Arrival: a.Time}
-		if carriesData(a.Frame, &h) {
-			m.Payload = make([]byte, h.size)
-			copy(m.Payload, a.Frame.Data[headerBytes:headerBytes+h.frag])
+		*m = Message{Src: src, Tag: tag, Size: h.Size, Arrival: a.Time}
+		if carriesData(a.Frame) {
+			m.Payload = make([]byte, h.Size)
+			copy(m.Payload, a.Frame.Data[:h.Frag])
 		}
 	}
 	if m != nil {
-		e.deliverInOrder(src, h.seq, m)
-		e.ack(src, h.id, h.tag, h.size)
+		e.deliverInOrder(src, h.Seq, m)
+		e.ack(src, h.ID, tag, h.Size)
 	}
 }
 
-// carriesData reports whether data fragment h came with its payload bytes.
-func carriesData(f *pkt.Frame, h *header) bool {
-	return len(f.Data) >= headerBytes+h.frag && h.frag > 0 && len(f.Data) > headerBytes
+// carriesData reports whether data fragment f came with its payload bytes.
+func carriesData(f *pkt.Frame) bool {
+	return f.Msg.Frag > 0 && len(f.Data) >= int(f.Msg.Frag)
 }
 
 // partialIndex finds message id from src in partials, or returns -1.
@@ -591,14 +508,14 @@ func (e *Endpoint) partialIndex(src int, id uint64) int {
 // add folds data fragment h from src into its reassembly state partials[i]
 // (i < 0: created here for the message's first fragment) and returns the
 // message once complete, else nil.
-func (e *Endpoint) add(a guest.Arrival, h *header, src, i int) *Message {
+func (e *Endpoint) add(a guest.Arrival, h *pkt.Header, src, i int) *Message {
 	if i < 0 {
 		i = len(e.partials)
-		e.partials = append(e.partials, partial{m: Message{Src: src, Tag: h.tag, Size: h.size}, id: h.id})
+		e.partials = append(e.partials, partial{m: Message{Src: src, Tag: int(h.Tag), Size: h.Size}, id: h.ID})
 	}
 	pa := &e.partials[i]
 	if e.cfg.Reliable {
-		k, w := h.off/chunk, &pa.got
+		k, w := h.Off/chunk, &pa.got
 		if k >= 64 {
 			for len(pa.more) < k/64 {
 				pa.more = append(pa.more, 0) // messages past 64 fragments only
@@ -612,13 +529,13 @@ func (e *Endpoint) add(a guest.Arrival, h *header, src, i int) *Message {
 		}
 		*w |= bit
 	}
-	if carriesData(a.Frame, h) {
+	if carriesData(a.Frame) {
 		if pa.m.Payload == nil {
-			pa.m.Payload = make([]byte, h.size) // one per payload-carrying message: the buffer the application receives
+			pa.m.Payload = make([]byte, h.Size) // one per payload-carrying message: the buffer the application receives
 		}
-		copy(pa.m.Payload[h.off:h.off+h.frag], a.Frame.Data[headerBytes:headerBytes+h.frag])
+		copy(pa.m.Payload[h.Off:h.Off+int(h.Frag)], a.Frame.Data[:h.Frag])
 	}
-	pa.received += h.frag
+	pa.received += int(h.Frag)
 	if pa.received < pa.m.Size {
 		return nil
 	}
@@ -663,9 +580,8 @@ func (e *Endpoint) ack(dst int, id uint64, tag, size int) {
 	if !e.cfg.Reliable {
 		return
 	}
-	e.p.Send(dst, pkt.ProtoCtrl, headerBytes, e.ctrl(kindAck, id, tag, size))
+	e.sendCtrl(dst, kindAck, id, tag, size)
 	e.acksSent++
-	e.framesSent++
 }
 
 func match(m *Message, src, tag int) bool {

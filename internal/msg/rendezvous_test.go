@@ -21,9 +21,8 @@ func TestStaleCTSDoesNotReleaseNextRendezvous(t *testing.T) {
 	const size = DefaultEagerMax + 1
 	var early, got, recvd int
 	grant := func(p *guest.Proc, id uint64) {
-		hdr := make([]byte, headerBytes)
-		headerInto(hdr, kindCTS, id, 0, size, 0, 0, 0)
-		p.Send(0, pkt.ProtoCtrl, headerBytes, hdr)
+		p.SendFrame(pkt.Frame{Dst: pkt.NodeMAC(0), Proto: pkt.ProtoCtrl, Size: headerBytes,
+			Msg: pkt.Header{Kind: kindCTS, ID: id, Size: size}})
 	}
 	_, err := cluster.Run(cluster.Config{
 		Nodes:  2,
@@ -45,20 +44,20 @@ func TestStaleCTSDoesNotReleaseNextRendezvous(t *testing.T) {
 				var granted simtime.Guest
 				for got < size {
 					a := p.Recv()
-					h, _ := parseHeader(a.Frame)
+					h := a.Frame.Msg
 					switch {
-					case h.kind == kindRTS && h.id == 1:
+					case h.Kind == kindRTS && h.ID == 1:
 						grant(p, 1)
 						grant(p, 1) // the RTS's retransmission, granted again
-					case h.kind == kindRTS && h.id == 2:
+					case h.Kind == kindRTS && h.ID == 2:
 						p.Sleep(simtime.Millisecond)
 						granted = p.Now()
 						grant(p, 2)
-					case h.kind == kindData && h.id == 2:
+					case h.Kind == kindData && h.ID == 2:
 						if granted == 0 || a.Time < granted {
 							early++
 						}
-						got += h.frag
+						got += int(h.Frag)
 					}
 				}
 				return nil

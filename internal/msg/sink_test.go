@@ -15,9 +15,8 @@ import (
 // handleFrame on the workload's side.
 func TestAbsorbDeclinesWhatNeedsTheWorkload(t *testing.T) {
 	frame := func(proto pkt.Proto, kind byte, id uint64, size, off, frag int) guest.Arrival {
-		data := make([]byte, headerBytes)
-		headerInto(data, kind, id, 5, size, off, frag, 0)
-		return guest.Arrival{Frame: &pkt.Frame{Src: pkt.NodeMAC(0), Proto: proto, Size: headerBytes + frag, Data: data}}
+		h := pkt.Header{Kind: kind, ID: id, Tag: 5, Size: size, Off: off, Frag: int32(frag)}
+		return guest.Arrival{Frame: &pkt.Frame{Src: pkt.NodeMAC(0), Proto: proto, Size: headerBytes + frag, Msg: h}}
 	}
 	n := guest.NewNode(1, 2, guest.DefaultConfig(), func(p *guest.Proc) error {
 		// One endpoint per mode: the first three rows build on each other.
@@ -40,7 +39,7 @@ func TestAbsorbDeclinesWhatNeedsTheWorkload(t *testing.T) {
 			{"CTS", false, frame(pkt.ProtoCtrl, kindCTS, 4, 1<<20, 0, 0), false},
 			{"ack", false, frame(pkt.ProtoCtrl, kindAck, 4, 0, 0, 0), false},
 			{"foreign protocol", false, frame(pkt.ProtoRaw, kindData, 5, 300, 0, 100), false},
-			{"short frame", false, guest.Arrival{Frame: &pkt.Frame{Proto: pkt.ProtoMsg, Data: make([]byte, 8)}}, false},
+			{"zero header", false, guest.Arrival{Frame: &pkt.Frame{Proto: pkt.ProtoMsg, Size: 8, Data: make([]byte, 8)}}, false},
 			{"mid-message fragment, reliable endpoint", true, frame(pkt.ProtoMsg, kindData, 6, 300, 0, 100), false},
 		} {
 			ep := eps[c.reliable]

@@ -59,13 +59,28 @@ const HeaderBytes = 42
 // paper's 9000-byte configuration.
 const DefaultMTU = 9000
 
-// Frame is one link-layer packet in flight.
+// Header is the message layer's fragment/control header, carried as typed
+// fields rather than encoded bytes: its wire bytes are counted in the
+// frame's Size, never materialised. The zero Header marks a frame the
+// message layer did not build (foreign traffic).
+type Header struct {
+	ID        uint64 // message id, per sender
+	Size, Off int    // message size; the fragment's offset into it
+	Tag       int32
+	Seq       uint32 // per-destination sequence number
+	Frag      int32  // the fragment's payload bytes
+	Kind      uint8  // data or control kind; 0 only in the zero Header
+}
+
+// Frame is one link-layer packet in flight. It is a value: whoever holds a
+// Frame holds its own copy, and only Data's bytes are shared.
 type Frame struct {
 	Src, Dst MAC
 	Proto    Proto
-	// Size is the payload size in bytes; the wire occupancy adds
-	// HeaderBytes. Payload content is carried out-of-band in Data (may be
-	// nil for modelled-only traffic).
+	Msg      Header
+	// Size is the payload size in bytes, Msg's wire bytes included; the
+	// wire occupancy adds HeaderBytes. Payload content is carried
+	// out-of-band in Data (may be nil for modelled-only traffic).
 	Size int
 	Data []byte
 	// ID is a unique, monotonically increasing frame identifier assigned by
