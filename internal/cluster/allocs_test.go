@@ -60,9 +60,9 @@ func steadyStatePerStepped(t *testing.T, label string, short, long Config) (floa
 // (traffic-carrying or op-completing) quanta count: the silent compute
 // stretches in between are fast-forwarded and never reach a walk or the
 // router. Six extra alltoall phases are 72 extra 8KB size-only messages. Their
-// frames travel by value and cost no heap object, so a message costs only its
-// reassembled Message, a 64th of a block carve: the per-message guest
-// buffers stay far below one allocation per stepped quantum.
+// frames and reassembled Messages travel by value and cost no heap object:
+// the per-message guest buffers stay far below one allocation per stepped
+// quantum.
 func phasesPin(t *testing.T, label string, q simtime.Duration) {
 	mk := func(phases int) Config {
 		return testConfig(4, workloads.Phases(phases, 150*simtime.Microsecond, 32<<10), fixed(q))

@@ -95,8 +95,9 @@ func (c *Comm) SendPayload(dst, tag int, payload []byte) {
 	c.ep.SendPayload(dst, tag, payload)
 }
 
-// Recv blocks for a message matching (src, tag); either may be msg.Any.
-func (c *Comm) Recv(src, tag int) *msg.Message {
+// Recv blocks for a message matching (src, tag); either may be msg.Any. It
+// returns the message by value, and its Payload is the caller's.
+func (c *Comm) Recv(src, tag int) msg.Message {
 	if src != msg.Any {
 		c.checkPeer(src)
 	}
@@ -104,8 +105,9 @@ func (c *Comm) Recv(src, tag int) *msg.Message {
 }
 
 // Sendrecv exchanges size-only messages with peer, posting the send first
-// (sends never block the transport) and then waiting for the inbound side.
-func (c *Comm) Sendrecv(peer, tag, size int) *msg.Message {
+// (sends never block the transport) and then waiting for the inbound side,
+// whose message it returns by value.
+func (c *Comm) Sendrecv(peer, tag, size int) msg.Message {
 	c.checkPeer(peer)
 	c.ep.Send(peer, tag, size)
 	return c.ep.Recv(peer, tag)
@@ -130,9 +132,10 @@ func (c *Comm) Barrier() {
 	}
 }
 
-// Bcast broadcasts size bytes from root via a binomial tree and returns the
-// payload carried (nil for size-only trees).
-func (c *Comm) Bcast(root, size int) *msg.Message {
+// Bcast broadcasts size bytes from root via a binomial tree. A non-root rank
+// returns the message it received from its parent; the root, which receives
+// nothing, returns the zero Message.
+func (c *Comm) Bcast(root, size int) msg.Message {
 	return c.bcast(root, size, nil)
 }
 
@@ -146,12 +149,12 @@ func (c *Comm) BcastPayload(root int, payload []byte) []byte {
 	return m.Payload
 }
 
-func (c *Comm) bcast(root, size int, payload []byte) *msg.Message {
+func (c *Comm) bcast(root, size int, payload []byte) msg.Message {
 	c.checkPeer(root)
 	tag := c.nextTag()
 	// Work in a rotated space where root is rank 0.
 	vrank := (c.rank - root + c.size) % c.size
-	var got *msg.Message
+	var got msg.Message
 	if vrank != 0 {
 		// Receive from the parent: clear the lowest set bit.
 		parent := (vrank&(vrank-1) + root) % c.size

@@ -81,7 +81,8 @@ const (
 	kindAck
 )
 
-// Message is a fully reassembled message.
+// Message is a fully reassembled message. Messages travel by value from
+// reassembly to the receiver; the receiver owns Payload.
 type Message struct {
 	Src, Tag int
 	// Size is the message payload size in bytes.
@@ -94,7 +95,7 @@ type Message struct {
 }
 
 // partial is a multi-fragment message under reassembly, found by (m.Src,
-// id); completion copies m into the endpoint's Message block.
+// id); completion hands m on by value.
 type partial struct {
 	m        Message
 	id       uint64
@@ -116,6 +117,13 @@ type train struct {
 	size     int
 	payload  []byte
 	seq      uint32
+}
+
+// held is a completed message waiting for its predecessors from m.Src (see
+// deliverInOrder).
+type held struct {
+	seq uint32
+	m   Message
 }
 
 // outMsg is a reliable-mode in-flight message on the sender.
@@ -160,7 +168,7 @@ type Endpoint struct {
 	nextMsgID uint64
 	// ready holds reassembled messages not yet matched, in completion
 	// order.
-	ready []*Message
+	ready []Message
 	// partials holds in-flight reassembly state, one entry per message.
 	partials []partial
 	// ctsID is the rendezvous send awaiting clear-to-send (one at a time)
@@ -175,15 +183,12 @@ type Endpoint struct {
 	// Per-destination sequence numbers enforce MPI-style non-overtaking
 	// delivery even when retransmissions or rendezvous/eager mixing let a
 	// later message finish reassembly first; a message from src is complete
-	// once its seq is below rxNext[src] or held in rxHold[src], so duplicates
-	// are re-acknowledged but not re-delivered. The hold maps exist only for
-	// peers that actually reorder (lazily allocated in deliverInOrder).
+	// once its seq is below rxNext[src] or it is in hold, so duplicates are
+	// re-acknowledged but not re-delivered. hold is non-empty only while a
+	// peer's messages complete out of order (loss, rendezvous reordering).
 	txSeq  []uint32
 	rxNext []uint32
-	rxHold []map[uint32]*Message
-
-	// msgBlk is the tail of the current Message block (see newMessage).
-	msgBlk []Message
+	hold   []held
 
 	// stats
 	framesSent, framesRecv int
@@ -203,13 +208,9 @@ func New(p *guest.Proc) *Endpoint {
 
 // NewWithConfig creates an endpoint with explicit protocol configuration.
 func NewWithConfig(p *guest.Proc, cfg Config) *Endpoint {
-	return &Endpoint{
-		p:      p,
-		cfg:    cfg,
-		txSeq:  make([]uint32, p.Size()),
-		rxNext: make([]uint32, p.Size()),
-		rxHold: make([]map[uint32]*Message, p.Size()),
-	}
+	n := p.Size()
+	seqs := make([]uint32, 2*n)
+	return &Endpoint{p: p, cfg: cfg, txSeq: seqs[:n], rxNext: seqs[n:]}
 }
 
 // Proc returns the underlying guest process handle.
@@ -238,10 +239,9 @@ func (e *Endpoint) send(dst, tag, size int, payload []byte) {
 	}
 	if dst == e.p.Rank() {
 		// Loopback: deliver without touching the network, as a kernel
-		// would.
-		m := e.newMessage()
-		*m = Message{Src: dst, Tag: tag, Size: size, Arrival: e.p.Now(), Payload: payload}
-		e.ready = append(e.ready, m)
+		// would, and copy the payload as the network path does: the caller
+		// may reuse its buffer once the send returns.
+		e.ready = append(e.ready, Message{Src: dst, Tag: tag, Size: size, Arrival: e.p.Now(), Payload: slices.Clone(payload)})
 		return
 	}
 	e.nextMsgID++
@@ -284,21 +284,6 @@ func (e *Endpoint) send(dst, tag, size int, payload []byte) {
 func (e *Endpoint) sendRTS(dst int, id uint64, tag, size int) {
 	e.sendCtrl(dst, kindRTS, id, tag, size)
 	e.rtsSent++
-}
-
-// msgBlkLen is the Message block size (see newMessage).
-const msgBlkLen = 64
-
-// newMessage carves one zeroed Message from the endpoint's block. Messages
-// escape to the application and are never recycled; the block is collected
-// once every message carved from it has been dropped.
-func (e *Endpoint) newMessage() *Message {
-	if len(e.msgBlk) == 0 {
-		e.msgBlk = make([]Message, msgBlkLen)
-	}
-	m := &e.msgBlk[0]
-	e.msgBlk = e.msgBlk[1:]
-	return m
 }
 
 // sendData pushes all data fragments of a message as one frame train: the
@@ -465,29 +450,26 @@ func (e *Endpoint) handleFrame(a guest.Arrival) {
 		return
 	}
 
-	if e.cfg.Reliable && (h.Seq < e.rxNext[src] || e.rxHold[src][h.Seq] != nil) {
+	if e.cfg.Reliable && (h.Seq < e.rxNext[src] || e.heldIndex(src, h.Seq) >= 0) {
 		// A duplicate of a message we already completed: its ack was lost.
 		e.duplicates++
 		e.ack(src, h.ID, tag, h.Size)
 		return
 	}
-	var m *Message
+	m := Message{Src: src, Tag: tag, Size: h.Size, Arrival: a.Time}
 	if i := e.partialIndex(src, h.ID); i >= 0 || int(h.Frag) < h.Size {
-		m = e.add(a, &h, src, i)
-	} else {
+		var done bool
+		if m, done = e.add(a, &h, src, i); !done {
+			return
+		}
+	} else if carriesData(a.Frame) {
 		// Single-fragment message: complete on arrival, so reassembly state
 		// is unnecessary.
-		m = e.newMessage()
-		*m = Message{Src: src, Tag: tag, Size: h.Size, Arrival: a.Time}
-		if carriesData(a.Frame) {
-			m.Payload = make([]byte, h.Size)
-			copy(m.Payload, a.Frame.Data[:h.Frag])
-		}
+		m.Payload = make([]byte, h.Size)
+		copy(m.Payload, a.Frame.Data[:h.Frag])
 	}
-	if m != nil {
-		e.deliverInOrder(src, h.Seq, m)
-		e.ack(src, h.ID, tag, h.Size)
-	}
+	e.deliverInOrder(h.Seq, m)
+	e.ack(src, h.ID, tag, h.Size)
 }
 
 // carriesData reports whether data fragment f came with its payload bytes.
@@ -507,8 +489,8 @@ func (e *Endpoint) partialIndex(src int, id uint64) int {
 
 // add folds data fragment h from src into its reassembly state partials[i]
 // (i < 0: created here for the message's first fragment) and returns the
-// message once complete, else nil.
-func (e *Endpoint) add(a guest.Arrival, h *pkt.Header, src, i int) *Message {
+// message and true once it is complete.
+func (e *Endpoint) add(a guest.Arrival, h *pkt.Header, src, i int) (Message, bool) {
 	if i < 0 {
 		i = len(e.partials)
 		e.partials = append(e.partials, partial{m: Message{Src: src, Tag: int(h.Tag), Size: h.Size}, id: h.ID})
@@ -525,7 +507,7 @@ func (e *Endpoint) add(a guest.Arrival, h *pkt.Header, src, i int) *Message {
 		bit := uint64(1) << (k % 64)
 		if *w&bit != 0 {
 			e.duplicates++
-			return nil
+			return Message{}, false
 		}
 		*w |= bit
 	}
@@ -537,43 +519,54 @@ func (e *Endpoint) add(a guest.Arrival, h *pkt.Header, src, i int) *Message {
 	}
 	pa.received += int(h.Frag)
 	if pa.received < pa.m.Size {
-		return nil
+		return Message{}, false
 	}
-	m := e.newMessage()
-	*m = pa.m
+	m := pa.m
 	m.Arrival = a.Time
 	last := len(e.partials) - 1
 	e.partials[i], e.partials[last] = e.partials[last], partial{}
 	e.partials = e.partials[:last]
-	return m
+	return m, true
 }
 
-// deliverInOrder releases completed messages to the ready list strictly in
-// per-source send order (MPI non-overtaking), holding any message whose
-// predecessors are still in flight.
-func (e *Endpoint) deliverInOrder(src int, seq uint32, m *Message) {
-	hold := e.rxHold[src]
-	if seq == e.rxNext[src] && len(hold) == 0 {
-		// The common case: the message is next in sequence and nothing is
-		// held — release it without touching the hold map at all.
-		e.rxNext[src] = seq + 1
-		e.ready = append(e.ready, m)
+// deliverInOrder releases completed message m to the ready list strictly in
+// per-source send order (MPI non-overtaking), holding it while its
+// predecessors are still in flight and releasing the held messages it was
+// the predecessor of.
+func (e *Endpoint) deliverInOrder(seq uint32, m Message) {
+	src := m.Src
+	if next := e.rxNext[src]; seq != next {
+		// Only an unreliable endpoint, which does not screen duplicates, gets
+		// here with a copy of a delivered message (seq < next), which nothing
+		// would release, or of a held one, which the later copy replaces.
+		if i := e.heldIndex(src, seq); i >= 0 {
+			e.hold[i].m = m
+		} else if seq > next {
+			e.hold = append(e.hold, held{seq: seq, m: m})
+		}
 		return
 	}
-	if hold == nil {
-		hold = map[uint32]*Message{}
-		e.rxHold[src] = hold
-	}
-	hold[seq] = m
-	for {
-		next, ok := hold[e.rxNext[src]]
-		if !ok {
+	e.rxNext[src]++
+	e.ready = append(e.ready, m)
+	for len(e.hold) > 0 {
+		i := e.heldIndex(src, e.rxNext[src])
+		if i < 0 {
 			return
 		}
-		delete(hold, e.rxNext[src])
+		e.ready = append(e.ready, e.hold[i].m)
+		e.hold = slices.Delete(e.hold, i, i+1)
 		e.rxNext[src]++
-		e.ready = append(e.ready, next)
 	}
+}
+
+// heldIndex finds message seq from src in hold, or returns -1.
+func (e *Endpoint) heldIndex(src int, seq uint32) int {
+	for i := range e.hold {
+		if e.hold[i].seq == seq && e.hold[i].m.Src == src {
+			return i
+		}
+	}
+	return -1
 }
 
 func (e *Endpoint) ack(dst int, id uint64, tag, size int) {
@@ -588,23 +581,24 @@ func match(m *Message, src, tag int) bool {
 	return (src == Any || m.Src == src) && (tag == Any || m.Tag == tag)
 }
 
-// take removes and returns the first ready message matching (src, tag).
-func (e *Endpoint) take(src, tag int) *Message {
-	for i, m := range e.ready {
-		if match(m, src, tag) {
+// take removes the first ready message matching (src, tag) and returns it.
+func (e *Endpoint) take(src, tag int) (Message, bool) {
+	for i := range e.ready {
+		if match(&e.ready[i], src, tag) {
+			m := e.ready[i]
 			e.ready = slices.Delete(e.ready, i, i+1)
-			return m
+			return m, true
 		}
 	}
-	return nil
+	return Message{}, false
 }
 
 // Recv blocks until a message matching (src, tag) — either may be Any — has
-// fully arrived, and returns it. Messages from the same source and tag are
-// returned in sending order.
-func (e *Endpoint) Recv(src, tag int) *Message {
+// fully arrived, and returns it by value; its Payload is the receiver's to
+// keep. Messages from the same source and tag are returned in sending order.
+func (e *Endpoint) Recv(src, tag int) Message {
 	for {
-		if m := e.take(src, tag); m != nil {
+		if m, ok := e.take(src, tag); ok {
 			return m
 		}
 		e.pump(simtime.GuestInfinity, e)
@@ -612,21 +606,23 @@ func (e *Endpoint) Recv(src, tag int) *Message {
 }
 
 // RecvDeadline is Recv with an absolute guest-time deadline; ok reports
-// whether a message was returned before the deadline.
-func (e *Endpoint) RecvDeadline(src, tag int, deadline simtime.Guest) (m *Message, ok bool) {
+// whether a message was returned before the deadline. When it was not, m is
+// the zero Message.
+func (e *Endpoint) RecvDeadline(src, tag int, deadline simtime.Guest) (m Message, ok bool) {
 	for {
-		if m := e.take(src, tag); m != nil {
+		if m, ok := e.take(src, tag); ok {
 			return m, true
 		}
 		if !e.pump(deadline, e) {
-			return nil, false
+			return Message{}, false
 		}
 	}
 }
 
 // TryRecv returns a matching message if one has already fully arrived,
-// consuming any frames already visible to the guest.
-func (e *Endpoint) TryRecv(src, tag int) (m *Message, ok bool) {
+// consuming any frames already visible to the guest; ok is false, and m the
+// zero Message, when none has.
+func (e *Endpoint) TryRecv(src, tag int) (m Message, ok bool) {
 	return e.RecvDeadline(src, tag, e.p.Now())
 }
 

@@ -204,6 +204,21 @@ func TestLoopback(t *testing.T) {
 	})
 }
 
+// The sender may reuse its buffer once SendPayload returns, on the loopback
+// path as on the network one.
+func TestLoopbackPayloadIsCopied(t *testing.T) {
+	run(t, simtime.Microsecond, func(p *guest.Proc) error {
+		ep := msg.New(p)
+		buf := []byte("self")
+		ep.SendPayload(0, 4, buf)
+		copy(buf, "XXXX")
+		if m := ep.Recv(0, 4); string(m.Payload) != "self" {
+			return fmt.Errorf("loopback payload %q, want \"self\"", m.Payload)
+		}
+		return nil
+	})
+}
+
 func TestRecvDeadlineTimeout(t *testing.T) {
 	run(t, simtime.Microsecond,
 		func(p *guest.Proc) error {
