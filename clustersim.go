@@ -26,7 +26,7 @@
 //	    1*clustersim.Microsecond, 1000*clustersim.Microsecond, 1.03, 0.02)
 //	res, err := clustersim.Run(cfg)
 //
-// See examples/ for complete programs and DESIGN.md for the architecture.
+// See the package Example for a complete program and DESIGN.md for the design.
 package clustersim
 
 import (

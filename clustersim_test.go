@@ -56,6 +56,24 @@ func TestPublicAPIAdaptive(t *testing.T) {
 	}
 }
 
+// TestPublicAPIParallel drives the goroutine runner through the facade alone.
+// Wall clock and stragglers vary run to run; that every rank finished and the
+// quantum loop ran does not.
+func TestPublicAPIParallel(t *testing.T) {
+	cfg := clustersim.NewConfig(4, echoProgram)
+	cfg.Policy = clustersim.FixedQuantum(10 * clustersim.Microsecond)
+	res, err := clustersim.RunParallel(cfg, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.NodeFinish) != 4 {
+		t.Errorf("%d NodeFinish entries, want 4", len(res.NodeFinish))
+	}
+	if res.GuestTime <= 0 || res.Stats.Quanta <= 0 {
+		t.Errorf("guest time %v, %d quanta: want both positive", res.GuestTime, res.Stats.Quanta)
+	}
+}
+
 func TestRecommendedDec(t *testing.T) {
 	d := clustersim.RecommendedDec(1*clustersim.Microsecond, 1000*clustersim.Microsecond)
 	if d <= 0 || d >= 1 {

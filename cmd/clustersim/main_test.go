@@ -105,6 +105,25 @@ func TestCLIFlagErrors(t *testing.T) {
 			}
 		})
 	}
+	// The happy path of the trace flag: a good trace with a matching -nodes
+	// runs, and replays byte for byte.
+	t.Run("trace replays", func(t *testing.T) {
+		args := []string{"-tracefile", filepath.Join("testdata", "ring.json"), "-nodes", "4"}
+		run := func() string {
+			out, err := exec.Command(bin, args...).Output()
+			if err != nil {
+				t.Fatalf("clustersim %v: %v\n%s", args, err, out)
+			}
+			return string(out)
+		}
+		first := run()
+		if !strings.Contains(first, "trace.ring ×4") {
+			t.Errorf("clustersim %v does not name the trace:\n%s", args, first)
+		}
+		if again := run(); again != first {
+			t.Errorf("trace run does not replay:\n%s\nvs\n%s", first, again)
+		}
+	})
 }
 
 // The scalar lookahead mode went, and its flag with it: naming it is a usage

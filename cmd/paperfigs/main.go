@@ -118,11 +118,11 @@ func config(header string, width int) col[Cell] {
 }
 
 // studies is the whole evaluation in print order: the -fig vocabulary, its
-// help text and the dispatch loop all come from this table, and DESIGN.md §5
+// help text and the dispatch loop all come from this table, and DESIGN.md §8
 // is this table in prose.
 var studies = []study{
-	{"6", "8", aggregate("Figure 6 — NAS kernels (harmonic mean over EP,IS,CG,MG,LU)", "fig6_nas.csv", experiments.Fig6, &nasRows)},
-	{"7", "8", aggregate("Figure 7 — NAMD", "fig7_namd.csv", experiments.Fig7, &namdRows)},
+	{"6", "8", aggregate("Figure 6 — NAS kernels (harmonic mean over EP,IS,CG,MG,LU)", "fig6_nas.csv", experiments.Fig6, &nasRows, kernels)},
+	{"7", "8", aggregate("Figure 7 — NAMD", "fig7_namd.csv", experiments.Fig7, &namdRows, nil)},
 	{"8", "", fig8},
 	{"9a", "9", fig9(0)},
 	{"9b", "9", fig9(1)},
@@ -309,20 +309,43 @@ func of[T any](t table, rows func(Env) ([]T, error), cols ...col[T]) func(Env) (
 var nasRows, namdRows []aggRow
 
 // aggregate is Figure 6 or 7: a suite-level sweep printed as one block per
-// node count.
-func aggregate(title, file string, fig func(Env, float64, []int) ([]aggRow, []Cell, error), keep *[]aggRow) func(Env) ([]table, error) {
-	return of(table{title: title, file: file},
-		func(env Env) ([]aggRow, error) {
-			rows, _, err := fig(env, *scaleFlag, nil)
-			*keep = rows
-			return rows, err
-		},
-		colOf("config", "config", -22, func(r aggRow) cell { return str(r.Config) }),
-		colOf("", "nodes", 0, func(r aggRow) cell {
-			return cell{fmt.Sprintf("%d processors", r.Nodes), strconv.Itoa(r.Nodes)}
-		}).grouped(),
-		col[aggRow]{accErr.column, func(r aggRow) cell { return pct(r.AccErr) }},
-		col[aggRow]{speedup.column, func(r aggRow) cell { return times(r.Speedup, 1) }})
+// node count, followed by what detail makes of the cells it folds, if any.
+func aggregate(title, file string, fig func(Env, float64, []int) ([]aggRow, []Cell, error), keep *[]aggRow, detail func([]Cell) table) func(Env) ([]table, error) {
+	return func(env Env) ([]table, error) {
+		rows, cells, err := fig(env, *scaleFlag, nil)
+		*keep = rows
+		if err != nil {
+			return nil, err
+		}
+		tables := []table{tabulate(table{title: title, file: file}, rows,
+			colOf("config", "config", -22, func(r aggRow) cell { return str(r.Config) }),
+			colOf("", "nodes", 0, func(r aggRow) cell {
+				return cell{fmt.Sprintf("%d processors", r.Nodes), strconv.Itoa(r.Nodes)}
+			}).grouped(),
+			col[aggRow]{accErr.column, func(r aggRow) cell { return pct(r.AccErr) }},
+			col[aggRow]{speedup.column, func(r aggRow) cell { return times(r.Speedup, 1) }})}
+		if detail != nil {
+			tables = append(tables, detail(cells))
+		}
+		return tables, nil
+	}
+}
+
+// kernels is Figure 6's 8-node column kernel by kernel, before the harmonic
+// mean folds it.
+func kernels(cells []Cell) table {
+	var at8 []Cell
+	for _, c := range cells {
+		if c.Nodes == 8 {
+			at8 = append(at8, c)
+		}
+	}
+	return tabulate(table{title: "Figure 6 by kernel — NAS kernels on 8 nodes", file: "fig6_nas_kernels.csv"}, at8,
+		colOf("kernel", "kernel", -8, func(c Cell) cell { return str(c.Workload) }).grouped(),
+		config("config", -20),
+		colOf("MOPS", "mops", 10, func(c Cell) cell { return num(c.Metric, 0) }),
+		accErr, speedup,
+		colOf("stragglers", "stragglers", 12, func(c Cell) cell { return count(c.Stats.Stragglers) }))
 }
 
 func fig8(Env) ([]table, error) {

@@ -35,10 +35,10 @@ func inModule(path string) ([]string, bool) {
 // Deterministic reports whether the package at path must be free of hidden
 // nondeterministic inputs (wall clock, global RNG, environment). This is the
 // scope of the nodetsource analyzer: the root engine facade and every
-// internal package except the exempt ones. Command mains and examples sit
-// outside — they own the process boundary (flags, stderr timing output) and
-// feed everything determinism-relevant through Config/Env values that the
-// internal packages then guard.
+// internal package except the exempt ones. Command mains sit outside — they
+// own the process boundary (flags, stderr timing output) and feed everything
+// determinism-relevant through Config/Env values that the internal packages
+// then guard.
 func Deterministic(path string) bool {
 	segs, ok := inModule(path)
 	if !ok {
@@ -47,8 +47,7 @@ func Deterministic(path string) bool {
 	if len(segs) == 0 {
 		return true // the root clustersim package
 	}
-	switch segs[0] {
-	case "cmd", "examples":
+	if segs[0] == "cmd" {
 		return false
 	}
 	for _, s := range segs {

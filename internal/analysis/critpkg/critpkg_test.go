@@ -21,7 +21,6 @@ func TestDeterministicScope(t *testing.T) {
 		{"clustersim/internal/analysis/maporder", false},
 		{"clustersim/cmd/clustersim", false},
 		{"clustersim/cmd/simprof", false},
-		{"clustersim/examples/quickstart", false},
 		{"github.com/other/module", false},
 	}
 	for _, c := range cases {
@@ -42,7 +41,6 @@ func TestExportScope(t *testing.T) {
 		{"clustersim/internal/prof", true},
 		{"clustersim/cmd/simprof", true},
 		{"clustersim/cmd/paperfigs", true},
-		{"clustersim/examples/quickstart", false},
 	}
 	for _, c := range cases {
 		if got := Export(c.path); got != c.want {

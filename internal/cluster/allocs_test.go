@@ -11,7 +11,7 @@ import (
 	"clustersim/internal/workloads"
 )
 
-// The arena engine's headline allocation guarantee (DESIGN.md §12): after
+// The arena engine's headline allocation guarantee (DESIGN.md §2.4): after
 // warm-up, advancing a quantum costs zero heap allocations in the event-queue
 // walk and in the quiet pass, and the barrier routing loop's only per-quantum
 // allocations are the unavoidable per-message guest buffers. One run's setup
@@ -23,7 +23,7 @@ import (
 
 // allocsForRun measures the average allocations of one full Run of cfg and
 // returns it with the run's summary: its quantum count and how much of it the
-// quiet pass fast-forwarded (DESIGN.md §7.1). Quiet quanta never reach the
+// quiet pass fast-forwarded (DESIGN.md §2.3). Quiet quanta never reach the
 // walks or the router, so a gate on those divides by the stepped remainder.
 func allocsForRun(t *testing.T, cfg Config) (float64, obs.RunSummary) {
 	t.Helper()
@@ -88,7 +88,7 @@ func TestEventQueueWalkZeroAllocsPerQuantum(t *testing.T) {
 // quantum: a 10x longer silent run must allocate as much as a short one, with
 // nearly all of the extra quanta fast-forwarded — one per pass (an Adaptive
 // policy that holds Q at 1µs) and ten per pass (the Fixed policy's stretches,
-// DESIGN.md §7.1), with a do-nothing observer to publish them to and without.
+// DESIGN.md §2.3), with a do-nothing observer to publish them to and without.
 func TestQuietQuantumZeroAllocs(t *testing.T) {
 	policies := []struct {
 		name    string

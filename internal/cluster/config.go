@@ -3,7 +3,7 @@
 // synchronization quanta chosen by a quantum policy.
 //
 // The engine is a deterministic discrete-event simulation over *host* time
-// that simulates the parallel node simulators themselves (see DESIGN.md §4):
+// that simulates the parallel node simulators themselves (see DESIGN.md §2):
 // it reproduces the races that create stragglers — which node simulator has
 // raced ahead when a packet crosses the controller — without depending on
 // real wall-clock scheduling, so every run is exactly replayable from its
@@ -68,12 +68,12 @@ type Config struct {
 	// obs.Multi(Observer, Profiler) — callers do that themselves. Workers and
 	// Lookahead are unread: Run executes on the calling goroutine alone, and
 	// a quantum's lookahead partitioning is all that decides how it runs
-	// (DESIGN.md §7, §11).
+	// (DESIGN.md §2.1).
 	Profiler  *prof.Profiler
 	Workers   int
 	Lookahead LookaheadMode
 	// onSkip, when non-nil, is told of every node the quiet pass fast-forwards
-	// (DESIGN.md §7.1): node sits out quanta qi to qi+k-1, k > 1 in a quiet
+	// (DESIGN.md §2.3): node sits out quanta qi to qi+k-1, k > 1 in a quiet
 	// stretch. Package-internal test probe: it observes, it cannot veto.
 	onSkip func(qi, node, k int)
 }

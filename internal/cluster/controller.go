@@ -25,7 +25,7 @@ type controller struct {
 	// no records and pays only the branch.
 	obs obs.Observer
 
-	// la is the run's lookahead (DESIGN.md §11): it partitions every quantum,
+	// la is the run's lookahead (DESIGN.md §2.1): it partitions every quantum,
 	// and the partitioning alone decides how the quantum executes, what
 	// engagement it is accounted and what the stream is told.
 	la *lookahead
@@ -59,7 +59,7 @@ func (c *controller) runStart(policy string, parallel bool, maxGuest simtime.Gue
 
 // runEnd closes the run out for the observer — both runners call it on every
 // path out of a run that called runStart, err saying why it stopped short;
-// quiet and quietNodes count what the runner fast-forwarded (DESIGN.md §7.1).
+// quiet and quietNodes count what the runner fast-forwarded (DESIGN.md §2.3).
 func (c *controller) runEnd(err error, guestTime simtime.Guest, hostEnd simtime.Host, quiet, quietNodes int) {
 	if c.obs == nil {
 		return
@@ -98,7 +98,7 @@ func (c *controller) publishStart(qi int, start simtime.Guest, Q simtime.Duratio
 
 // foldQuanta folds k finished quanta of duration Q, each partitioned like the
 // current one and carrying its traffic, into the aggregate (k > 1: a quiet
-// stretch, DESIGN.md §7.1). The engagement accounting is a pure function of
+// stretch, DESIGN.md §2.3). The engagement accounting is a pure function of
 // (Q, lookahead), so Stats and what a sink derives from the stream are
 // identical for both runners.
 func (c *controller) foldQuanta(k int, Q simtime.Duration) {

@@ -262,7 +262,7 @@ func firstDiffFunc[T any](got, want []T, eq func(a, b T) bool) string {
 		len(got), len(want), i, got[i:min(i+1, len(got))], want[i:min(i+1, len(want))])
 }
 
-// checkContracts holds one completed run to the laws DESIGN.md §7 states:
+// checkContracts holds one completed run to the laws DESIGN.md §2.6 states:
 // checkRecords', and each node's busy and idle records tile its guest time
 // from 0 to the last barrier, ascending in host time, their host extents
 // summing to HostBusy + HostIdle.
@@ -567,7 +567,7 @@ func TestRecorderStream(t *testing.T) {
 
 // TestNodePhaseTiling: on both engines each node's busy and idle records
 // tile its guest time and reconcile with HostBusy + HostIdle. The quiet pass
-// reports a node's quantum while its clock lags (DESIGN.md §7.1), so some
+// reports a node's quantum while its clock lags (DESIGN.md §2.3), so some
 // node-quanta must be skipped for the check to bite.
 func TestNodePhaseTiling(t *testing.T) {
 	if whole, partial := view(t, slices.Concat(matrixRows(), trialRows(20260929, 6)), func(d *diffRun) []verdict {
@@ -594,7 +594,7 @@ func FuzzDifferential(f *testing.F) {
 	})
 }
 
-// TestStreamOrderContract holds the observer stream to the order DESIGN.md §7
+// TestStreamOrderContract holds the observer stream to the order DESIGN.md §2.5
 // ("Stream order") promises inside one quantum, read off the partitioning the
 // stream itself carries: the tight partitions in partition-id order, each in
 // host-event order — a busy segment and a finish are reported when they

@@ -36,7 +36,7 @@ const (
 )
 
 // event is a queue entry: 12 bytes, all indices, so a heap operation copies
-// little. Frame events carry only the flight-arena index (DESIGN.md §12) —
+// little. Frame events carry only the flight-arena index (DESIGN.md §2.4) —
 // the frame, endpoints and timestamps live in the flight record;
 // a node event is the end of the segment in the node arena's lanes.
 type event struct {
@@ -55,7 +55,7 @@ const (
 
 // nodeArena holds every per-node engine field as parallel slices indexed by
 // node: a pass over one field walks one contiguous lane, and the lanes of
-// one element type share one allocation (newNodeArena); see DESIGN.md §12.
+// one element type share one allocation (newNodeArena); see DESIGN.md §2.4.
 type nodeArena struct {
 	node  []*guest.Node
 	phase []nodePhase
@@ -77,7 +77,7 @@ type nodeArena struct {
 	finishHost []simtime.Host  // host time the node reached the current barrier
 	doneHost   []simtime.Host  // host time the workload finished
 
-	// Quiet fast-forward (DESIGN.md §7.1). quietUntil[i] is node i's horizon
+	// Quiet fast-forward (DESIGN.md §2.3). quietUntil[i] is node i's horizon
 	// — guest.Node.QuietUntil, zero when unknown — and quietBusy[i] its mode
 	// up to it. An entry stays valid until the node is stepped or a frame is
 	// pushed to it, the two places that zero it; quietQuantum re-peeks the
@@ -149,7 +149,7 @@ type engine struct {
 	q      eventq.Queue[event]
 	policy quantum.Policy
 
-	// flights is the quantum's flight slab (DESIGN.md §12).
+	// flights is the quantum's flight slab (DESIGN.md §2.4).
 	flights []flight
 
 	qStartG  simtime.Guest // guest time the quantum starts at: every node's position at the barrier
@@ -166,7 +166,7 @@ type engine struct {
 	// fault-free path byte-identical to an engine without the feature.
 	slow []float64
 
-	// The quantum executor's state (DESIGN.md §7). defs holds, per node, the
+	// The quantum executor's state (DESIGN.md §2.2). defs holds, per node, the
 	// flights its walk of the current quantum defers to the barrier: a loose
 	// node's every frame, a tight node's cross-partition frames.
 	defs [][]routed
@@ -277,7 +277,7 @@ func (e *engine) runQuanta() (start simtime.Guest, hostNow simtime.Host, err err
 		e.lastEvtH = hostNow
 		e.flights = e.flights[:0]
 		// The quantum's lookahead partitioning is all that selects how it is
-		// stepped (DESIGN.md §7).
+		// stepped (DESIGN.md §2.1).
 		part := e.beginQuantum(e.qi, start, Q, hostNow)
 		// Ahead of it: when no node has an event before the limit there is
 		// nothing to step, queue or route, and the quantum — with every
@@ -525,7 +525,7 @@ func (e *engine) atLimit(i int, h simtime.Host) {
 // event dispatched at the host time it reaches the controller — unless it
 // crosses to another partition: its destination lies across a loose link, so
 // the arrival time is provably at or past the limit, routing it at the
-// barrier is behavior-neutral (DESIGN.md §11), and it is deferred to the
+// barrier is behavior-neutral (DESIGN.md §2.2), and it is deferred to the
 // sender's defs lane. A loose node has no queue, so it defers every copy, the
 // ones it sends itself included.
 func (e *engine) sendFrame(i int, h simtime.Host, tSend simtime.Guest, f *pkt.Frame) {
@@ -654,7 +654,7 @@ func (e *engine) deliver(h simtime.Host, fl *flight, tD simtime.Guest, dupCopy b
 // the limit, so no externally visible event can occur in it however it is
 // partitioned. The test is horizon > limit, strictly — an op ending exactly
 // at the limit resumes the workload inside this quantum, where it may send or
-// finish (DESIGN.md §7.1) — and involves only node state, so it holds or fails
+// finish (DESIGN.md §2.3) — and involves only node state, so it holds or fails
 // identically however the quantum is partitioned.
 //
 // A quiet stretch costs one comparison per quantum. Otherwise the scan
@@ -681,7 +681,7 @@ func (e *engine) quietQuantum() bool {
 // sitsOut reports whether node i is fast-forwarded through the current
 // quantum: its horizon lies past the limit, and nothing can be delivered to
 // it before the barrier — which the caller guarantees: the node is loose, or
-// its whole tight partition sits out (DESIGN.md §7.1).
+// its whole tight partition sits out (DESIGN.md §2.3).
 func (e *engine) sitsOut(i int) bool { return e.na.quietUntil[i] > e.limit }
 
 // quietNode executes node i's whole quantum arithmetically, and k-1 identical
@@ -722,7 +722,7 @@ func (e *engine) quietNode(i int, hostNow simtime.Host, k int) simtime.Duration 
 // returns absolute times — clock plus owed overhead, a deadline, a queued
 // arrival — that the catch-up leaves unchanged, and a frame is classified
 // against a destination's position only while the destination is being
-// walked (DESIGN.md §7.1).
+// walked (DESIGN.md §2.3).
 func (e *engine) syncNode(i int, to simtime.Guest) {
 	if e.na.lag[i] {
 		e.na.lag[i] = false
@@ -732,7 +732,7 @@ func (e *engine) syncNode(i int, to simtime.Guest) {
 
 // stretchLen is the number k >= 1 of consecutive quanta, from the quiet one
 // the run loop has opened at start, that are provably identical to it
-// (DESIGN.md §7.1): the same Q — a Fixed policy's; any other may change it
+// (DESIGN.md §2.3): the same Q — a Fixed policy's; any other may change it
 // after every quantum — every limit strictly below the horizon quietH, every
 // quantum inside the span of one host speed draw, and none after the first
 // that ends past MaxGuest.
@@ -811,7 +811,7 @@ func (e *engine) tightSitsOut(members []int32) bool {
 }
 
 // runQuantum executes one stepped quantum as its partitioning p (DESIGN.md
-// §7, §11) — the only executor there is. Nothing sent in a quantum crosses
+// §2.1, §2.2) — the only executor there is. Nothing sent in a quantum crosses
 // partitions before the barrier: such a frame travels a loose link, so its
 // arrival is provably at or past the limit.
 //
@@ -826,13 +826,13 @@ func (e *engine) tightSitsOut(members []int32) bool {
 // barrier, so it needs no queue: the loose nodes are stepped straight to the
 // limit one after another, in ascending node order, and defer every frame
 // they send. Tight partitions and loose nodes that cannot act before the limit
-// are fast-forwarded instead (DESIGN.md §7.1).
+// are fast-forwarded instead (DESIGN.md §2.3).
 //
 // The barrier then routes every deferred frame in canonical (node,
 // send-sequence) order, each node's defs lane in place, and delivers each
 // surviving copy as the walk does. Every arrival time is at or past the limit
 // and every destination is at the barrier, so each delivery is exact
-// (DESIGN.md §12).
+// (DESIGN.md §2.4).
 func (e *engine) runQuantum(hostNow simtime.Host, p *partitioning) {
 	e.exec = p
 	for _, members := range p.tight {

@@ -76,7 +76,7 @@ func BenchmarkParallelBarrier(b *testing.B) {
 }
 
 // BenchmarkQuietNodeQuantum measures the engine's smallest constant: what one
-// node costs in one quantum in which it cannot act (DESIGN.md §7.1), which a
+// node costs in one quantum in which it cannot act (DESIGN.md §2.3), which a
 // ground-truth run multiplies by nodes × quanta. The workload is one long
 // compute per rank at Q = 1µs, so every quantum but the first and the last is
 // quiet. Under the Fixed policy the quanta of one jitter window collapse into

@@ -9,7 +9,7 @@ import (
 )
 
 // lookahead is the per-link generalization of the paper's scalar safety
-// bound T (DESIGN.md §11): a node-pair lower-bound latency matrix probed
+// bound T (DESIGN.md §2.1): a node-pair lower-bound latency matrix probed
 // once per run, plus the lookahead-closed partitionings it induces at each
 // quantum size.
 //

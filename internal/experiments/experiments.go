@@ -1,6 +1,6 @@
 // Package experiments defines the paper's evaluation matrix on top of the
 // cluster engine: Measure, and one point list over it per table and figure
-// (see DESIGN.md §5 for the experiment index).
+// (see DESIGN.md §8 for the experiment index).
 //
 // The methodology follows §4–5 of the paper exactly: every configuration is
 // compared against the Q = 1µs run of the same seed (the deterministic

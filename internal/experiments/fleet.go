@@ -24,7 +24,7 @@ import (
 	"clustersim/internal/workloads"
 )
 
-// This file implements the scenario regression fleet (DESIGN.md §13): a
+// This file implements the scenario regression fleet (DESIGN.md §8): a
 // declarative manifest of simulation scenarios — topology × workload ×
 // quantum policy × fault plan — each executed once, fingerprinted canonically,
 // and diffed against committed goldens. cmd/simfleet is the CLI; the

@@ -447,7 +447,7 @@ func (n *Node) Step() *Step {
 // whose limit is strictly below until is therefore one in which Step could
 // only report a single busy or blocked interval up to the limit, which
 // AdvanceQuiet applies in O(1). A limit equal to until is not enough: the op
-// completing there resumes the workload inside the quantum (DESIGN.md §7.1).
+// completing there resumes the workload inside the quantum (DESIGN.md §2.3).
 func (n *Node) QuietUntil() (until simtime.Guest, busy bool) {
 	now := n.clock
 	switch {
@@ -483,7 +483,7 @@ func (n *Node) QuietUntil() (until simtime.Guest, busy bool) {
 // the clock at the limit, the owed busy time reduced by the guest time spent —
 // without resuming the coroutine. The engine relies on the stretch form: it
 // leaves a node it fast-forwards where it stood and catches it up in one call
-// when the node is next stepped (DESIGN.md §7.1).
+// when the node is next stepped (DESIGN.md §2.3).
 func (n *Node) AdvanceQuiet(limit simtime.Guest, busy bool) {
 	now := n.clock
 	if limit < now {

@@ -131,7 +131,7 @@ func TestQuietUntilAgainstStep(t *testing.T) {
 }
 
 // TestAdvanceQuietStretch pins the two facts the engine's lazy guest clocks
-// rest on (DESIGN.md §7.1), over the same parked states: catching a node up
+// rest on (DESIGN.md §2.3), over the same parked states: catching a node up
 // across k quiet quanta in one AdvanceQuiet leaves exactly the node k
 // per-quantum calls leave — clock, owed overhead, next peek and everything it
 // does afterwards — and QuietUntil on the node not yet caught up already

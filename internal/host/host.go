@@ -6,7 +6,7 @@
 // a straggler depends on how far the destination simulator has raced ahead
 // in host time. The paper runs on real Opteron hosts; this package replaces
 // the real host with a deterministic model so every experiment is exactly
-// reproducible (the substitution is documented in DESIGN.md §2).
+// reproducible (the substitution is documented in DESIGN.md §1).
 //
 // The model: simulating one guest nanosecond costs BusySlowdown (or
 // IdleSlowdown, when the guest idles) host nanoseconds, multiplied by a

@@ -88,7 +88,7 @@ func MinProbe() *pkt.Frame { return &minProbe }
 // guarantees that no straggler can occur — and the per-pair values let the
 // engine treat a quantum as safe for a node pair whose mutual latency is at
 // least Q even when some other pair's is not (the per-link lookahead of
-// DESIGN.md §11).
+// DESIGN.md §2.1).
 func (m *Model) LookaheadMatrix(nodes int) []simtime.Duration {
 	if nodes < 1 {
 		return nil

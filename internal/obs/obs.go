@@ -77,7 +77,7 @@ type RunSummary struct {
 	// Quanta is the number of synchronization quanta the run executed.
 	Quanta int
 	// QuietQuanta counts quanta the deterministic engine fast-forwarded
-	// because no node could act before the limit (DESIGN.md §7.1). Which path
+	// because no node could act before the limit (DESIGN.md §2.3). Which path
 	// executes a quantum never changes a result, so the count lives here and
 	// not in Stats, QuantumRecord or the fingerprint. Zero for the parallel
 	// runner.
@@ -139,7 +139,7 @@ type Link struct {
 
 // Partitioning is the lookahead closure of the cluster at one quantum size:
 // the connected components of the links a frame could cross inside the
-// quantum (DESIGN.md §11). Components are the engine's unit of execution — a
+// quantum (DESIGN.md §2.1). Components are the engine's unit of execution — a
 // singleton is loose and walked directly, a multi-node partition is tight and
 // walks through the event queue — and a sink's unit of barrier participation.
 type Partitioning struct {

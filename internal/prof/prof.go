@@ -10,7 +10,7 @@
 // from the end of its last phase in the quantum to the release QuantumEnd
 // reports, routing and barrier split that record's synchronization span, the
 // per-link accounting reads Packet, and a quantum's engagement cause is read
-// off the QuantumPartition it was handed (DESIGN.md §10).
+// off the QuantumPartition it was handed (DESIGN.md §7).
 //
 // Determinism contract: for the deterministic engine (cluster.Run) the stream
 // carries simulated host/guest time only, so the end-of-run Report is
@@ -50,7 +50,7 @@ const (
 	// one-node cluster.
 	CauseNoLookahead
 	// CausePartial marks a quantum whose lookahead-closed partitioning
-	// (DESIGN.md §11) leaves some nodes loose while tight partitions walk
+	// (DESIGN.md §2.1) leaves some nodes loose while tight partitions walk
 	// the event queue.
 	CausePartial
 
