@@ -65,7 +65,7 @@ func named(name string) *diffRun {
 func allRows() []diffRow {
 	return slices.Concat(matrixRows(), stretchRows(), boundaryRows(),
 		trialRows(20260807, 10), trialRows(20260928, 8), trialRows(20260929, 6),
-		fixtureRows(), paperRows(), trialRows(20261002, 8), hostTwins())
+		fixtureRows(), paperRows(), trialRows(20261002, 8), hostTwins(), queueRows())
 }
 
 // caseRows span the behaviors every partitioning must preserve: lockstep
@@ -321,6 +321,25 @@ func paperRows() []diffRow {
 		rows = append(rows, row(w.Name+"-4", 4, w, fixed(simtime.Microsecond)))
 	}
 	return rows
+}
+
+// queueRows are the event-queue walk's edges, each above Q = T so that the
+// whole cluster walks as one tight partition: IS's alltoall piles frames deep
+// into every receive queue; with no PacketTransit a frame event ties with the
+// node event whose dispatch sent it; and link jitter makes arrivals sort
+// before a receive queue's tail.
+func queueRows() []diffRow {
+	us := simtime.Microsecond
+	is := workloads.DefaultIS()
+	is.Iterations, is.TotalKeyBytes = 2, 16<<20
+	is.SerialComputePerIter = is.SerialComputePerIter.Scale(0.02)
+	return []diffRow{
+		row("nas.is-8/Q=10µs", 8, workloads.IS(is), fixed(10*us)),
+		row("phases-20us-4/transit=0", 4, workloads.Phases(3, 300*us, 16<<10), fixed(20*us),
+			func(c *Config) { c.Host.PacketTransit = 0 }),
+		row("uniform-100us-4/jitter", 4, workloads.Uniform(60, 1500, 20*us, 23), fixed(100*us),
+			withPlan(&faults.Plan{Seed: 11, Default: faults.Link{Jitter: 20 * us}})),
+	}
 }
 
 // groundTruth reports whether the row runs a fixed quantum within its

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 
-	"clustersim/internal/eventq"
 	"clustersim/internal/guest"
 	"clustersim/internal/host"
 	"clustersim/internal/obs"
@@ -16,34 +15,6 @@ import (
 // ErrGuestLimit is returned when a run exceeds Config.MaxGuest without all
 // workloads finishing — usually a deadlocked workload.
 var ErrGuestLimit = errors.New("cluster: guest time limit exceeded before workloads finished")
-
-// event kinds in the host-time queue.
-type evKind int32
-
-const (
-	evFrame evKind = iota // a frame reaches the controller/destination
-	evStep                // a node's current segment ends; resume stepping
-	evWake                // an idle node reaches its wake guest time
-)
-
-// event priorities: at identical host times, frames are routed before nodes
-// resume, so a delivery racing a segment end is observed by the resuming
-// node. Any fixed rule would do; this one minimizes spurious blocking.
-const (
-	priFrame = 0
-	priWake  = 1
-	priStep  = 2
-)
-
-// event is a queue entry: 12 bytes, all indices, so a heap operation copies
-// little. Frame events carry only the flight-arena index (DESIGN.md §2.4) —
-// the frame, endpoints and timestamps live in the flight record;
-// a node event is the end of the segment in the node arena's lanes.
-type event struct {
-	kind evKind
-	node int32 // evStep/evWake: the node to act on
-	fi   int32 // evFrame: index into the quantum's flight arena
-}
 
 type nodePhase int32
 
@@ -70,8 +41,6 @@ type nodeArena struct {
 	segStartH []simtime.Host
 	segEndG   []simtime.Guest
 	segEndH   []simtime.Host
-
-	wakeEv []eventq.Handle // cancellable pending wake (zero = none)
 
 	txFree     []simtime.Guest // guest time the NIC's transmitter frees up
 	finishHost []simtime.Host  // host time the node reached the current barrier
@@ -106,7 +75,6 @@ func newNodeArena(nodes []*guest.Node) nodeArena {
 		segStartH:  lane(h, 0, n),
 		segEndG:    lane(g, 1, n),
 		segEndH:    lane(h, 1, n),
-		wakeEv:     make([]eventq.Handle, n),
 		txFree:     lane(g, 2, n),
 		finishHost: lane(h, 2, n),
 		doneHost:   lane(h, 3, n),
@@ -146,7 +114,7 @@ type engine struct {
 	controller
 	hm     *host.Model
 	na     nodeArena
-	q      eventq.Queue[event]
+	q      hostQueue
 	policy quantum.Policy
 
 	// flights is the quantum's flight slab (DESIGN.md §2.4).
@@ -340,48 +308,42 @@ func (e *engine) beginNode(i int, hostNow simtime.Host) {
 	e.na.phase[i] = phRunning
 	e.na.inSeg[i] = false
 	e.na.segEndH[i] = hostNow
-	e.na.wakeEv[i] = eventq.Handle{}
 	if n.Done() {
 		e.idleTo(i, e.limit, hostNow)
 	}
 }
 
-// schedule queues tight node i's pending event — the end of the segment in
-// its lanes: a step after a busy segment, a cancellable wake after an idle
-// one, nothing for a node at the limit.
+// schedule sets tight node i's pending event in the queue to the end of the
+// segment in its lanes, in place of the one it had: a step after a busy
+// segment, a wake after an idle one, none for a node at the limit.
 func (e *engine) schedule(i int) {
-	switch e.na.phase[i] {
-	case phRunning:
-		e.q.PushPri(int64(e.na.segEndH[i]), priStep, event{kind: evStep, node: int32(i)})
-	case phIdle:
-		e.na.wakeEv[i] = e.q.PushPri(int64(e.na.segEndH[i]), priWake, event{kind: evWake, node: int32(i)})
+	if ph := e.na.phase[i]; ph == phAtLimit {
+		e.q.cancel(i)
+	} else {
+		e.q.schedule(i, e.na.segEndH[i], ph == phIdle)
 	}
 }
 
 // drainQueue dispatches the queued events in host-time order until the
-// scheduled nodes have all reached the limit.
+// scheduled nodes have all reached the limit: every event of every tight
+// partition comes through here.
 func (e *engine) drainQueue() {
-	for e.q.Len() > 0 {
-		ev := e.q.Pop()
-		e.dispatch(simtime.Host(ev.Time), ev.Payload)
+	for h, fi, i, ok := e.q.next(); ok; h, fi, i, ok = e.q.next() {
+		if i < 0 {
+			e.routeFlight(h, fi)
+		} else {
+			e.dispatch(h, int(i))
+		}
 	}
 }
 
-// dispatch runs one event of the event-queue walk: every event of every
-// tight partition comes through here.
-func (e *engine) dispatch(h simtime.Host, ev event) {
-	i := int(ev.node)
-	switch ev.kind {
-	case evFrame:
-		e.routeFlight(h, ev.fi)
-		return
-	case evWake:
-		e.na.wakeEv[i] = eventq.Handle{}
-		if e.endIdle(i, e.na.segStartG[i], e.na.segEndG[i], e.na.segStartH[i], h) {
-			return
-		}
+// dispatch runs node i's pending event, a wake or a step by its phase, and
+// reschedules the node. Only node i's queue entry moves: anything the step
+// sends is a frame event.
+func (e *engine) dispatch(h simtime.Host, i int) {
+	if e.na.phase[i] != phIdle || !e.endIdle(i, e.na.segStartG[i], e.na.segEndG[i], e.na.segStartH[i], h) {
+		e.stepNode(i, h)
 	}
-	e.stepNode(i, h)
 	e.schedule(i)
 }
 
@@ -521,8 +483,8 @@ func (e *engine) atLimit(i int, h simtime.Host) {
 // sendFrame takes the frame through the source NIC and the switch's fan-out
 // rule (both the controller's), computes each copy's exact simulated arrival
 // time, and ships it to the controller in host time. Inside a tight
-// partition's walk a copy becomes an interned flight plus a queued 12-byte
-// event dispatched at the host time it reaches the controller — unless it
+// partition's walk a copy becomes an interned flight plus a frame event
+// dispatched at the host time it reaches the controller — unless it
 // crosses to another partition: its destination lies across a loose link, so
 // the arrival time is provably at or past the limit, routing it at the
 // barrier is behavior-neutral (DESIGN.md §2.2), and it is deferred to the
@@ -544,7 +506,7 @@ func (e *engine) sendFrame(i int, h simtime.Host, tSend simtime.Guest, f *pkt.Fr
 		if p := e.exec; p.fastNode[i] || p.Part[dst] != p.Part[i] {
 			e.defs[i] = append(e.defs[i], routed{h: arrHost, fi: fi}) // deferred-flight lane spills past its slab share to its watermark once; length-reset each quantum
 		} else {
-			e.q.PushPri(int64(arrHost), priFrame, event{kind: evFrame, fi: fi})
+			e.q.pushFrame(arrHost, fi)
 		}
 	}
 }
@@ -582,15 +544,18 @@ func (e *engine) guestPos(i int, h simtime.Host) simtime.Guest {
 // routeFlight hands the controller one flight at host time h and delivers the
 // copies that survive its fault draws. Every frame funnels through here — a
 // tight partition's event queue dispatches it at the host time it reaches the
-// controller, the barrier routes the deferred ones in canonical order.
+// controller, the barrier routes the deferred ones in canonical order. It
+// reads the flight in place, uncopied: a flight is immutable once appended,
+// and a delivery that steps a straggler's destination on may append flights
+// and regrow the slab, which leaves the old array, and fl, intact and alive.
 func (e *engine) routeFlight(h simtime.Host, fi int32) {
-	fl := e.flights[fi]
+	fl := &e.flights[fi]
 	if h > e.lastEvtH {
 		e.lastEvtH = h
 	}
-	tDs, n := e.route(&fl)
+	tDs, n := e.route(fl)
 	for k := 0; k < n; k++ {
-		e.deliver(h, &fl, tDs[k], k == 1)
+		e.deliver(h, fl, tDs[k], k == 1)
 	}
 }
 
@@ -617,10 +582,10 @@ func (e *engine) deliver(h simtime.Host, fl *flight, tD simtime.Guest, dupCopy b
 	if e.na.phase[dst] != phIdle || !straggler && arr >= e.na.segEndG[dst] || e.na.node[dst].Done() {
 		return
 	}
+	if e.q.pos[dst] < 0 {
+		panic("cluster: idle node without a pending wake event")
+	}
 	if straggler {
-		if !e.q.Remove(e.na.wakeEv[dst]) {
-			panic("cluster: idle node without a cancellable wake event")
-		}
 		// The cancelled tail of the idle segment is never simulated.
 		trunc := e.na.segEndH[dst].Sub(simtime.MaxHost(h, e.na.segStartH[dst]))
 		e.stats.HostIdle -= trunc
@@ -629,7 +594,6 @@ func (e *engine) deliver(h simtime.Host, fl *flight, tD simtime.Guest, dupCopy b
 			e.obs.NodePhase(dst, obs.PhaseIdle, e.na.segStartG[dst], arr,
 				e.na.segStartH[dst], simtime.MaxHost(h, e.na.segStartH[dst]))
 		}
-		e.na.wakeEv[dst] = eventq.Handle{}
 		e.na.inSeg[dst] = false
 		e.na.node[dst].WakeAt(arr)
 		e.na.phase[dst] = phRunning
@@ -638,9 +602,6 @@ func (e *engine) deliver(h simtime.Host, fl *flight, tD simtime.Guest, dupCopy b
 		return
 	}
 	// Re-aim the idle segment at the earlier arrival.
-	if !e.q.Remove(e.na.wakeEv[dst]) {
-		panic("cluster: idle node without a cancellable wake event")
-	}
 	cost := e.hostCost(dst, e.na.segStartG[dst], arr, host.Idle)
 	refund := e.na.segEndH[dst].Sub(e.na.segStartH[dst]) - cost
 	e.stats.HostIdle -= refund
@@ -842,6 +803,7 @@ func (e *engine) runQuantum(hostNow simtime.Host, p *partitioning) {
 			}
 			continue
 		}
+		e.q.reserve(e.cfg.Nodes)
 		for _, m := range members {
 			e.beginNode(int(m), hostNow)
 			e.schedule(int(m))

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"clustersim/internal/netmodel"
+	"clustersim/internal/obs"
 	"clustersim/internal/quantum"
 	"clustersim/internal/simtime"
 	"clustersim/internal/workloads"
@@ -117,5 +118,55 @@ func BenchmarkQuietNodeQuantum(b *testing.B) {
 				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*quiet), "ns/node-quantum")
 			})
 		}
+	}
+}
+
+// BenchmarkTightWalk measures the event-queue walk (DESIGN.md §2.2), the loop
+// every paper figure above Q = T runs: NAS IS and CG on 8 nodes at Q = 10µs
+// and 1ms, where the whole cluster walks as one tight partition. The
+// ns/event metric divides the whole run, set-up included, by the walk's
+// events, counted by one observed run up front as the record stream shows
+// them (walkCounter); the timed runs carry no observer.
+func BenchmarkTightWalk(b *testing.B) {
+	for _, w := range []workloads.Workload{workloads.IS(workloads.DefaultIS()), workloads.CG(workloads.DefaultCG())} {
+		for _, q := range []simtime.Duration{10 * simtime.Microsecond, simtime.Millisecond} {
+			b.Run(fmt.Sprintf("%s/Q=%v", w.Name, q), func(b *testing.B) {
+				cfg := testConfig(8, w, fixed(q))
+				counted, c := cfg, &walkCounter{}
+				counted.Observer = c
+				if _, err := Run(counted); err != nil {
+					b.Fatal(err)
+				}
+				if c.loose > 0 {
+					b.Fatalf("%d loose node-quanta: not measuring one tight partition", c.loose)
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if _, err := Run(cfg); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*c.events), "ns/event")
+			})
+		}
+	}
+}
+
+// walkCounter counts a run's event-queue events as its record stream shows
+// them: a frame event per routed frame, a node event per stepped busy or idle
+// segment, less the quiet pass's one segment per node-quantum. It counts the
+// loose node-quanta too, which a tight walk has none of.
+type walkCounter struct {
+	obs.Base
+	events, loose int
+}
+
+func (c *walkCounter) QuantumPartition(_ int, p *obs.Partitioning) { c.loose += p.FastNodes }
+func (c *walkCounter) Packet(obs.PacketRecord)                     { c.events++ }
+func (c *walkCounter) RunEnd(s obs.RunSummary)                     { c.events -= s.QuietNodeQuanta }
+func (c *walkCounter) NodePhase(_ int, ph obs.Phase, _, _ simtime.Guest, _, _ simtime.Host) {
+	if ph != obs.PhaseDone {
+		c.events++
 	}
 }

@@ -32,7 +32,6 @@ import (
 	"fmt"
 	"iter"
 
-	"clustersim/internal/eventq"
 	"clustersim/internal/pkt"
 	"clustersim/internal/simtime"
 )
@@ -183,7 +182,7 @@ type reply struct {
 // value (a train's source and a receive's sink are interface values the
 // workload already owns, staged beside the request so that it stays small
 // to hand over). Frames are values in records of the node's own — the one
-// being sent, the one a StepSend reports, the receive queue's slots and the
+// being sent, the one a StepSend reports, the receive queue's cells and the
 // one being received — so the steady-state Step loop allocates nothing.
 type Node struct {
 	id   int
@@ -196,7 +195,7 @@ type Node struct {
 	// so a step costs no 64-byte copy through the stack.
 	st Step
 
-	rx      eventq.Queue[pkt.Frame]
+	rx      rxQueue
 	frameID uint64
 	// tx is the outgoing frame whose send overhead is owed, stamped by
 	// newFrame; sent is the one the last StepSend reported (Step.Frame).
@@ -278,17 +277,18 @@ func (n *Node) BeginQuantum(limit simtime.Guest) {
 // frame then becomes visible at the next Recv, exactly as a late interrupt
 // would in a real full-system simulator.
 //
-// Equal-arrival frames are consumed in the order of the low 32 bits of their
-// Frame.ID, then in delivery order: the receive queue keeps priorities as
-// int32, and those bits are the sender's sequence number (the node id sits
-// above bit 40). Two equal-time frames whose senders' sequence numbers
-// coincide are therefore received in the order they were routed.
+// Equal-arrival frames are consumed in the order of int32(Frame.ID), then in
+// delivery order. Those low 32 bits are the sender's sequence number (the
+// node id sits above bit 40), so two equal-time frames whose senders'
+// sequence numbers coincide are received in the order they were routed.
 //
-// Deliver copies *f into the receive queue; the caller keeps f. Like every
-// other method, Deliver belongs to the node's owner: it pushes to the
-// receive queue with no lock.
+// Deliver copies *f into the receive queue, where it stays until received;
+// the caller keeps f. An arrival at or after the queue's tail, nearly every
+// one, costs O(1), an earlier one O(log depth). Like every other method,
+// Deliver belongs to the node's owner: it pushes to the receive queue with no
+// lock.
 func (n *Node) Deliver(f *pkt.Frame, arr simtime.Guest) {
-	n.rx.PushPri(int64(arr), int(f.ID), *f)
+	n.rx.push(arr, f)
 }
 
 // DeliverBatch delivers a run of arrivals, with the ordering semantics of
@@ -397,16 +397,13 @@ func (n *Node) Step() *Step {
 
 		case opRecv:
 			now := n.clock
-			if t, ok := n.rx.PeekTime(); ok && simtime.Guest(t) <= now {
-				n.recvAt = simtime.Guest(n.rx.PopInto(&n.rxf))
+			if n.rx.peek() <= now {
+				n.recvAt = n.rx.pop(&n.rxf)
 				n.haveRecv = true
 				n.overhead = n.cfg.RecvOverhead
 				continue
 			}
-			next := simtime.GuestInfinity
-			if t, ok := n.rx.PeekTime(); ok {
-				next = simtime.Guest(t)
-			}
+			next := n.rx.peek()
 			if req.deadline <= now {
 				// Deadline already passed with nothing deliverable.
 				n.complete(reply{})
@@ -469,9 +466,7 @@ func (n *Node) QuietUntil() (until simtime.Guest, busy bool) {
 		until = n.pending.deadline
 	case n.pending.kind == opRecv && !n.haveRecv:
 		until = n.pending.deadline
-		if t, ok := n.rx.PeekTime(); ok {
-			until = simtime.MinGuest(until, simtime.Guest(t))
-		}
+		until = simtime.MinGuest(until, n.rx.peek())
 	}
 	return simtime.MaxGuest(until, now), false
 }
