@@ -30,15 +30,16 @@ simbench:
 results:
 	$(GO) run ./cmd/paperfigs -fig all -csv results > paperfigs_full.txt
 
-# Scenario regression fleet: run the committed manifest and check every
-# canonical fingerprint against testdata/fleet/golden.json (what CI's
-# fleet-smoke job gates on). After an intentional behaviour change, re-record
-# with fleet-update and commit the golden diff for review.
+# Scenario regression fleet: TestFleet runs the fleet table of
+# internal/experiments/fleet_test.go and checks every canonical fingerprint
+# against internal/experiments/testdata/fleet_golden.json (go test ./...
+# runs it too). After an intentional behaviour change, re-record with
+# fleet-update and commit the golden diff for review.
 fleet:
-	$(GO) run ./cmd/simfleet -manifest testdata/fleet/manifest.json -v
+	$(GO) test -count=1 -run '^TestFleet$$' -v ./internal/experiments/
 
 fleet-update:
-	$(GO) run ./cmd/simfleet -manifest testdata/fleet/manifest.json -update -v
+	$(GO) test -count=1 -run '^TestFleet$$' -v ./internal/experiments/ -update
 
 # simlint smoke: the determinism analyzer suite over the whole module.
 # Exits non-zero on any finding that is not covered by a justified

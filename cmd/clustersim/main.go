@@ -165,7 +165,7 @@ func printCharts(rec *obs.Recorder, end simtime.Guest) {
 
 func run() (err error) {
 	// The flags fill a scenario: one resolver, one set of error texts, for
-	// this command and for fleet manifests.
+	// this command and for the fleet's scenarios.
 	sc := experiments.Scenario{
 		Workload: *workloadFlag, Scale: *scaleFlag, Nodes: *nodesFlag,
 		Quantum: *quantumFlag, Dyn: *dynFlag, Topo: *topoFlag,

@@ -136,8 +136,8 @@ func TestLookaheadFlagIsGone(t *testing.T) {
 	}
 }
 
-// The flags resolve through experiments.Scenario, the fleet manifest's door,
-// so a zero seed means what it means there: seed 1.
+// The flags resolve through experiments.Scenario, the fleet's door, so a
+// zero seed means what it means there: seed 1.
 func TestZeroSeedsMeanOne(t *testing.T) {
 	bin := buildClustersim(t)
 	run := func(seed, faultSeed string) string {

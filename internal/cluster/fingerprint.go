@@ -15,8 +15,8 @@ import (
 // obs.Recorder — asserts about a run, hashed to a short hex string. It is
 // the single definition of "two runs produced the same
 // outcome" shared by the engine's equivalence tests and the scenario
-// regression fleet (cmd/simfleet), which diffs fingerprints against
-// committed goldens — so a PR that changes any simulated outcome, anywhere
+// regression fleet (TestFleet in internal/experiments), which holds
+// fingerprints to a committed golden — so a PR that changes any simulated outcome, anywhere
 // in the study surface, trips exactly one cheap check instead of a
 // hand-rolled comparison matrix.
 //
@@ -42,7 +42,8 @@ import (
 
 // FingerprintSchema versions the canonical encoding produced by
 // CanonicalResult. Bump it whenever the encoding (not the simulation)
-// changes, and regenerate fleet goldens in the same commit.
+// changes, and re-record the fleet golden (make fleet-update) in the same
+// commit.
 const FingerprintSchema = "clustersim-fp/1"
 
 // SortPacketsCanonical returns a copy of ps sorted into the canonical

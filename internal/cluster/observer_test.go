@@ -338,7 +338,7 @@ func TestProfilerReconciliation(t *testing.T) {
 
 // TestProfilerReportGolden pins the full report artifact of the rack-10us-8
 // row against a committed golden file (regenerate with -update). CI's
-// report-smoke job checks the same bytes from the CLI.
+// report-smoke job renders the same file with simprof.
 func TestProfilerReportGolden(t *testing.T) {
 	d := named("rack-10us-8")
 	d.complete(t)

@@ -29,7 +29,7 @@ func drivePolicy(t *testing.T, ctor func() quantum.Policy) {
 	}
 }
 
-// A -dyn (or manifest dyn) spec the adaptive policy cannot execute must come
+// A -dyn (or fleet Dyn) spec the adaptive policy cannot execute must come
 // back as an error naming the field — at the parent commit the constructor
 // panicked inside cluster.Run, and a NaN factor slipped through to a
 // "non-positive quantum" abort.
@@ -149,7 +149,7 @@ func FuzzParseTopo(f *testing.F) {
 
 // A scale that is not positive and finite used to run a degenerate simulation
 // and exit 0 (or, for NaN, panic inside the guest); the workload registry
-// refuses it once, for clustersim, paperfigs and fleet manifests alike.
+// refuses it once, for clustersim, paperfigs and the fleet alike.
 func TestResolveWorkloadScale(t *testing.T) {
 	for _, scale := range []float64{0, -1, math.NaN(), math.Inf(1), math.Inf(-1)} {
 		for _, name := range []string{"nas.ep", "namd", "pingpong"} {
@@ -161,12 +161,75 @@ func TestResolveWorkloadScale(t *testing.T) {
 	if _, err := ResolveWorkload("nas.ep", 0.25); err != nil {
 		t.Errorf("ResolveWorkload(nas.ep, 0.25): %v", err)
 	}
-	const manifest = `{"schema": "clustersim-fleet-manifest/1", "scenarios": [{"name": "a", "workload": "pingpong", "nodes": 2, "scale": %s}]}`
-	if _, err := ParseManifest(strings.NewReader(strings.Replace(manifest, "%s", "-1", 1))); err == nil || !strings.Contains(err.Error(), `scenario "a": scale:`) {
-		t.Errorf("manifest scale -1: %v, want an error naming the scenario and the scale", err)
+	sc := Scenario{Workload: "pingpong", Scale: -1, Nodes: 2}
+	if _, err := sc.Resolve(); err == nil || !strings.Contains(err.Error(), "scale:") {
+		t.Errorf("Scenario.Resolve with scale -1: %v, want an error naming the scale", err)
 	}
-	// An absent or zero manifest scale still means 1.0.
-	if _, err := ParseManifest(strings.NewReader(strings.Replace(manifest, "%s", "0", 1))); err != nil {
-		t.Errorf("manifest scale 0: %v", err)
+}
+
+// A scenario field Resolve cannot use — from a clustersim flag or a fleet
+// row — is refused with an error naming it.
+func TestResolveErrors(t *testing.T) {
+	cases := []struct {
+		name string
+		sc   Scenario
+		want string
+	}{
+		{"unknown workload", Scenario{Workload: "wat", Scale: 1, Nodes: 2}, "unknown workload"},
+		{"zero nodes", Scenario{Workload: "pingpong", Scale: 1}, "nodes"},
+		{"bad quantum", Scenario{Workload: "pingpong", Scale: 1, Nodes: 2, Quantum: "fast"}, "quantum"},
+		{"negative quantum", Scenario{Workload: "pingpong", Scale: 1, Nodes: 2, Quantum: "-1us"}, "positive"},
+		{"bad dyn", Scenario{Workload: "pingpong", Scale: 1, Nodes: 2, Dyn: "1us:1ms"}, "dyn"},
+		{"dyn the policy rejects", Scenario{Workload: "pingpong", Scale: 1, Nodes: 2, Dyn: "1us:1ms:0.5:0.02"}, "dyn inc:"},
+		{"bad topo", Scenario{Workload: "pingpong", Scale: 1, Nodes: 2, Topo: "ring:4"}, "topo"},
+		{"bad faults", Scenario{Workload: "pingpong", Scale: 1, Nodes: 2, Faults: "chaos=1"}, "chaos"},
+		{"bad max_guest", Scenario{Workload: "pingpong", Scale: 1, Nodes: 2, MaxGuest: "soon"}, "max_guest"},
 	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			rc, err := c.sc.Resolve()
+			if err == nil || rc != nil {
+				t.Fatalf("Resolve accepted %+v, want an error", c.sc)
+			}
+			if !strings.Contains(err.Error(), c.want) {
+				t.Errorf("error %q does not mention %q", err, c.want)
+			}
+		})
+	}
+}
+
+// FuzzResolve: no scenario panics Resolve, and the configuration a resolved
+// scenario builds is one the engine accepts.
+func FuzzResolve(f *testing.F) {
+	for _, sc := range []Scenario{
+		{Workload: "phases", Scale: 0.05, Nodes: 8, Quantum: "20us", Topo: "rack:4:500ns:2us", MaxGuest: "20ms"},
+		{Workload: "pingpong", Scale: 1, Nodes: 2, Quantum: "2us", MaxGuest: "5ms"},
+		{Workload: "pingpong", Scale: 1, Nodes: 4, Quantum: "1us", MaxGuest: "5ms"},
+		{Workload: "uniform", Scale: 1, Nodes: 6, Quantum: "5us", Topo: "mixedwan:4:500ns:50us", MaxGuest: "50ms"},
+		{Workload: "pingpong", Scale: -1, Nodes: 2},
+		{Workload: "pingpong", Scale: 1, Nodes: 2, Dyn: "1us:1ms:NaN:0.02"},
+		{Workload: "uniform", Scale: 1, Nodes: math.MaxInt64, Topo: "mixedwan:4:500ns:-2us"},
+		{Workload: "pingpong", Scale: 1, Nodes: 2, MaxGuest: "soon"},
+		{},
+		{Workload: "uniform", Scale: 1, Nodes: 6, Quantum: "5us", Faults: "loss=0.1,dup=0.02", FaultSeed: 7},
+		{Workload: "namd", Scale: 0.05, Nodes: 8, Dyn: "1us:1ms:1.03:0.02", Seed: 3},
+		{Workload: "uniform", Scale: 1, Nodes: math.MaxInt64, Topo: "mixedwan:4:500ns:2us", Faults: "down=1ms-2ms"},
+	} {
+		f.Add(sc.Workload, sc.Scale, sc.Nodes, sc.Quantum, sc.Dyn, sc.Topo, sc.Faults, sc.FaultSeed, sc.Seed, sc.MaxGuest)
+	}
+	f.Fuzz(func(t *testing.T, workload string, scale float64, nodes int, quantumSpec, dyn, topo, faultSpec string, faultSeed, seed uint64, maxGuest string) {
+		sc := Scenario{Workload: workload, Scale: scale, Nodes: nodes, Quantum: quantumSpec, Dyn: dyn,
+			Topo: topo, Faults: faultSpec, FaultSeed: faultSeed, Seed: seed, MaxGuest: maxGuest}
+		rc, err := sc.Resolve()
+		if (err == nil) == (rc == nil) {
+			t.Fatalf("Resolve(%+v) = resolved %v, error %v", sc, rc != nil, err)
+		}
+		if err != nil {
+			return
+		}
+		cfg := rc.Env.Config(rc.Workload, sc.Nodes, rc.Policy)
+		if err := cfg.Validate(); err != nil {
+			t.Fatalf("Resolve accepted %+v, whose configuration the engine refuses: %v", sc, err)
+		}
+	})
 }

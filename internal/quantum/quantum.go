@@ -83,8 +83,8 @@ type Adaptive struct {
 
 // NewAdaptive returns an Adaptive policy with the given bounds and factors.
 // It panics on a configuration Validate rejects: in a program that is a
-// programming error. Parameters that arrive from outside (a flag, a
-// manifest) go through Validate first — experiments.ParsePolicy does.
+// programming error. Parameters that arrive from outside (a flag) go
+// through Validate first — experiments.ParsePolicy does.
 func NewAdaptive(min, max simtime.Duration, inc, dec float64) *Adaptive {
 	a := &Adaptive{Min: min, Max: max, Inc: inc, Dec: dec}
 	if err := a.Validate(); err != nil {

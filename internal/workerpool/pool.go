@@ -1,6 +1,6 @@
 // Package workerpool provides the bounded work-stealing pool behind the
-// experiment fan-out and the scenario fleet: parallelism *across* independent
-// simulations (DESIGN.md §8). A simulation itself runs on one goroutine.
+// experiment fan-out: parallelism *across* independent simulations
+// (DESIGN.md §8). A simulation itself runs on one goroutine.
 //
 // The pool executes index-addressed batches: Run(n, fn) calls fn(0..n-1)
 // exactly once each, in an unspecified order, and returns only after every
