@@ -110,9 +110,6 @@ type (
 	// ChromeTracer streams Chrome trace-event JSON (chrome://tracing,
 	// Perfetto).
 	ChromeTracer = obs.ChromeTracer
-	// MetricsRegistry accumulates live counters/gauges/histograms and
-	// serves them over HTTP.
-	MetricsRegistry = obs.Registry
 	// ProgressReporter prints periodic run progress.
 	ProgressReporter = obs.Progress
 )
@@ -130,20 +127,11 @@ func MultiObserver(os ...Observer) Observer { return obs.Multi(os...) }
 // NewChromeTracer returns an Observer streaming Chrome trace-event JSON to w.
 func NewChromeTracer(w io.Writer) *ChromeTracer { return obs.NewChromeTracer(w) }
 
-// NewMetricsRegistry returns an empty live-metrics registry Observer.
-func NewMetricsRegistry() *MetricsRegistry { return obs.NewRegistry() }
-
 // NewProgressReporter returns an Observer reporting progress to w at most
 // every interval (<=0 uses a 500ms default); target is the guest time
 // treated as 100% (0 if unknown).
 func NewProgressReporter(w io.Writer, target GuestTime, interval time.Duration) *ProgressReporter {
 	return obs.NewProgress(w, target, interval)
-}
-
-// ServeMetrics exposes a registry on an HTTP address (e.g. "localhost:6060"
-// or ":0") and returns the running server.
-func ServeMetrics(addr string, reg *MetricsRegistry) (*obs.MetricsServer, error) {
-	return obs.Serve(addr, reg)
 }
 
 // Run executes one cluster simulation.

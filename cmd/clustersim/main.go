@@ -12,6 +12,8 @@ package main
 import (
 	"flag"
 	"fmt"
+	"net"
+	"net/http"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -46,7 +48,7 @@ var (
 	faultSeedFlag = flag.Uint64("fault-seed", 1, "seed keying every fault decision (0 means 1); same spec + seed replays bit-identically")
 
 	traceOutFlag    = flag.String("trace-out", "", "stream a Chrome trace-event JSON file here (open in chrome://tracing or ui.perfetto.dev)")
-	metricsAddrFlag = flag.String("metrics-addr", "", "serve live JSON metrics on this HTTP address (e.g. localhost:6060) and print a text snapshot at exit")
+	metricsAddrFlag = flag.String("metrics-addr", "", "serve the -report document live over HTTP on this address (e.g. localhost:6060) while the run executes")
 	progressFlag    = flag.Bool("progress", false, "report live progress (guest %, quanta/s, current Q, straggler rate) on stderr")
 	reportFlag      = flag.String("report", "", "write a sync-overhead attribution report here (JSON, plus .nodes.csv/.links.csv sidecars); inspect with simprof")
 	topoFlag        = flag.String("topo", "", "switch topology override: rack:<radix>:<edge>:<core> builds a two-level fat-tree (e.g. rack:4:500ns:2us), mixedwan:<rack>:<rackLat>:<wanLat> one tight rack plus WAN singletons; default keeps the paper's perfect switch")
@@ -93,11 +95,12 @@ func withProfiles(cpu, mem string, f func() error) error {
 }
 
 // observability assembles the observer stack requested by the -chart,
-// -traffic, -trace-out, -metrics-addr and -progress flags; the recorder is
-// nil unless a chart wants the run's records. The returned cleanup finalizes
-// the trace file, prints the metrics snapshot, and stops the HTTP endpoint;
-// it runs even when the simulation fails so a partial trace stays loadable.
-func observability(target simtime.Guest) (obs.Observer, *obs.Recorder, func() error, error) {
+// -traffic, -trace-out, -metrics-addr and -progress flags, around the
+// profiler that -report and -metrics-addr share (nil when neither is set);
+// the recorder is nil unless a chart wants the run's records. The returned
+// cleanup finalizes the trace file and stops the HTTP endpoint; it runs even
+// when the simulation fails so a partial trace stays loadable.
+func observability(target simtime.Guest, profiler *prof.Profiler) (obs.Observer, *obs.Recorder, func() error, error) {
 	var observers []obs.Observer
 	var rec *obs.Recorder
 	if *chartFlag || *packetsFlag {
@@ -130,23 +133,44 @@ func observability(target simtime.Guest) (obs.Observer, *obs.Recorder, func() er
 		})
 	}
 	if *metricsAddrFlag != "" {
-		reg := obs.NewRegistry()
-		srv, err := obs.Serve(*metricsAddrFlag, reg)
+		ln, err := net.Listen("tcp", *metricsAddrFlag)
 		if err != nil {
 			cleanup()
 			return nil, nil, nil, err
 		}
-		fmt.Fprintf(os.Stderr, "clustersim: metrics at http://%s/\n", srv.Addr())
-		observers = append(observers, reg)
-		cleanups = append(cleanups, func() error {
-			fmt.Fprint(os.Stderr, reg.Text())
-			return srv.Close()
-		})
+		fmt.Fprintf(os.Stderr, "clustersim: metrics at http://%s/\n", ln.Addr())
+		cleanups = append(cleanups, serveReport(ln, profiler))
 	}
 	if *progressFlag {
 		observers = append(observers, obs.NewProgress(os.Stderr, target, 0))
 	}
+	if profiler != nil {
+		observers = append(observers, profiler)
+	}
 	return obs.Multi(observers...), rec, cleanup, nil
+}
+
+// serveReport serves p's report on ln in the background until the returned
+// stop is called: every GET reads the report as it stands, partial
+// ("complete": false) while the run executes. stop returns once the server
+// goroutine has exited.
+func serveReport(ln net.Listener, p *prof.Profiler) (stop func() error) {
+	srv := &http.Server{Handler: http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+		w.Header().Set("Content-Type", "application/json")
+		w.Write(p.Report().JSON()) // a failed write is the client's loss, not the run's
+	})}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		if err := srv.Serve(ln); err != http.ErrServerClosed {
+			fmt.Fprintln(os.Stderr, "clustersim: metrics:", err)
+		}
+	}()
+	return func() error {
+		err := srv.Close()
+		<-done
+		return err
+	}
 }
 
 // printCharts renders what -chart and -traffic asked for from the run's
@@ -188,7 +212,13 @@ func run() (err error) {
 		}
 		w = tf.Workload()
 	}
-	observer, rec, obsCleanup, err := observability(env.MaxGuest)
+	// The profiler is one more sink on the observer stream, read at the end
+	// by -report and live by -metrics-addr.
+	var profiler *prof.Profiler
+	if *reportFlag != "" || *metricsAddrFlag != "" {
+		profiler = prof.New()
+	}
+	observer, rec, obsCleanup, err := observability(env.MaxGuest, profiler)
 	if err != nil {
 		return err
 	}
@@ -199,10 +229,8 @@ func run() (err error) {
 	}()
 
 	if *reportFlag != "" {
-		// The profiler is one more sink on the observer stream. A run that
-		// started and then aborted still has a profile, of a prefix.
-		profiler := prof.New()
-		observer = obs.Multi(observer, profiler)
+		// A run that started and then aborted still has a profile, of a
+		// prefix.
 		defer func() {
 			rep := profiler.Report()
 			if rep.Engine == "" {

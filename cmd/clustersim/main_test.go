@@ -82,6 +82,7 @@ func TestCLIFlagErrors(t *testing.T) {
 		{"zero nodes", []string{"-nodes", "0", "-workload", "pingpong"}, "need at least 1 node"},
 		{"trace rank mismatch", []string{"-tracefile", trace, "-nodes", "4"}, "has 2 ranks but the cluster has 4 nodes"},
 		{"trace file missing", []string{"-tracefile", filepath.Join(t.TempDir(), "nope.json")}, "no such file"},
+		{"metrics addr unlistenable", []string{"-metrics-addr", "no-port"}, "listen tcp"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

@@ -56,9 +56,12 @@ func (r diffRow) run() *diffRun {
 }
 
 // named is the memoized run of the table's row called name.
-func named(name string) *diffRun {
+func named(name string) *diffRun { return rowNamed(name).run() }
+
+// rowNamed is the table's row called name.
+func rowNamed(name string) diffRow {
 	rows := allRows()
-	return rows[slices.IndexFunc(rows, func(r diffRow) bool { return r.name == name })].run()
+	return rows[slices.IndexFunc(rows, func(r diffRow) bool { return r.name == name })]
 }
 
 // allRows is the table, in TestDifferential's order.
@@ -108,8 +111,14 @@ func matrixRows() []diffRow {
 		fixed(2*simtime.Microsecond), onNet(mixedWANNetAt(64, 2*simtime.Microsecond))))
 }
 
-// profRows is caseRows and phases-4 at Q = 100µs, the attribution's rows.
-func profRows() []diffRow { return append(caseRows(), phases100us()) }
+// profRows is caseRows, phases-4 at Q = 100µs and phases-6 at Q = 70µs and
+// 1ms, the attribution's rows. The phases-6 rows tie the cluster into one
+// tight partition, so their idle totals hold to HostIdle only if the
+// event-queue walk's refunds are exact: a straggler's truncation at 70µs, an
+// earlier arrival's re-aim at 1ms.
+func profRows() []diffRow {
+	return append(caseRows(), phases100us(), rowNamed("phases-6/Q=70µs"), rowNamed("phases-6/Q=1ms"))
+}
 
 func phases100us() diffRow {
 	return row("phases-100us-4", 4, workloads.Phases(3, 150*simtime.Microsecond, 32<<10), fixed(100*simtime.Microsecond))
@@ -249,7 +258,7 @@ func randomFatTreeRow(rnd *rand.Rand, trial int) diffRow {
 }
 
 // fixtureRows are the configurations single tests read: the frame walks'
-// edge cases, fault semantics, the profiler's rack, the registry's run, the
+// edge cases, fault semantics, the profiler's rack, the refund runs, the
 // quiet pass's shapes and the Q sweeps of the paper's properties.
 func fixtureRows() []diffRow {
 	us, ms := simtime.Microsecond, simtime.Millisecond

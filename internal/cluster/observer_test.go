@@ -89,32 +89,6 @@ func TestEngineChromeTraceRoundTrip(t *testing.T) {
 	}
 }
 
-// TestRegistryMatchesStats: the registry, fed the stream of the
-// phases-6/Q=70µs row, agrees with the post-hoc Stats on every shared
-// quantity.
-func TestRegistryMatchesStats(t *testing.T) {
-	d, reg := named("phases-6/Q=70µs"), obs.NewRegistry()
-	res := d.complete(t)
-	d.stream().replay(reg)
-	s := reg.Snapshot()
-	var sent int64
-	for _, n := range s.NodeSent {
-		sent += n
-	}
-	c, st := s.Counters, res.Stats
-	got := []int64{c["quanta"], c["deliveries"], c["stragglers"], c["quantum_snaps"], c["silent_quanta"], c["packets"],
-		c["host_busy_ns"], c["host_idle_ns"], c["nodes_done"], s.Gauges["guest_ns"], s.Histograms["straggler_delay_ns"].Sum, sent}
-	// Idle phases are reported at their final extent, so host_idle_ns holds
-	// only if the truncate and re-aim refunds of the event-queue walk
-	// (Q=70µs ties the cluster into one tight partition) are exact.
-	want := []int64{int64(st.Quanta), int64(st.Deliveries), int64(st.Stragglers), int64(st.QuantumSnaps), int64(st.SilentQuanta),
-		int64(st.Packets), int64(st.HostBusy), int64(st.HostIdle), int64(len(res.NodeFinish)), int64(res.GuestTime),
-		int64(st.StragglerDelay), int64(st.Deliveries)}
-	if !slices.Equal(got, want) {
-		t.Errorf("registry quanta, deliveries, stragglers, snaps, silent quanta, packets, busy, idle, nodes done, guest ns, straggler delay, per-node sent:\n%v\nStats say\n%v", got, want)
-	}
-}
-
 // TestObserverDoesNotPerturbRun: on every matrix row, the run with the
 // probe, a recorder and a profiler attached is the unobserved run.
 func TestObserverDoesNotPerturbRun(t *testing.T) {
@@ -167,7 +141,7 @@ func (p *stallingPolicy) Name() string { return "stalling" }
 // Every sink must see exactly one RunEnd per RunStart on every path out of
 // both runners, with RunSummary.Err saying how the run ended: at the parent
 // commit a guest-limit abort and a bad policy returned before RunEnd (and
-// RunParallel did on every error), so the registry's run_active stayed 1 and
+// RunParallel did on every error), so no sink learned how the run ended and
 // -progress printed no final line. Run with -race for the goroutine runner.
 func TestRunEndOnEveryExit(t *testing.T) {
 	errBoom := errors.New("boom")
@@ -191,10 +165,10 @@ func TestRunEndOnEveryExit(t *testing.T) {
 	for _, c := range cases {
 		for _, rn := range runners {
 			t.Run(c.name+"/"+rn.name, func(t *testing.T) {
-				first, second, reg := &endCounter{}, &endCounter{}, obs.NewRegistry()
+				first, second, p := &endCounter{}, &endCounter{}, prof.New()
 				cfg := testConfig(2, c.w, c.policy)
 				cfg.MaxGuest = simtime.Guest(5 * simtime.Millisecond)
-				cfg.Observer = obs.Multi(first, reg, second)
+				cfg.Observer = obs.Multi(first, p, second)
 				_, err := rn.run(cfg)
 				if (err == nil) != (c.name == "completes") || c.want != nil && !errors.Is(err, c.want) {
 					t.Fatalf("run returned %v, want %v", err, c.want)
@@ -205,10 +179,10 @@ func TestRunEndOnEveryExit(t *testing.T) {
 							i, sink.starts, sink.ends, sink.sum.Err, err)
 					}
 				}
-				s := reg.Snapshot()
-				if s.Gauges["run_active"] != 0 || s.Counters["runs_finished"] != 1 || int64(first.sum.Quanta) != s.Counters["quanta"] {
-					t.Errorf("registry after the run: run_active = %d, runs_finished = %d, %d quanta; RunSummary counts %d",
-						s.Gauges["run_active"], s.Counters["runs_finished"], s.Counters["quanta"], first.sum.Quanta)
+				rep := p.Report()
+				if rep.Complete != (err == nil) || int64(first.sum.Quanta) != rep.Quanta || int64(first.sum.GuestTime) != rep.GuestNS {
+					t.Errorf("profiler after the run: complete %v, %d quanta, guest %dns; RunSummary counts %d quanta to %v",
+						rep.Complete, rep.Quanta, rep.GuestNS, first.sum.Quanta, first.sum.GuestTime)
 				}
 			})
 		}

@@ -16,6 +16,7 @@ import (
 	"clustersim/internal/netmodel"
 	"clustersim/internal/obs"
 	"clustersim/internal/pkt"
+	"clustersim/internal/prof"
 	"clustersim/internal/quantum"
 	"clustersim/internal/simtime"
 	"clustersim/internal/workloads"
@@ -81,15 +82,15 @@ func TestParallelBroadcastAndStray(t *testing.T) {
 	}
 }
 
-// TestParallelObserver attaches the full observer stack to the wall-clock
-// runner: node goroutines fire NodePhase concurrently with the controller's
+// TestParallelObserver attaches every bundled sink to the wall-clock runner:
+// node goroutines fire NodePhase concurrently with the controller's
 // Packet/Quantum hooks, so under -race this guards the concurrency contract
-// of every bundled observer.
+// of the profiler, the Chrome tracer, the progress reporter and the recorder.
 func TestParallelObserver(t *testing.T) {
-	reg, buf := obs.NewRegistry(), &bytes.Buffer{}
+	p, rec, buf, progress := prof.New(), &obs.Recorder{}, &bytes.Buffer{}, &bytes.Buffer{}
 	tracer := obs.NewChromeTracer(buf)
 	cfg := testConfig(4, workloads.Phases(3, 150*simtime.Microsecond, 16<<10), adaptive(simtime.Microsecond, simtime.Millisecond, 1.05, 0.02))
-	s := runParallel(t, cfg, 0.01, reg, tracer).Stats
+	s := runParallel(t, cfg, 0.01, p, tracer, obs.NewProgress(progress, cfg.MaxGuest, 0), rec).Stats
 	if err := tracer.Close(); err != nil {
 		t.Fatalf("tracer error: %v", err)
 	}
@@ -97,10 +98,13 @@ func TestParallelObserver(t *testing.T) {
 	if err := json.Unmarshal(buf.Bytes(), &events); err != nil || len(events) == 0 {
 		t.Fatalf("parallel trace is not a JSON event array (%v) or is empty", err)
 	}
-	c := reg.Snapshot().Counters
-	if got, want := []int64{c["quanta"], c["deliveries"], c["stragglers"], c["nodes_done"]},
-		[]int64{int64(s.Quanta), int64(s.Deliveries), int64(s.Stragglers), 4}; !slices.Equal(got, want) {
-		t.Errorf("registry quanta, deliveries, stragglers, nodes done %v; Stats say %v", got, want)
+	rep := p.Report()
+	if got, want := []int64{rep.Quanta, rep.Packets, rep.Stragglers, int64(len(rec.Quanta))},
+		[]int64{int64(s.Quanta), int64(s.Packets), int64(s.Stragglers), int64(s.Quanta)}; !slices.Equal(got, want) {
+		t.Errorf("report quanta, packets, stragglers and recorded quanta %v; Stats say %v", got, want)
+	}
+	if !strings.Contains(progress.String(), "finished") {
+		t.Errorf("progress wrote no finished line: %q", progress.String())
 	}
 }
 
@@ -240,7 +244,7 @@ func TestParallelRecorder(t *testing.T) {
 	rec := &obs.Recorder{}
 	cfg := testConfig(4, workloads.Uniform(60, 1500, 20*simtime.Microsecond, 23), adaptive(simtime.Microsecond, simtime.Millisecond, 1.05, 0.02))
 	cfg.Faults = &faults.Plan{Seed: 7, Default: faults.Link{Loss: 0.1, Dup: 0.15, Jitter: 3 * simtime.Microsecond}}
-	res := runParallel(t, cfg, 0, rec, obs.NewRegistry())
+	res := runParallel(t, cfg, 0, rec, prof.New())
 	if s := res.Stats; s.Dropped == 0 || s.Duplicated == 0 {
 		t.Fatalf("premise: the fault plan should drop and duplicate frames, got %+v", s)
 	}

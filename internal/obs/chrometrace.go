@@ -94,13 +94,6 @@ func (t *ChromeTracer) Close() error {
 	return t.finalize()
 }
 
-// Err returns the first streaming error, if any, without closing.
-func (t *ChromeTracer) Err() error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.err
-}
-
 func (t *ChromeTracer) finalize() error {
 	if t.closed {
 		return t.err

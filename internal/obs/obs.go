@@ -1,10 +1,10 @@
 // Package obs is the streaming observability layer of the simulator: a set
 // of lifecycle hooks (Observer) that both engines fire as a run unfolds,
-// plus four bundled implementations — a Chrome trace-event exporter
-// (chrometrace.go), a metrics registry with an HTTP endpoint (registry.go),
-// a live progress reporter for long runs (progress.go), and the Recorder
-// below, which keeps the packet and quantum records for reading back after
-// the run.
+// plus three bundled implementations — a Chrome trace-event exporter
+// (chrometrace.go), a live progress reporter for long runs (progress.go), and
+// the Recorder below, which keeps the packet and quantum records for reading
+// back after the run — and the power-of-two Histogram (hist.go) that
+// internal/prof, the aggregating sink, builds its distributions from.
 //
 // Hooks stream *while the run executes*; they are the engine's only record
 // output. The deterministic engine fires them single-threaded in a

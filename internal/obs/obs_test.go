@@ -3,8 +3,7 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
-	"net/http"
-	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 
@@ -142,108 +141,23 @@ func TestChromeTracerCloseIdempotent(t *testing.T) {
 	}
 }
 
-func TestRegistryAccumulates(t *testing.T) {
-	reg := NewRegistry()
-	sampleRun(reg)
-	s := reg.Snapshot()
-	if got := s.Counters["quanta"]; got != 1 {
-		t.Errorf("quanta counter = %d, want 1", got)
-	}
-	if got := s.Counters["deliveries"]; got != 1 {
-		t.Errorf("deliveries counter = %d, want 1", got)
-	}
-	if got := s.Counters["stragglers"]; got != 1 {
-		t.Errorf("stragglers counter = %d, want 1", got)
-	}
-	if got := s.Counters["host_busy_ns"]; got != int64(100*simtime.Microsecond) {
-		t.Errorf("host_busy_ns = %d, want %d", got, int64(100*simtime.Microsecond))
-	}
-	if got := s.NodeSent[0]; got != 1 {
-		t.Errorf("node 0 sent = %d, want 1", got)
-	}
-	if got := s.NodeRecv[1]; got != 1 {
-		t.Errorf("node 1 recv = %d, want 1", got)
-	}
-	h, ok := s.Histograms["quantum_ns"]
-	if !ok || h.Count != 1 {
-		t.Fatalf("quantum_ns histogram missing or empty: %+v", h)
-	}
-	if h.Min != int64(10*simtime.Microsecond) || h.Max != h.Min {
-		t.Errorf("quantum_ns min/max = %d/%d", h.Min, h.Max)
-	}
-	d, ok := s.Histograms["straggler_delay_ns"]
-	if !ok || d.Count != 1 || d.Sum != int64(simtime.Microsecond) {
-		t.Errorf("straggler_delay_ns = %+v", d)
-	}
-	if s.Gauges["run_active"] != 0 {
-		t.Error("run_active gauge not cleared by RunEnd")
-	}
-
-	text := reg.Text()
-	for _, want := range []string{"counter quanta 1", "hist quantum_ns", "node 0 sent=1"} {
-		if !strings.Contains(text, want) {
-			t.Errorf("Text() missing %q:\n%s", want, text)
-		}
-	}
-}
-
-func TestRegistryServeHTTP(t *testing.T) {
-	reg := NewRegistry()
-	sampleRun(reg)
-	rr := httptest.NewRecorder()
-	reg.ServeHTTP(rr, httptest.NewRequest(http.MethodGet, "/", nil))
-	if rr.Code != http.StatusOK {
-		t.Fatalf("status %d", rr.Code)
-	}
-	var snap Snapshot
-	if err := json.Unmarshal(rr.Body.Bytes(), &snap); err != nil {
-		t.Fatalf("endpoint body is not JSON: %v", err)
-	}
-	if snap.Counters["quanta"] != 1 {
-		t.Errorf("served quanta = %d, want 1", snap.Counters["quanta"])
-	}
-}
-
-func TestServeEndToEnd(t *testing.T) {
-	reg := NewRegistry()
-	sampleRun(reg)
-	srv, err := Serve("127.0.0.1:0", reg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	resp, err := http.Get("http://" + srv.Addr() + "/")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var snap Snapshot
-	if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
-		t.Fatal(err)
-	}
-	if snap.Counters["deliveries"] != 1 {
-		t.Errorf("live endpoint deliveries = %d, want 1", snap.Counters["deliveries"])
-	}
-}
-
+// TestHistogramBuckets: Buckets walks the occupied power-of-two buckets in
+// ascending order, each a half-open [lo, hi) holding its samples, the ladder
+// mirrored across zero; their counts sum to Summary's.
 func TestHistogramBuckets(t *testing.T) {
 	var h Histogram
-	for _, v := range []int64{0, 1, 2, 3, 4, 1000} {
+	for _, v := range []int64{-6, 0, 1, 2, 3, 4, 1000} {
 		h.Observe(v)
 	}
-	s := h.snapshot()
-	if s.Count != 6 || s.Min != 0 || s.Max != 1000 {
-		t.Fatalf("snapshot %+v", s)
+	if count, sum, min, max := h.Summary(); count != 7 || sum != 1004 || min != -6 || max != 1000 {
+		t.Fatalf("Summary() = %d, %d, %d, %d; want 7 samples summing to 1004 in [-6, 1000]", count, sum, min, max)
 	}
-	var total int64
-	for _, b := range s.Buckets {
-		if b.Count <= 0 {
-			t.Errorf("empty bucket emitted: %+v", b)
-		}
-		total += b.Count
-	}
-	if total != s.Count {
-		t.Errorf("bucket counts sum to %d, want %d", total, s.Count)
+	type bucket struct{ lo, hi, count int64 }
+	var got []bucket
+	h.Buckets(func(lo, hi, count int64) { got = append(got, bucket{lo, hi, count}) })
+	want := []bucket{{-7, -3, 1}, {0, 1, 1}, {1, 2, 1}, {2, 4, 2}, {4, 8, 1}, {512, 1024, 1}}
+	if !slices.Equal(got, want) {
+		t.Errorf("Buckets walked %v, want %v", got, want)
 	}
 }
 
@@ -267,22 +181,23 @@ func TestProgressReports(t *testing.T) {
 }
 
 // TestQuietQuantaPublished: the quiet-quantum and quiet-node-quantum counts
-// arrive only in the RunSummary; the registry must publish them as counters
-// and the progress reporter print them in the final line.
+// arrive only in the RunSummary; the progress reporter prints them in the
+// final line.
 func TestQuietQuantaPublished(t *testing.T) {
-	sum := RunSummary{Quanta: 4, QuietQuanta: 3, QuietNodeQuanta: 29}
-	reg := NewRegistry()
-	reg.RunEnd(sum)
-	if got := reg.Snapshot().Counters["quiet_quanta"]; got != 3 {
-		t.Errorf("quiet_quanta counter = %d, want 3", got)
-	}
-	if got := reg.Snapshot().Counters["quiet_node_quanta"]; got != 29 {
-		t.Errorf("quiet_node_quanta counter = %d, want 29", got)
-	}
 	var buf bytes.Buffer
-	NewProgress(&buf, 0, -1).RunEnd(sum)
+	NewProgress(&buf, 0, -1).RunEnd(RunSummary{Quanta: 4, QuietQuanta: 3, QuietNodeQuanta: 29})
 	if out := buf.String(); !strings.Contains(out, "quiet 3 | quiet node-quanta 29 |") {
 		t.Errorf("final progress line lacks the quiet counts: %q", out)
+	}
+}
+
+// TestProgressFastFraction: the status line reports the engaged fraction.
+func TestProgressFastFraction(t *testing.T) {
+	var buf bytes.Buffer
+	p := NewProgress(&buf, simtime.Guest(20*simtime.Microsecond), -1)
+	sampleRun(p)
+	if out := buf.String(); !strings.Contains(out, "fast 100%") {
+		t.Errorf("expected fast-path fraction in %q", out)
 	}
 }
 

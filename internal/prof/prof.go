@@ -150,8 +150,8 @@ type Profiler struct {
 	ended    bool
 }
 
-// New returns an empty profiler: attach it as cluster.Config.Profiler, or
-// anywhere an obs.Observer goes.
+// New returns an empty profiler: attach it as (one sink of)
+// cluster.Config.Observer, or anywhere else an obs.Observer goes.
 func New() *Profiler {
 	return &Profiler{
 		links:      make(map[[2]int]*linkAcc),
@@ -371,6 +371,9 @@ func (p *Profiler) QuantumEnd(rec obs.QuantumRecord) {
 	p.stragglers += int64(rec.Stragglers)
 	p.hQuantum.Observe(int64(rec.Q))
 	p.hPackets.Observe(int64(rec.Packets))
+	// Until RunEnd says where the run ended, a report read mid-run gives the
+	// last quantum's end as its guest and host times: how far the run got.
+	p.guestEnd, p.hostEnd = rec.Start.Add(rec.Q), rec.HostEnd
 }
 
 // RunEnd implements obs.Observer. An aborted run leaves the profile partial —

@@ -153,7 +153,8 @@ type Report struct {
 	Policy      string `json:"policy"`
 	LookaheadNS int64  `json:"lookahead_ns"`
 	// Complete is false when the run aborted (guest-time limit, a bad policy
-	// or a workload error: RunSummary.Err); the profile then covers a prefix.
+	// or a workload error: RunSummary.Err), or has not ended yet (a report
+	// read mid-run); the profile then covers a prefix.
 	Complete   bool  `json:"complete"`
 	GuestNS    int64 `json:"guest_ns"`
 	HostNS     int64 `json:"host_ns"`
