@@ -302,12 +302,12 @@ func printStats(st cluster.Stats) {
 	fmt.Printf("stragglers   %d (%d snapped to the next quantum), total delay %v\n",
 		st.Stragglers, st.QuantumSnaps, st.StragglerDelay)
 	if st.FastFullQuanta > 0 || st.FastPartialQuanta > 0 {
-		line := fmt.Sprintf("fast path    %d/%d quanta fully engaged", st.FastFullQuanta, st.Quanta)
+		line := fmt.Sprintf("engagement   %d/%d quanta fully engaged", st.FastFullQuanta, st.Quanta)
 		if st.FastPartialQuanta > 0 {
 			// Among partially engaged quanta the engaged partitions are the
-			// loose singletons: average k fast of n total partitions.
+			// loose singletons: average k loose of n total partitions.
 			kSum := st.FastNodeQuanta - *nodesFlag*st.FastFullQuanta
-			line += fmt.Sprintf(", %d partially engaged (avg %.1f of %.1f partitions fast)",
+			line += fmt.Sprintf(", %d partially engaged (avg %.1f of %.1f partitions loose)",
 				st.FastPartialQuanta,
 				float64(kSum)/float64(st.FastPartialQuanta),
 				float64(st.PartialPartitions)/float64(st.FastPartialQuanta))

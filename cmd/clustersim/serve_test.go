@@ -43,7 +43,7 @@ func get(url string) ([]byte, error) {
 }
 
 // -metrics-addr serves the profiler's report while the goroutine runner
-// executes: partway through, a partial clustersim-prof/1 document; after
+// executes: partway through, a partial clustersim-prof/2 document; after
 // RunEnd, exactly the bytes -report would write. Run with -race.
 func TestServeReportLive(t *testing.T) {
 	sc := experiments.Scenario{Workload: "phases", Scale: 1, Nodes: 4, Quantum: "1us"}
@@ -83,9 +83,9 @@ func TestServeReportLive(t *testing.T) {
 	if err := json.Unmarshal(mid.body, &live); err != nil {
 		t.Fatalf("mid-run body is not JSON: %v\n%s", err, mid.body)
 	}
-	if live.Schema != "clustersim-prof/1" || live.Complete || live.Quanta != at+1 || live.GuestNS != mid.end {
-		t.Errorf("mid-run report: schema %q, complete %v, %d quanta to guest %dns; want clustersim-prof/1, false and %d to %dns",
-			live.Schema, live.Complete, live.Quanta, live.GuestNS, at+1, mid.end)
+	if live.Schema != prof.Schema || live.Complete || live.Quanta != at+1 || live.GuestNS != mid.end {
+		t.Errorf("mid-run report: schema %q, complete %v, %d quanta to guest %dns; want %s, false and %d to %dns",
+			live.Schema, live.Complete, live.Quanta, live.GuestNS, prof.Schema, at+1, mid.end)
 	}
 	final, err := get(url)
 	if err != nil {

@@ -13,7 +13,9 @@
 // each host-second went (compute, idle, barrier wait, routing, barrier
 // fixed cost), how many quanta left every node (or some nodes) loose under
 // their lookahead partitioning and what ruled lookahead out otherwise, and
-// which minimum-latency links gate the global lookahead bound Q ≤ T.
+// which minimum-latency links gate the global lookahead bound Q ≤ T. Every
+// engagement line is derived from the report's partition table (engagementOf)
+// and every least-slack line from its link table.
 package main
 
 import (
@@ -30,7 +32,7 @@ import (
 )
 
 var (
-	topFlag = flag.Int("top", 10, "rows in the per-node and limiting-link tables")
+	topFlag = flag.Int("top", 10, "rows in the per-node and least-slack link tables (at least 1)")
 	runFlag = flag.String("run", "", "render only this labelled run of a sweep report")
 )
 
@@ -48,6 +50,9 @@ func main() {
 }
 
 func run(args []string) error {
+	if *topFlag < 1 {
+		return fmt.Errorf("-top must be at least 1, got %d", *topFlag)
+	}
 	switch len(args) {
 	case 1:
 		return render(args[0])
@@ -108,7 +113,7 @@ func renderReport(w *os.File, name string, r *prof.Report) {
 	fmt.Fprintf(w, "  guest %s  host %s  quanta %d  packets %d (%d stragglers)%s\n",
 		dur(r.GuestNS), dur(r.HostNS), r.Quanta, r.Packets, r.Stragglers, complete)
 
-	// The lookahead line names what gates the global fast-path bound Q <= T.
+	// The lookahead line names what gates the global bound Q <= T.
 	if r.LookaheadNS > 0 {
 		gate := ""
 		if len(r.MinLatencyLinks) > 0 {
@@ -132,27 +137,29 @@ func renderReport(w *os.File, name string, r *prof.Report) {
 		fmt.Fprintf(w, "  lookahead unavailable: no positive static latency floor\n")
 	}
 
-	fmt.Fprintf(w, "\nfast path\n")
+	e := engagementOf(r)
+	fmt.Fprintf(w, "\nengagement\n")
 	fmt.Fprintf(w, "  fully engaged %d/%d quanta (%s), spanning %s host (%s)\n",
-		r.Engagement.EligibleQuanta, r.Quanta, strings.TrimSpace(pct(r.Engagement.EligibleQuanta, r.Quanta)),
-		dur(r.Engagement.EligibleHostNS), strings.TrimSpace(pct(r.Engagement.EligibleHostNS, r.HostNS)))
-	if r.Engagement.PartialQuanta > 0 {
+		e.full, r.Quanta, strings.TrimSpace(pct(e.full, r.Quanta)),
+		dur(e.fullHost), strings.TrimSpace(pct(e.fullHost, r.HostNS)))
+	if e.partial > 0 {
 		fmt.Fprintf(w, "  partially engaged %d/%d quanta (%s), spanning %s host (%s)\n",
-			r.Engagement.PartialQuanta, r.Quanta, strings.TrimSpace(pct(r.Engagement.PartialQuanta, r.Quanta)),
-			dur(r.Engagement.PartialHostNS), strings.TrimSpace(pct(r.Engagement.PartialHostNS, r.HostNS)))
+			e.partial, r.Quanta, strings.TrimSpace(pct(e.partial, r.Quanta)),
+			dur(e.partialHost), strings.TrimSpace(pct(e.partialHost, r.HostNS)))
 	}
-	if r.Engagement.NodeQuanta > 0 {
-		fmt.Fprintf(w, "  node-level engagement %d/%d node-quanta fast-walked (%s)\n",
-			r.Engagement.FastNodeQuanta, r.Engagement.NodeQuanta,
-			strings.TrimSpace(pct(r.Engagement.FastNodeQuanta, r.Engagement.NodeQuanta)))
+	if nodeQuanta := int64(r.Nodes) * r.Quanta; nodeQuanta > 0 {
+		fmt.Fprintf(w, "  loose nodes %d/%d node-quanta (%s)\n",
+			e.looseNodeQuanta, nodeQuanta, strings.TrimSpace(pct(e.looseNodeQuanta, nodeQuanta)))
 	}
-	for _, c := range r.Engagement.Causes {
-		fmt.Fprintf(w, "  cause %-22s %10d quanta %s\n", c.Cause, c.Quanta, pct(c.Quanta, r.Quanta))
+	for _, c := range e.causes() {
+		if c.quanta > 0 {
+			fmt.Fprintf(w, "  cause %-22s %10d quanta %s\n", c.name, c.quanta, pct(c.quanta, r.Quanta))
+		}
 	}
 
 	if len(r.Partitions) > 0 {
 		fmt.Fprintf(w, "\nlookahead partition structure, one row per level the run's quanta hit\n")
-		fmt.Fprintf(w, "  %14s %10s %6s %6s %10s  %s\n", "max tight lat", "partitions", "tight", "fast", "quanta", "tightest binding links")
+		fmt.Fprintf(w, "  %14s %10s %6s %6s %10s %14s  %s\n", "max tight lat", "partitions", "tight", "loose", "quanta", "host", "tightest binding links")
 		for _, lv := range r.Partitions {
 			links := make([]string, 0, 3)
 			for i, l := range lv.TightLinks {
@@ -165,9 +172,9 @@ func renderReport(w *os.File, name string, r *prof.Report) {
 			if lv.TightLinkCount > int64(len(links)) {
 				more = fmt.Sprintf(", … %d total", lv.TightLinkCount)
 			}
-			fmt.Fprintf(w, "  %14s %10d %6d %6d %10d  %s%s\n",
-				dur(lv.MaxTightLatNS), lv.Partitions, lv.TightPartitions, lv.FastNodes,
-				lv.Quanta, strings.Join(links, ", "), more)
+			fmt.Fprintf(w, "  %14s %10d %6d %6d %10d %14s  %s%s\n",
+				dur(lv.MaxTightLatNS), lv.Partitions, lv.TightPartitions, lv.Loose,
+				lv.Quanta, dur(lv.HostNS), strings.Join(links, ", "), more)
 		}
 	}
 
@@ -202,15 +209,14 @@ func renderReport(w *os.File, name string, r *prof.Report) {
 		}
 	}
 
-	if len(r.LimitingLinks) > 0 {
-		fmt.Fprintf(w, "\nlookahead-limiting links, least slack first (top %d of %d observed)\n",
-			min(*topFlag, len(r.LimitingLinks)), len(r.Links))
+	if len(r.Links) > 0 {
+		links := slices.Clone(r.Links)
+		slices.SortStableFunc(links, func(a, b prof.LinkProfile) int { return cmp.Compare(a.SlackMinNS, b.SlackMinNS) })
+		links = links[:min(*topFlag, len(links))]
+		fmt.Fprintf(w, "\nlookahead-limiting links, least slack first (top %d of %d observed)\n", len(links), len(r.Links))
 		fmt.Fprintf(w, "  %-9s %14s %14s %10s\n", "link", "min slack", "min latency", "frames")
-		for i, l := range r.LimitingLinks {
-			if i == *topFlag {
-				break
-			}
-			fmt.Fprintf(w, "  %-9s %14s %14s %10d\n", prof.LinkName(l.Src, l.Dst), dur(l.SlackNS), dur(l.LatencyNS), l.Frames)
+		for _, l := range links {
+			fmt.Fprintf(w, "  %-9s %14s %14s %10d\n", prof.LinkName(l.Src, l.Dst), dur(l.SlackMinNS), dur(l.LatencyMinNS), l.Frames)
 		}
 	}
 
@@ -227,16 +233,57 @@ func renderReport(w *os.File, name string, r *prof.Report) {
 	}
 }
 
+// engagement is what a report's partition table says about its quanta: a row
+// whose every node is loose counts fully engaged quanta, one with some loose
+// nodes partially engaged quanta, one with none quanta whose Q exceeds every
+// node's lookahead, and the quanta no row counts ran with lookahead ruled out.
+type engagement struct {
+	full, partial, tight, none int64
+	fullHost, partialHost      int64
+	looseNodeQuanta            int64
+}
+
+func engagementOf(r *prof.Report) engagement {
+	e := engagement{none: r.Quanta}
+	for _, lv := range r.Partitions {
+		e.none -= lv.Quanta
+		e.looseNodeQuanta += int64(lv.Loose) * lv.Quanta
+		switch {
+		case lv.Loose == r.Nodes:
+			e.full += lv.Quanta
+			e.fullHost += lv.HostNS
+		case lv.Loose > 0:
+			e.partial += lv.Quanta
+			e.partialHost += lv.HostNS
+		default:
+			e.tight += lv.Quanta
+		}
+	}
+	return e
+}
+
+// cause is one engagement class of quanta under its report label.
+type cause struct {
+	name   string
+	quanta int64
+}
+
+// causes lists every class, sorted by label.
+func (e engagement) causes() []cause {
+	return []cause{{"engaged", e.full}, {"no-lookahead", e.none},
+		{"partially-engaged", e.partial}, {"q-exceeds-lookahead", e.tight}}
+}
+
 // renderSweep prints one summary row per labelled run.
 func renderSweep(w *os.File, path string, s *prof.SweepReport) {
 	fmt.Fprintf(w, "sweep %s — %d runs (render one fully with -run <label>)\n\n", path, len(s.Runs))
-	fmt.Fprintf(w, "  %-36s %10s %8s %8s %8s %8s\n", "run", "quanta", "fast", "compute", "wait", "barrier")
+	fmt.Fprintf(w, "  %-36s %10s %8s %8s %8s %8s\n", "run", "quanta", "engaged", "compute", "wait", "barrier")
 	for _, sr := range s.Runs {
 		r := sr.Report
 		t := r.Totals
 		attributed := t.ComputeNS + t.IdleNS + t.WaitNS + t.RoutingNS + t.BarrierNS
 		fmt.Fprintf(w, "  %-36s %10d %8s %8s %8s %8s\n", sr.Label, r.Quanta,
-			strings.TrimSpace(pct(r.Engagement.EligibleQuanta, r.Quanta)),
+			strings.TrimSpace(pct(engagementOf(r).full, r.Quanta)),
 			strings.TrimSpace(pct(t.ComputeNS, attributed)),
 			strings.TrimSpace(pct(t.WaitNS, attributed)),
 			strings.TrimSpace(pct(t.BarrierNS, attributed)))
@@ -285,17 +332,21 @@ func diffReports(w *os.File, nameA, nameB string, a, b *prof.Report) {
 	out.WriteString(delta("guest", a.GuestNS, b.GuestNS, true))
 	out.WriteString(delta("host", a.HostNS, b.HostNS, true))
 	out.WriteString(delta("lookahead", a.LookaheadNS, b.LookaheadNS, true))
-	out.WriteString(delta("eligible quanta", a.Engagement.EligibleQuanta, b.Engagement.EligibleQuanta, false))
-	out.WriteString(delta("eligible host", a.Engagement.EligibleHostNS, b.Engagement.EligibleHostNS, true))
-	out.WriteString(delta("partial quanta", a.Engagement.PartialQuanta, b.Engagement.PartialQuanta, false))
-	out.WriteString(delta("partial host", a.Engagement.PartialHostNS, b.Engagement.PartialHostNS, true))
-	out.WriteString(delta("fast node-quanta", a.Engagement.FastNodeQuanta, b.Engagement.FastNodeQuanta, false))
+	ea, eb := engagementOf(a), engagementOf(b)
+	out.WriteString(delta("engaged quanta", ea.full, eb.full, false))
+	out.WriteString(delta("engaged host", ea.fullHost, eb.fullHost, true))
+	out.WriteString(delta("partial quanta", ea.partial, eb.partial, false))
+	out.WriteString(delta("partial host", ea.partialHost, eb.partialHost, true))
+	out.WriteString(delta("loose node-quanta", ea.looseNodeQuanta, eb.looseNodeQuanta, false))
 	out.WriteString(delta("compute", a.Totals.ComputeNS, b.Totals.ComputeNS, true))
 	out.WriteString(delta("idle", a.Totals.IdleNS, b.Totals.IdleNS, true))
 	out.WriteString(delta("barrier wait", a.Totals.WaitNS, b.Totals.WaitNS, true))
 	out.WriteString(delta("routing", a.Totals.RoutingNS, b.Totals.RoutingNS, true))
 	out.WriteString(delta("barrier cost", a.Totals.BarrierNS, b.Totals.BarrierNS, true))
-	diffCauses(&out, a, b)
+	cb := eb.causes()
+	for i, c := range ea.causes() {
+		out.WriteString(delta("cause "+c.name, c.quanta, cb[i].quanta, false))
+	}
 	diffPartitions(&out, a, b)
 	diffLinks(&out, a, b)
 	if out.Len() == 0 {
@@ -331,14 +382,6 @@ func joinBy[T any, K comparable](a, b []T, key func(T) K, compare func(x, y K) i
 	return keys, ia, ib
 }
 
-func diffCauses(out *strings.Builder, a, b *prof.Report) {
-	names, ca, cb := joinBy(a.Engagement.Causes, b.Engagement.Causes,
-		func(c prof.CauseCount) string { return c.Cause }, strings.Compare)
-	for _, n := range names {
-		out.WriteString(delta("cause "+n, ca[n].Quanta, cb[n].Quanta, false))
-	}
-}
-
 // diffPartitions compares the lookahead partition structure level by level:
 // a quantum-policy or topology change shows up as levels appearing,
 // vanishing, or shifting quanta between structures.
@@ -346,8 +389,8 @@ func diffPartitions(out *strings.Builder, a, b *prof.Report) {
 	levels, ia, ib := joinBy(a.Partitions, b.Partitions,
 		func(lv prof.PartitionLevel) int64 { return lv.MaxTightLatNS }, cmp.Compare[int64])
 	show := func(lv prof.PartitionLevel) string {
-		return fmt.Sprintf("%d partitions (%d tight, %d fast nodes), %d quanta",
-			lv.Partitions, lv.TightPartitions, lv.FastNodes, lv.Quanta)
+		return fmt.Sprintf("%d partitions (%d tight, %d loose nodes), %d quanta spanning %s",
+			lv.Partitions, lv.TightPartitions, lv.Loose, lv.Quanta, dur(lv.HostNS))
 	}
 	for _, l := range levels {
 		la, inA := ia[l]
@@ -368,7 +411,7 @@ func diffPartitions(out *strings.Builder, a, b *prof.Report) {
 // link ranking is static per level and elided).
 func partitionLevelsEqual(a, b prof.PartitionLevel) bool {
 	return a.Partitions == b.Partitions && a.TightPartitions == b.TightPartitions &&
-		a.FastNodes == b.FastNodes && a.Quanta == b.Quanta && a.TightLinkCount == b.TightLinkCount
+		a.Loose == b.Loose && a.Quanta == b.Quanta && a.HostNS == b.HostNS && a.TightLinkCount == b.TightLinkCount
 }
 
 // diffLinks reports per-link minimum-slack movement, the signal that a

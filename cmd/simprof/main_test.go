@@ -5,8 +5,11 @@ import (
 	"os/exec"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
+
+	"clustersim/internal/prof"
 )
 
 // moduleRoot walks up from the working directory to the directory holding
@@ -226,19 +229,95 @@ func TestAbortedRunReport(t *testing.T) {
 	}
 }
 
-// A report written before the output-queue model was deleted carries an
-// "output_queue" key and an "output-queue-tap" cause: it still renders, the
-// cause as one more row.
+// A report in the retired first encoding carried an engagement block the
+// partition table now states: simprof refuses it in one line naming the file
+// and its schema, exit 1, rather than render it without engagement.
 func TestRenderRetiredReport(t *testing.T) {
 	simprof := build(t, "./cmd/simprof", "simprof")
 	path := filepath.Join(t.TempDir(), "old.json")
 	old := `{"schema":"clustersim-prof/1","engine":"deterministic","nodes":4,"policy":"fixed","lookahead_ns":0,` +
-		`"output_queue":true,"complete":true,"quanta":3,"engagement":{"node_quanta":12,"causes":[{"cause":"output-queue-tap","quanta":3}]}}`
+		`"complete":true,"quanta":3,"engagement":{"node_quanta":12,"causes":[{"cause":"no-lookahead","quanta":3}]}}`
 	if err := os.WriteFile(path, []byte(old), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	out, err := exec.Command(simprof, path).CombinedOutput()
-	if err != nil || !strings.Contains(string(out), "cause output-queue-tap") {
+	if ee, ok := err.(*exec.ExitError); !ok || ee.ExitCode() != 1 || strings.Count(string(out), "\n") != 1 ||
+		!strings.Contains(string(out), path) || !strings.Contains(string(out), `"clustersim-prof/1"`) {
 		t.Errorf("simprof on a retired report: err %v, output:\n%s", err, out)
+	}
+}
+
+// Usage errors are one line on stderr and exit 1, never a rendering.
+func TestUsageErrors(t *testing.T) {
+	simprof := build(t, "./cmd/simprof", "simprof")
+	dir := t.TempDir()
+	zzz := filepath.Join(dir, "zzz.json")
+	if err := os.WriteFile(zzz, []byte(`{"schema":"zzz"}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	missing := filepath.Join(dir, "missing.json")
+	for _, c := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-top", "-1", zzz}, "simprof: -top must be at least 1, got -1\n"},
+		{[]string{"-top", "0", zzz, zzz}, "simprof: -top must be at least 1, got 0\n"},
+		{[]string{missing}, "simprof: open " + missing + ": no such file or directory\n"},
+		{[]string{zzz}, "simprof: " + zzz + `: unknown schema "zzz" (this build reads clustersim-prof/2 and clustersim-prof-sweep/1)` + "\n"},
+	} {
+		var stdout, stderr strings.Builder
+		cmd := exec.Command(simprof, c.args...)
+		cmd.Stdout, cmd.Stderr = &stdout, &stderr
+		err := cmd.Run()
+		if ee, ok := err.(*exec.ExitError); !ok || ee.ExitCode() != 1 || stderr.String() != c.want || stdout.Len() != 0 {
+			t.Errorf("simprof %q: err %v, stdout %q, stderr %q; want exit 1 with %q", c.args, err, stdout.String(), stderr.String(), c.want)
+		}
+	}
+}
+
+// A sweep diffed against itself is equivalent run by run: every run has a
+// label of its own, so no run is matched against another or left unmatched.
+// The host ablation runs one ground-truth spec under twelve hosts.
+func TestSweepSelfDiffIsEquivalent(t *testing.T) {
+	simprof := build(t, "./cmd/simprof", "simprof")
+	paperfigs := build(t, "./cmd/paperfigs", "paperfigs")
+	path := filepath.Join(t.TempDir(), "sweep.json")
+	if out, err := exec.Command(paperfigs, "-fig", "host", "-scale", "0.05", "-report", path).CombinedOutput(); err != nil {
+		t.Fatalf("paperfigs: %v\n%s", err, out)
+	}
+	out, err := exec.Command(simprof, path, path).CombinedOutput()
+	if err != nil {
+		t.Fatalf("simprof self-diff: %v\n%s", err, out)
+	}
+	lines := strings.Split(strings.TrimSuffix(string(out), "\n"), "\n")
+	if len(lines) != 1+2*24 {
+		t.Errorf("self-diff has %d lines, want a header and two per each of 24 runs:\n%s", len(lines), out)
+	}
+	for _, l := range lines {
+		if !strings.HasPrefix(l, "diff ") && l != "  reports are equivalent" {
+			t.Errorf("self-diff line %q is neither a header nor an equivalence", l)
+		}
+	}
+}
+
+// Every engagement number simprof prints is read off the partition table: a
+// row per class, and the quanta no row counts ran without lookahead.
+func TestEngagementOf(t *testing.T) {
+	r := &prof.Report{Nodes: 4, Quanta: 10, Partitions: []prof.PartitionLevel{
+		{Partitions: 4, Loose: 4, Quanta: 3, HostNS: 30},
+		{MaxTightLatNS: 500, Partitions: 3, TightPartitions: 1, Loose: 2, Quanta: 2, HostNS: 20},
+		{MaxTightLatNS: 900, Partitions: 2, TightPartitions: 2, Quanta: 4, HostNS: 40},
+	}}
+	e := engagementOf(r)
+	want := engagement{full: 3, partial: 2, tight: 4, none: 1, fullHost: 30, partialHost: 20, looseNodeQuanta: 4*3 + 2*2}
+	if e != want {
+		t.Errorf("engagementOf = %+v, want %+v", e, want)
+	}
+	names := []string{}
+	for _, c := range e.causes() {
+		names = append(names, c.name)
+	}
+	if !slices.IsSorted(names) {
+		t.Errorf("causes %v are not sorted by label", names)
 	}
 }

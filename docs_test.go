@@ -89,7 +89,7 @@ func codeFlags(code string) []docFlag {
 // designLineBudget caps DESIGN.md (wc -l). The document describes the tree as
 // it is and CHANGES.md keeps its history, so growth should be a choice: raise
 // the budget in the same change that needs it, or make room.
-const designLineBudget = 645
+const designLineBudget = 653
 
 func TestDesignLineBudget(t *testing.T) {
 	text, err := os.ReadFile("DESIGN.md")

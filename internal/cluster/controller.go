@@ -102,14 +102,14 @@ func (c *controller) publishStart(qi int, start simtime.Guest, Q simtime.Duratio
 // (Q, lookahead), so Stats and what a sink derives from the stream are
 // identical for both runners.
 func (c *controller) foldQuanta(k int, Q simtime.Duration) {
-	switch fast := c.part.FastNodes; {
-	case fast == c.n:
+	switch loose := c.part.Loose; {
+	case loose == c.n:
 		c.stats.FastFullQuanta += k
-	case fast > 0:
+	case loose > 0:
 		c.stats.FastPartialQuanta += k
 		c.stats.PartialPartitions += k * c.part.Partitions
 	}
-	c.stats.FastNodeQuanta += k * c.part.FastNodes
+	c.stats.FastNodeQuanta += k * c.part.Loose
 	c.stats.observeQuanta(k, Q, c.np)
 	c.sumQ += float64(k) * float64(Q)
 }
@@ -134,7 +134,6 @@ func (c *controller) publishQuantum(qi int, start simtime.Guest, Q simtime.Durat
 			BarrierStart: barrierStart,
 			HostEnd:      hEnd,
 			Routing:      routing,
-			FastEligible: c.part.FastNodes == c.n,
 		})
 	}
 }

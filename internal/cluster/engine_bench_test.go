@@ -162,7 +162,7 @@ type walkCounter struct {
 	events, loose int
 }
 
-func (c *walkCounter) QuantumPartition(_ int, p *obs.Partitioning) { c.loose += p.FastNodes }
+func (c *walkCounter) QuantumPartition(_ int, p *obs.Partitioning) { c.loose += p.Loose }
 func (c *walkCounter) Packet(obs.PacketRecord)                     { c.events++ }
 func (c *walkCounter) RunEnd(s obs.RunSummary)                     { c.events -= s.QuietNodeQuanta }
 func (c *walkCounter) NodePhase(_ int, ph obs.Phase, _, _ simtime.Guest, _, _ simtime.Host) {

@@ -95,9 +95,9 @@ func TestLookaheadBoundMatchesMinLatency(t *testing.T) {
 	}
 	for name, m := range models {
 		la, want := newController(4, m, nil, nil).la, minLinkLat(m, 4)
-		if la.min != want || want != m.FrameLatency(netmodel.MinProbe(), 0, 1) || la.partitionFor(want).FastNodes != 4 || la.partitionFor(want+1).FastNodes != 0 {
+		if la.min != want || want != m.FrameLatency(netmodel.MinProbe(), 0, 1) || la.partitionFor(want).Loose != 4 || la.partitionFor(want+1).Loose != 0 {
 			t.Errorf("%s: lookahead bound %v, matrix minimum %v; %d loose nodes at Q = T (want 4), %d above it (want 0 on a uniform fabric)",
-				name, la.min, want, la.partitionFor(want).FastNodes, la.partitionFor(want+1).FastNodes)
+				name, la.min, want, la.partitionFor(want).Loose, la.partitionFor(want+1).Loose)
 		}
 	}
 }

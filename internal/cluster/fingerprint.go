@@ -42,9 +42,9 @@ import (
 
 // FingerprintSchema versions the canonical encoding produced by
 // CanonicalResult. Bump it whenever the encoding (not the simulation)
-// changes, and re-record the fleet golden (make fleet-update) in the same
-// commit.
-const FingerprintSchema = "clustersim-fp/1"
+// changes — or the profiler report's, which the fleet hashes after it — and
+// re-record the fleet golden (make fleet-update) in the same commit.
+const FingerprintSchema = "clustersim-fp/2"
 
 // SortPacketsCanonical returns a copy of ps sorted into the canonical
 // packet-multiset order: by send time, then source, destination, ideal and
@@ -120,9 +120,9 @@ func CanonicalResult(res *Result, rec *obs.Recorder) []byte {
 		return b.Bytes()
 	}
 	for _, q := range rec.Quanta {
-		fmt.Fprintf(&b, "quantum %d %d %d %d %d %d %d %d %t\n",
+		fmt.Fprintf(&b, "quantum %d %d %d %d %d %d %d %d\n",
 			q.Index, int64(q.Start), int64(q.Q), q.Packets, q.Stragglers,
-			int64(q.HostStart), int64(q.BarrierStart), int64(q.HostEnd), q.FastEligible)
+			int64(q.HostStart), int64(q.BarrierStart), int64(q.HostEnd))
 	}
 	for _, p := range SortPacketsCanonical(rec.Packets) {
 		fmt.Fprintf(&b, "packet %d %d %d %d %d %d %t %t %t %t\n",

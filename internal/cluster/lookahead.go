@@ -34,7 +34,7 @@ type lookahead struct {
 	lat []simtime.Duration // flat n×n row-major probe matrix; diagonal 0
 	min simtime.Duration   // smallest off-diagonal entry (the paper's scalar T)
 	// levels holds the distinct positive off-diagonal latencies, ascending.
-	// A quantum with Q <= levels[0] has no tight links (fully fast); one
+	// A quantum with Q <= levels[0] has no tight links (fully loose); one
 	// with Q > levels[len-1] ties the whole cluster into one partition.
 	levels []simtime.Duration
 	// parts caches one partitioning per level band, indexed by the number
@@ -46,7 +46,7 @@ type lookahead struct {
 // set: the connected components of the links with latency below Q.
 type partitioning struct {
 	// The structure as the observer stream publishes it: the node->partition
-	// map, the counts, the level and the tight-link ranking.
+	// map, the counts and the level.
 	obs.Partitioning
 	// fastNode marks the loose singletons — nodes with no tight link in
 	// either direction.
@@ -57,10 +57,6 @@ type partitioning struct {
 	// by partition id.
 	tight [][]int32
 }
-
-// tightLinksK bounds the per-partitioning tight-link ranking, mirroring the
-// profiler's limiting-links cap.
-const tightLinksK = 16
 
 // newLookahead probes the matrix for the given model: every pair with the
 // cheapest possible frame (netmodel.MinProbe), generalizing the paper's
@@ -185,30 +181,6 @@ func (la *lookahead) build(idx int) *partitioning {
 			p.tight = append(p.tight, m)
 		}
 	}
-	p.Partitions, p.TightPartitions, p.FastNodes = len(members), len(p.tight), len(p.loose)
-
-	// Rank the directed tight links, ascending by latency then (src, dst).
-	for s := 0; s < n; s++ {
-		for d := 0; d < n; d++ {
-			if s == d || la.lat[s*n+d] > p.MaxTightLat {
-				continue
-			}
-			p.TightLinks = append(p.TightLinks, obs.Link{Src: s, Dst: d, Latency: la.lat[s*n+d]})
-		}
-	}
-	p.TightLinkCount = int64(len(p.TightLinks))
-	sort.Slice(p.TightLinks, func(i, j int) bool {
-		a, b := p.TightLinks[i], p.TightLinks[j]
-		if a.Latency != b.Latency {
-			return a.Latency < b.Latency
-		}
-		if a.Src != b.Src {
-			return a.Src < b.Src
-		}
-		return a.Dst < b.Dst
-	})
-	if len(p.TightLinks) > tightLinksK {
-		p.TightLinks = p.TightLinks[:tightLinksK]
-	}
+	p.Partitions, p.TightPartitions, p.Loose = len(members), len(p.tight), len(p.loose)
 	return p
 }

@@ -105,13 +105,13 @@ func TestPartitionForCachesPerBand(t *testing.T) {
 	}
 	intra, inter := la.levels[0], la.levels[1]
 	// lat == Q is loose: intra+1 and inter are one band, and Q == min is fully loose.
-	if mid := la.partitionFor(intra + 1); mid != la.partitionFor(inter) || mid.MaxTightLat != intra || len(mid.tight) != 2 || mid.FastNodes != 0 {
+	if mid := la.partitionFor(intra + 1); mid != la.partitionFor(inter) || mid.MaxTightLat != intra || len(mid.tight) != 2 || mid.Loose != 0 {
 		t.Errorf("mid-band partitioning %+v, shared by its band: %v", mid, mid == la.partitionFor(inter))
 	}
-	if full := la.partitionFor(intra); full.FastNodes != 8 || full.Partitions != 8 || full.MaxTightLat != 0 {
+	if full := la.partitionFor(intra); full.Loose != 8 || full.Partitions != 8 || full.MaxTightLat != 0 {
 		t.Errorf("fully loose partitioning: %+v", full)
 	}
-	if one := la.partitionFor(inter + 1); one.Partitions != 1 || one.FastNodes != 0 || one.MaxTightLat != inter {
+	if one := la.partitionFor(inter + 1); one.Partitions != 1 || one.Loose != 0 || one.MaxTightLat != inter {
 		t.Errorf("fully tight partitioning: %+v", one)
 	}
 }
@@ -130,7 +130,7 @@ func TestLookaheadDegenerate(t *testing.T) {
 		}
 		for _, q := range []simtime.Duration{1, simtime.Microsecond, simtime.Second} {
 			p := la.partitionFor(q)
-			if len(la.parts) != 1 || p != la.parts[0] || p.FastNodes != 0 || len(p.loose) != 0 || len(p.tight) != 1 || len(p.tight[0]) != la.n {
+			if len(la.parts) != 1 || p != la.parts[0] || p.Loose != 0 || len(p.loose) != 0 || len(p.tight) != 1 || len(p.tight[0]) != la.n {
 				t.Errorf("%s, Q=%v: partitioning %+v, want the whole cluster tight", name, q, p)
 			}
 		}
@@ -161,9 +161,9 @@ func TestRuledOutLookaheadRun(t *testing.T) {
 		}
 		la := newLookahead(r.cfg.Net, r.cfg.Nodes)
 		for _, h := range r.ends {
-			if p := la.partitionFor(h.Q); h.FastEligible || p.FastNodes != 0 || len(p.tight) != 1 || len(p.tight[0]) != r.cfg.Nodes {
-				t.Fatalf("%s: quantum %d (eligible %v) executes as %d loose nodes and tight partitions %v",
-					name, h.Index, h.FastEligible, p.FastNodes, p.tight)
+			if p := la.partitionFor(h.Q); p.Loose != 0 || len(p.tight) != 1 || len(p.tight[0]) != r.cfg.Nodes {
+				t.Fatalf("%s: quantum %d executes as %d loose nodes and tight partitions %v",
+					name, h.Index, p.Loose, p.tight)
 			}
 		}
 	}
@@ -191,12 +191,12 @@ func TestPartitioningFollowsQuantum(t *testing.T) {
 		_, parts := partitionsOf(t, name)
 		for _, p := range parts {
 			switch {
-			case p.FastNodes == nodes && p.Partitions == nodes:
+			case p.Loose == nodes && p.Partitions == nodes:
 				loose++
-			case p.FastNodes == 0 && p.Partitions == 1 && p.TightPartitions == 1:
+			case p.Loose == 0 && p.Partitions == 1 && p.TightPartitions == 1:
 				tight++
 			default:
-				t.Errorf("uniform fabric: partitioning with %d loose nodes and %d tight partitions", p.FastNodes, p.TightPartitions)
+				t.Errorf("uniform fabric: partitioning with %d loose nodes and %d tight partitions", p.Loose, p.TightPartitions)
 			}
 		}
 		return
@@ -226,7 +226,7 @@ func TestPartitionedPathEngagesPartially(t *testing.T) {
 		t.Errorf("FastNodeQuanta = %d, PartialPartitions = %d; want 4 and 5 per quantum of %d", s.FastNodeQuanta, s.PartialPartitions, s.FastPartialQuanta)
 	}
 	for _, p := range parts {
-		if want := []int32{0, 0, 0, 0, 1, 2, 3, 4}; p.FastNodes != 4 || p.TightPartitions != 1 || !reflect.DeepEqual(p.Part, want) {
+		if want := []int32{0, 0, 0, 0, 1, 2, 3, 4}; p.Loose != 4 || p.TightPartitions != 1 || !reflect.DeepEqual(p.Part, want) {
 			t.Fatalf("partitioned as %+v, want the rack %v and four loose nodes", p, want)
 		}
 	}

@@ -294,19 +294,50 @@ func TestProfilerReconciliation(t *testing.T) {
 				if !rep.Complete || !slices.Equal(got, want) {
 					t.Errorf("report (complete: %v) has quanta, packets, stragglers, compute, idle, routing+barrier %v; Stats %v", rep.Complete, got, want)
 				}
-				var compute, idle, wait, causes int64
+				var compute, idle, wait int64
 				for _, n := range rep.PerNode {
 					compute, idle, wait = compute+n.ComputeNS, idle+n.IdleNS, wait+n.WaitNS
 				}
-				for _, cc := range rep.Engagement.Causes {
-					causes += cc.Quanta
+				if compute != tot.ComputeNS || idle != tot.IdleNS || wait != tot.WaitNS {
+					t.Errorf("per-node sums (%d,%d,%d) != totals (%d,%d,%d)",
+						compute, idle, wait, tot.ComputeNS, tot.IdleNS, tot.WaitNS)
 				}
-				if compute != tot.ComputeNS || idle != tot.IdleNS || wait != tot.WaitNS || causes != rep.Quanta {
-					t.Errorf("per-node sums (%d,%d,%d) != totals (%d,%d,%d), or cause counts %d != %d quanta",
-						compute, idle, wait, tot.ComputeNS, tot.IdleNS, tot.WaitNS, causes, rep.Quanta)
-				}
+				checkPartitionTable(t, rep, s)
 			})
 		}
+	}
+}
+
+// checkPartitionTable holds the report's partition table, its one statement
+// of engagement, to the engine's Stats.Fast* counters while both exist: the
+// rows whose every node is loose count the fully engaged quanta, the rows
+// with some loose nodes the partially engaged ones and their partitions, the
+// loose nodes over all rows the loose node-quanta, and the rows cover every
+// quantum unless the configuration rules lookahead out, when there are none.
+func checkPartitionTable(t *testing.T, rep *prof.Report, s Stats) {
+	t.Helper()
+	var rows, full, partial, partialParts, looseQuanta int64
+	for _, lv := range rep.Partitions {
+		rows += lv.Quanta
+		looseQuanta += int64(lv.Loose) * lv.Quanta
+		switch {
+		case lv.Loose == rep.Nodes:
+			full += lv.Quanta
+		case lv.Loose > 0:
+			partial += lv.Quanta
+			partialParts += int64(lv.Partitions) * lv.Quanta
+		}
+	}
+	got := []int64{full, partial, partialParts, looseQuanta}
+	want := []int64{int64(s.FastFullQuanta), int64(s.FastPartialQuanta), int64(s.PartialPartitions), int64(s.FastNodeQuanta)}
+	if !slices.Equal(got, want) {
+		t.Errorf("partition table gives full, partial, partial partitions, loose node-quanta %v; Stats %v", got, want)
+	}
+	switch {
+	case rep.LookaheadNS == 0 && len(rep.Partitions) != 0:
+		t.Errorf("lookahead ruled out, yet the partition table has %d rows", len(rep.Partitions))
+	case rep.LookaheadNS > 0 && rows != rep.Quanta:
+		t.Errorf("partition rows count %d quanta, want all %d", rows, rep.Quanta)
 	}
 }
 
@@ -331,11 +362,11 @@ func TestProfilerReportGolden(t *testing.T) {
 	}
 }
 
-// TestProfilerLimitingLinksRack: on a rack topology the static minimum-
-// latency probe must name exactly the intra-rack links (they gate the
-// global lookahead), and the observed limiting-links ranking must put an
-// intra-rack link first — cross-rack frames carry 2µs more slack.
-func TestProfilerLimitingLinksRack(t *testing.T) {
+// TestProfilerMinLatencyLinksRack: on a rack topology the links tied at the
+// lookahead are exactly the intra-rack links (they gate the global
+// lookahead), ranked under the report's one cap; the level that binds each
+// rack ranks the same links first.
+func TestProfilerMinLatencyLinksRack(t *testing.T) {
 	d := named("rack-mid-8")
 	d.complete(t)
 	rep := d.got.rep
@@ -343,22 +374,17 @@ func TestProfilerLimitingLinksRack(t *testing.T) {
 		t.Errorf("lookahead %d, want the matrix minimum %d", rep.LookaheadNS, want)
 	}
 	// 2 racks × 4 nodes → 4×3 directed intra-rack pairs per rack.
-	if rep.MinLatencyTied != 24 || len(rep.MinLatencyLinks) != 24 || len(rep.LimitingLinks) == 0 {
-		t.Fatalf("min-latency ties = %d, links listed = %d, want 24; %d limiting links", rep.MinLatencyTied, len(rep.MinLatencyLinks), len(rep.LimitingLinks))
-	}
-	for _, l := range slices.Concat(rep.MinLatencyLinks, rep.LimitingLinks[:1]) {
-		if l.Src/4 != l.Dst/4 {
-			t.Errorf("min-latency or tightest observed link %s crosses racks", prof.LinkName(l.Src, l.Dst))
-		}
+	if rep.MinLatencyTied != 24 || len(rep.MinLatencyLinks) != 16 {
+		t.Fatalf("min-latency ties = %d, links listed = %d, want 16 of 24", rep.MinLatencyTied, len(rep.MinLatencyLinks))
 	}
 	for _, l := range rep.MinLatencyLinks {
-		if l.LatencyNS != rep.LookaheadNS {
-			t.Errorf("min-latency link %s latency %d != lookahead %d", prof.LinkName(l.Src, l.Dst), l.LatencyNS, rep.LookaheadNS)
+		if l.Src/4 != l.Dst/4 || l.LatencyNS != rep.LookaheadNS {
+			t.Errorf("min-latency link %s (latency %d) crosses racks or misses the lookahead %d", prof.LinkName(l.Src, l.Dst), l.LatencyNS, rep.LookaheadNS)
 		}
 	}
-	for i := 1; i < len(rep.LimitingLinks); i++ {
-		if rep.LimitingLinks[i].SlackNS < rep.LimitingLinks[i-1].SlackNS {
-			t.Errorf("limiting links not sorted by slack at %d", i)
+	for _, lv := range rep.Partitions {
+		if lv.TightLinkCount >= 24 && !slices.Equal(lv.TightLinks, rep.MinLatencyLinks) {
+			t.Errorf("level %d ranks %v first, want the min-latency links %v", lv.MaxTightLatNS, lv.TightLinks, rep.MinLatencyLinks)
 		}
 	}
 }
@@ -396,9 +422,9 @@ func TestParallelProfilerSmoke(t *testing.T) {
 		wait += n.WaitNS
 	}
 	if rep.Engine != "parallel" || !rep.Complete || rep.Quanta != int64(res.Stats.Quanta) || rep.Totals.IdleNS != 0 ||
-		wait != rep.Totals.WaitNS || rep.Engagement.EligibleQuanta != rep.Quanta {
-		t.Errorf("report: engine %q, complete %v, %d quanta (Stats %d), idle %d (want 0, a free jump), wait %d (nodes sum to %d), %d eligible quanta at Q=1µs",
-			rep.Engine, rep.Complete, rep.Quanta, res.Stats.Quanta, rep.Totals.IdleNS, rep.Totals.WaitNS, wait, rep.Engagement.EligibleQuanta)
+		wait != rep.Totals.WaitNS || len(rep.Partitions) != 1 || rep.Partitions[0].Loose != 4 || rep.Partitions[0].Quanta != rep.Quanta {
+		t.Errorf("report: engine %q, complete %v, %d quanta (Stats %d), idle %d (want 0, a free jump), wait %d (nodes sum to %d), partition table %+v (want every quantum fully loose at Q=1µs)",
+			rep.Engine, rep.Complete, rep.Quanta, res.Stats.Quanta, rep.Totals.IdleNS, rep.Totals.WaitNS, wait, rep.Partitions)
 	}
 }
 

@@ -3,7 +3,6 @@ package cluster
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"clustersim/internal/guest"
 	"clustersim/internal/host"
@@ -205,16 +204,15 @@ func (r *refEngine) quantum(qi int, start simtime.Guest, Q simtime.Duration, hos
 	}
 	r.sumQ += float64(Q)
 	switch n := len(r.nodes); {
-	case p.FastNodes == n:
+	case p.Loose == n:
 		s.FastFullQuanta++
-	case p.FastNodes > 0:
+	case p.Loose > 0:
 		s.FastPartialQuanta++
 		s.PartialPartitions += p.Partitions
 	}
-	s.FastNodeQuanta += p.FastNodes
+	s.FastNodeQuanta += p.Loose
 	r.obs.QuantumEnd(obs.QuantumRecord{Index: qi, Start: start, Q: Q, Packets: r.np, Stragglers: r.str,
-		HostStart: hostNow, BarrierStart: maxH, HostEnd: end, Routing: routing,
-		FastEligible: p.FastNodes == len(r.nodes)})
+		HostStart: hostNow, BarrierStart: maxH, HostEnd: end, Routing: routing})
 	return end
 }
 
@@ -486,7 +484,6 @@ func (r *refEngine) partitionFor(Q simtime.Duration) *obs.Partitioning {
 			if l := r.lat[s*n+d]; s != d && l < Q {
 				a, b := find(s), find(d)
 				root[max(a, b)] = min(a, b)
-				p.TightLinks = append(p.TightLinks, obs.Link{Src: s, Dst: d, Latency: l})
 				p.MaxTightLat = max(p.MaxTightLat, l)
 			}
 		}
@@ -504,12 +501,9 @@ func (r *refEngine) partitionFor(Q simtime.Duration) *obs.Partitioning {
 			p.Partitions++
 		}
 		if size[find(i)] == 1 {
-			p.FastNodes++
+			p.Loose++
 		}
 	}
-	p.TightPartitions = p.Partitions - p.FastNodes
-	p.TightLinkCount = int64(len(p.TightLinks))
-	sort.SliceStable(p.TightLinks, func(a, b int) bool { return p.TightLinks[a].Latency < p.TightLinks[b].Latency })
-	p.TightLinks = p.TightLinks[:min(len(p.TightLinks), 16)]
+	p.TightPartitions = p.Partitions - p.Loose
 	return p
 }

@@ -11,6 +11,7 @@ package experiments
 
 import (
 	"fmt"
+	"strings"
 
 	"clustersim/internal/cluster"
 	"clustersim/internal/faults"
@@ -50,8 +51,9 @@ type Env struct {
 	// key via its canonical fingerprint.
 	Faults *faults.Plan
 	// Profiles, when non-nil, attaches a sync-overhead profiler to every run
-	// of the experiment, labelled "workload/nodes/config" (with the fault
-	// fingerprint appended when faults are active). The sweep's report is
+	// of the experiment, labelled "workload/nodes/config", with the host
+	// settings that differ from the default host appended (hostLabel), and
+	// the fault fingerprint when faults are active. The sweep's report is
 	// canonical regardless of Workers: registration order is
 	// erased by sorting and byte-identical duplicates (e.g. a baseline run
 	// shared across runners) collapse.
@@ -209,6 +211,9 @@ func runOne(env Env, w workloads.Workload, nodes int, spec Spec, rec *obs.Record
 	}
 	if env.Profiles != nil {
 		label := fmt.Sprintf("%s/%d/%s", w.Name, nodes, spec.Label)
+		if h := hostLabel(env.Host); h != "" {
+			label += "/host:" + h
+		}
 		if env.Faults != nil {
 			label += "/faults:" + env.Faults.Key()
 		}
@@ -219,6 +224,32 @@ func runOne(env Env, w workloads.Workload, nodes int, spec Spec, rec *obs.Record
 		return nil, fmt.Errorf("experiments: %s ×%d %q: %w", w.Name, nodes, spec.Label, err)
 	}
 	return res, nil
+}
+
+// hostLabel names the settings in which h differs from the default host, in
+// a fixed order, or is empty for the default host. A sweep can run one
+// workload, node count and spec under several hosts (the host ablation's
+// ground truths), and its labels must tell those runs apart.
+func hostLabel(h host.Params) string {
+	d := host.DefaultParams()
+	var parts []string
+	add := func(differs bool, format string, v ...any) {
+		if differs {
+			parts = append(parts, fmt.Sprintf(format, v...))
+		}
+	}
+	add(h.BarrierCost != d.BarrierCost, "barrier=%v", h.BarrierCost)
+	add(h.JitterSigma != d.JitterSigma, "σ=%v", h.JitterSigma)
+	add(h.JitterPeriod != d.JitterPeriod, "window=%v", h.JitterPeriod)
+	add(h.BusySlowdown != d.BusySlowdown, "busy=%v", h.BusySlowdown)
+	add(h.IdleSlowdown != d.IdleSlowdown, "idle=%v", h.IdleSlowdown)
+	add(h.PacketTransit != d.PacketTransit, "transit=%v", h.PacketTransit)
+	add(h.PacketHostCost != d.PacketHostCost, "routing=%v", h.PacketHostCost)
+	add(h.Seed != d.Seed, "seed=%v", h.Seed)
+	if s := h.Sampling; s != nil {
+		add(true, "sampled=%v:%v:%v", s.Period, s.DetailFraction, s.FastSlowdown)
+	}
+	return strings.Join(parts, " ")
 }
 
 // Measure runs every point and compares it with its ground truth — the

@@ -2,6 +2,8 @@ package experiments
 
 import (
 	"bytes"
+	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -178,6 +180,40 @@ func TestAblationHostBarrierDominates(t *testing.T) {
 	}
 	if lo, hi := rows[0].Speedup, rows[1].Speedup; hi <= lo {
 		t.Errorf("Q=1000µs speedup should grow with barrier cost: %v vs %v", lo, hi)
+	}
+}
+
+// The host ablation runs one workload, node count and ground-truth spec under
+// every host it sweeps: each run's label names its host, so the sweep holds
+// one run per label and reads back, and the default host's run keeps the
+// plain label every other study gives it.
+func TestAblationHostSweepLabels(t *testing.T) {
+	env := DefaultEnv()
+	env.Profiles = &prof.Sweep{}
+	w := workloads.Silent(200 * simtime.Microsecond)
+	if _, err := AblationHost(env, w, 2, []simtime.Duration{100 * simtime.Microsecond, 1300 * simtime.Microsecond}, []float64{0, 0.22}); err != nil {
+		t.Fatal(err)
+	}
+	rep := env.Profiles.Report()
+	var labels []string
+	for _, r := range rep.Runs {
+		labels = append(labels, r.Label)
+	}
+	truths := []string{"synthetic.silent/2/1", "synthetic.silent/2/1/host:barrier=100µs", "synthetic.silent/2/1/host:barrier=100µs σ=0", "synthetic.silent/2/1/host:σ=0"}
+	if len(labels) != 8 || !slices.IsSorted(labels) || len(slices.Compact(slices.Clone(labels))) != 8 {
+		t.Fatalf("sweep labels %q, want 8 distinct sorted runs", labels)
+	}
+	for _, want := range truths {
+		if !slices.Contains(labels, want) {
+			t.Errorf("no ground truth labelled %q in %q", want, labels)
+		}
+	}
+	path := filepath.Join(t.TempDir(), "sweep.json")
+	if err := rep.WriteFiles(path); err != nil {
+		t.Fatal(err)
+	}
+	if _, back, err := prof.Read(path); err != nil || len(back.Runs) != 8 {
+		t.Fatalf("Read = %v", err)
 	}
 }
 

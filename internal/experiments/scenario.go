@@ -37,7 +37,7 @@ type Scenario struct {
 	// "rack:<radix>:<edge>:<core>" builds a two-level fat-tree, and
 	// "mixedwan:<rack>:<rackLat>:<wanLat>" builds one tight rack of the
 	// given size with every other node a WAN singleton — the geometry that
-	// exercises the partitioned (graded) fast path.
+	// puts a tight partition beside loose nodes.
 	Topo string
 	// Faults is a faults.Parse spec (empty = no plan); FaultSeed keys its
 	// decisions (0 means 1).

@@ -51,6 +51,7 @@ type ChromeTracer struct {
 	w      *bufio.Writer
 	n      int          // events written
 	qHost  simtime.Host // host start of the open quantum: packet instants' time
+	loose  int          // loose nodes of the open quantum's partitioning
 	closed bool
 	err    error
 }
@@ -153,9 +154,17 @@ func (t *ChromeTracer) QuantumStart(index int, start simtime.Guest, q simtime.Du
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.qHost = hostStart
+	t.loose = 0
 	t.emit(traceEvent{Name: "quantum", Cat: traceCatEngine, Ph: "B", PID: tracePID,
 		TID: traceCtrl, TS: hostTS(hostStart),
 		Args: map[string]any{"index": index, "Q_us": durTS(q), "guest_start_us": guestMicros(start)}})
+}
+
+// QuantumPartition notes the quantum's loose-node count for its counter.
+func (t *ChromeTracer) QuantumPartition(_ int, p *Partitioning) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.loose = p.Loose
 }
 
 // QuantumEnd draws the barrier segment and closes the quantum span.
@@ -170,19 +179,15 @@ func (t *ChromeTracer) QuantumEnd(rec QuantumRecord) {
 	t.emit(traceEvent{Name: "quantum", Cat: traceCatEngine, Ph: "E", PID: tracePID,
 		TID: traceCtrl, TS: hostTS(rec.HostEnd)})
 	// Counter tracks: Perfetto renders each "C" name as a chart over time,
-	// turning the per-quantum series (quantum size, traffic, fast-path
-	// eligibility) into live diagnostics alongside the span tracks.
+	// turning the per-quantum series (quantum size, traffic, loose nodes)
+	// into live diagnostics alongside the span tracks.
 	ts := hostTS(rec.HostEnd)
 	t.emit(traceEvent{Name: "quantum_size", Cat: traceCatEngine, Ph: "C", PID: tracePID,
 		TID: traceCtrl, TS: ts, Args: map[string]any{"Q_us": durTS(rec.Q)}})
 	t.emit(traceEvent{Name: "traffic", Cat: traceCatEngine, Ph: "C", PID: tracePID,
 		TID: traceCtrl, TS: ts, Args: map[string]any{"packets": rec.Packets, "stragglers": rec.Stragglers}})
-	elig := 0
-	if rec.FastEligible {
-		elig = 1
-	}
-	t.emit(traceEvent{Name: "fastpath_eligible", Cat: traceCatEngine, Ph: "C", PID: tracePID,
-		TID: traceCtrl, TS: ts, Args: map[string]any{"eligible": elig}})
+	t.emit(traceEvent{Name: "loose_nodes", Cat: traceCatEngine, Ph: "C", PID: tracePID,
+		TID: traceCtrl, TS: ts, Args: map[string]any{"loose": t.loose}})
 }
 
 // Packet marks a delivery on the controller track. The instant sits on the

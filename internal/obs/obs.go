@@ -55,10 +55,10 @@ type RunInfo struct {
 	// Lookahead is the smallest per-link lookahead: the minimum frame latency
 	// over all node pairs, zero when the configuration rules lookahead out (a
 	// zero-latency link or a one-node cluster). A quantum Q <= Lookahead
-	// leaves every node loose and is FastEligible.
+	// leaves every node loose.
 	Lookahead simtime.Duration
 	// LinkLat probes the static lower-bound frame latency of a directed link,
-	// for sinks that rank the links gating Lookahead.
+	// for sinks that rank the links gating Lookahead or a partitioning.
 	LinkLat func(src, dst int) simtime.Duration
 }
 
@@ -109,9 +109,6 @@ type QuantumRecord struct {
 	// runner, whose routing happens inside the quantum); the rest,
 	// HostEnd - BarrierStart - Routing, is the barrier itself.
 	Routing simtime.Duration
-	// FastEligible reports whether the quantum's lookahead partitioning left
-	// every node loose (Partitioning.FastNodes equals the cluster size).
-	FastEligible bool
 }
 
 // PacketRecord describes one frame delivery.
@@ -131,12 +128,6 @@ type PacketRecord struct {
 	Duplicate bool // fault-injected extra copy of an already-delivered frame
 }
 
-// Link is a directed link and its static lower-bound latency.
-type Link struct {
-	Src, Dst int
-	Latency  simtime.Duration
-}
-
 // Partitioning is the lookahead closure of the cluster at one quantum size:
 // the connected components of the links a frame could cross inside the
 // quantum (DESIGN.md §2.1). Components are the engine's unit of execution — a
@@ -147,18 +138,16 @@ type Partitioning struct {
 	// number the partitions by their smallest member node.
 	Part []int32
 	// Partitions is the partition count, TightPartitions the multi-node ones
-	// among them, FastNodes the loose singletons.
+	// among them, Loose the singletons. Loose equal to the cluster size is a
+	// fully engaged quantum, Loose zero one whose Q exceeds every node's
+	// lookahead.
 	Partitions      int
 	TightPartitions int
-	FastNodes       int
+	Loose           int
 	// MaxTightLat is the largest tight-link latency, zero when there are no
 	// tight links. The tight-link set is exactly the links with latency <=
 	// MaxTightLat, so the value identifies the structure.
 	MaxTightLat simtime.Duration
-	// TightLinks ranks the directed tight links ascending by latency then
-	// (src, dst), truncated; TightLinkCount is the full count.
-	TightLinks     []Link
-	TightLinkCount int64
 }
 
 // Observer receives lifecycle hooks from a running engine. A nil Observer in

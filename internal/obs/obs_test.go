@@ -13,6 +13,7 @@ import (
 func sampleRun(o Observer) {
 	o.RunStart(RunInfo{Nodes: 2, Policy: "fixed 1µs", MaxGuest: simtime.Guest(simtime.Millisecond)})
 	o.QuantumStart(0, 0, 10*simtime.Microsecond, 0)
+	o.QuantumPartition(0, &Partitioning{Part: []int32{0, 1}, Partitions: 2, Loose: 2})
 	o.NodePhase(0, PhaseBusy, 0, simtime.Guest(5*simtime.Microsecond), 0, simtime.Host(100*simtime.Microsecond))
 	o.NodePhase(1, PhaseIdle, 0, simtime.Guest(10*simtime.Microsecond), 0, simtime.Host(2*simtime.Microsecond))
 	o.Packet(PacketRecord{
@@ -27,7 +28,6 @@ func sampleRun(o Observer) {
 		HostStart:    0,
 		BarrierStart: simtime.Host(100 * simtime.Microsecond),
 		HostEnd:      simtime.Host(110 * simtime.Microsecond),
-		FastEligible: true,
 	})
 	o.NodePhase(0, PhaseDone, simtime.Guest(10*simtime.Microsecond), simtime.Guest(10*simtime.Microsecond),
 		simtime.Host(110*simtime.Microsecond), simtime.Host(110*simtime.Microsecond))
@@ -92,7 +92,7 @@ func TestChromeTracerRoundTrip(t *testing.T) {
 			}
 		}
 	}
-	for _, want := range []string{"quantum_size", "traffic", "fastpath_eligible"} {
+	for _, want := range []string{"quantum_size", "traffic", "loose_nodes"} {
 		if !counters[want] {
 			t.Errorf("missing counter track %q (have %v)", want, counters)
 		}
@@ -191,13 +191,14 @@ func TestQuietQuantaPublished(t *testing.T) {
 	}
 }
 
-// TestProgressFastFraction: the status line reports the engaged fraction.
-func TestProgressFastFraction(t *testing.T) {
+// TestProgressEngagedFraction: the status line reports the share of quanta
+// whose partitioning left every node loose.
+func TestProgressEngagedFraction(t *testing.T) {
 	var buf bytes.Buffer
 	p := NewProgress(&buf, simtime.Guest(20*simtime.Microsecond), -1)
 	sampleRun(p)
-	if out := buf.String(); !strings.Contains(out, "fast 100%") {
-		t.Errorf("expected fast-path fraction in %q", out)
+	if out := buf.String(); !strings.Contains(out, "engaged 100%") {
+		t.Errorf("expected the engaged fraction in %q", out)
 	}
 }
 

@@ -11,8 +11,8 @@ import (
 
 // Progress is an Observer that periodically reports how far a long run has
 // advanced: guest time (and percentage of the target, when one is known),
-// quanta per wall-clock second, the current quantum size, and the straggler
-// rate. Updates are rate-limited by wall time so the hook itself is cheap on
+// quanta per wall-clock second, the current quantum size, the share of quanta
+// whose partitioning left every node loose, and the straggler rate. Updates are rate-limited by wall time so the hook itself is cheap on
 // runs with millions of quanta.
 //
 // Reports go to a single writer (conventionally stderr, so piped stdout
@@ -31,14 +31,16 @@ type Progress struct {
 	lastReport time.Time
 	lastQuanta int64
 
-	quanta     int64
-	fastQuanta int64 // quanta whose partitioning left every node loose
-	quiet      int64 // quanta the engine fast-forwarded; known at RunEnd only
-	quietNodes int64 // node-quanta it fast-forwarded, skipped nodes included
-	packets    int64
-	stragglers int64
-	guest      simtime.Guest
-	curQ       simtime.Duration
+	nodes         int  // cluster size, from RunStart
+	engaged       bool // the open quantum's partitioning leaves every node loose
+	quanta        int64
+	engagedQuanta int64
+	quiet         int64 // quanta the engine fast-forwarded; known at RunEnd only
+	quietNodes    int64 // node-quanta it fast-forwarded, skipped nodes included
+	packets       int64
+	stragglers    int64
+	guest         simtime.Guest
+	curQ          simtime.Duration
 }
 
 // NewProgress returns a reporter writing to w. target is the guest time
@@ -57,6 +59,7 @@ func (p *Progress) RunStart(info RunInfo) {
 	defer p.mu.Unlock()
 	p.start = time.Now() //simlint:wallclock progress reporting is rate-limited by real time; it renders to stderr and never feeds results
 	p.lastReport = p.start
+	p.nodes = info.Nodes
 	if p.target == 0 {
 		p.target = info.MaxGuest
 	}
@@ -81,6 +84,14 @@ func (p *Progress) QuantumStart(index int, start simtime.Guest, q simtime.Durati
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.curQ = q
+	p.engaged = false
+}
+
+// QuantumPartition notes whether the quantum leaves every node loose.
+func (p *Progress) QuantumPartition(_ int, part *Partitioning) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.engaged = part.Loose == p.nodes
 }
 
 // QuantumEnd advances the counters and reports if enough wall time passed.
@@ -88,8 +99,8 @@ func (p *Progress) QuantumEnd(rec QuantumRecord) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.quanta++
-	if rec.FastEligible {
-		p.fastQuanta++
+	if p.engaged {
+		p.engagedQuanta++
 	}
 	p.packets += int64(rec.Packets)
 	p.stragglers += int64(rec.Stragglers)
@@ -127,14 +138,14 @@ func (p *Progress) report(label string) {
 	if p.packets > 0 {
 		strag = 100 * float64(p.stragglers) / float64(p.packets)
 	}
-	fast := 0.0
+	engaged := 0.0
 	if p.quanta > 0 {
-		fast = 100 * float64(p.fastQuanta) / float64(p.quanta)
+		engaged = 100 * float64(p.engagedQuanta) / float64(p.quanta)
 	}
 	quiet := ""
 	if final {
 		quiet = fmt.Sprintf(" | quiet %d | quiet node-quanta %d", p.quiet, p.quietNodes)
 	}
-	fmt.Fprintf(p.w, "%s: guest %v%s | %d quanta (%.0f/s) | Q=%v | fast %.0f%%%s | stragglers %.1f%%\n",
-		label, p.guest, pct, p.quanta, rate, p.curQ, fast, quiet, strag)
+	fmt.Fprintf(p.w, "%s: guest %v%s | %d quanta (%.0f/s) | Q=%v | engaged %.0f%%%s | stragglers %.1f%%\n",
+		label, p.guest, pct, p.quanta, rate, p.curQ, engaged, quiet, strag)
 }

@@ -1,16 +1,16 @@
 // Package prof is the sync-overhead attribution layer of the simulator: an
 // optional per-quantum profiler that decomposes host time into per-node
 // compute / idle / barrier-wait segments, attributes the controller's routing
-// and barrier costs, classifies how much of each quantum its lookahead
-// partitioning leaves loose, and keeps per-link slack accounting (frame
-// latency minus the quantum — the lookahead headroom of the link).
+// and barrier costs, tabulates the lookahead partitionings the quanta ran at,
+// and keeps per-link slack accounting (frame latency minus the quantum — the
+// lookahead headroom of the link).
 //
 // The Profiler is a sink on the obs.Observer stream and has no other input:
 // compute and idle are the extents of NodePhase, a node's barrier wait runs
 // from the end of its last phase in the quantum to the release QuantumEnd
 // reports, routing and barrier split that record's synchronization span, the
-// per-link accounting reads Packet, and a quantum's engagement cause is read
-// off the QuantumPartition it was handed (DESIGN.md §7).
+// per-link accounting reads Packet, and a quantum's row of the partition
+// table is the QuantumPartition it was handed (DESIGN.md §7).
 //
 // Determinism contract: for the deterministic engine (cluster.Run) the stream
 // carries simulated host/guest time only, so the end-of-run Report is
@@ -18,59 +18,23 @@
 // real elapsed time instead; its reports are measurements, not replayable
 // artifacts, and say so via the Engine field.
 //
-// The per-quantum cause is a function of the configuration and the quantum
-// size alone: a quantum without a partitioning is one whose lookahead is
+// The partition table is the report's one statement of engagement, and a
+// function of the configuration and the quantum sizes alone: a quantum
+// without a partitioning — and so without a row — is one whose lookahead is
 // ruled out (by a one-node cluster or a topology without a positive minimum
-// latency), and otherwise the partitioning's loose-node count decides. Fault
-// injection does not change it.
+// latency), and otherwise its row's loose-node count says how much of the
+// cluster it left loose. Fault injection does not change it.
 package prof
 
 import (
+	"maps"
+	"slices"
 	"sort"
 	"sync"
 
 	"clustersim/internal/obs"
 	"clustersim/internal/simtime"
 )
-
-// Cause classifies how much of a quantum its lookahead partitioning left
-// loose, or why the quantum had none.
-type Cause int
-
-const (
-	// CauseEngaged marks a quantum whose partitioning leaves every node
-	// loose: Q is at or below the minimum network latency.
-	CauseEngaged Cause = iota
-	// CauseQExceedsLookahead marks a quantum whose partitioning leaves no
-	// node loose: the policy grew the quantum past every node's nearest
-	// link, so frames could arrive inside the quantum anywhere.
-	CauseQExceedsLookahead
-	// CauseNoLookahead marks a topology with no positive minimum latency
-	// (zero-latency links admit same-instant cross-node causality) or a
-	// one-node cluster.
-	CauseNoLookahead
-	// CausePartial marks a quantum whose lookahead-closed partitioning
-	// (DESIGN.md §2.1) leaves some nodes loose while tight partitions walk
-	// the event queue.
-	CausePartial
-
-	numCauses
-)
-
-// String returns the stable cause label used in reports.
-func (c Cause) String() string {
-	switch c {
-	case CauseEngaged:
-		return "engaged"
-	case CauseQExceedsLookahead:
-		return "q-exceeds-lookahead"
-	case CauseNoLookahead:
-		return "no-lookahead"
-	case CausePartial:
-		return "partially-engaged"
-	}
-	return "unknown"
-}
 
 // nodeAcc accumulates one node's host-time decomposition.
 type nodeAcc struct {
@@ -112,19 +76,10 @@ type Profiler struct {
 	lastEnd []simtime.Host
 	partFin []simtime.Host
 
-	quanta      int64
-	causes      [numCauses]int64
-	engagedHost simtime.Duration // span summed over fully eligible quanta
-	partialHost simtime.Duration // span summed over partially engaged quanta
-
-	// Graded (node-level) engagement: fastNodeQuanta sums the fast-walkable
-	// node count over quanta, nodeQuanta the cluster size over quanta.
-	fastNodeQuanta int64
-	nodeQuanta     int64
-
-	// partLevels accumulates quanta per partition structure, keyed by the
-	// structure's level (its largest tight-link latency).
-	partLevels map[simtime.Duration]*partLevelAcc
+	quanta int64
+	// levels is the partition table as it accumulates: one row per partition
+	// structure, keyed by its level (its largest tight-link latency).
+	levels map[simtime.Duration]*PartitionLevel
 
 	totCompute simtime.Duration
 	totIdle    simtime.Duration
@@ -142,8 +97,8 @@ type Profiler struct {
 	hSlack    obs.Histogram // per-frame slack = latency - Q (ns, signed)
 	hPartWait obs.Histogram // per-partition barrier wait per quantum (ns)
 
-	minLinks    []LinkRef // static links tied at the global minimum latency
-	minLinksAll int64     // total ties before truncation
+	minLinks    []LinkRef // static links tied at Lookahead, ranked
+	minLinksAll int64     // their full count
 
 	guestEnd simtime.Guest
 	hostEnd  simtime.Host
@@ -154,24 +109,36 @@ type Profiler struct {
 // cluster.Config.Observer, or anywhere else an obs.Observer goes.
 func New() *Profiler {
 	return &Profiler{
-		links:      make(map[[2]int]*linkAcc),
-		partLevels: make(map[simtime.Duration]*partLevelAcc),
+		links:  make(map[[2]int]*linkAcc),
+		levels: make(map[simtime.Duration]*PartitionLevel),
 	}
 }
 
-// partLevelAcc accumulates the quanta spent at one partition structure.
-type partLevelAcc struct {
-	part   *obs.Partitioning
-	quanta int64
+// maxRankedLinks caps every link ranking in a report: a uniform fabric ties
+// every pair, and listing N*(N-1) identical links helps nobody. Each ranking
+// keeps its full count beside it.
+const maxRankedLinks = 16
+
+// rankLinks ranks the run's directed links whose static latency is at most
+// max, ascending by latency then (src, dst): the first maxRankedLinks of
+// them, and how many there are. Callers hold p.mu.
+func (p *Profiler) rankLinks(max simtime.Duration) (top []LinkRef, count int64) {
+	if p.info.LinkLat == nil || max <= 0 {
+		return nil, 0
+	}
+	for s := 0; s < p.info.Nodes; s++ {
+		for d := 0; d < p.info.Nodes; d++ {
+			if lat := p.info.LinkLat(s, d); s != d && lat <= max {
+				top = append(top, LinkRef{Src: s, Dst: d, LatencyNS: int64(lat)})
+			}
+		}
+	}
+	sort.SliceStable(top, func(i, j int) bool { return top[i].LatencyNS < top[j].LatencyNS })
+	return slices.Clone(top[:min(len(top), maxRankedLinks)]), int64(len(top))
 }
 
-// maxMinLatencyLinks bounds the MinLatencyLinks listing: a uniform fabric
-// ties every pair at the minimum, and listing N*(N-1) identical links helps
-// nobody. MinLatencyTied preserves the full count.
-const maxMinLatencyLinks = 64
-
 // RunStart implements obs.Observer: it records the run's static facts and
-// probes the per-link latency floor.
+// ranks the links tied at the lookahead, the ones that gate it.
 func (p *Profiler) RunStart(info obs.RunInfo) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -184,41 +151,7 @@ func (p *Profiler) RunStart(info obs.RunInfo) {
 		p.nodes = append(p.nodes, make([]nodeAcc, info.Nodes-len(p.nodes))...)
 	}
 	p.lastEnd = make([]simtime.Host, len(p.nodes))
-	p.probeMinLinksLocked()
-}
-
-// probeMinLinksLocked finds the directed links whose static latency ties the
-// global minimum — the links that gate the global fast-path lookahead.
-func (p *Profiler) probeMinLinksLocked() {
-	p.minLinks = nil
-	p.minLinksAll = 0
-	if p.info.LinkLat == nil || p.info.Nodes < 2 {
-		return
-	}
-	min := simtime.Duration(-1)
-	for s := 0; s < p.info.Nodes; s++ {
-		for d := 0; d < p.info.Nodes; d++ {
-			if s == d {
-				continue
-			}
-			lat := p.info.LinkLat(s, d)
-			if lat <= 0 {
-				continue
-			}
-			switch {
-			case min < 0 || lat < min:
-				min = lat
-				p.minLinks = p.minLinks[:0]
-				p.minLinksAll = 1
-				p.minLinks = append(p.minLinks, LinkRef{Src: s, Dst: d, LatencyNS: int64(lat)})
-			case lat == min:
-				p.minLinksAll++
-				if len(p.minLinks) < maxMinLatencyLinks {
-					p.minLinks = append(p.minLinks, LinkRef{Src: s, Dst: d, LatencyNS: int64(lat)})
-				}
-			}
-		}
-	}
+	p.minLinks, p.minLinksAll = p.rankLinks(info.Lookahead)
 }
 
 // QuantumStart implements obs.Observer: it remembers q, which frame slack is
@@ -265,8 +198,8 @@ func (p *Profiler) NodePhase(node int, phase obs.Phase, _, _ simtime.Guest, hFro
 // Packet implements obs.Observer: one observation per routed frame (an
 // injected duplicate is the same frame again) on the directed link src->dst.
 // Slack is the pre-fault latency minus the current Q; negative slack means
-// the frame could arrive within the quantum it was sent in — the link limits
-// fast-path lookahead at this quantum size.
+// the frame could arrive within the quantum it was sent in — the link is
+// tight at this quantum size.
 func (p *Profiler) Packet(rec obs.PacketRecord) {
 	if rec.Duplicate {
 		return
@@ -299,7 +232,7 @@ func (p *Profiler) Packet(rec obs.PacketRecord) {
 	p.hSlack.Observe(int64(slack))
 }
 
-// QuantumEnd implements obs.Observer. It classifies the quantum by the
+// QuantumEnd implements obs.Observer. It counts the quantum in the row of the
 // partitioning it was handed, charges every node and every lookahead
 // partition its barrier wait — the release minus the end of its last phase,
 // or of its last member's — and splits the barrier span into routing and the
@@ -310,34 +243,19 @@ func (p *Profiler) QuantumEnd(rec obs.QuantumRecord) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 
-	// Both runners publish a partitioning for every quantum whose lookahead
-	// is not ruled out.
-	cause, fast := CauseQExceedsLookahead, 0
-	switch part := p.curPart; {
-	case part == nil:
-		cause = CauseNoLookahead
-	case part.FastNodes == p.info.Nodes:
-		cause, fast = CauseEngaged, part.FastNodes
-	case part.FastNodes > 0:
-		cause, fast = CausePartial, part.FastNodes
-	}
 	p.quanta++
-	p.causes[cause]++
-	p.nodeQuanta += int64(p.info.Nodes)
-	p.fastNodeQuanta += int64(fast)
-	switch span := rec.HostEnd.Sub(rec.HostStart); cause {
-	case CauseEngaged:
-		p.engagedHost += span
-	case CausePartial:
-		p.partialHost += span
-	}
+	// A quantum's row is the level of its partitioning; one without a
+	// partitioning ran with lookahead ruled out and has none.
 	if part := p.curPart; part != nil {
-		lv := p.partLevels[part.MaxTightLat]
+		lv := p.levels[part.MaxTightLat]
 		if lv == nil {
-			lv = &partLevelAcc{part: part}
-			p.partLevels[part.MaxTightLat] = lv
+			lv = &PartitionLevel{MaxTightLatNS: int64(part.MaxTightLat),
+				Partitions: part.Partitions, TightPartitions: part.TightPartitions, Loose: part.Loose}
+			lv.TightLinks, lv.TightLinkCount = p.rankLinks(part.MaxTightLat)
+			p.levels[part.MaxTightLat] = lv
 		}
-		lv.quanta++
+		lv.Quanta++
+		lv.HostNS += int64(rec.HostEnd.Sub(rec.HostStart))
 	}
 
 	release := rec.BarrierStart
@@ -386,9 +304,6 @@ func (p *Profiler) RunEnd(sum obs.RunSummary) {
 	p.ended = sum.Err == nil
 }
 
-// limitingLinksK bounds the LimitingLinks ranking.
-const limitingLinksK = 16
-
 // Report assembles the canonical end-of-run report. Every field is integer
 // nanoseconds or a count; slices are deterministically ordered, so for the
 // deterministic engine the JSON encoding is byte-identical across engine
@@ -410,22 +325,6 @@ func (p *Profiler) Report() *Report {
 		Packets:     p.packets,
 		Stragglers:  p.stragglers,
 	}
-
-	r.Engagement.EligibleQuanta = p.causes[CauseEngaged]
-	r.Engagement.EligibleHostNS = int64(p.engagedHost)
-	r.Engagement.PartialQuanta = p.causes[CausePartial]
-	r.Engagement.PartialHostNS = int64(p.partialHost)
-	r.Engagement.FastNodeQuanta = p.fastNodeQuanta
-	r.Engagement.NodeQuanta = p.nodeQuanta
-	for c := Cause(0); c < numCauses; c++ {
-		if p.causes[c] == 0 {
-			continue
-		}
-		r.Engagement.Causes = append(r.Engagement.Causes, CauseCount{Cause: c.String(), Quanta: p.causes[c]})
-	}
-	sort.Slice(r.Engagement.Causes, func(i, j int) bool {
-		return r.Engagement.Causes[i].Cause < r.Engagement.Causes[j].Cause
-	})
 
 	r.Totals = Totals{
 		ComputeNS: int64(p.totCompute),
@@ -472,55 +371,14 @@ func (p *Profiler) Report() *Report {
 		r.Links = append(r.Links, lp)
 	}
 
-	// LimitingLinks: the observed links with the least slack headroom —
-	// the ones a per-link fast path would have to treat most carefully.
-	limit := append([]LinkProfile(nil), r.Links...)
-	sort.Slice(limit, func(i, j int) bool {
-		if limit[i].SlackMinNS != limit[j].SlackMinNS {
-			return limit[i].SlackMinNS < limit[j].SlackMinNS
-		}
-		if limit[i].Src != limit[j].Src {
-			return limit[i].Src < limit[j].Src
-		}
-		return limit[i].Dst < limit[j].Dst
-	})
-	if len(limit) > limitingLinksK {
-		limit = limit[:limitingLinksK]
-	}
-	for _, l := range limit {
-		r.LimitingLinks = append(r.LimitingLinks, LinkRef{
-			Src:       l.Src,
-			Dst:       l.Dst,
-			LatencyNS: l.LatencyMinNS,
-			SlackNS:   l.SlackMinNS,
-			Frames:    l.Frames,
-		})
-	}
-
-	r.MinLatencyLinks = append([]LinkRef(nil), p.minLinks...)
+	r.MinLatencyLinks = p.minLinks
 	r.MinLatencyTied = p.minLinksAll
 
-	// Partition-structure table, one row per observed lookahead level,
-	// ascending (fully loose first, whole-cluster-tight last).
-	lvls := make([]simtime.Duration, 0, len(p.partLevels))
-	for k := range p.partLevels {
-		lvls = append(lvls, k)
-	}
-	sort.Slice(lvls, func(i, j int) bool { return lvls[i] < lvls[j] })
-	for _, k := range lvls {
-		lv := p.partLevels[k]
-		row := PartitionLevel{
-			MaxTightLatNS:   int64(k),
-			Partitions:      lv.part.Partitions,
-			TightPartitions: lv.part.TightPartitions,
-			FastNodes:       lv.part.FastNodes,
-			Quanta:          lv.quanta,
-			TightLinkCount:  lv.part.TightLinkCount,
-		}
-		for _, l := range lv.part.TightLinks {
-			row.TightLinks = append(row.TightLinks, LinkRef{Src: l.Src, Dst: l.Dst, LatencyNS: int64(l.Latency)})
-		}
-		r.Partitions = append(r.Partitions, row)
+	// The partition table, one row per observed lookahead level, ascending
+	// (fully loose first, whole-cluster-tight last). A row's link ranking is
+	// never written after the row is made, so the report may share it.
+	for _, k := range slices.Sorted(maps.Keys(p.levels)) {
+		r.Partitions = append(r.Partitions, *p.levels[k])
 	}
 
 	r.Hists = []NamedHist{

@@ -43,99 +43,107 @@ func TestHistSignedBuckets(t *testing.T) {
 	}
 }
 
-// The cause is read off the quantum's partitioning, and a quantum without one
-// is a run whose lookahead is ruled out. RunInfo.Lookahead is not consulted:
-// the cases set it where Q <= Lookahead would decide otherwise.
+// A quantum's row is read off its partitioning, and a quantum without one is
+// a run whose lookahead is ruled out: it has no row. RunInfo.Lookahead is not
+// consulted: the cases set it where Q <= Lookahead would decide otherwise.
 func TestCauseClassification(t *testing.T) {
-	loose := &obs.Partitioning{Part: []int32{0, 1}, Partitions: 2, FastNodes: 2}
+	loose := &obs.Partitioning{Part: []int32{0, 1}, Partitions: 2, Loose: 2}
 	whole := &obs.Partitioning{Part: []int32{0, 0}, Partitions: 1, TightPartitions: 1, MaxTightLat: 1000}
 	cases := []struct {
-		name string
-		info obs.RunInfo
-		part *obs.Partitioning
-		q    simtime.Duration
-		want Cause
+		name      string
+		info      obs.RunInfo
+		part      *obs.Partitioning
+		q         simtime.Duration
+		wantRows  int
+		wantLoose int
 	}{
-		{"engaged", obs.RunInfo{Nodes: 2}, loose, 1000, CauseEngaged},
-		{"q-exceeds", obs.RunInfo{Nodes: 2, Lookahead: 1000}, whole, 1000, CauseQExceedsLookahead},
-		{"no-lookahead", obs.RunInfo{Nodes: 2, Lookahead: 1000}, nil, 10, CauseNoLookahead},
+		{"engaged", obs.RunInfo{Nodes: 2}, loose, 1000, 1, 2},
+		{"q-exceeds", obs.RunInfo{Nodes: 2, Lookahead: 1000}, whole, 1000, 1, 0},
+		{"no-lookahead", obs.RunInfo{Nodes: 2, Lookahead: 1000}, nil, 10, 0, 0},
 	}
 	for _, c := range cases {
 		p := New()
 		p.RunStart(c.info)
-		quantum(p, c.part, obs.QuantumRecord{Q: c.q})
+		quantum(p, c.part, obs.QuantumRecord{Q: c.q, HostEnd: 7})
 		rep := p.Report()
-		if len(rep.Engagement.Causes) != 1 || rep.Engagement.Causes[0].Cause != c.want.String() {
-			t.Errorf("%s: causes = %+v, want 1x %q", c.name, rep.Engagement.Causes, c.want)
+		if rep.Quanta != 1 || len(rep.Partitions) != c.wantRows {
+			t.Fatalf("%s: %d quanta, rows %+v; want 1 quantum in %d rows", c.name, rep.Quanta, rep.Partitions, c.wantRows)
 		}
-		wantElig := int64(0)
-		if c.want == CauseEngaged {
-			wantElig = 1
-		}
-		if rep.Engagement.EligibleQuanta != wantElig {
-			t.Errorf("%s: eligible = %d, want %d", c.name, rep.Engagement.EligibleQuanta, wantElig)
+		if c.wantRows == 1 {
+			if lv := rep.Partitions[0]; lv.Loose != c.wantLoose || lv.Quanta != 1 || lv.HostNS != 7 {
+				t.Errorf("%s: row %+v, want %d loose nodes over 1 quantum spanning 7ns", c.name, lv, c.wantLoose)
+			}
 		}
 	}
 }
 
 func TestGradedEngagement(t *testing.T) {
 	p := New()
-	p.RunStart(obs.RunInfo{Nodes: 4, Policy: "fixed", Lookahead: 1000})
+	// Nodes 0 and 1 are 1.5µs apart, every other pair 5µs.
+	p.RunStart(obs.RunInfo{Nodes: 4, Policy: "fixed", Lookahead: 1500,
+		LinkLat: func(s, d int) simtime.Duration {
+			if s+d == 1 {
+				return 1500
+			}
+			return 5000
+		}})
 	// Fully engaged: Q at the global minimum, all partitions loose.
-	loose := &obs.Partitioning{Part: []int32{0, 1, 2, 3}, Partitions: 4, FastNodes: 4}
+	loose := &obs.Partitioning{Part: []int32{0, 1, 2, 3}, Partitions: 4, Loose: 4}
 	quantum(p, loose, obs.QuantumRecord{Q: 1000, HostEnd: 100})
 	// Partially engaged: one tight pair, two loose singletons.
 	partial := &obs.Partitioning{
-		Part: []int32{0, 0, 1, 2}, Partitions: 3, TightPartitions: 1, FastNodes: 2,
-		MaxTightLat: 1500,
-		TightLinks: []obs.Link{
-			{Src: 0, Dst: 1, Latency: 1500},
-			{Src: 1, Dst: 0, Latency: 1500},
-		},
-		TightLinkCount: 2,
+		Part: []int32{0, 0, 1, 2}, Partitions: 3, TightPartitions: 1, Loose: 2, MaxTightLat: 1500,
 	}
 	quantum(p, partial, obs.QuantumRecord{Index: 1, Q: 2000, HostStart: 100, HostEnd: 300})
 	quantum(p, partial, obs.QuantumRecord{Index: 2, Q: 2000, HostStart: 300, HostEnd: 600})
 	// Whole cluster tight: Q above every link.
-	whole := &obs.Partitioning{Part: make([]int32, 4), Partitions: 1, TightPartitions: 1, MaxTightLat: 5000, TightLinkCount: 12}
+	whole := &obs.Partitioning{Part: make([]int32, 4), Partitions: 1, TightPartitions: 1, MaxTightLat: 5000}
 	quantum(p, whole, obs.QuantumRecord{Index: 3, Q: 9000, HostStart: 600, HostEnd: 1000})
 	p.RunEnd(obs.RunSummary{GuestTime: 10000, HostEnd: 1000})
 	rep := p.Report()
 
-	e := rep.Engagement
-	if e.EligibleQuanta != 1 || e.PartialQuanta != 2 || e.PartialHostNS != 500 {
-		t.Fatalf("engagement: %+v", e)
-	}
-	if e.NodeQuanta != 16 || e.FastNodeQuanta != 4+2+2 {
-		t.Fatalf("node quanta: %+v", e)
-	}
-	wantCauses := []CauseCount{
-		{Cause: "engaged", Quanta: 1},
-		{Cause: "partially-engaged", Quanta: 2},
-		{Cause: "q-exceeds-lookahead", Quanta: 1},
-	}
-	if !reflect.DeepEqual(e.Causes, wantCauses) {
-		t.Fatalf("causes: %+v", e.Causes)
-	}
 	if len(rep.Partitions) != 3 {
 		t.Fatalf("partition levels: %+v", rep.Partitions)
 	}
-	if rep.Partitions[0].MaxTightLatNS != 0 || rep.Partitions[0].FastNodes != 4 || rep.Partitions[0].Quanta != 1 {
-		t.Fatalf("level 0: %+v", rep.Partitions[0])
+	if lv := rep.Partitions[0]; lv.MaxTightLatNS != 0 || lv.Loose != 4 || lv.Quanta != 1 || lv.HostNS != 100 || lv.TightLinkCount != 0 {
+		t.Fatalf("level 0: %+v", lv)
 	}
-	lv := rep.Partitions[1]
-	if lv.MaxTightLatNS != 1500 || lv.Quanta != 2 || lv.TightPartitions != 1 ||
-		len(lv.TightLinks) != 2 || lv.TightLinks[0].Src != 0 || lv.TightLinks[0].LatencyNS != 1500 {
+	want := []LinkRef{{Src: 0, Dst: 1, LatencyNS: 1500}, {Src: 1, Dst: 0, LatencyNS: 1500}}
+	if lv := rep.Partitions[1]; lv.MaxTightLatNS != 1500 || lv.Loose != 2 || lv.Quanta != 2 || lv.HostNS != 500 ||
+		lv.TightPartitions != 1 || lv.TightLinkCount != 2 || !reflect.DeepEqual(lv.TightLinks, want) {
 		t.Fatalf("level 1500: %+v", lv)
 	}
-	if rep.Partitions[2].Partitions != 1 || rep.Partitions[2].TightLinkCount != 12 {
-		t.Fatalf("level 5000: %+v", rep.Partitions[2])
+	// Every directed link is tight at the top level: 4×3, the two 1.5µs ones
+	// ranked first.
+	if lv := rep.Partitions[2]; lv.Partitions != 1 || lv.Loose != 0 || lv.HostNS != 400 || lv.TightLinkCount != 12 ||
+		len(lv.TightLinks) != 12 || !reflect.DeepEqual(lv.TightLinks[:2], want) || lv.TightLinks[2] != (LinkRef{Src: 0, Dst: 2, LatencyNS: 5000}) {
+		t.Fatalf("level 5000: %+v", lv)
+	}
+	if !reflect.DeepEqual(rep.MinLatencyLinks, want) || rep.MinLatencyTied != 2 {
+		t.Fatalf("min-latency links: tied=%d %+v", rep.MinLatencyTied, rep.MinLatencyLinks)
 	}
 	// One wait per partition per quantum: 4 + 3 + 3 + 1.
 	for _, h := range rep.Hists {
 		if h.Name == "partition_wait_ns" && h.Hist.Count != 11 {
 			t.Fatalf("partition waits observed: %d, want 11", h.Hist.Count)
 		}
+	}
+}
+
+// Every link ranking stops at one cap and keeps its full count: on a uniform
+// fabric of 8 nodes all 56 directed links tie at the lookahead.
+func TestLinkRankingCap(t *testing.T) {
+	p := New()
+	p.RunStart(obs.RunInfo{Nodes: 8, Lookahead: 1000, LinkLat: func(int, int) simtime.Duration { return 1000 }})
+	quantum(p, &obs.Partitioning{Part: make([]int32, 8), Partitions: 1, TightPartitions: 1, MaxTightLat: 1000}, obs.QuantumRecord{Q: 2000})
+	rep := p.Report()
+	lv := rep.Partitions[0]
+	if len(rep.MinLatencyLinks) != maxRankedLinks || rep.MinLatencyTied != 56 || len(lv.TightLinks) != maxRankedLinks || lv.TightLinkCount != 56 {
+		t.Fatalf("min-latency %d of %d, tight %d of %d; want %d of 56 each",
+			len(rep.MinLatencyLinks), rep.MinLatencyTied, len(lv.TightLinks), lv.TightLinkCount, maxRankedLinks)
+	}
+	if !reflect.DeepEqual(rep.MinLatencyLinks, lv.TightLinks) || lv.TightLinks[7] != (LinkRef{Src: 1, Dst: 0, LatencyNS: 1000}) {
+		t.Errorf("rankings differ or are not in (src, dst) order: %+v", lv.TightLinks)
 	}
 }
 
@@ -154,7 +162,7 @@ func fakeProfile() *Profiler {
 	// Quantum 0: node 1 finishes 100ns before node 0 and waits for it. Q is
 	// below both links, so both nodes are loose.
 	p.QuantumStart(0, 0, 500, 0)
-	p.QuantumPartition(0, &obs.Partitioning{Part: []int32{0, 1}, Partitions: 2, FastNodes: 2})
+	p.QuantumPartition(0, &obs.Partitioning{Part: []int32{0, 1}, Partitions: 2, Loose: 2})
 	p.NodePhase(0, obs.PhaseBusy, 0, 500, 0, 400)
 	p.NodePhase(1, obs.PhaseIdle, 0, 500, 0, 300)
 	p.Packet(obs.PacketRecord{Src: 0, Dst: 1, Latency: 1000}) // slack +500
@@ -164,10 +172,10 @@ func fakeProfile() *Profiler {
 	// Quantum 1: the other way round, and a frame the quantum could swallow:
 	// Q is above both links, so the cluster is one tight partition.
 	p.QuantumStart(1, 500, 4000, 460)
-	p.QuantumPartition(1, &obs.Partitioning{Part: []int32{0, 0}, Partitions: 1, TightPartitions: 1, MaxTightLat: 2000, TightLinkCount: 2})
+	p.QuantumPartition(1, &obs.Partitioning{Part: []int32{0, 0}, Partitions: 1, TightPartitions: 1, MaxTightLat: 2000})
 	p.NodePhase(0, obs.PhaseBusy, 500, 4500, 460, 1360)
 	p.NodePhase(1, obs.PhaseIdle, 500, 4500, 460, 1370)
-	p.Packet(obs.PacketRecord{Src: 0, Dst: 1, Latency: 1000, Straggler: true}) // slack -3000: limiting link
+	p.Packet(obs.PacketRecord{Src: 0, Dst: 1, Latency: 1000, Straggler: true}) // slack -3000
 	p.QuantumEnd(obs.QuantumRecord{Index: 1, Start: 500, Q: 4000, Packets: 1, Stragglers: 1,
 		HostStart: 460, BarrierStart: 1370, HostEnd: 1410, Routing: 20})
 	p.RunEnd(obs.RunSummary{GuestTime: 4500, HostEnd: 1410})
@@ -185,8 +193,13 @@ func TestReportAttribution(t *testing.T) {
 	if rep.Engine != "deterministic" || rep.GuestNS != 4500 || rep.HostNS != 1410 {
 		t.Fatalf("header: %+v", rep)
 	}
-	if rep.Engagement.EligibleQuanta != 1 || rep.Engagement.EligibleHostNS != 460 {
-		t.Fatalf("engagement: %+v", rep.Engagement)
+	wantRows := []PartitionLevel{
+		{Partitions: 2, Loose: 2, Quanta: 1, HostNS: 460},
+		{MaxTightLatNS: 2000, Partitions: 1, TightPartitions: 1, Quanta: 1, HostNS: 950, TightLinkCount: 2,
+			TightLinks: []LinkRef{{Src: 0, Dst: 1, LatencyNS: 1000}, {Src: 1, Dst: 0, LatencyNS: 2000}}},
+	}
+	if !reflect.DeepEqual(rep.Partitions, wantRows) {
+		t.Fatalf("partition table: %+v", rep.Partitions)
 	}
 	want := Totals{ComputeNS: 1300, IdleNS: 1210, WaitNS: 110, RoutingNS: 60, BarrierNS: 40}
 	if rep.Totals != want {
@@ -201,10 +214,6 @@ func TestReportAttribution(t *testing.T) {
 	l01 := rep.Links[0]
 	if l01.Src != 0 || l01.Dst != 1 || l01.Frames != 2 || l01.SlackMinNS != -3000 || l01.NegSlackFrames != 1 || l01.StaticLatNS != 1000 {
 		t.Fatalf("link 0->1: %+v", l01)
-	}
-	// The limiting ranking must put the negative-slack link first.
-	if len(rep.LimitingLinks) != 2 || rep.LimitingLinks[0].Src != 0 || rep.LimitingLinks[0].Dst != 1 || rep.LimitingLinks[0].SlackNS != -3000 {
-		t.Fatalf("limiting: %+v", rep.LimitingLinks)
 	}
 	// Exactly one directed link (0->1) holds the static minimum latency.
 	if rep.MinLatencyTied != 1 || len(rep.MinLatencyLinks) != 1 || rep.MinLatencyLinks[0].LatencyNS != 1000 {
@@ -238,29 +247,33 @@ func TestReportRoundTrip(t *testing.T) {
 	}
 }
 
-// retiredReport is a report written before the output-queue model was
-// deleted: the same schema with an "output_queue" key and a cause label that
-// no longer exist.
+// retiredReport is a report in the first encoding (clustersim-prof/1), which
+// carried an engagement block beside the partition table.
 const retiredReport = `{"schema":"clustersim-prof/1","engine":"deterministic","nodes":4,"policy":"fixed","lookahead_ns":0,` +
-	`"output_queue":true,"complete":true,"quanta":3,"engagement":{"node_quanta":12,"causes":[{"cause":"output-queue-tap","quanta":3}]}}`
+	`"complete":true,"quanta":3,"engagement":{"node_quanta":12,"causes":[{"cause":"no-lookahead","quanta":3}]}}`
 
-// Read ignores keys it does not know, so a report from before a field was
-// retired still loads, and the retired cause label comes through as data.
+// Read refuses a report of the retired encoding by its schema, and ignores
+// keys it does not know in the current one, dropping them on re-encoding.
 func TestReadRetiredReport(t *testing.T) {
-	path := t.TempDir() + "/old.json"
-	if err := os.WriteFile(path, []byte(retiredReport), 0o644); err != nil {
+	dir := t.TempDir()
+	old := dir + "/old.json"
+	if err := os.WriteFile(old, []byte(retiredReport), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	r, s, err := Read(path)
+	if _, _, err := Read(old); err == nil || !strings.Contains(err.Error(), `"clustersim-prof/1"`) || !strings.Contains(err.Error(), old) {
+		t.Errorf("Read(retired report) = %v, want an error naming the file and its schema", err)
+	}
+	extra := dir + "/extra.json"
+	doc := `{"schema":"` + Schema + `","nodes":4,"quanta":3,"engagement":{"node_quanta":12}}`
+	if err := os.WriteFile(extra, []byte(doc), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	r, s, err := Read(extra)
 	if err != nil || s != nil {
 		t.Fatalf("Read = sweep %v, error %v", s != nil, err)
 	}
-	want := []CauseCount{{Cause: "output-queue-tap", Quanta: 3}}
-	if r.Nodes != 4 || r.Quanta != 3 || !reflect.DeepEqual(r.Engagement.Causes, want) {
-		t.Errorf("Read = %+v", r)
-	}
-	if bytes.Contains(r.JSON(), []byte("output_queue")) {
-		t.Error("re-encoding kept the retired output_queue key")
+	if r.Nodes != 4 || r.Quanta != 3 || bytes.Contains(r.JSON(), []byte("engagement")) {
+		t.Errorf("Read = %+v, re-encoded:\n%s", r, r.JSON())
 	}
 }
 
@@ -306,6 +319,25 @@ func TestSweepCollapsesIdenticalDuplicates(t *testing.T) {
 	}
 }
 
+// Two different runs under one label cannot be told apart by any consumer:
+// Read refuses the sweep, naming the file and the label.
+func TestSweepRejectsRepeatedLabels(t *testing.T) {
+	s := NewSweep()
+	for _, host := range []simtime.Host{12, 13} {
+		p := s.New("same/label")
+		p.RunStart(obs.RunInfo{Nodes: 1, Policy: "p"})
+		quantum(p, nil, obs.QuantumRecord{Q: 10, BarrierStart: 10, HostEnd: 10})
+		p.RunEnd(obs.RunSummary{GuestTime: 10, HostEnd: host})
+	}
+	path := t.TempDir() + "/s.json"
+	if err := os.WriteFile(path, s.Report().JSON(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := Read(path); err == nil || !strings.Contains(err.Error(), `"same/label"`) || !strings.Contains(err.Error(), path) {
+		t.Errorf("Read = %v, want an error naming the file and the label", err)
+	}
+}
+
 // TestLoadSweepRejectsMissingReport: a sweep file is outside input, and a run
 // without a report would be a nil dereference in every consumer.
 func TestLoadSweepRejectsMissingReport(t *testing.T) {
@@ -342,9 +374,9 @@ func TestLoadSweepRejectsForeignReport(t *testing.T) {
 // artifacts, carrying its schema all the way down, and encodes again.
 func FuzzLoadReport(f *testing.F) {
 	for _, s := range []string{
-		``, `{}`, `[]`, `null`, `{"schema":7}`, `{"schema":"clustersim-prof/1","nodes":"x"}`,
-		`{"schema":"clustersim-prof/1","engine":"deterministic","nodes":2,"complete":true,"per_node":[{"node":1}],"links":[{"src":0,"dst":1}]}`,
-		`{"schema":"clustersim-prof-sweep/1","runs":[{"label":"a","report":{"schema":"clustersim-prof/1","links":[{"src":0,"dst":1}]}}]}`,
+		``, `{}`, `[]`, `null`, `{"schema":7}`, `{"schema":"clustersim-prof/2","nodes":"x"}`,
+		`{"schema":"clustersim-prof/2","engine":"deterministic","nodes":2,"complete":true,"per_node":[{"node":1}],"links":[{"src":0,"dst":1}]}`,
+		`{"schema":"clustersim-prof-sweep/1","runs":[{"label":"a","report":{"schema":"clustersim-prof/2","links":[{"src":0,"dst":1}]}}]}`,
 		`{"schema":"clustersim-prof-sweep/1","runs":[{"label":"x"}]}`,
 		`{"schema":"clustersim-prof-sweep/1","runs":[{"label":"a","report":{"schema":"zzz"}}]}`,
 		`{"schema":"clustersim-prof-sweep/1","runs":[null]}`,

@@ -12,41 +12,15 @@ import (
 )
 
 // Schema identifies the single-run report encoding.
-const Schema = "clustersim-prof/1"
+const Schema = "clustersim-prof/2"
 
-// CauseCount counts the quanta attributed to one fast-path (in)eligibility
-// cause.
-type CauseCount struct {
-	Cause  string `json:"cause"`
-	Quanta int64  `json:"quanta"`
-}
-
-// Engagement summarizes fast-path eligibility over the run. Engagement is
-// graded: a quantum is fully eligible (Q at or below every link's
-// lookahead), partially engaged (some lookahead partitions loose, some
-// tight), or ineligible.
-type Engagement struct {
-	// EligibleQuanta counts quanta with Q <= lookahead.
-	EligibleQuanta int64 `json:"eligible_quanta"`
-	// EligibleHostNS is the host time those quanta spanned.
-	EligibleHostNS int64 `json:"eligible_host_ns"`
-	// PartialQuanta counts partially engaged quanta: Q above the global
-	// minimum latency but with at least one loose node under the per-link
-	// partitioning; PartialHostNS is the host time they spanned.
-	PartialQuanta int64 `json:"partial_quanta"`
-	PartialHostNS int64 `json:"partial_host_ns"`
-	// FastNodeQuanta sums fast-walkable nodes over quanta and NodeQuanta
-	// the cluster size over quanta, so FastNodeQuanta/NodeQuanta is the
-	// node-level engagement fraction of the run.
-	FastNodeQuanta int64 `json:"fast_node_quanta"`
-	NodeQuanta     int64 `json:"node_quanta"`
-	// Causes breaks every quantum down by cause, sorted by cause name.
-	Causes []CauseCount `json:"causes,omitempty"`
-}
-
-// PartitionLevel is one row of the partition-structure table: the
-// lookahead-closed partitioning the cluster falls into for every quantum
-// whose Q lies in one band of the latency matrix's distinct values.
+// PartitionLevel is one row of the partition table: the lookahead-closed
+// partitioning the cluster falls into for every quantum whose Q lies in one
+// band of the latency matrix's distinct values. The table is the report's
+// engagement record: a row whose every node is loose counts fully engaged
+// quanta, one with some loose nodes partially engaged quanta, one with none
+// quanta whose Q exceeds every node's lookahead, and the quanta no row counts
+// ran with lookahead ruled out.
 type PartitionLevel struct {
 	// MaxTightLatNS is the level: the largest tight-link latency. The
 	// tight-link set — and so the whole structure — is exactly the links
@@ -56,12 +30,14 @@ type PartitionLevel struct {
 	// singletons); TightPartitions the multi-node components among them.
 	Partitions      int `json:"partitions"`
 	TightPartitions int `json:"tight_partitions"`
-	// FastNodes counts the loose singletons walked on the fast path.
-	FastNodes int `json:"fast_nodes"`
-	// Quanta counts the quanta run at this structure.
+	// Loose counts the singletons, the nodes no tight link binds.
+	Loose int `json:"loose"`
+	// Quanta counts the quanta run at this structure, HostNS the host time
+	// they spanned (release to release).
 	Quanta int64 `json:"quanta"`
+	HostNS int64 `json:"host_ns"`
 	// TightLinks ranks the links binding partitions together, ascending by
-	// latency, truncated; TightLinkCount has the full count.
+	// latency then (src, dst), truncated; TightLinkCount has the full count.
 	TightLinks     []LinkRef `json:"tight_links,omitempty"`
 	TightLinkCount int64     `json:"tight_link_count,omitempty"`
 }
@@ -99,13 +75,11 @@ type LinkProfile struct {
 	NegSlackFrames int64 `json:"neg_slack_frames"`
 }
 
-// LinkRef names a directed link in a ranking.
+// LinkRef names a directed link and its static latency in a ranking.
 type LinkRef struct {
 	Src       int   `json:"src"`
 	Dst       int   `json:"dst"`
 	LatencyNS int64 `json:"lat_ns,omitempty"`
-	SlackNS   int64 `json:"slack_ns,omitempty"`
-	Frames    int64 `json:"frames,omitempty"`
 }
 
 // Bucket is one occupied histogram bucket covering the half-open interval
@@ -162,25 +136,21 @@ type Report struct {
 	Packets    int64 `json:"packets"`
 	Stragglers int64 `json:"stragglers"`
 
-	Engagement Engagement `json:"engagement"`
-	Totals     Totals     `json:"totals"`
+	Totals Totals `json:"totals"`
 
 	PerNode []NodeProfile `json:"per_node,omitempty"`
 	// Links lists every directed link that carried at least one frame,
 	// sorted by (src, dst).
 	Links []LinkProfile `json:"links,omitempty"`
-	// LimitingLinks ranks observed links by minimum slack, ascending: the
-	// links with the least lookahead headroom come first.
-	LimitingLinks []LinkRef `json:"limiting_links,omitempty"`
-	// MinLatencyLinks lists the directed links whose static latency ties
-	// the global minimum — the links that gate the global fast-path
-	// lookahead. Truncated to a fixed cap; MinLatencyTied has the full
-	// count (a uniform fabric ties every pair).
+	// MinLatencyLinks ranks the directed links whose static latency ties
+	// Lookahead — the links that gate it — under the same cap as each
+	// partition row's TightLinks; MinLatencyTied has the full count (a
+	// uniform fabric ties every pair).
 	MinLatencyLinks []LinkRef `json:"min_latency_links,omitempty"`
 	MinLatencyTied  int64     `json:"min_latency_tied,omitempty"`
-	// Partitions is the partition-structure table: one row per lookahead
-	// level the run's quanta actually hit, ascending. Empty when the
-	// configuration rules lookahead out.
+	// Partitions is the partition table: one row per lookahead level the
+	// run's quanta actually hit, ascending. Empty when the configuration
+	// rules lookahead out.
 	Partitions []PartitionLevel `json:"partitions,omitempty"`
 
 	Hists []NamedHist `json:"hists,omitempty"`
@@ -236,8 +206,10 @@ func (r *Report) WriteFiles(path string) error {
 }
 
 // Read reads the report file at path once and decodes it by its schema: a
-// single-run report, or a sweep whose every run carries a Schema report.
-// Without an error exactly one result is non-nil; every error names the file.
+// single-run report, or a sweep whose every run carries a Schema report under
+// a label of its own. Any other schema, an earlier report encoding included,
+// is refused by name. Without an error exactly one result is non-nil; every
+// error names the file.
 func Read(path string) (*Report, *SweepReport, error) {
 	b, err := os.ReadFile(path)
 	if err != nil {
@@ -267,7 +239,12 @@ func Read(path string) (*Report, *SweepReport, error) {
 		if err := parse(s); err != nil {
 			return nil, nil, err
 		}
+		seen := make(map[string]bool, len(s.Runs))
 		for _, run := range s.Runs {
+			if seen[run.Label] {
+				return nil, nil, fmt.Errorf("prof: %s: run label %q repeats", path, run.Label)
+			}
+			seen[run.Label] = true
 			if run.Report == nil {
 				return nil, nil, fmt.Errorf("prof: %s: run %q has no report", path, run.Label)
 			}
@@ -277,7 +254,7 @@ func Read(path string) (*Report, *SweepReport, error) {
 		}
 		return nil, s, nil
 	}
-	return nil, nil, fmt.Errorf("%s: unknown schema %q", path, probe.Schema)
+	return nil, nil, fmt.Errorf("%s: unknown schema %q (this build reads %s and %s)", path, probe.Schema, Schema, SweepSchema)
 }
 
 // LinkName formats a directed link for human-readable output.
