@@ -22,10 +22,12 @@ import (
 	"cmp"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"slices"
 	"sort"
 	"strings"
+	"unicode/utf8"
 
 	"clustersim/internal/prof"
 	"clustersim/internal/simtime"
@@ -274,15 +276,20 @@ func (e engagement) causes() []cause {
 		{"partially-engaged", e.partial}, {"q-exceeds-lookahead", e.tight}}
 }
 
-// renderSweep prints one summary row per labelled run.
-func renderSweep(w *os.File, path string, s *prof.SweepReport) {
+// renderSweep prints one summary row per labelled run, the label column as
+// wide as the longest label: fmt pads by runes, and labels hold µ and σ.
+func renderSweep(w io.Writer, path string, s *prof.SweepReport) {
+	width := len("run")
+	for _, sr := range s.Runs {
+		width = max(width, utf8.RuneCountInString(sr.Label))
+	}
 	fmt.Fprintf(w, "sweep %s — %d runs (render one fully with -run <label>)\n\n", path, len(s.Runs))
-	fmt.Fprintf(w, "  %-36s %10s %8s %8s %8s %8s\n", "run", "quanta", "engaged", "compute", "wait", "barrier")
+	fmt.Fprintf(w, "  %-*s %10s %8s %8s %8s %8s\n", width, "run", "quanta", "engaged", "compute", "wait", "barrier")
 	for _, sr := range s.Runs {
 		r := sr.Report
 		t := r.Totals
 		attributed := t.ComputeNS + t.IdleNS + t.WaitNS + t.RoutingNS + t.BarrierNS
-		fmt.Fprintf(w, "  %-36s %10d %8s %8s %8s %8s\n", sr.Label, r.Quanta,
+		fmt.Fprintf(w, "  %-*s %10d %8s %8s %8s %8s\n", width, sr.Label, r.Quanta,
 			strings.TrimSpace(pct(engagementOf(r).full, r.Quanta)),
 			strings.TrimSpace(pct(t.ComputeNS, attributed)),
 			strings.TrimSpace(pct(t.WaitNS, attributed)),

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -8,6 +9,7 @@ import (
 	"slices"
 	"strings"
 	"testing"
+	"unicode/utf8"
 
 	"clustersim/internal/prof"
 )
@@ -296,6 +298,34 @@ func TestSweepSelfDiffIsEquivalent(t *testing.T) {
 	for _, l := range lines {
 		if !strings.HasPrefix(l, "diff ") && l != "  reports are equivalent" {
 			t.Errorf("self-diff line %q is neither a header nor an equivalence", l)
+		}
+	}
+}
+
+// The sweep table's label column is as wide as its longest label, counted in
+// runes, so every later column lines up: labels hold µ and σ, and ablation
+// labels run past any fixed width.
+func TestRenderSweepAligns(t *testing.T) {
+	labels := []string{
+		"nas.ep/8/1",
+		"namd/8/Q=1µs + sampling/host:sampled=2ms:0.1:2",
+		"nas.ep/8/1 + jitter/host:σ=0.44:period=10µs:seed=2", // 50 runes
+	}
+	s := &prof.SweepReport{}
+	for i, l := range labels {
+		s.Runs = append(s.Runs, prof.SweepRun{Label: l, Report: &prof.Report{Quanta: int64(7 * (i + 1))}})
+	}
+	var b strings.Builder
+	renderSweep(&b, "sweep.json", s)
+	// end is the rune offset at which field ends in line.
+	end := func(line, field string) int {
+		return utf8.RuneCountInString(line[:strings.Index(line, field)+len(field)])
+	}
+	lines := strings.Split(strings.TrimSuffix(b.String(), "\n"), "\n")[2:] // the column heads, then a row per run
+	for i, l := range lines[1:] {
+		if got, want := end(l, fmt.Sprintf(" %d ", 7*(i+1))), end(lines[0], " quanta "); got != want ||
+			utf8.RuneCountInString(l) != utf8.RuneCountInString(lines[0]) {
+			t.Errorf("row %d's quanta column ends at rune %d, the header's at %d:\n%s", i, got, want, b.String())
 		}
 	}
 }

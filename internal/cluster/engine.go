@@ -149,7 +149,7 @@ type engine struct {
 	// later limit exceeds.
 	quietH      simtime.Guest
 	nQuiet      int // quanta executed whole by the quiet pass
-	nQuietNodes int // node-quanta executed by quietNode
+	nQuietNodes int // node-quanta executed by quietNodes
 	qi          int // current quantum's index
 }
 
@@ -511,10 +511,14 @@ func (e *engine) sendFrame(i int, h simtime.Host, tSend simtime.Guest, f *pkt.Fr
 	}
 }
 
-// hostCost is the host.Model cost scaled by the node's fault-plan slowdown
-// factor; with no slowdowns (slow == nil) it is the model cost verbatim.
+// hostCost is the host.Model cost slowed by the node's fault-plan factor.
 func (e *engine) hostCost(id int, from, to simtime.Guest, mode host.Mode) simtime.Duration {
-	c := e.hm.HostCost(id, from, to, mode)
+	return e.slowed(id, e.hm.HostCost(id, from, to, mode))
+}
+
+// slowed scales node id's model cost c by its fault-plan slowdown factor; with
+// no slowdowns (slow == nil) it is c verbatim.
+func (e *engine) slowed(id int, c simtime.Duration) simtime.Duration {
 	if e.slow != nil {
 		c = c.Scale(e.slow[id])
 	}
@@ -645,38 +649,58 @@ func (e *engine) quietQuantum() bool {
 // its whole tight partition sits out (DESIGN.md §2.3).
 func (e *engine) sitsOut(i int) bool { return e.na.quietUntil[i] > e.limit }
 
-// quietNode executes node i's whole quantum arithmetically, and k-1 identical
-// ones after it (k > 1: a quiet stretch): the node has no event before the
-// limit, so it spends the quantum in one busy or idle segment from the quantum
-// start — where every node stands at a barrier — to the limit, which is what a
-// walk would have found by stepping — the same hostCost call, the same charges,
-// the same single NodePhase — minus the Step calls, coroutine switches and
-// event-queue round-trips. It works on the engine's lanes alone: the node
-// itself is left behind, marked in the lag lane, for syncNode. The first
-// quantum's segment is what it publishes and leaves in finishHost; it returns
-// the segment's host cost.
-func (e *engine) quietNode(i int, hostNow simtime.Host, k int) simtime.Duration {
-	e.nQuietNodes += k
-	if probe := e.cfg.onSkip; probe != nil {
-		probe(e.qi, i, k)
+// quietNodes executes the whole quantum of each node in ids (every node when
+// ids is nil) arithmetically, and k-1 identical ones after it (k > 1: a quiet
+// stretch): a node with no event before the limit spends the quantum in one
+// busy or idle segment from the quantum start, where every node stands at a
+// barrier, to the limit — what a walk would find by stepping, with the same
+// charges and the same single NodePhase, minus the Step calls and queue
+// round-trips. Inside one jitter window w (window) the cost is one multiply;
+// a quantum spanning windows (w < 0) is integrated by hostCost. Each node is
+// left behind, marked in the lag lane, for syncNode, and finishHost holds the
+// first quantum's segment ends; it returns the largest segment cost.
+func (e *engine) quietNodes(ids []int32, hostNow simtime.Host, k int, w int64) (maxC simtime.Duration) {
+	n := len(ids)
+	if ids == nil {
+		n = len(e.na.node)
 	}
-	mode, ph, total := host.Idle, obs.PhaseIdle, &e.stats.HostIdle
-	if e.na.quietBusy[i] {
-		mode, ph, total = host.Busy, obs.PhaseBusy, &e.stats.HostBusy
+	e.nQuietNodes += k * n
+	d := e.limit.Sub(e.qStartG)
+	var busy, idle simtime.Duration // one quantum's charges
+	for j := 0; j < n; j++ {
+		i := j
+		if ids != nil {
+			i = int(ids[j])
+		}
+		if probe := e.cfg.onSkip; probe != nil {
+			probe(e.qi, i, k)
+		}
+		mode, ph, total := host.Idle, obs.PhaseIdle, &idle
+		if e.na.quietBusy[i] {
+			mode, ph, total = host.Busy, obs.PhaseBusy, &busy
+		}
+		var cost simtime.Duration
+		if w < 0 {
+			cost = e.hostCost(i, e.qStartG, e.limit, mode)
+		} else {
+			cost = e.slowed(i, host.Cost(d, e.hm.Rate(mode), e.hm.Speed(i, w)))
+		}
+		*total += cost
+		end := hostNow.Add(cost)
+		if e.obs != nil {
+			e.obs.NodePhase(i, ph, e.qStartG, e.limit, hostNow, end)
+		}
+		e.na.finishHost[i] = end
+		e.na.lag[i] = true
+		maxC = max(maxC, cost)
 	}
-	cost := e.hostCost(i, e.qStartG, e.limit, mode)
-	*total += simtime.Duration(k) * cost
-	end := hostNow.Add(cost)
-	if e.obs != nil {
-		e.obs.NodePhase(i, ph, e.qStartG, e.limit, hostNow, end)
-	}
-	e.na.finishHost[i] = end
-	e.na.lag[i] = true
-	return cost
+	e.stats.HostBusy += simtime.Duration(k) * busy
+	e.stats.HostIdle += simtime.Duration(k) * idle
+	return maxC
 }
 
 // syncNode catches node i's guest clock up to the barrier at guest time to,
-// over the whole stretch of quanta quietNode took it through since it was
+// over the whole stretch of quanta quietNodes took it through since it was
 // last stepped: one AdvanceQuiet however long the stretch. It runs wherever a
 // node is about to be stepped (beginNode) and for every node when the run
 // ends. Nothing in between reads a lagging node's clock: QuietUntil
@@ -691,71 +715,86 @@ func (e *engine) syncNode(i int, to simtime.Guest) {
 	}
 }
 
+// window returns the jitter window the current quantum lies in, whose one
+// multiplier prices a quiet quantum (quietNodes), and the window's end; w is
+// -1 when the quantum spans windows or a sampling schedule sets the rate.
+func (e *engine) window() (w int64, until simtime.Guest) {
+	if until, w = e.hm.UniformUntil(e.qStartG); e.limit > until {
+		w = -1
+	}
+	return w, until
+}
+
 // stretchLen is the number k >= 1 of consecutive quanta, from the quiet one
-// the run loop has opened at start, that are provably identical to it
-// (DESIGN.md §2.3): the same Q — a Fixed policy's; any other may change it
-// after every quantum — every limit strictly below the horizon quietH, every
-// quantum inside the span of one host speed draw, and none after the first
-// that ends past MaxGuest.
-func (e *engine) stretchLen(start simtime.Guest, Q simtime.Duration) int {
-	if _, fixed := e.policy.(quantum.Fixed); !fixed {
-		return 1
+// just opened, that are provably identical to it (DESIGN.md §2.3), and the
+// jitter window they lie in: the same Q — only a fixed policy promises that —
+// every limit strictly below the horizon quietH, every quantum inside one
+// jitter window, and none after the first that ends past MaxGuest.
+func (e *engine) stretchLen(Q simtime.Duration, fixed bool) (int, int64) {
+	w, until := e.window()
+	if !fixed || w < 0 {
+		return 1, w
 	}
-	k := simtime.MinGuest(e.hm.UniformUntil(start), e.quietH-1).Sub(start) / Q
-	if m := e.cfg.MaxGuest; m > 0 {
-		k = min(k, m.Sub(start)/Q+1)
+	k := simtime.MinGuest(until, e.quietH-1).Sub(e.qStartG) / Q
+	if m := e.cfg.MaxGuest; m > 0 && m < until { // else k quanta end by until <= m
+		k = min(k, m.Sub(e.qStartG)/Q+1)
 	}
-	return int(max(k, 1))
+	return int(max(k, 1)), w
 }
 
 // quietStretch executes the quiet quantum the run loop has opened at (start,
-// hostNow), and with it the k-1 identical ones after it (stretchLen), as one
-// arithmetic pass: one hostCost call per node, and the k quanta accounted in
-// closed form — host time is integer, so k quanta are one quantum times k
-// exactly. Each lasts the slowest node's cost plus the barrier cost; there is
-// nothing to route. An observer is told all k, from the one pass, in the order
-// k single quanta publish in: finishHost holds the first quantum's segment
-// ends, and every later quantum's are one span further on. It returns the last
-// barrier's release.
+// hostNow) and every quiet one after it, one jitter window at a time: the
+// window's k quanta (stretchLen) are one quietNodes pass, accounted in closed
+// form — host time is integer, so k quanta are one quantum times k exactly.
+// Each lasts the slowest node's cost plus the barrier cost; there is nothing
+// to route. An observer is told all k, from the one pass, in the order k
+// single quanta publish in: finishHost holds the first quantum's segment
+// ends, and every later quantum's are one span further on. The stretch then
+// opens the next window's first quantum as the run loop would, while the
+// policy is fixed, the next limit lies below quietH and the run has not
+// passed MaxGuest. It returns the last barrier's release.
 func (e *engine) quietStretch(start simtime.Guest, Q simtime.Duration, hostNow simtime.Host) simtime.Host {
-	k := e.stretchLen(start, Q)
-	var maxC simtime.Duration
-	for i := range e.na.node {
-		maxC = max(maxC, e.quietNode(i, hostNow, k))
-	}
-	span := maxC + e.cfg.Host.BarrierCost
-	e.nQuiet += k
-	e.stats.HostBarrier += simtime.Duration(k) * e.cfg.Host.BarrierCost
-	e.foldQuanta(k, Q)
-	e.publishQuantum(e.qi, start, Q, hostNow, hostNow.Add(maxC), hostNow.Add(span), 0)
-	if k == 1 {
-		return hostNow.Add(span)
-	}
-	if e.obs != nil {
-		g, h := start, hostNow
-		for j := 1; j < k; j++ {
-			g, h = g.Add(Q), h.Add(span)
-			ahead := h.Sub(hostNow)
-			e.publishStart(e.qi+j, g, Q, h)
-			for i, fh := range e.na.finishHost {
-				ph := obs.PhaseIdle
-				if e.na.quietBusy[i] {
-					ph = obs.PhaseBusy
+	_, fixed := e.policy.(quantum.Fixed)
+	for {
+		k, w := e.stretchLen(Q, fixed)
+		maxC := e.quietNodes(nil, hostNow, k, w)
+		span := maxC + e.cfg.Host.BarrierCost
+		e.nQuiet += k
+		e.stats.HostBarrier += simtime.Duration(k) * e.cfg.Host.BarrierCost
+		e.foldQuanta(k, Q)
+		e.publishQuantum(e.qi, start, Q, hostNow, hostNow.Add(maxC), hostNow.Add(span), 0)
+		if e.obs != nil {
+			g, h := start, hostNow
+			for j := 1; j < k; j++ {
+				g, h = g.Add(Q), h.Add(span)
+				ahead := h.Sub(hostNow)
+				e.publishStart(e.qi+j, g, Q, h)
+				for i, fh := range e.na.finishHost {
+					ph := obs.PhaseIdle
+					if e.na.quietBusy[i] {
+						ph = obs.PhaseBusy
+					}
+					e.obs.NodePhase(i, ph, g, g.Add(Q), h, fh.Add(ahead))
 				}
-				e.obs.NodePhase(i, ph, g, g.Add(Q), h, fh.Add(ahead))
+				e.publishQuantum(e.qi+j, g, Q, h, h.Add(maxC), h.Add(span), 0)
 			}
-			e.publishQuantum(e.qi+j, g, Q, h, h.Add(maxC), h.Add(span), 0)
 		}
+		// The pass stands at the last of the k quanta. finishHost keeps the
+		// first one's segment ends: its one later reader, the stepped barrier's
+		// max, runs only after runQuantum or the next window's pass has
+		// rewritten every entry.
+		e.qi += k - 1
+		e.qStartG = start.Add(simtime.Duration(k-1) * Q)
+		e.limit = e.qStartG.Add(Q)
+		hostNow = hostNow.Add(simtime.Duration(k) * span)
+		start = e.limit
+		if !fixed || e.quietH <= start.Add(Q) || e.cfg.MaxGuest > 0 && start > e.cfg.MaxGuest {
+			return hostNow
+		}
+		e.qi++
+		e.qStartG, e.limit = start, start.Add(Q)
+		e.publishStart(e.qi, start, Q, hostNow)
 	}
-	// The run loop goes on from the last of the k quanta. finishHost keeps the
-	// first one's segment ends: its one later reader, the stepped barrier's
-	// max, runs only after runQuantum or the next stretch has rewritten every
-	// entry.
-	rest := simtime.Duration(k - 1)
-	e.qi += k - 1
-	e.qStartG = start.Add(rest * Q)
-	e.limit = e.qStartG.Add(Q)
-	return hostNow.Add(simtime.Duration(k) * span)
 }
 
 // tightSitsOut reports whether a tight partition is skipped in the current
@@ -796,11 +835,10 @@ func (e *engine) tightSitsOut(members []int32) bool {
 // (DESIGN.md §2.4).
 func (e *engine) runQuantum(hostNow simtime.Host, p *partitioning) {
 	e.exec = p
+	w, _ := e.window()
 	for _, members := range p.tight {
 		if e.tightSitsOut(members) {
-			for _, m := range members {
-				e.quietNode(int(m), hostNow, 1)
-			}
+			e.quietNodes(members, hostNow, 1, w)
 			continue
 		}
 		e.q.reserve(e.cfg.Nodes)
@@ -810,12 +848,19 @@ func (e *engine) runQuantum(hostNow simtime.Host, p *partitioning) {
 		}
 		e.drainQueue()
 	}
-	for _, i := range p.loose {
-		if e.sitsOut(int(i)) {
-			e.quietNode(int(i), hostNow, 1)
-		} else {
-			e.walkNode(int(i), hostNow)
+	for loose := p.loose; len(loose) > 0; {
+		// A run of loose nodes that sit out is one quietNodes pass.
+		n := 0
+		for n < len(loose) && e.sitsOut(int(loose[n])) {
+			n++
 		}
+		if n == 0 {
+			e.walkNode(int(loose[0]), hostNow)
+			n = 1
+		} else {
+			e.quietNodes(loose[:n], hostNow, 1, w)
+		}
+		loose = loose[n:]
 	}
 
 	for i, d := range e.defs {

@@ -80,13 +80,17 @@ func BenchmarkParallelBarrier(b *testing.B) {
 // node costs in one quantum in which it cannot act (DESIGN.md §2.3), which a
 // ground-truth run multiplies by nodes × quanta. The workload is one long
 // compute per rank at Q = 1µs, so every quantum but the first and the last is
-// quiet. Under the Fixed policy the quanta of one jitter window collapse into
-// one pass — one hostCost call per node per ten quanta; an Adaptive policy
-// with inc a hair above 1 issues the same 1µs every time but could change it
-// after any quantum, so it keeps every stretch at k = 1, the per-quantum
-// constant: the quiet test, one hostCost call and a few lane writes. The ns/node-quantum metric divides the whole run, set-up included,
-// by the node-quanta the quiet pass executed (counted by one observed run up
-// front; the timed runs carry no observer).
+// quiet. Under the Fixed policy a whole quiet run is one pass, one multiply
+// per node per jitter window of ten quanta; an Adaptive policy with inc a hair
+// above 1 issues the same 1µs every time but could change it after any
+// quantum, so it keeps every stretch at k = 1, the per-quantum constant: the
+// quiet test, one multiply per node and a few lane writes. The sitout row
+// prices the same multiply where the quanta are stepped: 64 nodes on a tight
+// 500ns rack plus 2µs WAN singletons at Q = 2µs with sparse traffic, so most
+// quiet node-quanta are nodes sitting out a quantum others act in. The
+// ns/node-quantum metric divides the whole run, set-up included, by the
+// node-quanta the quiet pass executed (counted by one observed run up front;
+// the timed runs carry no observer).
 func BenchmarkQuietNodeQuantum(b *testing.B) {
 	policies := []struct {
 		name string
@@ -98,27 +102,40 @@ func BenchmarkQuietNodeQuantum(b *testing.B) {
 	for _, p := range policies {
 		for _, nodes := range []int{8, 64} {
 			b.Run(fmt.Sprintf("%s/nodes=%d", p.name, nodes), func(b *testing.B) {
-				cfg := testConfig(nodes, workloads.Silent(5*simtime.Millisecond), p.pol)
-				counted, sum := cfg, &endCounter{}
-				counted.Observer = sum
-				if _, err := Run(counted); err != nil {
-					b.Fatal(err)
-				}
-				quiet := sum.sum.QuietNodeQuanta
-				if quiet*100 < 99*nodes*sum.sum.Quanta {
-					b.Fatalf("only %d of %d node-quanta are quiet: not measuring the quiet pass", quiet, nodes*sum.sum.Quanta)
-				}
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if _, err := Run(cfg); err != nil {
-						b.Fatal(err)
-					}
-				}
-				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*quiet), "ns/node-quantum")
+				benchQuiet(b, testConfig(nodes, workloads.Silent(5*simtime.Millisecond), p.pol), false)
 			})
 		}
 	}
+	b.Run("sitout/mixedwan64", func(b *testing.B) {
+		benchQuiet(b, row("sitout", 64, workloads.Uniform(100, 4000, 100*simtime.Microsecond, 29),
+			fixed(2*simtime.Microsecond), onNet(mixedWANNetAt(64, 2*simtime.Microsecond))).cfg, true)
+	})
+}
+
+// benchQuiet times runs of cfg and reports ns per quiet node-quantum. Unless
+// most node-quanta are quiet — or, with sitOuts, unless most quiet ones are
+// nodes sitting out a stepped quantum — it is not measuring that, and fails.
+func benchQuiet(b *testing.B, cfg Config, sitOuts bool) {
+	counted, sum := cfg, &endCounter{}
+	counted.Observer = sum
+	if _, err := Run(counted); err != nil {
+		b.Fatal(err)
+	}
+	quiet, whole := sum.sum.QuietNodeQuanta, cfg.Nodes*sum.sum.QuietQuanta
+	if !sitOuts && quiet*100 < 99*cfg.Nodes*sum.sum.Quanta {
+		b.Fatalf("only %d of %d node-quanta are quiet: not measuring the quiet pass", quiet, cfg.Nodes*sum.sum.Quanta)
+	}
+	if sitOuts && (quiet-whole)*2 < quiet {
+		b.Fatalf("only %d of %d quiet node-quanta sit out a stepped quantum", quiet-whole, quiet)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Run(cfg); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*quiet), "ns/node-quantum")
 }
 
 // BenchmarkTightWalk measures the event-queue walk (DESIGN.md §2.2), the loop

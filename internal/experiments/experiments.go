@@ -289,8 +289,9 @@ type truth struct {
 // measure is Measure over a given table of speed draws; nil computes every
 // draw in the run that needs it, which must give the same cells.
 func measure(env Env, points []Point, speeds *host.Speeds) ([]Cell, error) {
-	// Ground truths first (they dominate runtime; schedule them all). Each
-	// job writes its own slot, so no lock and no completion-order effects.
+	// Ground truths first, all of them, before any other point: a Spec's
+	// Policy may read a ground-truth point's records. Each job writes its own
+	// slot, so no lock and no completion-order effects.
 	var truths []*truth
 	of := make([]*truth, len(points))
 	byKey := map[baselineKey]*truth{}

@@ -22,7 +22,7 @@ func BenchmarkHostCostOneWindow(b *testing.B) {
 func BenchmarkUniformUntil(b *testing.B) {
 	m := NewModel(DefaultParams())
 	for i := 0; i < b.N; i++ {
-		sinkGuest = m.UniformUntil(simtime.Guest(i%1000) * 10)
+		sinkGuest, _ = m.UniformUntil(simtime.Guest(i%1000) * 10)
 	}
 }
 
@@ -59,6 +59,6 @@ func BenchmarkSpeedDraw(b *testing.B) {
 	m.Reserve(1)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		sinkMult = m.speed(0, int64(i))
+		sinkMult = m.Speed(0, int64(i))
 	}
 }

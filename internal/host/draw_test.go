@@ -89,9 +89,9 @@ func TestLognormalsMatchReference(t *testing.T) {
 						want := math.Float64bits(lognormal(seed, sigma, node, w))
 						for label, got := range map[string]float64{
 							"kernel":     out[i],
-							"reserved":   reserved.speed(node, w),
-							"shared":     shared.speed(node, w),
-							"unreserved": unreserved.speed(node, w),
+							"reserved":   reserved.Speed(node, w),
+							"shared":     shared.Speed(node, w),
+							"unreserved": unreserved.Speed(node, w),
 						} {
 							if math.Float64bits(got) != want {
 								t.Fatalf("seed %d sigma %v node %d window %d (block from %d): %s draw %v, reference %v",

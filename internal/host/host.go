@@ -207,12 +207,12 @@ func (m *Model) Share(s *Speeds) {
 // Params returns the model's configuration.
 func (m *Model) Params() Params { return m.p }
 
-// speed returns the speed multiplier for a node within one jitter window.
+// Speed returns the speed multiplier for a node within one jitter window.
 // Larger multiplier = slower simulation (more host ns per guest ns). The
 // draw is a pure function of (seed, node, window) — no state — so host/guest
 // conversions can replay from any point; the per-node memo and the shared
 // table only short-circuit recomputation of the identical value.
-func (m *Model) speed(node int, window int64) float64 {
+func (m *Model) Speed(node int, window int64) float64 {
 	if node >= len(m.memo) {
 		var one [1]float64 // an unreserved node draws a block of one
 		m.draws(node, window, one[:])
@@ -271,23 +271,27 @@ func (mo Mode) String() string {
 // position g: busy time is simulated at full detail or fast-forwarded per
 // the sampling schedule; idle simulation is always the fast path.
 func (m *Model) slowdownAt(mode Mode, g simtime.Guest) float64 {
-	if mode == Idle {
-		return m.p.IdleSlowdown
-	}
-	if s := m.p.Sampling; s != nil {
+	if s := m.p.Sampling; s != nil && mode == Busy {
 		phase := simtime.Duration(int64(g) % int64(s.Period))
 		if float64(phase) >= s.DetailFraction*float64(s.Period) {
 			return s.FastSlowdown
 		}
 	}
+	return m.Rate(mode)
+}
+
+// Rate returns the host cost rate of mode (before jitter) where no sampling
+// schedule applies: in every window UniformUntil reports.
+func (m *Model) Rate(mode Mode) float64 {
+	if mode == Idle {
+		return m.p.IdleSlowdown
+	}
 	return m.p.BusySlowdown
 }
 
-// segEnd returns the next integration boundary after g: the end of g's
-// jitter window or the next sampling phase change, whichever comes first.
-func (m *Model) segEnd(g simtime.Guest) simtime.Guest {
-	per := simtime.Guest(m.p.JitterPeriod)
-	end := (g/per + 1) * per
+// segEnd returns the next integration boundary after g: end, the end of g's
+// jitter window, or the next sampling phase change if that comes first.
+func (m *Model) segEnd(g, end simtime.Guest) simtime.Guest {
 	if s := m.p.Sampling; s != nil {
 		period := simtime.Guest(s.Period)
 		phase := g % period
@@ -306,16 +310,23 @@ func (m *Model) segEnd(g simtime.Guest) simtime.Guest {
 }
 
 // UniformUntil returns the guest time up to which conversions starting at or
-// after g are one product of length, rate and a single speed draw: every
-// interval of one length and mode inside [g, UniformUntil(g)] has the same
-// HostCost on a given node. That is the end of g's jitter window — or g
-// itself under a sampling schedule, whose phases change the rate mid-window.
-func (m *Model) UniformUntil(g simtime.Guest) simtime.Guest {
+// after g are one product of length, rate and a single speed draw — the end of
+// g's jitter window w, whose every interval of length d and mode costs
+// Cost(d, Rate(mode), Speed(node, w)) — or g itself and w = -1 under a
+// sampling schedule, whose phases change the rate mid-window.
+func (m *Model) UniformUntil(g simtime.Guest) (until simtime.Guest, w int64) {
 	if m.p.Sampling != nil {
-		return g
+		return g, -1
 	}
 	per := simtime.Guest(m.p.JitterPeriod)
-	return (g/per + 1) * per
+	w = int64(g / per)
+	return simtime.Guest(w+1) * per, w
+}
+
+// Cost rounds the host time of d guest ns at rate and multiplier mult: every
+// conversion inside one jitter window is this one product, bit for bit.
+func Cost(d simtime.Duration, rate, mult float64) simtime.Duration {
+	return simtime.Duration(float64(d)*rate*mult + 0.5)
 }
 
 // HostCost returns the host time needed for node to advance guest time from
@@ -328,28 +339,29 @@ func (m *Model) HostCost(node int, g0, g1 simtime.Guest, mode Mode) simtime.Dura
 	// Single-window fast path: quanta are typically much shorter than
 	// JitterPeriod, so most conversions never cross an integration boundary.
 	// This is the loop below run for exactly one iteration — the same
-	// float64 product, the same rounding — just without the loop and segEnd
-	// overhead. Sampling schedules add boundaries segEnd knows about, so
-	// they take the general loop. Most conversions also land in the window
-	// of the one before: the memoised window's bounds then answer without
-	// the two divisions that locate it.
+	// float64 product, the same rounding — just without the loop. Sampling
+	// schedules add boundaries segEnd knows about, so they take the general
+	// loop. Most conversions also land in the window of the one before: the
+	// memoised window's bounds then answer without the division that locates
+	// it.
 	if node < len(m.memo) {
 		if mo := &m.memo[node]; mo.lo <= g0 && g1 <= mo.hi {
-			total := float64(g1-g0) * m.slowdownAt(mode, g0) * mo.mult
-			return simtime.Duration(total + 0.5)
+			return Cost(simtime.Duration(g1-g0), m.slowdownAt(mode, g0), mo.mult)
 		}
 	}
 	per := simtime.Guest(m.p.JitterPeriod)
-	if m.p.Sampling == nil && g0/per == (g1-1)/per {
-		total := float64(g1-g0) * m.slowdownAt(mode, g0) * m.speed(node, int64(g0/per))
-		return simtime.Duration(total + 0.5)
+	w := int64(g0 / per)
+	end := simtime.Guest(w+1) * per
+	if m.p.Sampling == nil && g1 <= end {
+		return Cost(simtime.Duration(g1-g0), m.slowdownAt(mode, g0), m.Speed(node, w))
 	}
 	var total float64
-	g := g0
-	for g < g1 {
-		seg := simtime.MinGuest(m.segEnd(g), g1)
-		total += float64(seg-g) * m.slowdownAt(mode, g) * m.speed(node, int64(g/per))
-		g = seg
+	for g := g0; g < g1; {
+		seg := simtime.MinGuest(m.segEnd(g, end), g1)
+		total += float64(seg-g) * m.slowdownAt(mode, g) * m.Speed(node, w)
+		if g = seg; g == end {
+			w, end = w+1, end+per
+		}
 	}
 	return simtime.Duration(total + 0.5)
 }
@@ -363,17 +375,20 @@ func (m *Model) GuestAt(node int, g0 simtime.Guest, h simtime.Duration, mode Mod
 		return simtime.MinGuest(g0, gLimit)
 	}
 	per := simtime.Guest(m.p.JitterPeriod)
+	w := int64(g0 / per)
+	end := simtime.Guest(w+1) * per
 	budget := float64(h)
-	g := g0
-	for g < gLimit {
-		segEnd := simtime.MinGuest(m.segEnd(g), gLimit)
-		rate := m.slowdownAt(mode, g) * m.speed(node, int64(g/per)) // host ns per guest ns
-		segCost := float64(segEnd-g) * rate
+	for g := g0; g < gLimit; {
+		seg := simtime.MinGuest(m.segEnd(g, end), gLimit)
+		rate := m.slowdownAt(mode, g) * m.Speed(node, w) // host ns per guest ns
+		segCost := float64(seg-g) * rate
 		if segCost >= budget {
 			return g + simtime.Guest(budget/rate)
 		}
 		budget -= segCost
-		g = segEnd
+		if g = seg; g == end {
+			w, end = w+1, end+per
+		}
 	}
 	return gLimit
 }

@@ -194,12 +194,16 @@ func TestUniformUntil(t *testing.T) {
 		node := rnd.Intn(12) // four of them beyond the reservation
 		mode := Mode(rnd.Intn(2))
 		g := simtime.Guest(rnd.Int63n(int64(simtime.Millisecond)))
-		u := m.UniformUntil(g)
+		u, w := m.UniformUntil(g)
 		if u <= g || u.Sub(g) > p.JitterPeriod {
 			t.Fatalf("UniformUntil(%v) = %v, want within one jitter period past it", g, u)
 		}
 		n := simtime.Guest(rnd.Int63n(int64(u-g)) + 1)
 		want := m.HostCost(node, g, g+n, mode)
+		if got := Cost(simtime.Duration(n), m.Rate(mode), m.Speed(node, w)); got != want {
+			t.Fatalf("seed %d node %d %v: Cost in window %d of %v = %v, HostCost [%v, %v] = %v",
+				p.Seed, node, mode, w, n, got, g, g+n, want)
+		}
 		for a := g; a+n <= u; a += simtime.Guest(1 + rnd.Intn(97)) {
 			if got := m.HostCost(node, a, a+n, mode); got != want {
 				t.Fatalf("seed %d node %d %v: [%v, %v] costs %v, [%v, %v] costs %v, both inside [%v, %v]",
@@ -214,8 +218,8 @@ func TestUniformUntil(t *testing.T) {
 		}
 
 		p.Sampling = &Sampling{Period: 7 * simtime.Microsecond, DetailFraction: 0.4, FastSlowdown: 2}
-		if got := NewModel(p).UniformUntil(g); got != g {
-			t.Fatalf("under a sampling schedule UniformUntil(%v) = %v, want %v", g, got, g)
+		if got, w := NewModel(p).UniformUntil(g); got != g || w != -1 {
+			t.Fatalf("under a sampling schedule UniformUntil(%v) = %v, window %d, want %v, window -1", g, got, w, g)
 		}
 	}
 	if !tight {

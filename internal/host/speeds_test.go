@@ -46,7 +46,7 @@ func TestSpeedsMatchPrivateDraws(t *testing.T) {
 			k := keys[i]
 			// Twice: the draw that fills the cell, then the read of it.
 			for pass := 0; pass < 2; pass++ {
-				if got := m.speed(k.node, k.window); math.Float64bits(got) != math.Float64bits(want[i]) {
+				if got := m.Speed(k.node, k.window); math.Float64bits(got) != math.Float64bits(want[i]) {
 					t.Errorf("%s: node %d window %d pass %d: shared draw %v, private draw %v", label, k.node, k.window, pass, got, want[i])
 					return
 				}
@@ -88,7 +88,7 @@ func TestSpeedsMatchPrivateDraws(t *testing.T) {
 			other := NewModel(q)
 			other.Share(s)
 			for _, k := range keys[:200] {
-				other.speed(k.node, k.window) // another sweep's draws, not ours
+				other.Speed(k.node, k.window) // another sweep's draws, not ours
 			}
 			m := NewModel(p)
 			m.Share(s)
@@ -134,7 +134,7 @@ func TestSpeedsMatchPrivateDraws(t *testing.T) {
 				for w := int64(g); w < speedsChunkLen; w += int64(1 + g) {
 					for node := 0; node < 2; node++ {
 						want := lognormal(p.Seed, p.JitterSigma, node, w)
-						if got := m.speed(node, w); math.Float64bits(got) != math.Float64bits(want) {
+						if got := m.Speed(node, w); math.Float64bits(got) != math.Float64bits(want) {
 							t.Errorf("model %d: node %d window %d: shared draw %v, private draw %v", g, node, w, got, want)
 							return
 						}
@@ -220,7 +220,7 @@ func TestSpeedsAllocs(t *testing.T) {
 			m.Share(s)
 			for node := 0; node < nodes; node++ {
 				for w := int64(0); w < chunks*speedsChunkLen; w++ {
-					m.speed(node, w)
+					m.Speed(node, w)
 				}
 			}
 		}
