@@ -18,6 +18,7 @@ import (
 	"runtime"
 	"runtime/pprof"
 	"sort"
+	"strings"
 
 	"clustersim/internal/cluster"
 	"clustersim/internal/experiments"
@@ -29,7 +30,7 @@ import (
 )
 
 var (
-	workloadFlag = flag.String("workload", "nas.ep", "workload: nas.ep, nas.is, nas.cg, nas.mg, nas.lu, nas.ft, namd, pingpong, phases, reliable-phases, silent, uniform")
+	workloadFlag = flag.String("workload", "nas.ep", "workload: "+strings.Join(experiments.WorkloadNames(), ", "))
 	nodesFlag    = flag.Int("nodes", 8, "number of simulated cluster nodes")
 	quantumFlag  = flag.String("quantum", "1us", "fixed synchronization quantum (e.g. 1us, 100us, 1ms)")
 	dynFlag      = flag.String("dyn", "", "adaptive quantum as min:max:inc:dec (e.g. 1us:1000us:1.03:0.02); overrides -quantum")
@@ -50,7 +51,7 @@ var (
 	traceOutFlag    = flag.String("trace-out", "", "stream a Chrome trace-event JSON file here (open in chrome://tracing or ui.perfetto.dev)")
 	metricsAddrFlag = flag.String("metrics-addr", "", "serve the -report document live over HTTP on this address (e.g. localhost:6060) while the run executes")
 	progressFlag    = flag.Bool("progress", false, "report live progress (guest %, quanta/s, current Q, straggler rate) on stderr")
-	reportFlag      = flag.String("report", "", "write a sync-overhead attribution report here (JSON, plus .nodes.csv/.links.csv sidecars); inspect with simprof")
+	reportFlag      = flag.String("report", "", "write a sync-overhead attribution report document of the one labelled run here (JSON, plus .nodes.csv/.links.csv sidecars); inspect with simprof")
 	topoFlag        = flag.String("topo", "", "switch topology override: rack:<radix>:<edge>:<core> builds a two-level fat-tree (e.g. rack:4:500ns:2us), mixedwan:<rack>:<rackLat>:<wanLat> one tight rack plus WAN singletons; default keeps the paper's perfect switch")
 )
 
@@ -96,11 +97,12 @@ func withProfiles(cpu, mem string, f func() error) error {
 
 // observability assembles the observer stack requested by the -chart,
 // -traffic, -trace-out, -metrics-addr and -progress flags, around the
-// profiler that -report and -metrics-addr share (nil when neither is set);
-// the recorder is nil unless a chart wants the run's records. The returned
-// cleanup finalizes the trace file and stops the HTTP endpoint; it runs even
-// when the simulation fails so a partial trace stays loadable.
-func observability(target simtime.Guest, profiler *prof.Profiler) (obs.Observer, *obs.Recorder, func() error, error) {
+// profiler of the run labelled label in the document that -report and
+// -metrics-addr share (profiles, nil when neither is set); the recorder is
+// nil unless a chart wants the run's records. The returned cleanup finalizes
+// the trace file and stops the HTTP endpoint; it runs even when the
+// simulation fails so a partial trace stays loadable.
+func observability(target simtime.Guest, profiles *prof.Sweep, label string) (obs.Observer, *obs.Recorder, func() error, error) {
 	var observers []obs.Observer
 	var rec *obs.Recorder
 	if *chartFlag || *packetsFlag {
@@ -139,25 +141,25 @@ func observability(target simtime.Guest, profiler *prof.Profiler) (obs.Observer,
 			return nil, nil, nil, err
 		}
 		fmt.Fprintf(os.Stderr, "clustersim: metrics at http://%s/\n", ln.Addr())
-		cleanups = append(cleanups, serveReport(ln, profiler))
+		cleanups = append(cleanups, serveReport(ln, profiles))
 	}
 	if *progressFlag {
 		observers = append(observers, obs.NewProgress(os.Stderr, target, 0))
 	}
-	if profiler != nil {
-		observers = append(observers, profiler)
+	if profiles != nil {
+		observers = append(observers, profiles.New(label))
 	}
 	return obs.Multi(observers...), rec, cleanup, nil
 }
 
-// serveReport serves p's report on ln in the background until the returned
-// stop is called: every GET reads the report as it stands, partial
-// ("complete": false) while the run executes. stop returns once the server
-// goroutine has exited.
-func serveReport(ln net.Listener, p *prof.Profiler) (stop func() error) {
+// serveReport serves s's report document on ln in the background until the
+// returned stop is called: every GET reads the document as it stands, its
+// run partial ("complete": false) while the run executes. stop returns once
+// the server goroutine has exited.
+func serveReport(ln net.Listener, s *prof.Sweep) (stop func() error) {
 	srv := &http.Server{Handler: http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
-		w.Write(p.Report().JSON()) // a failed write is the client's loss, not the run's
+		w.Write(s.Report().JSON()) // a failed write is the client's loss, not the run's
 	})}
 	done := make(chan struct{})
 	go func() {
@@ -212,13 +214,15 @@ func run() (err error) {
 		}
 		w = tf.Workload()
 	}
-	// The profiler is one more sink on the observer stream, read at the end
-	// by -report and live by -metrics-addr.
-	var profiler *prof.Profiler
+	// The profiler is one more sink on the observer stream: the one run of
+	// the report document, read at the end by -report and live by
+	// -metrics-addr, labelled as paperfigs would label it.
+	var profiles *prof.Sweep
 	if *reportFlag != "" || *metricsAddrFlag != "" {
-		profiler = prof.New()
+		profiles = &prof.Sweep{}
 	}
-	observer, rec, obsCleanup, err := observability(env.MaxGuest, profiler)
+	label := env.Label(w, *nodesFlag, rc.Policy().Name())
+	observer, rec, obsCleanup, err := observability(env.MaxGuest, profiles, label)
 	if err != nil {
 		return err
 	}
@@ -232,11 +236,12 @@ func run() (err error) {
 		// A run that started and then aborted still has a profile, of a
 		// prefix.
 		defer func() {
-			rep := profiler.Report()
+			doc := profiles.Report()
+			rep := doc.Runs[0].Report
 			if rep.Engine == "" {
 				return // never reached RunStart
 			}
-			if werr := rep.WriteFiles(*reportFlag); werr != nil {
+			if werr := doc.WriteFiles(*reportFlag); werr != nil {
 				if err == nil {
 					err = werr
 				}

@@ -55,7 +55,7 @@ func TestCLIFlagErrors(t *testing.T) {
 		args []string
 		want string
 	}{
-		{"unknown workload", []string{"-workload", "wat"}, `unknown workload "wat"`},
+		{"unknown workload", []string{"-workload", "wat"}, `unknown workload "wat" (want nas.ep, nas.is,`},
 		{"zero quantum", []string{"-quantum", "0us"}, "quantum must be positive"},
 		{"unparsable quantum", []string{"-quantum", "fast"}, "quantum:"},
 		{"dyn missing fields", []string{"-dyn", "1us:1ms"}, "dyn wants min:max:inc:dec"},

@@ -42,9 +42,10 @@ func get(url string) ([]byte, error) {
 	return io.ReadAll(resp.Body)
 }
 
-// -metrics-addr serves the profiler's report while the goroutine runner
-// executes: partway through, a partial clustersim-prof/2 document; after
-// RunEnd, exactly the bytes -report would write. Run with -race.
+// -metrics-addr serves the report document while the goroutine runner
+// executes: partway through, one labelled run whose clustersim-prof/2 report
+// is partial; after RunEnd, exactly the bytes -report would write. Run with
+// -race.
 func TestServeReportLive(t *testing.T) {
 	sc := experiments.Scenario{Workload: "phases", Scale: 1, Nodes: 4, Quantum: "1us"}
 	rc, err := sc.Resolve()
@@ -55,8 +56,10 @@ func TestServeReportLive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	profiler := prof.New()
-	stop := serveReport(ln, profiler)
+	profiles := &prof.Sweep{}
+	label := rc.Env.Label(rc.Workload, sc.Nodes, rc.Policy().Name())
+	profiler := profiles.New(label)
+	stop := serveReport(ln, profiles)
 	defer stop()
 	url := "http://" + ln.Addr().String() + "/"
 
@@ -74,16 +77,26 @@ func TestServeReportLive(t *testing.T) {
 	if mid.err != nil {
 		t.Fatalf("GET mid-run: %v", mid.err)
 	}
-	var live struct {
-		Schema   string `json:"schema"`
-		Complete bool   `json:"complete"`
-		Quanta   int64  `json:"quanta"`
-		GuestNS  int64  `json:"guest_ns"`
+	var doc struct {
+		Schema string `json:"schema"`
+		Runs   []struct {
+			Label  string `json:"label"`
+			Report struct {
+				Schema   string `json:"schema"`
+				Complete bool   `json:"complete"`
+				Quanta   int64  `json:"quanta"`
+				GuestNS  int64  `json:"guest_ns"`
+			} `json:"report"`
+		} `json:"runs"`
 	}
-	if err := json.Unmarshal(mid.body, &live); err != nil {
+	if err := json.Unmarshal(mid.body, &doc); err != nil {
 		t.Fatalf("mid-run body is not JSON: %v\n%s", err, mid.body)
 	}
-	if live.Schema != prof.Schema || live.Complete || live.Quanta != at+1 || live.GuestNS != mid.end {
+	if doc.Schema != prof.SweepSchema || len(doc.Runs) != 1 || doc.Runs[0].Label != "synthetic.phases/4/Q=1µs" {
+		t.Fatalf("mid-run document: schema %q, %d runs, want %s and one run labelled %q:\n%s",
+			doc.Schema, len(doc.Runs), prof.SweepSchema, label, mid.body)
+	}
+	if live := doc.Runs[0].Report; live.Schema != prof.Schema || live.Complete || live.Quanta != at+1 || live.GuestNS != mid.end {
 		t.Errorf("mid-run report: schema %q, complete %v, %d quanta to guest %dns; want %s, false and %d to %dns",
 			live.Schema, live.Complete, live.Quanta, live.GuestNS, prof.Schema, at+1, mid.end)
 	}
@@ -91,7 +104,7 @@ func TestServeReportLive(t *testing.T) {
 	if err != nil {
 		t.Fatalf("GET after RunEnd: %v", err)
 	}
-	if want := profiler.Report().JSON(); !bytes.Equal(final, want) {
-		t.Errorf("served report after RunEnd differs from Report().JSON():\n%s\nvs\n%s", final, want)
+	if want := profiles.Report().JSON(); !bytes.Equal(final, want) {
+		t.Errorf("served document after RunEnd differs from Report().JSON():\n%s\nvs\n%s", final, want)
 	}
 }

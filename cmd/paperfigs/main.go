@@ -39,7 +39,7 @@ var (
 	cpuProfFlag = flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfFlag = flag.String("memprofile", "", "write a heap profile to this file at exit")
 	seedFlag    = flag.Uint64("fault-seed", 1, "seed for the fault-injection plans of the faults study")
-	reportFlag  = flag.String("report", "", "write a sync-overhead attribution sweep (one labelled report per run) here as JSON, plus a .links.csv sidecar; inspect with simprof")
+	reportFlag  = flag.String("report", "", "write a sync-overhead attribution report document (one labelled run per simulation) here as JSON, plus .nodes.csv/.links.csv sidecars; inspect with simprof")
 )
 
 func main() {
@@ -237,7 +237,7 @@ func figNames() []string {
 	return append(names, "all")
 }
 
-func run() error {
+func run() (err error) {
 	which := strings.ToLower(*figFlag)
 	// A typoed -fig would select no study and exit 0 having printed nothing,
 	// which reads like a hang or an empty study. Reject it (and nonsense
@@ -269,8 +269,10 @@ func run() error {
 	if *reportFlag != "" {
 		env.Profiles = &prof.Sweep{}
 		defer func() {
-			if err := env.Profiles.Report().WriteFiles(*reportFlag); err != nil {
-				fmt.Fprintf(os.Stderr, "paperfigs: writing %s: %v\n", *reportFlag, err)
+			if werr := env.Profiles.Report().WriteFiles(*reportFlag); werr != nil {
+				if err == nil {
+					err = werr
+				}
 				return
 			}
 			fmt.Fprintf(os.Stderr, "paperfigs: profile sweep written to %s\n", *reportFlag)

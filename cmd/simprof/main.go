@@ -1,13 +1,15 @@
-// Command simprof renders and compares the sync-overhead attribution
-// reports written by clustersim -report (single run) and paperfigs -report
-// (labelled sweep).
+// Command simprof renders and compares the sync-overhead attribution report
+// documents written by clustersim -report (one labelled run) and paperfigs
+// -report (a labelled run per simulation of the sweep).
 //
 // Examples:
 //
-//	simprof run.json              # render one report
+//	simprof run.json              # render a one-run document in full
 //	simprof -top 5 run.json       # shorter link/node tables
-//	simprof a.json b.json         # diff two reports (or two sweeps)
-//	simprof -run nas.is/8/100 sweep.json
+//	simprof sweep.json            # one summary row per run
+//	simprof -run 'nas.is/8/Q=100µs' sweep.json
+//	simprof a.json b.json         # diff two one-run documents
+//	simprof a.json sweep.json     # otherwise, diff the runs matched by label
 //
 // The rendering answers the paper's operational questions directly: where
 // each host-second went (compute, idle, barrier wait, routing, barrier
@@ -35,13 +37,13 @@ import (
 
 var (
 	topFlag = flag.Int("top", 10, "rows in the per-node and least-slack link tables (at least 1)")
-	runFlag = flag.String("run", "", "render only this labelled run of a sweep report")
+	runFlag = flag.String("run", "", "render only the run with this label")
 )
 
 func main() {
 	flag.Usage = func() {
 		fmt.Fprintf(os.Stderr, "usage: simprof [flags] report.json [other.json]\n\n")
-		fmt.Fprintf(os.Stderr, "With one file, renders the report (or a sweep summary). With two,\ndiffs them: single vs single, or sweep vs sweep matched by label.\n\n")
+		fmt.Fprintf(os.Stderr, "With one file, renders its run (or a summary row per run). With two,\ndiffs them: one run against one run, otherwise the runs matched by label.\n\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
@@ -59,6 +61,9 @@ func run(args []string) error {
 	case 1:
 		return render(args[0])
 	case 2:
+		if *runFlag != "" {
+			return fmt.Errorf("-run selects the run to render; a diff takes no -run")
+		}
 		return diff(args[0], args[1])
 	default:
 		flag.Usage()
@@ -66,27 +71,28 @@ func run(args []string) error {
 	}
 }
 
+// render prints the run -run names, else a one-run document's run in full,
+// else a summary row per run.
 func render(path string) error {
-	single, sweep, err := prof.Read(path)
+	doc, err := prof.Read(path)
 	if err != nil {
 		return err
 	}
-	if single != nil {
-		renderReport(os.Stdout, path, single)
+	if *runFlag == "" && len(doc.Runs) > 1 {
+		renderSweep(os.Stdout, path, doc)
 		return nil
 	}
-	if *runFlag != "" {
-		for _, sr := range sweep.Runs {
-			if sr.Label == *runFlag {
-				renderReport(os.Stdout, path+" :: "+sr.Label, sr.Report)
-				return nil
-			}
+	for _, sr := range doc.Runs {
+		if *runFlag == "" || sr.Label == *runFlag {
+			renderReport(os.Stdout, runName(path, sr), sr.Report)
+			return nil
 		}
-		return fmt.Errorf("%s: no run labelled %q (have %s)", path, *runFlag, labels(sweep))
 	}
-	renderSweep(os.Stdout, path, sweep)
-	return nil
+	return fmt.Errorf("%s: no run labelled %q (have %s)", path, *runFlag, labels(doc))
 }
+
+// runName names a run of the document at path in headers.
+func runName(path string, sr prof.SweepRun) string { return path + " :: " + sr.Label }
 
 func labels(s *prof.SweepReport) string {
 	ls := make([]string, len(s.Runs))
@@ -105,7 +111,7 @@ func pct(part, whole int64) string {
 	return fmt.Sprintf("%5.1f%%", 100*float64(part)/float64(whole))
 }
 
-func renderReport(w *os.File, name string, r *prof.Report) {
+func renderReport(w io.Writer, name string, r *prof.Report) {
 	fmt.Fprintf(w, "report %s\n", name)
 	fmt.Fprintf(w, "  engine %s, %d nodes, policy %q\n", r.Engine, r.Nodes, r.Policy)
 	complete := ""
@@ -297,24 +303,23 @@ func renderSweep(w io.Writer, path string, s *prof.SweepReport) {
 	}
 }
 
+// diff compares two one-run documents' runs whatever their labels, and
+// otherwise the runs the documents share a label for.
 func diff(pathA, pathB string) error {
-	singleA, sweepA, err := prof.Read(pathA)
+	a, err := prof.Read(pathA)
 	if err != nil {
 		return err
 	}
-	singleB, sweepB, err := prof.Read(pathB)
+	b, err := prof.Read(pathB)
 	if err != nil {
 		return err
 	}
-	switch {
-	case singleA != nil && singleB != nil:
-		diffReports(os.Stdout, pathA, pathB, singleA, singleB)
+	if len(a.Runs) == 1 && len(b.Runs) == 1 {
+		ra, rb := a.Runs[0], b.Runs[0]
+		diffReports(os.Stdout, runName(pathA, ra), runName(pathB, rb), ra.Report, rb.Report)
 		return nil
-	case sweepA != nil && sweepB != nil:
-		return diffSweeps(os.Stdout, pathA, pathB, sweepA, sweepB)
-	default:
-		return fmt.Errorf("cannot diff a single report against a sweep (%s vs %s)", pathA, pathB)
 	}
+	return diffSweeps(os.Stdout, pathA, pathB, a, b)
 }
 
 func delta(name string, a, b int64, asDur bool) string {
@@ -330,7 +335,7 @@ func delta(name string, a, b int64, asDur bool) string {
 	return fmt.Sprintf("  %-22s %14s -> %-14s (%+d)\n", name, show(a), show(b), b-a)
 }
 
-func diffReports(w *os.File, nameA, nameB string, a, b *prof.Report) {
+func diffReports(w io.Writer, nameA, nameB string, a, b *prof.Report) {
 	fmt.Fprintf(w, "diff %s -> %s\n", nameA, nameB)
 	var out strings.Builder
 	out.WriteString(delta("quanta", a.Quanta, b.Quanta, false))
@@ -453,7 +458,7 @@ func diffLinks(out *strings.Builder, a, b *prof.Report) {
 	}
 }
 
-func diffSweeps(w *os.File, nameA, nameB string, a, b *prof.SweepReport) error {
+func diffSweeps(w io.Writer, nameA, nameB string, a, b *prof.SweepReport) error {
 	fmt.Fprintf(w, "diff sweeps %s -> %s\n", nameA, nameB)
 	ia := make(map[string]*prof.Report, len(a.Runs))
 	for _, r := range a.Runs {
@@ -467,7 +472,7 @@ func diffSweeps(w *os.File, nameA, nameB string, a, b *prof.SweepReport) error {
 			continue
 		}
 		matched = true
-		diffReports(w, nameA+" :: "+rb.Label, nameB+" :: "+rb.Label, ra, rb.Report)
+		diffReports(w, runName(nameA, rb), runName(nameB, rb), ra, rb.Report)
 		delete(ia, rb.Label)
 	}
 	for _, r := range a.Runs {

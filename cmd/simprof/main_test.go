@@ -166,8 +166,9 @@ func TestDiffLinkElision(t *testing.T) {
 	}
 }
 
-// A self-diff must collapse to the equivalence line, and diffing a single
-// report against a sweep must fail with a one-line error.
+// A self-diff must collapse to the equivalence line, and a one-run document
+// diffed against a sweep is matched by label like two sweeps: the shared
+// label diffs, the other run is only in the sweep.
 func TestDiffEquivalentAndMismatchedSchemas(t *testing.T) {
 	simprof := build(t, "./cmd/simprof", "simprof")
 	clustersim := build(t, "./cmd/clustersim", "clustersim")
@@ -180,6 +181,60 @@ func TestDiffEquivalentAndMismatchedSchemas(t *testing.T) {
 	}
 	if !strings.Contains(string(out), "reports are equivalent") {
 		t.Errorf("self-diff output lacks the equivalence line:\n%s", out)
+	}
+
+	doc, err := prof.Read(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc.Runs = append(doc.Runs, prof.SweepRun{Label: "zz/other", Report: doc.Runs[0].Report})
+	sweep := filepath.Join(dir, "sweep.json")
+	if err := os.WriteFile(sweep, doc.JSON(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	out, err = exec.Command(simprof, a, sweep).CombinedOutput()
+	want := "diff sweeps " + a + " -> " + sweep + "\n" +
+		"diff " + a + " :: synthetic.pingpong/2/Q=2µs -> " + sweep + " :: synthetic.pingpong/2/Q=2µs\n" +
+		"  reports are equivalent\n" +
+		`run "zz/other" only in second` + "\n"
+	if err != nil || string(out) != want {
+		t.Errorf("simprof one-run vs sweep: err %v, output:\n%s\nwant:\n%s", err, out, want)
+	}
+}
+
+// A one-run document renders its run in full, with or without -run naming
+// it; a -run label it lacks is an error listing the labels it has (it was
+// once ignored, rendering the run and exiting 0). Two one-run documents diff
+// whatever their labels.
+func TestOneRunDocument(t *testing.T) {
+	simprof := build(t, "./cmd/simprof", "simprof")
+	clustersim := build(t, "./cmd/clustersim", "clustersim")
+	dir := t.TempDir()
+	a := writeReport(t, clustersim, dir, "a.json", "-workload", "pingpong", "-nodes", "2", "-quantum", "2us")
+	b := writeReport(t, clustersim, dir, "b.json", "-workload", "pingpong", "-nodes", "2", "-quantum", "5us")
+	const label = "synthetic.pingpong/2/Q=2µs"
+
+	full, err := exec.Command(simprof, a).CombinedOutput()
+	if err != nil || !strings.HasPrefix(string(full), "report "+a+" :: "+label+"\n") || !strings.Contains(string(full), "host-time attribution") {
+		t.Fatalf("simprof %s: err %v, output:\n%s", a, err, full)
+	}
+	if hit, err := exec.Command(simprof, "-run", label, a).CombinedOutput(); err != nil || string(hit) != string(full) {
+		t.Errorf("simprof -run %q: err %v, output differs from the plain render:\n%s", label, err, hit)
+	}
+	var stdout, stderr strings.Builder
+	miss := exec.Command(simprof, "-run", "nosuch", a)
+	miss.Stdout, miss.Stderr = &stdout, &stderr
+	err = miss.Run()
+	want := "simprof: " + a + `: no run labelled "nosuch" (have ` + label + ")\n"
+	if ee, ok := err.(*exec.ExitError); !ok || ee.ExitCode() != 1 || stderr.String() != want || stdout.Len() != 0 {
+		t.Errorf("simprof -run nosuch: err %v, stdout %q, stderr %q; want exit 1 with %q", err, stdout.String(), stderr.String(), want)
+	}
+
+	out, err := exec.Command(simprof, a, b).CombinedOutput()
+	head := "diff " + a + " :: " + label + " -> " + b + " :: synthetic.pingpong/2/Q=5µs\n"
+	if err != nil || !strings.HasPrefix(string(out), head) || strings.Contains(string(out), "only in") ||
+		!regexp.MustCompile(`(?m)^  quanta `).Match(out) {
+		t.Errorf("simprof diff of two one-run documents: err %v, output:\n%s", err, out)
 	}
 }
 
@@ -214,12 +269,12 @@ func TestAbortedRunReport(t *testing.T) {
 	if !strings.Contains(string(out), "incomplete report written to "+path) {
 		t.Errorf("stderr does not say the report is incomplete:\n%s", out)
 	}
-	b, err := os.ReadFile(path)
+	doc, err := prof.Read(path)
 	if err != nil {
 		t.Fatalf("aborted run left no report: %v\n%s", err, out)
 	}
-	if !strings.Contains(string(b), `"complete": false`) {
-		t.Errorf("report of an aborted run does not say complete: false:\n%.400s", b)
+	if len(doc.Runs) != 1 || doc.Runs[0].Label != "synthetic.pingpong/1/Q=1µs" || doc.Runs[0].Report.Complete {
+		t.Errorf("report of an aborted run is not one incomplete run labelled synthetic.pingpong/1/Q=1µs:\n%.400s", doc.JSON())
 	}
 	rendered, err := exec.Command(simprof, path).CombinedOutput()
 	if err != nil || !strings.Contains(string(rendered), "incomplete run") {
@@ -257,6 +312,10 @@ func TestUsageErrors(t *testing.T) {
 	if err := os.WriteFile(zzz, []byte(`{"schema":"zzz"}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
+	empty := filepath.Join(dir, "empty.json")
+	if err := os.WriteFile(empty, []byte(`{"schema":"clustersim-prof-sweep/1","runs":[]}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
 	missing := filepath.Join(dir, "missing.json")
 	for _, c := range []struct {
 		args []string
@@ -264,8 +323,13 @@ func TestUsageErrors(t *testing.T) {
 	}{
 		{[]string{"-top", "-1", zzz}, "simprof: -top must be at least 1, got -1\n"},
 		{[]string{"-top", "0", zzz, zzz}, "simprof: -top must be at least 1, got 0\n"},
+		// A diff once ignored -run and exited 0.
+		{[]string{"-run", "x", zzz, zzz}, "simprof: -run selects the run to render; a diff takes no -run\n"},
 		{[]string{missing}, "simprof: open " + missing + ": no such file or directory\n"},
-		{[]string{zzz}, "simprof: " + zzz + `: unknown schema "zzz" (this build reads clustersim-prof/2 and clustersim-prof-sweep/1)` + "\n"},
+		{[]string{zzz}, "simprof: " + zzz + `: unknown schema "zzz" (this build reads clustersim-prof-sweep/1)` + "\n"},
+		// A document with no runs once printed an empty table and exited 0.
+		{[]string{empty}, "simprof: prof: " + empty + ": no runs\n"},
+		{[]string{empty, empty}, "simprof: prof: " + empty + ": no runs\n"},
 	} {
 		var stdout, stderr strings.Builder
 		cmd := exec.Command(simprof, c.args...)

@@ -341,23 +341,27 @@ func checkPartitionTable(t *testing.T, rep *prof.Report, s Stats) {
 	}
 }
 
-// TestProfilerReportGolden pins the full report artifact of the rack-10us-8
-// row against a committed golden file (regenerate with -update). CI's
-// report-smoke job renders the same file with simprof.
+// TestProfilerReportGolden pins the report document of the rack-10us-8 row,
+// its one run labelled with the row's name, against a committed golden file
+// (regenerate with -update). CI's report-smoke job renders the same file
+// with simprof.
 func TestProfilerReportGolden(t *testing.T) {
-	d := named("rack-10us-8")
+	const label = "rack-10us-8"
+	d := named(label)
 	d.complete(t)
+	doc := &prof.SweepReport{Schema: prof.SweepSchema, Runs: []prof.SweepRun{{Label: label, Report: d.got.rep}}}
+	got := doc.JSON()
 	path := filepath.Join("testdata", "profile_rack.golden.json")
 	if *updateGolden {
-		if err := os.WriteFile(path, d.got.prof, 0o644); err != nil {
+		if err := os.WriteFile(path, got, 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
 	want, err := os.ReadFile(path)
 	if err != nil {
-		t.Fatalf("%v (regenerate with go test -run Golden -update ./internal/cluster/)", err)
+		t.Fatalf("%v (regenerate with go test ./internal/cluster/ -run Golden -update)", err)
 	}
-	if !bytes.Equal(d.got.prof, want) {
+	if !bytes.Equal(got, want) {
 		t.Errorf("report drifted from %s (regenerate with -update if intended)", path)
 	}
 }

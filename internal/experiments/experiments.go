@@ -51,12 +51,10 @@ type Env struct {
 	// key via its canonical fingerprint.
 	Faults *faults.Plan
 	// Profiles, when non-nil, attaches a sync-overhead profiler to every run
-	// of the experiment, labelled "workload/nodes/config", with the host
-	// settings that differ from the default host appended (hostLabel), and
-	// the fault fingerprint when faults are active. The sweep's report is
-	// canonical regardless of Workers: registration order is
-	// erased by sorting and byte-identical duplicates (e.g. a baseline run
-	// shared across runners) collapse.
+	// of the experiment, labelled by Label. The sweep's report is canonical
+	// regardless of Workers: registration order is erased by sorting and
+	// byte-identical duplicates (e.g. a baseline run shared across runners)
+	// collapse.
 	Profiles *prof.Sweep
 }
 
@@ -210,20 +208,29 @@ func runOne(env Env, w workloads.Workload, nodes int, spec Spec, rec *obs.Record
 		cfg.Observer = rec
 	}
 	if env.Profiles != nil {
-		label := fmt.Sprintf("%s/%d/%s", w.Name, nodes, spec.Label)
-		if h := hostLabel(env.Host); h != "" {
-			label += "/host:" + h
-		}
-		if env.Faults != nil {
-			label += "/faults:" + env.Faults.Key()
-		}
-		cfg.Observer = obs.Multi(cfg.Observer, env.Profiles.New(label))
+		cfg.Observer = obs.Multi(cfg.Observer, env.Profiles.New(env.Label(w, nodes, spec.Label)))
 	}
 	res, err := cluster.Run(cfg)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: %s ×%d %q: %w", w.Name, nodes, spec.Label, err)
 	}
 	return res, nil
+}
+
+// Label names a run of w on nodes nodes under config in a report document:
+// "workload/nodes/config", then the host settings that differ from the
+// default host (hostLabel) after "/host:", and the fault plan's key after
+// "/faults:" when faults are active. paperfigs labels every run of a sweep
+// with it, clustersim its one run, so a label means the same in both.
+func (env Env) Label(w workloads.Workload, nodes int, config string) string {
+	label := fmt.Sprintf("%s/%d/%s", w.Name, nodes, config)
+	if h := hostLabel(env.Host); h != "" {
+		label += "/host:" + h
+	}
+	if env.Faults != nil {
+		label += "/faults:" + env.Faults.Key()
+	}
+	return label
 }
 
 // hostLabel names the settings in which h differs from the default host, in

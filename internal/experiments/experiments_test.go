@@ -212,7 +212,7 @@ func TestAblationHostSweepLabels(t *testing.T) {
 	if err := rep.WriteFiles(path); err != nil {
 		t.Fatal(err)
 	}
-	if _, back, err := prof.Read(path); err != nil || len(back.Runs) != 8 {
+	if back, err := prof.Read(path); err != nil || len(back.Runs) != 8 {
 		t.Fatalf("Read = %v", err)
 	}
 }

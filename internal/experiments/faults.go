@@ -27,8 +27,6 @@ type FaultRow struct {
 	// ReportMetrics).
 	Retransmits int
 	Timeouts    int
-	GuestTime   simtime.Guest
-	HostTime    simtime.Duration
 }
 
 // sumMetric totals one reported metric over every rank of a run.
@@ -72,8 +70,6 @@ func FaultSweep(env Env, w workloads.Workload, nodes int, specs []Spec, lossPcts
 					Duplicated:  res.Stats.Duplicated,
 					Retransmits: sumMetric(res, "msg_retransmits"),
 					Timeouts:    sumMetric(res, "msg_timeouts"),
-					GuestTime:   res.GuestTime,
-					HostTime:    res.HostTime,
 				}
 				if res.Stats.Deliveries > 0 {
 					row.StragglerRate = float64(res.Stats.Stragglers) / float64(res.Stats.Deliveries)

@@ -27,7 +27,7 @@ func TestFaultSweep(t *testing.T) {
 		if r.LossPct != wantPct || r.Config != wantCfg {
 			t.Fatalf("row %d is (%g%%, %q), want (%g%%, %q)", i, r.LossPct, r.Config, wantPct, wantCfg)
 		}
-		if r.MeanQ <= 0 || r.GuestTime <= 0 {
+		if r.MeanQ <= 0 {
 			t.Errorf("row %d missing run outcomes: %+v", i, r)
 		}
 	}

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -164,6 +165,26 @@ func TestResolveWorkloadScale(t *testing.T) {
 	sc := Scenario{Workload: "pingpong", Scale: -1, Nodes: 2}
 	if _, err := sc.Resolve(); err == nil || !strings.Contains(err.Error(), "scale:") {
 		t.Errorf("Scenario.Resolve with scale -1: %v, want an error naming the scale", err)
+	}
+}
+
+// The workload vocabulary is one table: every name clustersim's -workload
+// help lists resolves to the workload of that name, and a typo's error lists
+// every name.
+func TestWorkloadNames(t *testing.T) {
+	names := WorkloadNames()
+	if len(names) != 13 || !slices.Contains(names, "nas.bt") {
+		t.Fatalf("WorkloadNames() = %q, want the 13 names, nas.bt among them", names)
+	}
+	for _, name := range names {
+		w, err := ResolveWorkload(name, 0.5)
+		if err != nil || w.New == nil || (w.Name != name && w.Name != "synthetic."+name) {
+			t.Errorf("ResolveWorkload(%q) = workload %q, error %v", name, w.Name, err)
+		}
+	}
+	_, err := ResolveWorkload("nas.ix", 1)
+	if want := `unknown workload "nas.ix" (want ` + strings.Join(names, ", ") + ")"; err == nil || err.Error() != want {
+		t.Errorf("ResolveWorkload(typo) = %v, want %s", err, want)
 	}
 }
 

@@ -102,6 +102,52 @@ func (sc *Scenario) Resolve() (*Resolved, error) {
 	return &Resolved{Workload: w, Env: env, Policy: policy}, nil
 }
 
+// workloadTable is the workload vocabulary: every name ResolveWorkload
+// accepts, with the constructor that scales its compute.
+var workloadTable = []struct {
+	name string
+	make func(scale float64) workloads.Workload
+}{
+	{"nas.ep", nas(0)}, {"nas.is", nas(1)}, {"nas.cg", nas(2)}, {"nas.mg", nas(3)}, {"nas.lu", nas(4)},
+	{"nas.ft", func(s float64) workloads.Workload {
+		p := workloads.DefaultFT()
+		p.SerialComputePerIter = p.SerialComputePerIter.Scale(s)
+		return workloads.FT(p)
+	}},
+	{"nas.bt", func(s float64) workloads.Workload {
+		p := workloads.DefaultBT()
+		p.SerialComputePerStep = p.SerialComputePerStep.Scale(s)
+		return workloads.BT(p)
+	}},
+	{"namd", NAMDWorkload},
+	{"pingpong", func(float64) workloads.Workload { return workloads.PingPong(200, 9000) }},
+	{"phases", func(s float64) workloads.Workload { return workloads.Phases(8, scaledMS(2, s), 64<<10) }},
+	// Runs the reliable transport (ack/retransmit): the workload to pair
+	// with loss faults — plain workloads block forever on lost frames.
+	{"reliable-phases", func(s float64) workloads.Workload { return workloads.ReliablePhases(8, scaledMS(2, s), 64<<10) }},
+	{"silent", func(s float64) workloads.Workload { return workloads.Silent(scaledMS(20, s)) }},
+	{"uniform", func(float64) workloads.Workload { return workloads.Uniform(200, 4000, 100*simtime.Microsecond, 42) }},
+}
+
+// scaledMS is n milliseconds of compute scaled by s.
+func scaledMS(n simtime.Duration, s float64) simtime.Duration {
+	return simtime.Duration(float64(n*simtime.Millisecond) * s)
+}
+
+// nas constructs the i-th kernel of NASSuite.
+func nas(i int) func(float64) workloads.Workload {
+	return func(s float64) workloads.Workload { return NASSuite(s)[i] }
+}
+
+// WorkloadNames lists every name ResolveWorkload accepts, in table order.
+func WorkloadNames() []string {
+	names := make([]string, len(workloadTable))
+	for i, e := range workloadTable {
+		names[i] = e.name
+	}
+	return names
+}
+
 // ResolveWorkload maps a workload name to its runnable form with compute
 // scaled by scale — the single name registry, and the single check of the
 // scale, shared by clustersim's and paperfigs' flags and the fleet.
@@ -109,36 +155,12 @@ func ResolveWorkload(name string, scale float64) (workloads.Workload, error) {
 	if !(scale > 0) || math.IsInf(scale, 1) {
 		return workloads.Workload{}, fmt.Errorf("scale: must be positive and finite, got %v", scale)
 	}
-	for _, w := range NASSuite(scale) {
-		if w.Name == name {
-			return w, nil
+	for _, e := range workloadTable {
+		if e.name == name {
+			return e.make(scale), nil
 		}
 	}
-	switch name {
-	case "namd":
-		return NAMDWorkload(scale), nil
-	case "nas.ft":
-		p := workloads.DefaultFT()
-		p.SerialComputePerIter = p.SerialComputePerIter.Scale(scale)
-		return workloads.FT(p), nil
-	case "nas.bt":
-		p := workloads.DefaultBT()
-		p.SerialComputePerStep = p.SerialComputePerStep.Scale(scale)
-		return workloads.BT(p), nil
-	case "pingpong":
-		return workloads.PingPong(200, 9000), nil
-	case "phases":
-		return workloads.Phases(8, simtime.Duration(float64(2*simtime.Millisecond)*scale), 64<<10), nil
-	case "reliable-phases":
-		// Runs the reliable transport (ack/retransmit): the workload to pair
-		// with loss faults — plain workloads block forever on lost frames.
-		return workloads.ReliablePhases(8, simtime.Duration(float64(2*simtime.Millisecond)*scale), 64<<10), nil
-	case "silent":
-		return workloads.Silent(simtime.Duration(float64(20*simtime.Millisecond) * scale)), nil
-	case "uniform":
-		return workloads.Uniform(200, 4000, 100*simtime.Microsecond, 42), nil
-	}
-	return workloads.Workload{}, fmt.Errorf("unknown workload %q", name)
+	return workloads.Workload{}, fmt.Errorf("unknown workload %q (want %s)", name, strings.Join(WorkloadNames(), ", "))
 }
 
 // ParsePolicy builds a quantum-policy constructor from the CLI/fleet

@@ -26,21 +26,6 @@ func HarmonicMean(vs []float64) float64 {
 	return float64(len(vs)) / inv
 }
 
-// GeometricMean returns the geometric mean of vs.
-func GeometricMean(vs []float64) float64 {
-	if len(vs) == 0 {
-		panic("metrics: geometric mean of no values")
-	}
-	var s float64
-	for _, v := range vs {
-		if v <= 0 {
-			panic(fmt.Sprintf("metrics: geometric mean of non-positive value %v", v))
-		}
-		s += math.Log(v)
-	}
-	return math.Exp(s / float64(len(vs)))
-}
-
 // RelError returns |v-base|/base: the paper's accuracy error of a metric
 // against the ground-truth run.
 func RelError(v, base float64) float64 {

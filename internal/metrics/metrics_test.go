@@ -35,13 +35,6 @@ func TestHarmonicMeanPanics(t *testing.T) {
 	}
 }
 
-func TestGeometricMean(t *testing.T) {
-	got := GeometricMean([]float64{2, 8})
-	if math.Abs(got-4) > 1e-12 {
-		t.Errorf("GM(2,8) = %v", got)
-	}
-}
-
 func TestRelError(t *testing.T) {
 	if RelError(110, 100) != 0.1 {
 		t.Error("RelError high")

@@ -53,9 +53,6 @@ func NewWithConfig(p *guest.Proc, cfg msg.Config) *Comm {
 // Rank returns this process's rank.
 func (c *Comm) Rank() int { return c.rank }
 
-// Size returns the communicator size.
-func (c *Comm) Size() int { return c.size }
-
 // Proc returns the underlying guest process.
 func (c *Comm) Proc() *guest.Proc { return c.ep.Proc() }
 
@@ -87,12 +84,6 @@ func (c *Comm) checkPeer(peer int) {
 func (c *Comm) Send(dst, tag, size int) {
 	c.checkPeer(dst)
 	c.ep.Send(dst, tag, size)
-}
-
-// SendPayload transmits a data-carrying message.
-func (c *Comm) SendPayload(dst, tag int, payload []byte) {
-	c.checkPeer(dst)
-	c.ep.SendPayload(dst, tag, payload)
 }
 
 // Recv blocks for a message matching (src, tag); either may be msg.Any. It

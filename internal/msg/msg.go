@@ -619,13 +619,6 @@ func (e *Endpoint) RecvDeadline(src, tag int, deadline simtime.Guest) (m Message
 	}
 }
 
-// TryRecv returns a matching message if one has already fully arrived,
-// consuming any frames already visible to the guest; ok is false, and m the
-// zero Message, when none has.
-func (e *Endpoint) TryRecv(src, tag int) (m Message, ok bool) {
-	return e.RecvDeadline(src, tag, e.p.Now())
-}
-
 // Flush blocks until every reliable-mode message has been acknowledged or
 // abandoned, driving retransmissions as needed, and returns the endpoint's
 // first recorded delivery failure (nil when everything was delivered). It

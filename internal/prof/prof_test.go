@@ -2,7 +2,10 @@ package prof
 
 import (
 	"bytes"
+	"encoding/csv"
+	"fmt"
 	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -232,18 +235,52 @@ func TestReportJSONDeterministic(t *testing.T) {
 	}
 }
 
+// A document round-trips through its files: each run's report comes back
+// byte for byte, and both sidecars carry a row per node or link under the
+// run's label, quoted where the label holds a comma (a fault plan's key).
 func TestReportRoundTrip(t *testing.T) {
 	rep := fakeProfile().Report()
-	path := t.TempDir() + "/r.json"
-	if err := rep.WriteFiles(path); err != nil {
+	labels := []string{"fake/2/fixed", `fake/2/fixed/faults:seed=1;loss=0.01,dup=0,"x"`}
+	doc := &SweepReport{Schema: SweepSchema}
+	for _, l := range labels {
+		doc.Runs = append(doc.Runs, SweepRun{Label: l, Report: rep})
+	}
+	dir := t.TempDir()
+	if err := doc.WriteFiles(dir + "/r.json"); err != nil {
 		t.Fatal(err)
 	}
-	got, sweep, err := Read(path)
-	if err != nil || sweep != nil {
-		t.Fatalf("Read = sweep %v, error %v", sweep != nil, err)
+	got, err := Read(dir + "/r.json")
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !bytes.Equal(got.JSON(), rep.JSON()) {
-		t.Fatal("report did not round-trip through JSON")
+	if !bytes.Equal(got.JSON(), doc.JSON()) || !bytes.Equal(got.Runs[0].Report.JSON(), rep.JSON()) {
+		t.Fatal("document did not round-trip through JSON")
+	}
+	for _, c := range []struct {
+		file       string
+		head       string
+		rowsPerRun int
+	}{
+		{"r.nodes.csv", "label,node,compute_ns,idle_ns,wait_ns", len(rep.PerNode)},
+		{"r.links.csv", "label,src,dst,frames,static_lat_ns,lat_min_ns,lat_max_ns,lat_sum_ns,slack_min_ns,neg_slack_frames", len(rep.Links)},
+	} {
+		f, err := os.Open(filepath.Join(dir, c.file))
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows, err := csv.NewReader(f).ReadAll() // a row of the wrong width is an error
+		f.Close()
+		if err != nil {
+			t.Fatalf("%s: %v", c.file, err)
+		}
+		if strings.Join(rows[0], ",") != c.head || len(rows) != 1+len(labels)*c.rowsPerRun {
+			t.Fatalf("%s: head %q and %d rows, want %q and %d", c.file, rows[0], len(rows)-1, c.head, len(labels)*c.rowsPerRun)
+		}
+		for i, row := range rows[1:] {
+			if want := labels[i/c.rowsPerRun]; row[0] != want {
+				t.Errorf("%s row %d: label %q, want %q", c.file, i, row[0], want)
+			}
+		}
 	}
 }
 
@@ -252,34 +289,57 @@ func TestReportRoundTrip(t *testing.T) {
 const retiredReport = `{"schema":"clustersim-prof/1","engine":"deterministic","nodes":4,"policy":"fixed","lookahead_ns":0,` +
 	`"complete":true,"quanta":3,"engagement":{"node_quanta":12,"causes":[{"cause":"no-lookahead","quanta":3}]}}`
 
-// Read refuses a report of the retired encoding by its schema, and ignores
-// keys it does not know in the current one, dropping them on re-encoding.
+// Read refuses a report of the retired encoding by its schema, and so a bare
+// report of the current one, which is a run's body and not a document; it
+// ignores keys it does not know in a run's report, dropping them on
+// re-encoding.
 func TestReadRetiredReport(t *testing.T) {
 	dir := t.TempDir()
-	old := dir + "/old.json"
-	if err := os.WriteFile(old, []byte(retiredReport), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := Read(old); err == nil || !strings.Contains(err.Error(), `"clustersim-prof/1"`) || !strings.Contains(err.Error(), old) {
-		t.Errorf("Read(retired report) = %v, want an error naming the file and its schema", err)
+	for name, doc := range map[string]string{
+		"old.json":  retiredReport,
+		"bare.json": `{"schema":"` + Schema + `","nodes":4,"quanta":3}`,
+	} {
+		path := dir + "/" + name
+		if err := os.WriteFile(path, []byte(doc), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		schema := doc[len(`{"schema":`):strings.Index(doc, ",")]
+		if _, err := Read(path); err == nil || !strings.Contains(err.Error(), schema) || !strings.Contains(err.Error(), path) {
+			t.Errorf("Read(%s) = %v, want an error naming the file and its schema %s", name, err, schema)
+		}
 	}
 	extra := dir + "/extra.json"
-	doc := `{"schema":"` + Schema + `","nodes":4,"quanta":3,"engagement":{"node_quanta":12}}`
+	doc := `{"schema":"` + SweepSchema + `","runs":[{"label":"a","report":{"schema":"` + Schema + `","nodes":4,"quanta":3,"engagement":{"node_quanta":12}}}]}`
 	if err := os.WriteFile(extra, []byte(doc), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	r, s, err := Read(extra)
-	if err != nil || s != nil {
-		t.Fatalf("Read = sweep %v, error %v", s != nil, err)
+	s, err := Read(extra)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if r.Nodes != 4 || r.Quanta != 3 || bytes.Contains(r.JSON(), []byte("engagement")) {
-		t.Errorf("Read = %+v, re-encoded:\n%s", r, r.JSON())
+	if r := s.Runs[0].Report; r.Nodes != 4 || r.Quanta != 3 || bytes.Contains(s.JSON(), []byte("engagement")) {
+		t.Errorf("Read = %+v, re-encoded:\n%s", r, s.JSON())
+	}
+}
+
+// A document with no runs would render an empty table and exit 0: Read
+// refuses it, naming the file, whether runs is empty or missing.
+func TestReadRejectsEmptyDocument(t *testing.T) {
+	dir := t.TempDir()
+	for i, doc := range []string{`{"schema":"` + SweepSchema + `","runs":[]}`, `{"schema":"` + SweepSchema + `"}`} {
+		path := fmt.Sprintf("%s/empty%d.json", dir, i)
+		if err := os.WriteFile(path, []byte(doc), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Read(path); err == nil || err.Error() != "prof: "+path+": no runs" {
+			t.Errorf("Read(%s) = %v, want prof: %s: no runs", doc, err, path)
+		}
 	}
 }
 
 func TestSweepOrderIndependent(t *testing.T) {
 	mk := func(labels []string) []byte {
-		s := NewSweep()
+		s := &Sweep{}
 		for _, l := range labels {
 			p := s.New(l)
 			p.RunStart(obs.RunInfo{Nodes: 1, Policy: l})
@@ -297,9 +357,9 @@ func TestSweepOrderIndependent(t *testing.T) {
 	if err := os.WriteFile(path, a, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	single, sr, err := Read(path)
-	if err != nil || single != nil {
-		t.Fatalf("Read = single %v, error %v", single != nil, err)
+	sr, err := Read(path)
+	if err != nil {
+		t.Fatal(err)
 	}
 	if len(sr.Runs) != 3 || sr.Runs[0].Label != "a/run" {
 		t.Fatalf("sweep runs: %+v", sr.Runs)
@@ -307,7 +367,7 @@ func TestSweepOrderIndependent(t *testing.T) {
 }
 
 func TestSweepCollapsesIdenticalDuplicates(t *testing.T) {
-	s := NewSweep()
+	s := &Sweep{}
 	for i := 0; i < 3; i++ {
 		p := s.New("same/label")
 		p.RunStart(obs.RunInfo{Nodes: 1, Policy: "p"})
@@ -322,7 +382,7 @@ func TestSweepCollapsesIdenticalDuplicates(t *testing.T) {
 // Two different runs under one label cannot be told apart by any consumer:
 // Read refuses the sweep, naming the file and the label.
 func TestSweepRejectsRepeatedLabels(t *testing.T) {
-	s := NewSweep()
+	s := &Sweep{}
 	for _, host := range []simtime.Host{12, 13} {
 		p := s.New("same/label")
 		p.RunStart(obs.RunInfo{Nodes: 1, Policy: "p"})
@@ -333,7 +393,7 @@ func TestSweepRejectsRepeatedLabels(t *testing.T) {
 	if err := os.WriteFile(path, s.Report().JSON(), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := Read(path); err == nil || !strings.Contains(err.Error(), `"same/label"`) || !strings.Contains(err.Error(), path) {
+	if _, err := Read(path); err == nil || !strings.Contains(err.Error(), `"same/label"`) || !strings.Contains(err.Error(), path) {
 		t.Errorf("Read = %v, want an error naming the file and the label", err)
 	}
 }
@@ -345,7 +405,7 @@ func TestLoadSweepRejectsMissingReport(t *testing.T) {
 	if err := os.WriteFile(path, []byte(`{"schema":"clustersim-prof-sweep/1","runs":[{"label":"x"}]}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := Read(path); err == nil || !strings.Contains(err.Error(), `"x"`) {
+	if _, err := Read(path); err == nil || !strings.Contains(err.Error(), `"x"`) {
 		t.Fatalf("Read = %v, want an error naming run \"x\"", err)
 	}
 }
@@ -358,7 +418,7 @@ func TestLoadSweepRejectsForeignReport(t *testing.T) {
 	if err := os.WriteFile(path, []byte(`{"schema":"clustersim-prof-sweep/1","runs":[{"label":"a","report":{"schema":"zzz"}}]}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	_, _, err := Read(path)
+	_, err := Read(path)
 	if err == nil {
 		t.Fatal("Read accepted a sweep run whose report has schema \"zzz\"")
 	}
@@ -370,8 +430,9 @@ func TestLoadSweepRejectsForeignReport(t *testing.T) {
 }
 
 // FuzzLoadReport: a report file is outside input. Read never panics on it,
-// every error names the file, and what it accepts is exactly one of the two
-// artifacts, carrying its schema all the way down, and encodes again.
+// every error names the file, and what it accepts is a document of at least
+// one run under labels of their own, carrying its schema all the way down,
+// that encodes again.
 func FuzzLoadReport(f *testing.F) {
 	for _, s := range []string{
 		``, `{}`, `[]`, `null`, `{"schema":7}`, `{"schema":"clustersim-prof/2","nodes":"x"}`,
@@ -381,6 +442,9 @@ func FuzzLoadReport(f *testing.F) {
 		`{"schema":"clustersim-prof-sweep/1","runs":[{"label":"a","report":{"schema":"zzz"}}]}`,
 		`{"schema":"clustersim-prof-sweep/1","runs":[null]}`,
 		retiredReport,
+		`{"schema":"clustersim-prof-sweep/1","runs":[]}`,
+		`{"schema":"clustersim-prof-sweep/1"}`,
+		`{"schema":"clustersim-prof-sweep/1","runs":[{"label":"a,b","report":{"schema":"clustersim-prof/2","per_node":[{"node":0}]}}]}`,
 	} {
 		f.Add([]byte(s))
 	}
@@ -389,35 +453,28 @@ func FuzzLoadReport(f *testing.F) {
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		r, s, err := Read(path)
-		switch {
-		case err != nil:
+		s, err := Read(path)
+		if err != nil {
 			if !strings.Contains(err.Error(), path) {
 				t.Errorf("Read error %q does not name the file", err)
 			}
-			if r != nil || s != nil {
-				t.Errorf("Read returned an artifact beside error %q", err)
+			if s != nil {
+				t.Errorf("Read returned a document beside error %q", err)
 			}
-		case (r == nil) == (s == nil):
-			t.Fatalf("Read accepted the file as single %v and sweep %v", r != nil, s != nil)
-		case r != nil:
-			if r.Schema != Schema {
-				t.Errorf("Read accepted schema %q", r.Schema)
-			}
-			r.JSON()
-			r.NodesCSV()
-			r.LinksCSV()
-		default:
-			if s.Schema != SweepSchema {
-				t.Errorf("Read accepted sweep schema %q", s.Schema)
-			}
-			for _, run := range s.Runs {
-				if run.Report == nil || run.Report.Schema != Schema {
-					t.Fatalf("Read accepted run %q without a %s report", run.Label, Schema)
-				}
-			}
-			s.JSON()
-			s.LinksCSV()
+			return
 		}
+		if s.Schema != SweepSchema || len(s.Runs) == 0 {
+			t.Fatalf("Read accepted schema %q with %d runs", s.Schema, len(s.Runs))
+		}
+		seen := map[string]bool{}
+		for _, run := range s.Runs {
+			if run.Report == nil || run.Report.Schema != Schema || seen[run.Label] {
+				t.Fatalf("Read accepted run %q without a %s report of its own", run.Label, Schema)
+			}
+			seen[run.Label] = true
+		}
+		s.JSON()
+		s.NodesCSV()
+		s.LinksCSV()
 	})
 }

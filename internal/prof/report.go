@@ -1,17 +1,16 @@
 package prof
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
 	"strconv"
-	"strings"
 
 	"clustersim/internal/obs"
 )
 
-// Schema identifies the single-run report encoding.
+// Schema identifies the encoding of one run's report, the body of every run
+// of a report document (SweepSchema).
 const Schema = "clustersim-prof/2"
 
 // PartitionLevel is one row of the partition table: the lookahead-closed
@@ -116,10 +115,10 @@ type NamedHist struct {
 	Hist HistData `json:"hist"`
 }
 
-// Report is the canonical end-of-run profile artifact. It contains no
-// floating-point fields and no maps; every slice has a deterministic order,
-// so the JSON encoding is byte-for-byte reproducible whenever the underlying
-// run is.
+// Report is one run's end-of-run profile; a report document (SweepReport)
+// carries one per labelled run. It contains no floating-point fields and no
+// maps; every slice has a deterministic order, so the JSON encoding is
+// byte-for-byte reproducible whenever the underlying run is.
 type Report struct {
 	Schema      string `json:"schema"`
 	Engine      string `json:"engine"`
@@ -170,91 +169,39 @@ func canonicalJSON(v any) []byte {
 // JSON renders the report in its canonical encoding.
 func (r *Report) JSON() []byte { return canonicalJSON(r) }
 
-// NodesCSV renders the per-node decomposition as CSV.
-func (r *Report) NodesCSV() []byte {
-	var b bytes.Buffer
-	b.WriteString("node,compute_ns,idle_ns,wait_ns\n")
-	for _, n := range r.PerNode {
-		fmt.Fprintf(&b, "%d,%d,%d,%d\n", n.Node, n.ComputeNS, n.IdleNS, n.WaitNS)
-	}
-	return b.Bytes()
-}
-
-// LinksCSV renders the per-link slack accounting as CSV.
-func (r *Report) LinksCSV() []byte {
-	var b bytes.Buffer
-	b.WriteString("src,dst,frames,static_lat_ns,lat_min_ns,lat_max_ns,lat_sum_ns,slack_min_ns,neg_slack_frames\n")
-	for _, l := range r.Links {
-		fmt.Fprintf(&b, "%d,%d,%d,%d,%d,%d,%d,%d,%d\n",
-			l.Src, l.Dst, l.Frames, l.StaticLatNS, l.LatencyMinNS, l.LatencyMaxNS, l.LatencySumNS, l.SlackMinNS, l.NegSlackFrames)
-	}
-	return b.Bytes()
-}
-
-// WriteFiles writes the report's canonical JSON to path and its CSV
-// companions next to it (<base>.nodes.csv and <base>.links.csv, where
-// <base> is path minus a .json suffix if present).
-func (r *Report) WriteFiles(path string) error {
-	if err := os.WriteFile(path, r.JSON(), 0o644); err != nil {
-		return err
-	}
-	base := strings.TrimSuffix(path, ".json")
-	if err := os.WriteFile(base+".nodes.csv", r.NodesCSV(), 0o644); err != nil {
-		return err
-	}
-	return os.WriteFile(base+".links.csv", r.LinksCSV(), 0o644)
-}
-
-// Read reads the report file at path once and decodes it by its schema: a
-// single-run report, or a sweep whose every run carries a Schema report under
-// a label of its own. Any other schema, an earlier report encoding included,
-// is refused by name. Without an error exactly one result is non-nil; every
-// error names the file.
-func Read(path string) (*Report, *SweepReport, error) {
+// Read reads the report document at path: one or more runs, each carrying a
+// Schema report under a label of its own. Any other top-level schema, a bare
+// Schema report or an earlier encoding included, is refused by name, and so
+// is a document with no runs. Every error names the file.
+func Read(path string) (*SweepReport, error) {
 	b, err := os.ReadFile(path)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	parse := func(v any) error {
-		if err := json.Unmarshal(b, v); err != nil {
-			return fmt.Errorf("prof: parse %s: %v", path, err)
+	s := new(SweepReport)
+	if err := json.Unmarshal(b, s); err != nil {
+		return nil, fmt.Errorf("prof: parse %s: %v", path, err)
+	}
+	if s.Schema != SweepSchema {
+		return nil, fmt.Errorf("%s: unknown schema %q (this build reads %s)", path, s.Schema, SweepSchema)
+	}
+	if len(s.Runs) == 0 {
+		return nil, fmt.Errorf("prof: %s: no runs", path)
+	}
+	seen := make(map[string]bool, len(s.Runs))
+	for _, run := range s.Runs {
+		if seen[run.Label] {
+			return nil, fmt.Errorf("prof: %s: run label %q repeats", path, run.Label)
 		}
-		return nil
-	}
-	var probe struct {
-		Schema string `json:"schema"`
-	}
-	if err := parse(&probe); err != nil {
-		return nil, nil, err
-	}
-	switch probe.Schema {
-	case Schema:
-		r := new(Report)
-		if err := parse(r); err != nil {
-			return nil, nil, err
+		seen[run.Label] = true
+		if run.Report == nil {
+			return nil, fmt.Errorf("prof: %s: run %q has no report", path, run.Label)
 		}
-		return r, nil, nil
-	case SweepSchema:
-		s := new(SweepReport)
-		if err := parse(s); err != nil {
-			return nil, nil, err
+		if run.Report.Schema != Schema {
+			return nil, fmt.Errorf("prof: %s: run %q: unexpected schema %q (want %q)", path, run.Label, run.Report.Schema, Schema)
 		}
-		seen := make(map[string]bool, len(s.Runs))
-		for _, run := range s.Runs {
-			if seen[run.Label] {
-				return nil, nil, fmt.Errorf("prof: %s: run label %q repeats", path, run.Label)
-			}
-			seen[run.Label] = true
-			if run.Report == nil {
-				return nil, nil, fmt.Errorf("prof: %s: run %q has no report", path, run.Label)
-			}
-			if run.Report.Schema != Schema {
-				return nil, nil, fmt.Errorf("prof: %s: run %q: unexpected schema %q (want %q)", path, run.Label, run.Report.Schema, Schema)
-			}
-		}
-		return nil, s, nil
 	}
-	return nil, nil, fmt.Errorf("%s: unknown schema %q (this build reads %s and %s)", path, probe.Schema, Schema, SweepSchema)
+	return s, nil
 }
 
 // LinkName formats a directed link for human-readable output.

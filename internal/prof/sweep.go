@@ -5,16 +5,19 @@ import (
 	"fmt"
 	"os"
 	"sort"
+	"strings"
 	"sync"
 )
 
-// SweepSchema identifies the multi-run report encoding.
+// SweepSchema identifies the report document: the one file encoding, of one
+// labelled run (clustersim) or many (paperfigs).
 const SweepSchema = "clustersim-prof-sweep/1"
 
-// Sweep collects profilers across the runs of an experiment sweep. The
-// experiments package creates one labelled profiler per run; Report then
-// assembles a deterministically ordered multi-run artifact regardless of the
-// order concurrent workers registered their runs in.
+// Sweep collects labelled profilers, one per run: the experiments package
+// registers every run of a sweep, clustersim its one run. Report then
+// assembles a deterministically ordered document regardless of the order
+// concurrent workers registered their runs in. The zero Sweep is empty and
+// ready.
 type Sweep struct {
 	mu   sync.Mutex
 	runs []sweepEntry
@@ -24,9 +27,6 @@ type sweepEntry struct {
 	label string
 	p     *Profiler
 }
-
-// NewSweep returns an empty sweep collector.
-func NewSweep() *Sweep { return &Sweep{} }
 
 // New registers and returns a fresh profiler for one labelled run. Safe for
 // concurrent use.
@@ -44,7 +44,7 @@ type SweepRun struct {
 	Report *Report `json:"report"`
 }
 
-// SweepReport is the canonical multi-run artifact.
+// SweepReport is the canonical report document.
 type SweepReport struct {
 	Schema string     `json:"schema"`
 	Runs   []SweepRun `json:"runs"`
@@ -89,29 +89,54 @@ func (s *Sweep) Report() *SweepReport {
 // JSON renders the sweep report in its canonical encoding.
 func (r *SweepReport) JSON() []byte { return canonicalJSON(r) }
 
+// NodesCSV renders every run's per-node decomposition as one CSV with a
+// leading label column.
+func (r *SweepReport) NodesCSV() []byte {
+	var b bytes.Buffer
+	b.WriteString("label,node,compute_ns,idle_ns,wait_ns\n")
+	for _, run := range r.Runs {
+		label := csvField(run.Label)
+		for _, n := range run.Report.PerNode {
+			fmt.Fprintf(&b, "%s,%d,%d,%d,%d\n", label, n.Node, n.ComputeNS, n.IdleNS, n.WaitNS)
+		}
+	}
+	return b.Bytes()
+}
+
 // LinksCSV renders every run's per-link accounting as one CSV with a
 // leading label column.
 func (r *SweepReport) LinksCSV() []byte {
 	var b bytes.Buffer
 	b.WriteString("label,src,dst,frames,static_lat_ns,lat_min_ns,lat_max_ns,lat_sum_ns,slack_min_ns,neg_slack_frames\n")
 	for _, run := range r.Runs {
+		label := csvField(run.Label)
 		for _, l := range run.Report.Links {
 			fmt.Fprintf(&b, "%s,%d,%d,%d,%d,%d,%d,%d,%d,%d\n",
-				run.Label, l.Src, l.Dst, l.Frames, l.StaticLatNS, l.LatencyMinNS, l.LatencyMaxNS, l.LatencySumNS, l.SlackMinNS, l.NegSlackFrames)
+				label, l.Src, l.Dst, l.Frames, l.StaticLatNS, l.LatencyMinNS, l.LatencyMaxNS, l.LatencySumNS, l.SlackMinNS, l.NegSlackFrames)
 		}
 	}
 	return b.Bytes()
 }
 
-// WriteFiles writes the sweep's canonical JSON to path and the combined
-// links CSV next to it (<base>.links.csv).
+// csvField quotes a label that would otherwise split or break its CSV row:
+// a fault-injected run's label carries the plan's comma-separated key.
+func csvField(s string) string {
+	if !strings.ContainsAny(s, ",\"\r\n") {
+		return s
+	}
+	return `"` + strings.ReplaceAll(s, `"`, `""`) + `"`
+}
+
+// WriteFiles writes the document's canonical JSON to path and its CSV
+// companions next to it (<base>.nodes.csv and <base>.links.csv, where <base>
+// is path minus a .json suffix if present).
 func (r *SweepReport) WriteFiles(path string) error {
 	if err := os.WriteFile(path, r.JSON(), 0o644); err != nil {
 		return err
 	}
-	base := path
-	if n := len(path); n > 5 && path[n-5:] == ".json" {
-		base = path[:n-5]
+	base := strings.TrimSuffix(path, ".json")
+	if err := os.WriteFile(base+".nodes.csv", r.NodesCSV(), 0o644); err != nil {
+		return err
 	}
 	return os.WriteFile(base+".links.csv", r.LinksCSV(), 0o644)
 }

@@ -45,10 +45,9 @@ func DefaultBT() BTParams {
 // real benchmark's constraint.
 func BT(p BTParams) Workload {
 	return Workload{
-		Name:           "nas.bt",
-		Key:            fmt.Sprintf("nas.bt|%+v", p),
-		Metric:         "mops",
-		HigherIsBetter: true,
+		Name:   "nas.bt",
+		Key:    fmt.Sprintf("nas.bt|%+v", p),
+		Metric: "mops",
 		New: func(rank, size int) guest.Program {
 			return func(pr *guest.Proc) error {
 				side := int(math.Round(math.Sqrt(float64(size))))

@@ -43,10 +43,9 @@ func DefaultFT() FTParams {
 // FT builds the 3-D FFT benchmark.
 func FT(p FTParams) Workload {
 	return Workload{
-		Name:           "nas.ft",
-		Key:            fmt.Sprintf("nas.ft|%+v", p),
-		Metric:         "mops",
-		HigherIsBetter: true,
+		Name:   "nas.ft",
+		Key:    fmt.Sprintf("nas.ft|%+v", p),
+		Metric: "mops",
 		New: func(rank, size int) guest.Program {
 			return func(pr *guest.Proc) error {
 				c := mpi.New(pr)

@@ -58,10 +58,9 @@ func DefaultNAMD() NAMDParams {
 // uses for its accuracy comparison.
 func NAMD(p NAMDParams) Workload {
 	return Workload{
-		Name:           "namd",
-		Key:            fmt.Sprintf("namd|%+v", p),
-		Metric:         "walltime_s",
-		HigherIsBetter: false,
+		Name:   "namd",
+		Key:    fmt.Sprintf("namd|%+v", p),
+		Metric: "walltime_s",
 		New: func(rank, size int) guest.Program {
 			return func(pr *guest.Proc) error {
 				c := mpi.New(pr)

@@ -42,10 +42,9 @@ func DefaultEP() EPParams {
 // EP builds the Embarrassingly Parallel benchmark.
 func EP(p EPParams) Workload {
 	return Workload{
-		Name:           "nas.ep",
-		Key:            fmt.Sprintf("nas.ep|%+v", p),
-		Metric:         "mops",
-		HigherIsBetter: true,
+		Name:   "nas.ep",
+		Key:    fmt.Sprintf("nas.ep|%+v", p),
+		Metric: "mops",
 		New: func(rank, size int) guest.Program {
 			return func(pr *guest.Proc) error {
 				c := mpi.New(pr)
@@ -108,10 +107,9 @@ func DefaultIS() ISParams {
 // IS builds the Integer Sort benchmark.
 func IS(p ISParams) Workload {
 	return Workload{
-		Name:           "nas.is",
-		Key:            fmt.Sprintf("nas.is|%+v", p),
-		Metric:         "mops",
-		HigherIsBetter: true,
+		Name:   "nas.is",
+		Key:    fmt.Sprintf("nas.is|%+v", p),
+		Metric: "mops",
 		New: func(rank, size int) guest.Program {
 			return func(pr *guest.Proc) error {
 				c := mpi.New(pr)
@@ -174,10 +172,9 @@ func DefaultCG() CGParams {
 // CG builds the Conjugate Gradient benchmark.
 func CG(p CGParams) Workload {
 	return Workload{
-		Name:           "nas.cg",
-		Key:            fmt.Sprintf("nas.cg|%+v", p),
-		Metric:         "mops",
-		HigherIsBetter: true,
+		Name:   "nas.cg",
+		Key:    fmt.Sprintf("nas.cg|%+v", p),
+		Metric: "mops",
 		New: func(rank, size int) guest.Program {
 			return func(pr *guest.Proc) error {
 				c := mpi.New(pr)
@@ -250,10 +247,9 @@ func DefaultMG() MGParams {
 // MG builds the Multi-Grid benchmark.
 func MG(p MGParams) Workload {
 	return Workload{
-		Name:           "nas.mg",
-		Key:            fmt.Sprintf("nas.mg|%+v", p),
-		Metric:         "mops",
-		HigherIsBetter: true,
+		Name:   "nas.mg",
+		Key:    fmt.Sprintf("nas.mg|%+v", p),
+		Metric: "mops",
 		New: func(rank, size int) guest.Program {
 			return func(pr *guest.Proc) error {
 				c := mpi.New(pr)
@@ -341,10 +337,9 @@ func DefaultLU() LUParams {
 // rank pipeline and a backward wavefront up it, block by block.
 func LU(p LUParams) Workload {
 	return Workload{
-		Name:           "nas.lu",
-		Key:            fmt.Sprintf("nas.lu|%+v", p),
-		Metric:         "mops",
-		HigherIsBetter: true,
+		Name:   "nas.lu",
+		Key:    fmt.Sprintf("nas.lu|%+v", p),
+		Metric: "mops",
 		New: func(rank, size int) guest.Program {
 			return func(pr *guest.Proc) error {
 				c := mpi.New(pr)

@@ -16,10 +16,9 @@ import (
 // roundtrip discussion.
 func PingPong(rounds, size int) Workload {
 	return Workload{
-		Name:           "synthetic.pingpong",
-		Key:            fmt.Sprintf("synthetic.pingpong|%d|%d", rounds, size),
-		Metric:         "rtt_us",
-		HigherIsBetter: false,
+		Name:   "synthetic.pingpong",
+		Key:    fmt.Sprintf("synthetic.pingpong|%d|%d", rounds, size),
+		Metric: "rtt_us",
 		New: func(rank, clusterSize int) guest.Program {
 			return func(pr *guest.Proc) error {
 				if clusterSize < 2 {
@@ -52,10 +51,9 @@ func PingPong(rounds, size int) Workload {
 // workload).
 func Silent(compute simtime.Duration) Workload {
 	return Workload{
-		Name:           "synthetic.silent",
-		Key:            fmt.Sprintf("synthetic.silent|%v", compute),
-		Metric:         "time_s",
-		HigherIsBetter: false,
+		Name:   "synthetic.silent",
+		Key:    fmt.Sprintf("synthetic.silent|%v", compute),
+		Metric: "time_s",
 		New: func(rank, size int) guest.Program {
 			return func(pr *guest.Proc) error {
 				start := pr.Now()
@@ -75,10 +73,9 @@ func Silent(compute simtime.Duration) Workload {
 // speed bumps").
 func Phases(phases int, compute simtime.Duration, burstBytes int) Workload {
 	return Workload{
-		Name:           "synthetic.phases",
-		Key:            fmt.Sprintf("synthetic.phases|%d|%v|%d", phases, compute, burstBytes),
-		Metric:         "time_s",
-		HigherIsBetter: false,
+		Name:   "synthetic.phases",
+		Key:    fmt.Sprintf("synthetic.phases|%d|%v|%d", phases, compute, burstBytes),
+		Metric: "time_s",
 		New: func(rank, size int) guest.Program {
 			return func(pr *guest.Proc) error {
 				c := mpi.New(pr)
@@ -107,10 +104,9 @@ func Phases(phases int, compute simtime.Duration, burstBytes int) Workload {
 // retry cap) fails the rank's program and thus the run.
 func ReliablePhases(phases int, compute simtime.Duration, burstBytes int) Workload {
 	return Workload{
-		Name:           "synthetic.reliable-phases",
-		Key:            fmt.Sprintf("synthetic.reliable-phases|%d|%v|%d", phases, compute, burstBytes),
-		Metric:         "time_s",
-		HigherIsBetter: false,
+		Name:   "synthetic.reliable-phases",
+		Key:    fmt.Sprintf("synthetic.reliable-phases|%d|%v|%d", phases, compute, burstBytes),
+		Metric: "time_s",
 		New: func(rank, size int) guest.Program {
 			return func(pr *guest.Proc) error {
 				cfg := msg.DefaultConfig()
@@ -141,10 +137,9 @@ func ReliablePhases(phases int, compute simtime.Duration, burstBytes int) Worklo
 // unstructured background traffic for ablations.
 func Uniform(count, size int, meanGap simtime.Duration, seed uint64) Workload {
 	return Workload{
-		Name:           "synthetic.uniform",
-		Key:            fmt.Sprintf("synthetic.uniform|%d|%d|%v|%d", count, size, meanGap, seed),
-		Metric:         "time_s",
-		HigherIsBetter: false,
+		Name:   "synthetic.uniform",
+		Key:    fmt.Sprintf("synthetic.uniform|%d|%d|%v|%d", count, size, meanGap, seed),
+		Metric: "time_s",
 		New: func(rank, clusterSize int) guest.Program {
 			return func(pr *guest.Proc) error {
 				c := mpi.New(pr)

@@ -36,9 +36,6 @@ type Workload struct {
 	Key string
 	// Metric is the metric key rank 0 reports ("mops" or "walltime_s").
 	Metric string
-	// HigherIsBetter tells the accuracy computation which direction the
-	// metric improves.
-	HigherIsBetter bool
 	// New builds the program factory.
 	New Factory
 }
