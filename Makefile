@@ -57,14 +57,15 @@ lint: simlint
 fmt:
 	gofmt -w .
 
-# Go lines (wc -l) of the six largest subsystems and the host model, code
-# beside tests — the table ROADMAP asks every PR to report before/after.
+# Go and assembly lines (wc -l) of the six largest subsystems and the host
+# model, code beside tests — the table ROADMAP asks every PR to report
+# before/after.
 loc:
 	@printf '%-42s %6s %6s\n' subsystem code test
 	@for dirs in "internal/cluster" "internal/analysis cmd/simlint" "cmd/simbench" \
 		"internal/experiments cmd/paperfigs" "internal/obs internal/prof" \
 		"internal/guest internal/msg internal/mpi" "internal/host"; do \
 		printf '%-42s %6d %6d\n' "$$dirs" \
-			"$$(find $$dirs -name '*.go' -not -name '*_test.go' -not -path '*/testdata/*' -print0 | xargs -0 cat | wc -l)" \
+			"$$(find $$dirs \( -name '*.go' -o -name '*.s' \) -not -name '*_test.go' -not -path '*/testdata/*' -print0 | xargs -0 cat | wc -l)" \
 			"$$(find $$dirs -name '*_test.go' -not -path '*/testdata/*' -print0 | xargs -0 cat | wc -l)"; \
 	done

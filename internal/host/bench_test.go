@@ -3,6 +3,7 @@ package host
 import (
 	"testing"
 
+	"clustersim/internal/rng"
 	"clustersim/internal/simtime"
 )
 
@@ -52,13 +53,42 @@ func BenchmarkGuestAt(b *testing.B) {
 	}
 }
 
-// BenchmarkSpeedDraw is the cost of one speed draw: ns per fresh jitter
-// window through a reserved Model, as a run reaches them.
+// BenchmarkSpeedDraw is the cost of the speed draw. model: ns per fresh
+// jitter window through a reserved Model, as a run reaches them, hash
+// included. vector and scalar: ns per block of drawBlock windows through
+// stages 2 and 3 of each kernel alone; vector skips where the kernel cannot
+// run.
 func BenchmarkSpeedDraw(b *testing.B) {
-	m := NewModel(DefaultParams())
-	m.Reserve(1)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		sinkMult = m.Speed(0, int64(i))
+	b.Run("model", func(b *testing.B) {
+		m := NewModel(DefaultParams())
+		m.Reserve(1)
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			sinkMult = m.Speed(0, int64(i))
+		}
+	})
+	var u, v, out [drawBlock]float64
+	r := rng.New(1)
+	for i := range u {
+		u[i], v[i] = rng.Unit(r.Uint64()), rng.Unit(r.Uint64())
 	}
+	sigma := DefaultParams().JitterSigma
+	mu := -sigma * sigma / 2
+	b.Run("vector", func(b *testing.B) {
+		if !vectorDraw(&u, &v, mu, sigma, out[:]) {
+			b.Skip("no vector kernel on this host")
+		}
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			vectorDraw(&u, &v, mu, sigma, out[:])
+		}
+		sinkMult = out[0]
+	})
+	b.Run("scalar", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			scalarDraw(u[:], v[:], mu, sigma, out[:])
+		}
+		sinkMult = out[0]
+	})
 }

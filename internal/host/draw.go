@@ -21,23 +21,32 @@ const drawBlock = 16
 //
 // Every window gets the same bits whatever block it is drawn in. The block
 // only makes the draws cheaper: the (seed, node) prefix of the hash is folded
-// once, and each stage runs as its own loop over the block, so the
-// independent draws overlap in the pipeline instead of each waiting out one
-// serial chain of hash, Log, Sqrt, Cos and Exp.
+// once, and the later stages run over the whole block — four windows per
+// instruction where vectorDraw can run, as scalarDraw's loops otherwise — so
+// independent draws overlap instead of each waiting out one serial chain of
+// hash, Log, Sqrt, Cos and Exp.
 func lognormals(seed uint64, sigma float64, node int, w0 int64, out []float64) {
 	var u, v [drawBlock]float64
-	us, vs := u[:len(out)], v[:len(out)]
 	prefix := rng.Hash(seed, uint64(node))
-	for i := range us {
+	for i := range out {
 		h := rng.Fold(prefix, uint64(w0)+uint64(i))
-		us[i] = rng.Unit(rng.Fold(h, 1))
-		vs[i] = rng.Unit(rng.Fold(h, 2))
-	}
-	for i, x := range us {
-		us[i] = math.Sqrt(-2*math.Log(x)) * cosTurn(vs[i])
+		u[i] = rng.Unit(rng.Fold(h, 1))
+		v[i] = rng.Unit(rng.Fold(h, 2))
 	}
 	mu := -sigma * sigma / 2
+	if !vectorDraw(&u, &v, mu, sigma, out) {
+		scalarDraw(u[:len(out)], v[:len(out)], mu, sigma, out)
+	}
+}
+
+// scalarDraw writes Exp(mu + sigma·Sqrt(-2·Log u)·cosTurn(v)) for each pair
+// of us and vs into out, one stage per loop.
+func scalarDraw(us, vs []float64, mu, sigma float64, out []float64) {
+	out = out[:len(us)]
 	for i, x := range us {
+		out[i] = math.Sqrt(-2*math.Log(x)) * cosTurn(vs[i])
+	}
+	for i, x := range out {
 		out[i] = math.Exp(mu + sigma*x)
 	}
 }
