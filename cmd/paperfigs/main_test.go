@@ -8,6 +8,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"clustersim/internal/prof"
 )
 
 // moduleRoot walks up from the working directory to the directory holding
@@ -119,6 +121,43 @@ func TestFig9RunsOnlyItsCase(t *testing.T) {
 			t.Errorf("-fig %s wrote %v, want %v", c.fig, files, c.files)
 		}
 	}
+}
+
+// One name per configuration: the run clustersim profiles is labelled as
+// the same simulation inside a paperfigs sweep (here the host ablation's
+// ground truth on the default host), so simprof can diff the two documents.
+func TestReportLabelsMatchClustersim(t *testing.T) {
+	dir := t.TempDir()
+	clustersim := filepath.Join(dir, "clustersim")
+	build := exec.Command("go", "build", "-o", clustersim, "./cmd/clustersim")
+	build.Dir = moduleRoot(t)
+	if out, err := build.CombinedOutput(); err != nil {
+		t.Fatalf("go build ./cmd/clustersim: %v\n%s", err, out)
+	}
+	one, sweep := filepath.Join(dir, "one.json"), filepath.Join(dir, "S.json")
+	for _, cmd := range []*exec.Cmd{
+		exec.Command(clustersim, "-workload", "nas.ep", "-nodes", "8", "-quantum", "1us", "-scale", "0.05", "-report", one),
+		exec.Command(buildPaperfigs(t), "-fig", "host", "-scale", "0.05", "-report", sweep),
+	} {
+		if out, err := cmd.CombinedOutput(); err != nil {
+			t.Fatalf("%v: %v\n%s", cmd.Args, err, out)
+		}
+	}
+	run, err := prof.Read(one)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runs, err := prof.Read(sweep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	label := run.Runs[0].Label
+	for _, r := range runs.Runs {
+		if r.Label == label {
+			return
+		}
+	}
+	t.Errorf("clustersim labelled its run %q; the sweep has no run of that label", label)
 }
 
 // One table, two renderings: the text the command prints and the CSV it

@@ -3,6 +3,7 @@ package cluster
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"clustersim/internal/guest"
 	"clustersim/internal/host"
@@ -31,20 +32,18 @@ type nodeArena struct {
 	node  []*guest.Node
 	phase []nodePhase
 
-	// Current segment (busy execution or idle wait) of a tight node: guestPos
-	// interpolates the node's guest position at a host instant inside it, and
-	// its end is the node's pending event (schedule). A loose node takes each
-	// segment's end at once and leaves them alone.
+	// Current segment (busy execution or idle wait, as phase says) of a tight
+	// node: guestPos interpolates the node's guest position at a host instant
+	// inside it, and its end is the node's pending event (schedule). A loose
+	// node takes each segment's end at once and leaves them alone.
 	inSeg     []bool
-	segMode   []host.Mode
 	segStartG []simtime.Guest
 	segStartH []simtime.Host
 	segEndG   []simtime.Guest
 	segEndH   []simtime.Host
 
-	txFree     []simtime.Guest // guest time the NIC's transmitter frees up
-	finishHost []simtime.Host  // host time the node reached the current barrier
-	doneHost   []simtime.Host  // host time the workload finished
+	txFree   []simtime.Guest // guest time the NIC's transmitter frees up
+	doneHost []simtime.Host  // host time the workload finished
 
 	// Quiet fast-forward (DESIGN.md §2.3). quietUntil[i] is node i's horizon
 	// — guest.Node.QuietUntil, zero when unknown — and quietBusy[i] its mode
@@ -56,6 +55,16 @@ type nodeArena struct {
 	quietUntil []simtime.Guest
 	quietBusy  []bool
 	lag        []bool
+
+	// restCost[i] is the host time one quiet quantum of node i takes in its
+	// quiet mode, in the jitter window and at the Q named by the engine's
+	// restW and restQ — a duration kept as a Host so that it shares the host
+	// lanes' allocation. It is current while restKey[i], the limit of the
+	// quantum that priced it, lies past the engine's restFrom; quietQuantum
+	// zeroes the key when it re-peeks the node, the one place its mode can
+	// change.
+	restCost []simtime.Host
+	restKey  []simtime.Guest
 }
 
 // newNodeArena carves the lanes of each element type that has several from
@@ -63,24 +72,24 @@ type nodeArena struct {
 // lane.
 func newNodeArena(nodes []*guest.Node) nodeArena {
 	n := len(nodes)
-	g := make([]simtime.Guest, 4*n)
+	g := make([]simtime.Guest, 5*n)
 	h := make([]simtime.Host, 4*n)
 	b := make([]bool, 3*n)
 	return nodeArena{
 		node:       nodes,
 		phase:      make([]nodePhase, n),
 		inSeg:      lane(b, 0, n),
-		segMode:    make([]host.Mode, n),
 		segStartG:  lane(g, 0, n),
 		segStartH:  lane(h, 0, n),
 		segEndG:    lane(g, 1, n),
 		segEndH:    lane(h, 1, n),
 		txFree:     lane(g, 2, n),
-		finishHost: lane(h, 2, n),
-		doneHost:   lane(h, 3, n),
+		doneHost:   lane(h, 2, n),
 		quietUntil: lane(g, 3, n),
 		quietBusy:  lane(b, 1, n),
 		lag:        lane(b, 2, n),
+		restCost:   lane(h, 3, n),
+		restKey:    lane(g, 4, n),
 	}
 }
 
@@ -120,8 +129,11 @@ type engine struct {
 	// flights is the quantum's flight slab (DESIGN.md §2.4).
 	flights []flight
 
-	qStartG  simtime.Guest // guest time the quantum starts at: every node's position at the barrier
-	lastEvtH simtime.Host  // latest frame event host time this quantum
+	qStartG simtime.Guest // guest time the quantum starts at: every node's position at the barrier
+	// lastH is the latest host time, this quantum, at which a frame reached
+	// the controller or a walked node the barrier; the nodes quietNodes
+	// charges end by hostNow plus the largest cost it returns instead.
+	lastH simtime.Host
 
 	doneCount int
 	firstErr  error
@@ -136,8 +148,11 @@ type engine struct {
 
 	// The quantum executor's state (DESIGN.md §2.2). defs holds, per node, the
 	// flights its walk of the current quantum defers to the barrier: a loose
-	// node's every frame, a tight node's cross-partition frames.
-	defs [][]routed
+	// node's every frame, a tight node's cross-partition frames. deferring
+	// lists the nodes whose defs lane is non-empty, in the order each first
+	// deferred.
+	defs      [][]routed
+	deferring []int32
 	// exec is the partitioning the current quantum executes as: what sendFrame
 	// consults to tell a frame it must defer from one it queues, and the node
 	// step to tell a loose node from a tight one.
@@ -147,7 +162,14 @@ type engine struct {
 	// scan, so a stretch in which no node acts costs one comparison per
 	// quantum; a stepped quantum leaves it at or below its limit, which every
 	// later limit exceeds.
-	quietH      simtime.Guest
+	quietH simtime.Guest
+	// restW and restQ are the jitter window and the Q that the restCost lane
+	// prices (restQ is zero, no quantum's Q, until the first pass), and
+	// restFrom the start of the first quantum quietNodes met them in: an entry
+	// keyed at or before it is stale.
+	restW       int64
+	restQ       simtime.Duration
+	restFrom    simtime.Guest
 	nQuiet      int // quanta executed whole by the quiet pass
 	nQuietNodes int // node-quanta executed by quietNodes
 	qi          int // current quantum's index
@@ -197,9 +219,11 @@ func (e *engine) shutdown() {
 const defSlab = 4
 
 // initDefs carves the per-node deferred-flight lanes from one slab, so that a
-// run costs one allocation for them however many of its nodes ever defer.
+// run costs one allocation for them however many of its nodes ever defer, and
+// sizes the deferring list for every node.
 func (e *engine) initDefs() {
 	e.defs = make([][]routed, e.cfg.Nodes)
+	e.deferring = make([]int32, 0, e.cfg.Nodes)
 	slab := make([]routed, len(e.defs)*defSlab)
 	for i := range e.defs {
 		e.defs[i] = slab[i*defSlab : i*defSlab : (i+1)*defSlab]
@@ -242,7 +266,7 @@ func (e *engine) runQuanta() (start simtime.Guest, hostNow simtime.Host, err err
 			return start, hostNow, fmt.Errorf("cluster: policy %q issued non-positive quantum %v", e.policy.Name(), Q)
 		}
 		e.qStartG = start
-		e.lastEvtH = hostNow
+		e.lastH = hostNow
 		e.flights = e.flights[:0]
 		// The quantum's lookahead partitioning is all that selects how it is
 		// stepped (DESIGN.md §2.1).
@@ -253,13 +277,10 @@ func (e *engine) runQuanta() (start simtime.Guest, hostNow simtime.Host, err err
 		if e.quietQuantum() {
 			hostNow = e.quietStretch(start, Q, hostNow)
 		} else {
-			e.runQuantum(hostNow, part)
+			restMax := e.runQuantum(hostNow, part)
 			// Barrier: wait for the slowest node and any late frames, pay the
 			// barrier cost plus the controller's per-packet occupancy.
-			maxH := e.lastEvtH
-			for _, fh := range e.na.finishHost {
-				maxH = simtime.MaxHost(maxH, fh)
-			}
+			maxH := simtime.MaxHost(e.lastH, hostNow.Add(restMax))
 			routing := simtime.Duration(e.np) * e.cfg.Host.PacketHostCost
 			barrierEnd := maxH.Add(e.cfg.Host.BarrierCost).Add(routing)
 			e.stats.HostBarrier += barrierEnd.Sub(maxH)
@@ -468,7 +489,6 @@ func (e *engine) startSeg(i int, mode host.Mode, g0, g1 simtime.Guest, h0, h1 si
 	}
 	e.na.phase[i] = ph
 	e.na.inSeg[i] = true
-	e.na.segMode[i] = mode
 	e.na.segStartG[i], e.na.segEndG[i] = g0, g1
 	e.na.segStartH[i], e.na.segEndH[i] = h0, h1
 }
@@ -477,7 +497,7 @@ func (e *engine) startSeg(i int, mode host.Mode, g0, g1 simtime.Guest, h0, h1 si
 func (e *engine) atLimit(i int, h simtime.Host) {
 	e.na.phase[i] = phAtLimit
 	e.na.inSeg[i] = false
-	e.na.finishHost[i] = h
+	e.lastH = simtime.MaxHost(e.lastH, h)
 }
 
 // sendFrame takes the frame through the source NIC and the switch's fan-out
@@ -504,6 +524,9 @@ func (e *engine) sendFrame(i int, h simtime.Host, tSend simtime.Guest, f *pkt.Fr
 			tD: e.arrival(f, i, dst, depart),
 		})
 		if p := e.exec; p.fastNode[i] || p.Part[dst] != p.Part[i] {
+			if len(e.defs[i]) == 0 {
+				e.deferring = append(e.deferring, int32(i)) // holds every node at most once: never grows
+			}
 			e.defs[i] = append(e.defs[i], routed{h: arrHost, fi: fi}) // deferred-flight lane spills past its slab share to its watermark once; length-reset each quantum
 		} else {
 			e.q.pushFrame(arrHost, fi)
@@ -542,7 +565,11 @@ func (e *engine) guestPos(i int, h simtime.Host) simtime.Guest {
 		// progress; interpolate with the unscaled elapsed time.
 		elapsed = elapsed.Scale(1 / e.slow[i])
 	}
-	return e.hm.GuestAt(i, e.na.segStartG[i], elapsed, e.na.segMode[i], e.na.segEndG[i])
+	mode := host.Busy
+	if e.na.phase[i] == phIdle {
+		mode = host.Idle
+	}
+	return e.hm.GuestAt(i, e.na.segStartG[i], elapsed, mode, e.na.segEndG[i])
 }
 
 // routeFlight hands the controller one flight at host time h and delivers the
@@ -554,9 +581,7 @@ func (e *engine) guestPos(i int, h simtime.Host) simtime.Guest {
 // and regrow the slab, which leaves the old array, and fl, intact and alive.
 func (e *engine) routeFlight(h simtime.Host, fi int32) {
 	fl := &e.flights[fi]
-	if h > e.lastEvtH {
-		e.lastEvtH = h
-	}
+	e.lastH = simtime.MaxHost(e.lastH, h)
 	tDs, n := e.route(fl)
 	for k := 0; k < n; k++ {
 		e.deliver(h, fl, tDs[k], k == 1)
@@ -630,17 +655,17 @@ func (e *engine) quietQuantum() bool {
 	if e.quietH > e.limit {
 		return true
 	}
-	h := simtime.GuestInfinity
-	for i, n := range e.na.node {
-		until := e.na.quietUntil[i]
-		if until <= e.limit {
-			until, e.na.quietBusy[i] = n.QuietUntil()
+	h, limit := simtime.GuestInfinity, e.limit
+	for i, until := range e.na.quietUntil {
+		if until <= limit {
+			until, e.na.quietBusy[i] = e.na.node[i].QuietUntil()
 			e.na.quietUntil[i] = until
+			e.na.restKey[i] = 0
 		}
 		h = simtime.MinGuest(h, until)
 	}
 	e.quietH = h
-	return h > e.limit
+	return h > limit
 }
 
 // sitsOut reports whether node i is fast-forwarded through the current
@@ -655,18 +680,22 @@ func (e *engine) sitsOut(i int) bool { return e.na.quietUntil[i] > e.limit }
 // busy or idle segment from the quantum start, where every node stands at a
 // barrier, to the limit — what a walk would find by stepping, with the same
 // charges and the same single NodePhase, minus the Step calls and queue
-// round-trips. Inside one jitter window w (window) the cost is one multiply;
-// a quantum spanning windows (w < 0) is integrated by hostCost. Each node is
-// left behind, marked in the lag lane, for syncNode, and finishHost holds the
-// first quantum's segment ends; it returns the largest segment cost.
+// round-trips. Inside one jitter window w (window) the cost is the node's
+// restCost entry, priced when stale; a quantum spanning windows (w < 0) is
+// integrated by hostCost. Each node is left behind, marked in the lag lane,
+// for syncNode. It returns the largest segment cost: every segment ends by
+// hostNow plus it, which is all the barrier needs of these nodes.
 func (e *engine) quietNodes(ids []int32, hostNow simtime.Host, k int, w int64) (maxC simtime.Duration) {
 	n := len(ids)
 	if ids == nil {
 		n = len(e.na.node)
 	}
-	e.nQuietNodes += k * n
-	d := e.limit.Sub(e.qStartG)
+	fresh := false // a new (window, Q) pair: every restCost entry is stale
+	if d := e.limit.Sub(e.qStartG); w >= 0 && (w != e.restW || d != e.restQ) {
+		e.restW, e.restQ, e.restFrom, fresh = w, d, e.qStartG, true
+	}
 	var busy, idle simtime.Duration // one quantum's charges
+	na, limit, restFrom := &e.na, e.limit, e.restFrom
 	for j := 0; j < n; j++ {
 		i := j
 		if ids != nil {
@@ -676,24 +705,27 @@ func (e *engine) quietNodes(ids []int32, hostNow simtime.Host, k int, w int64) (
 			probe(e.qi, i, k)
 		}
 		mode, ph, total := host.Idle, obs.PhaseIdle, &idle
-		if e.na.quietBusy[i] {
+		if na.quietBusy[i] {
 			mode, ph, total = host.Busy, obs.PhaseBusy, &busy
 		}
 		var cost simtime.Duration
-		if w < 0 {
-			cost = e.hostCost(i, e.qStartG, e.limit, mode)
-		} else {
-			cost = e.slowed(i, host.Cost(d, e.hm.Rate(mode), e.hm.Speed(i, w)))
+		switch {
+		case w < 0:
+			cost = e.hostCost(i, e.qStartG, limit, mode)
+		case !fresh && na.restKey[i] > restFrom:
+			cost = simtime.Duration(na.restCost[i])
+		default: // one multiply with the window's memoised multiplier, bit for bit HostCost
+			cost = e.slowed(i, host.Cost(e.restQ, e.hm.Rate(mode), e.hm.Speed(i, w)))
+			na.restCost[i], na.restKey[i] = simtime.Host(cost), limit
 		}
 		*total += cost
-		end := hostNow.Add(cost)
 		if e.obs != nil {
-			e.obs.NodePhase(i, ph, e.qStartG, e.limit, hostNow, end)
+			e.obs.NodePhase(i, ph, e.qStartG, limit, hostNow, hostNow.Add(cost))
 		}
-		e.na.finishHost[i] = end
-		e.na.lag[i] = true
+		na.lag[i] = true
 		maxC = max(maxC, cost)
 	}
+	e.nQuietNodes += k * n
 	e.stats.HostBusy += simtime.Duration(k) * busy
 	e.stats.HostIdle += simtime.Duration(k) * idle
 	return maxC
@@ -748,11 +780,11 @@ func (e *engine) stretchLen(Q simtime.Duration, fixed bool) (int, int64) {
 // form — host time is integer, so k quanta are one quantum times k exactly.
 // Each lasts the slowest node's cost plus the barrier cost; there is nothing
 // to route. An observer is told all k, from the one pass, in the order k
-// single quanta publish in: finishHost holds the first quantum's segment
-// ends, and every later quantum's are one span further on. The stretch then
-// opens the next window's first quantum as the run loop would, while the
-// policy is fixed, the next limit lies below quietH and the run has not
-// passed MaxGuest. It returns the last barrier's release.
+// single quanta publish in: every later quantum's segments are the first
+// one's, one span further on. The stretch then opens the next window's first
+// quantum as the run loop would, while the policy is fixed, the next limit
+// lies below quietH and the run has not passed MaxGuest. It returns the last
+// barrier's release.
 func (e *engine) quietStretch(start simtime.Guest, Q simtime.Duration, hostNow simtime.Host) simtime.Host {
 	_, fixed := e.policy.(quantum.Fixed)
 	for {
@@ -767,22 +799,18 @@ func (e *engine) quietStretch(start simtime.Guest, Q simtime.Duration, hostNow s
 			g, h := start, hostNow
 			for j := 1; j < k; j++ {
 				g, h = g.Add(Q), h.Add(span)
-				ahead := h.Sub(hostNow)
 				e.publishStart(e.qi+j, g, Q, h)
-				for i, fh := range e.na.finishHost {
+				for i, c := range e.na.restCost { // k > 1 only inside a window: the pass priced every entry
 					ph := obs.PhaseIdle
 					if e.na.quietBusy[i] {
 						ph = obs.PhaseBusy
 					}
-					e.obs.NodePhase(i, ph, g, g.Add(Q), h, fh.Add(ahead))
+					e.obs.NodePhase(i, ph, g, g.Add(Q), h, h.Add(simtime.Duration(c)))
 				}
 				e.publishQuantum(e.qi+j, g, Q, h, h.Add(maxC), h.Add(span), 0)
 			}
 		}
-		// The pass stands at the last of the k quanta. finishHost keeps the
-		// first one's segment ends: its one later reader, the stepped barrier's
-		// max, runs only after runQuantum or the next window's pass has
-		// rewritten every entry.
+		// The pass stands at the last of the k quanta.
 		e.qi += k - 1
 		e.qStartG = start.Add(simtime.Duration(k-1) * Q)
 		e.limit = e.qStartG.Add(Q)
@@ -829,16 +857,17 @@ func (e *engine) tightSitsOut(members []int32) bool {
 // are fast-forwarded instead (DESIGN.md §2.3).
 //
 // The barrier then routes every deferred frame in canonical (node,
-// send-sequence) order, each node's defs lane in place, and delivers each
-// surviving copy as the walk does. Every arrival time is at or past the limit
-// and every destination is at the barrier, so each delivery is exact
-// (DESIGN.md §2.4).
-func (e *engine) runQuantum(hostNow simtime.Host, p *partitioning) {
+// send-sequence) order, the defs lane of each node on the deferring list in
+// place, and delivers each surviving copy as the walk does. Every arrival
+// time is at or past the limit and every destination is at the barrier, so
+// each delivery is exact (DESIGN.md §2.4). runQuantum returns the largest
+// cost of a node that sat out.
+func (e *engine) runQuantum(hostNow simtime.Host, p *partitioning) (restMax simtime.Duration) {
 	e.exec = p
 	w, _ := e.window()
 	for _, members := range p.tight {
 		if e.tightSitsOut(members) {
-			e.quietNodes(members, hostNow, 1, w)
+			restMax = max(restMax, e.quietNodes(members, hostNow, 1, w))
 			continue
 		}
 		e.q.reserve(e.cfg.Nodes)
@@ -858,17 +887,20 @@ func (e *engine) runQuantum(hostNow simtime.Host, p *partitioning) {
 			e.walkNode(int(loose[0]), hostNow)
 			n = 1
 		} else {
-			e.quietNodes(loose[:n], hostNow, 1, w)
+			restMax = max(restMax, e.quietNodes(loose[:n], hostNow, 1, w))
 		}
 		loose = loose[n:]
 	}
 
-	for i, d := range e.defs {
-		for _, r := range d {
+	slices.Sort(e.deferring)
+	for _, i := range e.deferring {
+		for _, r := range e.defs[i] {
 			e.routeFlight(r.h, r.fi)
 		}
-		e.defs[i] = d[:0]
+		e.defs[i] = e.defs[i][:0]
 	}
+	e.deferring = e.deferring[:0]
+	return restMax
 }
 
 // walkNode steps one loose node from the quantum start to the barrier: the

@@ -138,6 +138,41 @@ func benchQuiet(b *testing.B, cfg Config, sitOuts bool) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*quiet), "ns/node-quantum")
 }
 
+// BenchmarkRestingNodes is the loose-stepped column of the scaling table: ns
+// per node-quantum against the node count, on the graded geometry — one tight
+// 500ns 4-node rack plus 2µs WAN singletons at Q = 2µs — under the sparse
+// Uniform traffic of the paper-scale benchmark row, so each stepped quantum
+// has a few acting nodes beside many that sit out. The metric divides the
+// whole run, set-up and the quiet stretches between stepped quanta included,
+// by the node-quanta of its stepped quanta (counted by one observed run up
+// front; the timed runs carry no observer): it stays flat as nodes grow while
+// a sit-out costs a constant.
+func BenchmarkRestingNodes(b *testing.B) {
+	for _, nodes := range []int{16, 64, 256} {
+		b.Run(fmt.Sprintf("nodes=%d", nodes), func(b *testing.B) {
+			cfg := row("resting", nodes, workloads.Uniform(20, 4000, 100*simtime.Microsecond, 29),
+				fixed(2*simtime.Microsecond), onNet(mixedWANNetAt(nodes, 2*simtime.Microsecond))).cfg
+			counted, sum := cfg, &endCounter{}
+			counted.Observer = sum
+			if _, err := Run(counted); err != nil {
+				b.Fatal(err)
+			}
+			stepped := nodes * (sum.sum.Quanta - sum.sum.QuietQuanta)
+			if sitOuts := sum.sum.QuietNodeQuanta - nodes*sum.sum.QuietQuanta; sitOuts*2 < stepped {
+				b.Fatalf("only %d of %d stepped node-quanta sit out", sitOuts, stepped)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := Run(cfg); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*stepped), "ns/node-quantum")
+		})
+	}
+}
+
 // BenchmarkTightWalk measures the event-queue walk (DESIGN.md §2.2), the loop
 // every paper figure above Q = T runs: NAS IS and CG on 8 nodes at Q = 10µs
 // and 1ms, where the whole cluster walks as one tight partition. The

@@ -208,7 +208,8 @@ func runOne(env Env, w workloads.Workload, nodes int, spec Spec, rec *obs.Record
 		cfg.Observer = rec
 	}
 	if env.Profiles != nil {
-		cfg.Observer = obs.Multi(cfg.Observer, env.Profiles.New(env.Label(w, nodes, spec.Label)))
+		// Labelled by the policy's name, as clustersim labels the same run.
+		cfg.Observer = obs.Multi(cfg.Observer, env.Profiles.New(env.Label(w, nodes, spec.Policy().Name())))
 	}
 	res, err := cluster.Run(cfg)
 	if err != nil {
@@ -217,11 +218,12 @@ func runOne(env Env, w workloads.Workload, nodes int, spec Spec, rec *obs.Record
 	return res, nil
 }
 
-// Label names a run of w on nodes nodes under config in a report document:
-// "workload/nodes/config", then the host settings that differ from the
-// default host (hostLabel) after "/host:", and the fault plan's key after
-// "/faults:" when faults are active. paperfigs labels every run of a sweep
-// with it, clustersim its one run, so a label means the same in both.
+// Label names a run of w on nodes nodes under config, the quantum policy's
+// Name(), in a report document: "workload/nodes/config", then the host
+// settings that differ from the default host (hostLabel) after "/host:", and
+// the fault plan's key after "/faults:" when faults are active. paperfigs
+// labels every run of a sweep with it, clustersim its one run, so a label
+// means the same in both.
 func (env Env) Label(w workloads.Workload, nodes int, config string) string {
 	label := fmt.Sprintf("%s/%d/%s", w.Name, nodes, config)
 	if h := hostLabel(env.Host); h != "" {

@@ -199,7 +199,7 @@ func TestAblationHostSweepLabels(t *testing.T) {
 	for _, r := range rep.Runs {
 		labels = append(labels, r.Label)
 	}
-	truths := []string{"synthetic.silent/2/1", "synthetic.silent/2/1/host:barrier=100µs", "synthetic.silent/2/1/host:barrier=100µs σ=0", "synthetic.silent/2/1/host:σ=0"}
+	truths := []string{"synthetic.silent/2/Q=1µs", "synthetic.silent/2/Q=1µs/host:barrier=100µs", "synthetic.silent/2/Q=1µs/host:barrier=100µs σ=0", "synthetic.silent/2/Q=1µs/host:σ=0"}
 	if len(labels) != 8 || !slices.IsSorted(labels) || len(slices.Compact(slices.Clone(labels))) != 8 {
 		t.Fatalf("sweep labels %q, want 8 distinct sorted runs", labels)
 	}
@@ -399,7 +399,7 @@ func TestGridProfileSweep(t *testing.T) {
 	for _, r := range rep.Runs {
 		labels[r.Label] = true
 	}
-	for _, want := range []string{"synthetic.phases/2/1", "synthetic.phases/2/100", "synthetic.phases/4/1", "synthetic.phases/4/100"} {
+	for _, want := range []string{"synthetic.phases/2/Q=1µs", "synthetic.phases/2/Q=100µs", "synthetic.phases/4/Q=1µs", "synthetic.phases/4/Q=100µs"} {
 		if !labels[want] {
 			t.Errorf("sweep missing run %q (have %v)", want, labels)
 		}
