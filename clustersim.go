@@ -31,7 +31,6 @@ package clustersim
 
 import (
 	"io"
-	"time"
 
 	"clustersim/internal/cluster"
 	"clustersim/internal/guest"
@@ -128,11 +127,8 @@ func MultiObserver(os ...Observer) Observer { return obs.Multi(os...) }
 func NewChromeTracer(w io.Writer) *ChromeTracer { return obs.NewChromeTracer(w) }
 
 // NewProgressReporter returns an Observer reporting progress to w at most
-// every interval (<=0 uses a 500ms default); target is the guest time
-// treated as 100% (0 if unknown).
-func NewProgressReporter(w io.Writer, target GuestTime, interval time.Duration) *ProgressReporter {
-	return obs.NewProgress(w, target, interval)
-}
+// every 500ms.
+func NewProgressReporter(w io.Writer) *ProgressReporter { return obs.NewProgress(w) }
 
 // Run executes one cluster simulation.
 func Run(cfg Config) (*Result, error) { return cluster.Run(cfg) }

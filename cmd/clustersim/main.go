@@ -102,7 +102,7 @@ func withProfiles(cpu, mem string, f func() error) error {
 // nil unless a chart wants the run's records. The returned cleanup finalizes
 // the trace file and stops the HTTP endpoint; it runs even when the
 // simulation fails so a partial trace stays loadable.
-func observability(target simtime.Guest, profiles *prof.Sweep, label string) (obs.Observer, *obs.Recorder, func() error, error) {
+func observability(profiles *prof.Sweep, label string) (obs.Observer, *obs.Recorder, func() error, error) {
 	var observers []obs.Observer
 	var rec *obs.Recorder
 	if *chartFlag || *packetsFlag {
@@ -144,7 +144,7 @@ func observability(target simtime.Guest, profiles *prof.Sweep, label string) (ob
 		cleanups = append(cleanups, serveReport(ln, profiles))
 	}
 	if *progressFlag {
-		observers = append(observers, obs.NewProgress(os.Stderr, target, 0))
+		observers = append(observers, obs.NewProgress(os.Stderr))
 	}
 	if profiles != nil {
 		observers = append(observers, profiles.New(label))
@@ -222,7 +222,7 @@ func run() (err error) {
 		profiles = &prof.Sweep{}
 	}
 	label := env.Label(w, *nodesFlag, rc.Policy().Name())
-	observer, rec, obsCleanup, err := observability(env.MaxGuest, profiles, label)
+	observer, rec, obsCleanup, err := observability(profiles, label)
 	if err != nil {
 		return err
 	}

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -156,6 +157,40 @@ func TestZeroSeedsMeanOne(t *testing.T) {
 	}
 	if run("2", "1") == one || run("1", "2") == one {
 		t.Error("test premise broken: the seeds do not move the output")
+	}
+}
+
+// A duplicated frame is routed once and may be delivered, and straggle,
+// twice: the -progress line must carry the run's packet and straggler counts
+// as they are, not a ratio of them that reads above 100%.
+func TestProgressCountsDuplicates(t *testing.T) {
+	cmd := exec.Command(buildClustersim(t), "-workload", "reliable-phases", "-nodes", "4", "-quantum", "1ms",
+		"-faults", "dup=0.9", "-scale", "0.1", "-progress")
+	var stderr strings.Builder
+	cmd.Stderr = &stderr
+	out, err := cmd.Output()
+	if err != nil {
+		t.Fatalf("clustersim: %v\n%s", err, stderr.String())
+	}
+	var packets, deliveries, stragglers int
+	for _, line := range strings.Split(string(out), "\n") {
+		fmt.Sscanf(line, "packets %d routed, %d deliveries", &packets, &deliveries)
+		fmt.Sscanf(line, "stragglers %d", &stragglers)
+	}
+	if stragglers <= packets || deliveries <= packets {
+		t.Fatalf("test premise broken: %d packets, %d deliveries, %d stragglers — want duplicates to straggle past the packet count:\n%s",
+			packets, deliveries, stragglers, out)
+	}
+	lines := strings.Split(strings.TrimSpace(stderr.String()), "\n")
+	final := lines[len(lines)-1]
+	if want := fmt.Sprintf("| packets %d | stragglers %d", packets, stragglers); !strings.HasSuffix(final, want) {
+		t.Errorf("final progress line %q does not end %q", final, want)
+	}
+	for _, f := range strings.Fields(final) {
+		var pct float64
+		if _, err := fmt.Sscanf(f, "%f%%", &pct); err == nil && pct > 100 {
+			t.Errorf("final progress line %q reads %s", final, f)
+		}
 	}
 }
 

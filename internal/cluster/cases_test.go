@@ -95,6 +95,11 @@ func caseRows() []diffRow {
 			withPlan(&faults.Plan{Seed: 3, NodeSlowdown: map[int]float64{1: 2.5}})),
 		// Two tight racks, loose to each other, and no loose node.
 		row("rack-mid-8", 8, workloads.Uniform(120, 2000, 30*us, 11), fixed(2*us), onNet(rackNet())),
+		// The same racks under a packet-heavy alltoall at a Q between the
+		// latency levels: a quantum defers more than a dozen cross-rack frames,
+		// their senders interleaved, so only a stable or (node, send) order
+		// routes each sender's frames in the order it sent them.
+		row("rack-alltoall-8", 8, workloads.Phases(2, 40*us, 128<<10), fixed(3*us), onNet(rackNet())),
 		// One tight rack plus distant loose singletons, clean, faulty, and
 		// under a policy that slides across all three bands.
 		row("mixed-wan-8", 8, workloads.Uniform(120, 2000, 30*us, 17), fixed(2*us), onNet(mixedWANNet(8))),

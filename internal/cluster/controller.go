@@ -75,14 +75,13 @@ func (c *controller) runEnd(err error, guestTime simtime.Guest, hostEnd simtime.
 }
 
 // beginQuantum opens quantum qi = (start, start+Q] at host time h and
-// partitions it. A lookahead that is ruled out has one partitioning for every
-// Q, which says nothing and is not published.
-func (c *controller) beginQuantum(qi int, start simtime.Guest, Q simtime.Duration, h simtime.Host) *partitioning {
+// partitions it as c.part. A lookahead that is ruled out has one partitioning
+// for every Q, which says nothing and is not published.
+func (c *controller) beginQuantum(qi int, start simtime.Guest, Q simtime.Duration, h simtime.Host) {
 	c.limit = start.Add(Q)
 	c.np, c.str = 0, 0
 	c.part = c.la.partitionFor(Q)
 	c.publishStart(qi, start, Q, h)
-	return c.part
 }
 
 // publishStart publishes the opening of quantum qi, partitioned as the

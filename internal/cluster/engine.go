@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"slices"
@@ -35,8 +36,9 @@ type nodeArena struct {
 	// Current segment (busy execution or idle wait, as phase says) of a tight
 	// node: guestPos interpolates the node's guest position at a host instant
 	// inside it, and its end is the node's pending event (schedule). A loose
-	// node takes each segment's end at once and leaves them alone.
-	inSeg     []bool
+	// node takes each segment's end at once and leaves them alone. beginNode
+	// opens an empty segment at the barrier release, so that the lanes alone
+	// answer for a node at every instant it can be reached at.
 	segStartG []simtime.Guest
 	segStartH []simtime.Host
 	segEndG   []simtime.Guest
@@ -74,11 +76,10 @@ func newNodeArena(nodes []*guest.Node) nodeArena {
 	n := len(nodes)
 	g := make([]simtime.Guest, 5*n)
 	h := make([]simtime.Host, 4*n)
-	b := make([]bool, 3*n)
+	b := make([]bool, 2*n)
 	return nodeArena{
 		node:       nodes,
 		phase:      make([]nodePhase, n),
-		inSeg:      lane(b, 0, n),
 		segStartG:  lane(g, 0, n),
 		segStartH:  lane(h, 0, n),
 		segEndG:    lane(g, 1, n),
@@ -86,8 +87,8 @@ func newNodeArena(nodes []*guest.Node) nodeArena {
 		txFree:     lane(g, 2, n),
 		doneHost:   lane(h, 2, n),
 		quietUntil: lane(g, 3, n),
-		quietBusy:  lane(b, 1, n),
-		lag:        lane(b, 2, n),
+		quietBusy:  lane(b, 0, n),
+		lag:        lane(b, 1, n),
 		restCost:   lane(h, 3, n),
 		restKey:    lane(g, 4, n),
 	}
@@ -109,11 +110,11 @@ type flight struct {
 	tD       simtime.Guest // exact simulated arrival time
 }
 
-// routed is a flight a node's walk defers to the barrier: a flight and the
-// host time it reaches the controller.
+// routed is a flight a node's walk defers to the barrier: a flight, its
+// sender and the host time it reaches the controller.
 type routed struct {
-	h  simtime.Host
-	fi int32
+	h       simtime.Host
+	src, fi int32
 }
 
 // engine runs one configuration. It embeds the controller: the quantum limit,
@@ -146,17 +147,10 @@ type engine struct {
 	// fault-free path byte-identical to an engine without the feature.
 	slow []float64
 
-	// The quantum executor's state (DESIGN.md §2.2). defs holds, per node, the
-	// flights its walk of the current quantum defers to the barrier: a loose
-	// node's every frame, a tight node's cross-partition frames. deferring
-	// lists the nodes whose defs lane is non-empty, in the order each first
-	// deferred.
-	defs      [][]routed
-	deferring []int32
-	// exec is the partitioning the current quantum executes as: what sendFrame
-	// consults to tell a frame it must defer from one it queues, and the node
-	// step to tell a loose node from a tight one.
-	exec *partitioning
+	// deferred holds the flights the current quantum's walks defer to the
+	// barrier (DESIGN.md §2.2): a loose node's every frame, a tight node's
+	// cross-partition frames, in the order they were sent.
+	deferred []routed
 
 	// quietH is the minimum of the arena's quietUntil lane as of the last full
 	// scan, so a stretch in which no node acts costs one comparison per
@@ -202,7 +196,7 @@ func Run(cfg Config) (*Result, error) {
 			e.slow[i] = fp.Slowdown(i)
 		}
 	}
-	e.initDefs()
+	e.deferred = make([]routed, 0, deferredPerNode*n)
 	return e.run()
 }
 
@@ -212,23 +206,9 @@ func (e *engine) shutdown() {
 	}
 }
 
-// defSlab is each node's share of the deferred-flight slab: quanta short
-// enough to leave a node loose seldom see it send more frames than this. A
-// node that does spills to a private buffer, once, up to its own high-water
-// mark.
-const defSlab = 4
-
-// initDefs carves the per-node deferred-flight lanes from one slab, so that a
-// run costs one allocation for them however many of its nodes ever defer, and
-// sizes the deferring list for every node.
-func (e *engine) initDefs() {
-	e.defs = make([][]routed, e.cfg.Nodes)
-	e.deferring = make([]int32, 0, e.cfg.Nodes)
-	slab := make([]routed, len(e.defs)*defSlab)
-	for i := range e.defs {
-		e.defs[i] = slab[i*defSlab : i*defSlab : (i+1)*defSlab]
-	}
-}
+// deferredPerNode sizes the deferred list: quanta short enough to leave a
+// node loose seldom see it send more frames than this.
+const deferredPerNode = 4
 
 // run executes the quanta and closes the run out the same way however they
 // ended: RunEnd follows RunStart.
@@ -270,14 +250,14 @@ func (e *engine) runQuanta() (start simtime.Guest, hostNow simtime.Host, err err
 		e.flights = e.flights[:0]
 		// The quantum's lookahead partitioning is all that selects how it is
 		// stepped (DESIGN.md §2.1).
-		part := e.beginQuantum(e.qi, start, Q, hostNow)
+		e.beginQuantum(e.qi, start, Q, hostNow)
 		// Ahead of it: when no node has an event before the limit there is
 		// nothing to step, queue or route, and the quantum — with every
 		// identical one after it — is one arithmetic pass over the nodes.
 		if e.quietQuantum() {
 			hostNow = e.quietStretch(start, Q, hostNow)
 		} else {
-			restMax := e.runQuantum(hostNow, part)
+			restMax := e.runQuantum(hostNow)
 			// Barrier: wait for the slowest node and any late frames, pay the
 			// barrier cost plus the controller's per-packet occupancy.
 			maxH := simtime.MaxHost(e.lastH, hostNow.Add(restMax))
@@ -327,8 +307,7 @@ func (e *engine) beginNode(i int, hostNow simtime.Host) {
 	n.BeginQuantum(e.limit)
 	e.na.quietUntil[i] = 0
 	e.na.phase[i] = phRunning
-	e.na.inSeg[i] = false
-	e.na.segEndH[i] = hostNow
+	e.na.segEndG[i], e.na.segEndH[i] = e.qStartG, hostNow
 	if n.Done() {
 		e.idleTo(i, e.limit, hostNow)
 	}
@@ -377,7 +356,7 @@ func (e *engine) dispatch(h simtime.Host, i int) {
 // each segment's end at once and only returns at the limit.
 func (e *engine) stepNode(i int, h simtime.Host) {
 	n := e.na.node[i]
-	loose := e.exec.fastNode[i]
+	loose := e.part.fastNode[i]
 	for {
 		e.stepping = i
 		st := n.Step()
@@ -453,7 +432,7 @@ func (e *engine) idleTo(i int, target simtime.Guest, h simtime.Host) simtime.Hos
 	cost := e.hostCost(i, from, target, host.Idle)
 	e.stats.HostIdle += cost
 	endH := h.Add(cost)
-	if e.exec.fastNode[i] {
+	if e.part.fastNode[i] {
 		e.endIdle(i, from, target, h, endH)
 	} else {
 		e.startSeg(i, host.Idle, from, target, h, endH)
@@ -476,7 +455,6 @@ func (e *engine) endIdle(i int, g0, g1 simtime.Guest, h0, h1 simtime.Host) (atBa
 		return true
 	}
 	e.na.phase[i] = phRunning
-	e.na.inSeg[i] = false
 	return false
 }
 
@@ -488,7 +466,6 @@ func (e *engine) startSeg(i int, mode host.Mode, g0, g1 simtime.Guest, h0, h1 si
 		ph = phIdle
 	}
 	e.na.phase[i] = ph
-	e.na.inSeg[i] = true
 	e.na.segStartG[i], e.na.segEndG[i] = g0, g1
 	e.na.segStartH[i], e.na.segEndH[i] = h0, h1
 }
@@ -496,7 +473,6 @@ func (e *engine) startSeg(i int, mode host.Mode, g0, g1 simtime.Guest, h0, h1 si
 // atLimit stands node i at the barrier, reached at host time h.
 func (e *engine) atLimit(i int, h simtime.Host) {
 	e.na.phase[i] = phAtLimit
-	e.na.inSeg[i] = false
 	e.lastH = simtime.MaxHost(e.lastH, h)
 }
 
@@ -507,9 +483,9 @@ func (e *engine) atLimit(i int, h simtime.Host) {
 // dispatched at the host time it reaches the controller — unless it
 // crosses to another partition: its destination lies across a loose link, so
 // the arrival time is provably at or past the limit, routing it at the
-// barrier is behavior-neutral (DESIGN.md §2.2), and it is deferred to the
-// sender's defs lane. A loose node has no queue, so it defers every copy, the
-// ones it sends itself included.
+// barrier is behavior-neutral (DESIGN.md §2.2), and it is deferred. A loose
+// node has no queue, so it defers every copy, the ones it sends itself
+// included.
 func (e *engine) sendFrame(i int, h simtime.Host, tSend simtime.Guest, f *pkt.Frame) {
 	depart := e.depart(&e.na.txFree[i], tSend, f)
 	arrHost := h.Add(e.cfg.Host.PacketTransit)
@@ -523,11 +499,8 @@ func (e *engine) sendFrame(i int, h simtime.Host, tSend simtime.Guest, f *pkt.Fr
 			f: *f, src: int32(i), dst: int32(dst), tSend: tSend,
 			tD: e.arrival(f, i, dst, depart),
 		})
-		if p := e.exec; p.fastNode[i] || p.Part[dst] != p.Part[i] {
-			if len(e.defs[i]) == 0 {
-				e.deferring = append(e.deferring, int32(i)) // holds every node at most once: never grows
-			}
-			e.defs[i] = append(e.defs[i], routed{h: arrHost, fi: fi}) // deferred-flight lane spills past its slab share to its watermark once; length-reset each quantum
+		if p := e.part; p.fastNode[i] || p.Part[dst] != p.Part[i] {
+			e.deferred = append(e.deferred, routed{h: arrHost, src: int32(i), fi: fi}) // deferred list grows to the per-quantum high-water mark once; length-reset each quantum
 		} else {
 			e.q.pushFrame(arrHost, fi)
 		}
@@ -548,11 +521,13 @@ func (e *engine) slowed(id int, c simtime.Duration) simtime.Duration {
 	return c
 }
 
-// guestPos returns node i's guest position at host time h.
+// guestPos returns node i's guest position at host time h, from its segment
+// lanes alone. A woken node is stepped at once, before anything can reach it,
+// so the lanes need no "between segments" state. Before its first step they
+// hold the empty segment beginNode opened at the release: a frame that
+// arrives then is due at tD > qStartG, at or past the node's clock, and is
+// exact whichever position the lanes gave.
 func (e *engine) guestPos(i int, h simtime.Host) simtime.Guest {
-	if !e.na.inSeg[i] {
-		return e.na.node[i].Clock()
-	}
 	if h >= e.na.segEndH[i] {
 		return e.na.segEndG[i]
 	}
@@ -623,7 +598,6 @@ func (e *engine) deliver(h simtime.Host, fl *flight, tD simtime.Guest, dupCopy b
 			e.obs.NodePhase(dst, obs.PhaseIdle, e.na.segStartG[dst], arr,
 				e.na.segStartH[dst], simtime.MaxHost(h, e.na.segStartH[dst]))
 		}
-		e.na.inSeg[dst] = false
 		e.na.node[dst].WakeAt(arr)
 		e.na.phase[dst] = phRunning
 		e.stepNode(dst, h)
@@ -838,7 +812,7 @@ func (e *engine) tightSitsOut(members []int32) bool {
 	return true
 }
 
-// runQuantum executes one stepped quantum as its partitioning p (DESIGN.md
+// runQuantum executes one stepped quantum as its partitioning e.part (DESIGN.md
 // §2.1, §2.2) — the only executor there is. Nothing sent in a quantum crosses
 // partitions before the barrier: such a frame travels a loose link, so its
 // arrival is provably at or past the limit.
@@ -856,16 +830,15 @@ func (e *engine) tightSitsOut(members []int32) bool {
 // they send. Tight partitions and loose nodes that cannot act before the limit
 // are fast-forwarded instead (DESIGN.md §2.3).
 //
-// The barrier then routes every deferred frame in canonical (node,
-// send-sequence) order, the defs lane of each node on the deferring list in
-// place, and delivers each surviving copy as the walk does. Every arrival
-// time is at or past the limit and every destination is at the barrier, so
-// each delivery is exact (DESIGN.md §2.4). runQuantum returns the largest
-// cost of a node that sat out.
-func (e *engine) runQuantum(hostNow simtime.Host, p *partitioning) (restMax simtime.Duration) {
-	e.exec = p
+// The barrier then sorts the deferred list into canonical (node,
+// send-sequence) order — a sender's flights enter it in the order it sends
+// them, so that is (src, fi) order — routes it, and delivers each surviving
+// copy as the walk does. Every arrival time is at or past the limit and every
+// destination is at the barrier, so each delivery is exact (DESIGN.md §2.4).
+// runQuantum returns the largest cost of a node that sat out.
+func (e *engine) runQuantum(hostNow simtime.Host) (restMax simtime.Duration) {
 	w, _ := e.window()
-	for _, members := range p.tight {
+	for _, members := range e.part.tight {
 		if e.tightSitsOut(members) {
 			restMax = max(restMax, e.quietNodes(members, hostNow, 1, w))
 			continue
@@ -877,7 +850,7 @@ func (e *engine) runQuantum(hostNow simtime.Host, p *partitioning) (restMax simt
 		}
 		e.drainQueue()
 	}
-	for loose := p.loose; len(loose) > 0; {
+	for loose := e.part.loose; len(loose) > 0; {
 		// A run of loose nodes that sit out is one quietNodes pass.
 		n := 0
 		for n < len(loose) && e.sitsOut(int(loose[n])) {
@@ -892,14 +865,13 @@ func (e *engine) runQuantum(hostNow simtime.Host, p *partitioning) (restMax simt
 		loose = loose[n:]
 	}
 
-	slices.Sort(e.deferring)
-	for _, i := range e.deferring {
-		for _, r := range e.defs[i] {
-			e.routeFlight(r.h, r.fi)
-		}
-		e.defs[i] = e.defs[i][:0]
+	slices.SortFunc(e.deferred, func(a, b routed) int {
+		return cmp.Or(cmp.Compare(a.src, b.src), cmp.Compare(a.fi, b.fi))
+	})
+	for _, r := range e.deferred {
+		e.routeFlight(r.h, r.fi)
 	}
-	e.deferring = e.deferring[:0]
+	e.deferred = e.deferred[:0]
 	return restMax
 }
 

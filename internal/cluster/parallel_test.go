@@ -90,7 +90,7 @@ func TestParallelObserver(t *testing.T) {
 	p, rec, buf, progress := prof.New(), &obs.Recorder{}, &bytes.Buffer{}, &bytes.Buffer{}
 	tracer := obs.NewChromeTracer(buf)
 	cfg := testConfig(4, workloads.Phases(3, 150*simtime.Microsecond, 16<<10), adaptive(simtime.Microsecond, simtime.Millisecond, 1.05, 0.02))
-	s := runParallel(t, cfg, 0.01, p, tracer, obs.NewProgress(progress, cfg.MaxGuest, 0), rec).Stats
+	s := runParallel(t, cfg, 0.01, p, tracer, obs.NewProgress(progress), rec).Stats
 	if err := tracer.Close(); err != nil {
 		t.Fatalf("tracer error: %v", err)
 	}

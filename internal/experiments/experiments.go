@@ -264,7 +264,9 @@ func hostLabel(h host.Params) string {
 // Measure runs every point and compares it with its ground truth — the
 // Q = 1µs run of the same workload, node count and seed — returning one Cell
 // per point, in point order whatever Env.Workers is. It is the one place the
-// evaluation's measurement happens; every study is a point list over it.
+// evaluation's measurement happens; every study is a point list over it but
+// FaultSweep, which compares its runs with each other and needs no ground
+// truth.
 //
 // Points that share a ground truth (same workload fingerprint, node count
 // and ground-truth env) share one run of it, obtained through Env.Baselines

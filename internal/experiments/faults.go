@@ -44,7 +44,8 @@ func sumMetric(res *cluster.Result, name string) int {
 // should run the reliable transport (e.g. workloads.ReliablePhases) so it
 // completes under loss and reports retransmission counters; the sweep is the
 // paper-style behavioural comparison of adaptive versus fixed quanta on a
-// degrading network.
+// degrading network. Its rows compare runs with each other, not with a ground
+// truth, so it runs them itself rather than through Measure.
 func FaultSweep(env Env, w workloads.Workload, nodes int, specs []Spec, lossPcts []float64, seed uint64) ([]FaultRow, error) {
 	rows := make([]FaultRow, len(lossPcts)*len(specs))
 	var jobs []func() error

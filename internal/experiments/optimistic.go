@@ -53,44 +53,41 @@ type OptimisticRow struct {
 }
 
 // OptimisticEstimate reproduces the paper's §3 argument quantitatively: it
-// runs the workload under the given quantum configurations, counts the
-// stragglers each experienced (the events an optimistic scheme would have
-// had to roll back), and prices the optimistic alternative with op's
-// checkpoint model.
+// measures the workload under the given quantum configurations (Grid, so
+// through Measure), counts the stragglers each experienced (the events an
+// optimistic scheme would have had to roll back), and prices the optimistic
+// alternative with op's checkpoint model.
 func OptimisticEstimate(env Env, w workloads.Workload, nodes int, specs []Spec, op OptimisticParams) ([]OptimisticRow, error) {
-	var rows []OptimisticRow
-	for _, spec := range specs {
-		res, err := runOne(env, w, nodes, spec, nil, nil)
-		if err != nil {
-			return nil, err
-		}
+	cells, err := Grid(env, []workloads.Workload{w}, []int{nodes}, specs)
+	if err != nil {
+		return nil, err
+	}
+	rows := make([]OptimisticRow, len(cells))
+	for i, c := range cells {
 		// The optimistic baseline execution: no barriers at all, every node
 		// free-runs (the busy work is the same; the barrier overhead
 		// disappears). Approximate it as the measured host time minus the
 		// per-quantum barrier costs.
-		barriers := simtime.Duration(res.Stats.Quanta) * env.Host.BarrierCost
-		free := res.HostTime - barriers
-		if free < 0 {
-			free = 0
-		}
+		barriers := simtime.Duration(c.Stats.Quanta) * env.Host.BarrierCost
+		free := max(c.HostTime-barriers, 0)
 		// Checkpointing: every node saves one image per CheckpointPeriod of
 		// guest time (they proceed in parallel, so the run pays the cost
 		// once per period, not per node).
-		nCheckpoints := int64(res.GuestTime) / int64(op.CheckpointPeriod)
+		nCheckpoints := int64(c.GuestTime) / int64(op.CheckpointPeriod)
 		checkpointing := simtime.Duration(nCheckpoints) * op.CheckpointCost
 		// Rollbacks: each straggler forces a restore plus re-simulation of
 		// on average half a checkpoint period of guest time.
 		resim := op.CheckpointPeriod.Scale(0.5 * env.Host.BusySlowdown)
-		rollbacks := simtime.Duration(res.Stats.Stragglers) * (simtime.Duration(op.RestoreCost) + resim)
+		rollbacks := simtime.Duration(c.Stats.Stragglers) * (simtime.Duration(op.RestoreCost) + resim)
 		opt := free + checkpointing + rollbacks
 
-		rows = append(rows, OptimisticRow{
-			Config:         spec.Label,
-			QuantumHost:    res.HostTime,
-			Stragglers:     res.Stats.Stragglers,
+		rows[i] = OptimisticRow{
+			Config:         c.Config,
+			QuantumHost:    c.HostTime,
+			Stragglers:     c.Stats.Stragglers,
 			OptimisticHost: opt,
-			Ratio:          float64(opt) / float64(res.HostTime),
-		})
+			Ratio:          float64(opt) / float64(c.HostTime),
+		}
 	}
 	return rows, nil
 }

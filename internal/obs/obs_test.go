@@ -163,17 +163,14 @@ func TestHistogramBuckets(t *testing.T) {
 
 func TestProgressReports(t *testing.T) {
 	var buf bytes.Buffer
-	p := NewProgress(&buf, simtime.Guest(20*simtime.Microsecond), -1)
+	p := NewProgress(&buf)
 	sampleRun(p)
 	out := buf.String()
 	if !strings.Contains(out, "finished") {
 		t.Fatalf("no final report: %q", out)
 	}
-	if !strings.Contains(out, "50.0%") {
-		t.Errorf("expected 50%% of target in %q", out)
-	}
-	if !strings.Contains(out, "stragglers 100.0%") {
-		t.Errorf("expected straggler rate in %q", out)
+	if !strings.Contains(out, "packets 1 | stragglers 1\n") {
+		t.Errorf("expected the packet and straggler counts in %q", out)
 	}
 	if !strings.Contains(out, "quiet 0 |") {
 		t.Errorf("expected the quiet-quantum count in the final line %q", out)
@@ -185,7 +182,7 @@ func TestProgressReports(t *testing.T) {
 // final line.
 func TestQuietQuantaPublished(t *testing.T) {
 	var buf bytes.Buffer
-	NewProgress(&buf, 0, -1).RunEnd(RunSummary{Quanta: 4, QuietQuanta: 3, QuietNodeQuanta: 29})
+	NewProgress(&buf).RunEnd(RunSummary{Quanta: 4, QuietQuanta: 3, QuietNodeQuanta: 29})
 	if out := buf.String(); !strings.Contains(out, "quiet 3 | quiet node-quanta 29 |") {
 		t.Errorf("final progress line lacks the quiet counts: %q", out)
 	}
@@ -195,7 +192,7 @@ func TestQuietQuantaPublished(t *testing.T) {
 // whose partitioning left every node loose.
 func TestProgressEngagedFraction(t *testing.T) {
 	var buf bytes.Buffer
-	p := NewProgress(&buf, simtime.Guest(20*simtime.Microsecond), -1)
+	p := NewProgress(&buf)
 	sampleRun(p)
 	if out := buf.String(); !strings.Contains(out, "engaged 100%") {
 		t.Errorf("expected the engaged fraction in %q", out)

@@ -10,10 +10,12 @@ import (
 )
 
 // Progress is an Observer that periodically reports how far a long run has
-// advanced: guest time (and percentage of the target, when one is known),
-// quanta per wall-clock second, the current quantum size, the share of quanta
-// whose partitioning left every node loose, and the straggler rate. Updates are rate-limited by wall time so the hook itself is cheap on
-// runs with millions of quanta.
+// advanced: guest time, quanta per wall-clock second, the current quantum
+// size, the share of quanta whose partitioning left every node loose, and the
+// frames routed and stragglers delivered so far. The two counts stay apart:
+// a duplicated frame is routed once and may straggle twice, so their ratio is
+// no rate. Updates are rate-limited by wall time so the hook itself is cheap
+// on runs with millions of quanta.
 //
 // Reports go to a single writer (conventionally stderr, so piped stdout
 // output such as CSV or charts stays clean).
@@ -21,11 +23,6 @@ type Progress struct {
 	Base // the hooks a status line has no use for
 	mu   sync.Mutex
 	w    io.Writer
-	// target is the guest time treated as 100%; zero reports absolute guest
-	// time only.
-	target simtime.Guest
-	// interval is the minimum wall time between reports.
-	interval time.Duration
 
 	start      time.Time
 	lastReport time.Time
@@ -43,15 +40,11 @@ type Progress struct {
 	curQ          simtime.Duration
 }
 
-// NewProgress returns a reporter writing to w. target is the guest time
-// treated as 100% (zero if unknown). Updates are emitted at most every
-// interval; interval <= 0 uses a 500ms default.
-func NewProgress(w io.Writer, target simtime.Guest, interval time.Duration) *Progress {
-	if interval <= 0 {
-		interval = 500 * time.Millisecond
-	}
-	return &Progress{w: w, target: target, interval: interval}
-}
+// progressInterval is the minimum wall time between two progress lines.
+const progressInterval = 500 * time.Millisecond
+
+// NewProgress returns a reporter writing to w.
+func NewProgress(w io.Writer) *Progress { return &Progress{w: w} }
 
 // RunStart starts the wall clock.
 func (p *Progress) RunStart(info RunInfo) {
@@ -60,9 +53,6 @@ func (p *Progress) RunStart(info RunInfo) {
 	p.start = time.Now() //simlint:wallclock progress reporting is rate-limited by real time; it renders to stderr and never feeds results
 	p.lastReport = p.start
 	p.nodes = info.Nodes
-	if p.target == 0 {
-		p.target = info.MaxGuest
-	}
 }
 
 // RunEnd emits the final report.
@@ -105,7 +95,7 @@ func (p *Progress) QuantumEnd(rec QuantumRecord) {
 	p.packets += int64(rec.Packets)
 	p.stragglers += int64(rec.Stragglers)
 	p.guest = rec.Start.Add(rec.Q)
-	if time.Since(p.lastReport) >= p.interval { //simlint:wallclock report rate limiting compares real elapsed time; results are unaffected
+	if time.Since(p.lastReport) >= progressInterval { //simlint:wallclock report rate limiting compares real elapsed time; results are unaffected
 		p.report("progress")
 	}
 }
@@ -130,14 +120,6 @@ func (p *Progress) report(label string) {
 			rate = float64(p.quanta) / elapsed.Seconds()
 		}
 	}
-	pct := ""
-	if p.target > 0 {
-		pct = fmt.Sprintf(" (%.1f%%)", 100*float64(p.guest)/float64(p.target))
-	}
-	strag := 0.0
-	if p.packets > 0 {
-		strag = 100 * float64(p.stragglers) / float64(p.packets)
-	}
 	engaged := 0.0
 	if p.quanta > 0 {
 		engaged = 100 * float64(p.engagedQuanta) / float64(p.quanta)
@@ -146,6 +128,6 @@ func (p *Progress) report(label string) {
 	if final {
 		quiet = fmt.Sprintf(" | quiet %d | quiet node-quanta %d", p.quiet, p.quietNodes)
 	}
-	fmt.Fprintf(p.w, "%s: guest %v%s | %d quanta (%.0f/s) | Q=%v | engaged %.0f%%%s | stragglers %.1f%%\n",
-		label, p.guest, pct, p.quanta, rate, p.curQ, engaged, quiet, strag)
+	fmt.Fprintf(p.w, "%s: guest %v | %d quanta (%.0f/s) | Q=%v | engaged %.0f%%%s | packets %d | stragglers %d\n",
+		label, p.guest, p.quanta, rate, p.curQ, engaged, quiet, p.packets, p.stragglers)
 }
